@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq, least_squares
 
 from . import classical, curve, mesh
 from .quad import ComplexPath, QuadSettings
@@ -168,6 +167,8 @@ def weierstrass_laplacian_grid(sigma, n_side=6, h=1e-3,
 def classical_radius_at_height(params: classical.RiemannParams, z_target,
                                settings: QuadSettings | None = None):
     """sqrt(q) of the circle at height z_target in [0, zeta)."""
+    from scipy.optimize import brentq
+
     if not 0.0 <= z_target < params.zeta:
         raise classical.DomainError(
             f"height {z_target} outside [0, zeta={params.zeta})")
@@ -203,6 +204,8 @@ def registration_error(lam, nr=30, nt=40, n_heights=8,
     measured one.  Returns the worst relative radius error and the relative
     mismatch of the vertical line spacings (|t0_3| against 2 s zeta).
     """
+    from scipy.optimize import least_squares
+
     sigma = classical.sigma_of_lambda(lam)
     cl = classical.RiemannParams.from_lambda(lam, settings)
     surf = mesh.FundamentalSurface(sigma, settings)

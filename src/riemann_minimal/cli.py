@@ -84,7 +84,7 @@ def build_parser():
         description="Construct and verify Riemann's minimal examples.")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, with_grid=False):
+    def common(p):
         g = p.add_mutually_exclusive_group(required=True)
         g.add_argument("--sigma", type=float, help="curve parameter sigma > 0")
         g.add_argument("--lambda", dest="lam", type=float,
@@ -94,21 +94,20 @@ def build_parser():
                        help="threshold override (repeatable)")
         p.add_argument("--json", dest="json_path", default=None,
                        help="write the JSON report here instead of stdout")
-        if with_grid:
-            p.add_argument("--e", type=float, default=0.1,
-                           help="end-truncation parameter in (0,1)")
-            p.add_argument("--grid", type=_parse_grid, default=(40, 60),
-                           metavar="NRxNT")
-            p.add_argument("--copies", type=int, default=1)
 
     pg = sub.add_parser("gen", help="generate and export meshes")
-    common(pg, with_grid=True)
+    common(pg)
+    pg.add_argument("--e", type=float, default=0.1,
+                    help="end-truncation parameter in (0,1)")
+    pg.add_argument("--grid", type=_parse_grid, default=(40, 60),
+                    metavar="NRxNT")
+    pg.add_argument("--copies", type=int, default=1)
     pg.add_argument("-o", "--out", dest="out_dir", default="out")
     pg.add_argument("--format", dest="fmt", choices=["obj", "ply", "both"],
                     default="obj")
 
     pv = sub.add_parser("verify", help="run the verification suite")
-    common(pv, with_grid=True)
+    common(pv)
 
     pk = sub.add_parser("kdv", help="KdV hierarchy printing and measurement")
     gk = pk.add_mutually_exclusive_group(required=False)
@@ -148,7 +147,7 @@ def _config_from_args(args) -> RunConfig:
         samples=getattr(args, "samples", 60),
         print_p=getattr(args, "print_p", None),
     )
-    if cfg.command in ("gen", "verify"):
+    if cfg.command == "gen":
         if not 0.0 < cfg.e < 1.0:
             raise ValueError("e must lie in (0,1)")
         if cfg.nr < 2 or cfg.nt < 2:

@@ -163,7 +163,9 @@ class _SegmentBranch:
             step = min(dt, 1.0 - t)
             while True:
                 tn = t + step
-                z = self.a + (self.b - self.a) * tn
+                # the last checkpoint sits on b exactly: a + (b - a) * 1.0
+                # can round off a terminal branch point, where w must vanish
+                z = self.b if tn == 1.0 else self.a + (self.b - self.a) * tn
                 c = np.sqrt(complex(curve_poly(params, z)))
                 if abs(c - w) > abs(c + w):
                     c = -c

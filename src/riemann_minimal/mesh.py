@@ -493,34 +493,42 @@ def slice_mesh(mesh: TriMesh, height: float):
     """Intersect the mesh with {x3 = height}.
 
     Returns (points, crossings): edge-interpolated intersection points and
-    the crossing records (ia, ib, s) for refinement.
+    the crossing records (ia, ib, s) for refinement, one per mesh edge
+    (ia < ib) with strictly opposite signs of x3 - height at its ends, in
+    ascending (ia, ib) order.
     """
+    n = mesh.vertex_count
+    faces = np.asarray(mesh.faces, dtype=np.int64)
+    nxt = np.roll(faces, -1, axis=1)
+    key = np.unique(np.minimum(faces, nxt) * n + np.maximum(faces, nxt))
+    i, j = np.divmod(key, n)
     x3 = mesh.vertices[:, 2]
-    edges = set()
-    for (a, b, c) in mesh.faces:
-        for i, j in ((a, b), (b, c), (c, a)):
-            edges.add((min(i, j), max(i, j)))
-    pts = []
-    crossings = []
-    for (i, j) in sorted(edges):
-        fa, fb = x3[i] - height, x3[j] - height
-        if fa == 0.0 or fb == 0.0 or fa * fb > 0.0:
-            continue
-        s = fa / (fa - fb)
-        pts.append(mesh.vertices[i] + s * (mesh.vertices[j] - mesh.vertices[i]))
-        crossings.append((int(i), int(j), float(s)))
-    return np.asarray(pts, dtype=float).reshape(-1, 3), crossings
+    fa, fb = x3[i] - height, x3[j] - height
+    cross = (fa != 0.0) & (fb != 0.0) & ~(fa * fb > 0.0)
+    i, j, fa, fb = i[cross], j[cross], fa[cross], fb[cross]
+    s = fa / (fa - fb)
+    v = mesh.vertices
+    pts = v[i] + s[:, None] * (v[j] - v[i])
+    return pts.reshape(-1, 3), list(zip(i.tolist(), j.tolist(), s.tolist()))
 
 
 def refine_slice(mesh: TriMesh, height: float, surface: FundamentalSurface,
                  max_points: int = 32):
     """Replace mesh-edge slice points with exact surface points at ``height``.
 
-    Each crossing edge is root-solved in the domain parameter: the target
-    is (op(psi(z)))_3 = height along the straight z-segment between the
-    edge's domain points, integrating incrementally from the edge vertex.
-    Only meshes built by :func:`sample_fundamental` (and extensions of
-    them) carry the provenance needed here.
+    Each crossing edge is root-solved in the domain parameter s of the
+    straight z-segment z(s) = za + s (zb - za) from the anchor vertex (an
+    edge end with w != 0) to the other end.  The target is
+    f(s) = (op(psi(z(s))))_3 - height, and its derivative is closed form,
+    f'(s) = ell . Re(phi(z(s), w(s)) (zb - za)) with ell the third row of
+    the op's linear part and phi the Weierstrass densities.  Safeguarded
+    Newton starts from the mesh's linear-interpolation guess and keeps the
+    sign bracket [s_lo, s_hi], bisecting whenever a Newton step would leave
+    it; it stops when f == 0 or the next step is below 1e-13.  Every
+    iterate is integrated from the anchor vertex, so quadrature errors do
+    not accumulate and the result depends on s alone.  Only meshes built
+    by :func:`sample_fundamental` (and extensions of them) carry the
+    provenance needed here.
     """
     if mesh.domain_z is None or mesh.op_index is None:
         raise ValueError("mesh carries no domain provenance")
@@ -528,6 +536,7 @@ def refine_slice(mesh: TriMesh, height: float, surface: FundamentalSurface,
     if len(crossings) > max_points:
         idx = np.linspace(0, len(crossings) - 1, max_points).astype(int)
         crossings = [crossings[i] for i in idx]
+    params = surface.params
     out = []
     for (ia, ib, s_guess) in crossings:
         if mesh.op_index[ia] != mesh.op_index[ib]:
@@ -535,12 +544,13 @@ def refine_slice(mesh: TriMesh, height: float, surface: FundamentalSurface,
         op = mesh.op_catalog[mesh.op_index[ia]]
         # anchor at an endpoint with a usable branch value
         if mesh.domain_w[ia] != 0.0:
-            i0, i1 = ia, ib
+            i0, i1, s = ia, ib, s_guess
         elif mesh.domain_w[ib] != 0.0:
-            i0, i1 = ib, ia
+            i0, i1, s = ib, ia, 1.0 - s_guess
         else:
             continue
         za, zb = mesh.domain_z[i0], mesh.domain_z[i1]
+        dz = zb - za
         p0 = mesh.fundamental_xyz[i0].copy()
         w0 = mesh.domain_w[i0]
         ell = op.linear[2, :]
@@ -557,30 +567,35 @@ def refine_slice(mesh: TriMesh, height: float, surface: FundamentalSurface,
         if f0 * f1 > 0:
             continue
         s_lo, s_hi = 0.0, 1.0
-        f_lo = f0
-        pos_prev, w_prev, s_prev = p0, w0, 0.0
-        pos_at = None
+        if not s_lo < s < s_hi:
+            s = 0.5
         for _ in range(60):
-            s_mid = 0.5 * (s_lo + s_hi)
-            z_prev = za + s_prev * (zb - za)
-            z_mid = za + s_mid * (zb - za)
-            if z_mid != z_prev:
-                path = _marching_path(surface.params, [z_prev, z_mid])
-                pos_mid, pt_mid = _curve.immerse(surface.params, path, w_prev,
-                                                 pos_prev, surface.settings)
+            z = za + s * dz
+            if z != za:
+                path = _marching_path(params, [za, z])
+                pos, pt = _curve.immerse(params, path, w0, p0,
+                                         surface.settings)
             else:
-                pos_mid, pt_mid = pos_prev, CurvePoint(z_prev, w_prev)
-            f_mid = shifted_height(pos_mid)
-            pos_prev, w_prev, s_prev = pos_mid, pt_mid.w, s_mid
-            if f_mid == 0.0 or (s_hi - s_lo) < 1e-13:
-                pos_at = pos_mid
+                pos, pt = p0, CurvePoint(za, w0)
+            f = shifted_height(pos)
+            if f == 0.0:
                 break
-            if f_lo * f_mid <= 0:
-                s_hi = s_mid
+            if (f > 0.0) == (f0 > 0.0):
+                s_lo = s
             else:
-                s_lo, f_lo = s_mid, f_mid
-            pos_at = pos_mid
-        out.append(op.apply(pos_at))
+                s_hi = s
+            s_next = 0.5 * (s_lo + s_hi)
+            if pt.w != 0.0:
+                forms = _curve.weierstrass_at(params, pt)
+                phi = np.array([forms.phi1_density, forms.phi2_density,
+                                forms.phi3_density])
+                fp = float(ell @ (phi * dz).real)
+                if fp != 0.0 and s_lo < s - f / fp < s_hi:
+                    s_next = s - f / fp
+            if abs(s_next - s) < 1e-13:
+                break
+            s = s_next
+        out.append(op.apply(pos))
     return np.asarray(out, dtype=float).reshape(-1, 3)
 
 

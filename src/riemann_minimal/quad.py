@@ -146,9 +146,6 @@ class ComplexPath:
     def reversed(self) -> "ComplexPath":
         return ComplexPath(self.nodes[::-1], self.clearance, self.exclusions)
 
-    def length(self) -> float:
-        return sum(abs(b - a) for a, b in self.segments)
-
 
 def _gk_panel(f, a, b):
     """One G7/K15 panel on the (complex or real) straight segment a -> b.

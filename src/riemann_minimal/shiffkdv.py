@@ -211,15 +211,6 @@ def shiffman_velocity(j: Jet) -> complex:
     return 0.5j * (gppp - 3.0 * gp * gpp / g + 1.5 * gp ** 3 / g ** 2)
 
 
-def shiffman_velocity_jet(j: Jet) -> Jet:
-    """Same as :func:`shiffman_velocity` but propagated through the jet."""
-    _require(j, 3, "shiffman_velocity_jet")
-    _check_g(j)
-    g = j
-    return 0.5j * (g.d(3) - 3.0 * (g.d(1) * g.d(2)) / g
-                   + 1.5 * (g.d(1) * g.d(1) * g.d(1)) / (g * g))
-
-
 def potential_u(j: Jet, order: int | None = None) -> Jet:
     """Schroedinger/KdV potential u = -3(g')^2/(4g^2) + g''/(2g) as a jet.
 

@@ -7,6 +7,7 @@ Runtime budgets are asserted too; they are generous on any recent machine.
 
 import json
 import math
+import os
 import subprocess
 import sys
 import time
@@ -15,6 +16,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+import riemann_minimal
 from riemann_minimal import checks, classical, curve, shiffkdv
 from riemann_minimal.classical import (RiemannParams, height, q_min,
                                        sigma_of_lambda)
@@ -242,13 +244,18 @@ def test_criterion_12_algebro_geometric_measurement():
 
 def test_criterion_13_pipeline_reproduction(tmp_path):
     with Budget("criterion 13: gen pipeline reproduction", 120.0):
+        # the child interpreter imports the same package as this one
+        src = os.path.dirname(os.path.dirname(riemann_minimal.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
         outs = []
         for sub in ("a", "b"):
             out = tmp_path / sub
             cmd = [sys.executable, "-m", "riemann_minimal.cli", "gen",
                    "--sigma", "2", "--e", "0.1", "--grid", "40x60",
                    "--copies", "1", "-o", str(out)]
-            proc = subprocess.run(cmd, capture_output=True, text=True)
+            proc = subprocess.run(cmd, capture_output=True, text=True,
+                                  env=env)
             assert proc.returncode == 0, proc.stderr
             outs.append(out)
         a, b = outs

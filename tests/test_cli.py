@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -103,6 +106,10 @@ def test_config_errors_exit_2():
     assert run(["gen", "--sigma", "2", "--grid", "bogus"]) == 2
     assert run(["gen", "--sigma", "2", "--e", "1.5"]) == 2
     assert run(["verify", "--sigma", "2", "--tol", "shiffman"]) == 2
+    # verify runs on its own fixed grids and takes no mesh flags
+    assert run(["verify", "--sigma", "2", "--grid", "4x4"]) == 2
+    assert run(["verify", "--sigma", "2", "--e", "0.9"]) == 2
+    assert run(["verify", "--sigma", "2", "--copies", "3"]) == 2
     assert run(["kdv"]) == 2
     assert run(["kdv", "--print-p", "9"]) == 2
 
@@ -112,6 +119,31 @@ def test_numeric_failure_exit_3(tmp_path):
     rc = run(["gen", "--sigma", "1e9", "--grid", "4x4",
               "-o", str(tmp_path / "o")])
     assert rc == 3
+
+
+@pytest.mark.parametrize("sigma", ["0.47863009232263826",
+                                   "0.05623413251903491"])
+def test_gen_reaches_terminal_branch_point(tmp_path, sigma):
+    # at these sigmas a + (b - a) * 1.0 rounds off b = -sigma, so branch
+    # tracking into the corner vertex must land on b itself to reach w = 0
+    out = tmp_path / "o"
+    rc = run(["gen", "--sigma", sigma, "--grid", "40x60", "--copies", "0",
+              "-o", str(out)])
+    assert rc == 0
+    res = load_report(out / "report.json")["result"]
+    t = res["translation"]  # 2 t0
+    assert abs(res["slab_height"] - abs(t[2]) / 2.0) < 1e-7
+    assert abs(t[1]) < 1e-7
+
+
+def test_import_does_not_load_scipy_optimize():
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys, riemann_minimal.cli; "
+            "print('scipy.optimize' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "False"
 
 
 @pytest.mark.slow

@@ -234,6 +234,93 @@ def test_refined_slice_is_exact_circle(fund2, ops2, surf2):
     assert abs(fit_c.radius - fit.radius) < 5e-2 * fit.radius
 
 
+def _slice_mesh_reference(m, height):
+    """Per-face edge set walked in sorted order: the loop slice_mesh must
+    reproduce crossing for crossing."""
+    x3 = m.vertices[:, 2]
+    edges = set()
+    for (a, b, c) in m.faces:
+        for i, j in ((a, b), (b, c), (c, a)):
+            edges.add((min(i, j), max(i, j)))
+    pts, crossings = [], []
+    for (i, j) in sorted(edges):
+        fa, fb = x3[i] - height, x3[j] - height
+        if fa == 0.0 or fb == 0.0 or fa * fb > 0.0:
+            continue
+        s = fa / (fa - fb)
+        pts.append(m.vertices[i] + s * (m.vertices[j] - m.vertices[i]))
+        crossings.append((int(i), int(j), float(s)))
+    return np.asarray(pts, dtype=float).reshape(-1, 3), crossings
+
+
+def test_slice_mesh_matches_edge_set_reference(fund2, ops2, surf2):
+    ext = extend(fund2, ops2, copies=1)
+    span = surf2.translation_half()[2]
+    # generic heights, a vertex height (edges touching it are skipped) and
+    # one above the mesh
+    heights = [0.3 * span, 0.45 * span, 1.6 * span,
+               float(ext.vertices[37, 2]), 10.0 * abs(span)]
+    for h in heights:
+        pts, crossings = slice_mesh(ext, h)
+        ref_pts, ref_crossings = _slice_mesh_reference(ext, h)
+        assert crossings == ref_crossings
+        assert np.array_equal(pts, ref_pts)
+    assert len(slice_mesh(ext, heights[0])[1]) > 0
+    assert slice_mesh(ext, heights[-1])[1] == []
+
+
+# refine_slice(ext, frac * t0_3, surf2, max_points=5) on the 14x20 sigma = 2
+# piece extended with copies=0, as computed by a 60-step bisection in z
+REFINED_PINS = {
+    0.25: [(2.0486779401701063, -0.9170527962528978, 0.5857100420733878),
+           (0.6666243556249979, -0.9663204014996776, 0.5857100420733927),
+           (0.2880302044203029, -0.5409459345603735, 0.585710042073387),
+           (0.6666243556249979, 0.9663204014996776, 0.5857100420733927),
+           (0.2880302044203029, 0.5409459345603735, 0.585710042073387)],
+    0.45: [(1.3915282479181332, -0.41401220706786807, 1.054278075732103),
+           (0.7417387335106299, -0.7194001051033421, 1.054278075732101),
+           (0.6325070621926472, -0.702006391343113, 1.0542780757321044),
+           (0.7417387335106299, 0.7194001051033421, 1.054278075732101),
+           (0.6325070621926472, 0.702006391343113, 1.0542780757321044)],
+    0.7: [(1.271916244712272, -0.0406237767863799, 1.639988117805496),
+          (0.3556178568016244, -0.9738915504393483, 1.6399881178054927),
+          (1.0585741321476934, -0.609973482887699, 1.6399881178054931),
+          (0.3556178568016244, 0.9738915504393483, 1.6399881178054927),
+          (1.0585741321476934, 0.609973482887699, 1.6399881178054931)],
+}
+
+
+def test_refine_slice_pinned_points(fund2, ops2, surf2):
+    ext = extend(fund2, ops2, copies=0)
+    span = surf2.translation_half()[2]
+    for frac, want in REFINED_PINS.items():
+        pts = refine_slice(ext, frac * span, surf2, max_points=5)
+        assert pts.shape == (len(want), 3)
+        assert np.max(np.abs(pts - np.array(want))) < 1e-11
+
+
+def test_refine_slice_hits_height_with_few_immerse_calls(fund2, ops2, surf2,
+                                                         monkeypatch):
+    ext = extend(fund2, ops2, copies=1)
+    span = surf2.translation_half()[2]
+    calls = []
+    immerse = curve.immerse
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return immerse(*args, **kwargs)
+
+    monkeypatch.setattr(curve, "immerse", counting)
+    n_points = 0
+    for frac in (0.13, 0.3, 0.5, 0.77, 1.4, 1.9):
+        h = frac * span
+        pts = refine_slice(ext, h, surf2, max_points=24)
+        assert len(pts) >= 5
+        assert np.max(np.abs(pts[:, 2] - h)) <= 1e-12 * max(1.0, abs(h))
+        n_points += len(pts)
+    assert len(calls) <= 6 * n_points
+
+
 # --- export -------------------------------------------------------------------
 
 
