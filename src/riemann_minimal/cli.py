@@ -167,18 +167,15 @@ def _config_from_args(args) -> RunConfig:
 
 
 def _report_skeleton(cfg: RunConfig) -> dict:
+    config = {"sigma": cfg.sigma, "lambda": cfg.lam}
+    if cfg.command == "gen":  # only gen takes the mesh flags
+        config.update(e=cfg.e, grid=[cfg.nr, cfg.nt], copies=cfg.copies)
+    config.update(seed=cfg.seed,
+                  tolerance_overrides=dict(sorted(cfg.tolerances.items())))
     return {
         "schema": 1,
         "command": cfg.command,
-        "config": {
-            "sigma": cfg.sigma,
-            "lambda": cfg.lam,
-            "e": cfg.e,
-            "grid": [cfg.nr, cfg.nt],
-            "copies": cfg.copies,
-            "seed": cfg.seed,
-            "tolerance_overrides": dict(sorted(cfg.tolerances.items())),
-        },
+        "config": config,
         "checks": [],
         "pass": True,
         "environment": {

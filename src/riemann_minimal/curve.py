@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quad import (ComplexPath, QuadSettings, _adaptive,
+from .quad import (ComplexPath, QuadSettings, _adaptive, _gk_panel,
                    _point_segment_distance)
 
 __all__ = [
@@ -232,6 +232,59 @@ def _integrate_segment_regular(params, a, b, w0, settings):
 
     total, _ = _adaptive(f, [(a, b)], settings)
     return total, br.w_end
+
+
+def _integrate_segments(params, za, zb, wa, settings=None):
+    """Batched :func:`_integrate_segment_regular` over the segments
+    za[i] -> zb[i], each starting on the branch wa[i] at za[i].
+
+    Returns (totals, w_end): the (n, 3) integrals of (phi1, phi2, phi3) and
+    the continued branch at each zb[i].  All segments share one G7/K15
+    panel evaluation.  w is continued by the nearest-sign rule through za,
+    the 15 nodes and zb, and a segment is accepted from that one panel
+    only if w turns by less than 45 degrees between consecutive points,
+    every value is finite and |K15 - G7| <= max(abs_tol, rel_tol |K15|),
+    the one-panel acceptance test of the adaptive kernel.  Every other
+    segment goes through :func:`_integrate_segment_regular`, which
+    subdivides or raises.  A segment through a branch point raises
+    ClearanceViolation, a zero-length one ValueError.
+    """
+    if settings is None:
+        settings = QuadSettings()
+    za, zb, wa = (np.asarray(x, dtype=complex) for x in (za, zb, wa))
+    d = zb - za
+    if np.any(d == 0):
+        raise ValueError("consecutive path nodes must be distinct")
+    for bp in branch_points(params):
+        t = np.clip(((bp - za) * d.conjugate()).real / np.abs(d) ** 2, 0.0, 1.0)
+        if np.any(bp - (za + t * d) == 0):
+            raise ClearanceViolation(
+                f"segment passes through branch point {bp} (clearance "
+                f"{default_clearance(params):.3e})")
+
+    w_end = np.empty_like(wa)
+    turn_ok = np.empty(len(za), dtype=bool)
+
+    def f(zs):
+        pts = np.concatenate([zs, zb[:, None]], axis=1)
+        c = np.concatenate([wa[:, None],
+                            np.sqrt(curve_poly(params, pts))], axis=1)
+        r = c[:, 1:] * c[:, :-1].conjugate()
+        ws = c[:, 1:] * np.cumprod(np.where(r.real < 0.0, -1.0, 1.0), axis=1)
+        turn_ok[:] = np.all(np.abs(r.real)
+                            > math.cos(math.pi / 4) * np.abs(r), axis=1)
+        w_end[:] = ws[:, -1]
+        return _phi_vector(params, zs, ws[:, :-1])
+
+    totals, err, finite = _gk_panel(f, za, zb)
+    tol = np.maximum(settings.abs_tol,
+                     settings.rel_tol * np.abs(totals).max(axis=1))
+    with np.errstate(invalid="ignore"):
+        redo = ~(finite & turn_ok & (err <= tol))
+    for i in np.flatnonzero(redo):
+        totals[i], w_end[i] = _integrate_segment_regular(
+            params, complex(za[i]), complex(zb[i]), complex(wa[i]), settings)
+    return totals, w_end
 
 
 def _integrate_segment_to_branch(params, a, bp, w0, settings):

@@ -7,11 +7,15 @@ Moebius map onto the fundamental domain
 
 minus a round neighborhood of the end z = 0 (the image of |zeta| = e is a
 circle exactly centered at the origin; the smaller e, the more of the end
-is kept).  The immersion is evaluated by branch-continuous path integration
-that marches the grid row by row from a single base point, so the whole
-patch lives on one sheet.  The two grid corners that land on the branch
-points z = 1 and z = -sigma are integrated with an exact quadratic
-reparameterization of the final segment.
+is kept).  The immersion is integrated along the grid edges from a single
+base point, so the whole patch lives on one sheet: every edge of an edge
+family (the t = 0 column, the interior rows, the radial edges to the outer
+row) is one G7/K15 panel of a single array evaluation, and only the few
+edges that fail its error or branch-rotation test are refined adaptively.
+Positions and branch signs are then accumulated along the marching order.
+The two grid corners that land on the branch points z = 1 and z = -sigma
+are integrated with an exact quadratic reparameterization of the final
+segment.
 
 The surface is then grown by the four-step symmetry pipeline: 180-degree
 rotation about the horizontal line through psi(i sqrt(sigma)), reflection
@@ -141,14 +145,13 @@ class TriMesh:
     Besides the geometric payload, each vertex remembers the domain
     parameter z it was sampled at, the branch value w there, its exact
     position on the fundamental piece, and which composed isometry (index
-    into ``op_catalog``) produced it.  That provenance is what makes exact
+    into ``op_catalog``) produced it.  That record is what makes exact
     slice refinement possible after extension.
     """
 
     vertices: np.ndarray
     normals: np.ndarray
     faces: np.ndarray
-    provenance: list = field(default_factory=list)
     domain_z: np.ndarray | None = None
     domain_w: np.ndarray | None = None
     fundamental_xyz: np.ndarray | None = None
@@ -164,14 +167,13 @@ class TriMesh:
         return len(self.faces)
 
 
-def _transform(mesh: TriMesh, op: IsometryOp, tag: str) -> TriMesh:
+def _transform(mesh: TriMesh, op: IsometryOp) -> TriMesh:
     flip = op.det() < 0
     faces = mesh.faces[:, ::-1].copy() if flip else mesh.faces.copy()
     return TriMesh(
         vertices=op.apply(mesh.vertices),
         normals=op.apply_normals(mesh.normals),
         faces=faces,
-        provenance=[(s, f"{p}*{tag}") for (s, p) in mesh.provenance],
         domain_z=None if mesh.domain_z is None else mesh.domain_z.copy(),
         domain_w=None if mesh.domain_w is None else mesh.domain_w.copy(),
         fundamental_xyz=(None if mesh.fundamental_xyz is None
@@ -196,7 +198,6 @@ def _concat(a: TriMesh, b: TriMesh) -> TriMesh:
         vertices=np.vstack([a.vertices, b.vertices]),
         normals=np.vstack([a.normals, b.normals]),
         faces=np.vstack([a.faces, b.faces + off]),
-        provenance=a.provenance + b.provenance,
         domain_z=aux["domain_z"],
         domain_w=aux["domain_w"],
         fundamental_xyz=aux["fundamental_xyz"],
@@ -217,6 +218,36 @@ def _marching_path(params, nodes):
     d = pth.min_distance_to(_curve.branch_points(params))
     clear = min(_curve.default_clearance(params), 0.45 * d) if d > 0 else 0.0
     return ComplexPath(nodes, clearance=max(clear, 0.0))
+
+
+def _march(params, z, w0, x0, settings):
+    """Immersion along m chains of grid vertices, marched in one batch.
+
+    Chain i runs z[i, 0] -> z[i, 1] -> ... -> z[i, n], starting at position
+    x0[i] on the branch w0[i] (x0 has shape (m, 3), w0 shape (m,)).  Every
+    edge is integrated from the principal root at its start (w0[i] for the
+    first edge), all in one call of ``curve._integrate_segments``.  Since phi is odd in w, an edge that
+    really starts on the other sheet has the negated integral, so the sheet
+    of each vertex is the cumulative product of the sign flips between an
+    edge's continued end value and the next edge's starting root.
+    Positions accumulate in marching order, ((x0 + d1) + d2) + ....
+
+    Returns (positions, branch values), shapes (m, n + 1, 3) and (m, n + 1).
+    """
+    m = z.shape[0]
+    za, zb = z[:, :-1], z[:, 1:]
+    wa = np.sqrt(_curve.curve_poly(params, za))
+    wa[:, 0] = w0
+    totals, wb = _curve._integrate_segments(params, za.reshape(-1),
+                                            zb.reshape(-1), wa.reshape(-1),
+                                            settings)
+    totals, wb = totals.reshape(*za.shape, 3), wb.reshape(za.shape)
+    flip = np.where((wb[:, :-1] * wa[:, 1:].conjugate()).real < 0.0, -1.0, 1.0)
+    sheet = np.cumprod(np.concatenate([np.ones((m, 1)), flip], axis=1), axis=1)
+    steps = np.concatenate([x0[:, None], totals.real * sheet[..., None]],
+                           axis=1)
+    return np.cumsum(steps, axis=1), np.concatenate([w0[:, None], wb * sheet],
+                                                    axis=1)
 
 
 class FundamentalSurface:
@@ -290,8 +321,12 @@ def sample_fundamental(sigma: float, e: float, nr: int, nt: int,
     Moebius map of r*exp(i pi t^warp).  The warp exponent is the remedy for
     inhomogeneous meshes at extreme sigma (default 1).  Marching order: the
     t = 0 column is walked down the real axis from the entry point, each
-    row is walked in t, the outer row is reached radially, and the two
-    corner vertices on the branch points use exact singular-end segments.
+    row is walked in t from its t = 0 vertex, the outer row is reached
+    radially from the row below, and the two corner vertices on the branch
+    points use exact singular-end segments.  The column, the rows and the
+    radial edges are each integrated as one batch (see :func:`_march`);
+    a vertex's position is the sum of the edge integrals along this order
+    and its branch value w the continuation along it.
     """
     if surface is None:
         surface = FundamentalSurface(sigma, settings)
@@ -317,29 +352,20 @@ def sample_fundamental(sigma: float, e: float, nr: int, nt: int,
 
     # t = 0 column (real axis, descending from the entry point)
     order = np.argsort(-Z[:nr - 1, 0].real)
-    pos, pt = surface.entry_pos, surface.entry_pt
-    for j in order:
-        pos, end = surface._immerse_from(pos, pt, [Z[j, 0]])
-        pt = end
-        X[j, 0] = pos
-        W[j, 0] = end.w
+    xs, ws = _march(params, np.append(surface.entry_pt.z, Z[order, 0])[None],
+                    np.array([surface.entry_pt.w]), surface.entry_pos[None],
+                    surface.settings)
+    X[order, 0], W[order, 0] = xs[0, 1:], ws[0, 1:]
 
     # interior rows
-    for j in range(nr - 1):
-        pos = X[j, 0].copy()
-        pt = CurvePoint(Z[j, 0], W[j, 0])
-        for k in range(1, nt):
-            pos, pt = surface._immerse_from(pos, pt, [Z[j, k]])
-            X[j, k] = pos
-            W[j, k] = pt.w
+    X[:nr - 1], W[:nr - 1] = _march(params, Z[:nr - 1], W[:nr - 1, 0],
+                                    X[:nr - 1, 0], surface.settings)
 
     # outer row, radially from the row below
-    for k in range(1, nt - 1):
-        pos, pt = surface._immerse_from(
-            X[nr - 2, k], CurvePoint(Z[nr - 2, k], W[nr - 2, k]),
-            [Z[nr - 1, k]])
-        X[nr - 1, k] = pos
-        W[nr - 1, k] = pt.w
+    k = slice(1, nt - 1)
+    xs, ws = _march(params, np.stack([Z[nr - 2, k], Z[nr - 1, k]], axis=1),
+                    W[nr - 2, k], X[nr - 2, k], surface.settings)
+    X[nr - 1, k], W[nr - 1, k] = xs[:, 1], ws[:, 1]
 
     # corners on the branch points (exact reparameterized quadrature)
     pos, pt = surface._immerse_from(
@@ -361,21 +387,14 @@ def sample_fundamental(sigma: float, e: float, nr: int, nt: int,
     normals = np.stack([2.0 * g.real, 2.0 * g.imag, a2 - 1.0],
                        axis=-1) / (1.0 + a2)[:, None]
 
-    faces = []
-    for j in range(nr - 1):
-        for k in range(nt - 1):
-            v00 = j * nt + k
-            v10 = (j + 1) * nt + k
-            v11 = (j + 1) * nt + k + 1
-            v01 = j * nt + k + 1
-            faces.append((v00, v10, v11))
-            faces.append((v00, v11, v01))
+    v00 = (np.arange(nr - 1)[:, None] * nt + np.arange(nt - 1)).reshape(-1)
+    v11 = v00 + nt + 1
+    faces = np.stack([v00, v00 + nt, v11, v00, v11, v00 + 1], axis=1)
 
     return TriMesh(
         vertices=verts,
         normals=normals,
-        faces=np.array(faces, dtype=np.int32),
-        provenance=[(sigma, "fundamental")],
+        faces=faces.reshape(-1, 3).astype(np.int32),
         domain_z=Z.reshape(-1).copy(),
         domain_w=W.reshape(-1).copy(),
         fundamental_xyz=verts.copy(),
@@ -419,12 +438,12 @@ def extend(mesh: TriMesh, ops, copies: int = 0) -> TriMesh:
     if copies < 0:
         raise ValueError("copies must be >= 0")
     m = mesh
-    for i, op in enumerate(ops[:3]):
-        m = _concat(m, _transform(m, op, f"op{i + 1}"))
+    for op in ops[:3]:
+        m = _concat(m, _transform(m, op))
     out = m
     cur = m
     for k in range(copies):
-        cur = _transform(cur, ops[3], "op4")
+        cur = _transform(cur, ops[3])
         out = _concat(out, cur)
     return out
 
@@ -635,10 +654,10 @@ def export_ply(mesh: TriMesh, path) -> int:
         "end_header\n"
     ).encode("ascii")
     vdata = np.hstack([mesh.vertices, mesh.normals]).astype("<f4").tobytes()
-    parts = [header, vdata]
-    for f in mesh.faces:
-        parts.append(struct.pack("<B3i", 3, int(f[0]), int(f[1]), int(f[2])))
-    data = b"".join(parts)
+    fdata = np.empty(mesh.face_count, dtype=[("n", "u1"), ("i", "<i4", (3,))])
+    fdata["n"] = 3
+    fdata["i"] = mesh.faces
+    data = header + vdata + fdata.tobytes()
     with open(path, "wb") as fh:
         fh.write(data)
     return len(data)
@@ -702,4 +721,4 @@ def weld(mesh: TriMesh, tol: float = 1e-8) -> TriMesh:
     ok = ((faces[:, 0] != faces[:, 1]) & (faces[:, 1] != faces[:, 2])
           & (faces[:, 0] != faces[:, 2]))
     return TriMesh(mesh.vertices[keep], mesh.normals[keep],
-                   faces[ok].astype(np.int32), provenance=list(mesh.provenance))
+                   faces[ok].astype(np.int32))

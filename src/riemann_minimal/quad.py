@@ -148,22 +148,35 @@ class ComplexPath:
 
 
 def _gk_panel(f, a, b):
-    """One G7/K15 panel on the (complex or real) straight segment a -> b.
+    """One G7/K15 panel on each (complex or real) straight segment a -> b.
 
-    Returns (kronrod, error_estimate, values_finite).  ``f`` is evaluated
-    vectorized on the 15 mapped nodes and may return shape (15,) or (15, m).
+    ``a`` and ``b`` are scalars or arrays of segment ends of one shape S.
+    ``f`` is evaluated vectorized on the mapped nodes, shape S + (15,), and
+    may return shape S + (15,) or S + (15, m).  Returns (kronrod,
+    error_estimate, values_finite): for scalar ends the Kronrod value, the
+    largest |K15 - G7| over its components as a float and a bool, or
+    (None, None, False) when a value is not finite; for array ends the
+    Kronrod values (shape S or S + (m,)) and two arrays of shape S; the
+    Kronrod value and error of a segment with non-finite values mean
+    nothing.
     """
-    mid = 0.5 * (a + b)
+    a, b = np.asarray(a), np.asarray(b)
+    nb = a.ndim
     half = 0.5 * (b - a)
-    zs = mid + half * _XK
+    zs = (0.5 * (a + b))[..., None] + half[..., None] * _XK
     with np.errstate(all="ignore"):
-        vals = np.asarray(f(zs))
-    if not np.all(np.isfinite(vals)):
+        vals = np.moveaxis(np.asarray(f(zs)), nb, -1)  # S + values + (15,)
+    per_segment = tuple(range(nb, vals.ndim))
+    finite = np.isfinite(vals).all(axis=per_segment)
+    if nb == 0 and not finite:
         return None, None, False
-    k = np.tensordot(_WK, vals, axes=(0, 0)) * half
-    g = np.tensordot(_WG, vals[_GAUSS_IDX], axes=(0, 0)) * half
-    err = np.max(np.atleast_1d(np.abs(k - g)))
-    return k, float(err), True
+    half = np.expand_dims(half, per_segment[:-1])
+    k = (vals @ _WK) * half
+    g = (vals[..., _GAUSS_IDX] @ _WG) * half
+    err = np.abs(k - g).max(axis=per_segment[:-1])
+    if nb == 0:
+        return k, float(err), True
+    return k, err, finite
 
 
 def _adaptive(f, segments, settings):

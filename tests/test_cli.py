@@ -34,6 +34,9 @@ def test_gen_writes_meshes_and_report(tmp_path):
         assert (out / name).exists()
     rep = load_report(out / "report.json")
     assert rep["schema"] == 1
+    assert rep["config"]["e"] == 0.1
+    assert rep["config"]["grid"] == [10, 14]
+    assert rep["config"]["copies"] == 1
     assert rep["result"]["fundamental_vertices"] == 140
     assert rep["result"]["extended_vertices"] == 140 * 8 * 2
     assert rep["result"]["slab_height"] > 0
@@ -163,6 +166,15 @@ def test_verify_report_deterministic(tmp_path):
                     "--json", str(path)]) == 0
         reports.append(strip_volatile(load_report(path)))
     assert reports[0] == reports[1]
+
+
+@pytest.mark.slow
+def test_verify_report_config_has_no_mesh_flags(tmp_path):
+    # verify samples its own fixed grids; its report claims no e/grid/copies
+    path = tmp_path / "v.json"
+    run(["verify", "--sigma", "2", "--seed", "7", "--json", str(path)])
+    config = load_report(path)["config"]
+    assert set(config) == {"sigma", "lambda", "seed", "tolerance_overrides"}
 
 
 @pytest.mark.slow

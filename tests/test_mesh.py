@@ -1,9 +1,11 @@
 import math
+import struct
 
 import numpy as np
 import pytest
 
 from riemann_minimal import curve, mesh
+from riemann_minimal.quad import QuadSettings
 from riemann_minimal.mesh import (Degenerate, DomainMap,
                                   FundamentalSurface, IsometryOp, TriMesh,
                                   extend, extension_ops, export_obj,
@@ -92,6 +94,118 @@ def test_fundamental_grid_basics(fund2, surf2):
         if nfn < 1e-12:
             continue
         assert fn @ fund2.normals[f[0]] > 0
+
+
+def _sample_fundamental_reference(surface, Z):
+    """Vertex-by-vertex marching, one ``immerse`` per vertex: the loop the
+    batched sample_fundamental replaces.  Returns (vertices, domain_w,
+    faces) as the mesh stores them."""
+    nr, nt = Z.shape
+    X = np.zeros((nr, nt, 3))
+    W = np.zeros((nr, nt), dtype=complex)
+
+    def step(pos, z, w, target):
+        return surface._immerse_from(pos, curve.CurvePoint(z, w), [target])
+
+    pos, pt = surface.entry_pos, surface.entry_pt
+    for j in np.argsort(-Z[:nr - 1, 0].real):
+        pos, pt = step(pos, pt.z, pt.w, Z[j, 0])
+        X[j, 0], W[j, 0] = pos, pt.w
+    for j in range(nr - 1):
+        for k in range(1, nt):
+            pos, pt = step(X[j, k - 1], Z[j, k - 1], W[j, k - 1], Z[j, k])
+            X[j, k], W[j, k] = pos, pt.w
+    for k in range(1, nt - 1):
+        pos, pt = step(X[nr - 2, k], Z[nr - 2, k], W[nr - 2, k], Z[nr - 1, k])
+        X[nr - 1, k], W[nr - 1, k] = pos, pt.w
+    X[nr - 1, 0], _ = step(X[nr - 1, 1], Z[nr - 1, 1], W[nr - 1, 1], Z[nr - 1, 0])
+    X[nr - 1, nt - 1], _ = step(X[nr - 1, nt - 2], Z[nr - 1, nt - 2],
+                                W[nr - 1, nt - 2], Z[nr - 1, nt - 1])
+    faces = []
+    for j in range(nr - 1):
+        for k in range(nt - 1):
+            v00, v01 = j * nt + k, j * nt + k + 1
+            v10, v11 = v00 + nt, v01 + nt
+            faces.append((v00, v10, v11))
+            faces.append((v00, v11, v01))
+    return ((X - X[nr - 1, 0]).reshape(-1, 3), W.reshape(-1),
+            np.array(faces, dtype=np.int32))
+
+
+@pytest.mark.parametrize("sigma", [0.012, 0.5, 2.0, 83.0])
+@pytest.mark.parametrize("nr,nt", [(40, 60), (14, 20)])
+def test_batched_sampling_matches_vertex_marching(sigma, nr, nt):
+    surf = FundamentalSurface(sigma)
+    m = sample_fundamental(sigma, 0.1, nr, nt, surface=surf)
+    verts, w, faces = _sample_fundamental_reference(
+        surf, m.domain_z.reshape(nr, nt))
+    scale = max(1.0, np.max(np.abs(verts)))
+    assert np.max(np.abs(m.vertices - verts)) <= 1e-13 * scale
+    assert np.all(np.abs(m.domain_w - w) <= 1e-12 * np.abs(w))
+    assert m.faces.dtype == np.int32
+    assert np.array_equal(m.faces, faces)
+    assert np.array_equal(m.fundamental_xyz, m.vertices)
+
+
+def test_batched_sampling_falls_back_on_few_edges(surf2, monkeypatch):
+    nr, nt = 40, 60
+    calls = []
+    regular = curve._integrate_segment_regular
+
+    def counting(*args, **kwargs):
+        calls.append(args[1:3])
+        return regular(*args, **kwargs)
+
+    monkeypatch.setattr(curve, "_integrate_segment_regular", counting)
+    sample_fundamental(2.0, 0.1, nr, nt, surface=surf2)
+    edges = (nr - 1) + (nr - 1) * (nt - 1) + (nt - 2)
+    assert 1 <= len(calls) <= 0.01 * edges
+
+
+def test_segment_batch_rejects_edge_through_branch_point():
+    params = curve.CurveParams(2.0)
+    w = np.sqrt(curve.curve_poly(params, 0.5 + 0j))
+    with pytest.raises(curve.ClearanceViolation):
+        curve._integrate_segments(params, [0.5 + 0j], [1.5 + 0j], [w])
+    with pytest.raises(ValueError):
+        curve._integrate_segments(params, [0.5 + 0j], [0.5 + 0j], [w])
+
+
+def test_segment_batch_matches_immerse_near_branch_point():
+    # one edge 1e-3 from z = 1 (branch tracking must subdivide) next to
+    # edges far from every branch point, on either sheet
+    params = curve.CurveParams(2.0)
+    za = np.array([0.77 + 1e-3j, 0.3 + 0.4j, -0.5 + 0.9j])
+    zb = np.array([1.2 + 1e-3j, 0.6 + 0.5j, -0.9 + 0.6j])
+    wa = np.sqrt(curve.curve_poly(params, za)) * np.array([1.0, -1.0, 1.0])
+    totals, w_end = curve._integrate_segments(params, za, zb, wa)
+    for i in range(len(za)):
+        path = curve.ComplexPath([za[i], zb[i]], clearance=5e-4)
+        pos, end = curve.immerse(params, path, wa[i])
+        assert np.max(np.abs(totals[i].real - pos)) <= 1e-12 * max(
+            1.0, np.max(np.abs(pos)))
+        assert abs(w_end[i] - end.w) <= 1e-12 * abs(end.w)
+
+
+def test_segment_batch_tracks_fast_turning_branch(monkeypatch):
+    # with tolerances loose enough that every panel passes its error test,
+    # the 45-degree turn budget alone sends the edge that passes 1e-3 from
+    # z = 1 between two nodes to branch tracking
+    params = curve.CurveParams(2.0)
+    loose = QuadSettings(abs_tol=1e6, rel_tol=1e6)
+    za = np.array([0.77 + 1e-3j, 0.3 + 0.4j])
+    zb = np.array([1.2 + 1e-3j, 0.6 + 0.5j])
+    wa = np.sqrt(curve.curve_poly(params, za))
+    tracked = []
+    regular = curve._integrate_segment_regular
+
+    def counting(*args, **kwargs):
+        tracked.append(args[1])
+        return regular(*args, **kwargs)
+
+    monkeypatch.setattr(curve, "_integrate_segment_regular", counting)
+    curve._integrate_segments(params, za, zb, wa, loose)
+    assert tracked == [za[0]]
 
 
 def test_fundamental_slab_confinement(fund2, surf2):
@@ -361,6 +475,24 @@ def test_export_round_trip_and_determinism(tmp_path, fund2):
     back = parse_ply(q1)
     assert np.max(np.abs(back.vertices - fund2.vertices)) < 1e-6 * max(scale, 1)
     assert np.array_equal(back.faces, fund2.faces)
+
+
+def _ply_faces_reference(faces):
+    return b"".join(struct.pack("<B3i", 3, int(f[0]), int(f[1]), int(f[2]))
+                    for f in faces)
+
+
+def test_export_ply_faces_match_struct_packing(tmp_path, fund2, ops2):
+    ext = extend(fund2, ops2, copies=1)
+    p = tmp_path / "e.ply"
+    n = export_ply(ext, p)
+    data = p.read_bytes()
+    assert n == len(data)
+    faces = data[-13 * ext.face_count:]
+    assert faces == _ply_faces_reference(ext.faces)
+    head_end = data.index(b"end_header\n") + len(b"end_header\n")
+    vdata = np.hstack([ext.vertices, ext.normals]).astype("<f4").tobytes()
+    assert data[head_end:] == vdata + faces
 
 
 def test_weld_merges_duplicates():
