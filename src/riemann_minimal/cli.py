@@ -150,8 +150,9 @@ def _config_from_args(args) -> RunConfig:
     if cfg.command == "gen":
         if not 0.0 < cfg.e < 1.0:
             raise ValueError("e must lie in (0,1)")
-        if cfg.nr < 2 or cfg.nt < 2:
-            raise ValueError("grid must be at least 2x2")
+        if cfg.nr < 2 or cfg.nt < 3:
+            raise ValueError("grid must be at least 2x3: with NT = 2 every "
+                             "row runs through the end z = 0")
         if cfg.copies < 0:
             raise ValueError("copies must be >= 0")
     if cfg.command == "kdv":

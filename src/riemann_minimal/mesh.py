@@ -26,7 +26,6 @@ multiples of 2*t0 with t0 = psi(-sigma).
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -146,7 +145,8 @@ class TriMesh:
     parameter z it was sampled at, the branch value w there, its exact
     position on the fundamental piece, and which composed isometry (index
     into ``op_catalog``) produced it.  That record is what makes exact
-    slice refinement possible after extension.
+    slice refinement possible after extension; :func:`extend` stacks
+    blocks of the base mesh, so it repeats these arrays block by block.
     """
 
     vertices: np.ndarray
@@ -165,45 +165,6 @@ class TriMesh:
     @property
     def face_count(self) -> int:
         return len(self.faces)
-
-
-def _transform(mesh: TriMesh, op: IsometryOp) -> TriMesh:
-    flip = op.det() < 0
-    faces = mesh.faces[:, ::-1].copy() if flip else mesh.faces.copy()
-    return TriMesh(
-        vertices=op.apply(mesh.vertices),
-        normals=op.apply_normals(mesh.normals),
-        faces=faces,
-        domain_z=None if mesh.domain_z is None else mesh.domain_z.copy(),
-        domain_w=None if mesh.domain_w is None else mesh.domain_w.copy(),
-        fundamental_xyz=(None if mesh.fundamental_xyz is None
-                         else mesh.fundamental_xyz.copy()),
-        op_index=None if mesh.op_index is None else mesh.op_index.copy(),
-        op_catalog=[op.compose(a) for a in mesh.op_catalog],
-    )
-
-
-def _concat(a: TriMesh, b: TriMesh) -> TriMesh:
-    off = a.vertex_count
-    cat_off = len(a.op_catalog)
-    aux = {}
-    for name in ("domain_z", "domain_w", "fundamental_xyz"):
-        va, vb = getattr(a, name), getattr(b, name)
-        aux[name] = None if va is None or vb is None else np.concatenate([va, vb])
-    if a.op_index is None or b.op_index is None:
-        opi = None
-    else:
-        opi = np.concatenate([a.op_index, b.op_index + cat_off])
-    return TriMesh(
-        vertices=np.vstack([a.vertices, b.vertices]),
-        normals=np.vstack([a.normals, b.normals]),
-        faces=np.vstack([a.faces, b.faces + off]),
-        domain_z=aux["domain_z"],
-        domain_w=aux["domain_w"],
-        fundamental_xyz=aux["fundamental_xyz"],
-        op_index=opi,
-        op_catalog=a.op_catalog + b.op_catalog,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -332,8 +293,8 @@ def sample_fundamental(sigma: float, e: float, nr: int, nt: int,
         surface = FundamentalSurface(sigma, settings)
     params = surface.params
     dm = DomainMap(sigma, e)
-    if nr < 2 or nt < 2:
-        raise ValueError("need nr, nt >= 2")
+    if nr < 2 or nt < 3:  # with nt = 2 every row runs through the end z = 0
+        raise ValueError("need nr >= 2 and nt >= 3")
 
     rr = np.linspace(e, 1.0, nr)
     tt = np.linspace(0.0, 1.0, nt)
@@ -433,19 +394,42 @@ def extend(mesh: TriMesh, ops, copies: int = 0) -> TriMesh:
     """Apply the pipeline: double the mesh at each of the first three ops,
     then append ``copies`` translated copies of the result.
 
-    Vertex count grows exactly by 2^3 * (copies + 1).
+    The result stacks blocks of the base mesh; block b is mapped by the
+    base ``op_catalog`` composed with the b-th isometry of the orbit, and
+    its faces are reversed where that isometry has det < 0.  Vertex count
+    grows exactly by 2^3 * (copies + 1).
     """
     if copies < 0:
         raise ValueError("copies must be >= 0")
-    m = mesh
+    v, nrm = mesh.vertices, mesh.normals
+    flips, catalog = [False], list(mesh.op_catalog)
     for op in ops[:3]:
-        m = _concat(m, _transform(m, op))
-    out = m
-    cur = m
+        v = np.concatenate([v, op.apply(v)])
+        nrm = np.concatenate([nrm, op.apply_normals(nrm)])
+        flips += [f != (op.det() < 0) for f in flips]
+        catalog += [op.compose(a) for a in catalog]
+    V, N = np.empty((2, copies + 1, *v.shape))
+    V[0], N[0] = v, nrm
+    per_copy = len(catalog)
     for k in range(copies):
-        cur = _transform(cur, ops[3])
-        out = _concat(out, cur)
-    return out
+        # per copy, not tiled: the matmul also turns -0.0 normals into 0.0
+        V[k + 1] = ops[3].apply(V[k])
+        N[k + 1] = ops[3].apply_normals(N[k])
+        catalog += [ops[3].compose(a) for a in catalog[-per_copy:]]
+
+    blocks = np.arange(len(flips) * (copies + 1))
+    f = mesh.faces
+    faces = np.stack([f[:, ::-1] if flip else f for flip in flips]
+                     * (copies + 1))
+    faces = faces + mesh.vertex_count * blocks[:, None, None]
+    opi = mesh.op_index
+    if opi is not None:
+        opi = (opi + len(mesh.op_catalog) * blocks[:, None]
+               ).ravel().astype(opi.dtype)
+    tiled = [None if a is None else np.concatenate([a] * len(blocks))
+             for a in (mesh.domain_z, mesh.domain_w, mesh.fundamental_xyz)]
+    return TriMesh(V.reshape(-1, 3), N.reshape(-1, 3),
+                   faces.reshape(-1, 3).astype(f.dtype), *tiled, opi, catalog)
 
 
 # ---------------------------------------------------------------------------
@@ -622,23 +606,31 @@ def refine_slice(mesh: TriMesh, height: float, surface: FundamentalSurface,
 # export
 
 
+_CHUNK = 1 << 15  # rows formatted per write
+
+
 def export_obj(mesh: TriMesh, path) -> int:
     """ASCII OBJ (v/vn/f with 1-based i//i indices, 9 significant digits).
 
-    Deterministic bytes for identical input.  Returns the byte count.
+    Streamed in chunks of ``_CHUNK`` rows, each one ``%`` format of a
+    repeated line template.  Deterministic bytes for identical input.
+    Returns the byte count.
     """
-    lines = []
-    for v in mesh.vertices:
-        lines.append(f"v {v[0]:.9g} {v[1]:.9g} {v[2]:.9g}")
-    for n in mesh.normals:
-        lines.append(f"vn {n[0]:.9g} {n[1]:.9g} {n[2]:.9g}")
-    for f in mesh.faces:
-        a, b, c = (int(i) + 1 for i in f)
-        lines.append(f"f {a}//{a} {b}//{b} {c}//{c}")
-    data = ("\n".join(lines) + "\n").encode("ascii")
+    faces = np.repeat(np.asarray(mesh.faces, dtype=np.int64) + 1, 2, axis=1)
+    sections = (("v %.9g %.9g %.9g\n", mesh.vertices),
+                ("vn %.9g %.9g %.9g\n", mesh.normals),
+                ("f %d//%d %d//%d %d//%d\n", faces))
+    nbytes = 0
     with open(path, "wb") as fh:
-        fh.write(data)
-    return len(data)
+        for line, rows in sections:
+            for i in range(0, len(rows), _CHUNK):
+                part = rows[i:i + _CHUNK]
+                text = line * len(part) % tuple(part.ravel().tolist())
+                nbytes += fh.write(text.encode("ascii"))
+    return nbytes
+
+
+_PLY_FACE = np.dtype([("n", "u1"), ("i", "<i4", (3,))])  # triangles only
 
 
 def export_ply(mesh: TriMesh, path) -> int:
@@ -654,7 +646,7 @@ def export_ply(mesh: TriMesh, path) -> int:
         "end_header\n"
     ).encode("ascii")
     vdata = np.hstack([mesh.vertices, mesh.normals]).astype("<f4").tobytes()
-    fdata = np.empty(mesh.face_count, dtype=[("n", "u1"), ("i", "<i4", (3,))])
+    fdata = np.empty(mesh.face_count, dtype=_PLY_FACE)
     fdata["n"] = 3
     fdata["i"] = mesh.faces
     data = header + vdata + fdata.tobytes()
@@ -694,30 +686,25 @@ def parse_ply(path) -> TriMesh:
     vbytes = nv * 6 * 4
     varr = np.frombuffer(data[head_end:head_end + vbytes],
                          dtype="<f4").reshape(nv, 6)
-    faces = np.zeros((nf, 3), dtype=np.int32)
-    off = head_end + vbytes
-    for i in range(nf):
-        cnt = data[off]
-        faces[i] = struct.unpack_from(f"<{cnt}i", data, off + 1)[:3]
-        off += 1 + 4 * cnt
-    return TriMesh(varr[:, :3].astype(float), varr[:, 3:].astype(float), faces)
+    fdata = np.frombuffer(data, dtype=_PLY_FACE, count=nf,
+                          offset=head_end + vbytes)
+    if np.any(fdata["n"] != 3):
+        raise ValueError("PLY faces must all be triangles")
+    return TriMesh(varr[:, :3].astype(float), varr[:, 3:].astype(float),
+                   fdata["i"].astype(np.int32))
 
 
 def weld(mesh: TriMesh, tol: float = 1e-8) -> TriMesh:
-    """Merge vertices closer than ``tol`` (hash-grid) for watertight export."""
+    """Merge vertices sharing a ``tol`` grid cell into the first of them
+    (kept vertices stay in order), for watertight export."""
     key = np.round(mesh.vertices / tol).astype(np.int64)
-    seen = {}
-    remap = np.zeros(mesh.vertex_count, dtype=np.int64)
-    keep = []
-    for i, k in enumerate(map(tuple, key)):
-        if k in seen:
-            remap[i] = seen[k]
-        else:
-            seen[k] = len(keep)
-            remap[i] = len(keep)
-            keep.append(i)
-    keep = np.array(keep)
-    faces = remap[mesh.faces]
+    _, first, inverse = np.unique(key, axis=0, return_index=True,
+                                  return_inverse=True)
+    order = np.argsort(first)  # cells ranked by first occurrence
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    keep = first[order]
+    faces = rank[inverse.reshape(-1)][mesh.faces]
     ok = ((faces[:, 0] != faces[:, 1]) & (faces[:, 1] != faces[:, 2])
           & (faces[:, 0] != faces[:, 2]))
     return TriMesh(mesh.vertices[keep], mesh.normals[keep],

@@ -117,6 +117,15 @@ def test_config_errors_exit_2():
     assert run(["kdv", "--print-p", "9"]) == 2
 
 
+def test_gen_minimum_grid(tmp_path, capsys):
+    # with NT = 2 every row is one edge through the end z = 0
+    assert run(["gen", "--sigma", "2", "--grid", "40x2",
+                "-o", str(tmp_path / "a")]) == 2
+    assert "end z = 0" in capsys.readouterr().err
+    assert run(["gen", "--sigma", "2", "--grid", "2x3",
+                "-o", str(tmp_path / "b")]) == 0
+
+
 def test_numeric_failure_exit_3(tmp_path):
     # absurd sigma: the base-point entry arc violates the branch clearance
     rc = run(["gen", "--sigma", "1e9", "--grid", "4x4",

@@ -292,6 +292,54 @@ def test_extended_slab_growth(fund2, ops2):
     assert abs((x3.max() - x3.min()) - 2 * span) < 1e-8
 
 
+def _transform_reference(m, op):
+    """The per-op mesh copy the one-pass extend replaces."""
+    faces = m.faces[:, ::-1].copy() if op.det() < 0 else m.faces.copy()
+    return TriMesh(op.apply(m.vertices), op.apply_normals(m.normals), faces,
+                   m.domain_z.copy(), m.domain_w.copy(),
+                   m.fundamental_xyz.copy(), m.op_index.copy(),
+                   [op.compose(a) for a in m.op_catalog])
+
+
+def _concat_reference(a, b):
+    return TriMesh(
+        np.vstack([a.vertices, b.vertices]),
+        np.vstack([a.normals, b.normals]),
+        np.vstack([a.faces, b.faces + a.vertex_count]),
+        np.concatenate([a.domain_z, b.domain_z]),
+        np.concatenate([a.domain_w, b.domain_w]),
+        np.concatenate([a.fundamental_xyz, b.fundamental_xyz]),
+        np.concatenate([a.op_index, b.op_index + len(a.op_catalog)]),
+        a.op_catalog + b.op_catalog)
+
+
+def _extend_reference(mesh, ops, copies):
+    m = mesh
+    for op in ops[:3]:
+        m = _concat_reference(m, _transform_reference(m, op))
+    out = cur = m
+    for _ in range(copies):
+        cur = _transform_reference(cur, ops[3])
+        out = _concat_reference(out, cur)
+    return out
+
+
+@pytest.mark.parametrize("n_ops,copies", [(1, 0), (4, 0), (4, 1), (4, 3)])
+def test_extend_matches_transform_concat(fund2, ops2, n_ops, copies):
+    got = extend(fund2, ops2[:n_ops], copies=copies)
+    want = _extend_reference(fund2, ops2[:n_ops], copies)
+    for name in ("vertices", "normals", "faces", "domain_z", "domain_w",
+                 "fundamental_xyz", "op_index"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        # bytes, not values: -0.0 must stay -0.0 (OBJ prints it as "-0")
+        assert a.tobytes() == b.tobytes(), name
+    assert len(got.op_catalog) == len(want.op_catalog)
+    for a, b in zip(got.op_catalog, want.op_catalog):
+        assert a.linear.tobytes() == b.linear.tobytes()
+        assert a.offset.tobytes() == b.offset.tobytes()
+
+
 # --- circle fitting -----------------------------------------------------------
 
 
@@ -495,6 +543,98 @@ def test_export_ply_faces_match_struct_packing(tmp_path, fund2, ops2):
     assert data[head_end:] == vdata + faces
 
 
+def _export_obj_reference(m):
+    """One f-string per line, joined: the loop the chunked export replaces."""
+    lines = [f"v {v[0]:.9g} {v[1]:.9g} {v[2]:.9g}" for v in m.vertices]
+    lines += [f"vn {n[0]:.9g} {n[1]:.9g} {n[2]:.9g}" for n in m.normals]
+    for f in m.faces:
+        a, b, c = (int(i) + 1 for i in f)
+        lines.append(f"f {a}//{a} {b}//{b} {c}//{c}")
+    return ("\n".join(lines) + "\n").encode("ascii")
+
+
+def _special_values_mesh():
+    vals = np.array([-0.0, 0.0, 1e-300, -1e-300, 1e22, -1e22, 123456789.5,
+                     np.inf, -np.inf, np.nan, 5e-324, 1.0 / 3.0])
+    v = np.resize(vals, 36).reshape(12, 3)
+    return TriMesh(v, -v[::-1], np.array([[0, 1, 2], [999_999, 1_000_000,
+                                                      2_147_483_646]],
+                                         dtype=np.int32))
+
+
+def _chunk_crossing_mesh():
+    rng = np.random.default_rng(11)
+    n = mesh._CHUNK + 1234
+    v = rng.standard_normal((n, 3)) * 10.0 ** rng.integers(-12, 12, (n, 1))
+    faces = rng.integers(0, n, (2 * mesh._CHUNK + 5, 3), dtype=np.int32)
+    return TriMesh(v, rng.standard_normal((n, 3)), faces)
+
+
+@pytest.mark.parametrize("make", ["extended", "chunks", "special"])
+def test_export_obj_matches_fstring_loop(tmp_path, fund2, ops2, make):
+    m = {"extended": lambda: extend(fund2, ops2, copies=1),
+         "chunks": _chunk_crossing_mesh,
+         "special": _special_values_mesh}[make]()
+    p = tmp_path / "m.obj"
+    n = export_obj(m, p)
+    want = _export_obj_reference(m)
+    assert p.read_bytes() == want
+    assert n == len(want)
+
+
+def test_parse_ply_reads_extended_faces(tmp_path, fund2, ops2):
+    ext = extend(fund2, ops2, copies=1)
+    p = tmp_path / "e.ply"
+    export_ply(ext, p)
+    back = parse_ply(p)
+    assert back.faces.dtype == np.int32
+    assert np.array_equal(back.faces, ext.faces)
+    assert np.array_equal(back.vertices, ext.vertices.astype("<f4"))
+    # a quad is not cut to its first three indices
+    data = p.read_bytes()
+    head_end = data.index(b"end_header\n") + len(b"end_header\n")
+    header = data[:head_end].replace(b"element face %d" % ext.face_count,
+                                     b"element face 1")
+    p.write_bytes(header + data[head_end:head_end + 24 * ext.vertex_count]
+                  + struct.pack("<B4i", 4, 0, 1, 2, 3))
+    with pytest.raises(ValueError):
+        parse_ply(p)
+
+
+def _weld_reference(m, tol):
+    """The dict loop the vectorized weld replaces."""
+    key = np.round(m.vertices / tol).astype(np.int64)
+    seen, keep = {}, []
+    remap = np.zeros(m.vertex_count, dtype=np.int64)
+    for i, k in enumerate(map(tuple, key)):
+        if k not in seen:
+            seen[k] = len(keep)
+            keep.append(i)
+        remap[i] = seen[k]
+    faces = remap[m.faces]
+    ok = ((faces[:, 0] != faces[:, 1]) & (faces[:, 1] != faces[:, 2])
+          & (faces[:, 0] != faces[:, 2]))
+    keep = np.array(keep)
+    return TriMesh(m.vertices[keep], m.normals[keep],
+                   faces[ok].astype(np.int32))
+
+
+def test_weld_matches_dict_loop():
+    rng = np.random.default_rng(5)
+    base = rng.standard_normal((300, 3))
+    dup = rng.integers(0, 300, 200)
+    v = np.vstack([base, base[dup] + rng.uniform(-1e-10, 1e-10, (200, 3))])
+    order = rng.permutation(len(v))
+    m = TriMesh(v[order], rng.standard_normal((len(v), 3)),
+                rng.integers(0, len(v), (400, 3), dtype=np.int32))
+    got, want = weld(m, tol=1e-8), _weld_reference(m, 1e-8)
+    assert got.vertex_count < m.vertex_count
+    assert np.array_equal(got.vertices, want.vertices)
+    assert np.array_equal(got.normals, want.normals)
+    assert got.faces.dtype == want.faces.dtype
+    assert np.array_equal(got.faces, want.faces)
+
+
 def test_weld_merges_duplicates():
     m = tiny_mesh()
     doubled = TriMesh(
@@ -510,6 +650,11 @@ def test_weld_merges_duplicates():
 def test_isometry_validation():
     with pytest.raises(ValueError):
         IsometryOp(np.diag([2.0, 1.0, 1.0]), np.zeros(3))
+
+
+def test_sample_fundamental_rejects_two_angle_grid(surf2):
+    with pytest.raises(ValueError):
+        sample_fundamental(2.0, 0.1, 40, 2, surface=surf2)
 
 
 def test_grid_warp_exponent(surf2):
