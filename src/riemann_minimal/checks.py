@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import classical, curve, mesh
-from .quad import ComplexPath, QuadSettings
+from .quad import QuadSettings
 
 __all__ = [
     "fd_surface_checks", "classical_fd_grid", "weierstrass_fd_grid",
@@ -99,44 +99,51 @@ def classical_fd_grid(lam, nq=20, nv=20, h=1e-4,
     return worst_H, worst_conf, worst_orth
 
 
-def _weierstrass_chart_points(sigma, n_side, settings):
-    """Sampled (z, w, X) anchors over an interior patch of Omega_sigma."""
+# the 3x3 stencil of fd_surface_checks without its centre; the first four
+# are the five-point Laplacian's
+_STENCIL = ((1, 0), (-1, 0), (0, 1), (0, -1),
+            (1, 1), (1, -1), (-1, 1), (-1, -1))
+
+
+def _weierstrass_stencil(sigma, n_side, h, offsets, settings):
+    """Immersion at z0 + h_k (i + i j) for every anchor z0 and offset (i, j).
+
+    The anchors are the interior vertices of an (n_side + 2)^2 sample of
+    Omega_sigma.  z = u + iv is itself a conformal chart, but its scale
+    shrinks near the branch points, so the step of anchor k is
+    h_k = h min(1, distance from z0 to the nearest branch point).  All
+    anchor x offset segments are integrated from their anchor as one
+    ``curve._integrate_segments`` batch.  Returns (X0, X, h_k) with shapes
+    (n, 3), (n, len(offsets), 3) and (n,).
+    """
     surf = mesh.FundamentalSurface(sigma, settings)
     m = mesh.sample_fundamental(sigma, 0.35, n_side + 2, n_side + 2,
                                 surface=surf)
-    anchors = []
-    nrfull = n_side + 2
-    for j in range(1, nrfull - 1):
-        for k in range(1, nrfull - 1):
-            idx = j * nrfull + k
-            anchors.append((m.domain_z[idx], m.domain_w[idx],
-                            m.fundamental_xyz[idx]))
-    return surf, anchors
+    inner = np.s_[1:-1, 1:-1]
+    grid = (n_side + 2, n_side + 2)
+    z0 = m.domain_z.reshape(grid)[inner].ravel()
+    w0 = m.domain_w.reshape(grid)[inner].ravel()
+    X0 = m.fundamental_xyz.reshape(*grid, 3)[inner].reshape(-1, 3)
+    bps = np.array(curve.branch_points(surf.params))
+    hk = h * np.minimum(1.0, np.min(np.abs(z0[:, None] - bps), axis=1))
+    steps = np.array([complex(i, j) for i, j in offsets])
+    zb = z0[:, None] + hk[:, None] * steps
+    totals, _ = curve._integrate_segments(
+        surf.params, np.repeat(z0, len(steps)), zb.ravel(),
+        np.repeat(w0, len(steps)), settings)
+    return X0, X0[:, None] + totals.real.reshape(*zb.shape, 3), hk
 
 
 def weierstrass_fd_grid(sigma, n_side=10, h=1e-4,
                         settings: QuadSettings | None = None):
-    """Max FD |H| and conformality defects of the curve immersion.
-
-    z = u + iv is itself a conformal chart, so the stencil offsets are
-    taken directly in z and reached by short branch-continued integrations
-    from the sampled anchor points.
+    """Max FD |H| and conformality defects of the curve immersion, from
+    the stencils of :func:`_weierstrass_stencil` (step h scaled per anchor).
     """
-    surf, anchors = _weierstrass_chart_points(sigma, n_side, settings)
-    params = surf.params
+    X0, X, hk = _weierstrass_stencil(sigma, n_side, h, _STENCIL, settings)
     worst_H = worst_conf = worst_orth = 0.0
-    for z0, w0, X0 in anchors:
-        cache = {(0, 0): np.asarray(X0)}
-
-        def sample(i, j, z0=z0, w0=w0, X0=X0, cache=cache):
-            if (i, j) not in cache:
-                z = z0 + complex(i * h, j * h)
-                pos, _ = curve.immerse(params, ComplexPath([z0, z]), w0, X0,
-                                       settings)
-                cache[(i, j)] = pos
-            return cache[(i, j)]
-
-        H, conf, orth = fd_surface_checks(sample, h)
+    for x0, x, hh in zip(X0, X, hk):
+        vals = {(0, 0): x0, **dict(zip(_STENCIL, x))}
+        H, conf, orth = fd_surface_checks(lambda i, j: vals[(i, j)], hh)
         worst_H = max(worst_H, H)
         worst_conf = max(worst_conf, conf)
         worst_orth = max(worst_orth, orth)
@@ -145,19 +152,11 @@ def weierstrass_fd_grid(sigma, n_side=10, h=1e-4,
 
 def weierstrass_laplacian_grid(sigma, n_side=6, h=1e-3,
                                settings: QuadSettings | None = None):
-    """Max |five-point Laplacian of X| over interior anchors (harmonicity)."""
-    surf, anchors = _weierstrass_chart_points(sigma, n_side, settings)
-    params = surf.params
-    worst = 0.0
-    for z0, w0, X0 in anchors:
-        vals = []
-        for dz in (h, -h, 1j * h, -1j * h):
-            pos, _ = curve.immerse(params, ComplexPath([z0, z0 + dz]), w0,
-                                   np.asarray(X0), settings)
-            vals.append(pos)
-        lap = (sum(vals) - 4.0 * np.asarray(X0)) / (h * h)
-        worst = max(worst, float(np.max(np.abs(lap))))
-    return worst
+    """Max |five-point Laplacian of X| over interior anchors (harmonicity),
+    on the stencils of :func:`_weierstrass_stencil`."""
+    X0, X, hk = _weierstrass_stencil(sigma, n_side, h, _STENCIL[:4], settings)
+    lap = (X.sum(axis=1) - 4.0 * X0) / (hk * hk)[:, None]
+    return float(np.max(np.abs(lap)))
 
 
 # ---------------------------------------------------------------------------

@@ -287,6 +287,37 @@ def _integrate_segments(params, za, zb, wa, settings=None):
     return totals, w_end
 
 
+def _march(params, z, w0, x0, settings=None):
+    """Immersion integrals along m chains of points, marched in one batch.
+
+    Chain i runs z[i, 0] -> z[i, 1] -> ... -> z[i, n], starting at x0[i]
+    (shape (m, 3)) on the branch w0[i] (shape (m,)).  Every edge is
+    integrated from the principal root at its start (w0[i] for the first
+    edge), all in one call of :func:`_integrate_segments`.  Since phi is odd
+    in w, an edge that really starts on the other sheet has the negated
+    integral, so the sheet of each point is the cumulative product of the
+    sign flips between an edge's continued end value and the next edge's
+    starting root.  Integrals accumulate in marching order,
+    ((x0 + d1) + d2) + ....
+
+    Returns (complex accumulated integrals, branch values), shapes
+    (m, n + 1, 3) and (m, n + 1); the real part of the first is the
+    position.
+    """
+    m = z.shape[0]
+    za, zb = z[:, :-1], z[:, 1:]
+    wa = np.sqrt(curve_poly(params, za))
+    wa[:, 0] = w0
+    totals, wb = _integrate_segments(params, za.reshape(-1), zb.reshape(-1),
+                                     wa.reshape(-1), settings)
+    totals, wb = totals.reshape(*za.shape, 3), wb.reshape(za.shape)
+    flip = np.where((wb[:, :-1] * wa[:, 1:].conjugate()).real < 0.0, -1.0, 1.0)
+    sheet = np.cumprod(np.concatenate([np.ones((m, 1)), flip], axis=1), axis=1)
+    steps = np.where(sheet[..., None] < 0.0, -totals, totals)
+    return (np.cumsum(np.concatenate([x0[:, None], steps], axis=1), axis=1),
+            np.concatenate([w0[:, None], wb * sheet], axis=1))
+
+
 def _integrate_segment_to_branch(params, a, bp, w0, settings):
     """Segment ending exactly at a branch point, via z = bp + (a-bp)(1-s)^2.
 
@@ -453,13 +484,11 @@ def end_loop(params: CurveParams, n=64, which: str = "zero") -> HomologyLoop:
 
 def period(params: CurveParams, loop: HomologyLoop,
            settings: QuadSettings | None = None) -> np.ndarray:
-    """The three loop integrals (int phi1, int phi2, int phi3)."""
-    w = complex(loop.base.w)
-    acc = np.zeros(3, dtype=complex)
-    for a, b in loop.geometry.segments:
-        part, w = _integrate_segment_regular(params, a, b, w, settings)
-        acc += part
-    return acc
+    """The three loop integrals (int phi1, int phi2, int phi3), with the
+    loop's segments marched as one chain (see :func:`_march`)."""
+    acc, _ = _march(params, np.array(loop.geometry.nodes)[None],
+                    np.array([loop.base.w]), np.zeros((1, 3)), settings)
+    return acc[0, -1]
 
 
 def flux(params: CurveParams, loop: HomologyLoop,

@@ -181,36 +181,6 @@ def _marching_path(params, nodes):
     return ComplexPath(nodes, clearance=max(clear, 0.0))
 
 
-def _march(params, z, w0, x0, settings):
-    """Immersion along m chains of grid vertices, marched in one batch.
-
-    Chain i runs z[i, 0] -> z[i, 1] -> ... -> z[i, n], starting at position
-    x0[i] on the branch w0[i] (x0 has shape (m, 3), w0 shape (m,)).  Every
-    edge is integrated from the principal root at its start (w0[i] for the
-    first edge), all in one call of ``curve._integrate_segments``.  Since phi is odd in w, an edge that
-    really starts on the other sheet has the negated integral, so the sheet
-    of each vertex is the cumulative product of the sign flips between an
-    edge's continued end value and the next edge's starting root.
-    Positions accumulate in marching order, ((x0 + d1) + d2) + ....
-
-    Returns (positions, branch values), shapes (m, n + 1, 3) and (m, n + 1).
-    """
-    m = z.shape[0]
-    za, zb = z[:, :-1], z[:, 1:]
-    wa = np.sqrt(_curve.curve_poly(params, za))
-    wa[:, 0] = w0
-    totals, wb = _curve._integrate_segments(params, za.reshape(-1),
-                                            zb.reshape(-1), wa.reshape(-1),
-                                            settings)
-    totals, wb = totals.reshape(*za.shape, 3), wb.reshape(za.shape)
-    flip = np.where((wb[:, :-1] * wa[:, 1:].conjugate()).real < 0.0, -1.0, 1.0)
-    sheet = np.cumprod(np.concatenate([np.ones((m, 1)), flip], axis=1), axis=1)
-    steps = np.concatenate([x0[:, None], totals.real * sheet[..., None]],
-                           axis=1)
-    return np.cumsum(steps, axis=1), np.concatenate([w0[:, None], wb * sheet],
-                                                    axis=1)
-
-
 class FundamentalSurface:
     """Immersion machinery anchored at the shared base point.
 
@@ -285,7 +255,7 @@ def sample_fundamental(sigma: float, e: float, nr: int, nt: int,
     row is walked in t from its t = 0 vertex, the outer row is reached
     radially from the row below, and the two corner vertices on the branch
     points use exact singular-end segments.  The column, the rows and the
-    radial edges are each integrated as one batch (see :func:`_march`);
+    radial edges are each integrated as one batch (see ``curve._march``);
     a vertex's position is the sum of the edge integrals along this order
     and its branch value w the continuation along it.
     """
@@ -313,20 +283,22 @@ def sample_fundamental(sigma: float, e: float, nr: int, nt: int,
 
     # t = 0 column (real axis, descending from the entry point)
     order = np.argsort(-Z[:nr - 1, 0].real)
-    xs, ws = _march(params, np.append(surface.entry_pt.z, Z[order, 0])[None],
-                    np.array([surface.entry_pt.w]), surface.entry_pos[None],
-                    surface.settings)
-    X[order, 0], W[order, 0] = xs[0, 1:], ws[0, 1:]
+    march = _curve._march
+    xs, ws = march(params, np.append(surface.entry_pt.z, Z[order, 0])[None],
+                   np.array([surface.entry_pt.w]), surface.entry_pos[None],
+                   surface.settings)
+    X[order, 0], W[order, 0] = xs[0, 1:].real, ws[0, 1:]
 
     # interior rows
-    X[:nr - 1], W[:nr - 1] = _march(params, Z[:nr - 1], W[:nr - 1, 0],
-                                    X[:nr - 1, 0], surface.settings)
+    xs, W[:nr - 1] = march(params, Z[:nr - 1], W[:nr - 1, 0], X[:nr - 1, 0],
+                           surface.settings)
+    X[:nr - 1] = xs.real
 
     # outer row, radially from the row below
     k = slice(1, nt - 1)
-    xs, ws = _march(params, np.stack([Z[nr - 2, k], Z[nr - 1, k]], axis=1),
-                    W[nr - 2, k], X[nr - 2, k], surface.settings)
-    X[nr - 1, k], W[nr - 1, k] = xs[:, 1], ws[:, 1]
+    xs, ws = march(params, np.stack([Z[nr - 2, k], Z[nr - 1, k]], axis=1),
+                   W[nr - 2, k], X[nr - 2, k], surface.settings)
+    X[nr - 1, k], W[nr - 1, k] = xs[:, 1].real, ws[:, 1]
 
     # corners on the branch points (exact reparameterized quadrature)
     pos, pt = surface._immerse_from(
@@ -527,11 +499,16 @@ def refine_slice(mesh: TriMesh, height: float, surface: FundamentalSurface,
     the op's linear part and phi the Weierstrass densities.  Safeguarded
     Newton starts from the mesh's linear-interpolation guess and keeps the
     sign bracket [s_lo, s_hi], bisecting whenever a Newton step would leave
-    it; it stops when f == 0 or the next step is below 1e-13.  Every
+    it; a crossing stops when f == 0 or its next step is below 1e-13, after
+    60 iterations at most.  All crossings of the height are solved in
+    lockstep: each iteration integrates the segments za -> z(s) of the
+    crossings still active as one ``curve._integrate_segments`` batch, and
+    only an iterate within 1e-12 (1 + sigma) of a branch point goes through
+    ``curve.immerse``, which integrates the singular end exactly.  Every
     iterate is integrated from the anchor vertex, so quadrature errors do
-    not accumulate and the result depends on s alone.  Only meshes built
-    by :func:`sample_fundamental` (and extensions of them) carry the
-    provenance needed here.
+    not accumulate and the result depends on s alone.  Points come out in
+    crossing order.  Only meshes built by :func:`sample_fundamental` (and
+    extensions of them) carry the provenance needed here.
     """
     if mesh.domain_z is None or mesh.op_index is None:
         raise ValueError("mesh carries no domain provenance")
@@ -539,67 +516,60 @@ def refine_slice(mesh: TriMesh, height: float, surface: FundamentalSurface,
     if len(crossings) > max_points:
         idx = np.linspace(0, len(crossings) - 1, max_points).astype(int)
         crossings = [crossings[i] for i in idx]
+    if not crossings:
+        return np.zeros((0, 3))
+    ia, ib, s = (np.array(c) for c in zip(*crossings))
+    # anchor at an endpoint with a usable branch value
+    at_a = mesh.domain_w[ia] != 0.0
+    i0, i1 = np.where(at_a, ia, ib), np.where(at_a, ib, ia)
+    s = np.where(at_a, s, 1.0 - s)
+    k = mesh.op_index[i0]
+    linear = np.stack([op.linear for op in mesh.op_catalog])[k]
+    offset = np.stack([op.offset for op in mesh.op_catalog])[k]
+    ell, b3 = linear[:, 2], offset[:, 2]
+    pos = mesh.fundamental_xyz[i0]
+    f0 = np.einsum("ij,ij->i", pos, ell) + b3 - height
+    f1 = np.einsum("ij,ij->i", mesh.fundamental_xyz[i1], ell) + b3 - height
+    ok = ((k == mesh.op_index[i1]) & (mesh.domain_w[i0] != 0.0)
+          & ~(f0 * f1 > 0))
+    za, w0 = mesh.domain_z[i0], mesh.domain_w[i0]
+    dz = mesh.domain_z[i1] - za
+    s = np.where((0.0 < s) & (s < 1.0), s, 0.5)
+    s_lo, s_hi = np.zeros_like(s), np.ones_like(s)
     params = surface.params
-    out = []
-    for (ia, ib, s_guess) in crossings:
-        if mesh.op_index[ia] != mesh.op_index[ib]:
-            continue
-        op = mesh.op_catalog[mesh.op_index[ia]]
-        # anchor at an endpoint with a usable branch value
-        if mesh.domain_w[ia] != 0.0:
-            i0, i1, s = ia, ib, s_guess
-        elif mesh.domain_w[ib] != 0.0:
-            i0, i1, s = ib, ia, 1.0 - s_guess
-        else:
-            continue
-        za, zb = mesh.domain_z[i0], mesh.domain_z[i1]
-        dz = zb - za
-        p0 = mesh.fundamental_xyz[i0].copy()
-        w0 = mesh.domain_w[i0]
-        ell = op.linear[2, :]
-        b3 = op.offset[2]
-
-        def shifted_height(pos):
-            return float(ell @ pos + b3 - height)
-
-        f0 = shifted_height(p0)
-        f1 = shifted_height(mesh.fundamental_xyz[i1])
-        if f0 == 0.0:
-            out.append(op.apply(p0))
-            continue
-        if f0 * f1 > 0:
-            continue
-        s_lo, s_hi = 0.0, 1.0
-        if not s_lo < s < s_hi:
-            s = 0.5
-        for _ in range(60):
-            z = za + s * dz
-            if z != za:
-                path = _marching_path(params, [za, z])
-                pos, pt = _curve.immerse(params, path, w0, p0,
-                                         surface.settings)
-            else:
-                pos, pt = p0, CurvePoint(za, w0)
-            f = shifted_height(pos)
-            if f == 0.0:
-                break
-            if (f > 0.0) == (f0 > 0.0):
-                s_lo = s
-            else:
-                s_hi = s
-            s_next = 0.5 * (s_lo + s_hi)
-            if pt.w != 0.0:
-                forms = _curve.weierstrass_at(params, pt)
-                phi = np.array([forms.phi1_density, forms.phi2_density,
-                                forms.phi3_density])
-                fp = float(ell @ (phi * dz).real)
-                if fp != 0.0 and s_lo < s - f / fp < s_hi:
-                    s_next = s - f / fp
-            if abs(s_next - s) < 1e-13:
-                break
-            s = s_next
-        out.append(op.apply(pos))
-    return np.asarray(out, dtype=float).reshape(-1, 3)
+    bps = np.array(_curve.branch_points(params))
+    a = np.flatnonzero(ok & (f0 != 0.0))
+    for _ in range(60):
+        if not a.size:
+            break
+        z, w, p = za[a] + s[a] * dz[a], w0[a], mesh.fundamental_xyz[i0[a]]
+        moved = z != za[a]
+        near = np.any(np.abs(z[:, None] - bps) < 1e-12 * (1.0 + params.sigma),
+                      axis=1)
+        if np.any(moved & ~near):
+            j = np.flatnonzero(moved & ~near)
+            totals, w[j] = _curve._integrate_segments(
+                params, za[a[j]], z[j], w0[a[j]], surface.settings)
+            p[j] += totals.real
+        for j in np.flatnonzero(moved & near):
+            p[j], pt = _curve.immerse(
+                params, _marching_path(params, [za[a[j]], z[j]]), w0[a[j]],
+                p[j], surface.settings)
+            w[j] = pt.w
+        pos[a] = p
+        f = np.einsum("ij,ij->i", p, ell[a]) + b3[a] - height
+        same = (f > 0.0) == (f0[a] > 0.0)
+        s_lo[a[same]], s_hi[a[~same]] = s[a[same]], s[a[~same]]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            phi = _curve._phi_vector(params, z, w) * dz[a, None]
+            newton = s[a] - f / np.einsum("ij,ij->i", phi.real, ell[a])
+        s_next = np.where((w != 0.0) & (s_lo[a] < newton) & (newton < s_hi[a]),
+                          newton, 0.5 * (s_lo[a] + s_hi[a]))
+        go = (f != 0.0) & ~(np.abs(s_next - s[a]) < 1e-13)
+        s[a] = s_next
+        a = a[go]
+    out = np.einsum("nij,nj->ni", linear, pos) + offset
+    return out[ok].reshape(-1, 3)
 
 
 # ---------------------------------------------------------------------------

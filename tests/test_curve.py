@@ -283,3 +283,12 @@ def test_weierstrass_forms_null_quadric():
         f = curve.weierstrass_at(params, pt)
         s = f.phi1_density ** 2 + f.phi2_density ** 2 + f.phi3_density ** 2
         assert abs(s) < 1e-9 * abs(f.phi3_density) ** 2
+
+
+@pytest.mark.parametrize("sigma", [0.0167, 0.046, 0.1])
+def test_small_sigma_conformality(sigma):
+    # verify's call and thresholds; a fixed step h = 1e-4 failed here with
+    # O(h^2) truncation in a chart that shrinks with sigma
+    H, conf, orth = checks.weierstrass_fd_grid(sigma, n_side=6)
+    assert max(conf, orth) < 1e-5
+    assert H < 1e-3

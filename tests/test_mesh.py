@@ -461,6 +461,140 @@ def test_refine_slice_pinned_points(fund2, ops2, surf2):
         assert np.max(np.abs(pts - np.array(want))) < 1e-11
 
 
+def _refine_slice_reference(m, height, surface, max_points):
+    """Safeguarded Newton one crossing at a time, one ``immerse`` per
+    iterate: the loop the lockstep refine_slice must reproduce."""
+    _, crossings = slice_mesh(m, height)
+    if len(crossings) > max_points:
+        idx = np.linspace(0, len(crossings) - 1, max_points).astype(int)
+        crossings = [crossings[i] for i in idx]
+    params = surface.params
+    out = []
+    for (ia, ib, s_guess) in crossings:
+        if m.op_index[ia] != m.op_index[ib]:
+            continue
+        op = m.op_catalog[m.op_index[ia]]
+        if m.domain_w[ia] != 0.0:
+            i0, i1, s = ia, ib, s_guess
+        elif m.domain_w[ib] != 0.0:
+            i0, i1, s = ib, ia, 1.0 - s_guess
+        else:
+            continue
+        za, zb = m.domain_z[i0], m.domain_z[i1]
+        dz = zb - za
+        p0 = m.fundamental_xyz[i0].copy()
+        w0 = m.domain_w[i0]
+        ell, b3 = op.linear[2, :], op.offset[2]
+        f0 = float(ell @ p0 + b3 - height)
+        f1 = float(ell @ m.fundamental_xyz[i1] + b3 - height)
+        if f0 == 0.0:
+            out.append(op.apply(p0))
+            continue
+        if f0 * f1 > 0:
+            continue
+        s_lo, s_hi = 0.0, 1.0
+        if not s_lo < s < s_hi:
+            s = 0.5
+        for _ in range(60):
+            z = za + s * dz
+            if z != za:
+                path = mesh._marching_path(params, [za, z])
+                pos, pt = curve.immerse(params, path, w0, p0, surface.settings)
+            else:
+                pos, pt = p0, curve.CurvePoint(za, w0)
+            f = float(ell @ pos + b3 - height)
+            if f == 0.0:
+                break
+            if (f > 0.0) == (f0 > 0.0):
+                s_lo = s
+            else:
+                s_hi = s
+            s_next = 0.5 * (s_lo + s_hi)
+            if pt.w != 0.0:
+                forms = curve.weierstrass_at(params, pt)
+                phi = np.array([forms.phi1_density, forms.phi2_density,
+                                forms.phi3_density])
+                fp = float(ell @ (phi * dz).real)
+                if fp != 0.0 and s_lo < s - f / fp < s_hi:
+                    s_next = s - f / fp
+            if abs(s_next - s) < 1e-13:
+                break
+            s = s_next
+        out.append(op.apply(pos))
+    return np.asarray(out, dtype=float).reshape(-1, 3)
+
+
+def _assert_matches_reference(got, want):
+    assert got.shape == want.shape
+    scale = np.maximum(1.0, np.linalg.norm(want, axis=1))
+    assert np.all(np.max(np.abs(got - want), axis=1) <= 1e-13 * scale)
+
+
+@pytest.mark.parametrize("sigma", [0.012, 0.5, 2.0, 83.0])
+def test_lockstep_refine_slice_matches_per_crossing_newton(sigma):
+    surf = FundamentalSurface(sigma)
+    fund = sample_fundamental(sigma, 0.1, 14, 20, surface=surf)
+    # the last vertex is the corner psi(-sigma) = t0; translation_half's
+    # own entry path violates the clearance for sigma > 9
+    t0 = fund.vertices[-1]
+    surf.translation_half = lambda: t0
+    ops = extension_ops(sigma, surface=surf)
+    for copies in (0, 1):
+        ext = extend(fund, ops, copies=copies)
+        n_points = 0
+        for frac in (0.13, 0.3, 0.5, 0.77, 1.4, 1.9):
+            h = frac * t0[2]
+            got = refine_slice(ext, h, surf, max_points=24)
+            _assert_matches_reference(
+                got, _refine_slice_reference(ext, h, surf, 24))
+            n_points += len(got)
+        assert n_points >= 4 * 24
+
+
+def test_refine_slice_on_edges_ending_at_corner_branch_point(fund2, surf2,
+                                                             monkeypatch):
+    nr, nt = 14, 20
+    corner, nb = nr * nt - 1, nr * nt - 2  # z = -sigma and its row neighbour
+    assert fund2.domain_w[corner] == 0.0
+    x3c, x3n = fund2.vertices[corner, 2], fund2.vertices[nb, 2]
+    calls = []
+    immerse = curve.immerse
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return immerse(*args, **kwargs)
+
+    monkeypatch.setattr(curve, "immerse", counting)
+    # a generic crossing, then one whose root sits within 1e-12 (1 + sigma)
+    # of the branch point, where the iterates take the singular-end path
+    for h, singular in ((0.5 * (x3c + x3n), False),
+                        (x3c + 1e-9 * np.sign(x3n - x3c), True)):
+        edges = [{i, j} for i, j, _ in slice_mesh(fund2, h)[1]]
+        assert {corner, nb} in edges
+        del calls[:]
+        got = refine_slice(fund2, h, surf2, max_points=10 ** 6)
+        assert (len(calls) > 0) == singular
+        _assert_matches_reference(
+            got, _refine_slice_reference(fund2, h, surf2, 10 ** 6))
+
+
+def test_refine_slice_batches_each_height(fund2, ops2, surf2, monkeypatch):
+    ext = extend(fund2, ops2, copies=1)
+    span = surf2.translation_half()[2]
+    calls = []
+    batch = curve._integrate_segments
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return batch(*args, **kwargs)
+
+    monkeypatch.setattr(curve, "_integrate_segments", counting)
+    for frac in (0.13, 0.3, 0.5, 0.77, 1.4, 1.9):
+        del calls[:]
+        assert len(refine_slice(ext, frac * span, surf2, max_points=24)) >= 5
+        assert 0 < len(calls) <= 12
+
+
 def test_refine_slice_hits_height_with_few_immerse_calls(fund2, ops2, surf2,
                                                          monkeypatch):
     ext = extend(fund2, ops2, copies=1)
