@@ -3,13 +3,14 @@
 Subpackages:
 
 * :mod:`riemann_minimal.quad` -- adaptive Gauss-Kronrod quadrature kernel,
-  singular-endpoint and improper-tail substitutions.
+  the singular-endpoint substitution, and ``RiemannMinimalError``, the base
+  class of every numeric failure the package raises.
 * :mod:`riemann_minimal.curve` -- the elliptic curve w^2 = z(z-1)(z+sigma),
   branch-continuous continuation, Weierstrass data, periods, flux,
   symmetries.
-* :mod:`riemann_minimal.classical` -- the classical quadrature construction
-  (radius ODE, height/center integrals, catenoid closed form, Enneper
-  coefficients).
+* :mod:`riemann_minimal.classical` -- the classical construction (radius
+  ODE, height/center integrals in Carlson's closed forms, catenoid closed
+  form, Enneper coefficients).
 * :mod:`riemann_minimal.shiffkdv` -- Shiffman function, Jacobi operator,
   jets, Miura transformation, the KdV hierarchy as exact differential
   polynomials.

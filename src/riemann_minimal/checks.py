@@ -16,13 +16,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import classical, curve, mesh
-from .quad import QuadSettings
+from .quad import QuadSettings, RiemannMinimalError
 
 __all__ = [
     "fd_surface_checks", "classical_fd_grid", "weierstrass_fd_grid",
     "weierstrass_laplacian_grid", "RegistrationResult", "registration_error",
     "classical_radius_at_height", "foliation_residuals", "catenoid_residual",
+    "SliceFitError",
 ]
+
+
+class SliceFitError(RiemannMinimalError):
+    """Too few mesh slices cover the slab, or a slice is not a circle."""
 
 
 def fd_surface_checks(sample, h):
@@ -58,21 +63,21 @@ def classical_fd_grid(lam, nq=20, nv=20, h=1e-4,
                       settings: QuadSettings | None = None):
     """Max FD |H| and conformality defects of the classical parameterization.
 
-    The stencil q-values share one base evaluation of the height/center
-    integrals plus short incremental integrals over [q, q+h]; subtracting
-    two full quadratures would put their independent error terms over h^2
-    and swamp the second differences.
+    The stencil q-values share one closed-form base evaluation of the
+    height/center integrals plus short incremental quadratures over
+    [q, q+h]; subtracting two independently rounded base values would put
+    their error terms over h^2 and swamp the second differences.
     """
     from .quad import _adaptive
 
-    params = classical.RiemannParams.from_lambda(lam, settings)
+    params = classical.RiemannParams.from_lambda(lam)
     q1 = params.q1
     qs = np.linspace(q1 * 1.05 + 0.02, q1 + 3.0, nq)
     vs = np.linspace(0.0, 2 * math.pi, nv, endpoint=False)
     worst_H = worst_conf = worst_orth = 0.0
     for q in qs:
-        f0 = classical.center_offset(params, q, settings)
-        z0 = classical.height(params, q, settings)
+        f0 = classical.center_offset(params, q)
+        z0 = classical.height(params, q)
 
         def increment(a, b):
             df, _ = _adaptive(
@@ -163,24 +168,45 @@ def weierstrass_laplacian_grid(sigma, n_side=6, h=1e-3,
 # classical <-> Weierstrass registration
 
 
-def classical_radius_at_height(params: classical.RiemannParams, z_target,
-                               settings: QuadSettings | None = None):
-    """sqrt(q) of the circle at height z_target in [0, zeta)."""
-    from scipy.optimize import brentq
+def classical_radius_at_height(params: classical.RiemannParams, z_target):
+    """sqrt(q) of the circle at height z_target in [0, zeta) (scalar or
+    array).
 
-    if not 0.0 <= z_target < params.zeta:
+    Safeguarded Newton in s = sqrt(q - q1), where the height is smooth:
+    dz/ds = 2 s dz/dq = 2 s * 0.5 / sqrt(radicand(q)) = 1 / sqrt(q (q + p)),
+    finite at the neck where dz/dq is not.  z is concave in s with slope
+    c = 1/sqrt(q1 (q1 + p)) at s = 0, so z(s) <= c s, and zeta - z(s) <= 1/s
+    since R_F(x, y, z) <= 1/sqrt(min(x, y, z)); the sign bracket therefore
+    starts as [z/c, 1/(zeta - z)], and Newton starts at its nearer end (the
+    lower one below zeta/2).  A step that leaves the bracket is replaced by
+    bisection; a target stops when its residual is zero or its step no
+    longer moves q = q1 + s^2 by more than rounding, after 60 iterations at
+    most.
+    """
+    z = np.asarray(z_target, dtype=float)
+    if np.any((z < 0.0) | (z >= params.zeta)):
         raise classical.DomainError(
             f"height {z_target} outside [0, zeta={params.zeta})")
-    if z_target == 0.0:
-        return math.sqrt(params.q1)
-    q_hi = params.q1 + 1.0
-    while classical.height(params, q_hi, settings) < z_target:
-        q_hi *= 4.0
-        if q_hi > 1e14:
-            raise classical.ConvergenceError("height inversion bracket blew up")
-    q = brentq(lambda q: classical.height(params, q, settings) - z_target,
-               params.q1, q_hi, xtol=1e-13, rtol=1e-13)
-    return math.sqrt(q)
+    q1 = params.q1
+    p = 1.0 / q1
+    lo = z * math.sqrt(q1 * (q1 + p))
+    hi = 1.0 / (params.zeta - z)
+    s = np.where(z < 0.5 * params.zeta, lo, hi)
+    active = z > 0.0
+    for _ in range(60):
+        if not np.any(active):
+            return np.sqrt(q1 + s * s)[()]
+        q = q1 + s * s
+        f = classical.height(params, q) - z
+        lo = np.where(f <= 0.0, s, lo)
+        hi = np.where(f >= 0.0, s, hi)
+        step = f * np.sqrt(q * (q + p))
+        new = s - step
+        new = np.where((new > lo) & (new < hi), new, 0.5 * (lo + hi))
+        active &= (f != 0.0) & (np.abs(q1 + new * new - q)
+                                 > 4 * np.finfo(float).eps * q)
+        s = np.where(active, new, s)
+    raise classical.ConvergenceError("height inversion did not converge")
 
 
 @dataclass(frozen=True)
@@ -203,10 +229,8 @@ def registration_error(lam, nr=30, nt=40, n_heights=8,
     measured one.  Returns the worst relative radius error and the relative
     mismatch of the vertical line spacings (|t0_3| against 2 s zeta).
     """
-    from scipy.optimize import least_squares
-
     sigma = classical.sigma_of_lambda(lam)
-    cl = classical.RiemannParams.from_lambda(lam, settings)
+    cl = classical.RiemannParams.from_lambda(lam)
     surf = mesh.FundamentalSurface(sigma, settings)
     m = mesh.sample_fundamental(sigma, 0.1, nr, nt, surface=surf)
     t0 = surf.translation_half()
@@ -219,7 +243,7 @@ def registration_error(lam, nr=30, nt=40, n_heights=8,
     hs = [h for h in candidates
           if len(mesh.slice_mesh(m, float(h))[1]) >= 8][:n_heights]
     if len(hs) < 4:
-        raise RuntimeError(
+        raise SliceFitError(
             "too few well-covered heights; refine the grid or lower e")
     hs = np.array(hs)
     radii = []
@@ -227,24 +251,40 @@ def registration_error(lam, nr=30, nt=40, n_heights=8,
         pts = mesh.refine_slice(m, float(h), surf, max_points=24)
         fit = mesh.level_circle_fit(pts)
         if fit.kind != "circle":
-            raise RuntimeError(f"slice at {h} did not fit a circle")
+            raise SliceFitError(f"slice at {h} did not fit a circle")
         radii.append(fit.radius)
     radii = np.array(radii)
     neck_height = 0.5 * span  # the S1 fixed point sits midway between lines
+    cap = 0.999 * cl.zeta
+    p = 1.0 / cl.q1
 
-    def model(x):
+    def residual_and_jacobian(x):
+        # r_i = s rho(z_i) - radii_i with z_i = min(|h_i - h0| / s, cap) and
+        # rho = classical_radius_at_height, d rho/dz = sqrt(q (q - q1)(q + p))
+        # / sqrt(q) at q = rho^2; the capped heights do not move with x
         s, h0 = x
-        out = np.empty_like(radii)
-        for i, h in enumerate(hs):
-            zc = abs(h - h0) / s
-            zc = min(zc, 0.999 * cl.zeta)
-            out[i] = s * classical_radius_at_height(cl, zc, settings)
-        return out - radii
+        zc = np.abs(hs - h0) / s
+        free = zc < cap
+        zc = np.minimum(zc, cap)
+        rho = classical_radius_at_height(cl, zc)
+        q = rho * rho
+        drho = np.where(free, np.sqrt((q - cl.q1) * (q + p)), 0.0)
+        jac = np.stack([rho - drho * zc, -drho * np.sign(hs - h0)], axis=1)
+        return s * rho - radii, jac
 
-    s0 = abs(span) / (2.0 * cl.zeta)
-    sol = least_squares(model, x0=[s0, neck_height], xtol=1e-14, ftol=1e-14)
-    s, h0 = sol.x
-    rel = np.max(np.abs(model(sol.x)) / radii)
+    # Gauss-Newton with the analytic Jacobian; the fit is a small-residual
+    # problem, so it converges in a few steps
+    x = np.array([abs(span) / (2.0 * cl.zeta), neck_height])
+    for _ in range(50):
+        res, jac = residual_and_jacobian(x)
+        dx = np.linalg.lstsq(jac, -res, rcond=None)[0]
+        x = x + dx
+        if np.all(np.abs(dx) <= 1e-13 * np.abs(x)):
+            break
+    else:
+        raise classical.ConvergenceError("registration fit did not converge")
+    s, h0 = x
+    rel = np.max(np.abs(residual_and_jacobian(x)[0]) / radii)
     spacing_rel = abs(abs(span) - 2.0 * s * cl.zeta) / (2.0 * s * cl.zeta)
     return RegistrationResult(float(s), float(h0), float(rel),
                               float(spacing_rel), radii, hs)
@@ -269,7 +309,7 @@ def foliation_residuals(sigma, heights=None, nr=30, nt=40, copies=1,
         pts = mesh.refine_slice(ext, float(h), surf, max_points=28)
         fit = mesh.level_circle_fit(pts)
         if fit.kind != "circle":
-            raise RuntimeError(f"slice at height {h} did not fit a circle")
+            raise SliceFitError(f"slice at height {h} did not fit a circle")
         rels.append(fit.residual / fit.radius)
     # line heights: the slice at the height of a boundary line consists of
     # the (exactly coplanar, exactly collinear) line vertices themselves

@@ -18,6 +18,20 @@ the height integral carries du, the center offset carries u du (resolved
 against the first integral; the printed pair that shows u du for both is a
 typo in the source material).
 
+The radicand factors as u (u - q1) (u + p) with p = 1/q1 = q1 + lambda, so
+both integrals are incomplete elliptic integrals in Carlson's symmetric
+forms (DLMF 19.16, 19.29; Carlson, Numer. Algorithms 10 (1995),
+arXiv:math/9409227):
+
+    zeta = z(inf) = R_F(0, q1, q1 + p)
+    z(q)  = sqrt(q - q1) R_F(q (q1 + p), q1 (q + p), q1 (q1 + p))
+    f(q)  = -sqrt(q (q - q1) (q + p)) / q
+            + (R_D(0, q1 + p, q1) - R_D(q - q1, q + p, q)) / 3
+
+The height uses Carlson's two-limit form with lower limit q1, so it has no
+cancellation near the neck; the center offset follows from
+d/du (sqrt(R(u)) / u) = (u + 1/u) / (2 sqrt(R(u))).
+
 The a = 0 branch of the same quadrature is the catenoid; its closed form is
 
     z(q) = arcsinh( sqrt(lambda q - 1) ) / sqrt(lambda),
@@ -36,27 +50,33 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quad import QuadSettings, _adaptive, integrate_sqrt_singular, integrate_tail
+from .quad import RiemannMinimalError
 
 __all__ = [
     "DomainError", "ConvergenceError", "RiemannParams", "FoliationData",
-    "q_min", "sigma_of_lambda", "radicand", "height", "center_offset",
+    "q_min", "sigma_of_lambda", "radicand", "carlson_rf", "carlson_rd",
+    "height", "center_offset",
     "slab_height", "parameterize", "catenoid_height", "gauss_limit",
     "enneper_coefficients", "enneper_fourier_check", "foliation_surface",
 ]
 
 
-class DomainError(Exception):
+class DomainError(RiemannMinimalError):
     """Argument outside the admissible q-range."""
 
 
-class ConvergenceError(Exception):
+class ConvergenceError(RiemannMinimalError):
     """A numerically computed limit failed its Cauchy check."""
 
 
 def q_min(lam: float) -> float:
-    """q1(lambda) = (-lambda + sqrt(4 + lambda^2))/2, the minimum of q."""
-    return 0.5 * (-lam + math.hypot(2.0, lam))
+    """q1(lambda) = (-lambda + sqrt(4 + lambda^2))/2, the minimum of q.
+
+    For lambda > 0 the equal form 2/(lambda + sqrt(4 + lambda^2)) avoids
+    the cancellation.
+    """
+    root = math.hypot(2.0, lam)
+    return 2.0 / (lam + root) if lam > 0 else 0.5 * (root - lam)
 
 
 def sigma_of_lambda(lam: float) -> float:
@@ -67,6 +87,74 @@ def sigma_of_lambda(lam: float) -> float:
 def radicand(lam: float, u):
     """u^3 + lambda u^2 - u = u (u - q1) (u + q1 + lambda)."""
     return u * (u * u + lam * u - 1.0)
+
+
+# Carlson's r: the truncated series below are accurate to about r relative
+_CARLSON_R = 1e-16
+_CARLSON_MAX_STEPS = 60
+
+
+def _duplicate(args, a0, tol, rd=False):
+    """Carlson's duplication x -> (x + lam)/4 until 4^-m Q < |A_m|.
+
+    Returns (A_m, 4^-m, sum over the steps of 4^-k / (sqrt(z_k)(z_k +
+    lam_k)) with z the last argument); the sum is R_D's and only formed
+    when ``rd`` is set.
+    """
+    x, y, z = args
+    q = tol * np.maximum(np.maximum(abs(a0 - x), abs(a0 - y)), abs(a0 - z))
+    a, scale, tail = a0, 1.0, 0.0
+    for _ in range(_CARLSON_MAX_STEPS):
+        if not np.any(q * scale >= abs(a)):
+            break
+        sx, sy, sz = np.sqrt(x), np.sqrt(y), np.sqrt(z)
+        lam = sx * sy + sx * sz + sy * sz
+        if rd:
+            tail = tail + scale / (sz * (z + lam))
+        x, y, z, a = (x + lam) / 4, (y + lam) / 4, (z + lam) / 4, (a + lam) / 4
+        scale /= 4.0
+    return a, scale, tail
+
+
+def carlson_rf(x, y, z):
+    """R_F(x, y, z) = 1/2 int_0^inf dt / sqrt((t + x)(t + y)(t + z)).
+
+    Arguments nonnegative, at most one of them zero; scalars or arrays that
+    broadcast.  Duplication, then the fifth-order series (DLMF 19.36.1).
+    """
+    x, y, z = (np.asarray(v, dtype=float) for v in (x, y, z))
+    a0 = (x + y + z) / 3.0
+    a, scale, _ = _duplicate((x, y, z), a0, (3.0 * _CARLSON_R) ** (-1 / 6))
+    X = (a0 - x) * scale / a
+    Y = (a0 - y) * scale / a
+    Z = -X - Y
+    e2 = X * Y - Z * Z
+    e3 = X * Y * Z
+    return ((1.0 - e2 / 10 + e3 / 14 + e2 * e2 / 24 - 3 * e2 * e3 / 44)
+            / np.sqrt(a))[()]
+
+
+def carlson_rd(x, y, z):
+    """R_D(x, y, z) = 3/2 int_0^inf dt / ((t + z) sqrt((t + x)(t + y)(t + z))).
+
+    x, y nonnegative, at most one of them zero, z positive; scalars or
+    arrays that broadcast.  Duplication, then the series (DLMF 19.36.2).
+    """
+    x, y, z = (np.asarray(v, dtype=float) for v in (x, y, z))
+    a0 = (x + y + 3.0 * z) / 5.0
+    a, scale, tail = _duplicate((x, y, z), a0, (_CARLSON_R / 4.0) ** (-1 / 6),
+                                 rd=True)
+    X = (a0 - x) * scale / a
+    Y = (a0 - y) * scale / a
+    Z = -(X + Y) / 3.0
+    xy, zz = X * Y, Z * Z
+    e2 = xy - 6 * zz
+    e3 = (3 * xy - 8 * zz) * Z
+    e4 = 3 * (xy - zz) * zz
+    e5 = xy * zz * Z
+    series = (1.0 - 3 * e2 / 14 + e3 / 6 + 9 * e2 * e2 / 88 - 3 * e4 / 22
+              - 9 * e2 * e3 / 52 + 3 * e5 / 26)
+    return (scale * series / (a * np.sqrt(a)) + 3.0 * tail)[()]
 
 
 @dataclass(frozen=True)
@@ -83,75 +171,55 @@ class RiemannParams:
     a_direction: tuple = (1.0, 0.0)
 
     @classmethod
-    def from_lambda(cls, lam: float,
-                    settings: QuadSettings | None = None) -> "RiemannParams":
-        q1 = q_min(lam)
-        return cls(float(lam), q1, slab_height(lam, settings))
+    def from_lambda(cls, lam: float) -> "RiemannParams":
+        return cls(float(lam), q_min(lam), slab_height(lam))
 
 
-def _split_point(lam: float) -> float:
-    return max(4.0, 2.0 * q_min(lam) + 2.0)
+def _checked_q(params, q):
+    """q as a float array, clamped to q1; DomainError below q1."""
+    q = np.asarray(q, dtype=float)
+    if np.any(q < params.q1 - 1e-12):
+        raise DomainError(f"q = {np.min(q)} below q1 = {params.q1}")
+    return np.maximum(q, params.q1)
 
 
-def height(params: RiemannParams, q: float,
-           settings: QuadSettings | None = None) -> float:
-    """z_lambda(q): height of the circle of radius sqrt(q).
+def height(params: RiemannParams, q):
+    """z_lambda(q): height of the circle of radius sqrt(q) (scalar or array).
 
-    Zero at q1, strictly increasing, bounded above by zeta.  The sqrt
-    singularity at q1 is removed by the u = q1 + s^2 substitution.
+    Zero at q1, strictly increasing, bounded above by zeta; Carlson's
+    two-limit form sqrt(q - q1) R_F(q (q1 + p), q1 (q + p), q1 (q1 + p)).
     """
-    lam, q1 = params.lam, params.q1
-    if q < q1 - 1e-12:
-        raise DomainError(f"q = {q} below q1 = {q1}")
-    q = max(q, q1)
-    if q == q1:
-        return 0.0
-    Q = _split_point(lam)
-    f = lambda u: 0.5 / np.sqrt(radicand(lam, u))
-    if q <= Q:
-        return integrate_sqrt_singular(f, q1, q, settings)
-    head = integrate_sqrt_singular(f, q1, Q, settings)
-    body, _ = _adaptive(lambda u: f(u), [(Q, q)], settings)
-    return head + float(np.real(body))
+    q = _checked_q(params, q)
+    q1 = params.q1
+    p = 1.0 / q1
+    return (np.sqrt(q - q1)
+            * carlson_rf(q * (q1 + p), q1 * (q + p), q1 * (q1 + p)))[()]
 
 
-def center_offset(params: RiemannParams, q: float,
-                  settings: QuadSettings | None = None) -> float:
-    """f_lambda(q): first coordinate of the circle center at parameter q.
+def center_offset(params: RiemannParams, q):
+    """f_lambda(q): first coordinate of the circle center at parameter q
+    (scalar or array).
 
     Zero at q1, strictly decreasing, diverging like -sqrt(q).
     """
-    lam, q1 = params.lam, params.q1
-    if q < q1 - 1e-12:
-        raise DomainError(f"q = {q} below q1 = {q1}")
-    q = max(q, q1)
-    if q == q1:
-        return 0.0
-    Q = _split_point(lam)
-    f = lambda u: -0.5 * u / np.sqrt(radicand(lam, u))
-    if q <= Q:
-        return integrate_sqrt_singular(f, q1, q, settings)
-    head = integrate_sqrt_singular(f, q1, Q, settings)
-    body, _ = _adaptive(lambda u: f(u), [(Q, q)], settings)
-    return head + float(np.real(body))
+    q = _checked_q(params, q)
+    q1 = params.q1
+    p = 1.0 / q1
+    d = q - q1
+    return (-np.sqrt(q * d * (q + p)) / q
+            + (carlson_rd(0.0, q1 + p, q1) - carlson_rd(d, q + p, q)) / 3.0)[()]
 
 
-def slab_height(lam: float, settings: QuadSettings | None = None) -> float:
-    """zeta(lambda) = lim_{q->inf} z_lambda(q); finite since the tail is
-    u^(-3/2)."""
+def slab_height(lam: float) -> float:
+    """zeta(lambda) = lim_{q->inf} z_lambda(q) = R_F(0, q1, q1 + p)."""
     q1 = q_min(lam)
-    Q = _split_point(lam)
-    f = lambda u: 0.5 / np.sqrt(radicand(lam, u))
-    head = integrate_sqrt_singular(f, q1, Q, settings)
-    tail = integrate_tail(f, Q, 1.5, settings)
-    return head + tail
+    return float(carlson_rf(0.0, q1, q1 + 1.0 / q1))
 
 
-def parameterize(params: RiemannParams, q: float, v: float,
-                 settings: QuadSettings | None = None) -> np.ndarray:
+def parameterize(params: RiemannParams, q: float, v: float) -> np.ndarray:
     """X(q, v) = f(q)(1,0,0) + sqrt(q)(cos v, sin v, 0) + (0,0,z(q))."""
-    fq = center_offset(params, q, settings)
-    zq = height(params, q, settings)
+    fq = center_offset(params, q)
+    zq = height(params, q)
     rq = math.sqrt(q)
     return np.array([fq + rq * math.cos(v), rq * math.sin(v), zq])
 

@@ -9,9 +9,10 @@ kdv     print the hierarchy polynomials and/or run the algebro-geometric
         least-squares measurement on the curve potential.
 
 Exit codes: 0 success, 1 failed verification, 2 bad configuration,
-3 numeric failure.  Reports are deterministic for a fixed config and seed
-except for the timestamp and timings fields.  Set MINSURF_LOG=DEBUG|INFO|...
-to control logging.
+3 numeric failure (any ``RiemannMinimalError``), 4 program bug (any other
+exception; its traceback goes to stderr).  Reports are deterministic for a
+fixed config and seed except for the timestamp and timings fields.  Set
+MINSURF_LOG=DEBUG|INFO|... to control logging.
 """
 
 from __future__ import annotations
@@ -24,11 +25,13 @@ import os
 import platform
 import sys
 import time
+import traceback
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import __version__, checks, classical, curve, mesh, shiffkdv
+from .quad import RiemannMinimalError
 
 log = logging.getLogger("riemann_minimal")
 
@@ -36,6 +39,7 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
+EXIT_BUG = 4
 
 
 @dataclass
@@ -368,10 +372,13 @@ def main(argv=None) -> int:
         if cfg.command == "verify":
             return cmd_verify(cfg)
         return cmd_kdv(cfg)
-    except Exception as exc:  # numeric failures from any module
+    except RiemannMinimalError as exc:
         log.debug("numeric failure", exc_info=True)
         print(f"numeric failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    except Exception:
+        traceback.print_exc()
+        return EXIT_BUG
 
 
 if __name__ == "__main__":

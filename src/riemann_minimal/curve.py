@@ -27,8 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quad import (ComplexPath, QuadSettings, _adaptive, _gk_panel,
-                   _point_segment_distance)
+from .quad import (ComplexPath, QuadSettings, RiemannMinimalError, _adaptive,
+                   _gk_panel, _point_segment_distance)
 
 __all__ = [
     "CurveError", "BranchAmbiguity", "ClearanceViolation", "PoleOfGaussMap",
@@ -44,7 +44,7 @@ __all__ = [
 BASEPOINT_OFFSET = 1e-2
 
 
-class CurveError(Exception):
+class CurveError(RiemannMinimalError):
     pass
 
 
@@ -436,7 +436,9 @@ def _make_loop(params, kind, center, radius, n, turns=1):
     path = ComplexPath(nodes, clearance=clear)
     z0 = nodes[0]
     w0 = np.sqrt(complex(curve_poly(params, z0)))
-    w_end = continue_w(params, path, w0)
+    _, ws = _march(params, np.array(nodes)[None], np.array([w0]),
+                   np.zeros((1, 3)))
+    w_end = ws[0, -1]
     if abs(w_end - w0) > 1e-8 * abs(w0):
         raise BranchAmbiguity(
             f"loop {kind} does not close on the curve: |dw|/|w| = "

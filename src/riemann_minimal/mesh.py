@@ -27,12 +27,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from . import curve as _curve
 from .curve import BASEPOINT_OFFSET, CurveParams, CurvePoint
-from .quad import ComplexPath, QuadSettings
+from .quad import ComplexPath, QuadSettings, RiemannMinimalError
 
 __all__ = [
     "DegenerateCell", "Degenerate", "DomainMap", "TriMesh", "IsometryOp",
@@ -42,11 +43,11 @@ __all__ = [
 ]
 
 
-class DegenerateCell(Exception):
+class DegenerateCell(RiemannMinimalError):
     """Adjacent grid samples coincide."""
 
 
-class Degenerate(Exception):
+class Degenerate(RiemannMinimalError):
     """Point set spans fewer than two dimensions."""
 
 
@@ -165,6 +166,18 @@ class TriMesh:
     @property
     def face_count(self) -> int:
         return len(self.faces)
+
+    @cached_property
+    def edges(self):
+        """Unique undirected edges (i, j), i < j, in ascending order.
+
+        Computed on first use and kept; the faces must not change after.
+        """
+        n = self.vertex_count
+        faces = np.asarray(self.faces, dtype=np.int64)
+        nxt = np.roll(faces, -1, axis=1)
+        key = np.unique(np.minimum(faces, nxt) * n + np.maximum(faces, nxt))
+        return np.divmod(key, n)
 
 
 # ---------------------------------------------------------------------------
@@ -470,13 +483,10 @@ def slice_mesh(mesh: TriMesh, height: float):
     Returns (points, crossings): edge-interpolated intersection points and
     the crossing records (ia, ib, s) for refinement, one per mesh edge
     (ia < ib) with strictly opposite signs of x3 - height at its ends, in
-    ascending (ia, ib) order.
+    ascending (ia, ib) order.  The edge set is the mesh's cached
+    ``TriMesh.edges``.
     """
-    n = mesh.vertex_count
-    faces = np.asarray(mesh.faces, dtype=np.int64)
-    nxt = np.roll(faces, -1, axis=1)
-    key = np.unique(np.minimum(faces, nxt) * n + np.maximum(faces, nxt))
-    i, j = np.divmod(key, n)
+    i, j = mesh.edges
     x3 = mesh.vertices[:, 2]
     fa, fb = x3[i] - height, x3[j] - height
     cross = (fa != 0.0) & (fb != 0.0) & ~(fa * fb > 0.0)

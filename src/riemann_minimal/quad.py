@@ -1,17 +1,15 @@
 """Adaptive quadrature kernel.
 
-Everything downstream (curve periods, slab heights, immersions) funnels
-through three entry points:
+Everything downstream (curve periods, immersions, the finite-difference
+checks) funnels through two entry points:
 
 * :func:`integrate_path` -- line integral of a smooth complex integrand
   along a polyline in the plane, globally adaptive Gauss-Kronrod (G7, K15).
 * :func:`integrate_sqrt_singular` -- real integral whose integrand blows up
   like (u - a)^(-1/2) at the lower endpoint.  The substitution u = a + s^2
   removes the singularity exactly, so no endpoint tricks are needed.
-* :func:`integrate_tail` -- improper integral over [a, inf) of an integrand
-  decaying like u^(-p), p > 1, mapped to (0, 1] by u = a/v or u = a/v^2.
 
-All three are pure functions of their inputs and safe to call concurrently.
+Both are pure functions of their inputs and safe to call concurrently.
 Double precision throughout; no oscillatory specializations.
 """
 
@@ -23,19 +21,26 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
+    "RiemannMinimalError",
     "QuadError",
     "SubdivisionLimit",
     "NonFinite",
-    "Divergent",
     "QuadSettings",
     "ComplexPath",
     "integrate_path",
     "integrate_sqrt_singular",
-    "integrate_tail",
 ]
 
 
-class QuadError(Exception):
+class RiemannMinimalError(Exception):
+    """Base class of every numeric failure the package raises.
+
+    Defined here because every module imports ``quad``; the CLI maps this
+    class, and only this class, to its numeric-failure exit code.
+    """
+
+
+class QuadError(RiemannMinimalError):
     """Base class for quadrature failures."""
 
 
@@ -45,10 +50,6 @@ class SubdivisionLimit(QuadError):
 
 class NonFinite(QuadError):
     """The integrand evaluated to nan or inf on the path."""
-
-
-class Divergent(QuadError):
-    """Declared decay exponent does not give a convergent tail."""
 
 
 # 15-point Kronrod extension of 7-point Gauss on [-1, 1].  Nodes at odd
@@ -260,39 +261,4 @@ def integrate_sqrt_singular(f, a: float, b: float,
         return 2.0 * s * np.asarray(f(a + se * se))
 
     total, _ = _adaptive(g, [(0.0, smax)], settings)
-    return float(np.real(total))
-
-
-def integrate_tail(f, a: float, p: float,
-                   settings: QuadSettings | None = None,
-                   substitution: str = "auto") -> float:
-    """Integral of f over [a, infinity), f(u)*u^p bounded, p > 1.
-
-    ``substitution`` selects the compactifying change of variables:
-    "inverse" (u = a/v) or "inverse_square" (u = a/v^2).  The default picks
-    u = a/v^2 for slowly decaying tails (p < 2.5), which turns the
-    u^(-3/2) tails of the slab-height integrals into smooth integrands.
-    """
-    if p <= 1:
-        raise Divergent(f"decay exponent p={p} <= 1")
-    if a <= 0:
-        raise ValueError("tail integrals need a > 0")
-    if substitution == "auto":
-        substitution = "inverse_square" if p < 2.5 else "inverse"
-    # clamp v away from 0 so u = a/v^k (and u^3 downstream) stays finite;
-    # the clamped sliver contributes O(1e-40^(p-1)) at most
-    v_floor = 1e-40
-    if substitution == "inverse":
-        def g(v):
-            ve = np.maximum(v, v_floor)
-            u = a / ve
-            return np.asarray(f(u)) * a / (ve * ve)
-    elif substitution == "inverse_square":
-        def g(v):
-            ve = np.maximum(v, v_floor)
-            u = a / (ve * ve)
-            return np.asarray(f(u)) * 2.0 * a / (ve * ve * ve)
-    else:
-        raise ValueError(f"unknown substitution {substitution!r}")
-    total, _ = _adaptive(g, [(0.0, 1.0)], settings)
     return float(np.real(total))

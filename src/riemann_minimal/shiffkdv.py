@@ -35,6 +35,7 @@ import numpy as np
 
 from . import curve as _curve
 from .curve import CurveParams, PoleOfGaussMap, WeierstrassForms, gaussian_curvature
+from .quad import RiemannMinimalError
 
 __all__ = [
     "GridTooSmall", "NotExactDerivative", "JetTooShort",
@@ -46,15 +47,15 @@ __all__ = [
 ]
 
 
-class GridTooSmall(Exception):
+class GridTooSmall(RiemannMinimalError):
     pass
 
 
-class NotExactDerivative(Exception):
+class NotExactDerivative(RiemannMinimalError):
     """Formal antidifferentiation left a nonzero remainder (a bug, not math)."""
 
 
-class JetTooShort(Exception):
+class JetTooShort(RiemannMinimalError):
     pass
 
 

@@ -1,0 +1,106 @@
+import math
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings, strategies as st
+from scipy.optimize import brentq, least_squares
+
+import classical_quadrature as quadrature
+from riemann_minimal import checks, classical, mesh
+from riemann_minimal.quad import RiemannMinimalError
+
+EPS = np.finfo(float).eps
+
+
+@settings(max_examples=200, deadline=None)
+@given(lam=st.floats(-30.0, 30.0),
+       frac=st.floats(0.0, 1.0, exclude_max=True))
+@example(lam=0.0, frac=0.0)
+@example(lam=-30.0, frac=0.0)
+@example(lam=1.0, frac=1.0 - 1e-12)
+@example(lam=30.0, frac=1.0 - 2 * EPS)
+@example(lam=-7.5, frac=1e-300)
+def test_radius_at_height_round_trip(lam, frac):
+    p = classical.RiemannParams.from_lambda(lam)
+    z = frac * p.zeta
+    r = checks.classical_radius_at_height(p, z)
+    q = r * r
+    # squaring r moves q by a few ulps; next to the neck dz/dq is large, so
+    # that alone moves the height by dz/dq * 4 eps q (about 1e-13 zeta at
+    # z ~ 1e-2 zeta, 1e-8 zeta as z -> 0); above that the inversion is
+    # exact to 1e-13 zeta
+    rad = classical.radicand(lam, q)
+    dzdq = 0.5 / math.sqrt(rad) if rad > 0 else math.inf
+    assert abs(classical.height(p, q) - z) <= 1e-13 * p.zeta + dzdq * 4 * EPS * q
+    if frac >= 1e-2:
+        assert abs(classical.height(p, q) - z) <= 1e-13 * p.zeta
+
+
+def test_radius_at_height_arrays_and_domain():
+    p = classical.RiemannParams.from_lambda(0.5)
+    zs = np.array([0.0, 0.2, 0.5, 0.9]) * p.zeta
+    r = checks.classical_radius_at_height(p, zs)
+    assert r.shape == (4,) and r[0] == math.sqrt(p.q1)
+    np.testing.assert_allclose(
+        r, [checks.classical_radius_at_height(p, z) for z in zs], rtol=1e-15)
+    for bad in (-1e-9, p.zeta):
+        with pytest.raises(classical.DomainError):
+            checks.classical_radius_at_height(p, bad)
+
+
+def _least_squares_fit(lam, reg):
+    """The registration fit as scipy's least_squares over brentq inversions
+    of the quadrature height, started where registration_error starts."""
+    sigma = classical.sigma_of_lambda(lam)
+    span = mesh.FundamentalSurface(sigma).translation_half()[2]
+    cl = classical.RiemannParams(lam, classical.q_min(lam),
+                                 quadrature.slab_height(lam))
+
+    def radius(z):
+        if z == 0.0:
+            return math.sqrt(cl.q1)
+        hi = cl.q1 + 1.0
+        while quadrature.height(cl, hi) < z:
+            hi *= 4.0
+        return math.sqrt(brentq(lambda q: quadrature.height(cl, q) - z,
+                                cl.q1, hi, xtol=1e-13, rtol=1e-13))
+
+    def model(x):
+        s, h0 = x
+        zc = np.minimum(np.abs(reg.heights - h0) / s, 0.999 * cl.zeta)
+        return s * np.array([radius(z) for z in zc]) - reg.radii
+
+    x0 = [abs(span) / (2.0 * cl.zeta), 0.5 * span]
+    return least_squares(model, x0=x0, xtol=1e-14, ftol=1e-14).x
+
+
+@pytest.mark.parametrize("sigma", [0.0167, 0.5, 2.78, 8.0])
+def test_registration_fit_matches_least_squares(sigma):
+    lam = (sigma - 1.0) / math.sqrt(sigma)
+    reg = checks.registration_error(lam, nr=24, nt=32, n_heights=6)
+    s, h0 = _least_squares_fit(lam, reg)
+    assert abs(reg.scale - s) <= 1e-10 * abs(s)
+    assert abs(reg.height_offset - h0) <= 1e-10 * abs(h0)
+    assert reg.max_radius_rel_err < 1e-12
+    assert reg.spacing_rel_err < 1e-12
+
+
+def test_foliation_residuals_builds_the_edge_set_once(monkeypatch):
+    calls = []
+    unique = np.unique
+
+    def counting_unique(*args, **kwargs):
+        calls.append(1)
+        return unique(*args, **kwargs)
+
+    monkeypatch.setattr(np, "unique", counting_unique)
+    rels, _ = checks.foliation_residuals(2.0, nr=20, nt=28, copies=1)
+    assert len(rels) == 10
+    assert len(calls) == 1
+
+
+def test_slice_fit_error_is_a_package_error(monkeypatch):
+    assert issubclass(checks.SliceFitError, RiemannMinimalError)
+    monkeypatch.setattr(mesh, "slice_mesh", lambda m, h: (None, []))
+    with pytest.raises(checks.SliceFitError):
+        checks.registration_error(0.0, nr=12, nt=16)

@@ -1,15 +1,20 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
+import scipy.special
 from scipy.optimize import brentq
 
+import classical_quadrature as quadrature
 from riemann_minimal import classical
 from riemann_minimal.classical import (DomainError, FoliationData,
-                                       RiemannParams, catenoid_height,
-                                       center_offset, enneper_coefficients,
+                                       RiemannParams, carlson_rd, carlson_rf,
+                                       catenoid_height, center_offset,
+                                       enneper_coefficients,
                                        enneper_fourier_check, height,
-                                       parameterize, q_min, sigma_of_lambda)
+                                       parameterize, q_min, sigma_of_lambda,
+                                       slab_height)
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -227,3 +232,110 @@ def test_foliation_data_validation():
         canonical_data(r=0.0)
     with pytest.raises(ValueError):
         canonical_data(kappa=-1.0)
+
+
+# --- Carlson symmetric forms and the closed-form classical route -----------
+
+# argument triples over many decades, with a zero argument in several; R_D
+# needs its last argument positive
+CARLSON_ARGS = [
+    (0.0, 1.0, 2.0), (2.0, 3.0, 4.0), (1.0, 2.0, 0.0), (0.0, 1e-10, 1.0),
+    (1e-8, 1.0, 1e8), (0.5, 0.5, 0.5), (1e-300, 1.0, 3.0),
+    (7.0, 1e12, 1e-3), (0.0, 3.0, 1e-9), (123.0, 4.5e-5, 0.0),
+]
+
+
+def test_carlson_forms_against_mpmath_30_digits():
+    with mpmath.workdps(30):
+        for x, y, z in CARLSON_ARGS:
+            rf = mpmath.elliprf(x, y, z)
+            assert abs(carlson_rf(x, y, z) / rf - 1) < 1e-15
+            if z > 0:
+                rd = mpmath.elliprd(x, y, z)
+                assert abs(carlson_rd(x, y, z) / rd - 1) < 1e-15
+
+
+def test_carlson_forms_against_scipy_special():
+    rng = np.random.default_rng(3)
+    x, y, z = 10.0 ** rng.uniform(-6, 6, (3, 2000))
+    x[:200] = 0.0  # one zero argument
+    y[200:400] = 0.0
+    rf, rd = carlson_rf(x, y, z), carlson_rd(x, y, z)
+    assert rf.shape == rd.shape == x.shape
+    assert np.max(np.abs(rf / scipy.special.elliprf(x, y, z) - 1)) < 2e-15
+    assert np.max(np.abs(rd / scipy.special.elliprd(x, y, z) - 1)) < 2e-15
+    # scalars in, scalars out; broadcasting
+    assert np.ndim(carlson_rf(0.0, 1.0, 2.0)) == 0
+    assert carlson_rd(0.0, 2.0, np.array([1.0, 2.0])).shape == (2,)
+
+
+LAMS = np.linspace(-30.0, 30.0, 25)
+
+
+def test_closed_forms_match_quadrature_route():
+    # the quadrature route kept in the tests is an independent evaluation
+    # of the same integrals; offsets from q1 stay where its own error is
+    # small (see test_closed_forms_win_against_mpmath for the neck)
+    for lam in LAMS:
+        p = RiemannParams.from_lambda(lam)
+        assert abs(p.zeta / quadrature.slab_height(lam) - 1) < 5e-13
+        for dq in (0.1, 1.0, 3.0, 20.0, 1e3):
+            q = p.q1 + dq
+            assert abs(height(p, q) - quadrature.height(p, q)) < 2e-12 * p.zeta
+            f_quad = quadrature.center_offset(p, q)
+            assert abs(center_offset(p, q) - f_quad) < 5e-11 * abs(f_quad)
+
+
+def _mpmath_route(lam, q):
+    """zeta, z(q), f(q) by 30-digit tanh-sinh quadrature in s = sqrt(u - q1),
+    where z = int ds / sqrt((q1 + s^2)(q1 + p + s^2)) and
+    f = -int sqrt(q1 + s^2) / sqrt(q1 + p + s^2) ds."""
+    with mpmath.workdps(30):
+        q1 = mpmath.mpf(q_min(lam))
+        p = 1 / q1
+        dz = lambda s: 1 / mpmath.sqrt((q1 + s * s) * (q1 + p + s * s))
+        df = lambda s: -mpmath.sqrt((q1 + s * s) / (q1 + p + s * s))
+        top = mpmath.sqrt(mpmath.mpf(q) - q1)
+        return (mpmath.quad(dz, [0, mpmath.inf]), mpmath.quad(dz, [0, top]),
+                mpmath.quad(df, [0, top]))
+
+
+@pytest.mark.parametrize("lam,dq", [(-30.0, 1e-3), (-30.0, 0.1), (0.0, 0.5),
+                                    (2.0, 1e4), (30.0, 3.0)])
+def test_closed_forms_against_mpmath(lam, dq):
+    p = RiemannParams.from_lambda(lam)
+    q = p.q1 + dq
+    zeta, z, f = (float(v) for v in _mpmath_route(lam, q))
+    assert abs(p.zeta / zeta - 1) < 1e-15
+    assert abs(height(p, q) - z) < 1e-15 * zeta
+    assert abs(center_offset(p, q) - f) < 1e-14 * max(1.0, abs(f))
+
+
+def test_mpmath_decides_for_the_closed_forms_at_the_neck():
+    # next to the neck at lambda = -30 the quadrature's radicand
+    # u (u^2 + lambda u - 1) cancels; the two routes differ by more than
+    # 1e-11 there, and mpmath sides with the closed forms
+    lam = -30.0
+    p = RiemannParams.from_lambda(lam)
+    q = p.q1 + 1e-3
+    _, z, f = (float(v) for v in _mpmath_route(lam, q))
+    assert abs(quadrature.height(p, q) - z) > 1e-12 * p.zeta
+    assert abs(height(p, q) - z) < 1e-15 * p.zeta
+    assert abs(quadrature.center_offset(p, q) - f) > 1e-11
+    assert abs(center_offset(p, q) - f) < 1e-15
+
+
+def test_closed_forms_take_arrays_and_clamp_at_the_neck():
+    p = RiemannParams.from_lambda(-1.5)
+    qs = p.q1 + np.array([0.0, 0.01, 1.0, 50.0])
+    # an array runs the duplication until its slowest element converges, so
+    # it may differ from the scalar calls in the last bit
+    np.testing.assert_allclose(height(p, qs), [height(p, q) for q in qs],
+                               rtol=1e-15)
+    np.testing.assert_allclose(center_offset(p, qs),
+                               [center_offset(p, q) for q in qs], rtol=1e-15)
+    assert height(p, p.q1 - 1e-13) == 0.0
+    assert center_offset(p, p.q1 - 1e-13) == 0.0
+    with pytest.raises(DomainError):
+        height(p, qs - 1e-3)
+    assert slab_height(-1.5) == p.zeta

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from riemann_minimal import cli
+from riemann_minimal import checks, classical, cli, curve, mesh, quad, shiffkdv
 
 
 def run(argv):
@@ -131,6 +131,65 @@ def test_numeric_failure_exit_3(tmp_path):
     rc = run(["gen", "--sigma", "1e9", "--grid", "4x4",
               "-o", str(tmp_path / "o")])
     assert rc == 3
+
+
+def test_every_package_exception_shares_one_base():
+    base = quad.RiemannMinimalError
+    for exc in (quad.QuadError, quad.SubdivisionLimit, quad.NonFinite,
+                curve.CurveError, curve.BranchAmbiguity,
+                curve.ClearanceViolation, curve.PoleOfGaussMap,
+                classical.DomainError, classical.ConvergenceError,
+                mesh.Degenerate, mesh.DegenerateCell, shiffkdv.GridTooSmall,
+                shiffkdv.NotExactDerivative, shiffkdv.JetTooShort,
+                checks.SliceFitError):
+        assert issubclass(exc, base), exc
+
+
+def test_clearance_violation_exits_3(tmp_path, capsys):
+    # the base point's entry arc is 1e-2 from z = 1, inside the clearance
+    # 1e-3 (1 + sigma) at sigma 10
+    assert run(["gen", "--sigma", "10", "--grid", "4x4",
+                "-o", str(tmp_path / "o")]) == 3
+    assert "numeric failure: ClearanceViolation" in capsys.readouterr().err
+    assert run(["verify", "--sigma", "10", "--json", "/dev/null"]) == 3
+
+
+def test_program_bug_exits_4_with_traceback(monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise TypeError("injected")
+
+    monkeypatch.setattr(curve, "period", broken)
+    assert run(["verify", "--sigma", "2", "--json", "/dev/null"]) == 4
+    err = capsys.readouterr().err
+    assert "Traceback" in err and "TypeError: injected" in err
+    assert "numeric failure" not in err
+
+
+def test_runs_with_scipy_blocked(tmp_path):
+    # a meta-path finder that refuses every scipy import: the package
+    # needs numpy only at run time
+    code = f"""
+import sys
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError("scipy is blocked")
+
+sys.meta_path.insert(0, NoScipy())
+from riemann_minimal import cli
+print(cli.main(["verify", "--sigma", "2", "--seed", "7",
+                "--json", {str(tmp_path / "v.json")!r}]),
+      cli.main(["gen", "--sigma", "2", "--grid", "8x12", "--copies", "1",
+                "--format", "both", "-o", {str(tmp_path / "g")!r}]))
+"""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["0", "0"]
+    assert load_report(tmp_path / "v.json")["pass"] is True
 
 
 @pytest.mark.parametrize("sigma", ["0.47863009232263826",

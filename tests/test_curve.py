@@ -85,6 +85,17 @@ def test_nonclosing_loop_rejected():
         curve._make_loop(params, "bogus", 1.0, 0.4, 48, turns=1)
 
 
+@pytest.mark.parametrize("sigma", [0.05, 2.0, 8.0])
+def test_single_turn_end_loop_rejected(sigma):
+    # z = 0 is a branch point: one turn around it flips w, two close the lift
+    params = CurveParams(sigma)
+    radius = 0.3 * min(1.0, sigma)
+    with pytest.raises(BranchAmbiguity):
+        curve._make_loop(params, "end_loop", 0.0, radius, 64, turns=1)
+    loop = curve._make_loop(params, "end_loop", 0.0, radius, 64, turns=2)
+    assert loop.base.w == np.sqrt(complex(curve.curve_poly(params, radius)))
+
+
 def test_immerse_identity_and_round_trip():
     params = CurveParams(2.0)
     base = curve.basepoint(params)

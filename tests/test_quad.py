@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from riemann_minimal.quad import (ComplexPath, Divergent, NonFinite,
-                                  QuadSettings, SubdivisionLimit,
-                                  integrate_path, integrate_sqrt_singular,
-                                  integrate_tail)
+from classical_quadrature import Divergent, integrate_tail
+from riemann_minimal.quad import (ComplexPath, NonFinite, QuadSettings,
+                                  SubdivisionLimit, integrate_path,
+                                  integrate_sqrt_singular)
 
 ABS = 1e-10
 
