@@ -128,7 +128,7 @@ def _weierstrass_stencil(sigma, n_side, h, offsets, settings):
     grid = (n_side + 2, n_side + 2)
     z0 = m.domain_z.reshape(grid)[inner].ravel()
     w0 = m.domain_w.reshape(grid)[inner].ravel()
-    X0 = m.fundamental_xyz.reshape(*grid, 3)[inner].reshape(-1, 3)
+    X0 = m.vertices.reshape(*grid, 3)[inner].reshape(-1, 3)
     bps = np.array(curve.branch_points(surf.params))
     hk = h * np.minimum(1.0, np.min(np.abs(z0[:, None] - bps), axis=1))
     steps = np.array([complex(i, j) for i, j in offsets])

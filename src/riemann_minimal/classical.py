@@ -97,22 +97,28 @@ _CARLSON_MAX_STEPS = 60
 def _duplicate(args, a0, tol, rd=False):
     """Carlson's duplication x -> (x + lam)/4 until 4^-m Q < |A_m|.
 
-    Returns (A_m, 4^-m, sum over the steps of 4^-k / (sqrt(z_k)(z_k +
-    lam_k)) with z the last argument); the sum is R_D's and only formed
-    when ``rd`` is set.
+    Each element stops at its own m, so an element of an array gets the
+    same bits as a call on that element alone.  Returns (A_m, 4^-m, sum
+    over the steps of 4^-k / (sqrt(z_k)(z_k + lam_k)) with z the last
+    argument); the sum is R_D's and only formed when ``rd`` is set.
     """
     x, y, z = args
     q = tol * np.maximum(np.maximum(abs(a0 - x), abs(a0 - y)), abs(a0 - z))
     a, scale, tail = a0, 1.0, 0.0
     for _ in range(_CARLSON_MAX_STEPS):
-        if not np.any(q * scale >= abs(a)):
+        go = q * scale >= abs(a)
+        if not go.any():
             break
         sx, sy, sz = np.sqrt(x), np.sqrt(y), np.sqrt(z)
         lam = sx * sy + sx * sz + sy * sz
-        if rd:
-            tail = tail + scale / (sz * (z + lam))
-        x, y, z, a = (x + lam) / 4, (y + lam) / 4, (z + lam) / 4, (a + lam) / 4
-        scale /= 4.0
+        new = ((a + lam) / 4, scale / 4.0,
+               tail + scale / (sz * (z + lam)) if rd else tail)
+        if not go.all():
+            # stopped elements keep A, 4^-m and the sum; their x, y, z
+            # run on but no longer reach the result
+            new = [np.where(go, n, o) for n, o in zip(new, (a, scale, tail))]
+        a, scale, tail = new
+        x, y, z = (x + lam) / 4, (y + lam) / 4, (z + lam) / 4
     return a, scale, tail
 
 

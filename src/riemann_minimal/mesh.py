@@ -26,7 +26,7 @@ multiples of 2*t0 with t0 = psi(-sigma).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -39,7 +39,7 @@ __all__ = [
     "DegenerateCell", "Degenerate", "DomainMap", "TriMesh", "IsometryOp",
     "FundamentalSurface", "sample_fundamental", "extension_ops", "extend",
     "CircleFit", "level_circle_fit", "slice_mesh", "refine_slice",
-    "export_obj", "export_ply", "parse_obj", "parse_ply", "weld",
+    "export_obj", "export_ply",
 ]
 
 
@@ -138,34 +138,87 @@ def identity_op() -> IsometryOp:
     return IsometryOp(np.eye(3), np.zeros(3))
 
 
-@dataclass
 class TriMesh:
-    """Oriented triangle mesh with per-vertex normals.
+    """Oriented triangle mesh with per-vertex normals, stored as an orbit.
 
-    Besides the geometric payload, each vertex remembers the domain
-    parameter z it was sampled at, the branch value w there, its exact
-    position on the fundamental piece, and which composed isometry (index
-    into ``op_catalog``) produced it.  That record is what makes exact
-    slice refinement possible after extension; :func:`extend` stacks
-    blocks of the base mesh, so it repeats these arrays block by block.
+    The stored part is one period, the *cell*: ``cell_vertices`` and
+    ``cell_normals`` stack the blocks of the base mesh, and block b uses
+    the base faces, reversed where ``flips[b]`` is set and shifted by b
+    times the base vertex count.  The whole mesh is the cell followed by
+    ``copies`` translated copies of it, copy k + 1 being ``translation``
+    applied to copy k.  A plain mesh is a one-block cell with no copies.
+
+    Each vertex also remembers the domain parameter z it was sampled at and
+    the branch value w there, stored once for the base block: vertex i of
+    the whole mesh is ``op_catalog[i // n]`` applied to base vertex
+    ``i % n``, with domain values ``domain_z[i % n]`` and ``domain_w[i %
+    n]`` (n the base vertex count; block 0 of the cell is the base).  That
+    record is what makes exact slice refinement possible after extension.
+
+    ``vertices``, ``normals``, ``faces`` and ``edges`` are the whole mesh,
+    built on first use and kept; the cell must not change after.  Counts
+    and :meth:`iter_copies` never build them.
     """
 
-    vertices: np.ndarray
-    normals: np.ndarray
-    faces: np.ndarray
-    domain_z: np.ndarray | None = None
-    domain_w: np.ndarray | None = None
-    fundamental_xyz: np.ndarray | None = None
-    op_index: np.ndarray | None = None
-    op_catalog: list = field(default_factory=lambda: [identity_op()])
+    def __init__(self, vertices, normals, faces, domain_z=None, domain_w=None,
+                 op_catalog=None, *, flips=(False,),
+                 translation: IsometryOp | None = None, copies: int = 0):
+        self.cell_vertices = np.asarray(vertices)
+        self.cell_normals = np.asarray(normals)
+        self.base_faces = np.asarray(faces)
+        self.domain_z, self.domain_w = domain_z, domain_w
+        self.op_catalog = [identity_op()] if op_catalog is None else op_catalog
+        self.flips = tuple(flips)
+        self.translation, self.copies = translation, copies
+
+    @property
+    def base_count(self) -> int:
+        return len(self.cell_vertices) // len(self.flips)
 
     @property
     def vertex_count(self) -> int:
-        return len(self.vertices)
+        return len(self.cell_vertices) * (self.copies + 1)
 
     @property
     def face_count(self) -> int:
-        return len(self.faces)
+        return len(self.base_faces) * len(self.flips) * (self.copies + 1)
+
+    @cached_property
+    def _cell_faces(self):
+        f, n = self.base_faces.astype(np.int64), self.base_count
+        return np.concatenate([(f[:, ::-1] if flip else f) + b * n
+                               for b, flip in enumerate(self.flips)])
+
+    def iter_copies(self):
+        """Yield (vertices, normals, faces) of copies 0..copies in order.
+
+        Copy k + 1 is ``translation.apply``/``apply_normals`` of copy k, one
+        copy at a time (the matmul also turns -0.0 normals into 0.0, so
+        copy 0's normals may differ in sign bits from the others'); faces
+        are int64 indices into the whole mesh.
+        """
+        v, nrm, f = self.cell_vertices, self.cell_normals, self._cell_faces
+        for k in range(self.copies + 1):
+            if k:
+                v = self.translation.apply(v)
+                nrm = self.translation.apply_normals(nrm)
+            yield v, nrm, f + k * len(v)
+
+    def _whole(self, part):
+        parts = [c[part] for c in self.iter_copies()]
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+    @cached_property
+    def vertices(self):
+        return self._whole(0)
+
+    @cached_property
+    def normals(self):
+        return self._whole(1)
+
+    @cached_property
+    def faces(self):
+        return self._whole(2).astype(self.base_faces.dtype)
 
     @cached_property
     def edges(self):
@@ -343,8 +396,6 @@ def sample_fundamental(sigma: float, e: float, nr: int, nt: int,
         faces=faces.reshape(-1, 3).astype(np.int32),
         domain_z=Z.reshape(-1).copy(),
         domain_w=W.reshape(-1).copy(),
-        fundamental_xyz=verts.copy(),
-        op_index=np.zeros(len(verts), dtype=np.int32),
     )
 
 
@@ -379,42 +430,30 @@ def extend(mesh: TriMesh, ops, copies: int = 0) -> TriMesh:
     """Apply the pipeline: double the mesh at each of the first three ops,
     then append ``copies`` translated copies of the result.
 
-    The result stacks blocks of the base mesh; block b is mapped by the
-    base ``op_catalog`` composed with the b-th isometry of the orbit, and
-    its faces are reversed where that isometry has det < 0.  Vertex count
-    grows exactly by 2^3 * (copies + 1).
+    Only the one-period cell is built: block b is the base mesh mapped by
+    the b-th isometry of the doublings, its faces reversed where that
+    isometry has det < 0.  The translated copies stay implicit (see
+    :class:`TriMesh`); ``op_catalog`` lists the base catalog composed with
+    every block's isometry, copy by copy.  Vertex count grows exactly by
+    2^3 * (copies + 1).  The input must not be extended already.
     """
     if copies < 0:
         raise ValueError("copies must be >= 0")
-    v, nrm = mesh.vertices, mesh.normals
+    if len(mesh.flips) > 1 or mesh.copies:
+        raise ValueError("mesh is already extended")
+    v, nrm = mesh.cell_vertices, mesh.cell_normals
     flips, catalog = [False], list(mesh.op_catalog)
     for op in ops[:3]:
         v = np.concatenate([v, op.apply(v)])
         nrm = np.concatenate([nrm, op.apply_normals(nrm)])
         flips += [f != (op.det() < 0) for f in flips]
         catalog += [op.compose(a) for a in catalog]
-    V, N = np.empty((2, copies + 1, *v.shape))
-    V[0], N[0] = v, nrm
     per_copy = len(catalog)
-    for k in range(copies):
-        # per copy, not tiled: the matmul also turns -0.0 normals into 0.0
-        V[k + 1] = ops[3].apply(V[k])
-        N[k + 1] = ops[3].apply_normals(N[k])
+    for _ in range(copies):
         catalog += [ops[3].compose(a) for a in catalog[-per_copy:]]
-
-    blocks = np.arange(len(flips) * (copies + 1))
-    f = mesh.faces
-    faces = np.stack([f[:, ::-1] if flip else f for flip in flips]
-                     * (copies + 1))
-    faces = faces + mesh.vertex_count * blocks[:, None, None]
-    opi = mesh.op_index
-    if opi is not None:
-        opi = (opi + len(mesh.op_catalog) * blocks[:, None]
-               ).ravel().astype(opi.dtype)
-    tiled = [None if a is None else np.concatenate([a] * len(blocks))
-             for a in (mesh.domain_z, mesh.domain_w, mesh.fundamental_xyz)]
-    return TriMesh(V.reshape(-1, 3), N.reshape(-1, 3),
-                   faces.reshape(-1, 3).astype(f.dtype), *tiled, opi, catalog)
+    return TriMesh(v, nrm, mesh.base_faces, mesh.domain_z, mesh.domain_w,
+                   catalog, flips=flips,
+                   translation=ops[3] if copies else None, copies=copies)
 
 
 # ---------------------------------------------------------------------------
@@ -520,7 +559,7 @@ def refine_slice(mesh: TriMesh, height: float, surface: FundamentalSurface,
     crossing order.  Only meshes built by :func:`sample_fundamental` (and
     extensions of them) carry the provenance needed here.
     """
-    if mesh.domain_z is None or mesh.op_index is None:
+    if mesh.domain_z is None:
         raise ValueError("mesh carries no domain provenance")
     _, crossings = slice_mesh(mesh, height)
     if len(crossings) > max_points:
@@ -529,19 +568,22 @@ def refine_slice(mesh: TriMesh, height: float, surface: FundamentalSurface,
     if not crossings:
         return np.zeros((0, 3))
     ia, ib, s = (np.array(c) for c in zip(*crossings))
+    # catalog index and base vertex of each end (see TriMesh)
+    n = mesh.base_count
+    base = mesh.cell_vertices[:n]
+    (ka, ia), (kb, ib) = np.divmod(ia, n), np.divmod(ib, n)
     # anchor at an endpoint with a usable branch value
     at_a = mesh.domain_w[ia] != 0.0
     i0, i1 = np.where(at_a, ia, ib), np.where(at_a, ib, ia)
     s = np.where(at_a, s, 1.0 - s)
-    k = mesh.op_index[i0]
+    k = np.where(at_a, ka, kb)
     linear = np.stack([op.linear for op in mesh.op_catalog])[k]
     offset = np.stack([op.offset for op in mesh.op_catalog])[k]
     ell, b3 = linear[:, 2], offset[:, 2]
-    pos = mesh.fundamental_xyz[i0]
+    pos = base[i0]
     f0 = np.einsum("ij,ij->i", pos, ell) + b3 - height
-    f1 = np.einsum("ij,ij->i", mesh.fundamental_xyz[i1], ell) + b3 - height
-    ok = ((k == mesh.op_index[i1]) & (mesh.domain_w[i0] != 0.0)
-          & ~(f0 * f1 > 0))
+    f1 = np.einsum("ij,ij->i", base[i1], ell) + b3 - height
+    ok = ((ka == kb) & (mesh.domain_w[i0] != 0.0) & ~(f0 * f1 > 0))
     za, w0 = mesh.domain_z[i0], mesh.domain_w[i0]
     dz = mesh.domain_z[i1] - za
     s = np.where((0.0 < s) & (s < 1.0), s, 0.5)
@@ -552,7 +594,7 @@ def refine_slice(mesh: TriMesh, height: float, surface: FundamentalSurface,
     for _ in range(60):
         if not a.size:
             break
-        z, w, p = za[a] + s[a] * dz[a], w0[a], mesh.fundamental_xyz[i0[a]]
+        z, w, p = za[a] + s[a] * dz[a], w0[a], base[i0[a]]
         moved = z != za[a]
         near = np.any(np.abs(z[:, None] - bps) < 1e-12 * (1.0 + params.sigma),
                       axis=1)
@@ -589,24 +631,36 @@ def refine_slice(mesh: TriMesh, height: float, surface: FundamentalSurface,
 _CHUNK = 1 << 15  # rows formatted per write
 
 
+def _chunks(line, rows):
+    """``rows`` as ASCII text in chunks of ``_CHUNK`` rows, each one ``%``
+    format of a repeated line template."""
+    for i in range(0, len(rows), _CHUNK):
+        part = rows[i:i + _CHUNK]
+        yield (line * len(part) % tuple(part.ravel().tolist())).encode("ascii")
+
+
 def export_obj(mesh: TriMesh, path) -> int:
     """ASCII OBJ (v/vn/f with 1-based i//i indices, 9 significant digits).
 
-    Streamed in chunks of ``_CHUNK`` rows, each one ``%`` format of a
-    repeated line template.  Deterministic bytes for identical input.
-    Returns the byte count.
+    Each section walks the mesh copy by copy (:meth:`TriMesh.iter_copies`),
+    so no whole-mesh array is built.  A copy's ``vn`` text is formatted
+    once and written again for every following copy whose normals have
+    the same bytes (translated copies 1..copies do).  Deterministic bytes
+    for identical input.  Returns the byte count.
     """
-    faces = np.repeat(np.asarray(mesh.faces, dtype=np.int64) + 1, 2, axis=1)
-    sections = (("v %.9g %.9g %.9g\n", mesh.vertices),
-                ("vn %.9g %.9g %.9g\n", mesh.normals),
-                ("f %d//%d %d//%d %d//%d\n", faces))
     nbytes = 0
     with open(path, "wb") as fh:
-        for line, rows in sections:
-            for i in range(0, len(rows), _CHUNK):
-                part = rows[i:i + _CHUNK]
-                text = line * len(part) % tuple(part.ravel().tolist())
-                nbytes += fh.write(text.encode("ascii"))
+        for v, _, _ in mesh.iter_copies():
+            nbytes += sum(map(fh.write, _chunks("v %.9g %.9g %.9g\n", v)))
+        key = None
+        for _, nrm, _ in mesh.iter_copies():
+            if nrm.tobytes() != key:
+                key, text = nrm.tobytes(), list(
+                    _chunks("vn %.9g %.9g %.9g\n", nrm))
+            nbytes += sum(map(fh.write, text))
+        for _, _, f in mesh.iter_copies():
+            nbytes += sum(map(fh.write, _chunks("f %d//%d %d//%d %d//%d\n",
+                                                np.repeat(f + 1, 2, axis=1))))
     return nbytes
 
 
@@ -614,7 +668,12 @@ _PLY_FACE = np.dtype([("n", "u1"), ("i", "<i4", (3,))])  # triangles only
 
 
 def export_ply(mesh: TriMesh, path) -> int:
-    """Binary little-endian PLY: float32 x y z nx ny nz, int32 indices."""
+    """Binary little-endian PLY: float32 x y z nx ny nz, int32 indices.
+
+    The header comes from the counts; vertex rows, then face records, are
+    written copy by copy (:meth:`TriMesh.iter_copies`).  Returns the byte
+    count.
+    """
     header = (
         "ply\n"
         "format binary_little_endian 1.0\n"
@@ -625,67 +684,13 @@ def export_ply(mesh: TriMesh, path) -> int:
         "property list uchar int vertex_indices\n"
         "end_header\n"
     ).encode("ascii")
-    vdata = np.hstack([mesh.vertices, mesh.normals]).astype("<f4").tobytes()
-    fdata = np.empty(mesh.face_count, dtype=_PLY_FACE)
-    fdata["n"] = 3
-    fdata["i"] = mesh.faces
-    data = header + vdata + fdata.tobytes()
     with open(path, "wb") as fh:
-        fh.write(data)
-    return len(data)
-
-
-def parse_obj(path) -> TriMesh:
-    verts, normals, faces = [], [], []
-    with open(path, "r", encoding="ascii") as fh:
-        for line in fh:
-            tok = line.split()
-            if not tok:
-                continue
-            if tok[0] == "v":
-                verts.append([float(x) for x in tok[1:4]])
-            elif tok[0] == "vn":
-                normals.append([float(x) for x in tok[1:4]])
-            elif tok[0] == "f":
-                faces.append([int(t.split("/")[0]) - 1 for t in tok[1:4]])
-    return TriMesh(np.array(verts), np.array(normals),
-                   np.array(faces, dtype=np.int32))
-
-
-def parse_ply(path) -> TriMesh:
-    with open(path, "rb") as fh:
-        data = fh.read()
-    head_end = data.index(b"end_header\n") + len(b"end_header\n")
-    header = data[:head_end].decode("ascii").splitlines()
-    nv = nf = 0
-    for line in header:
-        if line.startswith("element vertex"):
-            nv = int(line.split()[-1])
-        elif line.startswith("element face"):
-            nf = int(line.split()[-1])
-    vbytes = nv * 6 * 4
-    varr = np.frombuffer(data[head_end:head_end + vbytes],
-                         dtype="<f4").reshape(nv, 6)
-    fdata = np.frombuffer(data, dtype=_PLY_FACE, count=nf,
-                          offset=head_end + vbytes)
-    if np.any(fdata["n"] != 3):
-        raise ValueError("PLY faces must all be triangles")
-    return TriMesh(varr[:, :3].astype(float), varr[:, 3:].astype(float),
-                   fdata["i"].astype(np.int32))
-
-
-def weld(mesh: TriMesh, tol: float = 1e-8) -> TriMesh:
-    """Merge vertices sharing a ``tol`` grid cell into the first of them
-    (kept vertices stay in order), for watertight export."""
-    key = np.round(mesh.vertices / tol).astype(np.int64)
-    _, first, inverse = np.unique(key, axis=0, return_index=True,
-                                  return_inverse=True)
-    order = np.argsort(first)  # cells ranked by first occurrence
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    keep = first[order]
-    faces = rank[inverse.reshape(-1)][mesh.faces]
-    ok = ((faces[:, 0] != faces[:, 1]) & (faces[:, 1] != faces[:, 2])
-          & (faces[:, 0] != faces[:, 2]))
-    return TriMesh(mesh.vertices[keep], mesh.normals[keep],
-                   faces[ok].astype(np.int32))
+        nbytes = fh.write(header)
+        for v, nrm, _ in mesh.iter_copies():
+            nbytes += fh.write(np.hstack([v, nrm]).astype("<f4"))
+        for _, _, f in mesh.iter_copies():
+            fdata = np.empty(len(f), dtype=_PLY_FACE)
+            fdata["n"] = 3
+            fdata["i"] = f
+            nbytes += fh.write(fdata)
+    return nbytes

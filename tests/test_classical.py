@@ -326,14 +326,18 @@ def test_mpmath_decides_for_the_closed_forms_at_the_neck():
 
 
 def test_closed_forms_take_arrays_and_clamp_at_the_neck():
+    # each element of an array stops the duplication on its own, so an
+    # array call gives exactly the per-element results
+    for lam in np.linspace(-30.0, 30.0, 13):
+        p = RiemannParams.from_lambda(lam)
+        qs = p.q1 + np.concatenate([[0.0], np.logspace(-12, 3, 400)])
+        for fn in (height, center_offset):
+            assert np.array_equal(fn(p, qs), [fn(p, q) for q in qs])
     p = RiemannParams.from_lambda(-1.5)
     qs = p.q1 + np.array([0.0, 0.01, 1.0, 50.0])
-    # an array runs the duplication until its slowest element converges, so
-    # it may differ from the scalar calls in the last bit
-    np.testing.assert_allclose(height(p, qs), [height(p, q) for q in qs],
-                               rtol=1e-15)
-    np.testing.assert_allclose(center_offset(p, qs),
-                               [center_offset(p, q) for q in qs], rtol=1e-15)
+    assert np.array_equal(height(p, qs), [height(p, q) for q in qs])
+    assert np.array_equal(center_offset(p, qs),
+                          [center_offset(p, q) for q in qs])
     assert height(p, p.q1 - 1e-13) == 0.0
     assert center_offset(p, p.q1 - 1e-13) == 0.0
     with pytest.raises(DomainError):

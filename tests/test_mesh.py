@@ -1,5 +1,7 @@
 import math
 import struct
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,9 +11,8 @@ from riemann_minimal.quad import QuadSettings
 from riemann_minimal.mesh import (Degenerate, DomainMap,
                                   FundamentalSurface, IsometryOp, TriMesh,
                                   extend, extension_ops, export_obj,
-                                  export_ply, level_circle_fit, parse_obj,
-                                  parse_ply, refine_slice, sample_fundamental,
-                                  slice_mesh, weld)
+                                  export_ply, level_circle_fit, refine_slice,
+                                  sample_fundamental, slice_mesh)
 
 
 @pytest.fixture(scope="module")
@@ -144,7 +145,6 @@ def test_batched_sampling_matches_vertex_marching(sigma, nr, nt):
     assert np.all(np.abs(m.domain_w - w) <= 1e-12 * np.abs(w))
     assert m.faces.dtype == np.int32
     assert np.array_equal(m.faces, faces)
-    assert np.array_equal(m.fundamental_xyz, m.vertices)
 
 
 def test_batched_sampling_falls_back_on_few_edges(surf2, monkeypatch):
@@ -292,29 +292,44 @@ def test_extended_slab_growth(fund2, ops2):
     assert abs((x3.max() - x3.min()) - 2 * span) < 1e-8
 
 
+def _flat_reference(m):
+    """A plain mesh as the flat record extend used to build: every array
+    at full length, including each vertex's fundamental position and
+    catalog index."""
+    return SimpleNamespace(
+        vertices=m.vertices, normals=m.normals, faces=m.faces,
+        domain_z=m.domain_z, domain_w=m.domain_w,
+        fundamental_xyz=m.vertices.copy(),
+        op_index=np.zeros(m.vertex_count, dtype=np.int32),
+        op_catalog=list(m.op_catalog))
+
+
 def _transform_reference(m, op):
     """The per-op mesh copy the one-pass extend replaces."""
     faces = m.faces[:, ::-1].copy() if op.det() < 0 else m.faces.copy()
-    return TriMesh(op.apply(m.vertices), op.apply_normals(m.normals), faces,
-                   m.domain_z.copy(), m.domain_w.copy(),
-                   m.fundamental_xyz.copy(), m.op_index.copy(),
-                   [op.compose(a) for a in m.op_catalog])
+    return SimpleNamespace(
+        vertices=op.apply(m.vertices), normals=op.apply_normals(m.normals),
+        faces=faces, domain_z=m.domain_z.copy(), domain_w=m.domain_w.copy(),
+        fundamental_xyz=m.fundamental_xyz.copy(), op_index=m.op_index.copy(),
+        op_catalog=[op.compose(a) for a in m.op_catalog])
 
 
 def _concat_reference(a, b):
-    return TriMesh(
-        np.vstack([a.vertices, b.vertices]),
-        np.vstack([a.normals, b.normals]),
-        np.vstack([a.faces, b.faces + a.vertex_count]),
-        np.concatenate([a.domain_z, b.domain_z]),
-        np.concatenate([a.domain_w, b.domain_w]),
-        np.concatenate([a.fundamental_xyz, b.fundamental_xyz]),
-        np.concatenate([a.op_index, b.op_index + len(a.op_catalog)]),
-        a.op_catalog + b.op_catalog)
+    return SimpleNamespace(
+        vertices=np.vstack([a.vertices, b.vertices]),
+        normals=np.vstack([a.normals, b.normals]),
+        faces=np.vstack([a.faces, b.faces + len(a.vertices)]),
+        domain_z=np.concatenate([a.domain_z, b.domain_z]),
+        domain_w=np.concatenate([a.domain_w, b.domain_w]),
+        fundamental_xyz=np.concatenate([a.fundamental_xyz,
+                                        b.fundamental_xyz]),
+        op_index=np.concatenate([a.op_index,
+                                 b.op_index + len(a.op_catalog)]),
+        op_catalog=a.op_catalog + b.op_catalog)
 
 
 def _extend_reference(mesh, ops, copies):
-    m = mesh
+    m = _flat_reference(mesh)
     for op in ops[:3]:
         m = _concat_reference(m, _transform_reference(m, op))
     out = cur = m
@@ -328,16 +343,33 @@ def _extend_reference(mesh, ops, copies):
 def test_extend_matches_transform_concat(fund2, ops2, n_ops, copies):
     got = extend(fund2, ops2[:n_ops], copies=copies)
     want = _extend_reference(fund2, ops2[:n_ops], copies)
-    for name in ("vertices", "normals", "faces", "domain_z", "domain_w",
-                 "fundamental_xyz", "op_index"):
+    assert got.vertex_count == len(want.vertices)
+    assert got.face_count == len(want.faces)
+    for name in ("vertices", "normals", "faces"):
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype and a.shape == b.shape, name
         # bytes, not values: -0.0 must stay -0.0 (OBJ prints it as "-0")
         assert a.tobytes() == b.tobytes(), name
+    # provenance of vertex i: base vertex i % n under op_catalog[i // n]
+    n = fund2.vertex_count
+    i = np.arange(got.vertex_count)
+    assert len(got.domain_z) == len(got.domain_w) == n
+    for a, b in ((got.domain_z[i % n], want.domain_z),
+                 (got.domain_w[i % n], want.domain_w),
+                 (got.vertices[:n][i % n], want.fundamental_xyz)):
+        assert a.tobytes() == b.tobytes()
+    assert np.array_equal(i // n, want.op_index)
     assert len(got.op_catalog) == len(want.op_catalog)
     for a, b in zip(got.op_catalog, want.op_catalog):
         assert a.linear.tobytes() == b.linear.tobytes()
         assert a.offset.tobytes() == b.offset.tobytes()
+
+
+def test_extend_refuses_extended_mesh(fund2, ops2):
+    with pytest.raises(ValueError):
+        extend(extend(fund2, ops2, copies=0), ops2)
+    with pytest.raises(ValueError):
+        extend(fund2, ops2, copies=-1)
 
 
 # --- circle fitting -----------------------------------------------------------
@@ -469,11 +501,14 @@ def _refine_slice_reference(m, height, surface, max_points):
         idx = np.linspace(0, len(crossings) - 1, max_points).astype(int)
         crossings = [crossings[i] for i in idx]
     params = surface.params
+    n = len(m.domain_z)
+    base = m.vertices[:n]
     out = []
     for (ia, ib, s_guess) in crossings:
-        if m.op_index[ia] != m.op_index[ib]:
+        (ka, ia), (kb, ib) = divmod(ia, n), divmod(ib, n)
+        if ka != kb:
             continue
-        op = m.op_catalog[m.op_index[ia]]
+        op = m.op_catalog[ka]
         if m.domain_w[ia] != 0.0:
             i0, i1, s = ia, ib, s_guess
         elif m.domain_w[ib] != 0.0:
@@ -482,11 +517,11 @@ def _refine_slice_reference(m, height, surface, max_points):
             continue
         za, zb = m.domain_z[i0], m.domain_z[i1]
         dz = zb - za
-        p0 = m.fundamental_xyz[i0].copy()
+        p0 = base[i0].copy()
         w0 = m.domain_w[i0]
         ell, b3 = op.linear[2, :], op.offset[2]
         f0 = float(ell @ p0 + b3 - height)
-        f1 = float(ell @ m.fundamental_xyz[i1] + b3 - height)
+        f1 = float(ell @ base[i1] + b3 - height)
         if f0 == 0.0:
             out.append(op.apply(p0))
             continue
@@ -628,6 +663,45 @@ def tiny_mesh():
     )
 
 
+def parse_obj(path) -> TriMesh:
+    verts, normals, faces = [], [], []
+    with open(path, "r", encoding="ascii") as fh:
+        for line in fh:
+            tok = line.split()
+            if not tok:
+                continue
+            if tok[0] == "v":
+                verts.append([float(x) for x in tok[1:4]])
+            elif tok[0] == "vn":
+                normals.append([float(x) for x in tok[1:4]])
+            elif tok[0] == "f":
+                faces.append([int(t.split("/")[0]) - 1 for t in tok[1:4]])
+    return TriMesh(np.array(verts), np.array(normals),
+                   np.array(faces, dtype=np.int32))
+
+
+def parse_ply(path) -> TriMesh:
+    with open(path, "rb") as fh:
+        data = fh.read()
+    head_end = data.index(b"end_header\n") + len(b"end_header\n")
+    header = data[:head_end].decode("ascii").splitlines()
+    nv = nf = 0
+    for line in header:
+        if line.startswith("element vertex"):
+            nv = int(line.split()[-1])
+        elif line.startswith("element face"):
+            nf = int(line.split()[-1])
+    vbytes = nv * 6 * 4
+    varr = np.frombuffer(data[head_end:head_end + vbytes],
+                         dtype="<f4").reshape(nv, 6)
+    fdata = np.frombuffer(data, dtype=mesh._PLY_FACE, count=nf,
+                          offset=head_end + vbytes)
+    if np.any(fdata["n"] != 3):
+        raise ValueError("PLY faces must all be triangles")
+    return TriMesh(varr[:, :3].astype(float), varr[:, 3:].astype(float),
+                   fdata["i"].astype(np.int32))
+
+
 def test_export_obj_structure(tmp_path):
     p = tmp_path / "m.obj"
     n = export_obj(tiny_mesh(), p)
@@ -735,50 +809,70 @@ def test_parse_ply_reads_extended_faces(tmp_path, fund2, ops2):
         parse_ply(p)
 
 
-def _weld_reference(m, tol):
-    """The dict loop the vectorized weld replaces."""
-    key = np.round(m.vertices / tol).astype(np.int64)
-    seen, keep = {}, []
-    remap = np.zeros(m.vertex_count, dtype=np.int64)
-    for i, k in enumerate(map(tuple, key)):
-        if k not in seen:
-            seen[k] = len(keep)
-            keep.append(i)
-        remap[i] = seen[k]
-    faces = remap[m.faces]
-    ok = ((faces[:, 0] != faces[:, 1]) & (faces[:, 1] != faces[:, 2])
-          & (faces[:, 0] != faces[:, 2]))
-    keep = np.array(keep)
-    return TriMesh(m.vertices[keep], m.normals[keep],
-                   faces[ok].astype(np.int32))
+def _export_obj_whole(m, path):
+    """The whole-array OBJ export the copy-streamed one replaces."""
+    faces = np.repeat(np.asarray(m.faces, dtype=np.int64) + 1, 2, axis=1)
+    sections = (("v %.9g %.9g %.9g\n", m.vertices),
+                ("vn %.9g %.9g %.9g\n", m.normals),
+                ("f %d//%d %d//%d %d//%d\n", faces))
+    nbytes = 0
+    with open(path, "wb") as fh:
+        for line, rows in sections:
+            for i in range(0, len(rows), mesh._CHUNK):
+                part = rows[i:i + mesh._CHUNK]
+                text = line * len(part) % tuple(part.ravel().tolist())
+                nbytes += fh.write(text.encode("ascii"))
+    return nbytes
 
 
-def test_weld_matches_dict_loop():
-    rng = np.random.default_rng(5)
-    base = rng.standard_normal((300, 3))
-    dup = rng.integers(0, 300, 200)
-    v = np.vstack([base, base[dup] + rng.uniform(-1e-10, 1e-10, (200, 3))])
-    order = rng.permutation(len(v))
-    m = TriMesh(v[order], rng.standard_normal((len(v), 3)),
-                rng.integers(0, len(v), (400, 3), dtype=np.int32))
-    got, want = weld(m, tol=1e-8), _weld_reference(m, 1e-8)
-    assert got.vertex_count < m.vertex_count
-    assert np.array_equal(got.vertices, want.vertices)
-    assert np.array_equal(got.normals, want.normals)
-    assert got.faces.dtype == want.faces.dtype
-    assert np.array_equal(got.faces, want.faces)
+def _export_ply_whole(m, path):
+    """The whole-array PLY export the copy-streamed one replaces."""
+    header = (
+        "ply\n"
+        "format binary_little_endian 1.0\n"
+        f"element vertex {len(m.vertices)}\n"
+        "property float x\nproperty float y\nproperty float z\n"
+        "property float nx\nproperty float ny\nproperty float nz\n"
+        f"element face {len(m.faces)}\n"
+        "property list uchar int vertex_indices\n"
+        "end_header\n"
+    ).encode("ascii")
+    vdata = np.hstack([m.vertices, m.normals]).astype("<f4").tobytes()
+    fdata = np.empty(len(m.faces), dtype=mesh._PLY_FACE)
+    fdata["n"] = 3
+    fdata["i"] = m.faces
+    data = header + vdata + fdata.tobytes()
+    with open(path, "wb") as fh:
+        fh.write(data)
+    return len(data)
 
 
-def test_weld_merges_duplicates():
-    m = tiny_mesh()
-    doubled = TriMesh(
-        vertices=np.vstack([m.vertices, m.vertices + 1e-12]),
-        normals=np.vstack([m.normals, m.normals]),
-        faces=np.array([[0, 1, 2], [3, 4, 5]], dtype=np.int32),
-    )
-    w = weld(doubled, tol=1e-8)
-    assert w.vertex_count == 3
-    assert w.face_count == 2
+@pytest.mark.parametrize("copies", [0, 1, 3])
+def test_streamed_export_matches_whole_array_export(tmp_path, fund2, ops2,
+                                                    copies):
+    got = extend(fund2, ops2, copies=copies)
+    want = _extend_reference(fund2, ops2, copies)
+    for new, old, fmt in ((export_obj, _export_obj_whole, "obj"),
+                          (export_ply, _export_ply_whole, "ply")):
+        a, b = tmp_path / f"new.{fmt}", tmp_path / f"old.{fmt}"
+        assert new(got, a) == old(want, b) == len(b.read_bytes())
+        assert a.read_bytes() == b.read_bytes(), fmt
+    # exporting built no whole-mesh array
+    assert not {"vertices", "normals", "faces"} & set(vars(got))
+
+
+def test_export_memory_does_not_grow_with_copies(tmp_path, fund2, ops2):
+    def peak(copies):
+        tracemalloc.start()
+        try:
+            ext = extend(fund2, ops2, copies=copies)
+            export_obj(ext, tmp_path / "m.obj")
+            export_ply(ext, tmp_path / "m.ply")
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(32) <= 1.5 * peak(2)
 
 
 def test_isometry_validation():
