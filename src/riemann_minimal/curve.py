@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .quad import (ComplexPath, QuadSettings, RiemannMinimalError, _adaptive,
-                   _gk_panel, _point_segment_distance)
+                   _gk_panel)
 
 __all__ = [
     "CurveError", "BranchAmbiguity", "ClearanceViolation", "PoleOfGaussMap",
@@ -427,12 +427,25 @@ def _circle_nodes(center, radius, n, turns=1):
     return tuple(center + radius * np.exp(1j * ang))
 
 
+def _segment_distances(p, a, b):
+    """Distance from each point p[i] to each segment a[j] -> b[j], shape
+    (len(p), len(a)), with ``quad._point_segment_distance``'s arithmetic
+    and bits (``hypot`` and ``float_power`` are the scalar ``abs`` and
+    ``** 2``; numpy's complex ``abs`` and array ``** 2`` round differently).
+    """
+    p = np.asarray(p)[:, None]
+    d = b - a
+    t = ((p - a).real * d.real + (p - a).imag * d.imag) / np.float_power(
+        np.hypot(d.real, d.imag), 2.0)
+    q = p - (a + np.minimum(1.0, np.maximum(0.0, t)) * d)
+    return np.hypot(q.real, q.imag)
+
+
 def _make_loop(params, kind, center, radius, n, turns=1):
     nodes = _circle_nodes(center, radius, n, turns)
-    clear = min(default_clearance(params),
-                0.5 * min(_point_segment_distance(bp, a, b)
-                          for bp in branch_points(params)
-                          for a, b in zip(nodes[:-1], nodes[1:])))
+    clear = min(default_clearance(params), 0.5 * float(np.min(
+        _segment_distances(branch_points(params), np.array(nodes[:-1]),
+                           np.array(nodes[1:])))))
     path = ComplexPath(nodes, clearance=clear)
     z0 = nodes[0]
     w0 = np.sqrt(complex(curve_poly(params, z0)))

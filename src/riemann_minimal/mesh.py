@@ -190,19 +190,20 @@ class TriMesh:
                                for b, flip in enumerate(self.flips)])
 
     def iter_copies(self):
-        """Yield (vertices, normals, faces) of copies 0..copies in order.
+        """Yield (vertices, normals) of copies 0..copies in order.
 
         Copy k + 1 is ``translation.apply``/``apply_normals`` of copy k, one
         copy at a time (the matmul also turns -0.0 normals into 0.0, so
-        copy 0's normals may differ in sign bits from the others'); faces
-        are int64 indices into the whole mesh.
+        copy 0's normals may differ in sign bits from the others').  Copy
+        k's faces need no walk: they are ``_cell_faces`` plus k times the
+        cell's vertex count.
         """
-        v, nrm, f = self.cell_vertices, self.cell_normals, self._cell_faces
+        v, nrm = self.cell_vertices, self.cell_normals
         for k in range(self.copies + 1):
             if k:
                 v = self.translation.apply(v)
                 nrm = self.translation.apply_normals(nrm)
-            yield v, nrm, f + k * len(v)
+            yield v, nrm
 
     def _whole(self, part):
         parts = [c[part] for c in self.iter_copies()]
@@ -218,7 +219,9 @@ class TriMesh:
 
     @cached_property
     def faces(self):
-        return self._whole(2).astype(self.base_faces.dtype)
+        f, n = self._cell_faces, len(self.cell_vertices)
+        return np.concatenate([f + k * n for k in range(self.copies + 1)]
+                              ).astype(self.base_faces.dtype)
 
     @cached_property
     def edges(self):
@@ -639,28 +642,63 @@ def _chunks(line, rows):
         yield (line * len(part) % tuple(part.ravel().tolist())).encode("ascii")
 
 
+def _token_table(idx):
+    """Item r holds the ASCII bytes of ``" i//i"`` for i = idx[r], zero-padded
+    to the widest item; the digits of each i come from one ``%d``.  Items
+    are fixed-width ``void`` scalars, so a gather copies whole rows."""
+    text = np.frombuffer((" %d" * len(idx) % tuple(idx.tolist())).encode(
+        "ascii"), dtype=np.uint8)
+    start = np.flatnonzero(text == ord(" "))
+    width = np.diff(start, append=len(text))  # " i" bytes per row
+    table = np.zeros((len(idx), 2 * width.max(initial=0) + 1), dtype=np.uint8)
+    # rows of equal width are filled as one block (sorted idx: a few blocks)
+    runs = np.flatnonzero(np.diff(width, prepend=-1, append=-1))
+    for r0, r1 in zip(runs[:-1], runs[1:]):
+        w = width[r0]
+        tok = text[start[r0]:start[r0] + (r1 - r0) * w].reshape(-1, w)
+        table[r0:r1, :w] = tok
+        table[r0:r1, w:w + 2] = ord("/")
+        table[r0:r1, w + 2:2 * w + 1] = tok[:, 1:]
+    return table.view(np.dtype((np.void, table.shape[1])))[:, 0]
+
+
 def export_obj(mesh: TriMesh, path) -> int:
     """ASCII OBJ (v/vn/f with 1-based i//i indices, 9 significant digits).
 
-    Each section walks the mesh copy by copy (:meth:`TriMesh.iter_copies`),
-    so no whole-mesh array is built.  A copy's ``vn`` text is formatted
-    once and written again for every following copy whose normals have
-    the same bytes (translated copies 1..copies do).  Deterministic bytes
-    for identical input.  Returns the byte count.
+    ``v`` and ``vn`` walk the mesh copy by copy (:meth:`TriMesh.iter_copies`),
+    so no whole-mesh array is built; a copy's ``vn`` text is formatted once
+    and written again for every following copy with the same normal bytes
+    (translated copies 1..copies).  ``f`` formats each distinct vertex
+    index of a copy once, into a per-copy table of ``" i//i"`` tokens
+    (:func:`_token_table`).  Copy k's faces are the cell's shifted by k
+    times its vertex count, so every copy maps its faces to the same table
+    rows, and a chunk of face lines is a byte gather of three rows between
+    ``f`` and a newline, with the padding dropped.  Deterministic bytes for
+    identical input.  Returns the byte count.
     """
     nbytes = 0
     with open(path, "wb") as fh:
-        for v, _, _ in mesh.iter_copies():
+        for v, _ in mesh.iter_copies():
             nbytes += sum(map(fh.write, _chunks("v %.9g %.9g %.9g\n", v)))
         key = None
-        for _, nrm, _ in mesh.iter_copies():
+        for _, nrm in mesh.iter_copies():
             if nrm.tobytes() != key:
                 key, text = nrm.tobytes(), list(
                     _chunks("vn %.9g %.9g %.9g\n", nrm))
             nbytes += sum(map(fh.write, text))
-        for _, _, f in mesh.iter_copies():
-            nbytes += sum(map(fh.write, _chunks("f %d//%d %d//%d %d//%d\n",
-                                                np.repeat(f + 1, 2, axis=1))))
+        faces, n = mesh._cell_faces, len(mesh.cell_vertices)
+        used = np.unique(faces)  # faces may point past the vertex array
+        rows = np.searchsorted(used, faces)
+        for k in range(mesh.copies + 1):
+            tokens = _token_table(used + (k * n + 1))
+            for i in range(0, len(rows), _CHUNK):
+                part = rows[i:i + _CHUNK]
+                line = np.empty((len(part), 3 * tokens.itemsize + 2),
+                                dtype=np.uint8)
+                line[:, 0], line[:, -1] = ord("f"), ord("\n")
+                line[:, 1:-1] = tokens[part].view(np.uint8).reshape(
+                    len(part), -1)
+                nbytes += fh.write(line[line != 0])
     return nbytes
 
 
@@ -670,9 +708,10 @@ _PLY_FACE = np.dtype([("n", "u1"), ("i", "<i4", (3,))])  # triangles only
 def export_ply(mesh: TriMesh, path) -> int:
     """Binary little-endian PLY: float32 x y z nx ny nz, int32 indices.
 
-    The header comes from the counts; vertex rows, then face records, are
-    written copy by copy (:meth:`TriMesh.iter_copies`).  Returns the byte
-    count.
+    The header comes from the counts; vertex rows are written copy by copy
+    (:meth:`TriMesh.iter_copies`), then face records, copy k's being the
+    cell's faces shifted by k times the cell's vertex count.  Returns the
+    byte count.
     """
     header = (
         "ply\n"
@@ -686,11 +725,12 @@ def export_ply(mesh: TriMesh, path) -> int:
     ).encode("ascii")
     with open(path, "wb") as fh:
         nbytes = fh.write(header)
-        for v, nrm, _ in mesh.iter_copies():
+        for v, nrm in mesh.iter_copies():
             nbytes += fh.write(np.hstack([v, nrm]).astype("<f4"))
-        for _, _, f in mesh.iter_copies():
-            fdata = np.empty(len(f), dtype=_PLY_FACE)
-            fdata["n"] = 3
-            fdata["i"] = f
+        faces, n = mesh._cell_faces, len(mesh.cell_vertices)
+        fdata = np.empty(len(faces), dtype=_PLY_FACE)
+        fdata["n"] = 3
+        for k in range(mesh.copies + 1):
+            fdata["i"] = faces + k * n
             nbytes += fh.write(fdata)
     return nbytes

@@ -790,6 +790,41 @@ def test_export_obj_matches_fstring_loop(tmp_path, fund2, ops2, make):
     assert n == len(want)
 
 
+def _digit_crossing_mesh(fund2, ops2):
+    """14x20 piece with copies 0..4: copy 4 holds 1-based indices 8961 to
+    11200, so 9999 -> 10000 falls inside one copy's index table."""
+    m = extend(fund2, ops2, copies=4)
+    n = len(m.cell_vertices)
+    assert 4 * n + 1 <= 9999 < 10000 <= 5 * n
+    return m
+
+
+def _unused_vertices_mesh(fund2, ops2):
+    """Every third base face only, so the cell leaves vertices unused."""
+    part = TriMesh(fund2.cell_vertices, fund2.cell_normals,
+                   fund2.base_faces[::3])
+    m = extend(part, ops2, copies=2)
+    unused = np.setdiff1d(np.arange(len(m.cell_vertices)), m._cell_faces)
+    assert unused.size and unused.max() < len(m.cell_vertices) - 1
+    return m
+
+
+@pytest.mark.parametrize("make", [_digit_crossing_mesh, _unused_vertices_mesh])
+def test_export_obj_face_table_matches_fstring_loop(tmp_path, fund2, ops2,
+                                                     make):
+    m = make(fund2, ops2)
+    p = tmp_path / "m.obj"
+    n = export_obj(m, p)
+    want = _export_obj_reference(m)
+    got = p.read_bytes()
+    start = want.index(b"\nf ") + 1
+    assert got[start:] == want[start:]
+    assert got == want and n == len(want)
+    q = tmp_path / "m.ply"
+    assert export_ply(m, q) == _export_ply_whole(m, tmp_path / "w.ply")
+    assert q.read_bytes() == (tmp_path / "w.ply").read_bytes()
+
+
 def test_parse_ply_reads_extended_faces(tmp_path, fund2, ops2):
     ext = extend(fund2, ops2, copies=1)
     p = tmp_path / "e.ply"
