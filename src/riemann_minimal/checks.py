@@ -20,7 +20,7 @@ from .quad import QuadSettings, RiemannMinimalError
 
 __all__ = [
     "fd_surface_checks", "classical_fd_grid", "weierstrass_fd_grid",
-    "weierstrass_laplacian_grid", "RegistrationResult", "registration_error",
+    "RegistrationResult", "registration_error",
     "classical_radius_at_height", "foliation_residuals", "catenoid_residual",
     "SliceFitError",
 ]
@@ -104,8 +104,7 @@ def classical_fd_grid(lam, nq=20, nv=20, h=1e-4,
     return worst_H, worst_conf, worst_orth
 
 
-# the 3x3 stencil of fd_surface_checks without its centre; the first four
-# are the five-point Laplacian's
+# the 3x3 stencil of fd_surface_checks without its centre
 _STENCIL = ((1, 0), (-1, 0), (0, 1), (0, -1),
             (1, 1), (1, -1), (-1, 1), (-1, -1))
 
@@ -155,17 +154,19 @@ def weierstrass_fd_grid(sigma, n_side=10, h=1e-4,
     return worst_H, worst_conf, worst_orth
 
 
-def weierstrass_laplacian_grid(sigma, n_side=6, h=1e-3,
-                               settings: QuadSettings | None = None):
-    """Max |five-point Laplacian of X| over interior anchors (harmonicity),
-    on the stencils of :func:`_weierstrass_stencil`."""
-    X0, X, hk = _weierstrass_stencil(sigma, n_side, h, _STENCIL[:4], settings)
-    lap = (X.sum(axis=1) - 4.0 * X0) / (hk * hk)[:, None]
-    return float(np.max(np.abs(lap)))
-
-
 # ---------------------------------------------------------------------------
 # classical <-> Weierstrass registration
+
+
+def _surface(sigma, settings, surface):
+    """``surface`` if given (checked against sigma), else a new one built
+    with ``settings``."""
+    if surface is None:
+        return mesh.FundamentalSurface(sigma, settings)
+    if surface.params.sigma != sigma:
+        raise ValueError(f"surface is built for sigma={surface.params.sigma}, "
+                         f"not {sigma}")
+    return surface
 
 
 def classical_radius_at_height(params: classical.RiemannParams, z_target):
@@ -220,18 +221,22 @@ class RegistrationResult:
 
 
 def registration_error(lam, nr=30, nt=40, n_heights=8,
-                       settings: QuadSettings | None = None) -> RegistrationResult:
+                       settings: QuadSettings | None = None,
+                       surface: mesh.FundamentalSurface | None = None
+                       ) -> RegistrationResult:
     """Register the classical surface R_lambda against M_sigma(lambda).
 
     Measures level-circle radii of the Weierstrass fundamental piece at
-    exact heights (refined slices), then fits a vertical offset plus a
+    exact heights (refined slices, all heights in one
+    :func:`mesh.refine_slice` call), then fits a vertical offset plus a
     single scale carrying the classical radius-vs-height profile onto the
     measured one.  Returns the worst relative radius error and the relative
     mismatch of the vertical line spacings (|t0_3| against 2 s zeta).
+    ``surface``, if given, must be built for sigma(lambda).
     """
     sigma = classical.sigma_of_lambda(lam)
     cl = classical.RiemannParams.from_lambda(lam)
-    surf = mesh.FundamentalSurface(sigma, settings)
+    surf = _surface(sigma, settings, surface)
     m = mesh.sample_fundamental(sigma, 0.1, nr, nt, surface=surf)
     t0 = surf.translation_half()
     span = t0[2]
@@ -247,8 +252,7 @@ def registration_error(lam, nr=30, nt=40, n_heights=8,
             "too few well-covered heights; refine the grid or lower e")
     hs = np.array(hs)
     radii = []
-    for h in hs:
-        pts = mesh.refine_slice(m, float(h), surf, max_points=24)
+    for h, pts in zip(hs, mesh.refine_slice(m, hs, surf, max_points=24)):
         fit = mesh.level_circle_fit(pts)
         if fit.kind != "circle":
             raise SliceFitError(f"slice at {h} did not fit a circle")
@@ -291,13 +295,16 @@ def registration_error(lam, nr=30, nt=40, n_heights=8,
 
 
 def foliation_residuals(sigma, heights=None, nr=30, nt=40, copies=1,
-                        settings: QuadSettings | None = None):
+                        settings: QuadSettings | None = None,
+                        surface: mesh.FundamentalSurface | None = None):
     """Relative circle-fit residuals of refined slices of the extended mesh.
 
+    All heights are refined in one :func:`mesh.refine_slice` call.
     Returns (relative residuals at generic heights, line classifications at
-    the two line heights 0 and t0_3).
+    the two line heights 0 and t0_3).  ``surface``, if given, must be built
+    for ``sigma``.
     """
-    surf = mesh.FundamentalSurface(sigma, settings)
+    surf = _surface(sigma, settings, surface)
     m = mesh.sample_fundamental(sigma, 0.1, nr, nt, surface=surf)
     ops = mesh.extension_ops(sigma, surface=surf)
     ext = mesh.extend(m, ops, copies=copies)
@@ -305,8 +312,8 @@ def foliation_residuals(sigma, heights=None, nr=30, nt=40, copies=1,
     if heights is None:
         heights = (0.13 + 0.74 * np.arange(10) / 9.0) * span
     rels = []
-    for h in heights:
-        pts = mesh.refine_slice(ext, float(h), surf, max_points=28)
+    for h, pts in zip(heights, mesh.refine_slice(ext, heights, surf,
+                                                  max_points=28)):
         fit = mesh.level_circle_fit(pts)
         if fit.kind != "circle":
             raise SliceFitError(f"slice at height {h} did not fit a circle")

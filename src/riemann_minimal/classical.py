@@ -57,7 +57,7 @@ __all__ = [
     "q_min", "sigma_of_lambda", "radicand", "carlson_rf", "carlson_rd",
     "height", "center_offset",
     "slab_height", "parameterize", "catenoid_height", "gauss_limit",
-    "enneper_coefficients", "enneper_fourier_check", "foliation_surface",
+    "enneper_coefficients", "enneper_fourier_check", "foliation_frames",
 ]
 
 
@@ -345,14 +345,16 @@ def enneper_coefficients(d: FoliationData) -> np.ndarray:
     return np.array([a1, a2, a3, a4, a5, a6, a7])
 
 
-def foliation_surface(d: FoliationData, n_ode_steps: int = 64):
-    """Local surface X(u, v) realizing the foliation data at u = 0.
+def foliation_frames(d: FoliationData, us, n_ode_steps: int = 64):
+    """Frenet frames and centers of the foliation data at the parameters us.
 
     The Frenet frame and center curve are integrated with fixed-step RK4
-    from the identity frame at u = 0; kappa and the velocity components
-    vary linearly in u (their derivatives are the supplied primes), tau is
-    held constant (the trig coefficients do not involve tau').  Only tiny
-    |u| is meant to be used (finite differencing).
+    from the identity frame at u = 0, one march of n_ode_steps steps of
+    size u / n_ode_steps per u, all u in one (len(us), 12) array; kappa and
+    the velocity components vary linearly in u (their derivatives are the
+    supplied primes), tau is held constant (the trig coefficients do not
+    involve tau').  Only tiny |u| is meant to be used (finite
+    differencing).  Returns (n, b, c), each of shape (len(us), 3).
 
     Torsion convention: b' = +tau n (equivalently n' = -kappa t - tau b).
     This is the convention under which the closed-form coefficients
@@ -363,48 +365,31 @@ def foliation_surface(d: FoliationData, n_ode_steps: int = 64):
     t0 = d.tau
 
     def deriv(u, y):
-        t, n, b, c = y[0:3], y[3:6], y[6:9], y[9:12]
-        k = k0 + kp * u
-        al = d.alpha + d.alpha_p * u
-        be = d.beta + d.beta_p * u
-        de = d.delta + d.delta_p * u
+        t, n, b = y[:, 0:3], y[:, 3:6], y[:, 6:9]
+        k = (k0 + kp * u)[:, None]
+        al = (d.alpha + d.alpha_p * u)[:, None]
+        be = (d.beta + d.beta_p * u)[:, None]
+        de = (d.delta + d.delta_p * u)[:, None]
         dt = k * n
         dn = -k * t - t0 * b
         db = t0 * n
         dc = al * t + be * n + de * b
-        return np.concatenate([dt, dn, db, dc])
+        return np.concatenate([dt, dn, db, dc], axis=1)
 
-    y0 = np.concatenate([np.eye(3).ravel(), np.zeros(3)])
-
-    def frame_at(u):
-        y = y0.copy()
-        h = u / n_ode_steps
-        x = 0.0
-        for _ in range(n_ode_steps):
-            k1 = deriv(x, y)
-            k2 = deriv(x + h / 2, y + h / 2 * k1)
-            k3 = deriv(x + h / 2, y + h / 2 * k2)
-            k4 = deriv(x + h, y + h * k3)
-            y = y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-            x += h
-        return y[3:6], y[6:9], y[9:12]  # n, b, c
-
-    def X(u, v):
-        n, b, c = frame_at(u)
-        r = d.r + d.r_p * u + 0.5 * d.r_pp * u * u
-        v = np.atleast_1d(np.asarray(v, dtype=float))
-        pts = c[None, :] + r * (np.cos(v)[:, None] * n[None, :]
-                                + np.sin(v)[:, None] * b[None, :])
-        return pts
-
-    def Xv(u, v):
-        n, b, c = frame_at(u)
-        r = d.r + d.r_p * u + 0.5 * d.r_pp * u * u
-        v = np.atleast_1d(np.asarray(v, dtype=float))
-        return r * (-np.sin(v)[:, None] * n[None, :]
-                    + np.cos(v)[:, None] * b[None, :])
-
-    return X, Xv
+    us = np.asarray(us, dtype=float)
+    y = np.tile(np.concatenate([np.eye(3).ravel(), np.zeros(3)]),
+                (len(us), 1))
+    h = us / n_ode_steps
+    hc = h[:, None]
+    x = np.zeros_like(us)
+    for _ in range(n_ode_steps):
+        k1 = deriv(x, y)
+        k2 = deriv(x + h / 2, y + hc / 2 * k1)
+        k3 = deriv(x + h / 2, y + hc / 2 * k2)
+        k4 = deriv(x + h, y + hc * k3)
+        y = y + hc / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        x += h
+    return y[:, 3:6], y[:, 6:9], y[:, 9:12]
 
 
 def enneper_fourier_check(d: FoliationData, n_v: int = 256,
@@ -414,16 +399,21 @@ def enneper_fourier_check(d: FoliationData, n_v: int = 256,
     Samples P(v) = G det(Xu,Xv,Xuu) - 2F det(Xu,Xv,Xuv) + E det(Xu,Xv,Xvv)
     on a uniform 256-point v-grid (P is a degree-3 trig polynomial, so the
     grid is vastly sufficient) using central finite differences in u and
-    the analytic v-derivatives.
+    the analytic v-derivatives of the local surface
+    X(u, v) = c(u) + r(u)(cos v n(u) + sin v b(u)), with the frames of
+    :func:`foliation_frames` at u = -h, 0, h.
     """
-    X, Xv_fn = foliation_surface(d)
     v = 2.0 * math.pi * np.arange(n_v) / n_v
-
-    Xm1, X0, Xp1 = (X(u, v) for u in (-h, 0.0, h))
+    cos, sin = np.cos(v)[:, None], np.sin(v)[:, None]
+    X, Xv = [], []
+    for u, n, b, c in zip((-h, 0.0, h), *foliation_frames(d, (-h, 0.0, h))):
+        r = d.r + d.r_p * u + 0.5 * d.r_pp * u * u
+        X.append(c + r * (cos * n + sin * b))
+        Xv.append(r * (-sin * n + cos * b))
+    (Xm1, X0, Xp1), (Xv_m1, Xv, Xv_p1) = X, Xv
     Xu = (Xp1 - Xm1) / (2 * h)
     Xuu = (Xp1 - 2 * X0 + Xm1) / (h * h)
-    Xv = Xv_fn(0.0, v)
-    Xuv = (Xv_fn(h, v) - Xv_fn(-h, v)) / (2 * h)
+    Xuv = (Xv_p1 - Xv_m1) / (2 * h)
     # X(0, v) = c + r(cos v n + sin v b) gives X_vv = c - X; the center c is
     # the exact mean of X over the uniform v-grid.
     Xvv = X0.mean(axis=0)[None, :] - X0

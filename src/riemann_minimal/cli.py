@@ -283,8 +283,10 @@ def cmd_verify(cfg: RunConfig) -> int:
                  max(curve.gauss_ode_residual(params, p) for p in pts), 1e-9)
 
     pts_s = curve.random_regular_points(params, 1000, rng)
-    smax = max(abs(shiffkdv.shiffman(shiffkdv.msigma_jet(params, p, 3)))
-               for p in pts_s)
+    sample = curve.CurvePoint(np.array([p.z for p in pts_s]),
+                              np.array([p.w for p in pts_s]))
+    smax = float(np.max(np.abs(shiffkdv.shiffman(
+        shiffkdv.msigma_jet(params, sample, 3)))))
     suite.record("shiffman", smax, 1e-9)
 
     canonical = classical.FoliationData(r=1.0, r_p=0.0, r_pp=0.0, kappa=1.0,
@@ -313,12 +315,17 @@ def cmd_verify(cfg: RunConfig) -> int:
     suite.record("minimality_weierstrass", H_w, 1e-3)
     suite.record("conformality_weierstrass", max(conf_w, orth_w), 1e-5)
 
-    reg = checks.registration_error(lam, nr=24, nt=32, n_heights=6)
+    # one surface serves both slice checks; registration runs at
+    # sigma(lambda), which need not round-trip to --sigma bit for bit
+    surf = mesh.FundamentalSurface(cfg.sigma)
+    reg = checks.registration_error(
+        lam, nr=24, nt=32, n_heights=6,
+        surface=surf if classical.sigma_of_lambda(lam) == cfg.sigma else None)
     suite.record("registration_radius", reg.max_radius_rel_err, 1e-3)
     suite.record("registration_spacing", reg.spacing_rel_err, 1e-3)
 
     rels, kinds = checks.foliation_residuals(
-        cfg.sigma, heights=None, nr=20, nt=28, copies=0)
+        cfg.sigma, heights=None, nr=20, nt=28, copies=0, surface=surf)
     suite.record("circle_foliation", float(np.max(rels)), 1e-5)
     suite.record("line_heights_classify",
                  0.0 if all(k == "line" for k in kinds) else 1.0, 0.5)

@@ -23,7 +23,7 @@ Conventions fixed here (see README):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -34,8 +34,8 @@ __all__ = [
     "CurveError", "BranchAmbiguity", "ClearanceViolation", "PoleOfGaussMap",
     "CurveParams", "CurvePoint", "WeierstrassForms", "HomologyLoop",
     "curve_poly", "branch_points", "default_clearance", "basepoint",
-    "make_point", "on_curve_residual", "continue_w", "immerse",
-    "weierstrass_at", "gauss_map", "gaussian_curvature",
+    "on_curve_residual", "continue_w", "immerse",
+    "weierstrass_at", "gaussian_curvature",
     "gamma1_loop", "gamma2_loop", "end_loop", "period", "flux",
     "apply_symmetry", "verify_symmetry_action", "gauss_ode_residual",
     "gauss_derivatives", "random_regular_points",
@@ -107,13 +107,6 @@ def default_clearance(params: CurveParams) -> float:
 
 def on_curve_residual(params: CurveParams, pt: CurvePoint) -> float:
     return abs(pt.w ** 2 - curve_poly(params, pt.z)) / (1.0 + abs(pt.z) ** 3)
-
-
-def make_point(params: CurveParams, z, w, tol=1e-9) -> CurvePoint:
-    pt = CurvePoint(complex(z), complex(w))
-    if on_curve_residual(params, pt) > tol:
-        raise ValueError(f"({z}, {w}) is not on the curve (sigma={params.sigma})")
-    return pt
 
 
 def basepoint(params: CurveParams) -> CurvePoint:
@@ -390,15 +383,6 @@ def weierstrass_at(params: CurveParams, pt: CurvePoint) -> WeierstrassForms:
     return WeierstrassForms.from_g(g, 1.0 / pt.w)
 
 
-def gauss_map(forms: WeierstrassForms) -> np.ndarray:
-    """Unit normal N from the stereographic projection of g."""
-    g = forms.g
-    if g == 0 or not np.isfinite(g):
-        raise PoleOfGaussMap(f"g = {g}")
-    a2 = abs(g) ** 2
-    return np.array([2.0 * g.real, 2.0 * g.imag, a2 - 1.0]) / (1.0 + a2)
-
-
 def gaussian_curvature(forms: WeierstrassForms, g_prime) -> float:
     """K in the conformal coordinate with phi3 = d(xi).
 
@@ -417,9 +401,18 @@ def gaussian_curvature(forms: WeierstrassForms, g_prime) -> float:
 
 @dataclass(frozen=True)
 class HomologyLoop:
+    """A closed loop on the curve: its kind, base point and polyline.
+
+    ``integrals`` holds the loop integrals of the closure march that built
+    the loop (default quadrature settings), which :func:`period` returns
+    instead of marching the loop again; None for a loop built by hand.
+    """
+
     kind: str
     base: CurvePoint
     geometry: ComplexPath
+    integrals: np.ndarray | None = field(default=None, compare=False,
+                                         repr=False)
 
 
 def _circle_nodes(center, radius, n, turns=1):
@@ -449,14 +442,14 @@ def _make_loop(params, kind, center, radius, n, turns=1):
     path = ComplexPath(nodes, clearance=clear)
     z0 = nodes[0]
     w0 = np.sqrt(complex(curve_poly(params, z0)))
-    _, ws = _march(params, np.array(nodes)[None], np.array([w0]),
-                   np.zeros((1, 3)))
+    acc, ws = _march(params, np.array(nodes)[None], np.array([w0]),
+                     np.zeros((1, 3)))
     w_end = ws[0, -1]
     if abs(w_end - w0) > 1e-8 * abs(w0):
         raise BranchAmbiguity(
             f"loop {kind} does not close on the curve: |dw|/|w| = "
             f"{abs(w_end - w0) / abs(w0):.3e}")
-    return HomologyLoop(kind, CurvePoint(z0, w0), path)
+    return HomologyLoop(kind, CurvePoint(z0, w0), path, acc[0, -1])
 
 
 def gamma1_loop(params: CurveParams, n=64) -> HomologyLoop:
@@ -500,7 +493,12 @@ def end_loop(params: CurveParams, n=64, which: str = "zero") -> HomologyLoop:
 def period(params: CurveParams, loop: HomologyLoop,
            settings: QuadSettings | None = None) -> np.ndarray:
     """The three loop integrals (int phi1, int phi2, int phi3), with the
-    loop's segments marched as one chain (see :func:`_march`)."""
+    loop's segments marched as one chain (see :func:`_march`).  At default
+    settings, a loop that carries the integrals of its closure march (built
+    on the same curve ``params``) returns a copy of them instead of
+    marching again, to the same bits."""
+    if loop.integrals is not None and settings in (None, QuadSettings()):
+        return loop.integrals.copy()
     acc, _ = _march(params, np.array(loop.geometry.nodes)[None],
                     np.array([loop.base.w]), np.zeros((1, 3)), settings)
     return acc[0, -1]
@@ -586,24 +584,44 @@ def gauss_derivatives(params: CurveParams, pt: CurvePoint, order: int) -> np.nda
 
     g'' = -sqrt(s)/2 + (s-1) g + (3 sqrt(s)/2) g^2 is differentiated
     repeatedly through the jet, so every entry is an exact polynomial in
-    (g, g'); no finite differences.
+    (g, g'); no finite differences.  ``pt.z`` and ``pt.w`` may be arrays of
+    one shape P: the result then has shape (order + 1,) + P, a trailing
+    point axis, and each point's entries have the bits of the scalar call.
+    Raises PoleOfGaussMap if any point has z = 0 or w = 0.
     """
     s = params.sigma
     rs = math.sqrt(s)
-    if pt.w == 0 or pt.z == 0:
+    z, w = pt.z, pt.w
+    if (np.count_nonzero(w) < np.size(w)
+            or np.count_nonzero(z) < np.size(z)):
         raise PoleOfGaussMap("jet needs a regular point")
-    vals = np.zeros(order + 1, dtype=complex)
-    vals[0] = pt.z / rs
+    vals = np.zeros((order + 1,) + np.shape(z), dtype=complex)
+    # by parts, as Python's complex / float rounds: numpy's complex / real
+    # multiplies by a reciprocal
+    vals[0] = z.real / rs + 1j * (z.imag / rs)
     if order >= 1:
-        vals[1] = pt.w / rs
+        vals[1] = w.real / rs + 1j * (w.imag / rs)
     binom = [[math.comb(m, i) for i in range(m + 1)] for m in range(order + 1)]
     for k in range(2, order + 1):
         m = k - 2
-        sq_m = sum(binom[m][i] * vals[i] * vals[m - i] for i in range(m + 1))
+        sq_m = sum(_cmul(binom[m][i] * vals[i], vals[m - i])
+                   for i in range(m + 1))
         vals[k] = (s - 1.0) * vals[m] + 1.5 * rs * sq_m
         if m == 0:
             vals[k] += -rs / 2.0
     return vals
+
+
+def _cmul(a, b):
+    """a * b, rounded as numpy's scalar complex product rounds it: the
+    array product may fuse a multiply-add and differ in the last bit."""
+    if not (isinstance(a, np.ndarray) or isinstance(b, np.ndarray)):
+        return a * b
+    a, b = np.asarray(a), np.asarray(b)
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=complex)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out[()]
 
 
 def random_regular_points(params: CurveParams, n: int, rng,

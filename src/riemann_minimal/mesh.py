@@ -307,8 +307,10 @@ class FundamentalSurface:
 
     def translation_half(self):
         """t0 = psi(-sigma) = X(-sigma) - X(1), via exact singular-end
-        quadrature at both branch points."""
-        return self.psi_left(-self.params.sigma)
+        quadrature at both branch points; computed once, copied per call."""
+        if not hasattr(self, "_t0"):
+            self._t0 = self.psi_left(-self.params.sigma)
+        return self._t0.copy()
 
 
 def sample_fundamental(sigma: float, e: float, nr: int, nt: int,
@@ -539,37 +541,52 @@ def slice_mesh(mesh: TriMesh, height: float):
     return pts.reshape(-1, 3), list(zip(i.tolist(), j.tolist(), s.tolist()))
 
 
-def refine_slice(mesh: TriMesh, height: float, surface: FundamentalSurface,
+def refine_slice(mesh: TriMesh, height, surface: FundamentalSurface,
                  max_points: int = 32):
     """Replace mesh-edge slice points with exact surface points at ``height``.
 
-    Each crossing edge is root-solved in the domain parameter s of the
-    straight z-segment z(s) = za + s (zb - za) from the anchor vertex (an
+    ``height`` is a scalar or a 1-d sequence of heights.  A scalar returns
+    the (n, 3) refined points of that slice; a sequence returns a list with
+    one (n_i, 3) array per height, each equal to the scalar call's result.
+
+    The crossings of each height are the crossing records of
+    :func:`slice_mesh`, thinned to ``max_points`` evenly spaced ones per
+    height.  Each crossing edge is root-solved in the domain parameter s of
+    the straight z-segment z(s) = za + s (zb - za) from the anchor vertex (an
     edge end with w != 0) to the other end.  The target is
-    f(s) = (op(psi(z(s))))_3 - height, and its derivative is closed form,
-    f'(s) = ell . Re(phi(z(s), w(s)) (zb - za)) with ell the third row of
-    the op's linear part and phi the Weierstrass densities.  Safeguarded
-    Newton starts from the mesh's linear-interpolation guess and keeps the
-    sign bracket [s_lo, s_hi], bisecting whenever a Newton step would leave
-    it; a crossing stops when f == 0 or its next step is below 1e-13, after
-    60 iterations at most.  All crossings of the height are solved in
-    lockstep: each iteration integrates the segments za -> z(s) of the
-    crossings still active as one ``curve._integrate_segments`` batch, and
-    only an iterate within 1e-12 (1 + sigma) of a branch point goes through
-    ``curve.immerse``, which integrates the singular end exactly.  Every
-    iterate is integrated from the anchor vertex, so quadrature errors do
-    not accumulate and the result depends on s alone.  Points come out in
-    crossing order.  Only meshes built by :func:`sample_fundamental` (and
-    extensions of them) carry the provenance needed here.
+    f(s) = (op(psi(z(s))))_3 - h with h the crossing's own height, and its
+    derivative is closed form, f'(s) = ell . Re(phi(z(s), w(s)) (zb - za))
+    with ell the third row of the op's linear part and phi the Weierstrass
+    densities.  Safeguarded Newton starts from the mesh's linear-interpolation
+    guess and keeps the sign bracket [s_lo, s_hi], bisecting whenever a
+    Newton step would leave it; a crossing stops when f == 0 or its next step
+    is below 1e-13, after 60 iterations at most.  All crossings of all
+    heights are solved in lockstep: each iteration integrates the segments
+    za -> z(s) of the crossings still active as one
+    ``curve._integrate_segments`` batch, and only an iterate within
+    1e-12 (1 + sigma) of a branch point goes through ``curve.immerse``,
+    which integrates the singular end exactly.  Every iterate is integrated
+    from the anchor vertex, so quadrature errors do not accumulate and the
+    result depends on s alone.  Points come out in crossing order.  Only
+    meshes built by :func:`sample_fundamental` (and extensions of them)
+    carry the provenance needed here.
     """
     if mesh.domain_z is None:
         raise ValueError("mesh carries no domain provenance")
-    _, crossings = slice_mesh(mesh, height)
-    if len(crossings) > max_points:
-        idx = np.linspace(0, len(crossings) - 1, max_points).astype(int)
-        crossings = [crossings[i] for i in idx]
+    heights = np.atleast_1d(np.asarray(height, dtype=float))
+    crossings, counts = [], []
+    for h in heights:
+        _, cr = slice_mesh(mesh, float(h))
+        if len(cr) > max_points:
+            idx = np.linspace(0, len(cr) - 1, max_points).astype(int)
+            cr = [cr[i] for i in idx]
+        crossings += cr
+        counts.append(len(cr))
     if not crossings:
-        return np.zeros((0, 3))
+        out = [np.zeros((0, 3)) for _ in heights]
+        return out[0] if np.ndim(height) == 0 else out
+    owner = np.repeat(np.arange(len(heights)), counts)
+    target = heights[owner]
     ia, ib, s = (np.array(c) for c in zip(*crossings))
     # catalog index and base vertex of each end (see TriMesh)
     n = mesh.base_count
@@ -584,8 +601,8 @@ def refine_slice(mesh: TriMesh, height: float, surface: FundamentalSurface,
     offset = np.stack([op.offset for op in mesh.op_catalog])[k]
     ell, b3 = linear[:, 2], offset[:, 2]
     pos = base[i0]
-    f0 = np.einsum("ij,ij->i", pos, ell) + b3 - height
-    f1 = np.einsum("ij,ij->i", base[i1], ell) + b3 - height
+    f0 = np.einsum("ij,ij->i", pos, ell) + b3 - target
+    f1 = np.einsum("ij,ij->i", base[i1], ell) + b3 - target
     ok = ((ka == kb) & (mesh.domain_w[i0] != 0.0) & ~(f0 * f1 > 0))
     za, w0 = mesh.domain_z[i0], mesh.domain_w[i0]
     dz = mesh.domain_z[i1] - za
@@ -612,7 +629,7 @@ def refine_slice(mesh: TriMesh, height: float, surface: FundamentalSurface,
                 p[j], surface.settings)
             w[j] = pt.w
         pos[a] = p
-        f = np.einsum("ij,ij->i", p, ell[a]) + b3[a] - height
+        f = np.einsum("ij,ij->i", p, ell[a]) + b3[a] - target[a]
         same = (f > 0.0) == (f0[a] > 0.0)
         s_lo[a[same]], s_hi[a[~same]] = s[a[same]], s[a[~same]]
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -623,8 +640,9 @@ def refine_slice(mesh: TriMesh, height: float, surface: FundamentalSurface,
         go = (f != 0.0) & ~(np.abs(s_next - s[a]) < 1e-13)
         s[a] = s_next
         a = a[go]
-    out = np.einsum("nij,nj->ni", linear, pos) + offset
-    return out[ok].reshape(-1, 3)
+    out = (np.einsum("nij,nj->ni", linear, pos) + offset)[ok]
+    out = [out[owner[ok] == h] for h in range(len(heights))]
+    return out[0] if np.ndim(height) == 0 else out
 
 
 # ---------------------------------------------------------------------------

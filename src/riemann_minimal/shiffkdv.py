@@ -68,15 +68,17 @@ class Jet:
 
     Arithmetic is exact truncated Leibniz calculus; the order of a product
     is the smaller of the factors' orders.  ``d(m)`` shifts by m
-    derivatives (dropping order by m).
+    derivatives (dropping order by m).  The values may carry a trailing
+    point axis, shape (k + 1, n), one tower per point; :func:`shiffman`
+    evaluates such a jet at every point at once.
     """
 
     __slots__ = ("values",)
 
     def __init__(self, values):
         self.values = np.asarray(values, dtype=complex)
-        if self.values.ndim != 1 or len(self.values) == 0:
-            raise ValueError("jet needs a 1-d nonempty value list")
+        if self.values.ndim == 0 or len(self.values) == 0:
+            raise ValueError("jet needs a nonempty value list")
 
     @classmethod
     def constant(cls, c, order):
@@ -169,8 +171,9 @@ def _require(j: Jet, order: int, who: str):
 
 def _check_g(j: Jet):
     g = j[0]
-    if g == 0 or not np.isfinite(g):
-        raise PoleOfGaussMap(f"g = {g}")
+    bad = (g == 0) | ~np.isfinite(g)
+    if bad.any():
+        raise PoleOfGaussMap(f"g = {np.asarray(g)[bad].flat[0]}")
 
 
 def level_curvature_raw(j: Jet) -> float:
@@ -189,12 +192,22 @@ def _bracket(j: Jet) -> complex:
     _check_g(j)
     g, gp, gpp = j[0], j[1], j[2]
     lg = gp / g
-    return 1.5 * lg * lg - gpp / g - lg * lg / (1.0 + abs(g) ** 2)
+    # _cmul, hypot and float_power round as the scalar *, abs and ** 2 do,
+    # so a jet with a point axis gives each point the scalar bits
+    abs_g2 = np.float_power(np.hypot(g.real, g.imag), 2.0)
+    return (_curve._cmul(1.5 * lg, lg) - gpp / g
+            - _curve._cmul(lg, lg) / (1.0 + abs_g2))
 
 
-def shiffman(j: Jet) -> float:
-    """S = Im[...bracket...]; zero iff the horizontal sections are circular."""
-    return float(_bracket(j).imag)
+def shiffman(j: Jet):
+    """S = Im[...bracket...]; zero iff the horizontal sections are circular.
+
+    A float for a jet at one point; for a jet with a trailing point axis
+    (see :class:`Jet`), the array of S at every point.  Raises
+    PoleOfGaussMap if g is 0 or not finite at any point.
+    """
+    s = np.asarray(_bracket(j)).imag
+    return float(s) if s.ndim == 0 else s
 
 
 def shiffman_complex(j: Jet) -> complex:
@@ -491,7 +504,10 @@ def msigma_jet(params: CurveParams, pt, order: int) -> Jet:
     """Jet of the Gauss map of M_sigma at a regular curve point.
 
     Uses the exact derivative relations of the curve (g' = w/sqrt(sigma),
-    the closed form for g'', and its repeated differentiation).
+    the closed form for g'', and its repeated differentiation).  If
+    ``pt.z`` and ``pt.w`` are arrays of n points, the jet carries a
+    trailing point axis, values of shape (order + 1, n) (see
+    :func:`curve.gauss_derivatives`).
     """
     return Jet(_curve.gauss_derivatives(params, pt, order))
 

@@ -99,6 +99,51 @@ def test_foliation_residuals_builds_the_edge_set_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_slice_checks_refine_all_heights_in_one_call(monkeypatch):
+    calls = []
+    refine = mesh.refine_slice
+
+    def counting(m, height, surface, max_points=32):
+        calls.append(np.ndim(height))
+        return refine(m, height, surface, max_points)
+
+    monkeypatch.setattr(mesh, "refine_slice", counting)
+    sigma = 2.78
+    lam = (sigma - 1.0) / math.sqrt(sigma)
+    surf = mesh.FundamentalSurface(sigma)
+    rels, kinds = checks.foliation_residuals(sigma, nr=20, nt=28, copies=0)
+    shared = checks.foliation_residuals(sigma, nr=20, nt=28, copies=0,
+                                        surface=surf)
+    assert np.array_equal(rels, shared[0]) and kinds == shared[1]
+    reg = checks.registration_error(lam, nr=24, nt=32, n_heights=6)
+    assert calls == [1, 1, 1]
+    # sigma(lambda) does not round-trip to 2.78 bit for bit
+    assert classical.sigma_of_lambda(lam) != sigma
+    with pytest.raises(ValueError):
+        checks.registration_error(lam, nr=24, nt=32, n_heights=6,
+                                  surface=surf)
+    reg_surf = mesh.FundamentalSurface(classical.sigma_of_lambda(lam))
+    shared = checks.registration_error(lam, nr=24, nt=32, n_heights=6,
+                                       surface=reg_surf)
+    assert np.array_equal(reg.radii, shared.radii)
+    assert reg.max_radius_rel_err == shared.max_radius_rel_err
+
+
+def test_translation_half_is_computed_once(monkeypatch):
+    surf = mesh.FundamentalSurface(2.0)
+    calls = []
+    psi_left = surf.psi_left
+
+    def counting(x):
+        calls.append(x)
+        return psi_left(x)
+
+    monkeypatch.setattr(surf, "psi_left", counting)
+    t0 = surf.translation_half()
+    t0[:] = 0.0
+    assert np.all(surf.translation_half() != 0.0) and calls == [-2.0]
+
+
 def test_slice_fit_error_is_a_package_error(monkeypatch):
     assert issubclass(checks.SliceFitError, RiemannMinimalError)
     monkeypatch.setattr(mesh, "slice_mesh", lambda m, h: (None, []))

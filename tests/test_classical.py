@@ -218,6 +218,48 @@ def test_enneper_fourier_check_random_configs():
         assert enneper_fourier_check(d) < 1e-4
 
 
+def _frame_at_reference(d, u, n_ode_steps=64):
+    """One scalar RK4 march of the Frenet frame and center to u: the
+    per-u loop that ``foliation_frames`` batches."""
+    def deriv(x, y):
+        t, n, b = y[0:3], y[3:6], y[6:9]
+        k = d.kappa + d.kappa_p * x
+        al = d.alpha + d.alpha_p * x
+        be = d.beta + d.beta_p * x
+        de = d.delta + d.delta_p * x
+        return np.concatenate([k * n, -k * t - d.tau * b, d.tau * n,
+                               al * t + be * n + de * b])
+
+    y = np.concatenate([np.eye(3).ravel(), np.zeros(3)])
+    h = u / n_ode_steps
+    x = 0.0
+    for _ in range(n_ode_steps):
+        k1 = deriv(x, y)
+        k2 = deriv(x + h / 2, y + h / 2 * k1)
+        k3 = deriv(x + h / 2, y + h / 2 * k2)
+        k4 = deriv(x + h, y + h * k3)
+        y = y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        x += h
+    return y[3:6], y[6:9], y[9:12]
+
+
+def test_batched_frames_match_scalar_marches():
+    rng = np.random.default_rng(7)
+    configs = [canonical_data()] + [FoliationData(
+        r=1.0, r_p=0.1, r_pp=-0.2, kappa=0.3 + rng.uniform(0.0, 1.2),
+        kappa_p=rng.uniform(-0.5, 0.5), tau=rng.uniform(-0.8, 0.8),
+        alpha=rng.uniform(-0.8, 0.8), beta=rng.uniform(-0.8, 0.8),
+        delta=rng.uniform(-0.8, 0.8), alpha_p=rng.uniform(-0.5, 0.5),
+        beta_p=rng.uniform(-0.5, 0.5), delta_p=rng.uniform(-0.5, 0.5))
+        for _ in range(5)]
+    us = (-1e-5, 0.0, 1e-5, 0.3)
+    for d in configs:
+        got = classical.foliation_frames(d, us)
+        for i, u in enumerate(us):
+            for g, w in zip(got, _frame_at_reference(d, u)):
+                assert np.array_equal(g[i], w)
+
+
 def test_enneper_zero_velocity_constant_radius():
     # zero center velocity, constant r, tau = 0: both routes agree on the
     # entries that vanish identically

@@ -7,7 +7,7 @@ from riemann_minimal import checks, curve
 from riemann_minimal.curve import (BranchAmbiguity, ClearanceViolation,
                                    CurveParams, CurvePoint, PoleOfGaussMap,
                                    WeierstrassForms)
-from riemann_minimal.quad import ComplexPath
+from riemann_minimal.quad import ComplexPath, QuadSettings
 
 
 def dense_track(params, nodes, w0, steps=100000):
@@ -125,19 +125,6 @@ def test_immerse_line_property_on_unit_segment():
     assert np.ptp(imgs[:, 1]) > 0.1
 
 
-def test_gauss_map_values():
-    assert np.allclose(curve.gauss_map(WeierstrassForms.from_g(1.0)),
-                       [1, 0, 0], atol=1e-14)
-    assert np.allclose(curve.gauss_map(WeierstrassForms.from_g(1j)),
-                       [0, 1, 0], atol=1e-14)
-    # sigma = 4 at the branch point (1, 0): g = 1/2
-    n = curve.gauss_map(WeierstrassForms.from_g(0.5))
-    assert np.allclose(n, [0.8, 0.0, -0.6], atol=1e-14)
-    assert abs(np.linalg.norm(n) - 1.0) < 1e-12
-    with pytest.raises(PoleOfGaussMap):
-        WeierstrassForms.from_g(0.0)
-
-
 def test_gaussian_curvature_values_and_catenoid_oracle():
     forms = WeierstrassForms.from_g(1.0)
     assert curve.gaussian_curvature(forms, 0.0) == 0.0
@@ -190,6 +177,34 @@ def test_periods_and_flux_sigma2():
     assert np.max(np.abs(curve.flux(params, g2))) < 1e-7
 
 
+@pytest.mark.parametrize("sigma", [0.0167, 2.0, 8.0])
+def test_period_reuses_the_closure_march(sigma, monkeypatch):
+    params = CurveParams(sigma)
+    loops = [curve.gamma1_loop(params), curve.gamma2_loop(params),
+             curve.end_loop(params)]
+    calls = []
+    march = curve._march
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return march(*args, **kwargs)
+
+    monkeypatch.setattr(curve, "_march", counting)
+    for loop in loops:
+        got = curve.period(params, loop)
+        assert not calls
+        # the same loop without the stored integrals is marched again
+        bare = curve.HomologyLoop(loop.kind, loop.base, loop.geometry)
+        assert np.array_equal(got, curve.period(params, bare))
+        assert np.array_equal(got, curve.period(params, loop, QuadSettings()))
+        assert len(calls) == 1
+        finer = curve.period(params, loop, QuadSettings(1e-12, 1e-12))
+        assert len(calls) == 2 and np.allclose(finer, got, atol=1e-9)
+        del calls[:]
+    got[:] = 0.0  # the returned array is a copy
+    assert np.any(curve.period(params, loops[-1]) != 0.0)
+
+
 def test_period_double_traversal_scales():
     params = CurveParams(0.8)
     loop = curve.gamma1_loop(params)
@@ -217,7 +232,7 @@ def test_flux_end_loop_and_reversal():
 
 def test_apply_symmetry():
     params = CurveParams(1.0)
-    pt = curve.make_point(params, 2.0, math.sqrt(6.0))
+    pt = CurvePoint(2.0 + 0j, complex(math.sqrt(6.0)))
     s2 = curve.apply_symmetry(params, "S2", pt)
     assert s2.z == 2.0 and abs(s2.w + math.sqrt(6.0)) < 1e-15
     twice = curve.apply_symmetry(params, "S1",
@@ -242,7 +257,7 @@ def test_symmetry_action_residuals(which):
 
 def test_gauss_ode_residual():
     params = CurveParams(1.0)
-    pt = curve.make_point(params, 2.0, math.sqrt(6.0))
+    pt = CurvePoint(2.0 + 0j, complex(math.sqrt(6.0)))
     assert curve.gauss_ode_residual(params, pt) < 1e-12
     params2 = CurveParams(2.0)
     rng = np.random.default_rng(5)
@@ -255,8 +270,11 @@ def test_gauss_ode_residual():
 def test_conformality_and_harmonicity():
     H, conf, orth = checks.weierstrass_fd_grid(2.0, n_side=4, h=1e-4)
     assert conf < 1e-5 and orth < 1e-5
-    lap = checks.weierstrass_laplacian_grid(2.0, n_side=3, h=1e-3)
-    assert lap < 1e-4
+    # harmonicity: max |five-point Laplacian of X| over interior anchors
+    X0, X, hk = checks._weierstrass_stencil(2.0, 3, 1e-3,
+                                            checks._STENCIL[:4], None)
+    lap = (X.sum(axis=1) - 4.0 * X0) / (hk * hk)[:, None]
+    assert np.max(np.abs(lap)) < 1e-4
 
 
 def test_double_zero_of_g_at_end():
@@ -278,10 +296,11 @@ def test_double_zero_of_g_at_end():
     assert abs(coef[1]) < 1e-6 * scale
 
 
-def test_make_point_validation():
+def test_off_curve_point_and_branch_point_rejection():
     params = CurveParams(2.0)
-    with pytest.raises(ValueError):
-        curve.make_point(params, 2.0, 1.0)
+    assert curve.on_curve_residual(params, CurvePoint(2.0 + 0j, 1.0 + 0j)) > 1e-9
+    with pytest.raises(PoleOfGaussMap):
+        WeierstrassForms.from_g(0.0)
     with pytest.raises(PoleOfGaussMap):
         curve.weierstrass_at(params, CurvePoint(1.0 + 0j, 0.0 + 0j))
 

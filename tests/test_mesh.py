@@ -630,6 +630,45 @@ def test_refine_slice_batches_each_height(fund2, ops2, surf2, monkeypatch):
         assert 0 < len(calls) <= 12
 
 
+@pytest.mark.parametrize("sigma", [0.0167, 2.0, 8.0])
+def test_refine_slice_height_sequence_matches_per_height_calls(sigma,
+                                                               monkeypatch):
+    surf = FundamentalSurface(sigma)
+    fund = sample_fundamental(sigma, 0.1, 14, 20, surface=surf)
+    span = surf.translation_half()[2]
+    ext = extend(fund, extension_ops(sigma, surface=surf), copies=1)
+    calls = []
+    batch = curve._integrate_segments
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return batch(*args, **kwargs)
+
+    monkeypatch.setattr(curve, "_integrate_segments", counting)
+    # 1.4 and 1.9 t0_3 lie above the fundamental piece (no crossings there)
+    # and in the copy of the extended mesh
+    hs = np.array([0.13, 0.3, 0.5, 0.77, 1.4, 1.9]) * span
+    for m in (fund, ext):
+        for max_points in (24, 5):
+            del calls[:]
+            want = [refine_slice(m, h, surf, max_points=max_points)
+                    for h in hs]
+            per_height = len(calls)
+            del calls[:]
+            got = refine_slice(m, hs, surf, max_points=max_points)
+            assert isinstance(got, list) and len(got) == len(hs)
+            for g, w in zip(got, want):
+                assert g.shape == w.shape and np.array_equal(g, w)
+            assert 0 < len(calls) < per_height
+            if m is fund:
+                assert [len(g) for g in got[4:]] == [0, 0]
+            if max_points == 5:
+                assert max(len(slice_mesh(m, h)[1]) for h in hs) > 5
+                assert all(len(g) <= 5 for g in got)
+    assert refine_slice(fund, [2.0 * span], surf)[0].shape == (0, 3)
+    assert refine_slice(fund, 2.0 * span, surf).shape == (0, 3)
+
+
 def test_refine_slice_hits_height_with_few_immerse_calls(fund2, ops2, surf2,
                                                          monkeypatch):
     ext = extend(fund2, ops2, copies=1)

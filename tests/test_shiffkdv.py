@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from riemann_minimal import curve
-from riemann_minimal.curve import CurveParams
+from riemann_minimal.curve import CurveParams, PoleOfGaussMap
 from riemann_minimal.shiffkdv import (ConformalGrid, DiffPoly, GridTooSmall,
                                       Jet, JetTooShort, NotExactDerivative,
                                       algebro_geometric_residual, flow_n,
@@ -94,6 +94,57 @@ def test_shiffman_perturbed_against_componentwise_oracle():
     den = 1.0 + (g.real ** 2 + g.imag ** 2)
     oracle = 1.5 * b1 - b2 - b1 / den
     assert abs(val - oracle) < 1e-14
+
+
+def _gauss_derivatives_reference(params, pt, order):
+    """Scalar g-jet with Python complex arithmetic, one point at a time."""
+    s = params.sigma
+    rs = math.sqrt(s)
+    vals = np.zeros(order + 1, dtype=complex)
+    vals[0] = pt.z / rs
+    vals[1] = pt.w / rs
+    for k in range(2, order + 1):
+        m = k - 2
+        vals[k] = (s - 1.0) * vals[m] + 1.5 * rs * sum(
+            math.comb(m, i) * vals[i] * vals[m - i] for i in range(m + 1))
+        if m == 0:
+            vals[k] += -rs / 2.0
+    return vals
+
+
+def _shiffman_reference(vals):
+    """S from one point's jet with numpy scalar arithmetic."""
+    g, gp, gpp = vals[0], vals[1], vals[2]
+    lg = gp / g
+    return float((1.5 * lg * lg - gpp / g
+                  - lg * lg / (1.0 + abs(g) ** 2)).imag)
+
+
+@pytest.mark.parametrize("sigma", [0.0167, 2.0, 8.0])
+def test_array_shiffman_matches_scalar_loop(sigma):
+    params = CurveParams(sigma)
+    pts = curve.random_regular_points(params, 1000,
+                                      np.random.default_rng(11))
+    zs = np.array([p.z for p in pts])
+    ws = np.array([p.w for p in pts])
+    jet = msigma_jet(params, curve.CurvePoint(zs, ws), 3)
+    assert jet.values.shape == (4, 1000)
+    ref = np.array([_gauss_derivatives_reference(params, p, 3) for p in pts])
+    assert np.array_equal(jet.values, ref.T)
+    got = shiffman(jet)
+    loop = np.array([shiffman(msigma_jet(params, p, 3)) for p in pts])
+    assert np.array_equal(got, loop)
+    assert np.array_equal(got, [_shiffman_reference(v) for v in ref])
+    assert np.max(np.abs(got)) < 1e-9
+
+
+def test_array_shiffman_rejects_a_pole_in_the_batch():
+    g = np.array([2.0, 1.0 + 1j, 0.0, 3.0j])
+    with pytest.raises(PoleOfGaussMap, match="g = 0j"):
+        shiffman(Jet(np.stack([g, g + 1.0, g - 1.0])))
+    with pytest.raises(PoleOfGaussMap):
+        curve.gauss_derivatives(CurveParams(2.0),
+                                curve.CurvePoint(g, g + 1.0), 3)
 
 
 def test_shiffman_complex_bookkeeping():
