@@ -20,7 +20,7 @@ print(f"curve: w^2 = z(z-1)(z+{SIGMA}), g = z/sqrt(sigma), phi3 = dz/w\n")
 # square-root monodromy
 loop1 = ComplexPath(list(1.0 + 0.45 * np.exp(1j * np.linspace(0, 2 * np.pi, 65))))
 w0 = np.sqrt(complex(curve.curve_poly(params, loop1.nodes[0])))
-w1 = curve.continue_w(params, loop1, w0)
+w1 = curve.immerse(params, loop1, w0)[1].w  # the branch continued around
 print(f"one turn around z=1:   w -> {w1 / w0:+.6f} * w   (sign flip)")
 
 # periods and flux

@@ -109,7 +109,7 @@ _STENCIL = ((1, 0), (-1, 0), (0, 1), (0, -1),
             (1, 1), (1, -1), (-1, 1), (-1, -1))
 
 
-def _weierstrass_stencil(sigma, n_side, h, offsets, settings):
+def _weierstrass_stencil(sigma, n_side, h, offsets, settings, surface=None):
     """Immersion at z0 + h_k (i + i j) for every anchor z0 and offset (i, j).
 
     The anchors are the interior vertices of an (n_side + 2)^2 sample of
@@ -120,7 +120,7 @@ def _weierstrass_stencil(sigma, n_side, h, offsets, settings):
     ``curve._integrate_segments`` batch.  Returns (X0, X, h_k) with shapes
     (n, 3), (n, len(offsets), 3) and (n,).
     """
-    surf = mesh.FundamentalSurface(sigma, settings)
+    surf = _surface(sigma, settings, surface)
     m = mesh.sample_fundamental(sigma, 0.35, n_side + 2, n_side + 2,
                                 surface=surf)
     inner = np.s_[1:-1, 1:-1]
@@ -139,11 +139,14 @@ def _weierstrass_stencil(sigma, n_side, h, offsets, settings):
 
 
 def weierstrass_fd_grid(sigma, n_side=10, h=1e-4,
-                        settings: QuadSettings | None = None):
+                        settings: QuadSettings | None = None,
+                        surface: mesh.FundamentalSurface | None = None):
     """Max FD |H| and conformality defects of the curve immersion, from
     the stencils of :func:`_weierstrass_stencil` (step h scaled per anchor).
+    ``surface``, if given, must be built for ``sigma``.
     """
-    X0, X, hk = _weierstrass_stencil(sigma, n_side, h, _STENCIL, settings)
+    X0, X, hk = _weierstrass_stencil(sigma, n_side, h, _STENCIL, settings,
+                                     surface)
     worst_H = worst_conf = worst_orth = 0.0
     for x0, x, hh in zip(X0, X, hk):
         vals = {(0, 0): x0, **dict(zip(_STENCIL, x))}
@@ -220,11 +223,12 @@ class RegistrationResult:
     heights: np.ndarray
 
 
-def registration_error(lam, nr=30, nt=40, n_heights=8,
+def registration_error(sigma, nr=30, nt=40, n_heights=8,
                        settings: QuadSettings | None = None,
                        surface: mesh.FundamentalSurface | None = None
                        ) -> RegistrationResult:
-    """Register the classical surface R_lambda against M_sigma(lambda).
+    """Register the classical surface R_lambda against M_sigma, with
+    lambda = (sigma - 1)/sqrt(sigma) (sigma = 1/q1^2).
 
     Measures level-circle radii of the Weierstrass fundamental piece at
     exact heights (refined slices, all heights in one
@@ -232,10 +236,9 @@ def registration_error(lam, nr=30, nt=40, n_heights=8,
     single scale carrying the classical radius-vs-height profile onto the
     measured one.  Returns the worst relative radius error and the relative
     mismatch of the vertical line spacings (|t0_3| against 2 s zeta).
-    ``surface``, if given, must be built for sigma(lambda).
+    ``surface``, if given, must be built for ``sigma``.
     """
-    sigma = classical.sigma_of_lambda(lam)
-    cl = classical.RiemannParams.from_lambda(lam)
+    cl = classical.RiemannParams.from_lambda((sigma - 1.0) / math.sqrt(sigma))
     surf = _surface(sigma, settings, surface)
     m = mesh.sample_fundamental(sigma, 0.1, nr, nt, surface=surf)
     t0 = surf.translation_half()

@@ -311,16 +311,15 @@ def cmd_verify(cfg: RunConfig) -> int:
 
     H_cl, _, _ = checks.classical_fd_grid(lam, nq=10, nv=10)
     suite.record("minimality_classical", H_cl, 1e-3)
-    H_w, conf_w, orth_w = checks.weierstrass_fd_grid(cfg.sigma, n_side=6)
+    # one surface serves the FD stencil and both slice checks
+    surf = mesh.FundamentalSurface(cfg.sigma)
+    H_w, conf_w, orth_w = checks.weierstrass_fd_grid(cfg.sigma, n_side=6,
+                                                     surface=surf)
     suite.record("minimality_weierstrass", H_w, 1e-3)
     suite.record("conformality_weierstrass", max(conf_w, orth_w), 1e-5)
 
-    # one surface serves both slice checks; registration runs at
-    # sigma(lambda), which need not round-trip to --sigma bit for bit
-    surf = mesh.FundamentalSurface(cfg.sigma)
-    reg = checks.registration_error(
-        lam, nr=24, nt=32, n_heights=6,
-        surface=surf if classical.sigma_of_lambda(lam) == cfg.sigma else None)
+    reg = checks.registration_error(cfg.sigma, nr=24, nt=32, n_heights=6,
+                                    surface=surf)
     suite.record("registration_radius", reg.max_radius_rel_err, 1e-3)
     suite.record("registration_spacing", reg.spacing_rel_err, 1e-3)
 

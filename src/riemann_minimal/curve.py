@@ -7,9 +7,11 @@ height differential is phi3 = dz/w, which fixes the other two forms:
 
 The surface is recovered by X(p) = X(p0) + Re int (phi1, phi2, phi3) along
 any path, provided w is continued as a single continuous branch of
-sqrt(z(z-1)(z+sigma)).  Branch tracking is done by adaptive stepping with a
-45-degree rotation budget per step, which makes the nearest-sign choice
-unambiguous at every query point in between.
+sqrt(z(z-1)(z+sigma)).  All integration runs through one batched kernel,
+:func:`_integrate_segments`: each segment is a G7/K15 panel whose nodes
+carry w by the nearest-sign rule, accepted only if w turns by less than 45
+degrees between consecutive nodes (which makes that choice unambiguous);
+segments that fail are bisected inside the batch.
 
 Conventions fixed here (see README):
 
@@ -27,14 +29,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .quad import (ComplexPath, QuadSettings, RiemannMinimalError, _adaptive,
-                   _gk_panel)
+from . import quad
+from .quad import (ComplexPath, NonFinite, QuadSettings, RiemannMinimalError,
+                   SubdivisionLimit, _segment_distances)
 
 __all__ = [
     "CurveError", "BranchAmbiguity", "ClearanceViolation", "PoleOfGaussMap",
     "CurveParams", "CurvePoint", "WeierstrassForms", "HomologyLoop",
     "curve_poly", "branch_points", "default_clearance", "basepoint",
-    "on_curve_residual", "continue_w", "immerse",
+    "on_curve_residual", "immerse",
     "weierstrass_at", "gaussian_curvature",
     "gamma1_loop", "gamma2_loop", "end_loop", "period", "flux",
     "apply_symmetry", "verify_symmetry_action", "gauss_ode_residual",
@@ -116,92 +119,6 @@ def basepoint(params: CurveParams) -> CurvePoint:
     return CurvePoint(complex(z), complex(w))
 
 
-def _path_clearance_check(params, path: ComplexPath, skip_endpoint=None):
-    """Raise ClearanceViolation if the path crowds a branch point.
-
-    ``skip_endpoint`` exempts one branch point that the path legitimately
-    terminates at (reparameterized singular-end integration).
-    """
-    clear = path.clearance if path.clearance > 0 else default_clearance(params)
-    for bp in branch_points(params):
-        if skip_endpoint is not None and abs(bp - skip_endpoint) == 0.0:
-            continue
-        d = path.min_distance_to([bp])
-        if d < clear:
-            raise ClearanceViolation(
-                f"path at distance {d:.3e} < clearance {clear:.3e} "
-                f"from branch point {bp}")
-
-
-class _SegmentBranch:
-    """Continuous branch of w along one straight segment a -> b.
-
-    Checkpoints are spaced so w rotates < 45 degrees between consecutive
-    ones; a query point's sign is then matched against the nearest earlier
-    checkpoint, which is unambiguous (the wrong sign sits > 90 deg away).
-    """
-
-    __slots__ = ("a", "b", "ts", "ws", "w_end")
-
-    def __init__(self, params, a, b, w0, terminal_zero=False):
-        self.a = complex(a)
-        self.b = complex(b)
-        if w0 == 0:
-            raise BranchAmbiguity(
-                "cannot continue a branch starting from w = 0 (branch point)")
-        ts = [0.0]
-        ws = [complex(w0)]
-        t, w, dt = 0.0, complex(w0), 0.25
-        while t < 1.0:
-            step = min(dt, 1.0 - t)
-            while True:
-                tn = t + step
-                # the last checkpoint sits on b exactly: a + (b - a) * 1.0
-                # can round off a terminal branch point, where w must vanish
-                z = self.b if tn == 1.0 else self.a + (self.b - self.a) * tn
-                c = np.sqrt(complex(curve_poly(params, z)))
-                if abs(c - w) > abs(c + w):
-                    c = -c
-                if abs(c) == 0.0:
-                    if terminal_zero and tn == 1.0:
-                        break
-                    raise BranchAmbiguity(f"w vanished mid-path at z={z}")
-                cosang = (c * w.conjugate()).real / (abs(c) * abs(w))
-                if cosang > math.cos(math.pi / 4):
-                    break
-                step *= 0.5
-                if step < 1e-12:
-                    raise BranchAmbiguity(
-                        f"cannot track branch near z={z} (step underflow)")
-            t += step
-            w = c
-            ts.append(t)
-            ws.append(w)
-            dt = min(0.25, step * 2.0)
-        self.ts = np.array(ts)
-        self.ws = np.array(ws)
-        self.w_end = ws[-1]
-
-def _branch_values(params, zs, wref):
-    cand = np.sqrt(zs * (zs - 1.0) * (zs + params.sigma))
-    flip = np.abs(cand - wref) > np.abs(cand + wref)
-    cand[flip] = -cand[flip]
-    return cand
-
-
-def continue_w(params: CurveParams, path: ComplexPath, w_start) -> complex:
-    """Continuous branch of sqrt(z(z-1)(z+sigma)) at the end of ``path``."""
-    w0 = complex(w_start)
-    z0 = path.nodes[0]
-    if abs(w0 ** 2 - curve_poly(params, z0)) > 1e-6 * (1.0 + abs(z0) ** 3):
-        raise ValueError("w_start inconsistent with the curve at the path start")
-    _path_clearance_check(params, path)
-    w = w0
-    for a, b in path.segments:
-        w = _SegmentBranch(params, a, b, w).w_end
-    return w
-
-
 def _phi_vector(params, zs, ws):
     """Densities (phi1, phi2, phi3) with respect to dz, stacked (n, 3)."""
     rs = math.sqrt(params.sigma)
@@ -212,71 +129,136 @@ def _phi_vector(params, zs, ws):
                      p3], axis=-1)
 
 
-def _integrate_segment_regular(params, a, b, w0, settings):
-    br = _SegmentBranch(params, a, b, w0)
-    d = b - a
+def _leaf_panels(params, a, b, w, singular):
+    """One G7/K15 panel on each leaf a[i] -> b[i] starting on the branch
+    w[i]: in z, or on a singular leaf (b[i] a branch point) in s with
+    z = b + (a - b)(1 - s)^2, which cancels the 1/sqrt blow-up at b.  w is
+    continued by the nearest-sign rule through a, the nodes and b (not the
+    zero at a singular b).  Returns (integrals (n, 3), |K15 - G7|, values
+    finite, branch at b (0 if singular), w turned < 45 degrees per step)."""
+    s = np.flatnonzero(singular)
+    w_end, turn = np.empty_like(w), np.empty(len(w), dtype=bool)
 
-    def f(zs):
-        t = np.clip(((zs - a) / d).real, 0.0, 1.0)
-        idx = np.clip(np.searchsorted(br.ts, t, side="right") - 1,
-                      0, len(br.ts) - 1)
-        ws = _branch_values(params, zs, br.ws[idx])
-        return _phi_vector(params, zs, ws)
+    def f(x):  # z nodes on a regular leaf, s nodes on a singular one
+        d, one_minus = (a[s] - b[s])[:, None], 1.0 - x[s]
+        zs, end = x.copy(), b.copy()
+        zs[s] = b[s, None] + d * one_minus ** 2
+        end[s] = zs[s, -1]
+        c = np.concatenate([w[:, None], np.sqrt(curve_poly(
+            params, np.concatenate([zs, end[:, None]], axis=1)))], axis=1)
+        r = c[:, 1:] * c[:, :-1].conjugate()
+        ws = c[:, 1:] * np.cumprod(np.where(r.real < 0.0, -1.0, 1.0), axis=1)
+        turn[:] = np.all(np.abs(r.real) > math.cos(math.pi / 4) * np.abs(r),
+                         axis=1)
+        w_end[:] = np.where(singular, 0.0, ws[:, -1])
+        phi = _phi_vector(params, zs, ws[:, :-1])
+        phi[s] *= (-2.0 * d * one_minus)[..., None]
+        return phi
 
-    total, _ = _adaptive(f, [(a, b)], settings)
-    return total, br.w_end
+    k, err, finite = quad._gk_panel(f, np.where(singular, 0.0, a),
+                                    np.where(singular, 1.0, b))
+    return k, err, finite, w_end, turn
 
 
 def _integrate_segments(params, za, zb, wa, settings=None):
-    """Batched :func:`_integrate_segment_regular` over the segments
-    za[i] -> zb[i], each starting on the branch wa[i] at za[i].
+    """Integrals of (phi1, phi2, phi3) along the segments za[i] -> zb[i],
+    each starting on the branch wa[i] at za[i], as one batch.
 
-    Returns (totals, w_end): the (n, 3) integrals of (phi1, phi2, phi3) and
-    the continued branch at each zb[i].  All segments share one G7/K15
-    panel evaluation.  w is continued by the nearest-sign rule through za,
-    the 15 nodes and zb, and a segment is accepted from that one panel
-    only if w turns by less than 45 degrees between consecutive points,
-    every value is finite and |K15 - G7| <= max(abs_tol, rel_tol |K15|),
-    the one-panel acceptance test of the adaptive kernel.  Every other
-    segment goes through :func:`_integrate_segment_regular`, which
-    subdivides or raises.  A segment through a branch point raises
-    ClearanceViolation, a zero-length one ValueError.
+    Returns (totals, w_end): the (n, 3) integrals and the continued branch
+    at each zb[i].  Each segment starts as one leaf, and each round
+    integrates the new leaves with one panel each (:func:`_leaf_panels`).
+    A segment is accepted once all its leaves pass the 45-degree turn test
+    and the sum of their |K15 - G7| is within max(abs_tol, rel_tol |total|),
+    the bound of the adaptive kernel.  Otherwise its leaves that fail the
+    turn test, or whose error exceeds an equal share of that budget, are
+    bisected (a share in proportion to length would keep splitting every
+    leaf next to a near-singular point).  A leaf starts on the principal
+    root at its start (the first on wa); as in :func:`_march`, its sheet is
+    the product of the sign flips between each leaf's continued end and
+    the next leaf's starting root.  A segment ending within
+    1e-12 (1 + sigma) of the branch point 1 or -sigma ends there, in a
+    singular leaf (w_end 0), which bisects into the regular leaf
+    a -> bp + (a - bp)/4 and a singular leaf from there.  Raises
+    ClearanceViolation (a segment through a branch point), PoleOfGaussMap
+    (ending at z = 0), BranchAmbiguity (a start at w = 0, or a leaf failing
+    the turn test at 1e-12 of its segment's length), SubdivisionLimit,
+    NonFinite, and ValueError (a segment of length 0).
     """
     if settings is None:
         settings = QuadSettings()
     za, zb, wa = (np.asarray(x, dtype=complex) for x in (za, zb, wa))
-    d = zb - za
-    if np.any(d == 0):
+    bps = branch_points(params)
+    near = np.abs(zb[:, None] - np.array(bps)) < 1e-12 * (1.0 + params.sigma)
+    if np.any(near[:, 0]):
+        raise PoleOfGaussMap("cannot integrate into the end at z = 0")
+    singular = near.any(axis=1)
+    zb = np.where(singular, np.array(bps)[near.argmax(axis=1)], zb)
+    if np.any(zb == za):
         raise ValueError("consecutive path nodes must be distinct")
-    for bp in branch_points(params):
-        t = np.clip(((bp - za) * d.conjugate()).real / np.abs(d) ** 2, 0.0, 1.0)
-        if np.any(bp - (za + t * d) == 0):
-            raise ClearanceViolation(
-                f"segment passes through branch point {bp} (clearance "
-                f"{default_clearance(params):.3e})")
+    through = (_segment_distances(bps, za, zb) == 0) & ~near.T
+    if through.any():
+        raise ClearanceViolation(
+            f"segment passes through branch point "
+            f"{bps[np.argmax(through.any(axis=1))]} (clearance "
+            f"{default_clearance(params):.3e})")
+    if np.any(wa == 0):
+        raise BranchAmbiguity(
+            "cannot continue a branch starting from w = 0 (branch point)")
 
-    w_end = np.empty_like(wa)
-    turn_ok = np.empty(len(za), dtype=bool)
+    def tolerance(total):
+        return np.maximum(settings.abs_tol,
+                          settings.rel_tol * np.abs(total).max(axis=1))
 
-    def f(zs):
-        pts = np.concatenate([zs, zb[:, None]], axis=1)
-        c = np.concatenate([wa[:, None],
-                            np.sqrt(curve_poly(params, pts))], axis=1)
-        r = c[:, 1:] * c[:, :-1].conjugate()
-        ws = c[:, 1:] * np.cumprod(np.where(r.real < 0.0, -1.0, 1.0), axis=1)
-        turn_ok[:] = np.all(np.abs(r.real)
-                            > math.cos(math.pi / 4) * np.abs(r), axis=1)
-        w_end[:] = ws[:, -1]
-        return _phi_vector(params, zs, ws[:, :-1])
-
-    totals, err, finite = _gk_panel(f, za, zb)
-    tol = np.maximum(settings.abs_tol,
-                     settings.rel_tol * np.abs(totals).max(axis=1))
+    totals, err, finite, w_end, turn = _leaf_panels(params, za, zb, wa,
+                                                    singular)
     with np.errstate(invalid="ignore"):
-        redo = ~(finite & turn_ok & (err <= tol))
-    for i in np.flatnonzero(redo):
-        totals[i], w_end[i] = _integrate_segment_regular(
-            params, complex(za[i]), complex(zb[i]), complex(wa[i]), settings)
+        owner = np.flatnonzero(~(finite & turn & (err <= tolerance(totals))))
+    # the open leaves, ordered by segment and then along it
+    a, b, w, singular, k, err, finite, wb, turn = (x[owner] for x in (
+        za, zb, wa, singular, totals, err, finite, w_end, turn))
+    while owner.size:
+        if not finite.all():
+            raise NonFinite("integrand not finite on the path")
+        new = np.concatenate([[True], owner[1:] != owner[:-1]])
+        first, group = np.flatnonzero(new), np.cumsum(new) - 1
+        same = new[1:] | ((wb[:-1] * w[1:].conjugate()).real >= 0.0)
+        sheet = np.cumprod(np.concatenate([[1.0], np.where(same, 1.0, -1.0)]))
+        sheet *= sheet[first][group]
+        total = np.add.reduceat(k * sheet[:, None], first)
+        tol, esum = tolerance(total), np.add.reduceat(err, first)
+        count = np.bincount(group)
+        split = ~turn | ((esum > tol)[group] & (err * count[group] > tol[group]))
+        n_split = np.add.reduceat(split, first, dtype=int)
+        done = n_split == 0
+        totals[owner[first[done]]] = total[done]
+        last = (first + count - 1)[done]
+        w_end[owner[last]] = wb[last] * sheet[last]
+        if done.all():
+            break
+        stuck = ~turn & (np.abs(b - a) < 1e-12 * np.abs(zb - za)[owner])
+        if stuck.any():
+            raise BranchAmbiguity(
+                f"cannot track branch near z={a[np.argmax(stuck)]}")
+        # each bisection adds one leaf to its segment
+        over = count - 1 + n_split > settings.max_subdivisions
+        if over.any():
+            i = np.argmax(over)
+            raise SubdivisionLimit(f"error {esum[i]:.3e} > tol {tol[i]:.3e} "
+                                   f"after {count[i] - 1} subdivisions")
+        # drop the accepted segments; a split leaf becomes its two halves
+        rep = np.flatnonzero(~done[group])
+        rep = np.repeat(rep, 1 + split[rep])
+        second = np.concatenate([[False], rep[1:] == rep[:-1]])
+        first_half = split[rep] & ~second
+        owner, a, b, w, sing = (x[rep] for x in (owner, a, b, w, singular))
+        k, err, wb, turn = k[rep], err[rep], wb[rep], turn[rep]
+        mid = np.where(sing, b + 0.25 * (a - b), 0.5 * (a + b))
+        a, b = np.where(second, mid, a), np.where(first_half, mid, b)
+        singular = sing & ~first_half
+        w[second] = np.sqrt(curve_poly(params, a[second]))
+        fresh = first_half | second
+        k[fresh], err[fresh], finite, wb[fresh], turn[fresh] = _leaf_panels(
+            params, a[fresh], b[fresh], w[fresh], singular[fresh])
     return totals, w_end
 
 
@@ -311,66 +293,31 @@ def _march(params, z, w0, x0, settings=None):
             np.concatenate([w0[:, None], wb * sheet], axis=1))
 
 
-def _integrate_segment_to_branch(params, a, bp, w0, settings):
-    """Segment ending exactly at a branch point, via z = bp + (a-bp)(1-s)^2.
-
-    The substitution cancels the 1/sqrt blow-up of the densities, so the
-    reparameterized integrand is smooth on [0, 1].  Only the branch points
-    1 and -sigma are allowed (z = 0 is a pole of 1/g as well).
-    """
-    if abs(bp) < 1e-12:
-        raise PoleOfGaussMap("cannot integrate into the end at z = 0")
-    br = _SegmentBranch(params, a, bp, w0, terminal_zero=True)
-    d = a - bp
-
-    def f(ss):
-        one_minus = 1.0 - ss
-        zs = bp + d * one_minus ** 2
-        t = np.clip(1.0 - one_minus ** 2, 0.0, 1.0 - 1e-300)
-        idx = np.clip(np.searchsorted(br.ts, t.real, side="right") - 1,
-                      0, len(br.ts) - 1)
-        ws = _branch_values(params, zs, br.ws[idx])
-        dz = -2.0 * d * one_minus
-        return _phi_vector(params, zs, ws) * dz[:, None]
-
-    total, _ = _adaptive(f, [(0.0, 1.0)], settings)
-    return total
-
-
 def immerse(params: CurveParams, path: ComplexPath, w_start,
             base_position=(0.0, 0.0, 0.0),
             settings: QuadSettings | None = None):
-    """Integrate the Weierstrass forms along ``path``.
+    """Integrate the Weierstrass forms along ``path``, one :func:`_march`
+    chain.
 
     Returns (position, end_point): ``base_position + Re int (phi1,phi2,phi3)``
     and the curve point at the path end with the continued branch of w.  A
-    path whose final node is the branch point 1 or -sigma is handled by an
-    exact reparameterization (the end point then carries w = 0); all other
-    nodes must keep the path clearance.
+    path whose final node is the branch point 1 or -sigma ends in a singular
+    leaf (the end point then carries w = 0).  Every other branch point must
+    keep ``path.clearance`` (``default_clearance`` if 0) from the path.
     """
     pos = np.asarray(base_position, dtype=float).copy()
     if len(path.nodes) < 2:
         return pos, CurvePoint(path.nodes[0] if path.nodes else 0j,
                                complex(w_start))
-    bps = branch_points(params)
-    z_end = path.nodes[-1]
-    terminal_bp = None
-    for bp in bps:
-        if abs(z_end - bp) < 1e-12 * (1.0 + params.sigma):
-            terminal_bp = bp
-            break
-    _path_clearance_check(params, path, skip_endpoint=terminal_bp)
-    w = complex(w_start)
-    acc = np.zeros(3, dtype=complex)
-    segs = path.segments
-    for i, (a, b) in enumerate(segs):
-        if terminal_bp is not None and i == len(segs) - 1:
-            acc += _integrate_segment_to_branch(params, a, terminal_bp, w, settings)
-            w = 0.0 + 0.0j
-        else:
-            part, w = _integrate_segment_regular(params, a, b, w, settings)
-            acc += part
-    return pos + acc.real, CurvePoint(complex(z_end), w)
+    z, bps = np.array(path.nodes), branch_points(params)
+    clear = path.clearance or default_clearance(params)
+    for bp, d in zip(bps, _segment_distances(bps, z[:-1], z[1:]).min(axis=1)):
+        if d < clear and not abs(z[-1] - bp) < 1e-12 * (1.0 + params.sigma):
+            raise ClearanceViolation(f"path at distance {d:.3e} < clearance "
+                                     f"{clear:.3e} from branch point {bp}")
+    acc, ws = _march(params, z[None], np.array([complex(w_start)]), pos[None],
+                     settings)
+    return acc[0, -1].real, CurvePoint(path.nodes[-1], complex(ws[0, -1]))
 
 
 def weierstrass_at(params: CurveParams, pt: CurvePoint) -> WeierstrassForms:
@@ -420,26 +367,10 @@ def _circle_nodes(center, radius, n, turns=1):
     return tuple(center + radius * np.exp(1j * ang))
 
 
-def _segment_distances(p, a, b):
-    """Distance from each point p[i] to each segment a[j] -> b[j], shape
-    (len(p), len(a)), with ``quad._point_segment_distance``'s arithmetic
-    and bits (``hypot`` and ``float_power`` are the scalar ``abs`` and
-    ``** 2``; numpy's complex ``abs`` and array ``** 2`` round differently).
-    """
-    p = np.asarray(p)[:, None]
-    d = b - a
-    t = ((p - a).real * d.real + (p - a).imag * d.imag) / np.float_power(
-        np.hypot(d.real, d.imag), 2.0)
-    q = p - (a + np.minimum(1.0, np.maximum(0.0, t)) * d)
-    return np.hypot(q.real, q.imag)
-
-
 def _make_loop(params, kind, center, radius, n, turns=1):
     nodes = _circle_nodes(center, radius, n, turns)
-    clear = min(default_clearance(params), 0.5 * float(np.min(
-        _segment_distances(branch_points(params), np.array(nodes[:-1]),
-                           np.array(nodes[1:])))))
-    path = ComplexPath(nodes, clearance=clear)
+    d = ComplexPath(nodes).min_distance_to(branch_points(params))
+    path = ComplexPath(nodes, clearance=min(default_clearance(params), 0.5 * d))
     z0 = nodes[0]
     w0 = np.sqrt(complex(curve_poly(params, z0)))
     acc, ws = _march(params, np.array(nodes)[None], np.array([w0]),

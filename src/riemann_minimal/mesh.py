@@ -8,14 +8,11 @@ Moebius map onto the fundamental domain
 minus a round neighborhood of the end z = 0 (the image of |zeta| = e is a
 circle exactly centered at the origin; the smaller e, the more of the end
 is kept).  The immersion is integrated along the grid edges from a single
-base point, so the whole patch lives on one sheet: every edge of an edge
-family (the t = 0 column, the interior rows, the radial edges to the outer
-row) is one G7/K15 panel of a single array evaluation, and only the few
-edges that fail its error or branch-rotation test are refined adaptively.
-Positions and branch signs are then accumulated along the marching order.
-The two grid corners that land on the branch points z = 1 and z = -sigma
-are integrated with an exact quadratic reparameterization of the final
-segment.
+base point, so the whole patch lives on one sheet: each edge family (the
+t = 0 column, the interior rows, the radial edges to the outer row) is one
+``curve._integrate_segments`` batch, and positions and branch signs are
+accumulated along the marching order.  The two grid corners on the branch
+points z = 1 and z = -sigma end in singular leaves of that kernel.
 
 The surface is then grown by the four-step symmetry pipeline: 180-degree
 rotation about the horizontal line through psi(i sqrt(sigma)), reflection
@@ -240,16 +237,6 @@ class TriMesh:
 # fundamental piece
 
 
-def _marching_path(params, nodes):
-    """Path for an internal marching chord; its clearance is whatever the
-    chord actually achieves (the grid legitimately approaches the corner
-    branch points), capped by the module default."""
-    pth = ComplexPath(nodes)
-    d = pth.min_distance_to(_curve.branch_points(params))
-    clear = min(_curve.default_clearance(params), 0.45 * d) if d > 0 else 0.0
-    return ComplexPath(nodes, clearance=max(clear, 0.0))
-
-
 class FundamentalSurface:
     """Immersion machinery anchored at the shared base point.
 
@@ -262,17 +249,17 @@ class FundamentalSurface:
     def __init__(self, sigma: float, settings: QuadSettings | None = None):
         self.params = CurveParams(sigma)
         self.settings = settings or QuadSettings()
-        base = _curve.basepoint(self.params)
-        rho = BASEPOINT_OFFSET
-        arc = [1.0 + rho * np.exp(1j * th)
-               for th in np.linspace(0.0, math.pi, 7)]
-        pos, pt = _curve.immerse(self.params, _marching_path(self.params, arc),
-                                 base.w, (0.0, 0.0, 0.0), self.settings)
-        self.entry_pos = pos
-        self.entry_pt = pt  # z = 1 - rho, continued w
+        arc = 1.0 + BASEPOINT_OFFSET * np.exp(1j * np.linspace(0.0, math.pi, 7))
+        self.entry_pos, self.entry_pt = self._immerse_from(
+            np.zeros(3), _curve.basepoint(self.params), arc[1:])
 
     def _immerse_from(self, start_pos, start_pt, nodes):
-        path = _marching_path(self.params, [start_pt.z] + list(nodes))
+        """``curve.immerse`` along start_pt.z -> nodes.  A path ending on a
+        branch point keeps the default clearance (``immerse``'s reading of
+        0) from the other two; any other must only not pass through one."""
+        nodes = [start_pt.z, *nodes]
+        ends_on_bp = nodes[-1] in _curve.branch_points(self.params)
+        path = ComplexPath(nodes, clearance=0.0 if ends_on_bp else 5e-324)
         return _curve.immerse(self.params, path, start_pt.w, start_pos,
                               self.settings)
 
@@ -289,12 +276,11 @@ class FundamentalSurface:
         s = self.params.sigma
         if not (-s <= x < 0):
             raise ValueError("psi_left expects x in [-sigma, 0)")
-        r0 = 0.3 * min(1.0, s)
-        arc = [r0 * np.exp(1j * th) for th in np.linspace(0.0, math.pi, 9)]
-        nodes = [0.5 + 0.0j] + arc
+        arc = 0.3 * min(1.0, s) * np.exp(1j * np.linspace(0.0, math.pi, 9))
+        nodes = [0.5 + 0.0j, *arc]
         if abs(x - arc[-1]) > 0:
             nodes.append(x + 0.0j)
-        pos, pt = self._immerse_from(self.entry_pos, self.entry_pt, nodes)
+        pos, _ = self._immerse_from(self.entry_pos, self.entry_pt, nodes)
         return pos - self.x_at_one()
 
     def x_at_one(self):
@@ -325,10 +311,11 @@ def sample_fundamental(sigma: float, e: float, nr: int, nt: int,
     t = 0 column is walked down the real axis from the entry point, each
     row is walked in t from its t = 0 vertex, the outer row is reached
     radially from the row below, and the two corner vertices on the branch
-    points use exact singular-end segments.  The column, the rows and the
-    radial edges are each integrated as one batch (see ``curve._march``);
-    a vertex's position is the sum of the edge integrals along this order
-    and its branch value w the continuation along it.
+    points are ``curve.immerse`` paths that end in a singular leaf.  The
+    column, the rows and the radial edges are each integrated as one batch
+    (see ``curve._march``); a vertex's position is the sum of the edge
+    integrals along this order and its branch value w the continuation
+    along it.
     """
     if surface is None:
         surface = FundamentalSurface(sigma, settings)
@@ -371,16 +358,11 @@ def sample_fundamental(sigma: float, e: float, nr: int, nt: int,
                    W[nr - 2, k], X[nr - 2, k], surface.settings)
     X[nr - 1, k], W[nr - 1, k] = xs[:, 1].real, ws[:, 1]
 
-    # corners on the branch points (exact reparameterized quadrature)
-    pos, pt = surface._immerse_from(
-        X[nr - 1, 1], CurvePoint(Z[nr - 1, 1], W[nr - 1, 1]), [1.0 + 0.0j])
-    X[nr - 1, 0] = pos
-    W[nr - 1, 0] = 0.0
-    pos, pt = surface._immerse_from(
-        X[nr - 1, nt - 2], CurvePoint(Z[nr - 1, nt - 2], W[nr - 1, nt - 2]),
-        [complex(-sigma)])
-    X[nr - 1, nt - 1] = pos
-    W[nr - 1, nt - 1] = 0.0
+    # corners on the branch points (singular-end leaves), from the row
+    for c, k in ((0, 1), (nt - 1, nt - 2)):
+        start = CurvePoint(Z[nr - 1, k], W[nr - 1, k])
+        X[nr - 1, c], _ = surface._immerse_from(X[nr - 1, k], start,
+                                                [Z[nr - 1, c]])
 
     v0 = X[nr - 1, 0].copy()
     verts = (X - v0).reshape(-1, 3)
@@ -563,13 +545,13 @@ def refine_slice(mesh: TriMesh, height, surface: FundamentalSurface,
     is below 1e-13, after 60 iterations at most.  All crossings of all
     heights are solved in lockstep: each iteration integrates the segments
     za -> z(s) of the crossings still active as one
-    ``curve._integrate_segments`` batch, and only an iterate within
-    1e-12 (1 + sigma) of a branch point goes through ``curve.immerse``,
-    which integrates the singular end exactly.  Every iterate is integrated
-    from the anchor vertex, so quadrature errors do not accumulate and the
-    result depends on s alone.  Points come out in crossing order.  Only
-    meshes built by :func:`sample_fundamental` (and extensions of them)
-    carry the provenance needed here.
+    ``curve._integrate_segments`` batch, in which an iterate within
+    1e-12 (1 + sigma) of a branch point ends exactly there, in a singular
+    leaf (w = 0 there, so the next step bisects).  Every iterate is
+    integrated from the anchor vertex, so quadrature errors do not
+    accumulate and the result depends on s alone.  Points come out in
+    crossing order.  Only meshes built by :func:`sample_fundamental` (and
+    extensions of them) carry the provenance needed here.
     """
     if mesh.domain_z is None:
         raise ValueError("mesh carries no domain provenance")
@@ -609,25 +591,16 @@ def refine_slice(mesh: TriMesh, height, surface: FundamentalSurface,
     s = np.where((0.0 < s) & (s < 1.0), s, 0.5)
     s_lo, s_hi = np.zeros_like(s), np.ones_like(s)
     params = surface.params
-    bps = np.array(_curve.branch_points(params))
     a = np.flatnonzero(ok & (f0 != 0.0))
     for _ in range(60):
         if not a.size:
             break
         z, w, p = za[a] + s[a] * dz[a], w0[a], base[i0[a]]
-        moved = z != za[a]
-        near = np.any(np.abs(z[:, None] - bps) < 1e-12 * (1.0 + params.sigma),
-                      axis=1)
-        if np.any(moved & ~near):
-            j = np.flatnonzero(moved & ~near)
+        j = np.flatnonzero(z != za[a])
+        if j.size:
             totals, w[j] = _curve._integrate_segments(
                 params, za[a[j]], z[j], w0[a[j]], surface.settings)
             p[j] += totals.real
-        for j in np.flatnonzero(moved & near):
-            p[j], pt = _curve.immerse(
-                params, _marching_path(params, [za[a[j]], z[j]]), w0[a[j]],
-                p[j], surface.settings)
-            w[j] = pt.w
         pos[a] = p
         f = np.einsum("ij,ij->i", p, ell[a]) + b3[a] - target[a]
         same = (f > 0.0) == (f0[a] > 0.0)

@@ -1,21 +1,21 @@
-"""Adaptive quadrature kernel.
+"""Gauss-Kronrod quadrature kernel and the path type.
 
-Everything downstream (curve periods, immersions, the finite-difference
-checks) funnels through two entry points:
-
-* :func:`integrate_path` -- line integral of a smooth complex integrand
-  along a polyline in the plane, globally adaptive Gauss-Kronrod (G7, K15).
+* :func:`_gk_panel` -- one G7/K15 panel on each of a batch of straight
+  segments; the Weierstrass integrals (``curve._integrate_segments``)
+  bisect their segments around it, inside the batch.
+* :func:`_adaptive` -- globally adaptive G7/K15 over a list of segments.
 * :func:`integrate_sqrt_singular` -- real integral whose integrand blows up
   like (u - a)^(-1/2) at the lower endpoint.  The substitution u = a + s^2
   removes the singularity exactly, so no endpoint tricks are needed.
 
-Both are pure functions of their inputs and safe to call concurrently.
+All are pure functions of their inputs and safe to call concurrently.
 Double precision throughout; no oscillatory specializations.
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +27,6 @@ __all__ = [
     "NonFinite",
     "QuadSettings",
     "ComplexPath",
-    "integrate_path",
     "integrate_sqrt_singular",
 ]
 
@@ -95,14 +94,18 @@ class QuadSettings:
             raise ValueError("max_subdivisions must be >= 1")
 
 
-def _point_segment_distance(p: complex, a: complex, b: complex) -> float:
+def _segment_distances(p, a, b):
+    """Distance from each point p[i] to each segment a[j] -> b[j] (a[j] !=
+    b[j]), shape (len(p), len(a)).  ``hypot`` and ``float_power`` round as
+    Python's scalar ``abs`` and ``** 2`` do; numpy's complex ``abs`` and
+    array ``** 2`` may differ in the last bit.
+    """
+    p = np.asarray(p, dtype=complex)[:, None]
     d = b - a
-    L2 = abs(d) ** 2
-    if L2 == 0.0:
-        return abs(p - a)
-    t = ((p - a).real * d.real + (p - a).imag * d.imag) / L2
-    t = min(1.0, max(0.0, t))
-    return abs(p - (a + t * d))
+    t = ((p - a).real * d.real + (p - a).imag * d.imag) / np.float_power(
+        np.hypot(d.real, d.imag), 2.0)
+    q = p - (a + np.minimum(1.0, np.maximum(0.0, t)) * d)
+    return np.hypot(q.real, q.imag)
 
 
 @dataclass(frozen=True)
@@ -141,8 +144,8 @@ class ComplexPath:
     def min_distance_to(self, points) -> float:
         if len(self.nodes) == 1:
             return min(abs(self.nodes[0] - p) for p in points)
-        return min(_point_segment_distance(p, a, b)
-                   for p in points for a, b in self.segments)
+        nodes = np.array(self.nodes)
+        return float(_segment_distances(points, nodes[:-1], nodes[1:]).min())
 
     def reversed(self) -> "ComplexPath":
         return ComplexPath(self.nodes[::-1], self.clearance, self.exclusions)
@@ -154,30 +157,22 @@ def _gk_panel(f, a, b):
     ``a`` and ``b`` are scalars or arrays of segment ends of one shape S.
     ``f`` is evaluated vectorized on the mapped nodes, shape S + (15,), and
     may return shape S + (15,) or S + (15, m).  Returns (kronrod,
-    error_estimate, values_finite): for scalar ends the Kronrod value, the
-    largest |K15 - G7| over its components as a float and a bool, or
-    (None, None, False) when a value is not finite; for array ends the
-    Kronrod values (shape S or S + (m,)) and two arrays of shape S; the
-    Kronrod value and error of a segment with non-finite values mean
-    nothing.
+    error_estimate, values_finite): the Kronrod values (shape S or
+    S + (m,)), the largest |K15 - G7| over the components and whether every
+    value is finite (shape S each); the Kronrod value and error of a
+    segment with non-finite values mean nothing.
     """
     a, b = np.asarray(a), np.asarray(b)
-    nb = a.ndim
     half = 0.5 * (b - a)
     zs = (0.5 * (a + b))[..., None] + half[..., None] * _XK
     with np.errstate(all="ignore"):
-        vals = np.moveaxis(np.asarray(f(zs)), nb, -1)  # S + values + (15,)
-    per_segment = tuple(range(nb, vals.ndim))
-    finite = np.isfinite(vals).all(axis=per_segment)
-    if nb == 0 and not finite:
-        return None, None, False
-    half = np.expand_dims(half, per_segment[:-1])
-    k = (vals @ _WK) * half
-    g = (vals[..., _GAUSS_IDX] @ _WG) * half
-    err = np.abs(k - g).max(axis=per_segment[:-1])
-    if nb == 0:
-        return k, float(err), True
-    return k, err, finite
+        vals = np.moveaxis(np.asarray(f(zs)), a.ndim, -1)  # S + values + (15,)
+        per_segment = tuple(range(a.ndim, vals.ndim))
+        half = np.expand_dims(half, per_segment[:-1])
+        k = (vals @ _WK) * half
+        err = np.abs(k - (vals[..., _GAUSS_IDX] @ _WG) * half).max(
+            axis=per_segment[:-1])
+    return k, err, np.isfinite(vals).all(axis=per_segment)
 
 
 def _adaptive(f, segments, settings):
@@ -189,20 +184,13 @@ def _adaptive(f, segments, settings):
     """
     if settings is None:
         settings = QuadSettings()
-    heap = []
-    counter = 0
-    total = None
-    total_err = 0.0
+    heap, ids, total, total_err = [], itertools.count(), 0.0, 0.0
     for (a, b) in segments:
         k, err, ok = _gk_panel(f, a, b)
         if not ok:
             raise NonFinite("integrand not finite on the path")
-        total = k if total is None else total + k
-        total_err += err
-        heapq.heappush(heap, (-err, counter, a, b, k))
-        counter += 1
-    if total is None:
-        return 0.0, 0.0
+        total, total_err = total + k, total_err + err
+        heapq.heappush(heap, (-err, next(ids), a, b, k))
     splits = 0
     while True:
         tol = max(settings.abs_tol,
@@ -221,25 +209,10 @@ def _adaptive(f, segments, settings):
             raise NonFinite("integrand not finite on the path")
         total = total - k_old + kl + kr
         total_err += el + er + neg_err  # neg_err = -old error
-        heapq.heappush(heap, (-el, counter, a, mid, kl))
-        counter += 1
-        heapq.heappush(heap, (-er, counter, mid, b, kr))
-        counter += 1
+        heapq.heappush(heap, (-el, next(ids), a, mid, kl))
+        heapq.heappush(heap, (-er, next(ids), mid, b, kr))
         splits += 1
     return total, total_err
-
-
-def integrate_path(f, path: ComplexPath, settings: QuadSettings | None = None):
-    """Line integral of ``f`` along ``path``.
-
-    ``f`` must accept an ndarray of complex points and return the values
-    (any numpy-broadcastable complex function works).  A path with fewer
-    than two nodes integrates to zero.
-    """
-    if len(path.nodes) < 2:
-        return 0.0 + 0.0j
-    total, _ = _adaptive(f, path.segments, settings)
-    return complex(total)
 
 
 def integrate_sqrt_singular(f, a: float, b: float,

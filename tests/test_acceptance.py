@@ -170,7 +170,8 @@ def test_criterion_08_minimality_conformality(lam):
 
 def test_criterion_09_cross_construction_registration():
     with Budget("criterion 9: classical vs Weierstrass registration", 60.0):
-        reg = checks.registration_error(1.0, nr=30, nt=40, n_heights=8)
+        reg = checks.registration_error(sigma_of_lambda(1.0), nr=30, nt=40,
+                                        n_heights=8)
         print(f"  scale={reg.scale:.6f} radius rel err={reg.max_radius_rel_err:.2e}"
               f" spacing rel err={reg.spacing_rel_err:.2e}")
         assert reg.max_radius_rel_err < 1e-3

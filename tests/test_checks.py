@@ -48,10 +48,10 @@ def test_radius_at_height_arrays_and_domain():
             checks.classical_radius_at_height(p, bad)
 
 
-def _least_squares_fit(lam, reg):
+def _least_squares_fit(sigma, reg):
     """The registration fit as scipy's least_squares over brentq inversions
     of the quadrature height, started where registration_error starts."""
-    sigma = classical.sigma_of_lambda(lam)
+    lam = (sigma - 1.0) / math.sqrt(sigma)
     span = mesh.FundamentalSurface(sigma).translation_half()[2]
     cl = classical.RiemannParams(lam, classical.q_min(lam),
                                  quadrature.slab_height(lam))
@@ -76,9 +76,8 @@ def _least_squares_fit(lam, reg):
 
 @pytest.mark.parametrize("sigma", [0.0167, 0.5, 2.78, 8.0])
 def test_registration_fit_matches_least_squares(sigma):
-    lam = (sigma - 1.0) / math.sqrt(sigma)
-    reg = checks.registration_error(lam, nr=24, nt=32, n_heights=6)
-    s, h0 = _least_squares_fit(lam, reg)
+    reg = checks.registration_error(sigma, nr=24, nt=32, n_heights=6)
+    s, h0 = _least_squares_fit(sigma, reg)
     assert abs(reg.scale - s) <= 1e-10 * abs(s)
     assert abs(reg.height_offset - h0) <= 1e-10 * abs(h0)
     assert reg.max_radius_rel_err < 1e-12
@@ -115,16 +114,17 @@ def test_slice_checks_refine_all_heights_in_one_call(monkeypatch):
     shared = checks.foliation_residuals(sigma, nr=20, nt=28, copies=0,
                                         surface=surf)
     assert np.array_equal(rels, shared[0]) and kinds == shared[1]
-    reg = checks.registration_error(lam, nr=24, nt=32, n_heights=6)
+    reg = checks.registration_error(sigma, nr=24, nt=32, n_heights=6)
     assert calls == [1, 1, 1]
-    # sigma(lambda) does not round-trip to 2.78 bit for bit
+    # sigma(lambda) does not round-trip to 2.78 bit for bit, so a surface
+    # built for it is refused
     assert classical.sigma_of_lambda(lam) != sigma
     with pytest.raises(ValueError):
-        checks.registration_error(lam, nr=24, nt=32, n_heights=6,
-                                  surface=surf)
-    reg_surf = mesh.FundamentalSurface(classical.sigma_of_lambda(lam))
-    shared = checks.registration_error(lam, nr=24, nt=32, n_heights=6,
-                                       surface=reg_surf)
+        checks.registration_error(
+            sigma, nr=24, nt=32, n_heights=6,
+            surface=mesh.FundamentalSurface(classical.sigma_of_lambda(lam)))
+    shared = checks.registration_error(sigma, nr=24, nt=32, n_heights=6,
+                                       surface=surf)
     assert np.array_equal(reg.radii, shared.radii)
     assert reg.max_radius_rel_err == shared.max_radius_rel_err
 
@@ -148,4 +148,4 @@ def test_slice_fit_error_is_a_package_error(monkeypatch):
     assert issubclass(checks.SliceFitError, RiemannMinimalError)
     monkeypatch.setattr(mesh, "slice_mesh", lambda m, h: (None, []))
     with pytest.raises(checks.SliceFitError):
-        checks.registration_error(0.0, nr=12, nt=16)
+        checks.registration_error(1.0, nr=12, nt=16)

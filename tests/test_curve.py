@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -10,17 +11,26 @@ from riemann_minimal.curve import (BranchAmbiguity, ClearanceViolation,
 from riemann_minimal.quad import ComplexPath, QuadSettings
 
 
+def dense_branch(params, a, b, w, steps):
+    """w at a + (b - a) t for t in linspace(0, 1, steps)[1:], tracked by
+    brute-force nearest-sign steps from w at a."""
+    out = []
+    for t in np.linspace(0.0, 1.0, steps)[1:]:
+        z = a + (b - a) * t
+        c = np.sqrt(complex(curve.curve_poly(params, z)))
+        if abs(c - w) > abs(c + w):
+            c = -c
+        w = c
+        out.append(w)
+    return out
+
+
 def dense_track(params, nodes, w0, steps=100000):
-    """Brute-force sign tracking oracle for continue_w."""
+    """Brute-force sign tracking oracle for the branch immerse continues."""
     w = complex(w0)
     nodes = [complex(n) for n in nodes]
     for a, b in zip(nodes[:-1], nodes[1:]):
-        for t in np.linspace(0.0, 1.0, steps)[1:]:
-            z = a + (b - a) * t
-            c = np.sqrt(complex(curve.curve_poly(params, z)))
-            if abs(c - w) > abs(c + w):
-                c = -c
-            w = c
+        w = dense_branch(params, a, b, w, steps)[-1]
     return w
 
 
@@ -31,7 +41,7 @@ def circle(c, r, n=48, turns=1):
 
 def test_continue_straight_segment_against_dense_oracle():
     params = CurveParams(1.0)
-    w = curve.continue_w(params, ComplexPath([2, 3]), math.sqrt(6.0))
+    w = curve.immerse(params, ComplexPath([2, 3]), math.sqrt(6.0))[1].w
     assert abs(w - math.sqrt(24.0)) < 1e-12
     oracle = dense_track(params, [2, 3], math.sqrt(6.0))
     assert abs(w - oracle) < 1e-10
@@ -41,13 +51,14 @@ def test_monodromy_single_and_double():
     params = CurveParams(1.0)
     w0 = np.sqrt(complex(curve.curve_poly(params, 1.5 + 0j)))
     # loop around z=1 only: sign flips
-    w1 = curve.continue_w(params, ComplexPath(circle(1.0, 0.5 + 0j, 64)),
-                          np.sqrt(complex(curve.curve_poly(params, 1.5))))
+    w1 = curve.immerse(params, ComplexPath(circle(1.0, 0.5 + 0j, 64)),
+                       np.sqrt(complex(curve.curve_poly(params, 1.5))))[1].w
     assert abs(w1 + np.sqrt(complex(curve.curve_poly(params, 1.5)))) < 1e-9
     # loop around both 0 and 1: two flips cancel (radius clears -sigma = -1)
     start = 0.5 + 1.2
     w_start = np.sqrt(complex(curve.curve_poly(params, start)))
-    w2 = curve.continue_w(params, ComplexPath(circle(0.5, 1.2, 96)), w_start)
+    w2 = curve.immerse(params, ComplexPath(circle(0.5, 1.2, 96)),
+                       w_start)[1].w
     assert abs(w2 - w_start) < 1e-9
 
 
@@ -56,26 +67,29 @@ def test_branch_round_trip_identity():
     nodes = [2.0, 1.5 + 1.2j, -0.5 + 1.5j, 0.4 + 0.4j]
     path = ComplexPath(nodes + nodes[-2::-1])
     w0 = math.sqrt(2.0 * 1.0 * 4.0)  # p(2) with sigma = 2
-    w = curve.continue_w(params, path, w0)
+    w = curve.immerse(params, path, w0)[1].w
     assert abs(w - w0) < 1e-10 * abs(w0)
 
 
 def test_clearance_violation():
     params = CurveParams(2.0)
     with pytest.raises(ClearanceViolation):
-        curve.continue_w(params, ComplexPath([2.0, 1.0001, 2.0 + 1j]),
-                         math.sqrt(8.0))
+        curve.immerse(params, ComplexPath([2.0, 1.0001, 2.0 + 1j]),
+                      math.sqrt(8.0))
 
 
 def test_branch_ambiguity_on_zero_crossing():
     # the clearance gate protects the public entry points, so exercise the
-    # stepper directly on a segment that crosses w = 0
+    # batch directly on a segment that passes 1e-14 from w = 0 at z = 1:
+    # no bisection point lands on z = 1, and the turn test still fails at
+    # 1e-12 of the segment's length
     params = CurveParams(2.0)
-    w0 = np.sqrt(complex(curve.curve_poly(params, 0.5)))
+    za = 0.3 + 1e-14j
+    w0 = np.sqrt(curve.curve_poly(params, za))
     with pytest.raises(BranchAmbiguity):
-        curve._SegmentBranch(params, 0.5, 1.5, w0)
-    with pytest.raises(BranchAmbiguity):
-        curve._SegmentBranch(params, 1.0, 2.0, 0.0)  # starting at w = 0
+        curve._integrate_segments(params, [za], [1.6 + 1e-14j], [w0])
+    with pytest.raises(BranchAmbiguity):  # starting at w = 0
+        curve.immerse(params, ComplexPath([1.5, 2.0]), 0.0)
 
 
 def test_nonclosing_loop_rejected():
@@ -107,6 +121,52 @@ def test_immerse_identity_and_round_trip():
     pos, end = curve.immerse(params, path, base.w, (0.0, 0.0, 0.0))
     assert np.max(np.abs(pos)) < 1e-8
     assert abs(end.w - base.w) < 1e-9
+
+
+def _mpmath_segment(params, za, zb, w0, breaks=(), steps=5001):
+    """int (phi1, phi2, phi3) along za -> zb by 30-digit tanh-sinh
+    quadrature, on the branch dense_branch tracks from w0 (each node takes
+    the root nearer the tracked value at the nearest grid point)."""
+    grid = [complex(w0)] + dense_branch(params, za, zb, complex(w0), steps)
+    with mpmath.workdps(30):
+        a, d = mpmath.mpc(za), mpmath.mpc(zb) - mpmath.mpc(za)
+        rs = mpmath.sqrt(params.sigma)
+
+        cache = {}  # the three quadratures share their nodes
+
+        def phi(t):
+            if t not in cache:
+                z = a + d * t
+                w = mpmath.sqrt(z * (z - 1) * (z + params.sigma))
+                near = grid[min(int(mpmath.nint(t * (steps - 1))), steps - 2)]
+                if abs(complex(w) - near) > abs(complex(w) + near):
+                    w = -w
+                g = z / rs
+                cache[t] = [v * d / w for v in ((1 / g - g) / 2,
+                                                 1j * (1 / g + g) / 2, 1)]
+            return cache[t]
+
+        return [complex(mpmath.quad(lambda t: phi(t)[k], [0, *breaks, 1]))
+                for k in range(3)]
+
+
+@pytest.mark.parametrize("sigma", [0.0167, 2.0, 8.0])
+def test_segment_kernel_against_mpmath_30_digits(sigma):
+    # a regular edge passing 1e-3 from z = 1 (bisected by the turn test),
+    # and edges ending on the branch points 1 and -sigma (singular leaves)
+    params = CurveParams(sigma)
+    edges = [(0.77 + 1e-3j, 1.2 + 1e-3j, [0.23 / 0.43]),
+             (0.6 + 0.5j, 1.0 + 0j, []),
+             (-sigma + (-0.5 + 0.6j) * min(1.0, sigma), complex(-sigma), [])]
+    for za, zb, breaks in edges:
+        wa = np.sqrt(complex(curve.curve_poly(params, za)))
+        totals, w_end = curve._integrate_segments(params, [za], [zb], [wa])
+        want = np.array(_mpmath_segment(params, za, zb, wa, breaks))
+        assert np.max(np.abs(totals[0] - want)) <= 1e-12 * np.max(np.abs(want))
+        if zb.imag:
+            assert abs(w_end[0] - dense_track(params, [za, zb], wa)) < 1e-12
+        else:
+            assert w_end[0] == 0.0
 
 
 def test_immerse_line_property_on_unit_segment():
@@ -286,7 +346,8 @@ def test_double_zero_of_g_at_end():
     w = np.sqrt(complex(curve.curve_poly(params, nodes[0])))
     taus, gs = [], []
     for a, b in zip(nodes[:-1], nodes[1:]):
-        w = curve.continue_w(params, ComplexPath([a, b], clearance=rho / 2), w)
+        w = curve.immerse(params, ComplexPath([a, b], clearance=rho / 2),
+                          w)[1].w
         taus.append(w)
         gs.append(b / math.sqrt(params.sigma))
     A = np.column_stack([np.ones(len(taus)), taus, np.square(taus)])

@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from riemann_minimal import curve, mesh
+from riemann_minimal import curve, mesh, quad
 from riemann_minimal.quad import QuadSettings
 from riemann_minimal.mesh import (Degenerate, DomainMap,
                                   FundamentalSurface, IsometryOp, TriMesh,
@@ -147,19 +147,27 @@ def test_batched_sampling_matches_vertex_marching(sigma, nr, nt):
     assert np.array_equal(m.faces, faces)
 
 
+def _count_panel_leaves(monkeypatch):
+    """Record the ends (a, b) of every batch ``quad._gk_panel`` integrates."""
+    calls = []
+    panel = quad._gk_panel
+
+    def counting(f, a, b):
+        calls.append((np.atleast_1d(a), np.atleast_1d(b)))
+        return panel(f, a, b)
+
+    monkeypatch.setattr(quad, "_gk_panel", counting)
+    return calls
+
+
 def test_batched_sampling_falls_back_on_few_edges(surf2, monkeypatch):
     nr, nt = 40, 60
-    calls = []
-    regular = curve._integrate_segment_regular
-
-    def counting(*args, **kwargs):
-        calls.append(args[1:3])
-        return regular(*args, **kwargs)
-
-    monkeypatch.setattr(curve, "_integrate_segment_regular", counting)
+    calls = _count_panel_leaves(monkeypatch)
     sample_fundamental(2.0, 0.1, nr, nt, surface=surf2)
-    edges = (nr - 1) + (nr - 1) * (nt - 1) + (nt - 2)
-    assert 1 <= len(calls) <= 0.01 * edges
+    # every edge and both corners are one leaf first; bisection adds leaves
+    edges = (nr - 1) + (nr - 1) * (nt - 1) + (nt - 2) + 2
+    bisected = sum(len(a) for a, _ in calls) - edges
+    assert 2 <= bisected <= 0.01 * edges
 
 
 def test_segment_batch_rejects_edge_through_branch_point():
@@ -189,23 +197,20 @@ def test_segment_batch_matches_immerse_near_branch_point():
 
 def test_segment_batch_tracks_fast_turning_branch(monkeypatch):
     # with tolerances loose enough that every panel passes its error test,
-    # the 45-degree turn budget alone sends the edge that passes 1e-3 from
-    # z = 1 between two nodes to branch tracking
+    # the 45-degree turn budget alone bisects the edge that passes 1e-3
+    # from z = 1 between two nodes
     params = curve.CurveParams(2.0)
     loose = QuadSettings(abs_tol=1e6, rel_tol=1e6)
     za = np.array([0.77 + 1e-3j, 0.3 + 0.4j])
     zb = np.array([1.2 + 1e-3j, 0.6 + 0.5j])
     wa = np.sqrt(curve.curve_poly(params, za))
-    tracked = []
-    regular = curve._integrate_segment_regular
-
-    def counting(*args, **kwargs):
-        tracked.append(args[1])
-        return regular(*args, **kwargs)
-
-    monkeypatch.setattr(curve, "_integrate_segment_regular", counting)
+    calls = _count_panel_leaves(monkeypatch)
     curve._integrate_segments(params, za, zb, wa, loose)
-    assert tracked == [za[0]]
+    assert np.array_equal(calls[0][0], za) and len(calls) > 1
+    for a, b in calls[1:]:  # every bisected leaf lies on the first edge
+        for z in (a, b):
+            assert np.all((z.imag == 1e-3) & (0.77 <= z.real)
+                          & (z.real <= 1.2))
 
 
 def test_fundamental_slab_confinement(fund2, surf2):
@@ -533,8 +538,8 @@ def _refine_slice_reference(m, height, surface, max_points):
         for _ in range(60):
             z = za + s * dz
             if z != za:
-                path = mesh._marching_path(params, [za, z])
-                pos, pt = curve.immerse(params, path, w0, p0, surface.settings)
+                pos, pt = surface._immerse_from(p0, curve.CurvePoint(za, w0),
+                                                [z])
             else:
                 pos, pt = p0, curve.CurvePoint(za, w0)
             f = float(ell @ pos + b3 - height)
@@ -592,23 +597,23 @@ def test_refine_slice_on_edges_ending_at_corner_branch_point(fund2, surf2,
     corner, nb = nr * nt - 1, nr * nt - 2  # z = -sigma and its row neighbour
     assert fund2.domain_w[corner] == 0.0
     x3c, x3n = fund2.vertices[corner, 2], fund2.vertices[nb, 2]
-    calls = []
-    immerse = curve.immerse
+    ends = []
+    batch = curve._integrate_segments
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return immerse(*args, **kwargs)
+    def recording(params, za, zb, wa, settings=None):
+        ends.extend(zb)
+        return batch(params, za, zb, wa, settings)
 
-    monkeypatch.setattr(curve, "immerse", counting)
+    monkeypatch.setattr(curve, "_integrate_segments", recording)
     # a generic crossing, then one whose root sits within 1e-12 (1 + sigma)
-    # of the branch point, where the iterates take the singular-end path
+    # of the branch point, where the iterates end in a singular leaf
     for h, singular in ((0.5 * (x3c + x3n), False),
                         (x3c + 1e-9 * np.sign(x3n - x3c), True)):
         edges = [{i, j} for i, j, _ in slice_mesh(fund2, h)[1]]
         assert {corner, nb} in edges
-        del calls[:]
+        del ends[:]
         got = refine_slice(fund2, h, surf2, max_points=10 ** 6)
-        assert (len(calls) > 0) == singular
+        assert any(abs(z + 2.0) < 3e-12 for z in ends) == singular
         _assert_matches_reference(
             got, _refine_slice_reference(fund2, h, surf2, 10 ** 6))
 

@@ -3,7 +3,7 @@ import pytest
 
 from classical_quadrature import Divergent, integrate_tail
 from riemann_minimal.quad import (ComplexPath, NonFinite, QuadSettings,
-                                  SubdivisionLimit, integrate_path,
+                                  SubdivisionLimit, _adaptive,
                                   integrate_sqrt_singular)
 
 ABS = 1e-10
@@ -14,30 +14,30 @@ def q1_of(lam):
 
 
 def test_polynomial_antiderivative():
-    val = integrate_path(lambda z: z ** 2, ComplexPath([0, 1]))
+    val = _adaptive(lambda z: z ** 2, ComplexPath([0, 1]).segments, None)[0]
     assert abs(val - 1.0 / 3.0) < ABS
 
 
 def test_residue_theorem_square_loop():
     loop = ComplexPath([1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j, 1 + 1j])
-    val = integrate_path(lambda z: 1.0 / z, loop)
+    val = _adaptive(lambda z: 1.0 / z, loop.segments, None)[0]
     assert abs(val - 2j * np.pi) < 1e-9
 
 
 def test_orientation_reverses_sign():
     path = ComplexPath([0, 1 + 1j, 2])
     f = lambda z: np.exp(z) * np.sin(z)
-    fwd = integrate_path(f, path)
-    bwd = integrate_path(f, path.reversed())
+    fwd = _adaptive(f, path.segments, None)[0]
+    bwd = _adaptive(f, path.reversed().segments, None)[0]
     assert abs(fwd + bwd) < ABS
 
 
 def test_additivity_over_concatenation():
     f = lambda z: np.cos(z) / (z + 3.0)
-    whole = integrate_path(f, ComplexPath([0, 1 + 2j]))
+    whole = _adaptive(f, ComplexPath([0, 1 + 2j]).segments, None)[0]
     mid = 0.37 + 0.74j
-    parts = (integrate_path(f, ComplexPath([0, mid]))
-             + integrate_path(f, ComplexPath([mid, 1 + 2j])))
+    parts = (_adaptive(f, ComplexPath([0, mid]).segments, None)[0]
+             + _adaptive(f, ComplexPath([mid, 1 + 2j]).segments, None)[0])
     assert abs(whole - parts) < ABS
 
 
@@ -47,32 +47,34 @@ def test_homotopy_independence_same_winding():
     f = lambda z: 1.0 / (z - z0) + z ** 3
     a = ComplexPath([-1 - 1j, 2 - 1j, 2 + 2j], exclusions=[z0], clearance=0.3)
     b = ComplexPath([-1 - 1j, -1 + 2j, 2 + 2j], exclusions=[z0], clearance=0.3)
-    ia = integrate_path(f, a)
-    ib = integrate_path(f, b)
+    ia = _adaptive(f, a.segments, None)[0]
+    ib = _adaptive(f, b.segments, None)[0]
     assert abs(ia - ib) > 1.0  # opposite sides: winding differs, values differ
     # route b around the same side as a: now they must agree to 10*abs_tol
     c = ComplexPath([-1 - 1j, 2 - 2j, 3 + 0j, 2 + 2j], exclusions=[z0],
                     clearance=0.3)
-    ic = integrate_path(f, c)
+    ic = _adaptive(f, c.segments, None)[0]
     assert abs(ia - ic) < 10 * ABS
 
 
 def test_cauchy_closed_loop_holomorphic():
     loop = ComplexPath([2 + 0j, 2 + 2j, 4 + 2j, 4 + 0j, 2 + 0j],
                        exclusions=[0.0], clearance=1.0)
-    val = integrate_path(lambda z: np.exp(z) + 1.0 / z, loop)
+    val = _adaptive(lambda z: np.exp(z) + 1.0 / z, loop.segments, None)[0]
     assert abs(val) < ABS
 
 
 def test_deterministic_repeat():
     path = ComplexPath([0, 1 + 1j, 2 - 1j])
     f = lambda z: np.exp(-z * z)
-    assert integrate_path(f, path) == integrate_path(f, path)
+    assert (_adaptive(f, path.segments, None)[0]
+            == _adaptive(f, path.segments, None)[0])
 
 
 def test_nonfinite_raises():
     with pytest.raises(NonFinite):
-        integrate_path(lambda z: 1.0 / (z - 0.5), ComplexPath([0, 1]))
+        _adaptive(lambda z: 1.0 / (z - 0.5), ComplexPath([0, 1]).segments,
+                  None)
 
 
 def test_subdivision_limit_raises():
@@ -80,7 +82,7 @@ def test_subdivision_limit_raises():
     # sharp near-singularity mid-path defeats a 3-split budget
     f = lambda z: 1.0 / (z - (0.5 + 1e-9j))
     with pytest.raises(SubdivisionLimit):
-        integrate_path(f, ComplexPath([0, 1]), s)
+        _adaptive(f, ComplexPath([0, 1]).segments, s)
 
 
 def test_path_invariants():
@@ -113,8 +115,8 @@ def test_sqrt_singular_vs_truncated_richardson():
     val = integrate_sqrt_singular(f, a, b)
 
     def truncated(eps):
-        return np.real(integrate_path(lambda z: f(np.real(z)),
-                                      ComplexPath([a + eps, b])))
+        return np.real(_adaptive(lambda z: f(np.real(z)),
+                                 ComplexPath([a + eps, b]).segments, None)[0])
 
     # truncation error is ~ c*sqrt(eps): one Richardson step removes it
     eps = 1e-8
