@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import classical, curve, mesh
+from . import classical, curve, mesh, quad
 from .quad import QuadSettings, RiemannMinimalError
 
 __all__ = [
@@ -33,9 +33,12 @@ class SliceFitError(RiemannMinimalError):
 def fd_surface_checks(sample, h):
     """Second-order FD fundamental forms from a 3x3 stencil of positions.
 
-    ``sample(i, j)`` must return the surface point at
-    (u0 + i*h, v0 + j*h).  Returns (|H|, conformal defect, orthogonality
-    defect), the defects relative to |Xu|^2.
+    ``sample(i, j)`` must return the surface point at (u0 + i*h, v0 + j*h),
+    shape (3,), or shape (3,) + P for a batch of stencils with a trailing
+    point axis (or axes) P; ``h`` is a scalar or broadcasts against P.
+    Returns (|H|, conformal defect, orthogonality defect), the defects
+    relative to |Xu|^2, each of shape P.  Every operation is elementwise
+    over P, so a stencil's values do not depend on the batch it is in.
     """
     X00 = sample(0, 0)
     Xp0, Xm0 = sample(1, 0), sample(-1, 0)
@@ -47,16 +50,16 @@ def fd_surface_checks(sample, h):
     Xuu = (Xp0 - 2 * X00 + Xm0) / (h * h)
     Xvv = (X0p - 2 * X00 + X0m) / (h * h)
     Xuv = (Xpp - Xpm - Xmp + Xmm) / (4 * h * h)
-    E = float(Xu @ Xu)
-    F = float(Xu @ Xv)
-    G = float(Xv @ Xv)
-    n = np.cross(Xu, Xv)
-    n /= np.linalg.norm(n)
-    e = float(Xuu @ n)
-    f = float(Xuv @ n)
-    g = float(Xvv @ n)
+
+    def dot(a, b):
+        return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+    E, F, G = dot(Xu, Xu), dot(Xu, Xv), dot(Xv, Xv)
+    n = np.cross(Xu, Xv, axis=0)
+    n = n / np.sqrt(dot(n, n))
+    e, f, g = dot(Xuu, n), dot(Xuv, n), dot(Xvv, n)
     H = (e * G - 2 * f * F + g * E) / (2 * (E * G - F * F))
-    return abs(H), abs(E - G) / E, abs(F) / E
+    return np.abs(H)[()], (np.abs(E - G) / E)[()], (np.abs(F) / E)[()]
 
 
 def classical_fd_grid(lam, nq=20, nv=20, h=1e-4,
@@ -65,43 +68,50 @@ def classical_fd_grid(lam, nq=20, nv=20, h=1e-4,
 
     The stencil q-values share one closed-form base evaluation of the
     height/center integrals plus short incremental quadratures over
-    [q, q+h]; subtracting two independently rounded base values would put
-    their error terms over h^2 and swamp the second differences.
+    [q, q+h] and [q-h, q]; subtracting two independently rounded base values
+    would put their error terms over h^2 and swamp the second differences.
+    One batch: the base values come from one ``center_offset`` and one
+    ``height`` call on all q, every increment of both integrands is one
+    G7/K15 panel of one ``quad._gk_panel`` call (a panel that misses
+    ``_adaptive``'s tolerance is redone by ``_adaptive``), and all (q, v)
+    stencils go through one :func:`fd_surface_checks` call.
     """
-    from .quad import _adaptive
-
+    if settings is None:
+        settings = QuadSettings()
     params = classical.RiemannParams.from_lambda(lam)
     q1 = params.q1
     qs = np.linspace(q1 * 1.05 + 0.02, q1 + 3.0, nq)
     vs = np.linspace(0.0, 2 * math.pi, nv, endpoint=False)
-    worst_H = worst_conf = worst_orth = 0.0
-    for q in qs:
-        f0 = classical.center_offset(params, q)
-        z0 = classical.height(params, q)
+    f0 = classical.center_offset(params, qs)
+    z0 = classical.height(params, qs)
 
-        def increment(a, b):
-            df, _ = _adaptive(
-                lambda u: -0.5 * u / np.sqrt(classical.radicand(lam, u)),
-                [(a, b)], settings)
-            dz, _ = _adaptive(
-                lambda u: 0.5 / np.sqrt(classical.radicand(lam, u)),
-                [(a, b)], settings)
-            return float(np.real(df)), float(np.real(dz))
+    def slope(u, row):
+        # row 0: d(center_offset)/dq, row 1: d(height)/dq
+        return (-0.5 * u if row == 0 else 0.5) / np.sqrt(
+            classical.radicand(lam, u))
 
-        dfp, dzp = increment(q, q + h)
-        dfm, dzm = increment(q - h, q)
-        fz = {-1: (f0 - dfm, z0 - dzm), 0: (f0, z0), 1: (f0 + dfp, z0 + dzp)}
-        for v in vs:
-            def sample(i, j, q=q, v=v):
-                fq, zq = fz[i]
-                rq = math.sqrt(q + i * h)
-                return np.array([fq + rq * math.cos(v + j * h),
-                                 rq * math.sin(v + j * h), zq])
-            H, conf, orth = fd_surface_checks(sample, h)
-            worst_H = max(worst_H, H)
-            worst_conf = max(worst_conf, conf)
-            worst_orth = max(worst_orth, orth)
-    return worst_H, worst_conf, worst_orth
+    # segments [q, q+h] then [q-h, q], one row per integrand
+    a = np.tile(np.concatenate([qs, qs - h]), (2, 1))
+    b = np.tile(np.concatenate([qs + h, qs]), (2, 1))
+    inc, err, ok = quad._gk_panel(
+        lambda u: np.stack([slope(u[0], 0), slope(u[1], 1)]), a, b)
+    redo = ~(ok & (err <= np.maximum(settings.abs_tol,
+                                     settings.rel_tol * np.abs(inc))))
+    for row, k in zip(*np.nonzero(redo)):
+        inc[row, k] = quad._adaptive(lambda u: slope(u, row),
+                                     [(a[row, k], b[row, k])], settings)[0]
+    (dfp, dfm), (dzp, dzm) = inc.reshape(2, 2, nq)
+    fz = {-1: (f0 - dfm, z0 - dzm), 0: (f0, z0), 1: (f0 + dfp, z0 + dzp)}
+
+    def sample(i, j):
+        fq, zq = fz[i]
+        rq = np.sqrt(qs + i * h)[:, None]
+        return np.stack(np.broadcast_arrays(
+            fq[:, None] + rq * np.cos(vs + j * h), rq * np.sin(vs + j * h),
+            zq[:, None]))
+
+    H, conf, orth = fd_surface_checks(sample, h)
+    return float(H.max()), float(conf.max()), float(orth.max())
 
 
 # the 3x3 stencil of fd_surface_checks without its centre
@@ -147,14 +157,9 @@ def weierstrass_fd_grid(sigma, n_side=10, h=1e-4,
     """
     X0, X, hk = _weierstrass_stencil(sigma, n_side, h, _STENCIL, settings,
                                      surface)
-    worst_H = worst_conf = worst_orth = 0.0
-    for x0, x, hh in zip(X0, X, hk):
-        vals = {(0, 0): x0, **dict(zip(_STENCIL, x))}
-        H, conf, orth = fd_surface_checks(lambda i, j: vals[(i, j)], hh)
-        worst_H = max(worst_H, H)
-        worst_conf = max(worst_conf, conf)
-        worst_orth = max(worst_orth, orth)
-    return worst_H, worst_conf, worst_orth
+    vals = {(0, 0): X0.T, **dict(zip(_STENCIL, X.transpose(1, 2, 0)))}
+    H, conf, orth = fd_surface_checks(lambda i, j: vals[(i, j)], hk)
+    return float(H.max()), float(conf.max()), float(orth.max())
 
 
 # ---------------------------------------------------------------------------

@@ -222,12 +222,17 @@ def slab_height(lam: float) -> float:
     return float(carlson_rf(0.0, q1, q1 + 1.0 / q1))
 
 
-def parameterize(params: RiemannParams, q: float, v: float) -> np.ndarray:
-    """X(q, v) = f(q)(1,0,0) + sqrt(q)(cos v, sin v, 0) + (0,0,z(q))."""
+def parameterize(params: RiemannParams, q, v) -> np.ndarray:
+    """X(q, v) = f(q)(1,0,0) + sqrt(q)(cos v, sin v, 0) + (0,0,z(q)).
+
+    q and v are scalars or arrays that broadcast to a shape P; the result
+    has shape (3,) + P, a leading coordinate axis and a trailing point axis.
+    """
     fq = center_offset(params, q)
     zq = height(params, q)
-    rq = math.sqrt(q)
-    return np.array([fq + rq * math.cos(v), rq * math.sin(v), zq])
+    rq = np.sqrt(q)
+    return np.stack(np.broadcast_arrays(fq + rq * np.cos(v), rq * np.sin(v),
+                                        zq))
 
 
 def catenoid_height(lam: float, q: float) -> float:

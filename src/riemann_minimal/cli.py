@@ -119,15 +119,28 @@ def build_parser():
     gk.add_argument("--lambda", dest="lam", type=float)
     pk.add_argument("--print-p", dest="print_p", type=int, default=None,
                     metavar="N", help="print P_0..P_N in canonical text")
-    pk.add_argument("--n", dest="n_level", type=int, default=1,
-                    help="hierarchy level for the least-squares fit")
-    pk.add_argument("--samples", type=int, default=60)
-    pk.add_argument("--seed", type=int, default=7)
+    # the fit flags default to None so that giving one without
+    # --sigma/--lambda, where no fit runs, is an error
+    pk.add_argument("--n", dest="n_level", type=int, default=None,
+                    help="hierarchy level for the least-squares fit "
+                         "(default 1)")
+    pk.add_argument("--samples", type=int, default=None,
+                    help="curve points in the fit (default 60)")
+    pk.add_argument("--seed", type=int, default=None, help="(default 7)")
     pk.add_argument("--json", dest="json_path", default=None)
     return ap
 
 
+_KDV_FIT_FLAGS = {"n_level": "--n", "samples": "--samples", "seed": "--seed"}
+
+
 def _config_from_args(args) -> RunConfig:
+    if args.command == "kdv" and args.sigma is None and args.lam is None:
+        given = [flag for name, flag in _KDV_FIT_FLAGS.items()
+                 if getattr(args, name) is not None]
+        if given:
+            raise ValueError(f"the fit flags {', '.join(given)} need "
+                             "--sigma or --lambda")
     lam = getattr(args, "lam", None)
     sigma = getattr(args, "sigma", None)
     if sigma is None and lam is not None:
@@ -142,13 +155,13 @@ def _config_from_args(args) -> RunConfig:
         e=getattr(args, "e", 0.1),
         nr=nr, nt=nt,
         copies=getattr(args, "copies", 1),
-        seed=getattr(args, "seed", 7),
+        seed=_given(args, "seed", 7),
         tolerances=_parse_tol(getattr(args, "tol", None)),
         out_dir=getattr(args, "out_dir", None),
         fmt=getattr(args, "fmt", "obj"),
         json_path=getattr(args, "json_path", None),
-        n_level=getattr(args, "n_level", 1),
-        samples=getattr(args, "samples", 60),
+        n_level=_given(args, "n_level", 1),
+        samples=_given(args, "samples", 60),
         print_p=getattr(args, "print_p", None),
     )
     if cfg.command == "gen":
@@ -168,7 +181,16 @@ def _config_from_args(args) -> RunConfig:
                 f"{shiffkdv.MAX_HIERARCHY_LEVEL}")
         if not 1 <= cfg.n_level <= shiffkdv.MAX_HIERARCHY_LEVEL - 1:
             raise ValueError("kdv fit level n must be in [1, 5]")
+        if cfg.samples < 1:
+            raise ValueError(f"--samples must be >= 1, got {cfg.samples}")
     return cfg
+
+
+def _given(args, name, default):
+    """The flag's value, or ``default`` when the command lacks the flag or
+    it was not given."""
+    value = getattr(args, name, None)
+    return default if value is None else value
 
 
 def _report_skeleton(cfg: RunConfig) -> dict:
@@ -303,9 +325,8 @@ def cmd_verify(cfg: RunConfig) -> int:
         suite.record("catenoid_closed_form", checks.catenoid_residual(), 1e-8)
 
     rp = classical.RiemannParams.from_lambda(lam)
-    slice_pts = np.array([classical.parameterize(rp, rp.q1 + 0.7, v)
-                          for v in np.linspace(0, 2 * math.pi, 24,
-                                               endpoint=False)])
+    slice_pts = classical.parameterize(
+        rp, rp.q1 + 0.7, np.linspace(0, 2 * math.pi, 24, endpoint=False)).T
     fit = mesh.level_circle_fit(slice_pts)
     suite.record("classical_circle_fit", fit.residual, 1e-10)
 

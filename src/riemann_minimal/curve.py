@@ -562,21 +562,86 @@ def random_regular_points(params: CurveParams, n: int, rng,
     z is drawn from an annulus around the branch set and both square-root
     sheets are used; rejection keeps 2x the default clearance from
     {0, 1, -sigma}.
+
+    Draw order: a candidate takes two uniforms from ``rng``, r then theta,
+    and an accepted point then one sign, ``rng.integers(0, 2)``.  The points,
+    and ``rng``'s state afterwards, are those of that loop run one candidate
+    at a time, but they are decoded from one block of raw words of the bit
+    generator, which must be PCG64 (``TypeError`` otherwise): a uniform is
+    the top 53 bits of a word, and a sign is the top bit of a 32-bit half.
+    A sign takes the low half of a fresh word and leaves its high half
+    buffered for the next sign, and that buffer (``has_uint32``,
+    ``uinteger``) carries over between calls.
     """
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
+    bitgen = rng.bit_generator
+    if not isinstance(bitgen, np.random.PCG64):
+        raise TypeError("random_regular_points decodes PCG64 words, not "
+                        f"{type(bitgen).__name__}")
     scale = 0.5 * (1.0 + params.sigma)
     r_lo = 0.15 * scale if r_min is None else r_min
     r_hi = 1.6 * scale if r_max is None else r_max
     clear = 2.0 * default_clearance(params)
-    pts = []
     bps = branch_points(params)
-    while len(pts) < n:
-        r = rng.uniform(r_lo, r_hi)
-        th = rng.uniform(0.0, 2.0 * math.pi)
-        z = r * np.exp(1j * th)
-        if min(abs(z - bp) for bp in bps) < clear:
-            continue
-        w = np.sqrt(complex(curve_poly(params, z)))
-        if rng.integers(0, 2):
-            w = -w
-        pts.append(CurvePoint(complex(z), complex(w)))
-    return pts
+    if n == 0:
+        return []
+    saved = bitgen.state
+    # 1 if a sign's 32-bit half is buffered, and that half (the buffer keeps
+    # its last value after it is read, as PCG64's does)
+    buffered, buffer = saved["has_uint32"], saved["uinteger"]
+
+    def candidates(words):
+        # z of a candidate starting at each word, and whether it is kept
+        u = (words >> 11) * 2.0 ** -53
+        r = r_lo + (r_hi - r_lo) * u[:-1]
+        e = np.exp(1j * (2.0 * math.pi * u[1:]))
+        z = np.empty(len(r), dtype=complex)
+        z.real, z.imag = r * e.real, r * e.imag
+        near = np.min([np.hypot(z.real - bp.real, z.imag - bp.imag)
+                       for bp in bps], axis=0)
+        return z, ~(near < clear)
+
+    words = np.empty(0, dtype=np.uint64)
+    pos = dropped = got = 0
+    zs, signs = [], []
+    while got < n:
+        if pos + 3 > len(words):
+            # drop the words read so far and draw enough for the rest
+            dropped += pos
+            words = np.concatenate([words[pos:],
+                                    bitgen.random_raw(int(2.6 * (n - got)) + 8)])
+            pos = 0
+            z_all, kept = candidates(words)
+        # until the next rejection, candidate j (counted from 1 when a sign
+        # is buffered) starts 5 (j // 2) + 3 (j % 2) words in: an even j
+        # reads its sign from a fresh word after theta, an odd j from the
+        # high half of the word before it
+        j = np.arange(buffered, buffered + n - got + 1)
+        starts = pos + 5 * (j // 2) + 3 * (j % 2) - 3 * buffered
+        cand = starts[:min(int(np.searchsorted(starts, len(words) - 2)),
+                           n - got)]
+        bad = ~kept[cand]
+        m = int(np.argmax(bad)) if bad.any() else len(cand)
+        acc, fresh = cand[:m], j[:m] % 2 == 0
+        sign = np.where(fresh, (words[acc + 2] >> 31) & 1, words[acc - 1] >> 63)
+        if m and not fresh[0]:
+            sign[0] = buffer >> 31
+        if fresh.any():
+            buffer = int(words[acc[fresh][-1] + 2] >> 32)
+        zs.append(z_all[acc])
+        signs.append(sign)
+        got += m
+        buffered = (buffered + m) % 2
+        # past the rejected candidate, or at the next one
+        pos = int(starts[m]) + (2 if m < len(cand) else 0)
+    bitgen.state = saved
+    bitgen.advance(dropped + pos)
+    state = bitgen.state
+    state["has_uint32"], state["uinteger"] = buffered, buffer
+    bitgen.state = state
+    z = np.concatenate(zs)
+    # the array product of curve_poly rounds differently from the scalar one
+    w = np.sqrt(_cmul(_cmul(z, z - 1.0), z + params.sigma))
+    w = np.where(np.concatenate(signs) == 1, -w, w)
+    return [CurvePoint(a, b) for a, b in zip(z.tolist(), w.tolist())]

@@ -467,7 +467,9 @@ def level_circle_fit(points, height_tol: float = 1e-9) -> CircleFit:
     as a line (total-least-squares fit) instead.  Raises Degenerate when
     the points do not even span one dimension.
     """
-    pts = np.asarray(points, dtype=float)
+    # C order: the means below sum in memory order, so a transposed view
+    # would round differently
+    pts = np.ascontiguousarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise ValueError("points must be (n, 3)")
     if len(pts) < 5:

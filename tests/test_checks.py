@@ -6,7 +6,8 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import brentq, least_squares
 
 import classical_quadrature as quadrature
-from riemann_minimal import checks, classical, mesh
+import scalar_references as scalar
+from riemann_minimal import checks, classical, mesh, quad
 from riemann_minimal.quad import RiemannMinimalError
 
 EPS = np.finfo(float).eps
@@ -149,3 +150,55 @@ def test_slice_fit_error_is_a_package_error(monkeypatch):
     monkeypatch.setattr(mesh, "slice_mesh", lambda m, h: (None, []))
     with pytest.raises(checks.SliceFitError):
         checks.registration_error(1.0, nr=12, nt=16)
+
+
+@pytest.mark.parametrize("sigma", [0.0167, 0.35938, 2.0, 8.0, 1e3])
+def test_classical_fd_grid_matches_the_per_point_loop(sigma, monkeypatch):
+    lam = (sigma - 1.0) / math.sqrt(sigma)
+    calls = {}
+
+    def count(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+        return counted
+
+    expect = scalar.classical_fd_grid(lam, nq=10, nv=10)
+    for mod, name in ((classical, "center_offset"), (classical, "height"),
+                      (quad, "_gk_panel"), (quad, "_adaptive"),
+                      (checks, "fd_surface_checks")):
+        monkeypatch.setattr(mod, name, count(name, getattr(mod, name)))
+    got = checks.classical_fd_grid(lam, nq=10, nv=10)
+    # one batch: no increment misses the one-panel tolerance here
+    assert calls == {"center_offset": 1, "height": 1, "_gk_panel": 1,
+                     "fd_surface_checks": 1}
+    np.testing.assert_allclose(got, expect, rtol=1e-9, atol=0.0)
+
+
+def test_classical_fd_grid_falls_back_to_adaptive(monkeypatch):
+    # h = 0.05 at lambda 0: [q - h, q] of the first q starts 0.02 above the
+    # neck q1 = 1, where one panel misses the tolerance of dz/dq ~ 1/sqrt(u - 1)
+    adaptive = []
+    real = quad._adaptive
+
+    def counted(*args, **kwargs):
+        adaptive.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(quad, "_adaptive", counted)
+    got = checks.classical_fd_grid(0.0, nq=5, nv=6, h=0.05)
+    assert adaptive and all(len(segs) == 1 for segs in adaptive)
+    monkeypatch.undo()
+    expect = scalar.classical_fd_grid(0.0, nq=5, nv=6, h=0.05)
+    np.testing.assert_allclose(got, expect, rtol=1e-9, atol=0.0)
+
+
+def test_weierstrass_fd_grid_matches_the_per_anchor_loop():
+    X0, X, hk = checks._weierstrass_stencil(2.0, 4, 1e-4, checks._STENCIL,
+                                            None)
+    worst = np.zeros(3)
+    for x0, x, h in zip(X0, X, hk):
+        vals = {(0, 0): x0, **dict(zip(checks._STENCIL, x))}
+        worst = np.maximum(worst, checks.fd_surface_checks(
+            lambda i, j: vals[(i, j)], h))
+    assert list(checks.weierstrass_fd_grid(2.0, n_side=4)) == list(worst)

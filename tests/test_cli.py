@@ -1,10 +1,13 @@
 import json
+import math
 import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+import scalar_references as scalar
 from riemann_minimal import checks, classical, cli, curve, mesh, quad, shiffkdv
 
 
@@ -115,6 +118,15 @@ def test_config_errors_exit_2():
     assert run(["verify", "--sigma", "2", "--copies", "3"]) == 2
     assert run(["kdv"]) == 2
     assert run(["kdv", "--print-p", "9"]) == 2
+    # a fit over no points would pass with residual 0
+    assert run(["kdv", "--sigma", "2", "--samples", "0"]) == 2
+    assert run(["kdv", "--sigma", "2", "--samples", "-5"]) == 2
+    # the fit flags mean nothing without --sigma/--lambda
+    assert run(["kdv", "--print-p", "2", "--samples", "60", "--n", "3",
+                "--seed", "9"]) == 2
+    assert run(["kdv", "--print-p", "2", "--samples", "60"]) == 2
+    assert run(["kdv", "--print-p", "2", "--n", "1"]) == 2
+    assert run(["kdv", "--print-p", "2", "--seed", "7"]) == 2
 
 
 def test_gen_minimum_grid(tmp_path, capsys):
@@ -234,6 +246,33 @@ def test_verify_report_deterministic(tmp_path):
                     "--json", str(path)]) == 0
         reports.append(strip_volatile(load_report(path)))
     assert reports[0] == reports[1]
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("sigma", [0.0167, 2.0, 8.0])
+def test_verify_point_checks_keep_the_scalar_bits(tmp_path, sigma):
+    # the batched sampler and slice points give the checks on them the
+    # bits of the one-point-at-a-time loops
+    path = tmp_path / "v.json"
+    run(["verify", "--sigma", repr(sigma), "--seed", "7", "--json", str(path)])
+    got = {c["name"]: c["value"] for c in load_report(path)["checks"]}
+    params = curve.CurveParams(sigma)
+    rng = np.random.default_rng(7)
+    pts = scalar.random_regular_points(params, 50, rng)
+    for which in ("S1", "S2", "S3"):
+        assert got[f"symmetry_{which.lower()}"] == \
+            curve.verify_symmetry_action(params, which, pts)
+    assert got["gauss_ode"] == max(curve.gauss_ode_residual(params, p)
+                                   for p in pts)
+    pts = scalar.random_regular_points(params, 1000, rng)
+    sample = curve.CurvePoint(np.array([p.z for p in pts]),
+                              np.array([p.w for p in pts]))
+    assert got["shiffman"] == float(np.max(np.abs(shiffkdv.shiffman(
+        shiffkdv.msigma_jet(params, sample, 3)))))
+    rp = classical.RiemannParams.from_lambda((sigma - 1) / math.sqrt(sigma))
+    ring = scalar.classical_slice_points(
+        rp, rp.q1 + 0.7, np.linspace(0, 2 * math.pi, 24, endpoint=False))
+    assert got["classical_circle_fit"] == mesh.level_circle_fit(ring).residual
 
 
 @pytest.mark.slow

@@ -4,6 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 
+import scalar_references as scalar
 from riemann_minimal import checks, curve
 from riemann_minimal.curve import (BranchAmbiguity, ClearanceViolation,
                                    CurveParams, CurvePoint, PoleOfGaussMap,
@@ -204,6 +205,17 @@ def test_gaussian_curvature_values_and_catenoid_oracle():
         return X(complex(i * h, j * h))
 
     H, conf, orth = checks.fd_surface_checks(sample, h)
+    # the same stencil at several anchors as one call with a trailing point
+    # axis gives each anchor the bits of its own scalar call
+    xi0 = [0.0, 0.3 - 0.2j, -0.7 + 1.1j, 1.5 + 0.4j]
+    batch = checks.fd_surface_checks(
+        lambda i, j: np.stack([X(x + complex(i * h, j * h)) for x in xi0],
+                              axis=-1), h)
+    for k, x in enumerate(xi0):
+        one = checks.fd_surface_checks(
+            lambda i, j: X(x + complex(i * h, j * h)), h)
+        assert [v[k] for v in batch] == list(one)
+    assert [v[0] for v in batch] == [H, conf, orth]
     # second fundamental form based curvature: K = (eg - f^2)/(EG - F^2)
     Xc = sample(0, 0)
     Xu = (sample(1, 0) - sample(-1, 0)) / (2 * h)
@@ -383,3 +395,57 @@ def test_small_sigma_conformality(sigma):
     H, conf, orth = checks.weierstrass_fd_grid(sigma, n_side=6)
     assert max(conf, orth) < 1e-5
     assert H < 1e-3
+
+
+def _same_points(a, b):
+    """Bitwise equality of two lists of CurvePoints."""
+    return len(a) == len(b) and all(
+        [x.z.real.hex(), x.z.imag.hex(), x.w.real.hex(), x.w.imag.hex()]
+        == [y.z.real.hex(), y.z.imag.hex(), y.w.real.hex(), y.w.imag.hex()]
+        for x, y in zip(a, b))
+
+
+@pytest.mark.parametrize("sigma", [1e-3, 0.0167, 2.78, 80.0])
+@pytest.mark.parametrize("seed", [7, 2024])
+def test_random_regular_points_match_the_scalar_loop(sigma, seed):
+    # 50 and 1000 use up the buffered half of the last sign word; 7 leaves
+    # it set, so the next call and the next draw start from a buffered sign
+    params = CurveParams(sigma)
+    ref, new = np.random.default_rng(seed), np.random.default_rng(seed)
+    for n in (50, 1000, 7, 1, 0, 3):
+        assert _same_points(curve.random_regular_points(params, n, new),
+                            scalar.random_regular_points(params, n, ref))
+        assert new.bit_generator.state == ref.bit_generator.state
+    assert new.integers(0, 2) == ref.integers(0, 2)
+    assert new.random() == ref.random()
+
+
+def test_random_regular_points_rejection_heavy_annulus():
+    # at sigma 400 the clearance 2 * 1e-3 * 401 rejects every z of the thin
+    # annulus around |z| = 1 within about 0.8 rad of z = 1
+    params = CurveParams(400.0)
+    ring = dict(r_min=1.0 - 1e-3, r_max=1.0 + 1e-3)
+    ref, new = np.random.default_rng(7), np.random.default_rng(7)
+    for n in (1000, 7, 50):
+        stats = {}
+        expect = scalar.random_regular_points(params, n, ref, stats=stats,
+                                              **ring)
+        assert stats["candidates"] > 1.2 * n
+        assert _same_points(
+            curve.random_regular_points(params, n, new, **ring), expect)
+        assert new.bit_generator.state == ref.bit_generator.state
+    assert new.random() == ref.random()
+
+
+def test_random_regular_points_argument_errors():
+    params = CurveParams(2.0)
+    rng = np.random.default_rng(7)
+    state = rng.bit_generator.state
+    assert curve.random_regular_points(params, 0, rng) == []
+    assert rng.bit_generator.state == state
+    with pytest.raises(ValueError):
+        curve.random_regular_points(params, -1, rng)
+    # the decode relies on PCG64's buffered 32-bit half
+    with pytest.raises(TypeError):
+        curve.random_regular_points(
+            params, 5, np.random.Generator(np.random.MT19937(7)))
