@@ -44,8 +44,7 @@ for which in ("S1", "S2", "S3"):
     print(f"  {which}: {curve.verify_symmetry_action(params, which, pts):.2e}")
 
 # Shiffman function
-worst = max(abs(shiffkdv.shiffman(shiffkdv.msigma_jet(params, p, 3)))
-            for p in pts)
+worst = np.max(np.abs(shiffkdv.shiffman(shiffkdv.msigma_jet(params, pts, 3))))
 print(f"\nmax |Shiffman| over the samples: {worst:.2e}"
       " (zero <=> horizontal circles)")
 

@@ -47,7 +47,7 @@ print(f"  least-squares residual {fit.residual:.2e} "
       f"(theory: c = -(sigma-1)/2 = -0.5, residual 0)")
 
 # u on the curve is a shifted reciprocal of g: u = -(sigma-1)/4 + sqrt(sigma)/(2g)
-pt = pts[0]
+pt = curve.CurvePoint(pts.z[0], pts.w[0])
 uj = potential_u(msigma_jet(params, pt, 3))
 g0 = pt.z / np.sqrt(2.0)
 closed = -(2.0 - 1.0) / 4.0 + np.sqrt(2.0) / (2.0 * g0)

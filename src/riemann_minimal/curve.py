@@ -20,6 +20,10 @@ Conventions fixed here (see README):
 * gamma2 = round loop enclosing {-sigma, 0} (a circle cannot enclose 1 and
   -sigma without swallowing 0, so this homologous representative is used);
 * end loops around z = 0 are traversed twice so the lift closes.
+
+Seeded sample points come from :func:`random_regular_points` as one
+:class:`CurvePoint` of arrays, which the symmetry and Gauss-ODE checks (and
+``shiffkdv``'s jets) take whole.
 """
 
 from __future__ import annotations
@@ -74,6 +78,9 @@ class CurveParams:
 
 @dataclass(frozen=True)
 class CurvePoint:
+    """A point (z, w) of the curve, or a set of points when ``z`` and ``w``
+    are arrays of one shape (as :func:`random_regular_points` returns)."""
+
     z: complex
     w: complex
 
@@ -369,8 +376,6 @@ def _circle_nodes(center, radius, n, turns=1):
 
 def _make_loop(params, kind, center, radius, n, turns=1):
     nodes = _circle_nodes(center, radius, n, turns)
-    d = ComplexPath(nodes).min_distance_to(branch_points(params))
-    path = ComplexPath(nodes, clearance=min(default_clearance(params), 0.5 * d))
     z0 = nodes[0]
     w0 = np.sqrt(complex(curve_poly(params, z0)))
     acc, ws = _march(params, np.array(nodes)[None], np.array([w0]),
@@ -380,7 +385,8 @@ def _make_loop(params, kind, center, radius, n, turns=1):
         raise BranchAmbiguity(
             f"loop {kind} does not close on the curve: |dw|/|w| = "
             f"{abs(w_end - w0) / abs(w0):.3e}")
-    return HomologyLoop(kind, CurvePoint(z0, w0), path, acc[0, -1])
+    return HomologyLoop(kind, CurvePoint(z0, w0), ComplexPath(nodes),
+                        acc[0, -1])
 
 
 def gamma1_loop(params: CurveParams, n=64) -> HomologyLoop:
@@ -450,7 +456,7 @@ def apply_symmetry(params: CurveParams, which: str, pt: CurvePoint) -> CurvePoin
     z, w = pt.z, pt.w
     s = params.sigma
     if which == "S1":
-        if z == 0:
+        if np.any(z == 0):
             raise PoleOfGaussMap("S1 undefined at z = 0")
         return CurvePoint(-s / z, -s * w / z ** 2)
     if which == "S2":
@@ -460,38 +466,35 @@ def apply_symmetry(params: CurveParams, which: str, pt: CurvePoint) -> CurvePoin
     raise ValueError(f"unknown symmetry {which!r}")
 
 
-def verify_symmetry_action(params: CurveParams, which: str, samples) -> float:
-    """Max defect of the g-relation and phi3-pullback relation at the samples.
+def verify_symmetry_action(params: CurveParams, which: str,
+                           samples: CurvePoint) -> float:
+    """Largest defect, over the sample points (0 for none), of the
+    g-relation, the phi3-pullback relation and the curve equation at the
+    image point.
 
     S1: g o S1 = -1/g          S1* phi3 = -phi3
     S2: g o S2 = conj g        S2* phi3 = -conj phi3
     S3: g o S3 = conj g        S3* phi3 = +conj phi3
     """
     rs = math.sqrt(params.sigma)
-    worst = 0.0
-    for pt in samples:
-        img = apply_symmetry(params, which, pt)
-        g = pt.z / rs
-        g_img = img.z / rs
-        if which == "S1":
-            res_g = abs(g_img + 1.0 / g)
-            # pullback density: (1/w') * d(-sigma/z)/dz = -1/w
-            res_p = abs((1.0 / img.w) * (params.sigma / pt.z ** 2) + 1.0 / pt.w)
-        elif which == "S2":
-            res_g = abs(g_img - np.conj(g))
-            res_p = abs(1.0 / img.w + np.conj(1.0 / pt.w))
-        elif which == "S3":
-            res_g = abs(g_img - np.conj(g))
-            res_p = abs(1.0 / img.w - np.conj(1.0 / pt.w))
-        else:
-            raise ValueError(f"unknown symmetry {which!r}")
-        res_c = on_curve_residual(params, img)
-        worst = max(worst, res_g, res_p, res_c)
-    return worst
+    img = apply_symmetry(params, which, samples)
+    z, w = samples.z, samples.w
+    g, g_img = z / rs, img.z / rs
+    if which == "S1":
+        res_g = np.abs(g_img + 1.0 / g)
+        # pullback density: (1/w') * d(-sigma/z)/dz = -1/w
+        res_p = np.abs((1.0 / img.w) * (params.sigma / z ** 2) + 1.0 / w)
+    else:
+        sign = -1.0 if which == "S2" else 1.0
+        res_g = np.abs(g_img - np.conj(g))
+        res_p = np.abs(1.0 / img.w - sign * np.conj(1.0 / w))
+    res_c = on_curve_residual(params, img)
+    return float(np.max([res_g, res_p, res_c], initial=0.0))
 
 
 def gauss_ode_residual(params: CurveParams, pt: CurvePoint) -> float:
-    """Defect of (g')^2 = g(sqrt(s)+g)(sqrt(s) g - 1) and the g'' relation.
+    """Largest defect of (g')^2 = g(sqrt(s)+g)(sqrt(s) g - 1) and the g''
+    relation over the point or points ``pt`` (0 for no points).
 
     With phi3 = d(xi), the curve data gives g = z/sqrt(s), g' = w/sqrt(s)
     and g'' = p'(z)/(2 sqrt(s)); both displayed relations are algebraic
@@ -500,14 +503,14 @@ def gauss_ode_residual(params: CurveParams, pt: CurvePoint) -> float:
     """
     s = params.sigma
     rs = math.sqrt(s)
-    g = pt.z / rs
-    gp = pt.w / rs
-    res1 = abs(gp ** 2 - g * (rs + g) * (rs * g - 1.0))
     z = pt.z
+    g = z / rs
+    gp = pt.w / rs
+    res1 = np.abs(gp ** 2 - g * (rs + g) * (rs * g - 1.0))
     gpp_curve = (3.0 * z ** 2 + 2.0 * (s - 1.0) * z - s) / (2.0 * rs)
     gpp_formula = -rs / 2.0 + (s - 1.0) * g + 1.5 * rs * g ** 2
-    res2 = abs(gpp_curve - gpp_formula)
-    return max(res1, res2)
+    res2 = np.abs(gpp_curve - gpp_formula)
+    return float(np.max([res1, res2], initial=0.0))
 
 
 def gauss_derivatives(params: CurveParams, pt: CurvePoint, order: int) -> np.ndarray:
@@ -555,93 +558,30 @@ def _cmul(a, b):
     return out[()]
 
 
-def random_regular_points(params: CurveParams, n: int, rng,
-                          r_min=None, r_max=None):
-    """Seeded sample of regular curve points away from the branch points.
+def random_regular_points(params: CurveParams, n: int, rng) -> CurvePoint:
+    """Seeded sample of n regular curve points away from the branch points,
+    as one :class:`CurvePoint` of 1-d arrays.
 
-    z is drawn from an annulus around the branch set and both square-root
-    sheets are used; rejection keeps 2x the default clearance from
-    {0, 1, -sigma}.
-
-    Draw order: a candidate takes two uniforms from ``rng``, r then theta,
-    and an accepted point then one sign, ``rng.integers(0, 2)``.  The points,
-    and ``rng``'s state afterwards, are those of that loop run one candidate
-    at a time, but they are decoded from one block of raw words of the bit
-    generator, which must be PCG64 (``TypeError`` otherwise): a uniform is
-    the top 53 bits of a word, and a sign is the top bit of a 32-bit half.
-    A sign takes the low half of a fresh word and leaves its high half
-    buffered for the next sign, and that buffer (``has_uint32``,
-    ``uinteger``) carries over between calls.
+    z is uniform in (r, theta) over the annulus 0.15 <= r / ((1 + sigma)/2)
+    <= 1.6, and a candidate closer than twice the default clearance to a
+    branch point {0, 1, -sigma} is rejected.  Draw order, from any numpy
+    ``Generator``: rounds of one ``rng.random((2, m))`` block, r from row 0
+    and theta from row 1, m the number of points still missing, until n
+    are kept; then one ``rng.integers(0, 2, n)``, a 1 putting the point on
+    the sheet of -sqrt.
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    bitgen = rng.bit_generator
-    if not isinstance(bitgen, np.random.PCG64):
-        raise TypeError("random_regular_points decodes PCG64 words, not "
-                        f"{type(bitgen).__name__}")
     scale = 0.5 * (1.0 + params.sigma)
-    r_lo = 0.15 * scale if r_min is None else r_min
-    r_hi = 1.6 * scale if r_max is None else r_max
     clear = 2.0 * default_clearance(params)
-    bps = branch_points(params)
-    if n == 0:
-        return []
-    saved = bitgen.state
-    # 1 if a sign's 32-bit half is buffered, and that half (the buffer keeps
-    # its last value after it is read, as PCG64's does)
-    buffered, buffer = saved["has_uint32"], saved["uinteger"]
-
-    def candidates(words):
-        # z of a candidate starting at each word, and whether it is kept
-        u = (words >> 11) * 2.0 ** -53
-        r = r_lo + (r_hi - r_lo) * u[:-1]
-        e = np.exp(1j * (2.0 * math.pi * u[1:]))
-        z = np.empty(len(r), dtype=complex)
-        z.real, z.imag = r * e.real, r * e.imag
-        near = np.min([np.hypot(z.real - bp.real, z.imag - bp.imag)
-                       for bp in bps], axis=0)
-        return z, ~(near < clear)
-
-    words = np.empty(0, dtype=np.uint64)
-    pos = dropped = got = 0
-    zs, signs = [], []
-    while got < n:
-        if pos + 3 > len(words):
-            # drop the words read so far and draw enough for the rest
-            dropped += pos
-            words = np.concatenate([words[pos:],
-                                    bitgen.random_raw(int(2.6 * (n - got)) + 8)])
-            pos = 0
-            z_all, kept = candidates(words)
-        # until the next rejection, candidate j (counted from 1 when a sign
-        # is buffered) starts 5 (j // 2) + 3 (j % 2) words in: an even j
-        # reads its sign from a fresh word after theta, an odd j from the
-        # high half of the word before it
-        j = np.arange(buffered, buffered + n - got + 1)
-        starts = pos + 5 * (j // 2) + 3 * (j % 2) - 3 * buffered
-        cand = starts[:min(int(np.searchsorted(starts, len(words) - 2)),
-                           n - got)]
-        bad = ~kept[cand]
-        m = int(np.argmax(bad)) if bad.any() else len(cand)
-        acc, fresh = cand[:m], j[:m] % 2 == 0
-        sign = np.where(fresh, (words[acc + 2] >> 31) & 1, words[acc - 1] >> 63)
-        if m and not fresh[0]:
-            sign[0] = buffer >> 31
-        if fresh.any():
-            buffer = int(words[acc[fresh][-1] + 2] >> 32)
-        zs.append(z_all[acc])
-        signs.append(sign)
-        got += m
-        buffered = (buffered + m) % 2
-        # past the rejected candidate, or at the next one
-        pos = int(starts[m]) + (2 if m < len(cand) else 0)
-    bitgen.state = saved
-    bitgen.advance(dropped + pos)
-    state = bitgen.state
-    state["has_uint32"], state["uinteger"] = buffered, buffer
-    bitgen.state = state
-    z = np.concatenate(zs)
-    # the array product of curve_poly rounds differently from the scalar one
+    bps = np.array(branch_points(params))
+    z = np.empty(0, dtype=complex)
+    while len(z) < n:
+        u = rng.random((2, n - len(z)))
+        cand = scale * (0.15 + 1.45 * u[0]) * np.exp(2j * math.pi * u[1])
+        near = np.abs(cand[:, None] - bps).min(axis=1)
+        z = np.concatenate([z, cand[~(near < clear)]])
+    # _cmul rounds as the scalar product does on every host; the array
+    # product of curve_poly may fuse a multiply-add where the CPU has one
     w = np.sqrt(_cmul(_cmul(z, z - 1.0), z + params.sigma))
-    w = np.where(np.concatenate(signs) == 1, -w, w)
-    return [CurvePoint(a, b) for a, b in zip(z.tolist(), w.tolist())]
+    return CurvePoint(z, np.where(rng.integers(0, 2, n) == 1, -w, w))

@@ -112,15 +112,14 @@ def _segment_distances(p, a, b):
 class ComplexPath:
     """Oriented polyline in the complex plane.
 
-    ``clearance`` is the minimum distance every point of the path must keep
-    from every point of ``exclusions`` (when an exclusion set is supplied).
+    ``clearance`` is the distance the path must keep from the branch points
+    when ``curve.immerse`` integrates along it (0: the curve's default).
     """
 
     nodes: tuple
     clearance: float = 0.0
-    exclusions: tuple = ()
 
-    def __init__(self, nodes, clearance=0.0, exclusions=()):
+    def __init__(self, nodes, clearance=0.0):
         nodes = tuple(complex(z) for z in nodes)
         for a, b in zip(nodes[:-1], nodes[1:]):
             if a == b:
@@ -129,26 +128,10 @@ class ComplexPath:
             raise ValueError("clearance must be nonnegative")
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "clearance", float(clearance))
-        object.__setattr__(self, "exclusions",
-                           tuple(complex(z) for z in exclusions))
-        if self.exclusions and self.clearance > 0:
-            d = self.min_distance_to(self.exclusions)
-            if d < self.clearance:
-                raise ValueError(
-                    f"path violates its own clearance: {d:.3e} < {self.clearance:.3e}")
 
     @property
     def segments(self):
         return tuple(zip(self.nodes[:-1], self.nodes[1:]))
-
-    def min_distance_to(self, points) -> float:
-        if len(self.nodes) == 1:
-            return min(abs(self.nodes[0] - p) for p in points)
-        nodes = np.array(self.nodes)
-        return float(_segment_distances(points, nodes[:-1], nodes[1:]).min())
-
-    def reversed(self) -> "ComplexPath":
-        return ComplexPath(self.nodes[::-1], self.clearance, self.exclusions)
 
 
 def _gk_panel(f, a, b):

@@ -21,7 +21,9 @@ P_1 = u and P_2 = u'' + 3u^2.  Flows are du/dt_n = -d/dz P_{n+1}(u).
 Jets (value plus derivative towers) are the working representation for g
 and u: on the curve w^2 = z(z-1)(z+sigma) every derivative of g is an
 exact polynomial in (g, g'), so the hierarchy can be evaluated without any
-finite differencing.
+finite differencing.  A jet may carry a trailing point axis, so the
+Shiffman check and the algebro-geometric fit each take all their sample
+points (one ``curve.CurvePoint`` of arrays) in one array computation.
 """
 
 from __future__ import annotations
@@ -69,8 +71,9 @@ class Jet:
     Arithmetic is exact truncated Leibniz calculus; the order of a product
     is the smaller of the factors' orders.  ``d(m)`` shifts by m
     derivatives (dropping order by m).  The values may carry a trailing
-    point axis, shape (k + 1, n), one tower per point; :func:`shiffman`
-    evaluates such a jet at every point at once.
+    point axis, shape (k + 1, n), one tower per point: arithmetic,
+    :func:`potential_u`, :func:`flow_n` and :func:`shiffman` then act on
+    every point at once.
     """
 
     __slots__ = ("values",)
@@ -79,12 +82,6 @@ class Jet:
         self.values = np.asarray(values, dtype=complex)
         if self.values.ndim == 0 or len(self.values) == 0:
             raise ValueError("jet needs a nonempty value list")
-
-    @classmethod
-    def constant(cls, c, order):
-        v = np.zeros(order + 1, dtype=complex)
-        v[0] = c
-        return cls(v)
 
     @property
     def order(self):
@@ -103,13 +100,17 @@ class Jet:
             raise JetTooShort(f"need order >= {order}, have {self.order}")
         return Jet(self.values[:order + 1])
 
-    def _coerce(self, other, order):
+    def _coerce(self, other):
+        """``other``, or the constant jet of the number ``other`` in this
+        jet's shape."""
         if isinstance(other, Jet):
             return other
-        return Jet.constant(other, order)
+        v = np.zeros_like(self.values)
+        v[0] = other
+        return Jet(v)
 
     def __add__(self, other):
-        o = self._coerce(other, self.order)
+        o = self._coerce(other)
         n = min(self.order, o.order)
         return Jet(self.values[:n + 1] + o.values[:n + 1])
 
@@ -119,7 +120,7 @@ class Jet:
         return Jet(-self.values)
 
     def __sub__(self, other):
-        return self + (-self._coerce(other, self.order))
+        return self + (-self._coerce(other))
 
     def __rsub__(self, other):
         return (-self) + other
@@ -128,11 +129,9 @@ class Jet:
         if not isinstance(other, Jet):
             return Jet(self.values * complex(other))
         n = min(self.order, other.order)
-        out = np.zeros(n + 1, dtype=complex)
-        for k in range(n + 1):
-            out[k] = sum(math.comb(k, i) * self.values[i] * other.values[k - i]
-                         for i in range(k + 1))
-        return Jet(out)
+        a, b = self.values, other.values
+        return Jet([sum(math.comb(k, i) * a[i] * b[k - i] for i in range(k + 1))
+                    for k in range(n + 1)])
 
     __rmul__ = __mul__
 
@@ -140,17 +139,17 @@ class Jet:
         if not isinstance(other, Jet):
             return Jet(self.values / complex(other))
         n = min(self.order, other.order)
-        if other.values[0] == 0:
+        a, b = self.values, other.values
+        if np.any(b[0] == 0):
             raise ZeroDivisionError("jet division by a jet with zero value")
-        out = np.zeros(n + 1, dtype=complex)
+        out = []
         for k in range(n + 1):
-            s = self.values[k] - sum(math.comb(k, i) * out[i] * other.values[k - i]
-                                     for i in range(k))
-            out[k] = s / other.values[0]
+            s = a[k] - sum(math.comb(k, i) * out[i] * b[k - i] for i in range(k))
+            out.append(s / b[0])
         return Jet(out)
 
     def __rtruediv__(self, other):
-        return Jet.constant(other, self.order) / self
+        return self._coerce(other) / self
 
     def scale_domain(self, c):
         """Jet of xi -> f(c xi): multiplies the k-th entry by c^k."""
@@ -425,7 +424,8 @@ def hierarchy_P(n: int, max_level: int = MAX_HIERARCHY_LEVEL) -> DiffPoly:
 
 
 def flow_n(n: int, j: Jet) -> complex:
-    """du/dt_n = -d/dz P_{n+1}(u) evaluated on a u-jet of order >= 2n+1."""
+    """du/dt_n = -d/dz P_{n+1}(u) evaluated on a u-jet of order >= 2n+1
+    (at every point of a jet with a point axis)."""
     need = 2 * n + 1
     if j.order < need:
         raise JetTooShort(f"flow {n} needs jet order {need}, got {j.order}")
@@ -522,23 +522,19 @@ class AlgebroGeometricFit:
 def algebro_geometric_residual(params: CurveParams, n: int, samples) -> AlgebroGeometricFit:
     """Least-squares fit of flow_n against span{flow_0, ..., flow_{n-1}}.
 
-    Builds u-jets from the curve's exact g-jets at the sample points,
-    evaluates the hierarchy flows, and reports the fitted coefficients and
-    the relative residual ||defect|| / ||flow_n||.  A potential is
+    Builds one u-jet over the sample points (a :class:`curve.CurvePoint` of
+    1-d arrays) from the curve's exact g-jets, evaluates each hierarchy flow
+    once on all points, and reports the fitted coefficients and the
+    relative residual ||defect|| / ||flow_n||.  A potential is
     algebro-geometric when the residual vanishes.  Constant potentials
-    (all flows zero) report residual 0 by convention.  Rank deficiency of
-    the design matrix is reported, not raised.
+    (all flows zero) and an empty sample report residual 0 by convention.
+    Rank deficiency of the design matrix is reported, not raised.
     """
     if n < 1:
         raise ValueError("need n >= 1 (no lower-order flows below flow_0)")
-    g_order = 2 * n + 3
-    A = np.zeros((len(samples), n), dtype=complex)
-    b = np.zeros(len(samples), dtype=complex)
-    for i, pt in enumerate(samples):
-        u = potential_u(msigma_jet(params, pt, g_order))
-        for k in range(n):
-            A[i, k] = flow_n(k, u)
-        b[i] = flow_n(n, u)
+    u = potential_u(msigma_jet(params, samples, 2 * n + 3))
+    A = np.stack([flow_n(k, u) for k in range(n)], axis=-1)
+    b = flow_n(n, u)
     nb = np.linalg.norm(b)
     if nb == 0 and np.linalg.norm(A) == 0:
         return AlgebroGeometricFit(np.zeros(n), 0.0, False)

@@ -1,9 +1,11 @@
 """One-point-at-a-time versions of the batched verify paths, kept as the
 references that the batched code in ``riemann_minimal`` is pinned against.
 
-* :func:`random_regular_points` -- the rejection loop that draws one
-  candidate at a time from the Generator: two uniforms (r, theta), then one
-  ``integers(0, 2)`` sign per accepted point.
+* :func:`random_regular_points` -- the sampler's draw order taken one
+  candidate at a time in scalar arithmetic: blocks of (r, theta) uniforms,
+  then one ``integers(0, 2)`` sign per kept point.
+* :func:`algebro_geometric_fit` -- the KdV fit with one g-jet, u-jet and
+  set of flows per point.
 * :func:`classical_fd_grid` -- one :func:`checks.fd_surface_checks` call per
   (q, v) pair, with two scalar ``_adaptive`` increments per q.
 * :func:`classical_slice_points` -- one ``parameterize`` call per v, with
@@ -14,35 +16,47 @@ import math
 
 import numpy as np
 
-from riemann_minimal import checks, classical, curve
+from riemann_minimal import checks, classical, curve, shiffkdv
 from riemann_minimal.curve import CurvePoint
 from riemann_minimal.quad import _adaptive
 
 
-def random_regular_points(params, n, rng, r_min=None, r_max=None,
-                          stats=None):
-    """``stats``, if given, is a dict that gets the candidate count."""
+def random_regular_points(params, n, rng, stats=None):
+    """A list of n scalar CurvePoints; ``stats``, if given, is a dict that
+    gets the candidate count."""
     scale = 0.5 * (1.0 + params.sigma)
-    r_lo = 0.15 * scale if r_min is None else r_min
-    r_hi = 1.6 * scale if r_max is None else r_max
     clear = 2.0 * curve.default_clearance(params)
-    pts = []
     bps = curve.branch_points(params)
+    zs = []
     candidates = 0
-    while len(pts) < n:
-        candidates += 1
-        r = rng.uniform(r_lo, r_hi)
-        th = rng.uniform(0.0, 2.0 * math.pi)
-        z = r * np.exp(1j * th)
-        if min(abs(z - bp) for bp in bps) < clear:
-            continue
+    while len(zs) < n:
+        u_r, u_theta = rng.random((2, n - len(zs)))
+        for a, b in zip(u_r, u_theta):
+            candidates += 1
+            z = scale * (0.15 + 1.45 * a) * np.exp(2j * math.pi * b)
+            if min(abs(z - bp) for bp in bps) >= clear:
+                zs.append(complex(z))
+    pts = []
+    for z, sign in zip(zs, rng.integers(0, 2, n)):
         w = np.sqrt(complex(curve.curve_poly(params, z)))
-        if rng.integers(0, 2):
-            w = -w
-        pts.append(CurvePoint(complex(z), complex(w)))
+        pts.append(CurvePoint(z, complex(-w if sign else w)))
     if stats is not None:
         stats["candidates"] = candidates
     return pts
+
+
+def algebro_geometric_fit(params, n, pts):
+    """(coefficients, residual) of the least-squares fit of flow_n against
+    flow_0 .. flow_{n-1} over a list of scalar CurvePoints."""
+    A = np.zeros((len(pts), n), dtype=complex)
+    b = np.zeros(len(pts), dtype=complex)
+    for i, pt in enumerate(pts):
+        u = shiffkdv.potential_u(shiffkdv.msigma_jet(params, pt, 2 * n + 3))
+        for k in range(n):
+            A[i, k] = shiffkdv.flow_n(k, u)
+        b[i] = shiffkdv.flow_n(n, u)
+    coef, _, _, _ = np.linalg.lstsq(A, b, rcond=None)
+    return coef, float(np.linalg.norm(A @ coef - b) / np.linalg.norm(b))
 
 
 def classical_fd_grid(lam, nq=20, nv=20, h=1e-4, settings=None):

@@ -40,6 +40,9 @@ def test_gen_writes_meshes_and_report(tmp_path):
     assert rep["config"]["e"] == 0.1
     assert rep["config"]["grid"] == [10, 14]
     assert rep["config"]["copies"] == 1
+    # gen draws nothing and records no checks: no seed, no overrides
+    assert set(rep["config"]) == {"sigma", "lambda", "e", "grid", "copies"}
+    assert "seed" not in rep["environment"]
     assert rep["result"]["fundamental_vertices"] == 140
     assert rep["result"]["extended_vertices"] == 140 * 8 * 2
     assert rep["result"]["slab_height"] > 0
@@ -112,6 +115,13 @@ def test_config_errors_exit_2():
     assert run(["gen", "--sigma", "2", "--grid", "bogus"]) == 2
     assert run(["gen", "--sigma", "2", "--e", "1.5"]) == 2
     assert run(["verify", "--sigma", "2", "--tol", "shiffman"]) == 2
+    # a --tol name that names no check exits 2 instead of being ignored
+    assert run(["verify", "--sigma", "2", "--tol", "bogus=1"]) == 2
+    assert run(["verify", "--sigma", "2", "--tol", "shiffman=1e-9",
+                "--tol", "Shiffman=1e-9"]) == 2
+    # gen draws no points and records no checks
+    assert run(["gen", "--sigma", "2", "--seed", "7"]) == 2
+    assert run(["gen", "--sigma", "2", "--tol", "shiffman=1"]) == 2
     # verify runs on its own fixed grids and takes no mesh flags
     assert run(["verify", "--sigma", "2", "--grid", "4x4"]) == 2
     assert run(["verify", "--sigma", "2", "--e", "0.9"]) == 2
@@ -251,24 +261,22 @@ def test_verify_report_deterministic(tmp_path):
 @pytest.mark.slow
 @pytest.mark.parametrize("sigma", [0.0167, 2.0, 8.0])
 def test_verify_point_checks_keep_the_scalar_bits(tmp_path, sigma):
-    # the batched sampler and slice points give the checks on them the
-    # bits of the one-point-at-a-time loops
+    # the Shiffman values and the slice points keep the bits of one-point
+    # evaluation; the symmetry and Gauss-ODE checks are the array calls on
+    # the sampler's points, pinned to one-point calls in test_curve
     path = tmp_path / "v.json"
     run(["verify", "--sigma", repr(sigma), "--seed", "7", "--json", str(path)])
     got = {c["name"]: c["value"] for c in load_report(path)["checks"]}
     params = curve.CurveParams(sigma)
     rng = np.random.default_rng(7)
-    pts = scalar.random_regular_points(params, 50, rng)
+    pts = curve.random_regular_points(params, 50, rng)
     for which in ("S1", "S2", "S3"):
         assert got[f"symmetry_{which.lower()}"] == \
             curve.verify_symmetry_action(params, which, pts)
-    assert got["gauss_ode"] == max(curve.gauss_ode_residual(params, p)
-                                   for p in pts)
+    assert got["gauss_ode"] == curve.gauss_ode_residual(params, pts)
     pts = scalar.random_regular_points(params, 1000, rng)
-    sample = curve.CurvePoint(np.array([p.z for p in pts]),
-                              np.array([p.w for p in pts]))
-    assert got["shiffman"] == float(np.max(np.abs(shiffkdv.shiffman(
-        shiffkdv.msigma_jet(params, sample, 3)))))
+    assert got["shiffman"] == max(
+        abs(shiffkdv.shiffman(shiffkdv.msigma_jet(params, p, 3))) for p in pts)
     rp = classical.RiemannParams.from_lambda((sigma - 1) / math.sqrt(sigma))
     ring = scalar.classical_slice_points(
         rp, rp.q1 + 0.7, np.linspace(0, 2 * math.pi, 24, endpoint=False))
@@ -291,5 +299,6 @@ def test_verify_lambda_zero_runs_catenoid_branch(tmp_path):
     assert rc == 0
     rep = load_report(path)
     names = [c["name"] for c in rep["checks"]]
-    assert "catenoid_closed_form" in names
+    # lambda 0 runs every check, each under a name --tol accepts
+    assert tuple(names) == cli.CHECK_NAMES
     assert rep["pass"] is True

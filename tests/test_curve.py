@@ -3,6 +3,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import scalar_references as scalar
 from riemann_minimal import checks, curve
@@ -281,8 +282,7 @@ def test_period_double_traversal_scales():
     params = CurveParams(0.8)
     loop = curve.gamma1_loop(params)
     double = curve.HomologyLoop("gamma1", loop.base, ComplexPath(
-        loop.geometry.nodes + loop.geometry.nodes[1:],
-        clearance=loop.geometry.clearance))
+        loop.geometry.nodes + loop.geometry.nodes[1:]))
     p1 = curve.period(params, loop)
     p2 = curve.period(params, double)
     assert np.max(np.abs(p2 - 2 * p1)) < 1e-8
@@ -297,7 +297,7 @@ def test_flux_end_loop_and_reversal():
     assert np.max(np.abs(curve.period(params, el_inf))) < 1e-7
     g1 = curve.gamma1_loop(params)
     rev = curve.HomologyLoop("gamma1", curve.CurvePoint(
-        g1.geometry.nodes[-1], g1.base.w), g1.geometry.reversed())
+        g1.geometry.nodes[-1], g1.base.w), ComplexPath(g1.geometry.nodes[::-1]))
     assert np.max(np.abs(curve.flux(params, rev)
                          + curve.flux(params, g1))) < 1e-8
 
@@ -334,7 +334,7 @@ def test_gauss_ode_residual():
     params2 = CurveParams(2.0)
     rng = np.random.default_rng(5)
     pts = curve.random_regular_points(params2, 100, rng)
-    assert max(curve.gauss_ode_residual(params2, p) for p in pts) < 1e-9
+    assert curve.gauss_ode_residual(params2, pts) < 1e-9
     bp = CurvePoint(1.0 + 0.0j, 0.0 + 0.0j)
     assert curve.gauss_ode_residual(params2, bp) < 1e-15
 
@@ -382,8 +382,9 @@ def test_weierstrass_forms_null_quadric():
     # phi1^2 + phi2^2 + phi3^2 = 0 at random regular points
     params = CurveParams(3.0)
     rng = np.random.default_rng(8)
-    for pt in curve.random_regular_points(params, 30, rng):
-        f = curve.weierstrass_at(params, pt)
+    pts = curve.random_regular_points(params, 30, rng)
+    for z, w in zip(pts.z, pts.w):
+        f = curve.weierstrass_at(params, CurvePoint(z, w))
         s = f.phi1_density ** 2 + f.phi2_density ** 2 + f.phi3_density ** 2
         assert abs(s) < 1e-9 * abs(f.phi3_density) ** 2
 
@@ -398,42 +399,41 @@ def test_small_sigma_conformality(sigma):
 
 
 def _same_points(a, b):
-    """Bitwise equality of two lists of CurvePoints."""
-    return len(a) == len(b) and all(
-        [x.z.real.hex(), x.z.imag.hex(), x.w.real.hex(), x.w.imag.hex()]
-        == [y.z.real.hex(), y.z.imag.hex(), y.w.real.hex(), y.w.imag.hex()]
-        for x, y in zip(a, b))
+    """Bitwise equality of an array CurvePoint and a list of CurvePoints."""
+    return (a.z.shape == (len(b),) and np.array_equal(a.z, [p.z for p in b])
+            and np.array_equal(a.w, [p.w for p in b]))
 
 
 @pytest.mark.parametrize("sigma", [1e-3, 0.0167, 2.78, 80.0])
 @pytest.mark.parametrize("seed", [7, 2024])
 def test_random_regular_points_match_the_scalar_loop(sigma, seed):
-    # 50 and 1000 use up the buffered half of the last sign word; 7 leaves
-    # it set, so the next call and the next draw start from a buffered sign
+    # the documented draw order, taken one candidate at a time in scalar
+    # arithmetic, gives the same bits and leaves the same generator state
     params = CurveParams(sigma)
     ref, new = np.random.default_rng(seed), np.random.default_rng(seed)
     for n in (50, 1000, 7, 1, 0, 3):
         assert _same_points(curve.random_regular_points(params, n, new),
                             scalar.random_regular_points(params, n, ref))
         assert new.bit_generator.state == ref.bit_generator.state
-    assert new.integers(0, 2) == ref.integers(0, 2)
     assert new.random() == ref.random()
 
 
-def test_random_regular_points_rejection_heavy_annulus():
-    # at sigma 400 the clearance 2 * 1e-3 * 401 rejects every z of the thin
-    # annulus around |z| = 1 within about 0.8 rad of z = 1
+def test_random_regular_points_rejection_heavy_annulus(monkeypatch):
+    # a clearance of (1 + sigma)/4 rejects about half of the annulus, so the
+    # sampler tops up its draws over several rounds
+    monkeypatch.setattr(curve, "default_clearance",
+                        lambda params: 0.25 * (1.0 + params.sigma))
     params = CurveParams(400.0)
-    ring = dict(r_min=1.0 - 1e-3, r_max=1.0 + 1e-3)
     ref, new = np.random.default_rng(7), np.random.default_rng(7)
     for n in (1000, 7, 50):
         stats = {}
-        expect = scalar.random_regular_points(params, n, ref, stats=stats,
-                                              **ring)
+        expect = scalar.random_regular_points(params, n, ref, stats=stats)
         assert stats["candidates"] > 1.2 * n
-        assert _same_points(
-            curve.random_regular_points(params, n, new, **ring), expect)
+        got = curve.random_regular_points(params, n, new)
+        assert _same_points(got, expect)
         assert new.bit_generator.state == ref.bit_generator.state
+        near = np.abs(got.z[:, None] - np.array(curve.branch_points(params)))
+        assert near.min() >= 0.5 * (1.0 + params.sigma)
     assert new.random() == ref.random()
 
 
@@ -441,11 +441,75 @@ def test_random_regular_points_argument_errors():
     params = CurveParams(2.0)
     rng = np.random.default_rng(7)
     state = rng.bit_generator.state
-    assert curve.random_regular_points(params, 0, rng) == []
+    empty = curve.random_regular_points(params, 0, rng)
+    assert empty.z.shape == empty.w.shape == (0,)
     assert rng.bit_generator.state == state
     with pytest.raises(ValueError):
         curve.random_regular_points(params, -1, rng)
-    # the decode relies on PCG64's buffered 32-bit half
-    with pytest.raises(TypeError):
-        curve.random_regular_points(
-            params, 5, np.random.Generator(np.random.MT19937(7)))
+
+
+def test_random_regular_points_take_any_generator():
+    # any numpy Generator serves, not only the default PCG64
+    params = CurveParams(2.0)
+    a, b = (curve.random_regular_points(
+        params, 200, np.random.Generator(np.random.Philox(7)))
+        for _ in range(2))
+    assert np.array_equal(a.z, b.z) and np.array_equal(a.w, b.w)
+    assert np.max(curve.on_curve_residual(params, a)) < 1e-13
+    pcg = curve.random_regular_points(params, 200, np.random.default_rng(7))
+    assert not np.array_equal(a.z, pcg.z)
+
+
+@settings(max_examples=40, deadline=None)
+@given(log_sigma=st.floats(-3.0, 4.0), seed=st.integers(0, 2 ** 32 - 1),
+       n=st.integers(1, 300))
+def test_random_regular_points_property(log_sigma, seed, n):
+    params = CurveParams(10.0 ** log_sigma)
+    pts = curve.random_regular_points(params, n, np.random.default_rng(seed))
+    assert pts.z.shape == pts.w.shape == (n,)
+    assert np.max(curve.on_curve_residual(params, pts)) < 1e-13
+    near = np.abs(pts.z[:, None] - np.array(curve.branch_points(params)))
+    assert near.min() >= 2.0 * curve.default_clearance(params)
+    # w is +-sqrt(p(z)); both signs occur, and the seed fixes the points
+    root = np.sqrt(curve._cmul(curve._cmul(pts.z, pts.z - 1.0),
+                               pts.z + params.sigma))
+    flipped = pts.w == -root
+    assert np.all(flipped | (pts.w == root))
+    if n >= 60:
+        assert flipped.any() and not flipped.all()
+    again = curve.random_regular_points(params, n, np.random.default_rng(seed))
+    assert np.array_equal(again.z, pts.z) and np.array_equal(again.w, pts.w)
+
+
+@pytest.mark.parametrize("sigma", [1e-3, 1.0, 1e4])
+def test_random_regular_points_return_at_the_family_ends(sigma):
+    # the default annulus is never covered by the rejection disks
+    params = CurveParams(sigma)
+    pts = curve.random_regular_points(params, 1000, np.random.default_rng(3))
+    assert pts.z.shape == (1000,)
+    assert np.max(curve.on_curve_residual(params, pts)) < 1e-13
+
+
+@pytest.mark.parametrize("sigma", [0.3, 2.0, 8.0])
+def test_array_point_checks_match_per_point_calls(sigma):
+    # w moved off the curve by 1e-3 makes the residuals O(1e-3), so that
+    # the batched and one-point values can be compared relatively
+    params = CurveParams(sigma)
+    pts = curve.random_regular_points(params, 60, np.random.default_rng(7))
+    off = CurvePoint(pts.z, pts.w * (1.0 + 1e-3))
+    singles = [CurvePoint(z, w) for z, w in zip(off.z.tolist(), off.w.tolist())]
+    for which in ("S1", "S2", "S3"):
+        img = curve.apply_symmetry(params, which, off)
+        for i in (0, 17, 59):
+            one = curve.apply_symmetry(params, which, singles[i])
+            assert abs(img.z[i] - one.z) <= 1e-12 * abs(one.z)
+            assert abs(img.w[i] - one.w) <= 1e-12 * abs(one.w)
+        got = curve.verify_symmetry_action(params, which, off)
+        want = max(curve.verify_symmetry_action(params, which, p)
+                   for p in singles)
+        assert want > 1e-5 and got == pytest.approx(want, rel=1e-12)
+    got = curve.gauss_ode_residual(params, off)
+    want = max(curve.gauss_ode_residual(params, p) for p in singles)
+    assert want > 1e-5 and got == pytest.approx(want, rel=1e-12)
+    assert curve.verify_symmetry_action(params, "S1", curve.CurvePoint(
+        np.empty(0, complex), np.empty(0, complex))) == 0.0

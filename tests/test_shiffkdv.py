@@ -4,8 +4,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import scalar_references as scalar
 from riemann_minimal import curve
-from riemann_minimal.curve import CurveParams, PoleOfGaussMap
+from riemann_minimal.curve import CurveParams, CurvePoint, PoleOfGaussMap
 from riemann_minimal.shiffkdv import (ConformalGrid, DiffPoly, GridTooSmall,
                                       Jet, JetTooShort, NotExactDerivative,
                                       algebro_geometric_residual, flow_n,
@@ -46,6 +47,28 @@ def test_jet_division_matches_series():
     assert np.allclose(inv.values, [math.factorial(k) for k in range(5)])
 
 
+def test_jet_arithmetic_on_a_point_axis():
+    # a jet with a trailing point axis computes each point's tower as the
+    # one-point jet does
+    rng = np.random.default_rng(4)
+    a = [random_jet(rng, 4) for _ in range(5)]
+    b = [random_jet(rng, 4) for _ in range(5)]
+    A = Jet(np.stack([j.values for j in a], axis=-1))
+    B = Jet(np.stack([j.values for j in b], axis=-1))
+    c = b[0]  # one point, broadcast over the axis
+    for got, one in ((A * B, lambda i: a[i] * b[i]),
+                     (A / B, lambda i: a[i] / b[i]),
+                     (A * c, lambda i: a[i] * c),
+                     (c / A, lambda i: c / a[i]),
+                     (2.0 / A - 1.5, lambda i: 2.0 / a[i] - 1.5)):
+        assert got.values.shape == (5, 5)
+        for i in range(5):
+            np.testing.assert_allclose(got.values[:, i], one(i).values,
+                                       rtol=1e-13)
+    with pytest.raises(ZeroDivisionError):
+        A / Jet(np.zeros((5, 5)))
+
+
 def test_jet_too_short():
     with pytest.raises(JetTooShort):
         Jet([1.0, 2.0]).d(3)
@@ -75,7 +98,7 @@ def test_shiffman_catenoid_and_curve():
     params = CurveParams(2.0)
     rng = np.random.default_rng(7)
     pts = curve.random_regular_points(params, 100, rng)
-    assert max(abs(shiffman(msigma_jet(params, p, 3))) for p in pts) < 1e-9
+    assert np.max(np.abs(shiffman(msigma_jet(params, pts, 3)))) < 1e-9
 
 
 def test_shiffman_perturbed_against_componentwise_oracle():
@@ -123,11 +146,11 @@ def _shiffman_reference(vals):
 @pytest.mark.parametrize("sigma", [0.0167, 2.0, 8.0])
 def test_array_shiffman_matches_scalar_loop(sigma):
     params = CurveParams(sigma)
-    pts = curve.random_regular_points(params, 1000,
-                                      np.random.default_rng(11))
-    zs = np.array([p.z for p in pts])
-    ws = np.array([p.w for p in pts])
-    jet = msigma_jet(params, curve.CurvePoint(zs, ws), 3)
+    sample = curve.random_regular_points(params, 1000,
+                                         np.random.default_rng(11))
+    pts = [CurvePoint(z, w) for z, w in zip(sample.z.tolist(),
+                                            sample.w.tolist())]
+    jet = msigma_jet(params, sample, 3)
     assert jet.values.shape == (4, 1000)
     ref = np.array([_gauss_derivatives_reference(params, p, 3) for p in pts])
     assert np.array_equal(jet.values, ref.T)
@@ -159,9 +182,9 @@ def test_shiffman_complex_bookkeeping():
     # on the curve: S = 0, S* generally not
     params = CurveParams(2.0)
     pts = curve.random_regular_points(params, 20, np.random.default_rng(2))
-    vals = [shiffman_complex(msigma_jet(params, p, 2)) for p in pts]
-    assert max(abs(v.real) for v in vals) < 1e-9
-    assert max(abs(v.imag) for v in vals) > 1e-3
+    vals = shiffman_complex(msigma_jet(params, pts, 2))
+    assert np.max(np.abs(vals.real)) < 1e-9
+    assert np.max(np.abs(vals.imag)) > 1e-3
 
 
 def test_shiffman_rotation_invariance():
@@ -418,5 +441,27 @@ def test_algebro_geometric_measurement_sigma2():
 
 
 def test_algebro_geometric_zero_convention():
-    fit = algebro_geometric_residual(CurveParams(2.0), 1, [])
+    none = CurvePoint(np.empty(0, complex), np.empty(0, complex))
+    fit = algebro_geometric_residual(CurveParams(2.0), 1, none)
     assert fit.residual == 0.0 and not fit.rank_deficient
+
+
+@pytest.mark.parametrize("sigma", [0.3, 2.0, 8.0])
+def test_algebro_geometric_fit_matches_the_point_loop(sigma):
+    params = CurveParams(sigma)
+    pts = curve.random_regular_points(params, 60, np.random.default_rng(7))
+    fit = algebro_geometric_residual(params, 1, pts)
+    coef, residual = scalar.algebro_geometric_fit(params, 1, [
+        CurvePoint(z, w) for z, w in zip(pts.z.tolist(), pts.w.tolist())])
+    # the coefficient is (1 - sigma)/2; the residual is rounding noise
+    assert abs(fit.coefficients[0] - coef[0]) <= 1e-12 * abs(coef[0])
+    assert abs(coef[0] - 0.5 * (1.0 - sigma)) < 1e-12 * (1.0 + sigma)
+    assert max(fit.residual, residual) < 1e-12
+    # off the curve the fit has an O(0.1) residual to compare
+    off = CurvePoint(pts.z, pts.w * (1.0 + 1e-3))
+    fit = algebro_geometric_residual(params, 1, off)
+    coef, residual = scalar.algebro_geometric_fit(params, 1, [
+        CurvePoint(z, w) for z, w in zip(off.z.tolist(), off.w.tolist())])
+    assert abs(fit.coefficients[0] - coef[0]) <= 1e-12 * abs(coef[0])
+    assert residual > 0.05
+    assert fit.residual == pytest.approx(residual, rel=1e-12)
