@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -624,15 +624,146 @@ def refine_slice(mesh: TriMesh, height, surface: FundamentalSurface,
 # export
 
 
-_CHUNK = 1 << 15  # rows formatted per write
+_CHUNK = 1 << 12  # rows formatted per write: ~2 MB of numpy text temporaries
+
+# decimal exponents e for which y = |x| 10^(8 - e) is at most two roundings
+# away from exact: 10^k is an exact double for |k| <= 22
+_EMIN, _EMAX = -36, 30
 
 
-def _chunks(line, rows):
-    """``rows`` as ASCII text in chunks of ``_CHUNK`` rows, each one ``%``
-    format of a repeated line template."""
+def _units(texts):
+    """Each of ``texts`` (at most 4 bytes) zero-padded to one uint32 unit."""
+    return np.frombuffer(b"".join(t.ljust(4, b"\0") for t in texts),
+                         dtype=np.uint32)
+
+
+def _digits(width, drop=None):
+    """(10^width, width) ASCII digits of 0 .. 10^width - 1, zero-padded,
+    with their leading (``drop="lead"``, all of them for 0) or trailing
+    (``"trail"``) zeros replaced by zero bytes."""
+    i = np.arange(10 ** width)[:, None] // 10 ** np.arange(width)[::-1] % 10
+    d = (i + ord("0")).astype(np.uint8)
+    if drop == "lead":
+        d[np.logical_and.accumulate(i == 0, axis=1)] = 0
+    elif drop == "trail":
+        d[np.logical_and.accumulate(i[:, ::-1] == 0, axis=1)[:, ::-1]] = 0
+    return d
+
+
+@cache
+def _g9_tables():
+    """Scale factors and unit tables of :func:`_g9_rows`, built on first
+    use (not at import) and read-only.
+
+    ``scale`` holds, per exponent e in [_EMIN, _EMAX], the exact factors
+    (m1, m2, d) with 10^(8 - e) = m1 m2 / d.  The unit tables: ``lead2``
+    is separator, sign and 2 digits with leading zeros dropped; ``int4``
+    is 4 digits with leading zeros dropped, then full; ``int3`` is 3
+    digits with leading zeros dropped down to a last "0", then full, each
+    without and with a trailing "."; ``frac4`` is 4 digits with trailing
+    zeros dropped, then full, then the exponents "e-36" to "e+31".
+    """
+    p10 = np.array([float(10 ** k) for k in range(23)])
+    k = 8 - np.arange(_EMIN, _EMAX + 1)
+    scale = np.stack([p10[np.clip(k, 0, 22)], p10[np.clip(k - 22, 0, 22)],
+                      p10[np.clip(-k, 0, 22)]])
+    lead2 = np.zeros((2, 100, 4), dtype=np.uint8)
+    lead2[:, :, 0], lead2[1, :, 1] = ord(" "), ord("-")
+    lead2[:, :, 2:] = _digits(2, "lead")
+    int4 = np.concatenate([_digits(4, "lead"), _digits(4)])
+    int3 = np.zeros((2, 2, 1000, 4), dtype=np.uint8)  # full, point, i
+    int3[0, :, :, :3], int3[0, :, 0, 2] = _digits(3, "lead"), ord("0")
+    int3[1, :, :, :3], int3[:, 1, :, 3] = _digits(3), ord(".")
+    frac4 = np.concatenate([_digits(4, "trail"), _digits(4)])
+    lead2, int4, int3, frac4 = (t.reshape(-1, 4).view(np.uint32)[:, 0]
+                                for t in (lead2, int4, int3, frac4))
+    frac4 = np.concatenate([frac4, _units(
+        [b"e%+03d" % e for e in range(_EMIN, _EMAX + 2)])])
+    tables = scale, lead2, int4, int3, frac4
+    for t in tables:
+        t.flags.writeable = False
+    return tables
+
+
+def _decimal9(a):
+    """(M, e, slow) for an array ``a`` of |x|: x = M 10^(e - 8) rounded to
+    9 significant digits, 10^8 <= M < 10^9 (M = e = 0 for x = 0).
+
+    e starts as floor(log10 a), corrected by one where y = a 10^(8 - e)
+    falls outside [10^8, 10^9); M is y rounded to an integer, with the
+    carry 10^9 -> 10^8, e + 1.  y carries at most two roundings, < 2.4e-7
+    at y < 2^30, so M is the correctly rounded significand unless frac(y)
+    lies within 5e-7 of 0.5.  Those values, non-finite ones and those with
+    e outside [_EMIN, _EMAX] are marked ``slow`` and take ``'%.9g'``.
+    """
+    scale = _g9_tables()[0]
+    fin = np.isfinite(a) & (a > 0)
+    with np.errstate(invalid="ignore"):  # inf - inf for frac(inf)
+        e = np.clip(np.floor(np.log10(np.where(fin, a, 1.0))).astype(np.int64),
+                    _EMIN, _EMAX)
+        m1, m2, d = scale.take(e - _EMIN, axis=1)
+        y = a * m1 * m2 / d
+        off = np.flatnonzero(fin & ~((y >= 1e8) & (y < 1e9)))
+        if off.size:
+            e[off] = np.clip(e[off] + np.where(y[off] < 1e8, -1, 1),
+                             _EMIN, _EMAX)
+            m1, m2, d = scale.take(e[off] - _EMIN, axis=1)
+            y[off] = a[off] * m1 * m2 / d
+        fy = np.floor(y)
+        frac = y - fy
+        slow = (a != 0) & ~(fin & (y >= 1e8) & (y < 1e9)
+                            & (np.abs(frac - 0.5) > 5e-7))
+    m = np.where(slow, 0.0, fy).astype(np.int64) + (frac > 0.5)
+    carry = m == 1_000_000_000
+    m[carry] = 100_000_000
+    return m, e + carry, slow
+
+
+def _g9_rows(tag, rows):
+    """``rows`` as ASCII lines ``tag x0 x1 ...``, each value as ``'%.9g'``
+    would write it, in chunks of ``_CHUNK`` rows.
+
+    A value becomes six uint32 units of zero-padded text: separator, sign
+    and the integer digits above the last seven (``lead2``); the next four
+    (``int4``); the last three and "." if a fraction follows (``int3``);
+    the fraction as 12 digits in three units, trailing zeros dropped
+    (``frac4``).  The integer part is M // 10^(8 - s), s = e in fixed
+    notation (-4 <= e < 9) and s = 0 in exponent notation, where the last
+    fraction unit, always empty, holds the exponent.  ``slow`` values
+    (see :func:`_decimal9`) are written by ``'%.9g'`` into their six
+    units.  One ``bytes.translate`` drops the zero padding.
+    """
+    _, lead2, int4, int3, frac4 = _g9_tables()
+    p10 = 10 ** np.arange(13, dtype=np.int64)
+    head, newline = _units([tag, b"\n"])
     for i in range(0, len(rows), _CHUNK):
-        part = rows[i:i + _CHUNK]
-        yield (line * len(part) % tuple(part.ravel().tolist())).encode("ascii")
+        x = np.asarray(rows[i:i + _CHUNK], dtype=np.float64)
+        xf = x.ravel()
+        m, e, slow = _decimal9(np.abs(xf))
+        fixed = (e >= -4) & (e < 9)
+        s = np.where(fixed, e, 0)
+        ip = m // p10[8 - s]
+        fp = (m - ip * p10[8 - s]) * p10[4 + s]
+        i0, i1 = ip // 10_000_000, ip // 1000
+        i1, i2 = i1 - 10_000 * i0, ip - 1000 * i1
+        f0, f1 = fp // 100_000_000, fp // 10_000
+        f1, f2 = f1 - 10_000 * f0, fp - 10_000 * f1
+        u = np.empty((6, xf.size), dtype=np.uint32)
+        lead2.take(i0 + 100 * np.signbit(xf), out=u[0])
+        int4.take(i1 + 10_000 * (i0 > 0), out=u[1])
+        int3.take(i2 + 2000 * (ip >= 1000) + 1000 * (fp > 0), out=u[2])
+        frac4.take(f0 + 10_000 * (f1 + f2 > 0), out=u[3])
+        frac4.take(f1 + 10_000 * (f2 > 0), out=u[4])
+        frac4.take(np.where(fixed, f2, 20_000 + e - _EMIN), out=u[5])
+        buf = bytearray(4 * len(x) * (6 * x.shape[1] + 2))
+        line = np.frombuffer(buf, dtype=np.uint32).reshape(len(x), -1)
+        line[:, 0], line[:, -1] = head, newline
+        body = line[:, 1:-1].reshape(x.shape + (6,))
+        body[...] = u.T.reshape(body.shape)
+        for j in np.flatnonzero(slow):
+            text = (b" %.9g" % xf[j]).ljust(24, b"\0")  # <= 17 bytes
+            body[divmod(j, x.shape[1])] = np.frombuffer(text, dtype=np.uint32)
+        yield buf.translate(None, b"\0")
 
 
 def _token_table(idx):
@@ -658,10 +789,14 @@ def _token_table(idx):
 def export_obj(mesh: TriMesh, path) -> int:
     """ASCII OBJ (v/vn/f with 1-based i//i indices, 9 significant digits).
 
-    ``v`` and ``vn`` walk the mesh copy by copy (:meth:`TriMesh.iter_copies`),
-    so no whole-mesh array is built; a copy's ``vn`` text is formatted once
-    and written again for every following copy with the same normal bytes
-    (translated copies 1..copies).  ``f`` formats each distinct vertex
+    Every ``v`` and ``vn`` value is written as Python's ``'%.9g'`` writes
+    it, byte for byte: :func:`_g9_rows` renders the correctly rounded
+    digits in numpy and leaves near-ties, non-finite values and extreme
+    exponents to ``'%.9g'`` itself.  ``v`` and ``vn`` walk the mesh copy by
+    copy (:meth:`TriMesh.iter_copies`), so no whole-mesh array is built; a
+    copy's ``vn`` text is formatted once and written again for every
+    following copy with the same normal bytes (translated copies
+    1..copies).  ``f`` formats each distinct vertex
     index of a copy once, into a per-copy table of ``" i//i"`` tokens
     (:func:`_token_table`).  Copy k's faces are the cell's shifted by k
     times its vertex count, so every copy maps its faces to the same table
@@ -672,12 +807,11 @@ def export_obj(mesh: TriMesh, path) -> int:
     nbytes = 0
     with open(path, "wb") as fh:
         for v, _ in mesh.iter_copies():
-            nbytes += sum(map(fh.write, _chunks("v %.9g %.9g %.9g\n", v)))
+            nbytes += sum(map(fh.write, _g9_rows(b"v", v)))
         key = None
         for _, nrm in mesh.iter_copies():
             if nrm.tobytes() != key:
-                key, text = nrm.tobytes(), list(
-                    _chunks("vn %.9g %.9g %.9g\n", nrm))
+                key, text = nrm.tobytes(), list(_g9_rows(b"vn", nrm))
             nbytes += sum(map(fh.write, text))
         faces, n = mesh._cell_faces, len(mesh.cell_vertices)
         used = np.unique(faces)  # faces may point past the vertex array

@@ -10,13 +10,20 @@ references that the batched code in ``riemann_minimal`` is pinned against.
   (q, v) pair, with two scalar ``_adaptive`` increments per q.
 * :func:`classical_slice_points` -- one ``parameterize`` call per v, with
   ``math.cos`` and ``math.sin``.
+* :func:`export_obj` -- the OBJ writer that formats every number with
+  Python's ``%`` (``'%.9g'`` and ``%d``), one line template per chunk.
+
+Run as a script, ``python tests/scalar_references.py SIGMA NRxNT COPIES
+PATH`` writes the extended OBJ that ``gen`` would write (``--e 0.1``) with
+:func:`export_obj`.
 """
 
 import math
+import sys
 
 import numpy as np
 
-from riemann_minimal import checks, classical, curve, shiffkdv
+from riemann_minimal import checks, classical, curve, mesh, shiffkdv
 from riemann_minimal.curve import CurvePoint
 from riemann_minimal.quad import _adaptive
 
@@ -101,3 +108,44 @@ def classical_slice_points(params, q, vs):
     rq = math.sqrt(q)
     return np.array([[fq + rq * math.cos(v), rq * math.sin(v), zq]
                      for v in vs])
+
+
+def _chunks(line, rows):
+    """``rows`` as ASCII text in chunks of 2^15 rows, each one ``%`` format
+    of a repeated line template."""
+    for i in range(0, len(rows), 1 << 15):
+        part = rows[i:i + (1 << 15)]
+        yield (line * len(part) % tuple(part.ravel().tolist())).encode("ascii")
+
+
+def export_obj(m, path):
+    """``mesh.export_obj``'s file, every number formatted by ``%``: the
+    ``v`` and ``vn`` lines copy by copy, then the ``f`` lines, copy k's
+    faces being the cell's shifted by k times its vertex count.  Returns
+    the byte count."""
+    n = len(m.cell_vertices)
+    nbytes = 0
+    with open(path, "wb") as fh:
+        for v, _ in m.iter_copies():
+            nbytes += sum(map(fh.write, _chunks("v %.9g %.9g %.9g\n", v)))
+        for _, nrm in m.iter_copies():
+            nbytes += sum(map(fh.write, _chunks("vn %.9g %.9g %.9g\n", nrm)))
+        for k in range(m.copies + 1):
+            faces = np.repeat(m._cell_faces + (k * n + 1), 2, axis=1)
+            nbytes += sum(map(fh.write,
+                              _chunks("f %d//%d %d//%d %d//%d\n", faces)))
+    return nbytes
+
+
+def gen_extended(sigma, nr, nt, copies):
+    """The extended mesh ``gen --sigma SIGMA --grid NRxNT --copies COPIES``
+    builds."""
+    surf = mesh.FundamentalSurface(sigma)
+    fund = mesh.sample_fundamental(sigma, 0.1, nr, nt, surface=surf)
+    return mesh.extend(fund, mesh.extension_ops(sigma, surface=surf), copies)
+
+
+if __name__ == "__main__":
+    sigma, grid, copies, out = sys.argv[1:]
+    nr, nt = map(int, grid.split("x"))
+    export_obj(gen_extended(float(sigma), nr, nt, int(copies)), out)

@@ -1,3 +1,4 @@
+import filecmp
 import math
 import struct
 import tracemalloc
@@ -6,6 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import scalar_references as scalar
 from riemann_minimal import curve, mesh, quad
 from riemann_minimal.quad import QuadSettings
 from riemann_minimal.mesh import (Degenerate, DomainMap,
@@ -952,6 +954,15 @@ def test_export_memory_does_not_grow_with_copies(tmp_path, fund2, ops2):
             tracemalloc.stop()
 
     assert peak(32) <= 1.5 * peak(2)
+
+
+@pytest.mark.parametrize("sigma", [0.0121, 2.0, 8.0])
+def test_export_obj_matches_percent_writer_on_gen_meshes(tmp_path, sigma):
+    # gen's 40x60 piece with --copies 16: 979k vertex and normal values
+    ext = scalar.gen_extended(sigma, 40, 60, 16)
+    got, want = tmp_path / "got.obj", tmp_path / "want.obj"
+    assert export_obj(ext, got) == scalar.export_obj(ext, want)
+    assert filecmp.cmp(got, want, shallow=False)
 
 
 def test_isometry_validation():

@@ -1,0 +1,126 @@
+"""The OBJ exporter's numpy ``'%.9g'`` text against Python's own, byte for
+byte, on the values where a decimal formatter goes wrong: exact and near
+ties, powers of ten, the fixed/exponent switches, subnormals and the
+non-finite values."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from riemann_minimal import mesh
+
+
+def formatted(values):
+    """(numpy text, Python text) of ``values`` as ``v`` lines of three."""
+    x = np.asarray(values, dtype=np.float64).ravel()
+    rows = np.concatenate([x, np.zeros(-len(x) % 3)]).reshape(-1, 3)
+    got = b"".join(mesh._g9_rows(b"v", rows))
+    want = b"".join(b"v %s\n" % b" ".join(b"%.9g" % v for v in row)
+                    for row in rows.tolist())
+    return got, want
+
+
+def assert_formats_like_python(values):
+    got, want = formatted(values)
+    if got != want:
+        bad = [(a, b) for a, b in zip(got.splitlines(), want.splitlines())
+               if a != b]
+        pytest.fail(f"{len(bad)} lines differ, first: {bad[0]}")
+
+
+def near(values, ulps):
+    """Each positive finite value and its neighbours up to ``ulps`` ulps on
+    either side (the ones that stay positive), with both signs."""
+    bits = np.asarray(values, dtype=np.float64).view(np.int64)
+    x = (bits[:, None] + np.arange(-ulps, ulps + 1)).ravel()
+    x = x[x >= 0].view(np.float64)
+    return np.concatenate([x, -x])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 2 ** 64 - 1), min_size=1, max_size=48))
+def test_raw_bit_patterns(bits):
+    assert_formats_like_python(np.array(bits, dtype=np.uint64).view(np.float64))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(), min_size=1, max_size=48))
+def test_hypothesis_floats(values):
+    assert_formats_like_python(values)
+
+
+def test_powers_of_ten_and_neighbours():
+    # 10^k for k in [-330, 308] (the smallest round to 0 or a subnormal)
+    assert_formats_like_python(near([float(f"1e{k}") for k in
+                                     range(-330, 309)], 40))
+
+
+def test_ten_digit_ties():
+    # a 10th digit 5: a tie in decimal, near one in binary
+    rng = np.random.default_rng(5)
+    exps = np.repeat(np.arange(-333, 300), 4)
+    heads = rng.integers(10 ** 8, 10 ** 9, len(exps))
+    values = [float(f"{h}5e{e}") for h, e in zip(heads, exps)]
+    assert_formats_like_python([float("1234567885e-13"), *values])
+    assert_formats_like_python(near(values[::16], 3))
+
+
+def test_notation_switches():
+    # e = -5 / -4 and 8 / 9, before and after rounding carries into them
+    edges = [1e-4, 0.00009999999995, 0.000099999999949, 0.000099999999951,
+             1e9, 999999999.5, 999999999.4999999, 999999998.5,
+             99999999.95, 99999999.949999, 9.9999999951]
+    assert_formats_like_python(near(edges, 40))
+
+
+def test_integer_digits_of_e8():
+    rng = np.random.default_rng(8)
+    assert_formats_like_python(rng.uniform(1e8, 1e9, 3000))
+    assert_formats_like_python(rng.integers(10 ** 8, 10 ** 9, 3000)
+                               .astype(np.float64))
+    assert_formats_like_python([123456789.0, 100000000.0, 999999999.0,
+                                120000000.0, 100000001.0])
+
+
+def test_subnormals_zeros_and_non_finite():
+    rng = np.random.default_rng(9)
+    sub = rng.integers(1, 2 ** 52, 3000, dtype=np.int64).view(np.float64)
+    tiny = np.finfo(float).tiny
+    assert_formats_like_python(np.concatenate([sub, -sub, near([tiny], 40)]))
+    assert_formats_like_python([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan,
+                                5e-324, -5e-324, np.finfo(float).max])
+
+
+def test_scaled_normals_across_the_fast_range():
+    rng = np.random.default_rng(10)
+    x = rng.standard_normal(30000) * 10.0 ** rng.integers(-40, 40, 30000)
+    assert_formats_like_python(x)
+
+
+def test_ties_and_out_of_range_values_take_percent():
+    # 123456789.5 and 123456790.5 are exact ties: '%.9g' rounds them to
+    # even, 123456790 both; the rule M = floor(y) + (frac(y) > 0.5) alone
+    # would write 123456789 and 123456790
+    values = np.array([123456789.5, 123456790.5, 0.1, 2.5, -3.25e-7, 1e-300,
+                       1e300, np.inf, np.nan, 0.0, -0.0])
+    m, e, slow = mesh._decimal9(np.abs(values))
+    assert slow.tolist() == [True, True, False, False, False, True,
+                             True, True, True, False, False]
+    assert m[~slow].tolist() == [100000000, 250000000, 325000000, 0, 0]
+    assert e[~slow].tolist() == [-1, 0, -7, 0, 0]
+    got, _ = formatted(values[:3])
+    assert got == b"v 123456790 123456790 0.1\n"
+    assert_formats_like_python(values)
+
+
+def test_real_coordinates_take_no_percent():
+    rng = np.random.default_rng(11)
+    x = rng.uniform(-30.0, 30.0, 100000)
+    assert mesh._decimal9(np.abs(x))[2].sum() <= 2  # ~1e-6 of values near a tie
+
+
+def test_off_by_one_exponents_are_corrected_not_sent_to_percent():
+    # floor(log10 x) can read one too high just below a power of ten; the
+    # correction keeps those values on the array path
+    x = near([float(f"1e{k}") for k in range(-30, 31)], 3)
+    assert not mesh._decimal9(np.abs(x))[2].any()

@@ -465,3 +465,30 @@ def test_algebro_geometric_fit_matches_the_point_loop(sigma):
     assert abs(fit.coefficients[0] - coef[0]) <= 1e-12 * abs(coef[0])
     assert residual > 0.05
     assert fit.residual == pytest.approx(residual, rel=1e-12)
+
+
+@pytest.mark.parametrize("sigma", [0.3, 2.0, 8.0])
+def test_algebro_geometric_fit_reports_rank_at_n2(sigma):
+    # on the curve flow_1 = (1 - sigma)/2 flow_0 up to rounding, so the n = 2
+    # design matrix has rank 1: the fit says so and returns the minimum-norm
+    # coefficients c, c_1 = (1 - sigma)/2 c_0, whichever points it is given
+    params = CurveParams(sigma)
+    fits = [algebro_geometric_residual(params, 2, curve.random_regular_points(
+        params, 60, np.random.default_rng(seed))) for seed in (7, 8)]
+    a, b = (fit.coefficients for fit in fits)
+    assert all(fit.rank_deficient for fit in fits)
+    assert np.max(np.abs(a - b)) <= 1e-9 * np.max(np.abs(a))
+    assert abs(a[1] - 0.5 * (1.0 - sigma) * a[0]) <= 1e-9 * abs(a[0])
+    assert max(fit.residual for fit in fits) < 1e-9
+
+
+@pytest.mark.parametrize("sigma", [0.3, 2.0, 8.0])
+def test_algebro_geometric_fit_at_n1_keeps_the_default_cutoff(sigma):
+    # one column has one singular value: the cutoff changes no bit at n = 1
+    params = CurveParams(sigma)
+    pts = curve.random_regular_points(params, 60, np.random.default_rng(7))
+    fit = algebro_geometric_residual(params, 1, pts)
+    u = potential_u(msigma_jet(params, pts, 5))
+    coef = np.linalg.lstsq(flow_n(0, u)[:, None], flow_n(1, u), rcond=None)[0]
+    assert not fit.rank_deficient
+    assert fit.coefficients.tobytes() == coef.tobytes()
