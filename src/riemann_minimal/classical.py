@@ -56,7 +56,7 @@ __all__ = [
     "DomainError", "ConvergenceError", "RiemannParams", "FoliationData",
     "q_min", "sigma_of_lambda", "radicand", "carlson_rf", "carlson_rd",
     "height", "center_offset",
-    "slab_height", "parameterize", "catenoid_height", "gauss_limit",
+    "slab_height", "parameterize", "catenoid_height",
     "enneper_coefficients", "enneper_fourier_check", "foliation_frames",
 ]
 
@@ -247,45 +247,6 @@ def catenoid_height(lam: float, q: float) -> float:
         raise DomainError(f"q = {q} below the neck 1/lambda = {1.0 / lam}")
     q = max(q, 1.0 / lam)
     return math.asinh(math.sqrt(max(lam * q - 1.0, 0.0))) / math.sqrt(lam)
-
-
-def _normal(params, q, v):
-    """Unit normal of the parameterization from the exact partials."""
-    lam = params.lam
-    rad = radicand(lam, q)
-    fp = -0.5 * q / math.sqrt(rad)
-    zp = 0.5 / math.sqrt(rad)
-    rq = math.sqrt(q)
-    xu = np.array([fp + math.cos(v) / (2 * rq), math.sin(v) / (2 * rq), zp])
-    xv = np.array([-rq * math.sin(v), rq * math.cos(v), 0.0])
-    n = np.cross(xu, xv)
-    return n / np.linalg.norm(n)
-
-
-def gauss_limit(params: RiemannParams, tol: float = 1e-4) -> float:
-    """lim_{q->inf} N1(q,0)/(1 - N3(q,0)) along the symmetry plane.
-
-    Evaluated from the parameterization's normal at q = 1e3, 1e4, 1e5.  The
-    ratio converges like c/q, so the sequence is required to contract and
-    its Aitken extrapolation is taken as the limit, then asserted against
-    both closed forms 2/(lambda - sqrt(lambda^2+4)) and -sqrt(sigma).
-    """
-    vals = []
-    for q in (1e3, 1e4, 1e5):
-        n = _normal(params, q, 0.0)
-        vals.append(n[0] / (1.0 - n[2]))
-    d1, d2 = vals[1] - vals[0], vals[2] - vals[1]
-    if abs(d2) >= abs(d1) or abs(d2) > tol * 10.0:
-        raise ConvergenceError(f"normal ratio sequence not Cauchy: {vals}")
-    limit = vals[2] - d2 * d2 / (d2 - d1)
-    lam = params.lam
-    closed = 2.0 / (lam - math.hypot(2.0, lam))
-    if abs(limit - closed) > tol:
-        raise ConvergenceError(f"limit {limit} != closed form {closed}")
-    if abs(limit + math.sqrt(sigma_of_lambda(lam))) > tol:
-        raise ConvergenceError(
-            f"limit {limit} != -sqrt(sigma) = {-math.sqrt(sigma_of_lambda(lam))}")
-    return limit
 
 
 # ---------------------------------------------------------------------------

@@ -41,8 +41,7 @@ __all__ = [
     "CurveError", "BranchAmbiguity", "ClearanceViolation", "PoleOfGaussMap",
     "CurveParams", "CurvePoint", "WeierstrassForms", "HomologyLoop",
     "curve_poly", "branch_points", "default_clearance", "basepoint",
-    "on_curve_residual", "immerse",
-    "weierstrass_at", "gaussian_curvature",
+    "on_curve_residual", "immerse", "gaussian_curvature",
     "gamma1_loop", "gamma2_loop", "end_loop", "period", "flux",
     "apply_symmetry", "verify_symmetry_action", "gauss_ode_residual",
     "gauss_derivatives", "random_regular_points",
@@ -130,10 +129,9 @@ def _phi_vector(params, zs, ws):
     """Densities (phi1, phi2, phi3) with respect to dz, stacked (n, 3)."""
     rs = math.sqrt(params.sigma)
     g = zs / rs
-    p3 = 1.0 / ws
-    return np.stack([0.5 * (1.0 / g - g) * p3,
-                     0.5j * (1.0 / g + g) * p3,
-                     p3], axis=-1)
+    p3, inv_g = 1.0 / ws, 1.0 / g
+    return np.stack([0.5 * (inv_g - g) * p3, 0.5j * (inv_g + g) * p3, p3],
+                    axis=-1)
 
 
 def _leaf_panels(params, a, b, w, singular):
@@ -158,6 +156,7 @@ def _leaf_panels(params, a, b, w, singular):
         turn[:] = np.all(np.abs(r.real) > math.cos(math.pi / 4) * np.abs(r),
                          axis=1)
         w_end[:] = np.where(singular, 0.0, ws[:, -1])
+        del c, r  # free them before the densities' temporaries
         phi = _phi_vector(params, zs, ws[:, :-1])
         phi[s] *= (-2.0 * d * one_minus)[..., None]
         return phi
@@ -180,9 +179,9 @@ def _integrate_segments(params, za, zb, wa, settings=None):
     turn test, or whose error exceeds an equal share of that budget, are
     bisected (a share in proportion to length would keep splitting every
     leaf next to a near-singular point).  A leaf starts on the principal
-    root at its start (the first on wa); as in :func:`_march`, its sheet is
-    the product of the sign flips between each leaf's continued end and
-    the next leaf's starting root.  A segment ending within
+    root at its start (the first on wa); as in :func:`_accumulate`, its
+    sheet is the product of the sign flips between each leaf's continued
+    end and the next leaf's starting root.  A segment ending within
     1e-12 (1 + sigma) of the branch point 1 or -sigma ends there, in a
     singular leaf (w_end 0), which bisects into the regular leaf
     a -> bp + (a - bp)/4 and a singular leaf from there.  Raises
@@ -269,72 +268,87 @@ def _integrate_segments(params, za, zb, wa, settings=None):
     return totals, w_end
 
 
-def _march(params, z, w0, x0, settings=None):
-    """Immersion integrals along m chains of points, marched in one batch.
+def _march(params, chains, settings=None):
+    """Phase 1 of a march: the edges of any number of chain groups, all
+    integrated in one call of :func:`_integrate_segments`.
 
-    Chain i runs z[i, 0] -> z[i, 1] -> ... -> z[i, n], starting at x0[i]
-    (shape (m, 3)) on the branch w0[i] (shape (m,)).  Every edge is
-    integrated from the principal root at its start (w0[i] for the first
-    edge), all in one call of :func:`_integrate_segments`.  Since phi is odd
-    in w, an edge that really starts on the other sheet has the negated
-    integral, so the sheet of each point is the cumulative product of the
-    sign flips between an edge's continued end value and the next edge's
-    starting root.  Integrals accumulate in marching order,
-    ((x0 + d1) + d2) + ....
-
-    Returns (complex accumulated integrals, branch values), shapes
-    (m, n + 1, 3) and (m, n + 1); the real part of the first is the
-    position.
+    ``chains`` lists pairs (z, w0); group g is m chains z[i, 0] -> z[i, 1]
+    -> ... -> z[i, n] (z of shape (m, n + 1)).  Each edge starts on the
+    principal root at its start node, except a chain's first edge where w0
+    (shape (m,)) is given: a start branch known before the call (None where
+    the chains start at points another group of the batch reaches).
+    Returns per group (wa, totals, wb): each edge's start branch, integrals
+    and continued end branch, shapes (m, n), (m, n, 3), (m, n).
     """
-    m = z.shape[0]
-    za, zb = z[:, :-1], z[:, 1:]
-    wa = np.sqrt(curve_poly(params, za))
-    wa[:, 0] = w0
-    totals, wb = _integrate_segments(params, za.reshape(-1), zb.reshape(-1),
-                                     wa.reshape(-1), settings)
-    totals, wb = totals.reshape(*za.shape, 3), wb.reshape(za.shape)
-    flip = np.where((wb[:, :-1] * wa[:, 1:].conjugate()).real < 0.0, -1.0, 1.0)
-    sheet = np.cumprod(np.concatenate([np.ones((m, 1)), flip], axis=1), axis=1)
+    za = [z[:, :-1] for z, _ in chains]
+    wa = [np.sqrt(curve_poly(params, a)) for a in za]
+    for a, (_, w0) in zip(wa, chains):
+        if w0 is not None:
+            a[:, 0] = w0
+    flat = [np.concatenate([x.reshape(-1) for x in xs])
+            for xs in (za, [z[:, 1:] for z, _ in chains], wa)]
+    totals, wb = _integrate_segments(params, *flat, settings)
+    cuts = np.cumsum([a.size for a in za])[:-1]
+    return [(a, t.reshape(*a.shape, 3), b.reshape(a.shape)) for a, t, b
+            in zip(wa, np.split(totals, cuts), np.split(wb, cuts))]
+
+
+def _accumulate(edges, x0, w0):
+    """Phase 2 of a march: one group of :func:`_march`, its chains starting
+    at x0 (shape (m, 3)) on the branch w0 (shape (m,)).
+
+    phi is odd in w, so an edge integrated from the other sheet's root
+    has the negated integral: an edge's sheet is the product of the flips
+    Re(w * conj(wa)) < 0 between the branch w continued to its start (w0,
+    then the previous edge's end) and its starting root wa.  Returns the
+    integrals accumulated in marching order, ((x0 + d1) + d2) + ... (shape
+    (m, n + 1, 3), complex; the real part is the position), and the
+    branch values (m, n + 1).
+    """
+    wa, totals, wb = edges
+    w_in = np.concatenate([w0[:, None], wb[:, :-1]], axis=1)
+    sheet = np.cumprod(np.where((w_in * wa.conjugate()).real < 0.0, -1.0, 1.0),
+                       axis=1)
     steps = np.where(sheet[..., None] < 0.0, -totals, totals)
     return (np.cumsum(np.concatenate([x0[:, None], steps], axis=1), axis=1),
             np.concatenate([w0[:, None], wb * sheet], axis=1))
 
 
+def _clearance_error(params, path):
+    """The ClearanceViolation :func:`immerse` raises for ``path``, or None:
+    some branch point it does not end on is closer than its clearance."""
+    z, bps = np.array(path.nodes), branch_points(params)
+    clear = path.clearance or default_clearance(params)
+    for bp, d in zip(bps, _segment_distances(bps, z[:-1], z[1:]).min(axis=1)):
+        if d < clear and not abs(z[-1] - bp) < 1e-12 * (1.0 + params.sigma):
+            return ClearanceViolation(f"path at distance {d:.3e} < clearance "
+                                      f"{clear:.3e} from branch point {bp}")
+    return None
+
+
 def immerse(params: CurveParams, path: ComplexPath, w_start,
             base_position=(0.0, 0.0, 0.0),
             settings: QuadSettings | None = None):
-    """Integrate the Weierstrass forms along ``path``, one :func:`_march`
-    chain.
+    """Integrate the Weierstrass forms along ``path``, marched as one chain.
 
     Returns (position, end_point): ``base_position + Re int (phi1,phi2,phi3)``
     and the curve point at the path end with the continued branch of w.  A
     path whose final node is the branch point 1 or -sigma ends in a singular
     leaf (the end point then carries w = 0).  Every other branch point must
-    keep ``path.clearance`` (``default_clearance`` if 0) from the path.
+    keep ``path.clearance`` (``default_clearance`` if 0) from the path
+    (:func:`_clearance_error`).
     """
     pos = np.asarray(base_position, dtype=float).copy()
     if len(path.nodes) < 2:
         return pos, CurvePoint(path.nodes[0] if path.nodes else 0j,
                                complex(w_start))
-    z, bps = np.array(path.nodes), branch_points(params)
-    clear = path.clearance or default_clearance(params)
-    for bp, d in zip(bps, _segment_distances(bps, z[:-1], z[1:]).min(axis=1)):
-        if d < clear and not abs(z[-1] - bp) < 1e-12 * (1.0 + params.sigma):
-            raise ClearanceViolation(f"path at distance {d:.3e} < clearance "
-                                     f"{clear:.3e} from branch point {bp}")
-    acc, ws = _march(params, z[None], np.array([complex(w_start)]), pos[None],
-                     settings)
+    error = _clearance_error(params, path)
+    if error is not None:
+        raise error
+    w0 = np.array([complex(w_start)])
+    edges = _march(params, [(np.array(path.nodes)[None], w0)], settings)[0]
+    acc, ws = _accumulate(edges, pos[None], w0)
     return acc[0, -1].real, CurvePoint(path.nodes[-1], complex(ws[0, -1]))
-
-
-def weierstrass_at(params: CurveParams, pt: CurvePoint) -> WeierstrassForms:
-    rs = math.sqrt(params.sigma)
-    g = pt.z / rs
-    if g == 0 or not np.isfinite(g):
-        raise PoleOfGaussMap(f"g = {g}")
-    if pt.w == 0:
-        raise PoleOfGaussMap("phi3 density 1/w undefined at a branch point")
-    return WeierstrassForms.from_g(g, 1.0 / pt.w)
 
 
 def gaussian_curvature(forms: WeierstrassForms, g_prime) -> float:
@@ -378,8 +392,8 @@ def _make_loop(params, kind, center, radius, n, turns=1):
     nodes = _circle_nodes(center, radius, n, turns)
     z0 = nodes[0]
     w0 = np.sqrt(complex(curve_poly(params, z0)))
-    acc, ws = _march(params, np.array(nodes)[None], np.array([w0]),
-                     np.zeros((1, 3)))
+    edges = _march(params, [(np.array(nodes)[None], np.array([w0]))])[0]
+    acc, ws = _accumulate(edges, np.zeros((1, 3)), np.array([w0]))
     w_end = ws[0, -1]
     if abs(w_end - w0) > 1e-8 * abs(w0):
         raise BranchAmbiguity(
@@ -436,9 +450,10 @@ def period(params: CurveParams, loop: HomologyLoop,
     marching again, to the same bits."""
     if loop.integrals is not None and settings in (None, QuadSettings()):
         return loop.integrals.copy()
-    acc, _ = _march(params, np.array(loop.geometry.nodes)[None],
-                    np.array([loop.base.w]), np.zeros((1, 3)), settings)
-    return acc[0, -1]
+    w0 = np.array([loop.base.w])
+    edges = _march(params, [(np.array(loop.geometry.nodes)[None], w0)],
+                   settings)[0]
+    return _accumulate(edges, np.zeros((1, 3)), w0)[0][0, -1]
 
 
 def flux(params: CurveParams, loop: HomologyLoop,

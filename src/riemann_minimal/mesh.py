@@ -8,11 +8,11 @@ Moebius map onto the fundamental domain
 minus a round neighborhood of the end z = 0 (the image of |zeta| = e is a
 circle exactly centered at the origin; the smaller e, the more of the end
 is kept).  The immersion is integrated along the grid edges from a single
-base point, so the whole patch lives on one sheet: each edge family (the
-t = 0 column, the interior rows, the radial edges to the outer row) is one
-``curve._integrate_segments`` batch, and positions and branch signs are
-accumulated along the marching order.  The two grid corners on the branch
-points z = 1 and z = -sigma end in singular leaves of that kernel.
+base point, so the whole patch lives on one sheet: every edge (the t = 0
+column, the interior rows, the radial edges to the outer row and the two
+corner edges) is integrated in one ``curve._march`` batch, and positions
+and branch signs are accumulated along the marching order.  The two grid
+corners on the branch points z = 1 and z = -sigma end in singular leaves.
 
 The surface is then grown by the four-step symmetry pipeline: 180-degree
 rotation about the horizontal line through psi(i sqrt(sigma)), reflection
@@ -29,7 +29,7 @@ from functools import cache, cached_property
 import numpy as np
 
 from . import curve as _curve
-from .curve import BASEPOINT_OFFSET, CurveParams, CurvePoint
+from .curve import BASEPOINT_OFFSET, CurveParams
 from .quad import ComplexPath, QuadSettings, RiemannMinimalError
 
 __all__ = [
@@ -253,50 +253,75 @@ class FundamentalSurface:
         self.entry_pos, self.entry_pt = self._immerse_from(
             np.zeros(3), _curve.basepoint(self.params), arc[1:])
 
-    def _immerse_from(self, start_pos, start_pt, nodes):
-        """``curve.immerse`` along start_pt.z -> nodes.  A path ending on a
-        branch point keeps the default clearance (``immerse``'s reading of
-        0) from the other two; any other must only not pass through one."""
-        nodes = [start_pt.z, *nodes]
+    def _path(self, nodes):
+        """The path along ``nodes``, with the clearance ``curve.immerse``
+        holds it to: a path ending on a branch point keeps the default
+        clearance (``immerse``'s reading of 0) from the other two; any other
+        must only not pass through one."""
         ends_on_bp = nodes[-1] in _curve.branch_points(self.params)
-        path = ComplexPath(nodes, clearance=0.0 if ends_on_bp else 5e-324)
-        return _curve.immerse(self.params, path, start_pt.w, start_pos,
-                              self.settings)
+        return ComplexPath(nodes, clearance=0.0 if ends_on_bp else 5e-324)
+
+    def _immerse_from(self, start_pos, start_pt, nodes):
+        """``curve.immerse`` along start_pt.z -> nodes (see ``_path``)."""
+        return _curve.immerse(self.params, self._path([start_pt.z, *nodes]),
+                              start_pt.w, start_pos, self.settings)
+
+    def _left_nodes(self, x):
+        """Nodes after the entry point of the path to x on the left real
+        boundary; it hops over the end at 0 through the upper half plane."""
+        arc = (0.3 * min(1.0, self.params.sigma)
+               * np.exp(1j * np.linspace(0.0, math.pi, 9)))
+        nodes = [0.5 + 0.0j, *arc]
+        return nodes + [x + 0.0j] if abs(x - arc[-1]) > 0 else nodes
+
+    @cached_property
+    def _anchors(self):
+        """[X(1), X(i sqrt(sigma)), X(-sigma)] from one ``curve._march``
+        batch of the paths from the entry point to 1 (a singular end), to
+        i sqrt(sigma) and along ``_left_nodes(-sigma)``.  A path that
+        violates its clearance stays out of the batch, and its
+        ClearanceViolation takes its place."""
+        s, w0 = self.params.sigma, np.array([self.entry_pt.w])
+        paths = [self._path([self.entry_pt.z, *nodes]) for nodes in
+                 ([1.0 + 0.0j], [1j * math.sqrt(s)], self._left_nodes(-s))]
+        out = [_curve._clearance_error(self.params, p) for p in paths]
+        ok = [i for i, error in enumerate(out) if error is None]
+        batch = _curve._march(self.params, [
+            (np.array(paths[i].nodes)[None], w0) for i in ok], self.settings)
+        for i, edges in zip(ok, batch):
+            acc, _ = _curve._accumulate(edges, self.entry_pos[None], w0)
+            out[i] = acc[0, -1].real
+        return out
+
+    def _anchor(self, i):
+        """A copy of anchor i, or its ClearanceViolation raised."""
+        value = self._anchors[i]
+        if isinstance(value, Exception):
+            raise value.with_traceback(None)
+        return value.copy()
 
     def psi_fixed_point(self):
         """X(i sqrt(sigma)) - X(1); the S1 fixed point, relative to the
         line point at the origin."""
-        target = 1j * math.sqrt(self.params.sigma)
-        pos, _ = self._immerse_from(self.entry_pos, self.entry_pt, [target])
-        return pos - self.x_at_one()
+        return self._anchor(1) - self.x_at_one()
 
     def psi_left(self, x: float):
-        """psi on the left real boundary, x in (-sigma, -end-ish]; the path
-        hops over the end at 0 through the upper half plane."""
-        s = self.params.sigma
-        if not (-s <= x < 0):
+        """psi on the left real boundary, x in [-sigma, 0), by one
+        ``curve.immerse`` path along ``_left_nodes(x)``."""
+        if not (-self.params.sigma <= x < 0):
             raise ValueError("psi_left expects x in [-sigma, 0)")
-        arc = 0.3 * min(1.0, s) * np.exp(1j * np.linspace(0.0, math.pi, 9))
-        nodes = [0.5 + 0.0j, *arc]
-        if abs(x - arc[-1]) > 0:
-            nodes.append(x + 0.0j)
-        pos, _ = self._immerse_from(self.entry_pos, self.entry_pt, nodes)
+        pos, _ = self._immerse_from(self.entry_pos, self.entry_pt,
+                                    self._left_nodes(x))
         return pos - self.x_at_one()
 
     def x_at_one(self):
-        """X at the branch point z = 1 (singular-end integration), cached."""
-        if not hasattr(self, "_x_one"):
-            pos, _ = self._immerse_from(self.entry_pos, self.entry_pt,
-                                        [1.0 + 0.0j])
-            self._x_one = pos
-        return self._x_one
+        """X at the branch point z = 1 (singular-end integration)."""
+        return self._anchor(0)
 
     def translation_half(self):
         """t0 = psi(-sigma) = X(-sigma) - X(1), via exact singular-end
-        quadrature at both branch points; computed once, copied per call."""
-        if not hasattr(self, "_t0"):
-            self._t0 = self.psi_left(-self.params.sigma)
-        return self._t0.copy()
+        quadrature at both branch points; a new array per call."""
+        return self._anchor(2) - self.x_at_one()
 
 
 def sample_fundamental(sigma: float, e: float, nr: int, nt: int,
@@ -311,11 +336,11 @@ def sample_fundamental(sigma: float, e: float, nr: int, nt: int,
     t = 0 column is walked down the real axis from the entry point, each
     row is walked in t from its t = 0 vertex, the outer row is reached
     radially from the row below, and the two corner vertices on the branch
-    points are ``curve.immerse`` paths that end in a singular leaf.  The
-    column, the rows and the radial edges are each integrated as one batch
-    (see ``curve._march``); a vertex's position is the sum of the edge
-    integrals along this order and its branch value w the continuation
-    along it.
+    points by one edge each from their outer-row neighbour, ending in a
+    singular leaf (with the clearance ``curve.immerse`` would check).  All
+    these edges are integrated in one ``curve._march`` batch; a vertex's
+    position is the sum of the edge integrals along this order and its
+    branch value w the continuation along it (``curve._accumulate``).
     """
     if surface is None:
         surface = FundamentalSurface(sigma, settings)
@@ -338,31 +363,32 @@ def sample_fundamental(sigma: float, e: float, nr: int, nt: int,
 
     X = np.zeros((nr, nt, 3))
     W = np.zeros((nr, nt), dtype=complex)
+    top, k, nb = nr - 1, slice(1, nt - 1), [1, nt - 2]
+    order = np.argsort(-Z[:top, 0].real)
+    corners = np.stack([Z[top, nb], Z[top, [0, nt - 1]]], axis=1)
+    for nodes in corners:
+        error = _curve._clearance_error(params, surface._path(nodes))
+        if error is not None:
+            raise error
+    w0 = np.array([surface.entry_pt.w])
+    column, rows, radial, corner = _curve._march(params, [
+        (np.append(surface.entry_pt.z, Z[order, 0])[None], w0),
+        (Z[:top], None), (np.stack([Z[top - 1, k], Z[top, k]], axis=1), None),
+        (corners, None)], surface.settings)
+    accumulate = _curve._accumulate
 
     # t = 0 column (real axis, descending from the entry point)
-    order = np.argsort(-Z[:nr - 1, 0].real)
-    march = _curve._march
-    xs, ws = march(params, np.append(surface.entry_pt.z, Z[order, 0])[None],
-                   np.array([surface.entry_pt.w]), surface.entry_pos[None],
-                   surface.settings)
+    xs, ws = accumulate(column, surface.entry_pos[None], w0)
     X[order, 0], W[order, 0] = xs[0, 1:].real, ws[0, 1:]
-
-    # interior rows
-    xs, W[:nr - 1] = march(params, Z[:nr - 1], W[:nr - 1, 0], X[:nr - 1, 0],
-                           surface.settings)
-    X[:nr - 1] = xs.real
-
+    # interior rows, from the column
+    xs, W[:top] = accumulate(rows, X[:top, 0], W[:top, 0])
+    X[:top] = xs.real
     # outer row, radially from the row below
-    k = slice(1, nt - 1)
-    xs, ws = march(params, np.stack([Z[nr - 2, k], Z[nr - 1, k]], axis=1),
-                   W[nr - 2, k], X[nr - 2, k], surface.settings)
-    X[nr - 1, k], W[nr - 1, k] = xs[:, 1].real, ws[:, 1]
-
-    # corners on the branch points (singular-end leaves), from the row
-    for c, k in ((0, 1), (nt - 1, nt - 2)):
-        start = CurvePoint(Z[nr - 1, k], W[nr - 1, k])
-        X[nr - 1, c], _ = surface._immerse_from(X[nr - 1, k], start,
-                                                [Z[nr - 1, c]])
+    xs, ws = accumulate(radial, X[top - 1, k], W[top - 1, k])
+    X[top, k], W[top, k] = xs[:, 1].real, ws[:, 1]
+    # corners on the branch points, from the outer row (their w stays 0)
+    xs, _ = accumulate(corner, X[top, nb], W[top, nb])
+    X[top, [0, nt - 1]] = xs[:, 1].real
 
     v0 = X[nr - 1, 0].copy()
     verts = (X - v0).reshape(-1, 3)

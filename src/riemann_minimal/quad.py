@@ -129,10 +129,6 @@ class ComplexPath:
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "clearance", float(clearance))
 
-    @property
-    def segments(self):
-        return tuple(zip(self.nodes[:-1], self.nodes[1:]))
-
 
 def _gk_panel(f, a, b):
     """One G7/K15 panel on each (complex or real) straight segment a -> b.

@@ -1,6 +1,8 @@
 """One-point-at-a-time versions of the batched verify paths, kept as the
 references that the batched code in ``riemann_minimal`` is pinned against.
 
+* :func:`weierstrass_at` -- g and the three form densities at one point,
+  the scalar version of ``curve._phi_vector``.
 * :func:`random_regular_points` -- the sampler's draw order taken one
   candidate at a time in scalar arithmetic: blocks of (r, theta) uniforms,
   then one ``integers(0, 2)`` sign per kept point.
@@ -24,8 +26,19 @@ import sys
 import numpy as np
 
 from riemann_minimal import checks, classical, curve, mesh, shiffkdv
-from riemann_minimal.curve import CurvePoint
+from riemann_minimal.curve import CurvePoint, PoleOfGaussMap, WeierstrassForms
 from riemann_minimal.quad import _adaptive
+
+
+def weierstrass_at(params, pt):
+    """WeierstrassForms at the regular point ``pt`` (g = z / sqrt(sigma),
+    phi3 density 1/w); PoleOfGaussMap at z = 0 or a branch point."""
+    g = pt.z / math.sqrt(params.sigma)
+    if g == 0 or not np.isfinite(g):
+        raise PoleOfGaussMap(f"g = {g}")
+    if pt.w == 0:
+        raise PoleOfGaussMap("phi3 density 1/w undefined at a branch point")
+    return WeierstrassForms.from_g(g, 1.0 / pt.w)
 
 
 def random_regular_points(params, n, rng, stats=None):

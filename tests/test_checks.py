@@ -7,7 +7,7 @@ from scipy.optimize import brentq, least_squares
 
 import classical_quadrature as quadrature
 import scalar_references as scalar
-from riemann_minimal import checks, classical, mesh, quad
+from riemann_minimal import checks, classical, curve, mesh, quad
 from riemann_minimal.quad import RiemannMinimalError
 
 EPS = np.finfo(float).eps
@@ -131,18 +131,21 @@ def test_slice_checks_refine_all_heights_in_one_call(monkeypatch):
 
 
 def test_translation_half_is_computed_once(monkeypatch):
+    # X(1), the fixed point and t0 come from one batch of three paths,
+    # marched on first use; every call returns a new array
     surf = mesh.FundamentalSurface(2.0)
     calls = []
-    psi_left = surf.psi_left
+    march = curve._march
 
-    def counting(x):
-        calls.append(x)
-        return psi_left(x)
+    def counting(params, chains, settings=None):
+        calls.append(len(chains))
+        return march(params, chains, settings)
 
-    monkeypatch.setattr(surf, "psi_left", counting)
-    t0 = surf.translation_half()
-    t0[:] = 0.0
-    assert np.all(surf.translation_half() != 0.0) and calls == [-2.0]
+    monkeypatch.setattr(curve, "_march", counting)
+    for get in (surf.translation_half, surf.psi_fixed_point, surf.x_at_one):
+        get()[:] = 0.0
+        assert np.all(get() != 0.0)
+    assert calls == [3]
 
 
 def test_slice_fit_error_is_a_package_error(monkeypatch):

@@ -375,7 +375,7 @@ def test_off_curve_point_and_branch_point_rejection():
     with pytest.raises(PoleOfGaussMap):
         WeierstrassForms.from_g(0.0)
     with pytest.raises(PoleOfGaussMap):
-        curve.weierstrass_at(params, CurvePoint(1.0 + 0j, 0.0 + 0j))
+        scalar.weierstrass_at(params, CurvePoint(1.0 + 0j, 0.0 + 0j))
 
 
 def test_weierstrass_forms_null_quadric():
@@ -384,9 +384,28 @@ def test_weierstrass_forms_null_quadric():
     rng = np.random.default_rng(8)
     pts = curve.random_regular_points(params, 30, rng)
     for z, w in zip(pts.z, pts.w):
-        f = curve.weierstrass_at(params, CurvePoint(z, w))
+        f = scalar.weierstrass_at(params, CurvePoint(z, w))
         s = f.phi1_density ** 2 + f.phi2_density ** 2 + f.phi3_density ** 2
         assert abs(s) < 1e-9 * abs(f.phi3_density) ** 2
+    phi = curve._phi_vector(params, pts.z, pts.w)
+    assert np.all(np.abs(np.sum(phi ** 2, axis=-1))
+                  < 1e-9 * np.abs(phi[:, 2]) ** 2)
+
+
+def test_phi_vector_matches_the_two_reciprocal_expression():
+    # 1/g is computed once; the densities keep the bits of the expression
+    # that divided twice
+    params = CurveParams(2.7)
+    rng = np.random.default_rng(11)
+    z = (rng.standard_normal((3, 15000)) + 1j * rng.standard_normal((3, 15000))
+         ) * 10.0 ** rng.integers(-3, 3, (3, 15000))
+    w = np.sqrt(curve.curve_poly(params, z)) * rng.choice([-1.0, 1.0], z.shape)
+    g, p3 = z / math.sqrt(params.sigma), 1.0 / w
+    want = np.stack([0.5 * (1.0 / g - g) * p3, 0.5j * (1.0 / g + g) * p3, p3],
+                    axis=-1)
+    got = curve._phi_vector(params, z, w)
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 @pytest.mark.parametrize("sigma", [0.0167, 0.046, 0.1])

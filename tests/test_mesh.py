@@ -248,6 +248,67 @@ def test_translation_matches_gamma2_period(surf2, ops2):
     assert np.max(np.abs(ops2[3].offset - per.real)) < 1e-8
 
 
+def _anchor_references(surface):
+    """X(1), psi(i sqrt(sigma)) and t0, each from its own ``immerse`` path
+    (t0 over the end at 0 as psi_left hops it); a path that violates its
+    clearance gives its ClearanceViolation instead."""
+    s = surface.params.sigma
+    arc = 0.3 * min(1.0, s) * np.exp(1j * np.linspace(0.0, math.pi, 9))
+    out = []
+    for nodes in ([1.0 + 0j], [1j * math.sqrt(s)], [0.5 + 0j, *arc, -s]):
+        try:
+            out.append(surface._immerse_from(surface.entry_pos,
+                                             surface.entry_pt, nodes)[0])
+        except curve.ClearanceViolation as exc:
+            out.append(exc)
+    return out
+
+
+@pytest.mark.parametrize("sigma", [0.012, 0.5, 2.0, 8.0])
+def test_batched_anchors_match_per_path_immerse(sigma):
+    surf = FundamentalSurface(sigma)
+    x1, fixed, left = _anchor_references(surf)
+    for got, want in ((surf.x_at_one(), x1),
+                      (surf.psi_fixed_point(), fixed - x1),
+                      (surf.translation_half(), left - x1)):
+        scale = max(1.0, np.max(np.abs(want)))
+        assert np.max(np.abs(got - want)) <= 1e-13 * scale
+
+
+def test_anchor_batch_leaves_out_the_t0_path_that_violates_clearance():
+    # at sigma 83 the t0 path starts 1e-2 from z = 1, inside the clearance
+    # 1e-3 (1 + sigma) that a path ending on -sigma keeps from the others
+    surf = FundamentalSurface(83.0)
+    x1, fixed, left = _anchor_references(surf)
+    assert str(left) == ("path at distance 1.000e-02 < clearance 8.400e-02 "
+                         "from branch point (1+0j)")
+    want = fixed - x1
+    got = surf.psi_fixed_point()
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    assert np.max(np.abs(surf.x_at_one() - x1)) <= 1e-13 * np.max(np.abs(x1))
+    for call in (surf.translation_half, surf.translation_half,
+                 lambda: surf.psi_left(-83.0)):
+        with pytest.raises(curve.ClearanceViolation) as info:
+            call()
+        assert str(info.value) == str(left)
+
+
+def test_gen_makes_three_integrator_calls(monkeypatch):
+    # the entry arc, the sampling batch and the anchor batch
+    calls = []
+    batch = curve._integrate_segments
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return batch(*args, **kwargs)
+
+    monkeypatch.setattr(curve, "_integrate_segments", counting)
+    surf = FundamentalSurface(2.0)
+    sample_fundamental(2.0, 0.1, 40, 60, surface=surf)
+    extension_ops(2.0, surface=surf)
+    assert len(calls) == 3
+
+
 def test_t0_sqrt_epsilon_extrapolation(surf2):
     # psi approaches its boundary value like sqrt(eps); two evaluations near
     # -sigma extrapolate to the exact singular-end quadrature value
@@ -553,7 +614,7 @@ def _refine_slice_reference(m, height, surface, max_points):
                 s_hi = s
             s_next = 0.5 * (s_lo + s_hi)
             if pt.w != 0.0:
-                forms = curve.weierstrass_at(params, pt)
+                forms = scalar.weierstrass_at(params, pt)
                 phi = np.array([forms.phi1_density, forms.phi2_density,
                                 forms.phi3_density])
                 fp = float(ell @ (phi * dz).real)
