@@ -3,9 +3,10 @@
 
 Walks the quadrature construction: the admissible radius range starts at
 q1(lambda) = (-lambda + sqrt(4 + lambda^2))/2, the surface fills a slab of
-height zeta(lambda), the a = 0 branch of the same integral is the catenoid
-with its arcsinh closed form, and the limiting Gauss-map ratio ties lambda
-to the curve parameter sigma = 1/q1^2.
+height zeta(lambda), the a = 0 branch of the same integral is the catenoid,
+whose Carlson form sqrt(q - 1/lambda) R_F(lambda q, 1, 1) meets its arcsinh
+closed form, and the limiting Gauss-map ratio ties lambda to the curve
+parameter sigma = 1/q1^2.
 """
 
 import numpy as np
@@ -41,15 +42,13 @@ lams = np.linspace(-2, 4, 7)
 prods = [classical.sigma_of_lambda(l) * classical.q_min(l) ** 2 for l in lams]
 print("  max deviation:", max(abs(p - 1) for p in prods))
 
-print("\ncatenoid branch (a = 0): closed form vs direct quadrature")
-from riemann_minimal.quad import integrate_sqrt_singular
+print("\ncatenoid branch (a = 0): Carlson form vs arcsinh closed form")
 for lam in (0.5, 1.0, 2.0):
     q = 1.0 / lam + 2.0
-    f = lambda u: 0.5 / np.sqrt(lam * u * u - u)
-    quad_val = integrate_sqrt_singular(f, 1.0 / lam, q)
+    carlson = np.sqrt(q - 1.0 / lam) * classical.carlson_rf(lam * q, 1.0, 1.0)
     closed = classical.catenoid_height(lam, q)
-    print(f"  lambda={lam}: quadrature={quad_val:.12f} closed={closed:.12f}"
-          f" diff={abs(quad_val - closed):.2e}")
+    print(f"  lambda={lam}: R_F form={carlson:.12f} arcsinh={closed:.12f}"
+          f" diff={abs(carlson - closed):.2e}")
 
 print("\ncircle slices of X(q, v): radius sqrt(q), center on the x1-axis")
 p = classical.RiemannParams.from_lambda(1.0)

@@ -2,15 +2,17 @@
 
 Subpackages:
 
-* :mod:`riemann_minimal.quad` -- adaptive Gauss-Kronrod quadrature kernel,
-  the singular-endpoint substitution, and ``RiemannMinimalError``, the base
-  class of every numeric failure the package raises.
+* :mod:`riemann_minimal.quad` -- the G7/K15 panel kernel, its tolerance
+  constants, and ``RiemannMinimalError``, the base class of every numeric
+  failure the package raises.
 * :mod:`riemann_minimal.curve` -- the elliptic curve w^2 = z(z-1)(z+sigma),
   branch-continuous continuation, Weierstrass data, periods, flux,
   symmetries.
 * :mod:`riemann_minimal.classical` -- the classical construction (radius
-  ODE, height/center integrals in Carlson's closed forms, catenoid closed
-  form, Enneper coefficients).
+  ODE, height/center integrals in Carlson's closed forms, the catenoid's
+  arcsinh form, which ``checks.catenoid_residual`` compares with its
+  Carlson form sqrt(q - 1/lambda) R_F(lambda q, 1, 1), Enneper
+  coefficients).
 * :mod:`riemann_minimal.shiffkdv` -- Shiffman function, Jacobi operator,
   jets, Miura transformation, the KdV hierarchy as exact differential
   polynomials.

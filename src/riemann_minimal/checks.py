@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import classical, curve, mesh, quad
-from .quad import QuadSettings, RiemannMinimalError
+from .quad import QuadError, RiemannMinimalError
 
 __all__ = [
     "fd_surface_checks", "classical_fd_grid", "weierstrass_fd_grid",
@@ -62,8 +62,7 @@ def fd_surface_checks(sample, h):
     return np.abs(H)[()], (np.abs(E - G) / E)[()], (np.abs(F) / E)[()]
 
 
-def classical_fd_grid(lam, nq=20, nv=20, h=1e-4,
-                      settings: QuadSettings | None = None):
+def classical_fd_grid(lam, nq=20, nv=20, h=1e-4):
     """Max FD |H| and conformality defects of the classical parameterization.
 
     The stencil q-values share one closed-form base evaluation of the
@@ -72,12 +71,11 @@ def classical_fd_grid(lam, nq=20, nv=20, h=1e-4,
     would put their error terms over h^2 and swamp the second differences.
     One batch: the base values come from one ``center_offset`` and one
     ``height`` call on all q, every increment of both integrands is one
-    G7/K15 panel of one ``quad._gk_panel`` call (a panel that misses
-    ``_adaptive``'s tolerance is redone by ``_adaptive``), and all (q, v)
-    stencils go through one :func:`fd_surface_checks` call.
+    G7/K15 panel of one ``quad._gk_panel`` call, and all (q, v) stencils
+    go through one :func:`fd_surface_checks` call.  A panel that is not
+    finite or whose |K15 - G7| exceeds max(quad.ABS_TOL, quad.REL_TOL
+    |increment|) raises QuadError.
     """
-    if settings is None:
-        settings = QuadSettings()
     params = classical.RiemannParams.from_lambda(lam)
     q1 = params.q1
     qs = np.linspace(q1 * 1.05 + 0.02, q1 + 3.0, nq)
@@ -95,11 +93,13 @@ def classical_fd_grid(lam, nq=20, nv=20, h=1e-4,
     b = np.tile(np.concatenate([qs + h, qs]), (2, 1))
     inc, err, ok = quad._gk_panel(
         lambda u: np.stack([slope(u[0], 0), slope(u[1], 1)]), a, b)
-    redo = ~(ok & (err <= np.maximum(settings.abs_tol,
-                                     settings.rel_tol * np.abs(inc))))
-    for row, k in zip(*np.nonzero(redo)):
-        inc[row, k] = quad._adaptive(lambda u: slope(u, row),
-                                     [(a[row, k], b[row, k])], settings)[0]
+    tol = np.maximum(quad.ABS_TOL, quad.REL_TOL * np.abs(inc))
+    miss = ~(ok & (err <= tol))
+    if miss.any():
+        i = np.unravel_index(np.argmax(miss), miss.shape)
+        raise QuadError(
+            f"increment panel [{a[i]:.6g}, {b[i]:.6g}] misses its tolerance: "
+            f"error {err[i]:.3e} > tol {tol[i]:.3e}")
     (dfp, dfm), (dzp, dzm) = inc.reshape(2, 2, nq)
     fz = {-1: (f0 - dfm, z0 - dzm), 0: (f0, z0), 1: (f0 + dfp, z0 + dzp)}
 
@@ -119,7 +119,7 @@ _STENCIL = ((1, 0), (-1, 0), (0, 1), (0, -1),
             (1, 1), (1, -1), (-1, 1), (-1, -1))
 
 
-def _weierstrass_stencil(sigma, n_side, h, offsets, settings, surface=None):
+def _weierstrass_stencil(sigma, n_side, h, offsets, surface=None):
     """Immersion at z0 + h_k (i + i j) for every anchor z0 and offset (i, j).
 
     The anchors are the interior vertices of an (n_side + 2)^2 sample of
@@ -130,7 +130,7 @@ def _weierstrass_stencil(sigma, n_side, h, offsets, settings, surface=None):
     ``curve._integrate_segments`` batch.  Returns (X0, X, h_k) with shapes
     (n, 3), (n, len(offsets), 3) and (n,).
     """
-    surf = _surface(sigma, settings, surface)
+    surf = _surface(sigma, surface)
     m = mesh.sample_fundamental(sigma, 0.35, n_side + 2, n_side + 2,
                                 surface=surf)
     inner = np.s_[1:-1, 1:-1]
@@ -144,19 +144,17 @@ def _weierstrass_stencil(sigma, n_side, h, offsets, settings, surface=None):
     zb = z0[:, None] + hk[:, None] * steps
     totals, _ = curve._integrate_segments(
         surf.params, np.repeat(z0, len(steps)), zb.ravel(),
-        np.repeat(w0, len(steps)), settings)
+        np.repeat(w0, len(steps)))
     return X0, X0[:, None] + totals.real.reshape(*zb.shape, 3), hk
 
 
 def weierstrass_fd_grid(sigma, n_side=10, h=1e-4,
-                        settings: QuadSettings | None = None,
                         surface: mesh.FundamentalSurface | None = None):
     """Max FD |H| and conformality defects of the curve immersion, from
     the stencils of :func:`_weierstrass_stencil` (step h scaled per anchor).
     ``surface``, if given, must be built for ``sigma``.
     """
-    X0, X, hk = _weierstrass_stencil(sigma, n_side, h, _STENCIL, settings,
-                                     surface)
+    X0, X, hk = _weierstrass_stencil(sigma, n_side, h, _STENCIL, surface)
     vals = {(0, 0): X0.T, **dict(zip(_STENCIL, X.transpose(1, 2, 0)))}
     H, conf, orth = fd_surface_checks(lambda i, j: vals[(i, j)], hk)
     return float(H.max()), float(conf.max()), float(orth.max())
@@ -166,11 +164,10 @@ def weierstrass_fd_grid(sigma, n_side=10, h=1e-4,
 # classical <-> Weierstrass registration
 
 
-def _surface(sigma, settings, surface):
-    """``surface`` if given (checked against sigma), else a new one built
-    with ``settings``."""
+def _surface(sigma, surface):
+    """``surface`` if given (checked against sigma), else a new one."""
     if surface is None:
-        return mesh.FundamentalSurface(sigma, settings)
+        return mesh.FundamentalSurface(sigma)
     if surface.params.sigma != sigma:
         raise ValueError(f"surface is built for sigma={surface.params.sigma}, "
                          f"not {sigma}")
@@ -229,7 +226,6 @@ class RegistrationResult:
 
 
 def registration_error(sigma, nr=30, nt=40, n_heights=8,
-                       settings: QuadSettings | None = None,
                        surface: mesh.FundamentalSurface | None = None
                        ) -> RegistrationResult:
     """Register the classical surface R_lambda against M_sigma, with
@@ -244,7 +240,7 @@ def registration_error(sigma, nr=30, nt=40, n_heights=8,
     ``surface``, if given, must be built for ``sigma``.
     """
     cl = classical.RiemannParams.from_lambda((sigma - 1.0) / math.sqrt(sigma))
-    surf = _surface(sigma, settings, surface)
+    surf = _surface(sigma, surface)
     m = mesh.sample_fundamental(sigma, 0.1, nr, nt, surface=surf)
     t0 = surf.translation_half()
     span = t0[2]
@@ -303,7 +299,6 @@ def registration_error(sigma, nr=30, nt=40, n_heights=8,
 
 
 def foliation_residuals(sigma, heights=None, nr=30, nt=40, copies=1,
-                        settings: QuadSettings | None = None,
                         surface: mesh.FundamentalSurface | None = None):
     """Relative circle-fit residuals of refined slices of the extended mesh.
 
@@ -312,7 +307,7 @@ def foliation_residuals(sigma, heights=None, nr=30, nt=40, copies=1,
     the two line heights 0 and t0_3).  ``surface``, if given, must be built
     for ``sigma``.
     """
-    surf = _surface(sigma, settings, surface)
+    surf = _surface(sigma, surface)
     m = mesh.sample_fundamental(sigma, 0.1, nr, nt, surface=surf)
     ops = mesh.extension_ops(sigma, surface=surf)
     ext = mesh.extend(m, ops, copies=copies)
@@ -336,20 +331,19 @@ def foliation_residuals(sigma, heights=None, nr=30, nt=40, copies=1,
     return np.array(rels), line_kinds
 
 
-def catenoid_residual(lams=(0.5, 1.0, 2.0), n_q=20,
-                      settings: QuadSettings | None = None) -> float:
-    """Max |closed form - quadrature| for the catenoid height integral.
+def catenoid_residual(lams=(0.5, 1.0, 2.0), n_q=20) -> float:
+    """Max |Carlson form - arcsinh form| of the catenoid height integral.
 
-    The a = 0 radicand is lambda u^2 - u with its simple zero at the neck
-    q = 1/lambda, so the same sqrt-singular substitution applies.
+    The a = 0 radicand is lambda u^2 - u, with its simple zero at the neck
+    q = 1/lambda; in the Carlson form that ``classical.height`` uses, the
+    height is sqrt(q - 1/lambda) R_F(lambda q, 1, 1), compared here with
+    ``classical.catenoid_height`` on n_q - 1 points above each neck.
     """
-    from .quad import integrate_sqrt_singular
-
     worst = 0.0
     for lam in lams:
-        q_neck = 1.0 / lam
-        for q in np.linspace(q_neck, q_neck + 6.0, n_q)[1:]:
-            f = lambda u: 0.5 / np.sqrt(lam * u * u - u)
-            quad_val = integrate_sqrt_singular(f, q_neck, q, settings)
-            worst = max(worst, abs(quad_val - classical.catenoid_height(lam, q)))
-    return worst
+        q = np.linspace(1.0 / lam, 1.0 / lam + 6.0, n_q)[1:]
+        carlson = (np.sqrt(q - 1.0 / lam)
+                   * classical.carlson_rf(lam * q, 1.0, 1.0))
+        arcsinh = [classical.catenoid_height(lam, x) for x in q]
+        worst = max(worst, np.max(np.abs(carlson - arcsinh), initial=0.0))
+    return float(worst)

@@ -27,6 +27,7 @@ import sys
 import time
 import traceback
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -96,7 +97,10 @@ def _parse_tol(pairs):
     return out
 
 
+@cache
 def build_parser():
+    """The argument parser, built once per process (``parse_args`` leaves
+    it unchanged)."""
     ap = argparse.ArgumentParser(
         prog="riemann-minimal",
         description="Construct and verify Riemann's minimal examples.")

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import quad
-from .quad import (ComplexPath, NonFinite, QuadSettings, RiemannMinimalError,
+from .quad import (ComplexPath, NonFinite, RiemannMinimalError,
                    SubdivisionLimit, _segment_distances)
 
 __all__ = [
@@ -166,7 +166,7 @@ def _leaf_panels(params, a, b, w, singular):
     return k, err, finite, w_end, turn
 
 
-def _integrate_segments(params, za, zb, wa, settings=None):
+def _integrate_segments(params, za, zb, wa):
     """Integrals of (phi1, phi2, phi3) along the segments za[i] -> zb[i],
     each starting on the branch wa[i] at za[i], as one batch.
 
@@ -174,11 +174,11 @@ def _integrate_segments(params, za, zb, wa, settings=None):
     at each zb[i].  Each segment starts as one leaf, and each round
     integrates the new leaves with one panel each (:func:`_leaf_panels`).
     A segment is accepted once all its leaves pass the 45-degree turn test
-    and the sum of their |K15 - G7| is within max(abs_tol, rel_tol |total|),
-    the bound of the adaptive kernel.  Otherwise its leaves that fail the
-    turn test, or whose error exceeds an equal share of that budget, are
-    bisected (a share in proportion to length would keep splitting every
-    leaf next to a near-singular point).  A leaf starts on the principal
+    and the sum of their |K15 - G7| is within max(quad.ABS_TOL,
+    quad.REL_TOL |total|).  Otherwise its leaves that fail the turn test,
+    or whose error exceeds an equal share of that budget, are bisected (a
+    share in proportion to length would keep splitting every leaf next to
+    a near-singular point).  A leaf starts on the principal
     root at its start (the first on wa); as in :func:`_accumulate`, its
     sheet is the product of the sign flips between each leaf's continued
     end and the next leaf's starting root.  A segment ending within
@@ -190,8 +190,6 @@ def _integrate_segments(params, za, zb, wa, settings=None):
     the turn test at 1e-12 of its segment's length), SubdivisionLimit,
     NonFinite, and ValueError (a segment of length 0).
     """
-    if settings is None:
-        settings = QuadSettings()
     za, zb, wa = (np.asarray(x, dtype=complex) for x in (za, zb, wa))
     bps = branch_points(params)
     near = np.abs(zb[:, None] - np.array(bps)) < 1e-12 * (1.0 + params.sigma)
@@ -212,8 +210,8 @@ def _integrate_segments(params, za, zb, wa, settings=None):
             "cannot continue a branch starting from w = 0 (branch point)")
 
     def tolerance(total):
-        return np.maximum(settings.abs_tol,
-                          settings.rel_tol * np.abs(total).max(axis=1))
+        return np.maximum(quad.ABS_TOL,
+                          quad.REL_TOL * np.abs(total).max(axis=1))
 
     totals, err, finite, w_end, turn = _leaf_panels(params, za, zb, wa,
                                                     singular)
@@ -246,7 +244,7 @@ def _integrate_segments(params, za, zb, wa, settings=None):
             raise BranchAmbiguity(
                 f"cannot track branch near z={a[np.argmax(stuck)]}")
         # each bisection adds one leaf to its segment
-        over = count - 1 + n_split > settings.max_subdivisions
+        over = count - 1 + n_split > quad.MAX_SUBDIVISIONS
         if over.any():
             i = np.argmax(over)
             raise SubdivisionLimit(f"error {esum[i]:.3e} > tol {tol[i]:.3e} "
@@ -268,7 +266,7 @@ def _integrate_segments(params, za, zb, wa, settings=None):
     return totals, w_end
 
 
-def _march(params, chains, settings=None):
+def _march(params, chains):
     """Phase 1 of a march: the edges of any number of chain groups, all
     integrated in one call of :func:`_integrate_segments`.
 
@@ -287,7 +285,7 @@ def _march(params, chains, settings=None):
             a[:, 0] = w0
     flat = [np.concatenate([x.reshape(-1) for x in xs])
             for xs in (za, [z[:, 1:] for z, _ in chains], wa)]
-    totals, wb = _integrate_segments(params, *flat, settings)
+    totals, wb = _integrate_segments(params, *flat)
     cuts = np.cumsum([a.size for a in za])[:-1]
     return [(a, t.reshape(*a.shape, 3), b.reshape(a.shape)) for a, t, b
             in zip(wa, np.split(totals, cuts), np.split(wb, cuts))]
@@ -327,8 +325,7 @@ def _clearance_error(params, path):
 
 
 def immerse(params: CurveParams, path: ComplexPath, w_start,
-            base_position=(0.0, 0.0, 0.0),
-            settings: QuadSettings | None = None):
+            base_position=(0.0, 0.0, 0.0)):
     """Integrate the Weierstrass forms along ``path``, marched as one chain.
 
     Returns (position, end_point): ``base_position + Re int (phi1,phi2,phi3)``
@@ -346,7 +343,7 @@ def immerse(params: CurveParams, path: ComplexPath, w_start,
     if error is not None:
         raise error
     w0 = np.array([complex(w_start)])
-    edges = _march(params, [(np.array(path.nodes)[None], w0)], settings)[0]
+    edges = _march(params, [(np.array(path.nodes)[None], w0)])[0]
     acc, ws = _accumulate(edges, pos[None], w0)
     return acc[0, -1].real, CurvePoint(path.nodes[-1], complex(ws[0, -1]))
 
@@ -372,8 +369,8 @@ class HomologyLoop:
     """A closed loop on the curve: its kind, base point and polyline.
 
     ``integrals`` holds the loop integrals of the closure march that built
-    the loop (default quadrature settings), which :func:`period` returns
-    instead of marching the loop again; None for a loop built by hand.
+    the loop, which :func:`period` returns instead of marching the loop
+    again; None for a loop built by hand.
     """
 
     kind: str
@@ -441,25 +438,22 @@ def end_loop(params: CurveParams, n=64, which: str = "zero") -> HomologyLoop:
     raise ValueError(f"unknown end {which!r}")
 
 
-def period(params: CurveParams, loop: HomologyLoop,
-           settings: QuadSettings | None = None) -> np.ndarray:
+def period(params: CurveParams, loop: HomologyLoop) -> np.ndarray:
     """The three loop integrals (int phi1, int phi2, int phi3), with the
-    loop's segments marched as one chain (see :func:`_march`).  At default
-    settings, a loop that carries the integrals of its closure march (built
-    on the same curve ``params``) returns a copy of them instead of
-    marching again, to the same bits."""
-    if loop.integrals is not None and settings in (None, QuadSettings()):
+    loop's segments marched as one chain (see :func:`_march`).  A loop that
+    carries the integrals of its closure march (built on the same curve
+    ``params``) returns a copy of them instead of marching again, to the
+    same bits."""
+    if loop.integrals is not None:
         return loop.integrals.copy()
     w0 = np.array([loop.base.w])
-    edges = _march(params, [(np.array(loop.geometry.nodes)[None], w0)],
-                   settings)[0]
+    edges = _march(params, [(np.array(loop.geometry.nodes)[None], w0)])[0]
     return _accumulate(edges, np.zeros((1, 3)), w0)[0][0, -1]
 
 
-def flux(params: CurveParams, loop: HomologyLoop,
-         settings: QuadSettings | None = None) -> np.ndarray:
+def flux(params: CurveParams, loop: HomologyLoop) -> np.ndarray:
     """F(gamma) = Im int (phi1, phi2, phi3), a homology invariant."""
-    return period(params, loop, settings).imag
+    return period(params, loop).imag
 
 
 # ---------------------------------------------------------------------------

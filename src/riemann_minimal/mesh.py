@@ -30,7 +30,7 @@ import numpy as np
 
 from . import curve as _curve
 from .curve import BASEPOINT_OFFSET, CurveParams
-from .quad import ComplexPath, QuadSettings, RiemannMinimalError
+from .quad import ComplexPath, RiemannMinimalError
 
 __all__ = [
     "DegenerateCell", "Degenerate", "DomainMap", "TriMesh", "IsometryOp",
@@ -246,9 +246,8 @@ class FundamentalSurface:
     there, so the whole construction lives on a single branch sheet.
     """
 
-    def __init__(self, sigma: float, settings: QuadSettings | None = None):
+    def __init__(self, sigma: float):
         self.params = CurveParams(sigma)
-        self.settings = settings or QuadSettings()
         arc = 1.0 + BASEPOINT_OFFSET * np.exp(1j * np.linspace(0.0, math.pi, 7))
         self.entry_pos, self.entry_pt = self._immerse_from(
             np.zeros(3), _curve.basepoint(self.params), arc[1:])
@@ -264,7 +263,7 @@ class FundamentalSurface:
     def _immerse_from(self, start_pos, start_pt, nodes):
         """``curve.immerse`` along start_pt.z -> nodes (see ``_path``)."""
         return _curve.immerse(self.params, self._path([start_pt.z, *nodes]),
-                              start_pt.w, start_pos, self.settings)
+                              start_pt.w, start_pos)
 
     def _left_nodes(self, x):
         """Nodes after the entry point of the path to x on the left real
@@ -287,7 +286,7 @@ class FundamentalSurface:
         out = [_curve._clearance_error(self.params, p) for p in paths]
         ok = [i for i, error in enumerate(out) if error is None]
         batch = _curve._march(self.params, [
-            (np.array(paths[i].nodes)[None], w0) for i in ok], self.settings)
+            (np.array(paths[i].nodes)[None], w0) for i in ok])
         for i, edges in zip(ok, batch):
             acc, _ = _curve._accumulate(edges, self.entry_pos[None], w0)
             out[i] = acc[0, -1].real
@@ -326,7 +325,6 @@ class FundamentalSurface:
 
 def sample_fundamental(sigma: float, e: float, nr: int, nt: int,
                        warp: float = 1.0,
-                       settings: QuadSettings | None = None,
                        surface: FundamentalSurface | None = None) -> TriMesh:
     """Sample psi = X - X(1) on the image of an nr x nt polar grid.
 
@@ -343,7 +341,7 @@ def sample_fundamental(sigma: float, e: float, nr: int, nt: int,
     branch value w the continuation along it (``curve._accumulate``).
     """
     if surface is None:
-        surface = FundamentalSurface(sigma, settings)
+        surface = FundamentalSurface(sigma)
     params = surface.params
     dm = DomainMap(sigma, e)
     if nr < 2 or nt < 3:  # with nt = 2 every row runs through the end z = 0
@@ -374,7 +372,7 @@ def sample_fundamental(sigma: float, e: float, nr: int, nt: int,
     column, rows, radial, corner = _curve._march(params, [
         (np.append(surface.entry_pt.z, Z[order, 0])[None], w0),
         (Z[:top], None), (np.stack([Z[top - 1, k], Z[top, k]], axis=1), None),
-        (corners, None)], surface.settings)
+        (corners, None)])
     accumulate = _curve._accumulate
 
     # t = 0 column (real axis, descending from the entry point)
@@ -416,8 +414,7 @@ def sample_fundamental(sigma: float, e: float, nr: int, nt: int,
 # extension pipeline
 
 
-def extension_ops(sigma: float, settings: QuadSettings | None = None,
-                  surface: FundamentalSurface | None = None):
+def extension_ops(sigma: float, surface: FundamentalSurface | None = None):
     """The four extension operations of the reflection pipeline.
 
     1. 180-degree rotation diag(-1,1,-1) with offset (2c1, 0, 2c3), where
@@ -427,7 +424,7 @@ def extension_ops(sigma: float, settings: QuadSettings | None = None,
     4. translation by 2 t0 with t0 = psi(-sigma).
     """
     if surface is None:
-        surface = FundamentalSurface(sigma, settings)
+        surface = FundamentalSurface(sigma)
     c = surface.psi_fixed_point()
     t0 = surface.translation_half()
     rot = np.diag([-1.0, 1.0, -1.0])
@@ -627,7 +624,7 @@ def refine_slice(mesh: TriMesh, height, surface: FundamentalSurface,
         j = np.flatnonzero(z != za[a])
         if j.size:
             totals, w[j] = _curve._integrate_segments(
-                params, za[a[j]], z[j], w0[a[j]], surface.settings)
+                params, za[a[j]], z[j], w0[a[j]])
             p[j] += totals.real
         pos[a] = p
         f = np.einsum("ij,ij->i", p, ell[a]) + b3[a] - target[a]

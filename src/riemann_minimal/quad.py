@@ -1,21 +1,27 @@
-"""Gauss-Kronrod quadrature kernel and the path type.
+"""Gauss-Kronrod quadrature kernel, its tolerances and the path type.
 
-* :func:`_gk_panel` -- one G7/K15 panel on each of a batch of straight
-  segments; the Weierstrass integrals (``curve._integrate_segments``)
-  bisect their segments around it, inside the batch.
-* :func:`_adaptive` -- globally adaptive G7/K15 over a list of segments.
-* :func:`integrate_sqrt_singular` -- real integral whose integrand blows up
-  like (u - a)^(-1/2) at the lower endpoint.  The substitution u = a + s^2
-  removes the singularity exactly, so no endpoint tricks are needed.
+:func:`_gk_panel` evaluates one G7/K15 panel on each of a batch of straight
+segments.  It is the package's only quadrature: the Weierstrass integrals
+(``curve._integrate_segments``) bisect their segments around it, inside
+the batch, and the classical FD oracle (``checks.classical_fd_grid``)
+takes one panel per increment.  The classical height and center integrals
+need no quadrature: ``classical`` evaluates them in Carlson's closed forms,
+and ``checks.catenoid_residual`` compares the a = 0 height in that form,
+sqrt(q - 1/lambda) R_F(lambda q, 1, 1), with the arcsinh formula.
 
-All are pure functions of their inputs and safe to call concurrently.
-Double precision throughout; no oscillatory specializations.
+A segment's integral is accepted once the sum of |K15 - G7| over its
+panels is at most max(ABS_TOL, REL_TOL |integral|); more than
+MAX_SUBDIVISIONS bisections of one segment raise SubdivisionLimit.  The
+constants leave two to four digits of slack below every tolerance the
+library asserts against (1e-6 .. 1e-8).  Callers read them as
+``quad.ABS_TOL`` at call time, so rebinding one changes every later call.
+
+Pure functions of their inputs, safe to call concurrently; double
+precision throughout.
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,10 +31,15 @@ __all__ = [
     "QuadError",
     "SubdivisionLimit",
     "NonFinite",
-    "QuadSettings",
+    "ABS_TOL",
+    "REL_TOL",
+    "MAX_SUBDIVISIONS",
     "ComplexPath",
-    "integrate_sqrt_singular",
 ]
+
+ABS_TOL = 1e-10
+REL_TOL = 1e-10
+MAX_SUBDIVISIONS = 2000
 
 
 class RiemannMinimalError(Exception):
@@ -44,7 +55,7 @@ class QuadError(RiemannMinimalError):
 
 
 class SubdivisionLimit(QuadError):
-    """Adaptive refinement exceeded the subdivision budget."""
+    """Bisection exceeded the subdivision budget."""
 
 
 class NonFinite(QuadError):
@@ -73,25 +84,6 @@ _WG = np.array([
     0.129484966168870,
 ])
 _GAUSS_IDX = slice(1, 15, 2)
-
-
-@dataclass(frozen=True)
-class QuadSettings:
-    """Tolerances and budget for the adaptive kernel.
-
-    The defaults leave two to four digits of slack below every tolerance
-    the library asserts against (1e-6 .. 1e-8).
-    """
-
-    abs_tol: float = 1e-10
-    rel_tol: float = 1e-10
-    max_subdivisions: int = 2000
-
-    def __post_init__(self):
-        if not (self.abs_tol > 0 and self.rel_tol > 0):
-            raise ValueError("tolerances must be positive")
-        if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be >= 1")
 
 
 def _segment_distances(p, a, b):
@@ -152,65 +144,3 @@ def _gk_panel(f, a, b):
         err = np.abs(k - (vals[..., _GAUSS_IDX] @ _WG) * half).max(
             axis=per_segment[:-1])
     return k, err, np.isfinite(vals).all(axis=per_segment)
-
-
-def _adaptive(f, segments, settings):
-    """Globally adaptive G7/K15 over a list of straight segments.
-
-    ``f`` maps an ndarray of parameter points to values (vectorized).
-    Worst-interval bisection with a deterministic heap; the accepted
-    result satisfies sum(err) <= max(abs_tol, rel_tol*|result|).
-    """
-    if settings is None:
-        settings = QuadSettings()
-    heap, ids, total, total_err = [], itertools.count(), 0.0, 0.0
-    for (a, b) in segments:
-        k, err, ok = _gk_panel(f, a, b)
-        if not ok:
-            raise NonFinite("integrand not finite on the path")
-        total, total_err = total + k, total_err + err
-        heapq.heappush(heap, (-err, next(ids), a, b, k))
-    splits = 0
-    while True:
-        tol = max(settings.abs_tol,
-                  settings.rel_tol * float(np.max(np.abs(np.atleast_1d(total)))))
-        if total_err <= tol:
-            break
-        if splits >= settings.max_subdivisions:
-            raise SubdivisionLimit(
-                f"error {total_err:.3e} > tol {tol:.3e} after "
-                f"{splits} subdivisions")
-        neg_err, _, a, b, k_old = heapq.heappop(heap)
-        mid = 0.5 * (a + b)
-        kl, el, okl = _gk_panel(f, a, mid)
-        kr, er, okr = _gk_panel(f, mid, b)
-        if not (okl and okr):
-            raise NonFinite("integrand not finite on the path")
-        total = total - k_old + kl + kr
-        total_err += el + er + neg_err  # neg_err = -old error
-        heapq.heappush(heap, (-el, next(ids), a, mid, kl))
-        heapq.heappush(heap, (-er, next(ids), mid, b, kr))
-        splits += 1
-    return total, total_err
-
-
-def integrate_sqrt_singular(f, a: float, b: float,
-                            settings: QuadSettings | None = None) -> float:
-    """Integral of f over [a, b] where f(u)*sqrt(u - a) extends smoothly.
-
-    Uses u = a + s^2; the Kronrod nodes are interior, so f is never
-    evaluated at the endpoint itself.
-    """
-    if not b > a:
-        raise ValueError("need a < b")
-    smax = np.sqrt(b - a)
-    # below s_floor, a + s^2 rounds back to a; the substituted integrand is
-    # smooth there, so clamping the evaluation point costs O(eps) only
-    s_floor = np.sqrt(np.finfo(float).eps * (abs(a) + (b - a)))
-
-    def g(s):
-        se = np.maximum(s, s_floor)
-        return 2.0 * s * np.asarray(f(a + se * se))
-
-    total, _ = _adaptive(g, [(0.0, smax)], settings)
-    return float(np.real(total))

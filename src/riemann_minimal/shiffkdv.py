@@ -290,16 +290,6 @@ class DiffPoly:
 
     terms: dict = field(default_factory=dict)
 
-    @classmethod
-    def from_terms(cls, terms):
-        clean = {}
-        for mono, c in terms.items():
-            c = Fraction(c)
-            if c != 0:
-                key = tuple(sorted(mono, reverse=True))
-                clean[key] = clean.get(key, Fraction(0)) + c
-        return cls({m: c for m, c in clean.items() if c != 0})
-
     def __add__(self, other):
         out = dict(self.terms)
         for m, c in other.terms.items():

@@ -9,7 +9,8 @@ references that the batched code in ``riemann_minimal`` is pinned against.
 * :func:`algebro_geometric_fit` -- the KdV fit with one g-jet, u-jet and
   set of flows per point.
 * :func:`classical_fd_grid` -- one :func:`checks.fd_surface_checks` call per
-  (q, v) pair, with two scalar ``_adaptive`` increments per q.
+  (q, v) pair, with two scalar ``_adaptive`` increments per q (the
+  adaptive oracle of ``classical_quadrature``).
 * :func:`classical_slice_points` -- one ``parameterize`` call per v, with
   ``math.cos`` and ``math.sin``.
 * :func:`export_obj` -- the OBJ writer that formats every number with
@@ -25,9 +26,9 @@ import sys
 
 import numpy as np
 
+from classical_quadrature import _adaptive
 from riemann_minimal import checks, classical, curve, mesh, shiffkdv
 from riemann_minimal.curve import CurvePoint, PoleOfGaussMap, WeierstrassForms
-from riemann_minimal.quad import _adaptive
 
 
 def weierstrass_at(params, pt):
@@ -79,7 +80,7 @@ def algebro_geometric_fit(params, n, pts):
     return coef, float(np.linalg.norm(A @ coef - b) / np.linalg.norm(b))
 
 
-def classical_fd_grid(lam, nq=20, nv=20, h=1e-4, settings=None):
+def classical_fd_grid(lam, nq=20, nv=20, h=1e-4):
     params = classical.RiemannParams.from_lambda(lam)
     q1 = params.q1
     qs = np.linspace(q1 * 1.05 + 0.02, q1 + 3.0, nq)
@@ -92,10 +93,10 @@ def classical_fd_grid(lam, nq=20, nv=20, h=1e-4, settings=None):
         def increment(a, b):
             df, _ = _adaptive(
                 lambda u: -0.5 * u / np.sqrt(classical.radicand(lam, u)),
-                [(a, b)], settings)
+                [(a, b)])
             dz, _ = _adaptive(
                 lambda u: 0.5 / np.sqrt(classical.radicand(lam, u)),
-                [(a, b)], settings)
+                [(a, b)])
             return float(np.real(df)), float(np.real(dz))
 
         dfp, dzp = increment(q, q + h)

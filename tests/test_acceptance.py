@@ -17,6 +17,7 @@ import pytest
 from scipy.optimize import brentq
 
 import riemann_minimal
+from classical_quadrature import integrate_sqrt_singular
 from riemann_minimal import checks, classical, curve, shiffkdv
 from riemann_minimal.classical import (RiemannParams, height, q_min,
                                        sigma_of_lambda)
@@ -58,9 +59,16 @@ def test_criterion_01_closed_form_anchors():
 
 def test_criterion_02_catenoid_cross_check():
     with Budget("criterion 2: catenoid closed form vs quadrature", 5.0):
-        res = checks.catenoid_residual(lams=(0.5, 1.0, 2.0), n_q=20)
+        res = 0.0
+        for lam in (0.5, 1.0, 2.0):
+            f = lambda u: 0.5 / np.sqrt(lam * u * u - u)
+            for q in np.linspace(1.0 / lam, 1.0 / lam + 6.0, 20)[1:]:
+                oracle = integrate_sqrt_singular(f, 1.0 / lam, q)
+                res = max(res, abs(oracle - classical.catenoid_height(lam, q)))
         print(f"  max |closed - quadrature| = {res:.3e}")
         assert res < 1e-8
+        # verify's check compares the Carlson form with the same closed form
+        assert checks.catenoid_residual(lams=(0.5, 1.0, 2.0), n_q=20) < 1e-8
 
 
 @pytest.mark.parametrize("lam", [0.5, 1.0, 2.0])

@@ -137,9 +137,9 @@ def test_translation_half_is_computed_once(monkeypatch):
     calls = []
     march = curve._march
 
-    def counting(params, chains, settings=None):
+    def counting(params, chains):
         calls.append(len(chains))
-        return march(params, chains, settings)
+        return march(params, chains)
 
     monkeypatch.setattr(curve, "_march", counting)
     for get in (surf.translation_half, surf.psi_fixed_point, surf.x_at_one):
@@ -168,8 +168,7 @@ def test_classical_fd_grid_matches_the_per_point_loop(sigma, monkeypatch):
 
     expect = scalar.classical_fd_grid(lam, nq=10, nv=10)
     for mod, name in ((classical, "center_offset"), (classical, "height"),
-                      (quad, "_gk_panel"), (quad, "_adaptive"),
-                      (checks, "fd_surface_checks")):
+                      (quad, "_gk_panel"), (checks, "fd_surface_checks")):
         monkeypatch.setattr(mod, name, count(name, getattr(mod, name)))
     got = checks.classical_fd_grid(lam, nq=10, nv=10)
     # one batch: no increment misses the one-panel tolerance here
@@ -178,22 +177,24 @@ def test_classical_fd_grid_matches_the_per_point_loop(sigma, monkeypatch):
     np.testing.assert_allclose(got, expect, rtol=1e-9, atol=0.0)
 
 
-def test_classical_fd_grid_falls_back_to_adaptive(monkeypatch):
+def test_classical_fd_grid_raises_on_a_missed_panel():
     # h = 0.05 at lambda 0: [q - h, q] of the first q starts 0.02 above the
     # neck q1 = 1, where one panel misses the tolerance of dz/dq ~ 1/sqrt(u - 1)
-    adaptive = []
-    real = quad._adaptive
+    with pytest.raises(quad.QuadError, match=r"error .* > tol"):
+        checks.classical_fd_grid(0.0, nq=5, nv=6, h=0.05)
 
-    def counted(*args, **kwargs):
-        adaptive.append(args[1])
-        return real(*args, **kwargs)
 
-    monkeypatch.setattr(quad, "_adaptive", counted)
-    got = checks.classical_fd_grid(0.0, nq=5, nv=6, h=0.05)
-    assert adaptive and all(len(segs) == 1 for segs in adaptive)
-    monkeypatch.undo()
-    expect = scalar.classical_fd_grid(0.0, nq=5, nv=6, h=0.05)
-    np.testing.assert_allclose(got, expect, rtol=1e-9, atol=0.0)
+@pytest.mark.parametrize("sigma", [1e-3, 1e-2, 1.0, 1e2, 1e4])
+def test_classical_fd_grid_panels_meet_the_tolerance(sigma):
+    # one panel per increment suffices across the family at h = 1e-4
+    lam = (sigma - 1.0) / math.sqrt(sigma)
+    H, conf, orth = checks.classical_fd_grid(lam, nq=10, nv=10)
+    assert all(np.isfinite([H, conf, orth]))
+
+
+def test_catenoid_residual_carlson_form():
+    # the Carlson form of the a = 0 height against its arcsinh closed form
+    assert checks.catenoid_residual() < 1e-14
 
 
 def test_weierstrass_fd_grid_matches_the_per_anchor_loop():

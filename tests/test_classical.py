@@ -137,10 +137,9 @@ def test_catenoid_closed_form():
     assert catenoid_height(1.0, 1.0) == 0.0
     assert abs(catenoid_height(1.0, 2.0) - math.log(1 + math.sqrt(2))) < 1e-12
     # the quadrature oracle fixes the lambda exponent to -1/2
-    from riemann_minimal.quad import integrate_sqrt_singular
     for lam, q in [(2.0, 1.0), (0.5, 3.0), (2.0, 4.0)]:
         f = lambda u: 0.5 / np.sqrt(lam * u * u - u)
-        oracle = integrate_sqrt_singular(f, 1.0 / lam, q)
+        oracle = quadrature.integrate_sqrt_singular(f, 1.0 / lam, q)
         assert abs(catenoid_height(lam, q) - oracle) < 1e-8
     assert abs(catenoid_height(2.0, 1.0) - math.asinh(1.0) / math.sqrt(2)) < 1e-12
     with pytest.raises(DomainError):

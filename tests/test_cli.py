@@ -139,6 +139,18 @@ def test_config_errors_exit_2():
     assert run(["kdv", "--print-p", "2", "--seed", "7"]) == 2
 
 
+def test_parser_is_built_once_and_keeps_no_state(monkeypatch):
+    # main reuses one parser per process; a --tol of one call must not
+    # reach the next
+    assert cli.build_parser() is cli.build_parser()
+    seen = []
+    monkeypatch.setattr(cli, "cmd_verify",
+                        lambda cfg: seen.append(cfg.tolerances) or 0)
+    for argv in (["--tol", "shiffman=1e-3"], ["--tol", "gauss_ode=1e-5"], []):
+        assert run(["verify", "--sigma", "2", *argv]) == 0
+    assert seen == [{"shiffman": 1e-3}, {"gauss_ode": 1e-5}, {}]
+
+
 def test_gen_minimum_grid(tmp_path, capsys):
     # with NT = 2 every row is one edge through the end z = 0
     assert run(["gen", "--sigma", "2", "--grid", "40x2",

@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import scalar_references as scalar
-from riemann_minimal import checks, curve
+from riemann_minimal import checks, curve, quad
 from riemann_minimal.curve import (BranchAmbiguity, ClearanceViolation,
                                    CurveParams, CurvePoint, PoleOfGaussMap,
                                    WeierstrassForms)
-from riemann_minimal.quad import ComplexPath, QuadSettings
+from riemann_minimal.quad import ComplexPath
 
 
 def dense_branch(params, a, b, w, steps):
@@ -269,9 +269,11 @@ def test_period_reuses_the_closure_march(sigma, monkeypatch):
         # the same loop without the stored integrals is marched again
         bare = curve.HomologyLoop(loop.kind, loop.base, loop.geometry)
         assert np.array_equal(got, curve.period(params, bare))
-        assert np.array_equal(got, curve.period(params, loop, QuadSettings()))
         assert len(calls) == 1
-        finer = curve.period(params, loop, QuadSettings(1e-12, 1e-12))
+        with monkeypatch.context() as tighter:
+            tighter.setattr(quad, "ABS_TOL", 1e-12)
+            tighter.setattr(quad, "REL_TOL", 1e-12)
+            finer = curve.period(params, bare)
         assert len(calls) == 2 and np.allclose(finer, got, atol=1e-9)
         del calls[:]
     got[:] = 0.0  # the returned array is a copy

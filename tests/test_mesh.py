@@ -9,7 +9,6 @@ import pytest
 
 import scalar_references as scalar
 from riemann_minimal import curve, mesh, quad
-from riemann_minimal.quad import QuadSettings
 from riemann_minimal.mesh import (Degenerate, DomainMap,
                                   FundamentalSurface, IsometryOp, TriMesh,
                                   extend, extension_ops, export_obj,
@@ -202,12 +201,13 @@ def test_segment_batch_tracks_fast_turning_branch(monkeypatch):
     # the 45-degree turn budget alone bisects the edge that passes 1e-3
     # from z = 1 between two nodes
     params = curve.CurveParams(2.0)
-    loose = QuadSettings(abs_tol=1e6, rel_tol=1e6)
+    monkeypatch.setattr(quad, "ABS_TOL", 1e6)
+    monkeypatch.setattr(quad, "REL_TOL", 1e6)
     za = np.array([0.77 + 1e-3j, 0.3 + 0.4j])
     zb = np.array([1.2 + 1e-3j, 0.6 + 0.5j])
     wa = np.sqrt(curve.curve_poly(params, za))
     calls = _count_panel_leaves(monkeypatch)
-    curve._integrate_segments(params, za, zb, wa, loose)
+    curve._integrate_segments(params, za, zb, wa)
     assert np.array_equal(calls[0][0], za) and len(calls) > 1
     for a, b in calls[1:]:  # every bisected leaf lies on the first edge
         for z in (a, b):
@@ -663,9 +663,9 @@ def test_refine_slice_on_edges_ending_at_corner_branch_point(fund2, surf2,
     ends = []
     batch = curve._integrate_segments
 
-    def recording(params, za, zb, wa, settings=None):
+    def recording(params, za, zb, wa):
         ends.extend(zb)
-        return batch(params, za, zb, wa, settings)
+        return batch(params, za, zb, wa)
 
     monkeypatch.setattr(curve, "_integrate_segments", recording)
     # a generic crossing, then one whose root sits within 1e-12 (1 + sigma)

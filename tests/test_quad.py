@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from classical_quadrature import Divergent, integrate_tail
-from riemann_minimal.quad import (ComplexPath, NonFinite, QuadSettings,
-                                  SubdivisionLimit, _adaptive,
-                                  integrate_sqrt_singular)
+from classical_quadrature import (Divergent, _adaptive,
+                                  integrate_sqrt_singular, integrate_tail)
+from riemann_minimal import quad
+from riemann_minimal.quad import ComplexPath, NonFinite, SubdivisionLimit
 
 ABS = 1e-10
 
@@ -19,30 +19,30 @@ def q1_of(lam):
 
 
 def test_polynomial_antiderivative():
-    val = _adaptive(lambda z: z ** 2, _segments(ComplexPath([0, 1])), None)[0]
+    val = _adaptive(lambda z: z ** 2, _segments(ComplexPath([0, 1])))[0]
     assert abs(val - 1.0 / 3.0) < ABS
 
 
 def test_residue_theorem_square_loop():
     loop = ComplexPath([1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j, 1 + 1j])
-    val = _adaptive(lambda z: 1.0 / z, _segments(loop), None)[0]
+    val = _adaptive(lambda z: 1.0 / z, _segments(loop))[0]
     assert abs(val - 2j * np.pi) < 1e-9
 
 
 def test_orientation_reverses_sign():
     path = ComplexPath([0, 1 + 1j, 2])
     f = lambda z: np.exp(z) * np.sin(z)
-    fwd = _adaptive(f, _segments(path), None)[0]
-    bwd = _adaptive(f, _segments(ComplexPath(path.nodes[::-1])), None)[0]
+    fwd = _adaptive(f, _segments(path))[0]
+    bwd = _adaptive(f, _segments(ComplexPath(path.nodes[::-1])))[0]
     assert abs(fwd + bwd) < ABS
 
 
 def test_additivity_over_concatenation():
     f = lambda z: np.cos(z) / (z + 3.0)
-    whole = _adaptive(f, _segments(ComplexPath([0, 1 + 2j])), None)[0]
+    whole = _adaptive(f, _segments(ComplexPath([0, 1 + 2j])))[0]
     mid = 0.37 + 0.74j
-    parts = (_adaptive(f, _segments(ComplexPath([0, mid])), None)[0]
-             + _adaptive(f, _segments(ComplexPath([mid, 1 + 2j])), None)[0])
+    parts = (_adaptive(f, _segments(ComplexPath([0, mid])))[0]
+             + _adaptive(f, _segments(ComplexPath([mid, 1 + 2j])))[0])
     assert abs(whole - parts) < ABS
 
 
@@ -52,40 +52,39 @@ def test_homotopy_independence_same_winding():
     f = lambda z: 1.0 / (z - z0) + z ** 3
     a = ComplexPath([-1 - 1j, 2 - 1j, 2 + 2j])
     b = ComplexPath([-1 - 1j, -1 + 2j, 2 + 2j])
-    ia = _adaptive(f, _segments(a), None)[0]
-    ib = _adaptive(f, _segments(b), None)[0]
+    ia = _adaptive(f, _segments(a))[0]
+    ib = _adaptive(f, _segments(b))[0]
     assert abs(ia - ib) > 1.0  # opposite sides: winding differs, values differ
     # route b around the same side as a: now they must agree to 10*abs_tol
     c = ComplexPath([-1 - 1j, 2 - 2j, 3 + 0j, 2 + 2j])
-    ic = _adaptive(f, _segments(c), None)[0]
+    ic = _adaptive(f, _segments(c))[0]
     assert abs(ia - ic) < 10 * ABS
 
 
 def test_cauchy_closed_loop_holomorphic():
     loop = ComplexPath([2 + 0j, 2 + 2j, 4 + 2j, 4 + 0j, 2 + 0j])
-    val = _adaptive(lambda z: np.exp(z) + 1.0 / z, _segments(loop), None)[0]
+    val = _adaptive(lambda z: np.exp(z) + 1.0 / z, _segments(loop))[0]
     assert abs(val) < ABS
 
 
 def test_deterministic_repeat():
     path = ComplexPath([0, 1 + 1j, 2 - 1j])
     f = lambda z: np.exp(-z * z)
-    assert (_adaptive(f, _segments(path), None)[0]
-            == _adaptive(f, _segments(path), None)[0])
+    assert (_adaptive(f, _segments(path))[0]
+            == _adaptive(f, _segments(path))[0])
 
 
 def test_nonfinite_raises():
     with pytest.raises(NonFinite):
-        _adaptive(lambda z: 1.0 / (z - 0.5), _segments(ComplexPath([0, 1])),
-                  None)
+        _adaptive(lambda z: 1.0 / (z - 0.5), _segments(ComplexPath([0, 1])))
 
 
-def test_subdivision_limit_raises():
-    s = QuadSettings(max_subdivisions=3)
+def test_subdivision_limit_raises(monkeypatch):
+    monkeypatch.setattr(quad, "MAX_SUBDIVISIONS", 3)
     # sharp near-singularity mid-path defeats a 3-split budget
     f = lambda z: 1.0 / (z - (0.5 + 1e-9j))
     with pytest.raises(SubdivisionLimit):
-        _adaptive(f, _segments(ComplexPath([0, 1])), s)
+        _adaptive(f, _segments(ComplexPath([0, 1])))
 
 
 def test_path_invariants():
@@ -119,8 +118,7 @@ def test_sqrt_singular_vs_truncated_richardson():
 
     def truncated(eps):
         path = ComplexPath([a + eps, b])
-        return np.real(_adaptive(lambda z: f(np.real(z)), _segments(path),
-                                 None)[0])
+        return np.real(_adaptive(lambda z: f(np.real(z)), _segments(path))[0])
 
     # truncation error is ~ c*sqrt(eps): one Richardson step removes it
     eps = 1e-8
@@ -151,9 +149,3 @@ def test_tail_divergent_exponent():
     with pytest.raises(Divergent):
         integrate_tail(lambda u: 1.0 / u, 1.0, 1.0)
 
-
-def test_settings_validation():
-    with pytest.raises(ValueError):
-        QuadSettings(abs_tol=0.0)
-    with pytest.raises(ValueError):
-        QuadSettings(max_subdivisions=0)
