@@ -10,7 +10,6 @@ vanishing of the Shiffman function that forces the circle foliation.
 import numpy as np
 
 from riemann_minimal import curve, shiffkdv
-from riemann_minimal.quad import ComplexPath
 
 SIGMA = 2.0
 params = curve.CurveParams(SIGMA)
@@ -18,8 +17,8 @@ params = curve.CurveParams(SIGMA)
 print(f"curve: w^2 = z(z-1)(z+{SIGMA}), g = z/sqrt(sigma), phi3 = dz/w\n")
 
 # square-root monodromy
-loop1 = ComplexPath(list(1.0 + 0.45 * np.exp(1j * np.linspace(0, 2 * np.pi, 65))))
-w0 = np.sqrt(complex(curve.curve_poly(params, loop1.nodes[0])))
+loop1 = 1.0 + 0.45 * np.exp(1j * np.linspace(0, 2 * np.pi, 65))
+w0 = np.sqrt(complex(curve.curve_poly(params, loop1[0])))
 w1 = curve.immerse(params, loop1, w0)[1].w  # the branch continued around
 print(f"one turn around z=1:   w -> {w1 / w0:+.6f} * w   (sign flip)")
 

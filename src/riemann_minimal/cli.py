@@ -42,6 +42,9 @@ EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 EXIT_BUG = 4
 
+# the sigma range gen, verify and the kdv fit are tested over (README)
+SIGMA_RANGE = (1e-3, 1e3)
+
 
 @dataclass
 class RunConfig:
@@ -108,7 +111,8 @@ def build_parser():
 
     def common(p):
         g = p.add_mutually_exclusive_group(required=True)
-        g.add_argument("--sigma", type=float, help="curve parameter sigma > 0")
+        g.add_argument("--sigma", type=float,
+                       help="curve parameter sigma in [1e-3, 1e3]")
         g.add_argument("--lambda", dest="lam", type=float,
                        help="classical parameter lambda (sigma derived)")
         p.add_argument("--json", dest="json_path", default=None,
@@ -140,7 +144,7 @@ def build_parser():
     # the fit flags default to None so that giving one without
     # --sigma/--lambda, where no fit runs, is an error
     pk.add_argument("--n", dest="n_level", type=int, default=None,
-                    help="hierarchy level for the least-squares fit "
+                    help="hierarchy level 1..3 for the least-squares fit "
                          "(default 1)")
     pk.add_argument("--samples", type=int, default=None,
                     help="curve points in the fit (default 60)")
@@ -163,8 +167,9 @@ def _config_from_args(args) -> RunConfig:
     sigma = getattr(args, "sigma", None)
     if sigma is None and lam is not None:
         sigma = classical.sigma_of_lambda(lam)
-    if sigma is not None and not sigma > 0:
-        raise ValueError("sigma must be positive")
+    if sigma is not None and not SIGMA_RANGE[0] <= sigma <= SIGMA_RANGE[1]:
+        raise ValueError(f"sigma {sigma!r} outside the tested range "
+                         f"[{SIGMA_RANGE[0]:g}, {SIGMA_RANGE[1]:g}]")
     nr, nt = getattr(args, "grid", (40, 60))
     cfg = RunConfig(
         command=args.command,
@@ -197,8 +202,9 @@ def _config_from_args(args) -> RunConfig:
             raise ValueError(
                 f"hierarchy level {cfg.print_p} above max "
                 f"{shiffkdv.MAX_HIERARCHY_LEVEL}")
-        if not 1 <= cfg.n_level <= shiffkdv.MAX_HIERARCHY_LEVEL - 1:
-            raise ValueError("kdv fit level n must be in [1, 5]")
+        # above level 3 the flows' rounding residue counts as rank (README)
+        if not 1 <= cfg.n_level <= 3:
+            raise ValueError("kdv fit level n must be in [1, 3]")
         if cfg.samples < 1:
             raise ValueError(f"--samples must be >= 1, got {cfg.samples}")
     return cfg

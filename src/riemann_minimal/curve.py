@@ -11,7 +11,9 @@ sqrt(z(z-1)(z+sigma)).  All integration runs through one batched kernel,
 :func:`_integrate_segments`: each segment is a G7/K15 panel whose nodes
 carry w by the nearest-sign rule, accepted only if w turns by less than 45
 degrees between consecutive nodes (which makes that choice unambiguous);
-segments that fail are bisected inside the batch.
+segments that fail are bisected inside the batch, and a segment ending on
+a branch point ends in a singular leaf.  So a path only has to stay off
+the branch points, at any distance from them.
 
 Conventions fixed here (see README):
 
@@ -34,13 +36,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import quad
-from .quad import (ComplexPath, NonFinite, RiemannMinimalError,
-                   SubdivisionLimit, _segment_distances)
+from .quad import NonFinite, RiemannMinimalError, SubdivisionLimit
 
 __all__ = [
     "CurveError", "BranchAmbiguity", "ClearanceViolation", "PoleOfGaussMap",
     "CurveParams", "CurvePoint", "WeierstrassForms", "HomologyLoop",
-    "curve_poly", "branch_points", "default_clearance", "basepoint",
+    "curve_poly", "branch_points", "basepoint",
     "on_curve_residual", "immerse", "gaussian_curvature",
     "gamma1_loop", "gamma2_loop", "end_loop", "period", "flux",
     "apply_symmetry", "verify_symmetry_action", "gauss_ode_residual",
@@ -48,6 +49,9 @@ __all__ = [
 ]
 
 BASEPOINT_OFFSET = 1e-2
+# random_regular_points rejects candidates closer than this times
+# (1 + sigma) to a branch point
+SAMPLE_CLEARANCE = 2e-3
 
 
 class CurveError(RiemannMinimalError):
@@ -59,7 +63,7 @@ class BranchAmbiguity(CurveError):
 
 
 class ClearanceViolation(CurveError):
-    """A path came closer to a branch point than its clearance allows."""
+    """A path segment passes through a branch point."""
 
 
 class PoleOfGaussMap(CurveError):
@@ -108,10 +112,6 @@ def curve_poly(params: CurveParams, z):
 
 def branch_points(params: CurveParams):
     return (0.0 + 0.0j, 1.0 + 0.0j, complex(-params.sigma))
-
-
-def default_clearance(params: CurveParams) -> float:
-    return 1e-3 * (1.0 + params.sigma)
 
 
 def on_curve_residual(params: CurveParams, pt: CurvePoint) -> float:
@@ -185,7 +185,8 @@ def _integrate_segments(params, za, zb, wa):
     1e-12 (1 + sigma) of the branch point 1 or -sigma ends there, in a
     singular leaf (w_end 0), which bisects into the regular leaf
     a -> bp + (a - bp)/4 and a singular leaf from there.  Raises
-    ClearanceViolation (a segment through a branch point), PoleOfGaussMap
+    ClearanceViolation (a branch point other than its end lies on a
+    segment: cross product 0 and projection in [0, 1]), PoleOfGaussMap
     (ending at z = 0), BranchAmbiguity (a start at w = 0, or a leaf failing
     the turn test at 1e-12 of its segment's length), SubdivisionLimit,
     NonFinite, and ValueError (a segment of length 0).
@@ -199,12 +200,13 @@ def _integrate_segments(params, za, zb, wa):
     zb = np.where(singular, np.array(bps)[near.argmax(axis=1)], zb)
     if np.any(zb == za):
         raise ValueError("consecutive path nodes must be distinct")
-    through = (_segment_distances(bps, za, zb) == 0) & ~near.T
+    d, q = zb - za, np.array(bps)[:, None] - za
+    dot = q.real * d.real + q.imag * d.imag
+    through = ((q.real * d.imag == q.imag * d.real) & (0.0 <= dot)
+               & (dot <= d.real ** 2 + d.imag ** 2) & ~near.T)
     if through.any():
-        raise ClearanceViolation(
-            f"segment passes through branch point "
-            f"{bps[np.argmax(through.any(axis=1))]} (clearance "
-            f"{default_clearance(params):.3e})")
+        raise ClearanceViolation("segment passes through branch point "
+                                 f"{bps[np.argmax(through.any(axis=1))]}")
     if np.any(wa == 0):
         raise BranchAmbiguity(
             "cannot continue a branch starting from w = 0 (branch point)")
@@ -312,40 +314,26 @@ def _accumulate(edges, x0, w0):
             np.concatenate([w0[:, None], wb * sheet], axis=1))
 
 
-def _clearance_error(params, path):
-    """The ClearanceViolation :func:`immerse` raises for ``path``, or None:
-    some branch point it does not end on is closer than its clearance."""
-    z, bps = np.array(path.nodes), branch_points(params)
-    clear = path.clearance or default_clearance(params)
-    for bp, d in zip(bps, _segment_distances(bps, z[:-1], z[1:]).min(axis=1)):
-        if d < clear and not abs(z[-1] - bp) < 1e-12 * (1.0 + params.sigma):
-            return ClearanceViolation(f"path at distance {d:.3e} < clearance "
-                                      f"{clear:.3e} from branch point {bp}")
-    return None
-
-
-def immerse(params: CurveParams, path: ComplexPath, w_start,
+def immerse(params: CurveParams, nodes, w_start,
             base_position=(0.0, 0.0, 0.0)):
-    """Integrate the Weierstrass forms along ``path``, marched as one chain.
+    """Integrate the Weierstrass forms along the polyline ``nodes``, marched
+    as one chain.
 
     Returns (position, end_point): ``base_position + Re int (phi1,phi2,phi3)``
-    and the curve point at the path end with the continued branch of w.  A
-    path whose final node is the branch point 1 or -sigma ends in a singular
-    leaf (the end point then carries w = 0).  Every other branch point must
-    keep ``path.clearance`` (``default_clearance`` if 0) from the path
-    (:func:`_clearance_error`).
+    and the curve point at the last node with the continued branch of w.  A
+    path whose last node is the branch point 1 or -sigma ends in a singular
+    leaf (the end point then carries w = 0).  The path only has to stay off
+    the branch points, and consecutive nodes must differ (ClearanceViolation
+    and ValueError from :func:`_integrate_segments`).
     """
     pos = np.asarray(base_position, dtype=float).copy()
-    if len(path.nodes) < 2:
-        return pos, CurvePoint(path.nodes[0] if path.nodes else 0j,
+    z = np.asarray(nodes, dtype=complex)
+    if len(z) < 2:
+        return pos, CurvePoint(complex(z[0]) if len(z) else 0j,
                                complex(w_start))
-    error = _clearance_error(params, path)
-    if error is not None:
-        raise error
     w0 = np.array([complex(w_start)])
-    edges = _march(params, [(np.array(path.nodes)[None], w0)])[0]
-    acc, ws = _accumulate(edges, pos[None], w0)
-    return acc[0, -1].real, CurvePoint(path.nodes[-1], complex(ws[0, -1]))
+    acc, ws = _accumulate(_march(params, [(z[None], w0)])[0], pos[None], w0)
+    return acc[0, -1].real, CurvePoint(complex(z[-1]), complex(ws[0, -1]))
 
 
 def gaussian_curvature(forms: WeierstrassForms, g_prime) -> float:
@@ -366,7 +354,8 @@ def gaussian_curvature(forms: WeierstrassForms, g_prime) -> float:
 
 @dataclass(frozen=True)
 class HomologyLoop:
-    """A closed loop on the curve: its kind, base point and polyline.
+    """A closed loop on the curve: its kind, base point and polyline
+    ``nodes``.
 
     ``integrals`` holds the loop integrals of the closure march that built
     the loop, which :func:`period` returns instead of marching the loop
@@ -375,7 +364,7 @@ class HomologyLoop:
 
     kind: str
     base: CurvePoint
-    geometry: ComplexPath
+    nodes: tuple
     integrals: np.ndarray | None = field(default=None, compare=False,
                                          repr=False)
 
@@ -396,8 +385,7 @@ def _make_loop(params, kind, center, radius, n, turns=1):
         raise BranchAmbiguity(
             f"loop {kind} does not close on the curve: |dw|/|w| = "
             f"{abs(w_end - w0) / abs(w0):.3e}")
-    return HomologyLoop(kind, CurvePoint(z0, w0), ComplexPath(nodes),
-                        acc[0, -1])
+    return HomologyLoop(kind, CurvePoint(z0, w0), nodes, acc[0, -1])
 
 
 def gamma1_loop(params: CurveParams, n=64) -> HomologyLoop:
@@ -447,7 +435,7 @@ def period(params: CurveParams, loop: HomologyLoop) -> np.ndarray:
     if loop.integrals is not None:
         return loop.integrals.copy()
     w0 = np.array([loop.base.w])
-    edges = _march(params, [(np.array(loop.geometry.nodes)[None], w0)])[0]
+    edges = _march(params, [(np.array(loop.nodes)[None], w0)])[0]
     return _accumulate(edges, np.zeros((1, 3)), w0)[0][0, -1]
 
 
@@ -572,7 +560,7 @@ def random_regular_points(params: CurveParams, n: int, rng) -> CurvePoint:
     as one :class:`CurvePoint` of 1-d arrays.
 
     z is uniform in (r, theta) over the annulus 0.15 <= r / ((1 + sigma)/2)
-    <= 1.6, and a candidate closer than twice the default clearance to a
+    <= 1.6, and a candidate closer than SAMPLE_CLEARANCE (1 + sigma) to a
     branch point {0, 1, -sigma} is rejected.  Draw order, from any numpy
     ``Generator``: rounds of one ``rng.random((2, m))`` block, r from row 0
     and theta from row 1, m the number of points still missing, until n
@@ -582,7 +570,7 @@ def random_regular_points(params: CurveParams, n: int, rng) -> CurvePoint:
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     scale = 0.5 * (1.0 + params.sigma)
-    clear = 2.0 * default_clearance(params)
+    clear = SAMPLE_CLEARANCE * (1.0 + params.sigma)
     bps = np.array(branch_points(params))
     z = np.empty(0, dtype=complex)
     while len(z) < n:

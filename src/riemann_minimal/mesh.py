@@ -13,6 +13,8 @@ column, the interior rows, the radial edges to the outer row and the two
 corner edges) is integrated in one ``curve._march`` batch, and positions
 and branch signs are accumulated along the marching order.  The two grid
 corners on the branch points z = 1 and z = -sigma end in singular leaves.
+No path keeps a distance from the branch points beyond not passing
+through one, so every sigma > 0 is sampled the same way.
 
 The surface is then grown by the four-step symmetry pipeline: 180-degree
 rotation about the horizontal line through psi(i sqrt(sigma)), reflection
@@ -30,7 +32,7 @@ import numpy as np
 
 from . import curve as _curve
 from .curve import BASEPOINT_OFFSET, CurveParams
-from .quad import ComplexPath, RiemannMinimalError
+from .quad import RiemannMinimalError
 
 __all__ = [
     "DegenerateCell", "Degenerate", "DomainMap", "TriMesh", "IsometryOp",
@@ -252,18 +254,10 @@ class FundamentalSurface:
         self.entry_pos, self.entry_pt = self._immerse_from(
             np.zeros(3), _curve.basepoint(self.params), arc[1:])
 
-    def _path(self, nodes):
-        """The path along ``nodes``, with the clearance ``curve.immerse``
-        holds it to: a path ending on a branch point keeps the default
-        clearance (``immerse``'s reading of 0) from the other two; any other
-        must only not pass through one."""
-        ends_on_bp = nodes[-1] in _curve.branch_points(self.params)
-        return ComplexPath(nodes, clearance=0.0 if ends_on_bp else 5e-324)
-
     def _immerse_from(self, start_pos, start_pt, nodes):
-        """``curve.immerse`` along start_pt.z -> nodes (see ``_path``)."""
-        return _curve.immerse(self.params, self._path([start_pt.z, *nodes]),
-                              start_pt.w, start_pos)
+        """``curve.immerse`` along start_pt.z -> nodes."""
+        return _curve.immerse(self.params, [start_pt.z, *nodes], start_pt.w,
+                              start_pos)
 
     def _left_nodes(self, x):
         """Nodes after the entry point of the path to x on the left real
@@ -277,32 +271,18 @@ class FundamentalSurface:
     def _anchors(self):
         """[X(1), X(i sqrt(sigma)), X(-sigma)] from one ``curve._march``
         batch of the paths from the entry point to 1 (a singular end), to
-        i sqrt(sigma) and along ``_left_nodes(-sigma)``.  A path that
-        violates its clearance stays out of the batch, and its
-        ClearanceViolation takes its place."""
+        i sqrt(sigma) and along ``_left_nodes(-sigma)``."""
         s, w0 = self.params.sigma, np.array([self.entry_pt.w])
-        paths = [self._path([self.entry_pt.z, *nodes]) for nodes in
-                 ([1.0 + 0.0j], [1j * math.sqrt(s)], self._left_nodes(-s))]
-        out = [_curve._clearance_error(self.params, p) for p in paths]
-        ok = [i for i, error in enumerate(out) if error is None]
         batch = _curve._march(self.params, [
-            (np.array(paths[i].nodes)[None], w0) for i in ok])
-        for i, edges in zip(ok, batch):
-            acc, _ = _curve._accumulate(edges, self.entry_pos[None], w0)
-            out[i] = acc[0, -1].real
-        return out
-
-    def _anchor(self, i):
-        """A copy of anchor i, or its ClearanceViolation raised."""
-        value = self._anchors[i]
-        if isinstance(value, Exception):
-            raise value.with_traceback(None)
-        return value.copy()
+            (np.array([self.entry_pt.z, *nodes])[None], w0) for nodes in
+            ([1.0 + 0.0j], [1j * math.sqrt(s)], self._left_nodes(-s))])
+        x0 = self.entry_pos[None]
+        return [_curve._accumulate(e, x0, w0)[0][0, -1].real for e in batch]
 
     def psi_fixed_point(self):
         """X(i sqrt(sigma)) - X(1); the S1 fixed point, relative to the
         line point at the origin."""
-        return self._anchor(1) - self.x_at_one()
+        return self._anchors[1] - self._anchors[0]
 
     def psi_left(self, x: float):
         """psi on the left real boundary, x in [-sigma, 0), by one
@@ -315,12 +295,12 @@ class FundamentalSurface:
 
     def x_at_one(self):
         """X at the branch point z = 1 (singular-end integration)."""
-        return self._anchor(0)
+        return self._anchors[0].copy()
 
     def translation_half(self):
         """t0 = psi(-sigma) = X(-sigma) - X(1), via exact singular-end
         quadrature at both branch points; a new array per call."""
-        return self._anchor(2) - self.x_at_one()
+        return self._anchors[2] - self._anchors[0]
 
 
 def sample_fundamental(sigma: float, e: float, nr: int, nt: int,
@@ -335,10 +315,10 @@ def sample_fundamental(sigma: float, e: float, nr: int, nt: int,
     row is walked in t from its t = 0 vertex, the outer row is reached
     radially from the row below, and the two corner vertices on the branch
     points by one edge each from their outer-row neighbour, ending in a
-    singular leaf (with the clearance ``curve.immerse`` would check).  All
-    these edges are integrated in one ``curve._march`` batch; a vertex's
-    position is the sum of the edge integrals along this order and its
-    branch value w the continuation along it (``curve._accumulate``).
+    singular leaf.  All these edges are integrated in one ``curve._march``
+    batch; a vertex's position is the sum of the edge integrals along this
+    order and its branch value w the continuation along it
+    (``curve._accumulate``).
     """
     if surface is None:
         surface = FundamentalSurface(sigma)
@@ -364,10 +344,6 @@ def sample_fundamental(sigma: float, e: float, nr: int, nt: int,
     top, k, nb = nr - 1, slice(1, nt - 1), [1, nt - 2]
     order = np.argsort(-Z[:top, 0].real)
     corners = np.stack([Z[top, nb], Z[top, [0, nt - 1]]], axis=1)
-    for nodes in corners:
-        error = _curve._clearance_error(params, surface._path(nodes))
-        if error is not None:
-            raise error
     w0 = np.array([surface.entry_pt.w])
     column, rows, radial, corner = _curve._march(params, [
         (np.append(surface.entry_pt.z, Z[order, 0])[None], w0),

@@ -1,4 +1,4 @@
-"""Gauss-Kronrod quadrature kernel, its tolerances and the path type.
+"""Gauss-Kronrod quadrature kernel and its tolerances.
 
 :func:`_gk_panel` evaluates one G7/K15 panel on each of a batch of straight
 segments.  It is the package's only quadrature: the Weierstrass integrals
@@ -22,8 +22,6 @@ precision throughout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = [
@@ -34,7 +32,6 @@ __all__ = [
     "ABS_TOL",
     "REL_TOL",
     "MAX_SUBDIVISIONS",
-    "ComplexPath",
 ]
 
 ABS_TOL = 1e-10
@@ -84,42 +81,6 @@ _WG = np.array([
     0.129484966168870,
 ])
 _GAUSS_IDX = slice(1, 15, 2)
-
-
-def _segment_distances(p, a, b):
-    """Distance from each point p[i] to each segment a[j] -> b[j] (a[j] !=
-    b[j]), shape (len(p), len(a)).  ``hypot`` and ``float_power`` round as
-    Python's scalar ``abs`` and ``** 2`` do; numpy's complex ``abs`` and
-    array ``** 2`` may differ in the last bit.
-    """
-    p = np.asarray(p, dtype=complex)[:, None]
-    d = b - a
-    t = ((p - a).real * d.real + (p - a).imag * d.imag) / np.float_power(
-        np.hypot(d.real, d.imag), 2.0)
-    q = p - (a + np.minimum(1.0, np.maximum(0.0, t)) * d)
-    return np.hypot(q.real, q.imag)
-
-
-@dataclass(frozen=True)
-class ComplexPath:
-    """Oriented polyline in the complex plane.
-
-    ``clearance`` is the distance the path must keep from the branch points
-    when ``curve.immerse`` integrates along it (0: the curve's default).
-    """
-
-    nodes: tuple
-    clearance: float = 0.0
-
-    def __init__(self, nodes, clearance=0.0):
-        nodes = tuple(complex(z) for z in nodes)
-        for a, b in zip(nodes[:-1], nodes[1:]):
-            if a == b:
-                raise ValueError("consecutive path nodes must be distinct")
-        if clearance < 0:
-            raise ValueError("clearance must be nonnegative")
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "clearance", float(clearance))
 
 
 def _gk_panel(f, a, b):

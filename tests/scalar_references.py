@@ -46,7 +46,7 @@ def random_regular_points(params, n, rng, stats=None):
     """A list of n scalar CurvePoints; ``stats``, if given, is a dict that
     gets the candidate count."""
     scale = 0.5 * (1.0 + params.sigma)
-    clear = 2.0 * curve.default_clearance(params)
+    clear = curve.SAMPLE_CLEARANCE * (1.0 + params.sigma)
     bps = curve.branch_points(params)
     zs = []
     candidates = 0

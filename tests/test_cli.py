@@ -160,11 +160,36 @@ def test_gen_minimum_grid(tmp_path, capsys):
                 "-o", str(tmp_path / "b")]) == 0
 
 
-def test_numeric_failure_exit_3(tmp_path):
-    # absurd sigma: the base-point entry arc violates the branch clearance
-    rc = run(["gen", "--sigma", "1e9", "--grid", "4x4",
-              "-o", str(tmp_path / "o")])
-    assert rc == 3
+def test_numeric_failure_exit_3(tmp_path, capsys, monkeypatch):
+    # with e this close to 1 adjacent grid samples coincide
+    assert run(["gen", "--sigma", "2", "--e", "0.9999999999", "--grid", "4x4",
+                "-o", str(tmp_path / "o")]) == 3
+    assert "numeric failure: DegenerateCell" in capsys.readouterr().err
+    # a budget of no bisections stops the first segment that needs one
+    monkeypatch.setattr(quad, "MAX_SUBDIVISIONS", 0)
+    assert run(["verify", "--sigma", "2", "--json", "/dev/null"]) == 3
+    assert "numeric failure: SubdivisionLimit" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["gen", "verify", "kdv"])
+@pytest.mark.parametrize("value", [["--sigma", "9e-4"], ["--sigma", "1.1e3"],
+                                   ["--sigma", "0"], ["--sigma", "nan"],
+                                   ["--lambda", "-50"], ["--lambda", "50"]])
+def test_sigma_outside_the_tested_range_exits_2(tmp_path, capsys, command,
+                                                value):
+    # lambda -50 and 50 give sigma 4e-4 and 2.5e3
+    assert run([command, *value, "--json", str(tmp_path / "r.json")]) == 2
+    assert "outside the tested range [0.001, 1000]" in capsys.readouterr().err
+    assert not tmp_path.joinpath("r.json").exists()
+
+
+def test_kdv_fit_level_above_3_exits_2(capsys):
+    # at levels 4 and 5 the flows' rounding residue counts as rank, so the
+    # coefficients would depend on the sample
+    for n in ("4", "5"):
+        assert run(["kdv", "--sigma", "2", "--n", n]) == 2
+        assert "must be in [1, 3]" in capsys.readouterr().err
+    assert run(["kdv", "--sigma", "2", "--n", "3", "--json", "/dev/null"]) == 0
 
 
 def test_every_package_exception_shares_one_base():
@@ -179,13 +204,16 @@ def test_every_package_exception_shares_one_base():
         assert issubclass(exc, base), exc
 
 
-def test_clearance_violation_exits_3(tmp_path, capsys):
-    # the base point's entry arc is 1e-2 from z = 1, inside the clearance
-    # 1e-3 (1 + sigma) at sigma 10
-    assert run(["gen", "--sigma", "10", "--grid", "4x4",
+def test_clearance_violation_exits_3(tmp_path, capsys, monkeypatch):
+    # the t0 path run from 0.5 straight along the real axis to -sigma
+    # passes through the branch point z = 0
+    monkeypatch.setattr(mesh.FundamentalSurface, "_left_nodes",
+                        lambda self, x: [0.5 + 0j, x + 0j])
+    assert run(["gen", "--sigma", "2", "--grid", "4x4",
                 "-o", str(tmp_path / "o")]) == 3
     assert "numeric failure: ClearanceViolation" in capsys.readouterr().err
-    assert run(["verify", "--sigma", "10", "--json", "/dev/null"]) == 3
+    assert run(["verify", "--sigma", "2", "--json", "/dev/null"]) == 3
+    assert "numeric failure: ClearanceViolation" in capsys.readouterr().err
 
 
 def test_program_bug_exits_4_with_traceback(monkeypatch, capsys):
@@ -249,6 +277,22 @@ def test_import_does_not_load_scipy_optimize():
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True, timeout=60)
     assert out.stdout.strip() == "False"
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("sigma", ["1e-3", "9.5", "21.5", "100", "1e3"])
+def test_gen_and_verify_over_the_family_range(tmp_path, sigma):
+    # the ends of the tested range, and sigma > 9, where the base point's
+    # 1e-2 gap to z = 1 is below 1e-3 (1 + sigma)
+    out = tmp_path / "o"
+    assert run(["gen", "--sigma", sigma, "-o", str(out)]) == 0
+    res = load_report(out / "report.json")["result"]
+    t = res["translation"]  # 2 t0; perfbench's closure gate
+    assert abs(res["slab_height"] - abs(t[2]) / 2.0) < 1e-7
+    assert abs(t[1]) < 1e-7
+    for seed in range(5):
+        assert run(["verify", "--sigma", sigma, "--seed", str(seed),
+                    "--json", str(tmp_path / "v.json")]) == 0
 
 
 @pytest.mark.slow

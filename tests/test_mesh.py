@@ -189,8 +189,7 @@ def test_segment_batch_matches_immerse_near_branch_point():
     wa = np.sqrt(curve.curve_poly(params, za)) * np.array([1.0, -1.0, 1.0])
     totals, w_end = curve._integrate_segments(params, za, zb, wa)
     for i in range(len(za)):
-        path = curve.ComplexPath([za[i], zb[i]], clearance=5e-4)
-        pos, end = curve.immerse(params, path, wa[i])
+        pos, end = curve.immerse(params, [za[i], zb[i]], wa[i])
         assert np.max(np.abs(totals[i].real - pos)) <= 1e-12 * max(
             1.0, np.max(np.abs(pos)))
         assert abs(w_end[i] - end.w) <= 1e-12 * abs(end.w)
@@ -250,47 +249,27 @@ def test_translation_matches_gamma2_period(surf2, ops2):
 
 def _anchor_references(surface):
     """X(1), psi(i sqrt(sigma)) and t0, each from its own ``immerse`` path
-    (t0 over the end at 0 as psi_left hops it); a path that violates its
-    clearance gives its ClearanceViolation instead."""
+    (t0 over the end at 0 as psi_left hops it)."""
     s = surface.params.sigma
     arc = 0.3 * min(1.0, s) * np.exp(1j * np.linspace(0.0, math.pi, 9))
-    out = []
-    for nodes in ([1.0 + 0j], [1j * math.sqrt(s)], [0.5 + 0j, *arc, -s]):
-        try:
-            out.append(surface._immerse_from(surface.entry_pos,
-                                             surface.entry_pt, nodes)[0])
-        except curve.ClearanceViolation as exc:
-            out.append(exc)
-    return out
+    return [surface._immerse_from(surface.entry_pos, surface.entry_pt,
+                                  nodes)[0]
+            for nodes in ([1.0 + 0j], [1j * math.sqrt(s)],
+                          [0.5 + 0j, *arc, -s])]
 
 
-@pytest.mark.parametrize("sigma", [0.012, 0.5, 2.0, 8.0])
+@pytest.mark.parametrize("sigma", [0.012, 0.5, 2.0, 8.0, 83.0])
 def test_batched_anchors_match_per_path_immerse(sigma):
+    # at sigma 83 the t0 path starts 1e-2 from z = 1, closer than
+    # 1e-3 (1 + sigma): a path only has to stay off the branch points
     surf = FundamentalSurface(sigma)
     x1, fixed, left = _anchor_references(surf)
     for got, want in ((surf.x_at_one(), x1),
                       (surf.psi_fixed_point(), fixed - x1),
-                      (surf.translation_half(), left - x1)):
+                      (surf.translation_half(), left - x1),
+                      (surf.psi_left(-sigma), left - x1)):
         scale = max(1.0, np.max(np.abs(want)))
         assert np.max(np.abs(got - want)) <= 1e-13 * scale
-
-
-def test_anchor_batch_leaves_out_the_t0_path_that_violates_clearance():
-    # at sigma 83 the t0 path starts 1e-2 from z = 1, inside the clearance
-    # 1e-3 (1 + sigma) that a path ending on -sigma keeps from the others
-    surf = FundamentalSurface(83.0)
-    x1, fixed, left = _anchor_references(surf)
-    assert str(left) == ("path at distance 1.000e-02 < clearance 8.400e-02 "
-                         "from branch point (1+0j)")
-    want = fixed - x1
-    got = surf.psi_fixed_point()
-    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
-    assert np.max(np.abs(surf.x_at_one() - x1)) <= 1e-13 * np.max(np.abs(x1))
-    for call in (surf.translation_half, surf.translation_half,
-                 lambda: surf.psi_left(-83.0)):
-        with pytest.raises(curve.ClearanceViolation) as info:
-            call()
-        assert str(info.value) == str(left)
 
 
 def test_gen_makes_three_integrator_calls(monkeypatch):
@@ -637,10 +616,7 @@ def _assert_matches_reference(got, want):
 def test_lockstep_refine_slice_matches_per_crossing_newton(sigma):
     surf = FundamentalSurface(sigma)
     fund = sample_fundamental(sigma, 0.1, 14, 20, surface=surf)
-    # the last vertex is the corner psi(-sigma) = t0; translation_half's
-    # own entry path violates the clearance for sigma > 9
-    t0 = fund.vertices[-1]
-    surf.translation_half = lambda: t0
+    t0 = surf.translation_half()
     ops = extension_ops(sigma, surface=surf)
     for copies in (0, 1):
         ext = extend(fund, ops, copies=copies)

@@ -3,15 +3,16 @@ import pytest
 
 from classical_quadrature import (Divergent, _adaptive,
                                   integrate_sqrt_singular, integrate_tail)
-from riemann_minimal import quad
-from riemann_minimal.quad import ComplexPath, NonFinite, SubdivisionLimit
+from riemann_minimal import curve, quad
+from riemann_minimal.quad import NonFinite, SubdivisionLimit
 
 ABS = 1e-10
 
 
-def _segments(path):
-    """The (start, end) pairs of a path's consecutive nodes."""
-    return tuple(zip(path.nodes[:-1], path.nodes[1:]))
+def _segments(nodes):
+    """The (start, end) pairs of a polyline's consecutive nodes."""
+    nodes = [complex(z) for z in nodes]
+    return tuple(zip(nodes[:-1], nodes[1:]))
 
 
 def q1_of(lam):
@@ -19,30 +20,30 @@ def q1_of(lam):
 
 
 def test_polynomial_antiderivative():
-    val = _adaptive(lambda z: z ** 2, _segments(ComplexPath([0, 1])))[0]
+    val = _adaptive(lambda z: z ** 2, _segments([0, 1]))[0]
     assert abs(val - 1.0 / 3.0) < ABS
 
 
 def test_residue_theorem_square_loop():
-    loop = ComplexPath([1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j, 1 + 1j])
+    loop = [1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j, 1 + 1j]
     val = _adaptive(lambda z: 1.0 / z, _segments(loop))[0]
     assert abs(val - 2j * np.pi) < 1e-9
 
 
 def test_orientation_reverses_sign():
-    path = ComplexPath([0, 1 + 1j, 2])
+    path = [0, 1 + 1j, 2]
     f = lambda z: np.exp(z) * np.sin(z)
     fwd = _adaptive(f, _segments(path))[0]
-    bwd = _adaptive(f, _segments(ComplexPath(path.nodes[::-1])))[0]
+    bwd = _adaptive(f, _segments(path[::-1]))[0]
     assert abs(fwd + bwd) < ABS
 
 
 def test_additivity_over_concatenation():
     f = lambda z: np.cos(z) / (z + 3.0)
-    whole = _adaptive(f, _segments(ComplexPath([0, 1 + 2j])))[0]
+    whole = _adaptive(f, _segments([0, 1 + 2j]))[0]
     mid = 0.37 + 0.74j
-    parts = (_adaptive(f, _segments(ComplexPath([0, mid])))[0]
-             + _adaptive(f, _segments(ComplexPath([mid, 1 + 2j])))[0])
+    parts = (_adaptive(f, _segments([0, mid]))[0]
+             + _adaptive(f, _segments([mid, 1 + 2j]))[0])
     assert abs(whole - parts) < ABS
 
 
@@ -50,25 +51,25 @@ def test_homotopy_independence_same_winding():
     # integrand holomorphic off z0; two paths, same endpoints, same winding
     z0 = 0.5 + 0.2j
     f = lambda z: 1.0 / (z - z0) + z ** 3
-    a = ComplexPath([-1 - 1j, 2 - 1j, 2 + 2j])
-    b = ComplexPath([-1 - 1j, -1 + 2j, 2 + 2j])
+    a = [-1 - 1j, 2 - 1j, 2 + 2j]
+    b = [-1 - 1j, -1 + 2j, 2 + 2j]
     ia = _adaptive(f, _segments(a))[0]
     ib = _adaptive(f, _segments(b))[0]
     assert abs(ia - ib) > 1.0  # opposite sides: winding differs, values differ
     # route b around the same side as a: now they must agree to 10*abs_tol
-    c = ComplexPath([-1 - 1j, 2 - 2j, 3 + 0j, 2 + 2j])
+    c = [-1 - 1j, 2 - 2j, 3 + 0j, 2 + 2j]
     ic = _adaptive(f, _segments(c))[0]
     assert abs(ia - ic) < 10 * ABS
 
 
 def test_cauchy_closed_loop_holomorphic():
-    loop = ComplexPath([2 + 0j, 2 + 2j, 4 + 2j, 4 + 0j, 2 + 0j])
+    loop = [2 + 0j, 2 + 2j, 4 + 2j, 4 + 0j, 2 + 0j]
     val = _adaptive(lambda z: np.exp(z) + 1.0 / z, _segments(loop))[0]
     assert abs(val) < ABS
 
 
 def test_deterministic_repeat():
-    path = ComplexPath([0, 1 + 1j, 2 - 1j])
+    path = [0, 1 + 1j, 2 - 1j]
     f = lambda z: np.exp(-z * z)
     assert (_adaptive(f, _segments(path))[0]
             == _adaptive(f, _segments(path))[0])
@@ -76,7 +77,7 @@ def test_deterministic_repeat():
 
 def test_nonfinite_raises():
     with pytest.raises(NonFinite):
-        _adaptive(lambda z: 1.0 / (z - 0.5), _segments(ComplexPath([0, 1])))
+        _adaptive(lambda z: 1.0 / (z - 0.5), _segments([0, 1]))
 
 
 def test_subdivision_limit_raises(monkeypatch):
@@ -84,15 +85,17 @@ def test_subdivision_limit_raises(monkeypatch):
     # sharp near-singularity mid-path defeats a 3-split budget
     f = lambda z: 1.0 / (z - (0.5 + 1e-9j))
     with pytest.raises(SubdivisionLimit):
-        _adaptive(f, _segments(ComplexPath([0, 1])))
+        _adaptive(f, _segments([0, 1]))
 
 
 def test_path_invariants():
-    with pytest.raises(ValueError):
-        ComplexPath([1, 1, 2])
-    with pytest.raises(ValueError):
-        ComplexPath([0, 1], clearance=-0.5)
-    assert ComplexPath([0, 1], clearance=0.05).clearance == 0.05
+    # a path is a plain node sequence; immerse rejects repeated nodes
+    params = curve.CurveParams(2.0)
+    w = np.sqrt(complex(curve.curve_poly(params, 2.0)))
+    for nodes in ([2, 2, 3], [2, 3 + 1j, 3 + 1j], [2, 3, 3, 2]):
+        with pytest.raises(ValueError, match="distinct"):
+            curve.immerse(params, nodes, w)
+    assert curve.immerse(params, [2], w)[1] == curve.CurvePoint(2 + 0j, w)
 
 
 # --- sqrt-singular endpoint ------------------------------------------------
@@ -117,7 +120,7 @@ def test_sqrt_singular_vs_truncated_richardson():
     val = integrate_sqrt_singular(f, a, b)
 
     def truncated(eps):
-        path = ComplexPath([a + eps, b])
+        path = [a + eps, b]
         return np.real(_adaptive(lambda z: f(np.real(z)), _segments(path))[0])
 
     # truncation error is ~ c*sqrt(eps): one Richardson step removes it
