@@ -13,7 +13,10 @@ carry w by the nearest-sign rule, accepted only if w turns by less than 45
 degrees between consecutive nodes (which makes that choice unambiguous);
 segments that fail are bisected inside the batch, and a segment ending on
 a branch point ends in a singular leaf.  So a path only has to stay off
-the branch points, at any distance from them.
+the branch points, at any distance from them.  Each round's leaves are
+evaluated in equal blocks of at most 512 (LEAF_BLOCK), whose products
+act on arrays below numpy's 256 KiB temporary-elision size, so a
+segment's integral does not depend on the other segments in its batch.
 
 Conventions fixed here (see README):
 
@@ -49,6 +52,10 @@ __all__ = [
 ]
 
 BASEPOINT_OFFSET = 1e-2
+# most leaves per quadrature block: the largest arrays its products act
+# on, the (512, 17) complex branch nodes, take 136 KiB (see
+# _integrate_segments)
+LEAF_BLOCK = 512
 # random_regular_points rejects candidates closer than this times
 # (1 + sigma) to a branch point
 SAMPLE_CLEARANCE = 2e-3
@@ -140,7 +147,23 @@ def _leaf_panels(params, a, b, w, singular):
     z = b + (a - b)(1 - s)^2, which cancels the 1/sqrt blow-up at b.  w is
     continued by the nearest-sign rule through a, the nodes and b (not the
     zero at a singular b).  Returns (integrals (n, 3), |K15 - G7|, values
-    finite, branch at b (0 if singular), w turned < 45 degrees per step)."""
+    finite, branch at b (0 if singular), w turned < 45 degrees per step),
+    evaluated in equal blocks of at most LEAF_BLOCK leaves, one
+    ``quad._gk_panel`` call each."""
+    n = len(a)
+    k, err = np.empty((n, 3), dtype=complex), np.empty(n)
+    w_end = np.empty_like(w)
+    finite, turn = np.empty(n, dtype=bool), np.empty(n, dtype=bool)
+    blocks = max(1, -(-n // LEAF_BLOCK))
+    cuts = [i * n // blocks for i in range(blocks + 1)]
+    for blk in map(slice, cuts[:-1], cuts[1:]):
+        k[blk], err[blk], finite[blk], w_end[blk], turn[blk] = _block_panels(
+            params, a[blk], b[blk], w[blk], singular[blk])
+    return k, err, finite, w_end, turn
+
+
+def _block_panels(params, a, b, w, singular):
+    """:func:`_leaf_panels` on one block of leaves."""
     s = np.flatnonzero(singular)
     w_end, turn = np.empty_like(w), np.empty(len(w), dtype=bool)
 
@@ -172,7 +195,12 @@ def _integrate_segments(params, za, zb, wa):
 
     Returns (totals, w_end): the (n, 3) integrals and the continued branch
     at each zb[i].  Each segment starts as one leaf, and each round
-    integrates the new leaves with one panel each (:func:`_leaf_panels`).
+    integrates the new leaves with one panel each (:func:`_leaf_panels`),
+    in equal blocks of at most LEAF_BLOCK = 512 leaves.  A block's
+    products act on arrays below numpy's 256 KiB temporary-elision size,
+    above which numpy runs them in place, slower and rounded differently;
+    so a segment's integral has the same bits in any batch, alone or among
+    thousands, and the kernel's working set is one block.
     A segment is accepted once all its leaves pass the 45-degree turn test
     and the sum of their |K15 - G7| is within max(quad.ABS_TOL,
     quad.REL_TOL |total|).  Otherwise its leaves that fail the turn test,
@@ -188,7 +216,10 @@ def _integrate_segments(params, za, zb, wa):
     ClearanceViolation (a branch point other than its end lies on a
     segment: cross product 0 and projection in [0, 1]), PoleOfGaussMap
     (ending at z = 0), BranchAmbiguity (a start at w = 0, or a leaf failing
-    the turn test at 1e-12 of its segment's length), SubdivisionLimit,
+    the turn test at 1e-12 of its segment's length), SubdivisionLimit (more
+    than quad.MAX_SUBDIVISIONS bisections of a segment, or a leaf to split
+    whose split point rounds onto one of its ends in a coordinate where the
+    ends differ: the leaf is below the resolution of its coordinates),
     NonFinite, and ValueError (a segment of length 0).
     """
     za, zb, wa = (np.asarray(x, dtype=complex) for x in (za, zb, wa))
@@ -259,6 +290,13 @@ def _integrate_segments(params, za, zb, wa):
         owner, a, b, w, sing = (x[rep] for x in (owner, a, b, w, singular))
         k, err, wb, turn = k[rep], err[rep], wb[rep], turn[rep]
         mid = np.where(sing, b + 0.25 * (a - b), 0.5 * (a + b))
+        stall = first_half & (_onto_end(a.real, b.real, mid.real)
+                              | _onto_end(a.imag, b.imag, mid.imag))
+        if stall.any():
+            i = np.argmax(stall)
+            raise SubdivisionLimit(
+                f"leaf {a[i]} -> {b[i]} has no split point between its "
+                f"ends: error {err[i]:.3e}, tol {tol[group[rep[i]]]:.3e}")
         a, b = np.where(second, mid, a), np.where(first_half, mid, b)
         singular = sing & ~first_half
         w[second] = np.sqrt(curve_poly(params, a[second]))
@@ -266,6 +304,12 @@ def _integrate_segments(params, za, zb, wa):
         k[fresh], err[fresh], finite, wb[fresh], turn[fresh] = _leaf_panels(
             params, a[fresh], b[fresh], w[fresh], singular[fresh])
     return totals, w_end
+
+
+def _onto_end(x, y, m):
+    """Whether m, a split point of x -> y in one coordinate, rounds onto
+    an end where the ends differ."""
+    return (x != y) & ((m == x) | (m == y))
 
 
 def _march(params, chains):

@@ -11,7 +11,8 @@ sqrt(q - 1/lambda) R_F(lambda q, 1, 1), with the arcsinh formula.
 
 A segment's integral is accepted once the sum of |K15 - G7| over its
 panels is at most max(ABS_TOL, REL_TOL |integral|); more than
-MAX_SUBDIVISIONS bisections of one segment raise SubdivisionLimit.  The
+MAX_SUBDIVISIONS bisections of one segment, or a leaf whose split point
+rounds onto one of its ends, raise SubdivisionLimit.  The
 constants leave two to four digits of slack below every tolerance the
 library asserts against (1e-6 .. 1e-8).  Callers read them as
 ``quad.ABS_TOL`` at call time, so rebinding one changes every later call.
@@ -98,9 +99,10 @@ def _gk_panel(f, a, b):
     half = 0.5 * (b - a)
     zs = (0.5 * (a + b))[..., None] + half[..., None] * _XK
     with np.errstate(all="ignore"):
-        vals = np.moveaxis(np.asarray(f(zs)), a.ndim, -1)  # S + values + (15,)
+        # S + values + (15,); a plain swap, as values has at most one axis
+        vals = np.asarray(f(zs)).swapaxes(a.ndim, -1)
         per_segment = tuple(range(a.ndim, vals.ndim))
-        half = np.expand_dims(half, per_segment[:-1])
+        half = half.reshape(half.shape + (1,) * (len(per_segment) - 1))
         k = (vals @ _WK) * half
         err = np.abs(k - (vals[..., _GAUSS_IDX] @ _WG) * half).max(
             axis=per_segment[:-1])

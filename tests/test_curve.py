@@ -185,6 +185,36 @@ def test_segment_kernel_against_mpmath_30_digits(sigma):
     assert np.max(np.abs(2.0 * t0 - period.real)) <= 1e-11
 
 
+def test_leaf_below_coordinate_resolution_raises(monkeypatch):
+    # at tolerance 1e-13 the edge 0.6 + 0.5j -> 1 at sigma 10 bisects
+    # toward z = 1 until the split point of a singular leaf rounds onto
+    # z = 1 in its real part; bisecting on from there returned a value
+    # 1.7e-9 off.  At the default tolerances the rule never fires.
+    params = CurveParams(10.0)
+    za, zb = 0.6 + 0.5j, 1.0 + 0j
+    wa = np.sqrt(complex(curve.curve_poly(params, za)))
+
+    def integral():
+        return curve._integrate_segments(params, [za], [zb], [wa])[0][0]
+
+    default = integral()
+    # with the rule off: the same bits at the defaults, a wrong value at 1e-13
+    with monkeypatch.context() as m:
+        m.setattr(curve, "_onto_end",
+                  lambda x, y, mid: np.zeros(np.shape(x), dtype=bool))
+        assert np.array_equal(integral(), default)
+        m.setattr(quad, "ABS_TOL", 1e-13)
+        m.setattr(quad, "REL_TOL", 1e-13)
+        assert np.max(np.abs(integral() - default)) > 1e-10
+    monkeypatch.setattr(quad, "ABS_TOL", 1e-13)
+    monkeypatch.setattr(quad, "REL_TOL", 1e-13)
+    with pytest.raises(quad.SubdivisionLimit,
+                       match=r"leaf \(0\.9999999999999999\+[-+.e0-9]+j\) -> "
+                             r"\(1\+0j\) has no split point between its ends: "
+                             r"error [.e0-9+-]+, tol 1\.000e-13"):
+        integral()
+
+
 def test_immerse_line_property_on_unit_segment():
     # sigma = 2: points of (0,1) all map to a line parallel to the x2-axis
     params = CurveParams(2.0)

@@ -171,6 +171,35 @@ def test_batched_sampling_falls_back_on_few_edges(surf2, monkeypatch):
     assert 2 <= bisected <= 0.01 * edges
 
 
+@pytest.mark.parametrize("sigma", [0.0127, 2.0, 70.0])
+def test_segment_integral_does_not_depend_on_its_batch(sigma):
+    # the 2301 row edges of the 40x60 grid as one batch, and one by one
+    params = curve.CurveParams(sigma)
+    z = sample_fundamental(sigma, 0.1, 40, 60).domain_z.reshape(40, 60)[:-1]
+    za, zb = z[:, :-1].reshape(-1), z[:, 1:].reshape(-1)
+    wa = np.sqrt(curve.curve_poly(params, za))
+    totals, w_end = curve._integrate_segments(params, za, zb, wa)
+    assert len(za) == 2301
+    for i in range(len(za)):
+        t, w = curve._integrate_segments(params, za[i:i + 1], zb[i:i + 1],
+                                         wa[i:i + 1])
+        assert np.array_equal(t[0], totals[i]) and w[0] == w_end[i], i
+
+
+@pytest.mark.parametrize("nr,nt", [(40, 60), (160, 240)])
+def test_quadrature_blocks_stay_within_the_block_size(surf2, monkeypatch,
+                                                      nr, nt):
+    # the sampling batch (2400 edges at 40x60, 38400 at 160x240) reaches
+    # the panel kernel in equal blocks of at most LEAF_BLOCK leaves
+    calls = _count_panel_leaves(monkeypatch)
+    sample_fundamental(2.0, 0.1, nr, nt, surface=surf2)
+    sizes = [len(a) for a, _ in calls]
+    edges = (nr - 1) + (nr - 1) * (nt - 1) + (nt - 2) + 2
+    first = sizes[:-(-edges // curve.LEAF_BLOCK)]  # the first round
+    assert sum(first) == edges and max(first) - min(first) <= 1
+    assert max(sizes) <= curve.LEAF_BLOCK
+
+
 def test_segment_batch_rejects_edge_through_branch_point():
     params = curve.CurveParams(2.0)
     w = np.sqrt(curve.curve_poly(params, 0.5 + 0j))
@@ -680,35 +709,41 @@ def test_refine_slice_height_sequence_matches_per_height_calls(sigma,
     surf = FundamentalSurface(sigma)
     fund = sample_fundamental(sigma, 0.1, 14, 20, surface=surf)
     span = surf.translation_half()[2]
-    ext = extend(fund, extension_ops(sigma, surface=surf), copies=1)
+    ops = extension_ops(sigma, surface=surf)
+    ext = extend(fund, ops, copies=1)
+    # on the 40x60 extension the lockstep batch of all six heights (1652 to
+    # 2660 crossings) spans several quadrature blocks
+    big = extend(sample_fundamental(sigma, 0.1, 40, 60, surface=surf), ops,
+                 copies=1)
     calls = []
     batch = curve._integrate_segments
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return batch(*args, **kwargs)
+    def counting(params, za, *args):
+        calls.append(len(za))
+        return batch(params, za, *args)
 
     monkeypatch.setattr(curve, "_integrate_segments", counting)
     # 1.4 and 1.9 t0_3 lie above the fundamental piece (no crossings there)
     # and in the copy of the extended mesh
     hs = np.array([0.13, 0.3, 0.5, 0.77, 1.4, 1.9]) * span
-    for m in (fund, ext):
-        for max_points in (24, 5):
-            del calls[:]
-            want = [refine_slice(m, h, surf, max_points=max_points)
-                    for h in hs]
-            per_height = len(calls)
-            del calls[:]
-            got = refine_slice(m, hs, surf, max_points=max_points)
-            assert isinstance(got, list) and len(got) == len(hs)
-            for g, w in zip(got, want):
-                assert g.shape == w.shape and np.array_equal(g, w)
-            assert 0 < len(calls) < per_height
-            if m is fund:
-                assert [len(g) for g in got[4:]] == [0, 0]
-            if max_points == 5:
-                assert max(len(slice_mesh(m, h)[1]) for h in hs) > 5
-                assert all(len(g) <= 5 for g in got)
+    for m, max_points in ((fund, 24), (fund, 5), (ext, 24), (ext, 5),
+                          (big, 1000)):
+        del calls[:]
+        want = [refine_slice(m, h, surf, max_points=max_points) for h in hs]
+        per_height = len(calls)
+        del calls[:]
+        got = refine_slice(m, hs, surf, max_points=max_points)
+        assert isinstance(got, list) and len(got) == len(hs)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape and np.array_equal(g, w)
+        assert 0 < len(calls) < per_height
+        if m is fund:
+            assert [len(g) for g in got[4:]] == [0, 0]
+        if max_points == 5:
+            assert max(len(slice_mesh(m, h)[1]) for h in hs) > 5
+            assert all(len(g) <= 5 for g in got)
+        if m is big:
+            assert calls[0] > 3 * curve.LEAF_BLOCK
     assert refine_slice(fund, [2.0 * span], surf)[0].shape == (0, 3)
     assert refine_slice(fund, 2.0 * span, surf).shape == (0, 3)
 
