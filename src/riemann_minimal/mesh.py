@@ -19,7 +19,9 @@ through one, so every sigma > 0 is sampled the same way.
 The surface is then grown by the four-step symmetry pipeline: 180-degree
 rotation about the horizontal line through psi(i sqrt(sigma)), reflection
 in {x2 = 0}, 180-degree rotation about the x2-axis, and translation by
-multiples of 2*t0 with t0 = psi(-sigma).
+multiples of 2*t0 with t0 = psi(-sigma).  Both anchors are elliptic
+integrals on the rectangular curve, evaluated in closed form by Carlson's
+R_F and R_D (see :meth:`FundamentalSurface.translation_half`).
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from functools import cache, cached_property
 import numpy as np
 
 from . import curve as _curve
+from .classical import carlson_rd, carlson_rf
 from .curve import BASEPOINT_OFFSET, CurveParams
 from .quad import RiemannMinimalError
 
@@ -245,62 +248,53 @@ class FundamentalSurface:
     All paths start from the curve base point (1 + 1e-2 with w > 0), enter
     the domain through a small arc over the branch point z = 1, and land at
     ``entry`` = 1 - 1e-2 on the real axis; everything else is reached from
-    there, so the whole construction lives on a single branch sheet.
+    there, so the whole construction lives on a single branch sheet.  The
+    two anchors the extension reads, t0 and the fixed point, are elliptic
+    integrals in closed form and take no path.
     """
 
     def __init__(self, sigma: float):
         self.params = CurveParams(sigma)
         arc = 1.0 + BASEPOINT_OFFSET * np.exp(1j * np.linspace(0.0, math.pi, 7))
-        self.entry_pos, self.entry_pt = self._immerse_from(
-            np.zeros(3), _curve.basepoint(self.params), arc[1:])
-
-    def _immerse_from(self, start_pos, start_pt, nodes):
-        """``curve.immerse`` along start_pt.z -> nodes."""
-        return _curve.immerse(self.params, [start_pt.z, *nodes], start_pt.w,
-                              start_pos)
-
-    def _left_nodes(self, x):
-        """Nodes after the entry point of the path to x on the left real
-        boundary; it hops over the end at 0 through the upper half plane."""
-        arc = (0.3 * min(1.0, self.params.sigma)
-               * np.exp(1j * np.linspace(0.0, math.pi, 9)))
-        nodes = [0.5 + 0.0j, *arc]
-        return nodes + [x + 0.0j] if abs(x - arc[-1]) > 0 else nodes
-
-    @cached_property
-    def _anchors(self):
-        """[X(1), X(i sqrt(sigma)), X(-sigma)] from one ``curve._march``
-        batch of the paths from the entry point to 1 (a singular end), to
-        i sqrt(sigma) and along ``_left_nodes(-sigma)``."""
-        s, w0 = self.params.sigma, np.array([self.entry_pt.w])
-        batch = _curve._march(self.params, [
-            (np.array([self.entry_pt.z, *nodes])[None], w0) for nodes in
-            ([1.0 + 0.0j], [1j * math.sqrt(s)], self._left_nodes(-s))])
-        x0 = self.entry_pos[None]
-        return [_curve._accumulate(e, x0, w0)[0][0, -1].real for e in batch]
+        base = _curve.basepoint(self.params)
+        self.entry_pos, self.entry_pt = _curve.immerse(
+            self.params, [base.z, *arc[1:]], base.w)
 
     def psi_fixed_point(self):
-        """X(i sqrt(sigma)) - X(1); the S1 fixed point, relative to the
-        line point at the origin."""
-        return self._anchors[1] - self._anchors[0]
-
-    def psi_left(self, x: float):
-        """psi on the left real boundary, x in [-sigma, 0), by one
-        ``curve.immerse`` path along ``_left_nodes(x)``."""
-        if not (-self.params.sigma <= x < 0):
-            raise ValueError("psi_left expects x in [-sigma, 0)")
-        pos, _ = self._immerse_from(self.entry_pos, self.entry_pt,
-                                    self._left_nodes(x))
-        return pos - self.x_at_one()
-
-    def x_at_one(self):
-        """X at the branch point z = 1 (singular-end integration)."""
-        return self._anchors[0].copy()
+        """c = psi(i sqrt(sigma)), the S1 fixed point, in closed form: c1
+        and c3 are half of t0's, and c2 = Re(i w / (sqrt(sigma) z)) =
+        -1/sqrt(sigma) with w = i sigma - sqrt(sigma) there (see
+        :meth:`translation_half`); a new array per call."""
+        t0 = self.translation_half()
+        return np.array([t0[0] / 2.0, -1.0 / math.sqrt(self.params.sigma),
+                         t0[2] / 2.0])
 
     def translation_half(self):
-        """t0 = psi(-sigma) = X(-sigma) - X(1), via exact singular-end
-        quadrature at both branch points; a new array per call."""
-        return self._anchors[2] - self._anchors[0]
+        """t0 = psi(-sigma), half the translation, in closed form; a new
+        array per call.
+
+        psi runs from 1 to -sigma along the real boundary, over the end at
+        0.  The forms are multiples of dz/w, and w is imaginary on (0, 1)
+        and real on (-sigma, 0), so only (-sigma, 0) adds to t0_1 and t0_3.
+        Since
+
+            d(w/z) = (z^2 + sigma) dz / (2 z w),
+
+        phi2 = (i / sqrt(sigma)) d(w/z) is exact, and w/z vanishes at both
+        ends: t0_2 = 0.  The same identity turns phi1 = (sigma/z - z) dz /
+        (2 sqrt(sigma) w) into (d(w/z) - z dz/w) / sqrt(sigma), so the
+        z^(-3/2) end term drops out.  With u = -z on (-sigma, 0):
+
+            t0_1 = int_0^sigma u du / sqrt(sigma u (u + 1) (sigma - u))
+                 = (2/3) sqrt(sigma) R_D(0, 1 + sigma, 1),
+            t0_3 = int_0^sigma du / sqrt(u (u + 1) (sigma - u))
+                 = 2 R_F(0, 1, 1 + sigma)
+
+        (Carlson's symmetric forms, DLMF 19.29).
+        """
+        s = self.params.sigma
+        rd, rf = carlson_rd(0.0, 1.0 + s, 1.0), carlson_rf(0.0, 1.0, 1.0 + s)
+        return np.array([2.0 / 3.0 * math.sqrt(s) * rd, 0.0, 2.0 * rf])
 
 
 def sample_fundamental(sigma: float, e: float, nr: int, nt: int,

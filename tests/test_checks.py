@@ -131,8 +131,8 @@ def test_slice_checks_refine_all_heights_in_one_call(monkeypatch):
 
 
 def test_translation_half_is_computed_once(monkeypatch):
-    # X(1), the fixed point and t0 come from one batch of three paths,
-    # marched on first use; every call returns a new array
+    # t0 and the fixed point are closed forms: no path is marched, and
+    # every call returns a new array
     surf = mesh.FundamentalSurface(2.0)
     calls = []
     march = curve._march
@@ -142,10 +142,10 @@ def test_translation_half_is_computed_once(monkeypatch):
         return march(params, chains)
 
     monkeypatch.setattr(curve, "_march", counting)
-    for get in (surf.translation_half, surf.psi_fixed_point, surf.x_at_one):
+    for get in (surf.translation_half, surf.psi_fixed_point):
         get()[:] = 0.0
-        assert np.all(get() != 0.0)
-    assert calls == [3]
+        assert np.all(get()[[0, 2]] != 0.0)
+    assert calls == []
 
 
 def test_slice_fit_error_is_a_package_error(monkeypatch):

@@ -205,10 +205,11 @@ def test_every_package_exception_shares_one_base():
 
 
 def test_clearance_violation_exits_3(tmp_path, capsys, monkeypatch):
-    # the t0 path run from 0.5 straight along the real axis to -sigma
-    # passes through the branch point z = 0
-    monkeypatch.setattr(mesh.FundamentalSurface, "_left_nodes",
-                        lambda self, x: [0.5 + 0j, x + 0j])
+    # the domain map shifted left by 0.3 puts the t = 0 column, marched
+    # down the real axis from the entry point, through the branch point 0
+    domain_map = mesh.DomainMap.map
+    monkeypatch.setattr(mesh.DomainMap, "map",
+                        lambda self, zeta: domain_map(self, zeta) - 0.3)
     assert run(["gen", "--sigma", "2", "--grid", "4x4",
                 "-o", str(tmp_path / "o")]) == 3
     assert "numeric failure: ClearanceViolation" in capsys.readouterr().err

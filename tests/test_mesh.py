@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import scalar_references as scalar
-from riemann_minimal import curve, mesh, quad
+from riemann_minimal import classical, curve, mesh, quad
 from riemann_minimal.mesh import (Degenerate, DomainMap,
                                   FundamentalSurface, IsometryOp, TriMesh,
                                   extend, extension_ops, export_obj,
@@ -107,7 +107,7 @@ def _sample_fundamental_reference(surface, Z):
     W = np.zeros((nr, nt), dtype=complex)
 
     def step(pos, z, w, target):
-        return surface._immerse_from(pos, curve.CurvePoint(z, w), [target])
+        return curve.immerse(surface.params, [z, target], w, pos)
 
     pos, pt = surface.entry_pos, surface.entry_pt
     for j in np.argsort(-Z[:nr - 1, 0].real):
@@ -276,33 +276,54 @@ def test_translation_matches_gamma2_period(surf2, ops2):
     assert np.max(np.abs(ops2[3].offset - per.real)) < 1e-8
 
 
-def _anchor_references(surface):
-    """X(1), psi(i sqrt(sigma)) and t0, each from its own ``immerse`` path
-    (t0 over the end at 0 as psi_left hops it)."""
+def _anchor_references(surface, xs):
+    """psi(i sqrt(sigma)) and psi(x) for each x in ``xs`` (in [-sigma, 0)),
+    by quadrature: one ``immerse`` path per point from the entry point,
+    minus X(1) from its own path.  The left boundary is reached over the end
+    at 0 by a half circle through the upper half plane."""
     s = surface.params.sigma
     arc = 0.3 * min(1.0, s) * np.exp(1j * np.linspace(0.0, math.pi, 9))
-    return [surface._immerse_from(surface.entry_pos, surface.entry_pt,
-                                  nodes)[0]
-            for nodes in ([1.0 + 0j], [1j * math.sqrt(s)],
-                          [0.5 + 0j, *arc, -s])]
+    x1, fixed, *left = [
+        curve.immerse(surface.params, [surface.entry_pt.z, *nodes],
+                      surface.entry_pt.w, surface.entry_pos)[0]
+        for nodes in ([1.0 + 0j], [1j * math.sqrt(s)],
+                      *([0.5 + 0j, *arc, x + 0j] for x in xs))]
+    return fixed - x1, [p - x1 for p in left]
 
 
-@pytest.mark.parametrize("sigma", [0.012, 0.5, 2.0, 8.0, 83.0])
-def test_batched_anchors_match_per_path_immerse(sigma):
-    # at sigma 83 the t0 path starts 1e-2 from z = 1, closer than
-    # 1e-3 (1 + sigma): a path only has to stay off the branch points
+@pytest.mark.parametrize("sigma", [1e-3, 0.0167, 0.3, 2.0, 8.0, 100.0, 1e3])
+def test_anchor_closed_forms_match_the_kernel_path(sigma):
+    # the quadrature route the closed forms replaced; at sigma 100 and 1e3
+    # its t0 path starts 1e-2 from z = 1, closer than 1e-3 (1 + sigma).
+    # Measured worst cases over these sigmas: t0_1 2.44e-12 relative and
+    # |t0_2| 4.60e-12 (both at 1e-3), c_2 4.61e-12 relative (at 1e3);
+    # t0_3, c_1 and c_3 below 4e-14 relative
     surf = FundamentalSurface(sigma)
-    x1, fixed, left = _anchor_references(surf)
-    for got, want in ((surf.x_at_one(), x1),
-                      (surf.psi_fixed_point(), fixed - x1),
-                      (surf.translation_half(), left - x1),
-                      (surf.psi_left(-sigma), left - x1)):
-        scale = max(1.0, np.max(np.abs(want)))
-        assert np.max(np.abs(got - want)) <= 1e-13 * scale
+    fixed, (left,) = _anchor_references(surf, [-sigma])
+    t0, c = surf.translation_half(), surf.psi_fixed_point()
+    for got, want in ((t0, left), (c, fixed)):
+        for i in (0, 2):
+            assert abs(got[i] - want[i]) <= 5e-12 * abs(got[i])
+    assert t0[1] == 0.0 and abs(left[1]) <= 5e-12
+    assert c[1] == -1.0 / math.sqrt(sigma)
+    assert abs(fixed[1] - c[1]) <= 5e-12 * abs(c[1])
 
 
-def test_gen_makes_three_integrator_calls(monkeypatch):
-    # the entry arc, the sampling batch and the anchor batch
+def test_slab_height_is_a_quarter_power_of_t0():
+    # the classical slab height zeta = R_F(0, q1, q1 + 1/q1) and the
+    # Weierstrass half translation t0_3 = 2 R_F(0, 1, 1 + sigma) are the
+    # same elliptic integral: R_F is homogeneous of degree -1/2 and
+    # sigma = 1/q1^2.  Measured worst relative difference 6.7e-15 here,
+    # 7.4e-15 over 2001 lambdas in [-30, 30]
+    for lam in np.linspace(-30.0, 30.0, 25):
+        sigma = classical.sigma_of_lambda(lam)
+        t0 = FundamentalSurface(sigma).translation_half()
+        want = sigma ** 0.25 * abs(t0[2]) / 2.0
+        assert abs(classical.slab_height(lam) - want) <= 1e-14 * want, lam
+
+
+def test_gen_makes_two_integrator_calls(monkeypatch):
+    # the entry arc and the sampling batch; the anchors are closed forms
     calls = []
     batch = curve._integrate_segments
 
@@ -314,15 +335,14 @@ def test_gen_makes_three_integrator_calls(monkeypatch):
     surf = FundamentalSurface(2.0)
     sample_fundamental(2.0, 0.1, 40, 60, surface=surf)
     extension_ops(2.0, surface=surf)
-    assert len(calls) == 3
+    assert len(calls) == 2
 
 
 def test_t0_sqrt_epsilon_extrapolation(surf2):
     # psi approaches its boundary value like sqrt(eps); two evaluations near
-    # -sigma extrapolate to the exact singular-end quadrature value
+    # -sigma extrapolate to the closed form
     t0 = surf2.translation_half()
-    x1 = surf2.psi_left(-2.0 + 1e-5)
-    x2 = surf2.psi_left(-2.0 + 1e-6)
+    _, (x1, x2) = _anchor_references(surf2, [-2.0 + 1e-5, -2.0 + 1e-6])
     s1, s2 = math.sqrt(1e-5), math.sqrt(1e-6)
     extrap = x2 - (x1 - x2) * s2 / (s1 - s2)
     assert np.max(np.abs(x1 - x2)) > 5e-4   # raw values are NOT stable
@@ -609,8 +629,7 @@ def _refine_slice_reference(m, height, surface, max_points):
         for _ in range(60):
             z = za + s * dz
             if z != za:
-                pos, pt = surface._immerse_from(p0, curve.CurvePoint(za, w0),
-                                                [z])
+                pos, pt = curve.immerse(surface.params, [za, z], w0, p0)
             else:
                 pos, pt = p0, curve.CurvePoint(za, w0)
             f = float(ell @ pos + b3 - height)
