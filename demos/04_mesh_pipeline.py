@@ -20,15 +20,15 @@ SIGMA, E, NR, NT = 2.0, 0.1, 40, 60
 OUT = "demo_out"
 
 os.makedirs(OUT, exist_ok=True)
-surf = mesh.FundamentalSurface(SIGMA)
-fund = mesh.sample_fundamental(SIGMA, E, NR, NT, surface=surf)
+fund = mesh.sample_fundamental(SIGMA, E, NR, NT)
 print(f"fundamental piece: {fund.vertex_count} vertices, "
       f"{fund.face_count} faces")
 x3 = fund.vertices[:, 2]
 print(f"  slab: x3 in [{x3.min():.6f}, {x3.max():.6f}]")
 
-ops = mesh.extension_ops(SIGMA, surface=surf)
-print(f"  fixed point c = {np.round(surf.psi_fixed_point(), 6)}")
+ops = mesh.extension_ops(SIGMA)
+c = mesh.FundamentalSurface(SIGMA).psi_fixed_point()
+print(f"  fixed point c = {np.round(c, 6)}")
 print(f"  translation 2 t0 = {np.round(ops[3].offset, 6)}")
 
 ext = mesh.extend(fund, ops, copies=1)
@@ -44,7 +44,7 @@ print("\nhorizontal slices of the extended mesh:")
 span = ops[3].offset[2] / 2.0
 for frac in (0.25, 0.5, 0.75):
     h = frac * span
-    pts = mesh.refine_slice(ext, h, surf, max_points=24)
+    pts = mesh.refine_slice(ext, h, SIGMA, max_points=24)
     fit = mesh.level_circle_fit(pts)
     print(f"  x3 = {h:8.4f}: {fit.kind}, radius {fit.radius:9.6f}, "
           f"max deviation {fit.residual:.2e}")

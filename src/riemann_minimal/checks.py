@@ -119,7 +119,7 @@ _STENCIL = ((1, 0), (-1, 0), (0, 1), (0, -1),
             (1, 1), (1, -1), (-1, 1), (-1, -1))
 
 
-def _weierstrass_stencil(sigma, n_side, h, offsets, surface=None):
+def _weierstrass_stencil(sigma, n_side, h, offsets):
     """Immersion at z0 + h_k (i + i j) for every anchor z0 and offset (i, j).
 
     The anchors are the interior vertices of an (n_side + 2)^2 sample of
@@ -130,31 +130,28 @@ def _weierstrass_stencil(sigma, n_side, h, offsets, surface=None):
     ``curve._integrate_segments`` batch.  Returns (X0, X, h_k) with shapes
     (n, 3), (n, len(offsets), 3) and (n,).
     """
-    surf = _surface(sigma, surface)
-    m = mesh.sample_fundamental(sigma, 0.35, n_side + 2, n_side + 2,
-                                surface=surf)
+    params = curve.CurveParams(sigma)
+    m = mesh.sample_fundamental(sigma, 0.35, n_side + 2, n_side + 2)
     inner = np.s_[1:-1, 1:-1]
     grid = (n_side + 2, n_side + 2)
     z0 = m.domain_z.reshape(grid)[inner].ravel()
     w0 = m.domain_w.reshape(grid)[inner].ravel()
     X0 = m.vertices.reshape(*grid, 3)[inner].reshape(-1, 3)
-    bps = np.array(curve.branch_points(surf.params))
+    bps = np.array(curve.branch_points(params))
     hk = h * np.minimum(1.0, np.min(np.abs(z0[:, None] - bps), axis=1))
     steps = np.array([complex(i, j) for i, j in offsets])
     zb = z0[:, None] + hk[:, None] * steps
     totals, _ = curve._integrate_segments(
-        surf.params, np.repeat(z0, len(steps)), zb.ravel(),
+        params, np.repeat(z0, len(steps)), zb.ravel(),
         np.repeat(w0, len(steps)))
     return X0, X0[:, None] + totals.real.reshape(*zb.shape, 3), hk
 
 
-def weierstrass_fd_grid(sigma, n_side=10, h=1e-4,
-                        surface: mesh.FundamentalSurface | None = None):
+def weierstrass_fd_grid(sigma, n_side=10, h=1e-4):
     """Max FD |H| and conformality defects of the curve immersion, from
     the stencils of :func:`_weierstrass_stencil` (step h scaled per anchor).
-    ``surface``, if given, must be built for ``sigma``.
     """
-    X0, X, hk = _weierstrass_stencil(sigma, n_side, h, _STENCIL, surface)
+    X0, X, hk = _weierstrass_stencil(sigma, n_side, h, _STENCIL)
     vals = {(0, 0): X0.T, **dict(zip(_STENCIL, X.transpose(1, 2, 0)))}
     H, conf, orth = fd_surface_checks(lambda i, j: vals[(i, j)], hk)
     return float(H.max()), float(conf.max()), float(orth.max())
@@ -162,16 +159,6 @@ def weierstrass_fd_grid(sigma, n_side=10, h=1e-4,
 
 # ---------------------------------------------------------------------------
 # classical <-> Weierstrass registration
-
-
-def _surface(sigma, surface):
-    """``surface`` if given (checked against sigma), else a new one."""
-    if surface is None:
-        return mesh.FundamentalSurface(sigma)
-    if surface.params.sigma != sigma:
-        raise ValueError(f"surface is built for sigma={surface.params.sigma}, "
-                         f"not {sigma}")
-    return surface
 
 
 def classical_radius_at_height(params: classical.RiemannParams, z_target):
@@ -225,9 +212,7 @@ class RegistrationResult:
     heights: np.ndarray
 
 
-def registration_error(sigma, nr=30, nt=40, n_heights=8,
-                       surface: mesh.FundamentalSurface | None = None
-                       ) -> RegistrationResult:
+def registration_error(sigma, nr=30, nt=40, n_heights=8) -> RegistrationResult:
     """Register the classical surface R_lambda against M_sigma, with
     lambda = (sigma - 1)/sqrt(sigma) (sigma = 1/q1^2).
 
@@ -237,13 +222,10 @@ def registration_error(sigma, nr=30, nt=40, n_heights=8,
     single scale carrying the classical radius-vs-height profile onto the
     measured one.  Returns the worst relative radius error and the relative
     mismatch of the vertical line spacings (|t0_3| against 2 s zeta).
-    ``surface``, if given, must be built for ``sigma``.
     """
     cl = classical.RiemannParams.from_lambda((sigma - 1.0) / math.sqrt(sigma))
-    surf = _surface(sigma, surface)
-    m = mesh.sample_fundamental(sigma, 0.1, nr, nt, surface=surf)
-    t0 = surf.translation_half()
-    span = t0[2]
+    m = mesh.sample_fundamental(sigma, 0.1, nr, nt)
+    span = mesh.FundamentalSurface(sigma).translation_half()[2]
     # keep only heights the truncated fundamental piece covers with enough
     # mesh edges for a stable refined fit (extreme sigma pushes part of the
     # slab beyond the end truncation)
@@ -256,7 +238,7 @@ def registration_error(sigma, nr=30, nt=40, n_heights=8,
             "too few well-covered heights; refine the grid or lower e")
     hs = np.array(hs)
     radii = []
-    for h, pts in zip(hs, mesh.refine_slice(m, hs, surf, max_points=24)):
+    for h, pts in zip(hs, mesh.refine_slice(m, hs, sigma, max_points=24)):
         fit = mesh.level_circle_fit(pts)
         if fit.kind != "circle":
             raise SliceFitError(f"slice at {h} did not fit a circle")
@@ -298,24 +280,20 @@ def registration_error(sigma, nr=30, nt=40, n_heights=8,
                               float(spacing_rel), radii, hs)
 
 
-def foliation_residuals(sigma, heights=None, nr=30, nt=40, copies=1,
-                        surface: mesh.FundamentalSurface | None = None):
+def foliation_residuals(sigma, heights=None, nr=30, nt=40, copies=1):
     """Relative circle-fit residuals of refined slices of the extended mesh.
 
     All heights are refined in one :func:`mesh.refine_slice` call.
     Returns (relative residuals at generic heights, line classifications at
-    the two line heights 0 and t0_3).  ``surface``, if given, must be built
-    for ``sigma``.
+    the two line heights 0 and t0_3).
     """
-    surf = _surface(sigma, surface)
-    m = mesh.sample_fundamental(sigma, 0.1, nr, nt, surface=surf)
-    ops = mesh.extension_ops(sigma, surface=surf)
-    ext = mesh.extend(m, ops, copies=copies)
-    span = surf.translation_half()[2]
+    m = mesh.sample_fundamental(sigma, 0.1, nr, nt)
+    ext = mesh.extend(m, mesh.extension_ops(sigma), copies=copies)
+    span = mesh.FundamentalSurface(sigma).translation_half()[2]
     if heights is None:
         heights = (0.13 + 0.74 * np.arange(10) / 9.0) * span
     rels = []
-    for h, pts in zip(heights, mesh.refine_slice(ext, heights, surf,
+    for h, pts in zip(heights, mesh.refine_slice(ext, heights, sigma,
                                                   max_points=28)):
         fit = mesh.level_circle_fit(pts)
         if fit.kind != "circle":

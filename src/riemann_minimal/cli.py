@@ -94,8 +94,9 @@ def _parse_tol(pairs):
             raise ValueError(f"--tol: no check named {name!r}; the checks "
                              f"are {', '.join(CHECK_NAMES)}")
         v = float(val)
-        if v <= 0:
-            raise argparse.ArgumentTypeError(f"tolerance {name} must be positive")
+        if not 0.0 < v < math.inf:  # nan fails both comparisons
+            raise argparse.ArgumentTypeError(
+                f"tolerance {name} must be positive and finite, got {val!r}")
         out[name] = v
     return out
 
@@ -195,13 +196,14 @@ def _config_from_args(args) -> RunConfig:
                              "row runs through the end z = 0")
         if cfg.copies < 0:
             raise ValueError("copies must be >= 0")
+    if cfg.seed < 0:  # numpy's default_rng takes no negative seed
+        raise ValueError(f"--seed must be >= 0, got {cfg.seed}")
     if cfg.command == "kdv":
         if cfg.print_p is None and not cfg.sigma:
             raise ValueError("kdv needs --print-p and/or --sigma/--lambda")
-        if cfg.print_p is not None and cfg.print_p > shiffkdv.MAX_HIERARCHY_LEVEL:
-            raise ValueError(
-                f"hierarchy level {cfg.print_p} above max "
-                f"{shiffkdv.MAX_HIERARCHY_LEVEL}")
+        top = shiffkdv.MAX_HIERARCHY_LEVEL
+        if cfg.print_p is not None and not 0 <= cfg.print_p <= top:
+            raise ValueError(f"--print-p {cfg.print_p} outside [0, {top}]")
         # above level 3 the flows' rounding residue counts as rank (README)
         if not 1 <= cfg.n_level <= 3:
             raise ValueError("kdv fit level n must be in [1, 3]")
@@ -280,11 +282,9 @@ def cmd_gen(cfg: RunConfig) -> int:
     t_start = time.time()
     report = _report_skeleton(cfg)
     os.makedirs(cfg.out_dir, exist_ok=True)
-    surf = mesh.FundamentalSurface(cfg.sigma)
     log.info("sampling fundamental piece (%dx%d)", cfg.nr, cfg.nt)
-    fund = mesh.sample_fundamental(cfg.sigma, cfg.e, cfg.nr, cfg.nt,
-                                   surface=surf)
-    ops = mesh.extension_ops(cfg.sigma, surface=surf)
+    fund = mesh.sample_fundamental(cfg.sigma, cfg.e, cfg.nr, cfg.nt)
+    ops = mesh.extension_ops(cfg.sigma)
     ext = mesh.extend(fund, ops, copies=cfg.copies)
     files = {}
     formats = ("obj", "ply") if cfg.fmt == "both" else (cfg.fmt,)
@@ -353,20 +353,16 @@ def cmd_verify(cfg: RunConfig) -> int:
 
     H_cl, _, _ = checks.classical_fd_grid(lam, nq=10, nv=10)
     suite.record("minimality_classical", H_cl, 1e-3)
-    # one surface serves the FD stencil and both slice checks
-    surf = mesh.FundamentalSurface(cfg.sigma)
-    H_w, conf_w, orth_w = checks.weierstrass_fd_grid(cfg.sigma, n_side=6,
-                                                     surface=surf)
+    H_w, conf_w, orth_w = checks.weierstrass_fd_grid(cfg.sigma, n_side=6)
     suite.record("minimality_weierstrass", H_w, 1e-3)
     suite.record("conformality_weierstrass", max(conf_w, orth_w), 1e-5)
 
-    reg = checks.registration_error(cfg.sigma, nr=24, nt=32, n_heights=6,
-                                    surface=surf)
+    reg = checks.registration_error(cfg.sigma, nr=24, nt=32, n_heights=6)
     suite.record("registration_radius", reg.max_radius_rel_err, 1e-3)
     suite.record("registration_spacing", reg.spacing_rel_err, 1e-3)
 
     rels, kinds = checks.foliation_residuals(
-        cfg.sigma, heights=None, nr=20, nt=28, copies=0, surface=surf)
+        cfg.sigma, heights=None, nr=20, nt=28, copies=0)
     suite.record("circle_foliation", float(np.max(rels)), 1e-5)
     suite.record("line_heights_classify",
                  0.0 if all(k == "line" for k in kinds) else 1.0, 0.5)

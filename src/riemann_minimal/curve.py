@@ -320,7 +320,7 @@ def _march(params, chains):
     -> ... -> z[i, n] (z of shape (m, n + 1)).  Each edge starts on the
     principal root at its start node, except a chain's first edge where w0
     (shape (m,)) is given: a start branch known before the call (None where
-    the chains start at points another group of the batch reaches).
+    it is not; :func:`_accumulate` puts every edge on its chain's sheet).
     Returns per group (wa, totals, wb): each edge's start branch, integrals
     and continued end branch, shapes (m, n), (m, n, 3), (m, n).
     """

@@ -7,14 +7,15 @@ Moebius map onto the fundamental domain
 
 minus a round neighborhood of the end z = 0 (the image of |zeta| = e is a
 circle exactly centered at the origin; the smaller e, the more of the end
-is kept).  The immersion is integrated along the grid edges from a single
-base point, so the whole patch lives on one sheet: every edge (the t = 0
-column, the interior rows, the radial edges to the outer row and the two
-corner edges) is integrated in one ``curve._march`` batch, and positions
-and branch signs are accumulated along the marching order.  The two grid
-corners on the branch points z = 1 and z = -sigma end in singular leaves.
-No path keeps a distance from the branch points beyond not passing
-through one, so every sigma > 0 is sampled the same way.
+is kept).  The immersion is integrated along the grid edges from one
+vertex on (0, 1), where w on the base point's sheet is a closed form, so
+the whole patch lives on that sheet: every edge (the t = 0 column, the
+interior rows, the radial edges to the outer row and the two corner edges)
+is integrated in one ``curve._march`` batch, and positions and branch
+signs are accumulated along the marching order.  The two grid corners
+on the branch points z = 1 and z = -sigma end in singular leaves.  No
+path keeps a distance from the branch points beyond not passing through
+one, so every sigma > 0 is sampled the same way.
 
 The surface is then grown by the four-step symmetry pipeline: 180-degree
 rotation about the horizontal line through psi(i sqrt(sigma)), reflection
@@ -34,7 +35,7 @@ import numpy as np
 
 from . import curve as _curve
 from .classical import carlson_rd, carlson_rf
-from .curve import BASEPOINT_OFFSET, CurveParams
+from .curve import CurveParams
 from .quad import RiemannMinimalError
 
 __all__ = [
@@ -243,22 +244,11 @@ class TriMesh:
 
 
 class FundamentalSurface:
-    """Immersion machinery anchored at the shared base point.
-
-    All paths start from the curve base point (1 + 1e-2 with w > 0), enter
-    the domain through a small arc over the branch point z = 1, and land at
-    ``entry`` = 1 - 1e-2 on the real axis; everything else is reached from
-    there, so the whole construction lives on a single branch sheet.  The
-    two anchors the extension reads, t0 and the fixed point, are elliptic
-    integrals in closed form and take no path.
-    """
+    """The curve of one sigma and the two anchors the extension reads, t0
+    and the fixed point: elliptic integrals in closed form, no path."""
 
     def __init__(self, sigma: float):
         self.params = CurveParams(sigma)
-        arc = 1.0 + BASEPOINT_OFFSET * np.exp(1j * np.linspace(0.0, math.pi, 7))
-        base = _curve.basepoint(self.params)
-        self.entry_pos, self.entry_pt = _curve.immerse(
-            self.params, [base.z, *arc[1:]], base.w)
 
     def psi_fixed_point(self):
         """c = psi(i sqrt(sigma)), the S1 fixed point, in closed form: c1
@@ -297,33 +287,30 @@ class FundamentalSurface:
         return np.array([2.0 / 3.0 * math.sqrt(s) * rd, 0.0, 2.0 * rf])
 
 
-def sample_fundamental(sigma: float, e: float, nr: int, nt: int,
-                       warp: float = 1.0,
-                       surface: FundamentalSurface | None = None) -> TriMesh:
+def sample_fundamental(sigma: float, e: float, nr: int, nt: int) -> TriMesh:
     """Sample psi = X - X(1) on the image of an nr x nt polar grid.
 
     Grid: r in linspace(e, 1, nr), t in linspace(0, 1, nt), z through the
-    Moebius map of r*exp(i pi t^warp).  The warp exponent is the remedy for
-    inhomogeneous meshes at extreme sigma (default 1).  Marching order: the
-    t = 0 column is walked down the real axis from the entry point, each
-    row is walked in t from its t = 0 vertex, the outer row is reached
-    radially from the row below, and the two corner vertices on the branch
-    points by one edge each from their outer-row neighbour, ending in a
-    singular leaf.  All these edges are integrated in one ``curve._march``
-    batch; a vertex's position is the sum of the edge integrals along this
-    order and its branch value w the continuation along it
-    (``curve._accumulate``).
+    Moebius map of r*exp(i pi t).  Marching order: the t = 0 column is
+    walked down the real axis from its first vertex x0 (the one nearest
+    z = 1), each row is walked in t from its t = 0 vertex, the outer row is
+    reached radially from the row below, and the two corner vertices on the
+    branch points by one edge each from their outer-row neighbour, ending
+    in a singular leaf.  All these edges are integrated in one
+    ``curve._march`` batch; a vertex's position is the sum of the edge
+    integrals along this order and its branch value w the continuation
+    along it (``curve._accumulate``).  It starts on the base point's sheet:
+    the positive root at 1 + 1e-2, continued over the upper half circle
+    around 1, is w = i sqrt(x (1 - x) (x + sigma)) on all of (0, 1).
     """
-    if surface is None:
-        surface = FundamentalSurface(sigma)
-    params = surface.params
+    params = CurveParams(sigma)
     dm = DomainMap(sigma, e)
     if nr < 2 or nt < 3:  # with nt = 2 every row runs through the end z = 0
         raise ValueError("need nr >= 2 and nt >= 3")
 
     rr = np.linspace(e, 1.0, nr)
     tt = np.linspace(0.0, 1.0, nt)
-    zeta = rr[:, None] * np.exp(1j * math.pi * tt[None, :] ** warp)
+    zeta = rr[:, None] * np.exp(1j * math.pi * tt[None, :])
     Z = dm.map(zeta)
     # exact corner values (the Moebius formula is exact there up to roundoff)
     Z[nr - 1, 0] = 1.0
@@ -337,17 +324,20 @@ def sample_fundamental(sigma: float, e: float, nr: int, nt: int,
     W = np.zeros((nr, nt), dtype=complex)
     top, k, nb = nr - 1, slice(1, nt - 1), [1, nt - 2]
     order = np.argsort(-Z[:top, 0].real)
+    x0 = Z[order[0], 0].real
+    # in real arithmetic: np.sqrt of the complex -p - 0j is -i sqrt(p)
+    w0 = np.array([1j * math.sqrt(x0 * (1.0 - x0) * (x0 + sigma))])
     corners = np.stack([Z[top, nb], Z[top, [0, nt - 1]]], axis=1)
-    w0 = np.array([surface.entry_pt.w])
+    # the column starts on the principal root; _accumulate moves it to w0
     column, rows, radial, corner = _curve._march(params, [
-        (np.append(surface.entry_pt.z, Z[order, 0])[None], w0),
-        (Z[:top], None), (np.stack([Z[top - 1, k], Z[top, k]], axis=1), None),
+        (Z[order, 0][None], None), (Z[:top], None),
+        (np.stack([Z[top - 1, k], Z[top, k]], axis=1), None),
         (corners, None)])
     accumulate = _curve._accumulate
 
-    # t = 0 column (real axis, descending from the entry point)
-    xs, ws = accumulate(column, surface.entry_pos[None], w0)
-    X[order, 0], W[order, 0] = xs[0, 1:].real, ws[0, 1:]
+    # t = 0 column (real axis, descending from x0)
+    xs, ws = accumulate(column, np.zeros((1, 3)), w0)
+    X[order, 0], W[order, 0] = xs[0].real, ws[0]
     # interior rows, from the column
     xs, W[:top] = accumulate(rows, X[:top, 0], W[:top, 0])
     X[:top] = xs.real
@@ -384,7 +374,7 @@ def sample_fundamental(sigma: float, e: float, nr: int, nt: int,
 # extension pipeline
 
 
-def extension_ops(sigma: float, surface: FundamentalSurface | None = None):
+def extension_ops(sigma: float):
     """The four extension operations of the reflection pipeline.
 
     1. 180-degree rotation diag(-1,1,-1) with offset (2c1, 0, 2c3), where
@@ -393,10 +383,8 @@ def extension_ops(sigma: float, surface: FundamentalSurface | None = None):
     3. 180-degree rotation diag(-1,1,-1) about the x2-axis;
     4. translation by 2 t0 with t0 = psi(-sigma).
     """
-    if surface is None:
-        surface = FundamentalSurface(sigma)
-    c = surface.psi_fixed_point()
-    t0 = surface.translation_half()
+    surface = FundamentalSurface(sigma)
+    c, t0 = surface.psi_fixed_point(), surface.translation_half()
     rot = np.diag([-1.0, 1.0, -1.0])
     return [
         IsometryOp(rot, np.array([2.0 * c[0], 0.0, 2.0 * c[2]])),
@@ -476,18 +464,17 @@ def level_circle_fit(points, height_tol: float = 1e-9) -> CircleFit:
     spread = float(np.max(np.linalg.norm(u, axis=1)))
     if spread == 0.0:
         raise Degenerate("all points coincide")
-    # principal components decide 1-d (line) vs 2-d data
+    # principal components decide 1-d (line) vs 2-d data; 2-d data is a
+    # line too when its circle is too large
     sv = np.linalg.svd(u, compute_uv=False)
-    if sv[1] <= 1e-12 * sv[0]:
-        direction = np.linalg.svd(u, compute_uv=True)[2][0]
-        resid = float(np.max(np.abs(u[:, 0] * direction[1]
-                                    - u[:, 1] * direction[0])))
-        return CircleFit("line", centroid, math.inf, resid, direction)
-    A = np.column_stack([2.0 * u[:, 0], 2.0 * u[:, 1], np.ones(len(u))])
-    b = (u ** 2).sum(axis=1)
-    (cx, cy, c0), *_ = np.linalg.lstsq(A, b, rcond=None)
-    radius = math.sqrt(max(c0 + cx * cx + cy * cy, 0.0))
-    if radius > LINE_RADIUS_FACTOR * spread:
+    line = sv[1] <= 1e-12 * sv[0]
+    if not line:
+        A = np.column_stack([2.0 * u[:, 0], 2.0 * u[:, 1], np.ones(len(u))])
+        b = (u ** 2).sum(axis=1)
+        (cx, cy, c0), *_ = np.linalg.lstsq(A, b, rcond=None)
+        radius = math.sqrt(max(c0 + cx * cx + cy * cy, 0.0))
+        line = radius > LINE_RADIUS_FACTOR * spread
+    if line:
         direction = np.linalg.svd(u, compute_uv=True)[2][0]
         resid = float(np.max(np.abs(u[:, 0] * direction[1]
                                     - u[:, 1] * direction[0])))
@@ -518,9 +505,9 @@ def slice_mesh(mesh: TriMesh, height: float):
     return pts.reshape(-1, 3), list(zip(i.tolist(), j.tolist(), s.tolist()))
 
 
-def refine_slice(mesh: TriMesh, height, surface: FundamentalSurface,
-                 max_points: int = 32):
-    """Replace mesh-edge slice points with exact surface points at ``height``.
+def refine_slice(mesh: TriMesh, height, sigma: float, max_points: int = 32):
+    """Replace mesh-edge slice points with exact surface points at ``height``
+    on the curve of ``sigma``, the one the mesh was sampled for.
 
     ``height`` is a scalar or a 1-d sequence of heights.  A scalar returns
     the (n, 3) refined points of that slice; a sequence returns a list with
@@ -585,7 +572,7 @@ def refine_slice(mesh: TriMesh, height, surface: FundamentalSurface,
     dz = mesh.domain_z[i1] - za
     s = np.where((0.0 < s) & (s < 1.0), s, 0.5)
     s_lo, s_hi = np.zeros_like(s), np.ones_like(s)
-    params = surface.params
+    params = CurveParams(sigma)
     a = np.flatnonzero(ok & (f0 != 0.0))
     for _ in range(60):
         if not a.size:

@@ -154,9 +154,8 @@ def export_obj(m, path):
 def gen_extended(sigma, nr, nt, copies):
     """The extended mesh ``gen --sigma SIGMA --grid NRxNT --copies COPIES``
     builds."""
-    surf = mesh.FundamentalSurface(sigma)
-    fund = mesh.sample_fundamental(sigma, 0.1, nr, nt, surface=surf)
-    return mesh.extend(fund, mesh.extension_ops(sigma, surface=surf), copies)
+    fund = mesh.sample_fundamental(sigma, 0.1, nr, nt)
+    return mesh.extend(fund, mesh.extension_ops(sigma), copies)
 
 
 if __name__ == "__main__":

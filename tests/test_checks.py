@@ -103,31 +103,14 @@ def test_slice_checks_refine_all_heights_in_one_call(monkeypatch):
     calls = []
     refine = mesh.refine_slice
 
-    def counting(m, height, surface, max_points=32):
+    def counting(m, height, sigma, max_points=32):
         calls.append(np.ndim(height))
-        return refine(m, height, surface, max_points)
+        return refine(m, height, sigma, max_points)
 
     monkeypatch.setattr(mesh, "refine_slice", counting)
-    sigma = 2.78
-    lam = (sigma - 1.0) / math.sqrt(sigma)
-    surf = mesh.FundamentalSurface(sigma)
-    rels, kinds = checks.foliation_residuals(sigma, nr=20, nt=28, copies=0)
-    shared = checks.foliation_residuals(sigma, nr=20, nt=28, copies=0,
-                                        surface=surf)
-    assert np.array_equal(rels, shared[0]) and kinds == shared[1]
-    reg = checks.registration_error(sigma, nr=24, nt=32, n_heights=6)
-    assert calls == [1, 1, 1]
-    # sigma(lambda) does not round-trip to 2.78 bit for bit, so a surface
-    # built for it is refused
-    assert classical.sigma_of_lambda(lam) != sigma
-    with pytest.raises(ValueError):
-        checks.registration_error(
-            sigma, nr=24, nt=32, n_heights=6,
-            surface=mesh.FundamentalSurface(classical.sigma_of_lambda(lam)))
-    shared = checks.registration_error(sigma, nr=24, nt=32, n_heights=6,
-                                       surface=surf)
-    assert np.array_equal(reg.radii, shared.radii)
-    assert reg.max_radius_rel_err == shared.max_radius_rel_err
+    checks.foliation_residuals(2.78, nr=20, nt=28, copies=0)
+    checks.registration_error(2.78, nr=24, nt=32, n_heights=6)
+    assert calls == [1, 1]
 
 
 def test_translation_half_is_computed_once(monkeypatch):
@@ -198,8 +181,7 @@ def test_catenoid_residual_carlson_form():
 
 
 def test_weierstrass_fd_grid_matches_the_per_anchor_loop():
-    X0, X, hk = checks._weierstrass_stencil(2.0, 4, 1e-4, checks._STENCIL,
-                                            None)
+    X0, X, hk = checks._weierstrass_stencil(2.0, 4, 1e-4, checks._STENCIL)
     worst = np.zeros(3)
     for x0, x, h in zip(X0, X, hk):
         vals = {(0, 0): x0, **dict(zip(checks._STENCIL, x))}

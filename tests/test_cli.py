@@ -137,6 +137,22 @@ def test_config_errors_exit_2():
     assert run(["kdv", "--print-p", "2", "--samples", "60"]) == 2
     assert run(["kdv", "--print-p", "2", "--n", "1"]) == 2
     assert run(["kdv", "--print-p", "2", "--seed", "7"]) == 2
+    # numpy's default_rng takes no negative seed
+    assert run(["verify", "--sigma", "2", "--seed", "-1"]) == 2
+    assert run(["kdv", "--sigma", "2", "--seed", "-3"]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--sigma", "2", "--seed", "-1"],
+    # a negative level would print nothing
+    ["kdv", "--print-p", "-1"],
+    # a nan threshold fails every check, an infinite one passes every value
+    ["verify", "--sigma", "2", "--tol", "shiffman=nan"],
+    ["verify", "--sigma", "2", "--tol", "shiffman=inf"],
+])
+def test_out_of_range_numbers_are_configuration_errors(argv, capsys):
+    assert run(argv) == 2
+    assert capsys.readouterr().err.startswith("configuration error: ")
 
 
 def test_parser_is_built_once_and_keeps_no_state(monkeypatch):

@@ -390,7 +390,7 @@ def test_conformality_and_harmonicity():
     assert conf < 1e-5 and orth < 1e-5
     # harmonicity: max |five-point Laplacian of X| over interior anchors
     X0, X, hk = checks._weierstrass_stencil(2.0, 3, 1e-3,
-                                            checks._STENCIL[:4], None)
+                                            checks._STENCIL[:4])
     lap = (X.sum(axis=1) - 4.0 * X0) / (hk * hk)[:, None]
     assert np.max(np.abs(lap)) < 1e-4
 

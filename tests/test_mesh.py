@@ -22,13 +22,13 @@ def surf2():
 
 
 @pytest.fixture(scope="module")
-def fund2(surf2):
-    return sample_fundamental(2.0, 0.1, 14, 20, surface=surf2)
+def fund2():
+    return sample_fundamental(2.0, 0.1, 14, 20)
 
 
 @pytest.fixture(scope="module")
-def ops2(surf2):
-    return extension_ops(2.0, surface=surf2)
+def ops2():
+    return extension_ops(2.0)
 
 
 # --- Moebius domain map validation (the formula is checked, not trusted) ----
@@ -72,7 +72,7 @@ def test_domain_map_validation():
 # --- fundamental sampling -----------------------------------------------------
 
 
-def test_fundamental_grid_basics(fund2, surf2):
+def test_fundamental_grid_basics(fund2):
     nr, nt = 14, 20
     assert fund2.vertex_count == nr * nt
     assert fund2.face_count == (nr - 1) * (nt - 1) * 2
@@ -98,18 +98,29 @@ def test_fundamental_grid_basics(fund2, surf2):
         assert fn @ fund2.normals[f[0]] > 0
 
 
-def _sample_fundamental_reference(surface, Z):
-    """Vertex-by-vertex marching, one ``immerse`` per vertex: the loop the
-    batched sample_fundamental replaces.  Returns (vertices, domain_w,
-    faces) as the mesh stores them."""
+def _entry_arc(params):
+    """Position and curve point at 1 - 1e-2, reached from the base point
+    1 + 1e-2 (w > 0) over the upper half circle around the branch point 1:
+    the route that fixes the sheet sample_fundamental starts on."""
+    base = curve.basepoint(params)
+    arc = 1.0 + curve.BASEPOINT_OFFSET * np.exp(
+        1j * np.linspace(0.0, math.pi, 7))
+    return curve.immerse(params, [base.z, *arc[1:]], base.w)
+
+
+def _sample_fundamental_reference(params, Z):
+    """Vertex-by-vertex marching, one ``immerse`` per vertex, from the base
+    point over the entry arc: the loop the batched sample_fundamental
+    replaces.  Returns (vertices, domain_w, faces) as the mesh stores
+    them."""
     nr, nt = Z.shape
     X = np.zeros((nr, nt, 3))
     W = np.zeros((nr, nt), dtype=complex)
 
     def step(pos, z, w, target):
-        return curve.immerse(surface.params, [z, target], w, pos)
+        return curve.immerse(params, [z, target], w, pos)
 
-    pos, pt = surface.entry_pos, surface.entry_pt
+    pos, pt = _entry_arc(params)
     for j in np.argsort(-Z[:nr - 1, 0].real):
         pos, pt = step(pos, pt.z, pt.w, Z[j, 0])
         X[j, 0], W[j, 0] = pos, pt.w
@@ -137,15 +148,32 @@ def _sample_fundamental_reference(surface, Z):
 @pytest.mark.parametrize("sigma", [0.012, 0.5, 2.0, 83.0])
 @pytest.mark.parametrize("nr,nt", [(40, 60), (14, 20)])
 def test_batched_sampling_matches_vertex_marching(sigma, nr, nt):
-    surf = FundamentalSurface(sigma)
-    m = sample_fundamental(sigma, 0.1, nr, nt, surface=surf)
+    m = sample_fundamental(sigma, 0.1, nr, nt)
     verts, w, faces = _sample_fundamental_reference(
-        surf, m.domain_z.reshape(nr, nt))
+        curve.CurveParams(sigma), m.domain_z.reshape(nr, nt))
     scale = max(1.0, np.max(np.abs(verts)))
     assert np.max(np.abs(m.vertices - verts)) <= 1e-13 * scale
     assert np.all(np.abs(m.domain_w - w) <= 1e-12 * np.abs(w))
     assert m.faces.dtype == np.int32
     assert np.array_equal(m.faces, faces)
+
+
+@pytest.mark.parametrize("sigma", [1e-3, 0.012, 2.0, 8.0, 100.0, 1e3])
+def test_column_branch_is_the_entry_arc_continuation(sigma):
+    # the closed-form start branch is the one the entry arc continues to:
+    # the t = 0 column marched on from 1 - 1e-2 has the same w, bit for bit
+    nr, nt = 40, 60
+    params = curve.CurveParams(sigma)
+    m = sample_fundamental(sigma, 0.1, nr, nt)
+    column = m.domain_z.reshape(nr, nt)[:-1, 0]
+    order = np.argsort(-column.real)
+    _, entry = _entry_arc(params)
+    w0 = np.array([entry.w])
+    chain = np.append(entry.z, column[order])[None]
+    _, ws = curve._accumulate(curve._march(params, [(chain, w0)])[0],
+                              np.zeros((1, 3)), w0)
+    got = m.domain_w.reshape(nr, nt)[order, 0]
+    assert got.tobytes() == ws[0, 1:].tobytes()
 
 
 def _count_panel_leaves(monkeypatch):
@@ -161,12 +189,12 @@ def _count_panel_leaves(monkeypatch):
     return calls
 
 
-def test_batched_sampling_falls_back_on_few_edges(surf2, monkeypatch):
+def test_batched_sampling_falls_back_on_few_edges(monkeypatch):
     nr, nt = 40, 60
     calls = _count_panel_leaves(monkeypatch)
-    sample_fundamental(2.0, 0.1, nr, nt, surface=surf2)
+    sample_fundamental(2.0, 0.1, nr, nt)
     # every edge and both corners are one leaf first; bisection adds leaves
-    edges = (nr - 1) + (nr - 1) * (nt - 1) + (nt - 2) + 2
+    edges = (nr - 2) + (nr - 1) * (nt - 1) + (nt - 2) + 2
     bisected = sum(len(a) for a, _ in calls) - edges
     assert 2 <= bisected <= 0.01 * edges
 
@@ -187,14 +215,13 @@ def test_segment_integral_does_not_depend_on_its_batch(sigma):
 
 
 @pytest.mark.parametrize("nr,nt", [(40, 60), (160, 240)])
-def test_quadrature_blocks_stay_within_the_block_size(surf2, monkeypatch,
-                                                      nr, nt):
-    # the sampling batch (2400 edges at 40x60, 38400 at 160x240) reaches
+def test_quadrature_blocks_stay_within_the_block_size(monkeypatch, nr, nt):
+    # the sampling batch (2399 edges at 40x60, 38399 at 160x240) reaches
     # the panel kernel in equal blocks of at most LEAF_BLOCK leaves
     calls = _count_panel_leaves(monkeypatch)
-    sample_fundamental(2.0, 0.1, nr, nt, surface=surf2)
+    sample_fundamental(2.0, 0.1, nr, nt)
     sizes = [len(a) for a, _ in calls]
-    edges = (nr - 1) + (nr - 1) * (nt - 1) + (nt - 2) + 2
+    edges = (nr - 2) + (nr - 1) * (nt - 1) + (nt - 2) + 2
     first = sizes[:-(-edges // curve.LEAF_BLOCK)]  # the first round
     assert sum(first) == edges and max(first) - min(first) <= 1
     assert max(sizes) <= curve.LEAF_BLOCK
@@ -276,17 +303,17 @@ def test_translation_matches_gamma2_period(surf2, ops2):
     assert np.max(np.abs(ops2[3].offset - per.real)) < 1e-8
 
 
-def _anchor_references(surface, xs):
+def _anchor_references(sigma, xs):
     """psi(i sqrt(sigma)) and psi(x) for each x in ``xs`` (in [-sigma, 0)),
-    by quadrature: one ``immerse`` path per point from the entry point,
-    minus X(1) from its own path.  The left boundary is reached over the end
-    at 0 by a half circle through the upper half plane."""
-    s = surface.params.sigma
-    arc = 0.3 * min(1.0, s) * np.exp(1j * np.linspace(0.0, math.pi, 9))
+    by quadrature: one ``immerse`` path per point from the end of the entry
+    arc, minus X(1) from its own path.  The left boundary is reached over
+    the end at 0 by a half circle through the upper half plane."""
+    params = curve.CurveParams(sigma)
+    entry_pos, entry = _entry_arc(params)
+    arc = 0.3 * min(1.0, sigma) * np.exp(1j * np.linspace(0.0, math.pi, 9))
     x1, fixed, *left = [
-        curve.immerse(surface.params, [surface.entry_pt.z, *nodes],
-                      surface.entry_pt.w, surface.entry_pos)[0]
-        for nodes in ([1.0 + 0j], [1j * math.sqrt(s)],
+        curve.immerse(params, [entry.z, *nodes], entry.w, entry_pos)[0]
+        for nodes in ([1.0 + 0j], [1j * math.sqrt(sigma)],
                       *([0.5 + 0j, *arc, x + 0j] for x in xs))]
     return fixed - x1, [p - x1 for p in left]
 
@@ -299,7 +326,7 @@ def test_anchor_closed_forms_match_the_kernel_path(sigma):
     # |t0_2| 4.60e-12 (both at 1e-3), c_2 4.61e-12 relative (at 1e3);
     # t0_3, c_1 and c_3 below 4e-14 relative
     surf = FundamentalSurface(sigma)
-    fixed, (left,) = _anchor_references(surf, [-sigma])
+    fixed, (left,) = _anchor_references(sigma, [-sigma])
     t0, c = surf.translation_half(), surf.psi_fixed_point()
     for got, want in ((t0, left), (c, fixed)):
         for i in (0, 2):
@@ -322,8 +349,8 @@ def test_slab_height_is_a_quarter_power_of_t0():
         assert abs(classical.slab_height(lam) - want) <= 1e-14 * want, lam
 
 
-def test_gen_makes_two_integrator_calls(monkeypatch):
-    # the entry arc and the sampling batch; the anchors are closed forms
+def test_gen_makes_one_integrator_call(monkeypatch):
+    # the sampling batch; its start branch and the anchors are closed forms
     calls = []
     batch = curve._integrate_segments
 
@@ -332,17 +359,17 @@ def test_gen_makes_two_integrator_calls(monkeypatch):
         return batch(*args, **kwargs)
 
     monkeypatch.setattr(curve, "_integrate_segments", counting)
-    surf = FundamentalSurface(2.0)
-    sample_fundamental(2.0, 0.1, 40, 60, surface=surf)
-    extension_ops(2.0, surface=surf)
-    assert len(calls) == 2
+    FundamentalSurface(2.0)
+    sample_fundamental(2.0, 0.1, 40, 60)
+    extension_ops(2.0)
+    assert len(calls) == 1
 
 
 def test_t0_sqrt_epsilon_extrapolation(surf2):
     # psi approaches its boundary value like sqrt(eps); two evaluations near
     # -sigma extrapolate to the closed form
     t0 = surf2.translation_half()
-    _, (x1, x2) = _anchor_references(surf2, [-2.0 + 1e-5, -2.0 + 1e-6])
+    _, (x1, x2) = _anchor_references(2.0, [-2.0 + 1e-5, -2.0 + 1e-6])
     s1, s2 = math.sqrt(1e-5), math.sqrt(1e-6)
     extrap = x2 - (x1 - x2) * s2 / (s1 - s2)
     assert np.max(np.abs(x1 - x2)) > 5e-4   # raw values are NOT stable
@@ -365,7 +392,7 @@ def test_extend_counts_and_isometry(fund2, ops2):
             assert abs(d1 - d0) <= 1e-10 * max(d0, 1.0)
 
 
-def test_extend_shared_boundary_and_periodicity(fund2, ops2, surf2):
+def test_extend_shared_boundary_and_periodicity(fund2, ops2):
     nt = 20
     # step-2 mirror: the plane geodesic column lies in {x2=0}, so mirrored
     # copies coincide there
@@ -516,7 +543,7 @@ def test_refined_slice_is_exact_circle(fund2, ops2, surf2):
     coarse, _ = slice_mesh(ext, h)
     assert len(coarse) >= 5
     fit_c = level_circle_fit(coarse)
-    pts = refine_slice(ext, h, surf2, max_points=24)
+    pts = refine_slice(ext, h, 2.0, max_points=24)
     fit = level_circle_fit(pts)
     assert fit.kind == "circle"
     assert fit.residual < 1e-5 * fit.radius
@@ -559,7 +586,7 @@ def test_slice_mesh_matches_edge_set_reference(fund2, ops2, surf2):
     assert slice_mesh(ext, heights[-1])[1] == []
 
 
-# refine_slice(ext, frac * t0_3, surf2, max_points=5) on the 14x20 sigma = 2
+# refine_slice(ext, frac * t0_3, 2.0, max_points=5) on the 14x20 sigma = 2
 # piece extended with copies=0, as computed by a 60-step bisection in z
 REFINED_PINS = {
     0.25: [(2.0486779401701063, -0.9170527962528978, 0.5857100420733878),
@@ -584,19 +611,19 @@ def test_refine_slice_pinned_points(fund2, ops2, surf2):
     ext = extend(fund2, ops2, copies=0)
     span = surf2.translation_half()[2]
     for frac, want in REFINED_PINS.items():
-        pts = refine_slice(ext, frac * span, surf2, max_points=5)
+        pts = refine_slice(ext, frac * span, 2.0, max_points=5)
         assert pts.shape == (len(want), 3)
         assert np.max(np.abs(pts - np.array(want))) < 1e-11
 
 
-def _refine_slice_reference(m, height, surface, max_points):
+def _refine_slice_reference(m, height, sigma, max_points):
     """Safeguarded Newton one crossing at a time, one ``immerse`` per
     iterate: the loop the lockstep refine_slice must reproduce."""
     _, crossings = slice_mesh(m, height)
     if len(crossings) > max_points:
         idx = np.linspace(0, len(crossings) - 1, max_points).astype(int)
         crossings = [crossings[i] for i in idx]
-    params = surface.params
+    params = curve.CurveParams(sigma)
     n = len(m.domain_z)
     base = m.vertices[:n]
     out = []
@@ -629,7 +656,7 @@ def _refine_slice_reference(m, height, surface, max_points):
         for _ in range(60):
             z = za + s * dz
             if z != za:
-                pos, pt = curve.immerse(surface.params, [za, z], w0, p0)
+                pos, pt = curve.immerse(params, [za, z], w0, p0)
             else:
                 pos, pt = p0, curve.CurvePoint(za, w0)
             f = float(ell @ pos + b3 - height)
@@ -663,22 +690,22 @@ def _assert_matches_reference(got, want):
 @pytest.mark.parametrize("sigma", [0.012, 0.5, 2.0, 83.0])
 def test_lockstep_refine_slice_matches_per_crossing_newton(sigma):
     surf = FundamentalSurface(sigma)
-    fund = sample_fundamental(sigma, 0.1, 14, 20, surface=surf)
+    fund = sample_fundamental(sigma, 0.1, 14, 20)
     t0 = surf.translation_half()
-    ops = extension_ops(sigma, surface=surf)
+    ops = extension_ops(sigma)
     for copies in (0, 1):
         ext = extend(fund, ops, copies=copies)
         n_points = 0
         for frac in (0.13, 0.3, 0.5, 0.77, 1.4, 1.9):
             h = frac * t0[2]
-            got = refine_slice(ext, h, surf, max_points=24)
+            got = refine_slice(ext, h, sigma, max_points=24)
             _assert_matches_reference(
-                got, _refine_slice_reference(ext, h, surf, 24))
+                got, _refine_slice_reference(ext, h, sigma, 24))
             n_points += len(got)
         assert n_points >= 4 * 24
 
 
-def test_refine_slice_on_edges_ending_at_corner_branch_point(fund2, surf2,
+def test_refine_slice_on_edges_ending_at_corner_branch_point(fund2,
                                                              monkeypatch):
     nr, nt = 14, 20
     corner, nb = nr * nt - 1, nr * nt - 2  # z = -sigma and its row neighbour
@@ -699,10 +726,10 @@ def test_refine_slice_on_edges_ending_at_corner_branch_point(fund2, surf2,
         edges = [{i, j} for i, j, _ in slice_mesh(fund2, h)[1]]
         assert {corner, nb} in edges
         del ends[:]
-        got = refine_slice(fund2, h, surf2, max_points=10 ** 6)
+        got = refine_slice(fund2, h, 2.0, max_points=10 ** 6)
         assert any(abs(z + 2.0) < 3e-12 for z in ends) == singular
         _assert_matches_reference(
-            got, _refine_slice_reference(fund2, h, surf2, 10 ** 6))
+            got, _refine_slice_reference(fund2, h, 2.0, 10 ** 6))
 
 
 def test_refine_slice_batches_each_height(fund2, ops2, surf2, monkeypatch):
@@ -718,7 +745,7 @@ def test_refine_slice_batches_each_height(fund2, ops2, surf2, monkeypatch):
     monkeypatch.setattr(curve, "_integrate_segments", counting)
     for frac in (0.13, 0.3, 0.5, 0.77, 1.4, 1.9):
         del calls[:]
-        assert len(refine_slice(ext, frac * span, surf2, max_points=24)) >= 5
+        assert len(refine_slice(ext, frac * span, 2.0, max_points=24)) >= 5
         assert 0 < len(calls) <= 12
 
 
@@ -726,13 +753,13 @@ def test_refine_slice_batches_each_height(fund2, ops2, surf2, monkeypatch):
 def test_refine_slice_height_sequence_matches_per_height_calls(sigma,
                                                                monkeypatch):
     surf = FundamentalSurface(sigma)
-    fund = sample_fundamental(sigma, 0.1, 14, 20, surface=surf)
+    fund = sample_fundamental(sigma, 0.1, 14, 20)
     span = surf.translation_half()[2]
-    ops = extension_ops(sigma, surface=surf)
+    ops = extension_ops(sigma)
     ext = extend(fund, ops, copies=1)
     # on the 40x60 extension the lockstep batch of all six heights (1652 to
     # 2660 crossings) spans several quadrature blocks
-    big = extend(sample_fundamental(sigma, 0.1, 40, 60, surface=surf), ops,
+    big = extend(sample_fundamental(sigma, 0.1, 40, 60), ops,
                  copies=1)
     calls = []
     batch = curve._integrate_segments
@@ -748,10 +775,10 @@ def test_refine_slice_height_sequence_matches_per_height_calls(sigma,
     for m, max_points in ((fund, 24), (fund, 5), (ext, 24), (ext, 5),
                           (big, 1000)):
         del calls[:]
-        want = [refine_slice(m, h, surf, max_points=max_points) for h in hs]
+        want = [refine_slice(m, h, sigma, max_points=max_points) for h in hs]
         per_height = len(calls)
         del calls[:]
-        got = refine_slice(m, hs, surf, max_points=max_points)
+        got = refine_slice(m, hs, sigma, max_points=max_points)
         assert isinstance(got, list) and len(got) == len(hs)
         for g, w in zip(got, want):
             assert g.shape == w.shape and np.array_equal(g, w)
@@ -763,8 +790,8 @@ def test_refine_slice_height_sequence_matches_per_height_calls(sigma,
             assert all(len(g) <= 5 for g in got)
         if m is big:
             assert calls[0] > 3 * curve.LEAF_BLOCK
-    assert refine_slice(fund, [2.0 * span], surf)[0].shape == (0, 3)
-    assert refine_slice(fund, 2.0 * span, surf).shape == (0, 3)
+    assert refine_slice(fund, [2.0 * span], sigma)[0].shape == (0, 3)
+    assert refine_slice(fund, 2.0 * span, sigma).shape == (0, 3)
 
 
 def test_refine_slice_hits_height_with_few_immerse_calls(fund2, ops2, surf2,
@@ -782,7 +809,7 @@ def test_refine_slice_hits_height_with_few_immerse_calls(fund2, ops2, surf2,
     n_points = 0
     for frac in (0.13, 0.3, 0.5, 0.77, 1.4, 1.9):
         h = frac * span
-        pts = refine_slice(ext, h, surf2, max_points=24)
+        pts = refine_slice(ext, h, 2.0, max_points=24)
         assert len(pts) >= 5
         assert np.max(np.abs(pts[:, 2] - h)) <= 1e-12 * max(1.0, abs(h))
         n_points += len(pts)
@@ -1061,15 +1088,7 @@ def test_isometry_validation():
         IsometryOp(np.diag([2.0, 1.0, 1.0]), np.zeros(3))
 
 
-def test_sample_fundamental_rejects_two_angle_grid(surf2):
+def test_sample_fundamental_rejects_two_angle_grid():
     with pytest.raises(ValueError):
-        sample_fundamental(2.0, 0.1, 40, 2, surface=surf2)
+        sample_fundamental(2.0, 0.1, 40, 2)
 
-
-def test_grid_warp_exponent(surf2):
-    # the near-end remedy for extreme sigma: warping the angular grid keeps
-    # the construction valid (corner still pinned to the origin)
-    m = sample_fundamental(2.0, 0.1, 8, 12, warp=1.4, surface=surf2)
-    nr, nt = 8, 12
-    assert np.allclose(m.vertices[(nr - 1) * nt], 0.0)
-    assert m.vertex_count == nr * nt
