@@ -312,33 +312,25 @@ def _onto_end(x, y, m):
     return (x != y) & ((m == x) | (m == y))
 
 
-def _march(params, chains):
-    """Phase 1 of a march: the edges of any number of chain groups, all
-    integrated in one call of :func:`_integrate_segments`.
+def _march(params, z, w0):
+    """Phase 1 of a march: the edges of m chains z[i, 0] -> z[i, 1] -> ...
+    -> z[i, n] (z of shape (m, n + 1)), all integrated in one call of
+    :func:`_integrate_segments`.
 
-    ``chains`` lists pairs (z, w0); group g is m chains z[i, 0] -> z[i, 1]
-    -> ... -> z[i, n] (z of shape (m, n + 1)).  Each edge starts on the
-    principal root at its start node, except a chain's first edge where w0
-    (shape (m,)) is given: a start branch known before the call (None where
-    it is not; :func:`_accumulate` puts every edge on its chain's sheet).
-    Returns per group (wa, totals, wb): each edge's start branch, integrals
-    and continued end branch, shapes (m, n), (m, n, 3), (m, n).
+    Each edge starts on the principal root at its start node, except a
+    chain's first edge, which starts on w0 (shape (m,)).  Returns
+    (wa, totals, wb): each edge's start branch, integrals and continued
+    end branch, shapes (m, n), (m, n, 3), (m, n).
     """
-    za = [z[:, :-1] for z, _ in chains]
-    wa = [np.sqrt(curve_poly(params, a)) for a in za]
-    for a, (_, w0) in zip(wa, chains):
-        if w0 is not None:
-            a[:, 0] = w0
-    flat = [np.concatenate([x.reshape(-1) for x in xs])
-            for xs in (za, [z[:, 1:] for z, _ in chains], wa)]
-    totals, wb = _integrate_segments(params, *flat)
-    cuts = np.cumsum([a.size for a in za])[:-1]
-    return [(a, t.reshape(*a.shape, 3), b.reshape(a.shape)) for a, t, b
-            in zip(wa, np.split(totals, cuts), np.split(wb, cuts))]
+    wa = np.sqrt(curve_poly(params, z[:, :-1]))
+    wa[:, 0] = w0
+    totals, wb = _integrate_segments(params, z[:, :-1].reshape(-1),
+                                     z[:, 1:].reshape(-1), wa.reshape(-1))
+    return wa, totals.reshape(*wa.shape, 3), wb.reshape(wa.shape)
 
 
 def _accumulate(edges, x0, w0):
-    """Phase 2 of a march: one group of :func:`_march`, its chains starting
+    """Phase 2 of a march: the chains of :func:`_march`, starting
     at x0 (shape (m, 3)) on the branch w0 (shape (m,)).
 
     phi is odd in w, so an edge integrated from the other sheet's root
@@ -346,8 +338,8 @@ def _accumulate(edges, x0, w0):
     Re(w * conj(wa)) < 0 between the branch w continued to its start (w0,
     then the previous edge's end) and its starting root wa.  Returns the
     integrals accumulated in marching order, ((x0 + d1) + d2) + ... (shape
-    (m, n + 1, 3), complex; the real part is the position), and the
-    branch values (m, n + 1).
+    (m, n + 1, 3); of complex totals, the real part is the position), and
+    the branch values (m, n + 1).
     """
     wa, totals, wb = edges
     w_in = np.concatenate([w0[:, None], wb[:, :-1]], axis=1)
@@ -361,23 +353,30 @@ def _accumulate(edges, x0, w0):
 def immerse(params: CurveParams, nodes, w_start,
             base_position=(0.0, 0.0, 0.0)):
     """Integrate the Weierstrass forms along the polyline ``nodes``, marched
-    as one chain.
+    as one chain; for nodes of shape (m, n + 1), along m polylines in one
+    integrator call, from w_start of shape (m,) (base_position broadcast
+    to (m, 3)).
 
     Returns (position, end_point): ``base_position + Re int (phi1,phi2,phi3)``
-    and the curve point at the last node with the continued branch of w.  A
-    path whose last node is the branch point 1 or -sigma ends in a singular
-    leaf (the end point then carries w = 0).  The path only has to stay off
-    the branch points, and consecutive nodes must differ (ClearanceViolation
-    and ValueError from :func:`_integrate_segments`).
+    and the curve point at the last node with the continued branch of w
+    (shapes (m, 3) and (m,) for m polylines).  A path whose last node is
+    the branch point 1 or -sigma ends in a singular leaf (the end point
+    then carries w = 0).  The path only has to stay off the branch points,
+    and consecutive nodes must differ (ClearanceViolation and ValueError
+    from :func:`_integrate_segments`).
     """
-    pos = np.asarray(base_position, dtype=float).copy()
+    pos = np.asarray(base_position, dtype=float)
     z = np.asarray(nodes, dtype=complex)
-    if len(z) < 2:
-        return pos, CurvePoint(complex(z[0]) if len(z) else 0j,
-                               complex(w_start))
-    w0 = np.array([complex(w_start)])
-    acc, ws = _accumulate(_march(params, [(z[None], w0)])[0], pos[None], w0)
-    return acc[0, -1].real, CurvePoint(complex(z[-1]), complex(ws[0, -1]))
+    if z.ndim == 1:
+        if len(z) < 2:
+            return pos.copy(), CurvePoint(complex(z[0]) if len(z) else 0j,
+                                          complex(w_start))
+        pos, end = immerse(params, z[None], [w_start], pos[None])
+        return pos[0], CurvePoint(complex(end.z[0]), complex(end.w[0]))
+    w0 = np.asarray(w_start, dtype=complex)
+    acc, ws = _accumulate(_march(params, z, w0), np.broadcast_to(
+        pos, (len(z), 3)), w0)
+    return acc[:, -1].real, CurvePoint(z[:, -1], ws[:, -1])
 
 
 def gaussian_curvature(forms: WeierstrassForms, g_prime) -> float:
@@ -422,7 +421,7 @@ def _make_loop(params, kind, center, radius, n, turns=1):
     nodes = _circle_nodes(center, radius, n, turns)
     z0 = nodes[0]
     w0 = np.sqrt(complex(curve_poly(params, z0)))
-    edges = _march(params, [(np.array(nodes)[None], np.array([w0]))])[0]
+    edges = _march(params, np.array(nodes)[None], np.array([w0]))
     acc, ws = _accumulate(edges, np.zeros((1, 3)), np.array([w0]))
     w_end = ws[0, -1]
     if abs(w_end - w0) > 1e-8 * abs(w0):
@@ -479,7 +478,7 @@ def period(params: CurveParams, loop: HomologyLoop) -> np.ndarray:
     if loop.integrals is not None:
         return loop.integrals.copy()
     w0 = np.array([loop.base.w])
-    edges = _march(params, [(np.array(loop.nodes)[None], w0)])[0]
+    edges = _march(params, np.array(loop.nodes)[None], w0)
     return _accumulate(edges, np.zeros((1, 3)), w0)[0][0, -1]
 
 

@@ -11,11 +11,11 @@ is kept).  The immersion is integrated along the grid edges from one
 vertex on (0, 1), where w on the base point's sheet is a closed form, so
 the whole patch lives on that sheet: every edge (the t = 0 column, the
 interior rows, the radial edges to the outer row and the two corner edges)
-is integrated in one ``curve._march`` batch, and positions and branch
-signs are accumulated along the marching order.  The two grid corners
-on the branch points z = 1 and z = -sigma end in singular leaves.  No
-path keeps a distance from the branch points beyond not passing through
-one, so every sigma > 0 is sampled the same way.
+is integrated as a one-edge path in one ``curve.immerse`` batch, and
+positions and branch signs are accumulated along the marching order.
+The two grid corners on the branch points z = 1 and z = -sigma end in
+singular leaves.  No path keeps a distance from the branch points beyond
+not passing through one, so every sigma > 0 is sampled the same way.
 
 The surface is then grown by the four-step symmetry pipeline: 180-degree
 rotation about the horizontal line through psi(i sqrt(sigma)), reflection
@@ -297,7 +297,7 @@ def sample_fundamental(sigma: float, e: float, nr: int, nt: int) -> TriMesh:
     reached radially from the row below, and the two corner vertices on the
     branch points by one edge each from their outer-row neighbour, ending
     in a singular leaf.  All these edges are integrated in one
-    ``curve._march`` batch; a vertex's position is the sum of the edge
+    ``curve.immerse`` batch; a vertex's position is the sum of the edge
     integrals along this order and its branch value w the continuation
     along it (``curve._accumulate``).  It starts on the base point's sheet:
     the positive root at 1 + 1e-2, continued over the upper half circle
@@ -327,29 +327,34 @@ def sample_fundamental(sigma: float, e: float, nr: int, nt: int) -> TriMesh:
     x0 = Z[order[0], 0].real
     # in real arithmetic: np.sqrt of the complex -p - 0j is -i sqrt(p)
     w0 = np.array([1j * math.sqrt(x0 * (1.0 - x0) * (x0 + sigma))])
-    corners = np.stack([Z[top, nb], Z[top, [0, nt - 1]]], axis=1)
-    # the column starts on the principal root; _accumulate moves it to w0
-    column, rows, radial, corner = _curve._march(params, [
-        (Z[order, 0][None], None), (Z[:top], None),
-        (np.stack([Z[top - 1, k], Z[top, k]], axis=1), None),
-        (corners, None)])
-    accumulate = _curve._accumulate
+    chains = [Z[order, 0][None], Z[:top],
+              np.stack([Z[top - 1, k], Z[top, k]], axis=1),
+              np.stack([Z[top, nb], Z[top, [0, nt - 1]]], axis=1)]
+    # every edge in one immerse batch, each from the principal root at its
+    # start (the column's first too): _accumulate puts them on the sheet
+    ab = np.concatenate([np.stack([c[:, :-1], c[:, 1:]], axis=-1)
+                         .reshape(-1, 2) for c in chains])
+    wa = np.sqrt(_curve.curve_poly(params, ab[:, 0]))
+    d, end = _curve.immerse(params, ab, wa)
+    cuts = np.cumsum([c[:, 1:].size for c in chains])[:-1]
+    column, rows, radial, corner = [
+        (a.reshape(c[:, 1:].shape), t.reshape(*c[:, 1:].shape, 3),
+         b.reshape(c[:, 1:].shape)) for c, a, t, b in
+        zip(chains, *(np.split(x, cuts) for x in (wa, d, end.w)))]
 
     # t = 0 column (real axis, descending from x0)
-    xs, ws = accumulate(column, np.zeros((1, 3)), w0)
-    X[order, 0], W[order, 0] = xs[0].real, ws[0]
+    xs, ws = _curve._accumulate(column, np.zeros((1, 3)), w0)
+    X[order, 0], W[order, 0] = xs[0], ws[0]
     # interior rows, from the column
-    xs, W[:top] = accumulate(rows, X[:top, 0], W[:top, 0])
-    X[:top] = xs.real
+    X[:top], W[:top] = _curve._accumulate(rows, X[:top, 0], W[:top, 0])
     # outer row, radially from the row below
-    xs, ws = accumulate(radial, X[top - 1, k], W[top - 1, k])
-    X[top, k], W[top, k] = xs[:, 1].real, ws[:, 1]
+    xs, ws = _curve._accumulate(radial, X[top - 1, k], W[top - 1, k])
+    X[top, k], W[top, k] = xs[:, 1], ws[:, 1]
     # corners on the branch points, from the outer row (their w stays 0)
-    xs, _ = accumulate(corner, X[top, nb], W[top, nb])
-    X[top, [0, nt - 1]] = xs[:, 1].real
+    xs, _ = _curve._accumulate(corner, X[top, nb], W[top, nb])
+    X[top, [0, nt - 1]] = xs[:, 1]
 
-    v0 = X[nr - 1, 0].copy()
-    verts = (X - v0).reshape(-1, 3)
+    verts = (X - X[nr - 1, 0]).reshape(-1, 3)  # relative to the corner z = 1
 
     rs = math.sqrt(sigma)
     g = (Z / rs).reshape(-1)

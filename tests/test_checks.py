@@ -120,9 +120,9 @@ def test_translation_half_is_computed_once(monkeypatch):
     calls = []
     march = curve._march
 
-    def counting(params, chains):
-        calls.append(len(chains))
-        return march(params, chains)
+    def counting(*args):
+        calls.append(1)
+        return march(*args)
 
     monkeypatch.setattr(curve, "_march", counting)
     for get in (surf.translation_half, surf.psi_fixed_point):

@@ -137,13 +137,12 @@ def test_config_errors_exit_2():
     assert run(["kdv", "--print-p", "2", "--samples", "60"]) == 2
     assert run(["kdv", "--print-p", "2", "--n", "1"]) == 2
     assert run(["kdv", "--print-p", "2", "--seed", "7"]) == 2
-    # numpy's default_rng takes no negative seed
-    assert run(["verify", "--sigma", "2", "--seed", "-1"]) == 2
-    assert run(["kdv", "--sigma", "2", "--seed", "-3"]) == 2
 
 
 @pytest.mark.parametrize("argv", [
+    # numpy's default_rng takes no negative seed
     ["verify", "--sigma", "2", "--seed", "-1"],
+    ["kdv", "--sigma", "2", "--seed", "-3"],
     # a negative level would print nothing
     ["kdv", "--print-p", "-1"],
     # a nan threshold fails every check, an infinite one passes every value

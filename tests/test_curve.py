@@ -126,6 +126,26 @@ def test_immerse_identity_and_round_trip():
     assert abs(end.w - base.w) < 1e-9
 
 
+def test_immerse_batch_is_the_paths_one_by_one():
+    # m polylines in one call give each path's own result, bit for bit (a
+    # leaf's integral does not depend on its batch), ending on a branch
+    # point or not
+    params = CurveParams(2.0)
+    base = curve.basepoint(params)
+    nodes = np.array([[base.z, 1.5 + 0.8j, 0.3 + 1.1j],
+                      [0.5 + 0.5j, -1.0 + 0.7j, -2.0 + 0j],
+                      [3.0 + 0j, 2.0 + 1j, 1.0 + 0j]])
+    w0 = -np.sqrt(curve.curve_poly(params, nodes[:, 0]))
+    start = np.array([[1.0, 2.0, 3.0], [0.0, 0.0, 0.0], [-1.0, 0.5, 0.0]])
+    pos, end = curve.immerse(params, nodes, w0, start)
+    assert pos.shape == (3, 3) and end.w.shape == (3,)
+    assert np.array_equal(end.z, nodes[:, -1])
+    for i in range(3):
+        p, e = curve.immerse(params, nodes[i], w0[i], start[i])
+        assert p.tobytes() == pos[i].tobytes()
+        assert e == curve.CurvePoint(nodes[i, -1], end.w[i])
+
+
 def _mpmath_segment(params, za, zb, w0, breaks=(), steps=5001):
     """int (phi1, phi2, phi3) along za -> zb by 30-digit tanh-sinh
     quadrature, on the branch dense_branch tracks from w0 (each node takes

@@ -170,7 +170,7 @@ def test_column_branch_is_the_entry_arc_continuation(sigma):
     _, entry = _entry_arc(params)
     w0 = np.array([entry.w])
     chain = np.append(entry.z, column[order])[None]
-    _, ws = curve._accumulate(curve._march(params, [(chain, w0)])[0],
+    _, ws = curve._accumulate(curve._march(params, chain, w0),
                               np.zeros((1, 3)), w0)
     got = m.domain_w.reshape(nr, nt)[order, 0]
     assert got.tobytes() == ws[0, 1:].tobytes()
@@ -350,19 +350,24 @@ def test_slab_height_is_a_quarter_power_of_t0():
 
 
 def test_gen_makes_one_integrator_call(monkeypatch):
-    # the sampling batch; its start branch and the anchors are closed forms
+    # the sampling batch, made through curve.immerse; its start branch and
+    # the anchors are closed forms
     calls = []
-    batch = curve._integrate_segments
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return batch(*args, **kwargs)
+    def counting(name):
+        fn = getattr(curve, name)
 
-    monkeypatch.setattr(curve, "_integrate_segments", counting)
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(curve, name, counted)
+
+    counting("_integrate_segments")
+    counting("immerse")
     FundamentalSurface(2.0)
     sample_fundamental(2.0, 0.1, 40, 60)
     extension_ops(2.0)
-    assert len(calls) == 1
+    assert calls == ["immerse", "_integrate_segments"]
 
 
 def test_t0_sqrt_epsilon_extrapolation(surf2):
