@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -231,8 +232,9 @@ def registration_error(sigma, nr=30, nt=40, n_heights=8) -> RegistrationResult:
     # slab beyond the end truncation)
     candidates = (0.14 + 0.72 * np.arange(2 * n_heights)
                   / max(2 * n_heights - 1, 1)) * span
-    hs = [h for h in candidates
-          if len(mesh.slice_mesh(m, float(h))[1]) >= 8][:n_heights]
+    hs = list(islice((h for h in candidates
+                      if len(mesh.slice_mesh(m, float(h))[1]) >= 8),
+                     n_heights))
     if len(hs) < 4:
         raise SliceFitError(
             "too few well-covered heights; refine the grid or lower e")

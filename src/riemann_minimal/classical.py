@@ -80,8 +80,15 @@ def q_min(lam: float) -> float:
 
 
 def sigma_of_lambda(lam: float) -> float:
-    """sigma = (2 / (sqrt(lambda^2 + 4) - lambda))^2; equals 1/q1^2."""
-    return (2.0 / (math.hypot(2.0, lam) - lam)) ** 2
+    """sigma = 1/q1^2 = ((lambda + sqrt(lambda^2 + 4)) / 2)^2.
+
+    s = |lambda|/2 + sqrt(1 + lambda^2/4) is 1/q1 for lambda > 0 and q1
+    otherwise: q_min's cancellation-free branch, halved so that no finite
+    lambda overflows it.  Within 3 ulp of exact; where sigma leaves the
+    floats it reads inf or 0.0 rather than raising.
+    """
+    s = 0.5 * abs(lam) + math.hypot(1.0, 0.5 * lam)
+    return s * s if lam > 0 else 1.0 / s / s
 
 
 def radicand(lam: float, u):
@@ -311,16 +318,24 @@ def enneper_coefficients(d: FoliationData) -> np.ndarray:
     return np.array([a1, a2, a3, a4, a5, a6, a7])
 
 
-def foliation_frames(d: FoliationData, us, n_ode_steps: int = 64):
+# the longest RK4 step of foliation_frames' march
+_FRAME_STEP = 1e-4
+
+
+def foliation_frames(d: FoliationData, us):
     """Frenet frames and centers of the foliation data at the parameters us.
 
     The Frenet frame and center curve are integrated with fixed-step RK4
-    from the identity frame at u = 0, one march of n_ode_steps steps of
-    size u / n_ode_steps per u, all u in one (len(us), 12) array; kappa and
-    the velocity components vary linearly in u (their derivatives are the
-    supplied primes), tau is held constant (the trig coefficients do not
-    involve tau').  Only tiny |u| is meant to be used (finite
-    differencing).  Returns (n, b, c), each of shape (len(us), 3).
+    from the identity frame at u = 0, all u in one (len(us), 12) array:
+    each u is marched in ceil(|u| / 1e-4) equal steps (at least one), so
+    every |u| <= 1e-4 takes a single step.  Its local error is about
+    (|A| u)^5 / 120 < 1e-19, A the 12x12 system matrix (|A| is at most
+    about 3 for the data verify and the tests use), so it agrees with a
+    64-step march to rounding.  kappa and the velocity components vary
+    linearly in u (their derivatives are the supplied primes), tau is
+    held constant (the trig coefficients do not involve tau').  Only tiny
+    |u| is meant to be used (finite differencing).  Returns (n, b, c),
+    each of shape (len(us), 3).
 
     Torsion convention: b' = +tau n (equivalently n' = -kappa t - tau b).
     This is the convention under which the closed-form coefficients
@@ -345,21 +360,24 @@ def foliation_frames(d: FoliationData, us, n_ode_steps: int = 64):
     us = np.asarray(us, dtype=float)
     y = np.tile(np.concatenate([np.eye(3).ravel(), np.zeros(3)]),
                 (len(us), 1))
-    h = us / n_ode_steps
+    steps = np.maximum(np.ceil(np.abs(us) / _FRAME_STEP), 1.0)
+    h = us / steps
     hc = h[:, None]
     x = np.zeros_like(us)
-    for _ in range(n_ode_steps):
+    for i in range(int(steps.max(initial=1.0))):
         k1 = deriv(x, y)
         k2 = deriv(x + h / 2, y + hc / 2 * k1)
         k3 = deriv(x + h / 2, y + hc / 2 * k2)
         k4 = deriv(x + h, y + hc * k3)
-        y = y + hc / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        # a u that has taken its steps keeps its frame
+        y = np.where((i < steps)[:, None],
+                     y + hc / 6 * (k1 + 2 * k2 + 2 * k3 + k4), y)
         x += h
     return y[:, 3:6], y[:, 6:9], y[:, 9:12]
 
 
 def enneper_fourier_check(d: FoliationData, n_v: int = 256,
-                          h: float = 1e-5) -> float:
+                          h: float = 1e-4) -> float:
     """Max |DFT coefficient - closed form| over the seven coefficients.
 
     Samples P(v) = G det(Xu,Xv,Xuu) - 2F det(Xu,Xv,Xuv) + E det(Xu,Xv,Xvv)
@@ -367,7 +385,18 @@ def enneper_fourier_check(d: FoliationData, n_v: int = 256,
     grid is vastly sufficient) using central finite differences in u and
     the analytic v-derivatives of the local surface
     X(u, v) = c(u) + r(u)(cos v n(u) + sin v b(u)), with the frames of
-    :func:`foliation_frames` at u = -h, 0, h.
+    :func:`foliation_frames` at u = -h, 0, h (one RK4 step each).
+
+    The default h = 1e-4 is where the error is smallest.  Over the unit
+    canonical data and ten random configurations (test seed 42), the
+    check reads, canonical / worst random:
+
+        h       1e-6    1e-5    3e-5    1e-4    3e-4    1e-3    3e-3
+        canon.  7.6e-5  1.5e-7  7.1e-8  1.3e-8  7.4e-8  8.1e-7  7.3e-6
+        random  8.1e-4  3.0e-6  6.6e-7  8.3e-8  4.3e-7  4.8e-6  4.3e-5
+
+    Below 1e-4 rounding in the second difference grows as h shrinks;
+    above it the O(h^2) truncation grows ninefold per factor of 3 in h.
     """
     v = 2.0 * math.pi * np.arange(n_v) / n_v
     cos, sin = np.cos(v)[:, None], np.sin(v)[:, None]

@@ -169,7 +169,9 @@ def _config_from_args(args) -> RunConfig:
     if sigma is None and lam is not None:
         sigma = classical.sigma_of_lambda(lam)
     if sigma is not None and not SIGMA_RANGE[0] <= sigma <= SIGMA_RANGE[1]:
-        raise ValueError(f"sigma {sigma!r} outside the tested range "
+        given = f"sigma {sigma!r}" if lam is None else (
+            f"lambda {lam!r} gives sigma {sigma!r}, which is")
+        raise ValueError(f"{given} outside the tested range "
                          f"[{SIGMA_RANGE[0]:g}, {SIGMA_RANGE[1]:g}]")
     nr, nt = getattr(args, "grid", (40, 60))
     cfg = RunConfig(
@@ -410,6 +412,9 @@ def main(argv=None) -> int:
     except (ValueError, argparse.ArgumentTypeError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except Exception:
+        traceback.print_exc()
+        return EXIT_BUG
     try:
         if cfg.command == "gen":
             return cmd_gen(cfg)

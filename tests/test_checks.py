@@ -138,6 +138,35 @@ def test_slice_fit_error_is_a_package_error(monkeypatch):
         checks.registration_error(1.0, nr=12, nt=16)
 
 
+@pytest.mark.parametrize("sigma", [1e-3, 2.0, 1e3])
+def test_registration_slices_until_it_has_its_heights(sigma, monkeypatch):
+    # registration_error stops scanning at the n_heights-th well-covered
+    # candidate (at sigma 1e3 only 5 of the 12 are, so it scans them all);
+    # the heights it keeps are those of the full scan
+    n_heights = 6
+    m = mesh.sample_fundamental(sigma, 0.1, 24, 32)
+    span = mesh.FundamentalSurface(sigma).translation_half()[2]
+    candidates = (0.14 + 0.72 * np.arange(2 * n_heights)
+                  / (2 * n_heights - 1)) * span
+    covered = [i for i, h in enumerate(candidates)
+               if len(mesh.slice_mesh(m, float(h))[1]) >= 8][:n_heights]
+    scanned = (covered[-1] + 1 if len(covered) == n_heights
+               else len(candidates))
+    calls = []
+    slice_mesh = mesh.slice_mesh
+
+    def counting(m, h):
+        calls.append(h)
+        return slice_mesh(m, h)
+
+    monkeypatch.setattr(mesh, "slice_mesh", counting)
+    reg = checks.registration_error(sigma, nr=24, nt=32, n_heights=n_heights)
+    # the scan, then refine_slice's one slice per kept height
+    assert calls[:scanned] == [float(h) for h in candidates[:scanned]]
+    assert len(calls) == scanned + len(covered)
+    assert np.array_equal(reg.heights, candidates[covered])
+
+
 @pytest.mark.parametrize("sigma", [0.0167, 0.35938, 2.0, 8.0, 1e3])
 def test_classical_fd_grid_matches_the_per_point_loop(sigma, monkeypatch):
     lam = (sigma - 1.0) / math.sqrt(sigma)

@@ -74,6 +74,25 @@ def test_sigma_anchors_and_product_identity():
         assert abs(sigma_of_lambda(lam) * q_min(lam) ** 2 - 1.0) < 1e-12
 
 
+def test_sigma_of_lambda_against_mpmath_50_digits():
+    # the old form (2 / (hypot(2, lam) - lam))^2 cancelled for lam > 0:
+    # relative error 2.5e-14 at 31.59, 5.9e-9 at 1e4 and 0.8 at 1e8
+    lams = np.geomspace(1e-3, 1e8, 400)
+    with mpmath.workdps(50):
+        for lam in [*lams, *-lams, 31.59, -31.59]:
+            x = mpmath.mpf(lam)
+            exact = ((x + mpmath.sqrt(x * x + 4)) / 2) ** 2
+            err = abs((mpmath.mpf(sigma_of_lambda(lam)) - exact) / exact)
+            assert err < 4 * np.finfo(float).eps, (lam, err)
+
+
+def test_sigma_of_lambda_leaves_the_floats_without_raising():
+    for lam in (1e300, 1.7e308, math.inf):
+        assert sigma_of_lambda(lam) == math.inf
+    for lam in (-1e300, -1.7e308, -math.inf):
+        assert sigma_of_lambda(lam) == 0.0
+
+
 def test_height_at_neck_and_domain_error():
     p = RiemannParams.from_lambda(1.0)
     assert height(p, p.q1) == 0.0
@@ -234,7 +253,8 @@ def test_enneper_a5_scaling():
 
 
 def test_enneper_fourier_check_canonical():
-    assert enneper_fourier_check(canonical_data()) < 1e-5
+    # 1.45e-7 at the former step h = 1e-5, which sat in the rounding regime
+    assert enneper_fourier_check(canonical_data()) < 1.45e-7 / 5
 
 
 def test_enneper_fourier_check_random_configs():
@@ -257,9 +277,11 @@ def test_enneper_fourier_check_random_configs():
         assert enneper_fourier_check(d) < 1e-4
 
 
-def _frame_at_reference(d, u, n_ode_steps=64):
+def _frame_at_reference(d, u, n_steps=None, one=1.0):
     """One scalar RK4 march of the Frenet frame and center to u: the
-    per-u loop that ``foliation_frames`` batches."""
+    per-u loop that ``foliation_frames`` batches.  By default it takes
+    the steps of foliation_frames' rule, ceil(|u| / 1e-4) and at least
+    one.  With ``one`` an mpmath 1 it marches in mpmath numbers."""
     def deriv(x, y):
         t, n, b = y[0:3], y[3:6], y[6:9]
         k = d.kappa + d.kappa_p * x
@@ -269,10 +291,12 @@ def _frame_at_reference(d, u, n_ode_steps=64):
         return np.concatenate([k * n, -k * t - d.tau * b, d.tau * n,
                                al * t + be * n + de * b])
 
-    y = np.concatenate([np.eye(3).ravel(), np.zeros(3)])
-    h = u / n_ode_steps
-    x = 0.0
-    for _ in range(n_ode_steps):
+    if n_steps is None:
+        n_steps = max(math.ceil(abs(u) / 1e-4), 1)
+    y = np.concatenate([np.eye(3).ravel(), np.zeros(3)]) * one
+    h = u * one / n_steps
+    x = 0.0 * one
+    for _ in range(n_steps):
         k1 = deriv(x, y)
         k2 = deriv(x + h / 2, y + h / 2 * k1)
         k3 = deriv(x + h / 2, y + h / 2 * k2)
@@ -282,21 +306,42 @@ def _frame_at_reference(d, u, n_ode_steps=64):
     return y[3:6], y[6:9], y[9:12]
 
 
-def test_batched_frames_match_scalar_marches():
+def _frame_configs():
     rng = np.random.default_rng(7)
-    configs = [canonical_data()] + [FoliationData(
+    return [canonical_data()] + [FoliationData(
         r=1.0, r_p=0.1, r_pp=-0.2, kappa=0.3 + rng.uniform(0.0, 1.2),
         kappa_p=rng.uniform(-0.5, 0.5), tau=rng.uniform(-0.8, 0.8),
         alpha=rng.uniform(-0.8, 0.8), beta=rng.uniform(-0.8, 0.8),
         delta=rng.uniform(-0.8, 0.8), alpha_p=rng.uniform(-0.5, 0.5),
         beta_p=rng.uniform(-0.5, 0.5), delta_p=rng.uniform(-0.5, 0.5))
         for _ in range(5)]
-    us = (-1e-5, 0.0, 1e-5, 0.3)
-    for d in configs:
+
+
+def test_batched_frames_match_scalar_marches():
+    # 1, 1, 1, 1, 4 and 20 steps in one batch
+    us = (-1e-5, 0.0, 1e-5, -1e-4, 3.5e-4, 2e-3)
+    for d in _frame_configs():
         got = classical.foliation_frames(d, us)
         for i, u in enumerate(us):
             for g, w in zip(got, _frame_at_reference(d, u)):
                 assert np.array_equal(g[i], w)
+
+
+def test_small_offsets_take_one_rk4_step():
+    us = (-1e-4, -3e-5, 0.0, 1e-5, 1e-4)
+    for d in _frame_configs():
+        got = classical.foliation_frames(d, us)
+        for i, u in enumerate(us):
+            for g, w in zip(got, _frame_at_reference(d, u, 1)):
+                assert np.array_equal(g[i], w)
+        # one step is exact to rounding: at the longest single step a
+        # 64-step march in 30 digits agrees (in floats, the 64-step
+        # march's own rounding reaches 1.3e-15)
+        for i in (0, -1):
+            with mpmath.workdps(30):
+                fine = _frame_at_reference(d, us[i], 64, mpmath.mpf(1))
+            for g, w in zip(got, fine):
+                assert np.max(np.abs(g[i] - w.astype(float))) <= 1e-15
 
 
 def test_enneper_zero_velocity_constant_radius():

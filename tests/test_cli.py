@@ -189,10 +189,14 @@ def test_numeric_failure_exit_3(tmp_path, capsys, monkeypatch):
 @pytest.mark.parametrize("command", ["gen", "verify", "kdv"])
 @pytest.mark.parametrize("value", [["--sigma", "9e-4"], ["--sigma", "1.1e3"],
                                    ["--sigma", "0"], ["--sigma", "nan"],
-                                   ["--lambda", "-50"], ["--lambda", "50"]])
+                                   ["--lambda", "-50"], ["--lambda", "50"],
+                                   ["--lambda", "2e8"], ["--lambda", "1e300"],
+                                   ["--lambda=-1e300"],
+                                   ["--lambda", "1.7e308"]])
 def test_sigma_outside_the_tested_range_exits_2(tmp_path, capsys, command,
                                                 value):
-    # lambda -50 and 50 give sigma 4e-4 and 2.5e3
+    # lambda -50 and 50 give sigma 4e-4 and 2.5e3; at 1e300 and beyond the
+    # square overflows to inf, at -1e300 it underflows to 0
     assert run([command, *value, "--json", str(tmp_path / "r.json")]) == 2
     assert "outside the tested range [0.001, 1000]" in capsys.readouterr().err
     assert not tmp_path.joinpath("r.json").exists()
@@ -241,6 +245,17 @@ def test_program_bug_exits_4_with_traceback(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert "Traceback" in err and "TypeError: injected" in err
     assert "numeric failure" not in err
+
+
+def test_bug_while_building_the_config_exits_4(monkeypatch, capsys):
+    def broken(lam):
+        raise TypeError("injected")
+
+    monkeypatch.setattr(classical, "sigma_of_lambda", broken)
+    assert run(["kdv", "--lambda", "1"]) == 4
+    err = capsys.readouterr().err
+    assert "Traceback" in err and "TypeError: injected" in err
+    assert "configuration error" not in err
 
 
 def test_runs_with_scipy_blocked(tmp_path):
