@@ -51,6 +51,5 @@ print(f"\nmax |Shiffman| over the samples: {worst:.2e}"
 print("\nGaussian curvature at sample points (conformal phi3 = d(xi) chart):")
 for z in (2.0, 3.0, 0.5 + 0.8j):
     w = np.sqrt(complex(curve.curve_poly(params, z)))
-    forms = curve.WeierstrassForms.from_g(z / np.sqrt(SIGMA))
-    K = curve.gaussian_curvature(forms, w / np.sqrt(SIGMA))
+    K = curve.gaussian_curvature(z / np.sqrt(SIGMA), w / np.sqrt(SIGMA))
     print(f"  z={z}: K = {K:+.6f}")

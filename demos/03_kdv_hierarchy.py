@@ -12,8 +12,8 @@ level one: flow_1 = -(sigma-1)/2 * flow_0, with numerically zero residual.
 import numpy as np
 
 from riemann_minimal import curve, shiffkdv
-from riemann_minimal.shiffkdv import (Jet, hierarchy_P, kdv_flow, miura,
-                                      mkdv_flow_jet, msigma_jet, potential_u)
+from riemann_minimal.shiffkdv import (Jet, flow_n, hierarchy_P, miura,
+                                      mkdv_flow, msigma_jet, potential_u)
 
 print("Gelfand-Dickey polynomials:")
 for n in range(5):
@@ -23,19 +23,19 @@ for n in range(5):
 g = Jet([np.exp(0.3)] * 9)
 u = potential_u(g)
 print(f"\ncatenoid g = e^xi: u = {u[0].real:+.3f} (constant), "
-      f"kdv flow = {abs(kdv_flow(u.truncate(3))):.1e}")
+      f"kdv flow = {abs(flow_n(1, u)):.1e}")
 
 # Miura bridge with the forced -i/2 time normalization
 rng = np.random.default_rng(5)
 vals = 0.6 * (rng.normal(size=7) + 1j * rng.normal(size=7))
 vals[0] += 2.0
 x = Jet(vals)
-xdot = mkdv_flow_jet(x)
+xdot = mkdv_flow(x)
 u = miura(x)
 udot = 0.5 * xdot.d(1) - 0.5 * (x * xdot)
 print("\nMiura chain rule on a random jet:")
 print(f"  du/dt under mKdV       = {udot[0]:+.6f}")
-print(f"  -(i/2)(-u''' - 6uu')   = {-0.5j * kdv_flow(u.truncate(3)):+.6f}")
+print(f"  -(i/2)(-u''' - 6uu')   = {-0.5j * flow_n(1, u):+.6f}")
 
 # the curve potential is algebro-geometric at level 1
 params = curve.CurveParams(2.0)

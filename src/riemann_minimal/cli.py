@@ -154,6 +154,29 @@ def build_parser():
     return ap
 
 
+def _join_number_values(argv):
+    """``argv`` with ``--sigma X`` and ``--lambda X`` (or abbreviations)
+    written ``--sigma=X`` when X is a number: argparse takes ``-1e1`` for
+    an option, as only ``-12`` and ``-1.5`` count as negative numbers."""
+    out = []
+    for arg in argv:
+        flag = out[-1] if out else ""
+        if len(flag) > 2 and _is_number(arg) and any(
+                name.startswith(flag) for name in ("--sigma", "--lambda")):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
+def _is_number(text):
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
 _KDV_FIT_FLAGS = {"n_level": "--n", "samples": "--samples", "seed": "--seed"}
 
 
@@ -206,7 +229,7 @@ def _config_from_args(args) -> RunConfig:
         top = shiffkdv.MAX_HIERARCHY_LEVEL
         if cfg.print_p is not None and not 0 <= cfg.print_p <= top:
             raise ValueError(f"--print-p {cfg.print_p} outside [0, {top}]")
-        # above level 3 the flows' rounding residue counts as rank (README)
+        # above level 3 the flows' rounding residue nears the rank cutoff
         if not 1 <= cfg.n_level <= 3:
             raise ValueError("kdv fit level n must be in [1, 3]")
         if cfg.samples < 1:
@@ -404,7 +427,8 @@ def main(argv=None) -> int:
     logging.basicConfig(level=os.environ.get("MINSURF_LOG", "WARNING").upper())
     ap = build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = ap.parse_args(_join_number_values(
+            sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
     try:

@@ -43,7 +43,7 @@ from .quad import NonFinite, RiemannMinimalError, SubdivisionLimit
 
 __all__ = [
     "CurveError", "BranchAmbiguity", "ClearanceViolation", "PoleOfGaussMap",
-    "CurveParams", "CurvePoint", "WeierstrassForms", "HomologyLoop",
+    "CurveParams", "CurvePoint", "HomologyLoop",
     "curve_poly", "branch_points", "basepoint",
     "on_curve_residual", "immerse", "gaussian_curvature",
     "gamma1_loop", "gamma2_loop", "end_loop", "period", "flux",
@@ -93,24 +93,6 @@ class CurvePoint:
 
     z: complex
     w: complex
-
-
-@dataclass(frozen=True)
-class WeierstrassForms:
-    """Values of g and the three 1-form densities (with respect to dz)."""
-
-    g: complex
-    phi1_density: complex
-    phi2_density: complex
-    phi3_density: complex
-
-    @classmethod
-    def from_g(cls, g, phi3_density=1.0):
-        g = complex(g)
-        if g == 0 or not np.isfinite(g):
-            raise PoleOfGaussMap(f"g = {g}")
-        p3 = complex(phi3_density)
-        return cls(g, 0.5 * (1.0 / g - g) * p3, 0.5j * (1.0 / g + g) * p3, p3)
 
 
 def curve_poly(params: CurveParams, z):
@@ -379,16 +361,18 @@ def immerse(params: CurveParams, nodes, w_start,
     return acc[:, -1].real, CurvePoint(z[:, -1], ws[:, -1])
 
 
-def gaussian_curvature(forms: WeierstrassForms, g_prime) -> float:
-    """K in the conformal coordinate with phi3 = d(xi).
+def gaussian_curvature(g, g_prime):
+    """K in the conformal coordinate with phi3 = d(xi), elementwise on
+    (arrays of) g and g'.
 
     K = -( 4|g'/g| / (|g| + 1/|g|)^2 )^2 <= 0.
     """
-    g = forms.g
-    if g == 0 or not np.isfinite(g):
-        raise PoleOfGaussMap(f"g = {g}")
-    ag = abs(g)
-    return -float((4.0 * abs(complex(g_prime) / g) / (ag + 1.0 / ag) ** 2) ** 2)
+    g = np.asarray(g, dtype=complex)
+    bad = (g == 0) | ~np.isfinite(g)
+    if bad.any():
+        raise PoleOfGaussMap(f"g = {g[bad].flat[0]}")
+    ag = np.abs(g)
+    return -(4.0 * np.abs(g_prime / g) / (ag + 1.0 / ag) ** 2) ** 2
 
 
 # ---------------------------------------------------------------------------

@@ -74,34 +74,15 @@ class DomainMap:
         if not 0.0 < self.e < 1.0:
             raise ValueError("e must lie in (0, 1)")
 
-    def _R(self):
-        a, e = self.sigma, self.e
-        return math.sqrt(4.0 * (a - 1.0) ** 2 * e ** 2
-                         + (1.0 + a) ** 2 * (e ** 2 - 1.0) ** 2)
-
     def map(self, zeta):
         a, e = self.sigma, self.e
-        R = self._R()
+        R = math.sqrt(4.0 * (a - 1.0) ** 2 * e ** 2
+                      + (1.0 + a) ** 2 * (e ** 2 - 1.0) ** 2)
         zeta = np.asarray(zeta, dtype=complex)
         num = (-a * a * (1 + e * e) * (zeta - 1.0) - 2.0 * a * (e * e - 3.0) * zeta
                - (1 + e * e) * (1.0 + zeta) + R * (1.0 + a * (zeta - 1.0) + zeta))
         den = 2.0 * R - 2.0 * ((1.0 + a) * (e * e - 1.0) - 2.0 * (a - 1.0) * zeta)
         return num / den
-
-    def inverse(self, z):
-        a, e = self.sigma, self.e
-        R = self._R()
-        z = np.asarray(z, dtype=complex)
-        # invert the linear-fractional map (A zeta + B)/(C zeta + D)
-        A = -a * a * (1 + e * e) - 2.0 * a * (e * e - 3.0) - (1 + e * e) + R * (1.0 + a)
-        B = a * a * (1 + e * e) - (1 + e * e) + R * (1.0 - a)
-        C = 4.0 * (a - 1.0)
-        D = 2.0 * R - 2.0 * (1.0 + a) * (e * e - 1.0)
-        return (D * z - B) / (A - C * z)
-
-    def end_radius(self) -> float:
-        """Radius of the image of |zeta| = e (the end-truncation circle)."""
-        return float(abs(self.map(self.e)))
 
 
 @dataclass(frozen=True)

@@ -36,14 +36,14 @@ from fractions import Fraction
 import numpy as np
 
 from . import curve as _curve
-from .curve import CurveParams, PoleOfGaussMap, WeierstrassForms, gaussian_curvature
+from .curve import CurveParams, PoleOfGaussMap, gaussian_curvature
 from .quad import RiemannMinimalError
 
 __all__ = [
     "GridTooSmall", "NotExactDerivative", "JetTooShort",
-    "Jet", "DiffPoly", "ConformalGrid",
+    "Jet", "DiffPoly",
     "level_curvature_raw", "shiffman", "shiffman_complex", "shiffman_velocity",
-    "potential_u", "miura", "kdv_flow", "mkdv_flow",
+    "potential_u", "miura", "mkdv_flow",
     "hierarchy_P", "flow_n", "jacobi_residual",
     "algebro_geometric_residual", "AlgebroGeometricFit", "msigma_jet",
 ]
@@ -70,10 +70,10 @@ class Jet:
 
     Arithmetic is exact truncated Leibniz calculus; the order of a product
     is the smaller of the factors' orders.  ``d(m)`` shifts by m
-    derivatives (dropping order by m).  The values may carry a trailing
-    point axis, shape (k + 1, n), one tower per point: arithmetic,
-    :func:`potential_u`, :func:`flow_n` and :func:`shiffman` then act on
-    every point at once.
+    derivatives (dropping order by m).  The values may carry trailing
+    point axes, shape (k + 1, n) or (k + 1, nx, ny), one tower per point:
+    arithmetic, :func:`potential_u`, :func:`flow_n` and :func:`shiffman`
+    then act on every point at once.
     """
 
     __slots__ = ("values",)
@@ -94,11 +94,6 @@ class Jet:
         if self.order < m:
             raise JetTooShort(f"need order >= {m}, have {self.order}")
         return Jet(self.values[m:])
-
-    def truncate(self, order):
-        if order > self.order:
-            raise JetTooShort(f"need order >= {order}, have {self.order}")
-        return Jet(self.values[:order + 1])
 
     def _coerce(self, other):
         """``other``, or the constant jet of the number ``other`` in this
@@ -215,52 +210,35 @@ def shiffman_complex(j: Jet) -> complex:
     return -1j * _bracket(j)
 
 
-def shiffman_velocity(j: Jet) -> complex:
-    """Deformation speed of g driven by the complex Shiffman function:
-    (i/2)(g''' - 3 g' g''/g + (3/2)(g')^3/g^2)."""
+def shiffman_velocity(j: Jet) -> Jet:
+    """Deformation speed of g driven by the complex Shiffman function,
+    (i/2)(g''' - 3 g' g''/g + (3/2)(g')^3/g^2), as a jet (value at [0]).
+    Divided by g it is (i/2)(x'' - x^3/2) with x = g'/g, whose derivative
+    is :func:`mkdv_flow` of x."""
     _require(j, 3, "shiffman_velocity")
     _check_g(j)
-    g, gp, gpp, gppp = j[0], j[1], j[2], j[3]
-    return 0.5j * (gppp - 3.0 * gp * gpp / g + 1.5 * gp ** 3 / g ** 2)
+    gp = j.d(1)
+    return 0.5j * (j.d(3) - 3.0 * gp * j.d(2) / j + 1.5 * gp * gp * gp / (j * j))
 
 
-def potential_u(j: Jet, order: int | None = None) -> Jet:
-    """Schroedinger/KdV potential u = -3(g')^2/(4g^2) + g''/(2g) as a jet.
-
-    Differentiation is exact through the jet; a g-jet of order m+2 yields a
-    u-jet of order m.
-    """
+def potential_u(j: Jet) -> Jet:
+    """KdV potential u = miura(g'/g) = -3(g')^2/(4g^2) + g''/(2g) as a jet:
+    a g-jet of order m + 2 gives a u-jet of order m."""
     _check_g(j)
-    if order is not None:
-        _require(j, order + 2, "potential_u")
-        j = j.truncate(order + 2)
     _require(j, 2, "potential_u")
-    g = j
-    gp = g.d(1)
-    return -0.75 * (gp * gp) / (g * g) + g.d(2) / (2.0 * g)
+    return miura(j.d(1) / j)
 
 
 def miura(x: Jet) -> Jet:
-    """Miura transformation u = x'/2 - x^2/4 (with x = g'/g this recovers
-    :func:`potential_u` exactly)."""
+    """Miura transformation u = x'/2 - x^2/4."""
     _require(x, 1, "miura")
     return 0.5 * x.d(1) - 0.25 * (x * x)
 
 
-def kdv_flow(j: Jet) -> complex:
-    """du/dt = -u''' - 6 u u' evaluated on a u-jet."""
-    _require(j, 3, "kdv_flow")
-    return complex(-j[3] - 6.0 * j[0] * j[1])
-
-
-def mkdv_flow(j: Jet) -> complex:
-    """dx/dt = (i/2)(x''' - (3/2) x^2 x') evaluated on an x-jet."""
-    _require(j, 3, "mkdv_flow")
-    return complex(0.5j * (j[3] - 1.5 * j[0] ** 2 * j[1]))
-
-
-def mkdv_flow_jet(x: Jet) -> Jet:
-    _require(x, 3, "mkdv_flow_jet")
+def mkdv_flow(x: Jet) -> Jet:
+    """dx/dt = (i/2)(x''' - (3/2) x^2 x') as a jet, from an x-jet of order
+    >= 3.  Under it u = miura(x) moves by du/dt = -(i/2) flow_n(1, u)."""
+    _require(x, 3, "mkdv_flow")
     return 0.5j * (x.d(3) - 1.5 * (x * x) * x.d(1))
 
 
@@ -390,18 +368,19 @@ _P_LOCK = threading.Lock()
 MAX_HIERARCHY_LEVEL = 6
 
 
-def hierarchy_P(n: int, max_level: int = MAX_HIERARCHY_LEVEL) -> DiffPoly:
+def hierarchy_P(n: int) -> DiffPoly:
     """The n-th Gelfand-Dickey polynomial P_n of the KdV hierarchy.
 
     d/dz P_{n+1} = (d^3 + 4u d + 2u') P_n with P_0 = 1/2 and integration
     constants zero, so P_1 = u, P_2 = u'' + 3u^2, ...
     Build-once read-many memo (lock only taken while extending); levels
-    above ``max_level`` are refused (desk scale).
+    above MAX_HIERARCHY_LEVEL are refused (desk scale).
     """
     if n < 0:
         raise ValueError("hierarchy level must be >= 0")
-    if n > max_level:
-        raise ValueError(f"hierarchy level {n} above configured max {max_level}")
+    if n > MAX_HIERARCHY_LEVEL:
+        raise ValueError(f"hierarchy level {n} above configured max "
+                         f"{MAX_HIERARCHY_LEVEL}")
     if len(_P_CACHE) <= n:
         with _P_LOCK:
             while len(_P_CACHE) <= n:
@@ -423,67 +402,35 @@ def flow_n(n: int, j: Jet) -> complex:
 
 
 # ---------------------------------------------------------------------------
-# conformal grids and the Jacobi operator
+# the Jacobi operator
 
 
-@dataclass
-class ConformalGrid:
-    """Rectangular grid in the conformal coordinate xi = x + iy, phi3 = d(xi).
-
-    Carries a g-jet of order >= 3 per node plus the metric factor
-    Lambda = (|g| + 1/|g|)/2 (from ds = Lambda |d xi|).
-    """
-
-    nx: int
-    ny: int
-    spacing: float
-    g_jets: list  # nested [ix][iy] -> Jet
-    Lambda: np.ndarray
-
-    @classmethod
-    def from_gauss_map(cls, jet_fn, x0, y0, nx, ny, spacing, order=3):
-        """Build from a callable xi -> Jet of g (order >= ``order``)."""
-        jets = []
-        Lam = np.zeros((nx, ny))
-        for ix in range(nx):
-            row = []
-            for iy in range(ny):
-                xi = complex(x0 + ix * spacing, y0 + iy * spacing)
-                j = jet_fn(xi)
-                _require(j, order, "ConformalGrid")
-                ag = abs(j[0])
-                if ag == 0 or not np.isfinite(ag):
-                    raise PoleOfGaussMap(f"grid node at {xi} hits a pole of g")
-                Lam[ix, iy] = 0.5 * (ag + 1.0 / ag)
-                row.append(j)
-            jets.append(row)
-        return cls(nx, ny, spacing, jets, Lam)
-
-
-def jacobi_residual(grid: ConformalGrid, fld: np.ndarray) -> float:
+def jacobi_residual(g: Jet, fld: np.ndarray, spacing: float) -> float:
     """Max over interior nodes of |Lambda^-2 (5-point Laplacian) f - 2K f|.
 
+    ``g`` is the jet (order >= 1) of the Gauss map on a grid of nodes
+    xi = x + iy, ``spacing`` apart, in the conformal coordinate with
+    phi3 = d(xi): its point axis is the (nx, ny) grid, x along the first
+    axis.  Lambda = (|g| + 1/|g|)/2 (from ds = Lambda |d xi|).
     Second-order stencil: the residual of a true Jacobi function is
     discretization-limited and should shrink ~4x when the spacing halves.
     """
-    if grid.nx < 3 or grid.ny < 3:
-        raise GridTooSmall(f"need at least 3x3, have {grid.nx}x{grid.ny}")
+    shape = g.values.shape[1:]
+    if len(shape) != 2 or min(shape) < 3:
+        raise GridTooSmall(f"need at least a 3x3 grid, have shape {shape}")
+    _require(g, 1, "jacobi_residual")
     fld = np.asarray(fld, dtype=float)
-    if fld.shape != (grid.nx, grid.ny):
+    if fld.shape != shape:
         raise ValueError("field shape does not match grid")
     if not np.all(np.isfinite(fld)):
         raise ValueError("field must be finite")
-    h2 = grid.spacing ** 2
-    worst = 0.0
-    for ix in range(1, grid.nx - 1):
-        for iy in range(1, grid.ny - 1):
-            lap = (fld[ix + 1, iy] + fld[ix - 1, iy] + fld[ix, iy + 1]
-                   + fld[ix, iy - 1] - 4.0 * fld[ix, iy]) / h2
-            j = grid.g_jets[ix][iy]
-            K = gaussian_curvature(WeierstrassForms.from_g(j[0]), j[1])
-            res = abs(lap / grid.Lambda[ix, iy] ** 2 - 2.0 * K * fld[ix, iy])
-            worst = max(worst, res)
-    return float(worst)
+    f = fld[1:-1, 1:-1]
+    lap = (fld[2:, 1:-1] + fld[:-2, 1:-1] + fld[1:-1, 2:] + fld[1:-1, :-2]
+           - 4.0 * f) / spacing ** 2
+    gi = g[0][1:-1, 1:-1]
+    ag = np.abs(gi)
+    K = gaussian_curvature(gi, g[1][1:-1, 1:-1])
+    return float(np.max(np.abs(lap / (0.5 * (ag + 1.0 / ag)) ** 2 - 2.0 * K * f)))
 
 
 # ---------------------------------------------------------------------------
@@ -503,8 +450,9 @@ def msigma_jet(params: CurveParams, pt, order: int) -> Jet:
 
 
 # singular values of the KdV design matrix at or below this share of the
-# largest count as zero; the flows' rounding residue reads 1.5e-15 to 1e-11
-# (n = 2, 3; sigma 0.0121 to 9; 60 points)
+# largest count as zero; the flows' rounding residue, the second largest,
+# reads at most 1.1e-12 at n = 2 and 1.6e-11 at n = 3 (13 log-spaced
+# sigmas over [1e-3, 1e3]; 60 points, seed 7)
 _KDV_RCOND = 1e-9
 
 
@@ -529,6 +477,12 @@ def algebro_geometric_residual(params: CurveParams, n: int, samples) -> AlgebroG
     a rank-deficient fit returns the minimum-norm coefficients.  On the
     curve every flow is a multiple of flow_0 up to rounding (the potential
     is stationary at level 1), so a fit at n >= 2 is rank-deficient.
+
+    The level-1 coefficient is c = (1 - sigma)/2.  With s = sigma and
+    v = 1/g, the curve gives (v')^2 = sqrt(s) v + (s-1) v^2 - sqrt(s) v^3
+    and u = -(s-1)/4 + (sqrt(s)/2) v.  In u'' + 3u^2 = c u + d the v^2
+    terms cancel and the v terms give c = -(s-1)/2; so flow_1 =
+    -(u'' + 3u^2)' = -c u' = c flow_0.
     """
     if n < 1:
         raise ValueError("need n >= 1 (no lower-order flows below flow_0)")

@@ -1,8 +1,8 @@
 """One-point-at-a-time versions of the batched verify paths, kept as the
 references that the batched code in ``riemann_minimal`` is pinned against.
 
-* :func:`weierstrass_at` -- g and the three form densities at one point,
-  the scalar version of ``curve._phi_vector``.
+* :class:`WeierstrassForms` and :func:`weierstrass_at` -- g and the three
+  form densities at one point, the scalar version of ``curve._phi_vector``.
 * :func:`random_regular_points` -- the sampler's draw order taken one
   candidate at a time in scalar arithmetic: blocks of (r, theta) uniforms,
   then one ``integers(0, 2)`` sign per kept point.
@@ -23,12 +23,31 @@ PATH`` writes the extended OBJ that ``gen`` would write (``--e 0.1``) with
 
 import math
 import sys
+from dataclasses import dataclass
 
 import numpy as np
 
 from classical_quadrature import _adaptive
 from riemann_minimal import checks, classical, curve, mesh, shiffkdv
-from riemann_minimal.curve import CurvePoint, PoleOfGaussMap, WeierstrassForms
+from riemann_minimal.curve import CurvePoint, PoleOfGaussMap
+
+
+@dataclass(frozen=True)
+class WeierstrassForms:
+    """Values of g and the three 1-form densities (with respect to dz)."""
+
+    g: complex
+    phi1_density: complex
+    phi2_density: complex
+    phi3_density: complex
+
+    @classmethod
+    def from_g(cls, g, phi3_density=1.0):
+        g = complex(g)
+        if g == 0 or not np.isfinite(g):
+            raise PoleOfGaussMap(f"g = {g}")
+        p3 = complex(phi3_density)
+        return cls(g, 0.5 * (1.0 / g - g) * p3, 0.5j * (1.0 / g + g) * p3, p3)
 
 
 def weierstrass_at(params, pt):

@@ -192,19 +192,41 @@ def test_numeric_failure_exit_3(tmp_path, capsys, monkeypatch):
                                    ["--lambda", "-50"], ["--lambda", "50"],
                                    ["--lambda", "2e8"], ["--lambda", "1e300"],
                                    ["--lambda=-1e300"],
-                                   ["--lambda", "1.7e308"]])
+                                   ["--lambda", "1.7e308"],
+                                   ["--lambda", "-1e300"],
+                                   ["--sigma", "-2e-1"]])
 def test_sigma_outside_the_tested_range_exits_2(tmp_path, capsys, command,
                                                 value):
     # lambda -50 and 50 give sigma 4e-4 and 2.5e3; at 1e300 and beyond the
     # square overflows to inf, at -1e300 it underflows to 0
     assert run([command, *value, "--json", str(tmp_path / "r.json")]) == 2
-    assert "outside the tested range [0.001, 1000]" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ")
+    assert "outside the tested range [0.001, 1000]" in err
     assert not tmp_path.joinpath("r.json").exists()
 
 
+def test_negative_values_in_exponent_form(tmp_path, capsys):
+    # argparse alone reads -1e1 as an option; lambda -10 is sigma 0.0098
+    path = tmp_path / "k.json"
+    assert run(["kdv", "--lambda", "-1e1", "--n", "1", "--json",
+                str(path)]) == 0
+    rep = load_report(path)
+    assert rep["config"]["lambda"] == -10.0
+    sigma = rep["config"]["sigma"]
+    assert abs(rep["result"]["coefficients"][0][0]
+               - 0.5 * (1.0 - sigma)) < 1e-9
+    # an abbreviated flag takes the form too, and "--s" is --sigma only in gen
+    assert run(["kdv", "--lam", "-1e1", "--json", "/dev/null"]) == 0
+    assert run(["gen", "--s", "-2e-1", "-o", str(tmp_path)]) == 2
+    assert "sigma -0.2 outside" in capsys.readouterr().err
+    assert run(["kdv", "--s", "-2e-1"]) == 2  # --sigma, --samples or --seed
+    assert "ambiguous option" in capsys.readouterr().err
+
+
 def test_kdv_fit_level_above_3_exits_2(capsys):
-    # at levels 4 and 5 the flows' rounding residue counts as rank, so the
-    # coefficients would depend on the sample
+    # at levels 4 and 5 the flows' rounding residue nears or passes the rank
+    # cutoff, so the coefficients would depend on the sample
     for n in ("4", "5"):
         assert run(["kdv", "--sigma", "2", "--n", n]) == 2
         assert "must be in [1, 3]" in capsys.readouterr().err

@@ -8,8 +8,7 @@ from hypothesis import given, settings, strategies as st
 import scalar_references as scalar
 from riemann_minimal import checks, curve, mesh, quad
 from riemann_minimal.curve import (BranchAmbiguity, ClearanceViolation,
-                                   CurveParams, CurvePoint, PoleOfGaussMap,
-                                   WeierstrassForms)
+                                   CurveParams, CurvePoint, PoleOfGaussMap)
 
 
 def dense_branch(params, a, b, w, steps):
@@ -252,10 +251,9 @@ def test_immerse_line_property_on_unit_segment():
 
 
 def test_gaussian_curvature_values_and_catenoid_oracle():
-    forms = WeierstrassForms.from_g(1.0)
-    assert curve.gaussian_curvature(forms, 0.0) == 0.0
+    assert curve.gaussian_curvature(1.0, 0.0) == 0.0
     # catenoid neck normalization g = e^xi, phi3 = d(xi): K(0) = -1
-    assert abs(curve.gaussian_curvature(forms, 1.0) + 1.0) < 1e-14
+    assert abs(curve.gaussian_curvature(1.0, 1.0) + 1.0) < 1e-14
     # oracle: FD fundamental forms of the catenoid immersion built from the
     # Weierstrass integrals with g = e^xi
     def X(xi):
@@ -295,7 +293,15 @@ def test_gaussian_curvature_values_and_catenoid_oracle():
     K_fd = (e * g - f * f) / (E * G - F * F)
     assert abs(K_fd + 1.0) < 1e-4
     # asymptotic flatness
-    assert abs(curve.gaussian_curvature(WeierstrassForms.from_g(1e8), 1e8)) < 1e-15
+    assert abs(curve.gaussian_curvature(1e8, 1e8)) < 1e-15
+    # elementwise on arrays, each entry as its scalar call
+    g = np.array([[1.0, 0.5 - 2j], [1e8, 3j]])
+    gp = np.array([[1.0, 0.3j], [1e8, -1.0 + 2j]])
+    K = curve.gaussian_curvature(g, gp)
+    assert K.shape == (2, 2)
+    np.testing.assert_allclose(K, [[curve.gaussian_curvature(a, b)
+                                    for a, b in zip(ra, rb)]
+                                   for ra, rb in zip(g, gp)], rtol=1e-15)
 
 
 def test_periods_and_flux_sigma2():
@@ -438,7 +444,9 @@ def test_off_curve_point_and_branch_point_rejection():
     params = CurveParams(2.0)
     assert curve.on_curve_residual(params, CurvePoint(2.0 + 0j, 1.0 + 0j)) > 1e-9
     with pytest.raises(PoleOfGaussMap):
-        WeierstrassForms.from_g(0.0)
+        scalar.WeierstrassForms.from_g(0.0)
+    with pytest.raises(PoleOfGaussMap, match="g = 0j"):
+        curve.gaussian_curvature(np.array([1.0, 0.0]), np.ones(2))
     with pytest.raises(PoleOfGaussMap):
         scalar.weierstrass_at(params, CurvePoint(1.0 + 0j, 0.0 + 0j))
 

@@ -7,14 +7,13 @@ import pytest
 import scalar_references as scalar
 from riemann_minimal import curve
 from riemann_minimal.curve import CurveParams, CurvePoint, PoleOfGaussMap
-from riemann_minimal.shiffkdv import (ConformalGrid, DiffPoly, GridTooSmall,
-                                      Jet, JetTooShort, NotExactDerivative,
+from riemann_minimal.shiffkdv import (DiffPoly, GridTooSmall, Jet,
+                                      JetTooShort, NotExactDerivative,
                                       algebro_geometric_residual, flow_n,
-                                      hierarchy_P, jacobi_residual, kdv_flow,
+                                      hierarchy_P, jacobi_residual,
                                       level_curvature_raw, miura, mkdv_flow,
-                                      mkdv_flow_jet, msigma_jet, potential_u,
-                                      shiffman, shiffman_complex,
-                                      shiffman_velocity)
+                                      msigma_jet, potential_u, shiffman,
+                                      shiffman_complex, shiffman_velocity)
 
 
 def exp_jet(xi, order, c=1.0):
@@ -73,7 +72,7 @@ def test_jet_too_short():
     with pytest.raises(JetTooShort):
         Jet([1.0, 2.0]).d(3)
     with pytest.raises(JetTooShort):
-        kdv_flow(Jet([1.0, 2.0, 3.0]))
+        mkdv_flow(Jet([1.0, 2.0, 3.0]))
 
 
 # --- Shiffman machinery ------------------------------------------------------
@@ -198,15 +197,44 @@ def test_shiffman_rotation_invariance():
 
 def test_shiffman_velocity():
     j = exp_jet(0.0, 3)
-    assert abs(shiffman_velocity(j) + 0.25j) < 1e-14
-    assert shiffman_velocity(Jet([2.0, 0, 0, 0])) == 0.0
+    assert abs(shiffman_velocity(j)[0] + 0.25j) < 1e-14
+    assert shiffman_velocity(Jet([2.0, 0, 0, 0]))[0] == 0.0
     rng = np.random.default_rng(13)
     for _ in range(10):
         j = random_jet(rng, 3)
         c = 1.7 - 0.3j
         scaled = Jet(c * j.values)
-        assert abs(shiffman_velocity(scaled)
-                   - c * shiffman_velocity(j)) < 1e-10 * abs(c)
+        assert abs(shiffman_velocity(scaled)[0]
+                   - c * shiffman_velocity(j)[0]) < 1e-10 * abs(c)
+
+
+def test_shiffman_velocity_moves_the_log_derivative_by_mkdv():
+    # g_t = V gives x_t = (V/g)' for x = g'/g, and V/g = (i/2)(x'' - x^3/2),
+    # so the Shiffman flow of g is the mKdV flow of x
+    rng = np.random.default_rng(37)
+    for _ in range(50):
+        g = random_jet(rng, 6)
+        assert abs((shiffman_velocity(g) / g).d(1)[0]
+                   - mkdv_flow(g.d(1) / g)[0]) < 1e-12
+
+
+def test_shiffman_is_the_y_derivative_of_the_level_curvature():
+    # height x = Re xi, so the level sections run along y: the Shiffman
+    # function is 2 Lambda d/dy of the raw bracket (the 2 undoes the
+    # bracket's factor 1/2), Lambda = (|g| + 1/|g|)/2 the metric factor
+    def jet(xi):  # g = exp(xi + 0.3 xi^2 + 0.1i xi^3)
+        g = np.exp(xi + 0.3 * xi ** 2 + 0.1j * xi ** 3)
+        dp = 1.0 + 0.6 * xi + 0.3j * xi ** 2
+        return Jet([g, g * dp, g * (dp * dp + 0.6 + 0.6j * xi)])
+
+    h = 1e-5
+    for xi in (0.2 + 0.1j, -0.3 + 0.4j, 0.5 - 0.2j):
+        dk = (level_curvature_raw(jet(xi + 1j * h))
+              - level_curvature_raw(jet(xi - 1j * h))) / (2 * h)
+        ag = abs(jet(xi)[0])
+        s = shiffman(jet(xi))
+        assert abs(s) > 1e-2
+        assert s == pytest.approx(2.0 * 0.5 * (ag + 1.0 / ag) * dk, rel=1e-7)
 
 
 # --- potential, Miura, flows -------------------------------------------------
@@ -219,15 +247,16 @@ def test_potential_u_catenoid():
 
 
 def test_potential_u_is_miura_of_log_derivative():
+    # miura(g'/g) written out in g: -3(g')^2/(4g^2) + g''/(2g)
     rng = np.random.default_rng(17)
     for _ in range(50):
         g = random_jet(rng, 5)
-        x = g.d(1) / g
+        gp = g.d(1)
         u1 = potential_u(g)
-        u2 = miura(x)
-        n = min(u1.order, u2.order)
-        diff = np.abs(u1.values[:n + 1] - u2.values[:n + 1])
-        assert np.max(diff / (1.0 + np.abs(u1.values[:n + 1]))) < 1e-12
+        u2 = -0.75 * (gp * gp) / (g * g) + g.d(2) / (2.0 * g)
+        assert u1.order == u2.order == 3
+        diff = np.abs(u1.values - u2.values)
+        assert np.max(diff / (1.0 + np.abs(u1.values))) < 1e-12
 
 
 def test_potential_u_domain_scaling():
@@ -242,19 +271,24 @@ def test_potential_u_domain_scaling():
 
 
 def test_kdv_flow_examples():
-    assert kdv_flow(Jet([2.0, 0, 0, 0])) == 0.0
+    # the KdV flow is flow_n(1, u) = -u''' - 6 u u'
+    assert flow_n(1, Jet([2.0, 0, 0, 0])) == 0.0
     u = potential_u(exp_jet(0.2, 6))
-    assert abs(kdv_flow(u.truncate(3))) < 1e-12
+    assert abs(flow_n(1, u)) < 1e-12
     rng = np.random.default_rng(23)
-    dP2 = hierarchy_P(2).derivative()
     for _ in range(50):
         j = random_jet(rng, 3)
-        assert abs(kdv_flow(j) + dP2.evaluate(j)) < 1e-12
+        assert abs(flow_n(1, j) - (-j[3] - 6.0 * j[0] * j[1])) < 1e-12
 
 
 def test_mkdv_flow_examples():
-    assert mkdv_flow(Jet([1.0, 0, 0, 0])) == 0.0 + 0.0j
-    assert abs(mkdv_flow(Jet([1.0, 0.0, 0.0, 2.0])) - 1j) < 1e-15
+    assert mkdv_flow(Jet([1.0, 0, 0, 0]))[0] == 0.0 + 0.0j
+    assert abs(mkdv_flow(Jet([1.0, 0.0, 0.0, 2.0]))[0] - 1j) < 1e-15
+    # entry 1 of the jet is d/dz of (i/2)(x''' - (3/2) x^2 x')
+    x = random_jet(np.random.default_rng(27), 5)
+    want = 0.5j * (x[4] - 1.5 * (2.0 * x[0] * x[1] ** 2 + x[0] ** 2 * x[2]))
+    assert mkdv_flow(x).order == 2
+    assert abs(mkdv_flow(x)[1] - want) < 1e-12
 
 
 def test_miura_chain_rule_bridges_mkdv_to_kdv():
@@ -263,10 +297,10 @@ def test_miura_chain_rule_bridges_mkdv_to_kdv():
     rng = np.random.default_rng(29)
     for _ in range(50):
         x = random_jet(rng, 6, scale=0.7)
-        xdot = mkdv_flow_jet(x)             # jet of dx/dt (order >= 1)
+        xdot = mkdv_flow(x)                 # jet of dx/dt (order >= 1)
         u = miura(x)                        # u = x'/2 - x^2/4
         udot = 0.5 * xdot.d(1) - 0.5 * (x * xdot)
-        bridge = -0.5j * kdv_flow(u.truncate(3))
+        bridge = -0.5j * flow_n(1, u)
         assert abs(udot[0] - bridge) < 1e-10
 
 
@@ -365,8 +399,11 @@ def test_flow_basics():
     j = random_jet(rng, 3)
     assert abs(flow_n(0, j) + j[1]) < 1e-14
     for _ in range(50):
-        j = random_jet(rng, 3)
-        assert abs(flow_n(1, j) - kdv_flow(j)) < 1e-12
+        j = random_jet(rng, 5)
+        # flow 2, -d/dz (u'''' + 10uu'' + 5u'^2 + 10u^3), written out
+        u = j.values
+        assert abs(flow_n(2, j) + u[5] + 10 * u[0] * u[3] + 20 * u[1] * u[2]
+                   + 30 * u[0] ** 2 * u[1]) < 1e-12
     const = Jet([0.7 + 0.1j] + [0.0] * 11)
     for n in range(6):
         assert abs(flow_n(n, const)) < 1e-14
@@ -383,19 +420,18 @@ def perturbed_catenoid_jet(xi, eps=0.05, order=3):
     return Jet(vals)
 
 
-def build_grid(n, spacing, eps=0.05):
-    return ConformalGrid.from_gauss_map(
-        lambda xi: perturbed_catenoid_jet(xi, eps),
-        x0=0.1, y0=0.1, nx=n, ny=n, spacing=spacing)
+def grid_jet(n, spacing, eps=0.05):
+    """g-jet on the n x n grid xi = 0.1 + i spacing + 1j (0.1 + k spacing),
+    point axes (i, k)."""
+    steps = 0.1 + spacing * np.arange(n)
+    return perturbed_catenoid_jet(steps[:, None] + 1j * steps[None, :], eps)
 
 
 def test_jacobi_residual_shiffman_field_converges():
     res = {}
     for n, sp in ((32, 0.02), (64, 0.01)):
-        grid = build_grid(n, sp)
-        fld = np.array([[shiffman(grid.g_jets[i][k]) for k in range(n)]
-                        for i in range(n)])
-        res[sp] = jacobi_residual(grid, fld)
+        g = grid_jet(n, sp)
+        res[sp] = jacobi_residual(g, shiffman(g), sp)
     assert res[0.01] < 1e-2
     assert res[0.02] / res[0.01] > 2.5  # ~O(h^2)
 
@@ -403,22 +439,23 @@ def test_jacobi_residual_shiffman_field_converges():
 def test_jacobi_residual_vertical_translation_field():
     res = {}
     for n, sp in ((32, 0.02), (64, 0.01)):
-        grid = build_grid(n, sp)
-        fld = np.zeros((n, n))
-        for i in range(n):
-            for k in range(n):
-                g = grid.g_jets[i][k][0]
-                fld[i, k] = (abs(g) ** 2 - 1.0) / (abs(g) ** 2 + 1.0)
-        res[sp] = jacobi_residual(grid, fld)
+        g = grid_jet(n, sp)
+        ag2 = np.abs(g[0]) ** 2
+        res[sp] = jacobi_residual(g, (ag2 - 1.0) / (ag2 + 1.0), sp)
     assert res[0.01] < 1e-2
     assert res[0.02] / res[0.01] > 2.5
 
 
 def test_jacobi_residual_zero_field_and_small_grid():
-    grid = build_grid(8, 0.01)
-    assert jacobi_residual(grid, np.zeros((8, 8))) == 0.0
+    g = grid_jet(8, 0.01)
+    assert g.values.shape == (4, 8, 8)
+    assert jacobi_residual(g, np.zeros((8, 8)), 0.01) == 0.0
     with pytest.raises(GridTooSmall):
-        jacobi_residual(build_grid(2, 0.01), np.zeros((2, 2)))
+        jacobi_residual(grid_jet(2, 0.01), np.zeros((2, 2)), 0.01)
+    with pytest.raises(ValueError, match="shape"):
+        jacobi_residual(g, np.zeros((8, 7)), 0.01)
+    with pytest.raises(PoleOfGaussMap):
+        jacobi_residual(Jet(0.0 * g.values), np.zeros((8, 8)), 0.01)
 
 
 # --- algebro-geometric measurement -------------------------------------------
