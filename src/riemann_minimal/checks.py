@@ -213,19 +213,21 @@ class RegistrationResult:
     heights: np.ndarray
 
 
-def registration_error(sigma, nr=30, nt=40, n_heights=8) -> RegistrationResult:
+def registration_error(sigma, piece, n_heights=6) -> RegistrationResult:
     """Register the classical surface R_lambda against M_sigma, with
     lambda = (sigma - 1)/sqrt(sigma) (sigma = 1/q1^2).
 
-    Measures level-circle radii of the Weierstrass fundamental piece at
-    exact heights (refined slices, all heights in one
+    ``piece`` is the fundamental piece of ``sigma`` as
+    :func:`mesh.sample_fundamental` returns it.  Measures its level-circle
+    radii at exact heights (refined slices, all heights in one
     :func:`mesh.refine_slice` call), then fits a vertical offset plus a
     single scale carrying the classical radius-vs-height profile onto the
     measured one.  Returns the worst relative radius error and the relative
     mismatch of the vertical line spacings (|t0_3| against 2 s zeta).
+    Raises SliceFitError when fewer than 4 candidate heights cross 8 or
+    more edges of ``piece``.
     """
     cl = classical.RiemannParams.from_lambda((sigma - 1.0) / math.sqrt(sigma))
-    m = mesh.sample_fundamental(sigma, 0.1, nr, nt)
     span = mesh.FundamentalSurface(sigma).translation_half()[2]
     # keep only heights the truncated fundamental piece covers with enough
     # mesh edges for a stable refined fit (extreme sigma pushes part of the
@@ -233,14 +235,16 @@ def registration_error(sigma, nr=30, nt=40, n_heights=8) -> RegistrationResult:
     candidates = (0.14 + 0.72 * np.arange(2 * n_heights)
                   / max(2 * n_heights - 1, 1)) * span
     hs = list(islice((h for h in candidates
-                      if len(mesh.slice_mesh(m, float(h))[1]) >= 8),
+                      if len(mesh.slice_mesh(piece, float(h))[1]) >= 8),
                      n_heights))
     if len(hs) < 4:
         raise SliceFitError(
-            "too few well-covered heights; refine the grid or lower e")
+            "too few heights cross 8 edges of the given piece; sample it on "
+            "a finer grid or with a smaller e")
     hs = np.array(hs)
     radii = []
-    for h, pts in zip(hs, mesh.refine_slice(m, hs, sigma, max_points=24)):
+    for h, pts in zip(hs, mesh.refine_slice(piece, hs, sigma,
+                                            max_points=24)):
         fit = mesh.level_circle_fit(pts)
         if fit.kind != "circle":
             raise SliceFitError(f"slice at {h} did not fit a circle")
@@ -282,20 +286,19 @@ def registration_error(sigma, nr=30, nt=40, n_heights=8) -> RegistrationResult:
                               float(spacing_rel), radii, hs)
 
 
-def foliation_residuals(sigma, heights=None, nr=30, nt=40, copies=1):
-    """Relative circle-fit residuals of refined slices of the extended mesh.
+def foliation_residuals(sigma, cell, heights=None):
+    """Relative circle-fit residuals of refined slices of ``cell``, the
+    fundamental piece of ``sigma`` extended by :func:`mesh.extend`.
 
     All heights are refined in one :func:`mesh.refine_slice` call.
     Returns (relative residuals at generic heights, line classifications at
     the two line heights 0 and t0_3).
     """
-    m = mesh.sample_fundamental(sigma, 0.1, nr, nt)
-    ext = mesh.extend(m, mesh.extension_ops(sigma), copies=copies)
     span = mesh.FundamentalSurface(sigma).translation_half()[2]
     if heights is None:
         heights = (0.13 + 0.74 * np.arange(10) / 9.0) * span
     rels = []
-    for h, pts in zip(heights, mesh.refine_slice(ext, heights, sigma,
+    for h, pts in zip(heights, mesh.refine_slice(cell, heights, sigma,
                                                   max_points=28)):
         fit = mesh.level_circle_fit(pts)
         if fit.kind != "circle":
@@ -305,8 +308,8 @@ def foliation_residuals(sigma, heights=None, nr=30, nt=40, copies=1):
     # the (exactly coplanar, exactly collinear) line vertices themselves
     line_kinds = []
     for h in (0.0, span):
-        sel = np.abs(ext.vertices[:, 2] - h) <= 1e-9 * max(1.0, abs(h))
-        fit = mesh.level_circle_fit(ext.vertices[sel])
+        sel = np.abs(cell.vertices[:, 2] - h) <= 1e-9 * max(1.0, abs(h))
+        fit = mesh.level_circle_fit(cell.vertices[sel])
         line_kinds.append(fit.kind)
     return np.array(rels), line_kinds
 

@@ -211,13 +211,20 @@ class TriMesh:
     def edges(self):
         """Unique undirected edges (i, j), i < j, in ascending order.
 
-        Computed on first use and kept; the faces must not change after.
+        Blocks share no vertex, and block b's edges are the base faces'
+        shifted by b times the base vertex count (a reversed face has the
+        same edges), so the unique edges of the base faces are found once
+        and shifted for every block of every copy, in block order.  A plain
+        mesh is one block.  Computed on first use and kept; the faces must
+        not change after.
         """
-        n = self.vertex_count
-        faces = np.asarray(self.faces, dtype=np.int64)
+        n = self.base_count
+        faces = np.asarray(self.base_faces, dtype=np.int64)
         nxt = np.roll(faces, -1, axis=1)
         key = np.unique(np.minimum(faces, nxt) * n + np.maximum(faces, nxt))
-        return np.divmod(key, n)
+        i, j = np.divmod(key, n)
+        shift = n * np.arange(self.vertex_count // n)[:, None]
+        return (i + shift).ravel(), (j + shift).ravel()
 
 
 # ---------------------------------------------------------------------------
@@ -491,6 +498,21 @@ def slice_mesh(mesh: TriMesh, height: float):
     return pts.reshape(-1, 3), list(zip(i.tolist(), j.tolist(), s.tolist()))
 
 
+def _hermite_root(s, f0, f1, d0, d1):
+    """Root of the cubic Hermite model of f on [0, 1], the cubic with values
+    f0, f1 and slopes d0, d1 at 0 and 1: three Newton steps on the cubic
+    from s.  Where a slope or the result is not finite, or the result is
+    outside (0, 1), s itself.  Elementwise."""
+    c2 = 3.0 * (f1 - f0) - 2.0 * d0 - d1
+    c3 = 2.0 * (f0 - f1) + d0 + d1
+    t = s
+    with np.errstate(all="ignore"):
+        for _ in range(3):
+            t = t - (f0 + t * (d0 + t * (c2 + t * c3))) / (
+                d0 + t * (2.0 * c2 + t * 3.0 * c3))
+    return np.where(np.isfinite(t) & (0.0 < t) & (t < 1.0), t, s)
+
+
 def refine_slice(mesh: TriMesh, height, sigma: float, max_points: int = 32):
     """Replace mesh-edge slice points with exact surface points at ``height``
     on the curve of ``sigma``, the one the mesh was sampled for.
@@ -507,9 +529,16 @@ def refine_slice(mesh: TriMesh, height, sigma: float, max_points: int = 32):
     f(s) = (op(psi(z(s))))_3 - h with h the crossing's own height, and its
     derivative is closed form, f'(s) = ell . Re(phi(z(s), w(s)) (zb - za))
     with ell the third row of the op's linear part and phi the Weierstrass
-    densities.  Safeguarded Newton starts from the mesh's linear-interpolation
-    guess and keeps the sign bracket [s_lo, s_hi], bisecting whenever a
-    Newton step would leave it; a crossing stops when f == 0 or its next step
+    densities.  Safeguarded Newton starts at the root of the cubic Hermite
+    model of f on the edge, the cubic with the end values f(0), f(1) and the
+    closed-form end slopes f'(0), f'(1), each end's slope taken with its
+    own ``domain_w``; three Newton steps on the cubic from the mesh's
+    linear-interpolation guess find that root without integrating
+    (:func:`_hermite_root`).  The start stays the linear guess where the
+    other end has w = 0 (a branch point), a slope is not finite, or the
+    cubic's Newton steps leave (0, 1).  Newton keeps the sign bracket
+    [s_lo, s_hi] = [0, 1] and narrows it, bisecting whenever a Newton step
+    would leave it; a crossing stops when f == 0 or its next step
     is below 1e-13, after 60 iterations at most.  All crossings of all
     heights are solved in lockstep: each iteration integrates the segments
     za -> z(s) of the crossings still active as one
@@ -554,11 +583,17 @@ def refine_slice(mesh: TriMesh, height, sigma: float, max_points: int = 32):
     f0 = np.einsum("ij,ij->i", pos, ell) + b3 - target
     f1 = np.einsum("ij,ij->i", base[i1], ell) + b3 - target
     ok = ((ka == kb) & (mesh.domain_w[i0] != 0.0) & ~(f0 * f1 > 0))
-    za, w0 = mesh.domain_z[i0], mesh.domain_w[i0]
-    dz = mesh.domain_z[i1] - za
+    (za, zb), (w0, w1) = mesh.domain_z[[i0, i1]], mesh.domain_w[[i0, i1]]
+    dz = zb - za
     s = np.where((0.0 < s) & (s < 1.0), s, 0.5)
-    s_lo, s_hi = np.zeros_like(s), np.ones_like(s)
+    # the end slopes f'(0) and f'(1) of the Hermite start
     params = CurveParams(sigma)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d0, d1 = (np.einsum("ij,ij->i", (_curve._phi_vector(params, z, w)
+                                         * dz[:, None]).real, ell)
+                  for z, w in ((za, w0), (zb, w1)))
+    s = np.where(w1 != 0.0, _hermite_root(s, f0, f1, d0, d1), s)
+    s_lo, s_hi = np.zeros_like(s), np.ones_like(s)
     a = np.flatnonzero(ok & (f0 != 0.0))
     for _ in range(60):
         if not a.size:
@@ -733,22 +768,28 @@ def _g9_rows(tag, rows):
 
 
 def _token_table(idx):
-    """Item r holds the ASCII bytes of ``" i//i"`` for i = idx[r], zero-padded
-    to the widest item; the digits of each i come from one ``%d``.  Items
-    are fixed-width ``void`` scalars, so a gather copies whole rows."""
-    text = np.frombuffer((" %d" * len(idx) % tuple(idx.tolist())).encode(
-        "ascii"), dtype=np.uint8)
-    start = np.flatnonzero(text == ord(" "))
-    width = np.diff(start, append=len(text))  # " i" bytes per row
+    """Item r holds the ASCII bytes of ``" i//i"`` for i = idx[r] >= 0,
+    zero-padded to the widest item.  The digits of each i are read four at
+    a time from the full 4-digit unit table (``int4``'s second half), and
+    its leading zeros are cut.  Items are fixed-width ``void`` scalars, so
+    a gather copies whole rows."""
+    groups = max(1, -(-len(str(int(idx.max(initial=0)))) // 4))
+    digits = _g9_tables()[2][10_000:].take(
+        idx[:, None] // 10_000 ** np.arange(groups - 1, -1, -1) % 10_000
+    ).view(np.uint8)
+    # " i" bytes per row: one more than the digit count
+    width = 2 + np.searchsorted(10 ** np.arange(1, 4 * groups), idx,
+                                side="right")
     table = np.zeros((len(idx), 2 * width.max(initial=0) + 1), dtype=np.uint8)
     # rows of equal width are filled as one block (sorted idx: a few blocks)
     runs = np.flatnonzero(np.diff(width, prepend=-1, append=-1))
     for r0, r1 in zip(runs[:-1], runs[1:]):
         w = width[r0]
-        tok = text[start[r0]:start[r0] + (r1 - r0) * w].reshape(-1, w)
-        table[r0:r1, :w] = tok
+        tok = digits[r0:r1, 4 * groups + 1 - w:]
+        table[r0:r1, 0] = ord(" ")
+        table[r0:r1, 1:w] = tok
         table[r0:r1, w:w + 2] = ord("/")
-        table[r0:r1, w + 2:2 * w + 1] = tok[:, 1:]
+        table[r0:r1, w + 2:2 * w + 1] = tok
     return table.view(np.dtype((np.void, table.shape[1])))[:, 0]
 
 

@@ -170,15 +170,23 @@ def _check_g(j: Jet):
         raise PoleOfGaussMap(f"g = {np.asarray(g)[bad].flat[0]}")
 
 
-def level_curvature_raw(j: Jet) -> float:
+def level_curvature_raw(j: Jet):
     """Planar curvature bracket of the horizontal level section,
     |g|/(1+|g|^2) * Re(g'/g), exactly as displayed (convention note: at a
     catenoid neck this evaluates to 1/2 while a unit circle has curvature
-    1; the factor is absorbed downstream by the Shiffman formula)."""
+    1; the factor is absorbed downstream by the Shiffman formula).
+
+    A float for a jet at one point; for a jet with a trailing point axis,
+    the array of values at every point, each with the one-point call's
+    bits (hypot and float_power round as the scalar abs and ** 2 do).
+    """
     _require(j, 1, "level_curvature_raw")
     _check_g(j)
     g, gp = j[0], j[1]
-    return float(abs(g) / (1.0 + abs(g) ** 2) * (gp / g).real)
+    abs_g = np.hypot(g.real, g.imag)
+    k = np.asarray(abs_g / (1.0 + np.float_power(abs_g, 2.0))
+                   * (gp / g).real)
+    return float(k) if k.ndim == 0 else k
 
 
 def _bracket(j: Jet) -> complex:

@@ -75,9 +75,20 @@ def _least_squares_fit(sigma, reg):
     return least_squares(model, x0=x0, xtol=1e-14, ftol=1e-14).x
 
 
+def _piece(sigma, nr=24, nt=32):
+    """The fundamental piece verify's slice checks read."""
+    return mesh.sample_fundamental(sigma, 0.1, nr, nt)
+
+
+def _cell(sigma, nr=24, nt=32, copies=0):
+    """``_piece`` extended to its one-period cell and ``copies`` copies."""
+    return mesh.extend(_piece(sigma, nr, nt), mesh.extension_ops(sigma),
+                       copies=copies)
+
+
 @pytest.mark.parametrize("sigma", [0.0167, 0.5, 2.78, 8.0])
 def test_registration_fit_matches_least_squares(sigma):
-    reg = checks.registration_error(sigma, nr=24, nt=32, n_heights=6)
+    reg = checks.registration_error(sigma, _piece(sigma), n_heights=6)
     s, h0 = _least_squares_fit(sigma, reg)
     assert abs(reg.scale - s) <= 1e-10 * abs(s)
     assert abs(reg.height_offset - h0) <= 1e-10 * abs(h0)
@@ -93,8 +104,9 @@ def test_foliation_residuals_builds_the_edge_set_once(monkeypatch):
         calls.append(1)
         return unique(*args, **kwargs)
 
+    cell = _cell(2.0, copies=1)
     monkeypatch.setattr(np, "unique", counting_unique)
-    rels, _ = checks.foliation_residuals(2.0, nr=20, nt=28, copies=1)
+    rels, _ = checks.foliation_residuals(2.0, cell)
     assert len(rels) == 10
     assert len(calls) == 1
 
@@ -107,9 +119,10 @@ def test_slice_checks_refine_all_heights_in_one_call(monkeypatch):
         calls.append(np.ndim(height))
         return refine(m, height, sigma, max_points)
 
+    cell, piece = _cell(2.78), _piece(2.78)
     monkeypatch.setattr(mesh, "refine_slice", counting)
-    checks.foliation_residuals(2.78, nr=20, nt=28, copies=0)
-    checks.registration_error(2.78, nr=24, nt=32, n_heights=6)
+    checks.foliation_residuals(2.78, cell)
+    checks.registration_error(2.78, piece, n_heights=6)
     assert calls == [1, 1]
 
 
@@ -133,9 +146,10 @@ def test_translation_half_is_computed_once(monkeypatch):
 
 def test_slice_fit_error_is_a_package_error(monkeypatch):
     assert issubclass(checks.SliceFitError, RiemannMinimalError)
+    piece = _piece(1.0, 12, 16)
     monkeypatch.setattr(mesh, "slice_mesh", lambda m, h: (None, []))
-    with pytest.raises(checks.SliceFitError):
-        checks.registration_error(1.0, nr=12, nt=16)
+    with pytest.raises(checks.SliceFitError, match="given piece"):
+        checks.registration_error(1.0, piece)
 
 
 @pytest.mark.parametrize("sigma", [1e-3, 2.0, 1e3])
@@ -144,7 +158,7 @@ def test_registration_slices_until_it_has_its_heights(sigma, monkeypatch):
     # candidate (at sigma 1e3 only 5 of the 12 are, so it scans them all);
     # the heights it keeps are those of the full scan
     n_heights = 6
-    m = mesh.sample_fundamental(sigma, 0.1, 24, 32)
+    m = _piece(sigma)
     span = mesh.FundamentalSurface(sigma).translation_half()[2]
     candidates = (0.14 + 0.72 * np.arange(2 * n_heights)
                   / (2 * n_heights - 1)) * span
@@ -160,7 +174,7 @@ def test_registration_slices_until_it_has_its_heights(sigma, monkeypatch):
         return slice_mesh(m, h)
 
     monkeypatch.setattr(mesh, "slice_mesh", counting)
-    reg = checks.registration_error(sigma, nr=24, nt=32, n_heights=n_heights)
+    reg = checks.registration_error(sigma, m, n_heights=n_heights)
     # the scan, then refine_slice's one slice per kept height
     assert calls[:scanned] == [float(h) for h in candidates[:scanned]]
     assert len(calls) == scanned + len(covered)

@@ -392,6 +392,35 @@ def test_verify_point_checks_keep_the_scalar_bits(tmp_path, sigma):
     assert got["classical_circle_fit"] == mesh.level_circle_fit(ring).residual
 
 
+def test_verify_samples_the_fundamental_piece_twice(monkeypatch):
+    # the Weierstrass stencil's 8x8 grid, then the 24x32 piece that both
+    # slice checks read: registration the piece, foliation its cell
+    calls, seen = [], {}
+    sample = mesh.sample_fundamental
+
+    def counting(*args):
+        calls.append(args)
+        return sample(*args)
+
+    def recording(name, check):
+        def wrapped(sigma, m, *args, **kwargs):
+            seen[name] = m
+            return check(sigma, m, *args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(mesh, "sample_fundamental", counting)
+    for name in ("registration_error", "foliation_residuals"):
+        monkeypatch.setattr(checks, name,
+                            recording(name, getattr(checks, name)))
+    assert run(["verify", "--sigma", "2", "--json", "/dev/null"]) == 0
+    assert calls == [(2.0, 0.35, 8, 8), (2.0, 0.1, 24, 32)]
+    piece, cell = seen["registration_error"], seen["foliation_residuals"]
+    assert cell.copies == 0 and len(cell.flips) == 8
+    assert cell.domain_z is piece.domain_z
+    assert np.array_equal(cell.cell_vertices[:piece.base_count],
+                          piece.vertices)
+
+
 @pytest.mark.slow
 def test_verify_report_config_has_no_mesh_flags(tmp_path):
     # verify samples its own fixed grids; its report claims no e/grid/copies

@@ -555,6 +555,35 @@ def test_refined_slice_is_exact_circle(fund2, ops2, surf2):
     assert abs(fit_c.radius - fit.radius) < 5e-2 * fit.radius
 
 
+@pytest.mark.parametrize("cell,copies", [(False, 0), (True, 0), (True, 1),
+                                         (True, 3)])
+def test_edges_match_the_whole_mesh_unique(fund2, ops2, cell, copies):
+    m = extend(fund2, ops2, copies=copies) if cell else fund2
+    n = m.vertex_count
+    faces = m.faces.astype(np.int64)
+    nxt = np.roll(faces, -1, axis=1)
+    want = np.divmod(np.unique(np.minimum(faces, nxt) * n
+                               + np.maximum(faces, nxt)), n)
+    got = m.edges
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and np.array_equal(g, w)
+
+
+def test_hermite_root_and_its_fallbacks():
+    # f = (s - 0.3)(s^2 + 1) is a cubic, so its Hermite model is f itself
+    f = np.poly1d([1.0, -0.3, 1.0, -0.3])
+    df = f.deriv()
+    s0 = np.array([f(0.0) / (f(0.0) - f(1.0))])  # the linear guess, 0.176
+    args = (f(0.0), f(1.0), df(0.0), df(1.0))
+    assert abs(mesh._hermite_root(s0, *args)[0] - 0.3) < 1e-9
+    # a slope that is not finite keeps s; so does a start from which Newton
+    # on the cubic 1 + 5 s - 21 s^2 + 14 s^3 leaves (0, 1) (to -0.29)
+    for s, bad in ((s0, (f(0.0), f(1.0), np.inf, df(1.0))),
+                   (s0, (f(0.0), f(1.0), df(0.0), np.nan)),
+                   (np.array([0.1]), (1.0, -1.0, 5.0, 5.0))):
+        assert mesh._hermite_root(s, *bad)[0] == s[0]
+
+
 def _slice_mesh_reference(m, height):
     """Per-face edge set walked in sorted order: the loop slice_mesh must
     reproduce crossing for crossing."""
@@ -620,9 +649,25 @@ def test_refine_slice_pinned_points(fund2, ops2, surf2):
         assert np.max(np.abs(pts - np.array(want))) < 1e-11
 
 
+def _hermite_start(s, f0, f1, d0, d1):
+    """Three Newton steps from s on the cubic Hermite interpolant of
+    (0, f0, d0) and (1, f1, d1) in its basis form; s where the result is
+    not finite or not in (0, 1)."""
+    t = s
+    with np.errstate(all="ignore"):
+        for _ in range(3):
+            p = ((2 * t ** 3 - 3 * t ** 2 + 1) * f0 + (t ** 3 - 2 * t ** 2 + t) * d0
+                 + (3 * t ** 2 - 2 * t ** 3) * f1 + (t ** 3 - t ** 2) * d1)
+            dp = ((6 * t ** 2 - 6 * t) * (f0 - f1) + (3 * t ** 2 - 4 * t + 1) * d0
+                  + (3 * t ** 2 - 2 * t) * d1)
+            t = t - p / dp
+    return t if np.isfinite(t) and 0.0 < t < 1.0 else s
+
+
 def _refine_slice_reference(m, height, sigma, max_points):
     """Safeguarded Newton one crossing at a time, one ``immerse`` per
-    iterate: the loop the lockstep refine_slice must reproduce."""
+    iterate, started at the root of the edge's cubic Hermite model: the
+    loop the lockstep refine_slice must reproduce."""
     _, crossings = slice_mesh(m, height)
     if len(crossings) > max_points:
         idx = np.linspace(0, len(crossings) - 1, max_points).astype(int)
@@ -657,6 +702,16 @@ def _refine_slice_reference(m, height, sigma, max_points):
         s_lo, s_hi = 0.0, 1.0
         if not s_lo < s < s_hi:
             s = 0.5
+
+        def slope(z, w):  # f'(s) at z(s) = z on the branch w
+            forms = scalar.weierstrass_at(params, curve.CurvePoint(z, w))
+            phi = np.array([forms.phi1_density, forms.phi2_density,
+                            forms.phi3_density])
+            return float(ell @ (phi * dz).real)
+
+        if m.domain_w[i1] != 0.0:
+            s = _hermite_start(s, f0, f1, slope(za, w0),
+                               slope(zb, m.domain_w[i1]))
         for _ in range(60):
             z = za + s * dz
             if z != za:
@@ -672,10 +727,7 @@ def _refine_slice_reference(m, height, sigma, max_points):
                 s_hi = s
             s_next = 0.5 * (s_lo + s_hi)
             if pt.w != 0.0:
-                forms = scalar.weierstrass_at(params, pt)
-                phi = np.array([forms.phi1_density, forms.phi2_density,
-                                forms.phi3_density])
-                fp = float(ell @ (phi * dz).real)
+                fp = slope(pt.z, pt.w)
                 if fp != 0.0 and s_lo < s - f / fp < s_hi:
                     s_next = s - f / fp
             if abs(s_next - s) < 1e-13:

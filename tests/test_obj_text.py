@@ -124,3 +124,17 @@ def test_off_by_one_exponents_are_corrected_not_sent_to_percent():
     # correction keeps those values on the array path
     x = near([float(f"1e{k}") for k in range(-30, 31)], 3)
     assert not mesh._decimal9(np.abs(x))[2].any()
+
+
+def test_face_tokens_match_percent_d():
+    # every digit-count boundary up to a 12-digit index, in and out of
+    # order, and an empty table
+    edges = [i for k in range(1, 13) for i in (10 ** k - 1, 10 ** k)]
+    for idx in ([0, 9, 10, 99, 100] + edges + [123456789012],
+                [10 ** 12 - 1, 7, 10 ** 4, 9999, 0, 10 ** 8]):
+        table = mesh._token_table(np.array(idx))
+        width = max(len(b" %d//%d" % (i, i)) for i in idx)
+        assert table.dtype.itemsize == width
+        for i, item in zip(idx, table):
+            assert bytes(item) == (b" %d//%d" % (i, i)).ljust(width, b"\0")
+    assert mesh._token_table(np.array([], dtype=np.int64)).shape == (0,)

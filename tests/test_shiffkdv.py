@@ -160,6 +160,21 @@ def test_array_shiffman_matches_scalar_loop(sigma):
     assert np.max(np.abs(got)) < 1e-9
 
 
+@pytest.mark.parametrize("sigma", [0.0167, 2.0, 8.0])
+def test_array_level_curvature_matches_per_point_calls(sigma):
+    params = CurveParams(sigma)
+    sample = curve.random_regular_points(params, 500,
+                                         np.random.default_rng(13))
+    jet = msigma_jet(params, sample, 1)
+    got = level_curvature_raw(jet)
+    loop = [level_curvature_raw(Jet(v)) for v in jet.values.T]
+    assert got.shape == (500,) and isinstance(loop[0], float)
+    assert np.array_equal(got, loop)
+    # the one-point call rounds as the displayed formula does on a scalar
+    g, gp = jet.values[:, 0]
+    assert loop[0] == float(abs(g) / (1.0 + abs(g) ** 2) * (gp / g).real)
+
+
 def test_array_shiffman_rejects_a_pole_in_the_batch():
     g = np.array([2.0, 1.0 + 1j, 0.0, 3.0j])
     with pytest.raises(PoleOfGaussMap, match="g = 0j"):
@@ -228,13 +243,14 @@ def test_shiffman_is_the_y_derivative_of_the_level_curvature():
         return Jet([g, g * dp, g * (dp * dp + 0.6 + 0.6j * xi)])
 
     h = 1e-5
-    for xi in (0.2 + 0.1j, -0.3 + 0.4j, 0.5 - 0.2j):
-        dk = (level_curvature_raw(jet(xi + 1j * h))
-              - level_curvature_raw(jet(xi - 1j * h))) / (2 * h)
-        ag = abs(jet(xi)[0])
-        s = shiffman(jet(xi))
-        assert abs(s) > 1e-2
-        assert s == pytest.approx(2.0 * 0.5 * (ag + 1.0 / ag) * dk, rel=1e-7)
+    xi = np.array([0.2 + 0.1j, -0.3 + 0.4j, 0.5 - 0.2j])
+    dk = (level_curvature_raw(jet(xi + 1j * h))
+          - level_curvature_raw(jet(xi - 1j * h))) / (2 * h)
+    ag = np.abs(jet(xi)[0])
+    s = shiffman(jet(xi))
+    assert dk.shape == s.shape == (3,)
+    assert np.all(np.abs(s) > 1e-2)
+    assert s == pytest.approx(2.0 * 0.5 * (ag + 1.0 / ag) * dk, rel=1e-7)
 
 
 # --- potential, Miura, flows -------------------------------------------------
