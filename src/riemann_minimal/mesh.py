@@ -213,10 +213,9 @@ class TriMesh:
 
         Blocks share no vertex, and block b's edges are the base faces'
         shifted by b times the base vertex count (a reversed face has the
-        same edges), so the unique edges of the base faces are found once
-        and shifted for every block of every copy, in block order.  A plain
-        mesh is one block.  Computed on first use and kept; the faces must
-        not change after.
+        same edges): the base faces' unique edges are shifted to every
+        block of every copy, in order.  Computed on first use and kept;
+        the faces must not change after.
         """
         n = self.base_count
         faces = np.asarray(self.base_faces, dtype=np.int64)
@@ -530,16 +529,14 @@ def refine_slice(mesh: TriMesh, height, sigma: float, max_points: int = 32):
     derivative is closed form, f'(s) = ell . Re(phi(z(s), w(s)) (zb - za))
     with ell the third row of the op's linear part and phi the Weierstrass
     densities.  Safeguarded Newton starts at the root of the cubic Hermite
-    model of f on the edge, the cubic with the end values f(0), f(1) and the
-    closed-form end slopes f'(0), f'(1), each end's slope taken with its
-    own ``domain_w``; three Newton steps on the cubic from the mesh's
-    linear-interpolation guess find that root without integrating
-    (:func:`_hermite_root`).  The start stays the linear guess where the
-    other end has w = 0 (a branch point), a slope is not finite, or the
-    cubic's Newton steps leave (0, 1).  Newton keeps the sign bracket
-    [s_lo, s_hi] = [0, 1] and narrows it, bisecting whenever a Newton step
-    would leave it; a crossing stops when f == 0 or its next step
-    is below 1e-13, after 60 iterations at most.  All crossings of all
+    model of f on the edge (end values f(0), f(1), end slopes f'(0), f'(1)
+    from each end's own ``domain_w``), which :func:`_hermite_root` finds
+    from the mesh's linear-interpolation guess without integrating; the
+    start stays that guess where the other end has w = 0, a slope is not
+    finite, or the model's root leaves (0, 1).  Newton keeps the sign
+    bracket [s_lo, s_hi], bisecting whenever a Newton step would leave it;
+    a crossing stops when f == 0 or its next step is below 1e-13, after 60
+    iterations at most.  All crossings of all
     heights are solved in lockstep: each iteration integrates the segments
     za -> z(s) of the crossings still active as one
     ``curve._integrate_segments`` batch, in which an iterate within
