@@ -536,16 +536,16 @@ def refine_slice(mesh: TriMesh, height, sigma: float, max_points: int = 32):
     finite, or the model's root leaves (0, 1).  Newton keeps the sign
     bracket [s_lo, s_hi], bisecting whenever a Newton step would leave it;
     a crossing stops when f == 0 or its next step is below 1e-13, after 60
-    iterations at most.  All crossings of all
-    heights are solved in lockstep: each iteration integrates the segments
-    za -> z(s) of the crossings still active as one
-    ``curve._integrate_segments`` batch, in which an iterate within
-    1e-12 (1 + sigma) of a branch point ends exactly there, in a singular
-    leaf (w = 0 there, so the next step bisects).  Every iterate is
-    integrated from the anchor vertex, so quadrature errors do not
-    accumulate and the result depends on s alone.  Points come out in
-    crossing order.  Only meshes built by :func:`sample_fundamental` (and
-    extensions of them) carry the provenance needed here.
+    iterations at most.  All crossings of all heights are solved in
+    lockstep: each iteration integrates the segments za -> z(s) of the
+    crossings still active as one ``curve._integrate_segments`` batch, in
+    which an iterate within 1e-12 (1 + sigma) of a branch point ends
+    exactly there, in a singular leaf (w = 0 there, so the next step
+    bisects).  Every iterate is integrated from the anchor vertex, so
+    quadrature errors do not accumulate and the result depends on s alone.
+    Points come out in crossing order.  Only meshes built by
+    :func:`sample_fundamental` (and extensions of them) carry the
+    provenance needed here.
     """
     if mesh.domain_z is None:
         raise ValueError("mesh carries no domain provenance")

@@ -80,9 +80,9 @@ def _piece(sigma, nr=24, nt=32):
     return mesh.sample_fundamental(sigma, 0.1, nr, nt)
 
 
-def _cell(sigma, nr=24, nt=32, copies=0):
+def _cell(sigma, copies=0):
     """``_piece`` extended to its one-period cell and ``copies`` copies."""
-    return mesh.extend(_piece(sigma, nr, nt), mesh.extension_ops(sigma),
+    return mesh.extend(_piece(sigma), mesh.extension_ops(sigma),
                        copies=copies)
 
 
