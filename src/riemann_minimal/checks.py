@@ -6,13 +6,20 @@ analytic derivative formulas of the modules they check: mean curvature and
 conformality come from central finite differences of sampled immersion
 values only, and the classical/Weierstrass comparison is a rigid-motion
 plus single-scale registration of measured circle radii.
+
+The routes each check takes to the surface: the Weierstrass stencil's
+anchors are closed-form points (``curve.psi``) and its increments come
+from the quadrature kernel (``curve._integrate_segments``); registration
+and the circle foliation refine slices of a kernel-sampled piece to exact
+points by Newton on ``curve.psi``; the classical stencil adds G7/K15
+increment panels to the Carlson closed forms of ``classical``.  The
+periods and fluxes of ``verify`` march the homology loops on the kernel.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 
@@ -123,21 +130,22 @@ _STENCIL = ((1, 0), (-1, 0), (0, 1), (0, -1),
 def _weierstrass_stencil(sigma, n_side, h, offsets):
     """Immersion at z0 + h_k (i + i j) for every anchor z0 and offset (i, j).
 
-    The anchors are the interior vertices of an (n_side + 2)^2 sample of
-    Omega_sigma.  z = u + iv is itself a conformal chart, but its scale
-    shrinks near the branch points, so the step of anchor k is
-    h_k = h min(1, distance from z0 to the nearest branch point).  All
-    anchor x offset segments are integrated from their anchor as one
-    ``curve._integrate_segments`` batch.  Returns (X0, X, h_k) with shapes
-    (n, 3), (n, len(offsets), 3) and (n,).
+    The anchors are the interior points of the (n_side + 2)^2 grid of
+    ``mesh.DomainMap(sigma, 0.35).grid``, each with X0 = psi(z0) and its
+    principal branch w0 from the closed form :func:`curve.psi`.  z = u + iv
+    is itself a conformal chart, but its scale shrinks near the branch
+    points, so the step of anchor k is h_k = h min(1, distance from z0 to
+    the nearest branch point).  The stencil values are X0 plus increments:
+    all anchor x offset segments are integrated from their anchor as one
+    ``curve._integrate_segments`` batch (adaptive quadrature, independent
+    of the closed form).  Subtracting two closed-form values instead would
+    put their rounding over h^2.  Returns (X0, X, h_k) with shapes (n, 3),
+    (n, len(offsets), 3) and (n,).
     """
     params = curve.CurveParams(sigma)
-    m = mesh.sample_fundamental(sigma, 0.35, n_side + 2, n_side + 2)
-    inner = np.s_[1:-1, 1:-1]
-    grid = (n_side + 2, n_side + 2)
-    z0 = m.domain_z.reshape(grid)[inner].ravel()
-    w0 = m.domain_w.reshape(grid)[inner].ravel()
-    X0 = m.vertices.reshape(*grid, 3)[inner].reshape(-1, 3)
+    grid = mesh.DomainMap(sigma, 0.35).grid(n_side + 2, n_side + 2)
+    z0 = grid[1:-1, 1:-1].ravel()
+    X0, w0 = curve.psi(params, z0)
     bps = np.array(curve.branch_points(params))
     hk = h * np.minimum(1.0, np.min(np.abs(z0[:, None] - bps), axis=1))
     steps = np.array([complex(i, j) for i, j in offsets])
@@ -224,24 +232,28 @@ def registration_error(sigma, piece, n_heights=6) -> RegistrationResult:
     single scale carrying the classical radius-vs-height profile onto the
     measured one.  Returns the worst relative radius error and the relative
     mismatch of the vertical line spacings (|t0_3| against 2 s zeta).
-    Raises SliceFitError when fewer than 4 candidate heights cross 8 or
-    more edges of ``piece``.
+    The heights are the first ``n_heights`` of 2 n_heights evenly spaced
+    candidates that cross 8 or more edges of ``piece``; SliceFitError when
+    fewer than 4 do.
     """
     cl = classical.RiemannParams.from_lambda((sigma - 1.0) / math.sqrt(sigma))
     span = mesh.FundamentalSurface(sigma).translation_half()[2]
     # keep only heights the truncated fundamental piece covers with enough
     # mesh edges for a stable refined fit (extreme sigma pushes part of the
-    # slab beyond the end truncation)
+    # slab beyond the end truncation); the crossings of all candidates are
+    # counted in one pass over the edges, by slice_mesh's rule
     candidates = (0.14 + 0.72 * np.arange(2 * n_heights)
                   / max(2 * n_heights - 1, 1)) * span
-    hs = list(islice((h for h in candidates
-                      if len(mesh.slice_mesh(piece, float(h))[1]) >= 8),
-                     n_heights))
+    i, j = piece.edges
+    x3 = piece.vertices[:, 2]
+    fa, fb = x3[i, None] - candidates, x3[j, None] - candidates
+    crossed = np.count_nonzero((fa != 0.0) & (fb != 0.0) & ~(fa * fb > 0.0),
+                               axis=0)
+    hs = candidates[crossed >= 8][:n_heights]
     if len(hs) < 4:
         raise SliceFitError(
             "too few heights cross 8 edges of the given piece; sample it on "
             "a finer grid or with a smaller e")
-    hs = np.array(hs)
     radii = []
     for h, pts in zip(hs, mesh.refine_slice(piece, hs, sigma,
                                             max_points=24)):

@@ -140,11 +140,16 @@ def carlson_rf(x, y, z):
     a, scale, _ = _duplicate((x, y, z), a0, (3.0 * _CARLSON_R) ** (-1 / 6))
     X = (a0 - x) * scale / a
     Y = (a0 - y) * scale / a
+    return (_rf_series(X, Y) / np.sqrt(a))[()]
+
+
+def _rf_series(X, Y):
+    """R_F's fifth-order series (DLMF 19.36.1) in the scaled deviations X,
+    Y of the first two arguments (Z = -X - Y); real or complex."""
     Z = -X - Y
     e2 = X * Y - Z * Z
     e3 = X * Y * Z
-    return ((1.0 - e2 / 10 + e3 / 14 + e2 * e2 / 24 - 3 * e2 * e3 / 44)
-            / np.sqrt(a))[()]
+    return 1.0 - e2 / 10 + e3 / 14 + e2 * e2 / 24 - 3 * e2 * e3 / 44
 
 
 def carlson_rd(x, y, z):
@@ -159,15 +164,20 @@ def carlson_rd(x, y, z):
                                  rd=True)
     X = (a0 - x) * scale / a
     Y = (a0 - y) * scale / a
+    return (scale * _rd_series(X, Y) / (a * np.sqrt(a)) + 3.0 * tail)[()]
+
+
+def _rd_series(X, Y):
+    """R_D's fifth-order series (DLMF 19.36.2) in the scaled deviations X,
+    Y of the first two arguments (Z = -(X + Y)/3); real or complex."""
     Z = -(X + Y) / 3.0
     xy, zz = X * Y, Z * Z
     e2 = xy - 6 * zz
     e3 = (3 * xy - 8 * zz) * Z
     e4 = 3 * (xy - zz) * zz
     e5 = xy * zz * Z
-    series = (1.0 - 3 * e2 / 14 + e3 / 6 + 9 * e2 * e2 / 88 - 3 * e4 / 22
-              - 9 * e2 * e3 / 52 + 3 * e5 / 26)
-    return (scale * series / (a * np.sqrt(a)) + 3.0 * tail)[()]
+    return (1.0 - 3 * e2 / 14 + e3 / 6 + 9 * e2 * e2 / 88 - 3 * e4 / 22
+            - 9 * e2 * e3 / 52 + 3 * e5 / 26)
 
 
 @dataclass(frozen=True)

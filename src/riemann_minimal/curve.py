@@ -7,12 +7,22 @@ height differential is phi3 = dz/w, which fixes the other two forms:
 
 The surface is recovered by X(p) = X(p0) + Re int (phi1, phi2, phi3) along
 any path, provided w is continued as a single continuous branch of
-sqrt(z(z-1)(z+sigma)).  All integration runs through one batched kernel,
-:func:`_integrate_segments`: each segment is a G7/K15 panel whose nodes
-carry w by the nearest-sign rule, accepted only if w turns by less than 45
-degrees between consecutive nodes (which makes that choice unambiguous);
-segments that fail are bisected inside the batch, and a segment ending on
-a branch point ends in a singular leaf.  So a path only has to stay off
+sqrt(z(z-1)(z+sigma)).  There are two routes to it.
+
+On the upper half-plane the immersion is in closed form: :func:`psi` is
+one complex R_F and one complex R_D per point (Carlson's symmetric
+elliptic integrals).  ``verify``'s exact surface points use it: the
+refined slices of ``mesh.refine_slice`` and the anchors of the
+Weierstrass finite-difference stencil.
+
+Every path integral runs through one batched kernel,
+:func:`_integrate_segments`: the sampled mesh (``immerse``), the homology
+loops and their periods, and the stencil's short increments, so the checks
+on them stay independent of the closed form.  Each segment is a G7/K15
+panel whose nodes carry w by the nearest-sign rule, accepted only if w
+turns by less than 45 degrees between consecutive nodes (which makes that
+choice unambiguous); segments that fail are bisected inside the batch, and
+a segment ending on a branch point ends in a singular leaf.  So a path only has to stay off
 the branch points, at any distance from them.  Each round's leaves are
 evaluated in equal blocks of at most 512 (LEAF_BLOCK), whose products
 act on arrays below numpy's 256 KiB temporary-elision size, so a
@@ -35,17 +45,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
-from . import quad
+from . import classical, quad
 from .quad import NonFinite, RiemannMinimalError, SubdivisionLimit
 
 __all__ = [
     "CurveError", "BranchAmbiguity", "ClearanceViolation", "PoleOfGaussMap",
     "CurveParams", "CurvePoint", "HomologyLoop",
     "curve_poly", "branch_points", "basepoint",
-    "on_curve_residual", "immerse", "gaussian_curvature",
+    "on_curve_residual", "immerse", "psi", "gaussian_curvature",
     "gamma1_loop", "gamma2_loop", "end_loop", "period", "flux",
     "apply_symmetry", "verify_symmetry_action", "gauss_ode_residual",
     "gauss_derivatives", "random_regular_points",
@@ -59,6 +70,13 @@ LEAF_BLOCK = 512
 # random_regular_points rejects candidates closer than this times
 # (1 + sigma) to a branch point
 SAMPLE_CLEARANCE = 2e-3
+# psi's duplication steps: Carlson's stopping rule (that of
+# classical.carlson_rf/rd) holds after 7 everywhere on the closed upper
+# half-plane for sigma in [1e-3, 1e3], and the 8th cuts the series'
+# truncation error by another 4^-6
+CARLSON_STEPS = 8
+# psi's largest block of points: its (4096,) complex arrays take 64 KiB
+PSI_BLOCK = 4096
 
 
 class CurveError(RiemannMinimalError):
@@ -359,6 +377,89 @@ def immerse(params: CurveParams, nodes, w_start,
     acc, ws = _accumulate(_march(params, z, w0), np.broadcast_to(
         pos, (len(z), 3)), w0)
     return acc[:, -1].real, CurvePoint(z[:, -1], ws[:, -1])
+
+
+# ---------------------------------------------------------------------------
+# the immersion in closed form
+
+
+@cache
+def _translation_half(sigma):
+    """t0 = psi(-sigma) = (2/3 sqrt(sigma) R_D(0, 1 + sigma, 1), 0,
+    2 R_F(0, 1, 1 + sigma)) in real Carlson integrals, derived in
+    ``mesh.FundamentalSurface.translation_half``, as a tuple.  Kept per
+    sigma: every :func:`psi` call adds it, and its two adaptive Carlson
+    calls cost as much as a block of points."""
+    rd = classical.carlson_rd(0.0, 1.0 + sigma, 1.0)
+    rf = classical.carlson_rf(0.0, 1.0, 1.0 + sigma)
+    return (2.0 / 3.0 * math.sqrt(sigma) * rd, 0.0, 2.0 * rf)
+
+
+def psi(params: CurveParams, z):
+    """psi(z) = X(z) - X(1) on the base point's sheet, in closed form, for
+    z (any shape) in the closed upper half-plane minus the end z = 0.
+
+    Returns (positions of shape z.shape + (3,), w of shape z.shape), with
+    w = sqrt(z) sqrt(z - 1) sqrt(z + sigma), principal roots: the sheet of
+    ``sample_fundamental``'s ``domain_w``, analytic on the upper
+    half-plane.  From d(w/z) = (z^2 + sigma) dz / (2 z w),
+
+        phi1 = sqrt(sigma) dz/(z w) - d(w/z)/sqrt(sigma),
+        phi2 = (i/sqrt(sigma)) d(w/z),      phi3 = dz/w,
+
+    and the integrals from infinity U = int dz/w = -2 R_F(z, z - 1,
+    z + sigma) and V = int dz/(z w) = -(2/3) R_D(z - 1, z + sigma, z)
+    (DLMF 19.29; Carlson, Numer. Algorithms 10 (1995) for complex
+    arguments) give
+
+        psi = Re(sqrt(sigma) V - (w/z)/sqrt(sigma),
+                 i (w/z)/sqrt(sigma), U) + t0,
+
+    since U(1) = -t0_3, sqrt(sigma) V(1) = -t0_1 and w(1) = 0.  A point on
+    the real axis is taken with imaginary part +0.0 (a -0.0 would put
+    sqrt(z - 1) on the other side of its cut).  Both integrals come from
+    one duplication loop with CARLSON_STEPS fixed steps.  Points are
+    evaluated in consecutive blocks of at most PSI_BLOCK, whose arrays stay
+    below numpy's 256 KiB temporary-elision size, so a point's result has
+    the same bits in any call.
+    """
+    z = np.asarray(z, dtype=complex)
+    # + 0.0 turns an imaginary part -0.0 into +0.0
+    flat = z.reshape(-1) + 0.0
+    pos, w = np.empty((flat.size, 3)), np.empty(flat.size, dtype=complex)
+    t0 = np.array(_translation_half(params.sigma))
+    for i in range(0, flat.size, PSI_BLOCK):
+        blk = slice(i, i + PSI_BLOCK)
+        pos[blk], w[blk] = _psi_block(params, flat[blk], t0)
+    return pos.reshape(z.shape + (3,)), w.reshape(z.shape)
+
+
+def _psi_block(params, z, t0):
+    """:func:`psi` on one block of points, t0 given."""
+    s = params.sigma
+    rs = math.sqrt(s)
+    # R_D's argument order; R_F is symmetric
+    x0, y0 = x, y = z - 1.0, z + s
+    zz = z
+    af0, ad0 = (x + y + zz) / 3.0, (x + y + 3.0 * zz) / 5.0
+    af, ad, scale, tail = af0, ad0, 1.0, 0.0
+    for k in range(CARLSON_STEPS):
+        sx, sy, sz = np.sqrt(x), np.sqrt(y), np.sqrt(zz)
+        if k == 0:
+            w = sz * sx * sy
+        lam = sx * sy + sx * sz + sy * sz
+        tail = tail + scale / (sz * (zz + lam))
+        af, ad, scale = (af + lam) * 0.25, (ad + lam) * 0.25, scale * 0.25
+        x, y, zz = (x + lam) * 0.25, (y + lam) * 0.25, (zz + lam) * 0.25
+    rf = classical._rf_series((af0 - x0) * scale / af,
+                              (af0 - y0) * scale / af) / np.sqrt(af)
+    rd = (scale * classical._rd_series((ad0 - x0) * scale / ad,
+                                       (ad0 - y0) * scale / ad)
+          / (ad * np.sqrt(ad)) + 3.0 * tail)
+    q = w / z / rs
+    pos = np.stack([(-2.0 / 3.0 * rs * rd - q).real, -q.imag,
+                    -2.0 * rf.real], axis=-1) + t0
+    return pos, w
 
 
 def gaussian_curvature(g, g_prime):

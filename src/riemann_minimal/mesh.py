@@ -22,7 +22,13 @@ rotation about the horizontal line through psi(i sqrt(sigma)), reflection
 in {x2 = 0}, 180-degree rotation about the x2-axis, and translation by
 multiples of 2*t0 with t0 = psi(-sigma).  Both anchors are elliptic
 integrals on the rectangular curve, evaluated in closed form by Carlson's
-R_F and R_D (see :meth:`FundamentalSurface.translation_half`).
+R_F and R_D (see :meth:`FundamentalSurface.translation_half`).  Each
+symmetry carries its action on the surface's orientation, which maps the
+normals and decides which blocks' faces are reversed.
+
+Slices of a mesh are refined to exact surface points (:func:`refine_slice`)
+by Newton on the closed form ``curve.psi``, one evaluation of all
+crossings per round; the sampling itself stays on the quadrature kernel.
 """
 
 from __future__ import annotations
@@ -34,7 +40,6 @@ from functools import cache, cached_property
 import numpy as np
 
 from . import curve as _curve
-from .classical import carlson_rd, carlson_rf
 from .curve import CurveParams
 from .quad import RiemannMinimalError
 
@@ -84,13 +89,34 @@ class DomainMap:
         den = 2.0 * R - 2.0 * ((1.0 + a) * (e * e - 1.0) - 2.0 * (a - 1.0) * zeta)
         return num / den
 
+    def grid(self, nr: int, nt: int):
+        """The (nr, nt) image of the polar grid r in linspace(e, 1, nr), t in
+        linspace(0, 1, nt), zeta = r exp(i pi t), with its outer corners
+        set to the branch points 1 and -sigma exactly (the formula is exact
+        there up to roundoff)."""
+        rr = np.linspace(self.e, 1.0, nr)
+        tt = np.linspace(0.0, 1.0, nt)
+        Z = self.map(rr[:, None] * np.exp(1j * math.pi * tt[None, :]))
+        Z[nr - 1, 0] = 1.0
+        Z[nr - 1, nt - 1] = -self.sigma
+        return Z
+
 
 @dataclass(frozen=True)
 class IsometryOp:
-    """Affine isometry v -> linear @ v + offset with orthogonal linear part."""
+    """Affine isometry v -> linear @ v + offset with orthogonal linear part,
+    and its action on the surface's orientation, ``orientation`` = +1 (kept)
+    or -1 (reversed).
+
+    A symmetry of the surface maps its unit normal N to orientation * L N
+    (L the linear part).  That sign is not det(L): a rotation about a line
+    lying in the surface reverses the orientation, and a reflection in a
+    plane meeting the surface at right angles keeps it.
+    """
 
     linear: np.ndarray
     offset: np.ndarray
+    orientation: float = 1.0
 
     def __post_init__(self):
         L = np.asarray(self.linear, dtype=float)
@@ -99,15 +125,17 @@ class IsometryOp:
             raise ValueError("linear must be 3x3 and offset length 3")
         if np.max(np.abs(L @ L.T - np.eye(3))) > 1e-12:
             raise ValueError("linear part is not orthogonal to 1e-12")
+        if self.orientation not in (1.0, -1.0):
+            raise ValueError("orientation must be +1 or -1")
         object.__setattr__(self, "linear", L)
         object.__setattr__(self, "offset", b)
+        object.__setattr__(self, "orientation", float(self.orientation))
 
     def apply(self, pts):
         return np.asarray(pts) @ self.linear.T + self.offset
 
     def apply_normals(self, normals):
-        return float(np.linalg.det(self.linear)) * (np.asarray(normals)
-                                                    @ self.linear.T)
+        return self.orientation * (np.asarray(normals) @ self.linear.T)
 
     def det(self) -> float:
         return float(np.linalg.det(self.linear))
@@ -115,7 +143,8 @@ class IsometryOp:
     def compose(self, other: "IsometryOp") -> "IsometryOp":
         """self after other: v -> self(other(v))."""
         return IsometryOp(self.linear @ other.linear,
-                          self.linear @ other.offset + self.offset)
+                          self.linear @ other.offset + self.offset,
+                          self.orientation * other.orientation)
 
 
 def identity_op() -> IsometryOp:
@@ -267,11 +296,10 @@ class FundamentalSurface:
             t0_3 = int_0^sigma du / sqrt(u (u + 1) (sigma - u))
                  = 2 R_F(0, 1, 1 + sigma)
 
-        (Carlson's symmetric forms, DLMF 19.29).
+        (Carlson's symmetric forms, DLMF 19.29), which
+        ``curve._translation_half`` evaluates.
         """
-        s = self.params.sigma
-        rd, rf = carlson_rd(0.0, 1.0 + s, 1.0), carlson_rf(0.0, 1.0, 1.0 + s)
-        return np.array([2.0 / 3.0 * math.sqrt(s) * rd, 0.0, 2.0 * rf])
+        return np.array(_curve._translation_half(self.params.sigma))
 
 
 def sample_fundamental(sigma: float, e: float, nr: int, nt: int) -> TriMesh:
@@ -295,14 +323,7 @@ def sample_fundamental(sigma: float, e: float, nr: int, nt: int) -> TriMesh:
     if nr < 2 or nt < 3:  # with nt = 2 every row runs through the end z = 0
         raise ValueError("need nr >= 2 and nt >= 3")
 
-    rr = np.linspace(e, 1.0, nr)
-    tt = np.linspace(0.0, 1.0, nt)
-    zeta = rr[:, None] * np.exp(1j * math.pi * tt[None, :])
-    Z = dm.map(zeta)
-    # exact corner values (the Moebius formula is exact there up to roundoff)
-    Z[nr - 1, 0] = 1.0
-    Z[nr - 1, nt - 1] = -sigma
-
+    Z = dm.grid(nr, nt)
     if (np.min(np.abs(np.diff(Z, axis=1))) == 0.0
             or np.min(np.abs(np.diff(Z, axis=0))) == 0.0):
         raise DegenerateCell("adjacent grid samples coincide")
@@ -343,11 +364,7 @@ def sample_fundamental(sigma: float, e: float, nr: int, nt: int) -> TriMesh:
 
     verts = (X - X[nr - 1, 0]).reshape(-1, 3)  # relative to the corner z = 1
 
-    rs = math.sqrt(sigma)
-    g = (Z / rs).reshape(-1)
-    a2 = np.abs(g) ** 2
-    normals = np.stack([2.0 * g.real, 2.0 * g.imag, a2 - 1.0],
-                       axis=-1) / (1.0 + a2)[:, None]
+    normals = _unit_normals(sigma, Z.reshape(-1))
 
     v00 = (np.arange(nr - 1)[:, None] * nt + np.arange(nt - 1)).reshape(-1)
     v11 = v00 + nt + 1
@@ -362,6 +379,15 @@ def sample_fundamental(sigma: float, e: float, nr: int, nt: int) -> TriMesh:
     )
 
 
+def _unit_normals(sigma, z):
+    """The unit normals over the domain points z: the inverse
+    stereographic projection of g = z / sqrt(sigma)."""
+    g = z / math.sqrt(sigma)
+    a2 = np.abs(g) ** 2
+    return np.stack([2.0 * g.real, 2.0 * g.imag, a2 - 1.0],
+                    axis=-1) / (1.0 + a2)[..., None]
+
+
 # ---------------------------------------------------------------------------
 # extension pipeline
 
@@ -374,14 +400,25 @@ def extension_ops(sigma: float):
     2. reflection diag(1,-1,1) in the plane {x2 = 0};
     3. 180-degree rotation diag(-1,1,-1) about the x2-axis;
     4. translation by 2 t0 with t0 = psi(-sigma).
+
+    Each op's orientation is the sign of (L N(p)) . N(p) at a surface point
+    p it fixes: p over z = i sqrt(sigma) for op 1 (+1), over (-sigma, 0),
+    which lies in {x2 = 0}, for op 2 (+1), and over (0, 1), which lies on
+    the x2-axis, for op 3 (-1).  The translation keeps it.
     """
     surface = FundamentalSurface(sigma)
     c, t0 = surface.psi_fixed_point(), surface.translation_half()
     rot = np.diag([-1.0, 1.0, -1.0])
+
+    def symmetry(linear, offset, z_fixed):
+        n = _unit_normals(sigma, np.array([z_fixed]))[0]
+        return IsometryOp(linear, offset, float(np.sign(linear @ n @ n)))
+
     return [
-        IsometryOp(rot, np.array([2.0 * c[0], 0.0, 2.0 * c[2]])),
-        IsometryOp(np.diag([1.0, -1.0, 1.0]), np.zeros(3)),
-        IsometryOp(rot, np.zeros(3)),
+        symmetry(rot, np.array([2.0 * c[0], 0.0, 2.0 * c[2]]),
+                 1j * math.sqrt(sigma)),
+        symmetry(np.diag([1.0, -1.0, 1.0]), np.zeros(3), -0.5 * sigma),
+        symmetry(rot, np.zeros(3), 0.5),
         IsometryOp(np.eye(3), 2.0 * t0),
     ]
 
@@ -391,8 +428,10 @@ def extend(mesh: TriMesh, ops, copies: int = 0) -> TriMesh:
     then append ``copies`` translated copies of the result.
 
     Only the one-period cell is built: block b is the base mesh mapped by
-    the b-th isometry of the doublings, its faces reversed where that
-    isometry has det < 0.  The translated copies stay implicit (see
+    the b-th isometry of the doublings, its normals by ``apply_normals``
+    and its faces reversed where that isometry's orientation times det(L)
+    is negative (the mapped winding turns with det(L), the mapped normal
+    with the orientation).  The translated copies stay implicit (see
     :class:`TriMesh`); ``op_catalog`` lists the base catalog composed with
     every block's isometry, copy by copy.  Vertex count grows exactly by
     2^3 * (copies + 1).  The input must not be extended already.
@@ -406,7 +445,7 @@ def extend(mesh: TriMesh, ops, copies: int = 0) -> TriMesh:
     for op in ops[:3]:
         v = np.concatenate([v, op.apply(v)])
         nrm = np.concatenate([nrm, op.apply_normals(nrm)])
-        flips += [f != (op.det() < 0) for f in flips]
+        flips += [f != (op.orientation * op.det() < 0) for f in flips]
         catalog += [op.compose(a) for a in catalog]
     per_copy = len(catalog)
     for _ in range(copies):
@@ -522,30 +561,29 @@ def refine_slice(mesh: TriMesh, height, sigma: float, max_points: int = 32):
 
     The crossings of each height are the crossing records of
     :func:`slice_mesh`, thinned to ``max_points`` evenly spaced ones per
-    height.  Each crossing edge is root-solved in the domain parameter s of
-    the straight z-segment z(s) = za + s (zb - za) from the anchor vertex (an
-    edge end with w != 0) to the other end.  The target is
-    f(s) = (op(psi(z(s))))_3 - h with h the crossing's own height, and its
-    derivative is closed form, f'(s) = ell . Re(phi(z(s), w(s)) (zb - za))
-    with ell the third row of the op's linear part and phi the Weierstrass
-    densities.  Safeguarded Newton starts at the root of the cubic Hermite
-    model of f on the edge (end values f(0), f(1), end slopes f'(0), f'(1)
-    from each end's own ``domain_w``), which :func:`_hermite_root` finds
-    from the mesh's linear-interpolation guess without integrating; the
-    start stays that guess where the other end has w = 0, a slope is not
-    finite, or the model's root leaves (0, 1).  Newton keeps the sign
-    bracket [s_lo, s_hi], bisecting whenever a Newton step would leave it;
-    a crossing stops when f == 0 or its next step is below 1e-13, after 60
-    iterations at most.  All crossings of all heights are solved in
-    lockstep: each iteration integrates the segments za -> z(s) of the
-    crossings still active as one ``curve._integrate_segments`` batch, in
-    which an iterate within 1e-12 (1 + sigma) of a branch point ends
-    exactly there, in a singular leaf (w = 0 there, so the next step
-    bisects).  Every iterate is integrated from the anchor vertex, so
-    quadrature errors do not accumulate and the result depends on s alone.
-    Points come out in crossing order.  Only meshes built by
-    :func:`sample_fundamental` (and extensions of them) carry the
-    provenance needed here.
+    height.  Each crossing edge is root-solved along the straight z-segment
+    from its anchor vertex za (an edge end with w != 0) to its other end
+    zb, z(s) = za + s (zb - za).  The target is f = (op(psi(z)))_3 - h with
+    h the crossing's own height, and its derivative is closed form,
+    df/ds = ell . Re(phi(z, w) (zb - za)) with ell the third row of the
+    op's linear part and phi the Weierstrass densities.  Where zb is a
+    branch point (w = 0 there), f has a square-root end, and Newton runs in
+    t with 1 - s = (1 - t)^2, z = zb - (1 - t)^2 (zb - za), in which f is
+    smooth (the substitution of the kernel's singular leaf); elsewhere it
+    runs in s.  Safeguarded Newton starts at the root of the cubic Hermite
+    model of f on the edge (end values and end slopes; at a branch point
+    end the slope in t is the limit with w/(1 - t) in place of w), which
+    :func:`_hermite_root` finds from the mesh's linear-interpolation guess;
+    the start stays that guess where a slope is not finite or the model's
+    root leaves (0, 1).  Newton keeps the sign bracket, bisecting whenever
+    a Newton step would leave it or w = 0; a crossing stops when f == 0 or
+    its next step is below 1e-13 (the Newton step, or the step taken),
+    after 60 iterations at most.  All crossings of all heights are solved
+    in lockstep: each iteration evaluates the crossings still active in
+    one :func:`curve.psi` call, the closed form, so every iterate is an
+    exact surface point that depends on its parameter alone.  Points come
+    out in crossing order.  Only meshes built by :func:`sample_fundamental`
+    (and extensions of them) carry the provenance needed here.
     """
     if mesh.domain_z is None:
         raise ValueError("mesh carries no domain provenance")
@@ -583,35 +621,44 @@ def refine_slice(mesh: TriMesh, height, sigma: float, max_points: int = 32):
     (za, zb), (w0, w1) = mesh.domain_z[[i0, i1]], mesh.domain_w[[i0, i1]]
     dz = zb - za
     s = np.where((0.0 < s) & (s < 1.0), s, 0.5)
-    # the end slopes f'(0) and f'(1) of the Hermite start
+    # Newton runs in u: s, or t where zb is a branch point (w1 = 0); there
+    # dz/dt = 2 (1 - t) dz, and w/(1 - t) tends to the product of the
+    # principal roots with the vanishing factor z - zb replaced by za - zb
     params = CurveParams(sigma)
+    root = w1 == 0.0
+    fac = zb[:, None] - np.array(_curve.branch_points(params))
+    w1u = np.where(root, np.prod(np.sqrt(np.where(
+        fac == 0.0, (za - zb)[:, None], fac) + 0.0), axis=1), w1)
+    # the end slopes df/du of the Hermite start
+    dzdu = np.where(root, 2.0, 1.0) * dz
     with np.errstate(divide="ignore", invalid="ignore"):
         d0, d1 = (np.einsum("ij,ij->i", (_curve._phi_vector(params, z, w)
-                                         * dz[:, None]).real, ell)
-                  for z, w in ((za, w0), (zb, w1)))
-    s = np.where(w1 != 0.0, _hermite_root(s, f0, f1, d0, d1), s)
-    s_lo, s_hi = np.zeros_like(s), np.ones_like(s)
+                                         * dzdu[:, None]).real, ell)
+                  for z, w in ((za, w0), (zb, w1u)))
+    u = _hermite_root(s, f0, f1, d0, d1)
+    u_lo, u_hi = np.zeros_like(u), np.ones_like(u)
     a = np.flatnonzero(ok & (f0 != 0.0))
     for _ in range(60):
         if not a.size:
             break
-        z, w, p = za[a] + s[a] * dz[a], w0[a], base[i0[a]]
-        j = np.flatnonzero(z != za[a])
-        if j.size:
-            totals, w[j] = _curve._integrate_segments(
-                params, za[a[j]], z[j], w0[a[j]])
-            p[j] += totals.real
+        r, ua = root[a], u[a]
+        z = np.where(r, zb[a] - (1.0 - ua) ** 2 * dz[a], za[a] + ua * dz[a])
+        p, w = _curve.psi(params, z)
         pos[a] = p
         f = np.einsum("ij,ij->i", p, ell[a]) + b3[a] - target[a]
         same = (f > 0.0) == (f0[a] > 0.0)
-        s_lo[a[same]], s_hi[a[~same]] = s[a[same]], s[a[~same]]
+        u_lo[a[same]], u_hi[a[~same]] = ua[same], ua[~same]
         with np.errstate(divide="ignore", invalid="ignore"):
-            phi = _curve._phi_vector(params, z, w) * dz[a, None]
-            newton = s[a] - f / np.einsum("ij,ij->i", phi.real, ell[a])
-        s_next = np.where((w != 0.0) & (s_lo[a] < newton) & (newton < s_hi[a]),
-                          newton, 0.5 * (s_lo[a] + s_hi[a]))
-        go = (f != 0.0) & ~(np.abs(s_next - s[a]) < 1e-13)
-        s[a] = s_next
+            phi = _curve._phi_vector(params, z, w) * (
+                np.where(r, 1.0 - ua, 1.0) * dzdu[a])[:, None]
+            newton = ua - f / np.einsum("ij,ij->i", phi.real, ell[a])
+        u_next = np.where((w != 0.0) & (u_lo[a] < newton) & (newton < u_hi[a]),
+                          newton, 0.5 * (u_lo[a] + u_hi[a]))
+        # a Newton step that rounds to nothing stops the crossing even
+        # where it would land on the collapsed bracket's end
+        step = np.fmin(np.abs(newton - ua), np.abs(u_next - ua))
+        go = (f != 0.0) & ~(step < 1e-13)
+        u[a] = u_next
         a = a[go]
     out = (np.einsum("nij,nj->ni", linear, pos) + offset)[ok]
     out = [out[owner[ok] == h] for h in range(len(heights))]

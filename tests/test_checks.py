@@ -146,17 +146,18 @@ def test_translation_half_is_computed_once(monkeypatch):
 
 def test_slice_fit_error_is_a_package_error(monkeypatch):
     assert issubclass(checks.SliceFitError, RiemannMinimalError)
-    piece = _piece(1.0, 12, 16)
-    monkeypatch.setattr(mesh, "slice_mesh", lambda m, h: (None, []))
+    # a 2x3 grid has 9 edges: no height crosses 8 of them
+    piece = _piece(1.0, 2, 3)
     with pytest.raises(checks.SliceFitError, match="given piece"):
         checks.registration_error(1.0, piece)
 
 
 @pytest.mark.parametrize("sigma", [1e-3, 2.0, 1e3])
 def test_registration_slices_until_it_has_its_heights(sigma, monkeypatch):
-    # registration_error stops scanning at the n_heights-th well-covered
-    # candidate (at sigma 1e3 only 5 of the 12 are, so it scans them all);
-    # the heights it keeps are those of the full scan
+    # registration_error keeps the first n_heights candidates that cross 8
+    # or more edges by slice_mesh's count (at sigma 1e3 only 5 of the 12
+    # do); it counts them in one pass over the edges, so slice_mesh runs
+    # only in refine_slice, once per kept height
     n_heights = 6
     m = _piece(sigma)
     span = mesh.FundamentalSurface(sigma).translation_half()[2]
@@ -164,8 +165,6 @@ def test_registration_slices_until_it_has_its_heights(sigma, monkeypatch):
                   / (2 * n_heights - 1)) * span
     covered = [i for i, h in enumerate(candidates)
                if len(mesh.slice_mesh(m, float(h))[1]) >= 8][:n_heights]
-    scanned = (covered[-1] + 1 if len(covered) == n_heights
-               else len(candidates))
     calls = []
     slice_mesh = mesh.slice_mesh
 
@@ -175,10 +174,9 @@ def test_registration_slices_until_it_has_its_heights(sigma, monkeypatch):
 
     monkeypatch.setattr(mesh, "slice_mesh", counting)
     reg = checks.registration_error(sigma, m, n_heights=n_heights)
-    # the scan, then refine_slice's one slice per kept height
-    assert calls[:scanned] == [float(h) for h in candidates[:scanned]]
-    assert len(calls) == scanned + len(covered)
     assert np.array_equal(reg.heights, candidates[covered])
+    assert calls == [float(h) for h in candidates[covered]]
+    assert (len(covered) == n_heights) == (sigma != 1e3)
 
 
 @pytest.mark.parametrize("sigma", [0.0167, 0.35938, 2.0, 8.0, 1e3])

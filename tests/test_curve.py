@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import scalar_references as scalar
-from riemann_minimal import checks, curve, mesh, quad
+from riemann_minimal import checks, classical, curve, mesh, quad
 from riemann_minimal.curve import (BranchAmbiguity, ClearanceViolation,
                                    CurveParams, CurvePoint, PoleOfGaussMap)
 
@@ -604,3 +604,109 @@ def test_array_point_checks_match_per_point_calls(sigma):
     assert want > 1e-5 and got == pytest.approx(want, rel=1e-12)
     assert curve.verify_symmetry_action(params, "S1", curve.CurvePoint(
         np.empty(0, complex), np.empty(0, complex))) == 0.0
+
+
+# --- psi in closed form ------------------------------------------------------
+
+
+def _psi_mpmath(sigma, z):
+    """psi(z) and w at 30 digits from mpmath's complex elliprf/elliprd, and
+    the largest magnitude among the terms summed into psi."""
+    with mpmath.workdps(30):
+        s, z = mpmath.mpf(sigma), mpmath.mpc(z.real, z.imag)
+        rs = mpmath.sqrt(s)
+        w = mpmath.sqrt(z) * mpmath.sqrt(z - 1) * mpmath.sqrt(z + s)
+        U = -2 * mpmath.elliprf(z, z - 1, z + s)
+        V = -mpmath.mpf(2) / 3 * mpmath.elliprd(z - 1, z + s, z)
+        t01 = 2 * rs / 3 * mpmath.elliprd(0, 1 + s, 1)
+        t03 = 2 * mpmath.elliprf(0, 1, 1 + s)
+        q = w / z / rs
+        pos = [mpmath.re(rs * V - q) + t01, -mpmath.im(q), mpmath.re(U) + t03]
+        scale = max(abs(rs * V), abs(q), abs(U), t01, t03)
+        return ([float(x) for x in pos], complex(w), float(scale))
+
+
+@pytest.mark.parametrize("sigma", [1e-3, 2.0, 1e3])
+def test_psi_against_mpmath_carlson(sigma):
+    # interior points, points on the real boundary with +0j (and -0j, which
+    # psi reads as +0j), and points next to the three branch points
+    rng = np.random.default_rng(5)
+    R = 1.0 + sigma
+    zs = list(R * (2.0 * rng.random(12) - 1.0) + 1j * R * rng.random(12))
+    zs += [complex(x, 0.0) for x in (0.5, 3.0, -0.5 * sigma, -2.0 * R)]
+    zs += [complex(0.5, -0.0), complex(-0.5 * sigma, -0.0)]
+    for bp in (0.0, 1.0, -sigma):
+        for d in (1e-12, 1e-6):
+            for th in (0.0, 1.0, math.pi):
+                zs.append(complex(bp + d * R * math.cos(th),
+                                  d * R * math.sin(th)))
+    zs = np.array(zs)
+    pos, w = curve.psi(CurveParams(sigma), zs)
+    assert pos.shape == (len(zs), 3) and w.shape == (len(zs),)
+    for z, p, ww in zip(zs, pos, w):
+        want, want_w, scale = _psi_mpmath(sigma, z)
+        assert np.max(np.abs(p - want)) <= 1e-15 * scale, z
+        assert abs(ww - want_w) <= 1e-15 * abs(want_w), z
+
+
+CI_SIGMAS = [1e-3, 0.012, 0.05, 1.0, 2.0, 8.0, 21.5, 100.0, 1e3,
+             classical.sigma_of_lambda(31.59)]
+
+
+@pytest.mark.parametrize("sigma", CI_SIGMAS)
+def test_psi_matches_the_kernel_at_every_sample_vertex(sigma):
+    # the quadrature kernel's vertices and branch values, including the
+    # corners on the branch points; measured at most 4.9e-14 of the scale
+    m = mesh.sample_fundamental(sigma, 0.1, 40, 60)
+    pos, w = curve.psi(CurveParams(sigma), m.domain_z)
+    scale = np.max(np.abs(m.vertices))
+    assert np.max(np.abs(pos - m.vertices)) <= 1e-13 * scale
+    assert np.max(np.abs(w - m.domain_w)) <= 1e-14 * np.max(np.abs(w))
+    assert np.array_equal(w == 0.0, m.domain_w == 0.0)
+
+
+def test_psi_blocks_give_one_point_bits():
+    # the 160x240 grid in one call (ten blocks) against one-point calls at
+    # spread-out points: numpy's temporary elision above 256 KiB would
+    # change the last bits without the blocks
+    sigma = 2.0
+    params = CurveParams(sigma)
+    z = mesh.DomainMap(sigma, 0.1).grid(160, 240).ravel()
+    pos, w = curve.psi(params, z)
+    assert z.size > 9 * curve.PSI_BLOCK
+    for i in range(0, z.size, 97):
+        p1, w1 = curve.psi(params, z[i])
+        assert p1.shape == (3,) and w1.shape == ()
+        assert p1.tobytes() == pos[i].tobytes() and w1 == w[i]
+
+
+def test_carlson_steps_meet_carlsons_bound():
+    # Carlson's stopping rule 4^-m Q < |A_m| (Q = (3r)^(-1/6) max|A0 - x|
+    # for R_F and (r/4)^(-1/6) max|A0 - x| for R_D, r = 1e-16, the rule of
+    # classical.carlson_rf/rd) holds after CARLSON_STEPS - 1 steps over
+    # the closed upper half-plane at sigma in [1e-3, 1e3]: psi's fixed
+    # count keeps one step in hand, which cuts the series' truncation
+    # error by 4^-6
+    r = 1e-16
+    th = np.linspace(0.0, math.pi, 61)
+    for sigma in np.logspace(-3.0, 3.0, 13):
+        R = 1.0 + sigma
+        rr = np.logspace(-6.0, 6.0, 97) * R
+        near = np.logspace(-14.0, -1.0, 27) * R
+        z = np.concatenate([(rr[:, None] * np.exp(1j * th)).ravel()] + [
+            (bp + near[:, None] * np.exp(1j * th)).ravel()
+            for bp in (0.0, 1.0, -sigma)])
+        z = z.real + 1j * (np.abs(z.imag) + 0.0)
+        x, y, zz = z - 1.0, z + sigma, z
+        af, ad = (x + y + zz) / 3.0, (x + y + 3.0 * zz) / 5.0
+        qf = (3.0 * r) ** (-1 / 6) * np.max(np.abs([af - x, af - y, af - zz]),
+                                            axis=0)
+        qd = (r / 4.0) ** (-1 / 6) * np.max(np.abs([ad - x, ad - y, ad - zz]),
+                                            axis=0)
+        for _ in range(curve.CARLSON_STEPS - 1):
+            sx, sy, sz = np.sqrt(x), np.sqrt(y), np.sqrt(zz)
+            lam = sx * sy + sx * sz + sy * sz
+            af, ad = (af + lam) / 4.0, (ad + lam) / 4.0
+            qf, qd = qf / 4.0, qd / 4.0
+            x, y, zz = (x + lam) / 4.0, (y + lam) / 4.0, (zz + lam) / 4.0
+        assert np.all(qf < np.abs(af)) and np.all(qd < np.abs(ad)), sigma

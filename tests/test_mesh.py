@@ -1,3 +1,4 @@
+import cmath
 import filecmp
 import math
 import struct
@@ -6,6 +7,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 import scalar_references as scalar
 from riemann_minimal import classical, curve, mesh, quad
@@ -433,7 +435,8 @@ def _flat_reference(m):
 
 def _transform_reference(m, op):
     """The per-op mesh copy the one-pass extend replaces."""
-    faces = m.faces[:, ::-1].copy() if op.det() < 0 else m.faces.copy()
+    faces = (m.faces[:, ::-1].copy() if op.orientation * op.det() < 0
+             else m.faces.copy())
     return SimpleNamespace(
         vertices=op.apply(m.vertices), normals=op.apply_normals(m.normals),
         faces=faces, domain_z=m.domain_z.copy(), domain_w=m.domain_w.copy(),
@@ -490,6 +493,65 @@ def test_extend_matches_transform_concat(fund2, ops2, n_ops, copies):
     for a, b in zip(got.op_catalog, want.op_catalog):
         assert a.linear.tobytes() == b.linear.tobytes()
         assert a.offset.tobytes() == b.offset.tobytes()
+        assert a.orientation == b.orientation
+
+
+def test_extension_ops_orientation_from_geometry():
+    # op 1 fixes psi(i sqrt(sigma)), op 2 the points over (-sigma, 0) and
+    # op 3 those over (0, 1); compose multiplies the signs
+    for sigma in (1e-3, 2.0, 1e3):
+        ops = extension_ops(sigma)
+        assert [op.orientation for op in ops] == [1.0, 1.0, -1.0, 1.0]
+        assert [op.det() for op in ops] == [1.0, -1.0, 1.0, 1.0]
+        assert ops[2].compose(ops[1]).orientation == -1.0
+        assert ops[2].compose(ops[2]).orientation == 1.0
+    with pytest.raises(ValueError, match="orientation"):
+        IsometryOp(np.eye(3), np.zeros(3), 0.5)
+
+
+def _weld(m, tol):
+    """The representative of each vertex of ``m`` (the smallest index of
+    the vertices welded to it, where coordinates agree to ``tol``), and
+    the welded pairs (i, j), i < j."""
+    v = m.vertices
+    rep = np.arange(len(v))
+    pairs = np.array(sorted(cKDTree(v).query_pairs(tol)), dtype=int)
+    pairs = pairs.reshape(-1, 2)
+    for i, j in pairs:  # union by smallest index
+        a, b = rep[i], rep[j]
+        while rep[a] != a:
+            a = rep[a]
+        while rep[b] != b:
+            b = rep[b]
+        rep[max(a, b)] = min(a, b)
+    for i in range(len(rep)):
+        rep[i] = rep[rep[i]]
+    return rep, pairs
+
+
+@pytest.mark.parametrize("sigma", [1e-3, 2.0, 1e3])
+@pytest.mark.parametrize("copies", [0, 1])
+def test_extended_mesh_is_consistently_oriented(sigma, copies):
+    # welded by coordinates, no edge is traversed the same way by both of
+    # its faces, no welded pair has opposite normals, and no face winds
+    # against its vertex normals
+    m = extend(sample_fundamental(sigma, 0.1, 20, 30), extension_ops(sigma),
+               copies=copies)
+    v, nrm = m.vertices, m.normals
+    rep, pairs = _weld(m, 1e-7 * max(1.0, np.abs(v).max()))
+    assert len(pairs) > 0
+    faces = rep[m.faces]
+    directed = np.concatenate([faces[:, [0, 1]], faces[:, [1, 2]],
+                               faces[:, [2, 0]]])
+    directed = directed[directed[:, 0] != directed[:, 1]]
+    _, count = np.unique(directed, axis=0, return_counts=True)
+    assert np.count_nonzero(count > 1) == 0
+    dots = np.einsum("ij,ij->i", nrm[pairs[:, 0]], nrm[pairs[:, 1]])
+    assert np.count_nonzero(dots < 0.0) == 0
+    fn = np.cross(v[m.faces[:, 1]] - v[m.faces[:, 0]],
+                  v[m.faces[:, 2]] - v[m.faces[:, 0]])
+    against = np.einsum("ij,ij->i", fn, nrm[m.faces].sum(axis=1)) < 0.0
+    assert np.count_nonzero(against) == 0
 
 
 def test_extend_refuses_extended_mesh(fund2, ops2):
@@ -665,8 +727,9 @@ def _hermite_start(s, f0, f1, d0, d1):
 
 
 def _refine_slice_reference(m, height, sigma, max_points):
-    """Safeguarded Newton one crossing at a time, one ``immerse`` per
-    iterate, started at the root of the edge's cubic Hermite model: the
+    """Safeguarded Newton one crossing at a time, one ``curve.psi`` per
+    iterate, started at the root of the edge's cubic Hermite model; on an
+    edge ending at a branch point it runs in t with 1 - s = (1 - t)^2: the
     loop the lockstep refine_slice must reproduce."""
     _, crossings = slice_mesh(m, height)
     if len(crossings) > max_points:
@@ -699,40 +762,48 @@ def _refine_slice_reference(m, height, sigma, max_points):
             continue
         if f0 * f1 > 0:
             continue
-        s_lo, s_hi = 0.0, 1.0
-        if not s_lo < s < s_hi:
+        u_lo, u_hi = 0.0, 1.0
+        if not u_lo < s < u_hi:
             s = 0.5
 
-        def slope(z, w):  # f'(s) at z(s) = z on the branch w
+        def slope(z, w, dzdu):  # f'(u) at z on the branch w
             forms = scalar.weierstrass_at(params, curve.CurvePoint(z, w))
             phi = np.array([forms.phi1_density, forms.phi2_density,
                             forms.phi3_density])
-            return float(ell @ (phi * dz).real)
+            return float(ell @ (phi * dzdu).real)
 
-        if m.domain_w[i1] != 0.0:
-            s = _hermite_start(s, f0, f1, slope(za, w0),
-                               slope(zb, m.domain_w[i1]))
+        root = m.domain_w[i1] == 0.0
+        w1 = m.domain_w[i1]
+        if root:
+            # w/(1 - t) at t = 1: the vanishing root factor becomes za - zb
+            w1 = 1.0
+            for bp in curve.branch_points(params):
+                c = zb - bp if zb != bp else za - zb
+                w1 *= cmath.sqrt(complex(c.real, c.imag + 0.0))
+        c0 = 2.0 if root else 1.0
+        u = _hermite_start(s, f0, f1, slope(za, w0, c0 * dz),
+                           slope(zb, w1, c0 * dz))
         for _ in range(60):
-            z = za + s * dz
-            if z != za:
-                pos, pt = curve.immerse(params, [za, z], w0, p0)
-            else:
-                pos, pt = p0, curve.CurvePoint(za, w0)
+            z = zb - (1.0 - u) ** 2 * dz if root else za + u * dz
+            pos, w = curve.psi(params, z)
             f = float(ell @ pos + b3 - height)
             if f == 0.0:
                 break
             if (f > 0.0) == (f0 > 0.0):
-                s_lo = s
+                u_lo = u
             else:
-                s_hi = s
-            s_next = 0.5 * (s_lo + s_hi)
-            if pt.w != 0.0:
-                fp = slope(pt.z, pt.w)
-                if fp != 0.0 and s_lo < s - f / fp < s_hi:
-                    s_next = s - f / fp
-            if abs(s_next - s) < 1e-13:
+                u_hi = u
+            u_next, step = 0.5 * (u_lo + u_hi), math.inf
+            if w != 0.0:
+                fp = slope(z, complex(w), (2.0 * (1.0 - u) if root else 1.0)
+                           * dz)
+                if fp != 0.0:
+                    step = abs(f / fp)
+                    if u_lo < u - f / fp < u_hi:
+                        u_next = u - f / fp
+            if min(step, abs(u_next - u)) < 1e-13:
                 break
-            s = s_next
+            u = u_next
         out.append(op.apply(pos))
     return np.asarray(out, dtype=float).reshape(-1, 3)
 
@@ -767,23 +838,24 @@ def test_refine_slice_on_edges_ending_at_corner_branch_point(fund2,
     corner, nb = nr * nt - 1, nr * nt - 2  # z = -sigma and its row neighbour
     assert fund2.domain_w[corner] == 0.0
     x3c, x3n = fund2.vertices[corner, 2], fund2.vertices[nb, 2]
-    ends = []
-    batch = curve._integrate_segments
+    points = []
+    psi = curve.psi
 
-    def recording(params, za, zb, wa):
-        ends.extend(zb)
-        return batch(params, za, zb, wa)
+    def recording(params, z):
+        points.extend(np.ravel(z))
+        return psi(params, z)
 
-    monkeypatch.setattr(curve, "_integrate_segments", recording)
-    # a generic crossing, then one whose root sits within 1e-12 (1 + sigma)
-    # of the branch point, where the iterates end in a singular leaf
-    for h, singular in ((0.5 * (x3c + x3n), False),
-                        (x3c + 1e-9 * np.sign(x3n - x3c), True)):
+    monkeypatch.setattr(curve, "psi", recording)
+    # a generic crossing, then one whose root sits 1e-9 in height from the
+    # branch point: there 1 - s ~ (1e-9)^2 rounds away, and the iterates
+    # land on -sigma itself
+    for h, on_corner in ((0.5 * (x3c + x3n), False),
+                         (x3c + 1e-9 * np.sign(x3n - x3c), True)):
         edges = [{i, j} for i, j, _ in slice_mesh(fund2, h)[1]]
         assert {corner, nb} in edges
-        del ends[:]
+        del points[:]
         got = refine_slice(fund2, h, 2.0, max_points=10 ** 6)
-        assert any(abs(z + 2.0) < 3e-12 for z in ends) == singular
+        assert any(abs(z + 2.0) < 3e-12 for z in points) == on_corner
         _assert_matches_reference(
             got, _refine_slice_reference(fund2, h, 2.0, 10 ** 6))
 
@@ -792,13 +864,14 @@ def test_refine_slice_batches_each_height(fund2, ops2, surf2, monkeypatch):
     ext = extend(fund2, ops2, copies=1)
     span = surf2.translation_half()[2]
     calls = []
-    batch = curve._integrate_segments
+    psi = curve.psi
 
     def counting(*args, **kwargs):
         calls.append(1)
-        return batch(*args, **kwargs)
+        return psi(*args, **kwargs)
 
-    monkeypatch.setattr(curve, "_integrate_segments", counting)
+    # one psi call per Newton round, shared by all crossings
+    monkeypatch.setattr(curve, "psi", counting)
     for frac in (0.13, 0.3, 0.5, 0.77, 1.4, 1.9):
         del calls[:]
         assert len(refine_slice(ext, frac * span, 2.0, max_points=24)) >= 5
@@ -813,23 +886,23 @@ def test_refine_slice_height_sequence_matches_per_height_calls(sigma,
     span = surf.translation_half()[2]
     ops = extension_ops(sigma)
     ext = extend(fund, ops, copies=1)
-    # on the 40x60 extension the lockstep batch of all six heights (1652 to
-    # 2660 crossings) spans several quadrature blocks
-    big = extend(sample_fundamental(sigma, 0.1, 40, 60), ops,
+    # on the 120x180 extension the lockstep batch of all six heights spans
+    # two psi blocks
+    big = extend(sample_fundamental(sigma, 0.1, 120, 180), ops,
                  copies=1)
     calls = []
-    batch = curve._integrate_segments
+    psi = curve.psi
 
-    def counting(params, za, *args):
-        calls.append(len(za))
-        return batch(params, za, *args)
+    def counting(params, z):
+        calls.append(np.size(z))
+        return psi(params, z)
 
-    monkeypatch.setattr(curve, "_integrate_segments", counting)
+    monkeypatch.setattr(curve, "psi", counting)
     # 1.4 and 1.9 t0_3 lie above the fundamental piece (no crossings there)
     # and in the copy of the extended mesh
     hs = np.array([0.13, 0.3, 0.5, 0.77, 1.4, 1.9]) * span
     for m, max_points in ((fund, 24), (fund, 5), (ext, 24), (ext, 5),
-                          (big, 1000)):
+                          (big, 2000)):
         del calls[:]
         want = [refine_slice(m, h, sigma, max_points=max_points) for h in hs]
         per_height = len(calls)
@@ -845,7 +918,7 @@ def test_refine_slice_height_sequence_matches_per_height_calls(sigma,
             assert max(len(slice_mesh(m, h)[1]) for h in hs) > 5
             assert all(len(g) <= 5 for g in got)
         if m is big:
-            assert calls[0] > 3 * curve.LEAF_BLOCK
+            assert calls[0] > curve.PSI_BLOCK
     assert refine_slice(fund, [2.0 * span], sigma)[0].shape == (0, 3)
     assert refine_slice(fund, 2.0 * span, sigma).shape == (0, 3)
 
@@ -855,21 +928,24 @@ def test_refine_slice_hits_height_with_few_immerse_calls(fund2, ops2, surf2,
     ext = extend(fund2, ops2, copies=1)
     span = surf2.translation_half()[2]
     calls = []
-    immerse = curve.immerse
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return immerse(*args, **kwargs)
+    def counting(name):
+        fn = getattr(curve, name)
 
-    monkeypatch.setattr(curve, "immerse", counting)
-    n_points = 0
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(curve, name, counted)
+
+    # the surface points are closed-form evaluations: no path is integrated
+    counting("immerse")
+    counting("_integrate_segments")
     for frac in (0.13, 0.3, 0.5, 0.77, 1.4, 1.9):
         h = frac * span
         pts = refine_slice(ext, h, 2.0, max_points=24)
         assert len(pts) >= 5
         assert np.max(np.abs(pts[:, 2] - h)) <= 1e-12 * max(1.0, abs(h))
-        n_points += len(pts)
-    assert len(calls) <= 6 * n_points
+    assert calls == []
 
 
 # --- export -------------------------------------------------------------------
