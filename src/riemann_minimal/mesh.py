@@ -670,6 +670,8 @@ def refine_slice(mesh: TriMesh, height, sigma: float, max_points: int = 32):
 
 
 _CHUNK = 1 << 12  # rows formatted per write: ~2 MB of numpy text temporaries
+_UNIT_COLUMNS = 8  # block columns whose digits export_obj keeps
+_VALUE = np.dtype((np.void, 24))  # one value's six text units, copied whole
 
 # decimal exponents e for which y = |x| 10^(8 - e) is at most two roundings
 # away from exact: 10^k is an exact double for |k| <= 22
@@ -764,7 +766,39 @@ def _decimal9(a):
     return m, e + carry, slow
 
 
-def _g9_rows(tag, rows):
+def _g9_units(a):
+    """(units, slow) of a 1-D array ``a`` of |x|, the sign-free part of
+    :func:`_g9_rows`'s text.
+
+    ``units`` holds one ``_VALUE`` item per value, six uint32 units: the
+    integer digits above the last seven as a number i0 < 100 (its row of
+    ``lead2`` before the sign is added), then the five text units that
+    follow (``int4``, ``int3`` and three of ``frac4``).  ``slow`` holds the
+    indices of the values :func:`_decimal9` leaves to ``'%.9g'``; their
+    units are meaningless.
+    """
+    _, _, int4, int3, frac4 = _g9_tables()
+    p10 = 10 ** np.arange(13, dtype=np.int64)
+    m, e, slow = _decimal9(a)
+    fixed = (e >= -4) & (e < 9)
+    s = np.where(fixed, e, 0)
+    ip = m // p10[8 - s]
+    fp = (m - ip * p10[8 - s]) * p10[4 + s]
+    i0, i1 = ip // 10_000_000, ip // 1000
+    i1, i2 = i1 - 10_000 * i0, ip - 1000 * i1
+    f0, f1 = fp // 100_000_000, fp // 10_000
+    f1, f2 = f1 - 10_000 * f0, fp - 10_000 * f1
+    u = np.empty((6, len(a)), dtype=np.uint32)
+    u[0] = i0
+    int4.take(i1 + 10_000 * (i0 > 0), out=u[1])
+    int3.take(i2 + 2000 * (ip >= 1000) + 1000 * (fp > 0), out=u[2])
+    frac4.take(f0 + 10_000 * (f1 + f2 > 0), out=u[3])
+    frac4.take(f1 + 10_000 * (f2 > 0), out=u[4])
+    frac4.take(np.where(fixed, f2, 20_000 + e - _EMIN), out=u[5])
+    return u.T.copy().view(_VALUE)[:, 0], np.flatnonzero(slow)
+
+
+def _g9_rows(tag, rows, units=_g9_units):
     """``rows`` as ASCII lines ``tag x0 x1 ...``, each value as ``'%.9g'``
     would write it, in chunks of ``_CHUNK`` rows.
 
@@ -774,40 +808,36 @@ def _g9_rows(tag, rows):
     the fraction as 12 digits in three units, trailing zeros dropped
     (``frac4``).  The integer part is M // 10^(8 - s), s = e in fixed
     notation (-4 <= e < 9) and s = 0 in exponent notation, where the last
-    fraction unit, always empty, holds the exponent.  ``slow`` values
-    (see :func:`_decimal9`) are written by ``'%.9g'`` into their six
-    units.  One ``bytes.translate`` drops the zero padding.
+    fraction unit, always empty, holds the exponent.  One ``bytes.translate``
+    drops the zero padding.
+
+    Only the sign depends on more than |x|, so the text is built in two
+    steps: ``units`` maps each column of magnitudes to its sign-free units
+    (:func:`_g9_units`), and the sign unit comes from ``np.signbit(x)``.
+    A caller may pass a ``units`` that returns stored results for a column
+    it has seen before; the bytes cannot tell, since a column's units are a
+    function of its magnitudes alone.  ``slow`` values (see
+    :func:`_decimal9`) are written by ``'%.9g'`` from the signed value into
+    their six units: Python writes a NaN with its sign bit set as ``nan``.
     """
-    _, lead2, int4, int3, frac4 = _g9_tables()
-    p10 = 10 ** np.arange(13, dtype=np.int64)
+    lead2 = _g9_tables()[1]
     head, newline = _units([tag, b"\n"])
-    for i in range(0, len(rows), _CHUNK):
-        x = np.asarray(rows[i:i + _CHUNK], dtype=np.float64)
-        xf = x.ravel()
-        m, e, slow = _decimal9(np.abs(xf))
-        fixed = (e >= -4) & (e < 9)
-        s = np.where(fixed, e, 0)
-        ip = m // p10[8 - s]
-        fp = (m - ip * p10[8 - s]) * p10[4 + s]
-        i0, i1 = ip // 10_000_000, ip // 1000
-        i1, i2 = i1 - 10_000 * i0, ip - 1000 * i1
-        f0, f1 = fp // 100_000_000, fp // 10_000
-        f1, f2 = f1 - 10_000 * f0, fp - 10_000 * f1
-        u = np.empty((6, xf.size), dtype=np.uint32)
-        lead2.take(i0 + 100 * np.signbit(xf), out=u[0])
-        int4.take(i1 + 10_000 * (i0 > 0), out=u[1])
-        int3.take(i2 + 2000 * (ip >= 1000) + 1000 * (fp > 0), out=u[2])
-        frac4.take(f0 + 10_000 * (f1 + f2 > 0), out=u[3])
-        frac4.take(f1 + 10_000 * (f2 > 0), out=u[4])
-        frac4.take(np.where(fixed, f2, 20_000 + e - _EMIN), out=u[5])
-        buf = bytearray(4 * len(x) * (6 * x.shape[1] + 2))
-        line = np.frombuffer(buf, dtype=np.uint32).reshape(len(x), -1)
+    x = np.asarray(rows, dtype=np.float64)
+    cols = [units(np.abs(x[:, c])) for c in range(x.shape[1])]
+    for i in range(0, len(x), _CHUNK):
+        xc = x[i:i + _CHUNK]
+        buf = bytearray(4 * len(xc) * (6 * x.shape[1] + 2))
+        line = np.frombuffer(buf, dtype=np.uint32).reshape(len(xc), -1)
         line[:, 0], line[:, -1] = head, newline
-        body = line[:, 1:-1].reshape(x.shape + (6,))
-        body[...] = u.T.reshape(body.shape)
-        for j in np.flatnonzero(slow):
-            text = (b" %.9g" % xf[j]).ljust(24, b"\0")  # <= 17 bytes
-            body[divmod(j, x.shape[1])] = np.frombuffer(text, dtype=np.uint32)
+        body = line[:, 1:-1].reshape(xc.shape + (6,))
+        values = line[:, 1:-1].view(_VALUE)  # body, one item per value
+        for c, (u, _) in enumerate(cols):
+            values[:, c] = u[i:i + _CHUNK]
+        body[..., 0] = lead2.take(body[..., 0] + 100 * np.signbit(xc))
+        for c, (_, slow) in enumerate(cols):
+            for j in slow[(slow >= i) & (slow < i + len(xc))] - i:
+                text = (b" %.9g" % xc[j, c]).ljust(24, b"\0")  # <= 17 bytes
+                body[j, c] = np.frombuffer(text, dtype=np.uint32)
         yield buf.translate(None, b"\0")
 
 
@@ -816,11 +846,11 @@ def _token_table(idx):
     zero-padded to the widest item.  The digits of each i are read four at
     a time from the full 4-digit unit table (``int4``'s second half), and
     its leading zeros are cut.  Items are fixed-width ``void`` scalars, so
-    a gather copies whole rows."""
+    a gather copies whole rows; so do the copies that fill the table."""
     groups = max(1, -(-len(str(int(idx.max(initial=0)))) // 4))
-    digits = _g9_tables()[2][10_000:].take(
-        idx[:, None] // 10_000 ** np.arange(groups - 1, -1, -1) % 10_000
-    ).view(np.uint8)
+    digits = _g9_tables()[2][10_000:].take(np.stack(
+        [idx // 10_000 ** g % 10_000 for g in range(groups - 1, -1, -1)],
+        axis=1)).view(np.uint8)
     # " i" bytes per row: one more than the digit count
     width = 2 + np.searchsorted(10 ** np.arange(1, 4 * groups), idx,
                                 side="right")
@@ -829,12 +859,60 @@ def _token_table(idx):
     runs = np.flatnonzero(np.diff(width, prepend=-1, append=-1))
     for r0, r1 in zip(runs[:-1], runs[1:]):
         w = width[r0]
-        tok = digits[r0:r1, 4 * groups + 1 - w:]
+        item = np.dtype((np.void, w - 1))  # one row's digits
+        tok = digits[r0:r1, 4 * groups + 1 - w:].view(item)
         table[r0:r1, 0] = ord(" ")
-        table[r0:r1, 1:w] = tok
-        table[r0:r1, w:w + 2] = ord("/")
-        table[r0:r1, w + 2:2 * w + 1] = tok
+        table[r0:r1, 1:w].view(item)[...] = tok
+        table[r0:r1, w] = table[r0:r1, w + 1] = ord("/")
+        table[r0:r1, w + 2:2 * w + 1].view(item)[...] = tok
     return table.view(np.dtype((np.void, table.shape[1])))[:, 0]
+
+
+def _unique(a):
+    """The sorted distinct values of an integer array, as ``np.unique``
+    gives them, from one sort: numpy 2.4's hash-based ``np.unique`` took
+    12x as long on the 1.8M face indices of a 160x240 extended mesh."""
+    a = np.sort(a, axis=None)
+    keep = np.ones(a.shape, dtype=bool)
+    keep[1:] = a[1:] != a[:-1]
+    return a[keep]
+
+
+def _unit_cache(size):
+    """:func:`_g9_units` behind a least-recently-used store of ``size``
+    columns, keyed by the bytes of the column of magnitudes itself."""
+    store = {}
+
+    def units(a):
+        key = a.tobytes()
+        hit = store.pop(key, None)
+        if hit is None:
+            hit = _g9_units(a)
+            if len(store) == size:
+                del store[next(iter(store))]
+        store[key] = hit
+        return hit
+    return units
+
+
+def _obj_values(mesh):
+    """The ``v`` then the ``vn`` text of :func:`export_obj`, copy by copy
+    and block by block, with one store of block column digits; the store
+    is freed when the text ends, before the face section allocates."""
+    units = _unit_cache(_UNIT_COLUMNS)
+    block = mesh.base_count or 1
+
+    def lines(tag, rows):
+        for b in range(0, len(rows), block):
+            yield from _g9_rows(tag, rows[b:b + block], units)
+
+    for v, _ in mesh.iter_copies():
+        yield from lines(b"v", v)
+    key = None
+    for _, nrm in mesh.iter_copies():
+        if nrm.tobytes() != key:
+            key, text = nrm.tobytes(), list(lines(b"vn", nrm))
+        yield from text
 
 
 def export_obj(mesh: TriMesh, path) -> int:
@@ -844,31 +922,37 @@ def export_obj(mesh: TriMesh, path) -> int:
     it, byte for byte: :func:`_g9_rows` renders the correctly rounded
     digits in numpy and leaves near-ties, non-finite values and extreme
     exponents to ``'%.9g'`` itself.  ``v`` and ``vn`` walk the mesh copy by
-    copy (:meth:`TriMesh.iter_copies`), so no whole-mesh array is built; a
-    copy's ``vn`` text is formatted once and written again for every
-    following copy with the same normal bytes (translated copies
-    1..copies).  ``f`` formats each distinct vertex
-    index of a copy once, into a per-copy table of ``" i//i"`` tokens
-    (:func:`_token_table`).  Copy k's faces are the cell's shifted by k
-    times its vertex count, so every copy maps its faces to the same table
-    rows, and a chunk of face lines is a byte gather of three rows between
-    ``f`` and a newline, with the padding dropped.  Deterministic bytes for
-    identical input.  Returns the byte count.
+    copy (:meth:`TriMesh.iter_copies`), so no whole-mesh array is built,
+    and each copy block by block (``base_count`` rows).  Every isometry of
+    the extension is a signed diagonal map plus an offset with no x2
+    component, so most block columns repeat the magnitudes of an earlier
+    one: x2 in every block, x1 and x3 in blocks paired by a zero-offset op,
+    all normals those of the base block.  The sign-free digits of a block
+    column are therefore kept, keyed by the bytes of its magnitudes, for
+    the last ``_UNIT_COLUMNS`` distinct columns (a fixed bound, so memory
+    does not grow with the copy count); the sign is added per value.  The
+    key is the data, so reuse needs no assumption about the ops and the
+    bytes are the same with or without it.  A copy's ``vn`` text is also
+    written again for every following copy with the same normal bytes
+    (translated copies 1..copies).
+
+    ``f`` formats each distinct vertex index of a copy once, into a
+    per-copy table of ``" i//i"`` tokens (:func:`_token_table`).  Copy k's
+    faces are the cell's shifted by k times its vertex count, so every
+    copy maps its faces to the same table rows, and a chunk of face lines
+    is a byte gather of three rows between ``f`` and a newline.  The
+    padding is dropped only where a copy's indices differ in digit count.
+    Deterministic bytes for identical input.  Returns the byte count.
     """
-    nbytes = 0
     with open(path, "wb") as fh:
-        for v, _ in mesh.iter_copies():
-            nbytes += sum(map(fh.write, _g9_rows(b"v", v)))
-        key = None
-        for _, nrm in mesh.iter_copies():
-            if nrm.tobytes() != key:
-                key, text = nrm.tobytes(), list(_g9_rows(b"vn", nrm))
-            nbytes += sum(map(fh.write, text))
+        nbytes = sum(map(fh.write, _obj_values(mesh)))
         faces, n = mesh._cell_faces, len(mesh.cell_vertices)
-        used = np.unique(faces)  # faces may point past the vertex array
+        used = _unique(faces)  # faces may point past the vertex array
         rows = np.searchsorted(used, faces)
         for k in range(mesh.copies + 1):
             tokens = _token_table(used + (k * n + 1))
+            # used is sorted: if its first token is unpadded, all are
+            padded = not tokens[:1].view(np.uint8).all()
             for i in range(0, len(rows), _CHUNK):
                 part = rows[i:i + _CHUNK]
                 line = np.empty((len(part), 3 * tokens.itemsize + 2),
@@ -876,7 +960,7 @@ def export_obj(mesh: TriMesh, path) -> int:
                 line[:, 0], line[:, -1] = ord("f"), ord("\n")
                 line[:, 1:-1] = tokens[part].view(np.uint8).reshape(
                     len(part), -1)
-                nbytes += fh.write(line[line != 0])
+                nbytes += fh.write(line[line != 0] if padded else line)
     return nbytes
 
 

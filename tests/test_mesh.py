@@ -1088,10 +1088,14 @@ def test_export_obj_matches_fstring_loop(tmp_path, fund2, ops2, make):
 
 def _digit_crossing_mesh(fund2, ops2):
     """14x20 piece with copies 0..4: copy 4 holds 1-based indices 8961 to
-    11200, so 9999 -> 10000 falls inside one copy's index table."""
+    11200, so 9999 -> 10000 falls inside one copy's index table.  Copies 0
+    and 4 mix digit counts and have their face lines compacted; copies 1
+    to 3 keep one digit count and are written as gathered."""
     m = extend(fund2, ops2, copies=4)
     n = len(m.cell_vertices)
     assert 4 * n + 1 <= 9999 < 10000 <= 5 * n
+    same = [len(str(k * n + 1)) == len(str(k * n + n)) for k in range(5)]
+    assert same == [False, True, True, True, False]
     return m
 
 

@@ -10,14 +10,17 @@ from hypothesis import given, settings, strategies as st
 from riemann_minimal import mesh
 
 
+def percent(rows):
+    """Python's text of ``rows`` as ``v`` lines."""
+    return b"".join(b"v %s\n" % b" ".join(b"%.9g" % v for v in row)
+                    for row in rows.tolist())
+
+
 def formatted(values):
     """(numpy text, Python text) of ``values`` as ``v`` lines of three."""
     x = np.asarray(values, dtype=np.float64).ravel()
     rows = np.concatenate([x, np.zeros(-len(x) % 3)]).reshape(-1, 3)
-    got = b"".join(mesh._g9_rows(b"v", rows))
-    want = b"".join(b"v %s\n" % b" ".join(b"%.9g" % v for v in row)
-                    for row in rows.tolist())
-    return got, want
+    return b"".join(mesh._g9_rows(b"v", rows)), percent(rows)
 
 
 def assert_formats_like_python(values):
@@ -138,3 +141,41 @@ def test_face_tokens_match_percent_d():
         for i, item in zip(idx, table):
             assert bytes(item) == (b" %d//%d" % (i, i)).ljust(width, b"\0")
     assert mesh._token_table(np.array([], dtype=np.int64)).shape == (0,)
+
+
+def _hard_columns():
+    """Three columns of 40 values '%.9g' finds hard: signed zeros, a near
+    tie and exact ties (slow), infinities, a NaN with its sign bit set,
+    fixed and exponent-form magnitudes, one out of the fast range."""
+    rng = np.random.default_rng(12)
+    special = [0.0, -0.0, 1234567885e-13, 123456789.5, np.inf, -np.inf,
+               -np.float64("nan"), 1e-300, 2.5e12, -3.25e-7, 1e22, 5e-324]
+    assert np.signbit(special[6])
+    cols = []
+    for _ in range(3):
+        x = rng.standard_normal(28) * 10.0 ** rng.integers(-30, 30, 28)
+        cols.append(rng.permutation(np.concatenate([special, x])))
+    return np.stack(cols, axis=1)
+
+
+@pytest.mark.parametrize("size", [1, 2, 8])
+def test_blocks_reusing_column_digits_match_python(monkeypatch, size):
+    # blocks whose columns repeat the magnitudes of earlier ones with the
+    # opposite sign, as the extension's ops make them, and one translated
+    # column: 4 distinct columns of magnitudes in 18; the text must not
+    # depend on which columns the store still holds
+    base = _hard_columns()
+    flips = [(1, 1, 1), (-1, 1, -1), (1, -1, 1), (-1, -1, -1), (1, 1, 1)]
+    blocks = [np.where(np.array(f) < 0, -base, base) for f in flips]
+    assert (np.signbit(blocks[1]) != np.signbit(base))[:, [0, 2]].all()
+    moved = base.copy()
+    moved[:, 0] += 7.0
+    blocks.insert(2, moved)
+    calls = []
+    units = mesh._g9_units
+    monkeypatch.setattr(mesh, "_g9_units",
+                        lambda a: calls.append(len(a)) or units(a))
+    store = mesh._unit_cache(size)
+    got = b"".join(t for b in blocks for t in mesh._g9_rows(b"v", b, store))
+    assert got == percent(np.concatenate(blocks))
+    assert (len(calls) == 4) if size == 8 else (len(calls) > 4)
