@@ -16,10 +16,13 @@ params = curve.CurveParams(SIGMA)
 
 print(f"curve: w^2 = z(z-1)(z+{SIGMA}), g = z/sqrt(sigma), phi3 = dz/w\n")
 
-# square-root monodromy
+# square-root monodromy: continue w around z = 1 node by node, taking at
+# each node the root nearer the previous value
 loop1 = 1.0 + 0.45 * np.exp(1j * np.linspace(0, 2 * np.pi, 65))
-w0 = np.sqrt(complex(curve.curve_poly(params, loop1[0])))
-w1 = curve.immerse(params, loop1, w0)[1].w  # the branch continued around
+w0 = w1 = np.sqrt(complex(curve.curve_poly(params, loop1[0])))
+for z in loop1[1:]:
+    w = np.sqrt(complex(curve.curve_poly(params, z)))
+    w1 = w if abs(w - w1) < abs(w + w1) else -w
 print(f"one turn around z=1:   w -> {w1 / w0:+.6f} * w   (sign flip)")
 
 # periods and flux

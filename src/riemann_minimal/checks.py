@@ -7,13 +7,15 @@ conformality come from central finite differences of sampled immersion
 values only, and the classical/Weierstrass comparison is a rigid-motion
 plus single-scale registration of measured circle radii.
 
-The routes each check takes to the surface: the Weierstrass stencil's
-anchors are closed-form points (``curve.psi``) and its increments come
-from the quadrature kernel (``curve._integrate_segments``); registration
-and the circle foliation refine slices of a kernel-sampled piece to exact
-points by Newton on ``curve.psi``; the classical stencil adds G7/K15
-increment panels to the Carlson closed forms of ``classical``.  The
-periods and fluxes of ``verify`` march the homology loops on the kernel.
+The routes each check takes to the surface: the sampled piece and the
+Weierstrass stencil's anchors are closed-form points (``curve.immerse``),
+and the stencil's increments come from the quadrature kernel
+(``curve._integrate_segments``); registration and the circle foliation
+refine slices of the piece to exact points by Newton on ``curve.immerse``;
+the classical stencil adds G7/K15 increment panels to the Carlson closed
+forms of ``classical``.  The periods and fluxes of ``verify`` march the
+homology loops on the kernel.  The sampled vertices are pinned against a
+kernel march by the test suite, not here.
 """
 
 from __future__ import annotations
@@ -132,20 +134,20 @@ def _weierstrass_stencil(sigma, n_side, h, offsets):
 
     The anchors are the interior points of the (n_side + 2)^2 grid of
     ``mesh.DomainMap(sigma, 0.35).grid``, each with X0 = psi(z0) and its
-    principal branch w0 from the closed form :func:`curve.psi`.  z = u + iv
-    is itself a conformal chart, but its scale shrinks near the branch
-    points, so the step of anchor k is h_k = h min(1, distance from z0 to
-    the nearest branch point).  The stencil values are X0 plus increments:
-    all anchor x offset segments are integrated from their anchor as one
-    ``curve._integrate_segments`` batch (adaptive quadrature, independent
-    of the closed form).  Subtracting two closed-form values instead would
-    put their rounding over h^2.  Returns (X0, X, h_k) with shapes (n, 3),
-    (n, len(offsets), 3) and (n,).
+    principal branch w0 from the closed form :func:`curve.immerse`.
+    z = u + iv is itself a conformal chart, but its scale shrinks near the
+    branch points, so the step of anchor k is h_k = h min(1, distance from
+    z0 to the nearest branch point).  The stencil values are X0 plus
+    increments: all anchor x offset segments are integrated from their
+    anchor as one ``curve._integrate_segments`` batch (adaptive
+    quadrature, independent of the closed form).  Subtracting two
+    closed-form values instead would put their rounding over h^2.  Returns
+    (X0, X, h_k) with shapes (n, 3), (n, len(offsets), 3) and (n,).
     """
     params = curve.CurveParams(sigma)
     grid = mesh.DomainMap(sigma, 0.35).grid(n_side + 2, n_side + 2)
     z0 = grid[1:-1, 1:-1].ravel()
-    X0, w0 = curve.psi(params, z0)
+    X0, w0 = curve.immerse(params, z0)
     bps = np.array(curve.branch_points(params))
     hk = h * np.minimum(1.0, np.min(np.abs(z0[:, None] - bps), axis=1))
     steps = np.array([complex(i, j) for i, j in offsets])

@@ -9,23 +9,23 @@ The surface is recovered by X(p) = X(p0) + Re int (phi1, phi2, phi3) along
 any path, provided w is continued as a single continuous branch of
 sqrt(z(z-1)(z+sigma)).  There are two routes to it.
 
-On the upper half-plane the immersion is in closed form: :func:`psi` is
-one complex R_F and one complex R_D per point (Carlson's symmetric
-elliptic integrals).  ``verify``'s exact surface points use it: the
-refined slices of ``mesh.refine_slice`` and the anchors of the
-Weierstrass finite-difference stencil.
+On the upper half-plane the immersion is in closed form: :func:`immerse`
+is one complex R_F and one complex R_D per point (Carlson's symmetric
+elliptic integrals).  It is the package's only surface evaluator: the
+sampled piece of ``mesh.sample_fundamental``, the refined slices of
+``mesh.refine_slice`` and the anchors of the Weierstrass finite-difference
+stencil.
 
-Every path integral runs through one batched kernel,
-:func:`_integrate_segments`: the sampled mesh (``immerse``), the homology
-loops and their periods, and the stencil's short increments, so the checks
-on them stay independent of the closed form.  Each segment is a G7/K15
-panel whose nodes carry w by the nearest-sign rule, accepted only if w
-turns by less than 45 degrees between consecutive nodes (which makes that
+The homology loops and their periods, and the stencil's short increments,
+run through one batched quadrature kernel, :func:`_integrate_segments`, so
+the checks on them stay independent of the closed form.  Each segment is a
+G7/K15 panel whose nodes carry w by the nearest-sign rule, accepted only if
+w turns by less than 45 degrees between consecutive nodes (which makes that
 choice unambiguous); segments that fail are bisected inside the batch, and
-a segment ending on a branch point ends in a singular leaf.  So a path only has to stay off
-the branch points, at any distance from them.  Each round's leaves are
-evaluated in equal blocks of at most 512 (LEAF_BLOCK), whose products
-act on arrays below numpy's 256 KiB temporary-elision size, so a
+a segment ending on a branch point ends in a singular leaf.  So a path only
+has to stay off the branch points, at any distance from them.  Each round's
+leaves are evaluated in equal blocks of at most 512 (LEAF_BLOCK), whose
+products act on arrays below numpy's 256 KiB temporary-elision size, so a
 segment's integral does not depend on the other segments in its batch.
 
 Conventions fixed here (see README):
@@ -56,7 +56,7 @@ __all__ = [
     "CurveError", "BranchAmbiguity", "ClearanceViolation", "PoleOfGaussMap",
     "CurveParams", "CurvePoint", "HomologyLoop",
     "curve_poly", "branch_points", "basepoint",
-    "on_curve_residual", "immerse", "psi", "gaussian_curvature",
+    "on_curve_residual", "immerse", "gaussian_curvature",
     "gamma1_loop", "gamma2_loop", "end_loop", "period", "flux",
     "apply_symmetry", "verify_symmetry_action", "gauss_ode_residual",
     "gauss_derivatives", "random_regular_points",
@@ -330,53 +330,23 @@ def _march(params, z, w0):
 
 
 def _accumulate(edges, x0, w0):
-    """Phase 2 of a march: the chains of :func:`_march`, starting
-    at x0 (shape (m, 3)) on the branch w0 (shape (m,)).
+    """Phase 2 of a march: the end of each chain of :func:`_march`,
+    starting at x0 (shape (m, 3)) on the branch w0 (shape (m,)).
 
     phi is odd in w, so an edge integrated from the other sheet's root
     has the negated integral: an edge's sheet is the product of the flips
     Re(w * conj(wa)) < 0 between the branch w continued to its start (w0,
     then the previous edge's end) and its starting root wa.  Returns the
     integrals accumulated in marching order, ((x0 + d1) + d2) + ... (shape
-    (m, n + 1, 3); of complex totals, the real part is the position), and
-    the branch values (m, n + 1).
+    (m, 3), complex), and the branch continued to the chain's end (m,).
     """
     wa, totals, wb = edges
     w_in = np.concatenate([w0[:, None], wb[:, :-1]], axis=1)
     sheet = np.cumprod(np.where((w_in * wa.conjugate()).real < 0.0, -1.0, 1.0),
                        axis=1)
     steps = np.where(sheet[..., None] < 0.0, -totals, totals)
-    return (np.cumsum(np.concatenate([x0[:, None], steps], axis=1), axis=1),
-            np.concatenate([w0[:, None], wb * sheet], axis=1))
-
-
-def immerse(params: CurveParams, nodes, w_start,
-            base_position=(0.0, 0.0, 0.0)):
-    """Integrate the Weierstrass forms along the polyline ``nodes``, marched
-    as one chain; for nodes of shape (m, n + 1), along m polylines in one
-    integrator call, from w_start of shape (m,) (base_position broadcast
-    to (m, 3)).
-
-    Returns (position, end_point): ``base_position + Re int (phi1,phi2,phi3)``
-    and the curve point at the last node with the continued branch of w
-    (shapes (m, 3) and (m,) for m polylines).  A path whose last node is
-    the branch point 1 or -sigma ends in a singular leaf (the end point
-    then carries w = 0).  The path only has to stay off the branch points,
-    and consecutive nodes must differ (ClearanceViolation and ValueError
-    from :func:`_integrate_segments`).
-    """
-    pos = np.asarray(base_position, dtype=float)
-    z = np.asarray(nodes, dtype=complex)
-    if z.ndim == 1:
-        if len(z) < 2:
-            return pos.copy(), CurvePoint(complex(z[0]) if len(z) else 0j,
-                                          complex(w_start))
-        pos, end = immerse(params, z[None], [w_start], pos[None])
-        return pos[0], CurvePoint(complex(end.z[0]), complex(end.w[0]))
-    w0 = np.asarray(w_start, dtype=complex)
-    acc, ws = _accumulate(_march(params, z, w0), np.broadcast_to(
-        pos, (len(z), 3)), w0)
-    return acc[:, -1].real, CurvePoint(z[:, -1], ws[:, -1])
+    acc = np.cumsum(np.concatenate([x0[:, None], steps], axis=1), axis=1)
+    return acc[:, -1], wb[:, -1] * sheet[:, -1]
 
 
 # ---------------------------------------------------------------------------
@@ -388,21 +358,23 @@ def _translation_half(sigma):
     """t0 = psi(-sigma) = (2/3 sqrt(sigma) R_D(0, 1 + sigma, 1), 0,
     2 R_F(0, 1, 1 + sigma)) in real Carlson integrals, derived in
     ``mesh.FundamentalSurface.translation_half``, as a tuple.  Kept per
-    sigma: every :func:`psi` call adds it, and its two adaptive Carlson
+    sigma: every :func:`immerse` call adds it, and its two adaptive Carlson
     calls cost as much as a block of points."""
     rd = classical.carlson_rd(0.0, 1.0 + sigma, 1.0)
     rf = classical.carlson_rf(0.0, 1.0, 1.0 + sigma)
     return (2.0 / 3.0 * math.sqrt(sigma) * rd, 0.0, 2.0 * rf)
 
 
-def psi(params: CurveParams, z):
+def immerse(params: CurveParams, z):
     """psi(z) = X(z) - X(1) on the base point's sheet, in closed form, for
     z (any shape) in the closed upper half-plane minus the end z = 0.
 
     Returns (positions of shape z.shape + (3,), w of shape z.shape), with
-    w = sqrt(z) sqrt(z - 1) sqrt(z + sigma), principal roots: the sheet of
-    ``sample_fundamental``'s ``domain_w``, analytic on the upper
-    half-plane.  From d(w/z) = (z^2 + sigma) dz / (2 z w),
+    w = sqrt(z) sqrt(z - 1) sqrt(z + sigma), principal roots: analytic on
+    the upper half-plane, and the base point's sheet (the positive root at
+    1 + 1e-2 continued over the upper half circle around 1 is
+    i sqrt(x (1 - x) (x + sigma)) on all of (0, 1)).  From
+    d(w/z) = (z^2 + sigma) dz / (2 z w),
 
         phi1 = sqrt(sigma) dz/(z w) - d(w/z)/sqrt(sigma),
         phi2 = (i/sqrt(sigma)) d(w/z),      phi3 = dz/w,
@@ -435,7 +407,7 @@ def psi(params: CurveParams, z):
 
 
 def _psi_block(params, z, t0):
-    """:func:`psi` on one block of points, t0 given."""
+    """:func:`immerse` on one block of points, t0 given."""
     s = params.sigma
     rs = math.sqrt(s)
     # R_D's argument order; R_F is symmetric
@@ -507,13 +479,12 @@ def _make_loop(params, kind, center, radius, n, turns=1):
     z0 = nodes[0]
     w0 = np.sqrt(complex(curve_poly(params, z0)))
     edges = _march(params, np.array(nodes)[None], np.array([w0]))
-    acc, ws = _accumulate(edges, np.zeros((1, 3)), np.array([w0]))
-    w_end = ws[0, -1]
+    (acc,), (w_end,) = _accumulate(edges, np.zeros((1, 3)), np.array([w0]))
     if abs(w_end - w0) > 1e-8 * abs(w0):
         raise BranchAmbiguity(
             f"loop {kind} does not close on the curve: |dw|/|w| = "
             f"{abs(w_end - w0) / abs(w0):.3e}")
-    return HomologyLoop(kind, CurvePoint(z0, w0), nodes, acc[0, -1])
+    return HomologyLoop(kind, CurvePoint(z0, w0), nodes, acc)
 
 
 def gamma1_loop(params: CurveParams, n=64) -> HomologyLoop:
@@ -564,7 +535,7 @@ def period(params: CurveParams, loop: HomologyLoop) -> np.ndarray:
         return loop.integrals.copy()
     w0 = np.array([loop.base.w])
     edges = _march(params, np.array(loop.nodes)[None], w0)
-    return _accumulate(edges, np.zeros((1, 3)), w0)[0][0, -1]
+    return _accumulate(edges, np.zeros((1, 3)), w0)[0][0]
 
 
 def flux(params: CurveParams, loop: HomologyLoop) -> np.ndarray:

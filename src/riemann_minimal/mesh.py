@@ -7,15 +7,12 @@ Moebius map onto the fundamental domain
 
 minus a round neighborhood of the end z = 0 (the image of |zeta| = e is a
 circle exactly centered at the origin; the smaller e, the more of the end
-is kept).  The immersion is integrated along the grid edges from one
-vertex on (0, 1), where w on the base point's sheet is a closed form, so
-the whole patch lives on that sheet: every edge (the t = 0 column, the
-interior rows, the radial edges to the outer row and the two corner edges)
-is integrated as a one-edge path in one ``curve.immerse`` batch, and
-positions and branch signs are accumulated along the marching order.
-The two grid corners on the branch points z = 1 and z = -sigma end in
-singular leaves.  No path keeps a distance from the branch points beyond
-not passing through one, so every sigma > 0 is sampled the same way.
+is kept).  The piece is the closed form ``curve.immerse`` evaluated at
+every grid point in one call, on the sheet w = sqrt(z) sqrt(z - 1)
+sqrt(z + sigma) of principal roots, which is the base point's sheet on the
+closed upper half-plane; the two grid corners sit on the branch points
+z = 1 and z = -sigma, where w = 0.  No point needs a path, so every
+sigma > 0 is sampled the same way.
 
 The surface is then grown by the four-step symmetry pipeline: 180-degree
 rotation about the horizontal line through psi(i sqrt(sigma)), reflection
@@ -27,8 +24,8 @@ symmetry carries its action on the surface's orientation, which maps the
 normals and decides which blocks' faces are reversed.
 
 Slices of a mesh are refined to exact surface points (:func:`refine_slice`)
-by Newton on the closed form ``curve.psi``, one evaluation of all
-crossings per round; the sampling itself stays on the quadrature kernel.
+by Newton on the same closed form, one evaluation of all crossings per
+round.
 """
 
 from __future__ import annotations
@@ -249,7 +246,7 @@ class TriMesh:
         n = self.base_count
         faces = np.asarray(self.base_faces, dtype=np.int64)
         nxt = np.roll(faces, -1, axis=1)
-        key = np.unique(np.minimum(faces, nxt) * n + np.maximum(faces, nxt))
+        key = _unique(np.minimum(faces, nxt) * n + np.maximum(faces, nxt))
         i, j = np.divmod(key, n)
         shift = n * np.arange(self.vertex_count // n)[:, None]
         return (i + shift).ravel(), (j + shift).ravel()
@@ -306,17 +303,12 @@ def sample_fundamental(sigma: float, e: float, nr: int, nt: int) -> TriMesh:
     """Sample psi = X - X(1) on the image of an nr x nt polar grid.
 
     Grid: r in linspace(e, 1, nr), t in linspace(0, 1, nt), z through the
-    Moebius map of r*exp(i pi t).  Marching order: the t = 0 column is
-    walked down the real axis from its first vertex x0 (the one nearest
-    z = 1), each row is walked in t from its t = 0 vertex, the outer row is
-    reached radially from the row below, and the two corner vertices on the
-    branch points by one edge each from their outer-row neighbour, ending
-    in a singular leaf.  All these edges are integrated in one
-    ``curve.immerse`` batch; a vertex's position is the sum of the edge
-    integrals along this order and its branch value w the continuation
-    along it (``curve._accumulate``).  It starts on the base point's sheet:
-    the positive root at 1 + 1e-2, continued over the upper half circle
-    around 1, is w = i sqrt(x (1 - x) (x + sigma)) on all of (0, 1).
+    Moebius map of r*exp(i pi t), every point in the closed upper
+    half-plane.  Positions and branch values come from one
+    ``curve.immerse`` call on the whole grid; the vertices are taken
+    relative to the corner z = 1, so that corner lies exactly at the origin.
+    ``domain_w`` is the base point's sheet: i sqrt(x (1 - x) (x + sigma))
+    on the t = 0 column, and 0 at the corners on the branch points.
     """
     params = CurveParams(sigma)
     dm = DomainMap(sigma, e)
@@ -328,41 +320,8 @@ def sample_fundamental(sigma: float, e: float, nr: int, nt: int) -> TriMesh:
             or np.min(np.abs(np.diff(Z, axis=0))) == 0.0):
         raise DegenerateCell("adjacent grid samples coincide")
 
-    X = np.zeros((nr, nt, 3))
-    W = np.zeros((nr, nt), dtype=complex)
-    top, k, nb = nr - 1, slice(1, nt - 1), [1, nt - 2]
-    order = np.argsort(-Z[:top, 0].real)
-    x0 = Z[order[0], 0].real
-    # in real arithmetic: np.sqrt of the complex -p - 0j is -i sqrt(p)
-    w0 = np.array([1j * math.sqrt(x0 * (1.0 - x0) * (x0 + sigma))])
-    chains = [Z[order, 0][None], Z[:top],
-              np.stack([Z[top - 1, k], Z[top, k]], axis=1),
-              np.stack([Z[top, nb], Z[top, [0, nt - 1]]], axis=1)]
-    # every edge in one immerse batch, each from the principal root at its
-    # start (the column's first too): _accumulate puts them on the sheet
-    ab = np.concatenate([np.stack([c[:, :-1], c[:, 1:]], axis=-1)
-                         .reshape(-1, 2) for c in chains])
-    wa = np.sqrt(_curve.curve_poly(params, ab[:, 0]))
-    d, end = _curve.immerse(params, ab, wa)
-    cuts = np.cumsum([c[:, 1:].size for c in chains])[:-1]
-    column, rows, radial, corner = [
-        (a.reshape(c[:, 1:].shape), t.reshape(*c[:, 1:].shape, 3),
-         b.reshape(c[:, 1:].shape)) for c, a, t, b in
-        zip(chains, *(np.split(x, cuts) for x in (wa, d, end.w)))]
-
-    # t = 0 column (real axis, descending from x0)
-    xs, ws = _curve._accumulate(column, np.zeros((1, 3)), w0)
-    X[order, 0], W[order, 0] = xs[0], ws[0]
-    # interior rows, from the column
-    X[:top], W[:top] = _curve._accumulate(rows, X[:top, 0], W[:top, 0])
-    # outer row, radially from the row below
-    xs, ws = _curve._accumulate(radial, X[top - 1, k], W[top - 1, k])
-    X[top, k], W[top, k] = xs[:, 1], ws[:, 1]
-    # corners on the branch points, from the outer row (their w stays 0)
-    xs, _ = _curve._accumulate(corner, X[top, nb], W[top, nb])
-    X[top, [0, nt - 1]] = xs[:, 1]
-
-    verts = (X - X[nr - 1, 0]).reshape(-1, 3)  # relative to the corner z = 1
+    X, W = _curve.immerse(params, Z)
+    verts = (X - X[nr - 1, 0]).reshape(-1, 3)
 
     normals = _unit_normals(sigma, Z.reshape(-1))
 
@@ -374,8 +333,8 @@ def sample_fundamental(sigma: float, e: float, nr: int, nt: int) -> TriMesh:
         vertices=verts,
         normals=normals,
         faces=faces.reshape(-1, 3).astype(np.int32),
-        domain_z=Z.reshape(-1).copy(),
-        domain_w=W.reshape(-1).copy(),
+        domain_z=Z.reshape(-1),
+        domain_w=W.reshape(-1),
     )
 
 
@@ -580,7 +539,7 @@ def refine_slice(mesh: TriMesh, height, sigma: float, max_points: int = 32):
     its next step is below 1e-13 (the Newton step, or the step taken),
     after 60 iterations at most.  All crossings of all heights are solved
     in lockstep: each iteration evaluates the crossings still active in
-    one :func:`curve.psi` call, the closed form, so every iterate is an
+    one :func:`curve.immerse` call, the closed form, so every iterate is an
     exact surface point that depends on its parameter alone.  Points come
     out in crossing order.  Only meshes built by :func:`sample_fundamental`
     (and extensions of them) carry the provenance needed here.
@@ -643,7 +602,7 @@ def refine_slice(mesh: TriMesh, height, sigma: float, max_points: int = 32):
             break
         r, ua = root[a], u[a]
         z = np.where(r, zb[a] - (1.0 - ua) ** 2 * dz[a], za[a] + ua * dz[a])
-        p, w = _curve.psi(params, z)
+        p, w = _curve.immerse(params, z)
         pos[a] = p
         f = np.einsum("ij,ij->i", p, ell[a]) + b3[a] - target[a]
         same = (f > 0.0) == (f0[a] > 0.0)
@@ -871,7 +830,8 @@ def _token_table(idx):
 def _unique(a):
     """The sorted distinct values of an integer array, as ``np.unique``
     gives them, from one sort: numpy 2.4's hash-based ``np.unique`` took
-    12x as long on the 1.8M face indices of a 160x240 extended mesh."""
+    12x as long on the 1.8M face indices of a 160x240 extended mesh, and
+    6x as long on the 4278 edge keys of a 24x32 piece."""
     a = np.sort(a, axis=None)
     keep = np.ones(a.shape, dtype=bool)
     keep[1:] = a[1:] != a[:-1]

@@ -3,6 +3,11 @@ references that the batched code in ``riemann_minimal`` is pinned against.
 
 * :class:`WeierstrassForms` and :func:`weierstrass_at` -- g and the three
   form densities at one point, the scalar version of ``curve._phi_vector``.
+* :func:`march` -- the Weierstrass forms integrated along polylines by the
+  quadrature kernel (``curve._march`` and ``curve._accumulate``), and
+  :func:`march_piece`, the fundamental piece marched edge by edge along
+  the grid in one kernel batch: the oracles of the closed form
+  ``curve.immerse``.
 * :func:`random_regular_points` -- the sampler's draw order taken one
   candidate at a time in scalar arithmetic: blocks of (r, theta) uniforms,
   then one ``integers(0, 2)`` sign per kept point.
@@ -59,6 +64,103 @@ def weierstrass_at(params, pt):
     if pt.w == 0:
         raise PoleOfGaussMap("phi3 density 1/w undefined at a branch point")
     return WeierstrassForms.from_g(g, 1.0 / pt.w)
+
+
+def march(params, nodes, w_start, base_position=(0.0, 0.0, 0.0)):
+    """Integrate the Weierstrass forms along the polyline ``nodes``, marched
+    as one chain by the quadrature kernel; for nodes of shape (m, n + 1),
+    along m polylines in one kernel call, from w_start of shape (m,)
+    (base_position broadcast to (m, 3)).
+
+    Returns (position, end_point): ``base_position + Re int (phi1,phi2,phi3)``
+    and the curve point at the last node with the continued branch of w
+    (shapes (m, 3) and (m,) for m polylines).  A path whose last node is
+    the branch point 1 or -sigma ends in a singular leaf (the end point
+    then carries w = 0).  The path only has to stay off the branch points,
+    and consecutive nodes must differ (ClearanceViolation and ValueError
+    from ``curve._integrate_segments``).
+    """
+    pos = np.asarray(base_position, dtype=float)
+    z = np.asarray(nodes, dtype=complex)
+    if z.ndim == 1:
+        if len(z) < 2:
+            return pos.copy(), CurvePoint(complex(z[0]) if len(z) else 0j,
+                                          complex(w_start))
+        pos, end = march(params, z[None], [w_start], pos[None])
+        return pos[0], CurvePoint(complex(end.z[0]), complex(end.w[0]))
+    w0 = np.asarray(w_start, dtype=complex)
+    acc, w_end = curve._accumulate(curve._march(params, z, w0),
+                                   np.broadcast_to(pos, (len(z), 3)), w0)
+    return acc.real, CurvePoint(z[:, -1], w_end)
+
+
+def chain_sums(edges, x0, w0):
+    """``curve._accumulate`` at every node of its chains: the sums
+    ((x0 + d1) + d2) + ... of shape (m, n + 1, 3) and the branch values
+    (m, n + 1)."""
+    wa, totals, wb = edges
+    w_in = np.concatenate([w0[:, None], wb[:, :-1]], axis=1)
+    sheet = np.cumprod(np.where((w_in * wa.conjugate()).real < 0.0, -1.0, 1.0),
+                       axis=1)
+    steps = np.where(sheet[..., None] < 0.0, -totals, totals)
+    return (np.cumsum(np.concatenate([x0[:, None], steps], axis=1), axis=1),
+            np.concatenate([w0[:, None], wb * sheet], axis=1))
+
+
+def piece_chains(Z):
+    """The marching order of the grid Z (nr, nt): the t = 0 column walked
+    down the real axis from its vertex nearest z = 1 (as ``order``, the
+    row indices), each row walked in t from its t = 0 vertex, the outer
+    row reached radially from the row below, and the two corners on the
+    branch points by one edge each from their outer-row neighbour.
+    Returns (order, chains), the four chains' node arrays."""
+    nr, nt = Z.shape
+    top, k, nb = nr - 1, slice(1, nt - 1), [1, nt - 2]
+    order = np.argsort(-Z[:top, 0].real)
+    return order, [Z[order, 0][None], Z[:top],
+                   np.stack([Z[top - 1, k], Z[top, k]], axis=1),
+                   np.stack([Z[top, nb], Z[top, [0, nt - 1]]], axis=1)]
+
+
+def piece_edges(params, Z):
+    """The edges (za, zb) of :func:`piece_chains` as one batch, and the
+    principal root wa at each start."""
+    ab = np.concatenate([np.stack([c[:, :-1], c[:, 1:]], axis=-1)
+                         .reshape(-1, 2) for c in piece_chains(Z)[1]])
+    return ab[:, 0], ab[:, 1], np.sqrt(curve.curve_poly(params, ab[:, 0]))
+
+
+def march_piece(params, Z):
+    """psi = X - X(1) and the branch w at every point of the grid Z,
+    marched along :func:`piece_chains`: every edge integrated as a one-edge
+    path in one kernel batch, and positions and branch signs accumulated
+    along the marching order from the column's first vertex x0, where w on
+    the base point's sheet is i sqrt(x0 (1 - x0) (x0 + sigma)).  Returns
+    (vertices (nr * nt, 3), w (nr * nt,)) as ``mesh.sample_fundamental``
+    stores them."""
+    nr, nt = Z.shape
+    top, k, nb = nr - 1, slice(1, nt - 1), [1, nt - 2]
+    X = np.zeros((nr, nt, 3))
+    W = np.zeros((nr, nt), dtype=complex)
+    order, chains = piece_chains(Z)
+    za, zb, wa = piece_edges(params, Z)
+    d, end = march(params, np.stack([za, zb], axis=1), wa)
+    cuts = np.cumsum([c[:, 1:].size for c in chains])[:-1]
+    column, rows, radial, corner = [
+        (a.reshape(c[:, 1:].shape), t.reshape(*c[:, 1:].shape, 3),
+         b.reshape(c[:, 1:].shape)) for c, a, t, b in
+        zip(chains, *(np.split(x, cuts) for x in (wa, d, end.w)))]
+    x0 = Z[order[0], 0].real
+    # in real arithmetic: np.sqrt of the complex -p - 0j is -i sqrt(p)
+    w0 = np.array([1j * math.sqrt(x0 * (1.0 - x0) * (x0 + params.sigma))])
+    xs, ws = chain_sums(column, np.zeros((1, 3)), w0)
+    X[order, 0], W[order, 0] = xs[0], ws[0]
+    X[:top], W[:top] = chain_sums(rows, X[:top, 0], W[:top, 0])
+    xs, ws = chain_sums(radial, X[top - 1, k], W[top - 1, k])
+    X[top, k], W[top, k] = xs[:, 1], ws[:, 1]
+    xs, _ = chain_sums(corner, X[top, nb], W[top, nb])  # their w stays 0
+    X[top, [0, nt - 1]] = xs[:, 1]
+    return (X - X[top, 0]).reshape(-1, 3), W.reshape(-1)
 
 
 def random_regular_points(params, n, rng, stats=None):

@@ -98,14 +98,14 @@ def test_registration_fit_matches_least_squares(sigma):
 
 def test_foliation_residuals_builds_the_edge_set_once(monkeypatch):
     calls = []
-    unique = np.unique
+    unique = mesh._unique
 
     def counting_unique(*args, **kwargs):
         calls.append(1)
         return unique(*args, **kwargs)
 
     cell = _cell(2.0, copies=1)
-    monkeypatch.setattr(np, "unique", counting_unique)
+    monkeypatch.setattr(mesh, "_unique", counting_unique)
     rels, _ = checks.foliation_residuals(2.0, cell)
     assert len(rels) == 10
     assert len(calls) == 1

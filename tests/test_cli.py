@@ -245,15 +245,15 @@ def test_every_package_exception_shares_one_base():
         assert issubclass(exc, base), exc
 
 
-def test_clearance_violation_exits_3(tmp_path, capsys, monkeypatch):
-    # the domain map shifted left by 0.3 puts the t = 0 column, marched
-    # down the real axis from the entry point, through the branch point 0
-    domain_map = mesh.DomainMap.map
-    monkeypatch.setattr(mesh.DomainMap, "map",
-                        lambda self, zeta: domain_map(self, zeta) - 0.3)
-    assert run(["gen", "--sigma", "2", "--grid", "4x4",
-                "-o", str(tmp_path / "o")]) == 3
-    assert "numeric failure: ClearanceViolation" in capsys.readouterr().err
+def test_clearance_violation_exits_3(capsys, monkeypatch):
+    # a gamma2 loop drawn down the real axis: its first segment runs
+    # through the branch point 0
+    def through_zero(params, n=64):
+        z = (0.5 + 0j, -0.5 + 0j, 0.5 + 0.5j, 0.5 + 0j)
+        w = np.sqrt(curve.curve_poly(params, z[0]))
+        return curve.HomologyLoop("gamma2", curve.CurvePoint(z[0], w), z)
+
+    monkeypatch.setattr(curve, "gamma2_loop", through_zero)
     assert run(["verify", "--sigma", "2", "--json", "/dev/null"]) == 3
     assert "numeric failure: ClearanceViolation" in capsys.readouterr().err
 

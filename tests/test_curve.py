@@ -26,7 +26,7 @@ def dense_branch(params, a, b, w, steps):
 
 
 def dense_track(params, nodes, w0, steps=100000):
-    """Brute-force sign tracking oracle for the branch immerse continues."""
+    """Brute-force sign tracking oracle for the branch the march continues."""
     w = complex(w0)
     nodes = [complex(n) for n in nodes]
     for a, b in zip(nodes[:-1], nodes[1:]):
@@ -41,7 +41,7 @@ def circle(c, r, n=48, turns=1):
 
 def test_continue_straight_segment_against_dense_oracle():
     params = CurveParams(1.0)
-    w = curve.immerse(params, [2, 3], math.sqrt(6.0))[1].w
+    w = scalar.march(params, [2, 3], math.sqrt(6.0))[1].w
     assert abs(w - math.sqrt(24.0)) < 1e-12
     oracle = dense_track(params, [2, 3], math.sqrt(6.0))
     assert abs(w - oracle) < 1e-10
@@ -51,13 +51,13 @@ def test_monodromy_single_and_double():
     params = CurveParams(1.0)
     w0 = np.sqrt(complex(curve.curve_poly(params, 1.5 + 0j)))
     # loop around z=1 only: sign flips
-    w1 = curve.immerse(params, circle(1.0, 0.5 + 0j, 64),
-                       np.sqrt(complex(curve.curve_poly(params, 1.5))))[1].w
+    w1 = scalar.march(params, circle(1.0, 0.5 + 0j, 64),
+                      np.sqrt(complex(curve.curve_poly(params, 1.5))))[1].w
     assert abs(w1 + np.sqrt(complex(curve.curve_poly(params, 1.5)))) < 1e-9
     # loop around both 0 and 1: two flips cancel (radius clears -sigma = -1)
     start = 0.5 + 1.2
     w_start = np.sqrt(complex(curve.curve_poly(params, start)))
-    w2 = curve.immerse(params, circle(0.5, 1.2, 96), w_start)[1].w
+    w2 = scalar.march(params, circle(0.5, 1.2, 96), w_start)[1].w
     assert abs(w2 - w_start) < 1e-9
 
 
@@ -65,7 +65,7 @@ def test_branch_round_trip_identity():
     params = CurveParams(2.0)
     nodes = [2.0, 1.5 + 1.2j, -0.5 + 1.5j, 0.4 + 0.4j]
     w0 = math.sqrt(2.0 * 1.0 * 4.0)  # p(2) with sigma = 2
-    w = curve.immerse(params, nodes + nodes[-2::-1], w0)[1].w
+    w = scalar.march(params, nodes + nodes[-2::-1], w0)[1].w
     assert abs(w - w0) < 1e-10 * abs(w0)
 
 
@@ -74,12 +74,12 @@ def test_clearance_violation():
     # fine, a real-axis segment across z = 0 or z = 1 is not (an exact
     # on-segment test)
     params = CurveParams(2.0)
-    curve.immerse(params, [2.0, 1.0001, 2.0 + 1j], math.sqrt(8.0))
+    scalar.march(params, [2.0, 1.0001, 2.0 + 1j], math.sqrt(8.0))
     w = [np.sqrt(complex(curve.curve_poly(params, z))) for z in (0.99, 0.5)]
     with pytest.raises(ClearanceViolation, match=r"branch point 0j"):
         curve._integrate_segments(params, [0.99], [-2.0], w[:1])
     with pytest.raises(ClearanceViolation, match=r"branch point \(1\+0j\)"):
-        curve.immerse(params, [0.5, 1.5, 2.0 + 1j], w[1])
+        scalar.march(params, [0.5, 1.5, 2.0 + 1j], w[1])
 
 
 def test_branch_ambiguity_on_zero_crossing():
@@ -92,7 +92,7 @@ def test_branch_ambiguity_on_zero_crossing():
     with pytest.raises(BranchAmbiguity):
         curve._integrate_segments(params, [za], [1.6 + 1e-14j], [w0])
     with pytest.raises(BranchAmbiguity):  # starting at w = 0
-        curve.immerse(params, [1.5, 2.0], 0.0)
+        scalar.march(params, [1.5, 2.0], 0.0)
 
 
 def test_nonclosing_loop_rejected():
@@ -116,11 +116,11 @@ def test_single_turn_end_loop_rejected(sigma):
 def test_immerse_identity_and_round_trip():
     params = CurveParams(2.0)
     base = curve.basepoint(params)
-    pos, end = curve.immerse(params, [base.z], base.w, (1.0, 2.0, 3.0))
+    pos, end = scalar.march(params, [base.z], base.w, (1.0, 2.0, 3.0))
     assert np.allclose(pos, [1, 2, 3])
     nodes = [base.z, 1.5 + 0.8j, 0.3 + 1.1j]
-    pos, end = curve.immerse(params, nodes + nodes[-2::-1], base.w,
-                             (0.0, 0.0, 0.0))
+    pos, end = scalar.march(params, nodes + nodes[-2::-1], base.w,
+                            (0.0, 0.0, 0.0))
     assert np.max(np.abs(pos)) < 1e-8
     assert abs(end.w - base.w) < 1e-9
 
@@ -136,11 +136,11 @@ def test_immerse_batch_is_the_paths_one_by_one():
                       [3.0 + 0j, 2.0 + 1j, 1.0 + 0j]])
     w0 = -np.sqrt(curve.curve_poly(params, nodes[:, 0]))
     start = np.array([[1.0, 2.0, 3.0], [0.0, 0.0, 0.0], [-1.0, 0.5, 0.0]])
-    pos, end = curve.immerse(params, nodes, w0, start)
+    pos, end = scalar.march(params, nodes, w0, start)
     assert pos.shape == (3, 3) and end.w.shape == (3,)
     assert np.array_equal(end.z, nodes[:, -1])
     for i in range(3):
-        p, e = curve.immerse(params, nodes[i], w0[i], start[i])
+        p, e = scalar.march(params, nodes[i], w0[i], start[i])
         assert p.tobytes() == pos[i].tobytes()
         assert e == curve.CurvePoint(nodes[i, -1], end.w[i])
 
@@ -242,7 +242,7 @@ def test_immerse_line_property_on_unit_segment():
     arc = [1.0 + rho * np.exp(1j * th) for th in np.linspace(0, np.pi, 7)]
     imgs = []
     for target in (0.8, 0.55, 0.3, 0.12):
-        pos, _ = curve.immerse(params, arc + [target], base.w)
+        pos, _ = scalar.march(params, arc + [target], base.w)
         imgs.append(pos)
     imgs = np.array(imgs)
     assert np.ptp(imgs[:, 0]) < 1e-6
@@ -430,7 +430,7 @@ def test_double_zero_of_g_at_end():
     w = np.sqrt(complex(curve.curve_poly(params, nodes[0])))
     taus, gs = [], []
     for a, b in zip(nodes[:-1], nodes[1:]):
-        w = curve.immerse(params, [a, b], w)[1].w
+        w = scalar.march(params, [a, b], w)[1].w
         taus.append(w)
         gs.append(b / math.sqrt(params.sigma))
     A = np.column_stack([np.ones(len(taus)), taus, np.square(taus)])
@@ -629,7 +629,7 @@ def _psi_mpmath(sigma, z):
 @pytest.mark.parametrize("sigma", [1e-3, 2.0, 1e3])
 def test_psi_against_mpmath_carlson(sigma):
     # interior points, points on the real boundary with +0j (and -0j, which
-    # psi reads as +0j), and points next to the three branch points
+    # immerse reads as +0j), and points next to the three branch points
     rng = np.random.default_rng(5)
     R = 1.0 + sigma
     zs = list(R * (2.0 * rng.random(12) - 1.0) + 1j * R * rng.random(12))
@@ -641,7 +641,7 @@ def test_psi_against_mpmath_carlson(sigma):
                 zs.append(complex(bp + d * R * math.cos(th),
                                   d * R * math.sin(th)))
     zs = np.array(zs)
-    pos, w = curve.psi(CurveParams(sigma), zs)
+    pos, w = curve.immerse(CurveParams(sigma), zs)
     assert pos.shape == (len(zs), 3) and w.shape == (len(zs),)
     for z, p, ww in zip(zs, pos, w):
         want, want_w, scale = _psi_mpmath(sigma, z)
@@ -655,13 +655,15 @@ CI_SIGMAS = [1e-3, 0.012, 0.05, 1.0, 2.0, 8.0, 21.5, 100.0, 1e3,
 
 @pytest.mark.parametrize("sigma", CI_SIGMAS)
 def test_psi_matches_the_kernel_at_every_sample_vertex(sigma):
-    # the quadrature kernel's vertices and branch values, including the
-    # corners on the branch points; measured at most 4.9e-14 of the scale
+    # the sampled piece against the quadrature kernel's march along the
+    # grid edges, including the corners on the branch points; measured at
+    # most 4.9e-14 of the scale and 5.3e-16 relative in w
     m = mesh.sample_fundamental(sigma, 0.1, 40, 60)
-    pos, w = curve.psi(CurveParams(sigma), m.domain_z)
-    scale = np.max(np.abs(m.vertices))
-    assert np.max(np.abs(pos - m.vertices)) <= 1e-13 * scale
-    assert np.max(np.abs(w - m.domain_w)) <= 1e-14 * np.max(np.abs(w))
+    verts, w = scalar.march_piece(CurveParams(sigma),
+                                  m.domain_z.reshape(40, 60))
+    scale = np.max(np.abs(verts))
+    assert np.max(np.abs(m.vertices - verts)) <= 1e-13 * scale
+    assert np.max(np.abs(m.domain_w - w)) <= 1e-14 * np.max(np.abs(w))
     assert np.array_equal(w == 0.0, m.domain_w == 0.0)
 
 
@@ -672,10 +674,10 @@ def test_psi_blocks_give_one_point_bits():
     sigma = 2.0
     params = CurveParams(sigma)
     z = mesh.DomainMap(sigma, 0.1).grid(160, 240).ravel()
-    pos, w = curve.psi(params, z)
+    pos, w = curve.immerse(params, z)
     assert z.size > 9 * curve.PSI_BLOCK
     for i in range(0, z.size, 97):
-        p1, w1 = curve.psi(params, z[i])
+        p1, w1 = curve.immerse(params, z[i])
         assert p1.shape == (3,) and w1.shape == ()
         assert p1.tobytes() == pos[i].tobytes() and w1 == w[i]
 

@@ -7,6 +7,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.spatial import cKDTree
 
 import scalar_references as scalar
@@ -106,20 +107,19 @@ def _entry_arc(params):
     base = curve.basepoint(params)
     arc = 1.0 + curve.BASEPOINT_OFFSET * np.exp(
         1j * np.linspace(0.0, math.pi, 7))
-    return curve.immerse(params, [base.z, *arc[1:]], base.w)
+    return scalar.march(params, [base.z, *arc[1:]], base.w)
 
 
 def _sample_fundamental_reference(params, Z):
-    """Vertex-by-vertex marching, one ``immerse`` per vertex, from the base
-    point over the entry arc: the loop the batched sample_fundamental
-    replaces.  Returns (vertices, domain_w, faces) as the mesh stores
-    them."""
+    """Vertex-by-vertex marching, one kernel path per vertex, from the base
+    point over the entry arc.  Returns (vertices, domain_w, faces) as the
+    mesh stores them."""
     nr, nt = Z.shape
     X = np.zeros((nr, nt, 3))
     W = np.zeros((nr, nt), dtype=complex)
 
     def step(pos, z, w, target):
-        return curve.immerse(params, [z, target], w, pos)
+        return scalar.march(params, [z, target], w, pos)
 
     pos, pt = _entry_arc(params)
     for j in np.argsort(-Z[:nr - 1, 0].real):
@@ -146,9 +146,11 @@ def _sample_fundamental_reference(params, Z):
             np.array(faces, dtype=np.int32))
 
 
-@pytest.mark.parametrize("sigma", [0.012, 0.5, 2.0, 83.0])
-@pytest.mark.parametrize("nr,nt", [(40, 60), (14, 20)])
+@pytest.mark.parametrize("nr,nt,sigma", [
+    (nr, nt, sigma) for nr, nt in ((40, 60), (14, 20))
+    for sigma in (0.012, 0.5, 2.0, 83.0)] + [(14, 20, 1e-3), (14, 20, 1e3)])
 def test_batched_sampling_matches_vertex_marching(sigma, nr, nt):
+    # the closed-form piece against the kernel's march, vertex by vertex
     m = sample_fundamental(sigma, 0.1, nr, nt)
     verts, w, faces = _sample_fundamental_reference(
         curve.CurveParams(sigma), m.domain_z.reshape(nr, nt))
@@ -161,8 +163,9 @@ def test_batched_sampling_matches_vertex_marching(sigma, nr, nt):
 
 @pytest.mark.parametrize("sigma", [1e-3, 0.012, 2.0, 8.0, 100.0, 1e3])
 def test_column_branch_is_the_entry_arc_continuation(sigma):
-    # the closed-form start branch is the one the entry arc continues to:
-    # the t = 0 column marched on from 1 - 1e-2 has the same w, bit for bit
+    # the closed form's branch is the one the entry arc continues to: the
+    # t = 0 column marched on from 1 - 1e-2 by the kernel has the same w
+    # to rounding
     nr, nt = 40, 60
     params = curve.CurveParams(sigma)
     m = sample_fundamental(sigma, 0.1, nr, nt)
@@ -171,10 +174,26 @@ def test_column_branch_is_the_entry_arc_continuation(sigma):
     _, entry = _entry_arc(params)
     w0 = np.array([entry.w])
     chain = np.append(entry.z, column[order])[None]
-    _, ws = curve._accumulate(curve._march(params, chain, w0),
+    _, ws = scalar.chain_sums(curve._march(params, chain, w0),
                               np.zeros((1, 3)), w0)
     got = m.domain_w.reshape(nr, nt)[order, 0]
-    assert got.tobytes() == ws[0, 1:].tobytes()
+    assert np.all(np.abs(got - ws[0, 1:]) <= 2e-15 * np.abs(got))
+
+
+@settings(max_examples=60, deadline=None)
+@given(log_sigma=st.floats(-3.0, 3.0), e=st.floats(1e-3, 0.95),
+       nr=st.integers(2, 8), nt=st.integers(3, 10))
+def test_sampled_piece_is_on_the_base_points_sheet(log_sigma, e, nr, nt):
+    # the closed form takes principal roots, which give the base point's
+    # sheet on the closed upper half-plane only: every domain point lies
+    # there, and w on the t = 0 column is the base point's branch
+    sigma = 10.0 ** log_sigma
+    m = sample_fundamental(sigma, e, nr, nt)
+    assert np.all(m.domain_z.imag >= 0.0)
+    x = m.domain_z.reshape(nr, nt)[:, 0].real
+    want = 1j * np.sqrt(x * (1.0 - x) * (x + sigma))
+    got = m.domain_w.reshape(nr, nt)[:, 0]
+    assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want))
 
 
 def _count_panel_leaves(monkeypatch):
@@ -191,9 +210,12 @@ def _count_panel_leaves(monkeypatch):
 
 
 def test_batched_sampling_falls_back_on_few_edges(monkeypatch):
+    # the edge batch of the 40x60 grid's marching order
     nr, nt = 40, 60
+    params = curve.CurveParams(2.0)
+    batch = scalar.piece_edges(params, DomainMap(2.0, 0.1).grid(nr, nt))
     calls = _count_panel_leaves(monkeypatch)
-    sample_fundamental(2.0, 0.1, nr, nt)
+    curve._integrate_segments(params, *batch)
     # every edge and both corners are one leaf first; bisection adds leaves
     edges = (nr - 2) + (nr - 1) * (nt - 1) + (nt - 2) + 2
     bisected = sum(len(a) for a, _ in calls) - edges
@@ -217,10 +239,12 @@ def test_segment_integral_does_not_depend_on_its_batch(sigma):
 
 @pytest.mark.parametrize("nr,nt", [(40, 60), (160, 240)])
 def test_quadrature_blocks_stay_within_the_block_size(monkeypatch, nr, nt):
-    # the sampling batch (2399 edges at 40x60, 38399 at 160x240) reaches
-    # the panel kernel in equal blocks of at most LEAF_BLOCK leaves
+    # the grid's edge batch (2399 edges at 40x60, 38399 at 160x240)
+    # reaches the panel kernel in equal blocks of at most LEAF_BLOCK leaves
+    params = curve.CurveParams(2.0)
+    batch = scalar.piece_edges(params, DomainMap(2.0, 0.1).grid(nr, nt))
     calls = _count_panel_leaves(monkeypatch)
-    sample_fundamental(2.0, 0.1, nr, nt)
+    curve._integrate_segments(params, *batch)
     sizes = [len(a) for a, _ in calls]
     edges = (nr - 2) + (nr - 1) * (nt - 1) + (nt - 2) + 2
     first = sizes[:-(-edges // curve.LEAF_BLOCK)]  # the first round
@@ -246,7 +270,7 @@ def test_segment_batch_matches_immerse_near_branch_point():
     wa = np.sqrt(curve.curve_poly(params, za)) * np.array([1.0, -1.0, 1.0])
     totals, w_end = curve._integrate_segments(params, za, zb, wa)
     for i in range(len(za)):
-        pos, end = curve.immerse(params, [za[i], zb[i]], wa[i])
+        pos, end = scalar.march(params, [za[i], zb[i]], wa[i])
         assert np.max(np.abs(totals[i].real - pos)) <= 1e-12 * max(
             1.0, np.max(np.abs(pos)))
         assert abs(w_end[i] - end.w) <= 1e-12 * abs(end.w)
@@ -306,14 +330,14 @@ def test_translation_matches_gamma2_period(surf2, ops2):
 
 def _anchor_references(sigma, xs):
     """psi(i sqrt(sigma)) and psi(x) for each x in ``xs`` (in [-sigma, 0)),
-    by quadrature: one ``immerse`` path per point from the end of the entry
+    by quadrature: one kernel path per point from the end of the entry
     arc, minus X(1) from its own path.  The left boundary is reached over
     the end at 0 by a half circle through the upper half plane."""
     params = curve.CurveParams(sigma)
     entry_pos, entry = _entry_arc(params)
     arc = 0.3 * min(1.0, sigma) * np.exp(1j * np.linspace(0.0, math.pi, 9))
     x1, fixed, *left = [
-        curve.immerse(params, [entry.z, *nodes], entry.w, entry_pos)[0]
+        scalar.march(params, [entry.z, *nodes], entry.w, entry_pos)[0]
         for nodes in ([1.0 + 0j], [1j * math.sqrt(sigma)],
                       *([0.5 + 0j, *arc, x + 0j] for x in xs))]
     return fixed - x1, [p - x1 for p in left]
@@ -351,8 +375,8 @@ def test_slab_height_is_a_quarter_power_of_t0():
 
 
 def test_gen_makes_one_integrator_call(monkeypatch):
-    # the sampling batch, made through curve.immerse; its start branch and
-    # the anchors are closed forms
+    # the sampled piece is one closed-form evaluation, and so are the
+    # anchors: no path is integrated
     calls = []
 
     def counting(name):
@@ -368,7 +392,7 @@ def test_gen_makes_one_integrator_call(monkeypatch):
     FundamentalSurface(2.0)
     sample_fundamental(2.0, 0.1, 40, 60)
     extension_ops(2.0)
-    assert calls == ["immerse", "_integrate_segments"]
+    assert calls == ["immerse"]
 
 
 def test_t0_sqrt_epsilon_extrapolation(surf2):
@@ -727,7 +751,7 @@ def _hermite_start(s, f0, f1, d0, d1):
 
 
 def _refine_slice_reference(m, height, sigma, max_points):
-    """Safeguarded Newton one crossing at a time, one ``curve.psi`` per
+    """Safeguarded Newton one crossing at a time, one ``curve.immerse`` per
     iterate, started at the root of the edge's cubic Hermite model; on an
     edge ending at a branch point it runs in t with 1 - s = (1 - t)^2: the
     loop the lockstep refine_slice must reproduce."""
@@ -785,7 +809,7 @@ def _refine_slice_reference(m, height, sigma, max_points):
                            slope(zb, w1, c0 * dz))
         for _ in range(60):
             z = zb - (1.0 - u) ** 2 * dz if root else za + u * dz
-            pos, w = curve.psi(params, z)
+            pos, w = curve.immerse(params, z)
             f = float(ell @ pos + b3 - height)
             if f == 0.0:
                 break
@@ -839,13 +863,13 @@ def test_refine_slice_on_edges_ending_at_corner_branch_point(fund2,
     assert fund2.domain_w[corner] == 0.0
     x3c, x3n = fund2.vertices[corner, 2], fund2.vertices[nb, 2]
     points = []
-    psi = curve.psi
+    immerse = curve.immerse
 
     def recording(params, z):
         points.extend(np.ravel(z))
-        return psi(params, z)
+        return immerse(params, z)
 
-    monkeypatch.setattr(curve, "psi", recording)
+    monkeypatch.setattr(curve, "immerse", recording)
     # a generic crossing, then one whose root sits 1e-9 in height from the
     # branch point: there 1 - s ~ (1e-9)^2 rounds away, and the iterates
     # land on -sigma itself
@@ -864,14 +888,14 @@ def test_refine_slice_batches_each_height(fund2, ops2, surf2, monkeypatch):
     ext = extend(fund2, ops2, copies=1)
     span = surf2.translation_half()[2]
     calls = []
-    psi = curve.psi
+    immerse = curve.immerse
 
     def counting(*args, **kwargs):
         calls.append(1)
-        return psi(*args, **kwargs)
+        return immerse(*args, **kwargs)
 
-    # one psi call per Newton round, shared by all crossings
-    monkeypatch.setattr(curve, "psi", counting)
+    # one immerse call per Newton round, shared by all crossings
+    monkeypatch.setattr(curve, "immerse", counting)
     for frac in (0.13, 0.3, 0.5, 0.77, 1.4, 1.9):
         del calls[:]
         assert len(refine_slice(ext, frac * span, 2.0, max_points=24)) >= 5
@@ -887,17 +911,17 @@ def test_refine_slice_height_sequence_matches_per_height_calls(sigma,
     ops = extension_ops(sigma)
     ext = extend(fund, ops, copies=1)
     # on the 120x180 extension the lockstep batch of all six heights spans
-    # two psi blocks
+    # two immerse blocks
     big = extend(sample_fundamental(sigma, 0.1, 120, 180), ops,
                  copies=1)
     calls = []
-    psi = curve.psi
+    immerse = curve.immerse
 
     def counting(params, z):
         calls.append(np.size(z))
-        return psi(params, z)
+        return immerse(params, z)
 
-    monkeypatch.setattr(curve, "psi", counting)
+    monkeypatch.setattr(curve, "immerse", counting)
     # 1.4 and 1.9 t0_3 lie above the fundamental piece (no crossings there)
     # and in the copy of the extended mesh
     hs = np.array([0.13, 0.3, 0.5, 0.77, 1.4, 1.9]) * span
@@ -937,15 +961,17 @@ def test_refine_slice_hits_height_with_few_immerse_calls(fund2, ops2, surf2,
             return fn(*args, **kwargs)
         monkeypatch.setattr(curve, name, counted)
 
-    # the surface points are closed-form evaluations: no path is integrated
+    # the surface points are closed-form evaluations, one per Newton round:
+    # no path is integrated
     counting("immerse")
     counting("_integrate_segments")
     for frac in (0.13, 0.3, 0.5, 0.77, 1.4, 1.9):
         h = frac * span
+        del calls[:]
         pts = refine_slice(ext, h, 2.0, max_points=24)
         assert len(pts) >= 5
         assert np.max(np.abs(pts[:, 2] - h)) <= 1e-12 * max(1.0, abs(h))
-    assert calls == []
+        assert 0 < len(calls) <= 12 and set(calls) == {"immerse"}
 
 
 # --- export -------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import scalar_references as scalar
 from classical_quadrature import (Divergent, _adaptive,
                                   integrate_sqrt_singular, integrate_tail)
 from riemann_minimal import curve, quad
@@ -89,13 +90,13 @@ def test_subdivision_limit_raises(monkeypatch):
 
 
 def test_path_invariants():
-    # a path is a plain node sequence; immerse rejects repeated nodes
+    # a path is a plain node sequence; the march rejects repeated nodes
     params = curve.CurveParams(2.0)
     w = np.sqrt(complex(curve.curve_poly(params, 2.0)))
     for nodes in ([2, 2, 3], [2, 3 + 1j, 3 + 1j], [2, 3, 3, 2]):
         with pytest.raises(ValueError, match="distinct"):
-            curve.immerse(params, nodes, w)
-    assert curve.immerse(params, [2], w)[1] == curve.CurvePoint(2 + 0j, w)
+            scalar.march(params, nodes, w)
+    assert scalar.march(params, [2], w)[1] == curve.CurvePoint(2 + 0j, w)
 
 
 # --- sqrt-singular endpoint ------------------------------------------------
