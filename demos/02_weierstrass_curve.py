@@ -25,18 +25,21 @@ for z in loop1[1:]:
     w1 = w if abs(w - w1) < abs(w + w1) else -w
 print(f"one turn around z=1:   w -> {w1 / w0:+.6f} * w   (sign flip)")
 
-# periods and flux
-g1 = curve.gamma1_loop(params)
-g2 = curve.gamma2_loop(params)
-el = curve.end_loop(params)
-p1, p2 = curve.period(params, g1), curve.period(params, g2)
+
+def rounded(x, digits):
+    """x rounded to ``digits``, a zero of either sign shown as 0."""
+    return np.round(x, digits) + np.zeros_like(x)
+
+
+# periods (the trapezoidal rule on a contour per homology class) and flux
+p1, p2 = curve.period(params, "gamma1"), curve.period(params, "gamma2")
 print("\nperiods:")
-print("  gamma1:", np.round(p1, 8), " (Re = 0: the immersion closes)")
-print("  gamma2:", np.round(p2, 8), " (Re = translation vector 2 t0)")
-print("  double end loop:", np.round(curve.period(params, el), 10))
+print("  gamma1:", rounded(p1, 8), " (Re = 0: the immersion closes)")
+print("  gamma2:", rounded(p2, 8), " (Re = translation vector 2 t0)")
+print("  double end loop:", rounded(curve.period(params, "end"), 10))
 print("flux (Im of period):")
-print("  gamma1:", np.round(curve.flux(params, g1), 8))
-print("  gamma2:", np.round(curve.flux(params, g2), 12))
+print("  gamma1:", rounded(curve.flux(params, "gamma1"), 8))
+print("  gamma2:", rounded(curve.flux(params, "gamma2"), 12))
 
 # symmetries
 rng = np.random.default_rng(0)

@@ -2,12 +2,12 @@
 
 Subpackages:
 
-* :mod:`riemann_minimal.quad` -- the G7/K15 panel kernel, its tolerance
+* :mod:`riemann_minimal.quad` -- the G7/K15 panel, its tolerance
   constants, and ``RiemannMinimalError``, the base class of every numeric
   failure the package raises.
 * :mod:`riemann_minimal.curve` -- the elliptic curve w^2 = z(z-1)(z+sigma),
-  branch-continuous continuation, Weierstrass data, periods, flux,
-  symmetries.
+  Weierstrass data, the immersion in closed form, periods and flux by the
+  trapezoidal rule, symmetries.
 * :mod:`riemann_minimal.classical` -- the classical construction (radius
   ODE, height/center integrals in Carlson's closed forms, the catenoid's
   arcsinh form, which ``checks.catenoid_residual`` compares with its

@@ -9,13 +9,14 @@ plus single-scale registration of measured circle radii.
 
 The routes each check takes to the surface: the sampled piece and the
 Weierstrass stencil's anchors are closed-form points (``curve.immerse``),
-and the stencil's increments come from the quadrature kernel
-(``curve._integrate_segments``); registration and the circle foliation
-refine slices of the piece to exact points by Newton on ``curve.immerse``;
-the classical stencil adds G7/K15 increment panels to the Carlson closed
-forms of ``classical``.  The periods and fluxes of ``verify`` march the
-homology loops on the kernel.  The sampled vertices are pinned against a
-kernel march by the test suite, not here.
+and the stencil's increments are one G7/K15 panel each
+(``quad.panel_increments``); registration and the circle foliation refine
+slices of the piece to exact points by Newton on ``curve.immerse``; the
+classical stencil adds one-panel increments to the Carlson closed forms
+of ``classical``.  The periods and fluxes of ``verify`` are trapezoidal
+sums on analytic contours (``curve.period``).  The sampled vertices, the
+periods and the stencil increments are pinned against an adaptive
+quadrature oracle with branch tracking by the test suite, not here.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import classical, curve, mesh, quad
-from .quad import QuadError, RiemannMinimalError
+from .quad import RiemannMinimalError
 
 __all__ = [
     "fd_surface_checks", "classical_fd_grid", "weierstrass_fd_grid",
@@ -81,10 +82,9 @@ def classical_fd_grid(lam, nq=20, nv=20, h=1e-4):
     would put their error terms over h^2 and swamp the second differences.
     One batch: the base values come from one ``center_offset`` and one
     ``height`` call on all q, every increment of both integrands is one
-    G7/K15 panel of one ``quad._gk_panel`` call, and all (q, v) stencils
-    go through one :func:`fd_surface_checks` call.  A panel that is not
-    finite or whose |K15 - G7| exceeds max(quad.ABS_TOL, quad.REL_TOL
-    |increment|) raises QuadError.
+    G7/K15 panel of one ``quad.panel_increments`` call (QuadError when a
+    panel misses its tolerance), and all (q, v) stencils go through one
+    :func:`fd_surface_checks` call.
     """
     params = classical.RiemannParams.from_lambda(lam)
     q1 = params.q1
@@ -101,15 +101,8 @@ def classical_fd_grid(lam, nq=20, nv=20, h=1e-4):
     # segments [q, q+h] then [q-h, q], one row per integrand
     a = np.tile(np.concatenate([qs, qs - h]), (2, 1))
     b = np.tile(np.concatenate([qs + h, qs]), (2, 1))
-    inc, err, ok = quad._gk_panel(
+    inc = quad.panel_increments(
         lambda u: np.stack([slope(u[0], 0), slope(u[1], 1)]), a, b)
-    tol = np.maximum(quad.ABS_TOL, quad.REL_TOL * np.abs(inc))
-    miss = ~(ok & (err <= tol))
-    if miss.any():
-        i = np.unravel_index(np.argmax(miss), miss.shape)
-        raise QuadError(
-            f"increment panel [{a[i]:.6g}, {b[i]:.6g}] misses its tolerance: "
-            f"error {err[i]:.3e} > tol {tol[i]:.3e}")
     (dfp, dfm), (dzp, dzm) = inc.reshape(2, 2, nq)
     fz = {-1: (f0 - dfm, z0 - dzm), 0: (f0, z0), 1: (f0 + dfp, z0 + dzp)}
 
@@ -138,24 +131,30 @@ def _weierstrass_stencil(sigma, n_side, h, offsets):
     z = u + iv is itself a conformal chart, but its scale shrinks near the
     branch points, so the step of anchor k is h_k = h min(1, distance from
     z0 to the nearest branch point).  The stencil values are X0 plus
-    increments: all anchor x offset segments are integrated from their
-    anchor as one ``curve._integrate_segments`` batch (adaptive
-    quadrature, independent of the closed form).  Subtracting two
-    closed-form values instead would put their rounding over h^2.  Returns
-    (X0, X, h_k) with shapes (n, 3), (n, len(offsets), 3) and (n,).
+    increments: every anchor x offset segment is one G7/K15 panel of one
+    ``quad.panel_increments`` call (QuadError when a panel misses its
+    tolerance), independent of the closed form.  Its w is the product of
+    principal roots sqrt(z) sqrt(z - 1) sqrt(z + sigma), analytic on the
+    open upper half-plane, where every stencil point lies (Im z0 > h_k).
+    Subtracting two closed-form values instead would put their rounding
+    over h^2.  Returns (X0, X, h_k) with shapes (n, 3), (n, len(offsets),
+    3) and (n,).
     """
     params = curve.CurveParams(sigma)
     grid = mesh.DomainMap(sigma, 0.35).grid(n_side + 2, n_side + 2)
     z0 = grid[1:-1, 1:-1].ravel()
-    X0, w0 = curve.immerse(params, z0)
+    X0, _ = curve.immerse(params, z0)
     bps = np.array(curve.branch_points(params))
     hk = h * np.minimum(1.0, np.min(np.abs(z0[:, None] - bps), axis=1))
     steps = np.array([complex(i, j) for i, j in offsets])
     zb = z0[:, None] + hk[:, None] * steps
-    totals, _ = curve._integrate_segments(
-        params, np.repeat(z0, len(steps)), zb.ravel(),
-        np.repeat(w0, len(steps)))
-    return X0, X0[:, None] + totals.real.reshape(*zb.shape, 3), hk
+
+    def phi(z):
+        w = np.sqrt(z) * np.sqrt(z - 1.0) * np.sqrt(z + sigma)
+        return curve._phi_vector(params, z, w)
+
+    inc = quad.panel_increments(phi, np.repeat(z0, len(steps)), zb.ravel())
+    return X0, X0[:, None] + inc.real.reshape(*zb.shape, 3), hk
 
 
 def weierstrass_fd_grid(sigma, n_side=10, h=1e-4):

@@ -339,11 +339,11 @@ def cmd_verify(cfg: RunConfig) -> int:
     rng = np.random.default_rng(cfg.seed)
     params = curve.CurveParams(cfg.sigma)
 
-    per1 = curve.period(params, curve.gamma1_loop(params))
+    per1 = curve.period(params, "gamma1")
     suite.record("period_gamma1_re", float(np.max(np.abs(per1.real))), 1e-7)
-    per2 = curve.period(params, curve.gamma2_loop(params))
+    per2 = curve.period(params, "gamma2")
     suite.record("period_gamma2_re_x2", abs(per2.real[1]), 1e-7)
-    fl = curve.flux(params, curve.end_loop(params))
+    fl = curve.flux(params, "end")
     suite.record("flux_end_loop", float(np.max(np.abs(fl))), 1e-7)
 
     pts = curve.random_regular_points(params, 50, rng)

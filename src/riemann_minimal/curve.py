@@ -16,25 +16,21 @@ sampled piece of ``mesh.sample_fundamental``, the refined slices of
 ``mesh.refine_slice`` and the anchors of the Weierstrass finite-difference
 stencil.
 
-The homology loops and their periods, and the stencil's short increments,
-run through one batched quadrature kernel, :func:`_integrate_segments`, so
-the checks on them stay independent of the closed form.  Each segment is a
-G7/K15 panel whose nodes carry w by the nearest-sign rule, accepted only if
-w turns by less than 45 degrees between consecutive nodes (which makes that
-choice unambiguous); segments that fail are bisected inside the batch, and
-a segment ending on a branch point ends in a singular leaf.  So a path only
-has to stay off the branch points, at any distance from them.  Each round's
-leaves are evaluated in equal blocks of at most 512 (LEAF_BLOCK), whose
-products act on arrays below numpy's 256 KiB temporary-elision size, so a
-segment's integral does not depend on the other segments in its batch.
+The homology loops' periods are the periodic trapezoidal rule on contours
+where w is single-valued and analytic (:func:`period`), so the checks on
+them stay independent of the closed form: a Joukowski map z = c +
+r (zeta + 1/zeta) with foci at a pair of branch points makes the square
+root of their factor a rational function of zeta, and the rule needs no
+branch tracking and no bisection.
 
 Conventions fixed here (see README):
 
 * base point z = 1 + 1e-2 with w real and positive;
-* gamma1 = round loop enclosing the branch points {0, 1};
-* gamma2 = round loop enclosing {-sigma, 0} (a circle cannot enclose 1 and
-  -sigma without swallowing 0, so this homologous representative is used);
-* end loops around z = 0 are traversed twice so the lift closes.
+* gamma1 = a loop enclosing the branch points {0, 1};
+* gamma2 = a loop enclosing {-sigma, 0} (a convex loop cannot enclose 1
+  and -sigma without swallowing 0, so this homologous representative is
+  used);
+* the end loop around z = 0 is traversed twice so the lift closes.
 
 Seeded sample points come from :func:`random_regular_points` as one
 :class:`CurvePoint` of arrays, which the symmetry and Gauss-ODE checks (and
@@ -44,29 +40,25 @@ Seeded sample points come from :func:`random_regular_points` as one
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
 
-from . import classical, quad
-from .quad import NonFinite, RiemannMinimalError, SubdivisionLimit
+from . import classical
+from .quad import RiemannMinimalError
 
 __all__ = [
-    "CurveError", "BranchAmbiguity", "ClearanceViolation", "PoleOfGaussMap",
-    "CurveParams", "CurvePoint", "HomologyLoop",
+    "CurveError", "PoleOfGaussMap", "CurveParams", "CurvePoint",
     "curve_poly", "branch_points", "basepoint",
-    "on_curve_residual", "immerse", "gaussian_curvature",
-    "gamma1_loop", "gamma2_loop", "end_loop", "period", "flux",
+    "on_curve_residual", "immerse", "gaussian_curvature", "period", "flux",
     "apply_symmetry", "verify_symmetry_action", "gauss_ode_residual",
     "gauss_derivatives", "random_regular_points",
 ]
 
 BASEPOINT_OFFSET = 1e-2
-# most leaves per quadrature block: the largest arrays its products act
-# on, the (512, 17) complex branch nodes, take 136 KiB (see
-# _integrate_segments)
-LEAF_BLOCK = 512
+# the end loop's circle |z| = END_RADIUS min(1, sigma)
+END_RADIUS = 0.3
 # random_regular_points rejects candidates closer than this times
 # (1 + sigma) to a branch point
 SAMPLE_CLEARANCE = 2e-3
@@ -81,14 +73,6 @@ PSI_BLOCK = 4096
 
 class CurveError(RiemannMinimalError):
     pass
-
-
-class BranchAmbiguity(CurveError):
-    """Adaptive stepping could not disambiguate the square-root sign."""
-
-
-class ClearanceViolation(CurveError):
-    """A path segment passes through a branch point."""
 
 
 class PoleOfGaussMap(CurveError):
@@ -139,214 +123,6 @@ def _phi_vector(params, zs, ws):
     p3, inv_g = 1.0 / ws, 1.0 / g
     return np.stack([0.5 * (inv_g - g) * p3, 0.5j * (inv_g + g) * p3, p3],
                     axis=-1)
-
-
-def _leaf_panels(params, a, b, w, singular):
-    """One G7/K15 panel on each leaf a[i] -> b[i] starting on the branch
-    w[i]: in z, or on a singular leaf (b[i] a branch point) in s with
-    z = b + (a - b)(1 - s)^2, which cancels the 1/sqrt blow-up at b.  w is
-    continued by the nearest-sign rule through a, the nodes and b (not the
-    zero at a singular b).  Returns (integrals (n, 3), |K15 - G7|, values
-    finite, branch at b (0 if singular), w turned < 45 degrees per step),
-    evaluated in equal blocks of at most LEAF_BLOCK leaves, one
-    ``quad._gk_panel`` call each."""
-    n = len(a)
-    k, err = np.empty((n, 3), dtype=complex), np.empty(n)
-    w_end = np.empty_like(w)
-    finite, turn = np.empty(n, dtype=bool), np.empty(n, dtype=bool)
-    blocks = max(1, -(-n // LEAF_BLOCK))
-    cuts = [i * n // blocks for i in range(blocks + 1)]
-    for blk in map(slice, cuts[:-1], cuts[1:]):
-        k[blk], err[blk], finite[blk], w_end[blk], turn[blk] = _block_panels(
-            params, a[blk], b[blk], w[blk], singular[blk])
-    return k, err, finite, w_end, turn
-
-
-def _block_panels(params, a, b, w, singular):
-    """:func:`_leaf_panels` on one block of leaves."""
-    s = np.flatnonzero(singular)
-    w_end, turn = np.empty_like(w), np.empty(len(w), dtype=bool)
-
-    def f(x):  # z nodes on a regular leaf, s nodes on a singular one
-        d, one_minus = (a[s] - b[s])[:, None], 1.0 - x[s]
-        zs, end = x.copy(), b.copy()
-        zs[s] = b[s, None] + d * one_minus ** 2
-        end[s] = zs[s, -1]
-        c = np.concatenate([w[:, None], np.sqrt(curve_poly(
-            params, np.concatenate([zs, end[:, None]], axis=1)))], axis=1)
-        r = c[:, 1:] * c[:, :-1].conjugate()
-        ws = c[:, 1:] * np.cumprod(np.where(r.real < 0.0, -1.0, 1.0), axis=1)
-        turn[:] = np.all(np.abs(r.real) > math.cos(math.pi / 4) * np.abs(r),
-                         axis=1)
-        w_end[:] = np.where(singular, 0.0, ws[:, -1])
-        del c, r  # free them before the densities' temporaries
-        phi = _phi_vector(params, zs, ws[:, :-1])
-        phi[s] *= (-2.0 * d * one_minus)[..., None]
-        return phi
-
-    k, err, finite = quad._gk_panel(f, np.where(singular, 0.0, a),
-                                    np.where(singular, 1.0, b))
-    return k, err, finite, w_end, turn
-
-
-def _integrate_segments(params, za, zb, wa):
-    """Integrals of (phi1, phi2, phi3) along the segments za[i] -> zb[i],
-    each starting on the branch wa[i] at za[i], as one batch.
-
-    Returns (totals, w_end): the (n, 3) integrals and the continued branch
-    at each zb[i].  Each segment starts as one leaf, and each round
-    integrates the new leaves with one panel each (:func:`_leaf_panels`),
-    in equal blocks of at most LEAF_BLOCK = 512 leaves.  A block's
-    products act on arrays below numpy's 256 KiB temporary-elision size,
-    above which numpy runs them in place, slower and rounded differently;
-    so a segment's integral has the same bits in any batch, alone or among
-    thousands, and the kernel's working set is one block.
-    A segment is accepted once all its leaves pass the 45-degree turn test
-    and the sum of their |K15 - G7| is within max(quad.ABS_TOL,
-    quad.REL_TOL |total|).  Otherwise its leaves that fail the turn test,
-    or whose error exceeds an equal share of that budget, are bisected (a
-    share in proportion to length would keep splitting every leaf next to
-    a near-singular point).  A leaf starts on the principal
-    root at its start (the first on wa); as in :func:`_accumulate`, its
-    sheet is the product of the sign flips between each leaf's continued
-    end and the next leaf's starting root.  A segment ending within
-    1e-12 (1 + sigma) of the branch point 1 or -sigma ends there, in a
-    singular leaf (w_end 0), which bisects into the regular leaf
-    a -> bp + (a - bp)/4 and a singular leaf from there.  Raises
-    ClearanceViolation (a branch point other than its end lies on a
-    segment: cross product 0 and projection in [0, 1]), PoleOfGaussMap
-    (ending at z = 0), BranchAmbiguity (a start at w = 0, or a leaf failing
-    the turn test at 1e-12 of its segment's length), SubdivisionLimit (more
-    than quad.MAX_SUBDIVISIONS bisections of a segment, or a leaf to split
-    whose split point rounds onto one of its ends in a coordinate where the
-    ends differ: the leaf is below the resolution of its coordinates),
-    NonFinite, and ValueError (a segment of length 0).
-    """
-    za, zb, wa = (np.asarray(x, dtype=complex) for x in (za, zb, wa))
-    bps = branch_points(params)
-    near = np.abs(zb[:, None] - np.array(bps)) < 1e-12 * (1.0 + params.sigma)
-    if np.any(near[:, 0]):
-        raise PoleOfGaussMap("cannot integrate into the end at z = 0")
-    singular = near.any(axis=1)
-    zb = np.where(singular, np.array(bps)[near.argmax(axis=1)], zb)
-    if np.any(zb == za):
-        raise ValueError("consecutive path nodes must be distinct")
-    d, q = zb - za, np.array(bps)[:, None] - za
-    dot = q.real * d.real + q.imag * d.imag
-    through = ((q.real * d.imag == q.imag * d.real) & (0.0 <= dot)
-               & (dot <= d.real ** 2 + d.imag ** 2) & ~near.T)
-    if through.any():
-        raise ClearanceViolation("segment passes through branch point "
-                                 f"{bps[np.argmax(through.any(axis=1))]}")
-    if np.any(wa == 0):
-        raise BranchAmbiguity(
-            "cannot continue a branch starting from w = 0 (branch point)")
-
-    def tolerance(total):
-        return np.maximum(quad.ABS_TOL,
-                          quad.REL_TOL * np.abs(total).max(axis=1))
-
-    totals, err, finite, w_end, turn = _leaf_panels(params, za, zb, wa,
-                                                    singular)
-    with np.errstate(invalid="ignore"):
-        owner = np.flatnonzero(~(finite & turn & (err <= tolerance(totals))))
-    # the open leaves, ordered by segment and then along it
-    a, b, w, singular, k, err, finite, wb, turn = (x[owner] for x in (
-        za, zb, wa, singular, totals, err, finite, w_end, turn))
-    while owner.size:
-        if not finite.all():
-            raise NonFinite("integrand not finite on the path")
-        new = np.concatenate([[True], owner[1:] != owner[:-1]])
-        first, group = np.flatnonzero(new), np.cumsum(new) - 1
-        same = new[1:] | ((wb[:-1] * w[1:].conjugate()).real >= 0.0)
-        sheet = np.cumprod(np.concatenate([[1.0], np.where(same, 1.0, -1.0)]))
-        sheet *= sheet[first][group]
-        total = np.add.reduceat(k * sheet[:, None], first)
-        tol, esum = tolerance(total), np.add.reduceat(err, first)
-        count = np.bincount(group)
-        split = ~turn | ((esum > tol)[group] & (err * count[group] > tol[group]))
-        n_split = np.add.reduceat(split, first, dtype=int)
-        done = n_split == 0
-        totals[owner[first[done]]] = total[done]
-        last = (first + count - 1)[done]
-        w_end[owner[last]] = wb[last] * sheet[last]
-        if done.all():
-            break
-        stuck = ~turn & (np.abs(b - a) < 1e-12 * np.abs(zb - za)[owner])
-        if stuck.any():
-            raise BranchAmbiguity(
-                f"cannot track branch near z={a[np.argmax(stuck)]}")
-        # each bisection adds one leaf to its segment
-        over = count - 1 + n_split > quad.MAX_SUBDIVISIONS
-        if over.any():
-            i = np.argmax(over)
-            raise SubdivisionLimit(f"error {esum[i]:.3e} > tol {tol[i]:.3e} "
-                                   f"after {count[i] - 1} subdivisions")
-        # drop the accepted segments; a split leaf becomes its two halves
-        rep = np.flatnonzero(~done[group])
-        rep = np.repeat(rep, 1 + split[rep])
-        second = np.concatenate([[False], rep[1:] == rep[:-1]])
-        first_half = split[rep] & ~second
-        owner, a, b, w, sing = (x[rep] for x in (owner, a, b, w, singular))
-        k, err, wb, turn = k[rep], err[rep], wb[rep], turn[rep]
-        mid = np.where(sing, b + 0.25 * (a - b), 0.5 * (a + b))
-        stall = first_half & (_onto_end(a.real, b.real, mid.real)
-                              | _onto_end(a.imag, b.imag, mid.imag))
-        if stall.any():
-            i = np.argmax(stall)
-            raise SubdivisionLimit(
-                f"leaf {a[i]} -> {b[i]} has no split point between its "
-                f"ends: error {err[i]:.3e}, tol {tol[group[rep[i]]]:.3e}")
-        a, b = np.where(second, mid, a), np.where(first_half, mid, b)
-        singular = sing & ~first_half
-        w[second] = np.sqrt(curve_poly(params, a[second]))
-        fresh = first_half | second
-        k[fresh], err[fresh], finite, wb[fresh], turn[fresh] = _leaf_panels(
-            params, a[fresh], b[fresh], w[fresh], singular[fresh])
-    return totals, w_end
-
-
-def _onto_end(x, y, m):
-    """Whether m, a split point of x -> y in one coordinate, rounds onto
-    an end where the ends differ."""
-    return (x != y) & ((m == x) | (m == y))
-
-
-def _march(params, z, w0):
-    """Phase 1 of a march: the edges of m chains z[i, 0] -> z[i, 1] -> ...
-    -> z[i, n] (z of shape (m, n + 1)), all integrated in one call of
-    :func:`_integrate_segments`.
-
-    Each edge starts on the principal root at its start node, except a
-    chain's first edge, which starts on w0 (shape (m,)).  Returns
-    (wa, totals, wb): each edge's start branch, integrals and continued
-    end branch, shapes (m, n), (m, n, 3), (m, n).
-    """
-    wa = np.sqrt(curve_poly(params, z[:, :-1]))
-    wa[:, 0] = w0
-    totals, wb = _integrate_segments(params, z[:, :-1].reshape(-1),
-                                     z[:, 1:].reshape(-1), wa.reshape(-1))
-    return wa, totals.reshape(*wa.shape, 3), wb.reshape(wa.shape)
-
-
-def _accumulate(edges, x0, w0):
-    """Phase 2 of a march: the end of each chain of :func:`_march`,
-    starting at x0 (shape (m, 3)) on the branch w0 (shape (m,)).
-
-    phi is odd in w, so an edge integrated from the other sheet's root
-    has the negated integral: an edge's sheet is the product of the flips
-    Re(w * conj(wa)) < 0 between the branch w continued to its start (w0,
-    then the previous edge's end) and its starting root wa.  Returns the
-    integrals accumulated in marching order, ((x0 + d1) + d2) + ... (shape
-    (m, 3), complex), and the branch continued to the chain's end (m,).
-    """
-    wa, totals, wb = edges
-    w_in = np.concatenate([w0[:, None], wb[:, :-1]], axis=1)
-    sheet = np.cumprod(np.where((w_in * wa.conjugate()).real < 0.0, -1.0, 1.0),
-                       axis=1)
-    steps = np.where(sheet[..., None] < 0.0, -totals, totals)
-    acc = np.cumsum(np.concatenate([x0[:, None], steps], axis=1), axis=1)
-    return acc[:, -1], wb[:, -1] * sheet[:, -1]
 
 
 # ---------------------------------------------------------------------------
@@ -452,95 +228,81 @@ def gaussian_curvature(g, g_prime):
 # homology loops, periods, flux
 
 
-@dataclass(frozen=True)
-class HomologyLoop:
-    """A closed loop on the curve: its kind, base point and polyline
-    ``nodes``.
-
-    ``integrals`` holds the loop integrals of the closure march that built
-    the loop, which :func:`period` returns instead of marching the loop
-    again; None for a loop built by hand.
-    """
-
-    kind: str
-    base: CurvePoint
-    nodes: tuple
-    integrals: np.ndarray | None = field(default=None, compare=False,
-                                         repr=False)
-
-
-def _circle_nodes(center, radius, n, turns=1):
-    ang = np.linspace(0.0, 2.0 * math.pi * turns, n * turns + 1)
-    return tuple(center + radius * np.exp(1j * ang))
-
-
-def _make_loop(params, kind, center, radius, n, turns=1):
-    nodes = _circle_nodes(center, radius, n, turns)
-    z0 = nodes[0]
-    w0 = np.sqrt(complex(curve_poly(params, z0)))
-    edges = _march(params, np.array(nodes)[None], np.array([w0]))
-    (acc,), (w_end,) = _accumulate(edges, np.zeros((1, 3)), np.array([w0]))
-    if abs(w_end - w0) > 1e-8 * abs(w0):
-        raise BranchAmbiguity(
-            f"loop {kind} does not close on the curve: |dw|/|w| = "
-            f"{abs(w_end - w0) / abs(w0):.3e}")
-    return HomologyLoop(kind, CurvePoint(z0, w0), nodes, acc)
-
-
-def gamma1_loop(params: CurveParams, n=64) -> HomologyLoop:
-    """Round loop enclosing the branch points {0, 1} only.
-
-    Re of its period vanishes (the closed-circle class of the surface).
-    """
-    gap = (0.5 + params.sigma) - 0.5
-    return _make_loop(params, "gamma1", 0.5, 0.5 + 0.1 * gap, n)
-
-
-def gamma2_loop(params: CurveParams, n=64) -> HomologyLoop:
-    """Round loop enclosing {-sigma, 0} only (translation class).
-
-    Re of its period is the translation vector 2*t0, which lies in the
-    symmetry plane {x2 = 0}.
+def _loop_nodes(params, kind, n=None):
+    """The nodes of the trapezoidal rule on the loop ``kind``: (z, w,
+    dz/dtheta) at zeta_k = R e^(i theta_k), theta_k = 2 pi k / n, k < n,
+    on a contour where w is single-valued and analytic (see :func:`period`).
+    n defaults to the node rule, 2 ceil(37 / ln sqrt(rho)).
     """
     s = params.sigma
-    r_in = 0.5 * s
-    r_out = 1.0 + 0.5 * s
-    return _make_loop(params, "gamma2", -0.5 * s, r_in + 0.1 * (r_out - r_in), n)
+    if kind == "end":
+        rho = 1.0 / END_RADIUS
+        radius = math.sqrt(END_RADIUS * min(1.0, s))
+    elif kind in ("gamma1", "gamma2"):
+        x = 1.0 + 2.0 * (s if kind == "gamma1" else 1.0 / s)
+        rho = x + math.sqrt(x * x - 1.0)
+        radius = math.sqrt(rho)
+    else:
+        raise ValueError(f"unknown loop {kind!r}")
+    if n is None:
+        n = 2 * math.ceil(37.0 / math.log(math.sqrt(rho)))
+    zeta = radius * np.exp(2j * math.pi * np.arange(n) / n)
+    if kind == "end":
+        z = zeta * zeta
+        return z, 1j * zeta * np.sqrt(1.0 - z) * np.sqrt(z + s), 2j * z
+    # z - a and z - b in factored form, free of cancellation near the foci
+    scale = 0.25 if kind == "gamma1" else 0.25 * s
+    half = scale * (zeta - 1.0) * (zeta + 1.0) / zeta
+    if kind == "gamma1":
+        z = scale * (zeta + 1.0) ** 2 / zeta
+        return z, half * np.sqrt(z + s), 1j * half
+    z = scale * (zeta - 1.0) ** 2 / zeta
+    return z, 1j * half * np.sqrt(1.0 - z), 1j * half
 
 
-def end_loop(params: CurveParams, n=64, which: str = "zero") -> HomologyLoop:
-    """Double round loop around an end: z = 0 or z = infinity.
+def period(params: CurveParams, kind: str) -> np.ndarray:
+    """The three loop integrals (int phi1, int phi2, int phi3) over the
+    homology class ``kind``, by the periodic trapezoidal rule.
 
-    Both ends sit over branch points (the cubic has odd degree, so infinity
-    branches too); a single turn flips the sign of w and two turns close
-    the lift.  The infinity loop is a large double circle enclosing all
-    three finite branch points.
+    Each class is integrated on a contour where w is analytic, so the rule
+    converges geometrically (Trefethen & Weideman, SIAM Rev. 56 (2014)):
+
+    * ``"gamma1"``, the class of a loop enclosing {0, 1}:
+      z = 1/2 + (zeta + 1/zeta)/4, which makes
+      w = (zeta - 1/zeta)/4 sqrt(z + sigma) and dz/w = dzeta/(zeta
+      sqrt(z + sigma)), analytic for 1 < |zeta| < rho: z = 0, the pole of
+      1/g, lies on |zeta| = 1, and -sigma on |zeta| = rho = x +
+      sqrt(x^2 - 1), x = 1 + 2 sigma;
+    * ``"gamma2"``, enclosing {-sigma, 0}: the same map with the foci
+      -sigma and 0, w = i (sigma/4)(zeta - 1/zeta) sqrt(1 - z), and
+      x = 1 + 2/sigma, from the branch point 1;
+    * ``"end"``, the double loop around the end z = 0: z = zeta^2, once
+      around |zeta| = sqrt(0.3 min(1, sigma)), w = i zeta sqrt(1 - z)
+      sqrt(z + sigma), and rho = 1/0.3.  The branch points 1 and -sigma
+      lie sqrt(rho) or more outside the contour; the pole of 1/g at
+      zeta = 0 gives the integrand in theta only the term e^(-i theta),
+      which the rule sums to 0 exactly, as its integral is.
+
+    The gamma contours are |zeta| = sqrt(rho), midway in ln|zeta| between
+    the two singular circles, so in every case the integrand is analytic
+    within ln sqrt(rho) of the contour in ln|zeta|.  The rule takes
+    n = 2 ceil(37 / ln sqrt(rho)) nodes: its error is at most of order
+    e^(-37) ~ 1e-16 times the integrand's size halfway to the nearest
+    singular circle.  Each contour runs counterclockwise from a point of
+    the real axis (zeta > 0) on the principal root there: w > 0 right
+    of 1, w = i sqrt(|p(z)|) on (0, 1).
     """
-    if which == "zero":
-        radius = 0.3 * min(1.0, params.sigma)
-        return _make_loop(params, "end_loop", 0.0, radius, n, turns=2)
-    if which == "infinity":
-        radius = 3.0 * (1.0 + params.sigma)
-        return _make_loop(params, "end_loop", 0.0, radius, n, turns=2)
-    raise ValueError(f"unknown end {which!r}")
+    z, w, dz = _loop_nodes(params, kind)
+    terms = (_phi_vector(params, z, w) * dz[:, None]).T
+    # the correctly rounded sum of the terms, in any order
+    total = [complex(math.fsum(t.real.tolist()), math.fsum(t.imag.tolist()))
+             for t in terms]
+    return np.array(total) * (2.0 * math.pi / len(z))
 
 
-def period(params: CurveParams, loop: HomologyLoop) -> np.ndarray:
-    """The three loop integrals (int phi1, int phi2, int phi3), with the
-    loop's segments marched as one chain (see :func:`_march`).  A loop that
-    carries the integrals of its closure march (built on the same curve
-    ``params``) returns a copy of them instead of marching again, to the
-    same bits."""
-    if loop.integrals is not None:
-        return loop.integrals.copy()
-    w0 = np.array([loop.base.w])
-    edges = _march(params, np.array(loop.nodes)[None], w0)
-    return _accumulate(edges, np.zeros((1, 3)), w0)[0][0]
-
-
-def flux(params: CurveParams, loop: HomologyLoop) -> np.ndarray:
+def flux(params: CurveParams, kind: str) -> np.ndarray:
     """F(gamma) = Im int (phi1, phi2, phi3), a homology invariant."""
-    return period(params, loop).imag
+    return period(params, kind).imag
 
 
 # ---------------------------------------------------------------------------

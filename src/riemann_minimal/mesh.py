@@ -528,10 +528,10 @@ def refine_slice(mesh: TriMesh, height, sigma: float, max_points: int = 32):
     op's linear part and phi the Weierstrass densities.  Where zb is a
     branch point (w = 0 there), f has a square-root end, and Newton runs in
     t with 1 - s = (1 - t)^2, z = zb - (1 - t)^2 (zb - za), in which f is
-    smooth (the substitution of the kernel's singular leaf); elsewhere it
-    runs in s.  Safeguarded Newton starts at the root of the cubic Hermite
-    model of f on the edge (end values and end slopes; at a branch point
-    end the slope in t is the limit with w/(1 - t) in place of w), which
+    smooth; elsewhere it runs in s.  Safeguarded Newton starts at the root
+    of the cubic Hermite model of f on the edge (end values and end
+    slopes; at a branch point end the slope in t is the limit with
+    w/(1 - t) in place of w), which
     :func:`_hermite_root` finds from the mesh's linear-interpolation guess;
     the start stays that guess where a slope is not finite or the model's
     root leaves (0, 1).  Newton keeps the sign bracket, bisecting whenever

@@ -1,19 +1,18 @@
-"""Gauss-Kronrod quadrature kernel and its tolerances.
+"""Gauss-Kronrod panels and their tolerances.
 
 :func:`_gk_panel` evaluates one G7/K15 panel on each of a batch of straight
-segments.  It is the package's only quadrature: the Weierstrass integrals
-(``curve._integrate_segments``) bisect their segments around it, inside
-the batch, and the classical FD oracle (``checks.classical_fd_grid``)
-takes one panel per increment.  The classical height and center integrals
-need no quadrature: ``classical`` evaluates them in Carlson's closed forms,
-and ``checks.catenoid_residual`` compares the a = 0 height in that form,
-sqrt(q - 1/lambda) R_F(lambda q, 1, 1), with the arcsinh formula.
+segments.  It is the package's only quadrature, and it runs no adaptive
+subdivision: :func:`panel_increments` takes one panel per segment and
+holds each to max(ABS_TOL, REL_TOL |increment|), for the short increments
+of the two finite-difference stencils (``checks.classical_fd_grid`` and
+the Weierstrass stencil ``checks._weierstrass_stencil``).  The loop
+periods are trapezoidal sums (``curve.period``), and the classical height
+and center integrals need no quadrature: ``classical`` evaluates them in
+Carlson's closed forms, and ``checks.catenoid_residual`` compares the
+a = 0 height in that form, sqrt(q - 1/lambda) R_F(lambda q, 1, 1), with
+the arcsinh formula.
 
-A segment's integral is accepted once the sum of |K15 - G7| over its
-panels is at most max(ABS_TOL, REL_TOL |integral|); more than
-MAX_SUBDIVISIONS bisections of one segment, or a leaf whose split point
-rounds onto one of its ends, raise SubdivisionLimit.  The
-constants leave two to four digits of slack below every tolerance the
+The constants leave two to four digits of slack below every tolerance the
 library asserts against (1e-6 .. 1e-8).  Callers read them as
 ``quad.ABS_TOL`` at call time, so rebinding one changes every later call.
 
@@ -28,16 +27,13 @@ import numpy as np
 __all__ = [
     "RiemannMinimalError",
     "QuadError",
-    "SubdivisionLimit",
-    "NonFinite",
     "ABS_TOL",
     "REL_TOL",
-    "MAX_SUBDIVISIONS",
+    "panel_increments",
 ]
 
 ABS_TOL = 1e-10
 REL_TOL = 1e-10
-MAX_SUBDIVISIONS = 2000
 
 
 class RiemannMinimalError(Exception):
@@ -49,15 +45,7 @@ class RiemannMinimalError(Exception):
 
 
 class QuadError(RiemannMinimalError):
-    """Base class for quadrature failures."""
-
-
-class SubdivisionLimit(QuadError):
-    """Bisection exceeded the subdivision budget."""
-
-
-class NonFinite(QuadError):
-    """The integrand evaluated to nan or inf on the path."""
+    """A quadrature panel is not finite or misses its tolerance."""
 
 
 # 15-point Kronrod extension of 7-point Gauss on [-1, 1].  Nodes at odd
@@ -107,3 +95,23 @@ def _gk_panel(f, a, b):
         err = np.abs(k - (vals[..., _GAUSS_IDX] @ _WG) * half).max(
             axis=per_segment[:-1])
     return k, err, np.isfinite(vals).all(axis=per_segment)
+
+
+def panel_increments(f, a, b):
+    """The Kronrod values of one G7/K15 panel on each segment a -> b, as
+    :func:`_gk_panel` takes them (its call goes through the module
+    attribute).  Raises QuadError if a panel has a value that is not
+    finite or its |K15 - G7| exceeds max(ABS_TOL, REL_TOL |increment|),
+    |increment| being the largest magnitude over the components.
+    """
+    inc, err, ok = _gk_panel(f, a, b)
+    size = np.abs(inc).reshape(err.shape + (-1,)).max(axis=-1)
+    tol = np.maximum(ABS_TOL, REL_TOL * size)
+    miss = ~(ok & (err <= tol))
+    if miss.any():
+        i = np.unravel_index(np.argmax(miss), miss.shape)
+        a, b = np.broadcast_arrays(a, b)
+        raise QuadError(
+            f"increment panel [{a[i]:.6g}, {b[i]:.6g}] misses its tolerance: "
+            f"error {err[i]:.3e} > tol {tol[i]:.3e}")
+    return inc

@@ -19,9 +19,11 @@ import itertools
 
 import numpy as np
 
+import curve_quadrature as kernel
+from curve_quadrature import NonFinite, SubdivisionLimit
 from riemann_minimal import quad
 from riemann_minimal.classical import DomainError, q_min, radicand
-from riemann_minimal.quad import NonFinite, QuadError, SubdivisionLimit
+from riemann_minimal.quad import QuadError
 
 
 def _adaptive(f, segments):
@@ -30,7 +32,7 @@ def _adaptive(f, segments):
     ``f`` maps an ndarray of parameter points to values (vectorized).
     Worst-interval bisection with a deterministic heap; the accepted
     result satisfies sum(err) <= max(quad.ABS_TOL, quad.REL_TOL |result|),
-    within quad.MAX_SUBDIVISIONS bisections.
+    within curve_quadrature.MAX_SUBDIVISIONS bisections.
     """
     heap, ids, total, total_err = [], itertools.count(), 0.0, 0.0
     for (a, b) in segments:
@@ -45,7 +47,7 @@ def _adaptive(f, segments):
                   quad.REL_TOL * float(np.max(np.abs(np.atleast_1d(total)))))
         if total_err <= tol:
             break
-        if splits >= quad.MAX_SUBDIVISIONS:
+        if splits >= kernel.MAX_SUBDIVISIONS:
             raise SubdivisionLimit(
                 f"error {total_err:.3e} > tol {tol:.3e} after "
                 f"{splits} subdivisions")

@@ -4,7 +4,7 @@ references that the batched code in ``riemann_minimal`` is pinned against.
 * :class:`WeierstrassForms` and :func:`weierstrass_at` -- g and the three
   form densities at one point, the scalar version of ``curve._phi_vector``.
 * :func:`march` -- the Weierstrass forms integrated along polylines by the
-  quadrature kernel (``curve._march`` and ``curve._accumulate``), and
+  quadrature kernel (``curve_quadrature._march`` and ``_accumulate``), and
   :func:`march_piece`, the fundamental piece marched edge by edge along
   the grid in one kernel batch: the oracles of the closed form
   ``curve.immerse``.
@@ -32,6 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+import curve_quadrature as kernel
 from classical_quadrature import _adaptive
 from riemann_minimal import checks, classical, curve, mesh, shiffkdv
 from riemann_minimal.curve import CurvePoint, PoleOfGaussMap
@@ -78,7 +79,7 @@ def march(params, nodes, w_start, base_position=(0.0, 0.0, 0.0)):
     the branch point 1 or -sigma ends in a singular leaf (the end point
     then carries w = 0).  The path only has to stay off the branch points,
     and consecutive nodes must differ (ClearanceViolation and ValueError
-    from ``curve._integrate_segments``).
+    from ``curve_quadrature._integrate_segments``).
     """
     pos = np.asarray(base_position, dtype=float)
     z = np.asarray(nodes, dtype=complex)
@@ -89,13 +90,13 @@ def march(params, nodes, w_start, base_position=(0.0, 0.0, 0.0)):
         pos, end = march(params, z[None], [w_start], pos[None])
         return pos[0], CurvePoint(complex(end.z[0]), complex(end.w[0]))
     w0 = np.asarray(w_start, dtype=complex)
-    acc, w_end = curve._accumulate(curve._march(params, z, w0),
-                                   np.broadcast_to(pos, (len(z), 3)), w0)
+    acc, w_end = kernel._accumulate(kernel._march(params, z, w0),
+                                    np.broadcast_to(pos, (len(z), 3)), w0)
     return acc.real, CurvePoint(z[:, -1], w_end)
 
 
 def chain_sums(edges, x0, w0):
-    """``curve._accumulate`` at every node of its chains: the sums
+    """``curve_quadrature._accumulate`` at every node of its chains: the sums
     ((x0 + d1) + d2) + ... of shape (m, n + 1, 3) and the branch values
     (m, n + 1)."""
     wa, totals, wb = edges

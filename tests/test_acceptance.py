@@ -126,11 +126,11 @@ def test_criterion_04_enneper_equivalence():
 def test_criterion_05_period_closure(sigma):
     with Budget(f"criterion 5: period closure (sigma={sigma})", 30.0):
         params = CurveParams(sigma)
-        p1 = curve.period(params, curve.gamma1_loop(params))
+        p1 = curve.period(params, "gamma1")
         assert np.max(np.abs(p1.real)) < 1e-7
-        p2 = curve.period(params, curve.gamma2_loop(params))
+        p2 = curve.period(params, "gamma2")
         assert abs(p2.real[1]) < 1e-7
-        fl = curve.flux(params, curve.end_loop(params))
+        fl = curve.flux(params, "end")
         print(f"  |Re g1|={np.max(np.abs(p1.real)):.2e} "
               f"|Re g2 . e2|={abs(p2.real[1]):.2e} |F(end)|={np.max(np.abs(fl)):.2e}")
         assert np.max(np.abs(fl)) < 1e-7

@@ -7,7 +7,7 @@ from scipy.optimize import brentq, least_squares
 
 import classical_quadrature as quadrature
 import scalar_references as scalar
-from riemann_minimal import checks, classical, curve, mesh, quad
+from riemann_minimal import checks, classical, mesh, quad
 from riemann_minimal.quad import RiemannMinimalError
 
 EPS = np.finfo(float).eps
@@ -127,17 +127,17 @@ def test_slice_checks_refine_all_heights_in_one_call(monkeypatch):
 
 
 def test_translation_half_is_computed_once(monkeypatch):
-    # t0 and the fixed point are closed forms: no path is marched, and
-    # every call returns a new array
+    # t0 and the fixed point are closed forms: no quadrature panel runs,
+    # and every call returns a new array
     surf = mesh.FundamentalSurface(2.0)
     calls = []
-    march = curve._march
+    panel = quad._gk_panel
 
     def counting(*args):
         calls.append(1)
-        return march(*args)
+        return panel(*args)
 
-    monkeypatch.setattr(curve, "_march", counting)
+    monkeypatch.setattr(quad, "_gk_panel", counting)
     for get in (surf.translation_half, surf.psi_fixed_point):
         get()[:] = 0.0
         assert np.all(get()[[0, 2]] != 0.0)

@@ -180,10 +180,12 @@ def test_numeric_failure_exit_3(tmp_path, capsys, monkeypatch):
     assert run(["gen", "--sigma", "2", "--e", "0.9999999999", "--grid", "4x4",
                 "-o", str(tmp_path / "o")]) == 3
     assert "numeric failure: DegenerateCell" in capsys.readouterr().err
-    # a budget of no bisections stops the first segment that needs one
-    monkeypatch.setattr(quad, "MAX_SUBDIVISIONS", 0)
+    # zero tolerances fail the first increment panel of the FD stencils
+    monkeypatch.setattr(quad, "ABS_TOL", 0.0)
+    monkeypatch.setattr(quad, "REL_TOL", 0.0)
     assert run(["verify", "--sigma", "2", "--json", "/dev/null"]) == 3
-    assert "numeric failure: SubdivisionLimit" in capsys.readouterr().err
+    assert ("numeric failure: QuadError: increment panel"
+            in capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("command", ["gen", "verify", "kdv"])
@@ -235,27 +237,12 @@ def test_kdv_fit_level_above_3_exits_2(capsys):
 
 def test_every_package_exception_shares_one_base():
     base = quad.RiemannMinimalError
-    for exc in (quad.QuadError, quad.SubdivisionLimit, quad.NonFinite,
-                curve.CurveError, curve.BranchAmbiguity,
-                curve.ClearanceViolation, curve.PoleOfGaussMap,
+    for exc in (quad.QuadError, curve.CurveError, curve.PoleOfGaussMap,
                 classical.DomainError, classical.ConvergenceError,
                 mesh.Degenerate, mesh.DegenerateCell, shiffkdv.GridTooSmall,
                 shiffkdv.NotExactDerivative, shiffkdv.JetTooShort,
                 checks.SliceFitError):
         assert issubclass(exc, base), exc
-
-
-def test_clearance_violation_exits_3(capsys, monkeypatch):
-    # a gamma2 loop drawn down the real axis: its first segment runs
-    # through the branch point 0
-    def through_zero(params, n=64):
-        z = (0.5 + 0j, -0.5 + 0j, 0.5 + 0.5j, 0.5 + 0j)
-        w = np.sqrt(curve.curve_poly(params, z[0]))
-        return curve.HomologyLoop("gamma2", curve.CurvePoint(z[0], w), z)
-
-    monkeypatch.setattr(curve, "gamma2_loop", through_zero)
-    assert run(["verify", "--sigma", "2", "--json", "/dev/null"]) == 3
-    assert "numeric failure: ClearanceViolation" in capsys.readouterr().err
 
 
 def test_program_bug_exits_4_with_traceback(monkeypatch, capsys):

@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import curve_quadrature as kernel
 import scalar_references as scalar
+from curve_quadrature import BranchAmbiguity, ClearanceViolation
 from riemann_minimal import checks, classical, curve, mesh, quad
-from riemann_minimal.curve import (BranchAmbiguity, ClearanceViolation,
-                                   CurveParams, CurvePoint, PoleOfGaussMap)
+from riemann_minimal.curve import CurveParams, CurvePoint, PoleOfGaussMap
 
 
 def dense_branch(params, a, b, w, steps):
@@ -77,7 +78,7 @@ def test_clearance_violation():
     scalar.march(params, [2.0, 1.0001, 2.0 + 1j], math.sqrt(8.0))
     w = [np.sqrt(complex(curve.curve_poly(params, z))) for z in (0.99, 0.5)]
     with pytest.raises(ClearanceViolation, match=r"branch point 0j"):
-        curve._integrate_segments(params, [0.99], [-2.0], w[:1])
+        kernel._integrate_segments(params, [0.99], [-2.0], w[:1])
     with pytest.raises(ClearanceViolation, match=r"branch point \(1\+0j\)"):
         scalar.march(params, [0.5, 1.5, 2.0 + 1j], w[1])
 
@@ -90,7 +91,7 @@ def test_branch_ambiguity_on_zero_crossing():
     za = 0.3 + 1e-14j
     w0 = np.sqrt(curve.curve_poly(params, za))
     with pytest.raises(BranchAmbiguity):
-        curve._integrate_segments(params, [za], [1.6 + 1e-14j], [w0])
+        kernel._integrate_segments(params, [za], [1.6 + 1e-14j], [w0])
     with pytest.raises(BranchAmbiguity):  # starting at w = 0
         scalar.march(params, [1.5, 2.0], 0.0)
 
@@ -99,7 +100,7 @@ def test_nonclosing_loop_rejected():
     # a single circle around one branch point flips w: not a closed lift
     params = CurveParams(2.0)
     with pytest.raises(BranchAmbiguity):
-        curve._make_loop(params, "bogus", 1.0, 0.4, 48, turns=1)
+        kernel._make_loop(params, "bogus", 1.0, 0.4, 48, turns=1)
 
 
 @pytest.mark.parametrize("sigma", [0.05, 2.0, 8.0])
@@ -108,8 +109,8 @@ def test_single_turn_end_loop_rejected(sigma):
     params = CurveParams(sigma)
     radius = 0.3 * min(1.0, sigma)
     with pytest.raises(BranchAmbiguity):
-        curve._make_loop(params, "end_loop", 0.0, radius, 64, turns=1)
-    loop = curve._make_loop(params, "end_loop", 0.0, radius, 64, turns=2)
+        kernel._make_loop(params, "end_loop", 0.0, radius, 64, turns=1)
+    loop = kernel._make_loop(params, "end_loop", 0.0, radius, 64, turns=2)
     assert loop.base.w == np.sqrt(complex(curve.curve_poly(params, radius)))
 
 
@@ -184,7 +185,7 @@ def test_segment_kernel_against_mpmath_30_digits(sigma):
              (-sigma + (-0.5 + 0.6j) * min(1.0, sigma), complex(-sigma), [])]
     for za, zb, breaks in edges:
         wa = np.sqrt(complex(curve.curve_poly(params, za)))
-        totals, w_end = curve._integrate_segments(params, [za], [zb], [wa])
+        totals, w_end = kernel._integrate_segments(params, [za], [zb], [wa])
         want = np.array(_mpmath_segment(params, za, zb, wa, breaks))
         scale = np.max(np.abs(want))
         if zb == -sigma and sigma >= 100.0:
@@ -200,7 +201,7 @@ def test_segment_kernel_against_mpmath_30_digits(sigma):
             assert abs(w_end[0] - dense_track(params, [za, zb], wa)) < 1e-12
     # the anchor paths close: 2 t0 is the gamma2 period's real part
     t0 = mesh.FundamentalSurface(sigma).translation_half()
-    period = curve.period(params, curve.gamma2_loop(params))
+    period = kernel.period(params, kernel.gamma2_loop(params))
     assert np.max(np.abs(2.0 * t0 - period.real)) <= 1e-11
 
 
@@ -214,12 +215,12 @@ def test_leaf_below_coordinate_resolution_raises(monkeypatch):
     wa = np.sqrt(complex(curve.curve_poly(params, za)))
 
     def integral():
-        return curve._integrate_segments(params, [za], [zb], [wa])[0][0]
+        return kernel._integrate_segments(params, [za], [zb], [wa])[0][0]
 
     default = integral()
     # with the rule off: the same bits at the defaults, a wrong value at 1e-13
     with monkeypatch.context() as m:
-        m.setattr(curve, "_onto_end",
+        m.setattr(kernel, "_onto_end",
                   lambda x, y, mid: np.zeros(np.shape(x), dtype=bool))
         assert np.array_equal(integral(), default)
         m.setattr(quad, "ABS_TOL", 1e-13)
@@ -227,7 +228,7 @@ def test_leaf_below_coordinate_resolution_raises(monkeypatch):
         assert np.max(np.abs(integral() - default)) > 1e-10
     monkeypatch.setattr(quad, "ABS_TOL", 1e-13)
     monkeypatch.setattr(quad, "REL_TOL", 1e-13)
-    with pytest.raises(quad.SubdivisionLimit,
+    with pytest.raises(kernel.SubdivisionLimit,
                        match=r"leaf \(0\.9999999999999999\+[-+.e0-9]+j\) -> "
                              r"\(1\+0j\) has no split point between its ends: "
                              r"error [.e0-9+-]+, tol 1\.000e-13"):
@@ -306,72 +307,70 @@ def test_gaussian_curvature_values_and_catenoid_oracle():
 
 def test_periods_and_flux_sigma2():
     params = CurveParams(2.0)
-    g1 = curve.gamma1_loop(params)
-    p1 = curve.period(params, g1)
+    p1 = curve.period(params, "gamma1")
     assert np.max(np.abs(p1.real)) < 1e-7
     # frozen regression baseline for the gamma1 flux (= Im of the period)
-    f1 = curve.flux(params, g1)
+    f1 = curve.flux(params, "gamma1")
     assert np.allclose(f1, [-1.34413627, 0.0, 4.00430952], atol=1e-6)
-    g2 = curve.gamma2_loop(params)
-    p2 = curve.period(params, g2)
+    p2 = curve.period(params, "gamma2")
     assert abs(p2.real[1]) < 1e-7
     assert np.allclose(p2.real, [2.86524775, 0.0, 4.68568034], atol=1e-6)
     # flux of the translation class vanishes (period is purely real)
-    assert np.max(np.abs(curve.flux(params, g2))) < 1e-7
+    assert np.max(np.abs(curve.flux(params, "gamma2"))) < 1e-7
 
 
 @pytest.mark.parametrize("sigma", [0.0167, 2.0, 8.0])
 def test_period_reuses_the_closure_march(sigma, monkeypatch):
     params = CurveParams(sigma)
-    loops = [curve.gamma1_loop(params), curve.gamma2_loop(params),
-             curve.end_loop(params)]
+    loops = [kernel.gamma1_loop(params), kernel.gamma2_loop(params),
+             kernel.end_loop(params)]
     calls = []
-    march = curve._march
+    march = kernel._march
 
     def counting(*args, **kwargs):
         calls.append(1)
         return march(*args, **kwargs)
 
-    monkeypatch.setattr(curve, "_march", counting)
+    monkeypatch.setattr(kernel, "_march", counting)
     for loop in loops:
-        got = curve.period(params, loop)
+        got = kernel.period(params, loop)
         assert not calls
         # the same loop without the stored integrals is marched again
-        bare = curve.HomologyLoop(loop.kind, loop.base, loop.nodes)
-        assert np.array_equal(got, curve.period(params, bare))
+        bare = kernel.HomologyLoop(loop.kind, loop.base, loop.nodes)
+        assert np.array_equal(got, kernel.period(params, bare))
         assert len(calls) == 1
         with monkeypatch.context() as tighter:
             tighter.setattr(quad, "ABS_TOL", 1e-12)
             tighter.setattr(quad, "REL_TOL", 1e-12)
-            finer = curve.period(params, bare)
+            finer = kernel.period(params, bare)
         assert len(calls) == 2 and np.allclose(finer, got, atol=1e-9)
         del calls[:]
     got[:] = 0.0  # the returned array is a copy
-    assert np.any(curve.period(params, loops[-1]) != 0.0)
+    assert np.any(kernel.period(params, loops[-1]) != 0.0)
 
 
 def test_period_double_traversal_scales():
     params = CurveParams(0.8)
-    loop = curve.gamma1_loop(params)
-    double = curve.HomologyLoop("gamma1", loop.base,
-                                loop.nodes + loop.nodes[1:])
-    p1 = curve.period(params, loop)
-    p2 = curve.period(params, double)
+    loop = kernel.gamma1_loop(params)
+    double = kernel.HomologyLoop("gamma1", loop.base,
+                                 loop.nodes + loop.nodes[1:])
+    p1 = kernel.period(params, loop)
+    p2 = kernel.period(params, double)
     assert np.max(np.abs(p2 - 2 * p1)) < 1e-8
 
 
 def test_flux_end_loop_and_reversal():
     params = CurveParams(2.0)
-    el = curve.end_loop(params)
-    assert np.max(np.abs(curve.flux(params, el))) < 1e-7
+    el = kernel.end_loop(params)
+    assert np.max(np.abs(kernel.flux(params, el))) < 1e-7
     # the other planar end (z = infinity) carries nothing either
-    el_inf = curve.end_loop(params, which="infinity")
-    assert np.max(np.abs(curve.period(params, el_inf))) < 1e-7
-    g1 = curve.gamma1_loop(params)
-    rev = curve.HomologyLoop("gamma1", curve.CurvePoint(
+    el_inf = kernel.end_loop(params, which="infinity")
+    assert np.max(np.abs(kernel.period(params, el_inf))) < 1e-7
+    g1 = kernel.gamma1_loop(params)
+    rev = kernel.HomologyLoop("gamma1", curve.CurvePoint(
         g1.nodes[-1], g1.base.w), g1.nodes[::-1])
-    assert np.max(np.abs(curve.flux(params, rev)
-                         + curve.flux(params, g1))) < 1e-8
+    assert np.max(np.abs(kernel.flux(params, rev)
+                         + kernel.flux(params, g1))) < 1e-8
 
 
 def test_apply_symmetry():
@@ -651,6 +650,125 @@ def test_psi_against_mpmath_carlson(sigma):
 
 CI_SIGMAS = [1e-3, 0.012, 0.05, 1.0, 2.0, 8.0, 21.5, 100.0, 1e3,
              classical.sigma_of_lambda(31.59)]
+
+
+# --- loop periods by the trapezoidal rule ------------------------------------
+
+
+KERNEL_LOOPS = {"gamma1": kernel.gamma1_loop, "gamma2": kernel.gamma2_loop,
+                "end": kernel.end_loop}
+
+
+def _against_kernel_loops(sigma):
+    """Largest |curve.period - kernel period| over the three classes,
+    relative to max(1, |kernel period|); the kernel marches the round
+    circles, another representative of each class."""
+    params = CurveParams(sigma)
+    worst = 0.0
+    for kind, loop in KERNEL_LOOPS.items():
+        want = kernel.period(params, loop(params))
+        got = curve.period(params, kind)
+        worst = max(worst, np.max(np.abs(got - want))
+                    / max(1.0, np.max(np.abs(want))))
+    return worst
+
+
+@pytest.mark.parametrize("sigma", CI_SIGMAS)
+def test_trapezoid_periods_match_the_kernel_loops(sigma):
+    # measured at most 5.1e-13 (gamma2 at sigma 1e3), below 6e-14 for
+    # sigma <= 100
+    assert _against_kernel_loops(sigma) <= 1e-12
+
+
+@settings(max_examples=30, deadline=None)
+@given(log_sigma=st.floats(-3.0, 3.0))
+def test_trapezoid_periods_match_the_kernel_over_the_range(log_sigma):
+    assert _against_kernel_loops(10.0 ** log_sigma) <= 1e-12
+
+
+@pytest.mark.parametrize("sigma", CI_SIGMAS)
+def test_trapezoid_node_rule_is_converged(sigma, monkeypatch):
+    # doubling the nodes moves a period by rounding only (measured at most
+    # 1.2e-15 of |P|); the end loop's period is 0, so its change is bounded
+    # by the sum of the moduli of its terms instead
+    params = CurveParams(sigma)
+    nodes = curve._loop_nodes
+    for kind in KERNEL_LOOPS:
+        got = curve.period(params, kind)
+        z, w, dz = nodes(params, kind)
+        n = len(z)
+        with monkeypatch.context() as m:
+            m.setattr(curve, "_loop_nodes", lambda p, k: nodes(p, k, 2 * n))
+            finer = curve.period(params, kind)
+        if kind == "end":
+            terms = curve._phi_vector(params, z, w) * dz[:, None]
+            scale = np.abs(terms).sum(axis=0).max() * 2.0 * math.pi / n
+        else:
+            scale = np.max(np.abs(got))
+        assert np.max(np.abs(got - finer)) <= 2e-14 * scale, kind
+
+
+@pytest.mark.parametrize("sigma", CI_SIGMAS)
+def test_loop_contours_carry_one_analytic_branch(sigma):
+    # on each contour w is a root of p(z) (to the rounding of p at the
+    # rounded nodes) that never jumps to the other root between
+    # neighbouring nodes (the wrap-around included), and it starts on the
+    # real axis on the principal root, as the kernel's loops do
+    params = CurveParams(sigma)
+    for kind in KERNEL_LOOPS:
+        z, w, _ = curve._loop_nodes(params, kind)
+        p, r = curve.curve_poly(params, z), np.abs(z)
+        assert np.all(np.abs(w * w - p)
+                      <= 1e-14 * r * (r + 1.0) * (r + sigma)), kind
+        nxt = np.roll(w, -1)
+        assert np.all(np.abs(nxt - w) < np.abs(nxt + w)), kind
+        assert z[0].imag == 0.0 and z[0].real > 0.0
+        root = np.sqrt(p[0])
+        assert abs(w[0] - root) < abs(w[0] + root), kind
+
+
+def _stencil_panels(monkeypatch, sigma, n_side=6):
+    """The segments a -> b and increments of the Weierstrass stencil's one
+    ``quad.panel_increments`` call."""
+    seen = []
+    increments = quad.panel_increments
+
+    def recording(f, a, b):
+        inc = increments(f, a, b)
+        seen.append((a, b, inc))
+        return inc
+
+    monkeypatch.setattr(quad, "panel_increments", recording)
+    checks._weierstrass_stencil(sigma, n_side, 1e-4, checks._STENCIL)
+    (a, b, inc), = seen
+    return a, b, inc
+
+
+@pytest.mark.parametrize("sigma", CI_SIGMAS)
+def test_stencil_points_lie_in_the_upper_half_plane(sigma, monkeypatch):
+    # the principal-root product is the base point's branch, and analytic,
+    # on the open upper half-plane only
+    a, b, _ = _stencil_panels(monkeypatch, sigma)
+    assert np.all(a.imag > 0.0) and np.all(b.imag > 0.0)
+    if sigma == 1e-3:
+        # the closest anchor: Im z0 = 1.5e-4 against steps h_k <= 1e-4
+        _, _, hk = checks._weierstrass_stencil(sigma, 6, 1e-4,
+                                               checks._STENCIL)
+        assert a.imag.min() == pytest.approx(1.5e-4, rel=0.01)
+        assert hk.max() <= 1e-4
+
+
+@pytest.mark.parametrize("sigma", CI_SIGMAS)
+def test_stencil_increments_match_the_kernel(sigma, monkeypatch):
+    # one panel per segment against the adaptive kernel with branch
+    # tracking from the same root; measured at most 4.8e-16 relative, the
+    # panels' |K15 - G7| at most 1.1e-7 of their tolerance
+    a, b, inc = _stencil_panels(monkeypatch, sigma)
+    params = CurveParams(sigma)
+    wa = np.sqrt(a) * np.sqrt(a - 1.0) * np.sqrt(a + sigma)
+    want, _ = kernel._integrate_segments(params, a, b, wa)
+    scale = np.max(np.abs(want), axis=1)
+    assert np.all(np.max(np.abs(inc - want), axis=1) <= 1e-15 * scale)
 
 
 @pytest.mark.parametrize("sigma", CI_SIGMAS)

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.spatial import cKDTree
 
+import curve_quadrature as kernel
 import scalar_references as scalar
 from riemann_minimal import classical, curve, mesh, quad
 from riemann_minimal.mesh import (Degenerate, DomainMap,
@@ -174,7 +175,7 @@ def test_column_branch_is_the_entry_arc_continuation(sigma):
     _, entry = _entry_arc(params)
     w0 = np.array([entry.w])
     chain = np.append(entry.z, column[order])[None]
-    _, ws = scalar.chain_sums(curve._march(params, chain, w0),
+    _, ws = scalar.chain_sums(kernel._march(params, chain, w0),
                               np.zeros((1, 3)), w0)
     got = m.domain_w.reshape(nr, nt)[order, 0]
     assert np.all(np.abs(got - ws[0, 1:]) <= 2e-15 * np.abs(got))
@@ -215,7 +216,7 @@ def test_batched_sampling_falls_back_on_few_edges(monkeypatch):
     params = curve.CurveParams(2.0)
     batch = scalar.piece_edges(params, DomainMap(2.0, 0.1).grid(nr, nt))
     calls = _count_panel_leaves(monkeypatch)
-    curve._integrate_segments(params, *batch)
+    kernel._integrate_segments(params, *batch)
     # every edge and both corners are one leaf first; bisection adds leaves
     edges = (nr - 2) + (nr - 1) * (nt - 1) + (nt - 2) + 2
     bisected = sum(len(a) for a, _ in calls) - edges
@@ -229,11 +230,11 @@ def test_segment_integral_does_not_depend_on_its_batch(sigma):
     z = sample_fundamental(sigma, 0.1, 40, 60).domain_z.reshape(40, 60)[:-1]
     za, zb = z[:, :-1].reshape(-1), z[:, 1:].reshape(-1)
     wa = np.sqrt(curve.curve_poly(params, za))
-    totals, w_end = curve._integrate_segments(params, za, zb, wa)
+    totals, w_end = kernel._integrate_segments(params, za, zb, wa)
     assert len(za) == 2301
     for i in range(len(za)):
-        t, w = curve._integrate_segments(params, za[i:i + 1], zb[i:i + 1],
-                                         wa[i:i + 1])
+        t, w = kernel._integrate_segments(params, za[i:i + 1], zb[i:i + 1],
+                                          wa[i:i + 1])
         assert np.array_equal(t[0], totals[i]) and w[0] == w_end[i], i
 
 
@@ -244,21 +245,21 @@ def test_quadrature_blocks_stay_within_the_block_size(monkeypatch, nr, nt):
     params = curve.CurveParams(2.0)
     batch = scalar.piece_edges(params, DomainMap(2.0, 0.1).grid(nr, nt))
     calls = _count_panel_leaves(monkeypatch)
-    curve._integrate_segments(params, *batch)
+    kernel._integrate_segments(params, *batch)
     sizes = [len(a) for a, _ in calls]
     edges = (nr - 2) + (nr - 1) * (nt - 1) + (nt - 2) + 2
-    first = sizes[:-(-edges // curve.LEAF_BLOCK)]  # the first round
+    first = sizes[:-(-edges // kernel.LEAF_BLOCK)]  # the first round
     assert sum(first) == edges and max(first) - min(first) <= 1
-    assert max(sizes) <= curve.LEAF_BLOCK
+    assert max(sizes) <= kernel.LEAF_BLOCK
 
 
 def test_segment_batch_rejects_edge_through_branch_point():
     params = curve.CurveParams(2.0)
     w = np.sqrt(curve.curve_poly(params, 0.5 + 0j))
-    with pytest.raises(curve.ClearanceViolation):
-        curve._integrate_segments(params, [0.5 + 0j], [1.5 + 0j], [w])
+    with pytest.raises(kernel.ClearanceViolation):
+        kernel._integrate_segments(params, [0.5 + 0j], [1.5 + 0j], [w])
     with pytest.raises(ValueError):
-        curve._integrate_segments(params, [0.5 + 0j], [0.5 + 0j], [w])
+        kernel._integrate_segments(params, [0.5 + 0j], [0.5 + 0j], [w])
 
 
 def test_segment_batch_matches_immerse_near_branch_point():
@@ -268,7 +269,7 @@ def test_segment_batch_matches_immerse_near_branch_point():
     za = np.array([0.77 + 1e-3j, 0.3 + 0.4j, -0.5 + 0.9j])
     zb = np.array([1.2 + 1e-3j, 0.6 + 0.5j, -0.9 + 0.6j])
     wa = np.sqrt(curve.curve_poly(params, za)) * np.array([1.0, -1.0, 1.0])
-    totals, w_end = curve._integrate_segments(params, za, zb, wa)
+    totals, w_end = kernel._integrate_segments(params, za, zb, wa)
     for i in range(len(za)):
         pos, end = scalar.march(params, [za[i], zb[i]], wa[i])
         assert np.max(np.abs(totals[i].real - pos)) <= 1e-12 * max(
@@ -287,7 +288,7 @@ def test_segment_batch_tracks_fast_turning_branch(monkeypatch):
     zb = np.array([1.2 + 1e-3j, 0.6 + 0.5j])
     wa = np.sqrt(curve.curve_poly(params, za))
     calls = _count_panel_leaves(monkeypatch)
-    curve._integrate_segments(params, za, zb, wa)
+    kernel._integrate_segments(params, za, zb, wa)
     assert np.array_equal(calls[0][0], za) and len(calls) > 1
     for a, b in calls[1:]:  # every bisected leaf lies on the first edge
         for z in (a, b):
@@ -324,7 +325,7 @@ def test_extension_ops_structure(surf2, ops2):
 
 def test_translation_matches_gamma2_period(surf2, ops2):
     params = curve.CurveParams(2.0)
-    per = curve.period(params, curve.gamma2_loop(params))
+    per = curve.period(params, "gamma2")
     assert np.max(np.abs(ops2[3].offset - per.real)) < 1e-8
 
 
@@ -379,16 +380,16 @@ def test_gen_makes_one_integrator_call(monkeypatch):
     # anchors: no path is integrated
     calls = []
 
-    def counting(name):
-        fn = getattr(curve, name)
+    def counting(module, name):
+        fn = getattr(module, name)
 
         def counted(*args, **kwargs):
             calls.append(name)
             return fn(*args, **kwargs)
-        monkeypatch.setattr(curve, name, counted)
+        monkeypatch.setattr(module, name, counted)
 
-    counting("_integrate_segments")
-    counting("immerse")
+    counting(quad, "_gk_panel")
+    counting(curve, "immerse")
     FundamentalSurface(2.0)
     sample_fundamental(2.0, 0.1, 40, 60)
     extension_ops(2.0)
@@ -953,18 +954,18 @@ def test_refine_slice_hits_height_with_few_immerse_calls(fund2, ops2, surf2,
     span = surf2.translation_half()[2]
     calls = []
 
-    def counting(name):
-        fn = getattr(curve, name)
+    def counting(module, name):
+        fn = getattr(module, name)
 
         def counted(*args, **kwargs):
             calls.append(name)
             return fn(*args, **kwargs)
-        monkeypatch.setattr(curve, name, counted)
+        monkeypatch.setattr(module, name, counted)
 
     # the surface points are closed-form evaluations, one per Newton round:
     # no path is integrated
-    counting("immerse")
-    counting("_integrate_segments")
+    counting(curve, "immerse")
+    counting(quad, "_gk_panel")
     for frac in (0.13, 0.3, 0.5, 0.77, 1.4, 1.9):
         h = frac * span
         del calls[:]

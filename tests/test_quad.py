@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
+import curve_quadrature as kernel
 import scalar_references as scalar
 from classical_quadrature import (Divergent, _adaptive,
                                   integrate_sqrt_singular, integrate_tail)
+from curve_quadrature import NonFinite, SubdivisionLimit
 from riemann_minimal import curve, quad
-from riemann_minimal.quad import NonFinite, SubdivisionLimit
 
 ABS = 1e-10
 
@@ -82,7 +83,7 @@ def test_nonfinite_raises():
 
 
 def test_subdivision_limit_raises(monkeypatch):
-    monkeypatch.setattr(quad, "MAX_SUBDIVISIONS", 3)
+    monkeypatch.setattr(kernel, "MAX_SUBDIVISIONS", 3)
     # sharp near-singularity mid-path defeats a 3-split budget
     f = lambda z: 1.0 / (z - (0.5 + 1e-9j))
     with pytest.raises(SubdivisionLimit):
@@ -97,6 +98,25 @@ def test_path_invariants():
         with pytest.raises(ValueError, match="distinct"):
             scalar.march(params, nodes, w)
     assert scalar.march(params, [2], w)[1] == curve.CurvePoint(2 + 0j, w)
+
+
+def test_panel_increments_hold_each_panel_to_its_tolerance():
+    # one panel per segment, vector values held to their largest component
+    a, b = np.array([0.0, 1.0]), np.array([1.0, 2.0])
+    inc = quad.panel_increments(
+        lambda x: np.stack([np.exp(x), 1e-12 * np.exp(x)], axis=-1), a, b)
+    assert inc.shape == (2, 2)
+    # the nodes and weights carry 15 digits
+    want = np.exp(b) - np.exp(a)
+    np.testing.assert_allclose(inc[:, 0], want, rtol=1e-14)
+    np.testing.assert_allclose(inc[:, 1], 1e-12 * want, rtol=1e-14)
+    # a panel 1e-3 from a pole misses its tolerance; a panel through it is
+    # not finite
+    with pytest.raises(quad.QuadError,
+                       match=r"increment panel \[1, 2\] misses its tolerance"):
+        quad.panel_increments(lambda x: 1.0 / (x - 1.9 - 1e-3j), a, b)
+    with pytest.raises(quad.QuadError, match=r"error nan"):
+        quad.panel_increments(lambda x: 1.0 / (x - x[..., 7:8]), a, b)
 
 
 # --- sqrt-singular endpoint ------------------------------------------------
