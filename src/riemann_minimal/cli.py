@@ -75,9 +75,10 @@ def _parse_grid(text):
 
 # every check verify records, in its order; --tol takes these names only
 CHECK_NAMES = (
-    "period_gamma1_re", "period_gamma2_re_x2", "flux_end_loop",
-    "symmetry_s1", "symmetry_s2", "symmetry_s3", "gauss_ode", "shiffman",
-    "enneper_fourier", "catenoid_closed_form", "classical_circle_fit",
+    "period_gamma1_re", "period_gamma2_re_x2", "translation_gamma2",
+    "flux_end_loop", "symmetry_s1", "symmetry_s2", "symmetry_s3",
+    "gauss_ode", "shiffman", "enneper_fourier", "catenoid_closed_form",
+    "classical_circle_fit",
     "minimality_classical", "minimality_weierstrass",
     "conformality_weierstrass", "registration_radius",
     "registration_spacing", "circle_foliation", "line_heights_classify",
@@ -343,6 +344,11 @@ def cmd_verify(cfg: RunConfig) -> int:
     suite.record("period_gamma1_re", float(np.max(np.abs(per1.real))), 1e-7)
     per2 = curve.period(params, "gamma2")
     suite.record("period_gamma2_re_x2", abs(per2.real[1]), 1e-7)
+    # the translation 2 t0 by Carlson's closed form, a second route that
+    # also pins the sheet of w and the x1, x3 components
+    t0 = mesh.FundamentalSurface(cfg.sigma).translation_half()
+    suite.record("translation_gamma2",
+                 float(np.max(np.abs(per2.real - 2.0 * t0))), 1e-7)
     fl = curve.flux(params, "end")
     suite.record("flux_end_loop", float(np.max(np.abs(fl))), 1e-7)
 

@@ -164,20 +164,22 @@ class TriMesh:
     ``i % n``, with domain values ``domain_z[i % n]`` and ``domain_w[i %
     n]`` (n the base vertex count; block 0 of the cell is the base).  That
     record is what makes exact slice refinement possible after extension.
+    ``cell_ops`` holds the isometry of each cell block; ``op_catalog``
+    extends it copy by copy.
 
-    ``vertices``, ``normals``, ``faces`` and ``edges`` are the whole mesh,
-    built on first use and kept; the cell must not change after.  Counts
-    and :meth:`iter_copies` never build them.
+    ``vertices``, ``normals``, ``faces``, ``edges`` and ``op_catalog`` are
+    the whole mesh, built on first use and kept; the cell must not change
+    after.  Counts and :meth:`iter_copies` never build them.
     """
 
     def __init__(self, vertices, normals, faces, domain_z=None, domain_w=None,
-                 op_catalog=None, *, flips=(False,),
+                 cell_ops=None, *, flips=(False,),
                  translation: IsometryOp | None = None, copies: int = 0):
         self.cell_vertices = np.asarray(vertices)
         self.cell_normals = np.asarray(normals)
         self.base_faces = np.asarray(faces)
         self.domain_z, self.domain_w = domain_z, domain_w
-        self.op_catalog = [identity_op()] if op_catalog is None else op_catalog
+        self.cell_ops = [identity_op()] if cell_ops is None else cell_ops
         self.flips = tuple(flips)
         self.translation, self.copies = translation, copies
 
@@ -202,17 +204,21 @@ class TriMesh:
     def iter_copies(self):
         """Yield (vertices, normals) of copies 0..copies in order.
 
-        Copy k + 1 is ``translation.apply``/``apply_normals`` of copy k, one
-        copy at a time (the matmul also turns -0.0 normals into 0.0, so
-        copy 0's normals may differ in sign bits from the others').  Copy
-        k's faces need no walk: they are ``_cell_faces`` plus k times the
-        cell's vertex count.
+        Copy k + 1's vertices are copy k's plus the translation's offset
+        (zeros made +0.0), and copies 1..copies share one normals array,
+        the cell's plus 0.0.  On finite values that is
+        ``translation.apply``/``apply_normals`` of copy k bit for bit, a
+        pure translation's identity matmul being exact up to turning -0.0
+        into 0.0, as adding 0.0 does (so copy 0's normals may differ in
+        sign bits from the others').  Copy k's faces need no walk: they
+        are ``_cell_faces`` plus k times the cell's vertex count.
         """
         v, nrm = self.cell_vertices, self.cell_normals
-        for k in range(self.copies + 1):
-            if k:
-                v = self.translation.apply(v)
-                nrm = self.translation.apply_normals(nrm)
+        yield v, nrm
+        if self.copies:
+            nrm, shift = nrm + 0.0, self.translation.offset + 0.0
+        for _ in range(self.copies):
+            v = v + shift
             yield v, nrm
 
     def _whole(self, part):
@@ -232,6 +238,16 @@ class TriMesh:
         f, n = self._cell_faces, len(self.cell_vertices)
         return np.concatenate([f + k * n for k in range(self.copies + 1)]
                               ).astype(self.base_faces.dtype)
+
+    @cached_property
+    def op_catalog(self):
+        """``cell_ops``, then each copy's: the translation after the
+        previous copy's."""
+        catalog, per_copy = list(self.cell_ops), len(self.cell_ops)
+        for _ in range(self.copies):
+            catalog += [self.translation.compose(a)
+                        for a in catalog[-per_copy:]]
+        return catalog
 
     @cached_property
     def edges(self):
@@ -391,26 +407,29 @@ def extend(mesh: TriMesh, ops, copies: int = 0) -> TriMesh:
     and its faces reversed where that isometry's orientation times det(L)
     is negative (the mapped winding turns with det(L), the mapped normal
     with the orientation).  The translated copies stay implicit (see
-    :class:`TriMesh`); ``op_catalog`` lists the base catalog composed with
-    every block's isometry, copy by copy.  Vertex count grows exactly by
-    2^3 * (copies + 1).  The input must not be extended already.
+    :class:`TriMesh`), and so does ``op_catalog``, built only when read;
+    ``cell_ops`` lists the base block's isometry composed with every
+    block's.  Vertex count grows exactly by 2^3 * (copies + 1).  The input
+    must not be extended already, and the fourth op must be a pure
+    translation (linear part exactly the identity, orientation +1): copies
+    add its offset.
     """
     if copies < 0:
         raise ValueError("copies must be >= 0")
     if len(mesh.flips) > 1 or mesh.copies:
         raise ValueError("mesh is already extended")
+    if len(ops) > 3 and (ops[3].orientation != 1.0
+                         or not np.array_equal(ops[3].linear, np.eye(3))):
+        raise ValueError("the fourth op must be a pure translation")
     v, nrm = mesh.cell_vertices, mesh.cell_normals
-    flips, catalog = [False], list(mesh.op_catalog)
+    flips, cell_ops = [False], list(mesh.cell_ops)
     for op in ops[:3]:
         v = np.concatenate([v, op.apply(v)])
         nrm = np.concatenate([nrm, op.apply_normals(nrm)])
         flips += [f != (op.orientation * op.det() < 0) for f in flips]
-        catalog += [op.compose(a) for a in catalog]
-    per_copy = len(catalog)
-    for _ in range(copies):
-        catalog += [ops[3].compose(a) for a in catalog[-per_copy:]]
+        cell_ops += [op.compose(a) for a in cell_ops]
     return TriMesh(v, nrm, mesh.base_faces, mesh.domain_z, mesh.domain_w,
-                   catalog, flips=flips,
+                   cell_ops, flips=flips,
                    translation=ops[3] if copies else None, copies=copies)
 
 
@@ -868,10 +887,10 @@ def _obj_values(mesh):
 
     for v, _ in mesh.iter_copies():
         yield from lines(b"v", v)
-    key = None
+    last = None
     for _, nrm in mesh.iter_copies():
-        if nrm.tobytes() != key:
-            key, text = nrm.tobytes(), list(lines(b"vn", nrm))
+        if nrm is not last:
+            last, text = nrm, list(lines(b"vn", nrm))
         yield from text
 
 
@@ -893,8 +912,8 @@ def export_obj(mesh: TriMesh, path) -> int:
     does not grow with the copy count); the sign is added per value.  The
     key is the data, so reuse needs no assumption about the ops and the
     bytes are the same with or without it.  A copy's ``vn`` text is also
-    written again for every following copy with the same normal bytes
-    (translated copies 1..copies).
+    written again for every following copy that yields the same normals
+    array (translated copies 1..copies share one).
 
     ``f`` formats each distinct vertex index of a copy once, into a
     per-copy table of ``" i//i"`` tokens (:func:`_token_table`).  Copy k's
@@ -931,9 +950,11 @@ def export_ply(mesh: TriMesh, path) -> int:
     """Binary little-endian PLY: float32 x y z nx ny nz, int32 indices.
 
     The header comes from the counts; vertex rows are written copy by copy
-    (:meth:`TriMesh.iter_copies`), then face records, copy k's being the
-    cell's faces shifted by k times the cell's vertex count.  Returns the
-    byte count.
+    (:meth:`TriMesh.iter_copies`) from one reused (n, 6) ``'<f4'`` block,
+    whose normal columns are filled again only when a copy yields another
+    normals array; then face records from one reused record array, copy
+    k's being the cell's faces shifted by k times the cell's vertex count,
+    added in place.  Returns the byte count.
     """
     header = (
         "ply\n"
@@ -947,12 +968,16 @@ def export_ply(mesh: TriMesh, path) -> int:
     ).encode("ascii")
     with open(path, "wb") as fh:
         nbytes = fh.write(header)
+        rows, last = np.empty((len(mesh.cell_vertices), 6), "<f4"), None
         for v, nrm in mesh.iter_copies():
-            nbytes += fh.write(np.hstack([v, nrm]).astype("<f4"))
+            rows[:, :3] = v
+            if nrm is not last:
+                rows[:, 3:] = last = nrm
+            nbytes += fh.write(rows)
         faces, n = mesh._cell_faces, len(mesh.cell_vertices)
         fdata = np.empty(len(faces), dtype=_PLY_FACE)
         fdata["n"] = 3
         for k in range(mesh.copies + 1):
-            fdata["i"] = faces + k * n
+            np.add(faces, k * n, out=fdata["i"], casting="unsafe")
             nbytes += fh.write(fdata)
     return nbytes

@@ -18,15 +18,21 @@ references that the batched code in ``riemann_minimal`` is pinned against.
   adaptive oracle of ``classical_quadrature``).
 * :func:`classical_slice_points` -- one ``parameterize`` call per v, with
   ``math.cos`` and ``math.sin``.
+* :func:`translated_copies` -- an extended mesh's copies, each one
+  ``translation.apply``/``apply_normals`` of the one before.
 * :func:`export_obj` -- the OBJ writer that formats every number with
   Python's ``%`` (``'%.9g'`` and ``%d``), one line template per chunk.
+* :func:`export_ply` -- the PLY writer with one ``hstack`` of float32 rows
+  per copy and every face packed by ``struct``.
 
 Run as a script, ``python tests/scalar_references.py SIGMA NRxNT COPIES
-PATH`` writes the extended OBJ that ``gen`` would write (``--e 0.1``) with
+PATH`` writes the extended mesh that ``gen`` would write (``--e 0.1``):
+a PLY by :func:`export_ply` if PATH ends in ``.ply``, else an OBJ by
 :func:`export_obj`.
 """
 
 import math
+import struct
 import sys
 from dataclasses import dataclass
 
@@ -254,22 +260,61 @@ def _chunks(line, rows):
         yield (line * len(part) % tuple(part.ravel().tolist())).encode("ascii")
 
 
+def translated_copies(m):
+    """Yield (vertices, normals) of copies 0..copies of the mesh ``m``,
+    copy k + 1 being ``translation.apply``/``apply_normals`` (a matmul)
+    of copy k: the walk of ``TriMesh.iter_copies`` without its shortcut."""
+    v, nrm = m.cell_vertices, m.cell_normals
+    yield v, nrm
+    for _ in range(m.copies):
+        v, nrm = m.translation.apply(v), m.translation.apply_normals(nrm)
+        yield v, nrm
+
+
 def export_obj(m, path):
     """``mesh.export_obj``'s file, every number formatted by ``%``: the
-    ``v`` and ``vn`` lines copy by copy, then the ``f`` lines, copy k's
-    faces being the cell's shifted by k times its vertex count.  Returns
-    the byte count."""
+    ``v`` and ``vn`` lines copy by copy (:func:`translated_copies`), then
+    the ``f`` lines, copy k's faces being the cell's shifted by k times its
+    vertex count.  Returns the byte count."""
     n = len(m.cell_vertices)
     nbytes = 0
     with open(path, "wb") as fh:
-        for v, _ in m.iter_copies():
+        for v, _ in translated_copies(m):
             nbytes += sum(map(fh.write, _chunks("v %.9g %.9g %.9g\n", v)))
-        for _, nrm in m.iter_copies():
+        for _, nrm in translated_copies(m):
             nbytes += sum(map(fh.write, _chunks("vn %.9g %.9g %.9g\n", nrm)))
         for k in range(m.copies + 1):
             faces = np.repeat(m._cell_faces + (k * n + 1), 2, axis=1)
             nbytes += sum(map(fh.write,
                               _chunks("f %d//%d %d//%d %d//%d\n", faces)))
+    return nbytes
+
+
+def export_ply(m, path):
+    """``mesh.export_ply``'s file: the header, each copy's vertex rows as
+    one ``hstack`` of positions and normals cast to ``'<f4'``
+    (:func:`translated_copies`), then every face as ``struct`` packs it,
+    copy k's being the cell's shifted by k times its vertex count.
+    Returns the byte count."""
+    n, faces = len(m.cell_vertices), m._cell_faces
+    header = (
+        "ply\n"
+        "format binary_little_endian 1.0\n"
+        f"element vertex {n * (m.copies + 1)}\n"
+        "property float x\nproperty float y\nproperty float z\n"
+        "property float nx\nproperty float ny\nproperty float nz\n"
+        f"element face {len(faces) * (m.copies + 1)}\n"
+        "property list uchar int vertex_indices\n"
+        "end_header\n"
+    ).encode("ascii")
+    with open(path, "wb") as fh:
+        nbytes = fh.write(header)
+        for v, nrm in translated_copies(m):
+            nbytes += fh.write(np.hstack([v, nrm]).astype("<f4").tobytes())
+        for k in range(m.copies + 1):
+            nbytes += fh.write(b"".join(
+                struct.pack("<B3i", 3, a, b, c)
+                for a, b, c in (faces + k * n).tolist()))
     return nbytes
 
 
@@ -283,4 +328,5 @@ def gen_extended(sigma, nr, nt, copies):
 if __name__ == "__main__":
     sigma, grid, copies, out = sys.argv[1:]
     nr, nt = map(int, grid.split("x"))
-    export_obj(gen_extended(float(sigma), nr, nt, int(copies)), out)
+    writer = export_ply if out.endswith(".ply") else export_obj
+    writer(gen_extended(float(sigma), nr, nt, int(copies)), out)

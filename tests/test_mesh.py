@@ -586,6 +586,46 @@ def test_extend_refuses_extended_mesh(fund2, ops2):
         extend(fund2, ops2, copies=-1)
 
 
+def test_extend_refuses_a_fourth_op_that_is_not_a_translation(fund2, ops2):
+    # copies are built by adding the offset, so the linear part must be
+    # exactly the identity and the orientation kept
+    t, a = ops2[3].offset, 1e-13
+    turn = [[math.cos(a), -math.sin(a), 0.0], [math.sin(a), math.cos(a), 0.0],
+            [0.0, 0.0, 1.0]]
+    for op in (IsometryOp(np.diag([1.0, -1.0, 1.0]), t), IsometryOp(turn, t),
+               IsometryOp(np.eye(3), t, -1.0)):
+        for copies in (0, 1):
+            with pytest.raises(ValueError, match="translation"):
+                extend(fund2, ops2[:3] + [op], copies=copies)
+
+
+def _signed_zero_mesh(copies):
+    """A cell with -0.0 in every column of its vertices and normals, beside
+    values of either sign, under a translation with a -0.0 component."""
+    cell = np.array([[-0.0, -0.0, -0.0], [-0.0, -1.0, -0.0],
+                     [2.5, -0.0, -3.0], [-1.0, 4.0, -0.0], [0.0, -0.0, 1.0]])
+    return TriMesh(cell, -cell[::-1], np.array([[0, 1, 2], [2, 3, 4]]),
+                   translation=IsometryOp(np.eye(3), [1.5, -0.0, -2.0]),
+                   copies=copies)
+
+
+@pytest.mark.parametrize("copies", [0, 1, 3])
+@pytest.mark.parametrize("sigma", [1e-3, 2.0, 1e3, "signed zeros"])
+def test_iter_copies_matches_repeated_translation(sigma, copies):
+    # the add is the matmul walk bit for bit, signed zeros included
+    if sigma == "signed zeros":
+        m = _signed_zero_mesh(copies)
+    else:
+        m = extend(sample_fundamental(sigma, 0.1, 14, 20),
+                   extension_ops(sigma), copies=copies)
+    got, want = list(m.iter_copies()), list(scalar.translated_copies(m))
+    assert len(got) == len(want) == copies + 1
+    for pair, ref in zip(got, want):
+        for a, b in zip(pair, ref):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+
+
 # --- circle fitting -----------------------------------------------------------
 
 
@@ -1070,8 +1110,12 @@ def test_export_ply_faces_match_struct_packing(tmp_path, fund2, ops2):
     faces = data[-13 * ext.face_count:]
     assert faces == _ply_faces_reference(ext.faces)
     head_end = data.index(b"end_header\n") + len(b"end_header\n")
-    vdata = np.hstack([ext.vertices, ext.normals]).astype("<f4").tobytes()
+    vdata = b"".join(np.hstack(c).astype("<f4").tobytes()
+                     for c in scalar.translated_copies(ext))
     assert data[head_end:] == vdata + faces
+    # the reference writer that CI compares gen's PLY files with
+    assert scalar.export_ply(ext, tmp_path / "ref.ply") == n
+    assert (tmp_path / "ref.ply").read_bytes() == data
 
 
 def _export_obj_reference(m):
@@ -1221,6 +1265,15 @@ def test_streamed_export_matches_whole_array_export(tmp_path, fund2, ops2,
         assert a.read_bytes() == b.read_bytes(), fmt
     # exporting built no whole-mesh array
     assert not {"vertices", "normals", "faces"} & set(vars(got))
+
+
+def test_export_leaves_the_op_catalog_unbuilt(tmp_path, fund2, ops2):
+    # only slice refinement reads the catalog; gen's exports do not build it
+    ext = extend(fund2, ops2, copies=16)
+    export_obj(ext, tmp_path / "m.obj")
+    export_ply(ext, tmp_path / "m.ply")
+    assert "op_catalog" not in ext.__dict__
+    assert len(ext.op_catalog) == 8 * 17
 
 
 def test_export_memory_does_not_grow_with_copies(tmp_path, fund2, ops2):
