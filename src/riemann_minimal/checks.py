@@ -11,7 +11,9 @@ The routes each check takes to the surface: the sampled piece and the
 Weierstrass stencil's anchors are closed-form points (``curve.immerse``),
 and the stencil's increments are one G7/K15 panel each
 (``quad.panel_increments``); registration and the circle foliation refine
-slices of the piece to exact points by Newton on ``curve.immerse``; the
+slices of the piece and of its cell to exact points by Newton on
+``curve.immerse``, each mesh sliced once and, in ``verify``, both checks'
+crossings solved in one lockstep loop (:func:`slice_checks`); the
 classical stencil adds one-panel increments to the Carlson closed forms
 of ``classical``.  The periods and fluxes of ``verify`` are trapezoidal
 sums on analytic contours (``curve.period``).  The sampled vertices, the
@@ -32,8 +34,8 @@ from .quad import RiemannMinimalError
 __all__ = [
     "fd_surface_checks", "classical_fd_grid", "weierstrass_fd_grid",
     "RegistrationResult", "registration_error",
-    "classical_radius_at_height", "foliation_residuals", "catenoid_residual",
-    "SliceFitError",
+    "classical_radius_at_height", "foliation_residuals", "slice_checks",
+    "catenoid_residual", "SliceFitError",
 ]
 
 
@@ -222,47 +224,64 @@ class RegistrationResult:
     heights: np.ndarray
 
 
-def registration_error(sigma, piece, n_heights=6) -> RegistrationResult:
+# points each slice keeps for its circle fit
+_REGISTRATION_POINTS, _FOLIATION_POINTS = 24, 28
+
+
+def _registration_slices(piece, span, n_heights):
+    """The heights :func:`registration_error` keeps and their records from
+    one :func:`mesh.slice_mesh` call on ``piece`` at all 2 n_heights
+    candidates, owner renumbered to the kept heights."""
+    candidates = (0.14 + 0.72 * np.arange(2 * n_heights)
+                  / max(2 * n_heights - 1, 1)) * span
+    owner, *records = mesh.slice_mesh(piece, candidates)
+    # extreme sigma pushes part of the slab beyond the end truncation
+    kept = np.flatnonzero(np.bincount(owner, minlength=len(candidates))
+                          >= 8)[:n_heights]
+    if len(kept) < 4:
+        raise SliceFitError(
+            "too few heights cross 8 edges of the given piece; sample it on "
+            "a finer grid or with a smaller e")
+    sel = np.isin(owner, kept)
+    return candidates[kept], (np.searchsorted(kept, owner[sel]),
+                              *(r[sel] for r in records))
+
+
+def _circle_fits(heights, points):
+    fits = []
+    for h, pts in zip(heights, points):
+        fits.append(mesh.level_circle_fit(pts))
+        if fits[-1].kind != "circle":
+            raise SliceFitError(f"slice at height {h} did not fit a circle")
+    return fits
+
+
+def registration_error(sigma, piece, n_heights=6,
+                       slices=None) -> RegistrationResult:
     """Register the classical surface R_lambda against M_sigma, with
     lambda = (sigma - 1)/sqrt(sigma) (sigma = 1/q1^2).
 
     ``piece`` is the fundamental piece of ``sigma`` as
     :func:`mesh.sample_fundamental` returns it.  Measures its level-circle
-    radii at exact heights (refined slices, all heights in one
-    :func:`mesh.refine_slice` call), then fits a vertical offset plus a
-    single scale carrying the classical radius-vs-height profile onto the
-    measured one.  Returns the worst relative radius error and the relative
-    mismatch of the vertical line spacings (|t0_3| against 2 s zeta).
-    The heights are the first ``n_heights`` of 2 n_heights evenly spaced
-    candidates that cross 8 or more edges of ``piece``; SliceFitError when
-    fewer than 4 do.
+    radii at exact heights (refined slices), then fits a vertical offset
+    plus a single scale carrying the classical radius-vs-height profile
+    onto the measured one.  Returns the worst relative radius error and the
+    relative mismatch of the vertical line spacings (|t0_3| against 2 s
+    zeta).  The heights are the first ``n_heights`` of 2 n_heights evenly
+    spaced candidates that cross 8 or more edges of ``piece``;
+    SliceFitError when fewer than 4 do.  One :func:`mesh.slice_mesh` call
+    finds them and one :func:`mesh.refine_slice` call refines them, unless
+    ``slices`` brings (heights, refined points per height) from
+    :func:`slice_checks`.
     """
     cl = classical.RiemannParams.from_lambda((sigma - 1.0) / math.sqrt(sigma))
     span = mesh.FundamentalSurface(sigma).translation_half()[2]
-    # keep only heights the truncated fundamental piece covers with enough
-    # mesh edges for a stable refined fit (extreme sigma pushes part of the
-    # slab beyond the end truncation); the crossings of all candidates are
-    # counted in one pass over the edges, by slice_mesh's rule
-    candidates = (0.14 + 0.72 * np.arange(2 * n_heights)
-                  / max(2 * n_heights - 1, 1)) * span
-    i, j = piece.edges
-    x3 = piece.vertices[:, 2]
-    fa, fb = x3[i, None] - candidates, x3[j, None] - candidates
-    crossed = np.count_nonzero((fa != 0.0) & (fb != 0.0) & ~(fa * fb > 0.0),
-                               axis=0)
-    hs = candidates[crossed >= 8][:n_heights]
-    if len(hs) < 4:
-        raise SliceFitError(
-            "too few heights cross 8 edges of the given piece; sample it on "
-            "a finer grid or with a smaller e")
-    radii = []
-    for h, pts in zip(hs, mesh.refine_slice(piece, hs, sigma,
-                                            max_points=24)):
-        fit = mesh.level_circle_fit(pts)
-        if fit.kind != "circle":
-            raise SliceFitError(f"slice at {h} did not fit a circle")
-        radii.append(fit.radius)
-    radii = np.array(radii)
+    if slices is None:
+        hs, records = _registration_slices(piece, span, n_heights)
+        slices = hs, mesh.refine_slice(piece, hs, sigma, _REGISTRATION_POINTS,
+                                       crossings=records)
+    hs = slices[0]
+    radii = np.array([fit.radius for fit in _circle_fits(*slices)])
     neck_height = 0.5 * span  # the S1 fixed point sits midway between lines
     cap = 0.999 * cl.zeta
     p = 1.0 / cl.q1
@@ -299,24 +318,26 @@ def registration_error(sigma, piece, n_heights=6) -> RegistrationResult:
                               float(spacing_rel), radii, hs)
 
 
-def foliation_residuals(sigma, cell, heights=None):
+def _foliation_heights(span):
+    return (0.13 + 0.74 * np.arange(10) / 9.0) * span
+
+
+def foliation_residuals(sigma, cell, slices=None):
     """Relative circle-fit residuals of refined slices of ``cell``, the
     fundamental piece of ``sigma`` extended by :func:`mesh.extend`.
 
-    All heights are refined in one :func:`mesh.refine_slice` call.
-    Returns (relative residuals at generic heights, line classifications at
-    the two line heights 0 and t0_3).
+    The slices at ten evenly spaced heights in the slab are refined in one
+    :func:`mesh.refine_slice` call, unless ``slices`` brings (heights,
+    refined points per height) from :func:`slice_checks`.  Returns
+    (relative residuals at generic heights, line classifications at the
+    two line heights 0 and t0_3).
     """
     span = mesh.FundamentalSurface(sigma).translation_half()[2]
-    if heights is None:
-        heights = (0.13 + 0.74 * np.arange(10) / 9.0) * span
-    rels = []
-    for h, pts in zip(heights, mesh.refine_slice(cell, heights, sigma,
-                                                  max_points=28)):
-        fit = mesh.level_circle_fit(pts)
-        if fit.kind != "circle":
-            raise SliceFitError(f"slice at height {h} did not fit a circle")
-        rels.append(fit.residual / fit.radius)
+    if slices is None:
+        heights = _foliation_heights(span)
+        slices = heights, mesh.refine_slice(cell, heights, sigma,
+                                            _FOLIATION_POINTS)
+    rels = [fit.residual / fit.radius for fit in _circle_fits(*slices)]
     # line heights: the slice at the height of a boundary line consists of
     # the (exactly coplanar, exactly collinear) line vertices themselves
     line_kinds = []
@@ -325,6 +346,36 @@ def foliation_residuals(sigma, cell, heights=None):
         fit = mesh.level_circle_fit(cell.vertices[sel])
         line_kinds.append(fit.kind)
     return np.array(rels), line_kinds
+
+
+def slice_checks(sigma, piece, cell, n_heights=6):
+    """(:func:`registration_error` of ``piece``, :func:`foliation_residuals`
+    of ``cell``) with the slices of both refined in one
+    :func:`mesh.refine_slice` call on ``cell``, which must be ``piece``
+    extended.
+
+    Each mesh is sliced once, the piece at registration's candidates and
+    the cell at foliation's heights.  The piece is the cell's block 0 (same
+    vertices, same domain record, identity op), so its crossings are
+    crossings of the cell: one lockstep Newton loop refines both sets, and
+    every point keeps the bits it gets when each check refines its own.
+    """
+    if cell.domain_z is not piece.domain_z or len(piece.flips) != 1:
+        raise ValueError("cell must be the extension of piece")
+    span = mesh.FundamentalSurface(sigma).translation_half()[2]
+    reg_hs, reg_records = _registration_slices(piece, span, n_heights)
+    fol_hs = _foliation_heights(span)
+    owner, *fol_records = mesh.slice_mesh(cell, fol_hs)
+    k = len(reg_hs)
+    pts = mesh.refine_slice(
+        cell, np.concatenate([reg_hs, fol_hs]), sigma,
+        np.repeat([_REGISTRATION_POINTS, _FOLIATION_POINTS],
+                  [k, len(fol_hs)]),
+        crossings=[np.concatenate(c) for c in
+                   zip(reg_records, (owner + k, *fol_records))])
+    return (registration_error(sigma, piece, n_heights,
+                               slices=(reg_hs, pts[:k])),
+            foliation_residuals(sigma, cell, slices=(fol_hs, pts[k:])))
 
 
 def catenoid_residual(lams=(0.5, 1.0, 2.0), n_q=20) -> float:

@@ -388,15 +388,13 @@ def cmd_verify(cfg: RunConfig) -> int:
     suite.record("minimality_weierstrass", H_w, 1e-3)
     suite.record("conformality_weierstrass", max(conf_w, orth_w), 1e-5)
 
-    # both slice checks read one sampled piece: registration the piece
-    # itself, foliation its one-period cell
+    # both slice checks read one sampled piece, registration the piece
+    # itself and foliation its cell, and their slices are refined together
     piece = mesh.sample_fundamental(cfg.sigma, 0.1, 24, 32)
-    reg = checks.registration_error(cfg.sigma, piece, n_heights=6)
+    cell = mesh.extend(piece, mesh.extension_ops(cfg.sigma), copies=0)
+    reg, (rels, kinds) = checks.slice_checks(cfg.sigma, piece, cell)
     suite.record("registration_radius", reg.max_radius_rel_err, 1e-3)
     suite.record("registration_spacing", reg.spacing_rel_err, 1e-3)
-
-    cell = mesh.extend(piece, mesh.extension_ops(cfg.sigma), copies=0)
-    rels, kinds = checks.foliation_residuals(cfg.sigma, cell)
     suite.record("circle_foliation", float(np.max(rels)), 1e-5)
     suite.record("line_heights_classify",
                  0.0 if all(k == "line" for k in kinds) else 1.0, 0.5)

@@ -23,9 +23,10 @@ R_F and R_D (see :meth:`FundamentalSurface.translation_half`).  Each
 symmetry carries its action on the surface's orientation, which maps the
 normals and decides which blocks' faces are reversed.
 
-Slices of a mesh are refined to exact surface points (:func:`refine_slice`)
-by Newton on the same closed form, one evaluation of all crossings per
-round.
+Slices of a mesh are taken at many heights in one pass over its edges
+(:func:`slice_mesh`) and refined to exact surface points
+(:func:`refine_slice`) by Newton on the same closed form, one evaluation
+of all crossings of all heights per round.
 """
 
 from __future__ import annotations
@@ -151,12 +152,16 @@ def identity_op() -> IsometryOp:
 class TriMesh:
     """Oriented triangle mesh with per-vertex normals, stored as an orbit.
 
-    The stored part is one period, the *cell*: ``cell_vertices`` and
-    ``cell_normals`` stack the blocks of the base mesh, and block b uses
-    the base faces, reversed where ``flips[b]`` is set and shifted by b
-    times the base vertex count.  The whole mesh is the cell followed by
-    ``copies`` translated copies of it, copy k + 1 being ``translation``
-    applied to copy k.  A plain mesh is a one-block cell with no copies.
+    The stored part is the *cell*: ``cell_vertices`` and ``cell_normals``
+    stack the blocks of the base mesh, and block b uses the base faces,
+    reversed where ``flips[b]`` is set and shifted by b times the base
+    vertex count.  The whole mesh is the cell followed by ``copies``
+    translated copies of it, copy k + 1 being ``translation`` applied to
+    copy k.  A plain mesh is a one-block cell with no copies.  The cell of
+    :func:`extend` is eight blocks, one period of the translation 2 t0.
+    The translation by t0 (op 1 after op 3) maps the surface onto itself
+    too, but reverses its orientation, so the cell holds two of the
+    paper's fundamental domains.
 
     Each vertex also remembers the domain parameter z it was sampled at and
     the branch value w there, stored once for the base block: vertex i of
@@ -402,11 +407,12 @@ def extend(mesh: TriMesh, ops, copies: int = 0) -> TriMesh:
     """Apply the pipeline: double the mesh at each of the first three ops,
     then append ``copies`` translated copies of the result.
 
-    Only the one-period cell is built: block b is the base mesh mapped by
-    the b-th isometry of the doublings, its normals by ``apply_normals``
-    and its faces reversed where that isometry's orientation times det(L)
-    is negative (the mapped winding turns with det(L), the mapped normal
-    with the orientation).  The translated copies stay implicit (see
+    Only the cell, one period of the translation 2 t0, is built: block b
+    is the base mesh mapped by the b-th isometry of the doublings, its
+    normals by ``apply_normals`` and its faces reversed where that
+    isometry's orientation times det(L) is negative (the mapped winding
+    turns with det(L), the mapped normal with the orientation).  The
+    translated copies stay implicit (see
     :class:`TriMesh`), and so does ``op_catalog``, built only when read;
     ``cell_ops`` lists the base block's isometry composed with every
     block's.  Vertex count grows exactly by 2^3 * (copies + 1).  The input
@@ -494,24 +500,71 @@ def level_circle_fit(points, height_tol: float = 1e-9) -> CircleFit:
     return CircleFit("circle", center, float(radius), resid)
 
 
-def slice_mesh(mesh: TriMesh, height: float):
-    """Intersect the mesh with {x3 = height}.
+def slice_mesh(mesh: TriMesh, height):
+    """Intersect the mesh with {x3 = height}, or with each plane of a 1-d
+    sequence of heights.
 
-    Returns (points, crossings): edge-interpolated intersection points and
-    the crossing records (ia, ib, s) for refinement, one per mesh edge
-    (ia < ib) with strictly opposite signs of x3 - height at its ends, in
-    ascending (ia, ib) order.  The edge set is the mesh's cached
-    ``TriMesh.edges``.
+    A crossing is a mesh edge (ia < ib) whose ends lie strictly on opposite
+    sides of the plane (an end at the height itself makes none), recorded
+    as (ia, ib, s) with s = fa / (fa - fb), fa and fb the ends' x3 - height.
+    The edge set is the mesh's cached ``TriMesh.edges``, in ascending
+    (ia, ib) order.
+
+    A scalar height returns (points, crossings): the edge-interpolated
+    points and the records as a list of tuples, in edge order.  A sequence
+    returns the records of all its heights from one pass as arrays (owner,
+    ia, ib, s), owner the index of the record's height: height-major, in
+    edge order within each height, each record and its s bits those of
+    the scalar call.  The pass places every vertex among the sorted
+    heights (``searchsorted``); an edge crosses the run of them between
+    its ends' places, so the cost is one walk over the vertices and edges
+    plus one step per record, not a walk per height.
     """
     i, j = mesh.edges
     x3 = mesh.vertices[:, 2]
-    fa, fb = x3[i] - height, x3[j] - height
-    cross = (fa != 0.0) & (fb != 0.0) & ~(fa * fb > 0.0)
-    i, j, fa, fb = i[cross], j[cross], fa[cross], fb[cross]
-    s = fa / (fa - fb)
-    v = mesh.vertices
-    pts = v[i] + s[:, None] * (v[j] - v[i])
-    return pts.reshape(-1, 3), list(zip(i.tolist(), j.tolist(), s.tolist()))
+    if np.ndim(height) == 0:
+        fa, fb = x3[i] - height, x3[j] - height
+        cross = (fa != 0.0) & (fb != 0.0) & ~(fa * fb > 0.0)
+        i, j, fa, fb = i[cross], j[cross], fa[cross], fb[cross]
+        s = fa / (fa - fb)
+        v = mesh.vertices
+        pts = v[i] + s[:, None] * (v[j] - v[i])
+        return pts.reshape(-1, 3), list(zip(i.tolist(), j.tolist(),
+                                            s.tolist()))
+    hs = np.asarray(height, dtype=float).reshape(-1)
+    order = np.argsort(hs, kind="stable")
+    # per vertex, the count of sorted heights below it and at or below it:
+    # an edge crosses sorted heights first .. first + n - 1, those above
+    # its lower end and below its upper end
+    below, upto = (np.searchsorted(hs[order], x3, side=side)
+                   for side in ("left", "right"))
+    first = np.minimum(upto[i], upto[j])
+    n = np.maximum(np.maximum(below[i], below[j]) - first, 0)
+    e = np.flatnonzero(n)
+    first, n = first[e], n[e]
+    edge = np.repeat(e, n)
+    owner = order[np.arange(len(edge)) + np.repeat(first - np.cumsum(n) + n,
+                                                    n)]
+    by_height = np.argsort(owner, kind="stable")
+    owner, edge = owner[by_height], edge[by_height]
+    i, j = i[edge], j[edge]
+    fa, fb = x3[i] - hs[owner], x3[j] - hs[owner]
+    return owner, i, j, fa / (fa - fb)
+
+
+def _thin(owner, n_heights, max_points):
+    """Indices of the records kept when each height's run of ``owner``
+    (height-major) is thinned to ``max_points`` (an int or one per height)
+    evenly spaced ones: those ``np.linspace(0, count - 1,
+    max_points).astype(int)`` picks, j (count - 1) / (max_points - 1)
+    truncated and the run's last record at the end."""
+    count = np.bincount(owner, minlength=n_heights)
+    keep = np.minimum(count, max_points)
+    c, m = np.repeat(count, keep), np.repeat(keep, keep)
+    j = np.arange(len(m)) - np.repeat(np.cumsum(keep) - keep, keep)
+    even = (j * ((c - 1) / np.maximum(m - 1, 1))).astype(np.intp)
+    at = np.where(c == m, j, np.where((j == m - 1) & (m > 1), c - 1, even))
+    return at + np.repeat(np.cumsum(count) - count, keep)
 
 
 def _hermite_root(s, f0, f1, d0, d1):
@@ -529,7 +582,8 @@ def _hermite_root(s, f0, f1, d0, d1):
     return np.where(np.isfinite(t) & (0.0 < t) & (t < 1.0), t, s)
 
 
-def refine_slice(mesh: TriMesh, height, sigma: float, max_points: int = 32):
+def refine_slice(mesh: TriMesh, height, sigma: float, max_points=32,
+                 crossings=None):
     """Replace mesh-edge slice points with exact surface points at ``height``
     on the curve of ``sigma``, the one the mesh was sampled for.
 
@@ -537,9 +591,16 @@ def refine_slice(mesh: TriMesh, height, sigma: float, max_points: int = 32):
     the (n, 3) refined points of that slice; a sequence returns a list with
     one (n_i, 3) array per height, each equal to the scalar call's result.
 
-    The crossings of each height are the crossing records of
-    :func:`slice_mesh`, thinned to ``max_points`` evenly spaced ones per
-    height.  Each crossing edge is root-solved along the straight z-segment
+    The crossings are the records of one :func:`slice_mesh` call on all
+    the heights, or ``crossings`` when the caller has them: the (owner, ia,
+    ib, s) arrays of the sequence form, owner indexing ``height``.  Each
+    height's are thinned to ``max_points`` (an int or one per height)
+    evenly spaced records.  Another mesh's records serve where its vertex
+    indices mean the same, as a piece's do on its extended cell: block 0,
+    same vertices, same domain record, identity op, so the points get the
+    same bits (``checks.slice_checks`` refines both in one call).
+
+    Each crossing edge is root-solved along the straight z-segment
     from its anchor vertex za (an edge end with w != 0) to its other end
     zb, z(s) = za + s (zb - za).  The target is f = (op(psi(z)))_3 - h with
     h the crossing's own height, and its derivative is closed form,
@@ -559,27 +620,19 @@ def refine_slice(mesh: TriMesh, height, sigma: float, max_points: int = 32):
     after 60 iterations at most.  All crossings of all heights are solved
     in lockstep: each iteration evaluates the crossings still active in
     one :func:`curve.immerse` call, the closed form, so every iterate is an
-    exact surface point that depends on its parameter alone.  Points come
-    out in crossing order.  Only meshes built by :func:`sample_fundamental`
-    (and extensions of them) carry the provenance needed here.
+    exact surface point that depends on its parameter alone, and the
+    rounds number the most any crossing needs.  Points come out in
+    crossing order.  Only meshes built by :func:`sample_fundamental` (and
+    extensions of them) carry the provenance needed here.
     """
     if mesh.domain_z is None:
         raise ValueError("mesh carries no domain provenance")
     heights = np.atleast_1d(np.asarray(height, dtype=float))
-    crossings, counts = [], []
-    for h in heights:
-        _, cr = slice_mesh(mesh, float(h))
-        if len(cr) > max_points:
-            idx = np.linspace(0, len(cr) - 1, max_points).astype(int)
-            cr = [cr[i] for i in idx]
-        crossings += cr
-        counts.append(len(cr))
-    if not crossings:
-        out = [np.zeros((0, 3)) for _ in heights]
-        return out[0] if np.ndim(height) == 0 else out
-    owner = np.repeat(np.arange(len(heights)), counts)
+    if crossings is None:
+        crossings = slice_mesh(mesh, heights)
+    keep = _thin(crossings[0], len(heights), max_points)
+    owner, ia, ib, s = (c[keep] for c in crossings)
     target = heights[owner]
-    ia, ib, s = (np.array(c) for c in zip(*crossings))
     # catalog index and base vertex of each end (see TriMesh)
     n = mesh.base_count
     base = mesh.cell_vertices[:n]

@@ -81,7 +81,7 @@ def _piece(sigma, nr=24, nt=32):
 
 
 def _cell(sigma, copies=0):
-    """``_piece`` extended to its one-period cell and ``copies`` copies."""
+    """``_piece`` extended to its cell and ``copies`` copies."""
     return mesh.extend(_piece(sigma), mesh.extension_ops(sigma),
                        copies=copies)
 
@@ -115,15 +115,28 @@ def test_slice_checks_refine_all_heights_in_one_call(monkeypatch):
     calls = []
     refine = mesh.refine_slice
 
-    def counting(m, height, sigma, max_points=32):
-        calls.append(np.ndim(height))
-        return refine(m, height, sigma, max_points)
+    def counting(m, height, sigma, *args, **kwargs):
+        calls.append((m, np.ndim(height), len(height)))
+        return refine(m, height, sigma, *args, **kwargs)
 
-    cell, piece = _cell(2.78), _piece(2.78)
+    piece = _piece(2.78)
+    cell = mesh.extend(piece, mesh.extension_ops(2.78), copies=0)
     monkeypatch.setattr(mesh, "refine_slice", counting)
-    checks.foliation_residuals(2.78, cell)
-    checks.registration_error(2.78, piece, n_heights=6)
-    assert calls == [1, 1]
+    # each check alone refines all its heights in one call on its mesh
+    rels, kinds = checks.foliation_residuals(2.78, cell)
+    reg = checks.registration_error(2.78, piece, n_heights=6)
+    assert calls == [(cell, 1, 10), (piece, 1, 6)]
+    # together, the piece's crossings are refined on the cell in the same
+    # call as the cell's, registration's heights first, to the same bits
+    del calls[:]
+    reg2, (rels2, kinds2) = checks.slice_checks(2.78, piece, cell)
+    assert calls == [(cell, 1, 16)]
+    for name in ("scale", "height_offset", "max_radius_rel_err",
+                 "spacing_rel_err", "radii", "heights"):
+        assert np.array_equal(getattr(reg2, name), getattr(reg, name))
+    assert np.array_equal(rels2, rels) and kinds2 == kinds
+    with pytest.raises(ValueError, match="extension of piece"):
+        checks.slice_checks(2.78, _piece(2.78), cell)
 
 
 def test_translation_half_is_computed_once(monkeypatch):
@@ -156,8 +169,8 @@ def test_slice_fit_error_is_a_package_error(monkeypatch):
 def test_registration_slices_until_it_has_its_heights(sigma, monkeypatch):
     # registration_error keeps the first n_heights candidates that cross 8
     # or more edges by slice_mesh's count (at sigma 1e3 only 5 of the 12
-    # do); it counts them in one pass over the edges, so slice_mesh runs
-    # only in refine_slice, once per kept height
+    # do); one slice_mesh call on the piece gives the records of all 12,
+    # and refine_slice reuses those of the kept heights without slicing
     n_heights = 6
     m = _piece(sigma)
     span = mesh.FundamentalSurface(sigma).translation_half()[2]
@@ -169,13 +182,14 @@ def test_registration_slices_until_it_has_its_heights(sigma, monkeypatch):
     slice_mesh = mesh.slice_mesh
 
     def counting(m, h):
-        calls.append(h)
+        calls.append((m, h))
         return slice_mesh(m, h)
 
     monkeypatch.setattr(mesh, "slice_mesh", counting)
     reg = checks.registration_error(sigma, m, n_heights=n_heights)
     assert np.array_equal(reg.heights, candidates[covered])
-    assert calls == [float(h) for h in candidates[covered]]
+    assert len(calls) == 1 and calls[0][0] is m
+    assert np.array_equal(calls[0][1], candidates)
     assert (len(covered) == n_heights) == (sigma != 1e3)
 
 

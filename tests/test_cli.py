@@ -382,13 +382,23 @@ def test_verify_point_checks_keep_the_scalar_bits(tmp_path, sigma):
 def test_verify_samples_the_fundamental_piece_once(monkeypatch):
     # the 24x32 piece that both slice checks read: registration the piece,
     # foliation its cell (the Weierstrass stencil's anchors are closed-form
-    # points of its domain grid)
-    calls, seen = [], {}
-    sample = mesh.sample_fundamental
+    # points of its domain grid); each mesh is sliced once, and one
+    # refine_slice call, one Newton loop, refines the slices of both
+    calls, seen, sliced, refined = [], {}, [], []
+    sample, slice_mesh = mesh.sample_fundamental, mesh.slice_mesh
+    refine = mesh.refine_slice
 
     def counting(*args):
         calls.append(args)
         return sample(*args)
+
+    def slicing(m, height):
+        sliced.append(m)
+        return slice_mesh(m, height)
+
+    def refining(m, *args, **kwargs):
+        refined.append(m)
+        return refine(m, *args, **kwargs)
 
     def recording(name, check):
         def wrapped(sigma, m, *args, **kwargs):
@@ -397,6 +407,8 @@ def test_verify_samples_the_fundamental_piece_once(monkeypatch):
         return wrapped
 
     monkeypatch.setattr(mesh, "sample_fundamental", counting)
+    monkeypatch.setattr(mesh, "slice_mesh", slicing)
+    monkeypatch.setattr(mesh, "refine_slice", refining)
     for name in ("registration_error", "foliation_residuals"):
         monkeypatch.setattr(checks, name,
                             recording(name, getattr(checks, name)))
@@ -407,6 +419,32 @@ def test_verify_samples_the_fundamental_piece_once(monkeypatch):
     assert cell.domain_z is piece.domain_z
     assert np.array_equal(cell.cell_vertices[:piece.base_count],
                           piece.vertices)
+    assert len(sliced) == 2 and sliced[0] is piece and sliced[1] is cell
+    assert len(refined) == 1 and refined[0] is cell
+
+
+def test_verify_immerse_calls_come_from_one_refine_call(monkeypatch):
+    # outside the refinement: the sampled piece and the stencil's anchors;
+    # inside: one call per Newton round of the one lockstep loop
+    outside, inside, refines = [], [], []
+    immerse, refine = curve.immerse, mesh.refine_slice
+
+    def counting(*args, **kwargs):
+        (inside if refines and refines[-1] == "open" else outside).append(1)
+        return immerse(*args, **kwargs)
+
+    def refining(*args, **kwargs):
+        refines.append("open")
+        try:
+            return refine(*args, **kwargs)
+        finally:
+            refines[-1] = "closed"
+
+    monkeypatch.setattr(curve, "immerse", counting)
+    monkeypatch.setattr(mesh, "refine_slice", refining)
+    assert run(["verify", "--sigma", "2", "--json", "/dev/null"]) == 0
+    assert refines == ["closed"]
+    assert len(outside) == 2 and 0 < len(inside) <= 12
 
 
 @pytest.mark.slow

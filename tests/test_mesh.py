@@ -534,6 +534,23 @@ def test_extension_ops_orientation_from_geometry():
         IsometryOp(np.eye(3), np.zeros(3), 0.5)
 
 
+@pytest.mark.parametrize("sigma", [1e-3, 2.0, 1e3])
+def test_half_translation_is_a_symmetry_reversing_orientation(sigma):
+    # op 1 after op 3 is exactly the translation by t0, with orientation -1:
+    # t0 maps the surface onto itself but swaps its sides, so the eight
+    # blocks of the cell are one period of the orientation-preserving
+    # translation 2 t0 and hold two of the fundamental domains
+    ops = extension_ops(sigma)
+    t0 = FundamentalSurface(sigma).translation_half()
+    half = ops[0].compose(ops[2])
+    assert np.array_equal(half.linear, np.eye(3))
+    assert np.array_equal(half.offset, t0)
+    assert half.orientation == -1.0
+    twice = half.compose(half)
+    assert np.array_equal(twice.offset, ops[3].offset)
+    assert twice.orientation == ops[3].orientation == 1.0
+
+
 def _weld(m, tol):
     """The representative of each vertex of ``m`` (the smallest index of
     the vertices welded to it, where coordinates agree to ``tol``), and
@@ -744,6 +761,56 @@ def test_slice_mesh_matches_edge_set_reference(fund2, ops2, surf2):
         assert np.array_equal(pts, ref_pts)
     assert len(slice_mesh(ext, heights[0])[1]) > 0
     assert slice_mesh(ext, heights[-1])[1] == []
+
+
+@pytest.mark.parametrize("sigma", [1e-3, 2.0, 1e3])
+@pytest.mark.parametrize("cell", [False, True])
+def test_slice_mesh_height_sequence_matches_scalar_calls(sigma, cell):
+    # verify's 24x32 piece and its cell, sliced at generic heights in
+    # descending order with one repeated, at two vertices' exact heights
+    # (an end at distance 0 is no crossing), at the mesh's extreme heights
+    # and outside the mesh
+    piece = sample_fundamental(sigma, 0.1, 24, 32)
+    m = extend(piece, extension_ops(sigma), copies=0) if cell else piece
+    span = FundamentalSurface(sigma).translation_half()[2]
+    x3 = m.vertices[:, 2]
+    generic = list(np.linspace(0.13, 0.87, 10)[::-1] * span)
+    vertex = [float(x3[37]), float(x3[len(x3) // 2])]
+    outside = [float(x3.max()), float(x3.min()), float(x3.max()) + 1.0,
+               float(x3.min()) - 1.0]
+    hs = generic + [generic[3]] + vertex + outside
+    owner, ia, ib, s = slice_mesh(m, hs)
+    assert np.all(np.diff(owner) >= 0)
+    want = []
+    for k, h in enumerate(hs):
+        _, records = slice_mesh(m, h)
+        at = owner == k
+        assert list(zip(ia[at].tolist(), ib[at].tolist(),
+                        s[at].tolist())) == records
+        want += records
+        if h in vertex:
+            assert records and not np.any(x3[ia[at]] == h)
+            assert not np.any(x3[ib[at]] == h)
+        assert (h in outside) == (not records)
+    assert s.tobytes() == np.array([r[2] for r in want]).tobytes()
+    empty = slice_mesh(m, [])
+    assert [(len(a), a.dtype.kind) for a in empty] == [(0, "i")] * 3 + [
+        (0, "f")]
+
+
+def test_thin_picks_what_linspace_picks():
+    # counts 0..70 per height against max_points 0..40, a scalar bound and
+    # one bound per height
+    counts = np.arange(71)
+    owner = np.repeat(np.arange(len(counts)), counts)
+    for max_points in [*range(41), np.arange(71) % 41]:
+        bound = np.broadcast_to(max_points, counts.shape)
+        want = []
+        for k, (c, mp) in enumerate(zip(counts, bound)):
+            at = np.arange(c) + counts[:k].sum()
+            want += list(at[np.linspace(0, c - 1, mp).astype(int)]
+                         if c > mp else at)
+        assert mesh._thin(owner, len(counts), max_points).tolist() == want
 
 
 # refine_slice(ext, frac * t0_3, 2.0, max_points=5) on the 14x20 sigma = 2
