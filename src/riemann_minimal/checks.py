@@ -256,7 +256,7 @@ def _circle_fits(heights, points):
     return fits
 
 
-def registration_error(sigma, piece, n_heights=6,
+def registration_error(sigma, piece=None, n_heights=6,
                        slices=None) -> RegistrationResult:
     """Register the classical surface R_lambda against M_sigma, with
     lambda = (sigma - 1)/sqrt(sigma) (sigma = 1/q1^2).
@@ -270,9 +270,10 @@ def registration_error(sigma, piece, n_heights=6,
     zeta).  The heights are the first ``n_heights`` of 2 n_heights evenly
     spaced candidates that cross 8 or more edges of ``piece``;
     SliceFitError when fewer than 4 do.  One :func:`mesh.slice_mesh` call
-    finds them and one :func:`mesh.refine_slice` call refines them, unless
-    ``slices`` brings (heights, refined points per height) from
-    :func:`slice_checks`.
+    finds them and one :func:`mesh.refine_slice` call refines them.
+    :func:`slice_checks` instead passes ``slices``, the (heights, refined
+    points per height) it chose and refined, and no ``piece``: the fit then
+    reads only ``slices``.
     """
     cl = classical.RiemannParams.from_lambda((sigma - 1.0) / math.sqrt(sigma))
     span = mesh.FundamentalSurface(sigma).translation_half()[2]
@@ -327,8 +328,9 @@ def foliation_residuals(sigma, cell, slices=None):
     fundamental piece of ``sigma`` extended by :func:`mesh.extend`.
 
     The slices at ten evenly spaced heights in the slab are refined in one
-    :func:`mesh.refine_slice` call, unless ``slices`` brings (heights,
-    refined points per height) from :func:`slice_checks`.  Returns
+    :func:`mesh.refine_slice` call.  :func:`slice_checks` instead passes
+    ``slices``, those heights and their refined points on ``cell``; then
+    ``cell`` is read only for the line heights.  Returns
     (relative residuals at generic heights, line classifications at the
     two line heights 0 and t0_3).
     """
@@ -348,22 +350,23 @@ def foliation_residuals(sigma, cell, slices=None):
     return np.array(rels), line_kinds
 
 
-def slice_checks(sigma, piece, cell, n_heights=6):
+def slice_checks(sigma, piece):
     """(:func:`registration_error` of ``piece``, :func:`foliation_residuals`
-    of ``cell``) with the slices of both refined in one
-    :func:`mesh.refine_slice` call on ``cell``, which must be ``piece``
-    extended.
+    of its cell) with the slices of both refined in one
+    :func:`mesh.refine_slice` call on the cell.
 
-    Each mesh is sliced once, the piece at registration's candidates and
-    the cell at foliation's heights.  The piece is the cell's block 0 (same
-    vertices, same domain record, identity op), so its crossings are
-    crossings of the cell: one lockstep Newton loop refines both sets, and
-    every point keeps the bits it gets when each check refines its own.
+    ``piece`` is the fundamental piece of ``sigma`` as
+    :func:`mesh.sample_fundamental` returns it; its cell is ``piece``
+    extended by :func:`mesh.extend` with ``copies=0``.  Each mesh is sliced
+    once, the piece at registration's candidates and the cell at
+    foliation's heights.  The piece is the cell's block 0 (same vertices,
+    same domain record, identity op), so its crossings are crossings of the
+    cell: one lockstep Newton loop refines both sets, and every point keeps
+    the bits it gets when each check refines its own.
     """
-    if cell.domain_z is not piece.domain_z or len(piece.flips) != 1:
-        raise ValueError("cell must be the extension of piece")
+    cell = mesh.extend(piece, mesh.extension_ops(sigma), copies=0)
     span = mesh.FundamentalSurface(sigma).translation_half()[2]
-    reg_hs, reg_records = _registration_slices(piece, span, n_heights)
+    reg_hs, reg_records = _registration_slices(piece, span, 6)
     fol_hs = _foliation_heights(span)
     owner, *fol_records = mesh.slice_mesh(cell, fol_hs)
     k = len(reg_hs)
@@ -373,8 +376,7 @@ def slice_checks(sigma, piece, cell, n_heights=6):
                   [k, len(fol_hs)]),
         crossings=[np.concatenate(c) for c in
                    zip(reg_records, (owner + k, *fol_records))])
-    return (registration_error(sigma, piece, n_heights,
-                               slices=(reg_hs, pts[:k])),
+    return (registration_error(sigma, slices=(reg_hs, pts[:k])),
             foliation_residuals(sigma, cell, slices=(fol_hs, pts[k:])))
 
 

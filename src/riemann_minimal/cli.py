@@ -391,8 +391,7 @@ def cmd_verify(cfg: RunConfig) -> int:
     # both slice checks read one sampled piece, registration the piece
     # itself and foliation its cell, and their slices are refined together
     piece = mesh.sample_fundamental(cfg.sigma, 0.1, 24, 32)
-    cell = mesh.extend(piece, mesh.extension_ops(cfg.sigma), copies=0)
-    reg, (rels, kinds) = checks.slice_checks(cfg.sigma, piece, cell)
+    reg, (rels, kinds) = checks.slice_checks(cfg.sigma, piece)
     suite.record("registration_radius", reg.max_radius_rel_err, 1e-3)
     suite.record("registration_spacing", reg.spacing_rel_err, 1e-3)
     suite.record("circle_foliation", float(np.max(rels)), 1e-5)

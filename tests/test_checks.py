@@ -129,14 +129,14 @@ def test_slice_checks_refine_all_heights_in_one_call(monkeypatch):
     # together, the piece's crossings are refined on the cell in the same
     # call as the cell's, registration's heights first, to the same bits
     del calls[:]
-    reg2, (rels2, kinds2) = checks.slice_checks(2.78, piece, cell)
-    assert calls == [(cell, 1, 16)]
+    reg2, (rels2, kinds2) = checks.slice_checks(2.78, piece)
+    assert len(calls) == 1 and calls[0][1:] == (1, 16)
+    assert calls[0][0].copies == 0 and len(calls[0][0].flips) == 8
+    assert calls[0][0].domain_z is piece.domain_z
     for name in ("scale", "height_offset", "max_radius_rel_err",
                  "spacing_rel_err", "radii", "heights"):
         assert np.array_equal(getattr(reg2, name), getattr(reg, name))
     assert np.array_equal(rels2, rels) and kinds2 == kinds
-    with pytest.raises(ValueError, match="extension of piece"):
-        checks.slice_checks(2.78, _piece(2.78), cell)
 
 
 def test_translation_half_is_computed_once(monkeypatch):

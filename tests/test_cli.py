@@ -390,7 +390,8 @@ def test_verify_samples_the_fundamental_piece_once(monkeypatch):
 
     def counting(*args):
         calls.append(args)
-        return sample(*args)
+        seen["sample_fundamental"] = sample(*args)
+        return seen["sample_fundamental"]
 
     def slicing(m, height):
         sliced.append(m)
@@ -400,21 +401,18 @@ def test_verify_samples_the_fundamental_piece_once(monkeypatch):
         refined.append(m)
         return refine(m, *args, **kwargs)
 
-    def recording(name, check):
-        def wrapped(sigma, m, *args, **kwargs):
-            seen[name] = m
-            return check(sigma, m, *args, **kwargs)
-        return wrapped
+    def recording(sigma, m, *args, **kwargs):
+        seen["foliation_residuals"] = m
+        return foliation(sigma, m, *args, **kwargs)
 
+    foliation = checks.foliation_residuals
     monkeypatch.setattr(mesh, "sample_fundamental", counting)
     monkeypatch.setattr(mesh, "slice_mesh", slicing)
     monkeypatch.setattr(mesh, "refine_slice", refining)
-    for name in ("registration_error", "foliation_residuals"):
-        monkeypatch.setattr(checks, name,
-                            recording(name, getattr(checks, name)))
+    monkeypatch.setattr(checks, "foliation_residuals", recording)
     assert run(["verify", "--sigma", "2", "--json", "/dev/null"]) == 0
     assert calls == [(2.0, 0.1, 24, 32)]
-    piece, cell = seen["registration_error"], seen["foliation_residuals"]
+    piece, cell = seen["sample_fundamental"], seen["foliation_residuals"]
     assert cell.copies == 0 and len(cell.flips) == 8
     assert cell.domain_z is piece.domain_z
     assert np.array_equal(cell.cell_vertices[:piece.base_count],
