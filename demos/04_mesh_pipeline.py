@@ -42,9 +42,10 @@ for name, m in (("fundamental", fund), ("extended", ext)):
 
 print("\nhorizontal slices of the extended mesh:")
 span = ops[3].offset[2] / 2.0
-for frac in (0.25, 0.5, 0.75):
-    h = frac * span
-    pts = mesh.refine_slice(ext, h, SIGMA, max_points=24)
+# slice at all heights in one pass, then refine those crossings
+hs = np.array([0.25, 0.5, 0.75]) * span
+slices = mesh.refine_slice(ext, hs, SIGMA, 24, mesh.slice_mesh(ext, hs))
+for h, pts in zip(hs, slices):
     fit = mesh.level_circle_fit(pts)
     print(f"  x3 = {h:8.4f}: {fit.kind}, radius {fit.radius:9.6f}, "
           f"max deviation {fit.residual:.2e}")

@@ -10,10 +10,11 @@ plus single-scale registration of measured circle radii.
 The routes each check takes to the surface: the sampled piece and the
 Weierstrass stencil's anchors are closed-form points (``curve.immerse``),
 and the stencil's increments are one G7/K15 panel each
-(``quad.panel_increments``); registration and the circle foliation refine
-slices of the piece and of its cell to exact points by Newton on
-``curve.immerse``, each mesh sliced once and, in ``verify``, both checks'
-crossings solved in one lockstep loop (:func:`slice_checks`); the
+(``quad.panel_increments``); registration and the circle foliation fit
+circles to slices that :func:`slice_checks`, the one code that picks
+their heights, takes of the piece and of its cell, each mesh sliced once
+and both checks' crossings refined to exact points in one lockstep
+Newton loop on ``curve.immerse``; the
 classical stencil adds one-panel increments to the Carlson closed forms
 of ``classical``.  The periods and fluxes of ``verify`` are trapezoidal
 sums on analytic contours (``curve.period``).  The sampled vertices, the
@@ -224,65 +225,32 @@ class RegistrationResult:
     heights: np.ndarray
 
 
-# points each slice keeps for its circle fit
-_REGISTRATION_POINTS, _FOLIATION_POINTS = 24, 28
-
-
-def _registration_slices(piece, span, n_heights):
-    """The heights :func:`registration_error` keeps and their records from
-    one :func:`mesh.slice_mesh` call on ``piece`` at all 2 n_heights
-    candidates, owner renumbered to the kept heights."""
-    candidates = (0.14 + 0.72 * np.arange(2 * n_heights)
-                  / max(2 * n_heights - 1, 1)) * span
-    owner, *records = mesh.slice_mesh(piece, candidates)
-    # extreme sigma pushes part of the slab beyond the end truncation
-    kept = np.flatnonzero(np.bincount(owner, minlength=len(candidates))
-                          >= 8)[:n_heights]
-    if len(kept) < 4:
-        raise SliceFitError(
-            "too few heights cross 8 edges of the given piece; sample it on "
-            "a finer grid or with a smaller e")
-    sel = np.isin(owner, kept)
-    return candidates[kept], (np.searchsorted(kept, owner[sel]),
-                              *(r[sel] for r in records))
-
-
 def _circle_fits(heights, points):
     fits = []
-    for h, pts in zip(heights, points):
+    for h, pts in zip(heights, points, strict=True):
         fits.append(mesh.level_circle_fit(pts))
         if fits[-1].kind != "circle":
             raise SliceFitError(f"slice at height {h} did not fit a circle")
     return fits
 
 
-def registration_error(sigma, piece=None, n_heights=6,
-                       slices=None) -> RegistrationResult:
+def registration_error(sigma, heights, points) -> RegistrationResult:
     """Register the classical surface R_lambda against M_sigma, with
     lambda = (sigma - 1)/sqrt(sigma) (sigma = 1/q1^2).
 
-    ``piece`` is the fundamental piece of ``sigma`` as
-    :func:`mesh.sample_fundamental` returns it.  Measures its level-circle
-    radii at exact heights (refined slices), then fits a vertical offset
+    ``heights`` and ``points`` are slices of the fundamental piece of
+    ``sigma``, as :func:`slice_checks` picks and refines them: one (n_i, 3)
+    array of exact surface points per height (ValueError when the two
+    lengths differ).  Fits a circle to each slice, then a vertical offset
     plus a single scale carrying the classical radius-vs-height profile
-    onto the measured one.  Returns the worst relative radius error and the
-    relative mismatch of the vertical line spacings (|t0_3| against 2 s
-    zeta).  The heights are the first ``n_heights`` of 2 n_heights evenly
-    spaced candidates that cross 8 or more edges of ``piece``;
-    SliceFitError when fewer than 4 do.  One :func:`mesh.slice_mesh` call
-    finds them and one :func:`mesh.refine_slice` call refines them.
-    :func:`slice_checks` instead passes ``slices``, the (heights, refined
-    points per height) it chose and refined, and no ``piece``: the fit then
-    reads only ``slices``.
+    onto the measured radii.  Returns the worst relative radius error and
+    the relative mismatch of the vertical line spacings (|t0_3| against
+    2 s zeta).
     """
     cl = classical.RiemannParams.from_lambda((sigma - 1.0) / math.sqrt(sigma))
     span = mesh.FundamentalSurface(sigma).translation_half()[2]
-    if slices is None:
-        hs, records = _registration_slices(piece, span, n_heights)
-        slices = hs, mesh.refine_slice(piece, hs, sigma, _REGISTRATION_POINTS,
-                                       crossings=records)
-    hs = slices[0]
-    radii = np.array([fit.radius for fit in _circle_fits(*slices)])
+    hs = np.asarray(heights, dtype=float)
+    radii = np.array([fit.radius for fit in _circle_fits(hs, points)])
     neck_height = 0.5 * span  # the S1 fixed point sits midway between lines
     cap = 0.999 * cl.zeta
     p = 1.0 / cl.q1
@@ -319,27 +287,19 @@ def registration_error(sigma, piece=None, n_heights=6,
                               float(spacing_rel), radii, hs)
 
 
-def _foliation_heights(span):
-    return (0.13 + 0.74 * np.arange(10) / 9.0) * span
-
-
-def foliation_residuals(sigma, cell, slices=None):
-    """Relative circle-fit residuals of refined slices of ``cell``, the
+def foliation_residuals(sigma, cell, heights, points):
+    """Relative circle-fit residuals of slices of ``cell``, the
     fundamental piece of ``sigma`` extended by :func:`mesh.extend`.
 
-    The slices at ten evenly spaced heights in the slab are refined in one
-    :func:`mesh.refine_slice` call.  :func:`slice_checks` instead passes
-    ``slices``, those heights and their refined points on ``cell``; then
-    ``cell`` is read only for the line heights.  Returns
-    (relative residuals at generic heights, line classifications at the
-    two line heights 0 and t0_3).
+    ``heights`` and ``points`` are generic heights in the slab and one
+    (n_i, 3) array of exact surface points of ``cell`` per height, as
+    :func:`slice_checks` picks and refines them (ValueError when the two
+    lengths differ).  ``cell`` itself is read only for the line heights.
+    Returns (relative residuals at the given heights, line classifications
+    at the two line heights 0 and t0_3).
     """
     span = mesh.FundamentalSurface(sigma).translation_half()[2]
-    if slices is None:
-        heights = _foliation_heights(span)
-        slices = heights, mesh.refine_slice(cell, heights, sigma,
-                                            _FOLIATION_POINTS)
-    rels = [fit.residual / fit.radius for fit in _circle_fits(*slices)]
+    rels = [fit.residual / fit.radius for fit in _circle_fits(heights, points)]
     # line heights: the slice at the height of a boundary line consists of
     # the (exactly coplanar, exactly collinear) line vertices themselves
     line_kinds = []
@@ -352,32 +312,40 @@ def foliation_residuals(sigma, cell, slices=None):
 
 def slice_checks(sigma, piece):
     """(:func:`registration_error` of ``piece``, :func:`foliation_residuals`
-    of its cell) with the slices of both refined in one
-    :func:`mesh.refine_slice` call on the cell.
+    of its cell): the one route from a sampled piece to its slice checks.
 
-    ``piece`` is the fundamental piece of ``sigma`` as
-    :func:`mesh.sample_fundamental` returns it; its cell is ``piece``
-    extended by :func:`mesh.extend` with ``copies=0``.  Each mesh is sliced
-    once, the piece at registration's candidates and the cell at
-    foliation's heights.  The piece is the cell's block 0 (same vertices,
-    same domain record, identity op), so its crossings are crossings of the
-    cell: one lockstep Newton loop refines both sets, and every point keeps
-    the bits it gets when each check refines its own.
+    ``piece`` is the fundamental piece of ``sigma`` from
+    :func:`mesh.sample_fundamental`; its cell is ``piece`` extended with
+    ``copies=0``.  The piece is sliced once at 12 evenly spaced candidate
+    heights, of which registration keeps the first 6 that cross 8 or more
+    edges (SliceFitError when fewer than 4 do); the cell is sliced once at
+    foliation's 10 heights.  The piece is the cell's block 0 (same
+    vertices, same domain record, identity op), so one
+    :func:`mesh.refine_slice` call on the cell refines both sets of
+    crossings in one Newton loop, 24 points per registration height and 28
+    per foliation height, each with the bits it gets on its own mesh.
     """
     cell = mesh.extend(piece, mesh.extension_ops(sigma), copies=0)
     span = mesh.FundamentalSurface(sigma).translation_half()[2]
-    reg_hs, reg_records = _registration_slices(piece, span, 6)
-    fol_hs = _foliation_heights(span)
-    owner, *fol_records = mesh.slice_mesh(cell, fol_hs)
-    k = len(reg_hs)
+    candidates = (0.14 + 0.72 * np.arange(12) / 11) * span
+    owner, *records = mesh.slice_mesh(piece, candidates)
+    # extreme sigma pushes part of the slab beyond the end truncation
+    kept = np.flatnonzero(np.bincount(owner, minlength=12) >= 8)[:6]
+    if len(kept) < 4:
+        raise SliceFitError(
+            "too few heights cross 8 edges of the given piece; sample it on "
+            "a finer grid or with a smaller e")
+    sel = np.isin(owner, kept)
+    reg = (np.searchsorted(kept, owner[sel]), *(r[sel] for r in records))
+    fol_hs = (0.13 + 0.74 * np.arange(10) / 9.0) * span
+    owner, *records = mesh.slice_mesh(cell, fol_hs)
+    k = len(kept)
     pts = mesh.refine_slice(
-        cell, np.concatenate([reg_hs, fol_hs]), sigma,
-        np.repeat([_REGISTRATION_POINTS, _FOLIATION_POINTS],
-                  [k, len(fol_hs)]),
-        crossings=[np.concatenate(c) for c in
-                   zip(reg_records, (owner + k, *fol_records))])
-    return (registration_error(sigma, slices=(reg_hs, pts[:k])),
-            foliation_residuals(sigma, cell, slices=(fol_hs, pts[k:])))
+        cell, np.concatenate([candidates[kept], fol_hs]), sigma,
+        np.repeat([24, 28], [k, len(fol_hs)]),
+        [np.concatenate(c) for c in zip(reg, (owner + k, *records))])
+    return (registration_error(sigma, candidates[kept], pts[:k]),
+            foliation_residuals(sigma, cell, fol_hs, pts[k:]))
 
 
 def catenoid_residual(lams=(0.5, 1.0, 2.0), n_q=20) -> float:

@@ -23,10 +23,10 @@ R_F and R_D (see :meth:`FundamentalSurface.translation_half`).  Each
 symmetry carries its action on the surface's orientation, which maps the
 normals and decides which blocks' faces are reversed.
 
-Slices of a mesh are taken at many heights in one pass over its edges
-(:func:`slice_mesh`) and refined to exact surface points
-(:func:`refine_slice`) by Newton on the same closed form, one evaluation
-of all crossings of all heights per round.
+A mesh is sliced at a sequence of heights in one pass over its edges
+(:func:`slice_mesh`); :func:`refine_slice` takes those records and moves
+them to exact surface points by Newton on the same closed form, one
+evaluation of all crossings of all heights per round.
 """
 
 from __future__ import annotations
@@ -500,38 +500,25 @@ def level_circle_fit(points, height_tol: float = 1e-9) -> CircleFit:
     return CircleFit("circle", center, float(radius), resid)
 
 
-def slice_mesh(mesh: TriMesh, height):
-    """Intersect the mesh with {x3 = height}, or with each plane of a 1-d
-    sequence of heights.
+def slice_mesh(mesh: TriMesh, heights):
+    """Intersect the mesh with the planes {x3 = h} of a 1-d sequence of
+    heights, in one pass over its edges.
 
     A crossing is a mesh edge (ia < ib) whose ends lie strictly on opposite
     sides of the plane (an end at the height itself makes none), recorded
-    as (ia, ib, s) with s = fa / (fa - fb), fa and fb the ends' x3 - height.
+    as (ia, ib, s) with s = fa / (fa - fb), fa and fb the ends' x3 - h.
     The edge set is the mesh's cached ``TriMesh.edges``, in ascending
-    (ia, ib) order.
-
-    A scalar height returns (points, crossings): the edge-interpolated
-    points and the records as a list of tuples, in edge order.  A sequence
-    returns the records of all its heights from one pass as arrays (owner,
+    (ia, ib) order.  Returns the records of all heights as arrays (owner,
     ia, ib, s), owner the index of the record's height: height-major, in
-    edge order within each height, each record and its s bits those of
-    the scalar call.  The pass places every vertex among the sorted
-    heights (``searchsorted``); an edge crosses the run of them between
-    its ends' places, so the cost is one walk over the vertices and edges
-    plus one step per record, not a walk per height.
+    edge order within each height, the form :func:`refine_slice` takes.
+    The pass places every vertex among the sorted heights
+    (``searchsorted``); an edge crosses the run of them between its ends'
+    places, so the cost is one walk over the vertices and edges plus one
+    step per record, not a walk per height.
     """
     i, j = mesh.edges
     x3 = mesh.vertices[:, 2]
-    if np.ndim(height) == 0:
-        fa, fb = x3[i] - height, x3[j] - height
-        cross = (fa != 0.0) & (fb != 0.0) & ~(fa * fb > 0.0)
-        i, j, fa, fb = i[cross], j[cross], fa[cross], fb[cross]
-        s = fa / (fa - fb)
-        v = mesh.vertices
-        pts = v[i] + s[:, None] * (v[j] - v[i])
-        return pts.reshape(-1, 3), list(zip(i.tolist(), j.tolist(),
-                                            s.tolist()))
-    hs = np.asarray(height, dtype=float).reshape(-1)
+    hs = np.asarray(heights, dtype=float).reshape(-1)
     order = np.argsort(hs, kind="stable")
     # per vertex, the count of sorted heights below it and at or below it:
     # an edge crosses sorted heights first .. first + n - 1, those above
@@ -582,18 +569,14 @@ def _hermite_root(s, f0, f1, d0, d1):
     return np.where(np.isfinite(t) & (0.0 < t) & (t < 1.0), t, s)
 
 
-def refine_slice(mesh: TriMesh, height, sigma: float, max_points=32,
-                 crossings=None):
-    """Replace mesh-edge slice points with exact surface points at ``height``
-    on the curve of ``sigma``, the one the mesh was sampled for.
+def refine_slice(mesh: TriMesh, heights, sigma: float, max_points,
+                 crossings):
+    """Replace mesh-edge slice points with exact surface points at each of
+    a 1-d sequence of heights, on the curve of ``sigma``, the one the mesh
+    was sampled for.  Returns a list with one (n_i, 3) array per height.
 
-    ``height`` is a scalar or a 1-d sequence of heights.  A scalar returns
-    the (n, 3) refined points of that slice; a sequence returns a list with
-    one (n_i, 3) array per height, each equal to the scalar call's result.
-
-    The crossings are the records of one :func:`slice_mesh` call on all
-    the heights, or ``crossings`` when the caller has them: the (owner, ia,
-    ib, s) arrays of the sequence form, owner indexing ``height``.  Each
+    ``crossings`` are the (owner, ia, ib, s) records of
+    :func:`slice_mesh` on ``heights``, owner indexing ``heights``.  Each
     height's are thinned to ``max_points`` (an int or one per height)
     evenly spaced records.  Another mesh's records serve where its vertex
     indices mean the same, as a piece's do on its extended cell: block 0,
@@ -627,9 +610,7 @@ def refine_slice(mesh: TriMesh, height, sigma: float, max_points=32,
     """
     if mesh.domain_z is None:
         raise ValueError("mesh carries no domain provenance")
-    heights = np.atleast_1d(np.asarray(height, dtype=float))
-    if crossings is None:
-        crossings = slice_mesh(mesh, heights)
+    heights = np.asarray(heights, dtype=float)
     keep = _thin(crossings[0], len(heights), max_points)
     owner, ia, ib, s = (c[keep] for c in crossings)
     target = heights[owner]
@@ -692,8 +673,7 @@ def refine_slice(mesh: TriMesh, height, sigma: float, max_points=32,
         u[a] = u_next
         a = a[go]
     out = (np.einsum("nij,nj->ni", linear, pos) + offset)[ok]
-    out = [out[owner[ok] == h] for h in range(len(heights))]
-    return out[0] if np.ndim(height) == 0 else out
+    return [out[owner[ok] == h] for h in range(len(heights))]
 
 
 # ---------------------------------------------------------------------------

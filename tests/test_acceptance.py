@@ -178,8 +178,8 @@ def test_criterion_08_minimality_conformality(lam):
 def test_criterion_09_cross_construction_registration():
     with Budget("criterion 9: classical vs Weierstrass registration", 60.0):
         sigma = sigma_of_lambda(1.0)
-        reg = checks.registration_error(
-            sigma, mesh.sample_fundamental(sigma, 0.1, 30, 40), n_heights=8)
+        reg, _ = checks.slice_checks(
+            sigma, mesh.sample_fundamental(sigma, 0.1, 30, 40))
         print(f"  scale={reg.scale:.6f} radius rel err={reg.max_radius_rel_err:.2e}"
               f" spacing rel err={reg.spacing_rel_err:.2e}")
         assert reg.max_radius_rel_err < 1e-3
@@ -190,7 +190,10 @@ def test_criterion_10_circle_foliation_of_meshes():
     with Budget("criterion 10: circle foliation of exported meshes", 30.0):
         cell = mesh.extend(mesh.sample_fundamental(2.0, 0.1, 30, 40),
                            mesh.extension_ops(2.0), copies=1)
-        rels, kinds = checks.foliation_residuals(2.0, cell)
+        span = mesh.FundamentalSurface(2.0).translation_half()[2]
+        hs = (0.13 + 0.74 * np.arange(10) / 9.0) * span
+        pts = mesh.refine_slice(cell, hs, 2.0, 28, mesh.slice_mesh(cell, hs))
+        rels, kinds = checks.foliation_residuals(2.0, cell, hs, pts)
         print(f"  worst relative circle residual = {np.max(rels):.3e}; "
               f"line heights -> {kinds}")
         assert len(rels) == 10

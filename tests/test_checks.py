@@ -80,15 +80,45 @@ def _piece(sigma, nr=24, nt=32):
     return mesh.sample_fundamental(sigma, 0.1, nr, nt)
 
 
-def _cell(sigma, copies=0):
-    """``_piece`` extended to its cell and ``copies`` copies."""
-    return mesh.extend(_piece(sigma), mesh.extension_ops(sigma),
-                       copies=copies)
+def _cell(sigma, copies=0, piece=None):
+    """``piece`` (by default ``_piece``) extended to its cell and
+    ``copies`` copies."""
+    return mesh.extend(_piece(sigma) if piece is None else piece,
+                       mesh.extension_ops(sigma), copies=copies)
+
+
+def _candidates(sigma):
+    """Registration's 12 evenly spaced candidate heights."""
+    span = mesh.FundamentalSurface(sigma).translation_half()[2]
+    return (0.14 + 0.72 * np.arange(12) / 11) * span
+
+
+def _slices(m, heights, sigma, max_points):
+    """(heights, their slices of m refined in one refine_slice call on m's
+    own crossings)."""
+    return heights, mesh.refine_slice(m, heights, sigma, max_points,
+                                      mesh.slice_mesh(m, heights))
+
+
+def _registration_slices(sigma, piece):
+    """The first 6 candidates that cross 8 or more edges of ``piece``, each
+    counted by its own slice_mesh call, refined on ``piece``."""
+    candidates = _candidates(sigma)
+    covered = [i for i, h in enumerate(candidates)
+               if len(mesh.slice_mesh(piece, [h])[0]) >= 8][:6]
+    return _slices(piece, candidates[covered], sigma, 24)
+
+
+def _foliation_slices(sigma, cell):
+    """Foliation's 10 heights, refined on ``cell``."""
+    span = mesh.FundamentalSurface(sigma).translation_half()[2]
+    return _slices(cell, (0.13 + 0.74 * np.arange(10) / 9.0) * span, sigma,
+                   28)
 
 
 @pytest.mark.parametrize("sigma", [0.0167, 0.5, 2.78, 8.0])
 def test_registration_fit_matches_least_squares(sigma):
-    reg = checks.registration_error(sigma, _piece(sigma), n_heights=6)
+    reg, _ = checks.slice_checks(sigma, _piece(sigma))
     s, h0 = _least_squares_fit(sigma, reg)
     assert abs(reg.scale - s) <= 1e-10 * abs(s)
     assert abs(reg.height_offset - h0) <= 1e-10 * abs(h0)
@@ -104,9 +134,12 @@ def test_foliation_residuals_builds_the_edge_set_once(monkeypatch):
         calls.append(1)
         return unique(*args, **kwargs)
 
+    # slicing the cell at foliation's 10 heights and refining them builds
+    # its edge set once
     cell = _cell(2.0, copies=1)
     monkeypatch.setattr(mesh, "_unique", counting_unique)
-    rels, _ = checks.foliation_residuals(2.0, cell)
+    rels, _ = checks.foliation_residuals(2.0, cell,
+                                         *_foliation_slices(2.0, cell))
     assert len(rels) == 10
     assert len(calls) == 1
 
@@ -115,28 +148,53 @@ def test_slice_checks_refine_all_heights_in_one_call(monkeypatch):
     calls = []
     refine = mesh.refine_slice
 
-    def counting(m, height, sigma, *args, **kwargs):
-        calls.append((m, np.ndim(height), len(height)))
-        return refine(m, height, sigma, *args, **kwargs)
+    def counting(m, heights, *args):
+        calls.append((m, len(heights)))
+        calls.append(refine(m, heights, *args))
+        return calls[-1]
 
-    piece = _piece(2.78)
-    cell = mesh.extend(piece, mesh.extension_ops(2.78), copies=0)
     monkeypatch.setattr(mesh, "refine_slice", counting)
-    # each check alone refines all its heights in one call on its mesh
-    rels, kinds = checks.foliation_residuals(2.78, cell)
-    reg = checks.registration_error(2.78, piece, n_heights=6)
-    assert calls == [(cell, 1, 10), (piece, 1, 6)]
-    # together, the piece's crossings are refined on the cell in the same
-    # call as the cell's, registration's heights first, to the same bits
-    del calls[:]
-    reg2, (rels2, kinds2) = checks.slice_checks(2.78, piece)
-    assert len(calls) == 1 and calls[0][1:] == (1, 16)
-    assert calls[0][0].copies == 0 and len(calls[0][0].flips) == 8
-    assert calls[0][0].domain_z is piece.domain_z
-    for name in ("scale", "height_offset", "max_radius_rel_err",
-                 "spacing_rel_err", "radii", "heights"):
-        assert np.array_equal(getattr(reg2, name), getattr(reg, name))
-    assert np.array_equal(rels2, rels) and kinds2 == kinds
+    # at sigma 1e3 only 5 of the 12 candidates cross 8 edges of the piece
+    for sigma, n_reg in ((1e-3, 6), (2.78, 6), (1e3, 5)):
+        piece = _piece(sigma)
+        cell = _cell(sigma, piece=piece)
+        # each set refined alone, in its own call on its own mesh
+        del calls[:]
+        reg_hs, reg_pts = _registration_slices(sigma, piece)
+        fol_hs, fol_pts = _foliation_slices(sigma, cell)
+        assert calls[0] == (piece, n_reg) and calls[2] == (cell, 10)
+        reg = checks.registration_error(sigma, reg_hs, reg_pts)
+        rels, kinds = checks.foliation_residuals(sigma, cell, fol_hs,
+                                                 fol_pts)
+        # together, the piece's crossings are refined on the cell in the
+        # same call as the cell's, registration's heights first, to the
+        # same bits
+        del calls[:]
+        reg2, (rels2, kinds2) = checks.slice_checks(sigma, piece)
+        assert len(calls) == 2 and calls[0][1] == n_reg + 10
+        assert calls[0][0].copies == 0 and len(calls[0][0].flips) == 8
+        assert calls[0][0].domain_z is piece.domain_z
+        for got, want in zip(calls[1], reg_pts + fol_pts, strict=True):
+            assert got.tobytes() == want.tobytes()
+        for name in ("scale", "height_offset", "max_radius_rel_err",
+                     "spacing_rel_err", "radii", "heights"):
+            assert np.array_equal(getattr(reg2, name), getattr(reg, name))
+        assert np.array_equal(rels2, rels) and kinds2 == kinds
+
+
+def test_fits_reject_heights_and_points_of_different_lengths():
+    piece = _piece(2.0)
+    cell = _cell(2.0, piece=piece)
+    hs, pts = _registration_slices(2.0, piece)
+    assert len(checks.registration_error(2.0, hs, pts).radii) == len(hs)
+    for bad in ((hs, pts[:-1]), (hs[:-1], pts)):
+        with pytest.raises(ValueError):
+            checks.registration_error(2.0, *bad)
+    hs, pts = _foliation_slices(2.0, cell)
+    assert len(checks.foliation_residuals(2.0, cell, hs, pts)[0]) == 10
+    for bad in ((hs, pts[:-1]), (hs[:-1], pts)):
+        with pytest.raises(ValueError):
+            checks.foliation_residuals(2.0, cell, *bad)
 
 
 def test_translation_half_is_computed_once(monkeypatch):
@@ -162,35 +220,33 @@ def test_slice_fit_error_is_a_package_error(monkeypatch):
     # a 2x3 grid has 9 edges: no height crosses 8 of them
     piece = _piece(1.0, 2, 3)
     with pytest.raises(checks.SliceFitError, match="given piece"):
-        checks.registration_error(1.0, piece)
+        checks.slice_checks(1.0, piece)
 
 
 @pytest.mark.parametrize("sigma", [1e-3, 2.0, 1e3])
 def test_registration_slices_until_it_has_its_heights(sigma, monkeypatch):
-    # registration_error keeps the first n_heights candidates that cross 8
-    # or more edges by slice_mesh's count (at sigma 1e3 only 5 of the 12
-    # do); one slice_mesh call on the piece gives the records of all 12,
-    # and refine_slice reuses those of the kept heights without slicing
-    n_heights = 6
+    # slice_checks keeps for registration the first 6 candidates that
+    # cross 8 or more edges of the piece by slice_mesh's count (at sigma
+    # 1e3 only 5 of the 12 do); one slice_mesh call on the piece gives the
+    # records of all 12, and one on the cell those of foliation's heights
     m = _piece(sigma)
-    span = mesh.FundamentalSurface(sigma).translation_half()[2]
-    candidates = (0.14 + 0.72 * np.arange(2 * n_heights)
-                  / (2 * n_heights - 1)) * span
+    candidates = _candidates(sigma)
     covered = [i for i, h in enumerate(candidates)
-               if len(mesh.slice_mesh(m, float(h))[1]) >= 8][:n_heights]
+               if len(mesh.slice_mesh(m, [h])[0]) >= 8][:6]
     calls = []
     slice_mesh = mesh.slice_mesh
 
-    def counting(m, h):
-        calls.append((m, h))
-        return slice_mesh(m, h)
+    def counting(m, heights):
+        calls.append((m, heights))
+        return slice_mesh(m, heights)
 
     monkeypatch.setattr(mesh, "slice_mesh", counting)
-    reg = checks.registration_error(sigma, m, n_heights=n_heights)
+    reg, _ = checks.slice_checks(sigma, m)
     assert np.array_equal(reg.heights, candidates[covered])
-    assert len(calls) == 1 and calls[0][0] is m
+    assert len(calls) == 2 and calls[0][0] is m
     assert np.array_equal(calls[0][1], candidates)
-    assert (len(covered) == n_heights) == (sigma != 1e3)
+    assert calls[1][0].domain_z is m.domain_z and len(calls[1][1]) == 10
+    assert (len(covered) == 6) == (sigma != 1e3)
 
 
 @pytest.mark.parametrize("sigma", [0.0167, 0.35938, 2.0, 8.0, 1e3])

@@ -393,9 +393,9 @@ def test_verify_samples_the_fundamental_piece_once(monkeypatch):
         seen["sample_fundamental"] = sample(*args)
         return seen["sample_fundamental"]
 
-    def slicing(m, height):
+    def slicing(m, heights):
         sliced.append(m)
-        return slice_mesh(m, height)
+        return slice_mesh(m, heights)
 
     def refining(m, *args, **kwargs):
         refined.append(m)

@@ -685,13 +685,25 @@ def test_classical_slice_fits_circle():
     assert fit.residual < 1e-10
 
 
+def _slice_points(m, records):
+    """The edge-interpolated points of slice_mesh records (ia, ib, s)."""
+    _, ia, ib, s = records
+    v = m.vertices
+    return v[ia] + s[:, None] * (v[ib] - v[ia])
+
+
+def _refine(m, h, sigma, max_points):
+    """refine_slice of the one height h, on m's own crossings."""
+    return refine_slice(m, [h], sigma, max_points, slice_mesh(m, [h]))[0]
+
+
 def test_refined_slice_is_exact_circle(fund2, ops2, surf2):
     ext = extend(fund2, ops2, copies=0)
     h = 0.45 * surf2.translation_half()[2]
-    coarse, _ = slice_mesh(ext, h)
+    coarse = _slice_points(ext, slice_mesh(ext, [h]))
     assert len(coarse) >= 5
     fit_c = level_circle_fit(coarse)
-    pts = refine_slice(ext, h, 2.0, max_points=24)
+    pts = _refine(ext, h, 2.0, 24)
     fit = level_circle_fit(pts)
     assert fit.kind == "circle"
     assert fit.residual < 1e-5 * fit.radius
@@ -754,13 +766,17 @@ def test_slice_mesh_matches_edge_set_reference(fund2, ops2, surf2):
     # one above the mesh
     heights = [0.3 * span, 0.45 * span, 1.6 * span,
                float(ext.vertices[37, 2]), 10.0 * abs(span)]
-    for h in heights:
-        pts, crossings = slice_mesh(ext, h)
+    records = slice_mesh(ext, heights)
+    owner, ia, ib, s = records
+    pts = _slice_points(ext, records)
+    for k, h in enumerate(heights):
         ref_pts, ref_crossings = _slice_mesh_reference(ext, h)
-        assert crossings == ref_crossings
-        assert np.array_equal(pts, ref_pts)
-    assert len(slice_mesh(ext, heights[0])[1]) > 0
-    assert slice_mesh(ext, heights[-1])[1] == []
+        at = owner == k
+        assert list(zip(ia[at].tolist(), ib[at].tolist(),
+                        s[at].tolist())) == ref_crossings
+        assert np.array_equal(pts[at], ref_pts)
+    assert np.any(owner == 0)
+    assert not np.any(owner == len(heights) - 1)
 
 
 @pytest.mark.parametrize("sigma", [1e-3, 2.0, 1e3])
@@ -769,7 +785,7 @@ def test_slice_mesh_height_sequence_matches_scalar_calls(sigma, cell):
     # verify's 24x32 piece and its cell, sliced at generic heights in
     # descending order with one repeated, at two vertices' exact heights
     # (an end at distance 0 is no crossing), at the mesh's extreme heights
-    # and outside the mesh
+    # and outside the mesh, against one reference call per height
     piece = sample_fundamental(sigma, 0.1, 24, 32)
     m = extend(piece, extension_ops(sigma), copies=0) if cell else piece
     span = FundamentalSurface(sigma).translation_half()[2]
@@ -783,7 +799,7 @@ def test_slice_mesh_height_sequence_matches_scalar_calls(sigma, cell):
     assert np.all(np.diff(owner) >= 0)
     want = []
     for k, h in enumerate(hs):
-        _, records = slice_mesh(m, h)
+        _, records = _slice_mesh_reference(m, h)
         at = owner == k
         assert list(zip(ia[at].tolist(), ib[at].tolist(),
                         s[at].tolist())) == records
@@ -813,7 +829,7 @@ def test_thin_picks_what_linspace_picks():
         assert mesh._thin(owner, len(counts), max_points).tolist() == want
 
 
-# refine_slice(ext, frac * t0_3, 2.0, max_points=5) on the 14x20 sigma = 2
+# refine_slice at frac * t0_3 with max_points=5 on the 14x20 sigma = 2
 # piece extended with copies=0, as computed by a 60-step bisection in z
 REFINED_PINS = {
     0.25: [(2.0486779401701063, -0.9170527962528978, 0.5857100420733878),
@@ -838,7 +854,7 @@ def test_refine_slice_pinned_points(fund2, ops2, surf2):
     ext = extend(fund2, ops2, copies=0)
     span = surf2.translation_half()[2]
     for frac, want in REFINED_PINS.items():
-        pts = refine_slice(ext, frac * span, 2.0, max_points=5)
+        pts = _refine(ext, frac * span, 2.0, 5)
         assert pts.shape == (len(want), 3)
         assert np.max(np.abs(pts - np.array(want))) < 1e-11
 
@@ -863,7 +879,7 @@ def _refine_slice_reference(m, height, sigma, max_points):
     iterate, started at the root of the edge's cubic Hermite model; on an
     edge ending at a branch point it runs in t with 1 - s = (1 - t)^2: the
     loop the lockstep refine_slice must reproduce."""
-    _, crossings = slice_mesh(m, height)
+    _, crossings = _slice_mesh_reference(m, height)
     if len(crossings) > max_points:
         idx = np.linspace(0, len(crossings) - 1, max_points).astype(int)
         crossings = [crossings[i] for i in idx]
@@ -957,7 +973,7 @@ def test_lockstep_refine_slice_matches_per_crossing_newton(sigma):
         n_points = 0
         for frac in (0.13, 0.3, 0.5, 0.77, 1.4, 1.9):
             h = frac * t0[2]
-            got = refine_slice(ext, h, sigma, max_points=24)
+            got = _refine(ext, h, sigma, 24)
             _assert_matches_reference(
                 got, _refine_slice_reference(ext, h, sigma, 24))
             n_points += len(got)
@@ -983,10 +999,10 @@ def test_refine_slice_on_edges_ending_at_corner_branch_point(fund2,
     # land on -sigma itself
     for h, on_corner in ((0.5 * (x3c + x3n), False),
                          (x3c + 1e-9 * np.sign(x3n - x3c), True)):
-        edges = [{i, j} for i, j, _ in slice_mesh(fund2, h)[1]]
-        assert {corner, nb} in edges
+        _, ia, ib, _ = slice_mesh(fund2, [h])
+        assert {corner, nb} in [{i, j} for i, j in zip(ia, ib)]
         del points[:]
-        got = refine_slice(fund2, h, 2.0, max_points=10 ** 6)
+        got = _refine(fund2, h, 2.0, 10 ** 6)
         assert any(abs(z + 2.0) < 3e-12 for z in points) == on_corner
         _assert_matches_reference(
             got, _refine_slice_reference(fund2, h, 2.0, 10 ** 6))
@@ -1006,7 +1022,7 @@ def test_refine_slice_batches_each_height(fund2, ops2, surf2, monkeypatch):
     monkeypatch.setattr(curve, "immerse", counting)
     for frac in (0.13, 0.3, 0.5, 0.77, 1.4, 1.9):
         del calls[:]
-        assert len(refine_slice(ext, frac * span, 2.0, max_points=24)) >= 5
+        assert len(_refine(ext, frac * span, 2.0, 24)) >= 5
         assert 0 < len(calls) <= 12
 
 
@@ -1036,10 +1052,10 @@ def test_refine_slice_height_sequence_matches_per_height_calls(sigma,
     for m, max_points in ((fund, 24), (fund, 5), (ext, 24), (ext, 5),
                           (big, 2000)):
         del calls[:]
-        want = [refine_slice(m, h, sigma, max_points=max_points) for h in hs]
+        want = [_refine(m, h, sigma, max_points) for h in hs]
         per_height = len(calls)
         del calls[:]
-        got = refine_slice(m, hs, sigma, max_points=max_points)
+        got = refine_slice(m, hs, sigma, max_points, slice_mesh(m, hs))
         assert isinstance(got, list) and len(got) == len(hs)
         for g, w in zip(got, want):
             assert g.shape == w.shape and np.array_equal(g, w)
@@ -1047,12 +1063,11 @@ def test_refine_slice_height_sequence_matches_per_height_calls(sigma,
         if m is fund:
             assert [len(g) for g in got[4:]] == [0, 0]
         if max_points == 5:
-            assert max(len(slice_mesh(m, h)[1]) for h in hs) > 5
+            assert np.bincount(slice_mesh(m, hs)[0]).max() > 5
             assert all(len(g) <= 5 for g in got)
         if m is big:
             assert calls[0] > curve.PSI_BLOCK
-    assert refine_slice(fund, [2.0 * span], sigma)[0].shape == (0, 3)
-    assert refine_slice(fund, 2.0 * span, sigma).shape == (0, 3)
+    assert _refine(fund, 2.0 * span, sigma, 32).shape == (0, 3)
 
 
 def test_refine_slice_hits_height_with_few_immerse_calls(fund2, ops2, surf2,
@@ -1076,7 +1091,7 @@ def test_refine_slice_hits_height_with_few_immerse_calls(fund2, ops2, surf2,
     for frac in (0.13, 0.3, 0.5, 0.77, 1.4, 1.9):
         h = frac * span
         del calls[:]
-        pts = refine_slice(ext, h, 2.0, max_points=24)
+        pts = _refine(ext, h, 2.0, 24)
         assert len(pts) >= 5
         assert np.max(np.abs(pts[:, 2] - h)) <= 1e-12 * max(1.0, abs(h))
         assert 0 < len(calls) <= 12 and set(calls) == {"immerse"}
