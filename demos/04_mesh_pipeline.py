@@ -5,7 +5,8 @@ Samples the fundamental piece of the sigma = 2 surface on the Moebius image
 of a polar grid, extends it by the four-step symmetry pipeline (rotation
 about the horizontal line through psi(i sqrt(sigma)), mirror in {x2 = 0},
 rotation about the x2-axis, translation by 2 t0), writes OBJ/PLY files, and
-verifies the circle foliation by slicing.
+verifies the circle foliation by slicing the piece: the extended mesh's
+circles are the orbit of its slices.
 
 Writes meshes into ./demo_out/.
 """
@@ -42,10 +43,15 @@ for name, m in (("fundamental", fund), ("extended", ext)):
 
 print("\nhorizontal slices of the extended mesh:")
 span = ops[3].offset[2] / 2.0
-# slice at all heights in one pass, then refine those crossings
+# slice the piece at all heights in one pass, then refine those crossings;
+# the heights are symmetric about span / 2, and the extended mesh's circle
+# at hs[j] is the orbit of the piece's slices: blocks 0 and 2 (which keep
+# x3) of slice j, blocks 1 and 3 (x3 -> span - x3) of slice 2 - j
 hs = np.array([0.25, 0.5, 0.75]) * span
-slices = mesh.refine_slice(ext, hs, SIGMA, 24, mesh.slice_mesh(ext, hs))
-for h, pts in zip(hs, slices):
+slices = mesh.refine_slice(fund, hs, SIGMA, 24, mesh.slice_mesh(fund, hs))
+for j, h in enumerate(hs):
+    pts = np.concatenate([op.apply(slices[2 - j if b % 2 else j])
+                          for b, op in enumerate(ext.cell_ops[:4])])
     fit = mesh.level_circle_fit(pts)
     print(f"  x3 = {h:8.4f}: {fit.kind}, radius {fit.radius:9.6f}, "
           f"max deviation {fit.residual:.2e}")

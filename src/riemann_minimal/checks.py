@@ -12,14 +12,15 @@ Weierstrass stencil's anchors are closed-form points (``curve.immerse``),
 and the stencil's increments are one G7/K15 panel each
 (``quad.panel_increments``); registration and the circle foliation fit
 circles to slices that :func:`slice_checks`, the one code that picks
-their heights, takes of the piece and of its cell, each mesh sliced once
-and both checks' crossings refined to exact points in one lockstep
-Newton loop on ``curve.immerse``; the
-classical stencil adds one-panel increments to the Carlson closed forms
-of ``classical``.  The periods and fluxes of ``verify`` are trapezoidal
-sums on analytic contours (``curve.period``).  The sampled vertices, the
-periods and the stencil increments are pinned against an adaptive
-quadrature oracle with branch tracking by the test suite, not here.
+their heights, takes of the piece: it is sliced once, both checks'
+crossings are refined to exact points in one lockstep Newton loop on
+``curve.immerse``, and the cell's circles are the orbit of the piece's
+slices under the cell's isometries; the classical stencil adds one-panel
+increments to the Carlson closed forms of ``classical``.  The periods
+and fluxes of ``verify`` are trapezoidal sums on analytic contours
+(``curve.period``).  The sampled vertices, the periods and the stencil
+increments are pinned against an adaptive quadrature oracle with branch
+tracking by the test suite, not here.
 """
 
 from __future__ import annotations
@@ -292,11 +293,11 @@ def foliation_residuals(sigma, cell, heights, points):
     fundamental piece of ``sigma`` extended by :func:`mesh.extend`.
 
     ``heights`` and ``points`` are generic heights in the slab and one
-    (n_i, 3) array of exact surface points of ``cell`` per height, as
-    :func:`slice_checks` picks and refines them (ValueError when the two
-    lengths differ).  ``cell`` itself is read only for the line heights.
-    Returns (relative residuals at the given heights, line classifications
-    at the two line heights 0 and t0_3).
+    (n_i, 3) array of exact surface points of ``cell`` per height, the
+    orbit of the piece's slices that :func:`slice_checks` builds
+    (ValueError when the two lengths differ).  ``cell`` itself is read
+    only for the line heights.  Returns (relative residuals at the given
+    heights, line classifications at the two line heights 0 and t0_3).
     """
     span = mesh.FundamentalSurface(sigma).translation_half()[2]
     rels = [fit.residual / fit.radius for fit in _circle_fits(heights, points)]
@@ -314,38 +315,42 @@ def slice_checks(sigma, piece):
     """(:func:`registration_error` of ``piece``, :func:`foliation_residuals`
     of its cell): the one route from a sampled piece to its slice checks.
 
-    ``piece`` is the fundamental piece of ``sigma`` from
-    :func:`mesh.sample_fundamental`; its cell is ``piece`` extended with
-    ``copies=0``.  The piece is sliced once at 12 evenly spaced candidate
-    heights, of which registration keeps the first 6 that cross 8 or more
-    edges (SliceFitError when fewer than 4 do); the cell is sliced once at
-    foliation's 10 heights.  The piece is the cell's block 0 (same
-    vertices, same domain record, identity op), so one
-    :func:`mesh.refine_slice` call on the cell refines both sets of
-    crossings in one Newton loop, 24 points per registration height and 28
-    per foliation height, each with the bits it gets on its own mesh.
+    ``piece``, the fundamental piece of ``sigma`` from
+    :func:`mesh.sample_fundamental`, is the only mesh sliced: once, at 12
+    evenly spaced candidate heights, of which registration keeps the
+    first 6 that cross 8 or more edges (SliceFitError when fewer than 4
+    do), and at foliation's 10 heights.  One :func:`mesh.refine_slice`
+    call refines them all, 24 points per registration height and 14 per
+    foliation height.  Foliation's heights are symmetric, h_j + h_(9-j) =
+    t0_3, and the cell (``piece`` extended with ``copies=0``) keeps x3 in
+    blocks 0 and 2 and sends it to t0_3 - x3 in blocks 1 and 3: its circle
+    at h_j is blocks 0 and 2 of the piece's slice j plus blocks 1 and 3 of
+    slice 9 - j.
     """
     cell = mesh.extend(piece, mesh.extension_ops(sigma), copies=0)
     span = mesh.FundamentalSurface(sigma).translation_half()[2]
     candidates = (0.14 + 0.72 * np.arange(12) / 11) * span
-    owner, *records = mesh.slice_mesh(piece, candidates)
+    fol_hs = (0.13 + 0.74 * np.arange(10) / 9.0) * span
+    owner, *records = mesh.slice_mesh(piece,
+                                      np.concatenate([candidates, fol_hs]))
     # extreme sigma pushes part of the slab beyond the end truncation
-    kept = np.flatnonzero(np.bincount(owner, minlength=12) >= 8)[:6]
+    kept = np.flatnonzero(np.bincount(owner, minlength=12)[:12] >= 8)[:6]
     if len(kept) < 4:
         raise SliceFitError(
             "too few heights cross 8 edges of the given piece; sample it on "
             "a finer grid or with a smaller e")
-    sel = np.isin(owner, kept)
-    reg = (np.searchsorted(kept, owner[sel]), *(r[sel] for r in records))
-    fol_hs = (0.13 + 0.74 * np.arange(10) / 9.0) * span
-    owner, *records = mesh.slice_mesh(cell, fol_hs)
+    used = np.concatenate([kept, 12 + np.arange(10)])
+    sel = np.isin(owner, used)
     k = len(kept)
     pts = mesh.refine_slice(
-        cell, np.concatenate([candidates[kept], fol_hs]), sigma,
-        np.repeat([24, 28], [k, len(fol_hs)]),
-        [np.concatenate(c) for c in zip(reg, (owner + k, *records))])
+        piece, np.concatenate([candidates[kept], fol_hs]), sigma,
+        np.repeat([24, 14], [k, 10]),
+        (np.searchsorted(used, owner[sel]), *(r[sel] for r in records)))
+    slices, ops = pts[k:], cell.cell_ops
+    circles = [np.concatenate([ops[b].apply(slices[9 - j if b % 2 else j])
+                               for b in range(4)]) for j in range(10)]
     return (registration_error(sigma, candidates[kept], pts[:k]),
-            foliation_residuals(sigma, cell, fol_hs, pts[k:]))
+            foliation_residuals(sigma, cell, fol_hs, circles))
 
 
 def catenoid_residual(lams=(0.5, 1.0, 2.0), n_q=20) -> float:

@@ -388,8 +388,7 @@ def cmd_verify(cfg: RunConfig) -> int:
     suite.record("minimality_weierstrass", H_w, 1e-3)
     suite.record("conformality_weierstrass", max(conf_w, orth_w), 1e-5)
 
-    # both slice checks read one sampled piece, registration the piece
-    # itself and foliation its cell, and their slices are refined together
+    # both slice checks read one sampled piece, the only mesh sliced
     piece = mesh.sample_fundamental(cfg.sigma, 0.1, 24, 32)
     reg, (rels, kinds) = checks.slice_checks(cfg.sigma, piece)
     suite.record("registration_radius", reg.max_radius_rel_err, 1e-3)

@@ -69,6 +69,8 @@ SAMPLE_CLEARANCE = 2e-3
 CARLSON_STEPS = 8
 # psi's largest block of points: its (4096,) complex arrays take 64 KiB
 PSI_BLOCK = 4096
+# the loops' node rule, n = 2 ceil(_LOOP_EXPONENT / ln sqrt(rho)) (see period)
+_LOOP_EXPONENT = 37.0
 
 
 class CurveError(RiemannMinimalError):
@@ -228,11 +230,11 @@ def gaussian_curvature(g, g_prime):
 # homology loops, periods, flux
 
 
-def _loop_nodes(params, kind, n=None):
+def _loop_nodes(params, kind):
     """The nodes of the trapezoidal rule on the loop ``kind``: (z, w,
     dz/dtheta) at zeta_k = R e^(i theta_k), theta_k = 2 pi k / n, k < n,
-    on a contour where w is single-valued and analytic (see :func:`period`).
-    n defaults to the node rule, 2 ceil(37 / ln sqrt(rho)).
+    on a contour where w is single-valued and analytic (see :func:`period`),
+    n by the node rule, 2 ceil(37 / ln sqrt(rho)).
     """
     s = params.sigma
     if kind == "end":
@@ -244,8 +246,7 @@ def _loop_nodes(params, kind, n=None):
         radius = math.sqrt(rho)
     else:
         raise ValueError(f"unknown loop {kind!r}")
-    if n is None:
-        n = 2 * math.ceil(37.0 / math.log(math.sqrt(rho)))
+    n = 2 * math.ceil(_LOOP_EXPONENT / math.log(math.sqrt(rho)))
     zeta = radius * np.exp(2j * math.pi * np.arange(n) / n)
     if kind == "end":
         z = zeta * zeta

@@ -23,10 +23,12 @@ R_F and R_D (see :meth:`FundamentalSurface.translation_half`).  Each
 symmetry carries its action on the surface's orientation, which maps the
 normals and decides which blocks' faces are reversed.
 
-A mesh is sliced at a sequence of heights in one pass over its edges
-(:func:`slice_mesh`); :func:`refine_slice` takes those records and moves
-them to exact surface points by Newton on the same closed form, one
-evaluation of all crossings of all heights per round.
+The piece is the only mesh that is sliced to exact points: it is cut at
+a sequence of heights in one pass over its edges (:func:`slice_mesh`),
+and :func:`refine_slice` moves those records to exact surface points by
+Newton on the same closed form, one evaluation of all crossings of all
+heights per round.  A slice of the extended surface is the orbit of the
+piece's slices under the cell's isometries.
 """
 
 from __future__ import annotations
@@ -163,18 +165,18 @@ class TriMesh:
     too, but reverses its orientation, so the cell holds two of the
     paper's fundamental domains.
 
-    Each vertex also remembers the domain parameter z it was sampled at and
-    the branch value w there, stored once for the base block: vertex i of
-    the whole mesh is ``op_catalog[i // n]`` applied to base vertex
-    ``i % n``, with domain values ``domain_z[i % n]`` and ``domain_w[i %
-    n]`` (n the base vertex count; block 0 of the cell is the base).  That
-    record is what makes exact slice refinement possible after extension.
-    ``cell_ops`` holds the isometry of each cell block; ``op_catalog``
-    extends it copy by copy.
+    ``cell_ops`` holds the isometry of each cell block: vertex i of the
+    whole mesh is base vertex ``i % n`` under ``cell_ops[b]``, then k
+    translations, b and k being the block and the copy of i (n the base
+    vertex count).  Only
+    the piece of :func:`sample_fundamental` also keeps, per vertex, the
+    domain parameter z it was sampled at and the branch value w there
+    (``domain_z``, ``domain_w``), the record :func:`refine_slice` reads;
+    an extended mesh's slices are the orbit of the piece's.
 
-    ``vertices``, ``normals``, ``faces``, ``edges`` and ``op_catalog`` are
-    the whole mesh, built on first use and kept; the cell must not change
-    after.  Counts and :meth:`iter_copies` never build them.
+    ``vertices``, ``normals``, ``faces`` and ``edges`` are the whole mesh,
+    built on first use and kept; the cell must not change after.  Counts
+    and :meth:`iter_copies` never build them.
     """
 
     def __init__(self, vertices, normals, faces, domain_z=None, domain_w=None,
@@ -243,16 +245,6 @@ class TriMesh:
         f, n = self._cell_faces, len(self.cell_vertices)
         return np.concatenate([f + k * n for k in range(self.copies + 1)]
                               ).astype(self.base_faces.dtype)
-
-    @cached_property
-    def op_catalog(self):
-        """``cell_ops``, then each copy's: the translation after the
-        previous copy's."""
-        catalog, per_copy = list(self.cell_ops), len(self.cell_ops)
-        for _ in range(self.copies):
-            catalog += [self.translation.compose(a)
-                        for a in catalog[-per_copy:]]
-        return catalog
 
     @cached_property
     def edges(self):
@@ -412,13 +404,12 @@ def extend(mesh: TriMesh, ops, copies: int = 0) -> TriMesh:
     normals by ``apply_normals`` and its faces reversed where that
     isometry's orientation times det(L) is negative (the mapped winding
     turns with det(L), the mapped normal with the orientation).  The
-    translated copies stay implicit (see
-    :class:`TriMesh`), and so does ``op_catalog``, built only when read;
-    ``cell_ops`` lists the base block's isometry composed with every
-    block's.  Vertex count grows exactly by 2^3 * (copies + 1).  The input
-    must not be extended already, and the fourth op must be a pure
-    translation (linear part exactly the identity, orientation +1): copies
-    add its offset.
+    translated copies stay implicit (see :class:`TriMesh`); ``cell_ops``
+    lists the base block's isometry composed with every block's, and the
+    result keeps no domain record.  Vertex count grows exactly by 2^3 *
+    (copies + 1).  The input must not be extended already, and the fourth
+    op must be a pure translation (linear part exactly the identity,
+    orientation +1): copies add its offset.
     """
     if copies < 0:
         raise ValueError("copies must be >= 0")
@@ -434,8 +425,7 @@ def extend(mesh: TriMesh, ops, copies: int = 0) -> TriMesh:
         nrm = np.concatenate([nrm, op.apply_normals(nrm)])
         flips += [f != (op.orientation * op.det() < 0) for f in flips]
         cell_ops += [op.compose(a) for a in cell_ops]
-    return TriMesh(v, nrm, mesh.base_faces, mesh.domain_z, mesh.domain_w,
-                   cell_ops, flips=flips,
+    return TriMesh(v, nrm, mesh.base_faces, cell_ops=cell_ops, flips=flips,
                    translation=ops[3] if copies else None, copies=copies)
 
 
@@ -453,12 +443,13 @@ class CircleFit:
 
 
 LINE_RADIUS_FACTOR = 1e6
+_HEIGHT_TOL = 1e-9  # relative spread of a slice's heights
 
 
-def level_circle_fit(points, height_tol: float = 1e-9) -> CircleFit:
+def level_circle_fit(points) -> CircleFit:
     """Algebraic least-squares circle through coplanar horizontal points.
 
-    Requires >= 5 points at a common height (to ``height_tol``).  If the
+    Requires >= 5 points at a common height (to ``_HEIGHT_TOL``).  If the
     fitted radius exceeds 1e6 times the point spread the data is classified
     as a line (total-least-squares fit) instead.  Raises Degenerate when
     the points do not even span one dimension.
@@ -471,7 +462,7 @@ def level_circle_fit(points, height_tol: float = 1e-9) -> CircleFit:
     if len(pts) < 5:
         raise ValueError("need at least 5 points")
     h = pts[:, 2]
-    if h.max() - h.min() > height_tol * max(1.0, abs(float(np.mean(h)))):
+    if h.max() - h.min() > _HEIGHT_TOL * max(1.0, abs(float(np.mean(h)))):
         raise ValueError("points do not share a common height")
     xy = pts[:, :2]
     centroid = xy.mean(axis=0)
@@ -554,102 +545,53 @@ def _thin(owner, n_heights, max_points):
     return at + np.repeat(np.cumsum(count) - count, keep)
 
 
-def _hermite_root(s, f0, f1, d0, d1):
-    """Root of the cubic Hermite model of f on [0, 1], the cubic with values
-    f0, f1 and slopes d0, d1 at 0 and 1: three Newton steps on the cubic
-    from s.  Where a slope or the result is not finite, or the result is
-    outside (0, 1), s itself.  Elementwise."""
-    c2 = 3.0 * (f1 - f0) - 2.0 * d0 - d1
-    c3 = 2.0 * (f0 - f1) + d0 + d1
-    t = s
-    with np.errstate(all="ignore"):
-        for _ in range(3):
-            t = t - (f0 + t * (d0 + t * (c2 + t * c3))) / (
-                d0 + t * (2.0 * c2 + t * 3.0 * c3))
-    return np.where(np.isfinite(t) & (0.0 < t) & (t < 1.0), t, s)
-
-
 def refine_slice(mesh: TriMesh, heights, sigma: float, max_points,
                  crossings):
-    """Replace mesh-edge slice points with exact surface points at each of
-    a 1-d sequence of heights, on the curve of ``sigma``, the one the mesh
-    was sampled for.  Returns a list with one (n_i, 3) array per height.
+    """Exact surface points of the slices of a fundamental piece at a 1-d
+    sequence of heights, on the curve of ``sigma`` it was sampled for: a
+    list with one (n_i, 3) array per height, in crossing order.
 
-    ``crossings`` are the (owner, ia, ib, s) records of
-    :func:`slice_mesh` on ``heights``, owner indexing ``heights``.  Each
-    height's are thinned to ``max_points`` (an int or one per height)
-    evenly spaced records.  Another mesh's records serve where its vertex
-    indices mean the same, as a piece's do on its extended cell: block 0,
-    same vertices, same domain record, identity op, so the points get the
-    same bits (``checks.slice_checks`` refines both in one call).
+    ``mesh`` must come from :func:`sample_fundamental` (ValueError
+    otherwise: only the piece keeps the domain record, and an extended
+    mesh's slices are the orbit of the piece's under its ``cell_ops``).
+    ``crossings`` are the (owner, ia, ib, s) records of :func:`slice_mesh`
+    on it at ``heights``; each height's are thinned to ``max_points`` (an
+    int or one per height) evenly spaced records.
 
-    Each crossing edge is root-solved along the straight z-segment
-    from its anchor vertex za (an edge end with w != 0) to its other end
-    zb, z(s) = za + s (zb - za).  The target is f = (op(psi(z)))_3 - h with
-    h the crossing's own height, and its derivative is closed form,
-    df/ds = ell . Re(phi(z, w) (zb - za)) with ell the third row of the
-    op's linear part and phi the Weierstrass densities.  Where zb is a
-    branch point (w = 0 there), f has a square-root end, and Newton runs in
-    t with 1 - s = (1 - t)^2, z = zb - (1 - t)^2 (zb - za), in which f is
-    smooth; elsewhere it runs in s.  Safeguarded Newton starts at the root
-    of the cubic Hermite model of f on the edge (end values and end
-    slopes; at a branch point end the slope in t is the limit with
-    w/(1 - t) in place of w), which
-    :func:`_hermite_root` finds from the mesh's linear-interpolation guess;
-    the start stays that guess where a slope is not finite or the model's
-    root leaves (0, 1).  Newton keeps the sign bracket, bisecting whenever
-    a Newton step would leave it or w = 0; a crossing stops when f == 0 or
-    its next step is below 1e-13 (the Newton step, or the step taken),
-    after 60 iterations at most.  All crossings of all heights are solved
-    in lockstep: each iteration evaluates the crossings still active in
-    one :func:`curve.immerse` call, the closed form, so every iterate is an
-    exact surface point that depends on its parameter alone, and the
-    rounds number the most any crossing needs.  Points come out in
-    crossing order.  Only meshes built by :func:`sample_fundamental` (and
-    extensions of them) carry the provenance needed here.
+    Each crossing solves f = x3 - h on the straight z-segment from its end
+    za with w != 0 to its other end zb, z = za + s (zb - za), with the
+    closed-form slope df/du = Re((dz/du) / w) (phi3 = dz/w).  Where zb is
+    a branch point (w = 0), f has a square-root end, and Newton runs in t
+    with 1 - s = (1 - t)^2, in which f is smooth; elsewhere in u = s.
+    Safeguarded Newton starts at the mesh's linear guess (u = s, or t =
+    1 - sqrt(1 - s)) and keeps the sign bracket, bisecting where a step
+    would leave it or w = 0.  A crossing stops when f == 0 or its next
+    step (the Newton step, or the step taken) is below 1e-13 in u and,
+    where |df/du| > 1, in height, after 60 rounds at most.  All crossings
+    of all heights run in lockstep, one :func:`curve.immerse` call per
+    round on those still active, so every iterate is an exact surface
+    point that depends on its parameter alone.
     """
-    if mesh.domain_z is None:
-        raise ValueError("mesh carries no domain provenance")
+    if mesh.domain_z is None or len(mesh.domain_z) != mesh.vertex_count:
+        raise ValueError("refine_slice takes a piece from sample_fundamental")
     heights = np.asarray(heights, dtype=float)
     keep = _thin(crossings[0], len(heights), max_points)
     owner, ia, ib, s = (c[keep] for c in crossings)
     target = heights[owner]
-    # catalog index and base vertex of each end (see TriMesh)
-    n = mesh.base_count
-    base = mesh.cell_vertices[:n]
-    (ka, ia), (kb, ib) = np.divmod(ia, n), np.divmod(ib, n)
-    # anchor at an endpoint with a usable branch value
+    # anchor at the end with w != 0: the two branch-point corners share no
+    # edge
     at_a = mesh.domain_w[ia] != 0.0
     i0, i1 = np.where(at_a, ia, ib), np.where(at_a, ib, ia)
     s = np.where(at_a, s, 1.0 - s)
-    k = np.where(at_a, ka, kb)
-    linear = np.stack([op.linear for op in mesh.op_catalog])[k]
-    offset = np.stack([op.offset for op in mesh.op_catalog])[k]
-    ell, b3 = linear[:, 2], offset[:, 2]
-    pos = base[i0]
-    f0 = np.einsum("ij,ij->i", pos, ell) + b3 - target
-    f1 = np.einsum("ij,ij->i", base[i1], ell) + b3 - target
-    ok = ((ka == kb) & (mesh.domain_w[i0] != 0.0) & ~(f0 * f1 > 0))
-    (za, zb), (w0, w1) = mesh.domain_z[[i0, i1]], mesh.domain_w[[i0, i1]]
+    pos = mesh.vertices[i0]
+    f0 = pos[:, 2] - target
+    za, zb = mesh.domain_z[i0], mesh.domain_z[i1]
     dz = zb - za
-    s = np.where((0.0 < s) & (s < 1.0), s, 0.5)
-    # Newton runs in u: s, or t where zb is a branch point (w1 = 0); there
-    # dz/dt = 2 (1 - t) dz, and w/(1 - t) tends to the product of the
-    # principal roots with the vanishing factor z - zb replaced by za - zb
-    params = CurveParams(sigma)
-    root = w1 == 0.0
-    fac = zb[:, None] - np.array(_curve.branch_points(params))
-    w1u = np.where(root, np.prod(np.sqrt(np.where(
-        fac == 0.0, (za - zb)[:, None], fac) + 0.0), axis=1), w1)
-    # the end slopes df/du of the Hermite start
-    dzdu = np.where(root, 2.0, 1.0) * dz
-    with np.errstate(divide="ignore", invalid="ignore"):
-        d0, d1 = (np.einsum("ij,ij->i", (_curve._phi_vector(params, z, w)
-                                         * dzdu[:, None]).real, ell)
-                  for z, w in ((za, w0), (zb, w1u)))
-    u = _hermite_root(s, f0, f1, d0, d1)
+    root = mesh.domain_w[i1] == 0.0
+    u = np.where(root, 1.0 - np.sqrt(1.0 - s), s)
     u_lo, u_hi = np.zeros_like(u), np.ones_like(u)
-    a = np.flatnonzero(ok & (f0 != 0.0))
+    params = CurveParams(sigma)
+    a = np.arange(len(u))
     for _ in range(60):
         if not a.size:
             break
@@ -657,23 +599,22 @@ def refine_slice(mesh: TriMesh, heights, sigma: float, max_points,
         z = np.where(r, zb[a] - (1.0 - ua) ** 2 * dz[a], za[a] + ua * dz[a])
         p, w = _curve.immerse(params, z)
         pos[a] = p
-        f = np.einsum("ij,ij->i", p, ell[a]) + b3[a] - target[a]
+        f = p[:, 2] - target[a]
         same = (f > 0.0) == (f0[a] > 0.0)
         u_lo[a[same]], u_hi[a[~same]] = ua[same], ua[~same]
         with np.errstate(divide="ignore", invalid="ignore"):
-            phi = _curve._phi_vector(params, z, w) * (
-                np.where(r, 1.0 - ua, 1.0) * dzdu[a])[:, None]
-            newton = ua - f / np.einsum("ij,ij->i", phi.real, ell[a])
+            slope = (np.where(r, 2.0 * (1.0 - ua), 1.0) * dz[a] / w).real
+            newton = ua - f / slope
         u_next = np.where((w != 0.0) & (u_lo[a] < newton) & (newton < u_hi[a]),
                           newton, 0.5 * (u_lo[a] + u_hi[a]))
         # a Newton step that rounds to nothing stops the crossing even
         # where it would land on the collapsed bracket's end
-        step = np.fmin(np.abs(newton - ua), np.abs(u_next - ua))
+        step = np.fmin(np.abs(newton - ua), np.abs(u_next - ua)) * np.where(
+            w != 0.0, np.fmax(1.0, np.abs(slope)), 1.0)
         go = (f != 0.0) & ~(step < 1e-13)
         u[a] = u_next
         a = a[go]
-    out = (np.einsum("nij,nj->ni", linear, pos) + offset)[ok]
-    return [out[owner[ok] == h] for h in range(len(heights))]
+    return [pos[owner == h] for h in range(len(heights))]
 
 
 # ---------------------------------------------------------------------------

@@ -188,12 +188,8 @@ def test_criterion_09_cross_construction_registration():
 
 def test_criterion_10_circle_foliation_of_meshes():
     with Budget("criterion 10: circle foliation of exported meshes", 30.0):
-        cell = mesh.extend(mesh.sample_fundamental(2.0, 0.1, 30, 40),
-                           mesh.extension_ops(2.0), copies=1)
-        span = mesh.FundamentalSurface(2.0).translation_half()[2]
-        hs = (0.13 + 0.74 * np.arange(10) / 9.0) * span
-        pts = mesh.refine_slice(cell, hs, 2.0, 28, mesh.slice_mesh(cell, hs))
-        rels, kinds = checks.foliation_residuals(2.0, cell, hs, pts)
+        _, (rels, kinds) = checks.slice_checks(
+            2.0, mesh.sample_fundamental(2.0, 0.1, 30, 40))
         print(f"  worst relative circle residual = {np.max(rels):.3e}; "
               f"line heights -> {kinds}")
         assert len(rels) == 10

@@ -93,11 +93,17 @@ def _candidates(sigma):
     return (0.14 + 0.72 * np.arange(12) / 11) * span
 
 
-def _slices(m, heights, sigma, max_points):
-    """(heights, their slices of m refined in one refine_slice call on m's
-    own crossings)."""
-    return heights, mesh.refine_slice(m, heights, sigma, max_points,
-                                      mesh.slice_mesh(m, heights))
+def _foliation_heights(sigma):
+    """Foliation's 10 heights, symmetric about t0_3 / 2."""
+    span = mesh.FundamentalSurface(sigma).translation_half()[2]
+    return (0.13 + 0.74 * np.arange(10) / 9.0) * span
+
+
+def _refined(piece, heights, sigma, max_points):
+    """The slices of ``piece`` at ``heights``, refined in one refine_slice
+    call on its own crossings."""
+    return mesh.refine_slice(piece, heights, sigma, max_points,
+                             mesh.slice_mesh(piece, heights))
 
 
 def _registration_slices(sigma, piece):
@@ -106,14 +112,19 @@ def _registration_slices(sigma, piece):
     candidates = _candidates(sigma)
     covered = [i for i, h in enumerate(candidates)
                if len(mesh.slice_mesh(piece, [h])[0]) >= 8][:6]
-    return _slices(piece, candidates[covered], sigma, 24)
+    return candidates[covered], _refined(piece, candidates[covered], sigma,
+                                         24)
 
 
-def _foliation_slices(sigma, cell):
-    """Foliation's 10 heights, refined on ``cell``."""
-    span = mesh.FundamentalSurface(sigma).translation_half()[2]
-    return _slices(cell, (0.13 + 0.74 * np.arange(10) / 9.0) * span, sigma,
-                   28)
+def _foliation_slices(sigma, piece, cell):
+    """Foliation's 10 heights and the circles of ``cell`` there, each the
+    orbit of the piece's slices (14 points each) under the cell's blocks
+    0 and 2 (slice j) and 1 and 3 (slice 9 - j)."""
+    hs = _foliation_heights(sigma)
+    pts = _refined(piece, hs, sigma, 14)
+    return hs, [np.concatenate([op.apply(pts[9 - j if b % 2 else j])
+                                for b, op in enumerate(cell.cell_ops[:4])])
+                for j in range(10)]
 
 
 @pytest.mark.parametrize("sigma", [0.0167, 0.5, 2.78, 8.0])
@@ -134,12 +145,13 @@ def test_foliation_residuals_builds_the_edge_set_once(monkeypatch):
         calls.append(1)
         return unique(*args, **kwargs)
 
-    # slicing the cell at foliation's 10 heights and refining them builds
-    # its edge set once
-    cell = _cell(2.0, copies=1)
+    # slicing the piece at foliation's 10 heights, refining them and
+    # fitting the cell's circles builds one edge set, the piece's
+    piece = _piece(2.0)
+    cell = _cell(2.0, copies=1, piece=piece)
     monkeypatch.setattr(mesh, "_unique", counting_unique)
-    rels, _ = checks.foliation_residuals(2.0, cell,
-                                         *_foliation_slices(2.0, cell))
+    rels, _ = checks.foliation_residuals(
+        2.0, cell, *_foliation_slices(2.0, piece, cell))
     assert len(rels) == 10
     assert len(calls) == 1
 
@@ -158,28 +170,50 @@ def test_slice_checks_refine_all_heights_in_one_call(monkeypatch):
     for sigma, n_reg in ((1e-3, 6), (2.78, 6), (1e3, 5)):
         piece = _piece(sigma)
         cell = _cell(sigma, piece=piece)
-        # each set refined alone, in its own call on its own mesh
+        # each set refined alone, in its own call on the piece
         del calls[:]
         reg_hs, reg_pts = _registration_slices(sigma, piece)
-        fol_hs, fol_pts = _foliation_slices(sigma, cell)
-        assert calls[0] == (piece, n_reg) and calls[2] == (cell, 10)
+        fol_hs, circles = _foliation_slices(sigma, piece, cell)
+        assert calls[0] == (piece, n_reg) and calls[2] == (piece, 10)
+        fol_pts = calls[3]
         reg = checks.registration_error(sigma, reg_hs, reg_pts)
         rels, kinds = checks.foliation_residuals(sigma, cell, fol_hs,
-                                                 fol_pts)
-        # together, the piece's crossings are refined on the cell in the
-        # same call as the cell's, registration's heights first, to the
-        # same bits
+                                                 circles)
+        # together, in one call on the piece, registration's heights
+        # first, to the same bits
         del calls[:]
         reg2, (rels2, kinds2) = checks.slice_checks(sigma, piece)
-        assert len(calls) == 2 and calls[0][1] == n_reg + 10
-        assert calls[0][0].copies == 0 and len(calls[0][0].flips) == 8
-        assert calls[0][0].domain_z is piece.domain_z
+        assert len(calls) == 2 and calls[0] == (piece, n_reg + 10)
         for got, want in zip(calls[1], reg_pts + fol_pts, strict=True):
             assert got.tobytes() == want.tobytes()
         for name in ("scale", "height_offset", "max_radius_rel_err",
                      "spacing_rel_err", "radii", "heights"):
             assert np.array_equal(getattr(reg2, name), getattr(reg, name))
         assert np.array_equal(rels2, rels) and kinds2 == kinds
+
+
+@pytest.mark.parametrize("sigma", [1e-3, 0.05, 2.0, 8.0, 100.0, 1e3])
+def test_foliation_circles_are_the_orbit_of_the_piece(sigma, monkeypatch):
+    # each circle point lies on its height, and its mirror x2 -> -x2 is a
+    # point of the same circle; every circle has at least the 28 points
+    # (24 at sigma 1e3) it had when the cell itself was refined
+    seen = []
+    foliation = checks.foliation_residuals
+
+    def recording(sigma, cell, heights, points):
+        seen.append((heights, points))
+        return foliation(sigma, cell, heights, points)
+
+    monkeypatch.setattr(checks, "foliation_residuals", recording)
+    checks.slice_checks(sigma, _piece(sigma))
+    (heights, circles), = seen
+    assert np.array_equal(heights, _foliation_heights(sigma))
+    for h, pts in zip(heights, circles, strict=True):
+        assert len(pts) >= (24 if sigma == 1e3 else 28)
+        assert np.max(np.abs(pts[:, 2] - h)) <= 1e-12 * max(1.0, abs(h))
+        mirror = pts * [1.0, -1.0, 1.0]
+        gap = np.abs(mirror[:, None] - pts[None]).max(axis=2).min(axis=1)
+        assert np.all(gap == 0.0)
 
 
 def test_fits_reject_heights_and_points_of_different_lengths():
@@ -190,7 +224,7 @@ def test_fits_reject_heights_and_points_of_different_lengths():
     for bad in ((hs, pts[:-1]), (hs[:-1], pts)):
         with pytest.raises(ValueError):
             checks.registration_error(2.0, *bad)
-    hs, pts = _foliation_slices(2.0, cell)
+    hs, pts = _foliation_slices(2.0, piece, cell)
     assert len(checks.foliation_residuals(2.0, cell, hs, pts)[0]) == 10
     for bad in ((hs, pts[:-1]), (hs[:-1], pts)):
         with pytest.raises(ValueError):
@@ -228,7 +262,8 @@ def test_registration_slices_until_it_has_its_heights(sigma, monkeypatch):
     # slice_checks keeps for registration the first 6 candidates that
     # cross 8 or more edges of the piece by slice_mesh's count (at sigma
     # 1e3 only 5 of the 12 do); one slice_mesh call on the piece gives the
-    # records of all 12, and one on the cell those of foliation's heights
+    # records of all 12 and of foliation's 10 heights, and the cell is
+    # never sliced
     m = _piece(sigma)
     candidates = _candidates(sigma)
     covered = [i for i, h in enumerate(candidates)
@@ -243,9 +278,9 @@ def test_registration_slices_until_it_has_its_heights(sigma, monkeypatch):
     monkeypatch.setattr(mesh, "slice_mesh", counting)
     reg, _ = checks.slice_checks(sigma, m)
     assert np.array_equal(reg.heights, candidates[covered])
-    assert len(calls) == 2 and calls[0][0] is m
-    assert np.array_equal(calls[0][1], candidates)
-    assert calls[1][0].domain_z is m.domain_z and len(calls[1][1]) == 10
+    assert len(calls) == 1 and calls[0][0] is m
+    assert np.array_equal(calls[0][1], np.concatenate(
+        [candidates, _foliation_heights(sigma)]))
     assert (len(covered) == 6) == (sigma != 1e3)
 
 

@@ -380,18 +380,44 @@ def test_verify_point_checks_keep_the_scalar_bits(tmp_path, sigma):
 
 
 def test_verify_samples_the_fundamental_piece_once(monkeypatch):
-    # the 24x32 piece that both slice checks read: registration the piece,
-    # foliation its cell (the Weierstrass stencil's anchors are closed-form
-    # points of its domain grid); each mesh is sliced once, and one
-    # refine_slice call, one Newton loop, refines the slices of both
-    calls, seen, sliced, refined = [], {}, [], []
-    sample, slice_mesh = mesh.sample_fundamental, mesh.slice_mesh
-    refine = mesh.refine_slice
+    # the 24x32 piece that both slice checks read (the Weierstrass
+    # stencil's anchors are closed-form points of its domain grid); the
+    # foliation fit reads the piece's cell, which keeps no domain record,
+    # only for its line heights
+    calls, seen = [], {}
+    sample = mesh.sample_fundamental
 
     def counting(*args):
         calls.append(args)
         seen["sample_fundamental"] = sample(*args)
         return seen["sample_fundamental"]
+
+    def recording(sigma, m, *args, **kwargs):
+        seen["foliation_residuals"] = m
+        return foliation(sigma, m, *args, **kwargs)
+
+    foliation = checks.foliation_residuals
+    monkeypatch.setattr(mesh, "sample_fundamental", counting)
+    monkeypatch.setattr(checks, "foliation_residuals", recording)
+    assert run(["verify", "--sigma", "2", "--json", "/dev/null"]) == 0
+    assert calls == [(2.0, 0.1, 24, 32)]
+    piece, cell = seen["sample_fundamental"], seen["foliation_residuals"]
+    assert cell.copies == 0 and len(cell.flips) == 8
+    assert cell.domain_z is None
+    assert np.array_equal(cell.cell_vertices[:piece.base_count],
+                          piece.vertices)
+
+
+def test_verify_slices_only_the_piece_once(monkeypatch):
+    # one slice_mesh and one refine_slice call, both on the piece; the
+    # cell is never sliced, so verify builds one edge set, the piece's
+    seen, sliced, refined, unique_calls = {}, [], [], []
+    sample, slice_mesh = mesh.sample_fundamental, mesh.slice_mesh
+    refine, unique = mesh.refine_slice, mesh._unique
+
+    def sampling(*args):
+        seen["piece"] = sample(*args)
+        return seen["piece"]
 
     def slicing(m, heights):
         sliced.append(m)
@@ -401,24 +427,18 @@ def test_verify_samples_the_fundamental_piece_once(monkeypatch):
         refined.append(m)
         return refine(m, *args, **kwargs)
 
-    def recording(sigma, m, *args, **kwargs):
-        seen["foliation_residuals"] = m
-        return foliation(sigma, m, *args, **kwargs)
+    def counting_unique(*args):
+        unique_calls.append(1)
+        return unique(*args)
 
-    foliation = checks.foliation_residuals
-    monkeypatch.setattr(mesh, "sample_fundamental", counting)
+    monkeypatch.setattr(mesh, "sample_fundamental", sampling)
     monkeypatch.setattr(mesh, "slice_mesh", slicing)
     monkeypatch.setattr(mesh, "refine_slice", refining)
-    monkeypatch.setattr(checks, "foliation_residuals", recording)
+    monkeypatch.setattr(mesh, "_unique", counting_unique)
     assert run(["verify", "--sigma", "2", "--json", "/dev/null"]) == 0
-    assert calls == [(2.0, 0.1, 24, 32)]
-    piece, cell = seen["sample_fundamental"], seen["foliation_residuals"]
-    assert cell.copies == 0 and len(cell.flips) == 8
-    assert cell.domain_z is piece.domain_z
-    assert np.array_equal(cell.cell_vertices[:piece.base_count],
-                          piece.vertices)
-    assert len(sliced) == 2 and sliced[0] is piece and sliced[1] is cell
-    assert len(refined) == 1 and refined[0] is cell
+    assert len(sliced) == 1 and sliced[0] is seen["piece"]
+    assert len(refined) == 1 and refined[0] is seen["piece"]
+    assert len(unique_calls) == 1
 
 
 def test_verify_immerse_calls_come_from_one_refine_call(monkeypatch):

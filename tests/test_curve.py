@@ -688,17 +688,18 @@ def test_trapezoid_periods_match_the_kernel_over_the_range(log_sigma):
 
 @pytest.mark.parametrize("sigma", CI_SIGMAS)
 def test_trapezoid_node_rule_is_converged(sigma, monkeypatch):
-    # doubling the nodes moves a period by rounding only (measured at most
-    # 1.2e-15 of |P|); the end loop's period is 0, so its change is bounded
-    # by the sum of the moduli of its terms instead
+    # doubling the node rule's exponent, about twice the nodes, moves a
+    # period by rounding only (measured at most 1.2e-15 of |P|); the end
+    # loop's period is 0, so its change is bounded by the sum of the
+    # moduli of its terms instead
     params = CurveParams(sigma)
-    nodes = curve._loop_nodes
     for kind in KERNEL_LOOPS:
         got = curve.period(params, kind)
-        z, w, dz = nodes(params, kind)
+        z, w, dz = curve._loop_nodes(params, kind)
         n = len(z)
         with monkeypatch.context() as m:
-            m.setattr(curve, "_loop_nodes", lambda p, k: nodes(p, k, 2 * n))
+            m.setattr(curve, "_LOOP_EXPONENT", 2 * curve._LOOP_EXPONENT)
+            assert len(curve._loop_nodes(params, kind)[0]) >= 2 * n - 2
             finer = curve.period(params, kind)
         if kind == "end":
             terms = curve._phi_vector(params, z, w) * dz[:, None]

@@ -1,4 +1,3 @@
-import cmath
 import filecmp
 import math
 import struct
@@ -448,14 +447,13 @@ def test_extended_slab_growth(fund2, ops2):
 
 def _flat_reference(m):
     """A plain mesh as the flat record extend used to build: every array
-    at full length, including each vertex's fundamental position and
-    catalog index."""
+    at full length, including each vertex's fundamental position and the
+    index of its isometry in a per-block catalog."""
     return SimpleNamespace(
         vertices=m.vertices, normals=m.normals, faces=m.faces,
-        domain_z=m.domain_z, domain_w=m.domain_w,
         fundamental_xyz=m.vertices.copy(),
         op_index=np.zeros(m.vertex_count, dtype=np.int32),
-        op_catalog=list(m.op_catalog))
+        op_catalog=list(m.cell_ops))
 
 
 def _transform_reference(m, op):
@@ -464,8 +462,8 @@ def _transform_reference(m, op):
              else m.faces.copy())
     return SimpleNamespace(
         vertices=op.apply(m.vertices), normals=op.apply_normals(m.normals),
-        faces=faces, domain_z=m.domain_z.copy(), domain_w=m.domain_w.copy(),
-        fundamental_xyz=m.fundamental_xyz.copy(), op_index=m.op_index.copy(),
+        faces=faces, fundamental_xyz=m.fundamental_xyz.copy(),
+        op_index=m.op_index.copy(),
         op_catalog=[op.compose(a) for a in m.op_catalog])
 
 
@@ -474,8 +472,6 @@ def _concat_reference(a, b):
         vertices=np.vstack([a.vertices, b.vertices]),
         normals=np.vstack([a.normals, b.normals]),
         faces=np.vstack([a.faces, b.faces + len(a.vertices)]),
-        domain_z=np.concatenate([a.domain_z, b.domain_z]),
-        domain_w=np.concatenate([a.domain_w, b.domain_w]),
         fundamental_xyz=np.concatenate([a.fundamental_xyz,
                                         b.fundamental_xyz]),
         op_index=np.concatenate([a.op_index,
@@ -505,17 +501,21 @@ def test_extend_matches_transform_concat(fund2, ops2, n_ops, copies):
         assert a.dtype == b.dtype and a.shape == b.shape, name
         # bytes, not values: -0.0 must stay -0.0 (OBJ prints it as "-0")
         assert a.tobytes() == b.tobytes(), name
-    # provenance of vertex i: base vertex i % n under op_catalog[i // n]
-    n = fund2.vertex_count
+    # provenance of vertex i: base vertex i % n under the isometry of its
+    # block, cell_ops[b], then k translations, b and k the block and copy
+    # of i; the extended mesh keeps no domain record
+    n, blocks = fund2.vertex_count, len(got.flips)
     i = np.arange(got.vertex_count)
-    assert len(got.domain_z) == len(got.domain_w) == n
-    for a, b in ((got.domain_z[i % n], want.domain_z),
-                 (got.domain_w[i % n], want.domain_w),
-                 (got.vertices[:n][i % n], want.fundamental_xyz)):
-        assert a.tobytes() == b.tobytes()
+    assert got.domain_z is None and got.domain_w is None
+    assert got.vertices[:n][i % n].tobytes() == want.fundamental_xyz.tobytes()
     assert np.array_equal(i // n, want.op_index)
-    assert len(got.op_catalog) == len(want.op_catalog)
-    for a, b in zip(got.op_catalog, want.op_catalog):
+    assert len(got.cell_ops) == blocks
+    assert len(want.op_catalog) == blocks * (copies + 1)
+    for index, b in enumerate(want.op_catalog):
+        k, a = divmod(index, blocks)
+        a = got.cell_ops[a]
+        for _ in range(k):
+            a = got.translation.compose(a)
         assert a.linear.tobytes() == b.linear.tobytes()
         assert a.offset.tobytes() == b.offset.tobytes()
         assert a.orientation == b.orientation
@@ -693,8 +693,18 @@ def _slice_points(m, records):
 
 
 def _refine(m, h, sigma, max_points):
-    """refine_slice of the one height h, on m's own crossings."""
+    """refine_slice of the one height h, on the piece m's own crossings."""
     return refine_slice(m, [h], sigma, max_points, slice_mesh(m, [h]))[0]
+
+
+def _cell_circle(piece, cell, h, sigma, max_points):
+    """The slice of ``cell`` at 0 < h < t0_3 as the orbit of the piece's:
+    blocks 0 and 2 of its refined slice at h, blocks 1 and 3 of its slice
+    at t0_3 - h (block 1's offset is exactly t0_3 in x3)."""
+    hs = [h, cell.cell_ops[1].offset[2] - h]
+    pts = refine_slice(piece, hs, sigma, max_points, slice_mesh(piece, hs))
+    return np.concatenate([op.apply(pts[b % 2])
+                           for b, op in enumerate(cell.cell_ops[:4])])
 
 
 def test_refined_slice_is_exact_circle(fund2, ops2, surf2):
@@ -703,7 +713,8 @@ def test_refined_slice_is_exact_circle(fund2, ops2, surf2):
     coarse = _slice_points(ext, slice_mesh(ext, [h]))
     assert len(coarse) >= 5
     fit_c = level_circle_fit(coarse)
-    pts = _refine(ext, h, 2.0, 24)
+    pts = _cell_circle(fund2, ext, h, 2.0, 24)
+    assert len(pts) >= 24
     fit = level_circle_fit(pts)
     assert fit.kind == "circle"
     assert fit.residual < 1e-5 * fit.radius
@@ -723,21 +734,6 @@ def test_edges_match_the_whole_mesh_unique(fund2, ops2, cell, copies):
     got = m.edges
     for g, w in zip(got, want):
         assert g.dtype == w.dtype and np.array_equal(g, w)
-
-
-def test_hermite_root_and_its_fallbacks():
-    # f = (s - 0.3)(s^2 + 1) is a cubic, so its Hermite model is f itself
-    f = np.poly1d([1.0, -0.3, 1.0, -0.3])
-    df = f.deriv()
-    s0 = np.array([f(0.0) / (f(0.0) - f(1.0))])  # the linear guess, 0.176
-    args = (f(0.0), f(1.0), df(0.0), df(1.0))
-    assert abs(mesh._hermite_root(s0, *args)[0] - 0.3) < 1e-9
-    # a slope that is not finite keeps s; so does a start from which Newton
-    # on the cubic 1 + 5 s - 21 s^2 + 14 s^3 leaves (0, 1) (to -0.29)
-    for s, bad in ((s0, (f(0.0), f(1.0), np.inf, df(1.0))),
-                   (s0, (f(0.0), f(1.0), df(0.0), np.nan)),
-                   (np.array([0.1]), (1.0, -1.0, 5.0, 5.0))):
-        assert mesh._hermite_root(s, *bad)[0] == s[0]
 
 
 def _slice_mesh_reference(m, height):
@@ -829,8 +825,9 @@ def test_thin_picks_what_linspace_picks():
         assert mesh._thin(owner, len(counts), max_points).tolist() == want
 
 
-# refine_slice at frac * t0_3 with max_points=5 on the 14x20 sigma = 2
-# piece extended with copies=0, as computed by a 60-step bisection in z
+# points of the 14x20 sigma = 2 piece's cell (copies=0) at frac * t0_3,
+# five of its crossings evenly spaced, as computed by a 60-step bisection
+# in z
 REFINED_PINS = {
     0.25: [(2.0486779401701063, -0.9170527962528978, 0.5857100420733878),
            (0.6666243556249979, -0.9663204014996776, 0.5857100420733927),
@@ -851,108 +848,64 @@ REFINED_PINS = {
 
 
 def test_refine_slice_pinned_points(fund2, ops2, surf2):
+    # each pin is the image of a refined point of the piece under one of
+    # the cell's first four blocks
     ext = extend(fund2, ops2, copies=0)
     span = surf2.translation_half()[2]
     for frac, want in REFINED_PINS.items():
-        pts = _refine(ext, frac * span, 2.0, 5)
-        assert pts.shape == (len(want), 3)
-        assert np.max(np.abs(pts - np.array(want))) < 1e-11
-
-
-def _hermite_start(s, f0, f1, d0, d1):
-    """Three Newton steps from s on the cubic Hermite interpolant of
-    (0, f0, d0) and (1, f1, d1) in its basis form; s where the result is
-    not finite or not in (0, 1)."""
-    t = s
-    with np.errstate(all="ignore"):
-        for _ in range(3):
-            p = ((2 * t ** 3 - 3 * t ** 2 + 1) * f0 + (t ** 3 - 2 * t ** 2 + t) * d0
-                 + (3 * t ** 2 - 2 * t ** 3) * f1 + (t ** 3 - t ** 2) * d1)
-            dp = ((6 * t ** 2 - 6 * t) * (f0 - f1) + (3 * t ** 2 - 4 * t + 1) * d0
-                  + (3 * t ** 2 - 2 * t) * d1)
-            t = t - p / dp
-    return t if np.isfinite(t) and 0.0 < t < 1.0 else s
+        orbit = _cell_circle(fund2, ext, frac * span, 2.0, 10 ** 6)
+        gap = np.abs(orbit[:, None] - np.array(want)[None]).max(axis=2)
+        assert np.all(gap.min(axis=0) < 1e-11)
 
 
 def _refine_slice_reference(m, height, sigma, max_points):
-    """Safeguarded Newton one crossing at a time, one ``curve.immerse`` per
-    iterate, started at the root of the edge's cubic Hermite model; on an
-    edge ending at a branch point it runs in t with 1 - s = (1 - t)^2: the
-    loop the lockstep refine_slice must reproduce."""
+    """Safeguarded Newton one crossing at a time on the piece m, one
+    ``curve.immerse`` per iterate, started at the mesh's linear guess; on
+    an edge ending at a branch point it runs in t with 1 - s = (1 - t)^2:
+    the loop the lockstep refine_slice must reproduce."""
     _, crossings = _slice_mesh_reference(m, height)
     if len(crossings) > max_points:
         idx = np.linspace(0, len(crossings) - 1, max_points).astype(int)
         crossings = [crossings[i] for i in idx]
     params = curve.CurveParams(sigma)
-    n = len(m.domain_z)
-    base = m.vertices[:n]
     out = []
-    for (ia, ib, s_guess) in crossings:
-        (ka, ia), (kb, ib) = divmod(ia, n), divmod(ib, n)
-        if ka != kb:
-            continue
-        op = m.op_catalog[ka]
+    for (ia, ib, s) in crossings:
         if m.domain_w[ia] != 0.0:
-            i0, i1, s = ia, ib, s_guess
-        elif m.domain_w[ib] != 0.0:
-            i0, i1, s = ib, ia, 1.0 - s_guess
+            i0, i1 = ia, ib
         else:
-            continue
+            i0, i1, s = ib, ia, 1.0 - s
         za, zb = m.domain_z[i0], m.domain_z[i1]
         dz = zb - za
-        p0 = base[i0].copy()
-        w0 = m.domain_w[i0]
-        ell, b3 = op.linear[2, :], op.offset[2]
-        f0 = float(ell @ p0 + b3 - height)
-        f1 = float(ell @ base[i1] + b3 - height)
-        if f0 == 0.0:
-            out.append(op.apply(p0))
-            continue
-        if f0 * f1 > 0:
-            continue
-        u_lo, u_hi = 0.0, 1.0
-        if not u_lo < s < u_hi:
-            s = 0.5
-
-        def slope(z, w, dzdu):  # f'(u) at z on the branch w
-            forms = scalar.weierstrass_at(params, curve.CurvePoint(z, w))
-            phi = np.array([forms.phi1_density, forms.phi2_density,
-                            forms.phi3_density])
-            return float(ell @ (phi * dzdu).real)
-
+        f0 = float(m.vertices[i0, 2] - height)
         root = m.domain_w[i1] == 0.0
-        w1 = m.domain_w[i1]
-        if root:
-            # w/(1 - t) at t = 1: the vanishing root factor becomes za - zb
-            w1 = 1.0
-            for bp in curve.branch_points(params):
-                c = zb - bp if zb != bp else za - zb
-                w1 *= cmath.sqrt(complex(c.real, c.imag + 0.0))
-        c0 = 2.0 if root else 1.0
-        u = _hermite_start(s, f0, f1, slope(za, w0, c0 * dz),
-                           slope(zb, w1, c0 * dz))
+        u = 1.0 - math.sqrt(1.0 - s) if root else s
+        u_lo, u_hi = 0.0, 1.0
         for _ in range(60):
             z = zb - (1.0 - u) ** 2 * dz if root else za + u * dz
             pos, w = curve.immerse(params, z)
-            f = float(ell @ pos + b3 - height)
+            f = float(pos[2] - height)
             if f == 0.0:
                 break
             if (f > 0.0) == (f0 > 0.0):
                 u_lo = u
             else:
                 u_hi = u
-            u_next, step = 0.5 * (u_lo + u_hi), math.inf
+            u_next, step, scale = 0.5 * (u_lo + u_hi), math.inf, 1.0
             if w != 0.0:
-                fp = slope(z, complex(w), (2.0 * (1.0 - u) if root else 1.0)
-                           * dz)
+                forms = scalar.weierstrass_at(params,
+                                              curve.CurvePoint(z, complex(w)))
+                fp = float((forms.phi3_density * dz
+                            * (2.0 * (1.0 - u) if root else 1.0)).real)
+                scale = max(1.0, abs(fp))
                 if fp != 0.0:
                     step = abs(f / fp)
                     if u_lo < u - f / fp < u_hi:
                         u_next = u - f / fp
-            if min(step, abs(u_next - u)) < 1e-13:
+            # below 1e-13 in u and, where f is steep, in height
+            if min(step, abs(u_next - u)) * scale < 1e-13:
                 break
             u = u_next
-        out.append(op.apply(pos))
+        out.append(pos)
     return np.asarray(out, dtype=float).reshape(-1, 3)
 
 
@@ -964,20 +917,16 @@ def _assert_matches_reference(got, want):
 
 @pytest.mark.parametrize("sigma", [0.012, 0.5, 2.0, 83.0])
 def test_lockstep_refine_slice_matches_per_crossing_newton(sigma):
-    surf = FundamentalSurface(sigma)
+    span = FundamentalSurface(sigma).translation_half()[2]
     fund = sample_fundamental(sigma, 0.1, 14, 20)
-    t0 = surf.translation_half()
-    ops = extension_ops(sigma)
-    for copies in (0, 1):
-        ext = extend(fund, ops, copies=copies)
-        n_points = 0
-        for frac in (0.13, 0.3, 0.5, 0.77, 1.4, 1.9):
-            h = frac * t0[2]
-            got = _refine(ext, h, sigma, 24)
-            _assert_matches_reference(
-                got, _refine_slice_reference(ext, h, sigma, 24))
-            n_points += len(got)
-        assert n_points >= 4 * 24
+    n_points = 0
+    for frac in (0.13, 0.3, 0.5, 0.77, 0.87):
+        h = frac * span
+        got = _refine(fund, h, sigma, 24)
+        _assert_matches_reference(
+            got, _refine_slice_reference(fund, h, sigma, 24))
+        n_points += len(got)
+    assert n_points >= 60
 
 
 def test_refine_slice_on_edges_ending_at_corner_branch_point(fund2,
@@ -1008,8 +957,7 @@ def test_refine_slice_on_edges_ending_at_corner_branch_point(fund2,
             got, _refine_slice_reference(fund2, h, 2.0, 10 ** 6))
 
 
-def test_refine_slice_batches_each_height(fund2, ops2, surf2, monkeypatch):
-    ext = extend(fund2, ops2, copies=1)
+def test_refine_slice_batches_each_height(fund2, surf2, monkeypatch):
     span = surf2.translation_half()[2]
     calls = []
     immerse = curve.immerse
@@ -1020,9 +968,9 @@ def test_refine_slice_batches_each_height(fund2, ops2, surf2, monkeypatch):
 
     # one immerse call per Newton round, shared by all crossings
     monkeypatch.setattr(curve, "immerse", counting)
-    for frac in (0.13, 0.3, 0.5, 0.77, 1.4, 1.9):
+    for frac in (0.13, 0.3, 0.5, 0.77, 0.87):
         del calls[:]
-        assert len(_refine(ext, frac * span, 2.0, 24)) >= 5
+        assert len(_refine(fund2, frac * span, 2.0, 24)) >= 3
         assert 0 < len(calls) <= 12
 
 
@@ -1032,12 +980,9 @@ def test_refine_slice_height_sequence_matches_per_height_calls(sigma,
     surf = FundamentalSurface(sigma)
     fund = sample_fundamental(sigma, 0.1, 14, 20)
     span = surf.translation_half()[2]
-    ops = extension_ops(sigma)
-    ext = extend(fund, ops, copies=1)
-    # on the 120x180 extension the lockstep batch of all six heights spans
-    # two immerse blocks
-    big = extend(sample_fundamental(sigma, 0.1, 120, 180), ops,
-                 copies=1)
+    # on the 120x180 piece the lockstep batch of 25 heights spans two
+    # immerse blocks
+    big = sample_fundamental(sigma, 0.1, 120, 180)
     calls = []
     immerse = curve.immerse
 
@@ -1047,32 +992,42 @@ def test_refine_slice_height_sequence_matches_per_height_calls(sigma,
 
     monkeypatch.setattr(curve, "immerse", counting)
     # 1.4 and 1.9 t0_3 lie above the fundamental piece (no crossings there)
-    # and in the copy of the extended mesh
     hs = np.array([0.13, 0.3, 0.5, 0.77, 1.4, 1.9]) * span
-    for m, max_points in ((fund, 24), (fund, 5), (ext, 24), (ext, 5),
-                          (big, 2000)):
+    for m, max_points, heights in (
+            (fund, 24, hs), (fund, 5, hs),
+            (big, 2000, np.linspace(0.02, 0.98, 25) * span)):
         del calls[:]
-        want = [_refine(m, h, sigma, max_points) for h in hs]
+        want = [_refine(m, h, sigma, max_points) for h in heights]
         per_height = len(calls)
         del calls[:]
-        got = refine_slice(m, hs, sigma, max_points, slice_mesh(m, hs))
-        assert isinstance(got, list) and len(got) == len(hs)
+        got = refine_slice(m, heights, sigma, max_points,
+                           slice_mesh(m, heights))
+        assert isinstance(got, list) and len(got) == len(heights)
         for g, w in zip(got, want):
             assert g.shape == w.shape and np.array_equal(g, w)
         assert 0 < len(calls) < per_height
         if m is fund:
             assert [len(g) for g in got[4:]] == [0, 0]
         if max_points == 5:
-            assert np.bincount(slice_mesh(m, hs)[0]).max() > 5
+            assert np.bincount(slice_mesh(m, heights)[0]).max() > 5
             assert all(len(g) <= 5 for g in got)
         if m is big:
             assert calls[0] > curve.PSI_BLOCK
     assert _refine(fund, 2.0 * span, sigma, 32).shape == (0, 3)
 
 
-def test_refine_slice_hits_height_with_few_immerse_calls(fund2, ops2, surf2,
+def test_refine_slice_takes_only_the_sampled_piece(fund2, ops2, surf2):
+    # an extended mesh, even with no copies, carries no domain record: its
+    # slices are the orbit of the piece's
+    h = [0.45 * surf2.translation_half()[2]]
+    for m in (extend(fund2, ops2, copies=0), extend(fund2, ops2, copies=1),
+              TriMesh(fund2.vertices, fund2.normals, fund2.faces)):
+        with pytest.raises(ValueError, match="sample_fundamental"):
+            refine_slice(m, h, 2.0, 24, slice_mesh(m, h))
+
+
+def test_refine_slice_hits_height_with_few_immerse_calls(fund2, surf2,
                                                          monkeypatch):
-    ext = extend(fund2, ops2, copies=1)
     span = surf2.translation_half()[2]
     calls = []
 
@@ -1088,11 +1043,11 @@ def test_refine_slice_hits_height_with_few_immerse_calls(fund2, ops2, surf2,
     # no path is integrated
     counting(curve, "immerse")
     counting(quad, "_gk_panel")
-    for frac in (0.13, 0.3, 0.5, 0.77, 1.4, 1.9):
+    for frac in (0.13, 0.3, 0.5, 0.77, 0.87):
         h = frac * span
         del calls[:]
-        pts = _refine(ext, h, 2.0, 24)
-        assert len(pts) >= 5
+        pts = _refine(fund2, h, 2.0, 24)
+        assert len(pts) >= 3
         assert np.max(np.abs(pts[:, 2] - h)) <= 1e-12 * max(1.0, abs(h))
         assert 0 < len(calls) <= 12 and set(calls) == {"immerse"}
 
@@ -1347,15 +1302,6 @@ def test_streamed_export_matches_whole_array_export(tmp_path, fund2, ops2,
         assert a.read_bytes() == b.read_bytes(), fmt
     # exporting built no whole-mesh array
     assert not {"vertices", "normals", "faces"} & set(vars(got))
-
-
-def test_export_leaves_the_op_catalog_unbuilt(tmp_path, fund2, ops2):
-    # only slice refinement reads the catalog; gen's exports do not build it
-    ext = extend(fund2, ops2, copies=16)
-    export_obj(ext, tmp_path / "m.obj")
-    export_ply(ext, tmp_path / "m.ply")
-    assert "op_catalog" not in ext.__dict__
-    assert len(ext.op_catalog) == 8 * 17
 
 
 def test_export_memory_does_not_grow_with_copies(tmp_path, fund2, ops2):
