@@ -49,14 +49,15 @@ span = ops[3].offset[2] / 2.0
 # x3) of slice j, blocks 1 and 3 (x3 -> span - x3) of slice 2 - j
 hs = np.array([0.25, 0.5, 0.75]) * span
 slices = mesh.refine_slice(fund, hs, SIGMA, 24, mesh.slice_mesh(fund, hs))
-for j, h in enumerate(hs):
-    pts = np.concatenate([op.apply(slices[2 - j if b % 2 else j])
-                          for b, op in enumerate(ext.cell_ops[:4])])
-    fit = mesh.level_circle_fit(pts)
+circles = [np.concatenate([op.apply(slices[2 - j if b % 2 else j])
+                           for b, op in enumerate(ext.cell_ops[:4])])
+           for j in range(len(hs))]
+# one fit call for all the circles, one fit per slice
+for h, fit in zip(hs, mesh.level_circle_fit(circles)):
     print(f"  x3 = {h:8.4f}: {fit.kind}, radius {fit.radius:9.6f}, "
           f"max deviation {fit.residual:.2e}")
 
 # at the height of a boundary line the slice degenerates to a line
 sel = np.abs(ext.vertices[:, 2]) <= 1e-9
-fit = mesh.level_circle_fit(ext.vertices[sel])
+fit, = mesh.level_circle_fit([ext.vertices[sel]])
 print(f"  x3 = 0 (line height): classified as {fit.kind!r}")

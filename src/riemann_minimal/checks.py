@@ -15,10 +15,11 @@ circles to slices that :func:`slice_checks`, the one code that picks
 their heights, takes of the piece: it is sliced once, both checks'
 crossings are refined to exact points in one lockstep Newton loop on
 ``curve.immerse``, and the cell's circles are the orbit of the piece's
-slices under the cell's isometries; the classical stencil adds one-panel
-increments to the Carlson closed forms of ``classical``.  The periods
-and fluxes of ``verify`` are trapezoidal sums on analytic contours
-(``curve.period``).  The sampled vertices, the periods and the stencil
+slices under the cell's isometries; each check fits all its slices in
+one stacked ``mesh.level_circle_fit`` call.  The classical stencil adds
+one-panel increments to the Carlson closed forms of ``classical``.  The
+periods and fluxes of ``verify`` are trapezoidal sums on analytic
+contours (``curve.period``).  The sampled vertices, the periods and the stencil
 increments are pinned against an adaptive quadrature oracle with branch
 tracking by the test suite, not here.
 """
@@ -226,11 +227,12 @@ class RegistrationResult:
     heights: np.ndarray
 
 
-def _circle_fits(heights, points):
-    fits = []
-    for h, pts in zip(heights, points, strict=True):
-        fits.append(mesh.level_circle_fit(pts))
-        if fits[-1].kind != "circle":
+def _circle_fits(heights, points, lines=()):
+    """One ``mesh.level_circle_fit`` call on the slices ``points`` at
+    ``heights`` (SliceFitError unless each is a circle) and on ``lines``."""
+    fits = mesh.level_circle_fit([*points, *lines])
+    for h, fit in zip(heights, fits[:len(points)], strict=True):
+        if fit.kind != "circle":
             raise SliceFitError(f"slice at height {h} did not fit a circle")
     return fits
 
@@ -300,15 +302,14 @@ def foliation_residuals(sigma, cell, heights, points):
     heights, line classifications at the two line heights 0 and t0_3).
     """
     span = mesh.FundamentalSurface(sigma).translation_half()[2]
-    rels = [fit.residual / fit.radius for fit in _circle_fits(heights, points)]
     # line heights: the slice at the height of a boundary line consists of
     # the (exactly coplanar, exactly collinear) line vertices themselves
-    line_kinds = []
-    for h in (0.0, span):
-        sel = np.abs(cell.vertices[:, 2] - h) <= 1e-9 * max(1.0, abs(h))
-        fit = mesh.level_circle_fit(cell.vertices[sel])
-        line_kinds.append(fit.kind)
-    return np.array(rels), line_kinds
+    x3 = cell.vertices[:, 2]
+    lines = [cell.vertices[np.abs(x3 - h) <= 1e-9 * max(1.0, abs(h))]
+             for h in (0.0, span)]
+    *circles, low, high = _circle_fits(heights, points, lines)
+    rels = [fit.residual / fit.radius for fit in circles]
+    return np.array(rels), [low.kind, high.kind]
 
 
 def slice_checks(sigma, piece):

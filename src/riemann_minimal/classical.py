@@ -98,49 +98,87 @@ def radicand(lam: float, u):
 
 # Carlson's r: the truncated series below are accurate to about r relative
 _CARLSON_R = 1e-16
+_RF_TOL = (3.0 * _CARLSON_R) ** (-1 / 6)
+_RD_TOL = (_CARLSON_R / 4.0) ** (-1 / 6)
+# in-domain arguments from 1e-300 to 1e300 stop within 14 steps
 _CARLSON_MAX_STEPS = 60
 
 
-def _duplicate(args, a0, tol, rd=False):
-    """Carlson's duplication x -> (x + lam)/4 until 4^-m Q < |A_m|.
+def _elementwise(one, x, y, z):
+    """``one`` over the broadcast of x, y, z, element by element in Python
+    floats; a scalar for scalar arguments.
 
-    Each element stops at its own m, so an element of an array gets the
-    same bits as a call on that element alone.  Returns (A_m, 4^-m, sum
-    over the steps of 4^-k / (sqrt(z_k)(z_k + lam_k)) with z the last
-    argument); the sum is R_D's and only formed when ``rd`` is set.
+    The package passes at most 20 elements per call, where numpy's
+    per-call overhead costs more than this loop; real IEEE + - * / and
+    sqrt round correctly in both, so the values have numpy's bits.
     """
-    x, y, z = args
-    q = tol * np.maximum(np.maximum(abs(a0 - x), abs(a0 - y)), abs(a0 - z))
+    x, y, z = np.broadcast_arrays(*(np.asarray(v, dtype=float)
+                                    for v in (x, y, z)))
+    vals = map(one, x.ravel().tolist(), y.ravel().tolist(), z.ravel().tolist())
+    return np.fromiter(vals, float, x.size).reshape(x.shape)[()]
+
+
+def _duplicate(x, y, z, a0, tol, rd):
+    """Carlson's duplication x -> (x + lam)/4 until 4^-m Q < |A_m|, for one
+    argument triple.
+
+    DomainError unless all three are finite and nonnegative with at most
+    one zero, and for R_D (``rd`` set) z > 0; ConvergenceError after
+    _CARLSON_MAX_STEPS steps (arguments whose sum overflows).  Returns
+    (A_m, 4^-m, sum over the steps of 4^-k / (sqrt(z_k)(z_k + lam_k)));
+    the sum is R_D's and only formed when ``rd`` is set.
+    """
+    if (not (0.0 <= x < math.inf and 0.0 <= y < math.inf
+             and (0.0 < z if rd else 0.0 <= z) and z < math.inf)
+            or (x == 0.0) + (y == 0.0) + (z == 0.0) > 1):
+        raise DomainError(
+            f"R_{'D' if rd else 'F'}({x!r}, {y!r}, {z!r}): the arguments must "
+            "be finite and nonnegative, at most one zero"
+            + (" and the last positive" if rd else ""))
+    dev = max(abs(a0 - x), abs(a0 - y), abs(a0 - z))
     a, scale, tail = a0, 1.0, 0.0
     for _ in range(_CARLSON_MAX_STEPS):
-        go = q * scale >= abs(a)
-        if not go.any():
-            break
-        sx, sy, sz = np.sqrt(x), np.sqrt(y), np.sqrt(z)
+        # Q 4^-m as (tol 4^-m) dev: the same bits as (tol dev) 4^-m, which
+        # overflows for arguments beyond ~1e305
+        if tol * scale * dev < abs(a):
+            return a, scale, tail
+        sx, sy, sz = math.sqrt(x), math.sqrt(y), math.sqrt(z)
         lam = sx * sy + sx * sz + sy * sz
-        new = ((a + lam) / 4, scale / 4.0,
-               tail + scale / (sz * (z + lam)) if rd else tail)
-        if not go.all():
-            # stopped elements keep A, 4^-m and the sum; their x, y, z
-            # run on but no longer reach the result
-            new = [np.where(go, n, o) for n, o in zip(new, (a, scale, tail))]
-        a, scale, tail = new
+        if rd:
+            tail += scale / (sz * (z + lam))
+        a, scale = (a + lam) / 4, scale / 4.0
         x, y, z = (x + lam) / 4, (y + lam) / 4, (z + lam) / 4
-    return a, scale, tail
+    raise ConvergenceError(
+        f"Carlson duplication took more than {_CARLSON_MAX_STEPS} steps")
+
+
+def _rf_one(x, y, z):
+    a0 = (x + y + z) / 3.0
+    a, scale, _ = _duplicate(x, y, z, a0, _RF_TOL, False)
+    return (_rf_series((a0 - x) * scale / a, (a0 - y) * scale / a)
+            / math.sqrt(a))
+
+
+def _rd_one(x, y, z):
+    a0 = (x + y + 3.0 * z) / 5.0
+    try:
+        a, scale, tail = _duplicate(x, y, z, a0, _RD_TOL, True)
+        return (scale * _rd_series((a0 - x) * scale / a, (a0 - y) * scale / a)
+                / (a * math.sqrt(a)) + 3.0 * tail)
+    except ZeroDivisionError:
+        # a denominator below the floats: R_D is beyond them too
+        return math.inf
 
 
 def carlson_rf(x, y, z):
     """R_F(x, y, z) = 1/2 int_0^inf dt / sqrt((t + x)(t + y)(t + z)).
 
-    Arguments nonnegative, at most one of them zero; scalars or arrays that
-    broadcast.  Duplication, then the fifth-order series (DLMF 19.36.1).
+    Arguments finite and nonnegative, at most one of them zero
+    (DomainError otherwise); scalars or arrays that broadcast.
+    Duplication, then the fifth-order series (DLMF 19.36.1), one element
+    at a time.
     """
-    x, y, z = (np.asarray(v, dtype=float) for v in (x, y, z))
-    a0 = (x + y + z) / 3.0
-    a, scale, _ = _duplicate((x, y, z), a0, (3.0 * _CARLSON_R) ** (-1 / 6))
-    X = (a0 - x) * scale / a
-    Y = (a0 - y) * scale / a
-    return (_rf_series(X, Y) / np.sqrt(a))[()]
+    return _elementwise(_rf_one, x, y, z)
 
 
 def _rf_series(X, Y):
@@ -155,16 +193,12 @@ def _rf_series(X, Y):
 def carlson_rd(x, y, z):
     """R_D(x, y, z) = 3/2 int_0^inf dt / ((t + z) sqrt((t + x)(t + y)(t + z))).
 
-    x, y nonnegative, at most one of them zero, z positive; scalars or
-    arrays that broadcast.  Duplication, then the series (DLMF 19.36.2).
+    Arguments finite, x and y nonnegative with at most one of them zero, z
+    positive (DomainError otherwise); scalars or arrays that broadcast.
+    Duplication, then the series (DLMF 19.36.2), one element at a time; a
+    value beyond the floats reads inf.
     """
-    x, y, z = (np.asarray(v, dtype=float) for v in (x, y, z))
-    a0 = (x + y + 3.0 * z) / 5.0
-    a, scale, tail = _duplicate((x, y, z), a0, (_CARLSON_R / 4.0) ** (-1 / 6),
-                                 rd=True)
-    X = (a0 - x) * scale / a
-    Y = (a0 - y) * scale / a
-    return (scale * _rd_series(X, Y) / (a * np.sqrt(a)) + 3.0 * tail)[()]
+    return _elementwise(_rd_one, x, y, z)
 
 
 def _rd_series(X, Y):

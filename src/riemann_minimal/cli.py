@@ -379,7 +379,7 @@ def cmd_verify(cfg: RunConfig) -> int:
     rp = classical.RiemannParams.from_lambda(lam)
     slice_pts = classical.parameterize(
         rp, rp.q1 + 0.7, np.linspace(0, 2 * math.pi, 24, endpoint=False)).T
-    fit = mesh.level_circle_fit(slice_pts)
+    fit, = mesh.level_circle_fit([slice_pts])
     suite.record("classical_circle_fit", fit.residual, 1e-10)
 
     H_cl, _, _ = checks.classical_fd_grid(lam, nq=10, nv=10)

@@ -28,7 +28,9 @@ a sequence of heights in one pass over its edges (:func:`slice_mesh`),
 and :func:`refine_slice` moves those records to exact surface points by
 Newton on the same closed form, one evaluation of all crossings of all
 heights per round.  A slice of the extended surface is the orbit of the
-piece's slices under the cell's isometries.
+piece's slices under the cell's isometries.  :func:`level_circle_fit`
+fits a sequence of slices in one stacked solve, one circle or line per
+slice.
 """
 
 from __future__ import annotations
@@ -446,49 +448,77 @@ LINE_RADIUS_FACTOR = 1e6
 _HEIGHT_TOL = 1e-9  # relative spread of a slice's heights
 
 
-def level_circle_fit(points) -> CircleFit:
-    """Algebraic least-squares circle through coplanar horizontal points.
+def level_circle_fit(slices) -> list[CircleFit]:
+    """Algebraic least-squares circles through slices of coplanar
+    horizontal points: one CircleFit per (n_i, 3) array of the sequence.
 
-    Requires >= 5 points at a common height (to ``_HEIGHT_TOL``).  If the
-    fitted radius exceeds 1e6 times the point spread the data is classified
-    as a line (total-least-squares fit) instead.  Raises Degenerate when
-    the points do not even span one dimension.
+    Each slice needs >= 5 points at a common height (to ``_HEIGHT_TOL``),
+    else ValueError, and Degenerate when its points do not even span one
+    dimension; the message names the slice's index.  A slice whose points
+    are collinear, or whose fitted radius exceeds 1e6 times its point
+    spread, is a line (total-least-squares fit).  The slices are fitted
+    together, padded with zero rows to one stack, which moves neither the
+    singular values nor the least-squares solutions: one SVD decides the
+    lines and gives their directions, and one SVD solve fits the circles.
     """
-    # C order: the means below sum in memory order, so a transposed view
-    # would round differently
-    pts = np.ascontiguousarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 3:
-        raise ValueError("points must be (n, 3)")
-    if len(pts) < 5:
-        raise ValueError("need at least 5 points")
-    h = pts[:, 2]
-    if h.max() - h.min() > _HEIGHT_TOL * max(1.0, abs(float(np.mean(h)))):
-        raise ValueError("points do not share a common height")
-    xy = pts[:, :2]
-    centroid = xy.mean(axis=0)
-    u = xy - centroid
-    spread = float(np.max(np.linalg.norm(u, axis=1)))
-    if spread == 0.0:
-        raise Degenerate("all points coincide")
+    pts = []
+    for i, p in enumerate(slices):
+        p = np.asarray(p, dtype=float)
+        if p.ndim != 2 or p.shape[1] != 3:
+            raise ValueError(f"slice {i}: points must be (n, 3)")
+        if len(p) < 5:
+            raise ValueError(f"slice {i}: need at least 5 points")
+        pts.append(p)
+    if not pts:
+        return []
+    n = np.array([len(p) for p in pts])
+    # a column per slice, zero past its points: (n_max, 3, k), so a sum
+    # over axis 0 adds each slice's points in order, as for one slice
+    valid = np.arange(n.max())[:, None] < n
+    stack = np.zeros((len(valid), 3, len(pts)))
+    stack.transpose(2, 0, 1)[valid.T] = np.concatenate(pts)
+    x, y, h = stack.transpose(1, 0, 2)
+    mx, my, mh = stack.sum(axis=0) / n
+    h_spread = (np.where(valid, h, -np.inf).max(axis=0)
+                - np.where(valid, h, np.inf).min(axis=0))
+    tol = _HEIGHT_TOL * np.maximum(1.0, np.abs(mh))
+    bad = np.flatnonzero(h_spread > tol)
+    if bad.size:
+        raise ValueError(f"slice {bad[0]}: points do not share a common "
+                         "height")
+    ux, uy = np.where(valid, x - mx, 0.0), np.where(valid, y - my, 0.0)
+    b = ux * ux + uy * uy
+    spread = np.sqrt(b.max(axis=0))
+    bad = np.flatnonzero(spread == 0.0)
+    if bad.size:
+        raise Degenerate(f"slice {bad[0]}: all points coincide")
     # principal components decide 1-d (line) vs 2-d data; 2-d data is a
     # line too when its circle is too large
-    sv = np.linalg.svd(u, compute_uv=False)
-    line = sv[1] <= 1e-12 * sv[0]
-    if not line:
-        A = np.column_stack([2.0 * u[:, 0], 2.0 * u[:, 1], np.ones(len(u))])
-        b = (u ** 2).sum(axis=1)
-        (cx, cy, c0), *_ = np.linalg.lstsq(A, b, rcond=None)
-        radius = math.sqrt(max(c0 + cx * cx + cy * cy, 0.0))
-        line = radius > LINE_RADIUS_FACTOR * spread
-    if line:
-        direction = np.linalg.svd(u, compute_uv=True)[2][0]
-        resid = float(np.max(np.abs(u[:, 0] * direction[1]
-                                    - u[:, 1] * direction[0])))
-        return CircleFit("line", centroid, math.inf, resid, direction)
-    center = centroid + np.array([cx, cy])
-    dist = np.linalg.norm(xy - center, axis=1)
-    resid = float(np.max(np.abs(dist - radius)))
-    return CircleFit("circle", center, float(radius), resid)
+    _, sv, vt = np.linalg.svd(np.stack([ux.T, uy.T], axis=2),
+                              full_matrices=False)
+    line = sv[:, 1] <= 1e-12 * sv[:, 0]
+    # x^2 + y^2 = 2 cx x + 2 cy y + c0 in centred coordinates, solved by
+    # the SVD of each slice's (n, 3) matrix with lstsq's cut-off, below
+    # which only a line's singular values fall
+    ua, sa, vat = np.linalg.svd(
+        np.stack([2.0 * ux.T, 2.0 * uy.T, valid.T * 1.0], axis=2),
+        full_matrices=False)
+    ub = (np.ascontiguousarray(b.T)[:, None] @ ua)[:, 0]
+    ub = np.divide(ub, sa, out=np.zeros_like(ub),
+                   where=sa > np.finfo(float).eps * n[:, None] * sa[:, :1])
+    cx, cy, c0 = (ub[:, None] @ vat)[:, 0].T
+    radius = np.sqrt(np.maximum(c0 + cx * cx + cy * cy, 0.0))
+    line |= radius > LINE_RADIUS_FACTOR * spread
+    ox, oy = mx + cx, my + cy
+    dist = np.sqrt((x - ox) ** 2 + (y - oy) ** 2)
+    resid = np.max(np.where(valid, np.abs(dist - radius), 0.0), axis=0)
+    d = vt[:, 0]
+    line_resid = np.max(np.abs(ux * d[:, 1] - uy * d[:, 0]), axis=0)
+    return [CircleFit("line", np.array([mx[i], my[i]]), math.inf,
+                      float(line_resid[i]), d[i]) if line[i] else
+            CircleFit("circle", np.array([ox[i], oy[i]]), float(radius[i]),
+                      float(resid[i]))
+            for i in range(len(pts))]
 
 
 def slice_mesh(mesh: TriMesh, heights):

@@ -18,6 +18,12 @@ references that the batched code in ``riemann_minimal`` is pinned against.
   adaptive oracle of ``classical_quadrature``).
 * :func:`classical_slice_points` -- one ``parameterize`` call per v, with
   ``math.cos`` and ``math.sin``.
+* :func:`carlson_rf` and :func:`carlson_rd` -- Carlson's duplication as
+  one masked numpy loop over whole arrays, each element stopping at its
+  own step: the bit reference of ``classical``'s per-element loop in
+  ``math``.
+* :func:`level_circle_fit` -- the circle fit of one slice, with its own
+  SVD and ``lstsq``: the reference of the stacked ``mesh.level_circle_fit``.
 * :func:`translated_copies` -- an extended mesh's copies, each one
   ``translation.apply``/``apply_normals`` of the one before.
 * :func:`export_obj` -- the OBJ writer that formats every number with
@@ -251,6 +257,98 @@ def classical_slice_points(params, q, vs):
     return np.array([[fq + rq * math.cos(v), rq * math.sin(v), zq]
                      for v in vs])
 
+
+_CARLSON_MAX_STEPS = 60
+
+
+def _duplicate(args, a0, tol, rd=False):
+    """Carlson's duplication x -> (x + lam)/4 until 4^-m Q < |A_m|.
+
+    Each element stops at its own m, so an element of an array gets the
+    same bits as a call on that element alone.  Returns (A_m, 4^-m, sum
+    over the steps of 4^-k / (sqrt(z_k)(z_k + lam_k)) with z the last
+    argument); the sum is R_D's and only formed when ``rd`` is set.
+    """
+    x, y, z = args
+    q = tol * np.maximum(np.maximum(abs(a0 - x), abs(a0 - y)), abs(a0 - z))
+    a, scale, tail = a0, 1.0, 0.0
+    for _ in range(_CARLSON_MAX_STEPS):
+        go = q * scale >= abs(a)
+        if not go.any():
+            break
+        sx, sy, sz = np.sqrt(x), np.sqrt(y), np.sqrt(z)
+        lam = sx * sy + sx * sz + sy * sz
+        new = ((a + lam) / 4, scale / 4.0,
+               tail + scale / (sz * (z + lam)) if rd else tail)
+        if not go.all():
+            # stopped elements keep A, 4^-m and the sum; their x, y, z
+            # run on but no longer reach the result
+            new = [np.where(go, n, o) for n, o in zip(new, (a, scale, tail))]
+        a, scale, tail = new
+        x, y, z = (x + lam) / 4, (y + lam) / 4, (z + lam) / 4
+    return a, scale, tail
+
+
+def carlson_rf(x, y, z):
+    """R_F by :func:`_duplicate`, then the series of ``classical``."""
+    x, y, z = (np.asarray(v, dtype=float) for v in (x, y, z))
+    a0 = (x + y + z) / 3.0
+    a, scale, _ = _duplicate((x, y, z), a0,
+                             (3.0 * classical._CARLSON_R) ** (-1 / 6))
+    X = (a0 - x) * scale / a
+    Y = (a0 - y) * scale / a
+    return (classical._rf_series(X, Y) / np.sqrt(a))[()]
+
+
+def carlson_rd(x, y, z):
+    """R_D by :func:`_duplicate`, then the series of ``classical``."""
+    x, y, z = (np.asarray(v, dtype=float) for v in (x, y, z))
+    a0 = (x + y + 3.0 * z) / 5.0
+    a, scale, tail = _duplicate((x, y, z), a0,
+                                (classical._CARLSON_R / 4.0) ** (-1 / 6),
+                                rd=True)
+    X = (a0 - x) * scale / a
+    Y = (a0 - y) * scale / a
+    return (scale * classical._rd_series(X, Y) / (a * np.sqrt(a))
+            + 3.0 * tail)[()]
+
+
+def level_circle_fit(points):
+    """Algebraic least-squares circle through the coplanar horizontal
+    points of one slice, or a line (``mesh.level_circle_fit``'s rules)."""
+    # C order: the means below sum in memory order, so a transposed view
+    # would round differently
+    pts = np.ascontiguousarray(points, dtype=float)
+    if pts.ndim != 2 or pts.shape[1] != 3:
+        raise ValueError("points must be (n, 3)")
+    if len(pts) < 5:
+        raise ValueError("need at least 5 points")
+    h = pts[:, 2]
+    if h.max() - h.min() > mesh._HEIGHT_TOL * max(1.0, abs(float(np.mean(h)))):
+        raise ValueError("points do not share a common height")
+    xy = pts[:, :2]
+    centroid = xy.mean(axis=0)
+    u = xy - centroid
+    spread = float(np.max(np.linalg.norm(u, axis=1)))
+    if spread == 0.0:
+        raise mesh.Degenerate("all points coincide")
+    sv = np.linalg.svd(u, compute_uv=False)
+    line = sv[1] <= 1e-12 * sv[0]
+    if not line:
+        A = np.column_stack([2.0 * u[:, 0], 2.0 * u[:, 1], np.ones(len(u))])
+        b = (u ** 2).sum(axis=1)
+        (cx, cy, c0), *_ = np.linalg.lstsq(A, b, rcond=None)
+        radius = math.sqrt(max(c0 + cx * cx + cy * cy, 0.0))
+        line = radius > mesh.LINE_RADIUS_FACTOR * spread
+    if line:
+        direction = np.linalg.svd(u, compute_uv=True)[2][0]
+        resid = float(np.max(np.abs(u[:, 0] * direction[1]
+                                    - u[:, 1] * direction[0])))
+        return mesh.CircleFit("line", centroid, math.inf, resid, direction)
+    center = centroid + np.array([cx, cy])
+    dist = np.linalg.norm(xy - center, axis=1)
+    resid = float(np.max(np.abs(dist - radius)))
+    return mesh.CircleFit("circle", center, float(radius), resid)
 
 def _chunks(line, rows):
     """``rows`` as ASCII text in chunks of 2^15 rows, each one ``%`` format

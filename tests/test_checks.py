@@ -216,6 +216,40 @@ def test_foliation_circles_are_the_orbit_of_the_piece(sigma, monkeypatch):
         assert np.all(gap == 0.0)
 
 
+@pytest.mark.parametrize("sigma", [1e-3, 2.0, 1e3])
+def test_stacked_circle_fit_matches_one_slice_fits(sigma, monkeypatch):
+    # verify's slices, as slice_checks hands them to the fit: one call for
+    # registration's slices, one for foliation's 10 circles and its two
+    # line slices; each fit against the one-slice reference
+    batches = []
+    fit = mesh.level_circle_fit
+
+    def recording(slices):
+        batches.append(list(slices))
+        return fit(batches[-1])
+
+    monkeypatch.setattr(mesh, "level_circle_fit", recording)
+    checks.slice_checks(sigma, _piece(sigma))
+    assert [len(b) for b in batches] == [5 if sigma == 1e3 else 6, 12]
+    for batch in batches:
+        for got, pts in zip(fit(batch), batch, strict=True):
+            want = scalar.level_circle_fit(pts)
+            assert got.kind == want.kind
+            if want.kind == "circle":
+                r = want.radius
+                assert abs(got.radius - r) <= 1e-15 * r
+                assert abs(got.residual - want.residual) <= 1e-15 * r
+                # the centre's rounding is relative to its own size
+                assert np.max(np.abs(got.center - want.center)) <= 1e-15 * (
+                    r + np.max(np.abs(want.center)))
+            else:
+                # the centroid keeps its bits; the direction has a sign
+                assert np.array_equal(got.center, want.center)
+                assert got.radius == math.inf and got.residual <= 1e-12
+                assert abs(abs(got.direction @ want.direction) - 1.0) <= 1e-15
+    assert [f.kind for f in fit(batches[1])[-2:]] == ["line", "line"]
+
+
 def test_fits_reject_heights_and_points_of_different_lengths():
     piece = _piece(2.0)
     cell = _cell(2.0, piece=piece)

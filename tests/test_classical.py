@@ -7,6 +7,7 @@ import scipy.special
 from scipy.optimize import brentq
 
 import classical_quadrature as quadrature
+import scalar_references as scalar
 from riemann_minimal import classical
 from riemann_minimal.classical import (ConvergenceError, DomainError,
                                        FoliationData, RiemannParams,
@@ -363,11 +364,13 @@ def test_foliation_data_validation():
 # --- Carlson symmetric forms and the closed-form classical route -----------
 
 # argument triples over many decades, with a zero argument in several; R_D
-# needs its last argument positive
+# needs its last argument positive.  At 1e307 the stop rule's Q overflows
+# unless it is scaled before the product
 CARLSON_ARGS = [
     (0.0, 1.0, 2.0), (2.0, 3.0, 4.0), (1.0, 2.0, 0.0), (0.0, 1e-10, 1.0),
     (1e-8, 1.0, 1e8), (0.5, 0.5, 0.5), (1e-300, 1.0, 3.0),
     (7.0, 1e12, 1e-3), (0.0, 3.0, 1e-9), (123.0, 4.5e-5, 0.0),
+    (1e307, 0.0, 1.0),
 ]
 
 
@@ -393,6 +396,60 @@ def test_carlson_forms_against_scipy_special():
     # scalars in, scalars out; broadcasting
     assert np.ndim(carlson_rf(0.0, 1.0, 2.0)) == 0
     assert carlson_rd(0.0, 2.0, np.array([1.0, 2.0])).shape == (2,)
+
+
+
+@pytest.mark.parametrize("shape", [(), (7,), (2, 500)])
+def test_carlson_forms_keep_the_bits_of_numpy_duplication(shape):
+    # the per-element loop in math against the masked numpy loop it
+    # replaced: real IEEE + - * / and sqrt round the same in both
+    rng = np.random.default_rng(11)
+    x, y, z = 10.0 ** rng.uniform(-300, 300, (3,) + shape)
+    if shape:
+        x.flat[::5] = 0.0  # at most one zero per triple
+        y.flat[1::5] = 0.0
+        z.flat[2::5] = 0.0
+    with np.errstate(all="ignore"):  # R_D beyond the floats reads inf
+        refs = (scalar.carlson_rf(x, y, z),
+                scalar.carlson_rd(x, y, np.where(z == 0.0, 1.0, z)))
+    got = (carlson_rf(x, y, z), carlson_rd(x, y, np.where(z == 0.0, 1.0, z)))
+    for g, ref in zip(got, refs):
+        assert np.shape(g) == shape and np.ndim(g) == len(shape)
+        assert np.asarray(g).tobytes() == np.asarray(ref).tobytes()
+
+
+@pytest.mark.parametrize("args", [
+    (0.0, 0.0, 1.0), (0.0, 1.0, 0.0), (-1.0, 1.0, 2.0), (1.0, -0.5, 2.0),
+    (math.nan, 1.0, 2.0), (1.0, 2.0, math.inf)])
+def test_carlson_forms_reject_arguments_outside_their_domain(args):
+    # these ran into the step cap (R_F(0, 0, 1) read 2.24e18), or gave
+    # nan or inf
+    for f in (carlson_rf, carlson_rd):
+        with pytest.raises(DomainError):
+            f(*args)
+        with pytest.raises(DomainError):
+            f(np.array([1.0, args[0]]), args[1], args[2])
+    # R_D needs z > 0 even where R_F takes the zero
+    with pytest.raises(DomainError):
+        carlson_rd(1.0, 2.0, 0.0)
+    assert carlson_rf(1.0, 2.0, 0.0) > 0.0
+
+
+def test_carlson_duplication_stops_within_14_steps(monkeypatch):
+    # 15 checks of the stop rule allow 14 steps, enough from 1e-300 to
+    # 1e300; fewer steps raise ConvergenceError instead of returning
+    rng = np.random.default_rng(12)
+    x, y, z = 10.0 ** rng.uniform(-300, 300, (3, 300))
+    y[::3] = 0.0
+    monkeypatch.setattr(classical, "_CARLSON_MAX_STEPS", 15)
+    for f in (carlson_rf, carlson_rd):
+        # R_D ~ z^(-3/2) may leave the floats: 0.0 or inf, never nan
+        assert np.all(f(x, y, z) >= 0.0)
+        assert f(0.0, 1e-300, 1e300) >= 0.0 and f(1e300, 0.0, 1e-300) > 0.0
+    monkeypatch.setattr(classical, "_CARLSON_MAX_STEPS", 14)
+    for f in (carlson_rf, carlson_rd):
+        with pytest.raises(ConvergenceError):
+            f(0.0, 1e-300, 1e300)
 
 
 LAMS = np.linspace(-30.0, 30.0, 25)

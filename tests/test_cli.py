@@ -376,7 +376,8 @@ def test_verify_point_checks_keep_the_scalar_bits(tmp_path, sigma):
     rp = classical.RiemannParams.from_lambda((sigma - 1) / math.sqrt(sigma))
     ring = scalar.classical_slice_points(
         rp, rp.q1 + 0.7, np.linspace(0, 2 * math.pi, 24, endpoint=False))
-    assert got["classical_circle_fit"] == mesh.level_circle_fit(ring).residual
+    assert got["classical_circle_fit"] == \
+        mesh.level_circle_fit([ring])[0].residual
 
 
 def test_verify_samples_the_fundamental_piece_once(monkeypatch):

@@ -650,7 +650,7 @@ def test_circle_fit_exact_circle():
     th = np.linspace(0, 2 * np.pi, 40, endpoint=False)
     pts = np.stack([1.3 + 2.0 * np.cos(th), -0.4 + 2.0 * np.sin(th),
                     np.full_like(th, 0.7)], axis=1)
-    fit = level_circle_fit(pts)
+    fit, = level_circle_fit([pts])
     assert fit.kind == "circle"
     assert abs(fit.radius - 2.0) < 1e-12
     assert np.allclose(fit.center, [1.3, -0.4], atol=1e-12)
@@ -660,17 +660,37 @@ def test_circle_fit_exact_circle():
 def test_circle_fit_line_and_degenerate():
     t = np.linspace(-1, 1, 9)
     pts = np.stack([0.5 + t, 2.0 * t, np.zeros_like(t)], axis=1)
-    fit = level_circle_fit(pts)
+    fit, = level_circle_fit([pts])
     assert fit.kind == "line"
     assert fit.residual < 1e-12
+    assert abs(fit.direction[1] / fit.direction[0] - 2.0) < 1e-12
     with pytest.raises(Degenerate):
-        level_circle_fit(np.tile([1.0, 2.0, 0.0], (6, 1)))
+        level_circle_fit([np.tile([1.0, 2.0, 0.0], (6, 1))])
     with pytest.raises(ValueError):
-        level_circle_fit(pts[:4])
+        level_circle_fit([pts[:4]])
     bad = pts.copy()
     bad[0, 2] = 0.5
     with pytest.raises(ValueError):
-        level_circle_fit(bad)
+        level_circle_fit([bad])
+    assert level_circle_fit([]) == []
+
+
+def test_circle_fit_errors_name_the_slice():
+    # each error of a bad slice in the middle of a batch names its index
+    th = np.linspace(0, 2 * np.pi, 12, endpoint=False)
+    ring = np.stack([np.cos(th), np.sin(th), np.full_like(th, 0.3)], axis=1)
+    mixed = ring.copy()
+    mixed[3, 2] = 0.4
+    for bad, error, what in (
+            (ring[:, :2], ValueError, "must be \\(n, 3\\)"),
+            (ring[:4], ValueError, "at least 5 points"),
+            (mixed, ValueError, "common height"),
+            (np.tile(ring[0], (6, 1)), Degenerate, "coincide")):
+        with pytest.raises(error, match=f"^slice 2: .*{what}"):
+            level_circle_fit([ring, 2.0 * ring, bad, ring + 1.0])
+    # one (n, 3) array is a sequence of rows, not of slices
+    with pytest.raises(ValueError, match="^slice 0: points must be"):
+        level_circle_fit(ring)
 
 
 def test_classical_slice_fits_circle():
@@ -679,7 +699,7 @@ def test_classical_slice_fits_circle():
     q = p.q1 + 0.9
     pts = np.array([classical.parameterize(p, q, v)
                     for v in np.linspace(0, 2 * np.pi, 16, endpoint=False)])
-    fit = level_circle_fit(pts)
+    fit, = level_circle_fit([pts])
     assert fit.kind == "circle"
     assert abs(fit.radius - math.sqrt(q)) < 1e-9
     assert fit.residual < 1e-10
@@ -712,10 +732,9 @@ def test_refined_slice_is_exact_circle(fund2, ops2, surf2):
     h = 0.45 * surf2.translation_half()[2]
     coarse = _slice_points(ext, slice_mesh(ext, [h]))
     assert len(coarse) >= 5
-    fit_c = level_circle_fit(coarse)
     pts = _cell_circle(fund2, ext, h, 2.0, 24)
     assert len(pts) >= 24
-    fit = level_circle_fit(pts)
+    fit_c, fit = level_circle_fit([coarse, pts])
     assert fit.kind == "circle"
     assert fit.residual < 1e-5 * fit.radius
     # the coarse fit agrees at mesh-chord accuracy
