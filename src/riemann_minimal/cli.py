@@ -222,6 +222,12 @@ def _config_from_args(args) -> RunConfig:
                              "row runs through the end z = 0")
         if cfg.copies < 0:
             raise ValueError("copies must be >= 0")
+        # the last vertex index of the extended mesh must fit in an int32
+        count = 8 * cfg.nr * cfg.nt * (cfg.copies + 1)
+        if cfg.fmt != "obj" and count > 2 ** 31:
+            raise ValueError(f"--format {cfg.fmt}: the extended mesh's "
+                             f"{count} vertices exceed the 2^31 that PLY's "
+                             "int32 indices address")
     if cfg.seed < 0:  # numpy's default_rng takes no negative seed
         raise ValueError(f"--seed must be >= 0, got {cfg.seed}")
     if cfg.command == "kdv":

@@ -21,7 +21,10 @@ multiples of 2*t0 with t0 = psi(-sigma).  Both anchors are elliptic
 integrals on the rectangular curve, evaluated in closed form by Carlson's
 R_F and R_D (see :meth:`FundamentalSurface.translation_half`).  Each
 symmetry carries its action on the surface's orientation, which maps the
-normals and decides which blocks' faces are reversed.
+normals and decides which blocks' faces are reversed.  The extended mesh
+keeps the piece once plus the isometries of its orbit; its blocks are
+walked on demand (:meth:`TriMesh.blocks`), and the exporters write them
+one block at a time, so no array the size of the cell is built.
 
 The piece is the only mesh that is sliced to exact points: it is cut at
 a sequence of heights in one pass over its edges (:func:`slice_mesh`),
@@ -156,82 +159,86 @@ def identity_op() -> IsometryOp:
 class TriMesh:
     """Oriented triangle mesh with per-vertex normals, stored as an orbit.
 
-    The stored part is the *cell*: ``cell_vertices`` and ``cell_normals``
-    stack the blocks of the base mesh, and block b uses the base faces,
-    reversed where ``flips[b]`` is set and shifted by b times the base
-    vertex count.  The whole mesh is the cell followed by ``copies``
-    translated copies of it, copy k + 1 being ``translation`` applied to
-    copy k.  A plain mesh is a one-block cell with no copies.  The cell of
-    :func:`extend` is eight blocks, one period of the translation 2 t0.
-    The translation by t0 (op 1 after op 3) maps the surface onto itself
-    too, but reverses its orientation, so the cell holds two of the
-    paper's fundamental domains.
+    The stored part is the *piece*: ``base_vertices``, ``base_normals`` and
+    ``base_faces``, kept once.  The mesh is ``len(flips)`` blocks per copy
+    and ``copies + 1`` copies, walked by :meth:`blocks`: block b of copy 0
+    is the piece under the isometry ``cell_ops[b]`` (block 0, under the
+    identity, is the piece's own arrays), with the base faces reversed
+    where ``flips[b]`` is set, and block b of copy k + 1 is block b of
+    copy k under ``translation``.  Vertex i is base vertex ``i % n`` of
+    block ``i // n`` (n the base vertex count), and its faces are the base
+    faces shifted by that block's first index.  The first ``len(flips)``
+    blocks are the *cell*.  A plain mesh is one block with no copies.
+    The cell of :func:`extend` is eight blocks, one period of the
+    translation 2 t0.  The translation by t0 (op 1 after op 3) maps the
+    surface onto itself too, but reverses its orientation, so the cell
+    holds two of the paper's fundamental domains.
 
-    ``cell_ops`` holds the isometry of each cell block: vertex i of the
-    whole mesh is base vertex ``i % n`` under ``cell_ops[b]``, then k
-    translations, b and k being the block and the copy of i (n the base
-    vertex count).  Only
-    the piece of :func:`sample_fundamental` also keeps, per vertex, the
-    domain parameter z it was sampled at and the branch value w there
+    Only the piece of :func:`sample_fundamental` also keeps, per vertex,
+    the domain parameter z it was sampled at and the branch value w there
     (``domain_z``, ``domain_w``), the record :func:`refine_slice` reads;
     an extended mesh's slices are the orbit of the piece's.
 
     ``vertices``, ``normals``, ``faces`` and ``edges`` are the whole mesh,
-    built on first use and kept; the cell must not change after.  Counts
-    and :meth:`iter_copies` never build them.
+    built on first use and kept; the piece must not change after.  Counts
+    and the walk never build them.
     """
 
     def __init__(self, vertices, normals, faces, domain_z=None, domain_w=None,
                  cell_ops=None, *, flips=(False,),
                  translation: IsometryOp | None = None, copies: int = 0):
-        self.cell_vertices = np.asarray(vertices)
-        self.cell_normals = np.asarray(normals)
+        self.base_vertices = np.asarray(vertices)
+        self.base_normals = np.asarray(normals)
         self.base_faces = np.asarray(faces)
         self.domain_z, self.domain_w = domain_z, domain_w
         self.cell_ops = [identity_op()] if cell_ops is None else cell_ops
-        self.flips = tuple(flips)
+        self.flips = tuple(map(bool, flips))
         self.translation, self.copies = translation, copies
 
     @property
     def base_count(self) -> int:
-        return len(self.cell_vertices) // len(self.flips)
+        return len(self.base_vertices)
 
     @property
     def vertex_count(self) -> int:
-        return len(self.cell_vertices) * (self.copies + 1)
+        return self.base_count * len(self.flips) * (self.copies + 1)
 
     @property
     def face_count(self) -> int:
         return len(self.base_faces) * len(self.flips) * (self.copies + 1)
 
-    @cached_property
-    def _cell_faces(self):
-        f, n = self.base_faces.astype(np.int64), self.base_count
-        return np.concatenate([(f[:, ::-1] if flip else f) + b * n
-                               for b, flip in enumerate(self.flips)])
+    def blocks(self):
+        """Yield (vertices, normals) of every block in mesh order, copy by
+        copy, each an (n, 3) array.
 
-    def iter_copies(self):
-        """Yield (vertices, normals) of copies 0..copies in order.
-
-        Copy k + 1's vertices are copy k's plus the translation's offset
-        (zeros made +0.0), and copies 1..copies share one normals array,
-        the cell's plus 0.0.  On finite values that is
+        Block b of copy 0 is ``cell_ops[b].apply`` of the piece and
+        ``apply_normals`` of its normals, block 0 the piece's own arrays.
+        Block b of copy k + 1 is block b of copy k plus the translation's
+        offset (zeros made +0.0), and copies 1..copies share one normals
+        array per block, copy 0's plus 0.0.  On finite values that is
         ``translation.apply``/``apply_normals`` of copy k bit for bit, a
         pure translation's identity matmul being exact up to turning -0.0
         into 0.0, as adding 0.0 does (so copy 0's normals may differ in
-        sign bits from the others').  Copy k's faces need no walk: they
-        are ``_cell_faces`` plus k times the cell's vertex count.
+        sign bits from the others').  Only the blocks of the last copy are
+        kept, and none for a mesh with no copies.
         """
-        v, nrm = self.cell_vertices, self.cell_normals
-        yield v, nrm
-        if self.copies:
-            nrm, shift = nrm + 0.0, self.translation.offset + 0.0
-        for _ in range(self.copies):
-            v = v + shift
+        v0, n0 = self.base_vertices, self.base_normals
+        last = []
+        for b, op in enumerate(self.cell_ops):
+            v, nrm = (v0, n0) if b == 0 else (op.apply(v0),
+                                              op.apply_normals(n0))
             yield v, nrm
+            if self.copies:
+                last.append((v, nrm + 0.0))
+        if self.copies:  # tiled: an add of (n, 3) and (3,) loops per row
+            shift = np.tile(self.translation.offset + 0.0, (len(v0), 1))
+        for _ in range(self.copies):
+            for b, (v, nrm) in enumerate(last):
+                last[b] = v + shift, nrm
+                yield last[b]
 
     def _whole(self, part):
-        parts = [c[part] for c in self.iter_copies()]
+        parts = [c[part] for c in self.blocks()]
         return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
     @cached_property
@@ -243,8 +250,14 @@ class TriMesh:
         return self._whole(1)
 
     @cached_property
+    def _cell_faces(self):
+        f, n = self.base_faces.astype(np.int64), self.base_count
+        return np.concatenate([(f[:, ::-1] if flip else f) + b * n
+                               for b, flip in enumerate(self.flips)])
+
+    @cached_property
     def faces(self):
-        f, n = self._cell_faces, len(self.cell_vertices)
+        f, n = self._cell_faces, self.base_count * len(self.flips)
         return np.concatenate([f + k * n for k in range(self.copies + 1)]
                               ).astype(self.base_faces.dtype)
 
@@ -401,17 +414,20 @@ def extend(mesh: TriMesh, ops, copies: int = 0) -> TriMesh:
     """Apply the pipeline: double the mesh at each of the first three ops,
     then append ``copies`` translated copies of the result.
 
-    Only the cell, one period of the translation 2 t0, is built: block b
-    is the base mesh mapped by the b-th isometry of the doublings, its
-    normals by ``apply_normals`` and its faces reversed where that
-    isometry's orientation times det(L) is negative (the mapped winding
-    turns with det(L), the mapped normal with the orientation).  The
-    translated copies stay implicit (see :class:`TriMesh`); ``cell_ops``
-    lists the base block's isometry composed with every block's, and the
-    result keeps no domain record.  Vertex count grows exactly by 2^3 *
-    (copies + 1).  The input must not be extended already, and the fourth
-    op must be a pure translation (linear part exactly the identity,
-    orientation +1): copies add its offset.
+    Only the isometries are built, no vertex or normal array: block b of
+    the cell is the piece under ``cell_ops[b]``, the doublings' ops
+    composed (every op after every block so far), its normals under
+    ``apply_normals``, and its faces reversed where that isometry's
+    orientation times det(L) is negative (the mapped winding turns with
+    det(L), the mapped normal with the orientation).  The blocks are
+    walked on demand (:meth:`TriMesh.blocks`); the result keeps the
+    piece's arrays but no domain record.  Every op of
+    :func:`extension_ops` is a signed diagonal map and only op 1 has an
+    offset, so a composed isometry maps the piece to the same bits as
+    the ops applied one after the other.  Vertex count grows exactly by
+    2^3 * (copies + 1).  The input must not be extended already, and the
+    fourth op must be a pure translation (linear part exactly the
+    identity, orientation +1): copies add its offset.
     """
     if copies < 0:
         raise ValueError("copies must be >= 0")
@@ -420,14 +436,12 @@ def extend(mesh: TriMesh, ops, copies: int = 0) -> TriMesh:
     if len(ops) > 3 and (ops[3].orientation != 1.0
                          or not np.array_equal(ops[3].linear, np.eye(3))):
         raise ValueError("the fourth op must be a pure translation")
-    v, nrm = mesh.cell_vertices, mesh.cell_normals
-    flips, cell_ops = [False], list(mesh.cell_ops)
+    flips, cell_ops = [False], [identity_op()]
     for op in ops[:3]:
-        v = np.concatenate([v, op.apply(v)])
-        nrm = np.concatenate([nrm, op.apply_normals(nrm)])
         flips += [f != (op.orientation * op.det() < 0) for f in flips]
         cell_ops += [op.compose(a) for a in cell_ops]
-    return TriMesh(v, nrm, mesh.base_faces, cell_ops=cell_ops, flips=flips,
+    return TriMesh(mesh.base_vertices, mesh.base_normals, mesh.base_faces,
+                   cell_ops=cell_ops, flips=flips,
                    translation=ops[3] if copies else None, copies=copies)
 
 
@@ -879,23 +893,20 @@ def _unit_cache(size):
 
 
 def _obj_values(mesh):
-    """The ``v`` then the ``vn`` text of :func:`export_obj`, copy by copy
-    and block by block, with one store of block column digits; the store
-    is freed when the text ends, before the face section allocates."""
+    """The ``v`` then the ``vn`` text of :func:`export_obj`, block by
+    block (:meth:`TriMesh.blocks`), with one store of block column digits;
+    the store is freed when the text ends, before the face section
+    allocates.  A block's ``vn`` text is written again while later copies
+    yield the same normals array for that block."""
     units = _unit_cache(_UNIT_COLUMNS)
-    block = mesh.base_count or 1
-
-    def lines(tag, rows):
-        for b in range(0, len(rows), block):
-            yield from _g9_rows(tag, rows[b:b + block], units)
-
-    for v, _ in mesh.iter_copies():
-        yield from lines(b"v", v)
-    last = None
-    for _, nrm in mesh.iter_copies():
-        if nrm is not last:
-            last, text = nrm, list(lines(b"vn", nrm))
-        yield from text
+    for v, _ in mesh.blocks():
+        yield from _g9_rows(b"v", v, units)
+    kept = [(None, None)] * len(mesh.flips)
+    for i, (_, nrm) in enumerate(mesh.blocks()):
+        b = i % len(kept)
+        if kept[b][0] is not nrm:
+            kept[b] = nrm, list(_g9_rows(b"vn", nrm, units))
+        yield from kept[b][1]
 
 
 def export_obj(mesh: TriMesh, path) -> int:
@@ -904,9 +915,9 @@ def export_obj(mesh: TriMesh, path) -> int:
     Every ``v`` and ``vn`` value is written as Python's ``'%.9g'`` writes
     it, byte for byte: :func:`_g9_rows` renders the correctly rounded
     digits in numpy and leaves near-ties, non-finite values and extreme
-    exponents to ``'%.9g'`` itself.  ``v`` and ``vn`` walk the mesh copy by
-    copy (:meth:`TriMesh.iter_copies`), so no whole-mesh array is built,
-    and each copy block by block (``base_count`` rows).  Every isometry of
+    exponents to ``'%.9g'`` itself.  ``v`` and ``vn`` walk the mesh block
+    by block (:meth:`TriMesh.blocks`, ``base_count`` rows each), so no
+    whole-mesh or cell-sized array is built.  Every isometry of
     the extension is a signed diagonal map plus an offset with no x2
     component, so most block columns repeat the magnitudes of an earlier
     one: x2 in every block, x1 and x3 in blocks paired by a zero-offset op,
@@ -915,9 +926,9 @@ def export_obj(mesh: TriMesh, path) -> int:
     the last ``_UNIT_COLUMNS`` distinct columns (a fixed bound, so memory
     does not grow with the copy count); the sign is added per value.  The
     key is the data, so reuse needs no assumption about the ops and the
-    bytes are the same with or without it.  A copy's ``vn`` text is also
+    bytes are the same with or without it.  A block's ``vn`` text is also
     written again for every following copy that yields the same normals
-    array (translated copies 1..copies share one).
+    array for it (translated copies 1..copies share one per block).
 
     ``f`` formats each distinct vertex index of a copy once, into a
     per-copy table of ``" i//i"`` tokens (:func:`_token_table`).  Copy k's
@@ -929,7 +940,7 @@ def export_obj(mesh: TriMesh, path) -> int:
     """
     with open(path, "wb") as fh:
         nbytes = sum(map(fh.write, _obj_values(mesh)))
-        faces, n = mesh._cell_faces, len(mesh.cell_vertices)
+        faces, n = mesh._cell_faces, mesh.base_count * len(mesh.flips)
         used = _unique(faces)  # faces may point past the vertex array
         rows = np.searchsorted(used, faces)
         for k in range(mesh.copies + 1):
@@ -953,13 +964,19 @@ _PLY_FACE = np.dtype([("n", "u1"), ("i", "<i4", (3,))])  # triangles only
 def export_ply(mesh: TriMesh, path) -> int:
     """Binary little-endian PLY: float32 x y z nx ny nz, int32 indices.
 
-    The header comes from the counts; vertex rows are written copy by copy
-    (:meth:`TriMesh.iter_copies`) from one reused (n, 6) ``'<f4'`` block,
-    whose normal columns are filled again only when a copy yields another
-    normals array; then face records from one reused record array, copy
-    k's being the cell's faces shifted by k times the cell's vertex count,
-    added in place.  Returns the byte count.
+    ValueError, before the file is opened, when a face index would not fit
+    in an int32.  The header comes from the counts.  Then come the vertex
+    rows, block by block (:meth:`TriMesh.blocks`), and the face records,
+    block i's being the base faces, reversed where its ``flips`` entry is
+    set, plus i n (n the base vertex count).  Each block goes through
+    reused arrays of one block's size, so no cell-sized array is built.
+    Returns the byte count.
     """
+    f, n, flips = mesh.base_faces, mesh.base_count, mesh.flips
+    top = int(f.max(initial=0)) + mesh.vertex_count - n
+    if len(f) and top >= 2 ** 31:
+        raise ValueError(f"PLY indices are int32: face index {top} "
+                         "does not fit")
     header = (
         "ply\n"
         "format binary_little_endian 1.0\n"
@@ -970,18 +987,26 @@ def export_ply(mesh: TriMesh, path) -> int:
         "property list uchar int vertex_indices\n"
         "end_header\n"
     ).encode("ascii")
+    # a cast of (n, 3) into strided rows, or an add into the records'
+    # unaligned int32 field, loops 3 values at a time: cast or add into a
+    # contiguous array, then copy 12-byte items
+    item = np.dtype((np.void, 12))
+    rows, part = np.empty((n, 2), item), np.empty((n, 3), "<f4")
+    faces = np.asarray(f, np.int32)  # the indices fit, checked above
+    faces = (faces, faces[:, ::-1].copy())
+    idx = np.empty_like(faces[0])
+    records = np.empty(len(f), dtype=_PLY_FACE)
+    records["n"] = 3
+    body = records["i"].view(item)[:, 0]
     with open(path, "wb") as fh:
         nbytes = fh.write(header)
-        rows, last = np.empty((len(mesh.cell_vertices), 6), "<f4"), None
-        for v, nrm in mesh.iter_copies():
-            rows[:, :3] = v
-            if nrm is not last:
-                rows[:, 3:] = last = nrm
+        for block in mesh.blocks():
+            for c, a in enumerate(block):
+                part[...] = a
+                rows[:, c] = part.view(item)[:, 0]
             nbytes += fh.write(rows)
-        faces, n = mesh._cell_faces, len(mesh.cell_vertices)
-        fdata = np.empty(len(faces), dtype=_PLY_FACE)
-        fdata["n"] = 3
-        for k in range(mesh.copies + 1):
-            np.add(faces, k * n, out=fdata["i"], casting="unsafe")
-            nbytes += fh.write(fdata)
+        for i in range(len(flips) * (mesh.copies + 1)):
+            np.add(faces[flips[i % len(flips)]], i * n, out=idx)
+            body[...] = idx.view(item)[:, 0]
+            nbytes += fh.write(records)
     return nbytes

@@ -24,7 +24,9 @@ references that the batched code in ``riemann_minimal`` is pinned against.
   ``math``.
 * :func:`level_circle_fit` -- the circle fit of one slice, with its own
   SVD and ``lstsq``: the reference of the stacked ``mesh.level_circle_fit``.
-* :func:`translated_copies` -- an extended mesh's copies, each one
+* :func:`translated_copies` -- an extended mesh's cell built as the
+  piece doubled by one op after another, one ``apply`` of the whole
+  array and one concatenation per op, and its copies, each one
   ``translation.apply``/``apply_normals`` of the one before.
 * :func:`export_obj` -- the OBJ writer that formats every number with
   Python's ``%`` (``'%.9g'`` and ``%d``), one line template per chunk.
@@ -358,11 +360,27 @@ def _chunks(line, rows):
         yield (line * len(part) % tuple(part.ravel().tolist())).encode("ascii")
 
 
+def _cell(m):
+    """(vertices, normals) of the cell of the mesh ``m``, built from its
+    piece by the doublings one after another: the arrays so far, then
+    their image under the next doubling's op, concatenated.  Those ops are
+    ``cell_ops[1]``, ``[2]`` and ``[4]``, each a doubling's op after the
+    identity."""
+    v, nrm = m.base_vertices, m.base_normals
+    while len(v) < m.base_count * len(m.flips):
+        op = m.cell_ops[len(v) // m.base_count]
+        v = np.concatenate([v, op.apply(v)])
+        nrm = np.concatenate([nrm, op.apply_normals(nrm)])
+    return v, nrm
+
+
 def translated_copies(m):
-    """Yield (vertices, normals) of copies 0..copies of the mesh ``m``,
-    copy k + 1 being ``translation.apply``/``apply_normals`` (a matmul)
-    of copy k: the walk of ``TriMesh.iter_copies`` without its shortcut."""
-    v, nrm = m.cell_vertices, m.cell_normals
+    """Yield (vertices, normals) of copies 0..copies of the mesh ``m``:
+    copy 0 its cell by sequential transforms and concatenation
+    (:func:`_cell`), copy k + 1 ``translation.apply``/``apply_normals`` (a
+    matmul) of copy k.  This is the walk of ``TriMesh.blocks`` without
+    its composed isometries and without its shortcut."""
+    v, nrm = _cell(m)
     yield v, nrm
     for _ in range(m.copies):
         v, nrm = m.translation.apply(v), m.translation.apply_normals(nrm)
@@ -374,7 +392,7 @@ def export_obj(m, path):
     ``v`` and ``vn`` lines copy by copy (:func:`translated_copies`), then
     the ``f`` lines, copy k's faces being the cell's shifted by k times its
     vertex count.  Returns the byte count."""
-    n = len(m.cell_vertices)
+    n = m.base_count * len(m.flips)
     nbytes = 0
     with open(path, "wb") as fh:
         for v, _ in translated_copies(m):
@@ -394,7 +412,7 @@ def export_ply(m, path):
     (:func:`translated_copies`), then every face as ``struct`` packs it,
     copy k's being the cell's shifted by k times its vertex count.
     Returns the byte count."""
-    n, faces = len(m.cell_vertices), m._cell_faces
+    n, faces = m.base_count * len(m.flips), m._cell_faces
     header = (
         "ply\n"
         "format binary_little_endian 1.0\n"

@@ -175,6 +175,29 @@ def test_gen_minimum_grid(tmp_path, capsys):
                 "-o", str(tmp_path / "b")]) == 0
 
 
+def test_gen_refuses_ply_indices_past_int32(tmp_path, capsys, monkeypatch):
+    # 8 * 2 * 3 * (copies + 1) vertices > 2^31: PLY's int32 indices would
+    # wrap, so gen exits 2 before it samples or makes its directory; OBJ
+    # indices are text and have no such bound
+    def sampling(*args):
+        raise AssertionError("sampled")
+
+    monkeypatch.setattr(mesh, "sample_fundamental", sampling)
+    for fmt in ("ply", "both"):
+        out = tmp_path / fmt
+        assert run(["gen", "--sigma", "2", "--grid", "2x3", "--copies",
+                    "50000000", "--format", fmt, "-o", str(out)]) == 2
+        assert "int32" in capsys.readouterr().err
+        assert not out.exists()
+    # the largest copy count whose last index, 2^31 - 1, still fits
+    copies = 2 ** 31 // 48 - 1
+    assert 48 * (copies + 1) <= 2 ** 31 < 48 * (copies + 2)
+    cfg = cli._config_from_args(cli.build_parser().parse_args(
+        ["gen", "--sigma", "2", "--grid", "2x3", "--copies", str(copies),
+         "--format", "ply", "-o", str(tmp_path)]))
+    assert cfg.copies == copies
+
+
 def test_numeric_failure_exit_3(tmp_path, capsys, monkeypatch):
     # with e this close to 1 adjacent grid samples coincide
     assert run(["gen", "--sigma", "2", "--e", "0.9999999999", "--grid", "4x4",
@@ -405,8 +428,8 @@ def test_verify_samples_the_fundamental_piece_once(monkeypatch):
     piece, cell = seen["sample_fundamental"], seen["foliation_residuals"]
     assert cell.copies == 0 and len(cell.flips) == 8
     assert cell.domain_z is None
-    assert np.array_equal(cell.cell_vertices[:piece.base_count],
-                          piece.vertices)
+    assert cell.base_vertices is piece.base_vertices
+    assert np.array_equal(cell.vertices[:piece.base_count], piece.vertices)
 
 
 def test_verify_slices_only_the_piece_once(monkeypatch):

@@ -629,13 +629,19 @@ def _signed_zero_mesh(copies):
 @pytest.mark.parametrize("copies", [0, 1, 3])
 @pytest.mark.parametrize("sigma", [1e-3, 2.0, 1e3, "signed zeros"])
 def test_iter_copies_matches_repeated_translation(sigma, copies):
-    # the add is the matmul walk bit for bit, signed zeros included
+    # the block walk, taken a copy (len(flips) blocks) at a time, is the
+    # sequential transforms and the matmul walk bit for bit, signed zeros
+    # included
     if sigma == "signed zeros":
         m = _signed_zero_mesh(copies)
     else:
         m = extend(sample_fundamental(sigma, 0.1, 14, 20),
                    extension_ops(sigma), copies=copies)
-    got, want = list(m.iter_copies()), list(scalar.translated_copies(m))
+    blocks, cell = list(m.blocks()), len(m.flips)
+    assert len(blocks) == cell * (copies + 1)
+    got = [[np.concatenate(part) for part in zip(*blocks[k:k + cell])]
+           for k in range(0, len(blocks), cell)]
+    want = list(scalar.translated_copies(m))
     assert len(got) == len(want) == copies + 1
     for pair, ref in zip(got, want):
         for a, b in zip(pair, ref):
@@ -1219,7 +1225,7 @@ def _digit_crossing_mesh(fund2, ops2):
     and 4 mix digit counts and have their face lines compacted; copies 1
     to 3 keep one digit count and are written as gathered."""
     m = extend(fund2, ops2, copies=4)
-    n = len(m.cell_vertices)
+    n = m.base_count * len(m.flips)
     assert 4 * n + 1 <= 9999 < 10000 <= 5 * n
     same = [len(str(k * n + 1)) == len(str(k * n + n)) for k in range(5)]
     assert same == [False, True, True, True, False]
@@ -1228,11 +1234,12 @@ def _digit_crossing_mesh(fund2, ops2):
 
 def _unused_vertices_mesh(fund2, ops2):
     """Every third base face only, so the cell leaves vertices unused."""
-    part = TriMesh(fund2.cell_vertices, fund2.cell_normals,
+    part = TriMesh(fund2.base_vertices, fund2.base_normals,
                    fund2.base_faces[::3])
     m = extend(part, ops2, copies=2)
-    unused = np.setdiff1d(np.arange(len(m.cell_vertices)), m._cell_faces)
-    assert unused.size and unused.max() < len(m.cell_vertices) - 1
+    n = m.base_count * len(m.flips)
+    unused = np.setdiff1d(np.arange(n), m._cell_faces)
+    assert unused.size and unused.max() < n - 1
     return m
 
 
@@ -1335,6 +1342,62 @@ def test_export_memory_does_not_grow_with_copies(tmp_path, fund2, ops2):
             tracemalloc.stop()
 
     assert peak(32) <= 1.5 * peak(2)
+
+
+@pytest.fixture(scope="module")
+def piece40():
+    return sample_fundamental(2.0, 0.1, 40, 60)
+
+
+def _traced_peak(call):
+    """(result, peak traced bytes above those held before the call)."""
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        out = call()
+        return out, tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+
+
+def test_extend_builds_no_vertex_array(piece40):
+    # extend composes the isometries only: the 40x60 cell's blocks are
+    # walked on demand from the piece's own arrays
+    ops = extension_ops(2.0)
+    cell, peak = _traced_peak(lambda: extend(piece40, ops, copies=0))
+    assert peak < piece40.base_vertices.nbytes / 2
+    assert cell.base_vertices is piece40.base_vertices
+    assert cell.base_normals is piece40.base_normals
+    assert not {"vertices", "normals", "faces"} & set(vars(cell))
+
+
+def test_export_ply_peaks_at_a_few_blocks(tmp_path, piece40):
+    # one block's vertices and normals are 48 bytes per piece vertex; the
+    # cell's are 8 blocks, and a writer that casts the whole cell at once,
+    # with an int64 face stack, peaks at ~20 blocks
+    cell = extend(piece40, extension_ops(2.0), copies=0)
+    block = 48 * piece40.vertex_count
+    _, peak = _traced_peak(lambda: export_ply(cell, tmp_path / "m.ply"))
+    assert peak <= 6 * block
+    assert not {"vertices", "normals", "faces"} & set(vars(cell))
+
+
+def test_export_ply_refuses_indices_past_int32(tmp_path, fund2, ops2):
+    # an index of 2^31 or more would wrap to a negative int32; the file is
+    # not opened
+    v = np.zeros((3, 3))
+    big = TriMesh(v, v, np.array([[0, 1, 2 ** 31 + 5]], dtype=np.int64))
+    small = sample_fundamental(2.0, 0.1, 2, 3)
+    huge = extend(small, ops2, copies=50_000_000)  # 2.4e9 vertices
+    for m in (big, huge):
+        with pytest.raises(ValueError, match="int32"):
+            export_ply(m, tmp_path / "m.ply")
+        assert not (tmp_path / "m.ply").exists()
+    # the largest index that fits is written as it is
+    edge = TriMesh(v, v, np.array([[0, 1, 2 ** 31 - 1]], dtype=np.int64))
+    export_ply(edge, tmp_path / "e.ply")
+    data = (tmp_path / "e.ply").read_bytes()
+    assert data[-13:] == struct.pack("<B3i", 3, 0, 1, 2 ** 31 - 1)
 
 
 @pytest.mark.parametrize("sigma", [0.0121, 2.0, 8.0])
