@@ -228,6 +228,11 @@ def _config_from_args(args) -> RunConfig:
             raise ValueError(f"--format {cfg.fmt}: the extended mesh's "
                              f"{count} vertices exceed the 2^31 that PLY's "
                              "int32 indices address")
+    if cfg.json_path:  # checked before any work, not when the report is due
+        folder = os.path.dirname(cfg.json_path) or "."
+        if not os.path.isdir(folder) or os.path.isdir(cfg.json_path):
+            raise ValueError(f"--json {cfg.json_path}: cannot write a file "
+                             "there (no such directory, or it is one)")
     if cfg.seed < 0:  # numpy's default_rng takes no negative seed
         raise ValueError(f"--seed must be >= 0, got {cfg.seed}")
     if cfg.command == "kdv":
@@ -313,7 +318,12 @@ class _Suite:
 def cmd_gen(cfg: RunConfig) -> int:
     t_start = time.time()
     report = _report_skeleton(cfg)
-    os.makedirs(cfg.out_dir, exist_ok=True)
+    try:
+        os.makedirs(cfg.out_dir, exist_ok=True)
+    except OSError as exc:  # a file in the way, or no permission
+        print(f"configuration error: -o {cfg.out_dir}: {exc.strerror}",
+              file=sys.stderr)
+        return EXIT_CONFIG
     log.info("sampling fundamental piece (%dx%d)", cfg.nr, cfg.nt)
     fund = mesh.sample_fundamental(cfg.sigma, cfg.e, cfg.nr, cfg.nt)
     ops = mesh.extension_ops(cfg.sigma)

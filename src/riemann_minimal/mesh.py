@@ -665,9 +665,10 @@ def refine_slice(mesh: TriMesh, heights, sigma: float, max_points,
 # export
 
 
-_CHUNK = 1 << 12  # rows formatted per write: ~2 MB of numpy text temporaries
-_UNIT_COLUMNS = 8  # block columns whose digits export_obj keeps
-_VALUE = np.dtype((np.void, 24))  # one value's six text units, copied whole
+_CHUNK = 1 << 12  # rows formatted per write
+_UNIT_COLUMNS = 8  # distinct block columns whose digits export_obj keeps
+_KERNEL_VALUES = 1 << 15  # most values one digit-kernel call takes
+_MINUS = np.uint8(ord("-"))  # the sign byte of a negative value
 
 # decimal exponents e for which y = |x| 10^(8 - e) is at most two roundings
 # away from exact: 10^k is an exact double for |k| <= 22
@@ -695,24 +696,34 @@ def _digits(width, drop=None):
 
 @cache
 def _g9_tables():
-    """Scale factors and unit tables of :func:`_g9_rows`, built on first
-    use (not at import) and read-only.
+    """Scale factors and unit tables of the ``'%.9g'`` digit kernel, built
+    on first use (not at import) and read-only.
 
-    ``scale`` holds, per exponent e in [_EMIN, _EMAX], the exact factors
-    (m1, m2, d) with 10^(8 - e) = m1 m2 / d.  The unit tables: ``lead2``
-    is separator, sign and 2 digits with leading zeros dropped; ``int4``
-    is 4 digits with leading zeros dropped, then full; ``int3`` is 3
-    digits with leading zeros dropped down to a last "0", then full, each
-    without and with a trailing "."; ``frac4`` is 4 digits with trailing
-    zeros dropped, then full, then the exponents "e-36" to "e+31".
+    Per exponent index e - _EMIN, e in [_EMIN, _EMAX]: ``scale`` holds the
+    exact factors (m1, m2, d) with 10^(8 - e) = m1 m2 / d.  For e up to
+    _EMAX + 1, where the rounding carry may take it, ``split`` holds
+    10^(8 - s), which cuts the integer part off M, and 10^(4 + s), which
+    scales the rest to 12 fraction digits, with s = e in fixed notation
+    (-4 <= e < 9) and s = 0 in exponent notation; ``expo`` holds 0 in
+    fixed notation and the row of e's exponent text in ``frac4`` in
+    exponent notation.  The unit tables: ``lead2`` is a separator, a zero
+    byte for the sign and 2 digits with leading zeros dropped; ``int4`` is
+    4 digits with leading zeros dropped, then full; ``int3`` is 3 digits
+    with leading zeros dropped down to a last "0", then full, each without
+    and with a trailing "."; ``frac4`` is 4 digits with trailing zeros
+    dropped, then full, then the exponents "e-36" to "e+31".
     """
     p10 = np.array([float(10 ** k) for k in range(23)])
-    k = 8 - np.arange(_EMIN, _EMAX + 1)
+    e = np.arange(_EMIN, _EMAX + 2)  # the carry reaches _EMAX + 1
+    k = 8 - e[:-1]
     scale = np.stack([p10[np.clip(k, 0, 22)], p10[np.clip(k - 22, 0, 22)],
                       p10[np.clip(-k, 0, 22)]])
-    lead2 = np.zeros((2, 100, 4), dtype=np.uint8)
-    lead2[:, :, 0], lead2[1, :, 1] = ord(" "), ord("-")
-    lead2[:, :, 2:] = _digits(2, "lead")
+    fixed = (e >= -4) & (e < 9)
+    s = np.where(fixed, e, 0)
+    split = 10 ** np.stack([8 - s, 4 + s]).astype(np.int64)
+    expo = np.where(fixed, 0, 20_000 + e - _EMIN)
+    lead2 = np.zeros((100, 4), dtype=np.uint8)
+    lead2[:, 0], lead2[:, 2:] = ord(" "), _digits(2, "lead")
     int4 = np.concatenate([_digits(4, "lead"), _digits(4)])
     int3 = np.zeros((2, 2, 1000, 4), dtype=np.uint8)  # full, point, i
     int3[0, :, :, :3], int3[0, :, 0, 2] = _digits(3, "lead"), ord("0")
@@ -722,15 +733,35 @@ def _g9_tables():
                                 for t in (lead2, int4, int3, frac4))
     frac4 = np.concatenate([frac4, _units(
         [b"e%+03d" % e for e in range(_EMIN, _EMAX + 2)])])
-    tables = scale, lead2, int4, int3, frac4
+    tables = scale, split, expo, lead2, int4, int3, frac4
     for t in tables:
         t.flags.writeable = False
     return tables
 
 
-def _decimal9(a):
-    """(M, e, slow) for an array ``a`` of |x|: x = M 10^(e - 8) rounded to
-    9 significant digits, 10^8 <= M < 10^9 (M = e = 0 for x = 0).
+class _DigitWork:
+    """The buffers of one digit-kernel call of up to ``size`` values,
+    allocated once and reused through ``out=``: fresh arrays of this size
+    would fault in fresh pages on every call.  ``mag`` takes the
+    magnitudes.  Three float rows hold them and two float temporaries;
+    M, an int64, is cast in place over the last (``m``), and the six text
+    units (``units``) are written over all three once those are spent."""
+
+    def __init__(self, size):
+        self.size = size
+        self.f = np.empty((3, size))
+        self.i = np.empty((4, size), dtype=np.int64)
+        self.t = np.empty(size, dtype=np.int16)
+        self.b = np.empty((4, size), dtype=bool)
+        self.mag, self.m = self.f[0], self.f[2].view(np.int64)
+        self.units = self.f.view(np.uint32).reshape(6, size)
+
+
+def _decimal9(a, work):
+    """(M, e - _EMIN, slow) for an array ``a`` of |x| (at most ``work.size``
+    values, ``work.mag`` itself or another array), as views into ``work``:
+    x = M 10^(e - 8) rounded to 9 significant digits, 10^8 <= M < 10^9
+    (M = e = 0 for x = 0), and ``slow`` a mask.
 
     e starts as floor(log10 a), corrected by one where y = a 10^(8 - e)
     falls outside [10^8, 10^9); M is y rounded to an integer, with the
@@ -740,118 +771,340 @@ def _decimal9(a):
     e outside [_EMIN, _EMAX] are marked ``slow`` and take ``'%.9g'``.
     """
     scale = _g9_tables()[0]
-    fin = np.isfinite(a) & (a > 0)
+    n = len(a)
+    y, fy = work.f[1, :n], work.f[2, :n]
+    e, m = work.i[0, :n], work.m[:n]  # m is fy's memory
+    fin, ok, slow, up = work.b[:, :n]
     with np.errstate(invalid="ignore"):  # inf - inf for frac(inf)
-        e = np.clip(np.floor(np.log10(np.where(fin, a, 1.0))).astype(np.int64),
-                    _EMIN, _EMAX)
-        m1, m2, d = scale.take(e - _EMIN, axis=1)
-        y = a * m1 * m2 / d
-        off = np.flatnonzero(fin & ~((y >= 1e8) & (y < 1e9)))
+        np.isfinite(a, out=fin)
+        np.greater(a, 0.0, out=ok)
+        fin &= ok
+        y[...] = 0.0  # log10(1) where a is not finite and positive
+        np.log10(a, out=y, where=fin)
+        np.floor(y, out=y)
+        np.copyto(e, y, casting="unsafe")
+        np.clip(e, _EMIN, _EMAX, out=e)
+        e -= _EMIN
+        m1, m2, d = scale
+        m1.take(e, out=fy, mode="clip")
+        np.multiply(a, fy, out=y)
+        m2.take(e, out=fy, mode="clip")
+        y *= fy
+        d.take(e, out=fy, mode="clip")
+        y /= fy
+        np.greater_equal(y, 1e8, out=ok)
+        np.less(y, 1e9, out=slow)
+        ok &= slow
+        np.greater(fin, ok, out=slow)  # finite, y off [1e8, 1e9)
+        off = np.flatnonzero(slow)
         if off.size:
             e[off] = np.clip(e[off] + np.where(y[off] < 1e8, -1, 1),
-                             _EMIN, _EMAX)
-            m1, m2, d = scale.take(e[off] - _EMIN, axis=1)
+                             0, _EMAX - _EMIN)
+            m1, m2, d = scale.take(e[off], axis=1)
             y[off] = a[off] * m1 * m2 / d
-        fy = np.floor(y)
-        frac = y - fy
-        slow = (a != 0) & ~(fin & (y >= 1e8) & (y < 1e9)
-                            & (np.abs(frac - 0.5) > 5e-7))
-    m = np.where(slow, 0.0, fy).astype(np.int64) + (frac > 0.5)
-    carry = m == 1_000_000_000
-    m[carry] = 100_000_000
-    return m, e + carry, slow
+            np.greater_equal(y, 1e8, out=ok)
+            np.less(y, 1e9, out=slow)
+            ok &= slow
+        ok &= fin
+        np.floor(y, out=fy)
+        y -= fy  # frac(y)
+        np.greater(y, 0.5, out=up)
+        y -= 0.5
+        np.abs(y, out=y)
+        np.greater(y, 5e-7, out=slow)
+        ok &= slow  # fast
+        np.not_equal(a, 0.0, out=slow)
+        np.greater(slow, ok, out=slow)
+    np.copyto(fy, 0.0, where=slow)
+    np.copyto(m, fy, casting="unsafe")  # in place, element by element
+    np.add(m, up, out=m)
+    np.equal(m, 1_000_000_000, out=up)  # the carry
+    np.copyto(m, 100_000_000, where=up)
+    np.add(e, up, out=e)
+    return m, e, slow
 
 
-def _g9_units(a):
-    """(units, slow) of a 1-D array ``a`` of |x|, the sign-free part of
-    :func:`_g9_rows`'s text.
+def _g9_units(a, work):
+    """(units, slow) of an array ``a`` of |x| (see :func:`_decimal9`), the
+    sign-free text of :func:`export_obj`'s values.
 
-    ``units`` holds one ``_VALUE`` item per value, six uint32 units: the
-    integer digits above the last seven as a number i0 < 100 (its row of
-    ``lead2`` before the sign is added), then the five text units that
-    follow (``int4``, ``int3`` and three of ``frac4``).  ``slow`` holds the
-    indices of the values :func:`_decimal9` leaves to ``'%.9g'``; their
-    units are meaningless.
+    ``units`` is a (6, len(a)) uint32 view into ``work``, one row per text
+    unit: ``lead2`` of the integer digits above the last seven, then
+    ``int4``, ``int3`` and three of ``frac4``.  ``slow`` holds the indices
+    of the values :func:`_decimal9` leaves to ``'%.9g'``; their units are
+    meaningless.  The integer part is M // 10^(8 - s) and the rest, scaled
+    to 12 digits, the fraction, s as in :func:`_g9_tables`.
     """
-    _, _, int4, int3, frac4 = _g9_tables()
-    p10 = 10 ** np.arange(13, dtype=np.int64)
-    m, e, slow = _decimal9(a)
-    fixed = (e >= -4) & (e < 9)
-    s = np.where(fixed, e, 0)
-    ip = m // p10[8 - s]
-    fp = (m - ip * p10[8 - s]) * p10[4 + s]
-    i0, i1 = ip // 10_000_000, ip // 1000
-    i1, i2 = i1 - 10_000 * i0, ip - 1000 * i1
-    f0, f1 = fp // 100_000_000, fp // 10_000
-    f1, f2 = f1 - 10_000 * f0, fp - 10_000 * f1
-    u = np.empty((6, len(a)), dtype=np.uint32)
-    u[0] = i0
-    int4.take(i1 + 10_000 * (i0 > 0), out=u[1])
-    int3.take(i2 + 2000 * (ip >= 1000) + 1000 * (fp > 0), out=u[2])
-    frac4.take(f0 + 10_000 * (f1 + f2 > 0), out=u[3])
-    frac4.take(f1 + 10_000 * (f2 > 0), out=u[4])
-    frac4.take(np.where(fixed, f2, 20_000 + e - _EMIN), out=u[5])
-    return u.T.copy().view(_VALUE)[:, 0], np.flatnonzero(slow)
+    _, split, expo, lead2, int4, int3, frac4 = _g9_tables()
+    n = len(a)
+    m, e, slow = _decimal9(a, work)
+    slow = np.flatnonzero(slow)
+    ip, q, r = work.i[1:, :n]
+    t, (c, big) = work.t[:n], work.b[:2, :n]
+    split[0].take(e, out=q, mode="clip")
+    np.floor_divide(m, q, out=ip)
+    q *= ip
+    m -= q
+    split[1].take(e, out=q, mode="clip")
+    m *= q  # the fraction's 12 digits
+    u = work.units[:, :n]  # over a and the float buffers: both are spent
+    # integer digits: i0 = ip // 10^7, i1 = ip // 1000 % 10^4, i2 = ip % 1000
+    np.greater_equal(ip, 1000, out=big)
+    np.floor_divide(ip, 10_000_000, out=q)
+    lead2.take(q, out=u[0], mode="clip")
+    np.greater(q, 0, out=c)
+    q *= -10_000
+    np.floor_divide(ip, 1000, out=r)
+    q += r
+    np.multiply(c, 10_000, out=t)
+    q += t
+    int4.take(q, out=u[1], mode="clip")
+    r *= -1000
+    ip += r
+    np.multiply(big, 2000, out=t)
+    ip += t
+    np.greater(m, 0, out=c)
+    np.multiply(c, 1000, out=t)
+    ip += t
+    int3.take(ip, out=u[2], mode="clip")
+    # fraction digits: f0 = fp // 10^8, f1 = fp // 10^4 % 10^4, f2 = fp % 10^4
+    np.floor_divide(m, 100_000_000, out=q)
+    np.floor_divide(m, 10_000, out=r)
+    np.multiply(r, -10_000, out=ip)
+    ip += m  # f2
+    np.multiply(q, 10_000, out=m)
+    r -= m  # f1
+    np.add(r, ip, out=m)
+    np.greater(m, 0, out=c)
+    np.multiply(c, 10_000, out=t)
+    q += t
+    frac4.take(q, out=u[3], mode="clip")
+    np.greater(ip, 0, out=c)
+    np.multiply(c, 10_000, out=t)
+    r += t
+    frac4.take(r, out=u[4], mode="clip")
+    expo.take(e, out=q, mode="clip")
+    q += ip  # f2 is 0 in exponent notation
+    frac4.take(q, out=u[5], mode="clip")
+    return u, slow
 
 
-def _g9_rows(tag, rows, units=_g9_units):
-    """``rows`` as ASCII lines ``tag x0 x1 ...``, each value as ``'%.9g'``
-    would write it, in chunks of ``_CHUNK`` rows.
+def _reused(buffers, size):
+    """The bytearray of ``size`` bytes in the dict ``buffers``, made on
+    first use: text buffers of a few sizes serve a whole export."""
+    buf = buffers.get(size)
+    if buf is None:
+        buf = buffers[size] = bytearray(size)
+    return buf
 
-    A value becomes six uint32 units of zero-padded text: separator, sign
-    and the integer digits above the last seven (``lead2``); the next four
-    (``int4``); the last three and "." if a fraction follows (``int3``);
-    the fraction as 12 digits in three units, trailing zeros dropped
-    (``frac4``).  The integer part is M // 10^(8 - s), s = e in fixed
-    notation (-4 <= e < 9) and s = 0 in exponent notation, where the last
-    fraction unit, always empty, holds the exponent.  One ``bytes.translate``
-    drops the zero padding.
 
-    Only the sign depends on more than |x|, so the text is built in two
-    steps: ``units`` maps each column of magnitudes to its sign-free units
-    (:func:`_g9_units`), and the sign unit comes from ``np.signbit(x)``.
-    A caller may pass a ``units`` that returns stored results for a column
-    it has seen before; the bytes cannot tell, since a column's units are a
-    function of its magnitudes alone.  ``slow`` values (see
-    :func:`_decimal9`) are written by ``'%.9g'`` from the signed value into
-    their six units: Python writes a NaN with its sign bit set as ``nan``.
+class _Column:
+    """One block column's sign-free text: the bytes of its magnitudes
+    (``key``), its (rows, 6) uint32 ``units``, the rows that take
+    ``'%.9g'`` (``slow``) and whether any value uses the ``int4`` unit
+    (``wide``)."""
+
+    def __init__(self, key):
+        self.key, self.units, self.wide = key, None, False
+        self.slow = [np.empty(0, dtype=np.intp)]
+
+
+class _ColumnDigits:
+    """The text of block columns for :func:`export_obj`, with a store of
+    the sign-free units of the last ``keep`` distinct columns of ``rows``
+    values, keyed by the bytes of the column of magnitudes itself.
+
+    Only the sign depends on more than |x|, so a column's units are a
+    function of its magnitudes alone, and the bytes cannot tell whether
+    they were stored.  :meth:`text` sends all the columns of its blocks
+    that are not stored through the digit kernel together, in calls of
+    at most ``work.size`` values (:class:`_DigitWork`, whose buffers are
+    allocated once); unit arrays of columns the store drops are reused
+    for new ones.
     """
-    lead2 = _g9_tables()[1]
-    head, newline = _units([tag, b"\n"])
-    x = np.asarray(rows, dtype=np.float64)
-    cols = [units(np.abs(x[:, c])) for c in range(x.shape[1])]
-    for i in range(0, len(x), _CHUNK):
-        xc = x[i:i + _CHUNK]
-        buf = bytearray(4 * len(xc) * (6 * x.shape[1] + 2))
-        line = np.frombuffer(buf, dtype=np.uint32).reshape(len(xc), -1)
-        line[:, 0], line[:, -1] = head, newline
-        body = line[:, 1:-1].reshape(xc.shape + (6,))
-        values = line[:, 1:-1].view(_VALUE)  # body, one item per value
-        for c, (u, _) in enumerate(cols):
-            values[:, c] = u[i:i + _CHUNK]
-        body[..., 0] = lead2.take(body[..., 0] + 100 * np.signbit(xc))
-        for c, (_, slow) in enumerate(cols):
-            for j in slow[(slow >= i) & (slow < i + len(xc))] - i:
-                text = (b" %.9g" % xc[j, c]).ljust(24, b"\0")  # <= 17 bytes
-                body[j, c] = np.frombuffer(text, dtype=np.uint32)
-        yield buf.translate(None, b"\0")
+
+    def __init__(self, rows, keep, work):
+        self.rows, self.keep, self.work = rows, keep, work
+        self.kept = {}  # least recently used first
+        self.spare = []
+        self.mag = np.empty(rows)
+        self.lines = {}
+        self.sign = np.empty(min(rows, _CHUNK), dtype=bool)
+
+    def text(self, tag, blocks):
+        """ASCII lines ``tag x0 x1 ...`` of the rows of each (rows, k)
+        array in ``blocks``, each value as ``'%.9g'`` writes it, in chunks
+        of at most ``_CHUNK`` rows."""
+        cols, table = {}, []
+        for x in blocks:
+            table.append([])
+            for c in range(x.shape[1]):
+                key = np.abs(x[:, c], out=self.mag).tobytes()
+                col = cols.get(key)
+                if col is None:
+                    col = self.kept.pop(key, None) or _Column(key)
+                    cols[col.key] = col
+                table[-1].append(col)
+        new = [col for col in cols.values() if col.units is None]
+        while self.kept and len(self.kept) + len(cols) > self.keep:
+            self._drop()
+        for col in new:
+            col.units = self.spare.pop() if self.spare else np.empty(
+                (self.rows, 6), dtype=np.uint32)
+        self._fill(new)
+        for x, row in zip(blocks, table):
+            yield from self._lines(tag, x, row)
+        self.kept.update(cols)
+        while len(self.kept) > self.keep:
+            self._drop()
+
+    def _drop(self):
+        """Drop the least recently used column, keeping its unit array."""
+        self.spare.append(self.kept.pop(next(iter(self.kept))).units)
+
+    def _fill(self, cols):
+        """The units of the columns ``cols``, their magnitudes laid end to
+        end through as few kernel calls as ``work`` allows."""
+        work, n = self.work, self.rows
+        pieces, used = [], 0
+        for col in cols:
+            mag = np.frombuffer(col.key)
+            lo = 0
+            while lo < n:
+                hi = min(n, lo + work.size - used)
+                work.mag[used:used + hi - lo] = mag[lo:hi]
+                pieces.append((col, lo, hi, used))
+                used += hi - lo
+                lo = hi
+                if used == work.size:
+                    self._run(pieces, used)
+                    pieces, used = [], 0
+        if used:
+            self._run(pieces, used)
+        for col in cols:
+            col.slow = np.concatenate(col.slow)
+
+    def _run(self, pieces, used):
+        """One kernel call over ``work.mag[:used]``, whose ``pieces`` are
+        (column, first row, end row, offset in ``mag``)."""
+        units, slow = _g9_units(self.work.mag[:used], self.work)
+        for col, lo, hi, at in pieces:
+            part = units[:, at:at + hi - lo]
+            col.units[lo:hi] = part.T
+            s0, s1 = np.searchsorted(slow, (at, at + hi - lo))
+            col.slow.append(slow[s0:s1] + (lo - at))
+            col.wide = col.wide or bool(part[1].any())
+
+    def _lines(self, tag, x, cols):
+        """The lines of the rows of ``x`` from the units of its columns.
+
+        A line is the tag, the values and a newline, bytes of a reused
+        buffer.  A value's text is six 4-byte units of zero-padded text,
+        copied whole from its column: separator, a zero byte for the sign
+        and the integer digits above the last seven (``lead2``); the next
+        four (``int4``); the last three and "." if a fraction follows
+        (``int3``); the fraction as 12 digits in three units, trailing
+        zeros dropped (``frac4``), where the last unit holds the exponent
+        in exponent notation.  A column whose values all leave ``int4``
+        empty skips it and takes the separator in its place.  The sign
+        byte is "-" where ``np.signbit(x)``.  One ``bytes.translate`` drops
+        the zero padding.  ``slow`` values are written by ``'%.9g'`` from
+        the signed value into their units (at most 17 bytes, in 20):
+        Python writes a NaN with its sign bit set as ``nan``.
+        """
+        widths = [24 if col.wide else 20 for col in cols]
+        size = len(tag) + sum(widths) + 1
+        for i in range(0, len(x), _CHUNK):
+            r = min(_CHUNK, len(x) - i)
+            buf = _reused(self.lines, r * size)
+            line = np.frombuffer(buf, dtype=np.uint8).reshape(r, size)
+            line[:, :len(tag)] = np.frombuffer(tag, dtype=np.uint8)
+            line[:, -1] = ord("\n")
+            p = len(tag)
+            for c, (col, w) in enumerate(zip(cols, widths)):
+                item = np.dtype((np.void, w))
+                line[:, p:p + w].view(item)[:, 0] = \
+                    col.units[i:i + r, 6 - w // 4:].view(item)[:, 0]
+                if w == 20:  # in place of the empty int4 unit
+                    line[:, p] = ord(" ")
+                sign = self.sign[:r]
+                np.signbit(x[i:i + r, c], out=sign)
+                np.multiply(sign, _MINUS, out=line[:, p + 1])
+                s0, s1 = np.searchsorted(col.slow, (i, i + r))
+                for j in col.slow[s0:s1] - i:
+                    text = (b" %.9g" % x[i + j, c]).ljust(w, b"\0")
+                    line[j, p:p + w] = np.frombuffer(text, dtype=np.uint8)
+                p += w
+            yield buf.translate(None, b"\0")
 
 
-def _token_table(idx):
-    """Item r holds the ASCII bytes of ``" i//i"`` for i = idx[r] >= 0,
-    zero-padded to the widest item.  The digits of each i are read four at
-    a time from the full 4-digit unit table (``int4``'s second half), and
-    its leading zeros are cut.  Items are fixed-width ``void`` scalars, so
-    a gather copies whole rows; so do the copies that fill the table."""
+def _copies(mesh, part):
+    """Lists of the vertex (``part`` 0) or normal (1) arrays of the mesh's
+    blocks, one list per copy (:meth:`TriMesh.blocks`)."""
+    blocks = mesh.blocks()
+    for _ in range(mesh.copies + 1):
+        yield [next(blocks)[part] for _ in mesh.flips]
+
+
+def _obj_values(mesh):
+    """The ``v`` then the ``vn`` text of :func:`export_obj`, a copy at a
+    time, through a store of block column digits (:class:`_ColumnDigits`)
+    for the positions and another for the normals, which share one set of
+    kernel buffers.
+
+    Each copy's blocks go through :meth:`_ColumnDigits.text` together, so
+    the columns it has not seen before take one kernel call where they
+    fit.  From copy 1 on, the ``vn`` text of a copy is kept while the next
+    copy yields the same normals arrays (translated copies share one per
+    block), and written again; copy 0's normals are its own.
+    """
+    n = mesh.base_count
+    work = _DigitWork(min(_KERNEL_VALUES, _UNIT_COLUMNS * n))
+    digits = _ColumnDigits(n, _UNIT_COLUMNS, work)
+    for vertices in _copies(mesh, 0):
+        yield from digits.text(b"v", vertices)
+        del vertices  # the walk's next copy replaces these arrays
+    # normals repeat no position column: a store of their own
+    digits = _ColumnDigits(n, _UNIT_COLUMNS, work)
+    shared, texts = [], []
+    for k, normals in enumerate(_copies(mesh, 1)):
+        if len(shared) != len(normals) or any(
+                a is not b for a, b in zip(shared, normals)):
+            shared, texts = [], []  # the last copy's text goes first
+            if not 0 < k < mesh.copies:  # no later copy shares them
+                yield from digits.text(b"vn", normals)
+                continue
+            # bytes: a translated bytearray keeps its untranslated size
+            shared = normals
+            texts = list(map(bytes, digits.text(b"vn", normals)))
+        yield from texts
+
+
+def _token_table(idx, out):
+    """Tokens ``" i//i"`` for the indices i = idx[r] >= 0, written into the
+    front of the uint8 buffer ``out``: (table, padded), item r of the
+    table holding the ASCII bytes of idx[r]'s token zero-padded to the
+    widest item, and ``padded`` whether any item is padded.
+
+    The digits of each i are read four at a time from the full 4-digit
+    unit table (``int4``'s second half), and its leading zeros are cut.
+    Items are fixed-width ``void`` scalars, so a gather copies whole rows;
+    so do the copies that fill the table.  Rows of equal width are filled
+    as one block: sorted indices make a few blocks.
+    """
     groups = max(1, -(-len(str(int(idx.max(initial=0)))) // 4))
-    digits = _g9_tables()[2][10_000:].take(np.stack(
-        [idx // 10_000 ** g % 10_000 for g in range(groups - 1, -1, -1)],
-        axis=1)).view(np.uint8)
+    part, rest = np.empty((len(idx), groups), dtype=np.int64), idx
+    for g in range(groups - 1, 0, -1):  # 4 digits at a time, lowest first
+        high = rest // 10_000
+        np.subtract(rest, 10_000 * high, out=part[:, g])
+        rest = high
+    part[:, 0] = rest
+    digits = _g9_tables()[4][10_000:].take(part).view(np.uint8)
     # " i" bytes per row: one more than the digit count
     width = 2 + np.searchsorted(10 ** np.arange(1, 4 * groups), idx,
                                 side="right")
-    table = np.zeros((len(idx), 2 * width.max(initial=0) + 1), dtype=np.uint8)
-    # rows of equal width are filled as one block (sorted idx: a few blocks)
+    top = int(width.max(initial=0))
+    table = out[:len(idx) * (2 * top + 1)].reshape(len(idx), 2 * top + 1)
     runs = np.flatnonzero(np.diff(width, prepend=-1, append=-1))
     for r0, r1 in zip(runs[:-1], runs[1:]):
         w = width[r0]
@@ -861,7 +1114,9 @@ def _token_table(idx):
         table[r0:r1, 1:w].view(item)[...] = tok
         table[r0:r1, w] = table[r0:r1, w + 1] = ord("/")
         table[r0:r1, w + 2:2 * w + 1].view(item)[...] = tok
-    return table.view(np.dtype((np.void, table.shape[1])))[:, 0]
+        table[r0:r1, 2 * w + 1:] = 0
+    padded = len(idx) > 0 and int(width.min()) < top
+    return table.view(np.dtype((np.void, table.shape[1])))[:, 0], padded
 
 
 def _unique(a):
@@ -875,86 +1130,81 @@ def _unique(a):
     return a[keep]
 
 
-def _unit_cache(size):
-    """:func:`_g9_units` behind a least-recently-used store of ``size``
-    columns, keyed by the bytes of the column of magnitudes itself."""
-    store = {}
+def _obj_faces(mesh):
+    """The ``f`` text of :func:`export_obj`, block by block as
+    :func:`export_ply` writes its faces.
 
-    def units(a):
-        key = a.tobytes()
-        hit = store.pop(key, None)
-        if hit is None:
-            hit = _g9_units(a)
-            if len(store) == size:
-                del store[next(iter(store))]
-        store[key] = hit
-        return hit
-    return units
-
-
-def _obj_values(mesh):
-    """The ``v`` then the ``vn`` text of :func:`export_obj`, block by
-    block (:meth:`TriMesh.blocks`), with one store of block column digits;
-    the store is freed when the text ends, before the face section
-    allocates.  A block's ``vn`` text is written again while later copies
-    yield the same normals array for that block."""
-    units = _unit_cache(_UNIT_COLUMNS)
-    for v, _ in mesh.blocks():
-        yield from _g9_rows(b"v", v, units)
-    kept = [(None, None)] * len(mesh.flips)
-    for i, (_, nrm) in enumerate(mesh.blocks()):
-        b = i % len(kept)
-        if kept[b][0] is not nrm:
-            kept[b] = nrm, list(_g9_rows(b"vn", nrm, units))
-        yield from kept[b][1]
+    Block b's faces are the base faces, reversed where ``flips[b]`` is
+    set, with each index moved to block b's first row.  The base faces'
+    distinct indices (``used``; faces may point past the vertex array) map
+    them to rows of a token table (:func:`_token_table`) of one copy, L
+    rows per block, rebuilt into one buffer per copy, so a block's lines
+    are a byte gather of three rows between ``f`` and a newline.  The
+    padding is dropped only where a copy's indices differ in digit count.
+    A yielded chunk may be a reused buffer: write it before drawing the
+    next.
+    """
+    f, n, flips = mesh.base_faces, mesh.base_count, mesh.flips
+    if not len(f):
+        return
+    used = _unique(f)
+    rows = np.searchsorted(used, f)
+    rows = rows, rows[:, ::-1].copy()
+    count = len(flips) * (mesh.copies + 1)
+    width = 2 * len(str(int(used[-1]) + (count - 1) * n + 1)) + 3
+    idx = np.empty((len(flips), len(used)), dtype=np.int64)
+    table = np.empty(idx.size * width, dtype=np.uint8)
+    gathered = np.empty(3 * len(f) * width, dtype=np.uint8)
+    block, lines = np.empty_like(rows[0]), {}
+    for k in range(mesh.copies + 1):
+        first = n * (k * len(flips) + np.arange(len(flips))) + 1
+        np.add(used, first[:, None], out=idx)
+        tokens, padded = _token_table(idx.ravel(), table)
+        w = tokens.itemsize
+        tok = gathered[:3 * len(f) * w].view(tokens.dtype).reshape(-1, 3)
+        buf = _reused(lines, len(f) * (3 * w + 2))
+        line = np.frombuffer(buf, dtype=np.uint8).reshape(len(f), -1)
+        line[:, 0], line[:, -1] = ord("f"), ord("\n")
+        body = line[:, 1:-1].view(tokens.dtype)
+        for b, flip in enumerate(flips):
+            np.add(rows[flip], b * len(used), out=block)
+            tokens.take(block, out=tok, mode="clip")
+            body[...] = tok
+            yield buf.translate(None, b"\0") if padded else buf
 
 
 def export_obj(mesh: TriMesh, path) -> int:
     """ASCII OBJ (v/vn/f with 1-based i//i indices, 9 significant digits).
 
     Every ``v`` and ``vn`` value is written as Python's ``'%.9g'`` writes
-    it, byte for byte: :func:`_g9_rows` renders the correctly rounded
+    it, byte for byte: :func:`_g9_units` renders the correctly rounded
     digits in numpy and leaves near-ties, non-finite values and extreme
-    exponents to ``'%.9g'`` itself.  ``v`` and ``vn`` walk the mesh block
-    by block (:meth:`TriMesh.blocks`, ``base_count`` rows each), so no
-    whole-mesh or cell-sized array is built.  Every isometry of
-    the extension is a signed diagonal map plus an offset with no x2
+    exponents to ``'%.9g'`` itself.  The mesh is walked a copy at a time
+    (:meth:`TriMesh.blocks`, ``base_count`` rows a block), so no
+    whole-mesh or cell-sized array is built.  Every isometry of the
+    extension is a signed diagonal map plus an offset with no x2
     component, so most block columns repeat the magnitudes of an earlier
     one: x2 in every block, x1 and x3 in blocks paired by a zero-offset op,
-    all normals those of the base block.  The sign-free digits of a block
-    column are therefore kept, keyed by the bytes of its magnitudes, for
-    the last ``_UNIT_COLUMNS`` distinct columns (a fixed bound, so memory
-    does not grow with the copy count); the sign is added per value.  The
-    key is the data, so reuse needs no assumption about the ops and the
-    bytes are the same with or without it.  A block's ``vn`` text is also
-    written again for every following copy that yields the same normals
-    array for it (translated copies 1..copies share one per block).
+    all normals those of the base block.  The sign-free digits of the last
+    ``_UNIT_COLUMNS`` distinct block columns are therefore kept, keyed by
+    the bytes of their magnitudes (a fixed bound, so memory does not grow
+    with the copy count), and the sign is added per value.  The key is the
+    data, so reuse needs no assumption about the ops and the bytes are
+    the same with or without it.  All columns of a copy that are not kept
+    go through the digit kernel in one call of at most
+    ``_KERNEL_VALUES`` values, into buffers allocated once per export.  A
+    block's ``vn`` text is written again for every following copy that
+    yields the same normals array for it (translated copies 1..copies
+    share one per block).
 
-    ``f`` formats each distinct vertex index of a copy once, into a
-    per-copy table of ``" i//i"`` tokens (:func:`_token_table`).  Copy k's
-    faces are the cell's shifted by k times its vertex count, so every
-    copy maps its faces to the same table rows, and a chunk of face lines
-    is a byte gather of three rows between ``f`` and a newline.  The
-    padding is dropped only where a copy's indices differ in digit count.
-    Deterministic bytes for identical input.  Returns the byte count.
+    ``f`` is written block by block (:func:`_obj_faces`) from the base
+    faces and one table of ``" i//i"`` tokens per copy, with no array the
+    size of the cell.  Deterministic bytes for identical input.  Returns
+    the byte count.
     """
     with open(path, "wb") as fh:
         nbytes = sum(map(fh.write, _obj_values(mesh)))
-        faces, n = mesh._cell_faces, mesh.base_count * len(mesh.flips)
-        used = _unique(faces)  # faces may point past the vertex array
-        rows = np.searchsorted(used, faces)
-        for k in range(mesh.copies + 1):
-            tokens = _token_table(used + (k * n + 1))
-            # used is sorted: if its first token is unpadded, all are
-            padded = not tokens[:1].view(np.uint8).all()
-            for i in range(0, len(rows), _CHUNK):
-                part = rows[i:i + _CHUNK]
-                line = np.empty((len(part), 3 * tokens.itemsize + 2),
-                                dtype=np.uint8)
-                line[:, 0], line[:, -1] = ord("f"), ord("\n")
-                line[:, 1:-1] = tokens[part].view(np.uint8).reshape(
-                    len(part), -1)
-                nbytes += fh.write(line[line != 0] if padded else line)
+        nbytes += sum(map(fh.write, _obj_faces(mesh)))
     return nbytes
 
 

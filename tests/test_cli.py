@@ -198,6 +198,38 @@ def test_gen_refuses_ply_indices_past_int32(tmp_path, capsys, monkeypatch):
     assert cfg.copies == copies
 
 
+def test_gen_output_path_errors_exit_2(tmp_path, capsys, monkeypatch):
+    # an -o that names a file, or a path under one, cannot be made: one
+    # line naming it, exit 2, before sampling
+    def sampling(*args):
+        raise AssertionError("sampled")
+
+    monkeypatch.setattr(mesh, "sample_fundamental", sampling)
+    taken = tmp_path / "file"
+    taken.write_text("")
+    for out in (taken, taken / "sub"):
+        assert run(["gen", "--sigma", "2", "-o", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: -o {out}: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_verify_json_directory_is_checked_first(tmp_path, capsys,
+                                                monkeypatch):
+    # a --json in a missing directory, or naming a directory, exits 2
+    # before the suite runs
+    def suite(*args):
+        raise AssertionError("ran")
+
+    monkeypatch.setattr(curve, "period", suite)
+    for path in (tmp_path / "missing" / "r.json", tmp_path):
+        assert run(["verify", "--sigma", "2", "--json", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: --json {path}: ")
+        assert err.count("\n") == 1
+    assert not (tmp_path / "missing").exists()
+
+
 def test_numeric_failure_exit_3(tmp_path, capsys, monkeypatch):
     # with e this close to 1 adjacent grid samples coincide
     assert run(["gen", "--sigma", "2", "--e", "0.9999999999", "--grid", "4x4",

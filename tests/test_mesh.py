@@ -1382,6 +1382,24 @@ def test_export_ply_peaks_at_a_few_blocks(tmp_path, piece40):
     assert not {"vertices", "normals", "faces"} & set(vars(cell))
 
 
+def test_export_obj_peaks_at_a_few_blocks(tmp_path, piece40):
+    # blocks of 48 bytes per piece vertex, as above.  The OBJ writer keeps
+    # the digit kernel's buffers (one copy's new columns, ~10 blocks),
+    # the store's unit arrays, one copy's blocks from the walk and, from
+    # copy 1 on, one copy's vn text; its faces go a block at a time.
+    # Peaks: 21.1 blocks at copies 0 and 31.5 at copies 16, where the
+    # writer with a cell-sized face pass peaked at 27.2 and 33.5
+    ops = extension_ops(2.0)
+    block = 48 * piece40.vertex_count
+    export_obj(piece40, tmp_path / "m.obj")  # the text tables, built once
+    for copies, bound in ((0, 24), (16, 33)):
+        ext = extend(piece40, ops, copies=copies)
+        _, peak = _traced_peak(lambda: export_obj(ext, tmp_path / "m.obj"))
+        assert peak <= bound * block, (copies, peak / block)
+        assert not {"vertices", "normals", "faces", "_cell_faces"} & set(
+            vars(ext))
+
+
 def test_export_ply_refuses_indices_past_int32(tmp_path, fund2, ops2):
     # an index of 2^31 or more would wrap to a negative int32; the file is
     # not opened

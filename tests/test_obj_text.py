@@ -16,11 +16,18 @@ def percent(rows):
                     for row in rows.tolist())
 
 
+def store(rows, size=8):
+    """A digit store for blocks of ``rows`` rows that keeps ``size``
+    columns, with its own kernel buffers."""
+    work = mesh._DigitWork(min(mesh._KERNEL_VALUES, size * rows))
+    return mesh._ColumnDigits(rows, size, work)
+
+
 def formatted(values):
     """(numpy text, Python text) of ``values`` as ``v`` lines of three."""
     x = np.asarray(values, dtype=np.float64).ravel()
     rows = np.concatenate([x, np.zeros(-len(x) % 3)]).reshape(-1, 3)
-    return b"".join(mesh._g9_rows(b"v", rows)), percent(rows)
+    return b"".join(store(len(rows)).text(b"v", [rows])), percent(rows)
 
 
 def assert_formats_like_python(values):
@@ -76,6 +83,23 @@ def test_notation_switches():
     assert_formats_like_python(near(edges, 40))
 
 
+def test_int4_unit_follows_the_rounded_digits():
+    # '%.9g' % 999.99999951 is '1000': every |x| of its column is below
+    # 1000, but its rounded text takes the int4 unit, so the column keeps
+    # it; 999.9999994 rounds to '999.999999' and its column leaves it out;
+    # 999.9999995 and its neighbours are near-ties and take '%.9g'
+    assert b"%.9g" % 999.99999951 == b"1000"
+    up, tie, down = (near([x], 3) for x in
+                     (999.99999951, 999.9999995, 999.9999994))
+    for x in np.concatenate([up, tie, down]):
+        col = np.array([x, 0.5, -2.25, 999.0, 0.0])
+        rows = np.stack([col, -col, col[::-1]], axis=1)
+        digits = store(len(rows))
+        assert b"".join(digits.text(b"v", [rows])) == percent(rows)
+        wide = {c.wide for c in digits.kept.values()}
+        assert wide == {x in up}, x
+
+
 def test_integer_digits_of_e8():
     rng = np.random.default_rng(8)
     assert_formats_like_python(rng.uniform(1e8, 1e9, 3000))
@@ -106,11 +130,12 @@ def test_ties_and_out_of_range_values_take_percent():
     # would write 123456789 and 123456790
     values = np.array([123456789.5, 123456790.5, 0.1, 2.5, -3.25e-7, 1e-300,
                        1e300, np.inf, np.nan, 0.0, -0.0])
-    m, e, slow = mesh._decimal9(np.abs(values))
+    work = mesh._DigitWork(len(values))
+    m, e, slow = mesh._decimal9(np.abs(values), work)
     assert slow.tolist() == [True, True, False, False, False, True,
                              True, True, True, False, False]
     assert m[~slow].tolist() == [100000000, 250000000, 325000000, 0, 0]
-    assert e[~slow].tolist() == [-1, 0, -7, 0, 0]
+    assert (e[~slow] + mesh._EMIN).tolist() == [-1, 0, -7, 0, 0]
     got, _ = formatted(values[:3])
     assert got == b"v 123456790 123456790 0.1\n"
     assert_formats_like_python(values)
@@ -119,14 +144,15 @@ def test_ties_and_out_of_range_values_take_percent():
 def test_real_coordinates_take_no_percent():
     rng = np.random.default_rng(11)
     x = rng.uniform(-30.0, 30.0, 100000)
-    assert mesh._decimal9(np.abs(x))[2].sum() <= 2  # ~1e-6 of values near a tie
+    slow = mesh._decimal9(np.abs(x), mesh._DigitWork(len(x)))[2]
+    assert slow.sum() <= 2  # ~1e-6 of values near a tie
 
 
 def test_off_by_one_exponents_are_corrected_not_sent_to_percent():
     # floor(log10 x) can read one too high just below a power of ten; the
     # correction keeps those values on the array path
     x = near([float(f"1e{k}") for k in range(-30, 31)], 3)
-    assert not mesh._decimal9(np.abs(x))[2].any()
+    assert not mesh._decimal9(np.abs(x), mesh._DigitWork(len(x)))[2].any()
 
 
 def test_face_tokens_match_percent_d():
@@ -135,12 +161,17 @@ def test_face_tokens_match_percent_d():
     edges = [i for k in range(1, 13) for i in (10 ** k - 1, 10 ** k)]
     for idx in ([0, 9, 10, 99, 100] + edges + [123456789012],
                 [10 ** 12 - 1, 7, 10 ** 4, 9999, 0, 10 ** 8]):
-        table = mesh._token_table(np.array(idx))
+        # a reused buffer: stale bytes must not reach the padding
+        out = np.full(len(idx) * 40, ord("x"), dtype=np.uint8)
+        table, padded = mesh._token_table(np.array(idx), out)
         width = max(len(b" %d//%d" % (i, i)) for i in idx)
-        assert table.dtype.itemsize == width
+        assert table.dtype.itemsize == width and padded
         for i, item in zip(idx, table):
             assert bytes(item) == (b" %d//%d" % (i, i)).ljust(width, b"\0")
-    assert mesh._token_table(np.array([], dtype=np.int64)).shape == (0,)
+    table, padded = mesh._token_table(np.array([10 ** 5, 99999 + 7]), out)
+    assert bytes(table[1]) == b" 100006//100006" and not padded
+    table, _ = mesh._token_table(np.array([], dtype=np.int64), out)
+    assert table.shape == (0,)
 
 
 def _hard_columns():
@@ -173,9 +204,17 @@ def test_blocks_reusing_column_digits_match_python(monkeypatch, size):
     blocks.insert(2, moved)
     calls = []
     units = mesh._g9_units
-    monkeypatch.setattr(mesh, "_g9_units",
-                        lambda a: calls.append(len(a)) or units(a))
-    store = mesh._unit_cache(size)
-    got = b"".join(t for b in blocks for t in mesh._g9_rows(b"v", b, store))
+    monkeypatch.setattr(mesh, "_g9_units", lambda a, work: calls.append(
+        len(a)) or units(a, work))
+    digits = store(len(base), size)
+    got = b"".join(t for b in blocks for t in digits.text(b"v", [b]))
     assert got == percent(np.concatenate(blocks))
-    assert (len(calls) == 4) if size == 8 else (len(calls) > 4)
+    # each distinct column is formatted once only where the store holds
+    # all four
+    assert (sum(calls) == 4 * 40) if size == 8 else (sum(calls) > 4 * 40)
+    # the new columns of several blocks go through one kernel call
+    calls.clear()
+    digits = store(len(base), size)
+    got = b"".join(digits.text(b"v", blocks))
+    assert got == percent(np.concatenate(blocks))
+    assert calls == ([4 * 40] if size == 8 else [size * 40] * (4 // size))
