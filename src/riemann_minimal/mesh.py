@@ -1006,13 +1006,14 @@ class _ColumnDigits:
         (``int3``); the fraction as 12 digits in three units, trailing
         zeros dropped (``frac4``), where the last unit holds the exponent
         in exponent notation.  A column whose values all leave ``int4``
-        empty skips it and takes the separator in its place.  The sign
-        byte is "-" where ``np.signbit(x)``.  One ``bytes.translate`` drops
-        the zero padding.  ``slow`` values are written by ``'%.9g'`` from
-        the signed value into their units (at most 17 bytes, in 20):
-        Python writes a NaN with its sign bit set as ``nan``.
+        empty (so ``lead2`` holds the separator alone) takes two bytes,
+        separator and sign, in place of both.  The sign byte is "-" where
+        ``np.signbit(x)``.  One ``bytes.translate`` drops the zero padding.
+        ``slow`` values are written by ``'%.9g'`` from the signed value
+        into their bytes (at most 17, in 18): Python writes a NaN with its
+        sign bit set as ``nan``.
         """
-        widths = [24 if col.wide else 20 for col in cols]
+        widths = [24 if col.wide else 18 for col in cols]
         size = len(tag) + sum(widths) + 1
         for i in range(0, len(x), _CHUNK):
             r = min(_CHUNK, len(x) - i)
@@ -1022,11 +1023,13 @@ class _ColumnDigits:
             line[:, -1] = ord("\n")
             p = len(tag)
             for c, (col, w) in enumerate(zip(cols, widths)):
-                item = np.dtype((np.void, w))
-                line[:, p:p + w].view(item)[:, 0] = \
-                    col.units[i:i + r, 6 - w // 4:].view(item)[:, 0]
-                if w == 20:  # in place of the empty int4 unit
+                if w == 24:
+                    units, at = col.units[i:i + r], p
+                else:  # separator and sign, then int3 and the fraction
+                    units, at = col.units[i:i + r, 2:], p + 2
                     line[:, p] = ord(" ")
+                item = np.dtype((np.void, 4 * units.shape[1]))
+                line[:, at:p + w].view(item)[:, 0] = units.view(item)[:, 0]
                 sign = self.sign[:r]
                 np.signbit(x[i:i + r, c], out=sign)
                 np.multiply(sign, _MINUS, out=line[:, p + 1])

@@ -1387,8 +1387,8 @@ def test_export_obj_peaks_at_a_few_blocks(tmp_path, piece40):
     # the digit kernel's buffers (one copy's new columns, ~10 blocks),
     # the store's unit arrays, one copy's blocks from the walk and, from
     # copy 1 on, one copy's vn text; its faces go a block at a time.
-    # Peaks: 21.1 blocks at copies 0 and 31.5 at copies 16, where the
-    # writer with a cell-sized face pass peaked at 27.2 and 33.5
+    # Peaks: 20.5 blocks at copies 0 and 30.9 at copies 16, where the
+    # writer with a cell-sized face pass peaked at 24.1 and 33.5
     ops = extension_ops(2.0)
     block = 48 * piece40.vertex_count
     export_obj(piece40, tmp_path / "m.obj")  # the text tables, built once
