@@ -1194,11 +1194,12 @@ def export_obj(mesh: TriMesh, path) -> int:
     with the copy count), and the sign is added per value.  The key is the
     data, so reuse needs no assumption about the ops and the bytes are
     the same with or without it.  All columns of a copy that are not kept
-    go through the digit kernel in one call of at most
-    ``_KERNEL_VALUES`` values, into buffers allocated once per export.  A
-    block's ``vn`` text is written again for every following copy that
-    yields the same normals array for it (translated copies 1..copies
-    share one per block).
+    go through the digit kernel together, into buffers allocated once per
+    export that hold ``_UNIT_COLUMNS`` columns or ``_KERNEL_VALUES``
+    values, whichever is fewer: one call per copy at 40x60, more where a
+    copy's new columns exceed them.  A block's ``vn`` text is written
+    again for every following copy that yields the same normals array for
+    it (translated copies 1..copies share one per block).
 
     ``f`` is written block by block (:func:`_obj_faces`) from the base
     faces and one table of ``" i//i"`` tokens per copy, with no array the
