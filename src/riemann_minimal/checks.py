@@ -239,7 +239,7 @@ def _circle_fits(heights, points, lines=()):
 
 def registration_error(sigma, heights, points) -> RegistrationResult:
     """Register the classical surface R_lambda against M_sigma, with
-    lambda = (sigma - 1)/sqrt(sigma) (sigma = 1/q1^2).
+    lambda = (sigma - 1)/sqrt(sigma) (:func:`classical.lambda_of_sigma`).
 
     ``heights`` and ``points`` are slices of the fundamental piece of
     ``sigma``, as :func:`slice_checks` picks and refines them: one (n_i, 3)
@@ -250,7 +250,7 @@ def registration_error(sigma, heights, points) -> RegistrationResult:
     the relative mismatch of the vertical line spacings (|t0_3| against
     2 s zeta).
     """
-    cl = classical.RiemannParams.from_lambda((sigma - 1.0) / math.sqrt(sigma))
+    cl = classical.RiemannParams.from_lambda(classical.lambda_of_sigma(sigma))
     span = mesh.FundamentalSurface(sigma).translation_half()[2]
     hs = np.asarray(heights, dtype=float)
     radii = np.array([fit.radius for fit in _circle_fits(hs, points)])

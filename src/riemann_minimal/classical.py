@@ -54,7 +54,7 @@ from .quad import RiemannMinimalError
 
 __all__ = [
     "DomainError", "ConvergenceError", "RiemannParams", "FoliationData",
-    "q_min", "sigma_of_lambda", "radicand", "carlson_rf", "carlson_rd",
+    "q_min", "sigma_of_lambda", "lambda_of_sigma", "radicand", "carlson_rf", "carlson_rd",
     "height", "center_offset",
     "slab_height", "parameterize", "catenoid_height",
     "enneper_coefficients", "enneper_fourier_check", "foliation_frames",
@@ -89,6 +89,12 @@ def sigma_of_lambda(lam: float) -> float:
     """
     s = 0.5 * abs(lam) + math.hypot(1.0, 0.5 * lam)
     return s * s if lam > 0 else 1.0 / s / s
+
+
+def lambda_of_sigma(sigma: float) -> float:
+    """lambda = (sigma - 1)/sqrt(sigma), the inverse of
+    :func:`sigma_of_lambda` (sigma = 1/q1^2)."""
+    return (sigma - 1.0) / math.sqrt(sigma)
 
 
 def radicand(lam: float, u):

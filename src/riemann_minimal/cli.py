@@ -387,8 +387,7 @@ def cmd_verify(cfg: RunConfig) -> int:
 
     lam = cfg.lam
     if lam is None:
-        # invert sigma(lambda): sigma = 1/q1^2 gives lambda = (sigma-1)/sqrt(sigma)
-        lam = (cfg.sigma - 1.0) / math.sqrt(cfg.sigma)
+        lam = classical.lambda_of_sigma(cfg.sigma)
     if lam == 0.0:
         suite.record("catenoid_closed_form", checks.catenoid_residual(), 1e-8)
 

@@ -337,6 +337,10 @@ def sample_fundamental(sigma: float, e: float, nr: int, nt: int) -> TriMesh:
     relative to the corner z = 1, so that corner lies exactly at the origin.
     ``domain_w`` is the base point's sheet: i sqrt(x (1 - x) (x + sigma))
     on the t = 0 column, and 0 at the corners on the branch points.
+
+    DegenerateCell when adjacent grid samples coincide, or when a sampled
+    position or normal is not finite: an e small enough that the r = e
+    row lands on the end z = 0, where the immersion is infinite.
     """
     params = CurveParams(sigma)
     dm = DomainMap(sigma, e)
@@ -352,6 +356,8 @@ def sample_fundamental(sigma: float, e: float, nr: int, nt: int) -> TriMesh:
     verts = (X - X[nr - 1, 0]).reshape(-1, 3)
 
     normals = _unit_normals(sigma, Z.reshape(-1))
+    if not (np.isfinite(verts).all() and np.isfinite(normals).all()):
+        raise DegenerateCell("sampled positions or normals are not finite")
 
     v00 = (np.arange(nr - 1)[:, None] * nt + np.arange(nt - 1)).reshape(-1)
     v11 = v00 + nt + 1
@@ -666,7 +672,7 @@ def refine_slice(mesh: TriMesh, heights, sigma: float, max_points,
 
 
 _CHUNK = 1 << 12  # rows formatted per write
-_UNIT_COLUMNS = 8  # distinct block columns whose digits export_obj keeps
+_KERNEL_COLUMNS = 8  # most block columns one digit-kernel call takes
 _KERNEL_VALUES = 1 << 15  # most values one digit-kernel call takes
 _MINUS = np.uint8(ord("-"))  # the sign byte of a negative value
 
@@ -905,28 +911,28 @@ class _Column:
     (``wide``)."""
 
     def __init__(self, key):
-        self.key, self.units, self.wide = key, None, False
-        self.slow = [np.empty(0, dtype=np.intp)]
+        self.key, self.units, self.slow, self.wide = key, None, None, False
 
 
 class _ColumnDigits:
-    """The text of block columns for :func:`export_obj`, with a store of
-    the sign-free units of the last ``keep`` distinct columns of ``rows``
-    values, keyed by the bytes of the column of magnitudes itself.
+    """The text of block columns for :func:`export_obj`, keeping the
+    sign-free units of the columns of its last :meth:`text` call, keyed by
+    the bytes of the column of magnitudes itself, for blocks of ``rows``
+    rows.
 
     Only the sign depends on more than |x|, so a column's units are a
     function of its magnitudes alone, and the bytes cannot tell whether
-    they were stored.  :meth:`text` sends all the columns of its blocks
-    that are not stored through the digit kernel together, in calls of
-    at most ``work.size`` values (:class:`_DigitWork`, whose buffers are
-    allocated once); unit arrays of columns the store drops are reused
-    for new ones.
+    they were kept.  :meth:`text` sends the columns of its blocks that
+    were not kept through the digit kernel whole, up to ``columns`` (but
+    at least one, and no more than fit in ``_KERNEL_VALUES`` values) to a
+    call, into buffers allocated once (:class:`_DigitWork`).
     """
 
-    def __init__(self, rows, keep, work):
-        self.rows, self.keep, self.work = rows, keep, work
-        self.kept = {}  # least recently used first
-        self.spare = []
+    def __init__(self, rows, columns=_KERNEL_COLUMNS):
+        self.rows = rows
+        self.columns = max(1, min(columns, _KERNEL_VALUES // max(rows, 1)))
+        self.work = _DigitWork(self.columns * rows)
+        self.kept = {}
         self.mag = np.empty(rows)
         self.lines = {}
         self.sign = np.empty(min(rows, _CHUNK), dtype=bool)
@@ -934,7 +940,9 @@ class _ColumnDigits:
     def text(self, tag, blocks):
         """ASCII lines ``tag x0 x1 ...`` of the rows of each (rows, k)
         array in ``blocks``, each value as ``'%.9g'`` writes it, in chunks
-        of at most ``_CHUNK`` rows."""
+        of at most ``_CHUNK`` rows.  The columns kept from the last call
+        that these blocks do not have give their unit arrays to new ones;
+        the rest are released before the first line."""
         cols, table = {}, []
         for x in blocks:
             table.append([])
@@ -943,57 +951,34 @@ class _ColumnDigits:
                 col = cols.get(key)
                 if col is None:
                     col = self.kept.pop(key, None) or _Column(key)
-                    cols[col.key] = col
+                    cols[key] = col
                 table[-1].append(col)
+        spare = [col.units for col in self.kept.values()]
+        self.kept = cols
         new = [col for col in cols.values() if col.units is None]
-        while self.kept and len(self.kept) + len(cols) > self.keep:
-            self._drop()
         for col in new:
-            col.units = self.spare.pop() if self.spare else np.empty(
+            col.units = spare.pop() if spare else np.empty(
                 (self.rows, 6), dtype=np.uint32)
+        del spare
         self._fill(new)
         for x, row in zip(blocks, table):
             yield from self._lines(tag, x, row)
-        self.kept.update(cols)
-        while len(self.kept) > self.keep:
-            self._drop()
-
-    def _drop(self):
-        """Drop the least recently used column, keeping its unit array."""
-        self.spare.append(self.kept.pop(next(iter(self.kept))).units)
 
     def _fill(self, cols):
-        """The units of the columns ``cols``, their magnitudes laid end to
-        end through as few kernel calls as ``work`` allows."""
-        work, n = self.work, self.rows
-        pieces, used = [], 0
-        for col in cols:
-            mag = np.frombuffer(col.key)
-            lo = 0
-            while lo < n:
-                hi = min(n, lo + work.size - used)
-                work.mag[used:used + hi - lo] = mag[lo:hi]
-                pieces.append((col, lo, hi, used))
-                used += hi - lo
-                lo = hi
-                if used == work.size:
-                    self._run(pieces, used)
-                    pieces, used = [], 0
-        if used:
-            self._run(pieces, used)
-        for col in cols:
-            col.slow = np.concatenate(col.slow)
-
-    def _run(self, pieces, used):
-        """One kernel call over ``work.mag[:used]``, whose ``pieces`` are
-        (column, first row, end row, offset in ``mag``)."""
-        units, slow = _g9_units(self.work.mag[:used], self.work)
-        for col, lo, hi, at in pieces:
-            part = units[:, at:at + hi - lo]
-            col.units[lo:hi] = part.T
-            s0, s1 = np.searchsorted(slow, (at, at + hi - lo))
-            col.slow.append(slow[s0:s1] + (lo - at))
-            col.wide = col.wide or bool(part[1].any())
+        """The units of the columns ``cols``, ``self.columns`` whole
+        columns laid end to end to a kernel call."""
+        n, work = self.rows, self.work
+        for i in range(0, len(cols), self.columns):
+            batch = cols[i:i + self.columns]
+            for j, col in enumerate(batch):
+                work.mag[j * n:(j + 1) * n] = np.frombuffer(col.key)
+            units, slow = _g9_units(work.mag[:len(batch) * n], work)
+            ends = np.searchsorted(slow, n * np.arange(len(batch) + 1))
+            for j, col in enumerate(batch):
+                part = units[:, j * n:(j + 1) * n]
+                col.units[...] = part.T
+                col.slow = slow[ends[j]:ends[j + 1]] - j * n
+                col.wide = bool(part[1].any())
 
     def _lines(self, tag, x, cols):
         """The lines of the rows of ``x`` from the units of its columns.
@@ -1051,24 +1036,20 @@ def _copies(mesh, part):
 
 def _obj_values(mesh):
     """The ``v`` then the ``vn`` text of :func:`export_obj`, a copy at a
-    time, through a store of block column digits (:class:`_ColumnDigits`)
-    for the positions and another for the normals, which share one set of
-    kernel buffers.
+    time, through one store of block column digits
+    (:class:`_ColumnDigits`).
 
     Each copy's blocks go through :meth:`_ColumnDigits.text` together, so
-    the columns it has not seen before take one kernel call where they
+    the columns the last copy did not have take one kernel call where they
     fit.  From copy 1 on, the ``vn`` text of a copy is kept while the next
     copy yields the same normals arrays (translated copies share one per
     block), and written again; copy 0's normals are its own.
     """
-    n = mesh.base_count
-    work = _DigitWork(min(_KERNEL_VALUES, _UNIT_COLUMNS * n))
-    digits = _ColumnDigits(n, _UNIT_COLUMNS, work)
+    digits = _ColumnDigits(mesh.base_count)
     for vertices in _copies(mesh, 0):
         yield from digits.text(b"v", vertices)
         del vertices  # the walk's next copy replaces these arrays
-    # normals repeat no position column: a store of their own
-    digits = _ColumnDigits(n, _UNIT_COLUMNS, work)
+    digits.lines.clear()  # vn lines have another width
     shared, texts = [], []
     for k, normals in enumerate(_copies(mesh, 1)):
         if len(shared) != len(normals) or any(
@@ -1188,18 +1169,20 @@ def export_obj(mesh: TriMesh, path) -> int:
     extension is a signed diagonal map plus an offset with no x2
     component, so most block columns repeat the magnitudes of an earlier
     one: x2 in every block, x1 and x3 in blocks paired by a zero-offset op,
-    all normals those of the base block.  The sign-free digits of the last
-    ``_UNIT_COLUMNS`` distinct block columns are therefore kept, keyed by
-    the bytes of their magnitudes (a fixed bound, so memory does not grow
-    with the copy count), and the sign is added per value.  The key is the
-    data, so reuse needs no assumption about the ops and the bytes are
-    the same with or without it.  All columns of a copy that are not kept
-    go through the digit kernel together, into buffers allocated once per
-    export that hold ``_UNIT_COLUMNS`` columns or ``_KERNEL_VALUES``
-    values, whichever is fewer: one call per copy at 40x60, more where a
-    copy's new columns exceed them.  A block's ``vn`` text is written
-    again for every following copy that yields the same normals array for
-    it (translated copies 1..copies share one per block).
+    all normals those of the base block.  The sign-free digits of the
+    distinct block columns of the last copy written are therefore kept,
+    keyed by the bytes of their magnitudes (at most one copy's, so memory
+    does not grow with the copy count), and the sign is added per value.
+    The key is the data, so reuse needs no assumption about the ops and
+    the bytes are the same with or without it.  A copy's columns that the
+    last copy did not have go through the digit kernel whole, into
+    buffers allocated once per export that hold ``_KERNEL_COLUMNS``
+    columns or ``_KERNEL_VALUES`` values, whichever is fewer, but at least
+    one column: one call per copy at 40x60 (136 columns in 18 calls at
+    ``--copies 16``), more where a copy's new columns exceed them.  The
+    normals go through the same store, and a block's ``vn`` text is
+    written again for every following copy that yields the same normals
+    array for it (translated copies 1..copies share one per block).
 
     ``f`` is written block by block (:func:`_obj_faces`) from the base
     faces and one table of ``" i//i"`` tokens per copy, with no array the

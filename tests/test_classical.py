@@ -15,8 +15,9 @@ from riemann_minimal.classical import (ConvergenceError, DomainError,
                                        catenoid_height, center_offset,
                                        enneper_coefficients,
                                        enneper_fourier_check, height,
-                                       parameterize, q_min, radicand,
-                                       sigma_of_lambda, slab_height)
+                                       lambda_of_sigma, parameterize, q_min,
+                                       radicand, sigma_of_lambda,
+                                       slab_height)
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -73,6 +74,20 @@ def test_sigma_anchors_and_product_identity():
     assert abs(sigma_of_lambda(1.0) - (3.0 + math.sqrt(5.0)) / 2.0) < 1e-14
     for lam in np.linspace(-2.0, 4.0, 20):
         assert abs(sigma_of_lambda(lam) * q_min(lam) ** 2 - 1.0) < 1e-12
+
+
+def test_lambda_of_sigma_inverts_sigma_of_lambda():
+    # exact at sigma = 1, 4 and 1/4; a round trip each way over the tested
+    # sigma range [1e-3, 1e3] (|lambda| <= 31.59) stays within 4 ulps
+    assert (lambda_of_sigma(1.0), lambda_of_sigma(4.0),
+            lambda_of_sigma(0.25)) == (0.0, 1.5, -1.5)
+    eps = np.finfo(float).eps
+    for sigma in np.geomspace(1e-3, 1e3, 401):
+        back = sigma_of_lambda(lambda_of_sigma(sigma))
+        assert abs(back - sigma) <= 4 * eps * sigma, sigma
+    for lam in np.linspace(-31.59, 31.59, 401):
+        back = lambda_of_sigma(sigma_of_lambda(lam))
+        assert abs(back - lam) <= 4 * eps * max(1.0, abs(lam)), lam
 
 
 def test_sigma_of_lambda_against_mpmath_50_digits():

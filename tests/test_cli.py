@@ -235,6 +235,13 @@ def test_numeric_failure_exit_3(tmp_path, capsys, monkeypatch):
     assert run(["gen", "--sigma", "2", "--e", "0.9999999999", "--grid", "4x4",
                 "-o", str(tmp_path / "o")]) == 3
     assert "numeric failure: DegenerateCell" in capsys.readouterr().err
+    # with e this small a grid row lies on the end z = 0: no mesh is written
+    out = tmp_path / "end"
+    with np.errstate(all="ignore"):
+        assert run(["gen", "--sigma", "2", "--e", "1e-17", "--grid", "10x15",
+                    "--format", "both", "-o", str(out)]) == 3
+    assert "DegenerateCell: sampled positions" in capsys.readouterr().err
+    assert not os.listdir(out)
     # zero tolerances fail the first increment panel of the FD stencils
     monkeypatch.setattr(quad, "ABS_TOL", 0.0)
     monkeypatch.setattr(quad, "REL_TOL", 0.0)

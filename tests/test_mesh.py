@@ -1341,6 +1341,7 @@ def test_export_memory_does_not_grow_with_copies(tmp_path, fund2, ops2):
         finally:
             tracemalloc.stop()
 
+    export_obj(fund2, tmp_path / "m.obj")  # the text tables, built once
     assert peak(32) <= 1.5 * peak(2)
 
 
@@ -1385,10 +1386,11 @@ def test_export_ply_peaks_at_a_few_blocks(tmp_path, piece40):
 def test_export_obj_peaks_at_a_few_blocks(tmp_path, piece40):
     # blocks of 48 bytes per piece vertex, as above.  The OBJ writer keeps
     # the digit kernel's buffers (one copy's new columns, ~10 blocks),
-    # the store's unit arrays, one copy's blocks from the walk and, from
-    # copy 1 on, one copy's vn text; its faces go a block at a time.
-    # Peaks: 20.5 blocks at copies 0 and 30.9 at copies 16, where the
-    # writer with a cell-sized face pass peaked at 24.1 and 33.5
+    # the unit arrays of the last copy's columns, one copy's blocks from
+    # the walk and, from copy 1 on, one copy's vn text; its faces go a
+    # block at a time.  Peaks: 20.5 blocks at copies 0 and 31.4 at
+    # copies 16, where the writer with a cell-sized face pass peaked at
+    # 24.1 and 33.5
     ops = extension_ops(2.0)
     block = 48 * piece40.vertex_count
     export_obj(piece40, tmp_path / "m.obj")  # the text tables, built once
@@ -1435,4 +1437,18 @@ def test_isometry_validation():
 def test_sample_fundamental_rejects_two_angle_grid():
     with pytest.raises(ValueError):
         sample_fundamental(2.0, 0.1, 40, 2)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("sigma, e, nr, nt", [
+    (2.0, 1e-17, 10, 15), (2.0, 1e-17, 2, 3), (2.0, 1e-17, 3, 3),
+    (1e-3, 1e-16, 10, 15)])
+def test_sample_fundamental_rejects_a_row_on_the_end(sigma, e, nr, nt):
+    # an e this small maps the r = e row onto the end z = 0, where the
+    # immersion is infinite; ten times larger, every sample is finite
+    with pytest.raises(mesh.DegenerateCell, match="not finite"):
+        sample_fundamental(sigma, e, nr, nt)
+    piece = sample_fundamental(sigma, 10.0 * e, nr, nt)
+    assert np.isfinite(piece.base_vertices).all()
+    assert np.isfinite(piece.base_normals).all()
 

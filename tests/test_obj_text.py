@@ -1,12 +1,13 @@
 """The OBJ exporter's numpy ``'%.9g'`` text against Python's own, byte for
 byte, on the values where a decimal formatter goes wrong: exact and near
 ties, powers of ten, the fixed/exponent switches, subnormals and the
-non-finite values."""
+non-finite values; and the kernel calls its digit store makes."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import scalar_references as scalar
 from riemann_minimal import mesh
 
 
@@ -17,10 +18,19 @@ def percent(rows):
 
 
 def store(rows, size=8):
-    """A digit store for blocks of ``rows`` rows that keeps ``size``
-    columns, with its own kernel buffers."""
-    work = mesh._DigitWork(min(mesh._KERNEL_VALUES, size * rows))
-    return mesh._ColumnDigits(rows, size, work)
+    """A digit store for blocks of ``rows`` rows that sends ``size``
+    columns to a kernel call."""
+    return mesh._ColumnDigits(rows, size)
+
+
+def kernel_calls(monkeypatch):
+    """The list that the value count of every later digit-kernel call is
+    appended to."""
+    calls = []
+    units = mesh._g9_units
+    monkeypatch.setattr(mesh, "_g9_units", lambda a, work: calls.append(
+        len(a)) or units(a, work))
+    return calls
 
 
 def formatted(values):
@@ -202,19 +212,38 @@ def test_blocks_reusing_column_digits_match_python(monkeypatch, size):
     moved = base.copy()
     moved[:, 0] += 7.0
     blocks.insert(2, moved)
-    calls = []
-    units = mesh._g9_units
-    monkeypatch.setattr(mesh, "_g9_units", lambda a, work: calls.append(
-        len(a)) or units(a, work))
+    calls = kernel_calls(monkeypatch)
     digits = store(len(base), size)
     got = b"".join(t for b in blocks for t in digits.text(b"v", [b]))
     assert got == percent(np.concatenate(blocks))
-    # each distinct column is formatted once only where the store holds
-    # all four
-    assert (sum(calls) == 4 * 40) if size == 8 else (sum(calls) > 4 * 40)
+    # the store keeps the last call's columns: the moved block's call
+    # drops |c0|, and the next block formats it again
+    assert sum(calls) == 5 * 40
     # the new columns of several blocks go through one kernel call
     calls.clear()
     digits = store(len(base), size)
     got = b"".join(digits.text(b"v", blocks))
     assert got == percent(np.concatenate(blocks))
     assert calls == ([4 * 40] if size == 8 else [size * 40] * (4 // size))
+
+
+def test_a_block_past_the_kernel_size_goes_a_column_a_call(monkeypatch):
+    # a block of more rows than _KERNEL_VALUES: one column to a call
+    rng = np.random.default_rng(13)
+    rows = mesh._KERNEL_VALUES + 7
+    x = rng.standard_normal((rows, 3)) * 10.0 ** rng.integers(-9, 9, (rows, 3))
+    x[-7:] = _hard_columns()[:7]
+    calls = kernel_calls(monkeypatch)
+    assert b"".join(store(rows).text(b"v", [x])) == percent(x)
+    assert calls == [rows] * 3
+
+
+def test_gen_export_formats_each_column_once(tmp_path, monkeypatch):
+    # gen's 40x60 piece with --copies 16: copy 0 has 5 distinct block
+    # columns, every later copy 9, of which only |x2| is the last copy's,
+    # and the normals 3 in all; 136 columns in 18 kernel calls
+    ext = scalar.gen_extended(2.0, 40, 60, 16)
+    calls = kernel_calls(monkeypatch)
+    mesh.export_obj(ext, tmp_path / "m.obj")
+    n = ext.base_count
+    assert calls == [5 * n] + [8 * n] * 16 + [3 * n]
