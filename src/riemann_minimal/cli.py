@@ -48,6 +48,8 @@ SIGMA_RANGE = (1e-3, 1e3)
 
 @dataclass
 class RunConfig:
+    """A run's settings; the defaults here are the flags' defaults."""
+
     command: str
     sigma: float
     lam: float | None
@@ -110,6 +112,9 @@ def build_parser():
         prog="riemann-minimal",
         description="Construct and verify Riemann's minimal examples.")
     sub = ap.add_subparsers(dest="command", required=True)
+    # a flag not given is left out of the namespace, and RunConfig's
+    # default applies
+    quiet = {"argument_default": argparse.SUPPRESS}
 
     def common(p):
         g = p.add_mutually_exclusive_group(required=True)
@@ -117,41 +122,38 @@ def build_parser():
                        help="curve parameter sigma in [1e-3, 1e3]")
         g.add_argument("--lambda", dest="lam", type=float,
                        help="classical parameter lambda (sigma derived)")
-        p.add_argument("--json", dest="json_path", default=None,
+        p.add_argument("--json", dest="json_path",
                        help="write the JSON report here instead of stdout")
 
-    pg = sub.add_parser("gen", help="generate and export meshes")
+    pg = sub.add_parser("gen", help="generate and export meshes", **quiet)
     common(pg)
-    pg.add_argument("--e", type=float, default=0.1,
+    pg.add_argument("--e", type=float,
                     help="end-truncation parameter in (0,1)")
-    pg.add_argument("--grid", type=_parse_grid, default=(40, 60),
-                    metavar="NRxNT")
-    pg.add_argument("--copies", type=int, default=1)
+    pg.add_argument("--grid", type=_parse_grid, metavar="NRxNT")
+    pg.add_argument("--copies", type=int)
     pg.add_argument("-o", "--out", dest="out_dir", default="out")
-    pg.add_argument("--format", dest="fmt", choices=["obj", "ply", "both"],
-                    default="obj")
+    pg.add_argument("--format", dest="fmt", choices=["obj", "ply", "both"])
 
-    pv = sub.add_parser("verify", help="run the verification suite")
+    pv = sub.add_parser("verify", help="run the verification suite", **quiet)
     common(pv)
-    pv.add_argument("--seed", type=int, default=7)
+    pv.add_argument("--seed", type=int)
     pv.add_argument("--tol", action="append", metavar="NAME=VALUE",
                     help="threshold override for a named check (repeatable)")
 
-    pk = sub.add_parser("kdv", help="KdV hierarchy printing and measurement")
+    pk = sub.add_parser("kdv", help="KdV hierarchy printing and measurement",
+                        **quiet)
     gk = pk.add_mutually_exclusive_group(required=False)
     gk.add_argument("--sigma", type=float)
     gk.add_argument("--lambda", dest="lam", type=float)
-    pk.add_argument("--print-p", dest="print_p", type=int, default=None,
+    pk.add_argument("--print-p", dest="print_p", type=int,
                     metavar="N", help="print P_0..P_N in canonical text")
-    # the fit flags default to None so that giving one without
-    # --sigma/--lambda, where no fit runs, is an error
-    pk.add_argument("--n", dest="n_level", type=int, default=None,
+    pk.add_argument("--n", dest="n_level", type=int,
                     help="hierarchy level 1..3 for the least-squares fit "
-                         "(default 1)")
-    pk.add_argument("--samples", type=int, default=None,
-                    help="curve points in the fit (default 60)")
-    pk.add_argument("--seed", type=int, default=None, help="(default 7)")
-    pk.add_argument("--json", dest="json_path", default=None)
+                         f"(default {RunConfig.n_level})")
+    pk.add_argument("--samples", type=int, help="curve points in the fit "
+                    f"(default {RunConfig.samples})")
+    pk.add_argument("--seed", type=int, help=f"(default {RunConfig.seed})")
+    pk.add_argument("--json", dest="json_path")
     return ap
 
 
@@ -182,14 +184,14 @@ _KDV_FIT_FLAGS = {"n_level": "--n", "samples": "--samples", "seed": "--seed"}
 
 
 def _config_from_args(args) -> RunConfig:
-    if args.command == "kdv" and args.sigma is None and args.lam is None:
-        given = [flag for name, flag in _KDV_FIT_FLAGS.items()
-                 if getattr(args, name) is not None]
-        if given:
-            raise ValueError(f"the fit flags {', '.join(given)} need "
+    flags = dict(vars(args))  # the flags given, and gen's -o
+    lam, sigma = flags.pop("lam", None), flags.pop("sigma", None)
+    if args.command == "kdv" and sigma is None and lam is None:
+        # no fit runs, so a fit flag given is an error
+        fit = [flag for name, flag in _KDV_FIT_FLAGS.items() if name in flags]
+        if fit:
+            raise ValueError(f"the fit flags {', '.join(fit)} need "
                              "--sigma or --lambda")
-    lam = getattr(args, "lam", None)
-    sigma = getattr(args, "sigma", None)
     if sigma is None and lam is not None:
         sigma = classical.sigma_of_lambda(lam)
     if sigma is not None and not SIGMA_RANGE[0] <= sigma <= SIGMA_RANGE[1]:
@@ -197,23 +199,11 @@ def _config_from_args(args) -> RunConfig:
             f"lambda {lam!r} gives sigma {sigma!r}, which is")
         raise ValueError(f"{given} outside the tested range "
                          f"[{SIGMA_RANGE[0]:g}, {SIGMA_RANGE[1]:g}]")
-    nr, nt = getattr(args, "grid", (40, 60))
-    cfg = RunConfig(
-        command=args.command,
-        sigma=sigma if sigma is not None else 0.0,
-        lam=lam,
-        e=getattr(args, "e", 0.1),
-        nr=nr, nt=nt,
-        copies=getattr(args, "copies", 1),
-        seed=_given(args, "seed", 7),
-        tolerances=_parse_tol(getattr(args, "tol", None)),
-        out_dir=getattr(args, "out_dir", None),
-        fmt=getattr(args, "fmt", "obj"),
-        json_path=getattr(args, "json_path", None),
-        n_level=_given(args, "n_level", 1),
-        samples=_given(args, "samples", 60),
-        print_p=getattr(args, "print_p", None),
-    )
+    if "grid" in flags:
+        flags["nr"], flags["nt"] = flags.pop("grid")
+    flags["tolerances"] = _parse_tol(flags.pop("tol", None))
+    cfg = RunConfig(sigma=sigma if sigma is not None else 0.0, lam=lam,
+                    **flags)
     if cfg.command == "gen":
         if not 0.0 < cfg.e < 1.0:
             raise ValueError("e must lie in (0,1)")
@@ -247,13 +237,6 @@ def _config_from_args(args) -> RunConfig:
         if cfg.samples < 1:
             raise ValueError(f"--samples must be >= 1, got {cfg.samples}")
     return cfg
-
-
-def _given(args, name, default):
-    """The flag's value, or ``default`` when the command lacks the flag or
-    it was not given."""
-    value = getattr(args, name, None)
-    return default if value is None else value
 
 
 def _report_skeleton(cfg: RunConfig) -> dict:

@@ -352,10 +352,10 @@ def sample_fundamental(sigma: float, e: float, nr: int, nt: int) -> TriMesh:
             or np.min(np.abs(np.diff(Z, axis=0))) == 0.0):
         raise DegenerateCell("adjacent grid samples coincide")
 
-    X, W = _curve.immerse(params, Z)
-    verts = (X - X[nr - 1, 0]).reshape(-1, 3)
-
-    normals = _unit_normals(sigma, Z.reshape(-1))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        X, W = _curve.immerse(params, Z)  # a point on z = 0 is not finite
+        verts = (X - X[nr - 1, 0]).reshape(-1, 3)
+        normals = _unit_normals(sigma, Z.reshape(-1))
     if not (np.isfinite(verts).all() and np.isfinite(normals).all()):
         raise DegenerateCell("sampled positions or normals are not finite")
 
@@ -1041,57 +1041,56 @@ def _obj_values(mesh):
 
     Each copy's blocks go through :meth:`_ColumnDigits.text` together, so
     the columns the last copy did not have take one kernel call where they
-    fit.  From copy 1 on, the ``vn`` text of a copy is kept while the next
-    copy yields the same normals arrays (translated copies share one per
-    block), and written again; copy 0's normals are its own.
+    fit.  The translated copies 1..copies share one normals array per
+    block (:meth:`TriMesh.blocks`), so their ``vn`` text is copy 1's,
+    formatted once and written ``copies`` times; copy 0's normals are its
+    own, and the walk stops after copy 1.
     """
     digits = _ColumnDigits(mesh.base_count)
     for vertices in _copies(mesh, 0):
         yield from digits.text(b"v", vertices)
         del vertices  # the walk's next copy replaces these arrays
     digits.lines.clear()  # vn lines have another width
-    shared, texts = [], []
-    for k, normals in enumerate(_copies(mesh, 1)):
-        if len(shared) != len(normals) or any(
-                a is not b for a, b in zip(shared, normals)):
-            shared, texts = [], []  # the last copy's text goes first
-            if not 0 < k < mesh.copies:  # no later copy shares them
-                yield from digits.text(b"vn", normals)
-                continue
-            # bytes: a translated bytearray keeps its untranslated size
-            shared = normals
-            texts = list(map(bytes, digits.text(b"vn", normals)))
-        yield from texts
+    normals = _copies(mesh, 1)
+    yield from digits.text(b"vn", next(normals))
+    if mesh.copies:
+        text = digits.text(b"vn", next(normals))
+        if mesh.copies > 1:  # a translated bytearray keeps its old size
+            text = list(map(bytes, text))
+        del normals  # ends the walk
+        for _ in range(mesh.copies):
+            yield from text
 
 
-def _token_table(idx, out):
-    """Tokens ``" i//i"`` for the indices i = idx[r] >= 0, written into the
-    front of the uint8 buffer ``out``: (table, padded), item r of the
-    table holding the ASCII bytes of idx[r]'s token zero-padded to the
-    widest item, and ``padded`` whether any item is padded.
+def _token_table(first, count, out):
+    """Tokens ``" i//i"`` for the indices i = first .. first + count - 1
+    (first >= 0, count >= 1), written into the front of the uint8 buffer
+    ``out``: (table, padded), item r of the table holding the ASCII bytes
+    of first + r's token zero-padded to the widest item, and ``padded``
+    whether any item is padded.
 
     The digits of each i are read four at a time from the full 4-digit
     unit table (``int4``'s second half), and its leading zeros are cut.
     Items are fixed-width ``void`` scalars, so a gather copies whole rows;
-    so do the copies that fill the table.  Rows of equal width are filled
-    as one block: sorted indices make a few blocks.
+    so do the copies that fill the table.  The indices are consecutive,
+    so the rows of one digit count are one block, cut at the powers of
+    ten.
     """
-    groups = max(1, -(-len(str(int(idx.max(initial=0)))) // 4))
-    part, rest = np.empty((len(idx), groups), dtype=np.int64), idx
+    digits_last = len(str(first + count - 1))
+    groups = -(-digits_last // 4)
+    part = np.empty((count, groups), dtype=np.int64)
+    rest = np.arange(first, first + count)
     for g in range(groups - 1, 0, -1):  # 4 digits at a time, lowest first
         high = rest // 10_000
         np.subtract(rest, 10_000 * high, out=part[:, g])
         rest = high
     part[:, 0] = rest
     digits = _g9_tables()[4][10_000:].take(part).view(np.uint8)
-    # " i" bytes per row: one more than the digit count
-    width = 2 + np.searchsorted(10 ** np.arange(1, 4 * groups), idx,
-                                side="right")
-    top = int(width.max(initial=0))
-    table = out[:len(idx) * (2 * top + 1)].reshape(len(idx), 2 * top + 1)
-    runs = np.flatnonzero(np.diff(width, prepend=-1, append=-1))
-    for r0, r1 in zip(runs[:-1], runs[1:]):
-        w = width[r0]
+    top = digits_last + 1  # " i" bytes of the widest row
+    table = out[:count * (2 * top + 1)].reshape(count, 2 * top + 1)
+    cuts = [0] + [min(max(10 ** d - first, 0), count)
+                  for d in range(1, digits_last)] + [count]
+    for w, r0, r1 in zip(range(2, top + 1), cuts, cuts[1:]):
         item = np.dtype((np.void, w - 1))  # one row's digits
         tok = digits[r0:r1, 4 * groups + 1 - w:].view(item)
         table[r0:r1, 0] = ord(" ")
@@ -1099,14 +1098,13 @@ def _token_table(idx, out):
         table[r0:r1, w] = table[r0:r1, w + 1] = ord("/")
         table[r0:r1, w + 2:2 * w + 1].view(item)[...] = tok
         table[r0:r1, 2 * w + 1:] = 0
-    padded = len(idx) > 0 and int(width.min()) < top
+    padded = len(str(first)) < digits_last
     return table.view(np.dtype((np.void, table.shape[1])))[:, 0], padded
 
 
 def _unique(a):
     """The sorted distinct values of an integer array, as ``np.unique``
     gives them, from one sort: numpy 2.4's hash-based ``np.unique`` took
-    12x as long on the 1.8M face indices of a 160x240 extended mesh, and
     6x as long on the 4278 edge keys of a 24x32 piece."""
     a = np.sort(a, axis=None)
     keep = np.ones(a.shape, dtype=bool)
@@ -1119,31 +1117,27 @@ def _obj_faces(mesh):
     :func:`export_ply` writes its faces.
 
     Block b's faces are the base faces, reversed where ``flips[b]`` is
-    set, with each index moved to block b's first row.  The base faces'
-    distinct indices (``used``; faces may point past the vertex array) map
-    them to rows of a token table (:func:`_token_table`) of one copy, L
-    rows per block, rebuilt into one buffer per copy, so a block's lines
-    are a byte gather of three rows between ``f`` and a newline.  The
-    padding is dropped only where a copy's indices differ in digit count.
-    A yielded chunk may be a reused buffer: write it before drawing the
-    next.
+    set, with each index moved to block b's first row.  Copy k holds the
+    consecutive vertices k c + 1 .. (k + 1) c (1-based, c the cell's
+    vertex count), so one token table of them (:func:`_token_table`),
+    rebuilt into one buffer per copy, serves its blocks: block b's lines
+    are a byte gather of rows ``faces + b n`` (n the base vertex count)
+    between ``f`` and a newline.  The padding is dropped only where a
+    copy's indices differ in digit count.  A yielded chunk may be a reused
+    buffer: write it before drawing the next.
     """
-    f, n, flips = mesh.base_faces, mesh.base_count, mesh.flips
+    f = mesh.base_faces.astype(np.intp)  # take converts to intp per call
+    n, flips = mesh.base_count, mesh.flips
     if not len(f):
         return
-    used = _unique(f)
-    rows = np.searchsorted(used, f)
-    rows = rows, rows[:, ::-1].copy()
-    count = len(flips) * (mesh.copies + 1)
-    width = 2 * len(str(int(used[-1]) + (count - 1) * n + 1)) + 3
-    idx = np.empty((len(flips), len(used)), dtype=np.int64)
-    table = np.empty(idx.size * width, dtype=np.uint8)
+    faces = f, f[:, ::-1].copy()
+    cell = n * len(flips)
+    width = 2 * len(str(mesh.vertex_count)) + 3
+    table = np.empty(cell * width, dtype=np.uint8)
     gathered = np.empty(3 * len(f) * width, dtype=np.uint8)
-    block, lines = np.empty_like(rows[0]), {}
+    block, lines = np.empty_like(faces[0]), {}
     for k in range(mesh.copies + 1):
-        first = n * (k * len(flips) + np.arange(len(flips))) + 1
-        np.add(used, first[:, None], out=idx)
-        tokens, padded = _token_table(idx.ravel(), table)
+        tokens, padded = _token_table(k * cell + 1, cell, table)
         w = tokens.itemsize
         tok = gathered[:3 * len(f) * w].view(tokens.dtype).reshape(-1, 3)
         buf = _reused(lines, len(f) * (3 * w + 2))
@@ -1151,7 +1145,7 @@ def _obj_faces(mesh):
         line[:, 0], line[:, -1] = ord("f"), ord("\n")
         body = line[:, 1:-1].view(tokens.dtype)
         for b, flip in enumerate(flips):
-            np.add(rows[flip], b * len(used), out=block)
+            np.add(faces[flip], b * n, out=block)
             tokens.take(block, out=tok, mode="clip")
             body[...] = tok
             yield buf.translate(None, b"\0") if padded else buf
@@ -1159,6 +1153,9 @@ def _obj_faces(mesh):
 
 def export_obj(mesh: TriMesh, path) -> int:
     """ASCII OBJ (v/vn/f with 1-based i//i indices, 9 significant digits).
+
+    ValueError, before the file is opened, when a base face names no
+    vertex: an index outside [0, ``base_count``).
 
     Every ``v`` and ``vn`` value is written as Python's ``'%.9g'`` writes
     it, byte for byte: :func:`_g9_units` renders the correctly rounded
@@ -1180,15 +1177,17 @@ def export_obj(mesh: TriMesh, path) -> int:
     columns or ``_KERNEL_VALUES`` values, whichever is fewer, but at least
     one column: one call per copy at 40x60 (136 columns in 18 calls at
     ``--copies 16``), more where a copy's new columns exceed them.  The
-    normals go through the same store, and a block's ``vn`` text is
-    written again for every following copy that yields the same normals
-    array for it (translated copies 1..copies share one per block).
+    normals go through the same store, and the translated copies' ``vn``
+    text is formatted once (:func:`_obj_values`).
 
-    ``f`` is written block by block (:func:`_obj_faces`) from the base
-    faces and one table of ``" i//i"`` tokens per copy, with no array the
-    size of the cell.  Deterministic bytes for identical input.  Returns
-    the byte count.
+    ``f`` is written block by block (:func:`_obj_faces`), from the base
+    faces and a table of each copy's ``" i//i"`` tokens.  Deterministic
+    bytes for identical input.  Returns the byte count.
     """
+    f = mesh.base_faces
+    if len(f) and not 0 <= f.min() <= f.max() < mesh.base_count:
+        raise ValueError(f"OBJ faces must name a vertex: indices {f.min()}"
+                         f"..{f.max()} on {mesh.base_count} vertices")
     with open(path, "wb") as fh:
         nbytes = sum(map(fh.write, _obj_values(mesh)))
         nbytes += sum(map(fh.write, _obj_faces(mesh)))

@@ -235,19 +235,31 @@ def test_numeric_failure_exit_3(tmp_path, capsys, monkeypatch):
     assert run(["gen", "--sigma", "2", "--e", "0.9999999999", "--grid", "4x4",
                 "-o", str(tmp_path / "o")]) == 3
     assert "numeric failure: DegenerateCell" in capsys.readouterr().err
-    # with e this small a grid row lies on the end z = 0: no mesh is written
-    out = tmp_path / "end"
-    with np.errstate(all="ignore"):
-        assert run(["gen", "--sigma", "2", "--e", "1e-17", "--grid", "10x15",
-                    "--format", "both", "-o", str(out)]) == 3
-    assert "DegenerateCell: sampled positions" in capsys.readouterr().err
-    assert not os.listdir(out)
     # zero tolerances fail the first increment panel of the FD stencils
     monkeypatch.setattr(quad, "ABS_TOL", 0.0)
     monkeypatch.setattr(quad, "REL_TOL", 0.0)
     assert run(["verify", "--sigma", "2", "--json", "/dev/null"]) == 3
     assert ("numeric failure: QuadError: increment panel"
             in capsys.readouterr().err)
+
+
+@pytest.mark.filterwarnings("error")  # a numpy warning exits 4
+@pytest.mark.parametrize("args, why", [
+    (["--sigma", "2", "--e", "1e-17", "--grid", "10x15"], "not finite"),
+    (["--sigma", "1e-3", "--e", "1e-16", "--grid", "10x15"], "not finite"),
+    (["--sigma", "1e3", "--e", "1e-15", "--grid", "10x15"], "not finite"),
+    (["--sigma", "2", "--e", "1e-17"], "coincide")])
+def test_gen_with_a_grid_point_on_the_end_prints_one_line(tmp_path, capsys,
+                                                          args, why):
+    # with e this small a grid point lies on the end z = 0: exit 3 with
+    # the one-line failure and no numpy warning, and no mesh is written
+    out = tmp_path / "end"
+    assert run(["gen", *args, "--format", "both", "-o", str(out)]) == 3
+    message = {"not finite": "sampled positions or normals are not finite",
+               "coincide": "adjacent grid samples coincide"}[why]
+    assert capsys.readouterr().err == (f"numeric failure: DegenerateCell: "
+                                       f"{message}\n")
+    assert not os.listdir(out)
 
 
 @pytest.mark.parametrize("command", ["gen", "verify", "kdv"])

@@ -166,22 +166,24 @@ def test_off_by_one_exponents_are_corrected_not_sent_to_percent():
 
 
 def test_face_tokens_match_percent_d():
-    # every digit-count boundary up to a 12-digit index, in and out of
-    # order, and an empty table
-    edges = [i for k in range(1, 13) for i in (10 ** k - 1, 10 ** k)]
-    for idx in ([0, 9, 10, 99, 100] + edges + [123456789012],
-                [10 ** 12 - 1, 7, 10 ** 4, 9999, 0, 10 ** 8]):
+    # ranges across every digit-count boundary up to 10 digits, one from
+    # 0 across three of them, one ending at 2^31 - 1 and single rows
+    ranges = [(10 ** k - 3, 6) for k in range(1, 10)]
+    ranges += [(0, 1234), (9990, 20), (999_990, 20), (2 ** 31 - 6, 6),
+               (7, 1), (10 ** 9, 1), (2 ** 31 - 1, 1)]
+    out = np.empty(1234 * 23, dtype=np.uint8)
+    for first, count in ranges:
         # a reused buffer: stale bytes must not reach the padding
-        out = np.full(len(idx) * 40, ord("x"), dtype=np.uint8)
-        table, padded = mesh._token_table(np.array(idx), out)
-        width = max(len(b" %d//%d" % (i, i)) for i in idx)
-        assert table.dtype.itemsize == width and padded
-        for i, item in zip(idx, table):
-            assert bytes(item) == (b" %d//%d" % (i, i)).ljust(width, b"\0")
-    table, padded = mesh._token_table(np.array([10 ** 5, 99999 + 7]), out)
-    assert bytes(table[1]) == b" 100006//100006" and not padded
-    table, _ = mesh._token_table(np.array([], dtype=np.int64), out)
-    assert table.shape == (0,)
+        out[:] = ord("x")
+        table, padded = mesh._token_table(first, count, out)
+        want = [b" %d//%d" % (i, i) for i in range(first, first + count)]
+        width = max(map(len, want))
+        assert table.shape == (count,) and table.dtype.itemsize == width
+        assert padded == (len(want[0]) < width)
+        assert [bytes(item) for item in table] == [t.ljust(width, b"\0")
+                                                    for t in want]
+    assert mesh._token_table(99_999, 2, out)[1]
+    assert not mesh._token_table(100_000, 7, out)[1]
 
 
 def _hard_columns():
