@@ -30,6 +30,7 @@ print(f"  slab: x3 in [{x3.min():.6f}, {x3.max():.6f}]")
 ops = mesh.extension_ops(SIGMA)
 c = mesh.FundamentalSurface(SIGMA).psi_fixed_point()
 print(f"  fixed point c = {np.round(c, 6)}")
+print(f"  op 1 offset (2 c1, 0, 2 c3) = {np.round(ops[0].offset, 6)}")
 print(f"  translation 2 t0 = {np.round(ops[3].offset, 6)}")
 
 ext = mesh.extend(fund, ops, copies=1)
@@ -43,12 +44,13 @@ for name, m in (("fundamental", fund), ("extended", ext)):
 
 print("\nhorizontal slices of the extended mesh:")
 span = ops[3].offset[2] / 2.0
-# slice the piece at all heights in one pass, then refine those crossings;
+# slice the piece at all heights in one pass, then refine those crossings
+# on the curve whose sigma the piece records;
 # the heights are symmetric about span / 2, and the extended mesh's circle
 # at hs[j] is the orbit of the piece's slices: blocks 0 and 2 (which keep
 # x3) of slice j, blocks 1 and 3 (x3 -> span - x3) of slice 2 - j
 hs = np.array([0.25, 0.5, 0.75]) * span
-slices = mesh.refine_slice(fund, hs, SIGMA, 24, mesh.slice_mesh(fund, hs))
+slices = mesh.refine_slice(fund, hs, 24, mesh.slice_mesh(fund, hs))
 circles = [np.concatenate([op.apply(slices[2 - j if b % 2 else j])
                            for b, op in enumerate(ext.cell_ops[:4])])
            for j in range(len(hs))]

@@ -12,16 +12,17 @@ Weierstrass stencil's anchors are closed-form points (``curve.immerse``),
 and the stencil's increments are one G7/K15 panel each
 (``quad.panel_increments``); registration and the circle foliation fit
 circles to slices that :func:`slice_checks`, the one code that picks
-their heights, takes of the piece: it is sliced once, both checks'
-crossings are refined to exact points in one lockstep Newton loop on
-``curve.immerse``, and the cell's circles are the orbit of the piece's
-slices under the cell's isometries; each check fits all its slices in
-one stacked ``mesh.level_circle_fit`` call.  The classical stencil adds
-one-panel increments to the Carlson closed forms of ``classical``.  The
-periods and fluxes of ``verify`` are trapezoidal sums on analytic
-contours (``curve.period``).  The sampled vertices, the periods and the stencil
-increments are pinned against an adaptive quadrature oracle with branch
-tracking by the test suite, not here.
+their heights, takes of the piece, on the curve whose sigma the piece
+records: it is sliced once, both checks' crossings are refined to exact
+points in one lockstep Newton loop on ``curve.immerse``, and the cell's
+circles are the orbit of the piece's slices under the cell's isometries;
+each check fits all its slices in one stacked ``mesh.level_circle_fit``
+call.  The classical stencil adds one-panel increments to the Carlson
+closed forms of ``classical``.  The periods and fluxes of ``verify`` are
+trapezoidal sums on analytic contours (``curve.period``).  The sampled
+vertices, the periods and the stencil increments are pinned against an
+adaptive quadrature oracle with branch tracking by the test suite, not
+here.
 """
 
 from __future__ import annotations
@@ -312,22 +313,24 @@ def foliation_residuals(sigma, cell, heights, points):
     return np.array(rels), [low.kind, high.kind]
 
 
-def slice_checks(sigma, piece):
+def slice_checks(piece):
     """(:func:`registration_error` of ``piece``, :func:`foliation_residuals`
     of its cell): the one route from a sampled piece to its slice checks.
 
-    ``piece``, the fundamental piece of ``sigma`` from
-    :func:`mesh.sample_fundamental`, is the only mesh sliced: once, at 12
-    evenly spaced candidate heights, of which registration keeps the
-    first 6 that cross 8 or more edges (SliceFitError when fewer than 4
-    do), and at foliation's 10 heights.  One :func:`mesh.refine_slice`
-    call refines them all, 24 points per registration height and 14 per
-    foliation height.  Foliation's heights are symmetric, h_j + h_(9-j) =
-    t0_3, and the cell (``piece`` extended with ``copies=0``) keeps x3 in
-    blocks 0 and 2 and sends it to t0_3 - x3 in blocks 1 and 3: its circle
-    at h_j is blocks 0 and 2 of the piece's slice j plus blocks 1 and 3 of
-    slice 9 - j.
+    ``piece``, a fundamental piece from :func:`mesh.sample_fundamental`
+    (ValueError otherwise), on the curve of its ``domain_sigma``, is the
+    only mesh sliced: once, at 12 evenly spaced candidate heights, of
+    which registration keeps the first 6 that cross 8 or more edges
+    (SliceFitError when fewer than 4 do), and at foliation's 10 heights.
+    One :func:`mesh.refine_slice` call refines them all, 24 points per
+    registration height and 14 per foliation height.  Foliation's heights
+    are symmetric, h_j + h_(9-j) = t0_3, and the cell (``piece`` extended
+    with ``copies=0``) keeps x3 in blocks 0 and 2 and sends it to t0_3 -
+    x3 in blocks 1 and 3: its circle at h_j is blocks 0 and 2 of the
+    piece's slice j plus blocks 1 and 3 of slice 9 - j.
     """
+    if (sigma := piece.domain_sigma) is None:
+        raise ValueError("slice_checks takes a piece from sample_fundamental")
     cell = mesh.extend(piece, mesh.extension_ops(sigma), copies=0)
     span = mesh.FundamentalSurface(sigma).translation_half()[2]
     candidates = (0.14 + 0.72 * np.arange(12) / 11) * span
@@ -344,7 +347,7 @@ def slice_checks(sigma, piece):
     sel = np.isin(owner, used)
     k = len(kept)
     pts = mesh.refine_slice(
-        piece, np.concatenate([candidates[kept], fol_hs]), sigma,
+        piece, np.concatenate([candidates[kept], fol_hs]),
         np.repeat([24, 14], [k, 10]),
         (np.searchsorted(used, owner[sel]), *(r[sel] for r in records)))
     slices, ops = pts[k:], cell.cell_ops

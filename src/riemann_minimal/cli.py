@@ -183,6 +183,11 @@ def _is_number(text):
 _KDV_FIT_FLAGS = {"n_level": "--n", "samples": "--samples", "seed": "--seed"}
 
 
+def _verify_lambda(cfg) -> float:
+    """The lambda verify runs at: ``--lambda`` as given, else sigma's."""
+    return classical.lambda_of_sigma(cfg.sigma) if cfg.lam is None else cfg.lam
+
+
 def _config_from_args(args) -> RunConfig:
     flags = dict(vars(args))  # the flags given, and gen's -o
     lam, sigma = flags.pop("lam", None), flags.pop("sigma", None)
@@ -223,6 +228,9 @@ def _config_from_args(args) -> RunConfig:
         if not os.path.isdir(folder) or os.path.isdir(cfg.json_path):
             raise ValueError(f"--json {cfg.json_path}: cannot write a file "
                              "there (no such directory, or it is one)")
+    if "catenoid_closed_form" in cfg.tolerances and _verify_lambda(cfg):
+        raise ValueError("--tol catenoid_closed_form: verify records that "
+                         "check at lambda 0 only")
     if cfg.seed < 0:  # numpy's default_rng takes no negative seed
         raise ValueError(f"--seed must be >= 0, got {cfg.seed}")
     if cfg.command == "kdv":
@@ -368,9 +376,7 @@ def cmd_verify(cfg: RunConfig) -> int:
     suite.record("enneper_fourier",
                  classical.enneper_fourier_check(canonical), 1e-4)
 
-    lam = cfg.lam
-    if lam is None:
-        lam = classical.lambda_of_sigma(cfg.sigma)
+    lam = _verify_lambda(cfg)
     if lam == 0.0:
         suite.record("catenoid_closed_form", checks.catenoid_residual(), 1e-8)
 
@@ -388,7 +394,7 @@ def cmd_verify(cfg: RunConfig) -> int:
 
     # both slice checks read one sampled piece, the only mesh sliced
     piece = mesh.sample_fundamental(cfg.sigma, 0.1, 24, 32)
-    reg, (rels, kinds) = checks.slice_checks(cfg.sigma, piece)
+    reg, (rels, kinds) = checks.slice_checks(piece)
     suite.record("registration_radius", reg.max_radius_rel_err, 1e-3)
     suite.record("registration_spacing", reg.spacing_rel_err, 1e-3)
     suite.record("circle_foliation", float(np.max(rels)), 1e-5)

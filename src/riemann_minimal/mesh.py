@@ -164,20 +164,22 @@ class TriMesh:
     and ``copies + 1`` copies, walked by :meth:`blocks`: block b of copy 0
     is the piece under the isometry ``cell_ops[b]`` (block 0, under the
     identity, is the piece's own arrays), with the base faces reversed
-    where ``flips[b]`` is set, and block b of copy k + 1 is block b of
-    copy k under ``translation``.  Vertex i is base vertex ``i % n`` of
-    block ``i // n`` (n the base vertex count), and its faces are the base
-    faces shifted by that block's first index.  The first ``len(flips)``
-    blocks are the *cell*.  A plain mesh is one block with no copies.
-    The cell of :func:`extend` is eight blocks, one period of the
-    translation 2 t0.  The translation by t0 (op 1 after op 3) maps the
-    surface onto itself too, but reverses its orientation, so the cell
-    holds two of the paper's fundamental domains.
+    where ``flips[b]`` is set, computed once here: where that isometry's
+    orientation times det(L) is negative (the mapped winding turns with
+    det(L), the mapped normal with the orientation).  Block b of copy
+    k + 1 is block b of copy k under ``translation``.  Vertex i is base
+    vertex ``i % n`` of block ``i // n`` (n the base vertex count), and
+    its faces are the base faces shifted by that block's first index.
+    The first ``len(flips)`` blocks are the *cell*.  A plain mesh is one
+    block with no copies.  The cell of :func:`extend` is eight blocks, one
+    period of the translation 2 t0.  The translation by t0 (op 1 after op
+    3) maps the surface onto itself too, but reverses its orientation, so
+    the cell holds two of the paper's fundamental domains.
 
-    Only the piece of :func:`sample_fundamental` also keeps, per vertex,
-    the domain parameter z it was sampled at and the branch value w there
-    (``domain_z``, ``domain_w``), the record :func:`refine_slice` reads;
-    an extended mesh's slices are the orbit of the piece's.
+    Only the piece of :func:`sample_fundamental` also keeps the sigma of
+    its curve and, per vertex, the domain parameter z it was sampled at
+    and the branch value w there (``domain_sigma``, ``domain_z``,
+    ``domain_w``), the record :func:`refine_slice` reads.
 
     ``vertices``, ``normals``, ``faces`` and ``edges`` are the whole mesh,
     built on first use and kept; the piece must not change after.  Counts
@@ -185,14 +187,16 @@ class TriMesh:
     """
 
     def __init__(self, vertices, normals, faces, domain_z=None, domain_w=None,
-                 cell_ops=None, *, flips=(False,),
+                 cell_ops=None, *, domain_sigma: float | None = None,
                  translation: IsometryOp | None = None, copies: int = 0):
         self.base_vertices = np.asarray(vertices)
         self.base_normals = np.asarray(normals)
         self.base_faces = np.asarray(faces)
+        self.domain_sigma = domain_sigma
         self.domain_z, self.domain_w = domain_z, domain_w
         self.cell_ops = [identity_op()] if cell_ops is None else cell_ops
-        self.flips = tuple(map(bool, flips))
+        self.flips = tuple(op.orientation * op.det() < 0
+                           for op in self.cell_ops)
         self.translation, self.copies = translation, copies
 
     @property
@@ -335,6 +339,7 @@ def sample_fundamental(sigma: float, e: float, nr: int, nt: int) -> TriMesh:
     half-plane.  Positions and branch values come from one
     ``curve.immerse`` call on the whole grid; the vertices are taken
     relative to the corner z = 1, so that corner lies exactly at the origin.
+    The piece keeps its domain record: ``domain_sigma`` is ``sigma``, and
     ``domain_w`` is the base point's sheet: i sqrt(x (1 - x) (x + sigma))
     on the t = 0 column, and 0 at the corners on the branch points.
 
@@ -363,13 +368,8 @@ def sample_fundamental(sigma: float, e: float, nr: int, nt: int) -> TriMesh:
     v11 = v00 + nt + 1
     faces = np.stack([v00, v00 + nt, v11, v00, v11, v00 + 1], axis=1)
 
-    return TriMesh(
-        vertices=verts,
-        normals=normals,
-        faces=faces.reshape(-1, 3).astype(np.int32),
-        domain_z=Z.reshape(-1),
-        domain_w=W.reshape(-1),
-    )
+    return TriMesh(verts, normals, faces.reshape(-1, 3).astype(np.int32),
+                   Z.reshape(-1), W.reshape(-1), domain_sigma=sigma)
 
 
 def _unit_normals(sigma, z):
@@ -388,8 +388,9 @@ def _unit_normals(sigma, z):
 def extension_ops(sigma: float):
     """The four extension operations of the reflection pipeline.
 
-    1. 180-degree rotation diag(-1,1,-1) with offset (2c1, 0, 2c3), where
-       c = psi(i sqrt(sigma)) is the fixed point of the first symmetry;
+    1. 180-degree rotation diag(-1,1,-1) with offset (2c1, 0, 2c3) =
+       (t0_1, 0, t0_3), where c = psi(i sqrt(sigma)) is the fixed point of
+       the first symmetry (c1 and c3 are half of t0's);
     2. reflection diag(1,-1,1) in the plane {x2 = 0};
     3. 180-degree rotation diag(-1,1,-1) about the x2-axis;
     4. translation by 2 t0 with t0 = psi(-sigma).
@@ -399,8 +400,7 @@ def extension_ops(sigma: float):
     which lies in {x2 = 0}, for op 2 (+1), and over (0, 1), which lies on
     the x2-axis, for op 3 (-1).  The translation keeps it.
     """
-    surface = FundamentalSurface(sigma)
-    c, t0 = surface.psi_fixed_point(), surface.translation_half()
+    t0 = FundamentalSurface(sigma).translation_half()
     rot = np.diag([-1.0, 1.0, -1.0])
 
     def symmetry(linear, offset, z_fixed):
@@ -408,8 +408,7 @@ def extension_ops(sigma: float):
         return IsometryOp(linear, offset, float(np.sign(linear @ n @ n)))
 
     return [
-        symmetry(rot, np.array([2.0 * c[0], 0.0, 2.0 * c[2]]),
-                 1j * math.sqrt(sigma)),
+        symmetry(rot, np.array([t0[0], 0.0, t0[2]]), 1j * math.sqrt(sigma)),
         symmetry(np.diag([1.0, -1.0, 1.0]), np.zeros(3), -0.5 * sigma),
         symmetry(rot, np.zeros(3), 0.5),
         IsometryOp(np.eye(3), 2.0 * t0),
@@ -423,11 +422,10 @@ def extend(mesh: TriMesh, ops, copies: int = 0) -> TriMesh:
     Only the isometries are built, no vertex or normal array: block b of
     the cell is the piece under ``cell_ops[b]``, the doublings' ops
     composed (every op after every block so far), its normals under
-    ``apply_normals``, and its faces reversed where that isometry's
-    orientation times det(L) is negative (the mapped winding turns with
-    det(L), the mapped normal with the orientation).  The blocks are
-    walked on demand (:meth:`TriMesh.blocks`); the result keeps the
-    piece's arrays but no domain record.  Every op of
+    ``apply_normals``, and its faces reversed as :class:`TriMesh` derives
+    from that isometry.  The blocks are walked on demand
+    (:meth:`TriMesh.blocks`); the result keeps the piece's arrays but no
+    domain record (sigma, z and w).  Every op of
     :func:`extension_ops` is a signed diagonal map and only op 1 has an
     offset, so a composed isometry maps the piece to the same bits as
     the ops applied one after the other.  Vertex count grows exactly by
@@ -437,18 +435,17 @@ def extend(mesh: TriMesh, ops, copies: int = 0) -> TriMesh:
     """
     if copies < 0:
         raise ValueError("copies must be >= 0")
-    if len(mesh.flips) > 1 or mesh.copies:
+    if len(mesh.cell_ops) > 1 or mesh.copies:
         raise ValueError("mesh is already extended")
     if len(ops) > 3 and (ops[3].orientation != 1.0
                          or not np.array_equal(ops[3].linear, np.eye(3))):
         raise ValueError("the fourth op must be a pure translation")
-    flips, cell_ops = [False], [identity_op()]
+    cell_ops = [identity_op()]
     for op in ops[:3]:
-        flips += [f != (op.orientation * op.det() < 0) for f in flips]
         cell_ops += [op.compose(a) for a in cell_ops]
     return TriMesh(mesh.base_vertices, mesh.base_normals, mesh.base_faces,
-                   cell_ops=cell_ops, flips=flips,
-                   translation=ops[3] if copies else None, copies=copies)
+                   cell_ops=cell_ops, translation=ops[3] if copies else None,
+                   copies=copies)
 
 
 # ---------------------------------------------------------------------------
@@ -595,18 +592,20 @@ def _thin(owner, n_heights, max_points):
     return at + np.repeat(np.cumsum(count) - count, keep)
 
 
-def refine_slice(mesh: TriMesh, heights, sigma: float, max_points,
-                 crossings):
+def refine_slice(mesh: TriMesh, heights, max_points, crossings):
     """Exact surface points of the slices of a fundamental piece at a 1-d
-    sequence of heights, on the curve of ``sigma`` it was sampled for: a
-    list with one (n_i, 3) array per height, in crossing order.
+    sequence of heights, on the curve of its ``domain_sigma``: a list
+    with one (n_i, 3) array per height, in crossing order.
 
     ``mesh`` must come from :func:`sample_fundamental` (ValueError
     otherwise: only the piece keeps the domain record, and an extended
     mesh's slices are the orbit of the piece's under its ``cell_ops``).
     ``crossings`` are the (owner, ia, ib, s) records of :func:`slice_mesh`
     on it at ``heights``; each height's are thinned to ``max_points`` (an
-    int or one per height) evenly spaced records.
+    int or one per height) evenly spaced records.  ValueError, before any
+    surface point is evaluated, when a record is not one of these heights':
+    its owner is no index of ``heights``, or its edge's ends do not lie
+    strictly on opposite sides of its height.
 
     Each crossing solves f = x3 - h on the straight z-segment from its end
     za with w != 0 to its other end zb, z = za + s (zb - za), with the
@@ -622,10 +621,17 @@ def refine_slice(mesh: TriMesh, heights, sigma: float, max_points,
     round on those still active, so every iterate is an exact surface
     point that depends on its parameter alone.
     """
-    if mesh.domain_z is None or len(mesh.domain_z) != mesh.vertex_count:
+    if mesh.domain_sigma is None or len(mesh.domain_z) != mesh.vertex_count:
         raise ValueError("refine_slice takes a piece from sample_fundamental")
     heights = np.asarray(heights, dtype=float)
-    keep = _thin(crossings[0], len(heights), max_points)
+    owner, ia, ib = (np.asarray(c) for c in crossings[:3])
+    if not np.all((owner >= 0) & (owner < len(heights))):
+        raise ValueError("a crossing's owner is no index of the heights")
+    x3 = mesh.vertices[:, 2]
+    fa, fb = x3[ia] - heights[owner], x3[ib] - heights[owner]
+    if not np.all((np.minimum(fa, fb) < 0.0) & (np.maximum(fa, fb) > 0.0)):
+        raise ValueError("a crossing's edge does not cross its height")
+    keep = _thin(owner, len(heights), max_points)
     owner, ia, ib, s = (c[keep] for c in crossings)
     target = heights[owner]
     # anchor at the end with w != 0: the two branch-point corners share no
@@ -640,7 +646,7 @@ def refine_slice(mesh: TriMesh, heights, sigma: float, max_points,
     root = mesh.domain_w[i1] == 0.0
     u = np.where(root, 1.0 - np.sqrt(1.0 - s), s)
     u_lo, u_hi = np.zeros_like(u), np.ones_like(u)
-    params = CurveParams(sigma)
+    params = CurveParams(mesh.domain_sigma)
     a = np.arange(len(u))
     for _ in range(60):
         if not a.size:

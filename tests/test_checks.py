@@ -99,10 +99,10 @@ def _foliation_heights(sigma):
     return (0.13 + 0.74 * np.arange(10) / 9.0) * span
 
 
-def _refined(piece, heights, sigma, max_points):
+def _refined(piece, heights, max_points):
     """The slices of ``piece`` at ``heights``, refined in one refine_slice
     call on its own crossings."""
-    return mesh.refine_slice(piece, heights, sigma, max_points,
+    return mesh.refine_slice(piece, heights, max_points,
                              mesh.slice_mesh(piece, heights))
 
 
@@ -112,8 +112,7 @@ def _registration_slices(sigma, piece):
     candidates = _candidates(sigma)
     covered = [i for i, h in enumerate(candidates)
                if len(mesh.slice_mesh(piece, [h])[0]) >= 8][:6]
-    return candidates[covered], _refined(piece, candidates[covered], sigma,
-                                         24)
+    return candidates[covered], _refined(piece, candidates[covered], 24)
 
 
 def _foliation_slices(sigma, piece, cell):
@@ -121,7 +120,7 @@ def _foliation_slices(sigma, piece, cell):
     orbit of the piece's slices (14 points each) under the cell's blocks
     0 and 2 (slice j) and 1 and 3 (slice 9 - j)."""
     hs = _foliation_heights(sigma)
-    pts = _refined(piece, hs, sigma, 14)
+    pts = _refined(piece, hs, 14)
     return hs, [np.concatenate([op.apply(pts[9 - j if b % 2 else j])
                                 for b, op in enumerate(cell.cell_ops[:4])])
                 for j in range(10)]
@@ -129,7 +128,7 @@ def _foliation_slices(sigma, piece, cell):
 
 @pytest.mark.parametrize("sigma", [0.0167, 0.5, 2.78, 8.0])
 def test_registration_fit_matches_least_squares(sigma):
-    reg, _ = checks.slice_checks(sigma, _piece(sigma))
+    reg, _ = checks.slice_checks(_piece(sigma))
     s, h0 = _least_squares_fit(sigma, reg)
     assert abs(reg.scale - s) <= 1e-10 * abs(s)
     assert abs(reg.height_offset - h0) <= 1e-10 * abs(h0)
@@ -182,7 +181,7 @@ def test_slice_checks_refine_all_heights_in_one_call(monkeypatch):
         # together, in one call on the piece, registration's heights
         # first, to the same bits
         del calls[:]
-        reg2, (rels2, kinds2) = checks.slice_checks(sigma, piece)
+        reg2, (rels2, kinds2) = checks.slice_checks(piece)
         assert len(calls) == 2 and calls[0] == (piece, n_reg + 10)
         for got, want in zip(calls[1], reg_pts + fol_pts, strict=True):
             assert got.tobytes() == want.tobytes()
@@ -205,7 +204,7 @@ def test_foliation_circles_are_the_orbit_of_the_piece(sigma, monkeypatch):
         return foliation(sigma, cell, heights, points)
 
     monkeypatch.setattr(checks, "foliation_residuals", recording)
-    checks.slice_checks(sigma, _piece(sigma))
+    checks.slice_checks(_piece(sigma))
     (heights, circles), = seen
     assert np.array_equal(heights, _foliation_heights(sigma))
     for h, pts in zip(heights, circles, strict=True):
@@ -229,7 +228,7 @@ def test_stacked_circle_fit_matches_one_slice_fits(sigma, monkeypatch):
         return fit(batches[-1])
 
     monkeypatch.setattr(mesh, "level_circle_fit", recording)
-    checks.slice_checks(sigma, _piece(sigma))
+    checks.slice_checks(_piece(sigma))
     assert [len(b) for b in batches] == [5 if sigma == 1e3 else 6, 12]
     for batch in batches:
         for got, pts in zip(fit(batch), batch, strict=True):
@@ -288,7 +287,18 @@ def test_slice_fit_error_is_a_package_error(monkeypatch):
     # a 2x3 grid has 9 edges: no height crosses 8 of them
     piece = _piece(1.0, 2, 3)
     with pytest.raises(checks.SliceFitError, match="given piece"):
-        checks.slice_checks(1.0, piece)
+        checks.slice_checks(piece)
+
+
+def test_slice_checks_takes_only_a_sampled_piece():
+    # the piece records the sigma of its curve; its cell and a hand-built
+    # mesh of its arrays record none
+    piece = _piece(2.0)
+    for m in (_cell(2.0, piece=piece),
+              mesh.TriMesh(piece.vertices, piece.normals, piece.faces)):
+        assert m.domain_sigma is None
+        with pytest.raises(ValueError, match="sample_fundamental"):
+            checks.slice_checks(m)
 
 
 @pytest.mark.parametrize("sigma", [1e-3, 2.0, 1e3])
@@ -310,7 +320,7 @@ def test_registration_slices_until_it_has_its_heights(sigma, monkeypatch):
         return slice_mesh(m, heights)
 
     monkeypatch.setattr(mesh, "slice_mesh", counting)
-    reg, _ = checks.slice_checks(sigma, m)
+    reg, _ = checks.slice_checks(m)
     assert np.array_equal(reg.heights, candidates[covered])
     assert len(calls) == 1 and calls[0][0] is m
     assert np.array_equal(calls[0][1], np.concatenate(

@@ -417,6 +417,22 @@ def test_verify_passes_and_tol_override():
                 "--tol", "shiffman=1e-17", "--json", "/dev/null"]) == 1
 
 
+@pytest.mark.parametrize("argv, code", [
+    # verify records catenoid_closed_form at lambda 0 only: at sigma 2
+    # (lambda 1/sqrt(2)) its override would be read by no check
+    (["--sigma", "2", "--tol", "catenoid_closed_form=1"], 2),
+    # at lambda 0 the check runs, and a threshold below its value fails it
+    (["--lambda", "0", "--tol", "catenoid_closed_form=1e-30"], 1),
+    (["--lambda", "-0", "--tol", "catenoid_closed_form=1e-30"], 1),
+])
+def test_tol_of_a_check_that_does_not_run_is_refused(argv, code, capsys):
+    assert run(["verify", *argv, "--json", "/dev/null"]) == code
+    err = capsys.readouterr().err
+    if code == 2:
+        assert err.startswith("configuration error: ")
+        assert err.count("\n") == 1 and "lambda 0 only" in err
+
+
 @pytest.mark.slow
 def test_verify_report_deterministic(tmp_path):
     reports = []

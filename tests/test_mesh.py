@@ -301,6 +301,46 @@ def test_fundamental_slab_confinement(fund2, surf2):
     assert abs((x3.max() - x3.min()) - abs(t0[2])) < 1e-8
 
 
+@pytest.mark.parametrize("sigma", [1e-3, 2.0, 1e3])
+def test_op1_offset_is_twice_the_fixed_point(sigma):
+    # op 1 is the half turn about the horizontal line through c: its
+    # offset (2 c1, 0, 2 c3), taken from t0, is 2 c in x1 and x3 bit for bit
+    offset = extension_ops(sigma)[0].offset
+    c = FundamentalSurface(sigma).psi_fixed_point()
+    assert offset[[0, 2]].tobytes() == (2.0 * c[[0, 2]]).tobytes()
+    assert offset[1] == 0.0
+
+
+def _xor_doubling(ops):
+    """The face flip of each block of the cell the doublings by ``ops``
+    build: the blocks so far, then the same blocks with the op's flip
+    toggled, an op's flip being orientation times det < 0, the det of a
+    signed diagonal map the product of its diagonal."""
+    flips = [False]
+    for op in ops:
+        flip = op.orientation * np.prod(np.diag(op.linear)) < 0
+        flips += [f != flip for f in flips]
+    return flips
+
+
+@pytest.mark.parametrize("sigma", [1e-3, 2.0, 1e3])
+def test_flips_follow_from_the_cell_ops(sigma):
+    # TriMesh derives each block's face flip from its isometry; extend
+    # passes only the ops
+    fund = sample_fundamental(sigma, 0.1, 4, 5)
+    ops = extension_ops(sigma)
+    assert fund.flips == (False,)
+    for k in range(4):
+        assert list(extend(fund, ops[:k]).flips) == _xor_doubling(ops[:k])
+    # op 2 (a reflection) and op 3 (orientation -1) each flip once
+    want = [False, False, True, True, True, True, False, False]
+    assert _xor_doubling(ops[:3]) == want
+    for copies in (1, 3):
+        assert list(extend(fund, ops, copies=copies).flips) == want
+    m = TriMesh(fund.vertices, fund.normals, fund.faces, cell_ops=ops)
+    assert m.flips == (False, True, True, False)
+
+
 def test_extension_ops_structure(surf2, ops2):
     op1, op2, op3, op4 = ops2
     # involutions and the translation
@@ -718,17 +758,17 @@ def _slice_points(m, records):
     return v[ia] + s[:, None] * (v[ib] - v[ia])
 
 
-def _refine(m, h, sigma, max_points):
+def _refine(m, h, max_points):
     """refine_slice of the one height h, on the piece m's own crossings."""
-    return refine_slice(m, [h], sigma, max_points, slice_mesh(m, [h]))[0]
+    return refine_slice(m, [h], max_points, slice_mesh(m, [h]))[0]
 
 
-def _cell_circle(piece, cell, h, sigma, max_points):
+def _cell_circle(piece, cell, h, max_points):
     """The slice of ``cell`` at 0 < h < t0_3 as the orbit of the piece's:
     blocks 0 and 2 of its refined slice at h, blocks 1 and 3 of its slice
     at t0_3 - h (block 1's offset is exactly t0_3 in x3)."""
     hs = [h, cell.cell_ops[1].offset[2] - h]
-    pts = refine_slice(piece, hs, sigma, max_points, slice_mesh(piece, hs))
+    pts = refine_slice(piece, hs, max_points, slice_mesh(piece, hs))
     return np.concatenate([op.apply(pts[b % 2])
                            for b, op in enumerate(cell.cell_ops[:4])])
 
@@ -738,7 +778,7 @@ def test_refined_slice_is_exact_circle(fund2, ops2, surf2):
     h = 0.45 * surf2.translation_half()[2]
     coarse = _slice_points(ext, slice_mesh(ext, [h]))
     assert len(coarse) >= 5
-    pts = _cell_circle(fund2, ext, h, 2.0, 24)
+    pts = _cell_circle(fund2, ext, h, 24)
     assert len(pts) >= 24
     fit_c, fit = level_circle_fit([coarse, pts])
     assert fit.kind == "circle"
@@ -878,7 +918,7 @@ def test_refine_slice_pinned_points(fund2, ops2, surf2):
     ext = extend(fund2, ops2, copies=0)
     span = surf2.translation_half()[2]
     for frac, want in REFINED_PINS.items():
-        orbit = _cell_circle(fund2, ext, frac * span, 2.0, 10 ** 6)
+        orbit = _cell_circle(fund2, ext, frac * span, 10 ** 6)
         gap = np.abs(orbit[:, None] - np.array(want)[None]).max(axis=2)
         assert np.all(gap.min(axis=0) < 1e-11)
 
@@ -947,7 +987,7 @@ def test_lockstep_refine_slice_matches_per_crossing_newton(sigma):
     n_points = 0
     for frac in (0.13, 0.3, 0.5, 0.77, 0.87):
         h = frac * span
-        got = _refine(fund, h, sigma, 24)
+        got = _refine(fund, h, 24)
         _assert_matches_reference(
             got, _refine_slice_reference(fund, h, sigma, 24))
         n_points += len(got)
@@ -976,7 +1016,7 @@ def test_refine_slice_on_edges_ending_at_corner_branch_point(fund2,
         _, ia, ib, _ = slice_mesh(fund2, [h])
         assert {corner, nb} in [{i, j} for i, j in zip(ia, ib)]
         del points[:]
-        got = _refine(fund2, h, 2.0, 10 ** 6)
+        got = _refine(fund2, h, 10 ** 6)
         assert any(abs(z + 2.0) < 3e-12 for z in points) == on_corner
         _assert_matches_reference(
             got, _refine_slice_reference(fund2, h, 2.0, 10 ** 6))
@@ -995,7 +1035,7 @@ def test_refine_slice_batches_each_height(fund2, surf2, monkeypatch):
     monkeypatch.setattr(curve, "immerse", counting)
     for frac in (0.13, 0.3, 0.5, 0.77, 0.87):
         del calls[:]
-        assert len(_refine(fund2, frac * span, 2.0, 24)) >= 3
+        assert len(_refine(fund2, frac * span, 24)) >= 3
         assert 0 < len(calls) <= 12
 
 
@@ -1022,11 +1062,10 @@ def test_refine_slice_height_sequence_matches_per_height_calls(sigma,
             (fund, 24, hs), (fund, 5, hs),
             (big, 2000, np.linspace(0.02, 0.98, 25) * span)):
         del calls[:]
-        want = [_refine(m, h, sigma, max_points) for h in heights]
+        want = [_refine(m, h, max_points) for h in heights]
         per_height = len(calls)
         del calls[:]
-        got = refine_slice(m, heights, sigma, max_points,
-                           slice_mesh(m, heights))
+        got = refine_slice(m, heights, max_points, slice_mesh(m, heights))
         assert isinstance(got, list) and len(got) == len(heights)
         for g, w in zip(got, want):
             assert g.shape == w.shape and np.array_equal(g, w)
@@ -1038,17 +1077,65 @@ def test_refine_slice_height_sequence_matches_per_height_calls(sigma,
             assert all(len(g) <= 5 for g in got)
         if m is big:
             assert calls[0] > curve.PSI_BLOCK
-    assert _refine(fund, 2.0 * span, sigma, 32).shape == (0, 3)
+    assert _refine(fund, 2.0 * span, 32).shape == (0, 3)
 
 
 def test_refine_slice_takes_only_the_sampled_piece(fund2, ops2, surf2):
     # an extended mesh, even with no copies, carries no domain record: its
-    # slices are the orbit of the piece's
+    # slices are the orbit of the piece's; a hand-built mesh with z and w
+    # but no sigma names no curve
     h = [0.45 * surf2.translation_half()[2]]
+    for sigma in (1e-3, 2.0, 1e3):
+        assert sample_fundamental(sigma, 0.1, 4, 5).domain_sigma == sigma
     for m in (extend(fund2, ops2, copies=0), extend(fund2, ops2, copies=1),
-              TriMesh(fund2.vertices, fund2.normals, fund2.faces)):
+              TriMesh(fund2.vertices, fund2.normals, fund2.faces),
+              TriMesh(fund2.vertices, fund2.normals, fund2.faces,
+                      fund2.domain_z, fund2.domain_w)):
+        assert m.domain_sigma is None
         with pytest.raises(ValueError, match="sample_fundamental"):
-            refine_slice(m, h, 2.0, 24, slice_mesh(m, h))
+            refine_slice(m, h, 24, slice_mesh(m, h))
+
+
+def _immerse_calls(monkeypatch):
+    """A list that records every curve.immerse call from now on."""
+    calls, immerse = [], curve.immerse
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return immerse(*args, **kwargs)
+
+    monkeypatch.setattr(curve, "immerse", counting)
+    return calls
+
+
+def test_refine_slice_refuses_the_records_of_other_heights(fund2, surf2,
+                                                           monkeypatch):
+    # the records of one height, or of two heights given in the other
+    # order, hold edges that do not cross the height they are owned by
+    span = surf2.translation_half()[2]
+    calls = _immerse_calls(monkeypatch)
+    for hs, cut in (([0.3 * span], [0.7 * span]),
+                    ([0.7 * span, 0.3 * span], [0.3 * span, 0.7 * span])):
+        with pytest.raises(ValueError, match="does not cross"):
+            refine_slice(fund2, hs, 24, slice_mesh(fund2, cut))
+    # nor does an edge with an end on the height, which slice_mesh skips
+    owner, ia, ib, s = (r[:1] for r in slice_mesh(fund2, [0.3 * span]))
+    with pytest.raises(ValueError, match="does not cross"):
+        refine_slice(fund2, fund2.vertices[ia, 2], 24, (owner, ia, ib, s))
+    assert calls == []
+
+
+def test_refine_slice_refuses_an_owner_out_of_range(fund2, surf2,
+                                                    monkeypatch):
+    span = surf2.translation_half()[2]
+    hs = [0.3 * span, 0.7 * span]
+    owner, *rest = slice_mesh(fund2, hs)
+    calls = _immerse_calls(monkeypatch)
+    for heights, owners in ((hs[:1], owner), (hs, owner - 1)):
+        with pytest.raises(ValueError, match="owner"):
+            refine_slice(fund2, heights, 24, (owners, *rest))
+    assert calls == []
+    assert all(len(p) for p in refine_slice(fund2, hs, 24, (owner, *rest)))
 
 
 def test_refine_slice_hits_height_with_few_immerse_calls(fund2, surf2,
@@ -1071,7 +1158,7 @@ def test_refine_slice_hits_height_with_few_immerse_calls(fund2, surf2,
     for frac in (0.13, 0.3, 0.5, 0.77, 0.87):
         h = frac * span
         del calls[:]
-        pts = _refine(fund2, h, 2.0, 24)
+        pts = _refine(fund2, h, 24)
         assert len(pts) >= 3
         assert np.max(np.abs(pts[:, 2] - h)) <= 1e-12 * max(1.0, abs(h))
         assert 0 < len(calls) <= 12 and set(calls) == {"immerse"}
@@ -1458,6 +1545,18 @@ def test_export_ply_refuses_indices_past_int32(tmp_path, fund2, ops2):
 def test_export_obj_matches_percent_writer_on_gen_meshes(tmp_path, sigma):
     # gen's 40x60 piece with --copies 16: 979k vertex and normal values
     ext = scalar.gen_extended(sigma, 40, 60, 16)
+    got, want = tmp_path / "got.obj", tmp_path / "want.obj"
+    assert export_obj(ext, got) == scalar.export_obj(ext, want)
+    assert filecmp.cmp(got, want, shallow=False)
+
+
+def test_export_obj_writes_wide_columns_as_percent_writer(tmp_path):
+    # 300 copies of a 2x3 piece at sigma 1e3 shift x1 by 2 t0_1 ~ 3.99
+    # each, to |x| = 1199.86: the columns take the 24-byte text with its
+    # int4 unit from |x| >= 1000 on
+    ext = scalar.gen_extended(1e3, 2, 3, 300)
+    big = np.abs(ext.vertices).max(axis=1) >= 1000.0
+    assert big.sum() == 2394 and 1199 < np.abs(ext.vertices).max() < 1200
     got, want = tmp_path / "got.obj", tmp_path / "want.obj"
     assert export_obj(ext, got) == scalar.export_obj(ext, want)
     assert filecmp.cmp(got, want, shallow=False)
