@@ -7,22 +7,22 @@ conformality come from central finite differences of sampled immersion
 values only, and the classical/Weierstrass comparison is a rigid-motion
 plus single-scale registration of measured circle radii.
 
-The routes each check takes to the surface: the sampled piece and the
-Weierstrass stencil's anchors are closed-form points (``curve.immerse``),
-and the stencil's increments are one G7/K15 panel each
-(``quad.panel_increments``); registration and the circle foliation fit
+The routes each check takes to the surface: the sampled piece is
+closed-form points (``curve.immerse``), both finite-difference stencils
+take values relative to their centre, the Weierstrass stencil's one
+G7/K15 panel each (``quad.panel_increments``); registration and the circle foliation fit
 circles to slices that :func:`slice_checks`, the one code that picks
 their heights, takes of the piece, on the curve whose sigma the piece
 records: it is sliced once, both checks' crossings are refined to exact
 points in one lockstep Newton loop on ``curve.immerse``, and the cell's
 circles are the orbit of the piece's slices under the cell's isometries;
 each check fits all its slices in one stacked ``mesh.level_circle_fit``
-call.  The classical stencil adds one-panel increments to the Carlson
-closed forms of ``classical``.  The periods and fluxes of ``verify`` are
-trapezoidal sums on analytic contours (``curve.period``).  The sampled
-vertices, the periods and the stencil increments are pinned against an
-adaptive quadrature oracle with branch tracking by the test suite, not
-here.
+call.  The classical stencil's height and center increments are
+one-panel quadratures of the integrands of ``classical``.  The periods
+and fluxes of ``verify`` are trapezoidal sums on analytic contours
+(``curve.period``).  The sampled vertices, the periods and the stencil
+increments are pinned against an adaptive quadrature oracle with branch
+tracking by the test suite, not here.
 """
 
 from __future__ import annotations
@@ -82,22 +82,21 @@ def fd_surface_checks(sample, h):
 def classical_fd_grid(lam, nq=20, nv=20, h=1e-4):
     """Max FD |H| and conformality defects of the classical parameterization.
 
-    The stencil q-values share one closed-form base evaluation of the
-    height/center integrals plus short incremental quadratures over
-    [q, q+h] and [q-h, q]; subtracting two independently rounded base values
-    would put their error terms over h^2 and swamp the second differences.
-    One batch: the base values come from one ``center_offset`` and one
-    ``height`` call on all q, every increment of both integrands is one
-    G7/K15 panel of one ``quad.panel_increments`` call (QuadError when a
-    panel misses its tolerance), and all (q, v) stencils go through one
+    Each stencil's values are relative to its centre X(q, v), which is 0
+    (absolute ones would carry rounding ~eps |X| over h^2): the height
+    and center integrals' short increments over [q, q+h] and [q-h, q],
+    sqrt(q + ih) - sqrt(q) = ih / (sqrt(q + ih) + sqrt(q)), and cos(v +
+    jh) - cos v = -2 sin(jh/2) sin(v + jh/2), the same for sin.  One
+    batch: every increment of both integrands is one G7/K15 panel of one
+    ``quad.panel_increments`` call (QuadError when a panel misses its
+    tolerance), and all (q, v) stencils go through one
     :func:`fd_surface_checks` call.
     """
     params = classical.RiemannParams.from_lambda(lam)
     q1 = params.q1
     qs = np.linspace(q1 * 1.05 + 0.02, q1 + 3.0, nq)
     vs = np.linspace(0.0, 2 * math.pi, nv, endpoint=False)
-    f0 = classical.center_offset(params, qs)
-    z0 = classical.height(params, qs)
+    r0 = np.sqrt(qs)[:, None]
 
     def slope(u, row):
         # row 0: d(center_offset)/dq, row 1: d(height)/dq
@@ -109,15 +108,16 @@ def classical_fd_grid(lam, nq=20, nv=20, h=1e-4):
     b = np.tile(np.concatenate([qs + h, qs]), (2, 1))
     inc = quad.panel_increments(
         lambda u: np.stack([slope(u[0], 0), slope(u[1], 1)]), a, b)
-    (dfp, dfm), (dzp, dzm) = inc.reshape(2, 2, nq)
-    fz = {-1: (f0 - dfm, z0 - dzm), 0: (f0, z0), 1: (f0 + dfp, z0 + dzp)}
+    (dfp, dfm), (dzp, dzm) = inc.reshape(2, 2, nq, 1)
+    dfz = {-1: (-dfm, -dzm), 0: (0.0, 0.0), 1: (dfp, dzp)}
 
     def sample(i, j):
-        fq, zq = fz[i]
-        rq = np.sqrt(qs + i * h)[:, None]
+        df, dz = dfz[i]
+        dr = i * h / (np.sqrt(qs + i * h)[:, None] + r0)
+        half, mid = 2.0 * math.sin(0.5 * j * h), vs + 0.5 * j * h
         return np.stack(np.broadcast_arrays(
-            fq[:, None] + rq * np.cos(vs + j * h), rq * np.sin(vs + j * h),
-            zq[:, None]))
+            df + dr * np.cos(vs + j * h) - r0 * half * np.sin(mid),
+            dr * np.sin(vs + j * h) + r0 * half * np.cos(mid), dz))
 
     H, conf, orth = fd_surface_checks(sample, h)
     return float(H.max()), float(conf.max()), float(orth.max())
@@ -129,27 +129,26 @@ _STENCIL = ((1, 0), (-1, 0), (0, 1), (0, -1),
 
 
 def _weierstrass_stencil(sigma, n_side, h, offsets):
-    """Immersion at z0 + h_k (i + i j) for every anchor z0 and offset (i, j).
+    """Immersion at z0 + h_k (i + i j) minus psi(z0), each anchor z0 and
+    offset (i, j).
 
     The anchors are the interior points of the (n_side + 2)^2 grid of
-    ``mesh.DomainMap(sigma, 0.35).grid``, each with X0 = psi(z0) and its
-    principal branch w0 from the closed form :func:`curve.immerse`.
-    z = u + iv is itself a conformal chart, but its scale shrinks near the
-    branch points, so the step of anchor k is h_k = h min(1, distance from
-    z0 to the nearest branch point).  The stencil values are X0 plus
-    increments: every anchor x offset segment is one G7/K15 panel of one
-    ``quad.panel_increments`` call (QuadError when a panel misses its
-    tolerance), independent of the closed form.  Its w is the product of
-    principal roots sqrt(z) sqrt(z - 1) sqrt(z + sigma), analytic on the
-    open upper half-plane, where every stencil point lies (Im z0 > h_k).
-    Subtracting two closed-form values instead would put their rounding
-    over h^2.  Returns (X0, X, h_k) with shapes (n, 3), (n, len(offsets),
-    3) and (n,).
+    ``mesh.DomainMap(sigma, 0.35).grid``.  z = u + iv is itself a
+    conformal chart, but its scale shrinks near the branch points, so the
+    step of anchor k is h_k = h min(1, distance from z0 to the nearest
+    branch point).  The stencil values are the increments from the
+    anchor, whose own value is 0: every anchor x offset segment is one
+    G7/K15 panel of one ``quad.panel_increments`` call (QuadError when a
+    panel misses its tolerance), independent of the closed form.  Its w
+    is the product of principal roots sqrt(z) sqrt(z - 1) sqrt(z + sigma),
+    the base point's branch, analytic on the open upper half-plane, where
+    every stencil point lies (Im z0 > h_k).  psi(z0) plus increments would
+    carry rounding ~eps |psi(z0)| over h^2.  Returns (X, h_k) with shapes
+    (n, len(offsets), 3) and (n,).
     """
     params = curve.CurveParams(sigma)
     grid = mesh.DomainMap(sigma, 0.35).grid(n_side + 2, n_side + 2)
     z0 = grid[1:-1, 1:-1].ravel()
-    X0, _ = curve.immerse(params, z0)
     bps = np.array(curve.branch_points(params))
     hk = h * np.minimum(1.0, np.min(np.abs(z0[:, None] - bps), axis=1))
     steps = np.array([complex(i, j) for i, j in offsets])
@@ -160,15 +159,16 @@ def _weierstrass_stencil(sigma, n_side, h, offsets):
         return curve._phi_vector(params, z, w)
 
     inc = quad.panel_increments(phi, np.repeat(z0, len(steps)), zb.ravel())
-    return X0, X0[:, None] + inc.real.reshape(*zb.shape, 3), hk
+    return inc.real.reshape(*zb.shape, 3), hk
 
 
 def weierstrass_fd_grid(sigma, n_side=10, h=1e-4):
     """Max FD |H| and conformality defects of the curve immersion, from
     the stencils of :func:`_weierstrass_stencil` (step h scaled per anchor).
     """
-    X0, X, hk = _weierstrass_stencil(sigma, n_side, h, _STENCIL)
-    vals = {(0, 0): X0.T, **dict(zip(_STENCIL, X.transpose(1, 2, 0)))}
+    X, hk = _weierstrass_stencil(sigma, n_side, h, _STENCIL)
+    vals = {(0, 0): np.zeros((3, len(hk))),
+            **dict(zip(_STENCIL, X.transpose(1, 2, 0)))}
     H, conf, orth = fd_surface_checks(lambda i, j: vals[(i, j)], hk)
     return float(H.max()), float(conf.max()), float(orth.max())
 

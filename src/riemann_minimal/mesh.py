@@ -20,11 +20,11 @@ in {x2 = 0}, 180-degree rotation about the x2-axis, and translation by
 multiples of 2*t0 with t0 = psi(-sigma).  Both anchors are elliptic
 integrals on the rectangular curve, evaluated in closed form by Carlson's
 R_F and R_D (see :meth:`FundamentalSurface.translation_half`).  Each
-symmetry carries its action on the surface's orientation, which maps the
-normals and decides which blocks' faces are reversed.  The extended mesh
-keeps the piece once plus the isometries of its orbit; its blocks are
-walked on demand (:meth:`TriMesh.blocks`), and the exporters write them
-one block at a time, so no array the size of the cell is built.
+symmetry is a signed diagonal map plus an offset (:class:`IsometryOp`)
+with its action on the surface's orientation.  The extended mesh keeps
+the piece once plus the isometries of its orbit; its blocks are walked
+on demand (:meth:`TriMesh.blocks`), and the exporters write them one
+block at a time, so no array the size of the cell is built.
 
 The piece is the only mesh that is sliced to exact points: it is cut at
 a sequence of heights in one pass over its edges (:func:`slice_mesh`),
@@ -109,51 +109,43 @@ class DomainMap:
 
 @dataclass(frozen=True)
 class IsometryOp:
-    """Affine isometry v -> linear @ v + offset with orthogonal linear part,
-    and its action on the surface's orientation, ``orientation`` = +1 (kept)
-    or -1 (reversed).
+    """Affine isometry v -> signs * v + offset (``signs`` +1 or -1 per
+    axis), and its action on the surface's orientation, ``orientation`` =
+    +1 (kept) or -1 (reversed).  ``IsometryOp()`` is the identity.
 
-    A symmetry of the surface maps its unit normal N to orientation * L N
-    (L the linear part).  That sign is not det(L): a rotation about a line
-    lying in the surface reverses the orientation, and a reflection in a
-    plane meeting the surface at right angles keeps it.
+    A symmetry of the surface maps its unit normal N to orientation *
+    signs * N.  That sign is not det = prod(signs): a rotation about a
+    line lying in the surface reverses the orientation, and a reflection
+    in a plane meeting the surface at right angles keeps it.
     """
 
-    linear: np.ndarray
-    offset: np.ndarray
+    signs: np.ndarray = (1.0, 1.0, 1.0)
+    offset: np.ndarray = (0.0, 0.0, 0.0)
     orientation: float = 1.0
 
     def __post_init__(self):
-        L = np.asarray(self.linear, dtype=float)
+        s = np.asarray(self.signs, dtype=float)
         b = np.asarray(self.offset, dtype=float)
-        if L.shape != (3, 3) or b.shape != (3,):
-            raise ValueError("linear must be 3x3 and offset length 3")
-        if np.max(np.abs(L @ L.T - np.eye(3))) > 1e-12:
-            raise ValueError("linear part is not orthogonal to 1e-12")
+        if s.shape != (3,) or b.shape != (3,) or np.any(np.abs(s) != 1.0):
+            raise ValueError("signs must be 3 of +1 or -1, offset length 3")
         if self.orientation not in (1.0, -1.0):
             raise ValueError("orientation must be +1 or -1")
-        object.__setattr__(self, "linear", L)
+        object.__setattr__(self, "signs", s)
         object.__setattr__(self, "offset", b)
         object.__setattr__(self, "orientation", float(self.orientation))
 
     def apply(self, pts):
-        return np.asarray(pts) @ self.linear.T + self.offset
+        return np.asarray(pts) * self.signs + self.offset
 
     def apply_normals(self, normals):
-        return self.orientation * (np.asarray(normals) @ self.linear.T)
-
-    def det(self) -> float:
-        return float(np.linalg.det(self.linear))
+        # + 0.0 turns -0.0 into 0.0, as a matmul does (OBJ writes "-0")
+        return self.orientation * (np.asarray(normals) * self.signs + 0.0)
 
     def compose(self, other: "IsometryOp") -> "IsometryOp":
         """self after other: v -> self(other(v))."""
-        return IsometryOp(self.linear @ other.linear,
-                          self.linear @ other.offset + self.offset,
+        return IsometryOp(self.signs * other.signs,
+                          self.signs * other.offset + self.offset,
                           self.orientation * other.orientation)
-
-
-def identity_op() -> IsometryOp:
-    return IsometryOp(np.eye(3), np.zeros(3))
 
 
 class TriMesh:
@@ -165,16 +157,17 @@ class TriMesh:
     is the piece under the isometry ``cell_ops[b]`` (block 0, under the
     identity, is the piece's own arrays), with the base faces reversed
     where ``flips[b]`` is set, computed once here: where that isometry's
-    orientation times det(L) is negative (the mapped winding turns with
-    det(L), the mapped normal with the orientation).  Block b of copy
-    k + 1 is block b of copy k under ``translation``.  Vertex i is base
-    vertex ``i % n`` of block ``i // n`` (n the base vertex count), and
-    its faces are the base faces shifted by that block's first index.
-    The first ``len(flips)`` blocks are the *cell*.  A plain mesh is one
-    block with no copies.  The cell of :func:`extend` is eight blocks, one
-    period of the translation 2 t0.  The translation by t0 (op 1 after op
-    3) maps the surface onto itself too, but reverses its orientation, so
-    the cell holds two of the paper's fundamental domains.
+    orientation times prod(signs) is negative (the winding turns with each
+    sign, the normal also with the orientation).  Block b of copy k + 1
+    is block b of copy k under ``translation`` (ValueError if missing).
+    Vertex i is base vertex ``i % n`` of block ``i // n`` (n the base
+    vertex count), and its faces are the base faces shifted by that
+    block's first index.  The first ``len(flips)`` blocks are the *cell*.
+    A plain mesh is one block with no copies.  The cell of :func:`extend`
+    is eight blocks, one period of the translation 2 t0.  The translation
+    by t0 (op 1 after op 3) maps the surface onto itself too, but reverses
+    its orientation, so the cell holds two of the paper's fundamental
+    domains.
 
     Only the piece of :func:`sample_fundamental` also keeps the sigma of
     its curve and, per vertex, the domain parameter z it was sampled at
@@ -194,9 +187,11 @@ class TriMesh:
         self.base_faces = np.asarray(faces)
         self.domain_sigma = domain_sigma
         self.domain_z, self.domain_w = domain_z, domain_w
-        self.cell_ops = [identity_op()] if cell_ops is None else cell_ops
-        self.flips = tuple(op.orientation * op.det() < 0
+        self.cell_ops = [IsometryOp()] if cell_ops is None else cell_ops
+        self.flips = tuple(bool(op.orientation * np.prod(op.signs) < 0)
                            for op in self.cell_ops)
+        if copies and translation is None:
+            raise ValueError("copies need a translation")
         self.translation, self.copies = translation, copies
 
     @property
@@ -218,13 +213,13 @@ class TriMesh:
         Block b of copy 0 is ``cell_ops[b].apply`` of the piece and
         ``apply_normals`` of its normals, block 0 the piece's own arrays.
         Block b of copy k + 1 is block b of copy k plus the translation's
-        offset (zeros made +0.0), and copies 1..copies share one normals
-        array per block, copy 0's plus 0.0.  On finite values that is
-        ``translation.apply``/``apply_normals`` of copy k bit for bit, a
-        pure translation's identity matmul being exact up to turning -0.0
-        into 0.0, as adding 0.0 does (so copy 0's normals may differ in
-        sign bits from the others').  Only the blocks of the last copy are
-        kept, and none for a mesh with no copies.
+        offset with its zeros made +0.0: on finite values, the bits of
+        copy k times the identity matrix plus the offset, a matmul's sum
+        turning -0.0 into 0.0 as adding 0.0 does.  Copies 1..copies share
+        one normals array per block, copy 0's plus 0.0, which is
+        ``translation.apply_normals`` of any copy (so copy 0's normals may
+        differ in sign bits from the others').  Only the blocks of the
+        last copy are kept, and none for a mesh with no copies.
         """
         v0, n0 = self.base_vertices, self.base_normals
         last = []
@@ -388,30 +383,30 @@ def _unit_normals(sigma, z):
 def extension_ops(sigma: float):
     """The four extension operations of the reflection pipeline.
 
-    1. 180-degree rotation diag(-1,1,-1) with offset (2c1, 0, 2c3) =
-       (t0_1, 0, t0_3), where c = psi(i sqrt(sigma)) is the fixed point of
-       the first symmetry (c1 and c3 are half of t0's);
-    2. reflection diag(1,-1,1) in the plane {x2 = 0};
-    3. 180-degree rotation diag(-1,1,-1) about the x2-axis;
+    1. 180-degree rotation, signs (-1, 1, -1), with offset (2c1, 0, 2c3)
+       = (t0_1, 0, t0_3), where c = psi(i sqrt(sigma)) is the fixed point
+       of the first symmetry (c1 and c3 are half of t0's);
+    2. reflection, signs (1, -1, 1), in the plane {x2 = 0};
+    3. 180-degree rotation, signs (-1, 1, -1), about the x2-axis;
     4. translation by 2 t0 with t0 = psi(-sigma).
 
-    Each op's orientation is the sign of (L N(p)) . N(p) at a surface point
+    Each op's orientation is the sign of signs . N(p)^2 at a surface point
     p it fixes: p over z = i sqrt(sigma) for op 1 (+1), over (-sigma, 0),
     which lies in {x2 = 0}, for op 2 (+1), and over (0, 1), which lies on
     the x2-axis, for op 3 (-1).  The translation keeps it.
     """
     t0 = FundamentalSurface(sigma).translation_half()
-    rot = np.diag([-1.0, 1.0, -1.0])
+    rot = np.array([-1.0, 1.0, -1.0])
 
-    def symmetry(linear, offset, z_fixed):
+    def symmetry(signs, offset, z_fixed):
         n = _unit_normals(sigma, np.array([z_fixed]))[0]
-        return IsometryOp(linear, offset, float(np.sign(linear @ n @ n)))
+        return IsometryOp(signs, offset, float(np.sign(signs @ (n * n))))
 
     return [
         symmetry(rot, np.array([t0[0], 0.0, t0[2]]), 1j * math.sqrt(sigma)),
-        symmetry(np.diag([1.0, -1.0, 1.0]), np.zeros(3), -0.5 * sigma),
+        symmetry(np.array([1.0, -1.0, 1.0]), np.zeros(3), -0.5 * sigma),
         symmetry(rot, np.zeros(3), 0.5),
-        IsometryOp(np.eye(3), 2.0 * t0),
+        IsometryOp(offset=2.0 * t0),
     ]
 
 
@@ -430,22 +425,22 @@ def extend(mesh: TriMesh, ops, copies: int = 0) -> TriMesh:
     offset, so a composed isometry maps the piece to the same bits as
     the ops applied one after the other.  Vertex count grows exactly by
     2^3 * (copies + 1).  The input must not be extended already, and the
-    fourth op must be a pure translation (linear part exactly the
-    identity, orientation +1): copies add its offset.
+    fourth op must be a pure translation (signs and orientation +1):
+    copies add its offset, and need that op (ValueError).
     """
     if copies < 0:
         raise ValueError("copies must be >= 0")
     if len(mesh.cell_ops) > 1 or mesh.copies:
         raise ValueError("mesh is already extended")
     if len(ops) > 3 and (ops[3].orientation != 1.0
-                         or not np.array_equal(ops[3].linear, np.eye(3))):
+                         or np.any(ops[3].signs != 1.0)):
         raise ValueError("the fourth op must be a pure translation")
-    cell_ops = [identity_op()]
+    cell_ops = [IsometryOp()]
     for op in ops[:3]:
         cell_ops += [op.compose(a) for a in cell_ops]
     return TriMesh(mesh.base_vertices, mesh.base_normals, mesh.base_faces,
-                   cell_ops=cell_ops, translation=ops[3] if copies else None,
-                   copies=copies)
+                   cell_ops=cell_ops,
+                   translation=ops[3] if len(ops) > 3 else None, copies=copies)
 
 
 # ---------------------------------------------------------------------------

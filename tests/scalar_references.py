@@ -14,8 +14,9 @@ references that the batched code in ``riemann_minimal`` is pinned against.
 * :func:`algebro_geometric_fit` -- the KdV fit with one g-jet, u-jet and
   set of flows per point.
 * :func:`classical_fd_grid` -- one :func:`checks.fd_surface_checks` call per
-  (q, v) pair, with two scalar ``_adaptive`` increments per q (the
-  adaptive oracle of ``classical_quadrature``).
+  (q, v) pair on values relative to the stencil's centre, with two scalar
+  ``_adaptive`` increments per q (the adaptive oracle of
+  ``classical_quadrature``).
 * :func:`classical_slice_points` -- one ``parameterize`` call per v, with
   ``math.cos`` and ``math.sin``.
 * :func:`carlson_rf` and :func:`carlson_rd` -- Carlson's duplication as
@@ -24,10 +25,13 @@ references that the batched code in ``riemann_minimal`` is pinned against.
   ``math``.
 * :func:`level_circle_fit` -- the circle fit of one slice, with its own
   SVD and ``lstsq``: the reference of the stacked ``mesh.level_circle_fit``.
+* :func:`apply` and :func:`apply_normals` -- an ``mesh.IsometryOp``
+  applied by a matmul with the 3x3 diagonal matrix of its signs: the
+  reference of its sign arithmetic.
 * :func:`translated_copies` -- an extended mesh's cell built as the
-  piece doubled by one op after another, one ``apply`` of the whole
-  array and one concatenation per op, and its copies, each one
-  ``translation.apply``/``apply_normals`` of the one before.
+  piece doubled by one op after another, one :func:`apply` of the whole
+  array and one concatenation per op, and its copies, each the
+  translation's :func:`apply`/:func:`apply_normals` of the one before.
 * :func:`export_obj` -- the OBJ writer that formats every number with
   Python's ``%`` (``'%.9g'`` and ``%d``), one line template per chunk.
 * :func:`export_ply` -- the PLY writer with one ``hstack`` of float32 rows
@@ -223,9 +227,6 @@ def classical_fd_grid(lam, nq=20, nv=20, h=1e-4):
     vs = np.linspace(0.0, 2 * math.pi, nv, endpoint=False)
     worst_H = worst_conf = worst_orth = 0.0
     for q in qs:
-        f0 = classical.center_offset(params, q)
-        z0 = classical.height(params, q)
-
         def increment(a, b):
             df, _ = _adaptive(
                 lambda u: -0.5 * u / np.sqrt(classical.radicand(lam, u)),
@@ -237,13 +238,18 @@ def classical_fd_grid(lam, nq=20, nv=20, h=1e-4):
 
         dfp, dzp = increment(q, q + h)
         dfm, dzm = increment(q - h, q)
-        fz = {-1: (f0 - dfm, z0 - dzm), 0: (f0, z0), 1: (f0 + dfp, z0 + dzp)}
+        dfz = {-1: (-dfm, -dzm), 0: (0.0, 0.0), 1: (dfp, dzp)}
         for v in vs:
             def sample(i, j, q=q, v=v):
-                fq, zq = fz[i]
-                rq = math.sqrt(q + i * h)
-                return np.array([fq + rq * math.cos(v + j * h),
-                                 rq * math.sin(v + j * h), zq])
+                # X(q + ih, v + jh) - X(q, v), each difference in a form
+                # without cancellation
+                df, dz = dfz[i]
+                r0 = math.sqrt(q)
+                dr = i * h / (math.sqrt(q + i * h) + r0)
+                half, mid = 2.0 * math.sin(0.5 * j * h), v + 0.5 * j * h
+                return np.array([
+                    df + dr * math.cos(v + j * h) - r0 * half * math.sin(mid),
+                    dr * math.sin(v + j * h) + r0 * half * math.cos(mid), dz])
             H, conf, orth = checks.fd_surface_checks(sample, h)
             worst_H = max(worst_H, H)
             worst_conf = max(worst_conf, conf)
@@ -360,6 +366,18 @@ def _chunks(line, rows):
         yield (line * len(part) % tuple(part.ravel().tolist())).encode("ascii")
 
 
+def apply(op, pts):
+    """``op`` applied to the (n, 3) ``pts``: a matmul with the diagonal
+    matrix of its signs, plus its offset."""
+    return pts @ np.diag(op.signs).T + op.offset
+
+
+def apply_normals(op, normals):
+    """``op``'s orientation times the matmul of the (n, 3) ``normals``
+    with the diagonal matrix of its signs."""
+    return op.orientation * (normals @ np.diag(op.signs).T)
+
+
 def _cell(m):
     """(vertices, normals) of the cell of the mesh ``m``, built from its
     piece by the doublings one after another: the arrays so far, then
@@ -369,21 +387,22 @@ def _cell(m):
     v, nrm = m.base_vertices, m.base_normals
     while len(v) < m.base_count * len(m.flips):
         op = m.cell_ops[len(v) // m.base_count]
-        v = np.concatenate([v, op.apply(v)])
-        nrm = np.concatenate([nrm, op.apply_normals(nrm)])
+        v = np.concatenate([v, apply(op, v)])
+        nrm = np.concatenate([nrm, apply_normals(op, nrm)])
     return v, nrm
 
 
 def translated_copies(m):
     """Yield (vertices, normals) of copies 0..copies of the mesh ``m``:
     copy 0 its cell by sequential transforms and concatenation
-    (:func:`_cell`), copy k + 1 ``translation.apply``/``apply_normals`` (a
-    matmul) of copy k.  This is the walk of ``TriMesh.blocks`` without
-    its composed isometries and without its shortcut."""
+    (:func:`_cell`), copy k + 1 the translation's :func:`apply` and
+    :func:`apply_normals` (matmuls) of copy k.  This is the walk of
+    ``TriMesh.blocks`` without its composed isometries, its sign
+    arithmetic and its shortcut."""
     v, nrm = _cell(m)
     yield v, nrm
     for _ in range(m.copies):
-        v, nrm = m.translation.apply(v), m.translation.apply_normals(nrm)
+        v, nrm = apply(m.translation, v), apply_normals(m.translation, nrm)
         yield v, nrm
 
 

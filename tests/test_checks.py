@@ -344,10 +344,13 @@ def test_classical_fd_grid_matches_the_per_point_loop(sigma, monkeypatch):
                       (quad, "_gk_panel"), (checks, "fd_surface_checks")):
         monkeypatch.setattr(mod, name, count(name, getattr(mod, name)))
     got = checks.classical_fd_grid(lam, nq=10, nv=10)
-    # one batch: no increment misses the one-panel tolerance here
-    assert calls == {"center_offset": 1, "height": 1, "_gk_panel": 1,
-                     "fd_surface_checks": 1}
-    np.testing.assert_allclose(got, expect, rtol=1e-9, atol=0.0)
+    # one batch: no increment misses the one-panel tolerance here, and the
+    # stencil, relative to its centre, needs no closed-form base value
+    assert calls == {"_gk_panel": 1, "fd_surface_checks": 1}
+    # the one-panel and the adaptive increments agree to ~2 ulps, and the
+    # stencil takes them without a base value to round them away: |H|,
+    # ~1e-7 of truncation, moves with them by up to 4e-11 (sigma 0.0167)
+    np.testing.assert_allclose(got, expect, rtol=1e-9, atol=1e-10)
 
 
 def test_classical_fd_grid_raises_on_a_missed_panel():
@@ -371,10 +374,10 @@ def test_catenoid_residual_carlson_form():
 
 
 def test_weierstrass_fd_grid_matches_the_per_anchor_loop():
-    X0, X, hk = checks._weierstrass_stencil(2.0, 4, 1e-4, checks._STENCIL)
+    X, hk = checks._weierstrass_stencil(2.0, 4, 1e-4, checks._STENCIL)
     worst = np.zeros(3)
-    for x0, x, h in zip(X0, X, hk):
-        vals = {(0, 0): x0, **dict(zip(checks._STENCIL, x))}
+    for x, h in zip(X, hk):
+        vals = {(0, 0): np.zeros(3), **dict(zip(checks._STENCIL, x))}
         worst = np.maximum(worst, checks.fd_surface_checks(
             lambda i, j: vals[(i, j)], h))
     assert list(checks.weierstrass_fd_grid(2.0, n_side=4)) == list(worst)

@@ -394,10 +394,13 @@ def test_import_does_not_load_scipy_optimize():
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("sigma", ["1e-3", "9.5", "21.5", "100", "1e3"])
+@pytest.mark.parametrize("sigma", ["1e-3", "0.0011007", "9.5", "21.5", "100",
+                                   "1e3"])
 def test_gen_and_verify_over_the_family_range(tmp_path, sigma):
-    # the ends of the tested range, and sigma > 9, where the base point's
-    # 1e-2 gap to z = 1 is below 1e-3 (1 + sigma)
+    # the ends of the tested range; sigma 0.0011007, where the classical
+    # stencil's rounding put minimality_classical over 1e-3 while it took
+    # absolute positions; and sigma > 9, where the base point's 1e-2 gap
+    # to z = 1 is below 1e-3 (1 + sigma)
     out = tmp_path / "o"
     assert run(["gen", "--sigma", sigma, "-o", str(out)]) == 0
     res = load_report(out / "report.json")["result"]
@@ -533,8 +536,9 @@ def test_verify_slices_only_the_piece_once(monkeypatch):
 
 
 def test_verify_immerse_calls_come_from_one_refine_call(monkeypatch):
-    # outside the refinement: the sampled piece and the stencil's anchors;
-    # inside: one call per Newton round of the one lockstep loop
+    # outside the refinement: the sampled piece only (the stencils take
+    # values relative to their centre, so the anchors need none); inside:
+    # one call per Newton round of the one lockstep loop
     outside, inside, refines = [], [], []
     immerse, refine = curve.immerse, mesh.refine_slice
 
@@ -553,7 +557,7 @@ def test_verify_immerse_calls_come_from_one_refine_call(monkeypatch):
     monkeypatch.setattr(mesh, "refine_slice", refining)
     assert run(["verify", "--sigma", "2", "--json", "/dev/null"]) == 0
     assert refines == ["closed"]
-    assert len(outside) == 2 and 0 < len(inside) <= 12
+    assert len(outside) == 1 and 0 < len(inside) <= 12
 
 
 @pytest.mark.slow

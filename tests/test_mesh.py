@@ -315,10 +315,10 @@ def _xor_doubling(ops):
     """The face flip of each block of the cell the doublings by ``ops``
     build: the blocks so far, then the same blocks with the op's flip
     toggled, an op's flip being orientation times det < 0, the det of a
-    signed diagonal map the product of its diagonal."""
+    signed diagonal map the product of its signs."""
     flips = [False]
     for op in ops:
-        flip = op.orientation * np.prod(np.diag(op.linear)) < 0
+        flip = op.orientation * np.prod(op.signs) < 0
         flips += [f != flip for f in flips]
     return flips
 
@@ -344,7 +344,6 @@ def test_flips_follow_from_the_cell_ops(sigma):
 def test_extension_ops_structure(surf2, ops2):
     op1, op2, op3, op4 = ops2
     # involutions and the translation
-    assert np.allclose(op1.linear @ op1.linear, np.eye(3))
     assert np.allclose(op1.apply(op1.apply(np.array([[0.3, 1.2, -0.7]]))),
                        [[0.3, 1.2, -0.7]], atol=1e-12)
     c = surf2.psi_fixed_point()
@@ -352,11 +351,11 @@ def test_extension_ops_structure(surf2, ops2):
     assert np.max(np.abs(op1.apply(c[None, :]) - c)) < 1e-12
     probe = c + np.array([0.0, 3.7, 0.0])
     assert np.max(np.abs(op1.apply(probe[None, :]) - probe)) < 1e-12
-    assert np.allclose(op2.linear, np.diag([1.0, -1.0, 1.0]))
-    assert np.allclose(op3.linear, np.diag([-1.0, 1.0, -1.0]))
+    assert np.array_equal(op2.signs, [1.0, -1.0, 1.0])
+    assert np.array_equal(op3.signs, [-1.0, 1.0, -1.0])
     t0 = surf2.translation_half()
     assert np.allclose(op4.offset, 2 * t0)
-    assert np.allclose(op4.linear, np.eye(3))
+    assert np.array_equal(op4.signs, np.ones(3))
     # the fixed point sits at half the translation
     assert np.allclose(c[[0, 2]], t0[[0, 2]] / 2.0, atol=1e-9)
     assert abs(t0[1]) < 1e-9
@@ -493,18 +492,25 @@ def _flat_reference(m):
         vertices=m.vertices, normals=m.normals, faces=m.faces,
         fundamental_xyz=m.vertices.copy(),
         op_index=np.zeros(m.vertex_count, dtype=np.int32),
-        op_catalog=list(m.cell_ops))
+        op_catalog=[(np.diag(op.signs), op.offset, op.orientation)
+                    for op in m.cell_ops])
 
 
 def _transform_reference(m, op):
-    """The per-op mesh copy the one-pass extend replaces."""
-    faces = (m.faces[:, ::-1].copy() if op.orientation * op.det() < 0
-             else m.faces.copy())
+    """The per-op mesh copy the one-pass extend replaces, each op a matmul
+    with the diagonal matrix of its signs: its isometries composed as
+    (linear, offset, orientation) triples, its faces reversed where the
+    orientation times det of the linear part is negative."""
+    L = np.diag(op.signs)
+    faces = (m.faces[:, ::-1].copy()
+             if op.orientation * np.linalg.det(L) < 0 else m.faces.copy())
     return SimpleNamespace(
-        vertices=op.apply(m.vertices), normals=op.apply_normals(m.normals),
+        vertices=scalar.apply(op, m.vertices),
+        normals=scalar.apply_normals(op, m.normals),
         faces=faces, fundamental_xyz=m.fundamental_xyz.copy(),
         op_index=m.op_index.copy(),
-        op_catalog=[op.compose(a) for a in m.op_catalog])
+        op_catalog=[(L @ a, L @ b + op.offset, op.orientation * o)
+                    for a, b, o in m.op_catalog])
 
 
 def _concat_reference(a, b):
@@ -556,9 +562,9 @@ def test_extend_matches_transform_concat(fund2, ops2, n_ops, copies):
         a = got.cell_ops[a]
         for _ in range(k):
             a = got.translation.compose(a)
-        assert a.linear.tobytes() == b.linear.tobytes()
-        assert a.offset.tobytes() == b.offset.tobytes()
-        assert a.orientation == b.orientation
+        assert np.array_equal(np.diag(a.signs), b[0])
+        assert a.offset.tobytes() == b[1].tobytes()
+        assert a.orientation == b[2]
 
 
 def test_extension_ops_orientation_from_geometry():
@@ -567,11 +573,11 @@ def test_extension_ops_orientation_from_geometry():
     for sigma in (1e-3, 2.0, 1e3):
         ops = extension_ops(sigma)
         assert [op.orientation for op in ops] == [1.0, 1.0, -1.0, 1.0]
-        assert [op.det() for op in ops] == [1.0, -1.0, 1.0, 1.0]
+        assert [np.prod(op.signs) for op in ops] == [1.0, -1.0, 1.0, 1.0]
         assert ops[2].compose(ops[1]).orientation == -1.0
         assert ops[2].compose(ops[2]).orientation == 1.0
     with pytest.raises(ValueError, match="orientation"):
-        IsometryOp(np.eye(3), np.zeros(3), 0.5)
+        IsometryOp(np.ones(3), np.zeros(3), 0.5)
 
 
 @pytest.mark.parametrize("sigma", [1e-3, 2.0, 1e3])
@@ -583,7 +589,7 @@ def test_half_translation_is_a_symmetry_reversing_orientation(sigma):
     ops = extension_ops(sigma)
     t0 = FundamentalSurface(sigma).translation_half()
     half = ops[0].compose(ops[2])
-    assert np.array_equal(half.linear, np.eye(3))
+    assert np.array_equal(half.signs, np.ones(3))
     assert np.array_equal(half.offset, t0)
     assert half.orientation == -1.0
     twice = half.compose(half)
@@ -644,16 +650,30 @@ def test_extend_refuses_extended_mesh(fund2, ops2):
 
 
 def test_extend_refuses_a_fourth_op_that_is_not_a_translation(fund2, ops2):
-    # copies are built by adding the offset, so the linear part must be
-    # exactly the identity and the orientation kept
-    t, a = ops2[3].offset, 1e-13
-    turn = [[math.cos(a), -math.sin(a), 0.0], [math.sin(a), math.cos(a), 0.0],
-            [0.0, 0.0, 1.0]]
-    for op in (IsometryOp(np.diag([1.0, -1.0, 1.0]), t), IsometryOp(turn, t),
-               IsometryOp(np.eye(3), t, -1.0)):
+    # copies are built by adding the offset, so every sign must be +1 and
+    # the orientation kept
+    t = ops2[3].offset
+    for op in (IsometryOp([1.0, -1.0, 1.0], t),
+               IsometryOp(offset=t, orientation=-1.0)):
         for copies in (0, 1):
             with pytest.raises(ValueError, match="translation"):
                 extend(fund2, ops2[:3] + [op], copies=copies)
+
+
+def test_copies_without_a_translation_are_refused(fund2, ops2):
+    # copies are the cell under the translation, op 4: without one,
+    # extend and TriMesh refuse before any walk
+    for k in range(4):
+        extend(fund2, ops2[:k], copies=0)
+        for copies in (1, 3):
+            with pytest.raises(ValueError, match="translation"):
+                extend(fund2, ops2[:k], copies=copies)
+    v, n, f = fund2.base_vertices, fund2.base_normals, fund2.base_faces
+    with pytest.raises(ValueError, match="translation"):
+        TriMesh(v, n, f, copies=1)
+    with pytest.raises(ValueError, match="translation"):
+        TriMesh(v, n, f, cell_ops=ops2[:3], copies=2)
+    assert TriMesh(v, n, f, translation=ops2[3]).copies == 0
 
 
 def _signed_zero_mesh(copies):
@@ -662,7 +682,7 @@ def _signed_zero_mesh(copies):
     cell = np.array([[-0.0, -0.0, -0.0], [-0.0, -1.0, -0.0],
                      [2.5, -0.0, -3.0], [-1.0, 4.0, -0.0], [0.0, -0.0, 1.0]])
     return TriMesh(cell, -cell[::-1], np.array([[0, 1, 2], [2, 3, 4]]),
-                   translation=IsometryOp(np.eye(3), [1.5, -0.0, -2.0]),
+                   translation=IsometryOp(offset=[1.5, -0.0, -2.0]),
                    copies=copies)
 
 
@@ -1563,8 +1583,18 @@ def test_export_obj_writes_wide_columns_as_percent_writer(tmp_path):
 
 
 def test_isometry_validation():
-    with pytest.raises(ValueError):
-        IsometryOp(np.diag([2.0, 1.0, 1.0]), np.zeros(3))
+    # signs other than +1 and -1, or of the wrong shape (a 3x3 matrix
+    # included), and offsets of the wrong shape are refused
+    for signs in ([2.0, 1.0, 1.0], [1.0, 0.0, -1.0], [1.0, -0.5, 1.0],
+                  [1.0, np.nan, 1.0], [1.0, 1.0], [1.0, 1.0, 1.0, 1.0],
+                  np.eye(3)):
+        with pytest.raises(ValueError, match="signs"):
+            IsometryOp(signs, np.zeros(3))
+    with pytest.raises(ValueError, match="offset"):
+        IsometryOp(np.ones(3), np.zeros(2))
+    op = IsometryOp([-1, 1, -1])
+    assert np.array_equal(op.signs, [-1.0, 1.0, -1.0])
+    assert np.array_equal(op.offset, np.zeros(3)) and op.orientation == 1.0
 
 
 def test_sample_fundamental_rejects_two_angle_grid():
