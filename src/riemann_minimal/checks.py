@@ -85,8 +85,9 @@ def classical_fd_grid(lam, nq=20, nv=20, h=1e-4):
     Each stencil's values are relative to its centre X(q, v), which is 0
     (absolute ones would carry rounding ~eps |X| over h^2): the height
     and center integrals' short increments over [q, q+h] and [q-h, q],
-    sqrt(q + ih) - sqrt(q) = ih / (sqrt(q + ih) + sqrt(q)), and cos(v +
-    jh) - cos v = -2 sin(jh/2) sin(v + jh/2), the same for sin.  One
+    sqrt(q') - sqrt(q) = (q' - q) / (sqrt(q') + sqrt(q)) at the float q'
+    = q + ih those increments end at (q' - q is exact), and cos(v + jh) -
+    cos v = -2 sin(jh/2) sin(v + jh/2), the same for sin.  One
     batch: every increment of both integrands is one G7/K15 panel of one
     ``quad.panel_increments`` call (QuadError when a panel misses its
     tolerance), and all (q, v) stencils go through one
@@ -96,7 +97,8 @@ def classical_fd_grid(lam, nq=20, nv=20, h=1e-4):
     q1 = params.q1
     qs = np.linspace(q1 * 1.05 + 0.02, q1 + 3.0, nq)
     vs = np.linspace(0.0, 2 * math.pi, nv, endpoint=False)
-    r0 = np.sqrt(qs)[:, None]
+    q0 = qs[:, None]
+    r0 = np.sqrt(q0)
 
     def slope(u, row):
         # row 0: d(center_offset)/dq, row 1: d(height)/dq
@@ -113,7 +115,8 @@ def classical_fd_grid(lam, nq=20, nv=20, h=1e-4):
 
     def sample(i, j):
         df, dz = dfz[i]
-        dr = i * h / (np.sqrt(qs + i * h)[:, None] + r0)
+        qi = q0 + i * h
+        dr = (qi - q0) / (np.sqrt(qi) + r0)
         half, mid = 2.0 * math.sin(0.5 * j * h), vs + 0.5 * j * h
         return np.stack(np.broadcast_arrays(
             df + dr * np.cos(vs + j * h) - r0 * half * np.sin(mid),

@@ -16,7 +16,8 @@ references that the batched code in ``riemann_minimal`` is pinned against.
 * :func:`classical_fd_grid` -- one :func:`checks.fd_surface_checks` call per
   (q, v) pair on values relative to the stencil's centre, with two scalar
   ``_adaptive`` increments per q (the adaptive oracle of
-  ``classical_quadrature``).
+  ``classical_quadrature``) and the circle's part as the difference of
+  absolute points in mpmath.
 * :func:`classical_slice_points` -- one ``parameterize`` call per v, with
   ``math.cos`` and ``math.sin``.
 * :func:`carlson_rf` and :func:`carlson_rd` -- Carlson's duplication as
@@ -48,6 +49,7 @@ import struct
 import sys
 from dataclasses import dataclass
 
+import mpmath
 import numpy as np
 
 import curve_quadrature as kernel
@@ -238,18 +240,19 @@ def classical_fd_grid(lam, nq=20, nv=20, h=1e-4):
 
         dfp, dzp = increment(q, q + h)
         dfm, dzm = increment(q - h, q)
-        dfz = {-1: (-dfm, -dzm), 0: (0.0, 0.0), 1: (dfp, dzp)}
+        ends = {-1: (q - h, -dfm, -dzm), 0: (q, 0.0, 0.0),
+                1: (q + h, dfp, dzp)}
         for v in vs:
             def sample(i, j, q=q, v=v):
-                # X(q + ih, v + jh) - X(q, v), each difference in a form
-                # without cancellation
-                df, dz = dfz[i]
-                r0 = math.sqrt(q)
-                dr = i * h / (math.sqrt(q + i * h) + r0)
-                half, mid = 2.0 * math.sin(0.5 * j * h), v + 0.5 * j * h
-                return np.array([
-                    df + dr * math.cos(v + j * h) - r0 * half * math.sin(mid),
-                    dr * math.sin(v + j * h) + r0 * half * math.cos(mid), dz])
+                # X(q', v + jh) - X(q, v) from the absolute circle points
+                # in 30-digit mpmath, q' the float the increments end at
+                qi, df, dz = ends[i]
+                with mpmath.workdps(30):
+                    r0, ri = mpmath.sqrt(q), mpmath.sqrt(qi)
+                    vj = mpmath.mpf(v) + j * mpmath.mpf(h)
+                    return np.array([
+                        float(df + ri * mpmath.cos(vj) - r0 * mpmath.cos(v)),
+                        float(ri * mpmath.sin(vj) - r0 * mpmath.sin(v)), dz])
             H, conf, orth = checks.fd_surface_checks(sample, h)
             worst_H = max(worst_H, H)
             worst_conf = max(worst_conf, conf)

@@ -347,10 +347,12 @@ def test_classical_fd_grid_matches_the_per_point_loop(sigma, monkeypatch):
     # one batch: no increment misses the one-panel tolerance here, and the
     # stencil, relative to its centre, needs no closed-form base value
     assert calls == {"_gk_panel": 1, "fd_surface_checks": 1}
-    # the one-panel and the adaptive increments agree to ~2 ulps, and the
-    # stencil takes them without a base value to round them away: |H|,
-    # ~1e-7 of truncation, moves with them by up to 4e-11 (sigma 0.0167)
-    np.testing.assert_allclose(got, expect, rtol=1e-9, atol=1e-10)
+    # the defects agree to ~1 ulp (measured at most 5e-16 relative).  |H|
+    # (4e-8 to 1.3e-6 here, truncation) divides the increments' rounding
+    # by h^2: it differs with the one-panel and the adaptive increments,
+    # which agree to ~2 ulps, by at most 6.0e-11 (sigma 0.0167)
+    np.testing.assert_allclose(got[1:], expect[1:], rtol=1e-13, atol=0.0)
+    np.testing.assert_allclose(got[0], expect[0], rtol=0.0, atol=1e-10)
 
 
 def test_classical_fd_grid_raises_on_a_missed_panel():

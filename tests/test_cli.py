@@ -397,10 +397,10 @@ def test_import_does_not_load_scipy_optimize():
 @pytest.mark.parametrize("sigma", ["1e-3", "0.0011007", "9.5", "21.5", "100",
                                    "1e3"])
 def test_gen_and_verify_over_the_family_range(tmp_path, sigma):
-    # the ends of the tested range; sigma 0.0011007, where the classical
-    # stencil's rounding put minimality_classical over 1e-3 while it took
-    # absolute positions; and sigma > 9, where the base point's 1e-2 gap
-    # to z = 1 is below 1e-3 (1 + sigma)
+    # the ends of the tested range; sigma 0.0011007, where the rounding of
+    # absolute positions, divided by h^2, would put minimality_classical
+    # over 1e-3; and sigma > 9, where the base point's 1e-2 gap to z = 1
+    # is below 1e-3 (1 + sigma)
     out = tmp_path / "o"
     assert run(["gen", "--sigma", sigma, "-o", str(out)]) == 0
     res = load_report(out / "report.json")["result"]
