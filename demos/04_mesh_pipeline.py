@@ -11,6 +11,7 @@ circles are the orbit of its slices.
 Writes meshes into ./demo_out/.
 """
 
+import math
 import os
 
 import numpy as np
@@ -28,7 +29,9 @@ x3 = fund.vertices[:, 2]
 print(f"  slab: x3 in [{x3.min():.6f}, {x3.max():.6f}]")
 
 ops = mesh.extension_ops(SIGMA)
-c = mesh.FundamentalSurface(SIGMA).psi_fixed_point()
+t0 = mesh.FundamentalSurface(SIGMA).translation_half()
+# psi(i sqrt(sigma)), fixed by the first symmetry: half of t0 in x1 and x3
+c = np.array([t0[0] / 2.0, -1.0 / math.sqrt(SIGMA), t0[2] / 2.0])
 print(f"  fixed point c = {np.round(c, 6)}")
 print(f"  op 1 offset (2 c1, 0, 2 c3) = {np.round(ops[0].offset, 6)}")
 print(f"  translation 2 t0 = {np.round(ops[3].offset, 6)}")

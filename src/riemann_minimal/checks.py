@@ -193,7 +193,8 @@ def classical_radius_at_height(params: classical.RiemannParams, z_target):
     lower one below zeta/2).  A step that leaves the bracket is replaced by
     bisection; a target stops when its residual is zero or its step no
     longer moves q = q1 + s^2 by more than rounding, after 60 iterations at
-    most.
+    most, and keeps that last step: next to the neck a start a few ulps of
+    q off takes one such step.
     """
     z = np.asarray(z_target, dtype=float)
     if np.any((z < 0.0) | (z >= params.zeta)):
@@ -215,9 +216,9 @@ def classical_radius_at_height(params: classical.RiemannParams, z_target):
         step = f * np.sqrt(q * (q + p))
         new = s - step
         new = np.where((new > lo) & (new < hi), new, 0.5 * (lo + hi))
-        active &= (f != 0.0) & (np.abs(q1 + new * new - q)
-                                 > 4 * np.finfo(float).eps * q)
+        moved = np.abs(q1 + new * new - q) > 4 * np.finfo(float).eps * q
         s = np.where(active, new, s)
+        active &= (f != 0.0) & moved
     raise classical.ConvergenceError("height inversion did not converge")
 
 

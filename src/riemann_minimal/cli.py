@@ -231,8 +231,9 @@ def _config_from_args(args) -> RunConfig:
     if "catenoid_closed_form" in cfg.tolerances and _verify_lambda(cfg):
         raise ValueError("--tol catenoid_closed_form: verify records that "
                          "check at lambda 0 only")
-    if cfg.seed < 0:  # numpy's default_rng takes no negative seed
-        raise ValueError(f"--seed must be >= 0, got {cfg.seed}")
+    if cfg.seed < 0:  # random.Random seeds from |seed|: -7 would draw 7's
+        raise ValueError(f"--seed must be >= 0 (a negative seed would draw "
+                         f"the points of {-cfg.seed}), got {cfg.seed}")
     if cfg.command == "kdv":
         if cfg.print_p is None and not cfg.sigma:
             raise ValueError("kdv needs --print-p and/or --sigma/--lambda")
@@ -344,7 +345,7 @@ def cmd_verify(cfg: RunConfig) -> int:
     t_start = time.time()
     report = _report_skeleton(cfg)
     suite = _Suite(report, cfg.tolerances)
-    rng = np.random.default_rng(cfg.seed)
+    rng = curve._SeededDraws(cfg.seed)
     params = curve.CurveParams(cfg.sigma)
 
     per1 = curve.period(params, "gamma1")
@@ -415,7 +416,7 @@ def cmd_kdv(cfg: RunConfig) -> int:
         report["result"] = {"polynomials": lines}
     if cfg.sigma:
         params = curve.CurveParams(cfg.sigma)
-        rng = np.random.default_rng(cfg.seed)
+        rng = curve._SeededDraws(cfg.seed)
         pts = curve.random_regular_points(params, cfg.samples, rng)
         fit = shiffkdv.algebro_geometric_residual(params, cfg.n_level, pts)
         result = {

@@ -34,14 +34,18 @@ Conventions fixed here (see README):
 
 Seeded sample points come from :func:`random_regular_points` as one
 :class:`CurvePoint` of arrays, which the symmetry and Gauss-ODE checks (and
-``shiffkdv``'s jets) take whole.
+``shiffkdv``'s jets) take whole.  The command line draws them from
+:class:`_SeededDraws`, the standard library's generator, so a process that
+only verifies never imports ``numpy.random``.
 """
 
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 from functools import cache
+from itertools import repeat, starmap
 
 import numpy as np
 
@@ -50,13 +54,12 @@ from .quad import RiemannMinimalError
 
 __all__ = [
     "CurveError", "PoleOfGaussMap", "CurveParams", "CurvePoint",
-    "curve_poly", "branch_points", "basepoint",
+    "curve_poly", "branch_points",
     "on_curve_residual", "immerse", "gaussian_curvature", "period", "flux",
     "apply_symmetry", "verify_symmetry_action", "gauss_ode_residual",
     "gauss_derivatives", "random_regular_points",
 ]
 
-BASEPOINT_OFFSET = 1e-2
 # the end loop's circle |z| = END_RADIUS min(1, sigma)
 END_RADIUS = 0.3
 # random_regular_points rejects candidates closer than this times
@@ -109,13 +112,6 @@ def branch_points(params: CurveParams):
 
 def on_curve_residual(params: CurveParams, pt: CurvePoint) -> float:
     return abs(pt.w ** 2 - curve_poly(params, pt.z)) / (1.0 + abs(pt.z) ** 3)
-
-
-def basepoint(params: CurveParams) -> CurvePoint:
-    """Fixed regular base point: z = 1 + 1e-2, w real and positive."""
-    z = 1.0 + BASEPOINT_OFFSET
-    w = math.sqrt(z * (z - 1.0) * (z + params.sigma))
-    return CurvePoint(complex(z), complex(w))
 
 
 def _phi_vector(params, zs, ws):
@@ -417,17 +413,40 @@ def _cmul(a, b):
     return out[()]
 
 
+class _SeededDraws:
+    """The two draws :func:`random_regular_points` makes, from
+    ``random.Random(seed)``: each value is one ``Random.random()`` call,
+    the one method whose sequence Python keeps for a seed across versions
+    (numpy keeps only its legacy ``RandomState`` stream fixed)."""
+
+    def __init__(self, seed: int):
+        self._random = random.Random(seed).random
+
+    def random(self, shape) -> np.ndarray:
+        """Uniforms in [0, 1) filling ``shape`` in C order."""
+        count = math.prod(shape)
+        return np.fromiter(starmap(self._random, repeat((), count)), float,
+                           count).reshape(shape)
+
+    def integers(self, low: int, high: int, size: int) -> np.ndarray:
+        """``size`` values low + floor((high - low) u), one uniform u each:
+        uniform on [low, high) when high - low is a power of two."""
+        return low + np.floor((high - low) * self.random((size,))).astype(int)
+
+
 def random_regular_points(params: CurveParams, n: int, rng) -> CurvePoint:
     """Seeded sample of n regular curve points away from the branch points,
     as one :class:`CurvePoint` of 1-d arrays.
 
     z is uniform in (r, theta) over the annulus 0.15 <= r / ((1 + sigma)/2)
     <= 1.6, and a candidate closer than SAMPLE_CLEARANCE (1 + sigma) to a
-    branch point {0, 1, -sigma} is rejected.  Draw order, from any numpy
-    ``Generator``: rounds of one ``rng.random((2, m))`` block, r from row 0
-    and theta from row 1, m the number of points still missing, until n
-    are kept; then one ``rng.integers(0, 2, n)``, a 1 putting the point on
-    the sheet of -sqrt.
+    branch point {0, 1, -sigma} is rejected.  ``rng`` is any object with
+    numpy ``Generator``'s ``random(shape)`` and ``integers(low, high,
+    size)`` (a ``Generator``, or :class:`_SeededDraws`).  Draw order:
+    rounds of one ``rng.random((2, m))`` block, r from row 0 and theta
+    from row 1, m the number of points still missing, until n are kept;
+    then one ``rng.integers(0, 2, n)``, a 1 putting the point on the sheet
+    of -sqrt.
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")

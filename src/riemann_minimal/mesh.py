@@ -284,20 +284,12 @@ class TriMesh:
 
 
 class FundamentalSurface:
-    """The curve of one sigma and the two anchors the extension reads, t0
-    and the fixed point: elliptic integrals in closed form, no path."""
+    """The curve of one sigma and the anchor the extension reads, t0: an
+    elliptic integral in closed form, no path.  Op 1's offset (t0_1, 0,
+    t0_3) is twice the fixed point psi(i sqrt(sigma)) in x1 and x3."""
 
     def __init__(self, sigma: float):
         self.params = CurveParams(sigma)
-
-    def psi_fixed_point(self):
-        """c = psi(i sqrt(sigma)), the S1 fixed point, in closed form: c1
-        and c3 are half of t0's, and c2 = Re(i w / (sqrt(sigma) z)) =
-        -1/sqrt(sigma) with w = i sigma - sqrt(sigma) there (see
-        :meth:`translation_half`); a new array per call."""
-        t0 = self.translation_half()
-        return np.array([t0[0] / 2.0, -1.0 / math.sqrt(self.params.sigma),
-                         t0[2] / 2.0])
 
     def translation_half(self):
         """t0 = psi(-sigma), half the translation, in closed form; a new

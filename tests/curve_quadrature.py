@@ -10,6 +10,9 @@ Weierstrass FD stencil.
   branch points, at any distance from them.
 * :func:`_march` and :func:`_accumulate` -- chains of segments marched in
   one kernel call, and their sums in marching order.
+* :func:`basepoint` -- the regular point z = 1 + 1e-2, w > 0, where the
+  marched routes to the fundamental piece start (the sheet of the closed
+  form's principal roots).
 * :class:`HomologyLoop`, :func:`gamma1_loop`, :func:`gamma2_loop` and
   :func:`end_loop` -- round polyline loops, one representative of each
   homology class, and :func:`period`/:func:`flux` marched along them.
@@ -44,6 +47,8 @@ MAX_SUBDIVISIONS = 2000
 # most leaves per quadrature block: the largest arrays its products act
 # on, the (512, 17) complex branch nodes, take 136 KiB
 LEAF_BLOCK = 512
+# the base point's distance to the branch point 1
+BASEPOINT_OFFSET = 1e-2
 
 
 class SubdivisionLimit(QuadError):
@@ -231,6 +236,13 @@ def _onto_end(x, y, m):
     """Whether m, a split point of x -> y in one coordinate, rounds onto
     an end where the ends differ."""
     return (x != y) & ((m == x) | (m == y))
+
+
+def basepoint(params) -> CurvePoint:
+    """Fixed regular base point: z = 1 + 1e-2, w real and positive."""
+    z = 1.0 + BASEPOINT_OFFSET
+    w = math.sqrt(z * (z - 1.0) * (z + params.sigma))
+    return CurvePoint(complex(z), complex(w))
 
 
 def _march(params, z, w0):

@@ -140,7 +140,7 @@ def test_config_errors_exit_2():
 
 
 @pytest.mark.parametrize("argv", [
-    # numpy's default_rng takes no negative seed
+    # random.Random seeds from |seed|: -1 would draw the points of 1
     ["verify", "--sigma", "2", "--seed", "-1"],
     ["kdv", "--sigma", "2", "--seed", "-3"],
     # a negative level would print nothing
@@ -393,6 +393,26 @@ def test_import_does_not_load_scipy_optimize():
     assert out.stdout.strip() == "False"
 
 
+@pytest.mark.parametrize("command", ["verify", "kdv"])
+def test_seeded_commands_do_not_load_numpy_random(command):
+    # the seeded points come from random.Random: numpy.random and what it
+    # imports (secrets, hashlib and OpenSSL's _hashlib) stay out of the
+    # process
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = f"""
+import io, sys
+from riemann_minimal import cli
+out, sys.stdout, sys.stderr = sys.stdout, io.StringIO(), io.StringIO()
+rc = cli.main(["{command}", "--sigma", "2"])
+print(rc, *(m for m in ("numpy.random", "secrets", "hashlib", "_hashlib")
+            if m in sys.modules), file=out)
+"""
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True, timeout=120)
+    assert out.stdout.split() == ["0"], out.stdout
+
+
 @pytest.mark.slow
 @pytest.mark.parametrize("sigma", ["1e-3", "0.0011007", "9.5", "21.5", "100",
                                    "1e3"])
@@ -457,7 +477,7 @@ def test_verify_point_checks_keep_the_scalar_bits(tmp_path, sigma):
     run(["verify", "--sigma", repr(sigma), "--seed", "7", "--json", str(path)])
     got = {c["name"]: c["value"] for c in load_report(path)["checks"]}
     params = curve.CurveParams(sigma)
-    rng = np.random.default_rng(7)
+    rng = curve._SeededDraws(7)  # verify's draws for --seed 7
     pts = curve.random_regular_points(params, 50, rng)
     for which in ("S1", "S2", "S3"):
         assert got[f"symmetry_{which.lower()}"] == \

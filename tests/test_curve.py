@@ -1,4 +1,5 @@
 import math
+import random
 
 import mpmath
 import numpy as np
@@ -116,7 +117,7 @@ def test_single_turn_end_loop_rejected(sigma):
 
 def test_immerse_identity_and_round_trip():
     params = CurveParams(2.0)
-    base = curve.basepoint(params)
+    base = kernel.basepoint(params)
     pos, end = scalar.march(params, [base.z], base.w, (1.0, 2.0, 3.0))
     assert np.allclose(pos, [1, 2, 3])
     nodes = [base.z, 1.5 + 0.8j, 0.3 + 1.1j]
@@ -131,7 +132,7 @@ def test_immerse_batch_is_the_paths_one_by_one():
     # leaf's integral does not depend on its batch), ending on a branch
     # point or not
     params = CurveParams(2.0)
-    base = curve.basepoint(params)
+    base = kernel.basepoint(params)
     nodes = np.array([[base.z, 1.5 + 0.8j, 0.3 + 1.1j],
                       [0.5 + 0.5j, -1.0 + 0.7j, -2.0 + 0j],
                       [3.0 + 0j, 2.0 + 1j, 1.0 + 0j]])
@@ -180,7 +181,7 @@ def test_segment_kernel_against_mpmath_30_digits(sigma):
     # branch points 1 and -sigma (singular leaves)
     params = CurveParams(sigma)
     edges = [(0.77 + 1e-3j, 1.2 + 1e-3j, [0.23 / 0.43]),
-             (1.0 - curve.BASEPOINT_OFFSET + 0j, 0.5 + 0j, []),
+             (1.0 - kernel.BASEPOINT_OFFSET + 0j, 0.5 + 0j, []),
              (0.6 + 0.5j, 1.0 + 0j, []),
              (-sigma + (-0.5 + 0.6j) * min(1.0, sigma), complex(-sigma), [])]
     for za, zb, breaks in edges:
@@ -238,8 +239,8 @@ def test_leaf_below_coordinate_resolution_raises(monkeypatch):
 def test_immerse_line_property_on_unit_segment():
     # sigma = 2: points of (0,1) all map to a line parallel to the x2-axis
     params = CurveParams(2.0)
-    base = curve.basepoint(params)
-    rho = curve.BASEPOINT_OFFSET
+    base = kernel.basepoint(params)
+    rho = kernel.BASEPOINT_OFFSET
     arc = [1.0 + rho * np.exp(1j * th) for th in np.linspace(0, np.pi, 7)]
     imgs = []
     for target in (0.8, 0.55, 0.3, 0.12):
@@ -547,6 +548,29 @@ def test_random_regular_points_take_any_generator():
     assert np.max(curve.on_curve_residual(params, a)) < 1e-13
     pcg = curve.random_regular_points(params, 200, np.random.default_rng(7))
     assert not np.array_equal(a.z, pcg.z)
+
+
+def test_cli_draws_are_the_standard_library_stream():
+    # each value is one Random.random() call, rows in order, and a sign is
+    # floor(2 u): the stream Python keeps for a seed across versions
+    draws, stream = curve._SeededDraws(7), random.Random(7)
+    assert draws.random((2, 3)).tolist() == [
+        [stream.random() for _ in range(3)] for _ in range(2)]
+    assert draws.integers(0, 2, 9).tolist() == [
+        int(2.0 * stream.random()) for _ in range(9)]
+    assert draws.random((0,)).shape == (0,)
+    assert draws.random((1,))[0] == stream.random()
+
+
+@pytest.mark.parametrize("sigma", [1e-3, 2.78, 80.0])
+def test_random_regular_points_match_the_scalar_loop_on_cli_draws(sigma):
+    # the sampler's draw order holds for the command line's draws too
+    params = CurveParams(sigma)
+    ref, new = curve._SeededDraws(7), curve._SeededDraws(7)
+    for n in (50, 1000, 7, 0):
+        assert _same_points(curve.random_regular_points(params, n, new),
+                            scalar.random_regular_points(params, n, ref))
+        assert new.random((1,)) == ref.random((1,))
 
 
 @settings(max_examples=40, deadline=None)

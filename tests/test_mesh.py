@@ -104,8 +104,8 @@ def _entry_arc(params):
     """Position and curve point at 1 - 1e-2, reached from the base point
     1 + 1e-2 (w > 0) over the upper half circle around the branch point 1:
     the route that fixes the sheet sample_fundamental starts on."""
-    base = curve.basepoint(params)
-    arc = 1.0 + curve.BASEPOINT_OFFSET * np.exp(
+    base = kernel.basepoint(params)
+    arc = 1.0 + kernel.BASEPOINT_OFFSET * np.exp(
         1j * np.linspace(0.0, math.pi, 7))
     return scalar.march(params, [base.z, *arc[1:]], base.w)
 
@@ -301,12 +301,21 @@ def test_fundamental_slab_confinement(fund2, surf2):
     assert abs((x3.max() - x3.min()) - abs(t0[2])) < 1e-8
 
 
+def _fixed_point(sigma):
+    """c = psi(i sqrt(sigma)), the S1 fixed point, in closed form: c1 and
+    c3 are half of t0's, and c2 = Re(i w / (sqrt(sigma) z)) =
+    -1/sqrt(sigma) with w = i sigma - sqrt(sigma) there (see
+    ``FundamentalSurface.translation_half``)."""
+    t0 = FundamentalSurface(sigma).translation_half()
+    return np.array([t0[0] / 2.0, -1.0 / math.sqrt(sigma), t0[2] / 2.0])
+
+
 @pytest.mark.parametrize("sigma", [1e-3, 2.0, 1e3])
 def test_op1_offset_is_twice_the_fixed_point(sigma):
     # op 1 is the half turn about the horizontal line through c: its
     # offset (2 c1, 0, 2 c3), taken from t0, is 2 c in x1 and x3 bit for bit
     offset = extension_ops(sigma)[0].offset
-    c = FundamentalSurface(sigma).psi_fixed_point()
+    c = _fixed_point(sigma)
     assert offset[[0, 2]].tobytes() == (2.0 * c[[0, 2]]).tobytes()
     assert offset[1] == 0.0
 
@@ -346,7 +355,7 @@ def test_extension_ops_structure(surf2, ops2):
     # involutions and the translation
     assert np.allclose(op1.apply(op1.apply(np.array([[0.3, 1.2, -0.7]]))),
                        [[0.3, 1.2, -0.7]], atol=1e-12)
-    c = surf2.psi_fixed_point()
+    c = _fixed_point(2.0)
     # op1 fixes the fixed point and the x2-line through it
     assert np.max(np.abs(op1.apply(c[None, :]) - c)) < 1e-12
     probe = c + np.array([0.0, 3.7, 0.0])
@@ -391,7 +400,7 @@ def test_anchor_closed_forms_match_the_kernel_path(sigma):
     # t0_3, c_1 and c_3 below 4e-14 relative
     surf = FundamentalSurface(sigma)
     fixed, (left,) = _anchor_references(sigma, [-sigma])
-    t0, c = surf.translation_half(), surf.psi_fixed_point()
+    t0, c = surf.translation_half(), _fixed_point(sigma)
     for got, want in ((t0, left), (c, fixed)):
         for i in (0, 2):
             assert abs(got[i] - want[i]) <= 5e-12 * abs(got[i])
