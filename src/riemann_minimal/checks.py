@@ -5,7 +5,9 @@ These are the independent verification routines shared by the CLI
 analytic derivative formulas of the modules they check: mean curvature and
 conformality come from central finite differences of sampled immersion
 values only, and the classical/Weierstrass comparison is a rigid-motion
-plus single-scale registration of measured circle radii.
+plus single-scale registration of measured circle radii, which
+evaluates the classical height of each radius forward in closed form
+and never inverts it.
 
 The routes each check takes to the surface: the sampled piece is
 closed-form points (``curve.immerse``), both finite-difference stencils
@@ -37,9 +39,8 @@ from .quad import RiemannMinimalError
 
 __all__ = [
     "fd_surface_checks", "classical_fd_grid", "weierstrass_fd_grid",
-    "RegistrationResult", "registration_error",
-    "classical_radius_at_height", "foliation_residuals", "slice_checks",
-    "catenoid_residual", "SliceFitError",
+    "RegistrationResult", "registration_error", "foliation_residuals",
+    "slice_checks", "catenoid_residual", "SliceFitError",
 ]
 
 
@@ -180,48 +181,6 @@ def weierstrass_fd_grid(sigma, n_side=10, h=1e-4):
 # classical <-> Weierstrass registration
 
 
-def classical_radius_at_height(params: classical.RiemannParams, z_target):
-    """sqrt(q) of the circle at height z_target in [0, zeta) (scalar or
-    array).
-
-    Safeguarded Newton in s = sqrt(q - q1), where the height is smooth:
-    dz/ds = 2 s dz/dq = 2 s * 0.5 / sqrt(radicand(q)) = 1 / sqrt(q (q + p)),
-    finite at the neck where dz/dq is not.  z is concave in s with slope
-    c = 1/sqrt(q1 (q1 + p)) at s = 0, so z(s) <= c s, and zeta - z(s) <= 1/s
-    since R_F(x, y, z) <= 1/sqrt(min(x, y, z)); the sign bracket therefore
-    starts as [z/c, 1/(zeta - z)], and Newton starts at its nearer end (the
-    lower one below zeta/2).  A step that leaves the bracket is replaced by
-    bisection; a target stops when its residual is zero or its step no
-    longer moves q = q1 + s^2 by more than rounding, after 60 iterations at
-    most, and keeps that last step: next to the neck a start a few ulps of
-    q off takes one such step.
-    """
-    z = np.asarray(z_target, dtype=float)
-    if np.any((z < 0.0) | (z >= params.zeta)):
-        raise classical.DomainError(
-            f"height {z_target} outside [0, zeta={params.zeta})")
-    q1 = params.q1
-    p = 1.0 / q1
-    lo = z * math.sqrt(q1 * (q1 + p))
-    hi = 1.0 / (params.zeta - z)
-    s = np.where(z < 0.5 * params.zeta, lo, hi)
-    active = z > 0.0
-    for _ in range(60):
-        if not np.any(active):
-            return np.sqrt(q1 + s * s)[()]
-        q = q1 + s * s
-        f = classical.height(params, q) - z
-        lo = np.where(f <= 0.0, s, lo)
-        hi = np.where(f >= 0.0, s, hi)
-        step = f * np.sqrt(q * (q + p))
-        new = s - step
-        new = np.where((new > lo) & (new < hi), new, 0.5 * (lo + hi))
-        moved = np.abs(q1 + new * new - q) > 4 * np.finfo(float).eps * q
-        s = np.where(active, new, s)
-        active &= (f != 0.0) & moved
-    raise classical.ConvergenceError("height inversion did not converge")
-
-
 @dataclass(frozen=True)
 class RegistrationResult:
     scale: float
@@ -250,38 +209,35 @@ def registration_error(sigma, heights, points) -> RegistrationResult:
     ``sigma``, as :func:`slice_checks` picks and refines them: one (n_i, 3)
     array of exact surface points per height (ValueError when the two
     lengths differ).  Fits a circle to each slice, then a vertical offset
-    plus a single scale carrying the classical radius-vs-height profile
-    onto the measured radii.  Returns the worst relative radius error and
-    the relative mismatch of the vertical line spacings (|t0_3| against
-    2 s zeta).
+    h0 plus a single scale s carrying the classical height-vs-radius
+    profile onto the measured slices: Gauss-Newton on the height residuals
+    d_i = s z(q_i) - |h_i - h0| at q_i = (r_i / s)^2, with the closed-form
+    ``classical.height`` evaluated forward (no inversion of z) and the
+    analytic Jacobian [z - 2 q z'(q), sign(h_i - h0)], z'(q) =
+    1 / (2 sqrt(radicand(q))).  Returns the worst relative radius error,
+    |d_i| s sqrt(radicand(q_i)) / r_i^2 (d_i carried to the radius at
+    first order), and the relative mismatch of the vertical line spacings
+    (|t0_3| against 2 s zeta).
     """
     cl = classical.RiemannParams.from_lambda(classical.lambda_of_sigma(sigma))
     span = mesh.FundamentalSurface(sigma).translation_half()[2]
     hs = np.asarray(heights, dtype=float)
     radii = np.array([fit.radius for fit in _circle_fits(hs, points)])
     neck_height = 0.5 * span  # the S1 fixed point sits midway between lines
-    cap = 0.999 * cl.zeta
-    p = 1.0 / cl.q1
 
     def residual_and_jacobian(x):
-        # r_i = s rho(z_i) - radii_i with z_i = min(|h_i - h0| / s, cap) and
-        # rho = classical_radius_at_height, d rho/dz = sqrt(q (q - q1)(q + p))
-        # / sqrt(q) at q = rho^2; the capped heights do not move with x
         s, h0 = x
-        zc = np.abs(hs - h0) / s
-        free = zc < cap
-        zc = np.minimum(zc, cap)
-        rho = classical_radius_at_height(cl, zc)
-        q = rho * rho
-        drho = np.where(free, np.sqrt((q - cl.q1) * (q + p)), 0.0)
-        jac = np.stack([rho - drho * zc, -drho * np.sign(hs - h0)], axis=1)
-        return s * rho - radii, jac
+        q = (radii / s) ** 2
+        z = classical.height(cl, q)
+        root = np.sqrt(classical.radicand(cl.lam, q))
+        jac = np.stack([z - q / root, np.sign(hs - h0)], axis=1)
+        return s * z - np.abs(hs - h0), jac, root
 
     # Gauss-Newton with the analytic Jacobian; the fit is a small-residual
     # problem, so it converges in a few steps
     x = np.array([abs(span) / (2.0 * cl.zeta), neck_height])
     for _ in range(50):
-        res, jac = residual_and_jacobian(x)
+        res, jac, _ = residual_and_jacobian(x)
         dx = np.linalg.lstsq(jac, -res, rcond=None)[0]
         x = x + dx
         if np.all(np.abs(dx) <= 1e-13 * np.abs(x)):
@@ -289,7 +245,8 @@ def registration_error(sigma, heights, points) -> RegistrationResult:
     else:
         raise classical.ConvergenceError("registration fit did not converge")
     s, h0 = x
-    rel = np.max(np.abs(residual_and_jacobian(x)[0]) / radii)
+    res, _, root = residual_and_jacobian(x)
+    rel = np.max(np.abs(res) * s * root / (radii * radii))
     spacing_rel = abs(abs(span) - 2.0 * s * cl.zeta) / (2.0 * s * cl.zeta)
     return RegistrationResult(float(s), float(h0), float(rel),
                               float(spacing_rel), radii, hs)

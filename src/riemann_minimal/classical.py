@@ -231,7 +231,6 @@ class RiemannParams:
     lam: float
     q1: float
     zeta: float
-    a_direction: tuple = (1.0, 0.0)
 
     @classmethod
     def from_lambda(cls, lam: float) -> "RiemannParams":
@@ -368,24 +367,19 @@ def enneper_coefficients(d: FoliationData) -> np.ndarray:
     return np.array([a1, a2, a3, a4, a5, a6, a7])
 
 
-# the longest RK4 step of foliation_frames' march
-_FRAME_STEP = 1e-4
-
-
 def foliation_frames(d: FoliationData, us):
     """Frenet frames and centers of the foliation data at the parameters us.
 
-    The Frenet frame and center curve are integrated with fixed-step RK4
-    from the identity frame at u = 0, all u in one (len(us), 12) array:
-    each u is marched in ceil(|u| / 1e-4) equal steps (at least one), so
-    every |u| <= 1e-4 takes a single step.  Its local error is about
-    (|A| u)^5 / 120 < 1e-19, A the 12x12 system matrix (|A| is at most
-    about 3 for the data verify and the tests use), so it agrees with a
-    64-step march to rounding.  kappa and the velocity components vary
-    linearly in u (their derivatives are the supplied primes), tau is
-    held constant (the trig coefficients do not involve tau').  Only tiny
-    |u| is meant to be used (finite differencing).  Returns (n, b, c),
-    each of shape (len(us), 3).
+    The Frenet frame and center curve are integrated from the identity
+    frame at u = 0 by one RK4 step to each u, all u in one (len(us), 12)
+    array; |u| <= 1e-4 (ValueError otherwise), the offsets of a finite
+    difference.  The step's local error is about (|A| u)^5 / 120 < 1e-19,
+    A the 12x12 system matrix (|A| is at most about 3 for the data verify
+    and the tests use), so it agrees with a 64-step march to rounding.
+    kappa and the velocity components vary linearly in u (their
+    derivatives are the supplied primes), tau is held constant (the trig
+    coefficients do not involve tau').  Returns (n, b, c), each of shape
+    (len(us), 3).
 
     Torsion convention: b' = +tau n (equivalently n' = -kappa t - tau b).
     This is the convention under which the closed-form coefficients
@@ -408,26 +402,25 @@ def foliation_frames(d: FoliationData, us):
         return np.concatenate([dt, dn, db, dc], axis=1)
 
     us = np.asarray(us, dtype=float)
+    if np.any(np.abs(us) > 1e-4):
+        raise ValueError("foliation_frames takes one RK4 step, |u| <= 1e-4")
     y = np.tile(np.concatenate([np.eye(3).ravel(), np.zeros(3)]),
                 (len(us), 1))
-    steps = np.maximum(np.ceil(np.abs(us) / _FRAME_STEP), 1.0)
-    h = us / steps
-    hc = h[:, None]
-    x = np.zeros_like(us)
-    for i in range(int(steps.max(initial=1.0))):
-        k1 = deriv(x, y)
-        k2 = deriv(x + h / 2, y + hc / 2 * k1)
-        k3 = deriv(x + h / 2, y + hc / 2 * k2)
-        k4 = deriv(x + h, y + hc * k3)
-        # a u that has taken its steps keeps its frame
-        y = np.where((i < steps)[:, None],
-                     y + hc / 6 * (k1 + 2 * k2 + 2 * k3 + k4), y)
-        x += h
+    h = us[:, None]
+    k1 = deriv(np.zeros_like(us), y)
+    k2 = deriv(us / 2, y + h / 2 * k1)
+    k3 = deriv(us / 2, y + h / 2 * k2)
+    k4 = deriv(us, y + h * k3)
+    y = y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
     return y[:, 3:6], y[:, 6:9], y[:, 9:12]
 
 
-def enneper_fourier_check(d: FoliationData, n_v: int = 256,
-                          h: float = 1e-4) -> float:
+# enneper_fourier_check's v-grid and finite-difference step in u
+_ENNEPER_NV = 256
+_ENNEPER_H = 1e-4
+
+
+def enneper_fourier_check(d: FoliationData) -> float:
     """Max |DFT coefficient - closed form| over the seven coefficients.
 
     Samples P(v) = G det(Xu,Xv,Xuu) - 2F det(Xu,Xv,Xuv) + E det(Xu,Xv,Xvv)
@@ -435,11 +428,11 @@ def enneper_fourier_check(d: FoliationData, n_v: int = 256,
     grid is vastly sufficient) using central finite differences in u and
     the analytic v-derivatives of the local surface
     X(u, v) = c(u) + r(u)(cos v n(u) + sin v b(u)), with the frames of
-    :func:`foliation_frames` at u = -h, 0, h (one RK4 step each).
+    :func:`foliation_frames` at u = -h, 0, h, h = 1e-4.
 
-    The default h = 1e-4 is where the error is smallest.  Over the unit
-    canonical data and ten random configurations (test seed 42), the
-    check reads, canonical / worst random:
+    That h is where the error is smallest.  Over the unit canonical data
+    and ten random configurations (test seed 42), the check reads,
+    canonical / worst random:
 
         h       1e-6    1e-5    3e-5    1e-4    3e-4    1e-3    3e-3
         canon.  7.6e-5  1.5e-7  7.1e-8  1.3e-8  7.4e-8  8.1e-7  7.3e-6
@@ -448,6 +441,7 @@ def enneper_fourier_check(d: FoliationData, n_v: int = 256,
     Below 1e-4 rounding in the second difference grows as h shrinks;
     above it the O(h^2) truncation grows ninefold per factor of 3 in h.
     """
+    n_v, h = _ENNEPER_NV, _ENNEPER_H
     v = 2.0 * math.pi * np.arange(n_v) / n_v
     cos, sin = np.cos(v)[:, None], np.sin(v)[:, None]
     X, Xv = [], []

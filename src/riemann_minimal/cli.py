@@ -51,7 +51,7 @@ class RunConfig:
     """A run's settings; the defaults here are the flags' defaults."""
 
     command: str
-    sigma: float
+    sigma: float | None  # None: a kdv run given neither --sigma nor --lambda
     lam: float | None
     e: float = 0.1
     nr: int = 40
@@ -207,8 +207,7 @@ def _config_from_args(args) -> RunConfig:
     if "grid" in flags:
         flags["nr"], flags["nt"] = flags.pop("grid")
     flags["tolerances"] = _parse_tol(flags.pop("tol", None))
-    cfg = RunConfig(sigma=sigma if sigma is not None else 0.0, lam=lam,
-                    **flags)
+    cfg = RunConfig(sigma=sigma, lam=lam, **flags)
     if cfg.command == "gen":
         if not 0.0 < cfg.e < 1.0:
             raise ValueError("e must lie in (0,1)")
@@ -235,7 +234,7 @@ def _config_from_args(args) -> RunConfig:
         raise ValueError(f"--seed must be >= 0 (a negative seed would draw "
                          f"the points of {-cfg.seed}), got {cfg.seed}")
     if cfg.command == "kdv":
-        if cfg.print_p is None and not cfg.sigma:
+        if cfg.print_p is None and cfg.sigma is None:
             raise ValueError("kdv needs --print-p and/or --sigma/--lambda")
         top = shiffkdv.MAX_HIERARCHY_LEVEL
         if cfg.print_p is not None and not 0 <= cfg.print_p <= top:
@@ -255,10 +254,10 @@ def _report_skeleton(cfg: RunConfig) -> dict:
                    "numpy": np.__version__}
     if cfg.command == "gen":  # gen takes the mesh flags and draws nothing
         config.update(e=cfg.e, grid=[cfg.nr, cfg.nt], copies=cfg.copies)
-    else:
-        config.update(seed=cfg.seed,
-                      tolerance_overrides=dict(sorted(cfg.tolerances.items())))
-        environment["seed"] = cfg.seed
+    elif cfg.sigma is not None:  # verify, and kdv's fit, draw seeded points
+        config["seed"] = environment["seed"] = cfg.seed
+    if cfg.command == "verify":  # the one command that takes --tol
+        config["tolerance_overrides"] = dict(sorted(cfg.tolerances.items()))
     return {
         "schema": 1,
         "command": cfg.command,
@@ -414,7 +413,7 @@ def cmd_kdv(cfg: RunConfig) -> int:
                  for k in range(cfg.print_p + 1)]
         print("\n".join(lines))
         report["result"] = {"polynomials": lines}
-    if cfg.sigma:
+    if cfg.sigma is not None:
         params = curve.CurveParams(cfg.sigma)
         rng = curve._SeededDraws(cfg.seed)
         pts = curve.random_regular_points(params, cfg.samples, rng)

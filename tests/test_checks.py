@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import brentq, least_squares
 
 import classical_quadrature as quadrature
@@ -10,70 +9,36 @@ import scalar_references as scalar
 from riemann_minimal import checks, classical, mesh, quad
 from riemann_minimal.quad import RiemannMinimalError
 
-EPS = np.finfo(float).eps
+
+def _quadrature_params(sigma):
+    """RiemannParams of sigma's lambda with the quadrature slab height."""
+    lam = (sigma - 1.0) / math.sqrt(sigma)
+    return classical.RiemannParams(lam, classical.q_min(lam),
+                                   quadrature.slab_height(lam))
 
 
-@settings(max_examples=200, deadline=None)
-@given(lam=st.floats(-30.0, 30.0),
-       frac=st.floats(0.0, 1.0, exclude_max=True))
-@example(lam=0.0, frac=0.0)
-@example(lam=-30.0, frac=0.0)
-@example(lam=1.0, frac=1.0 - 1e-12)
-@example(lam=30.0, frac=1.0 - 2 * EPS)
-@example(lam=-7.5, frac=1e-300)
-# next to the neck: the start sits 4.3 eps q below the root, and only the
-# inversion's last, sub-rounding step brings the height within the bound
-# (6.91e-13 against 6.62e-13 without it)
-@example(lam=11.625, frac=6.103515625e-05)
-def test_radius_at_height_round_trip(lam, frac):
-    p = classical.RiemannParams.from_lambda(lam)
-    z = frac * p.zeta
-    r = checks.classical_radius_at_height(p, z)
-    q = r * r
-    # squaring r moves q by a few ulps; next to the neck dz/dq is large, so
-    # that alone moves the height by dz/dq * 4 eps q (about 1e-13 zeta at
-    # z ~ 1e-2 zeta, 1e-8 zeta as z -> 0); above that the inversion is
-    # exact to 1e-13 zeta
-    rad = classical.radicand(lam, q)
-    dzdq = 0.5 / math.sqrt(rad) if rad > 0 else math.inf
-    assert abs(classical.height(p, q) - z) <= 1e-13 * p.zeta + dzdq * 4 * EPS * q
-    if frac >= 1e-2:
-        assert abs(classical.height(p, q) - z) <= 1e-13 * p.zeta
-
-
-def test_radius_at_height_arrays_and_domain():
-    p = classical.RiemannParams.from_lambda(0.5)
-    zs = np.array([0.0, 0.2, 0.5, 0.9]) * p.zeta
-    r = checks.classical_radius_at_height(p, zs)
-    assert r.shape == (4,) and r[0] == math.sqrt(p.q1)
-    np.testing.assert_allclose(
-        r, [checks.classical_radius_at_height(p, z) for z in zs], rtol=1e-15)
-    for bad in (-1e-9, p.zeta):
-        with pytest.raises(classical.DomainError):
-            checks.classical_radius_at_height(p, bad)
+def _quadrature_radius(cl, z):
+    """sqrt(q) of the circle at height z: brentq on the quadrature
+    height, the inversion registration_error does not run."""
+    if z == 0.0:
+        return math.sqrt(cl.q1)
+    hi = cl.q1 + 1.0
+    while quadrature.height(cl, hi) < z:
+        hi *= 4.0
+    return math.sqrt(brentq(lambda q: quadrature.height(cl, q) - z,
+                            cl.q1, hi, xtol=1e-13, rtol=1e-13))
 
 
 def _least_squares_fit(sigma, reg):
     """The registration fit as scipy's least_squares over brentq inversions
     of the quadrature height, started where registration_error starts."""
-    lam = (sigma - 1.0) / math.sqrt(sigma)
     span = mesh.FundamentalSurface(sigma).translation_half()[2]
-    cl = classical.RiemannParams(lam, classical.q_min(lam),
-                                 quadrature.slab_height(lam))
-
-    def radius(z):
-        if z == 0.0:
-            return math.sqrt(cl.q1)
-        hi = cl.q1 + 1.0
-        while quadrature.height(cl, hi) < z:
-            hi *= 4.0
-        return math.sqrt(brentq(lambda q: quadrature.height(cl, q) - z,
-                                cl.q1, hi, xtol=1e-13, rtol=1e-13))
+    cl = _quadrature_params(sigma)
 
     def model(x):
         s, h0 = x
         zc = np.minimum(np.abs(reg.heights - h0) / s, 0.999 * cl.zeta)
-        return s * np.array([radius(z) for z in zc]) - reg.radii
+        return s * np.array([_quadrature_radius(cl, z) for z in zc]) - reg.radii
 
     x0 = [abs(span) / (2.0 * cl.zeta), 0.5 * span]
     return least_squares(model, x0=x0, xtol=1e-14, ftol=1e-14).x
@@ -138,6 +103,26 @@ def test_registration_fit_matches_least_squares(sigma):
     assert abs(reg.height_offset - h0) <= 1e-10 * abs(h0)
     assert reg.max_radius_rel_err < 1e-12
     assert reg.spacing_rel_err < 1e-12
+
+
+@pytest.mark.parametrize("sigma", [1e-3, 2.0, 1e3])
+def test_registration_radius_is_the_radius_error(sigma):
+    # slice 2 scaled about its circle's centre by 1 + 1e-6: the height
+    # residuals carried to the radius at first order must give the radius
+    # error at the fitted (s, h0), taken exactly by brentq on the
+    # quadrature height, to 1e-4 of itself (first order leaves ~1e-6)
+    hs, pts = _registration_slices(sigma, _piece(sigma))
+    center = mesh.level_circle_fit(pts[2:3])[0].center
+    pts[2] = pts[2].copy()
+    pts[2][:, :2] = center + (1.0 + 1e-6) * (pts[2][:, :2] - center)
+    reg = checks.registration_error(sigma, hs, pts)
+    cl = _quadrature_params(sigma)
+    s, h0 = reg.scale, reg.height_offset
+    exact = s * np.array([_quadrature_radius(cl, abs(h - h0) / s)
+                          for h in reg.heights])
+    want = np.max(np.abs(reg.radii - exact) / reg.radii)
+    assert 5e-7 < want < 1e-6
+    assert abs(reg.max_radius_rel_err - want) <= 1e-4 * want
 
 
 def test_foliation_residuals_builds_the_edge_set_once(monkeypatch):

@@ -293,11 +293,11 @@ def test_enneper_fourier_check_random_configs():
         assert enneper_fourier_check(d) < 1e-4
 
 
-def _frame_at_reference(d, u, n_steps=None, one=1.0):
-    """One scalar RK4 march of the Frenet frame and center to u: the
-    per-u loop that ``foliation_frames`` batches.  By default it takes
-    the steps of foliation_frames' rule, ceil(|u| / 1e-4) and at least
-    one.  With ``one`` an mpmath 1 it marches in mpmath numbers."""
+def _frame_at_reference(d, u, n_steps=1, one=1.0):
+    """One scalar RK4 march of the Frenet frame and center to u in
+    ``n_steps`` equal steps; by default the one step per u that
+    ``foliation_frames`` batches.  With ``one`` an mpmath 1 it marches in
+    mpmath numbers."""
     def deriv(x, y):
         t, n, b = y[0:3], y[3:6], y[6:9]
         k = d.kappa + d.kappa_p * x
@@ -307,8 +307,6 @@ def _frame_at_reference(d, u, n_steps=None, one=1.0):
         return np.concatenate([k * n, -k * t - d.tau * b, d.tau * n,
                                al * t + be * n + de * b])
 
-    if n_steps is None:
-        n_steps = max(math.ceil(abs(u) / 1e-4), 1)
     y = np.concatenate([np.eye(3).ravel(), np.zeros(3)]) * one
     h = u * one / n_steps
     x = 0.0 * one
@@ -334,13 +332,18 @@ def _frame_configs():
 
 
 def test_batched_frames_match_scalar_marches():
-    # 1, 1, 1, 1, 4 and 20 steps in one batch
-    us = (-1e-5, 0.0, 1e-5, -1e-4, 3.5e-4, 2e-3)
+    us = (-1e-5, 0.0, 1e-5, -1e-4)
     for d in _frame_configs():
         got = classical.foliation_frames(d, us)
         for i, u in enumerate(us):
             for g, w in zip(got, _frame_at_reference(d, u)):
                 assert np.array_equal(g[i], w)
+
+
+@pytest.mark.parametrize("u", [-1.0000000000000002e-4, 3.5e-4, 2e-3])
+def test_frames_refuse_offsets_beyond_one_step(u):
+    with pytest.raises(ValueError):
+        classical.foliation_frames(canonical_data(), (0.0, u))
 
 
 def test_small_offsets_take_one_rk4_step():

@@ -414,12 +414,13 @@ print(rc, *(m for m in ("numpy.random", "secrets", "hashlib", "_hashlib")
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("sigma", ["1e-3", "0.0011007", "9.5", "21.5", "100",
-                                   "1e3"])
+@pytest.mark.parametrize("sigma", ["1e-3", "0.0011007", "1.1288e-3", "9.5",
+                                   "21.5", "100", "1e3"])
 def test_gen_and_verify_over_the_family_range(tmp_path, sigma):
     # the ends of the tested range; sigma 0.0011007, where the rounding of
     # absolute positions, divided by h^2, would put minimality_classical
-    # over 1e-3; and sigma > 9, where the base point's 1e-2 gap to z = 1
+    # over 1e-3, and 1.1288e-3, the worst sigma of a 400-point scan of
+    # that band; and sigma > 9, where the base point's 1e-2 gap to z = 1
     # is below 1e-3 (1 + sigma)
     out = tmp_path / "o"
     assert run(["gen", "--sigma", sigma, "-o", str(out)]) == 0
@@ -587,6 +588,21 @@ def test_verify_report_config_has_no_mesh_flags(tmp_path):
     run(["verify", "--sigma", "2", "--seed", "7", "--json", str(path)])
     config = load_report(path)["config"]
     assert set(config) == {"sigma", "lambda", "seed", "tolerance_overrides"}
+
+
+def test_kdv_report_config_names_only_what_the_run_used(tmp_path):
+    # printing draws nothing: no sigma, lambda or seed; kdv takes no --tol
+    path = tmp_path / "k.json"
+    assert run(["kdv", "--print-p", "2", "--json", str(path)]) == 0
+    rep = load_report(path)
+    assert rep["config"] == {"sigma": None, "lambda": None}
+    assert "seed" not in rep["environment"]
+    # a fit draws its points: the seed is recorded, in config and environment
+    assert run(["kdv", "--sigma", "2", "--n", "1", "--samples", "8",
+                "--json", str(path)]) == 0
+    rep = load_report(path)
+    assert rep["config"] == {"sigma": 2.0, "lambda": None, "seed": 7}
+    assert rep["environment"]["seed"] == 7
 
 
 @pytest.mark.slow
