@@ -12,11 +12,11 @@ and never inverts it.
 The routes each check takes to the surface: the sampled piece is
 closed-form points (``curve.immerse``), both finite-difference stencils
 take values relative to their centre, the Weierstrass stencil's one
-G7/K15 panel each (``quad.panel_increments``); registration and the circle foliation fit
-circles to slices that :func:`slice_checks`, the one code that picks
-their heights, takes of the piece, on the curve whose sigma the piece
-records: it is sliced once, both checks' crossings are refined to exact
-points in one lockstep Newton loop on ``curve.immerse``, and the cell's
+G7/K15 panel each (``quad.panel_increments``); registration and the
+circle foliation fit circles to slices that :func:`slice_checks`, the one
+code that picks their heights, takes of the piece, on the curve whose
+sigma the piece records: it is sliced once, both checks' crossings become
+exact points in closed form (``mesh.refine_slice``), and the cell's
 circles are the orbit of the piece's slices under the cell's isometries;
 each check fits all its slices in one stacked ``mesh.level_circle_fit``
 call.  The classical stencil's height and center increments are
@@ -318,17 +318,21 @@ def slice_checks(piece):
             foliation_residuals(sigma, cell, fol_hs, circles))
 
 
-def catenoid_residual(lams=(0.5, 1.0, 2.0), n_q=20) -> float:
+_CATENOID_LAMS, _CATENOID_QS = (0.5, 1.0, 2.0), 20
+
+
+def catenoid_residual() -> float:
     """Max |Carlson form - arcsinh form| of the catenoid height integral.
 
     The a = 0 radicand is lambda u^2 - u, with its simple zero at the neck
     q = 1/lambda; in the Carlson form that ``classical.height`` uses, the
     height is sqrt(q - 1/lambda) R_F(lambda q, 1, 1), compared here with
-    ``classical.catenoid_height`` on n_q - 1 points above each neck.
+    ``classical.catenoid_height`` above the neck of each lambda of
+    _CATENOID_LAMS, on _CATENOID_QS grid points less the neck.
     """
     worst = 0.0
-    for lam in lams:
-        q = np.linspace(1.0 / lam, 1.0 / lam + 6.0, n_q)[1:]
+    for lam in _CATENOID_LAMS:
+        q = np.linspace(1.0 / lam, 1.0 / lam + 6.0, _CATENOID_QS)[1:]
         carlson = (np.sqrt(q - 1.0 / lam)
                    * classical.carlson_rf(lam * q, 1.0, 1.0))
         arcsinh = [classical.catenoid_height(lam, x) for x in q]

@@ -12,9 +12,8 @@ sqrt(z(z-1)(z+sigma)).  There are two routes to it.
 On the upper half-plane the immersion is in closed form: :func:`immerse`
 is one complex R_F and one complex R_D per point (Carlson's symmetric
 elliptic integrals).  It is the package's only surface evaluator: the
-sampled piece of ``mesh.sample_fundamental``, the refined slices of
-``mesh.refine_slice`` and the anchors of the Weierstrass finite-difference
-stencil.
+sampled piece of ``mesh.sample_fundamental`` and the refined slices of
+``mesh.refine_slice``, whose points :func:`_z_of_u` finds in closed form.
 
 The homology loops' periods are the periodic trapezoidal rule on contours
 where w is single-valued and analytic (:func:`period`), so the checks on
@@ -143,8 +142,9 @@ def immerse(params: CurveParams, z):
     """psi(z) = X(z) - X(1) on the base point's sheet, in closed form, for
     z (any shape) in the closed upper half-plane minus the end z = 0.
 
-    Returns (positions of shape z.shape + (3,), w of shape z.shape), with
-    w = sqrt(z) sqrt(z - 1) sqrt(z + sigma), principal roots: analytic on
+    Returns (positions of shape z.shape + (3,), u = U(z) of shape
+    z.shape), U the height coordinate below: x3 = Re u + t0_3.  w =
+    sqrt(z) sqrt(z - 1) sqrt(z + sigma) takes principal roots: analytic on
     the upper half-plane, and the base point's sheet (the positive root at
     1 + 1e-2 continued over the upper half circle around 1 is
     i sqrt(x (1 - x) (x + sigma)) on all of (0, 1)).  From
@@ -172,12 +172,12 @@ def immerse(params: CurveParams, z):
     z = np.asarray(z, dtype=complex)
     # + 0.0 turns an imaginary part -0.0 into +0.0
     flat = z.reshape(-1) + 0.0
-    pos, w = np.empty((flat.size, 3)), np.empty(flat.size, dtype=complex)
+    pos, u = np.empty((flat.size, 3)), np.empty(flat.size, dtype=complex)
     t0 = np.array(_translation_half(params.sigma))
     for i in range(0, flat.size, PSI_BLOCK):
         blk = slice(i, i + PSI_BLOCK)
-        pos[blk], w[blk] = _psi_block(params, flat[blk], t0)
-    return pos.reshape(z.shape + (3,)), w.reshape(z.shape)
+        pos[blk], u[blk] = _psi_block(params, flat[blk], t0)
+    return pos.reshape(z.shape + (3,)), u.reshape(z.shape)
 
 
 def _psi_block(params, z, t0):
@@ -202,10 +202,48 @@ def _psi_block(params, z, t0):
     rd = (scale * classical._rd_series((ad0 - x0) * scale / ad,
                                        (ad0 - y0) * scale / ad)
           / (ad * np.sqrt(ad)) + 3.0 * tail)
-    q = w / z / rs
-    pos = np.stack([(-2.0 / 3.0 * rs * rd - q).real, -q.imag,
-                    -2.0 * rf.real], axis=-1) + t0
-    return pos, w
+    q, u = w / z / rs, -2.0 * rf
+    pos = np.stack([(-2.0 / 3.0 * rs * rd - q).real, -q.imag, u.real],
+                   axis=-1) + t0
+    return pos, u
+
+
+def _jacobi(x, k, kc):
+    """(sn, cn, dn)(x | k^2) of a real array x, kc = sqrt(1 - k^2): the AGM
+    from (1, kc) until c_N = c_(N-1)^2 / (4 a_N) is at most an ulp of a_N,
+    then phi_N = 2^N a_N x, phi_(n-1) = (phi_n + arcsin((c_n/a_n) sin
+    phi_n)) / 2, sn = sin phi_0, cn = cos phi_0 (DLMF 22.20(ii)), and dn =
+    sqrt(1 - k^2 sn^2) as sqrt(kc^2 + k^2 cn^2), which does not cancel."""
+    a, b, c, ratios = 1.0, kc, k, []
+    while c > math.ulp(a):
+        a, b, c = 0.5 * (a + b), math.sqrt(a * b), c * c / (2.0 * (a + b))
+        ratios.append(c / a)
+    phi = (2.0 ** len(ratios) * a) * x
+    for r in reversed(ratios):
+        phi = 0.5 * (phi + np.arcsin(r * np.sin(phi)))
+    cn = np.cos(phi)
+    return np.sin(phi), cn, np.sqrt(kc * kc + (k * cn) ** 2)
+
+
+def _z_of_u(sigma, u):
+    """z(u) on the closed upper half-plane, the inverse of the height
+    coordinate u = U(z) of :func:`immerse`, elementwise: z = -sigma +
+    (1 + sigma) / sn^2(v | k^2) = (1 + sigma) (dn(v) / sn(v))^2, v = u
+    sqrt(1 + sigma) / 2, k^2 = sigma / (1 + sigma), the second form free
+    of cancellation near z = 0.  sn and dn of x + iy come from those of x
+    and of y at kc^2 = 1 - k^2 by the addition theorem and Jacobi's
+    imaginary transformation (DLMF 22.8, 22.6(iv)), with k and kc from
+    sigma: near K(kc^2) the functions of y feel a rounding of 1 - k^2.  A
+    z that rounds below the real axis gets imaginary part +0.0."""
+    k, kc = math.sqrt(sigma / (1.0 + sigma)), math.sqrt(1.0 / (1.0 + sigma))
+    v = np.asarray(u, dtype=complex) * (0.5 * math.sqrt(1.0 + sigma))
+    s, c, d = _jacobi(v.real, k, kc)
+    s1, c1, d1 = _jacobi(v.imag, kc, k)
+    ratio = ((d * c1 * d1 - 1j * (k * k * s * c * s1))
+             / (s * d1 + 1j * (c * d * s1 * c1)))
+    z = (1.0 + sigma) * ratio * ratio
+    z.imag = np.maximum(z.imag, 0.0)
+    return z
 
 
 def gaussian_curvature(g, g_prime):

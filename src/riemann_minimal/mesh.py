@@ -28,9 +28,9 @@ block at a time, so no array the size of the cell is built.
 
 The piece is the only mesh that is sliced to exact points: it is cut at
 a sequence of heights in one pass over its edges (:func:`slice_mesh`),
-and :func:`refine_slice` moves those records to exact surface points by
-Newton on the same closed form, one evaluation of all crossings of all
-heights per round.  A slice of the extended surface is the orbit of the
+and :func:`refine_slice` moves those records to exact surface points in
+closed form, through the height coordinate u in which a slice is a
+vertical line.  A slice of the extended surface is the orbit of the
 piece's slices under the cell's isometries.  :func:`level_circle_fit`
 fits a sequence of slices in one stacked solve, one circle or line per
 slice.
@@ -170,23 +170,21 @@ class TriMesh:
     domains.
 
     Only the piece of :func:`sample_fundamental` also keeps the sigma of
-    its curve and, per vertex, the domain parameter z it was sampled at
-    and the branch value w there (``domain_sigma``, ``domain_z``,
-    ``domain_w``), the record :func:`refine_slice` reads.
+    its curve and each vertex's height coordinate u (``domain_sigma``,
+    ``domain_u``), the record :func:`refine_slice` reads.
 
     ``vertices``, ``normals``, ``faces`` and ``edges`` are the whole mesh,
     built on first use and kept; the piece must not change after.  Counts
     and the walk never build them.
     """
 
-    def __init__(self, vertices, normals, faces, domain_z=None, domain_w=None,
+    def __init__(self, vertices, normals, faces, domain_u=None,
                  cell_ops=None, *, domain_sigma: float | None = None,
                  translation: IsometryOp | None = None, copies: int = 0):
         self.base_vertices = np.asarray(vertices)
         self.base_normals = np.asarray(normals)
         self.base_faces = np.asarray(faces)
-        self.domain_sigma = domain_sigma
-        self.domain_z, self.domain_w = domain_z, domain_w
+        self.domain_sigma, self.domain_u = domain_sigma, domain_u
         self.cell_ops = [IsometryOp()] if cell_ops is None else cell_ops
         self.flips = tuple(bool(op.orientation * np.prod(op.signs) < 0)
                            for op in self.cell_ops)
@@ -323,12 +321,11 @@ def sample_fundamental(sigma: float, e: float, nr: int, nt: int) -> TriMesh:
 
     Grid: r in linspace(e, 1, nr), t in linspace(0, 1, nt), z through the
     Moebius map of r*exp(i pi t), every point in the closed upper
-    half-plane.  Positions and branch values come from one
+    half-plane.  Positions and height coordinates u come from one
     ``curve.immerse`` call on the whole grid; the vertices are taken
     relative to the corner z = 1, so that corner lies exactly at the origin.
     The piece keeps its domain record: ``domain_sigma`` is ``sigma``, and
-    ``domain_w`` is the base point's sheet: i sqrt(x (1 - x) (x + sigma))
-    on the t = 0 column, and 0 at the corners on the branch points.
+    ``domain_u`` each vertex's u (x3 = Re u + t0_3 before that shift).
 
     DegenerateCell when adjacent grid samples coincide, or when a sampled
     position or normal is not finite: an e small enough that the r = e
@@ -345,7 +342,7 @@ def sample_fundamental(sigma: float, e: float, nr: int, nt: int) -> TriMesh:
         raise DegenerateCell("adjacent grid samples coincide")
 
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        X, W = _curve.immerse(params, Z)  # a point on z = 0 is not finite
+        X, U = _curve.immerse(params, Z)  # a point on z = 0 is not finite
         verts = (X - X[nr - 1, 0]).reshape(-1, 3)
         normals = _unit_normals(sigma, Z.reshape(-1))
     if not (np.isfinite(verts).all() and np.isfinite(normals).all()):
@@ -356,7 +353,7 @@ def sample_fundamental(sigma: float, e: float, nr: int, nt: int) -> TriMesh:
     faces = np.stack([v00, v00 + nt, v11, v00, v11, v00 + 1], axis=1)
 
     return TriMesh(verts, normals, faces.reshape(-1, 3).astype(np.int32),
-                   Z.reshape(-1), W.reshape(-1), domain_sigma=sigma)
+                   U.reshape(-1), domain_sigma=sigma)
 
 
 def _unit_normals(sigma, z):
@@ -412,7 +409,7 @@ def extend(mesh: TriMesh, ops, copies: int = 0) -> TriMesh:
     ``apply_normals``, and its faces reversed as :class:`TriMesh` derives
     from that isometry.  The blocks are walked on demand
     (:meth:`TriMesh.blocks`); the result keeps the piece's arrays but no
-    domain record (sigma, z and w).  Every op of
+    domain record (sigma and u).  Every op of
     :func:`extension_ops` is a signed diagonal map and only op 1 has an
     offset, so a composed isometry maps the piece to the same bits as
     the ops applied one after the other.  Vertex count grows exactly by
@@ -594,21 +591,13 @@ def refine_slice(mesh: TriMesh, heights, max_points, crossings):
     its owner is no index of ``heights``, or its edge's ends do not lie
     strictly on opposite sides of its height.
 
-    Each crossing solves f = x3 - h on the straight z-segment from its end
-    za with w != 0 to its other end zb, z = za + s (zb - za), with the
-    closed-form slope df/du = Re((dz/du) / w) (phi3 = dz/w).  Where zb is
-    a branch point (w = 0), f has a square-root end, and Newton runs in t
-    with 1 - s = (1 - t)^2, in which f is smooth; elsewhere in u = s.
-    Safeguarded Newton starts at the mesh's linear guess (u = s, or t =
-    1 - sqrt(1 - s)) and keeps the sign bracket, bisecting where a step
-    would leave it or w = 0.  A crossing stops when f == 0 or its next
-    step (the Newton step, or the step taken) is below 1e-13 in u and,
-    where |df/du| > 1, in height, after 60 rounds at most.  All crossings
-    of all heights run in lockstep, one :func:`curve.immerse` call per
-    round on those still active, so every iterate is an exact surface
-    point that depends on its parameter alone.
+    A crossing's edge runs from u_a to u_b in the height coordinate u of
+    ``curve.immerse`` (``domain_u``), in which height h is the line Re u
+    = h - t0_3.  Its point is z(u*), u* = (h - t0_3) + i Im(u_a + s (u_b -
+    u_a)), by the closed-form inverse ``curve._z_of_u``; one
+    ``curve.immerse`` call evaluates all of them.  Nothing is iterated.
     """
-    if mesh.domain_sigma is None or len(mesh.domain_z) != mesh.vertex_count:
+    if mesh.domain_sigma is None or len(mesh.domain_u) != mesh.vertex_count:
         raise ValueError("refine_slice takes a piece from sample_fundamental")
     heights = np.asarray(heights, dtype=float)
     owner, ia, ib = (np.asarray(c) for c in crossings[:3])
@@ -620,43 +609,11 @@ def refine_slice(mesh: TriMesh, heights, max_points, crossings):
         raise ValueError("a crossing's edge does not cross its height")
     keep = _thin(owner, len(heights), max_points)
     owner, ia, ib, s = (c[keep] for c in crossings)
-    target = heights[owner]
-    # anchor at the end with w != 0: the two branch-point corners share no
-    # edge
-    at_a = mesh.domain_w[ia] != 0.0
-    i0, i1 = np.where(at_a, ia, ib), np.where(at_a, ib, ia)
-    s = np.where(at_a, s, 1.0 - s)
-    pos = mesh.vertices[i0]
-    f0 = pos[:, 2] - target
-    za, zb = mesh.domain_z[i0], mesh.domain_z[i1]
-    dz = zb - za
-    root = mesh.domain_w[i1] == 0.0
-    u = np.where(root, 1.0 - np.sqrt(1.0 - s), s)
-    u_lo, u_hi = np.zeros_like(u), np.ones_like(u)
-    params = CurveParams(mesh.domain_sigma)
-    a = np.arange(len(u))
-    for _ in range(60):
-        if not a.size:
-            break
-        r, ua = root[a], u[a]
-        z = np.where(r, zb[a] - (1.0 - ua) ** 2 * dz[a], za[a] + ua * dz[a])
-        p, w = _curve.immerse(params, z)
-        pos[a] = p
-        f = p[:, 2] - target[a]
-        same = (f > 0.0) == (f0[a] > 0.0)
-        u_lo[a[same]], u_hi[a[~same]] = ua[same], ua[~same]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            slope = (np.where(r, 2.0 * (1.0 - ua), 1.0) * dz[a] / w).real
-            newton = ua - f / slope
-        u_next = np.where((w != 0.0) & (u_lo[a] < newton) & (newton < u_hi[a]),
-                          newton, 0.5 * (u_lo[a] + u_hi[a]))
-        # a Newton step that rounds to nothing stops the crossing even
-        # where it would land on the collapsed bracket's end
-        step = np.fmin(np.abs(newton - ua), np.abs(u_next - ua)) * np.where(
-            w != 0.0, np.fmax(1.0, np.abs(slope)), 1.0)
-        go = (f != 0.0) & ~(step < 1e-13)
-        u[a] = u_next
-        a = a[go]
+    sigma = mesh.domain_sigma
+    ua, ub = mesh.domain_u[ia], mesh.domain_u[ib]
+    u = (heights[owner] - _curve._translation_half(sigma)[2]
+         + 1j * (ua + s * (ub - ua)).imag)
+    pos, _ = _curve.immerse(CurveParams(sigma), _curve._z_of_u(sigma, u))
     return [pos[owner == h] for h in range(len(heights))]
 
 

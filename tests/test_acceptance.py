@@ -68,7 +68,7 @@ def test_criterion_02_catenoid_cross_check():
         print(f"  max |closed - quadrature| = {res:.3e}")
         assert res < 1e-8
         # verify's check compares the Carlson form with the same closed form
-        assert checks.catenoid_residual(lams=(0.5, 1.0, 2.0), n_q=20) < 1e-8
+        assert checks.catenoid_residual() < 1e-8
 
 
 @pytest.mark.parametrize("lam", [0.5, 1.0, 2.0])

@@ -208,7 +208,10 @@ def test_foliation_circles_are_the_orbit_of_the_piece(sigma, monkeypatch):
 def test_stacked_circle_fit_matches_one_slice_fits(sigma, monkeypatch):
     # verify's slices, as slice_checks hands them to the fit: one call for
     # registration's slices, one for foliation's 10 circles and its two
-    # line slices; each fit against the one-slice reference
+    # line slices; each fit against the one-slice reference.  The two
+    # solve one least-squares problem by different routes, so they agree
+    # to rounding times its condition number (1.1 to 92 here: the piece's
+    # slices are arcs, shortest at the range ends)
     batches = []
     fit = mesh.level_circle_fit
 
@@ -225,10 +228,13 @@ def test_stacked_circle_fit_matches_one_slice_fits(sigma, monkeypatch):
             assert got.kind == want.kind
             if want.kind == "circle":
                 r = want.radius
-                assert abs(got.radius - r) <= 1e-15 * r
-                assert abs(got.residual - want.residual) <= 1e-15 * r
+                u = pts[:, :2] - pts[:, :2].mean(axis=0)
+                tol = 1e-15 * np.linalg.cond(
+                    np.column_stack([2.0 * u, np.ones(len(u))]))
+                assert abs(got.radius - r) <= tol * r
+                assert abs(got.residual - want.residual) <= tol * r
                 # the centre's rounding is relative to its own size
-                assert np.max(np.abs(got.center - want.center)) <= 1e-15 * (
+                assert np.max(np.abs(got.center - want.center)) <= tol * (
                     r + np.max(np.abs(want.center)))
             else:
                 # the centroid keeps its bits; the direction has a sign

@@ -632,8 +632,9 @@ def test_array_point_checks_match_per_point_calls(sigma):
 
 
 def _psi_mpmath(sigma, z):
-    """psi(z) and w at 30 digits from mpmath's complex elliprf/elliprd, and
-    the largest magnitude among the terms summed into psi."""
+    """psi(z) and u = U(z) at 30 digits from mpmath's complex
+    elliprf/elliprd, and the largest magnitude among the terms summed into
+    psi."""
     with mpmath.workdps(30):
         s, z = mpmath.mpf(sigma), mpmath.mpc(z.real, z.imag)
         rs = mpmath.sqrt(s)
@@ -645,7 +646,7 @@ def _psi_mpmath(sigma, z):
         q = w / z / rs
         pos = [mpmath.re(rs * V - q) + t01, -mpmath.im(q), mpmath.re(U) + t03]
         scale = max(abs(rs * V), abs(q), abs(U), t01, t03)
-        return ([float(x) for x in pos], complex(w), float(scale))
+        return ([float(x) for x in pos], complex(U), float(scale))
 
 
 @pytest.mark.parametrize("sigma", [1e-3, 2.0, 1e3])
@@ -663,16 +664,69 @@ def test_psi_against_mpmath_carlson(sigma):
                 zs.append(complex(bp + d * R * math.cos(th),
                                   d * R * math.sin(th)))
     zs = np.array(zs)
-    pos, w = curve.immerse(CurveParams(sigma), zs)
-    assert pos.shape == (len(zs), 3) and w.shape == (len(zs),)
-    for z, p, ww in zip(zs, pos, w):
-        want, want_w, scale = _psi_mpmath(sigma, z)
+    pos, u = curve.immerse(CurveParams(sigma), zs)
+    assert pos.shape == (len(zs), 3) and u.shape == (len(zs),)
+    for z, p, uu in zip(zs, pos, u):
+        want, want_u, scale = _psi_mpmath(sigma, z)
         assert np.max(np.abs(p - want)) <= 1e-15 * scale, z
-        assert abs(ww - want_w) <= 1e-15 * abs(want_w), z
+        assert abs(uu - want_u) <= 1e-15 * scale, z
 
 
 CI_SIGMAS = [1e-3, 0.012, 0.05, 1.0, 2.0, 8.0, 21.5, 100.0, 1e3,
              classical.sigma_of_lambda(31.59)]
+
+
+@pytest.mark.parametrize("sigma", [1e-3, 2.0, 1e3])
+def test_jacobi_functions_against_mpmath(sigma):
+    # sn, cn, dn at both parameters z_of_u takes, m = sigma/(1 + sigma)
+    # and 1 - m, over [-K, K] and past it, against mpmath's ellipfun
+    k, kc = math.sqrt(sigma / (1.0 + sigma)), math.sqrt(1.0 / (1.0 + sigma))
+    with mpmath.workdps(30):
+        s = mpmath.mpf(sigma)
+        for a, b, m in ((k, kc, s / (1 + s)), (kc, k, 1 / (1 + s))):
+            quarter = float(mpmath.ellipk(m))
+            x = np.linspace(-1.3, 1.3, 53) * quarter
+            got = curve._jacobi(x, a, b)
+            for i, xi in enumerate(x):
+                for name, g in zip(("sn", "cn", "dn"), got):
+                    want = mpmath.ellipfun(name, mpmath.mpf(xi), m=m)
+                    assert abs(g[i] - float(want)) <= 4e-16 * quarter, (
+                        name, xi)
+
+
+def _on_the_four_segments(sigma):
+    """Interior points of the upper half-plane and points on the real
+    segments (-inf, -sigma), (-sigma, 0), (0, 1) and (1, inf)."""
+    R = 1.0 + sigma
+    th = np.linspace(0.05, math.pi - 0.05, 9)
+    inner = np.concatenate([r * R * np.exp(1j * th) for r in (0.02, 0.3, 3.0)]
+                           + [0.5 - 0.5 * sigma + 0.3j * R * np.ones(1)])
+    real = [-5.0 * R, -1.5 * sigma, -0.9 * sigma, -0.5 * sigma, -0.1 * sigma,
+            0.1, 0.5, 0.9, 1.5, 5.0 * R]
+    return np.concatenate([inner, np.array(real, dtype=complex)])
+
+
+@pytest.mark.parametrize("sigma", [1e-3, 2.0, 1e3])
+def test_z_of_u_inverts_the_height_coordinate(sigma):
+    # z -> u = U(z) at 30 digits (mpmath's elliprf) -> z(u) returns z, on
+    # the open upper half-plane and on all four real segments (with
+    # imaginary part +0.0 there, never -0.0 or below)
+    zs = _on_the_four_segments(sigma)
+    with mpmath.workdps(30):
+        s = mpmath.mpf(sigma)
+        u = np.array([complex(-2 * mpmath.elliprf(z, z - 1, z + s))
+                      for z in (mpmath.mpc(z.real, z.imag) for z in zs)])
+    got = curve._z_of_u(sigma, u)
+    assert np.all(np.abs(got - zs) <= 2e-14 * np.abs(zs))
+    real = zs.imag == 0.0
+    assert not np.signbit(got.imag).any()
+    assert np.all(np.abs(got.imag[real]) <= 2e-14 * np.abs(zs[real]))
+    # the height coordinate of the round trip, at 30 digits
+    with mpmath.workdps(30):
+        back = np.array([complex(-2 * mpmath.elliprf(z, z - 1, z + s))
+                         for z in (mpmath.mpc(z.real, z.imag) for z in got)])
+    t03 = curve._translation_half(sigma)[2]
+    assert np.all(np.abs(back.real - u.real) <= 4e-15 * t03)
 
 
 # --- loop periods by the trapezoidal rule ------------------------------------
@@ -798,14 +852,12 @@ def test_stencil_increments_match_the_kernel(sigma, monkeypatch):
 def test_psi_matches_the_kernel_at_every_sample_vertex(sigma):
     # the sampled piece against the quadrature kernel's march along the
     # grid edges, including the corners on the branch points; measured at
-    # most 4.9e-14 of the scale and 5.3e-16 relative in w
+    # most 4.9e-14 of the scale
     m = mesh.sample_fundamental(sigma, 0.1, 40, 60)
-    verts, w = scalar.march_piece(CurveParams(sigma),
-                                  m.domain_z.reshape(40, 60))
+    verts, _ = scalar.march_piece(CurveParams(sigma),
+                                  mesh.DomainMap(sigma, 0.1).grid(40, 60))
     scale = np.max(np.abs(verts))
     assert np.max(np.abs(m.vertices - verts)) <= 1e-13 * scale
-    assert np.max(np.abs(m.domain_w - w)) <= 1e-14 * np.max(np.abs(w))
-    assert np.array_equal(w == 0.0, m.domain_w == 0.0)
 
 
 def test_psi_blocks_give_one_point_bits():
@@ -815,12 +867,12 @@ def test_psi_blocks_give_one_point_bits():
     sigma = 2.0
     params = CurveParams(sigma)
     z = mesh.DomainMap(sigma, 0.1).grid(160, 240).ravel()
-    pos, w = curve.immerse(params, z)
+    pos, u = curve.immerse(params, z)
     assert z.size > 9 * curve.PSI_BLOCK
     for i in range(0, z.size, 97):
-        p1, w1 = curve.immerse(params, z[i])
-        assert p1.shape == (3,) and w1.shape == ()
-        assert p1.tobytes() == pos[i].tobytes() and w1 == w[i]
+        p1, u1 = curve.immerse(params, z[i])
+        assert p1.shape == (3,) and u1.shape == ()
+        assert p1.tobytes() == pos[i].tobytes() and u1 == u[i]
 
 
 def test_carlson_steps_meet_carlsons_bound():

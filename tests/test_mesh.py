@@ -112,8 +112,8 @@ def _entry_arc(params):
 
 def _sample_fundamental_reference(params, Z):
     """Vertex-by-vertex marching, one kernel path per vertex, from the base
-    point over the entry arc.  Returns (vertices, domain_w, faces) as the
-    mesh stores them."""
+    point over the entry arc.  Returns (vertices, faces) as the mesh
+    stores them."""
     nr, nt = Z.shape
     X = np.zeros((nr, nt, 3))
     W = np.zeros((nr, nt), dtype=complex)
@@ -142,21 +142,22 @@ def _sample_fundamental_reference(params, Z):
             v10, v11 = v00 + nt, v01 + nt
             faces.append((v00, v10, v11))
             faces.append((v00, v11, v01))
-    return ((X - X[nr - 1, 0]).reshape(-1, 3), W.reshape(-1),
-            np.array(faces, dtype=np.int32))
+    return (X - X[nr - 1, 0]).reshape(-1, 3), np.array(faces, dtype=np.int32)
 
 
 @pytest.mark.parametrize("nr,nt,sigma", [
     (nr, nt, sigma) for nr, nt in ((40, 60), (14, 20))
     for sigma in (0.012, 0.5, 2.0, 83.0)] + [(14, 20, 1e-3), (14, 20, 1e3)])
 def test_batched_sampling_matches_vertex_marching(sigma, nr, nt):
-    # the closed-form piece against the kernel's march, vertex by vertex
+    # the closed-form piece against the kernel's march, vertex by vertex;
+    # its height coordinate u has x3 = Re u + t0_3
     m = sample_fundamental(sigma, 0.1, nr, nt)
-    verts, w, faces = _sample_fundamental_reference(
-        curve.CurveParams(sigma), m.domain_z.reshape(nr, nt))
+    verts, faces = _sample_fundamental_reference(
+        curve.CurveParams(sigma), DomainMap(sigma, 0.1).grid(nr, nt))
     scale = max(1.0, np.max(np.abs(verts)))
     assert np.max(np.abs(m.vertices - verts)) <= 1e-13 * scale
-    assert np.all(np.abs(m.domain_w - w) <= 1e-12 * np.abs(w))
+    height = m.domain_u.real - m.domain_u[(nr - 1) * nt].real
+    assert np.max(np.abs(height - verts[:, 2])) <= 1e-13 * scale
     assert m.faces.dtype == np.int32
     assert np.array_equal(m.faces, faces)
 
@@ -164,20 +165,24 @@ def test_batched_sampling_matches_vertex_marching(sigma, nr, nt):
 @pytest.mark.parametrize("sigma", [1e-3, 0.012, 2.0, 8.0, 100.0, 1e3])
 def test_column_branch_is_the_entry_arc_continuation(sigma):
     # the closed form's branch is the one the entry arc continues to: the
-    # t = 0 column marched on from 1 - 1e-2 by the kernel has the same w
-    # to rounding
+    # integral of phi3 = dz/w down the t = 0 column, marched on from
+    # 1 - 1e-2 by the kernel, is the rise of the height coordinate u there
+    # (imaginary: x3 is constant on the column), with its sign
     nr, nt = 40, 60
     params = curve.CurveParams(sigma)
     m = sample_fundamental(sigma, 0.1, nr, nt)
-    column = m.domain_z.reshape(nr, nt)[:-1, 0]
+    column = DomainMap(sigma, 0.1).grid(nr, nt)[:-1, 0]
     order = np.argsort(-column.real)
     _, entry = _entry_arc(params)
     w0 = np.array([entry.w])
     chain = np.append(entry.z, column[order])[None]
-    _, ws = scalar.chain_sums(kernel._march(params, chain, w0),
-                              np.zeros((1, 3)), w0)
-    got = m.domain_w.reshape(nr, nt)[order, 0]
-    assert np.all(np.abs(got - ws[0, 1:]) <= 2e-15 * np.abs(got))
+    sums, _ = scalar.chain_sums(kernel._march(params, chain, w0),
+                                np.zeros((1, 3)), w0)
+    want = sums[0, 1:, 2] - sums[0, 1, 2]
+    got = m.domain_u.reshape(nr, nt)[order, 0]
+    got = got - got[0]
+    assert np.abs(want[-1].imag) > 0.5 * np.abs(want[-1])
+    assert np.all(np.abs(got - want) <= 2e-14 * np.abs(want[-1]))
 
 
 @settings(max_examples=60, deadline=None)
@@ -186,14 +191,19 @@ def test_column_branch_is_the_entry_arc_continuation(sigma):
 def test_sampled_piece_is_on_the_base_points_sheet(log_sigma, e, nr, nt):
     # the closed form takes principal roots, which give the base point's
     # sheet on the closed upper half-plane only: every domain point lies
-    # there, and w on the t = 0 column is the base point's branch
+    # there, and on the t = 0 column, where w = i sqrt(x (1 - x) (x +
+    # sigma)) on that sheet, u = -t0_3 + i int_x^1 dt / sqrt(t (1 - t)
+    # (t + sigma)) = -t0_3 + 2i sqrt((1 - x)/(1 + sigma)) R_F(1, x,
+    # (x + sigma)/(1 + sigma))
     sigma = 10.0 ** log_sigma
     m = sample_fundamental(sigma, e, nr, nt)
-    assert np.all(m.domain_z.imag >= 0.0)
-    x = m.domain_z.reshape(nr, nt)[:, 0].real
-    want = 1j * np.sqrt(x * (1.0 - x) * (x + sigma))
-    got = m.domain_w.reshape(nr, nt)[:, 0]
-    assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want))
+    Z = DomainMap(sigma, e).grid(nr, nt)
+    assert np.all(Z.imag >= 0.0)
+    t03 = FundamentalSurface(sigma).translation_half()[2]
+    for x, got in zip(Z[:, 0].real, m.domain_u.reshape(nr, nt)[:, 0]):
+        rise = 2.0 * math.sqrt((1.0 - x) / (1.0 + sigma)) * (
+            classical.carlson_rf(1.0, x, (x + sigma) / (1.0 + sigma)))
+        assert abs(got - complex(-t03, rise)) <= 1e-14 * t03
 
 
 def _count_panel_leaves(monkeypatch):
@@ -226,7 +236,7 @@ def test_batched_sampling_falls_back_on_few_edges(monkeypatch):
 def test_segment_integral_does_not_depend_on_its_batch(sigma):
     # the 2301 row edges of the 40x60 grid as one batch, and one by one
     params = curve.CurveParams(sigma)
-    z = sample_fundamental(sigma, 0.1, 40, 60).domain_z.reshape(40, 60)[:-1]
+    z = DomainMap(sigma, 0.1).grid(40, 60)[:-1]
     za, zb = z[:, :-1].reshape(-1), z[:, 1:].reshape(-1)
     wa = np.sqrt(curve.curve_poly(params, za))
     totals, w_end = kernel._integrate_segments(params, za, zb, wa)
@@ -561,7 +571,7 @@ def test_extend_matches_transform_concat(fund2, ops2, n_ops, copies):
     # of i; the extended mesh keeps no domain record
     n, blocks = fund2.vertex_count, len(got.flips)
     i = np.arange(got.vertex_count)
-    assert got.domain_z is None and got.domain_w is None
+    assert got.domain_u is None
     assert got.vertices[:n][i % n].tobytes() == want.fundamental_xyz.tobytes()
     assert np.array_equal(i // n, want.op_index)
     assert len(got.cell_ops) == blocks
@@ -920,24 +930,25 @@ def test_thin_picks_what_linspace_picks():
 
 
 # points of the 14x20 sigma = 2 piece's cell (copies=0) at frac * t0_3,
-# five of its crossings evenly spaced, as computed by a 60-step bisection
-# in z
+# five of the orbit of its refined crossings evenly spaced: each z(u*) of
+# refine_slice and its position evaluated at 30 digits by mpmath
+# (ellipfun, elliprf and elliprd)
 REFINED_PINS = {
-    0.25: [(2.0486779401701063, -0.9170527962528978, 0.5857100420733878),
-           (0.6666243556249979, -0.9663204014996776, 0.5857100420733927),
-           (0.2880302044203029, -0.5409459345603735, 0.585710042073387),
-           (0.6666243556249979, 0.9663204014996776, 0.5857100420733927),
-           (0.2880302044203029, 0.5409459345603735, 0.585710042073387)],
-    0.45: [(1.3915282479181332, -0.41401220706786807, 1.054278075732103),
-           (0.7417387335106299, -0.7194001051033421, 1.054278075732101),
-           (0.6325070621926472, -0.702006391343113, 1.0542780757321044),
-           (0.7417387335106299, 0.7194001051033421, 1.054278075732101),
-           (0.6325070621926472, 0.702006391343113, 1.0542780757321044)],
-    0.7: [(1.271916244712272, -0.0406237767863799, 1.639988117805496),
-          (0.3556178568016244, -0.9738915504393483, 1.6399881178054927),
-          (1.0585741321476934, -0.609973482887699, 1.6399881178054931),
-          (0.3556178568016244, 0.9738915504393483, 1.6399881178054927),
-          (1.0585741321476934, 0.609973482887699, 1.6399881178054931)],
+    0.25: [(2.0467327025455218, -0.9185864523994394, 0.5857100420733844),
+           (0.6661956326654024, -0.966028571188331, 0.5857100420733844),
+           (0.28872137586856916, -0.5422676506643207, 0.5857100420733854),
+           (0.6661956326654024, 0.966028571188331, 0.5857100420733844),
+           (0.28872137586856916, 0.5422676506643207, 0.5857100420733854)],
+    0.45: [(1.390596819659676, -0.4153391702160813, 1.0542780757320926),
+           (0.7403175310021798, -0.7192830153833498, 1.0542780757320926),
+           (0.6330961758557945, -0.702146933704548, 1.0542780757320935),
+           (0.7403175310021798, 0.7192830153833498, 1.0542780757320926),
+           (0.6330961758557945, 0.702146933704548, 1.0542780757320935)],
+    0.7: [(1.2719358604983324, -0.04015031605484549, 1.6399881178054776),
+          (0.35591955599559744, -0.9738733801701636, 1.6399881178054785),
+          (1.0596577195033063, -0.6086183214366971, 1.6399881178054785),
+          (0.35591955599559744, 0.9738733801701636, 1.6399881178054785),
+          (1.0596577195033063, 0.6086183214366971, 1.6399881178054785)],
 }
 
 
@@ -952,103 +963,18 @@ def test_refine_slice_pinned_points(fund2, ops2, surf2):
         assert np.all(gap.min(axis=0) < 1e-11)
 
 
-def _refine_slice_reference(m, height, sigma, max_points):
-    """Safeguarded Newton one crossing at a time on the piece m, one
-    ``curve.immerse`` per iterate, started at the mesh's linear guess; on
-    an edge ending at a branch point it runs in t with 1 - s = (1 - t)^2:
-    the loop the lockstep refine_slice must reproduce."""
-    _, crossings = _slice_mesh_reference(m, height)
-    if len(crossings) > max_points:
-        idx = np.linspace(0, len(crossings) - 1, max_points).astype(int)
-        crossings = [crossings[i] for i in idx]
-    params = curve.CurveParams(sigma)
-    out = []
-    for (ia, ib, s) in crossings:
-        if m.domain_w[ia] != 0.0:
-            i0, i1 = ia, ib
-        else:
-            i0, i1, s = ib, ia, 1.0 - s
-        za, zb = m.domain_z[i0], m.domain_z[i1]
-        dz = zb - za
-        f0 = float(m.vertices[i0, 2] - height)
-        root = m.domain_w[i1] == 0.0
-        u = 1.0 - math.sqrt(1.0 - s) if root else s
-        u_lo, u_hi = 0.0, 1.0
-        for _ in range(60):
-            z = zb - (1.0 - u) ** 2 * dz if root else za + u * dz
-            pos, w = curve.immerse(params, z)
-            f = float(pos[2] - height)
-            if f == 0.0:
-                break
-            if (f > 0.0) == (f0 > 0.0):
-                u_lo = u
-            else:
-                u_hi = u
-            u_next, step, scale = 0.5 * (u_lo + u_hi), math.inf, 1.0
-            if w != 0.0:
-                forms = scalar.weierstrass_at(params,
-                                              curve.CurvePoint(z, complex(w)))
-                fp = float((forms.phi3_density * dz
-                            * (2.0 * (1.0 - u) if root else 1.0)).real)
-                scale = max(1.0, abs(fp))
-                if fp != 0.0:
-                    step = abs(f / fp)
-                    if u_lo < u - f / fp < u_hi:
-                        u_next = u - f / fp
-            # below 1e-13 in u and, where f is steep, in height
-            if min(step, abs(u_next - u)) * scale < 1e-13:
-                break
-            u = u_next
-        out.append(pos)
-    return np.asarray(out, dtype=float).reshape(-1, 3)
-
-
-def _assert_matches_reference(got, want):
-    assert got.shape == want.shape
-    scale = np.maximum(1.0, np.linalg.norm(want, axis=1))
-    assert np.all(np.max(np.abs(got - want), axis=1) <= 1e-13 * scale)
-
-
-@pytest.mark.parametrize("sigma", [0.012, 0.5, 2.0, 83.0])
-def test_lockstep_refine_slice_matches_per_crossing_newton(sigma):
+@pytest.mark.parametrize("sigma", [1e-3, 2.0, 1e3])
+def test_refined_points_lie_at_their_heights(sigma):
+    # every crossing of verify's 24x32 piece at 49 heights across the slab,
+    # one closed-form point each (measured at most 5.4e-15 t0_3 over sigma
+    # in [1e-3, 1e3])
+    piece = sample_fundamental(sigma, 0.1, 24, 32)
     span = FundamentalSurface(sigma).translation_half()[2]
-    fund = sample_fundamental(sigma, 0.1, 14, 20)
-    n_points = 0
-    for frac in (0.13, 0.3, 0.5, 0.77, 0.87):
-        h = frac * span
-        got = _refine(fund, h, 24)
-        _assert_matches_reference(
-            got, _refine_slice_reference(fund, h, sigma, 24))
-        n_points += len(got)
-    assert n_points >= 60
-
-
-def test_refine_slice_on_edges_ending_at_corner_branch_point(fund2,
-                                                             monkeypatch):
-    nr, nt = 14, 20
-    corner, nb = nr * nt - 1, nr * nt - 2  # z = -sigma and its row neighbour
-    assert fund2.domain_w[corner] == 0.0
-    x3c, x3n = fund2.vertices[corner, 2], fund2.vertices[nb, 2]
-    points = []
-    immerse = curve.immerse
-
-    def recording(params, z):
-        points.extend(np.ravel(z))
-        return immerse(params, z)
-
-    monkeypatch.setattr(curve, "immerse", recording)
-    # a generic crossing, then one whose root sits 1e-9 in height from the
-    # branch point: there 1 - s ~ (1e-9)^2 rounds away, and the iterates
-    # land on -sigma itself
-    for h, on_corner in ((0.5 * (x3c + x3n), False),
-                         (x3c + 1e-9 * np.sign(x3n - x3c), True)):
-        _, ia, ib, _ = slice_mesh(fund2, [h])
-        assert {corner, nb} in [{i, j} for i, j in zip(ia, ib)]
-        del points[:]
-        got = _refine(fund2, h, 10 ** 6)
-        assert any(abs(z + 2.0) < 3e-12 for z in points) == on_corner
-        _assert_matches_reference(
-            got, _refine_slice_reference(fund2, h, 2.0, 10 ** 6))
+    hs = np.linspace(0.02, 0.98, 49) * span
+    pts = refine_slice(piece, hs, 10 ** 6, slice_mesh(piece, hs))
+    assert sum(map(len, pts)) > 1000
+    for p, h in zip(pts, hs):
+        assert len(p) and np.max(np.abs(p[:, 2] - h)) <= 2e-14 * abs(span)
 
 
 def test_refine_slice_batches_each_height(fund2, surf2, monkeypatch):
@@ -1056,16 +982,16 @@ def test_refine_slice_batches_each_height(fund2, surf2, monkeypatch):
     calls = []
     immerse = curve.immerse
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return immerse(*args, **kwargs)
+    def counting(params, z):
+        calls.append(np.size(z))
+        return immerse(params, z)
 
-    # one immerse call per Newton round, shared by all crossings
+    # one immerse call, shared by all crossings
     monkeypatch.setattr(curve, "immerse", counting)
     for frac in (0.13, 0.3, 0.5, 0.77, 0.87):
         del calls[:]
-        assert len(_refine(fund2, frac * span, 24)) >= 3
-        assert 0 < len(calls) <= 12
+        pts = _refine(fund2, frac * span, 24)
+        assert len(pts) >= 3 and calls == [len(pts)]
 
 
 @pytest.mark.parametrize("sigma", [0.0167, 2.0, 8.0])
@@ -1074,7 +1000,7 @@ def test_refine_slice_height_sequence_matches_per_height_calls(sigma,
     surf = FundamentalSurface(sigma)
     fund = sample_fundamental(sigma, 0.1, 14, 20)
     span = surf.translation_half()[2]
-    # on the 120x180 piece the lockstep batch of 25 heights spans two
+    # on the 120x180 piece the one immerse call of 25 heights spans two
     # immerse blocks
     big = sample_fundamental(sigma, 0.1, 120, 180)
     calls = []
@@ -1098,7 +1024,7 @@ def test_refine_slice_height_sequence_matches_per_height_calls(sigma,
         assert isinstance(got, list) and len(got) == len(heights)
         for g, w in zip(got, want):
             assert g.shape == w.shape and np.array_equal(g, w)
-        assert 0 < len(calls) < per_height
+        assert per_height == len(heights) and len(calls) == 1
         if m is fund:
             assert [len(g) for g in got[4:]] == [0, 0]
         if max_points == 5:
@@ -1111,15 +1037,15 @@ def test_refine_slice_height_sequence_matches_per_height_calls(sigma,
 
 def test_refine_slice_takes_only_the_sampled_piece(fund2, ops2, surf2):
     # an extended mesh, even with no copies, carries no domain record: its
-    # slices are the orbit of the piece's; a hand-built mesh with z and w
-    # but no sigma names no curve
+    # slices are the orbit of the piece's; a hand-built mesh with u but no
+    # sigma names no curve
     h = [0.45 * surf2.translation_half()[2]]
     for sigma in (1e-3, 2.0, 1e3):
         assert sample_fundamental(sigma, 0.1, 4, 5).domain_sigma == sigma
     for m in (extend(fund2, ops2, copies=0), extend(fund2, ops2, copies=1),
               TriMesh(fund2.vertices, fund2.normals, fund2.faces),
               TriMesh(fund2.vertices, fund2.normals, fund2.faces,
-                      fund2.domain_z, fund2.domain_w)):
+                      fund2.domain_u)):
         assert m.domain_sigma is None
         with pytest.raises(ValueError, match="sample_fundamental"):
             refine_slice(m, h, 24, slice_mesh(m, h))
@@ -1180,8 +1106,8 @@ def test_refine_slice_hits_height_with_few_immerse_calls(fund2, surf2,
             return fn(*args, **kwargs)
         monkeypatch.setattr(module, name, counted)
 
-    # the surface points are closed-form evaluations, one per Newton round:
-    # no path is integrated
+    # the surface points are one closed-form evaluation: no path is
+    # integrated
     counting(curve, "immerse")
     counting(quad, "_gk_panel")
     for frac in (0.13, 0.3, 0.5, 0.77, 0.87):
@@ -1190,7 +1116,7 @@ def test_refine_slice_hits_height_with_few_immerse_calls(fund2, surf2,
         pts = _refine(fund2, h, 24)
         assert len(pts) >= 3
         assert np.max(np.abs(pts[:, 2] - h)) <= 1e-12 * max(1.0, abs(h))
-        assert 0 < len(calls) <= 12 and set(calls) == {"immerse"}
+        assert calls == ["immerse"]
 
 
 # --- export -------------------------------------------------------------------
