@@ -43,6 +43,8 @@ __all__ = [
     "slice_checks", "catenoid_residual", "SliceFitError",
 ]
 
+_CATENOID_LAMS, _CATENOID_QS = (0.5, 1.0, 2.0), 20
+
 
 class SliceFitError(RiemannMinimalError):
     """Too few mesh slices cover the slab, or a slice is not a circle."""
@@ -316,9 +318,6 @@ def slice_checks(piece):
                                for b in range(4)]) for j in range(10)]
     return (registration_error(sigma, candidates[kept], pts[:k]),
             foliation_residuals(sigma, cell, fol_hs, circles))
-
-
-_CATENOID_LAMS, _CATENOID_QS = (0.5, 1.0, 2.0), 20
 
 
 def catenoid_residual() -> float:

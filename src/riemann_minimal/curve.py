@@ -228,20 +228,22 @@ def _jacobi(x, k, kc):
 def _z_of_u(sigma, u):
     """z(u) on the closed upper half-plane, the inverse of the height
     coordinate u = U(z) of :func:`immerse`, elementwise: z = -sigma +
-    (1 + sigma) / sn^2(v | k^2) = (1 + sigma) (dn(v) / sn(v))^2, v = u
-    sqrt(1 + sigma) / 2, k^2 = sigma / (1 + sigma), the second form free
-    of cancellation near z = 0.  sn and dn of x + iy come from those of x
-    and of y at kc^2 = 1 - k^2 by the addition theorem and Jacobi's
-    imaginary transformation (DLMF 22.8, 22.6(iv)), with k and kc from
-    sigma: near K(kc^2) the functions of y feel a rounding of 1 - k^2.  A
-    z that rounds below the real axis gets imaginary part +0.0."""
+    (1 + sigma) / sn^2(u sqrt(1 + sigma) / 2 | k^2 = sigma / (1 + sigma)),
+    the nearest branch point 0, 1 or -sigma plus its offset (1 + sigma)
+    (dn/sn)^2, (cn/sn)^2 or (1/sn)^2, so only that sum rounds.  Each ratio
+    is the addition theorem's (DLMF 22.8, 22.6(iv)) from real functions at
+    k^2 and kc^2 = 1 - k^2, both from sigma; an imaginary part that rounds
+    below 0 is +0.0."""
     k, kc = math.sqrt(sigma / (1.0 + sigma)), math.sqrt(1.0 / (1.0 + sigma))
     v = np.asarray(u, dtype=complex) * (0.5 * math.sqrt(1.0 + sigma))
     s, c, d = _jacobi(v.real, k, kc)
     s1, c1, d1 = _jacobi(v.imag, kc, k)
-    ratio = ((d * c1 * d1 - 1j * (k * k * s * c * s1))
-             / (s * d1 + 1j * (c * d * s1 * c1)))
-    z = (1.0 + sigma) * ratio * ratio
+    r = np.stack([d * c1 * d1 - 1j * (k * k * s * c * s1),
+                  c * c1 - 1j * (s * d * s1 * d1), c1 * c1 + (k * s * s1) ** 2]
+                 ) / (s * d1 + 1j * (c * d * s1 * c1))
+    offset = (1.0 + sigma) * r * r
+    near = np.argmin(np.abs(offset), axis=0)
+    z = np.choose(near, offset) + np.array([0.0, 1.0, -sigma])[near]
     z.imag = np.maximum(z.imag, 0.0)
     return z
 

@@ -591,11 +591,10 @@ def refine_slice(mesh: TriMesh, heights, max_points, crossings):
     its owner is no index of ``heights``, or its edge's ends do not lie
     strictly on opposite sides of its height.
 
-    A crossing's edge runs from u_a to u_b in the height coordinate u of
-    ``curve.immerse`` (``domain_u``), in which height h is the line Re u
-    = h - t0_3.  Its point is z(u*), u* = (h - t0_3) + i Im(u_a + s (u_b -
-    u_a)), by the closed-form inverse ``curve._z_of_u``; one
-    ``curve.immerse`` call evaluates all of them.  Nothing is iterated.
+    In the height coordinate u of ``curve.immerse`` (``domain_u``), height
+    h is the line Re u = h - t0_3; an edge from u_a to u_b crosses it at
+    z(u*), u* = (h - t0_3) + i Im(u_a + s (u_b - u_a)), by the closed-form
+    inverse ``curve._z_of_u``.  One ``curve.immerse`` call evaluates all.
     """
     if mesh.domain_sigma is None or len(mesh.domain_u) != mesh.vertex_count:
         raise ValueError("refine_slice takes a piece from sample_fundamental")

@@ -208,10 +208,7 @@ def test_foliation_circles_are_the_orbit_of_the_piece(sigma, monkeypatch):
 def test_stacked_circle_fit_matches_one_slice_fits(sigma, monkeypatch):
     # verify's slices, as slice_checks hands them to the fit: one call for
     # registration's slices, one for foliation's 10 circles and its two
-    # line slices; each fit against the one-slice reference.  The two
-    # solve one least-squares problem by different routes, so they agree
-    # to rounding times its condition number (1.1 to 92 here: the piece's
-    # slices are arcs, shortest at the range ends)
+    # line slices; each fit against the one-slice reference
     batches = []
     fit = mesh.level_circle_fit
 
@@ -228,14 +225,15 @@ def test_stacked_circle_fit_matches_one_slice_fits(sigma, monkeypatch):
             assert got.kind == want.kind
             if want.kind == "circle":
                 r = want.radius
-                u = pts[:, :2] - pts[:, :2].mean(axis=0)
-                tol = 1e-15 * np.linalg.cond(
-                    np.column_stack([2.0 * u, np.ones(len(u))]))
-                assert abs(got.radius - r) <= tol * r
-                assert abs(got.residual - want.residual) <= tol * r
+                assert abs(got.radius - r) <= 1e-15 * r
                 # the centre's rounding is relative to its own size
-                assert np.max(np.abs(got.center - want.center)) <= tol * (
+                assert np.max(np.abs(got.center - want.center)) <= 1e-15 * (
                     r + np.max(np.abs(want.center)))
+                # the residual is the fitted circle's own: a distance from
+                # the centre, it cannot agree closer than the centres do
+                dist = np.linalg.norm(pts[:, :2] - got.center, axis=1)
+                assert abs(got.residual
+                           - np.max(np.abs(dist - got.radius))) <= 1e-15 * r
             else:
                 # the centroid keeps its bits; the direction has a sign
                 assert np.array_equal(got.center, want.center)

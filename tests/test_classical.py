@@ -347,7 +347,7 @@ def test_frames_refuse_offsets_beyond_one_step(u):
 
 
 def test_small_offsets_take_one_rk4_step():
-    us = (-1e-4, -3e-5, 0.0, 1e-5, 1e-4)
+    us = (-1e-4, -3e-5, -1e-5, 0.0, 1e-5, 1e-4)
     for d in _frame_configs():
         got = classical.foliation_frames(d, us)
         for i, u in enumerate(us):

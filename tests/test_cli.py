@@ -436,7 +436,7 @@ def test_gen_and_verify_over_the_family_range(tmp_path, sigma):
 def test_verify_sweeps_the_family_range(tmp_path):
     # 25 log-spaced sigmas inside [1e-3, 1e3] and both ends exactly: each
     # verify run passes, and its slice checks stay at rounding level
-    # (at most 1.7e-14 measured), as CI asserts for its ten runs
+    # (at most 1.6e-14 measured), as CI asserts for its ten runs
     inner = 10.0 ** np.linspace(-3.0, 3.0, 27)[1:-1]
     path = tmp_path / "v.json"
     for sigma in [1e-3, *inner, 1e3]:

@@ -4,6 +4,7 @@ import struct
 import tracemalloc
 from types import SimpleNamespace
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -966,7 +967,7 @@ def test_refine_slice_pinned_points(fund2, ops2, surf2):
 @pytest.mark.parametrize("sigma", [1e-3, 2.0, 1e3])
 def test_refined_points_lie_at_their_heights(sigma):
     # every crossing of verify's 24x32 piece at 49 heights across the slab,
-    # one closed-form point each (measured at most 5.4e-15 t0_3 over sigma
+    # one closed-form point each (measured at most 1.3e-15 t0_3 over sigma
     # in [1e-3, 1e3])
     piece = sample_fundamental(sigma, 0.1, 24, 32)
     span = FundamentalSurface(sigma).translation_half()[2]
@@ -975,6 +976,32 @@ def test_refined_points_lie_at_their_heights(sigma):
     assert sum(map(len, pts)) > 1000
     for p, h in zip(pts, hs):
         assert len(p) and np.max(np.abs(p[:, 2] - h)) <= 2e-14 * abs(span)
+
+
+def test_refined_points_next_to_the_branch_points(fund2):
+    # heights 1e-9 and 1e-7 inside the slab's ends, with crossings on the
+    # edges from the corners z = 1 (x3 = 0) and z = -sigma (x3 = t0_3): a
+    # double z there cannot carry its offset from the branch point, so a
+    # point may miss its height by as much as z(u*) rounded from 30 digits
+    # does (measured: the same, up to 4.3e-10 t0_3 at t0_3 - 1e-9), and
+    # never by more than twice that
+    nr, nt = 14, 20
+    span = FundamentalSurface(2.0).translation_half()[2]
+    for h, corner in ((1e-9, (nr - 1) * nt), (1e-7, (nr - 1) * nt),
+                      (span - 1e-7, nr * nt - 1), (span - 1e-9, nr * nt - 1)):
+        _, ia, ib, s = slice_mesh(fund2, [h])
+        assert corner in {*ia, *ib}
+        got = _refine(fund2, h, 10 ** 6)
+        ua, ub = fund2.domain_u[ia], fund2.domain_u[ib]
+        u = h - span + 1j * (ua + s * (ub - ua)).imag
+        with mpmath.workdps(30):
+            m = mpmath.mpf(2) / 3
+            want = np.array([complex(-2 + 3 / mpmath.ellipfun(
+                "sn", mpmath.mpc(x) * mpmath.sqrt(3) / 2, m=m) ** 2)
+                for x in u])
+        want.imag = np.maximum(want.imag, 0.0)
+        floor = np.abs(curve.immerse(curve.CurveParams(2.0), want)[0][:, 2] - h)
+        assert np.all(np.abs(got[:, 2] - h) <= 2.0 * floor + 2e-14 * span)
 
 
 def test_refine_slice_batches_each_height(fund2, surf2, monkeypatch):
