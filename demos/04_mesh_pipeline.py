@@ -5,8 +5,10 @@ Samples the fundamental piece of the sigma = 2 surface on the Moebius image
 of a polar grid, extends it by the four-step symmetry pipeline (rotation
 about the horizontal line through psi(i sqrt(sigma)), mirror in {x2 = 0},
 rotation about the x2-axis, translation by 2 t0), writes OBJ/PLY files, and
-verifies the circle foliation by slicing the piece: the extended mesh's
-circles are the orbit of its slices.
+verifies the circle foliation on exact slices, taken on lines of the height
+coordinate without a mesh (each circle is the slice over the upper
+half-plane plus its mirror x2 -> -x2), against which it measures the
+extended mesh's own cut at the same heights.
 
 Writes meshes into ./demo_out/.
 """
@@ -45,24 +47,27 @@ for name, m in (("fundamental", fund), ("extended", ext)):
     np_ = mesh.export_ply(m, os.path.join(OUT, f"{name}.ply"))
     print(f"  wrote {name}.obj ({nb} bytes), {name}.ply ({np_} bytes)")
 
-print("\nhorizontal slices of the extended mesh:")
+print("\nhorizontal slices of the surface:")
 span = ops[3].offset[2] / 2.0
-# slice the piece at all heights in one pass, then refine those crossings
-# on the curve whose sigma the piece records;
-# the heights are symmetric about span / 2, and the extended mesh's circle
-# at hs[j] is the orbit of the piece's slices: blocks 0 and 2 (which keep
-# x3) of slice j, blocks 1 and 3 (x3 -> span - x3) of slice 2 - j
-hs = np.array([0.25, 0.5, 0.75]) * span
-slices = mesh.refine_slice(fund, hs, 24, mesh.slice_mesh(fund, hs))
-circles = [np.concatenate([op.apply(slices[2 - j if b % 2 else j])
-                           for b, op in enumerate(ext.cell_ops[:4])])
-           for j in range(len(hs))]
-# one fit call for all the circles, one fit per slice
-for h, fit in zip(hs, mesh.level_circle_fit(circles)):
-    print(f"  x3 = {h:8.4f}: {fit.kind}, radius {fit.radius:9.6f}, "
-          f"max deviation {fit.residual:.2e}")
-
-# at the height of a boundary line the slice degenerates to a line
-sel = np.abs(ext.vertices[:, 2]) <= 1e-9
-fit, = mesh.level_circle_fit([ext.vertices[sel]])
-print(f"  x3 = 0 (line height): classified as {fit.kind!r}")
+# exact whole slices on the lines Re u = h - t0_3 of the height coordinate:
+# the points over the upper half-plane, then their mirror x2 -> -x2; the
+# slab's ends 0 and t0_3 are lines
+hs = np.array([0.0, 0.25, 0.5, 0.75, 1.0]) * span
+exact = mesh.level_circle_fit(mesh.refine_slice(SIGMA, hs, 24))
+# the extended mesh cut at the same heights: one pass over its edges, each
+# crossing interpolated along its edge
+owner, ia, ib, s = mesh.slice_mesh(ext, hs)
+v = ext.vertices
+cut = v[ia] + s[:, None] * (v[ib] - v[ia])
+# the boundary lines at the slab's ends are mesh vertices, which make no
+# crossing: the mesh's cut is compared on the circles
+inner = range(1, len(hs) - 1)
+coarse = mesh.level_circle_fit([cut[owner == k] for k in inner])
+for k, fit in enumerate(exact):
+    if fit.kind == "line":
+        print(f"  x3 = {hs[k]:8.4f}: line (the height of a boundary line)")
+        continue
+    mesh_fit = coarse[k - 1]
+    print(f"  x3 = {hs[k]:8.4f}: {fit.kind}, radius {fit.radius:9.6f}, "
+          f"max deviation {fit.residual:.2e}; the mesh's cut: radius "
+          f"{mesh_fit.radius:9.6f} ({mesh_fit.radius / fit.radius - 1:+.1e})")

@@ -9,22 +9,21 @@ plus single-scale registration of measured circle radii, which
 evaluates the classical height of each radius forward in closed form
 and never inverts it.
 
-The routes each check takes to the surface: the sampled piece is
-closed-form points (``curve.immerse``), both finite-difference stencils
-take values relative to their centre, the Weierstrass stencil's one
-G7/K15 panel each (``quad.panel_increments``); registration and the
+The routes each check takes to the surface: both finite-difference
+stencils take values relative to their centre, the Weierstrass stencil's
+one G7/K15 panel each (``quad.panel_increments``); registration and the
 circle foliation fit circles to slices that :func:`slice_checks`, the one
-code that picks their heights, takes of the piece, on the curve whose
-sigma the piece records: it is sliced once, both checks' crossings become
-exact points in closed form (``mesh.refine_slice``), and the cell's
-circles are the orbit of the piece's slices under the cell's isometries;
-each check fits all its slices in one stacked ``mesh.level_circle_fit``
-call.  The classical stencil's height and center increments are
-one-panel quadratures of the integrands of ``classical``.  The periods
-and fluxes of ``verify`` are trapezoidal sums on analytic contours
-(``curve.period``).  The sampled vertices, the periods and the stencil
-increments are pinned against an adaptive quadrature oracle with branch
-tracking by the test suite, not here.
+code that picks their heights, takes without a mesh: exact points in
+closed form on lines of the height coordinate (``mesh.refine_slice``),
+one ``curve.immerse`` call for all heights, each foliation circle half
+its own slice and half the op-1 image of the slice at t0_3 - h; each
+check fits all its slices in one stacked ``mesh.level_circle_fit`` call.
+The classical stencil's height and center increments are one-panel
+quadratures of the integrands of ``classical``.  The periods and fluxes
+of ``verify`` are trapezoidal sums on analytic contours
+(``curve.period``).  The slice points, the periods and the stencil
+increments are pinned against mpmath and an adaptive quadrature oracle
+with branch tracking by the test suite, not here.
 """
 
 from __future__ import annotations
@@ -47,7 +46,7 @@ _CATENOID_LAMS, _CATENOID_QS = (0.5, 1.0, 2.0), 20
 
 
 class SliceFitError(RiemannMinimalError):
-    """Too few mesh slices cover the slab, or a slice is not a circle."""
+    """A slice that should be a circle is not one."""
 
 
 def fd_surface_checks(sample, h):
@@ -207,12 +206,12 @@ def registration_error(sigma, heights, points) -> RegistrationResult:
     """Register the classical surface R_lambda against M_sigma, with
     lambda = (sigma - 1)/sqrt(sigma) (:func:`classical.lambda_of_sigma`).
 
-    ``heights`` and ``points`` are slices of the fundamental piece of
-    ``sigma``, as :func:`slice_checks` picks and refines them: one (n_i, 3)
-    array of exact surface points per height (ValueError when the two
-    lengths differ).  Fits a circle to each slice, then a vertical offset
-    h0 plus a single scale s carrying the classical height-vs-radius
-    profile onto the measured slices: Gauss-Newton on the height residuals
+    ``heights`` and ``points`` are slices of the surface of ``sigma``,
+    as :func:`slice_checks` takes them: one (n_i, 3) array of exact
+    surface points per height (ValueError when the two lengths differ).
+    Fits a circle to each slice, then a vertical offset h0 plus a single
+    scale s carrying the classical height-vs-radius profile onto the
+    measured slices: Gauss-Newton on the height residuals
     d_i = s z(q_i) - |h_i - h0| at q_i = (r_i / s)^2, with the closed-form
     ``classical.height`` evaluated forward (no inversion of z) and the
     analytic Jacobian [z - 2 q z'(q), sign(h_i - h0)], z'(q) =
@@ -254,70 +253,52 @@ def registration_error(sigma, heights, points) -> RegistrationResult:
                               float(spacing_rel), radii, hs)
 
 
-def foliation_residuals(sigma, cell, heights, points):
-    """Relative circle-fit residuals of slices of ``cell``, the
-    fundamental piece of ``sigma`` extended by :func:`mesh.extend`.
+def foliation_residuals(heights, points, lines):
+    """Relative circle-fit residuals of whole slices of the surface.
 
     ``heights`` and ``points`` are generic heights in the slab and one
-    (n_i, 3) array of exact surface points of ``cell`` per height, the
-    orbit of the piece's slices that :func:`slice_checks` builds
-    (ValueError when the two lengths differ).  ``cell`` itself is read
-    only for the line heights.  Returns (relative residuals at the given
-    heights, line classifications at the two line heights 0 and t0_3).
+    (n_i, 3) array of exact surface points per height, the circles that
+    :func:`slice_checks` builds (ValueError when the two lengths differ);
+    ``lines`` are its slices at the two line heights 0 and t0_3.  Returns
+    (relative residuals at the given heights, line classifications).
     """
-    span = mesh.FundamentalSurface(sigma).translation_half()[2]
-    # line heights: the slice at the height of a boundary line consists of
-    # the (exactly coplanar, exactly collinear) line vertices themselves
-    x3 = cell.vertices[:, 2]
-    lines = [cell.vertices[np.abs(x3 - h) <= 1e-9 * max(1.0, abs(h))]
-             for h in (0.0, span)]
     *circles, low, high = _circle_fits(heights, points, lines)
     rels = [fit.residual / fit.radius for fit in circles]
     return np.array(rels), [low.kind, high.kind]
 
 
-def slice_checks(piece):
-    """(:func:`registration_error` of ``piece``, :func:`foliation_residuals`
-    of its cell): the one route from a sampled piece to its slice checks.
+def slice_checks(sigma):
+    """(:func:`registration_error`, :func:`foliation_residuals`, slice
+    height error) of the surface of ``sigma``: the one route to its slice
+    checks, with no mesh.
 
-    ``piece``, a fundamental piece from :func:`mesh.sample_fundamental`
-    (ValueError otherwise), on the curve of its ``domain_sigma``, is the
-    only mesh sliced: once, at 12 evenly spaced candidate heights, of
-    which registration keeps the first 6 that cross 8 or more edges
-    (SliceFitError when fewer than 4 do), and at foliation's 10 heights.
-    One :func:`mesh.refine_slice` call refines them all, 24 points per
-    registration height and 14 per foliation height.  Foliation's heights
-    are symmetric, h_j + h_(9-j) = t0_3, and the cell (``piece`` extended
-    with ``copies=0``) keeps x3 in blocks 0 and 2 and sends it to t0_3 -
-    x3 in blocks 1 and 3: its circle at h_j is blocks 0 and 2 of the
-    piece's slice j plus blocks 1 and 3 of slice 9 - j.
+    One :func:`mesh.refine_slice` call takes the whole slices at
+    registration's 6 heights, foliation's 10 and the two line heights 0
+    and t0_3: 24 exact points over the upper half-plane, then their mirror
+    x2 -> -x2.  Registration fits the first 24.  Foliation's heights are
+    symmetric, h_j + h_(9-j) = t0_3, and op 1 of the extension, the
+    half-turn x -> (t0_1 - x1, x2, t0_3 - x3), carries the slice at
+    t0_3 - h onto the slice at h, each half onto the same half: each
+    foliation circle is the first half of slice j plus op 1 of the second
+    half of slice 9 - j, and each line slice pairs 0 and t0_3 the same
+    way.  The slice height error is the largest |x3 - h| / t0_3 over all
+    the points; the fits then take each slice in its plane x3 = h, so
+    only the height error sees points off it.
     """
-    if (sigma := piece.domain_sigma) is None:
-        raise ValueError("slice_checks takes a piece from sample_fundamental")
-    cell = mesh.extend(piece, mesh.extension_ops(sigma), copies=0)
-    span = mesh.FundamentalSurface(sigma).translation_half()[2]
-    candidates = (0.14 + 0.72 * np.arange(12) / 11) * span
+    t0 = mesh.FundamentalSurface(sigma).translation_half()
+    span = t0[2]
+    reg_hs = (0.14 + 0.72 * np.arange(6) / 11) * span
     fol_hs = (0.13 + 0.74 * np.arange(10) / 9.0) * span
-    owner, *records = mesh.slice_mesh(piece,
-                                      np.concatenate([candidates, fol_hs]))
-    # extreme sigma pushes part of the slab beyond the end truncation
-    kept = np.flatnonzero(np.bincount(owner, minlength=12)[:12] >= 8)[:6]
-    if len(kept) < 4:
-        raise SliceFitError(
-            "too few heights cross 8 edges of the given piece; sample it on "
-            "a finer grid or with a smaller e")
-    used = np.concatenate([kept, 12 + np.arange(10)])
-    sel = np.isin(owner, used)
-    k = len(kept)
-    pts = mesh.refine_slice(
-        piece, np.concatenate([candidates[kept], fol_hs]),
-        np.repeat([24, 14], [k, 10]),
-        (np.searchsorted(used, owner[sel]), *(r[sel] for r in records)))
-    slices, ops = pts[k:], cell.cell_ops
-    circles = [np.concatenate([ops[b].apply(slices[9 - j if b % 2 else j])
-                               for b in range(4)]) for j in range(10)]
-    return (registration_error(sigma, candidates[kept], pts[:k]),
-            foliation_residuals(sigma, cell, fol_hs, circles))
+    hs = np.concatenate([reg_hs, fol_hs, [0.0, span]])
+    pts = mesh.refine_slice(sigma, hs, 24)
+    height_err = np.max(np.abs(pts[..., 2] - hs[:, None])) / span
+    pts[..., 2] = hs[:, None]
+    partner = np.concatenate([np.arange(15, 5, -1), [17, 16]])
+    turned = t0 * [1.0, 0.0, 1.0] + pts[partner, 24:] * [-1.0, 1.0, -1.0]
+    orbit = np.concatenate([pts[6:, :24], turned], axis=1)
+    return (registration_error(sigma, reg_hs, pts[:6, :24]),
+            foliation_residuals(fol_hs, orbit[:10], orbit[10:]),
+            float(height_err))
 
 
 def catenoid_residual() -> float:

@@ -82,7 +82,7 @@ CHECK_NAMES = (
     "gauss_ode", "shiffman", "enneper_fourier", "catenoid_closed_form",
     "classical_circle_fit",
     "minimality_classical", "minimality_weierstrass",
-    "conformality_weierstrass", "registration_radius",
+    "conformality_weierstrass", "slice_heights", "registration_radius",
     "registration_spacing", "circle_foliation", "line_heights_classify",
 )
 
@@ -392,9 +392,9 @@ def cmd_verify(cfg: RunConfig) -> int:
     suite.record("minimality_weierstrass", H_w, 1e-3)
     suite.record("conformality_weierstrass", max(conf_w, orth_w), 1e-5)
 
-    # both slice checks read one sampled piece, the only mesh sliced
-    piece = mesh.sample_fundamental(cfg.sigma, 0.1, 24, 32)
-    reg, (rels, kinds) = checks.slice_checks(piece)
+    # exact slice points on lines of the height coordinate, no mesh
+    reg, (rels, kinds), height_err = checks.slice_checks(cfg.sigma)
+    suite.record("slice_heights", height_err, 1e-7)
     suite.record("registration_radius", reg.max_radius_rel_err, 1e-3)
     suite.record("registration_spacing", reg.spacing_rel_err, 1e-3)
     suite.record("circle_foliation", float(np.max(rels)), 1e-5)

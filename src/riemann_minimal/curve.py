@@ -12,8 +12,9 @@ sqrt(z(z-1)(z+sigma)).  There are two routes to it.
 On the upper half-plane the immersion is in closed form: :func:`immerse`
 is one complex R_F and one complex R_D per point (Carlson's symmetric
 elliptic integrals).  It is the package's only surface evaluator: the
-sampled piece of ``mesh.sample_fundamental`` and the refined slices of
-``mesh.refine_slice``, whose points :func:`_z_of_u` finds in closed form.
+sampled piece of ``mesh.sample_fundamental`` and the slices of
+``mesh.refine_slice``, points on lines of the height coordinate that
+:func:`_z_of_u` carries to z in closed form.
 
 The homology loops' periods are the periodic trapezoidal rule on contours
 where w is single-valued and analytic (:func:`period`), so the checks on
@@ -223,6 +224,13 @@ def _jacobi(x, k, kc):
         phi = 0.5 * (phi + np.arcsin(r * np.sin(phi)))
     cn = np.cos(phi)
     return np.sin(phi), cn, np.sqrt(kc * kc + (k * cn) ** 2)
+
+
+def _u_height(sigma):
+    """b = Im U(-sigma) = 2 R_F(0, sigma, 1 + sigma): the height coordinate
+    u = U(z) of :func:`immerse` maps the upper half-plane onto the
+    rectangle [-t0_3, 0] x [0, b], which :func:`_z_of_u` inverts."""
+    return 2.0 * classical.carlson_rf(0.0, sigma, 1.0 + sigma)
 
 
 def _z_of_u(sigma, u):

@@ -26,14 +26,13 @@ the piece once plus the isometries of its orbit; its blocks are walked
 on demand (:meth:`TriMesh.blocks`), and the exporters write them one
 block at a time, so no array the size of the cell is built.
 
-The piece is the only mesh that is sliced to exact points: it is cut at
-a sequence of heights in one pass over its edges (:func:`slice_mesh`),
-and :func:`refine_slice` moves those records to exact surface points in
-closed form, through the height coordinate u in which a slice is a
-vertical line.  A slice of the extended surface is the orbit of the
-piece's slices under the cell's isometries.  :func:`level_circle_fit`
-fits a sequence of slices in one stacked solve, one circle or line per
-slice.
+Slices are taken without a mesh: in the height coordinate u of
+``curve.immerse`` the upper half-plane is a rectangle on which the plane
+{x3 = h} is a vertical line, and :func:`refine_slice` takes exact surface
+points on such lines in closed form, with their mirror x2 -> -x2 the whole
+slice.  :func:`slice_mesh` cuts a mesh at a sequence of heights in one
+pass over its edges.  :func:`level_circle_fit` fits a sequence of slices
+in one stacked solve, one circle or line per slice.
 """
 
 from __future__ import annotations
@@ -169,22 +168,16 @@ class TriMesh:
     its orientation, so the cell holds two of the paper's fundamental
     domains.
 
-    Only the piece of :func:`sample_fundamental` also keeps the sigma of
-    its curve and each vertex's height coordinate u (``domain_sigma``,
-    ``domain_u``), the record :func:`refine_slice` reads.
-
     ``vertices``, ``normals``, ``faces`` and ``edges`` are the whole mesh,
     built on first use and kept; the piece must not change after.  Counts
     and the walk never build them.
     """
 
-    def __init__(self, vertices, normals, faces, domain_u=None,
-                 cell_ops=None, *, domain_sigma: float | None = None,
+    def __init__(self, vertices, normals, faces, cell_ops=None, *,
                  translation: IsometryOp | None = None, copies: int = 0):
         self.base_vertices = np.asarray(vertices)
         self.base_normals = np.asarray(normals)
         self.base_faces = np.asarray(faces)
-        self.domain_sigma, self.domain_u = domain_sigma, domain_u
         self.cell_ops = [IsometryOp()] if cell_ops is None else cell_ops
         self.flips = tuple(bool(op.orientation * np.prod(op.signs) < 0)
                            for op in self.cell_ops)
@@ -321,11 +314,9 @@ def sample_fundamental(sigma: float, e: float, nr: int, nt: int) -> TriMesh:
 
     Grid: r in linspace(e, 1, nr), t in linspace(0, 1, nt), z through the
     Moebius map of r*exp(i pi t), every point in the closed upper
-    half-plane.  Positions and height coordinates u come from one
-    ``curve.immerse`` call on the whole grid; the vertices are taken
-    relative to the corner z = 1, so that corner lies exactly at the origin.
-    The piece keeps its domain record: ``domain_sigma`` is ``sigma``, and
-    ``domain_u`` each vertex's u (x3 = Re u + t0_3 before that shift).
+    half-plane.  The positions come from one ``curve.immerse`` call on the
+    whole grid; the vertices are taken relative to the corner z = 1, so
+    that corner lies exactly at the origin.
 
     DegenerateCell when adjacent grid samples coincide, or when a sampled
     position or normal is not finite: an e small enough that the r = e
@@ -342,7 +333,7 @@ def sample_fundamental(sigma: float, e: float, nr: int, nt: int) -> TriMesh:
         raise DegenerateCell("adjacent grid samples coincide")
 
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        X, U = _curve.immerse(params, Z)  # a point on z = 0 is not finite
+        X, _ = _curve.immerse(params, Z)  # a point on z = 0 is not finite
         verts = (X - X[nr - 1, 0]).reshape(-1, 3)
         normals = _unit_normals(sigma, Z.reshape(-1))
     if not (np.isfinite(verts).all() and np.isfinite(normals).all()):
@@ -352,8 +343,7 @@ def sample_fundamental(sigma: float, e: float, nr: int, nt: int) -> TriMesh:
     v11 = v00 + nt + 1
     faces = np.stack([v00, v00 + nt, v11, v00, v11, v00 + 1], axis=1)
 
-    return TriMesh(verts, normals, faces.reshape(-1, 3).astype(np.int32),
-                   U.reshape(-1), domain_sigma=sigma)
+    return TriMesh(verts, normals, faces.reshape(-1, 3).astype(np.int32))
 
 
 def _unit_normals(sigma, z):
@@ -408,10 +398,9 @@ def extend(mesh: TriMesh, ops, copies: int = 0) -> TriMesh:
     composed (every op after every block so far), its normals under
     ``apply_normals``, and its faces reversed as :class:`TriMesh` derives
     from that isometry.  The blocks are walked on demand
-    (:meth:`TriMesh.blocks`); the result keeps the piece's arrays but no
-    domain record (sigma and u).  Every op of
-    :func:`extension_ops` is a signed diagonal map and only op 1 has an
-    offset, so a composed isometry maps the piece to the same bits as
+    (:meth:`TriMesh.blocks`); the result keeps the piece's arrays.  Every
+    op of :func:`extension_ops` is a signed diagonal map and only op 1 has
+    an offset, so a composed isometry maps the piece to the same bits as
     the ops applied one after the other.  Vertex count grows exactly by
     2^3 * (copies + 1).  The input must not be extended already, and the
     fourth op must be a pure translation (signs and orientation +1):
@@ -532,11 +521,10 @@ def slice_mesh(mesh: TriMesh, heights):
     The edge set is the mesh's cached ``TriMesh.edges``, in ascending
     (ia, ib) order.  Returns the records of all heights as arrays (owner,
     ia, ib, s), owner the index of the record's height: height-major, in
-    edge order within each height, the form :func:`refine_slice` takes.
-    The pass places every vertex among the sorted heights
-    (``searchsorted``); an edge crosses the run of them between its ends'
-    places, so the cost is one walk over the vertices and edges plus one
-    step per record, not a walk per height.
+    edge order within each height.  The pass places every vertex among the
+    sorted heights (``searchsorted``); an edge crosses the run of them
+    between its ends' places, so the cost is one walk over the vertices
+    and edges plus one step per record, not a walk per height.
     """
     i, j = mesh.edges
     x3 = mesh.vertices[:, 2]
@@ -561,59 +549,35 @@ def slice_mesh(mesh: TriMesh, heights):
     return owner, i, j, fa / (fa - fb)
 
 
-def _thin(owner, n_heights, max_points):
-    """Indices of the records kept when each height's run of ``owner``
-    (height-major) is thinned to ``max_points`` (an int or one per height)
-    evenly spaced ones: those ``np.linspace(0, count - 1,
-    max_points).astype(int)`` picks, j (count - 1) / (max_points - 1)
-    truncated and the run's last record at the end."""
-    count = np.bincount(owner, minlength=n_heights)
-    keep = np.minimum(count, max_points)
-    c, m = np.repeat(count, keep), np.repeat(keep, keep)
-    j = np.arange(len(m)) - np.repeat(np.cumsum(keep) - keep, keep)
-    even = (j * ((c - 1) / np.maximum(m - 1, 1))).astype(np.intp)
-    at = np.where(c == m, j, np.where((j == m - 1) & (m > 1), c - 1, even))
-    return at + np.repeat(np.cumsum(count) - count, keep)
+def refine_slice(sigma: float, heights, n_points: int):
+    """Exact whole slices of the surface at a 1-d sequence of heights in
+    the slab [0, t0_3]: an array of shape (len(heights), 2 n_points, 3).
 
-
-def refine_slice(mesh: TriMesh, heights, max_points, crossings):
-    """Exact surface points of the slices of a fundamental piece at a 1-d
-    sequence of heights, on the curve of its ``domain_sigma``: a list
-    with one (n_i, 3) array per height, in crossing order.
-
-    ``mesh`` must come from :func:`sample_fundamental` (ValueError
-    otherwise: only the piece keeps the domain record, and an extended
-    mesh's slices are the orbit of the piece's under its ``cell_ops``).
-    ``crossings`` are the (owner, ia, ib, s) records of :func:`slice_mesh`
-    on it at ``heights``; each height's are thinned to ``max_points`` (an
-    int or one per height) evenly spaced records.  ValueError, before any
-    surface point is evaluated, when a record is not one of these heights':
-    its owner is no index of ``heights``, or its edge's ends do not lie
-    strictly on opposite sides of its height.
-
-    In the height coordinate u of ``curve.immerse`` (``domain_u``), height
-    h is the line Re u = h - t0_3; an edge from u_a to u_b crosses it at
-    z(u*), u* = (h - t0_3) + i Im(u_a + s (u_b - u_a)), by the closed-form
-    inverse ``curve._z_of_u``.  One ``curve.immerse`` call evaluates all.
+    The height coordinate u = U(z) of ``curve.immerse`` maps the upper
+    half-plane onto the rectangle [-t0_3, 0] x [0, b]
+    (``curve._u_height``), and x3 = Re u + t0_3, so height h is the
+    vertical line Re u = h - t0_3 across it: the heights 0 and t0_3 are
+    its sides z in (0, 1) and z < -sigma, the boundary lines of the
+    surface, where z is real.  A slice's first n_points are z(u) at Im u =
+    (k + 1/2) b / n_points by the closed-form inverse ``curve._z_of_u``;
+    one ``curve.immerse`` call evaluates all heights' points.  The other
+    n_points are their image under op 2 of :func:`extension_ops`, x2 ->
+    -x2, the slice over the lower half-plane.  ValueError for a height
+    outside the slab.
     """
-    if mesh.domain_sigma is None or len(mesh.domain_u) != mesh.vertex_count:
-        raise ValueError("refine_slice takes a piece from sample_fundamental")
     heights = np.asarray(heights, dtype=float)
-    owner, ia, ib = (np.asarray(c) for c in crossings[:3])
-    if not np.all((owner >= 0) & (owner < len(heights))):
-        raise ValueError("a crossing's owner is no index of the heights")
-    x3 = mesh.vertices[:, 2]
-    fa, fb = x3[ia] - heights[owner], x3[ib] - heights[owner]
-    if not np.all((np.minimum(fa, fb) < 0.0) & (np.maximum(fa, fb) > 0.0)):
-        raise ValueError("a crossing's edge does not cross its height")
-    keep = _thin(owner, len(heights), max_points)
-    owner, ia, ib, s = (c[keep] for c in crossings)
-    sigma = mesh.domain_sigma
-    ua, ub = mesh.domain_u[ia], mesh.domain_u[ib]
-    u = (heights[owner] - _curve._translation_half(sigma)[2]
-         + 1j * (ua + s * (ub - ua)).imag)
-    pos, _ = _curve.immerse(CurveParams(sigma), _curve._z_of_u(sigma, u))
-    return [pos[owner == h] for h in range(len(heights))]
+    span = _curve._translation_half(sigma)[2]
+    if not np.all((heights >= 0.0) & (heights <= span)):
+        raise ValueError(f"heights must lie in the slab [0, t0_3 = {span!r}]")
+    b = _curve._u_height(sigma)
+    u = (heights[:, None] - span) + 1j * ((np.arange(n_points) + 0.5)
+                                          * (b / n_points))
+    z = _curve._z_of_u(sigma, u)
+    # on the sides an imaginary part is rounding, which moves x1 by up to
+    # ~1e-12 next to the end z = 0
+    z.imag[(heights == 0.0) | (heights == span)] = 0.0
+    pos, _ = _curve.immerse(CurveParams(sigma), z)
+    return np.concatenate([pos, pos * [1.0, -1.0, 1.0]], axis=1)
 
 
 # ---------------------------------------------------------------------------

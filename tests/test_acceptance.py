@@ -18,7 +18,7 @@ from scipy.optimize import brentq
 
 import riemann_minimal
 from classical_quadrature import integrate_sqrt_singular
-from riemann_minimal import checks, classical, curve, mesh, shiffkdv
+from riemann_minimal import checks, classical, curve, shiffkdv
 from riemann_minimal.classical import (RiemannParams, height, q_min,
                                        sigma_of_lambda)
 from riemann_minimal.curve import CurveParams
@@ -178,8 +178,7 @@ def test_criterion_08_minimality_conformality(lam):
 def test_criterion_09_cross_construction_registration():
     with Budget("criterion 9: classical vs Weierstrass registration", 60.0):
         sigma = sigma_of_lambda(1.0)
-        reg, _ = checks.slice_checks(
-            mesh.sample_fundamental(sigma, 0.1, 30, 40))
+        reg, *_ = checks.slice_checks(sigma)
         print(f"  scale={reg.scale:.6f} radius rel err={reg.max_radius_rel_err:.2e}"
               f" spacing rel err={reg.spacing_rel_err:.2e}")
         assert reg.max_radius_rel_err < 1e-3
@@ -188,8 +187,7 @@ def test_criterion_09_cross_construction_registration():
 
 def test_criterion_10_circle_foliation_of_meshes():
     with Budget("criterion 10: circle foliation of exported meshes", 30.0):
-        _, (rels, kinds) = checks.slice_checks(
-            mesh.sample_fundamental(2.0, 0.1, 30, 40))
+        _, (rels, kinds), _ = checks.slice_checks(2.0)
         print(f"  worst relative circle residual = {np.max(rels):.3e}; "
               f"line heights -> {kinds}")
         assert len(rels) == 10

@@ -44,60 +44,52 @@ def _least_squares_fit(sigma, reg):
     return least_squares(model, x0=x0, xtol=1e-14, ftol=1e-14).x
 
 
-def _piece(sigma, nr=24, nt=32):
-    """The fundamental piece verify's slice checks read."""
-    return mesh.sample_fundamental(sigma, 0.1, nr, nt)
+def _span(sigma):
+    """t0_3, the height of the slab."""
+    return mesh.FundamentalSurface(sigma).translation_half()[2]
 
 
-def _cell(sigma, copies=0, piece=None):
-    """``piece`` (by default ``_piece``) extended to its cell and
-    ``copies`` copies."""
-    return mesh.extend(_piece(sigma) if piece is None else piece,
-                       mesh.extension_ops(sigma), copies=copies)
-
-
-def _candidates(sigma):
-    """Registration's 12 evenly spaced candidate heights."""
-    span = mesh.FundamentalSurface(sigma).translation_half()[2]
-    return (0.14 + 0.72 * np.arange(12) / 11) * span
+def _registration_heights(sigma):
+    """Registration's 6 evenly spaced heights."""
+    return (0.14 + 0.72 * np.arange(6) / 11) * _span(sigma)
 
 
 def _foliation_heights(sigma):
     """Foliation's 10 heights, symmetric about t0_3 / 2."""
-    span = mesh.FundamentalSurface(sigma).translation_half()[2]
-    return (0.13 + 0.74 * np.arange(10) / 9.0) * span
+    return (0.13 + 0.74 * np.arange(10) / 9.0) * _span(sigma)
 
 
-def _refined(piece, heights, max_points):
-    """The slices of ``piece`` at ``heights``, refined in one refine_slice
-    call on its own crossings."""
-    return mesh.refine_slice(piece, heights, max_points,
-                             mesh.slice_mesh(piece, heights))
+def _in_planes(hs, pts):
+    """Whole slices moved into their planes x3 = h, as slice_checks fits
+    them."""
+    pts = np.array(pts)
+    pts[..., 2] = np.asarray(hs)[:, None]
+    return pts
 
 
-def _registration_slices(sigma, piece):
-    """The first 6 candidates that cross 8 or more edges of ``piece``, each
-    counted by its own slice_mesh call, refined on ``piece``."""
-    candidates = _candidates(sigma)
-    covered = [i for i, h in enumerate(candidates)
-               if len(mesh.slice_mesh(piece, [h])[0]) >= 8][:6]
-    return candidates[covered], _refined(piece, candidates[covered], 24)
+def _registration_slices(sigma):
+    """Registration's heights and the first halves of their whole slices,
+    in one refine_slice call."""
+    hs = _registration_heights(sigma)
+    return hs, list(_in_planes(hs, mesh.refine_slice(sigma, hs, 24))[:, :24])
 
 
-def _foliation_slices(sigma, piece, cell):
-    """Foliation's 10 heights and the circles of ``cell`` there, each the
-    orbit of the piece's slices (14 points each) under the cell's blocks
-    0 and 2 (slice j) and 1 and 3 (slice 9 - j)."""
-    hs = _foliation_heights(sigma)
-    pts = _refined(piece, hs, 14)
-    return hs, [np.concatenate([op.apply(pts[9 - j if b % 2 else j])
-                                for b, op in enumerate(cell.cell_ops[:4])])
-                for j in range(10)]
+def _foliation_slices(sigma):
+    """Foliation's 10 heights, its circles there and its slices at the
+    line heights 0 and t0_3, in one refine_slice call: each the first half
+    of the whole slice at h plus op 1 (from mesh.extension_ops) of the
+    second half of the whole slice at t0_3 - h."""
+    hs = np.append(_foliation_heights(sigma), [0.0, _span(sigma)])
+    whole = _in_planes(hs, mesh.refine_slice(sigma, hs, 24))
+    op1 = mesh.extension_ops(sigma)[0]
+    orbit = [np.concatenate([whole[j, :24], op1.apply(whole[k, 24:])])
+             for j, k in enumerate([*range(9, -1, -1), 11, 10])]
+    return hs[:10], orbit[:10], orbit[10:]
 
 
 @pytest.mark.parametrize("sigma", [0.0167, 0.5, 2.78, 8.0])
 def test_registration_fit_matches_least_squares(sigma):
-    reg, _ = checks.slice_checks(_piece(sigma))
+    reg, *_ = checks.slice_checks(sigma)
     s, h0 = _least_squares_fit(sigma, reg)
     assert abs(reg.scale - s) <= 1e-10 * abs(s)
     assert abs(reg.height_offset - h0) <= 1e-10 * abs(h0)
@@ -111,7 +103,7 @@ def test_registration_radius_is_the_radius_error(sigma):
     # residuals carried to the radius at first order must give the radius
     # error at the fitted (s, h0), taken exactly by brentq on the
     # quadrature height, to 1e-4 of itself (first order leaves ~1e-6)
-    hs, pts = _registration_slices(sigma, _piece(sigma))
+    hs, pts = _registration_slices(sigma)
     center = mesh.level_circle_fit(pts[2:3])[0].center
     pts[2] = pts[2].copy()
     pts[2][:, :2] = center + (1.0 + 1e-6) * (pts[2][:, :2] - center)
@@ -125,83 +117,75 @@ def test_registration_radius_is_the_radius_error(sigma):
     assert abs(reg.max_radius_rel_err - want) <= 1e-4 * want
 
 
-def test_foliation_residuals_builds_the_edge_set_once(monkeypatch):
-    calls = []
-    unique = mesh._unique
-
-    def counting_unique(*args, **kwargs):
-        calls.append(1)
-        return unique(*args, **kwargs)
-
-    # slicing the piece at foliation's 10 heights, refining them and
-    # fitting the cell's circles builds one edge set, the piece's
-    piece = _piece(2.0)
-    cell = _cell(2.0, copies=1, piece=piece)
-    monkeypatch.setattr(mesh, "_unique", counting_unique)
-    rels, _ = checks.foliation_residuals(
-        2.0, cell, *_foliation_slices(2.0, piece, cell))
-    assert len(rels) == 10
-    assert len(calls) == 1
-
-
 def test_slice_checks_refine_all_heights_in_one_call(monkeypatch):
     calls = []
     refine = mesh.refine_slice
 
-    def counting(m, heights, *args):
-        calls.append((m, len(heights)))
-        calls.append(refine(m, heights, *args))
-        return calls[-1]
+    def counting(sigma, heights, n_points):
+        calls.append((sigma, len(heights), n_points))
+        calls.append(refine(sigma, heights, n_points))
+        return calls[-1].copy()
 
     monkeypatch.setattr(mesh, "refine_slice", counting)
-    # at sigma 1e3 only 5 of the 12 candidates cross 8 edges of the piece
-    for sigma, n_reg in ((1e-3, 6), (2.78, 6), (1e3, 5)):
-        piece = _piece(sigma)
-        cell = _cell(sigma, piece=piece)
-        # each set refined alone, in its own call on the piece
+    for sigma in (1e-3, 2.78, 1e3):
+        # each set refined alone, in its own call
         del calls[:]
-        reg_hs, reg_pts = _registration_slices(sigma, piece)
-        fol_hs, circles = _foliation_slices(sigma, piece, cell)
-        assert calls[0] == (piece, n_reg) and calls[2] == (piece, 10)
-        fol_pts = calls[3]
+        reg_hs, reg_pts = _registration_slices(sigma)
+        fol_hs, circles, lines = _foliation_slices(sigma)
+        assert calls[0] == (sigma, 6, 24) and calls[2] == (sigma, 12, 24)
+        alone = np.concatenate([calls[1], calls[3]])
         reg = checks.registration_error(sigma, reg_hs, reg_pts)
-        rels, kinds = checks.foliation_residuals(sigma, cell, fol_hs,
-                                                 circles)
-        # together, in one call on the piece, registration's heights
-        # first, to the same bits
+        rels, kinds = checks.foliation_residuals(fol_hs, circles, lines)
+        # together, in one call, registration's heights first, to the
+        # same bits
         del calls[:]
-        reg2, (rels2, kinds2) = checks.slice_checks(piece)
-        assert len(calls) == 2 and calls[0] == (piece, n_reg + 10)
-        for got, want in zip(calls[1], reg_pts + fol_pts, strict=True):
-            assert got.tobytes() == want.tobytes()
+        reg2, (rels2, kinds2), height_err = checks.slice_checks(sigma)
+        assert len(calls) == 2 and calls[0] == (sigma, 18, 24)
+        assert calls[1].tobytes() == alone.tobytes()
         for name in ("scale", "height_offset", "max_radius_rel_err",
                      "spacing_rel_err", "radii", "heights"):
             assert np.array_equal(getattr(reg2, name), getattr(reg, name))
         assert np.array_equal(rels2, rels) and kinds2 == kinds
+        hs = np.concatenate([reg_hs, fol_hs, [0.0, _span(sigma)]])
+        assert height_err == np.max(
+            np.abs(calls[1][..., 2] - hs[:, None])) / _span(sigma)
 
 
 @pytest.mark.parametrize("sigma", [1e-3, 0.05, 2.0, 8.0, 100.0, 1e3])
 def test_foliation_circles_are_the_orbit_of_the_piece(sigma, monkeypatch):
-    # each circle point lies on its height, and its mirror x2 -> -x2 is a
-    # point of the same circle; every circle has at least the 28 points
-    # (24 at sigma 1e3) it had when the cell itself was refined
+    # each circle is the first half of the whole slice at h_j (refine_slice's
+    # 24 points over the upper half-plane) in its plane x3 = h_j, plus op 1
+    # of the second half (their mirror x2 -> -x2, op 2) of the whole slice
+    # at h_(9-j) = t0_3 - h_j; the line slices pair 0 and t0_3 the same
+    # way.  op 1, the half-turn that sends x3 to t0_3 - x3, carries point k
+    # of a half onto point 23 - k of the same half at the partner height
+    # (measured to 5.6e-13 t0_3 on the circles and 2.9e-12 t0_3 on the
+    # lines over 25 sigmas in [1e-3, 1e3])
     seen = []
     foliation = checks.foliation_residuals
 
-    def recording(sigma, cell, heights, points):
-        seen.append((heights, points))
-        return foliation(sigma, cell, heights, points)
+    def recording(heights, points, lines):
+        seen.append((heights, points, lines))
+        return foliation(heights, points, lines)
 
     monkeypatch.setattr(checks, "foliation_residuals", recording)
-    checks.slice_checks(_piece(sigma))
-    (heights, circles), = seen
+    checks.slice_checks(sigma)
+    (heights, circles, lines), = seen
     assert np.array_equal(heights, _foliation_heights(sigma))
-    for h, pts in zip(heights, circles, strict=True):
-        assert len(pts) >= (24 if sigma == 1e3 else 28)
-        assert np.max(np.abs(pts[:, 2] - h)) <= 1e-12 * max(1.0, abs(h))
-        mirror = pts * [1.0, -1.0, 1.0]
-        gap = np.abs(mirror[:, None] - pts[None]).max(axis=2).min(axis=1)
-        assert np.all(gap == 0.0)
+    span = _span(sigma)
+    hs = np.append(heights, [0.0, span])
+    whole = mesh.refine_slice(sigma, hs, 24)
+    op1 = mesh.extension_ops(sigma)[0]
+    for j, (h, pts) in enumerate(zip(hs, [*circles, *lines], strict=True)):
+        k = 9 - j if j < 10 else 21 - j
+        assert len(pts) == 48
+        assert np.array_equal(pts[:24, :2], whole[j, :24, :2])
+        assert np.all(pts[:24, 2] == h)
+        turned = op1.apply(whole[k, 24:])
+        assert np.array_equal(pts[24:, :2], turned[:, :2])
+        assert np.max(np.abs(pts[24:, 2] - h)) <= 1e-12 * max(1.0, h)
+        assert np.max(np.abs(turned[::-1, :2] - whole[j, 24:, :2])) \
+            <= 1e-11 * span
 
 
 @pytest.mark.parametrize("sigma", [1e-3, 2.0, 1e3])
@@ -217,8 +201,8 @@ def test_stacked_circle_fit_matches_one_slice_fits(sigma, monkeypatch):
         return fit(batches[-1])
 
     monkeypatch.setattr(mesh, "level_circle_fit", recording)
-    checks.slice_checks(_piece(sigma))
-    assert [len(b) for b in batches] == [5 if sigma == 1e3 else 6, 12]
+    checks.slice_checks(sigma)
+    assert [len(b) for b in batches] == [6, 12]
     for batch in batches:
         for got, pts in zip(fit(batch), batch, strict=True):
             want = scalar.level_circle_fit(pts)
@@ -243,18 +227,16 @@ def test_stacked_circle_fit_matches_one_slice_fits(sigma, monkeypatch):
 
 
 def test_fits_reject_heights_and_points_of_different_lengths():
-    piece = _piece(2.0)
-    cell = _cell(2.0, piece=piece)
-    hs, pts = _registration_slices(2.0, piece)
+    hs, pts = _registration_slices(2.0)
     assert len(checks.registration_error(2.0, hs, pts).radii) == len(hs)
     for bad in ((hs, pts[:-1]), (hs[:-1], pts)):
         with pytest.raises(ValueError):
             checks.registration_error(2.0, *bad)
-    hs, pts = _foliation_slices(2.0, piece, cell)
-    assert len(checks.foliation_residuals(2.0, cell, hs, pts)[0]) == 10
+    hs, pts, lines = _foliation_slices(2.0)
+    assert len(checks.foliation_residuals(hs, pts, lines)[0]) == 10
     for bad in ((hs, pts[:-1]), (hs[:-1], pts)):
         with pytest.raises(ValueError):
-            checks.foliation_residuals(2.0, cell, *bad)
+            checks.foliation_residuals(*bad, lines)
 
 
 def test_translation_half_is_computed_once(monkeypatch):
@@ -274,50 +256,38 @@ def test_translation_half_is_computed_once(monkeypatch):
     assert calls == []
 
 
-def test_slice_fit_error_is_a_package_error(monkeypatch):
+def test_slice_fit_error_is_a_package_error():
     assert issubclass(checks.SliceFitError, RiemannMinimalError)
-    # a 2x3 grid has 9 edges: no height crosses 8 of them
-    piece = _piece(1.0, 2, 3)
-    with pytest.raises(checks.SliceFitError, match="given piece"):
-        checks.slice_checks(piece)
-
-
-def test_slice_checks_takes_only_a_sampled_piece():
-    # the piece records the sigma of its curve; its cell and a hand-built
-    # mesh of its arrays record none
-    piece = _piece(2.0)
-    for m in (_cell(2.0, piece=piece),
-              mesh.TriMesh(piece.vertices, piece.normals, piece.faces)):
-        assert m.domain_sigma is None
-        with pytest.raises(ValueError, match="sample_fundamental"):
-            checks.slice_checks(m)
+    # a line slice handed over as a circle
+    hs, pts, lines = _foliation_slices(2.0)
+    with pytest.raises(checks.SliceFitError, match="did not fit a circle"):
+        checks.foliation_residuals(hs[:2], [pts[0], lines[0]], lines)
 
 
 @pytest.mark.parametrize("sigma", [1e-3, 2.0, 1e3])
 def test_registration_slices_until_it_has_its_heights(sigma, monkeypatch):
-    # slice_checks keeps for registration the first 6 candidates that
-    # cross 8 or more edges of the piece by slice_mesh's count (at sigma
-    # 1e3 only 5 of the 12 do); one slice_mesh call on the piece gives the
-    # records of all 12 and of foliation's 10 heights, and the cell is
-    # never sliced
-    m = _piece(sigma)
-    candidates = _candidates(sigma)
-    covered = [i for i, h in enumerate(candidates)
-               if len(mesh.slice_mesh(m, [h])[0]) >= 8][:6]
+    # registration has all 6 of its heights at every sigma, the ends of
+    # the range included: one refine_slice call takes them with
+    # foliation's 10 and the two line heights, and no mesh is sliced
     calls = []
-    slice_mesh = mesh.slice_mesh
+    refine = mesh.refine_slice
 
-    def counting(m, heights):
-        calls.append((m, heights))
-        return slice_mesh(m, heights)
+    def counting(sigma, heights, n_points):
+        calls.append(heights)
+        return refine(sigma, heights, n_points)
 
-    monkeypatch.setattr(mesh, "slice_mesh", counting)
-    reg, _ = checks.slice_checks(m)
-    assert np.array_equal(reg.heights, candidates[covered])
-    assert len(calls) == 1 and calls[0][0] is m
-    assert np.array_equal(calls[0][1], np.concatenate(
-        [candidates, _foliation_heights(sigma)]))
-    assert (len(covered) == 6) == (sigma != 1e3)
+    def no_mesh(*args):
+        raise AssertionError("slice_checks sliced a mesh")
+
+    monkeypatch.setattr(mesh, "refine_slice", counting)
+    monkeypatch.setattr(mesh, "slice_mesh", no_mesh)
+    reg, *_ = checks.slice_checks(sigma)
+    assert np.array_equal(reg.heights, _registration_heights(sigma))
+    assert len(reg.radii) == 6
+    assert len(calls) == 1
+    assert np.array_equal(calls[0], np.concatenate(
+        [_registration_heights(sigma), _foliation_heights(sigma),
+         [0.0, _span(sigma)]]))
 
 
 @pytest.mark.parametrize("sigma", [0.0167, 0.35938, 2.0, 8.0, 1e3])

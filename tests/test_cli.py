@@ -436,15 +436,15 @@ def test_gen_and_verify_over_the_family_range(tmp_path, sigma):
 def test_verify_sweeps_the_family_range(tmp_path):
     # 25 log-spaced sigmas inside [1e-3, 1e3] and both ends exactly: each
     # verify run passes, and its slice checks stay at rounding level
-    # (at most 1.6e-14 measured), as CI asserts for its ten runs
+    # (at most 1.2e-14 measured), as CI asserts for its ten runs
     inner = 10.0 ** np.linspace(-3.0, 3.0, 27)[1:-1]
     path = tmp_path / "v.json"
     for sigma in [1e-3, *inner, 1e3]:
         assert run(["verify", "--sigma", repr(float(sigma)), "--seed", "7",
                     "--json", str(path)]) == 0, sigma
         checks = {c["name"]: c["value"] for c in load_report(path)["checks"]}
-        for name in ("registration_radius", "registration_spacing",
-                     "circle_foliation"):
+        for name in ("slice_heights", "registration_radius",
+                     "registration_spacing", "circle_foliation"):
             assert checks[name] < 1e-11, (sigma, name, checks[name])
 
 
@@ -509,72 +509,33 @@ def test_verify_point_checks_keep_the_scalar_bits(tmp_path, sigma):
         mesh.level_circle_fit([ring])[0].residual
 
 
-def test_verify_samples_the_fundamental_piece_once(monkeypatch):
-    # the 24x32 piece that both slice checks read (the Weierstrass
-    # stencil's anchors are closed-form points of its domain grid); the
-    # foliation fit reads the piece's cell, which keeps no domain record,
-    # only for its line heights
-    calls, seen = [], {}
-    sample = mesh.sample_fundamental
+@pytest.mark.parametrize("sigma", ["1e-3", "2", "1e3"])
+def test_verify_builds_no_mesh(sigma, monkeypatch):
+    # the slice checks take their points on lines of the height
+    # coordinate: no piece is sampled, sliced or extended, and no edge set
+    # is built; one refine_slice call takes every slice
+    refined = []
+    refine = mesh.refine_slice
 
-    def counting(*args):
-        calls.append(args)
-        seen["sample_fundamental"] = sample(*args)
-        return seen["sample_fundamental"]
+    def refining(*args):
+        refined.append(args)
+        return refine(*args)
 
-    def recording(sigma, m, *args, **kwargs):
-        seen["foliation_residuals"] = m
-        return foliation(sigma, m, *args, **kwargs)
+    def no_mesh(*args, **kwargs):
+        raise AssertionError("verify built a mesh")
 
-    foliation = checks.foliation_residuals
-    monkeypatch.setattr(mesh, "sample_fundamental", counting)
-    monkeypatch.setattr(checks, "foliation_residuals", recording)
-    assert run(["verify", "--sigma", "2", "--json", "/dev/null"]) == 0
-    assert calls == [(2.0, 0.1, 24, 32)]
-    piece, cell = seen["sample_fundamental"], seen["foliation_residuals"]
-    assert cell.copies == 0 and len(cell.flips) == 8
-    assert cell.domain_u is None
-    assert cell.base_vertices is piece.base_vertices
-    assert np.array_equal(cell.vertices[:piece.base_count], piece.vertices)
-
-
-def test_verify_slices_only_the_piece_once(monkeypatch):
-    # one slice_mesh and one refine_slice call, both on the piece; the
-    # cell is never sliced, so verify builds one edge set, the piece's
-    seen, sliced, refined, unique_calls = {}, [], [], []
-    sample, slice_mesh = mesh.sample_fundamental, mesh.slice_mesh
-    refine, unique = mesh.refine_slice, mesh._unique
-
-    def sampling(*args):
-        seen["piece"] = sample(*args)
-        return seen["piece"]
-
-    def slicing(m, heights):
-        sliced.append(m)
-        return slice_mesh(m, heights)
-
-    def refining(m, *args, **kwargs):
-        refined.append(m)
-        return refine(m, *args, **kwargs)
-
-    def counting_unique(*args):
-        unique_calls.append(1)
-        return unique(*args)
-
-    monkeypatch.setattr(mesh, "sample_fundamental", sampling)
-    monkeypatch.setattr(mesh, "slice_mesh", slicing)
+    for name in ("sample_fundamental", "slice_mesh", "extend",
+                 "extension_ops", "_unique"):
+        monkeypatch.setattr(mesh, name, no_mesh)
     monkeypatch.setattr(mesh, "refine_slice", refining)
-    monkeypatch.setattr(mesh, "_unique", counting_unique)
-    assert run(["verify", "--sigma", "2", "--json", "/dev/null"]) == 0
-    assert len(sliced) == 1 and sliced[0] is seen["piece"]
-    assert len(refined) == 1 and refined[0] is seen["piece"]
-    assert len(unique_calls) == 1
+    assert run(["verify", "--sigma", sigma, "--json", "/dev/null"]) == 0
+    assert len(refined) == 1
 
 
 def test_verify_immerse_calls_come_from_one_refine_call(monkeypatch):
-    # outside the refinement: the sampled piece only (the stencils take
-    # values relative to their centre, so the anchors need none); inside:
-    # one call, for the closed-form points of every crossing
+    # outside the refinement: none (no piece is sampled, and the stencils
+    # take values relative to their centre, so the anchors need none);
+    # inside: one call, for the closed-form points of every slice
     outside, inside, refines = [], [], []
     immerse, refine = curve.immerse, mesh.refine_slice
 
@@ -593,7 +554,61 @@ def test_verify_immerse_calls_come_from_one_refine_call(monkeypatch):
     monkeypatch.setattr(mesh, "refine_slice", refining)
     assert run(["verify", "--sigma", "2", "--json", "/dev/null"]) == 0
     assert refines == ["closed"]
-    assert len(outside) == 1 and len(inside) == 1
+    assert len(outside) == 0 and len(inside) == 1
+
+
+def _stretched(monkeypatch):
+    _mutate_points(monkeypatch, lambda pos, u, t0: (pos * [1.0, 1.0, 1.001],
+                                                   u))
+
+
+def _other_sheet(monkeypatch):
+    _mutate_points(monkeypatch, lambda pos, u, t0: (2.0 * t0 - pos, -u))
+
+
+def _bent(monkeypatch):
+    def bend(pos, u, t0):
+        pos = pos.copy()
+        pos[:, 0] += 1e-4 * pos[:, 2] ** 2
+        return pos, u
+    _mutate_points(monkeypatch, bend)
+
+
+def _t0_1_off(monkeypatch):
+    half = curve._translation_half
+    monkeypatch.setattr(curve, "_translation_half", lambda sigma: (
+        half(sigma)[0] * (1.0 + 1e-6), *half(sigma)[1:]))
+
+
+def _mutate_points(monkeypatch, mutation):
+    """Every closed-form point of curve.immerse through ``mutation``."""
+    psi_block = curve._psi_block
+
+    def mutated(params, z, t0):
+        return mutation(*psi_block(params, z, t0), t0)
+
+    monkeypatch.setattr(curve, "_psi_block", mutated)
+
+
+@pytest.mark.parametrize("sigma", ["1e-3", "2", "1e3"])
+@pytest.mark.parametrize("mutate,check", [
+    (_stretched, "slice_heights"), (_other_sheet, "slice_heights"),
+    (_bent, "line_heights_classify"), (_t0_1_off, "line_heights_classify")],
+    ids=["stretched", "other_sheet", "bent", "t0_1_off"])
+def test_wrong_surface_fails_a_named_check(mutate, check, sigma,
+                                           monkeypatch, tmp_path):
+    # x3 scaled by 1.001, or the point of the other sheet (2 t0 - X,
+    # u -> -u): each slice keeps its circle or line in its plane, so the
+    # points' own heights show it (1e-3 and 2.0 against 1e-7).  x1 bent by
+    # 1e-4 x3^2, or t0_1 scaled by 1 + 1e-6: op 1 no longer carries the
+    # slice at t0_3 onto the slice at 0, so the line slice pairs two lines
+    mutate(monkeypatch)
+    path = tmp_path / "v.json"
+    assert run(["verify", "--sigma", sigma, "--seed", "7",
+                "--json", str(path)]) == 1
+    failed = [c["name"] for c in load_report(path)["checks"]
+              if not c["pass"]]
+    assert check in failed
 
 
 @pytest.mark.slow

@@ -153,11 +153,13 @@ def test_batched_sampling_matches_vertex_marching(sigma, nr, nt):
     # the closed-form piece against the kernel's march, vertex by vertex;
     # its height coordinate u has x3 = Re u + t0_3
     m = sample_fundamental(sigma, 0.1, nr, nt)
-    verts, faces = _sample_fundamental_reference(
-        curve.CurveParams(sigma), DomainMap(sigma, 0.1).grid(nr, nt))
+    grid = DomainMap(sigma, 0.1).grid(nr, nt)
+    verts, faces = _sample_fundamental_reference(curve.CurveParams(sigma),
+                                                 grid)
     scale = max(1.0, np.max(np.abs(verts)))
     assert np.max(np.abs(m.vertices - verts)) <= 1e-13 * scale
-    height = m.domain_u.real - m.domain_u[(nr - 1) * nt].real
+    u = curve.immerse(curve.CurveParams(sigma), grid)[1].reshape(-1)
+    height = u.real - u[(nr - 1) * nt].real
     assert np.max(np.abs(height - verts[:, 2])) <= 1e-13 * scale
     assert m.faces.dtype == np.int32
     assert np.array_equal(m.faces, faces)
@@ -171,7 +173,6 @@ def test_column_branch_is_the_entry_arc_continuation(sigma):
     # (imaginary: x3 is constant on the column), with its sign
     nr, nt = 40, 60
     params = curve.CurveParams(sigma)
-    m = sample_fundamental(sigma, 0.1, nr, nt)
     column = DomainMap(sigma, 0.1).grid(nr, nt)[:-1, 0]
     order = np.argsort(-column.real)
     _, entry = _entry_arc(params)
@@ -180,7 +181,7 @@ def test_column_branch_is_the_entry_arc_continuation(sigma):
     sums, _ = scalar.chain_sums(kernel._march(params, chain, w0),
                                 np.zeros((1, 3)), w0)
     want = sums[0, 1:, 2] - sums[0, 1, 2]
-    got = m.domain_u.reshape(nr, nt)[order, 0]
+    got = curve.immerse(params, column[order])[1]
     got = got - got[0]
     assert np.abs(want[-1].imag) > 0.5 * np.abs(want[-1])
     assert np.all(np.abs(got - want) <= 2e-14 * np.abs(want[-1]))
@@ -195,13 +196,16 @@ def test_sampled_piece_is_on_the_base_points_sheet(log_sigma, e, nr, nt):
     # there, and on the t = 0 column, where w = i sqrt(x (1 - x) (x +
     # sigma)) on that sheet, u = -t0_3 + i int_x^1 dt / sqrt(t (1 - t)
     # (t + sigma)) = -t0_3 + 2i sqrt((1 - x)/(1 + sigma)) R_F(1, x,
-    # (x + sigma)/(1 + sigma))
+    # (x + sigma)/(1 + sigma)), so the piece's column lies at x3 = 0
     sigma = 10.0 ** log_sigma
     m = sample_fundamental(sigma, e, nr, nt)
     Z = DomainMap(sigma, e).grid(nr, nt)
     assert np.all(Z.imag >= 0.0)
     t03 = FundamentalSurface(sigma).translation_half()[2]
-    for x, got in zip(Z[:, 0].real, m.domain_u.reshape(nr, nt)[:, 0]):
+    u = curve.immerse(curve.CurveParams(sigma), Z[:, 0])[1]
+    column = m.vertices.reshape(nr, nt, 3)[:, 0, 2]
+    assert np.all(np.abs(column - (u.real + t03)) <= 1e-14 * t03)
+    for x, got in zip(Z[:, 0].real, u):
         rise = 2.0 * math.sqrt((1.0 - x) / (1.0 + sigma)) * (
             classical.carlson_rf(1.0, x, (x + sigma) / (1.0 + sigma)))
         assert abs(got - complex(-t03, rise)) <= 1e-14 * t03
@@ -569,10 +573,9 @@ def test_extend_matches_transform_concat(fund2, ops2, n_ops, copies):
         assert a.tobytes() == b.tobytes(), name
     # provenance of vertex i: base vertex i % n under the isometry of its
     # block, cell_ops[b], then k translations, b and k the block and copy
-    # of i; the extended mesh keeps no domain record
+    # of i
     n, blocks = fund2.vertex_count, len(got.flips)
     i = np.arange(got.vertex_count)
-    assert got.domain_u is None
     assert got.vertices[:n][i % n].tobytes() == want.fundamental_xyz.tobytes()
     assert np.array_equal(i // n, want.op_index)
     assert len(got.cell_ops) == blocks
@@ -798,28 +801,15 @@ def _slice_points(m, records):
     return v[ia] + s[:, None] * (v[ib] - v[ia])
 
 
-def _refine(m, h, max_points):
-    """refine_slice of the one height h, on the piece m's own crossings."""
-    return refine_slice(m, [h], max_points, slice_mesh(m, [h]))[0]
-
-
-def _cell_circle(piece, cell, h, max_points):
-    """The slice of ``cell`` at 0 < h < t0_3 as the orbit of the piece's:
-    blocks 0 and 2 of its refined slice at h, blocks 1 and 3 of its slice
-    at t0_3 - h (block 1's offset is exactly t0_3 in x3)."""
-    hs = [h, cell.cell_ops[1].offset[2] - h]
-    pts = refine_slice(piece, hs, max_points, slice_mesh(piece, hs))
-    return np.concatenate([op.apply(pts[b % 2])
-                           for b, op in enumerate(cell.cell_ops[:4])])
-
-
 def test_refined_slice_is_exact_circle(fund2, ops2, surf2):
     ext = extend(fund2, ops2, copies=0)
     h = 0.45 * surf2.translation_half()[2]
     coarse = _slice_points(ext, slice_mesh(ext, [h]))
     assert len(coarse) >= 5
-    pts = _cell_circle(fund2, ext, h, 24)
-    assert len(pts) >= 24
+    pts = refine_slice(2.0, [h], 24)[0]
+    assert len(pts) == 48
+    # the second half is the first under op 2, x2 -> -x2
+    assert np.array_equal(pts[24:], pts[:24] * [1.0, -1.0, 1.0])
     fit_c, fit = level_circle_fit([coarse, pts])
     assert fit.kind == "circle"
     assert fit.residual < 1e-5 * fit.radius
@@ -915,96 +905,97 @@ def test_slice_mesh_height_sequence_matches_scalar_calls(sigma, cell):
         (0, "f")]
 
 
-def test_thin_picks_what_linspace_picks():
-    # counts 0..70 per height against max_points 0..40, a scalar bound and
-    # one bound per height
-    counts = np.arange(71)
-    owner = np.repeat(np.arange(len(counts)), counts)
-    for max_points in [*range(41), np.arange(71) % 41]:
-        bound = np.broadcast_to(max_points, counts.shape)
-        want = []
-        for k, (c, mp) in enumerate(zip(counts, bound)):
-            at = np.arange(c) + counts[:k].sum()
-            want += list(at[np.linspace(0, c - 1, mp).astype(int)]
-                         if c > mp else at)
-        assert mesh._thin(owner, len(counts), max_points).tolist() == want
-
-
-# points of the 14x20 sigma = 2 piece's cell (copies=0) at frac * t0_3,
-# five of the orbit of its refined crossings evenly spaced: each z(u*) of
-# refine_slice and its position evaluated at 30 digits by mpmath
-# (ellipfun, elliprf and elliprd)
+# points of the sigma = 2 surface at frac * t0_3, five of the 20 of each
+# whole slice of 10 points per height (k = 0, 4, 9 and the mirrors of k =
+# 2, 7): each z(u) on the line Re u = (frac - 1) t0_3, Im u = (k + 1/2) b
+# / 10, and its position evaluated at 30 digits by mpmath (ellipfun,
+# elliprf and elliprd, with t0_3 and b = 2 R_F(0, sigma, 1 + sigma) there
+# too); x1 = 0 on the x2-axis, the line at height 0
 REFINED_PINS = {
-    0.25: [(2.0467327025455218, -0.9185864523994394, 0.5857100420733844),
-           (0.6661956326654024, -0.966028571188331, 0.5857100420733844),
-           (0.28872137586856916, -0.5422676506643207, 0.5857100420733854),
-           (0.6661956326654024, 0.966028571188331, 0.5857100420733844),
-           (0.28872137586856916, 0.5422676506643207, 0.5857100420733854)],
-    0.45: [(1.390596819659676, -0.4153391702160813, 1.0542780757320926),
-           (0.7403175310021798, -0.7192830153833498, 1.0542780757320926),
-           (0.6330961758557945, -0.702146933704548, 1.0542780757320935),
-           (0.7403175310021798, 0.7192830153833498, 1.0542780757320926),
-           (0.6330961758557945, 0.702146933704548, 1.0542780757320935)],
-    0.7: [(1.2719358604983324, -0.04015031605484549, 1.6399881178054776),
-          (0.35591955599559744, -0.9738733801701636, 1.6399881178054785),
-          (1.0596577195033063, -0.6086183214366971, 1.6399881178054785),
-          (0.35591955599559744, 0.9738733801701636, 1.6399881178054785),
-          (1.0596577195033063, 0.6086183214366971, 1.6399881178054785)],
+    0.0: [(0.0, -0.10626958782291886, 0.0),
+          (0.0, -1.0623096996977779, 0.0),
+          (0.0, -14.115044865888708, 0.0),
+          (0.0, 0.543998204185463, 0.0),
+          (0.0, 2.757362043586106, 0.0)],
+    0.25: [(0.159634085612498, -0.10043373137652101, 0.585710042073385),
+           (0.5204995801261134, -0.8486937178368047, 0.585710042073385),
+           (2.423465735063291, -0.39671193266728727, 0.585710042073385),
+           (0.2635524118486841, 0.4912258440895918, 0.585710042073385),
+           (1.452759526851405, 1.1616658061914777, 0.585710042073385)],
+    0.45: [(0.08704762873337503, -0.1106618282367392, 1.0542780757320929),
+           (0.6165881040488645, -0.69800974409865, 1.0542780757320929),
+           (1.5084423836993799, -0.13960550352422213, 1.0542780757320929),
+           (0.27313683336006667, 0.4930227257362053, 1.0542780757320929),
+           (1.233566115713179, 0.577269093058782, 1.0542780757320929)],
+    0.7: [(-0.6374755334971237, -0.280048949234234, 1.6399881178054776),
+          (0.6528548037705019, -0.9084804153457566, 1.6399881178054776),
+          (1.267629730240253, -0.09994455636555886, 1.6399881178054776),
+          (0.024500798701010077, 0.9367863583271403, 1.6399881178054776),
+          (1.1466266548557318, 0.479810012965065, 1.6399881178054776)],
+    1.0: [(1.4326238774001785, -14.115044865888708, 2.34284016829354),
+          (1.4326238774001785, -1.412017606943383, 2.34284016829354),
+          (1.4326238774001785, -0.10626958782291886, 2.34284016829354),
+          (1.4326238774001785, 2.757362043586106, 2.34284016829354),
+          (1.4326238774001785, 0.543998204185463, 2.34284016829354)],
 }
 
 
-def test_refine_slice_pinned_points(fund2, ops2, surf2):
-    # each pin is the image of a refined point of the piece under one of
-    # the cell's first four blocks
-    ext = extend(fund2, ops2, copies=0)
+def test_refine_slice_pinned_points(surf2):
+    # each pin is a point of a whole slice, the refined points or their
+    # mirror (measured to 2.6e-15, and 7.8e-14 on the line at height 0,
+    # whose points run out to |x2| = 14 toward the end z = 0)
     span = surf2.translation_half()[2]
     for frac, want in REFINED_PINS.items():
-        orbit = _cell_circle(fund2, ext, frac * span, 10 ** 6)
-        gap = np.abs(orbit[:, None] - np.array(want)[None]).max(axis=2)
+        whole = refine_slice(2.0, [frac * span], 10)[0]
+        gap = np.abs(whole[:, None] - np.array(want)[None]).max(axis=2)
         assert np.all(gap.min(axis=0) < 1e-11)
 
 
 @pytest.mark.parametrize("sigma", [1e-3, 2.0, 1e3])
 def test_refined_points_lie_at_their_heights(sigma):
-    # every crossing of verify's 24x32 piece at 49 heights across the slab,
-    # one closed-form point each (measured at most 1.3e-15 t0_3 over sigma
-    # in [1e-3, 1e3])
-    piece = sample_fundamental(sigma, 0.1, 24, 32)
+    # 24 points at each of 49 heights across the slab and at its ends 0
+    # and t0_3, one closed-form point each (measured at most 1.3e-15 t0_3
+    # over sigma in [1e-3, 1e3])
     span = FundamentalSurface(sigma).translation_half()[2]
-    hs = np.linspace(0.02, 0.98, 49) * span
-    pts = refine_slice(piece, hs, 10 ** 6, slice_mesh(piece, hs))
-    assert sum(map(len, pts)) > 1000
-    for p, h in zip(pts, hs):
-        assert len(p) and np.max(np.abs(p[:, 2] - h)) <= 2e-14 * abs(span)
+    hs = np.concatenate([[0.0], np.linspace(0.02, 0.98, 49), [1.0]]) * span
+    pts = refine_slice(sigma, hs, 24)
+    assert pts.shape == (51, 48, 3)
+    assert np.max(np.abs(pts[..., 2] - hs[:, None])) <= 2e-14 * span
+    # the ends are the boundary lines x1 = 0 and x1 = t0_1, where z is
+    # real: straight to 1e-15 of their extent in x2 (measured 4.4e-17;
+    # 6e-14 at sigma 1e3 with z's rounding off the real axis kept)
+    t0_1 = FundamentalSurface(sigma).translation_half()[0]
+    for line, x1 in ((pts[0], 0.0), (pts[-1], t0_1)):
+        extent = np.max(np.abs(line[:, 1]))
+        assert np.max(np.abs(line[:, 0] - x1)) <= 1e-15 * extent
 
 
-def test_refined_points_next_to_the_branch_points(fund2):
-    # heights 1e-9 and 1e-7 inside the slab's ends, with crossings on the
-    # edges from the corners z = 1 (x3 = 0) and z = -sigma (x3 = t0_3): a
-    # double z there cannot carry its offset from the branch point, so a
-    # point may miss its height by as much as z(u*) rounded from 30 digits
-    # does (measured: the same, up to 4.3e-10 t0_3 at t0_3 - 1e-9), and
-    # never by more than twice that
-    nr, nt = 14, 20
+def test_refined_points_next_to_the_branch_points():
+    # heights 1e-9 to 1e-3 t0_3 inside both ends of the slab, next to the
+    # sides z in (0, 1) and z < -sigma of the u rectangle: each point
+    # misses its height by at most twice what mpmath's z(u) at 30 digits,
+    # rounded to a double, misses by, plus 2e-14 t0_3 (measured: within
+    # 1.1e-15 t0_3 at 13 sigmas in [1e-3, 1e3], since Im u keeps at least
+    # b / 48 from the corners z = 1 and z = -sigma)
     span = FundamentalSurface(2.0).translation_half()[2]
-    for h, corner in ((1e-9, (nr - 1) * nt), (1e-7, (nr - 1) * nt),
-                      (span - 1e-7, nr * nt - 1), (span - 1e-9, nr * nt - 1)):
-        _, ia, ib, s = slice_mesh(fund2, [h])
-        assert corner in {*ia, *ib}
-        got = _refine(fund2, h, 10 ** 6)
-        ua, ub = fund2.domain_u[ia], fund2.domain_u[ib]
-        u = h - span + 1j * (ua + s * (ub - ua)).imag
+    b = 2.0 * classical.carlson_rf(0.0, 2.0, 3.0)
+    inside = np.array([1e-9, 1e-7, 1e-5, 1e-4, 1e-3])
+    hs = np.concatenate([inside, 1.0 - inside]) * span
+    got = refine_slice(2.0, hs, 24)
+    im = (np.arange(24) + 0.5) * (b / 24)
+    for h, pts in zip(hs, got[:, :24]):
         with mpmath.workdps(30):
             m = mpmath.mpf(2) / 3
             want = np.array([complex(-2 + 3 / mpmath.ellipfun(
-                "sn", mpmath.mpc(x) * mpmath.sqrt(3) / 2, m=m) ** 2)
-                for x in u])
+                "sn", mpmath.mpc(h - span, y) * mpmath.sqrt(3) / 2,
+                m=m) ** 2) for y in im])
         want.imag = np.maximum(want.imag, 0.0)
-        floor = np.abs(curve.immerse(curve.CurveParams(2.0), want)[0][:, 2] - h)
-        assert np.all(np.abs(got[:, 2] - h) <= 2.0 * floor + 2e-14 * span)
+        floor = np.abs(curve.immerse(curve.CurveParams(2.0), want)[0][:, 2]
+                       - h)
+        assert np.all(np.abs(pts[:, 2] - h) <= 2.0 * floor + 2e-14 * span)
 
 
-def test_refine_slice_batches_each_height(fund2, surf2, monkeypatch):
+def test_refine_slice_batches_each_height(surf2, monkeypatch):
     span = surf2.translation_half()[2]
     calls = []
     immerse = curve.immerse
@@ -1013,23 +1004,18 @@ def test_refine_slice_batches_each_height(fund2, surf2, monkeypatch):
         calls.append(np.size(z))
         return immerse(params, z)
 
-    # one immerse call, shared by all crossings
+    # one immerse call, shared by all points
     monkeypatch.setattr(curve, "immerse", counting)
     for frac in (0.13, 0.3, 0.5, 0.77, 0.87):
         del calls[:]
-        pts = _refine(fund2, frac * span, 24)
-        assert len(pts) >= 3 and calls == [len(pts)]
+        pts = refine_slice(2.0, [frac * span], 24)
+        assert pts.shape == (1, 48, 3) and calls == [24]
 
 
 @pytest.mark.parametrize("sigma", [0.0167, 2.0, 8.0])
 def test_refine_slice_height_sequence_matches_per_height_calls(sigma,
                                                                monkeypatch):
-    surf = FundamentalSurface(sigma)
-    fund = sample_fundamental(sigma, 0.1, 14, 20)
-    span = surf.translation_half()[2]
-    # on the 120x180 piece the one immerse call of 25 heights spans two
-    # immerse blocks
-    big = sample_fundamental(sigma, 0.1, 120, 180)
+    span = FundamentalSurface(sigma).translation_half()[2]
     calls = []
     immerse = curve.immerse
 
@@ -1038,44 +1024,23 @@ def test_refine_slice_height_sequence_matches_per_height_calls(sigma,
         return immerse(params, z)
 
     monkeypatch.setattr(curve, "immerse", counting)
-    # 1.4 and 1.9 t0_3 lie above the fundamental piece (no crossings there)
-    hs = np.array([0.13, 0.3, 0.5, 0.77, 1.4, 1.9]) * span
-    for m, max_points, heights in (
-            (fund, 24, hs), (fund, 5, hs),
-            (big, 2000, np.linspace(0.02, 0.98, 25) * span)):
+    # the slab's ends, generic heights and one repeated; at 25 heights of
+    # 200 points the one immerse call spans two immerse blocks
+    hs = np.array([0.0, 0.13, 0.3, 0.5, 0.3, 0.77, 1.0]) * span
+    for n_points, heights in ((24, hs), (5, hs),
+                              (200, np.linspace(0.02, 0.98, 25) * span)):
         del calls[:]
-        want = [_refine(m, h, max_points) for h in heights]
+        want = [refine_slice(sigma, [h], n_points)[0] for h in heights]
         per_height = len(calls)
         del calls[:]
-        got = refine_slice(m, heights, max_points, slice_mesh(m, heights))
-        assert isinstance(got, list) and len(got) == len(heights)
-        for g, w in zip(got, want):
-            assert g.shape == w.shape and np.array_equal(g, w)
+        got = refine_slice(sigma, heights, n_points)
+        assert got.shape == (len(heights), 2 * n_points, 3)
+        for g, w in zip(got, want, strict=True):
+            assert np.array_equal(g, w)
         assert per_height == len(heights) and len(calls) == 1
-        if m is fund:
-            assert [len(g) for g in got[4:]] == [0, 0]
-        if max_points == 5:
-            assert np.bincount(slice_mesh(m, heights)[0]).max() > 5
-            assert all(len(g) <= 5 for g in got)
-        if m is big:
+        if n_points == 200:
             assert calls[0] > curve.PSI_BLOCK
-    assert _refine(fund, 2.0 * span, 32).shape == (0, 3)
-
-
-def test_refine_slice_takes_only_the_sampled_piece(fund2, ops2, surf2):
-    # an extended mesh, even with no copies, carries no domain record: its
-    # slices are the orbit of the piece's; a hand-built mesh with u but no
-    # sigma names no curve
-    h = [0.45 * surf2.translation_half()[2]]
-    for sigma in (1e-3, 2.0, 1e3):
-        assert sample_fundamental(sigma, 0.1, 4, 5).domain_sigma == sigma
-    for m in (extend(fund2, ops2, copies=0), extend(fund2, ops2, copies=1),
-              TriMesh(fund2.vertices, fund2.normals, fund2.faces),
-              TriMesh(fund2.vertices, fund2.normals, fund2.faces,
-                      fund2.domain_u)):
-        assert m.domain_sigma is None
-        with pytest.raises(ValueError, match="sample_fundamental"):
-            refine_slice(m, h, 24, slice_mesh(m, h))
+    assert refine_slice(sigma, [], 32).shape == (0, 64, 3)
 
 
 def _immerse_calls(monkeypatch):
@@ -1090,38 +1055,20 @@ def _immerse_calls(monkeypatch):
     return calls
 
 
-def test_refine_slice_refuses_the_records_of_other_heights(fund2, surf2,
-                                                           monkeypatch):
-    # the records of one height, or of two heights given in the other
-    # order, hold edges that do not cross the height they are owned by
+def test_refine_slice_refuses_heights_outside_the_slab(surf2, monkeypatch):
+    # a height off [0, t0_3] has no line in the u rectangle: refused
+    # before any point is evaluated; the ends themselves are lines
     span = surf2.translation_half()[2]
     calls = _immerse_calls(monkeypatch)
-    for hs, cut in (([0.3 * span], [0.7 * span]),
-                    ([0.7 * span, 0.3 * span], [0.3 * span, 0.7 * span])):
-        with pytest.raises(ValueError, match="does not cross"):
-            refine_slice(fund2, hs, 24, slice_mesh(fund2, cut))
-    # nor does an edge with an end on the height, which slice_mesh skips
-    owner, ia, ib, s = (r[:1] for r in slice_mesh(fund2, [0.3 * span]))
-    with pytest.raises(ValueError, match="does not cross"):
-        refine_slice(fund2, fund2.vertices[ia, 2], 24, (owner, ia, ib, s))
+    for hs in ([-1e-300], [span * (1.0 + 1e-15)], [0.3 * span, 1.4 * span],
+               [math.nan], [-math.inf]):
+        with pytest.raises(ValueError, match="slab"):
+            refine_slice(2.0, hs, 24)
     assert calls == []
+    assert refine_slice(2.0, [0.0, span], 24).shape == (2, 48, 3)
 
 
-def test_refine_slice_refuses_an_owner_out_of_range(fund2, surf2,
-                                                    monkeypatch):
-    span = surf2.translation_half()[2]
-    hs = [0.3 * span, 0.7 * span]
-    owner, *rest = slice_mesh(fund2, hs)
-    calls = _immerse_calls(monkeypatch)
-    for heights, owners in ((hs[:1], owner), (hs, owner - 1)):
-        with pytest.raises(ValueError, match="owner"):
-            refine_slice(fund2, heights, 24, (owners, *rest))
-    assert calls == []
-    assert all(len(p) for p in refine_slice(fund2, hs, 24, (owner, *rest)))
-
-
-def test_refine_slice_hits_height_with_few_immerse_calls(fund2, surf2,
-                                                         monkeypatch):
+def test_refine_slice_hits_height_with_few_immerse_calls(surf2, monkeypatch):
     span = surf2.translation_half()[2]
     calls = []
 
@@ -1140,8 +1087,7 @@ def test_refine_slice_hits_height_with_few_immerse_calls(fund2, surf2,
     for frac in (0.13, 0.3, 0.5, 0.77, 0.87):
         h = frac * span
         del calls[:]
-        pts = _refine(fund2, h, 24)
-        assert len(pts) >= 3
+        pts = refine_slice(2.0, [h], 24)[0]
         assert np.max(np.abs(pts[:, 2] - h)) <= 1e-12 * max(1.0, abs(h))
         assert calls == ["immerse"]
 
