@@ -10,9 +10,7 @@ Subpackages:
   trapezoidal rule, symmetries.
 * :mod:`riemann_minimal.classical` -- the classical construction (radius
   ODE, height/center integrals in Carlson's closed forms, the catenoid's
-  arcsinh form, which ``checks.catenoid_residual`` compares with its
-  Carlson form sqrt(q - 1/lambda) R_F(lambda q, 1, 1), Enneper
-  coefficients).
+  arcsinh form, Enneper coefficients).
 * :mod:`riemann_minimal.shiffkdv` -- Shiffman function, Jacobi operator,
   jets, Miura transformation, the KdV hierarchy as exact differential
   polynomials.

@@ -1,7 +1,10 @@
 """Finite-difference oracles and cross-construction checks.
 
 These are the independent verification routines shared by the CLI
-``verify`` command and the test suite.  They deliberately avoid the
+``verify`` command and the test suite.  Each reads the surface of the
+parameter it is given, so a defect of that surface can move it; checks
+on fixed data (the catenoid's closed form, Enneper's reduction) live in
+the test suite.  They deliberately avoid the
 analytic derivative formulas of the modules they check: mean curvature and
 conformality come from central finite differences of sampled immersion
 values only, and the classical/Weierstrass comparison is a rigid-motion
@@ -39,10 +42,8 @@ from .quad import RiemannMinimalError
 __all__ = [
     "fd_surface_checks", "classical_fd_grid", "weierstrass_fd_grid",
     "RegistrationResult", "registration_error", "foliation_residuals",
-    "slice_checks", "catenoid_residual", "SliceFitError",
+    "slice_checks", "SliceFitError",
 ]
-
-_CATENOID_LAMS, _CATENOID_QS = (0.5, 1.0, 2.0), 20
 
 
 class SliceFitError(RiemannMinimalError):
@@ -299,22 +300,3 @@ def slice_checks(sigma):
     return (registration_error(sigma, reg_hs, pts[:6, :24]),
             foliation_residuals(fol_hs, orbit[:10], orbit[10:]),
             float(height_err))
-
-
-def catenoid_residual() -> float:
-    """Max |Carlson form - arcsinh form| of the catenoid height integral.
-
-    The a = 0 radicand is lambda u^2 - u, with its simple zero at the neck
-    q = 1/lambda; in the Carlson form that ``classical.height`` uses, the
-    height is sqrt(q - 1/lambda) R_F(lambda q, 1, 1), compared here with
-    ``classical.catenoid_height`` above the neck of each lambda of
-    _CATENOID_LAMS, on _CATENOID_QS grid points less the neck.
-    """
-    worst = 0.0
-    for lam in _CATENOID_LAMS:
-        q = np.linspace(1.0 / lam, 1.0 / lam + 6.0, _CATENOID_QS)[1:]
-        carlson = (np.sqrt(q - 1.0 / lam)
-                   * classical.carlson_rf(lam * q, 1.0, 1.0))
-        arcsinh = [classical.catenoid_height(lam, x) for x in q]
-        worst = max(worst, np.max(np.abs(carlson - arcsinh), initial=0.0))
-    return float(worst)

@@ -3,8 +3,8 @@
 gen     sample the fundamental piece, run the reflection/translation
         extension, write OBJ/PLY meshes and a JSON report.
 verify  run the cross-module verification suite (periods, symmetries,
-        Shiffman, circle fits, registration, Enneper, minimality) and emit
-        a machine-readable report; exit 1 if any check fails.
+        Shiffman, circle fits, registration, minimality) and emit a
+        machine-readable report; exit 1 if any check fails.
 kdv     print the hierarchy polynomials and/or run the algebro-geometric
         least-squares measurement on the curve potential.
 
@@ -77,11 +77,9 @@ def _parse_grid(text):
 
 # every check verify records, in its order; --tol takes these names only
 CHECK_NAMES = (
-    "period_gamma1_re", "period_gamma2_re_x2", "translation_gamma2",
-    "flux_end_loop", "symmetry_s1", "symmetry_s2", "symmetry_s3",
-    "gauss_ode", "shiffman", "enneper_fourier", "catenoid_closed_form",
-    "classical_circle_fit",
-    "minimality_classical", "minimality_weierstrass",
+    "period_gamma1_re", "translation_gamma2", "flux_end_loop",
+    "symmetry_s1", "symmetry_s2", "symmetry_s3", "gauss_ode", "shiffman",
+    "classical_circle_fit", "minimality_classical", "minimality_weierstrass",
     "conformality_weierstrass", "slice_heights", "registration_radius",
     "registration_spacing", "circle_foliation", "line_heights_classify",
 )
@@ -183,11 +181,6 @@ def _is_number(text):
 _KDV_FIT_FLAGS = {"n_level": "--n", "samples": "--samples", "seed": "--seed"}
 
 
-def _verify_lambda(cfg) -> float:
-    """The lambda verify runs at: ``--lambda`` as given, else sigma's."""
-    return classical.lambda_of_sigma(cfg.sigma) if cfg.lam is None else cfg.lam
-
-
 def _config_from_args(args) -> RunConfig:
     flags = dict(vars(args))  # the flags given, and gen's -o
     lam, sigma = flags.pop("lam", None), flags.pop("sigma", None)
@@ -227,9 +220,6 @@ def _config_from_args(args) -> RunConfig:
         if not os.path.isdir(folder) or os.path.isdir(cfg.json_path):
             raise ValueError(f"--json {cfg.json_path}: cannot write a file "
                              "there (no such directory, or it is one)")
-    if "catenoid_closed_form" in cfg.tolerances and _verify_lambda(cfg):
-        raise ValueError("--tol catenoid_closed_form: verify records that "
-                         "check at lambda 0 only")
     if cfg.seed < 0:  # random.Random seeds from |seed|: -7 would draw 7's
         raise ValueError(f"--seed must be >= 0 (a negative seed would draw "
                          f"the points of {-cfg.seed}), got {cfg.seed}")
@@ -349,10 +339,10 @@ def cmd_verify(cfg: RunConfig) -> int:
 
     per1 = curve.period(params, "gamma1")
     suite.record("period_gamma1_re", float(np.max(np.abs(per1.real))), 1e-7)
-    per2 = curve.period(params, "gamma2")
-    suite.record("period_gamma2_re_x2", abs(per2.real[1]), 1e-7)
     # the translation 2 t0 by Carlson's closed form, a second route that
-    # also pins the sheet of w and the x1, x3 components
+    # also pins the sheet of w; t0_2 is 0, so the x2 component is the
+    # gamma2 x2 period itself
+    per2 = curve.period(params, "gamma2")
     t0 = mesh.FundamentalSurface(cfg.sigma).translation_half()
     suite.record("translation_gamma2",
                  float(np.max(np.abs(per2.real - 2.0 * t0))), 1e-7)
@@ -370,16 +360,7 @@ def cmd_verify(cfg: RunConfig) -> int:
         shiffkdv.msigma_jet(params, sample, 3)))))
     suite.record("shiffman", smax, 1e-9)
 
-    canonical = classical.FoliationData(r=1.0, r_p=0.0, r_pp=0.0, kappa=1.0,
-                                        kappa_p=0.0, tau=0.0, alpha=0.0,
-                                        beta=0.0, delta=1.0)
-    suite.record("enneper_fourier",
-                 classical.enneper_fourier_check(canonical), 1e-4)
-
-    lam = _verify_lambda(cfg)
-    if lam == 0.0:
-        suite.record("catenoid_closed_form", checks.catenoid_residual(), 1e-8)
-
+    lam = classical.lambda_of_sigma(cfg.sigma) if cfg.lam is None else cfg.lam
     rp = classical.RiemannParams.from_lambda(lam)
     slice_pts = classical.parameterize(
         rp, rp.q1 + 0.7, np.linspace(0, 2 * math.pi, 24, endpoint=False)).T

@@ -8,9 +8,7 @@ of the two finite-difference stencils (``checks.classical_fd_grid`` and
 the Weierstrass stencil ``checks._weierstrass_stencil``).  The loop
 periods are trapezoidal sums (``curve.period``), and the classical height
 and center integrals need no quadrature: ``classical`` evaluates them in
-Carlson's closed forms, and ``checks.catenoid_residual`` compares the
-a = 0 height in that form, sqrt(q - 1/lambda) R_F(lambda q, 1, 1), with
-the arcsinh formula.
+Carlson's closed forms.
 
 The constants leave two to four digits of slack below every tolerance the
 library asserts against (1e-6 .. 1e-8).  Callers read them as

@@ -333,8 +333,14 @@ def test_classical_fd_grid_panels_meet_the_tolerance(sigma):
 
 
 def test_catenoid_residual_carlson_form():
-    # the Carlson form of the a = 0 height against its arcsinh closed form
-    assert checks.catenoid_residual() < 1e-14
+    # the Carlson form of the a = 0 height, sqrt(q - 1/lambda)
+    # R_F(lambda q, 1, 1), against its arcsinh closed form above the neck
+    for lam in (0.5, 1.0, 2.0):
+        q = np.linspace(1.0 / lam, 1.0 / lam + 6.0, 20)[1:]
+        root = np.sqrt(q - 1.0 / lam)
+        carlson = root * classical.carlson_rf(lam * q, 1.0, 1.0)
+        arcsinh = [classical.catenoid_height(lam, x) for x in q]
+        assert np.max(np.abs(carlson - arcsinh)) < 1e-14
 
 
 def test_weierstrass_fd_grid_matches_the_per_anchor_loop():

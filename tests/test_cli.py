@@ -457,19 +457,20 @@ def test_verify_passes_and_tol_override():
 
 
 @pytest.mark.parametrize("argv, code", [
-    # verify records catenoid_closed_form at lambda 0 only: at sigma 2
-    # (lambda 1/sqrt(2)) its override would be read by no check
+    # three names verify once recorded and no run reads now, at any lambda
     (["--sigma", "2", "--tol", "catenoid_closed_form=1"], 2),
-    # at lambda 0 the check runs, and a threshold below its value fails it
-    (["--lambda", "0", "--tol", "catenoid_closed_form=1e-30"], 1),
-    (["--lambda", "-0", "--tol", "catenoid_closed_form=1e-30"], 1),
+    (["--lambda", "0", "--tol", "catenoid_closed_form=1e-30"], 2),
+    (["--lambda", "-0", "--tol", "catenoid_closed_form=1e-30"], 2),
+    (["--sigma", "2", "--tol", "enneper_fourier=1"], 2),
+    (["--lambda", "0", "--tol", "enneper_fourier=1"], 2),
+    (["--sigma", "2", "--tol", "period_gamma2_re_x2=1"], 2),
+    (["--lambda", "0", "--tol", "period_gamma2_re_x2=1"], 2),
 ])
 def test_tol_of_a_check_that_does_not_run_is_refused(argv, code, capsys):
     assert run(["verify", *argv, "--json", "/dev/null"]) == code
     err = capsys.readouterr().err
-    if code == 2:
-        assert err.startswith("configuration error: ")
-        assert err.count("\n") == 1 and "lambda 0 only" in err
+    assert err.startswith("configuration error: --tol: no check named ")
+    assert err.count("\n") == 1
 
 
 @pytest.mark.slow
@@ -580,6 +581,21 @@ def _t0_1_off(monkeypatch):
         half(sigma)[0] * (1.0 + 1e-6), *half(sigma)[1:]))
 
 
+def _t0_3_off(monkeypatch):
+    half = curve._translation_half
+    monkeypatch.setattr(curve, "_translation_half", lambda sigma: (
+        *half(sigma)[:2], half(sigma)[2] * (1.0 + 1e-6)))
+
+
+def _gamma2_x2(monkeypatch):
+    period = curve.period
+
+    def shifted(params, kind):
+        per = period(params, kind)
+        return per + [0.0, 1e-6, 0.0] if kind == "gamma2" else per
+    monkeypatch.setattr(curve, "period", shifted)
+
+
 def _mutate_points(monkeypatch, mutation):
     """Every closed-form point of curve.immerse through ``mutation``."""
     psi_block = curve._psi_block
@@ -593,15 +609,19 @@ def _mutate_points(monkeypatch, mutation):
 @pytest.mark.parametrize("sigma", ["1e-3", "2", "1e3"])
 @pytest.mark.parametrize("mutate,check", [
     (_stretched, "slice_heights"), (_other_sheet, "slice_heights"),
-    (_bent, "line_heights_classify"), (_t0_1_off, "line_heights_classify")],
-    ids=["stretched", "other_sheet", "bent", "t0_1_off"])
+    (_bent, "line_heights_classify"), (_t0_1_off, "line_heights_classify"),
+    (_t0_3_off, "translation_gamma2"), (_gamma2_x2, "translation_gamma2")],
+    ids=["stretched", "other_sheet", "bent", "t0_1_off", "t0_3_off",
+         "gamma2_x2"])
 def test_wrong_surface_fails_a_named_check(mutate, check, sigma,
                                            monkeypatch, tmp_path):
     # x3 scaled by 1.001, or the point of the other sheet (2 t0 - X,
     # u -> -u): each slice keeps its circle or line in its plane, so the
     # points' own heights show it (1e-3 and 2.0 against 1e-7).  x1 bent by
     # 1e-4 x3^2, or t0_1 scaled by 1 + 1e-6: op 1 no longer carries the
-    # slice at t0_3 onto the slice at 0, so the line slice pairs two lines
+    # slice at t0_3 onto the slice at 0, so the line slice pairs two lines.
+    # t0_3 scaled by 1 + 1e-6, or 1e-6 added to Re P(gamma2)_2: the gamma2
+    # period no longer equals 2 t0 (t0_2 = 0) to 1e-7
     mutate(monkeypatch)
     path = tmp_path / "v.json"
     assert run(["verify", "--sigma", sigma, "--seed", "7",
@@ -636,12 +656,16 @@ def test_kdv_report_config_names_only_what_the_run_used(tmp_path):
 
 
 @pytest.mark.slow
-def test_verify_lambda_zero_runs_catenoid_branch(tmp_path):
+@pytest.mark.parametrize("argv", [
+    ["--sigma", "1e-3"], ["--lambda", "0"], ["--sigma", "2"],
+    ["--lambda", "31.59"], ["--sigma", "1e3"]],
+    ids=["sigma-1e-3", "lambda-0", "sigma-2", "lambda-31.59", "sigma-1e3"])
+def test_verify_reports_every_check_in_order(argv, tmp_path):
     path = tmp_path / "r.json"
-    rc = run(["verify", "--lambda", "0", "--seed", "3", "--json", str(path)])
-    assert rc == 0
+    assert run(["verify", *argv, "--seed", "3", "--json", str(path)]) == 0
     rep = load_report(path)
     names = [c["name"] for c in rep["checks"]]
-    # lambda 0 runs every check, each under a name --tol accepts
+    # every run records the same checks, each under a name --tol accepts
+    assert len(cli.CHECK_NAMES) == 17
     assert tuple(names) == cli.CHECK_NAMES
     assert rep["pass"] is True
