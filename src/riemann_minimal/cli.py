@@ -4,7 +4,9 @@ gen     sample the fundamental piece, run the reflection/translation
         extension, write OBJ/PLY meshes and a JSON report.
 verify  run the cross-module verification suite (periods, symmetries,
         Shiffman, circle fits, registration, minimality) and emit a
-        machine-readable report; exit 1 if any check fails.
+        machine-readable report; exit 1 if any check fails.  Each check's
+        name, order and threshold are fixed in ``cmd_verify``, and the
+        report carries each value next to its threshold.
 kdv     print the hierarchy polynomials and/or run the algebro-geometric
         least-squares measurement on the curve potential.
 
@@ -20,13 +22,12 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import math
 import os
 import platform
 import sys
 import time
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
@@ -58,7 +59,6 @@ class RunConfig:
     nt: int = 60
     copies: int = 1
     seed: int = 7
-    tolerances: dict = field(default_factory=dict)
     out_dir: str | None = None
     fmt: str = "obj"
     json_path: str | None = None
@@ -73,33 +73,6 @@ def _parse_grid(text):
         return int(nr), int(nt)
     except ValueError:
         raise argparse.ArgumentTypeError(f"grid must look like 40x60, got {text!r}")
-
-
-# every check verify records, in its order; --tol takes these names only
-CHECK_NAMES = (
-    "period_gamma1_re", "translation_gamma2", "flux_end_loop",
-    "symmetry_s1", "symmetry_s2", "symmetry_s3", "gauss_ode", "shiffman",
-    "classical_circle_fit", "minimality_classical", "minimality_weierstrass",
-    "conformality_weierstrass", "slice_heights", "registration_radius",
-    "registration_spacing", "circle_foliation", "line_heights_classify",
-)
-
-
-def _parse_tol(pairs):
-    out = {}
-    for p in pairs or []:
-        if "=" not in p:
-            raise argparse.ArgumentTypeError(f"--tol expects name=value, got {p!r}")
-        name, val = p.split("=", 1)
-        if name not in CHECK_NAMES:
-            raise ValueError(f"--tol: no check named {name!r}; the checks "
-                             f"are {', '.join(CHECK_NAMES)}")
-        v = float(val)
-        if not 0.0 < v < math.inf:  # nan fails both comparisons
-            raise argparse.ArgumentTypeError(
-                f"tolerance {name} must be positive and finite, got {val!r}")
-        out[name] = v
-    return out
 
 
 @cache
@@ -135,8 +108,6 @@ def build_parser():
     pv = sub.add_parser("verify", help="run the verification suite", **quiet)
     common(pv)
     pv.add_argument("--seed", type=int)
-    pv.add_argument("--tol", action="append", metavar="NAME=VALUE",
-                    help="threshold override for a named check (repeatable)")
 
     pk = sub.add_parser("kdv", help="KdV hierarchy printing and measurement",
                         **quiet)
@@ -199,7 +170,6 @@ def _config_from_args(args) -> RunConfig:
                          f"[{SIGMA_RANGE[0]:g}, {SIGMA_RANGE[1]:g}]")
     if "grid" in flags:
         flags["nr"], flags["nt"] = flags.pop("grid")
-    flags["tolerances"] = _parse_tol(flags.pop("tol", None))
     cfg = RunConfig(sigma=sigma, lam=lam, **flags)
     if cfg.command == "gen":
         if not 0.0 < cfg.e < 1.0:
@@ -246,8 +216,6 @@ def _report_skeleton(cfg: RunConfig) -> dict:
         config.update(e=cfg.e, grid=[cfg.nr, cfg.nt], copies=cfg.copies)
     elif cfg.sigma is not None:  # verify, and kdv's fit, draw seeded points
         config["seed"] = environment["seed"] = cfg.seed
-    if cfg.command == "verify":  # the one command that takes --tol
-        config["tolerance_overrides"] = dict(sorted(cfg.tolerances.items()))
     return {
         "schema": 1,
         "command": cfg.command,
@@ -273,27 +241,6 @@ def _emit_report(report: dict, cfg: RunConfig, t_start: float):
             fh.write(text + "\n")
     else:
         print(text)
-
-
-class _Suite:
-    def __init__(self, report, overrides):
-        self.report = report
-        self.overrides = overrides
-
-    def record(self, name, value, threshold):
-        threshold = self.overrides.get(name, threshold)
-        ok = bool(value < threshold)
-        self.report["checks"].append({
-            "name": name,
-            "value": float(value),
-            "threshold": float(threshold),
-            "pass": ok,
-        })
-        if not ok:
-            self.report["pass"] = False
-        status = "PASS" if ok else "FAIL"
-        print(f"[{status}] {name}: value={value:.3e} threshold={threshold:.3e}",
-              file=sys.stderr)
 
 
 def cmd_gen(cfg: RunConfig) -> int:
@@ -333,53 +280,61 @@ def cmd_gen(cfg: RunConfig) -> int:
 def cmd_verify(cfg: RunConfig) -> int:
     t_start = time.time()
     report = _report_skeleton(cfg)
-    suite = _Suite(report, cfg.tolerances)
+
+    def record(name, value, threshold):
+        ok = bool(value < threshold)
+        report["checks"].append({
+            "name": name,
+            "value": float(value),
+            "threshold": float(threshold),
+            "pass": ok,
+        })
+        if not ok:
+            report["pass"] = False
+        status = "PASS" if ok else "FAIL"
+        print(f"[{status}] {name}: value={value:.3e} "
+              f"threshold={threshold:.3e}", file=sys.stderr)
+
     rng = curve._SeededDraws(cfg.seed)
     params = curve.CurveParams(cfg.sigma)
 
     per1 = curve.period(params, "gamma1")
-    suite.record("period_gamma1_re", float(np.max(np.abs(per1.real))), 1e-7)
+    record("period_gamma1_re", float(np.max(np.abs(per1.real))), 1e-7)
     # the translation 2 t0 by Carlson's closed form, a second route that
     # also pins the sheet of w; t0_2 is 0, so the x2 component is the
     # gamma2 x2 period itself
     per2 = curve.period(params, "gamma2")
     t0 = mesh.FundamentalSurface(cfg.sigma).translation_half()
-    suite.record("translation_gamma2",
-                 float(np.max(np.abs(per2.real - 2.0 * t0))), 1e-7)
+    record("translation_gamma2",
+           float(np.max(np.abs(per2.real - 2.0 * t0))), 1e-7)
     fl = curve.flux(params, "end")
-    suite.record("flux_end_loop", float(np.max(np.abs(fl))), 1e-7)
+    record("flux_end_loop", float(np.max(np.abs(fl))), 1e-7)
 
     pts = curve.random_regular_points(params, 50, rng)
     for which in ("S1", "S2", "S3"):
-        suite.record(f"symmetry_{which.lower()}",
-                     curve.verify_symmetry_action(params, which, pts), 1e-9)
-    suite.record("gauss_ode", curve.gauss_ode_residual(params, pts), 1e-9)
+        record(f"symmetry_{which.lower()}",
+               curve.verify_symmetry_action(params, which, pts), 1e-9)
+    record("gauss_ode", curve.gauss_ode_residual(params, pts), 1e-9)
 
     sample = curve.random_regular_points(params, 1000, rng)
     smax = float(np.max(np.abs(shiffkdv.shiffman(
         shiffkdv.msigma_jet(params, sample, 3)))))
-    suite.record("shiffman", smax, 1e-9)
+    record("shiffman", smax, 1e-9)
 
     lam = classical.lambda_of_sigma(cfg.sigma) if cfg.lam is None else cfg.lam
-    rp = classical.RiemannParams.from_lambda(lam)
-    slice_pts = classical.parameterize(
-        rp, rp.q1 + 0.7, np.linspace(0, 2 * math.pi, 24, endpoint=False)).T
-    fit, = mesh.level_circle_fit([slice_pts])
-    suite.record("classical_circle_fit", fit.residual, 1e-10)
-
     H_cl, _, _ = checks.classical_fd_grid(lam, nq=10, nv=10)
-    suite.record("minimality_classical", H_cl, 1e-3)
+    record("minimality_classical", H_cl, 1e-3)
     H_w, conf_w, orth_w = checks.weierstrass_fd_grid(cfg.sigma, n_side=6)
-    suite.record("minimality_weierstrass", H_w, 1e-3)
-    suite.record("conformality_weierstrass", max(conf_w, orth_w), 1e-5)
+    record("minimality_weierstrass", H_w, 1e-3)
+    record("conformality_weierstrass", max(conf_w, orth_w), 1e-5)
 
     # exact slice points on lines of the height coordinate, no mesh
     reg, (rels, kinds), height_err = checks.slice_checks(cfg.sigma)
-    suite.record("slice_heights", height_err, 1e-7)
-    suite.record("registration_radius", reg.max_radius_rel_err, 1e-3)
-    suite.record("registration_spacing", reg.spacing_rel_err, 1e-3)
-    suite.record("circle_foliation", float(np.max(rels)), 1e-5)
-    suite.record("line_heights_classify",
+    record("slice_heights", height_err, 1e-7)
+    record("registration_radius", reg.max_radius_rel_err, 1e-3)
+    record("registration_spacing", reg.spacing_rel_err, 1e-3)
+    record("circle_foliation", float(np.max(rels)), 1e-5)
+    record("line_heights_classify",
                  0.0 if all(k == "line" for k in kinds) else 1.0, 0.5)
 
     _emit_report(report, cfg, t_start)

@@ -397,23 +397,34 @@ def verify_symmetry_action(params: CurveParams, which: str,
 
 def gauss_ode_residual(params: CurveParams, pt: CurvePoint) -> float:
     """Largest defect of (g')^2 = g(sqrt(s)+g)(sqrt(s) g - 1) and the g''
-    relation over the point or points ``pt`` (0 for no points).
+    relation over the point or points ``pt`` (0 for no points), each
+    relative to the largest term of its relation.
 
     With phi3 = d(xi), the curve data gives g = z/sqrt(s), g' = w/sqrt(s)
     and g'' = p'(z)/(2 sqrt(s)); both displayed relations are algebraic
     consequences, so the residual measures how exactly (z, w) sits on the
-    curve.
+    curve.  The terms are (g')^2 and the monomials sqrt(s) g^3,
+    (s-1) g^2, sqrt(s) g of the first relation, and sqrt(s)/2, (s-1) g,
+    3 sqrt(s) g^2 / 2 of the second: rounding leaves a defect of a few
+    ulps of the largest, which at |z| ~ 800 and s = 1e3 is ~1e6.
     """
     s = params.sigma
     rs = math.sqrt(s)
     z = pt.z
     g = z / rs
     gp = pt.w / rs
+    a = np.abs(g)
     res1 = np.abs(gp ** 2 - g * (rs + g) * (rs * g - 1.0))
+    # every term is 0 only at the branch point z = w = 0, where res1 is 0
+    terms1 = np.maximum.reduce([np.abs(gp) ** 2, rs * a ** 3,
+                                abs(s - 1.0) * a ** 2, rs * a])
     gpp_curve = (3.0 * z ** 2 + 2.0 * (s - 1.0) * z - s) / (2.0 * rs)
     gpp_formula = -rs / 2.0 + (s - 1.0) * g + 1.5 * rs * g ** 2
     res2 = np.abs(gpp_curve - gpp_formula)
-    return float(np.max([res1, res2], initial=0.0))
+    terms2 = np.maximum(rs / 2.0,
+                        np.maximum(abs(s - 1.0) * a, 1.5 * rs * a ** 2))
+    return float(np.max([res1 / np.where(terms1 > 0.0, terms1, 1.0),
+                         res2 / terms2], initial=0.0))
 
 
 def gauss_derivatives(params: CurveParams, pt: CurvePoint, order: int) -> np.ndarray:

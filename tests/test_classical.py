@@ -8,7 +8,7 @@ from scipy.optimize import brentq
 
 import classical_quadrature as quadrature
 import scalar_references as scalar
-from riemann_minimal import classical
+from riemann_minimal import classical, mesh
 from riemann_minimal.classical import (ConvergenceError, DomainError,
                                        FoliationData, RiemannParams,
                                        carlson_rd, carlson_rf,
@@ -166,6 +166,19 @@ def test_parameterize_slices():
         b = parameterize(p, q, -v)
         assert abs(a[0] - b[0]) < 1e-12 and abs(a[1] + b[1]) < 1e-12
         assert abs(np.linalg.norm(a - center) - math.sqrt(q)) < 1e-10
+
+
+@pytest.mark.parametrize("sigma", [1e-3, 2.0, 1e3])
+def test_parameterized_slice_is_a_circle(sigma):
+    # 24 points of the slice at q1 + 0.7 fit a circle to 1e-10: the
+    # parameterization is f(q)(1,0,0) + sqrt(q)(cos v, sin v, 0) + z(q) e3
+    # by construction, so no surface defect can move this, and verify
+    # does not run it
+    p = RiemannParams.from_lambda(lambda_of_sigma(sigma))
+    ring = parameterize(
+        p, p.q1 + 0.7, np.linspace(0, 2 * math.pi, 24, endpoint=False)).T
+    fit, = mesh.level_circle_fit([ring])
+    assert fit.kind == "circle" and fit.residual < 1e-10
 
 
 def test_catenoid_closed_form():

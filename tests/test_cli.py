@@ -1,5 +1,4 @@
 import json
-import math
 import os
 import subprocess
 import sys
@@ -18,6 +17,16 @@ def run(argv):
 def load_report(path):
     with open(path) as fh:
         return json.load(fh)
+
+
+# every check verify records, in its order
+VERIFY_CHECKS = (
+    "period_gamma1_re", "translation_gamma2", "flux_end_loop",
+    "symmetry_s1", "symmetry_s2", "symmetry_s3", "gauss_ode", "shiffman",
+    "minimality_classical", "minimality_weierstrass",
+    "conformality_weierstrass", "slice_heights", "registration_radius",
+    "registration_spacing", "circle_foliation", "line_heights_classify",
+)
 
 
 def strip_volatile(report):
@@ -40,7 +49,7 @@ def test_gen_writes_meshes_and_report(tmp_path):
     assert rep["config"]["e"] == 0.1
     assert rep["config"]["grid"] == [10, 14]
     assert rep["config"]["copies"] == 1
-    # gen draws nothing and records no checks: no seed, no overrides
+    # gen draws nothing and records no checks: no seed
     assert set(rep["config"]) == {"sigma", "lambda", "e", "grid", "copies"}
     assert "seed" not in rep["environment"]
     assert rep["result"]["fundamental_vertices"] == 140
@@ -114,14 +123,10 @@ def test_config_errors_exit_2():
     assert run(["gen"]) == 2                                    # none given
     assert run(["gen", "--sigma", "2", "--grid", "bogus"]) == 2
     assert run(["gen", "--sigma", "2", "--e", "1.5"]) == 2
-    assert run(["verify", "--sigma", "2", "--tol", "shiffman"]) == 2
-    # a --tol name that names no check exits 2 instead of being ignored
-    assert run(["verify", "--sigma", "2", "--tol", "bogus=1"]) == 2
-    assert run(["verify", "--sigma", "2", "--tol", "shiffman=1e-9",
-                "--tol", "Shiffman=1e-9"]) == 2
-    # gen draws no points and records no checks
+    # each check's threshold is fixed in cmd_verify: --tol is an unknown flag
+    assert run(["verify", "--sigma", "2", "--tol", "shiffman=1"]) == 2
+    # gen draws no points
     assert run(["gen", "--sigma", "2", "--seed", "7"]) == 2
-    assert run(["gen", "--sigma", "2", "--tol", "shiffman=1"]) == 2
     # verify runs on its own fixed grids and takes no mesh flags
     assert run(["verify", "--sigma", "2", "--grid", "4x4"]) == 2
     assert run(["verify", "--sigma", "2", "--e", "0.9"]) == 2
@@ -145,9 +150,9 @@ def test_config_errors_exit_2():
     ["kdv", "--sigma", "2", "--seed", "-3"],
     # a negative level would print nothing
     ["kdv", "--print-p", "-1"],
-    # a nan threshold fails every check, an infinite one passes every value
-    ["verify", "--sigma", "2", "--tol", "shiffman=nan"],
-    ["verify", "--sigma", "2", "--tol", "shiffman=inf"],
+    # a nan e fails both of its comparisons; fewer than 0 copies
+    ["gen", "--sigma", "2", "--e", "nan"],
+    ["gen", "--sigma", "2", "--copies", "-1"],
 ])
 def test_out_of_range_numbers_are_configuration_errors(argv, capsys):
     assert run(argv) == 2
@@ -155,15 +160,15 @@ def test_out_of_range_numbers_are_configuration_errors(argv, capsys):
 
 
 def test_parser_is_built_once_and_keeps_no_state(monkeypatch):
-    # main reuses one parser per process; a --tol of one call must not
+    # main reuses one parser per process; a --seed of one call must not
     # reach the next
     assert cli.build_parser() is cli.build_parser()
     seen = []
     monkeypatch.setattr(cli, "cmd_verify",
-                        lambda cfg: seen.append(cfg.tolerances) or 0)
-    for argv in (["--tol", "shiffman=1e-3"], ["--tol", "gauss_ode=1e-5"], []):
+                        lambda cfg: seen.append(cfg.seed) or 0)
+    for argv in (["--seed", "3"], ["--seed", "11"], []):
         assert run(["verify", "--sigma", "2", *argv]) == 0
-    assert seen == [{"shiffman": 1e-3}, {"gauss_ode": 1e-5}, {}]
+    assert seen == [3, 11, 7]
 
 
 def test_gen_minimum_grid(tmp_path, capsys):
@@ -449,28 +454,19 @@ def test_verify_sweeps_the_family_range(tmp_path):
 
 
 @pytest.mark.slow
-def test_verify_passes_and_tol_override():
+def test_verify_passes_and_a_failed_check_exits_1(tmp_path, monkeypatch):
     assert run(["verify", "--sigma", "2", "--seed", "7",
                 "--json", "/dev/null"]) == 0
+    # one check over its threshold: exit 1, and the report is still
+    # written, every check in it, with pass false
+    monkeypatch.setattr(curve, "gauss_ode_residual", lambda params, pts: 1.0)
+    path = tmp_path / "v.json"
     assert run(["verify", "--sigma", "2", "--seed", "7",
-                "--tol", "shiffman=1e-17", "--json", "/dev/null"]) == 1
-
-
-@pytest.mark.parametrize("argv, code", [
-    # three names verify once recorded and no run reads now, at any lambda
-    (["--sigma", "2", "--tol", "catenoid_closed_form=1"], 2),
-    (["--lambda", "0", "--tol", "catenoid_closed_form=1e-30"], 2),
-    (["--lambda", "-0", "--tol", "catenoid_closed_form=1e-30"], 2),
-    (["--sigma", "2", "--tol", "enneper_fourier=1"], 2),
-    (["--lambda", "0", "--tol", "enneper_fourier=1"], 2),
-    (["--sigma", "2", "--tol", "period_gamma2_re_x2=1"], 2),
-    (["--lambda", "0", "--tol", "period_gamma2_re_x2=1"], 2),
-])
-def test_tol_of_a_check_that_does_not_run_is_refused(argv, code, capsys):
-    assert run(["verify", *argv, "--json", "/dev/null"]) == code
-    err = capsys.readouterr().err
-    assert err.startswith("configuration error: --tol: no check named ")
-    assert err.count("\n") == 1
+                "--json", str(path)]) == 1
+    rep = load_report(path)
+    assert rep["pass"] is False and len(rep["checks"]) == len(VERIFY_CHECKS)
+    assert [c["name"] for c in rep["checks"] if not c["pass"]] == \
+        ["gauss_ode"]
 
 
 @pytest.mark.slow
@@ -503,11 +499,6 @@ def test_verify_point_checks_keep_the_scalar_bits(tmp_path, sigma):
     pts = scalar.random_regular_points(params, 1000, rng)
     assert got["shiffman"] == max(
         abs(shiffkdv.shiffman(shiffkdv.msigma_jet(params, p, 3))) for p in pts)
-    rp = classical.RiemannParams.from_lambda((sigma - 1) / math.sqrt(sigma))
-    ring = scalar.classical_slice_points(
-        rp, rp.q1 + 0.7, np.linspace(0, 2 * math.pi, 24, endpoint=False))
-    assert got["classical_circle_fit"] == \
-        mesh.level_circle_fit([ring])[0].residual
 
 
 @pytest.mark.parametrize("sigma", ["1e-3", "2", "1e3"])
@@ -637,11 +628,11 @@ def test_verify_report_config_has_no_mesh_flags(tmp_path):
     path = tmp_path / "v.json"
     run(["verify", "--sigma", "2", "--seed", "7", "--json", str(path)])
     config = load_report(path)["config"]
-    assert set(config) == {"sigma", "lambda", "seed", "tolerance_overrides"}
+    assert set(config) == {"sigma", "lambda", "seed"}
 
 
 def test_kdv_report_config_names_only_what_the_run_used(tmp_path):
-    # printing draws nothing: no sigma, lambda or seed; kdv takes no --tol
+    # printing draws nothing: no sigma, lambda or seed
     path = tmp_path / "k.json"
     assert run(["kdv", "--print-p", "2", "--json", str(path)]) == 0
     rep = load_report(path)
@@ -664,8 +655,6 @@ def test_verify_reports_every_check_in_order(argv, tmp_path):
     path = tmp_path / "r.json"
     assert run(["verify", *argv, "--seed", "3", "--json", str(path)]) == 0
     rep = load_report(path)
-    names = [c["name"] for c in rep["checks"]]
-    # every run records the same checks, each under a name --tol accepts
-    assert len(cli.CHECK_NAMES) == 17
-    assert tuple(names) == cli.CHECK_NAMES
+    # every run records the same checks, in the same order
+    assert tuple(c["name"] for c in rep["checks"]) == VERIFY_CHECKS
     assert rep["pass"] is True

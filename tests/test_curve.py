@@ -407,8 +407,32 @@ def test_gauss_ode_residual():
     rng = np.random.default_rng(5)
     pts = curve.random_regular_points(params2, 100, rng)
     assert curve.gauss_ode_residual(params2, pts) < 1e-9
-    bp = CurvePoint(1.0 + 0.0j, 0.0 + 0.0j)
-    assert curve.gauss_ode_residual(params2, bp) < 1e-15
+    for bp in (CurvePoint(1.0 + 0.0j, 0.0 + 0.0j), CurvePoint(0j, 0j)):
+        assert curve.gauss_ode_residual(params2, bp) < 1e-15
+
+
+@pytest.mark.parametrize("seed", [44, 1272])
+def test_gauss_ode_residual_is_relative_to_the_largest_term(seed):
+    # verify's 50 points at sigma 1e3: terms of ~1e6 at |z| ~ 800 left an
+    # absolute defect of 7.0e-10 (seed 44) and 8.1e-10 (seed 1272), a few
+    # ulps of the largest term; the 30-digit defect of the same float
+    # points is as large, so it is the rounding of w, not of the check
+    params = CurveParams(1e3)
+    pts = curve.random_regular_points(params, 50, curve._SeededDraws(seed))
+    assert curve.gauss_ode_residual(params, pts) < 1e-14
+    with mpmath.workdps(30):
+        s = mpmath.mpf(params.sigma)
+        rs = mpmath.sqrt(s)
+        for z, w in zip(pts.z.tolist(), pts.w.tolist()):
+            g, gp = mpmath.mpc(z) / rs, mpmath.mpc(w) / rs
+            exact = abs(gp ** 2 - g * (rs + g) * (rs * g - 1))
+            largest = max(abs(gp) ** 2, rs * abs(g) ** 3,
+                          (s - 1) * abs(g) ** 2, rs * abs(g))
+            assert exact < 1e-15 * largest
+    # a point off the curve still shows: w off by 1e-8 moves (g')^2 by
+    # 2e-8 of itself
+    off = CurvePoint(pts.z, pts.w * (1.0 + 1e-8))
+    assert 1e-8 < curve.gauss_ode_residual(params, off) <= 2.1e-8
 
 
 def test_conformality_and_harmonicity():
