@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import classical, curve, mesh, quad
-from .quad import RiemannMinimalError
+from .errors import RiemannMinimalError
 
 __all__ = [
     "fd_surface_checks", "classical_fd_grid", "weierstrass_fd_grid",

@@ -50,7 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quad import RiemannMinimalError
+from .errors import RiemannMinimalError
 
 __all__ = [
     "DomainError", "ConvergenceError", "RiemannParams", "FoliationData",

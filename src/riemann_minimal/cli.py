@@ -15,6 +15,15 @@ Exit codes: 0 success, 1 failed verification, 2 bad configuration,
 exception; its traceback goes to stderr).  Reports are deterministic for a
 fixed config and seed except for the timestamp and timings fields.  Set
 MINSURF_LOG=DEBUG|INFO|... to control logging.
+
+Importing this module loads the parser and the standard library only.
+Each subcommand imports its own modules when it runs: gen takes ``mesh``
+(with ``curve`` and ``classical``), verify every module, and kdv the
+numpy-free ``hierarchy`` for ``--print-p`` plus ``curve`` and
+``shiffkdv`` for a fit.  ``RiemannMinimalError`` comes from
+``riemann_minimal.errors``, which imports nothing, so ``--help`` and a
+configuration error load no numpy, unless ``--lambda`` needs ``classical``
+to derive sigma.
 """
 
 from __future__ import annotations
@@ -30,10 +39,8 @@ import traceback
 from dataclasses import dataclass
 from functools import cache
 
-import numpy as np
-
-from . import __version__, checks, classical, curve, mesh, shiffkdv
-from .quad import RiemannMinimalError
+from . import __version__
+from .errors import RiemannMinimalError
 
 log = logging.getLogger("riemann_minimal")
 
@@ -162,6 +169,7 @@ def _config_from_args(args) -> RunConfig:
             raise ValueError(f"the fit flags {', '.join(fit)} need "
                              "--sigma or --lambda")
     if sigma is None and lam is not None:
+        from . import classical
         sigma = classical.sigma_of_lambda(lam)
     if sigma is not None and not SIGMA_RANGE[0] <= sigma <= SIGMA_RANGE[1]:
         given = f"sigma {sigma!r}" if lam is None else (
@@ -196,7 +204,8 @@ def _config_from_args(args) -> RunConfig:
     if cfg.command == "kdv":
         if cfg.print_p is None and cfg.sigma is None:
             raise ValueError("kdv needs --print-p and/or --sigma/--lambda")
-        top = shiffkdv.MAX_HIERARCHY_LEVEL
+        from . import hierarchy
+        top = hierarchy.MAX_HIERARCHY_LEVEL
         if cfg.print_p is not None and not 0 <= cfg.print_p <= top:
             raise ValueError(f"--print-p {cfg.print_p} outside [0, {top}]")
         # above level 3 the flows' rounding residue nears the rank cutoff
@@ -211,7 +220,7 @@ def _report_skeleton(cfg: RunConfig) -> dict:
     config = {"sigma": cfg.sigma, "lambda": cfg.lam}
     environment = {"package_version": __version__,
                    "python": platform.python_version(),
-                   "numpy": np.__version__}
+                   "numpy": None}  # read when the report is written
     if cfg.command == "gen":  # gen takes the mesh flags and draws nothing
         config.update(e=cfg.e, grid=[cfg.nr, cfg.nt], copies=cfg.copies)
     elif cfg.sigma is not None:  # verify, and kdv's fit, draw seeded points
@@ -229,6 +238,8 @@ def _report_skeleton(cfg: RunConfig) -> dict:
 
 
 def _emit_report(report: dict, cfg: RunConfig, t_start: float):
+    import numpy
+    report["environment"]["numpy"] = numpy.__version__
     report["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%S%z")
     report["timings"]["total_s"] = round(time.time() - t_start, 3)
     text = json.dumps(report, indent=2)
@@ -252,6 +263,7 @@ def cmd_gen(cfg: RunConfig) -> int:
         print(f"configuration error: -o {cfg.out_dir}: {exc.strerror}",
               file=sys.stderr)
         return EXIT_CONFIG
+    from . import mesh
     log.info("sampling fundamental piece (%dx%d)", cfg.nr, cfg.nt)
     fund = mesh.sample_fundamental(cfg.sigma, cfg.e, cfg.nr, cfg.nt)
     ops = mesh.extension_ops(cfg.sigma)
@@ -278,6 +290,9 @@ def cmd_gen(cfg: RunConfig) -> int:
 
 
 def cmd_verify(cfg: RunConfig) -> int:
+    import numpy as np
+
+    from . import checks, classical, curve, mesh, shiffkdv
     t_start = time.time()
     report = _report_skeleton(cfg)
 
@@ -345,11 +360,13 @@ def cmd_kdv(cfg: RunConfig) -> int:
     t_start = time.time()
     report = _report_skeleton(cfg)
     if cfg.print_p is not None:
-        lines = [f"P{k} = {shiffkdv.hierarchy_P(k)}"
+        from . import hierarchy
+        lines = [f"P{k} = {hierarchy.hierarchy_P(k)}"
                  for k in range(cfg.print_p + 1)]
         print("\n".join(lines))
         report["result"] = {"polynomials": lines}
     if cfg.sigma is not None:
+        from . import curve, shiffkdv
         params = curve.CurveParams(cfg.sigma)
         rng = curve._SeededDraws(cfg.seed)
         pts = curve.random_regular_points(params, cfg.samples, rng)

@@ -50,7 +50,7 @@ from itertools import repeat, starmap
 import numpy as np
 
 from . import classical
-from .quad import RiemannMinimalError
+from .errors import RiemannMinimalError
 
 __all__ = [
     "CurveError", "PoleOfGaussMap", "CurveParams", "CurvePoint",

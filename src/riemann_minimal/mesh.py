@@ -45,7 +45,7 @@ import numpy as np
 
 from . import curve as _curve
 from .curve import CurveParams
-from .quad import RiemannMinimalError
+from .errors import RiemannMinimalError
 
 __all__ = [
     "DegenerateCell", "Degenerate", "DomainMap", "TriMesh", "IsometryOp",

@@ -14,6 +14,10 @@ The constants leave two to four digits of slack below every tolerance the
 library asserts against (1e-6 .. 1e-8).  Callers read them as
 ``quad.ABS_TOL`` at call time, so rebinding one changes every later call.
 
+``RiemannMinimalError``, the base of ``QuadError``, lives in
+:mod:`riemann_minimal.errors`; it is imported back here, so
+``quad.RiemannMinimalError`` still names it.
+
 Pure functions of their inputs, safe to call concurrently; double
 precision throughout.
 """
@@ -21,6 +25,8 @@ precision throughout.
 from __future__ import annotations
 
 import numpy as np
+
+from .errors import RiemannMinimalError
 
 __all__ = [
     "RiemannMinimalError",
@@ -32,14 +38,6 @@ __all__ = [
 
 ABS_TOL = 1e-10
 REL_TOL = 1e-10
-
-
-class RiemannMinimalError(Exception):
-    """Base class of every numeric failure the package raises.
-
-    Defined here because every module imports ``quad``; the CLI maps this
-    class, and only this class, to its numeric-failure exit code.
-    """
 
 
 class QuadError(RiemannMinimalError):

@@ -10,13 +10,10 @@ or lines.  Its complexification S + iS* feeds an evolution equation for g
 (the Shiffman velocity), which the substitutions x = g'/g and
 u = x'/2 - x^2/4 = -3(g')^2/(4g^2) + g''/(2g) carry to mKdV and KdV.
 
-The KdV hierarchy lives here as formal differential polynomials in
-u, u', u'', ... with exact rational coefficients:
-
-    d/dz P_{n+1} = (d^3/dz^3 + 4u d/dz + 2u') P_n,     P_0 = 1/2,
-
-the antiderivative being taken exactly (integration constants zero), so
-P_1 = u and P_2 = u'' + 3u^2.  Flows are du/dt_n = -d/dz P_{n+1}(u).
+The KdV hierarchy's polynomials P_n in u, u', u'', ... (exact rational
+coefficients, P_1 = u, P_2 = u'' + 3u^2) live in the numpy-free
+:mod:`riemann_minimal.hierarchy`, whose names are imported back here;
+the flows du/dt_n = -d/dz P_{n+1}(u) are evaluated here, on jets.
 
 Jets (value plus derivative towers) are the working representation for g
 and u: on the curve w^2 = z(z-1)(z+sigma) every derivative of g is an
@@ -29,15 +26,15 @@ points (one ``curve.CurvePoint`` of arrays) in one array computation.
 from __future__ import annotations
 
 import math
-import threading
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import curve as _curve
 from .curve import CurveParams, PoleOfGaussMap, gaussian_curvature
-from .quad import RiemannMinimalError
+from .errors import RiemannMinimalError
+from .hierarchy import (MAX_HIERARCHY_LEVEL, DiffPoly, JetTooShort,  # noqa: F401
+                        NotExactDerivative, hierarchy_P)
 
 __all__ = [
     "GridTooSmall", "NotExactDerivative", "JetTooShort",
@@ -50,14 +47,6 @@ __all__ = [
 
 
 class GridTooSmall(RiemannMinimalError):
-    pass
-
-
-class NotExactDerivative(RiemannMinimalError):
-    """Formal antidifferentiation left a nonzero remainder (a bug, not math)."""
-
-
-class JetTooShort(RiemannMinimalError):
     pass
 
 
@@ -248,156 +237,6 @@ def mkdv_flow(x: Jet) -> Jet:
     >= 3.  Under it u = miura(x) moves by du/dt = -(i/2) flow_n(1, u)."""
     _require(x, 3, "mkdv_flow")
     return 0.5j * (x.d(3) - 1.5 * (x * x) * x.d(1))
-
-
-# ---------------------------------------------------------------------------
-# formal differential polynomials
-
-
-def _fmt_monomial(mono):
-    if not mono:
-        return ""
-    parts = []
-    orders = sorted(set(mono))
-    for k in orders:
-        count = mono.count(k)
-        sym = "u" + "'" * k
-        parts.append(sym if count == 1 else f"{sym}^{count}")
-    return " ".join(parts)
-
-
-@dataclass(frozen=True)
-class DiffPoly:
-    """Formal polynomial in u, u', u'', ... with exact Fraction coefficients.
-
-    Monomials are stored as descending-sorted tuples of derivative orders,
-    e.g. (2, 0, 0) is u'' u^2.  Zero coefficients are never stored.
-    """
-
-    terms: dict = field(default_factory=dict)
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            out[m] = out.get(m, Fraction(0)) + c
-        return DiffPoly({m: c for m, c in out.items() if c != 0})
-
-    def scale(self, c):
-        c = Fraction(c)
-        if c == 0:
-            return DiffPoly({})
-        return DiffPoly({m: c * v for m, v in self.terms.items()})
-
-    def mul_factor(self, k):
-        """Multiply by u^(k)."""
-        return DiffPoly({tuple(sorted(m + (k,), reverse=True)): c
-                         for m, c in self.terms.items()})
-
-    def derivative(self):
-        out = {}
-        for mono, c in self.terms.items():
-            for i in range(len(mono)):
-                bumped = tuple(sorted(mono[:i] + (mono[i] + 1,) + mono[i + 1:],
-                                      reverse=True))
-                out[bumped] = out.get(bumped, Fraction(0)) + c
-        return DiffPoly({m: c for m, c in out.items() if c != 0})
-
-    def antiderivative(self):
-        """Exact formal antiderivative via leading-term peeling.
-
-        Repeatedly integrates the lexicographically greatest monomial by
-        parts; raises NotExactDerivative if a remainder survives (for the
-        hierarchy this would signal an implementation bug, exactness being
-        a theorem).
-        """
-        rest = dict(self.terms)
-        out = {}
-        while rest:
-            mono = max(rest)
-            c = rest.pop(mono)
-            k = mono[0]
-            if k == 0 or (len(mono) > 1 and mono[1] == k):
-                raise NotExactDerivative(
-                    f"term {c} * {_fmt_monomial(mono)} is not an exact z-derivative")
-            cand = tuple(sorted(mono[1:] + (k - 1,), reverse=True))
-            mult = cand.count(k - 1)
-            coeff = c / mult
-            out[cand] = out.get(cand, Fraction(0)) + coeff
-            for m, v in DiffPoly({cand: coeff}).derivative().terms.items():
-                if m == mono:
-                    continue
-                nv = rest.get(m, Fraction(0)) - v
-                if nv == 0:
-                    rest.pop(m, None)
-                else:
-                    rest[m] = nv
-        return DiffPoly({m: c for m, c in out.items() if c != 0})
-
-    def evaluate(self, j: Jet) -> complex:
-        total = 0.0 + 0.0j
-        for mono, c in self.terms.items():
-            if mono and mono[0] > j.order:
-                raise JetTooShort(
-                    f"monomial {_fmt_monomial(mono)} needs jet order {mono[0]}, "
-                    f"got {j.order}")
-            v = complex(c)
-            for k in mono:
-                v *= j[k]
-            total += v
-        return total
-
-    def max_order(self) -> int:
-        return max((m[0] for m in self.terms if m), default=0)
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for mono in sorted(self.terms, reverse=True):
-            c = self.terms[mono]
-            mono_s = _fmt_monomial(mono)
-            mag = abs(c)
-            if not mono_s:
-                coeff_s = str(mag)
-            elif mag == 1:
-                coeff_s = ""
-            else:
-                coeff_s = str(mag) + " "
-            term = coeff_s + mono_s if mono_s else coeff_s
-            if not parts:
-                parts.append(("-" if c < 0 else "") + term)
-            else:
-                parts.append(("- " if c < 0 else "+ ") + term)
-        return " ".join(parts)
-
-
-_P_CACHE = [DiffPoly({(): Fraction(1, 2)})]
-_P_LOCK = threading.Lock()
-MAX_HIERARCHY_LEVEL = 6
-
-
-def hierarchy_P(n: int) -> DiffPoly:
-    """The n-th Gelfand-Dickey polynomial P_n of the KdV hierarchy.
-
-    d/dz P_{n+1} = (d^3 + 4u d + 2u') P_n with P_0 = 1/2 and integration
-    constants zero, so P_1 = u, P_2 = u'' + 3u^2, ...
-    Build-once read-many memo (lock only taken while extending); levels
-    above MAX_HIERARCHY_LEVEL are refused (desk scale).
-    """
-    if n < 0:
-        raise ValueError("hierarchy level must be >= 0")
-    if n > MAX_HIERARCHY_LEVEL:
-        raise ValueError(f"hierarchy level {n} above configured max "
-                         f"{MAX_HIERARCHY_LEVEL}")
-    if len(_P_CACHE) <= n:
-        with _P_LOCK:
-            while len(_P_CACHE) <= n:
-                p = _P_CACHE[-1]
-                rhs = (p.derivative().derivative().derivative()
-                       + p.derivative().mul_factor(0).scale(4)
-                       + p.mul_factor(1).scale(2))
-                _P_CACHE.append(rhs.antiderivative())
-    return _P_CACHE[n]
 
 
 def flow_n(n: int, j: Jet) -> complex:

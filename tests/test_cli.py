@@ -398,24 +398,72 @@ def test_import_does_not_load_scipy_optimize():
     assert out.stdout.strip() == "False"
 
 
-@pytest.mark.parametrize("command", ["verify", "kdv"])
-def test_seeded_commands_do_not_load_numpy_random(command):
-    # the seeded points come from random.Random: numpy.random and what it
-    # imports (secrets, hashlib and OpenSSL's _hashlib) stay out of the
-    # process
+P_TEXT_3 = ("P0 = 1/2\nP1 = u\nP2 = u'' + 3 u^2\n"
+            "P3 = u'''' + 10 u u'' + 5 u'^2 + 10 u^3\n")
+# the seeded points come from random.Random: numpy.random and what it
+# imports (secrets, hashlib and OpenSSL's _hashlib) stay out of the process
+NUMPY_RANDOM = ["numpy.random", "secrets", "hashlib", "_hashlib"]
+
+
+@pytest.mark.parametrize("argv, rc, absent, block_numpy", [
+    (["kdv", "--print-p", "3"], 0, ["numpy"], False),
+    (["kdv", "--print-p", "3"], 0, ["numpy"], True),
+    (["--help"], 0, ["numpy"], False),
+    (["verify", "--sigma", "1e9"], 2, ["numpy"], False),
+    (["gen", "--sigma", "2", "--grid", "8x12"], 0,
+     ["riemann_minimal.checks", "riemann_minimal.shiffkdv"], False),
+    (["verify", "--sigma", "2"], 0, NUMPY_RANDOM, False),
+    (["kdv", "--sigma", "2"], 0,
+     NUMPY_RANDOM + ["riemann_minimal.checks", "riemann_minimal.mesh"], False),
+], ids=["kdv-print-p", "kdv-print-p-numpy-blocked", "help", "config-error",
+        "gen", "verify", "kdv"])
+def test_commands_import_only_what_they_run(tmp_path, argv, rc, absent,
+                                            block_numpy):
+    # each command in a fresh process: the modules it does not run stay
+    # out of sys.modules; with numpy blocked (importing it raises),
+    # --print-p still prints the exact hierarchy, byte for byte
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     code = f"""
-import io, sys
+import io, json, sys
+if {block_numpy}:
+    sys.modules["numpy"] = None
 from riemann_minimal import cli
 out, sys.stdout, sys.stderr = sys.stdout, io.StringIO(), io.StringIO()
-rc = cli.main(["{command}", "--sigma", "2"])
-print(rc, *(m for m in ("numpy.random", "secrets", "hashlib", "_hashlib")
-            if m in sys.modules), file=out)
+rc = cli.main({argv!r})
+print(json.dumps([rc, [m for m in {absent!r} if sys.modules.get(m)],
+                  sys.stdout.getvalue()]), file=out)
 """
-    out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, check=True, timeout=120)
-    assert out.stdout.split() == ["0"], out.stdout
+    out = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path,
+                         capture_output=True, text=True, check=True,
+                         timeout=120)
+    got_rc, loaded, stdout = json.loads(out.stdout)
+    assert (got_rc, loaded) == (rc, []), out.stdout
+    if argv[:2] == ["kdv", "--print-p"]:
+        assert stdout == P_TEXT_3
+
+
+@pytest.mark.parametrize("sigma", [1e-3, 2.0, 1e3])
+def test_kdv_fit_finds_the_level_1_coefficient(tmp_path, sigma):
+    # the fit imports curve and shiffkdv when it runs; at the range's ends
+    # and mid-range the level-1 fit is at full rank and finds
+    # c = (1 - sigma)/2 (relative errors 9.9e-14, 9.1e-15 and 2.8e-13)
+    path = tmp_path / "kdv.json"
+    assert run(["kdv", "--sigma", repr(sigma), "--n", "1",
+                "--json", str(path)]) == 0
+    res = load_report(path)["result"]
+    c = 0.5 * (1.0 - sigma)
+    re, im = res["coefficients"][0]
+    assert abs(complex(re, im) - c) < 1e-10 * abs(c), res
+    assert res["rank_deficient"] is False
+    # the report carries the AlgebroGeometricFit of the same seeded points
+    params = curve.CurveParams(sigma)
+    pts = curve.random_regular_points(
+        params, cli.RunConfig.samples, curve._SeededDraws(cli.RunConfig.seed))
+    fit = shiffkdv.algebro_geometric_residual(params, 1, pts)
+    assert isinstance(fit, shiffkdv.AlgebroGeometricFit)
+    assert [[v.real, v.imag] for v in fit.coefficients] == res["coefficients"]
+    assert fit.residual == res["residual"]
 
 
 @pytest.mark.slow
