@@ -54,8 +54,8 @@ span = ops[3].offset[2] / 2.0
 # slab's ends 0 and t0_3 are lines
 hs = np.array([0.0, 0.25, 0.5, 0.75, 1.0]) * span
 exact = mesh.level_circle_fit(mesh.refine_slice(SIGMA, hs, 24))
-# the extended mesh cut at the same heights: one pass over its edges, each
-# crossing interpolated along its edge
+# the extended mesh cut at the same heights: its edges walked once per
+# height, each crossing interpolated along its edge
 owner, ia, ib, s = mesh.slice_mesh(ext, hs)
 v = ext.vertices
 cut = v[ia] + s[:, None] * (v[ib] - v[ia])

@@ -374,8 +374,8 @@ def foliation_frames(d: FoliationData, us):
     frame at u = 0 by one RK4 step to each u, all u in one (len(us), 12)
     array; |u| <= 1e-4 (ValueError otherwise), the offsets of a finite
     difference.  The step's local error is about (|A| u)^5 / 120 < 1e-19,
-    A the 12x12 system matrix (|A| is at most about 3 for the data verify
-    and the tests use), so it agrees with a 64-step march to rounding.
+    A the 12x12 system matrix (|A| is at most about 3 for the data the
+    tests use), so it agrees with a 64-step march to rounding.
     kappa and the velocity components vary linearly in u (their
     derivatives are the supplied primes), tau is held constant (the trig
     coefficients do not involve tau').  Returns (n, b, c), each of shape

@@ -30,9 +30,9 @@ Slices are taken without a mesh: in the height coordinate u of
 ``curve.immerse`` the upper half-plane is a rectangle on which the plane
 {x3 = h} is a vertical line, and :func:`refine_slice` takes exact surface
 points on such lines in closed form, with their mirror x2 -> -x2 the whole
-slice.  :func:`slice_mesh` cuts a mesh at a sequence of heights in one
-pass over its edges.  :func:`level_circle_fit` fits a sequence of slices
-in one stacked solve, one circle or line per slice.
+slice.  :func:`slice_mesh` cuts a mesh at a sequence of heights, walking
+its edges once per height.  :func:`level_circle_fit` fits a sequence of
+slices in one stacked solve, one circle or line per slice.
 """
 
 from __future__ import annotations
@@ -253,21 +253,15 @@ class TriMesh:
 
     @cached_property
     def edges(self):
-        """Unique undirected edges (i, j), i < j, in ascending order.
-
-        Blocks share no vertex, and block b's edges are the base faces'
-        shifted by b times the base vertex count (a reversed face has the
-        same edges): the base faces' unique edges are shifted to every
-        block of every copy, in order.  Computed on first use and kept;
-        the faces must not change after.
+        """Unique undirected edges (i, j), i < j, in ascending order: the
+        ``np.unique`` of the whole mesh's face edges.  Computed on first
+        use and kept; the faces must not change after.
         """
-        n = self.base_count
-        faces = np.asarray(self.base_faces, dtype=np.int64)
+        n = self.vertex_count
+        faces = self.faces.astype(np.int64)
         nxt = np.roll(faces, -1, axis=1)
-        key = _unique(np.minimum(faces, nxt) * n + np.maximum(faces, nxt))
-        i, j = np.divmod(key, n)
-        shift = n * np.arange(self.vertex_count // n)[:, None]
-        return (i + shift).ravel(), (j + shift).ravel()
+        return np.divmod(np.unique(np.minimum(faces, nxt) * n
+                                   + np.maximum(faces, nxt)), n)
 
 
 # ---------------------------------------------------------------------------
@@ -370,21 +364,18 @@ def extension_ops(sigma: float):
     4. translation by 2 t0 with t0 = psi(-sigma).
 
     Each op's orientation is the sign of signs . N(p)^2 at a surface point
-    p it fixes: p over z = i sqrt(sigma) for op 1 (+1), over (-sigma, 0),
-    which lies in {x2 = 0}, for op 2 (+1), and over (0, 1), which lies on
-    the x2-axis, for op 3 (-1).  The translation keeps it.
+    p it fixes, the same for every sigma.  Over z = i sqrt(sigma), g = i
+    and N = (0, 1, 0): op 1 keeps it (+1).  Over the real axis g is real
+    and N = (N1, 0, N3): op 2 fixes the points over (-sigma, 0), which lie
+    in {x2 = 0}, and keeps it (+1); op 3 fixes those over (0, 1), which
+    lie on the x2-axis, and reverses it (-1).  The translation keeps it.
     """
     t0 = FundamentalSurface(sigma).translation_half()
     rot = np.array([-1.0, 1.0, -1.0])
-
-    def symmetry(signs, offset, z_fixed):
-        n = _unit_normals(sigma, np.array([z_fixed]))[0]
-        return IsometryOp(signs, offset, float(np.sign(signs @ (n * n))))
-
     return [
-        symmetry(rot, np.array([t0[0], 0.0, t0[2]]), 1j * math.sqrt(sigma)),
-        symmetry(np.array([1.0, -1.0, 1.0]), np.zeros(3), -0.5 * sigma),
-        symmetry(rot, np.zeros(3), 0.5),
+        IsometryOp(rot, np.array([t0[0], 0.0, t0[2]]), 1.0),
+        IsometryOp(np.array([1.0, -1.0, 1.0]), np.zeros(3), 1.0),
+        IsometryOp(rot, np.zeros(3), -1.0),
         IsometryOp(offset=2.0 * t0),
     ]
 
@@ -513,7 +504,7 @@ def level_circle_fit(slices) -> list[CircleFit]:
 
 def slice_mesh(mesh: TriMesh, heights):
     """Intersect the mesh with the planes {x3 = h} of a 1-d sequence of
-    heights, in one pass over its edges.
+    heights, one walk over its edges per height.
 
     A crossing is a mesh edge (ia < ib) whose ends lie strictly on opposite
     sides of the plane (an end at the height itself makes none), recorded
@@ -521,29 +512,15 @@ def slice_mesh(mesh: TriMesh, heights):
     The edge set is the mesh's cached ``TriMesh.edges``, in ascending
     (ia, ib) order.  Returns the records of all heights as arrays (owner,
     ia, ib, s), owner the index of the record's height: height-major, in
-    edge order within each height.  The pass places every vertex among the
-    sorted heights (``searchsorted``); an edge crosses the run of them
-    between its ends' places, so the cost is one walk over the vertices
-    and edges plus one step per record, not a walk per height.
+    edge order within each height.
     """
     i, j = mesh.edges
     x3 = mesh.vertices[:, 2]
+    lo, hi = np.minimum(x3[i], x3[j]), np.maximum(x3[i], x3[j])
     hs = np.asarray(heights, dtype=float).reshape(-1)
-    order = np.argsort(hs, kind="stable")
-    # per vertex, the count of sorted heights below it and at or below it:
-    # an edge crosses sorted heights first .. first + n - 1, those above
-    # its lower end and below its upper end
-    below, upto = (np.searchsorted(hs[order], x3, side=side)
-                   for side in ("left", "right"))
-    first = np.minimum(upto[i], upto[j])
-    n = np.maximum(np.maximum(below[i], below[j]) - first, 0)
-    e = np.flatnonzero(n)
-    first, n = first[e], n[e]
-    edge = np.repeat(e, n)
-    owner = order[np.arange(len(edge)) + np.repeat(first - np.cumsum(n) + n,
-                                                    n)]
-    by_height = np.argsort(owner, kind="stable")
-    owner, edge = owner[by_height], edge[by_height]
+    edge = [np.flatnonzero((lo < h) & (h < hi)) for h in hs]
+    owner = np.repeat(np.arange(len(hs)), [len(e) for e in edge])
+    edge = np.concatenate(edge) if edge else np.zeros(0, dtype=np.intp)
     i, j = i[edge], j[edge]
     fa, fb = x3[i] - hs[owner], x3[j] - hs[owner]
     return owner, i, j, fa / (fa - fb)
@@ -1013,16 +990,6 @@ def _token_table(first, count, out):
         table[r0:r1, 2 * w + 1:] = 0
     padded = len(str(first)) < digits_last
     return table.view(np.dtype((np.void, table.shape[1])))[:, 0], padded
-
-
-def _unique(a):
-    """The sorted distinct values of an integer array, as ``np.unique``
-    gives them, from one sort: numpy 2.4's hash-based ``np.unique`` took
-    6x as long on the 4278 edge keys of a 24x32 piece."""
-    a = np.sort(a, axis=None)
-    keep = np.ones(a.shape, dtype=bool)
-    keep[1:] = a[1:] != a[:-1]
-    return a[keep]
 
 
 def _obj_faces(mesh):

@@ -552,8 +552,8 @@ def test_verify_point_checks_keep_the_scalar_bits(tmp_path, sigma):
 @pytest.mark.parametrize("sigma", ["1e-3", "2", "1e3"])
 def test_verify_builds_no_mesh(sigma, monkeypatch):
     # the slice checks take their points on lines of the height
-    # coordinate: no piece is sampled, sliced or extended, and no edge set
-    # is built; one refine_slice call takes every slice
+    # coordinate: no piece is sampled, sliced or extended, and no mesh (so
+    # no edge set) is built; one refine_slice call takes every slice
     refined = []
     refine = mesh.refine_slice
 
@@ -565,7 +565,7 @@ def test_verify_builds_no_mesh(sigma, monkeypatch):
         raise AssertionError("verify built a mesh")
 
     for name in ("sample_fundamental", "slice_mesh", "extend",
-                 "extension_ops", "_unique"):
+                 "extension_ops", "TriMesh"):
         monkeypatch.setattr(mesh, name, no_mesh)
     monkeypatch.setattr(mesh, "refine_slice", refining)
     assert run(["verify", "--sigma", sigma, "--json", "/dev/null"]) == 0

@@ -831,16 +831,21 @@ def test_edges_match_the_whole_mesh_unique(fund2, ops2, cell, copies):
         assert g.dtype == w.dtype and np.array_equal(g, w)
 
 
-def _slice_mesh_reference(m, height):
-    """Per-face edge set walked in sorted order: the loop slice_mesh must
-    reproduce crossing for crossing."""
-    x3 = m.vertices[:, 2]
+def _edge_set(m):
+    """The mesh's undirected edges from a per-face walk, sorted."""
     edges = set()
-    for (a, b, c) in m.faces:
+    for (a, b, c) in m.faces.tolist():
         for i, j in ((a, b), (b, c), (c, a)):
             edges.add((min(i, j), max(i, j)))
+    return sorted(edges)
+
+
+def _slice_mesh_reference(m, edges, height):
+    """The sorted edge set of ``_edge_set`` walked in order: the loop
+    slice_mesh must reproduce crossing for crossing."""
+    x3 = m.vertices[:, 2]
     pts, crossings = [], []
-    for (i, j) in sorted(edges):
+    for (i, j) in edges:
         fa, fb = x3[i] - height, x3[j] - height
         if fa == 0.0 or fb == 0.0 or fa * fb > 0.0:
             continue
@@ -860,8 +865,9 @@ def test_slice_mesh_matches_edge_set_reference(fund2, ops2, surf2):
     records = slice_mesh(ext, heights)
     owner, ia, ib, s = records
     pts = _slice_points(ext, records)
+    edges = _edge_set(ext)
     for k, h in enumerate(heights):
-        ref_pts, ref_crossings = _slice_mesh_reference(ext, h)
+        ref_pts, ref_crossings = _slice_mesh_reference(ext, edges, h)
         at = owner == k
         assert list(zip(ia[at].tolist(), ib[at].tolist(),
                         s[at].tolist())) == ref_crossings
@@ -888,9 +894,9 @@ def test_slice_mesh_height_sequence_matches_scalar_calls(sigma, cell):
     hs = generic + [generic[3]] + vertex + outside
     owner, ia, ib, s = slice_mesh(m, hs)
     assert np.all(np.diff(owner) >= 0)
-    want = []
+    want, edges = [], _edge_set(m)
     for k, h in enumerate(hs):
-        _, records = _slice_mesh_reference(m, h)
+        _, records = _slice_mesh_reference(m, edges, h)
         at = owner == k
         assert list(zip(ia[at].tolist(), ib[at].tolist(),
                         s[at].tolist())) == records
