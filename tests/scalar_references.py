@@ -37,16 +37,11 @@ references that the batched code in ``riemann_minimal`` is pinned against.
   Python's ``%`` (``'%.9g'`` and ``%d``), one line template per chunk.
 * :func:`export_ply` -- the PLY writer with one ``hstack`` of float32 rows
   per copy and every face packed by ``struct``.
-
-Run as a script, ``python tests/scalar_references.py SIGMA NRxNT COPIES
-PATH`` writes the extended mesh that ``gen`` would write (``--e 0.1``):
-a PLY by :func:`export_ply` if PATH ends in ``.ply``, else an OBJ by
-:func:`export_obj`.
 """
 
+import itertools
 import math
 import struct
-import sys
 from dataclasses import dataclass
 
 import mpmath
@@ -449,10 +444,10 @@ def export_ply(m, path):
         nbytes = fh.write(header)
         for v, nrm in translated_copies(m):
             nbytes += fh.write(np.hstack([v, nrm]).astype("<f4").tobytes())
+        pack = struct.Struct("<B3i").pack
         for k in range(m.copies + 1):
             nbytes += fh.write(b"".join(
-                struct.pack("<B3i", 3, a, b, c)
-                for a, b, c in (faces + k * n).tolist()))
+                map(pack, itertools.repeat(3), *(faces + k * n).T.tolist())))
     return nbytes
 
 
@@ -462,9 +457,3 @@ def gen_extended(sigma, nr, nt, copies):
     fund = mesh.sample_fundamental(sigma, 0.1, nr, nt)
     return mesh.extend(fund, mesh.extension_ops(sigma), copies)
 
-
-if __name__ == "__main__":
-    sigma, grid, copies, out = sys.argv[1:]
-    nr, nt = map(int, grid.split("x"))
-    writer = export_ply if out.endswith(".ply") else export_obj
-    writer(gen_extended(float(sigma), nr, nt, int(copies)), out)

@@ -310,25 +310,28 @@ def _frame_at_reference(d, u, n_steps=1, one=1.0):
     """One scalar RK4 march of the Frenet frame and center to u in
     ``n_steps`` equal steps; by default the one step per u that
     ``foliation_frames`` batches.  With ``one`` an mpmath 1 it marches in
-    mpmath numbers."""
+    mpmath numbers.  Each product puts the array first: mpmath, given an
+    array on its right, formats the whole array into an error message
+    before numpy takes over, and the products are the same either way
+    round."""
     def deriv(x, y):
         t, n, b = y[0:3], y[3:6], y[6:9]
         k = d.kappa + d.kappa_p * x
         al = d.alpha + d.alpha_p * x
         be = d.beta + d.beta_p * x
         de = d.delta + d.delta_p * x
-        return np.concatenate([k * n, -k * t - d.tau * b, d.tau * n,
-                               al * t + be * n + de * b])
+        return np.concatenate([n * k, t * -k - b * d.tau, n * d.tau,
+                               t * al + n * be + b * de])
 
     y = np.concatenate([np.eye(3).ravel(), np.zeros(3)]) * one
     h = u * one / n_steps
     x = 0.0 * one
     for _ in range(n_steps):
         k1 = deriv(x, y)
-        k2 = deriv(x + h / 2, y + h / 2 * k1)
-        k3 = deriv(x + h / 2, y + h / 2 * k2)
-        k4 = deriv(x + h, y + h * k3)
-        y = y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        k2 = deriv(x + h / 2, y + k1 * (h / 2))
+        k3 = deriv(x + h / 2, y + k2 * (h / 2))
+        k4 = deriv(x + h, y + k3 * h)
+        y = y + (k1 + 2 * k2 + 2 * k3 + k4) * (h / 6)
         x += h
     return y[3:6], y[6:9], y[9:12]
 

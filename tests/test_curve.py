@@ -696,8 +696,9 @@ def test_psi_against_mpmath_carlson(sigma):
         assert abs(uu - want_u) <= 1e-15 * scale, z
 
 
-CI_SIGMAS = [1e-3, 0.012, 0.05, 1.0, 2.0, 8.0, 21.5, 100.0, 1e3,
-             classical.sigma_of_lambda(31.59)]
+# the sigmas of the end-to-end gen and verify tests, the range ends included
+RANGE_SIGMAS = [1e-3, 0.012, 0.05, 1.0, 2.0, 8.0, 21.5, 100.0, 1e3,
+                classical.sigma_of_lambda(31.59)]
 
 
 @pytest.mark.parametrize("sigma", [1e-3, 2.0, 1e3])
@@ -774,7 +775,7 @@ def _against_kernel_loops(sigma):
     return worst
 
 
-@pytest.mark.parametrize("sigma", CI_SIGMAS)
+@pytest.mark.parametrize("sigma", RANGE_SIGMAS)
 def test_trapezoid_periods_match_the_kernel_loops(sigma):
     # measured at most 5.1e-13 (gamma2 at sigma 1e3), below 6e-14 for
     # sigma <= 100
@@ -787,7 +788,7 @@ def test_trapezoid_periods_match_the_kernel_over_the_range(log_sigma):
     assert _against_kernel_loops(10.0 ** log_sigma) <= 1e-12
 
 
-@pytest.mark.parametrize("sigma", CI_SIGMAS)
+@pytest.mark.parametrize("sigma", RANGE_SIGMAS)
 def test_trapezoid_node_rule_is_converged(sigma, monkeypatch):
     # doubling the node rule's exponent, about twice the nodes, moves a
     # period by rounding only (measured at most 1.2e-15 of |P|); the end
@@ -810,7 +811,7 @@ def test_trapezoid_node_rule_is_converged(sigma, monkeypatch):
         assert np.max(np.abs(got - finer)) <= 2e-14 * scale, kind
 
 
-@pytest.mark.parametrize("sigma", CI_SIGMAS)
+@pytest.mark.parametrize("sigma", RANGE_SIGMAS)
 def test_loop_contours_carry_one_analytic_branch(sigma):
     # on each contour w is a root of p(z) (to the rounding of p at the
     # rounded nodes) that never jumps to the other root between
@@ -846,7 +847,7 @@ def _stencil_panels(monkeypatch, sigma, n_side=6):
     return a, b, inc
 
 
-@pytest.mark.parametrize("sigma", CI_SIGMAS)
+@pytest.mark.parametrize("sigma", RANGE_SIGMAS)
 def test_stencil_points_lie_in_the_upper_half_plane(sigma, monkeypatch):
     # the principal-root product is the base point's branch, and analytic,
     # on the open upper half-plane only
@@ -859,7 +860,7 @@ def test_stencil_points_lie_in_the_upper_half_plane(sigma, monkeypatch):
         assert hk.max() <= 1e-4
 
 
-@pytest.mark.parametrize("sigma", CI_SIGMAS)
+@pytest.mark.parametrize("sigma", RANGE_SIGMAS)
 def test_stencil_increments_match_the_kernel(sigma, monkeypatch):
     # one panel per segment against the adaptive kernel with branch
     # tracking from the same root; measured at most 4.8e-16 relative, the
@@ -872,7 +873,7 @@ def test_stencil_increments_match_the_kernel(sigma, monkeypatch):
     assert np.all(np.max(np.abs(inc - want), axis=1) <= 1e-15 * scale)
 
 
-@pytest.mark.parametrize("sigma", CI_SIGMAS)
+@pytest.mark.parametrize("sigma", RANGE_SIGMAS)
 def test_psi_matches_the_kernel_at_every_sample_vertex(sigma):
     # the sampled piece against the quadrature kernel's march along the
     # grid edges, including the corners on the branch points; measured at

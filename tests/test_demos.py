@@ -1,5 +1,6 @@
-"""Every demo runs as CI's "Demos" step runs it: from a fresh directory,
-with the package on ``PYTHONPATH``, exiting 0 with nothing on stderr."""
+"""Every demo runs from a fresh directory, so that none relies on
+another's output, with the package on ``PYTHONPATH``, exiting 0 with
+nothing on stderr."""
 
 import os
 import subprocess

@@ -1,4 +1,5 @@
 import filecmp
+import json
 import math
 import struct
 import tracemalloc
@@ -820,15 +821,11 @@ def test_refined_slice_is_exact_circle(fund2, ops2, surf2):
 @pytest.mark.parametrize("cell,copies", [(False, 0), (True, 0), (True, 1),
                                          (True, 3)])
 def test_edges_match_the_whole_mesh_unique(fund2, ops2, cell, copies):
+    # the unique edges, in ascending order, of the per-face walk
     m = extend(fund2, ops2, copies=copies) if cell else fund2
-    n = m.vertex_count
-    faces = m.faces.astype(np.int64)
-    nxt = np.roll(faces, -1, axis=1)
-    want = np.divmod(np.unique(np.minimum(faces, nxt) * n
-                               + np.maximum(faces, nxt)), n)
-    got = m.edges
-    for g, w in zip(got, want):
-        assert g.dtype == w.dtype and np.array_equal(g, w)
+    ia, ib = m.edges
+    assert ia.dtype == ib.dtype == np.int64
+    assert list(zip(ia.tolist(), ib.tolist())) == _edge_set(m)
 
 
 def _edge_set(m):
@@ -1110,20 +1107,20 @@ def tiny_mesh():
 
 
 def parse_obj(path) -> TriMesh:
-    verts, normals, faces = [], [], []
+    """The v, vn and f lines of an OBJ file, each kind's fields read in one
+    pass over their joined text."""
+    rows = {"v": [], "vn": [], "f": []}
     with open(path, "r", encoding="ascii") as fh:
         for line in fh:
-            tok = line.split()
-            if not tok:
-                continue
-            if tok[0] == "v":
-                verts.append([float(x) for x in tok[1:4]])
-            elif tok[0] == "vn":
-                normals.append([float(x) for x in tok[1:4]])
-            elif tok[0] == "f":
-                faces.append([int(t.split("/")[0]) - 1 for t in tok[1:4]])
-    return TriMesh(np.array(verts), np.array(normals),
-                   np.array(faces, dtype=np.int32))
+            tag, _, rest = line.partition(" ")
+            if tag in rows:
+                rows[tag].append(rest)
+    fields = {tag: " ".join(lines).split() for tag, lines in rows.items()}
+    verts, normals = (np.array(list(map(float, fields[tag]))).reshape(-1, 3)
+                      for tag in ("v", "vn"))
+    faces = [int(t.split("/")[0]) - 1 for t in fields["f"]]
+    return TriMesh(verts, normals,
+                   np.array(faces, dtype=np.int32).reshape(-1, 3))
 
 
 def parse_ply(path) -> TriMesh:
@@ -1196,7 +1193,7 @@ def test_export_ply_faces_match_struct_packing(tmp_path, fund2, ops2):
     vdata = b"".join(np.hstack(c).astype("<f4").tobytes()
                      for c in scalar.translated_copies(ext))
     assert data[head_end:] == vdata + faces
-    # the reference writer that CI compares gen's PLY files with
+    # the reference writer that gen's PLY files are compared with
     assert scalar.export_ply(ext, tmp_path / "ref.ply") == n
     assert (tmp_path / "ref.ply").read_bytes() == data
 
@@ -1475,13 +1472,53 @@ def test_export_ply_refuses_indices_past_int32(tmp_path, fund2, ops2):
     assert data[-13:] == struct.pack("<B3i", 3, 0, 1, 2 ** 31 - 1)
 
 
-@pytest.mark.parametrize("sigma", [0.0121, 2.0, 8.0])
-def test_export_obj_matches_percent_writer_on_gen_meshes(tmp_path, sigma):
-    # gen's 40x60 piece with --copies 16: 979k vertex and normal values
-    ext = scalar.gen_extended(sigma, 40, 60, 16)
-    got, want = tmp_path / "got.obj", tmp_path / "want.obj"
-    assert export_obj(ext, got) == scalar.export_obj(ext, want)
-    assert filecmp.cmp(got, want, shallow=False)
+@pytest.mark.parametrize("sigma, grid, copies", [
+    (0.0121, "40x60", 16), (2.0, "40x60", 16), (8.0, "40x60", 16),
+    (1e-3, "40x60", 16), (1e-3, "40x60", 0), (1e3, "40x60", 16),
+    (1e3, "40x60", 0), (1e3, "6x8", 300)],
+    ids=["0.0121", "2.0", "8.0", "0.001", "0.001-copies-0", "1000.0",
+         "1000.0-copies-0", "1000.0-6x8-copies-300"])
+def test_export_obj_matches_percent_writer_on_gen_meshes(tmp_path, gen_files,
+                                                         sigma, grid, copies):
+    # gen's extended OBJ and PLY, and the byte counts its report gives,
+    # equal the reference writers' on the mesh gen builds.  40x60 with
+    # --copies 16 has 979k vertex and normal values; at sigma 1e-3 and
+    # 1e3, the ends of the tested range, they span the most decades (1e-18
+    # to 1e2), the widest mix of magnitudes and exponents for the reused
+    # digits.  With --copies 0 the block walk keeps no copy and the face
+    # pass builds one token table.  The 6x8 piece at sigma 1e3 with 300
+    # copies shifts x1 by 2 t0_1 ~ 3.99 a copy, to |x| = 1199.86: from
+    # |x| >= 1000 on, a column's text takes the int4 unit (24 bytes a
+    # value), which the 40x60 runs, peaking near 1e2, never reach
+    out = gen_files(sigma, grid, copies)
+    files = json.loads((out / "report.json").read_text())["result"]["files"]
+    nr, nt = map(int, grid.split("x"))
+    ext = scalar.gen_extended(sigma, nr, nt, copies)
+    for fmt, writer in (("obj", scalar.export_obj),
+                        ("ply", scalar.export_ply)):
+        want = tmp_path / f"want.{fmt}"
+        assert files[f"extended.{fmt}"] == writer(ext, want)
+        assert filecmp.cmp(out / f"extended.{fmt}", want, shallow=False)
+        want.unlink()  # up to 53 MB
+
+
+@pytest.mark.parametrize("sigma", [1e-3, 2.0, 1e3])
+def test_gen_obj_and_ply_describe_one_mesh(gen_files, sigma):
+    # the two writers walk the same blocks: with 3 copies, at the range's
+    # ends and at 2, the PLY has the OBJ's counts and faces, inside the
+    # vertex range, and its float32 positions lie within one float32 ulp
+    # of the OBJ's 9-digit values
+    out = gen_files(sigma, "40x60", 3)
+    obj, ply = parse_obj(out / "extended.obj"), parse_ply(out / "extended.ply")
+    data = (out / "extended.ply").read_bytes()
+    end = data.index(b"end_header\n") + len(b"end_header\n")
+    assert end + 24 * ply.vertex_count + 13 * ply.face_count == len(data)
+    assert ((ply.vertex_count, ply.face_count)
+            == (obj.vertex_count, obj.face_count))
+    assert np.array_equal(ply.faces, obj.faces)
+    assert ply.faces.min() >= 0 and ply.faces.max() < ply.vertex_count
+    p = ply.vertices.astype(np.float32)
+    assert (np.abs(p - obj.vertices) <= np.spacing(np.abs(p))).all()
 
 
 def test_export_obj_writes_wide_columns_as_percent_writer(tmp_path):
