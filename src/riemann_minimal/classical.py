@@ -36,7 +36,8 @@ The a = 0 branch of the same quadrature is the catenoid; its closed form is
 
     z(q) = arcsinh( sqrt(lambda q - 1) ) / sqrt(lambda),
 
-the exponent on lambda being fixed by matching the quadrature (see README).
+the exponent on lambda being fixed by matching the quadrature (acceptance
+criterion 2 compares the two).
 
 This module also carries Enneper's reduction: the seven trigonometric
 coefficients a1..a7 of (eG - 2fF + Eg) |Xu x Xv| for a general circle
@@ -273,7 +274,11 @@ def center_offset(params: RiemannParams, q):
 
 
 def slab_height(lam: float) -> float:
-    """zeta(lambda) = lim_{q->inf} z_lambda(q) = R_F(0, q1, q1 + p)."""
+    """zeta(lambda) = lim_{q->inf} z_lambda(q) = R_F(0, q1, q1 + p).
+
+    On the Weierstrass side, with sigma = 1/q1^2, it is sigma^(1/4) t0_3 / 2
+    (t0 of ``mesh.FundamentalSurface.translation_half``).
+    """
     q1 = q_min(lam)
     return float(carlson_rf(0.0, q1, q1 + 1.0 / q1))
 
@@ -296,6 +301,9 @@ def catenoid_height(lam: float, q: float) -> float:
 
     z(q) = arcsinh(sqrt(lambda q - 1)) / sqrt(lambda); must agree with the
     direct quadrature of the height integral with radicand lambda u^2 - u.
+    Its neck is 1/lambda, and the two-limit form of :func:`height` gives
+    the same integral as sqrt(q - 1/lambda) R_F(lambda q, 1, 1), which the
+    tests and ``demos/01`` compare with this one.
     """
     if lam <= 0:
         raise DomainError("catenoid branch needs lambda > 0")

@@ -23,9 +23,10 @@ r (zeta + 1/zeta) with foci at a pair of branch points makes the square
 root of their factor a rational function of zeta, and the rule needs no
 branch tracking and no bisection.
 
-Conventions fixed here (see README):
+Conventions fixed here:
 
-* base point z = 1 + 1e-2 with w real and positive;
+* base point z = 1 + 1e-2 with w real and positive (the other sign of w
+  gives a congruent surface);
 * gamma1 = a loop enclosing the branch points {0, 1};
 * gamma2 = a loop enclosing {-sigma, 0} (a convex loop cannot enclose 1
   and -sigma without swallowing 0, so this homologous representative is
@@ -333,9 +334,10 @@ def period(params: CurveParams, kind: str) -> np.ndarray:
     within ln sqrt(rho) of the contour in ln|zeta|.  The rule takes
     n = 2 ceil(37 / ln sqrt(rho)) nodes: its error is at most of order
     e^(-37) ~ 1e-16 times the integrand's size halfway to the nearest
-    singular circle.  Each contour runs counterclockwise from a point of
-    the real axis (zeta > 0) on the principal root there: w > 0 right
-    of 1, w = i sqrt(|p(z)|) on (0, 1).
+    singular circle; over sigma in [1e-3, 1e3] n runs from 18 to 2342 for
+    the gamma loops and is 124 for the end loop.  Each contour runs
+    counterclockwise from a point of the real axis (zeta > 0) on the
+    principal root there: w > 0 right of 1, w = i sqrt(|p(z)|) on (0, 1).
     """
     z, w, dz = _loop_nodes(params, kind)
     terms = (_phi_vector(params, z, w) * dz[:, None]).T

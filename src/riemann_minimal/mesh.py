@@ -271,7 +271,8 @@ class TriMesh:
 class FundamentalSurface:
     """The curve of one sigma and the anchor the extension reads, t0: an
     elliptic integral in closed form, no path.  Op 1's offset (t0_1, 0,
-    t0_3) is twice the fixed point psi(i sqrt(sigma)) in x1 and x3."""
+    t0_3) is twice the fixed point psi(i sqrt(sigma)) in x1 and x3: c =
+    psi(i sqrt(sigma)) = (t0_1 / 2, -1/sqrt(sigma), t0_3 / 2)."""
 
     def __init__(self, sigma: float):
         self.params = CurveParams(sigma)
@@ -298,7 +299,10 @@ class FundamentalSurface:
                  = 2 R_F(0, 1, 1 + sigma)
 
         (Carlson's symmetric forms, DLMF 19.29), which
-        ``curve._translation_half`` evaluates.
+        ``curve._translation_half`` evaluates.  gen's closure (the sampled
+        piece's slab height against |t0_3|) therefore compares two Carlson
+        evaluations: ``curve.immerse`` at the corners z = 1 and z = -sigma,
+        and this one.
         """
         return np.array(_curve._translation_half(self.params.sigma))
 
@@ -369,6 +373,9 @@ def extension_ops(sigma: float):
     and N = (N1, 0, N3): op 2 fixes the points over (-sigma, 0), which lie
     in {x2 = 0}, and keeps it (+1); op 3 fixes those over (0, 1), which
     lie on the x2-axis, and reverses it (-1).  The translation keeps it.
+    With these, every face of the extended mesh winds with its vertex
+    normals, and no two coinciding vertices of different blocks carry
+    opposite normals.
     """
     t0 = FundamentalSurface(sigma).translation_half()
     rot = np.array([-1.0, 1.0, -1.0])

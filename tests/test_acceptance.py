@@ -191,7 +191,9 @@ def test_criterion_09_cross_construction_registration():
 
 
 def test_criterion_10_circle_foliation_of_meshes():
-    with Budget("criterion 10: circle foliation of exported meshes", 30.0):
+    """Circle foliation of the exact slices of ``checks.slice_checks``; gen's
+    mesh against the exact slices is ROADMAP item 18's subject."""
+    with Budget("criterion 10: circle foliation of exact slices", 30.0):
         _, (rels, kinds), _ = checks.slice_checks(2.0)
         print(f"  worst relative circle residual = {np.max(rels):.3e}; "
               f"line heights -> {kinds}")

@@ -347,15 +347,6 @@ def _frame_configs():
         for _ in range(5)]
 
 
-def test_batched_frames_match_scalar_marches():
-    us = (-1e-5, 0.0, 1e-5, -1e-4)
-    for d in _frame_configs():
-        got = classical.foliation_frames(d, us)
-        for i, u in enumerate(us):
-            for g, w in zip(got, _frame_at_reference(d, u)):
-                assert np.array_equal(g[i], w)
-
-
 @pytest.mark.parametrize("u", [-1.0000000000000002e-4, 3.5e-4, 2e-3])
 def test_frames_refuse_offsets_beyond_one_step(u):
     with pytest.raises(ValueError):

@@ -309,7 +309,7 @@ def test_mkdv_flow_examples():
 
 def test_miura_chain_rule_bridges_mkdv_to_kdv():
     # d/dt u under the mKdV flow equals -(i/2) * (-u''' - 6uu'); the -i/2 is
-    # forced by the i/2 normalization of the displayed mKdV (see README)
+    # forced by the i/2 normalization of mkdv_flow (see its docstring)
     rng = np.random.default_rng(29)
     for _ in range(50):
         x = random_jet(rng, 6, scale=0.7)
