@@ -103,7 +103,9 @@ def radicand(lam: float, u):
     return u * (u * u + lam * u - 1.0)
 
 
-# Carlson's r: the truncated series below are accurate to about r relative
+# Carlson's r: the truncated series below are accurate to about r relative.
+# The exponent -1/6 is the stopping rule of a fifth-order series, which
+# the seventh-order series meets with room (its rule's exponent is -1/8)
 _CARLSON_R = 1e-16
 _RF_TOL = (3.0 * _CARLSON_R) ** (-1 / 6)
 _RD_TOL = (_CARLSON_R / 4.0) ** (-1 / 6)
@@ -182,19 +184,24 @@ def carlson_rf(x, y, z):
 
     Arguments finite and nonnegative, at most one of them zero
     (DomainError otherwise); scalars or arrays that broadcast.
-    Duplication, then the fifth-order series (DLMF 19.36.1), one element
+    Duplication, then the seventh-order series (DLMF 19.36.1), one element
     at a time.
     """
     return _elementwise(_rf_one, x, y, z)
 
 
 def _rf_series(X, Y):
-    """R_F's fifth-order series (DLMF 19.36.1) in the scaled deviations X,
-    Y of the first two arguments (Z = -X - Y); real or complex."""
+    """R_F's seventh-order series (DLMF 19.36.1) in the scaled deviations
+    X, Y of the first two arguments (Z = -X - Y), A^(1/2) R_F; real or
+    complex.  Its truncation error is of order max(|X|, |Y|, |Z|)^8.  The
+    constants are reciprocals, so every operation is a product or a sum."""
     Z = -X - Y
-    e2 = X * Y - Z * Z
-    e3 = X * Y * Z
-    return 1.0 - e2 / 10 + e3 / 14 + e2 * e2 / 24 - 3 * e2 * e3 / 44
+    xy = X * Y
+    e2 = xy - Z * Z
+    e3 = xy * Z
+    return (1.0 + e3 * (1 / 14 + 3 / 104 * e3)
+            + e2 * (e2 * (1 / 24 - 5 / 208 * e2 + 1 / 16 * e3)
+                    - 1 / 10 - 3 / 44 * e3))
 
 
 def carlson_rd(x, y, z):
@@ -202,23 +209,26 @@ def carlson_rd(x, y, z):
 
     Arguments finite, x and y nonnegative with at most one of them zero, z
     positive (DomainError otherwise); scalars or arrays that broadcast.
-    Duplication, then the series (DLMF 19.36.2), one element at a time; a
-    value beyond the floats reads inf.
+    Duplication, then the seventh-order series (DLMF 19.36.2), one element
+    at a time; a value beyond the floats reads inf.
     """
     return _elementwise(_rd_one, x, y, z)
 
 
 def _rd_series(X, Y):
-    """R_D's fifth-order series (DLMF 19.36.2) in the scaled deviations X,
-    Y of the first two arguments (Z = -(X + Y)/3); real or complex."""
-    Z = -(X + Y) / 3.0
+    """R_D's seventh-order series (DLMF 19.36.2) in the scaled deviations
+    X, Y of the first two arguments (Z = -(X + Y)/3), A^(3/2) R_D; real or
+    complex, by products and sums as :func:`_rf_series`."""
+    Z = -(X + Y) * (1 / 3)
     xy, zz = X * Y, Z * Z
-    e2 = xy - 6 * zz
-    e3 = (3 * xy - 8 * zz) * Z
-    e4 = 3 * (xy - zz) * zz
+    e2 = xy - 6.0 * zz
+    e3 = (3.0 * xy - 8.0 * zz) * Z
+    e4 = 3.0 * (xy - zz) * zz
     e5 = xy * zz * Z
-    return (1.0 - 3 * e2 / 14 + e3 / 6 + 9 * e2 * e2 / 88 - 3 * e4 / 22
-            - 9 * e2 * e3 / 52 + 3 * e5 / 26)
+    return (1.0 + e2 * (e2 * (9 / 88 - 1 / 16 * e2 + 45 / 272 * e3)
+                        - 3 / 14 - 9 / 52 * e3 + 3 / 20 * e4 - 9 / 68 * e5)
+            + e3 * (1 / 6 + 3 / 40 * e3 - 9 / 68 * e4)
+            - 3 / 22 * e4 + 3 / 26 * e5)
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,9 @@ sqrt(z(z-1)(z+sigma)).  There are two routes to it.
 
 On the upper half-plane the immersion is in closed form: :func:`immerse`
 is one complex R_F and one complex R_D per point (Carlson's symmetric
-elliptic integrals).  It is the package's only surface evaluator: the
+elliptic integrals), both from one duplication loop of fixed length whose
+square roots are taken in real arithmetic, ended by DLMF 19.36's
+seventh-order series.  It is the package's only surface evaluator: the
 sampled piece of ``mesh.sample_fundamental`` and the slices of
 ``mesh.refine_slice``, points on lines of the height coordinate that
 :func:`_z_of_u` carries to z in closed form.
@@ -44,6 +46,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from dataclasses import dataclass
 from functools import cache
 from itertools import repeat, starmap
@@ -66,13 +69,17 @@ END_RADIUS = 0.3
 # random_regular_points rejects candidates closer than this times
 # (1 + sigma) to a branch point
 SAMPLE_CLEARANCE = 2e-3
-# psi's duplication steps: Carlson's stopping rule (that of
-# classical.carlson_rf/rd) holds after 7 everywhere on the closed upper
-# half-plane for sigma in [1e-3, 1e3], and the 8th cuts the series'
-# truncation error by another 4^-6
-CARLSON_STEPS = 8
-# psi's largest block of points: its (4096,) complex arrays take 64 KiB
-PSI_BLOCK = 4096
+# psi's duplication steps: the seventh-order rule of Carlson's stopping
+# criterion (exponent -1/8, see test_carlson_steps_meet_carlsons_bound)
+# holds after 6 everywhere on the closed upper half-plane for sigma in
+# [1e-3, 1e3], and the 7th cuts the series' truncation error by another
+# 4^-8
+CARLSON_STEPS = 7
+# psi's largest block of points: its stacked (5, 3072) complex state takes
+# 240 KiB, below numpy's 256 KiB temporary-elision size
+PSI_BLOCK = 3072
+# immerse's domain: sigma and the nonzero parts of z within these moduli
+PSI_DOMAIN = (1e-100, 1e100)
 # the loops' node rule, n = 2 ceil(_LOOP_EXPONENT / ln sqrt(rho)) (see period)
 _LOOP_EXPONENT = 37.0
 
@@ -165,15 +172,32 @@ def immerse(params: CurveParams, z):
 
     since U(1) = -t0_3, sqrt(sigma) V(1) = -t0_1 and w(1) = 0.  A point on
     the real axis is taken with imaginary part +0.0 (a -0.0 would put
-    sqrt(z - 1) on the other side of its cut).  Both integrals come from
-    one duplication loop with CARLSON_STEPS fixed steps.  Points are
-    evaluated in consecutive blocks of at most PSI_BLOCK, whose arrays stay
-    below numpy's 256 KiB temporary-elision size, so a point's result has
-    the same bits in any call.
+    sqrt(z - 1) on the other side of its cut).
+
+    Both integrals come from one duplication loop of CARLSON_STEPS fixed
+    steps on a stacked state (x, y, z, A_F, A_D), updated in place; each
+    step's three roots are one :func:`_principal_sqrt`, in real
+    arithmetic.  The seventh-order series (``classical._rf_series`` and
+    ``_rd_series``) ends it.  Points are evaluated in consecutive blocks of
+    at most PSI_BLOCK, whose arrays stay below numpy's 256 KiB
+    temporary-elision size, so a point's result has the same bits in any
+    call.
+
+    Domain: sigma and each nonzero part (real or imaginary) of z have
+    moduli in PSI_DOMAIN = [1e-100, 1e100]; ValueError otherwise (a part
+    that is nan or infinite included).  Each root's argument then stays
+    0 or within [1e-150, 1e150] in modulus, where :func:`_principal_sqrt`
+    is exact to rounding, and no intermediate leaves the floats.
     """
     z = np.asarray(z, dtype=complex)
     # + 0.0 turns an imaginary part -0.0 into +0.0
     flat = z.reshape(-1) + 0.0
+    lo, hi = PSI_DOMAIN
+    parts = np.abs(flat.view(float))
+    if not (lo <= params.sigma <= hi and parts.max(initial=0.0) <= hi
+            and parts.min(where=parts > 0.0, initial=hi) >= lo):
+        raise ValueError(f"immerse needs sigma and each nonzero part of z "
+                         f"within [{lo}, {hi}] in modulus")
     pos, u = np.empty((flat.size, 3)), np.empty(flat.size, dtype=complex)
     t0 = np.array(_translation_half(params.sigma))
     for i in range(0, flat.size, PSI_BLOCK):
@@ -182,31 +206,67 @@ def immerse(params: CurveParams, z):
     return pos.reshape(z.shape + (3,)), u.reshape(z.shape)
 
 
+def _principal_sqrt(a):
+    """The principal square root of the complex array a, as ``np.sqrt``
+    takes it (the sign of a zero imaginary part picks the side of the
+    cut), in real arithmetic: t = sqrt((|a| + |Re a|)/2), then t + i Im
+    a/(2t) where Re a >= 0, else |Im a|/(2t) + i copysign(t, Im a).  Exact
+    to rounding for |a| = 0 or in [1e-300, 1e300].
+    """
+    re, im = a.real.copy(), a.imag.copy()
+    t = np.abs(a)
+    t += np.abs(re)
+    t *= 0.5
+    np.sqrt(t, out=t)
+    # a = 0: Im a / tiny is the zero Im a
+    d = im / np.maximum(t + t, sys.float_info.min)
+    left = re < 0.0
+    root = np.empty_like(a)
+    root.real = np.where(left, np.abs(d), t)
+    root.imag = np.where(left, np.copysign(t, im), d)
+    return root
+
+
 def _psi_block(params, z, t0):
     """:func:`immerse` on one block of points, t0 given."""
     s = params.sigma
     rs = math.sqrt(s)
     # R_D's argument order; R_F is symmetric
-    x0, y0 = x, y = z - 1.0, z + s
-    zz = z
-    af0, ad0 = (x + y + zz) / 3.0, (x + y + 3.0 * zz) / 5.0
-    af, ad, scale, tail = af0, ad0, 1.0, 0.0
+    x, y = z - 1.0, z + s
+    state = np.stack([x, y, z, (x + y + z) * (1 / 3),
+                      (x + y + 3.0 * z) * (1 / 5)])
+    # the state after k steps is 4^k times Carlson's: scaling by 4 is exact,
+    # so it has the bits of Carlson's values without a pass per step.  The
+    # sum runs on the float parts, where (5, n) + (n,) loops by rows
+    state_parts, tail = state.view(float), 0.0
     for k in range(CARLSON_STEPS):
-        sx, sy, sz = np.sqrt(x), np.sqrt(y), np.sqrt(zz)
+        sx, sy, sz = _principal_sqrt(state[:3])
         if k == 0:
             w = sz * sx * sy
-        lam = sx * sy + sx * sz + sy * sz
-        tail = tail + scale / (sz * (zz + lam))
-        af, ad, scale = (af + lam) * 0.25, (ad + lam) * 0.25, scale * 0.25
-        x, y, zz = (x + lam) * 0.25, (y + lam) * 0.25, (zz + lam) * 0.25
-    rf = classical._rf_series((af0 - x0) * scale / af,
-                              (af0 - y0) * scale / af) / np.sqrt(af)
-    rd = (scale * classical._rd_series((ad0 - x0) * scale / ad,
-                                       (ad0 - y0) * scale / ad)
-          / (ad * np.sqrt(ad)) + 3.0 * tail)
-    q, u = w / z / rs, -2.0 * rf
-    pos = np.stack([(-2.0 / 3.0 * rs * rd - q).real, -q.imag, u.real],
-                   axis=-1) + t0
+        lam = (sy + sz) * sx + sy * sz
+        state_parts += lam.view(float)
+        # R_D's term 4^-k / (sz_k (z_k + lam_k)) is 2^k / (sz z) in the
+        # scaled state after the step
+        tail = tail + 2.0 ** k / (sz * state[2])
+    # 4^-m / A_m and 2^-m / sqrt(A_m) of both integrals at once
+    inv = 1.0 / state[3:]
+    half = _principal_sqrt(inv)
+    # the scaled deviations (A0 - x0) / (4^m A_m) and (A0 - y0) / (4^m A_m),
+    # with A0 - x0 and A0 - y0 exact: (sigma + 2)/3 and -(2 sigma + 1)/3
+    # for R_F, (sigma + 4)/5 and -(4 sigma + 1)/5 for R_D
+    rf = classical._rf_series(inv[0] * ((s + 2.0) / 3.0),
+                              inv[0] * (-(2.0 * s + 1.0) / 3.0)) * half[0]
+    rd = classical._rd_series(inv[1] * ((s + 4.0) / 5.0),
+                              inv[1] * (-(4.0 * s + 1.0) / 5.0))
+    rd = rd * inv[1] * half[1]
+    u = rf * (-2.0 * 2.0 ** CARLSON_STEPS)
+    q = w / z * (1.0 / rs)
+    # Re(sqrt(sigma) V) = -(2/3) sqrt(sigma) Re(4^-m S_D A^(-3/2) + 3 tail)
+    x1 = (-2.0 / 3.0 * rs * (rd.real * 2.0 ** CARLSON_STEPS + 3.0 * tail.real)
+          - q.real)
+    pos = np.empty((z.size, 3))
+    for j, col in enumerate((x1, -q.imag, u.real)):
+        np.add(col, t0[j], out=pos[:, j])
     return pos, u
 
 

@@ -134,17 +134,32 @@ class IsometryOp:
         object.__setattr__(self, "orientation", float(self.orientation))
 
     def apply(self, pts):
-        return np.asarray(pts) * self.signs + self.offset
+        return _by_column(pts, self.signs, self.offset)
 
     def apply_normals(self, normals):
         # + 0.0 turns -0.0 into 0.0, as a matmul does (OBJ writes "-0")
-        return self.orientation * (np.asarray(normals) * self.signs + 0.0)
+        out = _by_column(normals, self.signs, (0.0, 0.0, 0.0))
+        out *= self.orientation
+        return out
 
     def compose(self, other: "IsometryOp") -> "IsometryOp":
         """self after other: v -> self(other(v))."""
         return IsometryOp(self.signs * other.signs,
                           self.signs * other.offset + self.offset,
                           self.orientation * other.orientation)
+
+
+def _by_column(a, signs, offset):
+    """a * signs + offset for an (..., 3) array a, with the bits of that
+    broadcast, a column at a time: numpy runs (n, 3) op (3,) as n inner
+    loops of length 3."""
+    a = np.asarray(a)
+    out = np.empty(a.shape)
+    for j in range(3):
+        col = out[..., j]
+        np.multiply(a[..., j], signs[j], out=col)
+        col += offset[j]
+    return out
 
 
 class TriMesh:
@@ -332,7 +347,10 @@ def sample_fundamental(sigma: float, e: float, nr: int, nt: int) -> TriMesh:
 
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         X, _ = _curve.immerse(params, Z)  # a point on z = 0 is not finite
-        verts = (X - X[nr - 1, 0]).reshape(-1, 3)
+        X = X.reshape(-1, 3)
+        verts = np.empty_like(X)
+        for j in range(3):  # by column, as IsometryOp.apply
+            np.subtract(X[:, j], X[(nr - 1) * nt, j], out=verts[:, j])
         normals = _unit_normals(sigma, Z.reshape(-1))
     if not (np.isfinite(verts).all() and np.isfinite(normals).all()):
         raise DegenerateCell("sampled positions or normals are not finite")
@@ -349,8 +367,12 @@ def _unit_normals(sigma, z):
     stereographic projection of g = z / sqrt(sigma)."""
     g = z / math.sqrt(sigma)
     a2 = np.abs(g) ** 2
-    return np.stack([2.0 * g.real, 2.0 * g.imag, a2 - 1.0],
-                    axis=-1) / (1.0 + a2)[..., None]
+    den = 1.0 + a2
+    out = np.empty(z.shape + (3,))
+    # by column, as IsometryOp.apply
+    for j, num in enumerate((2.0 * g.real, 2.0 * g.imag, a2 - 1.0)):
+        np.divide(num, den, out=out[..., j])
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -409,6 +409,37 @@ def test_carlson_forms_against_mpmath_30_digits():
                 assert abs(carlson_rd(x, y, z) / rd - 1) < 1e-15
 
 
+@pytest.mark.parametrize("delta", [0.02, 0.05, 0.1])
+def test_seventh_order_series_against_mpmath(delta):
+    # A^(-1/2) _rf_series(X, Y) and A^(-3/2) _rd_series(X, Y) at the
+    # triples x = A (1 - X), y = A (1 - Y), z = A (1 - Z) of scaled
+    # deviation delta = max(|X|, |Y|, |Z|), Z = -(X + Y) for R_F and
+    # -(X + Y)/3 for R_D, in twelve real directions of (X, Y), turned into
+    # the complex plane twice, at two A.  A seventh-order series misses
+    # R_F and R_D by O(delta^8) (measured at most 0.016 and 0.088 delta^8
+    # relative); a fifth-order one by ~delta^6, and a sign flipped in any
+    # seventh-order term by more than 1.3 delta^8
+    cases = ((classical._rf_series, mpmath.elliprf, 1.0, 0.5),
+             (classical._rd_series, mpmath.elliprd, 3.0, 1.5))
+    worst = 0.0
+    with mpmath.workdps(30):
+        for series, exact, third, power in cases:
+            for k in range(12):
+                th = math.pi * k / 12
+                dx, dy = math.cos(th), math.sin(th)
+                size = max(abs(dx), abs(dy), abs(dx + dy) / third)
+                for turn in (1.0, complex(math.cos(0.7), math.sin(0.7)),
+                             complex(math.cos(2.2), math.sin(2.2))):
+                    X, Y = (delta / size * turn * d for d in (dx, dy))
+                    for a in (1.0,
+                              2.5 * complex(math.cos(0.4), math.sin(0.4))):
+                        want = exact(a * (1 - X), a * (1 - Y),
+                                     a * (1 + (X + Y) / third))
+                        got = series(X, Y) / a ** power
+                        worst = max(worst, abs(got / complex(want) - 1))
+    assert worst <= 0.2 * delta ** 8
+
+
 def test_carlson_forms_against_scipy_special():
     rng = np.random.default_rng(3)
     x, y, z = 10.0 ** rng.uniform(-6, 6, (3, 2000))

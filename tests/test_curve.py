@@ -696,6 +696,58 @@ def test_psi_against_mpmath_carlson(sigma):
         assert abs(uu - want_u) <= 1e-15 * scale, z
 
 
+@pytest.mark.parametrize("sigma", [1e-3, 2.0, 1e3])
+def test_psi_at_the_ends_of_its_domain(sigma):
+    # every nonzero part of z at 1e-100 or 1e100 in modulus, next to each
+    # branch point, the end and infinity, against mpmath; a part or sigma
+    # beyond PSI_DOMAIN raises rather than return a wrong root
+    lo, hi = curve.PSI_DOMAIN
+    zs = np.array([1.0 + 1j * lo, -sigma + 1j * lo, lo + 1j * lo, lo + 1j,
+                   complex(hi, 0.0), complex(-hi, 1.0), 1j * hi,
+                   0.5 + 1j * hi])
+    pos, u = curve.immerse(CurveParams(sigma), zs)
+    for z, p, uu in zip(zs, pos, u):
+        want, want_u, scale = _psi_mpmath(sigma, z)
+        assert np.max(np.abs(p - want)) <= 1e-15 * scale, z
+        assert abs(uu - want_u) <= 1e-15 * scale, z
+    for z in (1.0 + 0.1j * lo, 0.1 * lo + 1j, complex(10.0 * hi, 0.0),
+              10j * hi, complex(math.nan, 1.0), complex(1.0, math.inf)):
+        with pytest.raises(ValueError):
+            curve.immerse(CurveParams(sigma), np.array([1j, z]))
+    for s in (0.1 * lo, 10.0 * hi):
+        with pytest.raises(ValueError):
+            curve.immerse(CurveParams(s), 1j)
+
+
+def test_principal_sqrt_matches_numpy_on_the_closed_upper_half_plane():
+    # psi's real-arithmetic root against np.sqrt over moduli 1e-300 to
+    # 1e300, the real axis with +0.0 and -0.0 imaginary parts (either side
+    # of the cut), exact zeros and psi's three arguments at the branch
+    # points z = 1, -sigma and 0: the same sign bits everywhere, the same
+    # values to rounding (measured at most 3.1e-16 relative)
+    rng = np.random.default_rng(5)
+    r = 10.0 ** rng.uniform(-300.0, 300.0, 20000)
+    th = rng.uniform(0.0, math.pi, 20000)
+    a = [r * np.cos(th) + 1j * (r * np.sin(th))]
+    reals = np.concatenate([-r[:200], r[:200], [0.0, -0.0]])
+    a += [reals + 0j, reals.astype(complex)]
+    a[-1].imag = -0.0
+    for sigma in (1e-3, 2.0, 1e3):
+        for z in (1.0, -sigma, 0.0):
+            a.append(np.array([z - 1.0, z + sigma, z]) + 0j)
+    a = np.concatenate(a)
+    want = np.sqrt(a)
+    for got in (curve._principal_sqrt(a),
+                curve._principal_sqrt(a[None])[0]):
+        for part in ("real", "imag"):
+            assert np.array_equal(np.signbit(getattr(got, part)),
+                                  np.signbit(getattr(want, part)))
+        zero = want == 0.0
+        assert np.all(got[zero] == 0.0)
+        assert np.all(np.abs(got - want)[~zero]
+                      <= 4e-16 * np.abs(want)[~zero])
+
+
 # the sigmas of the end-to-end gen and verify tests, the range ends included
 RANGE_SIGMAS = [1e-3, 0.012, 0.05, 1.0, 2.0, 8.0, 21.5, 100.0, 1e3,
                 classical.sigma_of_lambda(31.59)]
@@ -900,13 +952,21 @@ def test_psi_blocks_give_one_point_bits():
         assert p1.tobytes() == pos[i].tobytes() and u1 == u[i]
 
 
+def test_psi_block_state_stays_below_the_elision_size():
+    # psi's stacked state (x, y, z, A_F, A_D) is PSI_BLOCK complex values
+    # per row; at 256 KiB numpy starts eliding temporaries, whose rounding
+    # test_psi_blocks_give_one_point_bits would see
+    assert 5 * curve.PSI_BLOCK * 16 < 256 * 1024
+
+
 def test_carlson_steps_meet_carlsons_bound():
-    # Carlson's stopping rule 4^-m Q < |A_m| (Q = (3r)^(-1/6) max|A0 - x|
-    # for R_F and (r/4)^(-1/6) max|A0 - x| for R_D, r = 1e-16, the rule of
-    # classical.carlson_rf/rd) holds after CARLSON_STEPS - 1 steps over
+    # Carlson's stopping rule 4^-m Q < |A_m| for psi's seventh-order series
+    # (Q = (3r)^(-1/8) max|A0 - x| for R_F and (r/4)^(-1/8) max|A0 - x|
+    # for R_D, r = 1e-16; the exponent is -1/(order + 1), as the series'
+    # error is of order max|X|^8) holds after CARLSON_STEPS - 1 steps over
     # the closed upper half-plane at sigma in [1e-3, 1e3]: psi's fixed
     # count keeps one step in hand, which cuts the series' truncation
-    # error by 4^-6
+    # error by 4^-8
     r = 1e-16
     th = np.linspace(0.0, math.pi, 61)
     for sigma in np.logspace(-3.0, 3.0, 13):
@@ -919,9 +979,9 @@ def test_carlson_steps_meet_carlsons_bound():
         z = z.real + 1j * (np.abs(z.imag) + 0.0)
         x, y, zz = z - 1.0, z + sigma, z
         af, ad = (x + y + zz) / 3.0, (x + y + 3.0 * zz) / 5.0
-        qf = (3.0 * r) ** (-1 / 6) * np.max(np.abs([af - x, af - y, af - zz]),
+        qf = (3.0 * r) ** (-1 / 8) * np.max(np.abs([af - x, af - y, af - zz]),
                                             axis=0)
-        qd = (r / 4.0) ** (-1 / 6) * np.max(np.abs([ad - x, ad - y, ad - zz]),
+        qd = (r / 4.0) ** (-1 / 8) * np.max(np.abs([ad - x, ad - y, ad - zz]),
                                             axis=0)
         for _ in range(curve.CARLSON_STEPS - 1):
             sx, sy, sz = np.sqrt(x), np.sqrt(y), np.sqrt(zz)

@@ -879,13 +879,21 @@ def test_slice_mesh_height_sequence_matches_scalar_calls(sigma, cell):
     # verify's 24x32 piece and its cell, sliced at generic heights in
     # descending order with one repeated, at two vertices' exact heights
     # (an end at distance 0 is no crossing), at the mesh's extreme heights
-    # and outside the mesh, against one reference call per height
+    # and outside the mesh, against one reference call per height.  The
+    # vertices are inner grid points (row 1, column 5 of the first block,
+    # row 12, column 16 of the middle one): on a first or last row or
+    # column x3 can be 0 or t0_3 in exact arithmetic, where rounding alone
+    # decides whether the height is crossed
     piece = sample_fundamental(sigma, 0.1, 24, 32)
     m = extend(piece, extension_ops(sigma), copies=0) if cell else piece
     span = FundamentalSurface(sigma).translation_half()[2]
     x3 = m.vertices[:, 2]
     generic = list(np.linspace(0.13, 0.87, 10)[::-1] * span)
-    vertex = [float(x3[37]), float(x3[len(x3) // 2])]
+    middle = len(x3) // piece.base_count // 2 * piece.base_count
+    vertex = [float(x3[37]), float(x3[middle + 12 * 32 + 16])]
+    for h in vertex:
+        assert x3.min() < h < x3.max()
+        assert min(abs(h), abs(h - span)) > 1e-9 * span
     outside = [float(x3.max()), float(x3.min()), float(x3.max()) + 1.0,
                float(x3.min()) - 1.0]
     hs = generic + [generic[3]] + vertex + outside
@@ -1546,6 +1554,27 @@ def test_isometry_validation():
     op = IsometryOp([-1, 1, -1])
     assert np.array_equal(op.signs, [-1.0, 1.0, -1.0])
     assert np.array_equal(op.offset, np.zeros(3)) and op.orientation == 1.0
+
+
+@pytest.mark.parametrize("sigma", [1e-3, 2.0, 1e3])
+def test_isometries_by_column_keep_the_broadcast_bits(sigma):
+    # apply and apply_normals work a column at a time; against the
+    # broadcasts pts * signs + offset and orientation * (normals * signs +
+    # 0.0) over every op of extend's cell, byte for byte, on the piece and
+    # on rows of signed zeros: sign bits included, -0.0 made +0.0
+    piece = sample_fundamental(sigma, 0.1, 40, 60)
+    zeros = _signed_zero_mesh(0)
+    pts = np.concatenate([piece.base_vertices, zeros.base_vertices])
+    nrm = np.concatenate([piece.base_normals, zeros.base_normals])
+    for op in extend(piece, extension_ops(sigma)).cell_ops:
+        want = pts * op.signs + op.offset
+        got = op.apply(pts)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        want = op.orientation * (nrm * op.signs + 0.0)
+        got = op.apply_normals(nrm)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert not np.any(np.signbit(got[nrm == 0.0])
+                          != (op.orientation < 0.0))
 
 
 def test_sample_fundamental_rejects_two_angle_grid():
