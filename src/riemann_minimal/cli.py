@@ -14,35 +14,31 @@ Exit codes: 0 success, 1 failed verification, 2 bad configuration,
 3 numeric failure (any ``RiemannMinimalError``), 4 program bug (any other
 exception; its traceback goes to stderr).  Reports are deterministic for a
 fixed config and seed except for the timestamp and timings fields.  Set
-MINSURF_LOG=DEBUG|INFO|... to control logging.
+MINSURF_LOG=DEBUG|INFO|... to control logging; an unknown level is a
+configuration error.
 
-Importing this module loads the parser and the standard library only.
-Each subcommand imports its own modules when it runs: gen takes ``mesh``
-(with ``curve`` and ``classical``), verify every module, and kdv the
-numpy-free ``hierarchy`` for ``--print-p`` plus ``curve`` and
-``shiffkdv`` for a fit.  ``RiemannMinimalError`` comes from
-``riemann_minimal.errors``, which imports nothing, so ``--help`` and a
-configuration error load no numpy, unless ``--lambda`` needs ``classical``
-to derive sigma.
+Importing this module loads ``argparse``, ``os``, ``sys``, ``time``,
+``functools`` and ``riemann_minimal.errors``, which imports nothing.  The
+rest loads where it runs: ``json`` and ``platform`` when a report is
+written, ``traceback`` on a program bug, and ``logging`` when MINSURF_LOG
+is set or a log line is due.  Each subcommand imports its own modules:
+gen takes ``mesh`` (with ``curve`` and ``classical``), verify every
+module, and kdv the numpy-free ``hierarchy`` for ``--print-p`` plus
+``curve`` and ``shiffkdv`` for a fit.  So ``--help``, a configuration
+error and ``kdv --print-p`` load no numpy and none of those standard
+modules, unless ``--lambda`` needs ``classical`` to derive sigma.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
-import logging
 import os
-import platform
 import sys
 import time
-import traceback
-from dataclasses import dataclass
 from functools import cache
 
 from . import __version__
 from .errors import RiemannMinimalError
-
-log = logging.getLogger("riemann_minimal")
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -54,24 +50,30 @@ EXIT_BUG = 4
 SIGMA_RANGE = (1e-3, 1e3)
 
 
-@dataclass
 class RunConfig:
-    """A run's settings; the defaults here are the flags' defaults."""
+    """A run's settings; the class attributes are the flags' defaults.
 
-    command: str
-    sigma: float | None  # None: a kdv run given neither --sigma nor --lambda
-    lam: float | None
-    e: float = 0.1
-    nr: int = 40
-    nt: int = 60
-    copies: int = 1
-    seed: int = 7
-    out_dir: str | None = None
-    fmt: str = "obj"
-    json_path: str | None = None
-    n_level: int = 1
-    samples: int = 60
-    print_p: int | None = None
+    ``sigma`` is None for a kdv run given neither --sigma nor --lambda.
+    """
+
+    e = 0.1
+    nr = 40
+    nt = 60
+    copies = 1
+    seed = 7
+    out_dir = None
+    fmt = "obj"
+    json_path = None
+    n_level = 1
+    samples = 60
+    print_p = None
+
+    def __init__(self, command, sigma, lam, **flags):
+        unknown = [name for name in flags if not hasattr(RunConfig, name)]
+        if unknown:
+            raise TypeError(f"RunConfig has no setting {unknown[0]!r}")
+        self.command, self.sigma, self.lam = command, sigma, lam
+        vars(self).update(flags)
 
 
 def _parse_grid(text):
@@ -218,9 +220,9 @@ def _config_from_args(args) -> RunConfig:
 
 def _report_skeleton(cfg: RunConfig) -> dict:
     config = {"sigma": cfg.sigma, "lambda": cfg.lam}
-    environment = {"package_version": __version__,
-                   "python": platform.python_version(),
-                   "numpy": None}  # read when the report is written
+    # python and numpy are read when the report is written
+    environment = {"package_version": __version__, "python": None,
+                   "numpy": None}
     if cfg.command == "gen":  # gen takes the mesh flags and draws nothing
         config.update(e=cfg.e, grid=[cfg.nr, cfg.nt], copies=cfg.copies)
     elif cfg.sigma is not None:  # verify, and kdv's fit, draw seeded points
@@ -238,8 +240,12 @@ def _report_skeleton(cfg: RunConfig) -> dict:
 
 
 def _emit_report(report: dict, cfg: RunConfig, t_start: float):
+    import json
+    import platform
+
     import numpy
-    report["environment"]["numpy"] = numpy.__version__
+    report["environment"].update(python=platform.python_version(),
+                                 numpy=numpy.__version__)
     report["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%S%z")
     report["timings"]["total_s"] = round(time.time() - t_start, 3)
     text = json.dumps(report, indent=2)
@@ -263,8 +269,11 @@ def cmd_gen(cfg: RunConfig) -> int:
         print(f"configuration error: -o {cfg.out_dir}: {exc.strerror}",
               file=sys.stderr)
         return EXIT_CONFIG
+    import logging
+
     from . import mesh
-    log.info("sampling fundamental piece (%dx%d)", cfg.nr, cfg.nt)
+    logging.getLogger("riemann_minimal").info(
+        "sampling fundamental piece (%dx%d)", cfg.nr, cfg.nt)
     fund = mesh.sample_fundamental(cfg.sigma, cfg.e, cfg.nr, cfg.nt)
     ops = mesh.extension_ops(cfg.sigma)
     ext = mesh.extend(fund, ops, copies=cfg.copies)
@@ -385,8 +394,22 @@ def cmd_kdv(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
+def _print_bug() -> int:
+    import traceback
+    traceback.print_exc()
+    return EXIT_BUG
+
+
 def main(argv=None) -> int:
-    logging.basicConfig(level=os.environ.get("MINSURF_LOG", "WARNING").upper())
+    # unset, logging is never configured: its defaults drop INFO and DEBUG
+    level = os.environ.get("MINSURF_LOG", "")
+    if level:
+        import logging
+        if not isinstance(logging.getLevelName(level.upper()), int):
+            print(f"configuration error: MINSURF_LOG {level!r} is not a "
+                  "logging level such as DEBUG or INFO", file=sys.stderr)
+            return EXIT_CONFIG
+        logging.basicConfig(level=level.upper())
     ap = build_parser()
     try:
         args = ap.parse_args(_join_number_values(
@@ -399,8 +422,7 @@ def main(argv=None) -> int:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except Exception:
-        traceback.print_exc()
-        return EXIT_BUG
+        return _print_bug()
     try:
         if cfg.command == "gen":
             return cmd_gen(cfg)
@@ -408,12 +430,13 @@ def main(argv=None) -> int:
             return cmd_verify(cfg)
         return cmd_kdv(cfg)
     except RiemannMinimalError as exc:
-        log.debug("numeric failure", exc_info=True)
+        import logging
+        logging.getLogger("riemann_minimal").debug("numeric failure",
+                                                   exc_info=True)
         print(f"numeric failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except Exception:
-        traceback.print_exc()
-        return EXIT_BUG
+        return _print_bug()
 
 
 if __name__ == "__main__":

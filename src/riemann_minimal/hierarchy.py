@@ -8,15 +8,15 @@ polynomials by the recursion
 
 each antiderivative taken exactly with integration constant zero, so
 P_1 = u and P_2 = u'' + 3u^2.  Everything here is ``Fraction`` arithmetic
-from the standard library, so ``kdv --print-p`` runs without numpy;
-``shiffkdv`` imports these names back and evaluates the polynomials on
-jets.
+from the standard library, and :class:`DiffPoly` is a plain class rather
+than a dataclass (``dataclasses`` imports ``inspect``), so
+``kdv --print-p`` loads neither numpy nor those modules; ``shiffkdv``
+imports these names back and evaluates the polynomials on jets.
 """
 
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import RiemannMinimalError
@@ -47,15 +47,31 @@ def _fmt_monomial(mono):
     return " ".join(parts)
 
 
-@dataclass(frozen=True)
 class DiffPoly:
     """Formal polynomial in u, u', u'', ... with exact Fraction coefficients.
 
     Monomials are stored as descending-sorted tuples of derivative orders,
-    e.g. (2, 0, 0) is u'' u^2.  Zero coefficients are never stored.
+    e.g. (2, 0, 0) is u'' u^2.  Zero coefficients are never stored.  Two
+    polynomials are equal when their terms are, and ``terms`` cannot be
+    reassigned: the memoized P_n are shared by every caller.
     """
 
-    terms: dict = field(default_factory=dict)
+    def __init__(self, terms=None):
+        object.__setattr__(self, "terms", {} if terms is None else terms)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to DiffPoly.{name}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete DiffPoly.{name}")
+
+    def __eq__(self, other):
+        if type(other) is not DiffPoly:
+            return NotImplemented
+        return self.terms == other.terms
+
+    def __repr__(self):
+        return f"DiffPoly(terms={self.terms!r})"
 
     def __add__(self, other):
         out = dict(self.terms)

@@ -1,6 +1,8 @@
+import ast
 import filecmp
 import json
 import os
+import platform
 import shutil
 import subprocess
 import sys
@@ -175,6 +177,18 @@ def test_config_errors_exit_2():
 def test_out_of_range_numbers_are_configuration_errors(argv, capsys):
     assert run(argv) == 2
     assert capsys.readouterr().err.startswith("configuration error: ")
+
+
+def test_run_config_defaults_are_the_readme_flag_table():
+    c = cli.RunConfig
+    assert ((c.nr, c.nt), c.e, c.copies, c.seed, c.fmt, c.n_level,
+            c.samples) == ((40, 60), 0.1, 1, 7, "obj", 1, 60)
+    cfg = cli._config_from_args(cli.build_parser().parse_args(
+        ["gen", "--sigma", "2", "--copies", "3"]))
+    assert (cfg.command, cfg.sigma, cfg.lam, cfg.copies, cfg.nr) == (
+        "gen", 2.0, None, 3, 40)
+    with pytest.raises(TypeError):  # a misspelt setting is a bug, not ignored
+        cli.RunConfig("gen", 2.0, None, copy=3)
 
 
 def test_parser_is_built_once_and_keeps_no_state(monkeypatch):
@@ -407,16 +421,6 @@ def test_gen_reaches_terminal_branch_point(tmp_path, sigma):
     assert t[1] == 0.0
 
 
-def test_import_does_not_load_scipy_optimize():
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    code = ("import sys, riemann_minimal.cli; "
-            "print('scipy.optimize' in sys.modules)")
-    out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, check=True, timeout=60)
-    assert out.stdout.strip() == "False"
-
-
 P_TEXT_3 = ("P0 = 1/2\nP1 = u\nP2 = u'' + 3 u^2\n"
             "P3 = u'''' + 10 u u'' + 5 u'^2 + 10 u^3\n")
 # the seeded points come from random.Random: numpy.random and what it
@@ -424,42 +428,86 @@ P_TEXT_3 = ("P0 = 1/2\nP1 = u\nP2 = u'' + 3 u^2\n"
 NUMPY_RANDOM = ["numpy.random", "secrets", "hashlib", "_hashlib"]
 
 
+def run_fresh(args, tmp_path, log_level=None):
+    """``python args`` in a fresh process that imports this package, with
+    MINSURF_LOG set to ``log_level`` or unset: pytest's log capture gives
+    the root logger a handler, so in this process ``logging.basicConfig``
+    does nothing."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("MINSURF_LOG", None)
+    if log_level is not None:
+        env["MINSURF_LOG"] = log_level
+    return subprocess.run([sys.executable, *args], env=env, cwd=tmp_path,
+                          capture_output=True, text=True, timeout=120)
+
+
+# standard-library modules the CLI imports where they run: argparse is all
+# that start-up, --help, a configuration error and --print-p need
+LATE_STDLIB = ["json", "platform", "logging", "traceback", "dataclasses",
+               "inspect"]
+
+
 @pytest.mark.parametrize("argv, rc, absent, block_numpy", [
-    (["kdv", "--print-p", "3"], 0, ["numpy"], False),
-    (["kdv", "--print-p", "3"], 0, ["numpy"], True),
-    (["--help"], 0, ["numpy"], False),
-    (["verify", "--sigma", "1e9"], 2, ["numpy"], False),
+    (None, None, ["numpy", "scipy.optimize"] + LATE_STDLIB, False),
+    (["kdv", "--print-p", "3"], 0, ["numpy"] + LATE_STDLIB, False),
+    (["kdv", "--print-p", "3"], 0, ["numpy"] + LATE_STDLIB, True),
+    (["--help"], 0, ["numpy"] + LATE_STDLIB, False),
+    (["verify", "--sigma", "1e9"], 2, ["numpy"] + LATE_STDLIB, False),
     (["gen", "--sigma", "2", "--grid", "8x12"], 0,
      ["riemann_minimal.checks", "riemann_minimal.shiffkdv"], False),
     (["verify", "--sigma", "2"], 0, NUMPY_RANDOM, False),
     (["kdv", "--sigma", "2"], 0,
      NUMPY_RANDOM + ["riemann_minimal.checks", "riemann_minimal.mesh"], False),
-], ids=["kdv-print-p", "kdv-print-p-numpy-blocked", "help", "config-error",
-        "gen", "verify", "kdv"])
+], ids=["import", "kdv-print-p", "kdv-print-p-numpy-blocked", "help",
+        "config-error", "gen", "verify", "kdv"])
 def test_commands_import_only_what_they_run(tmp_path, argv, rc, absent,
                                             block_numpy):
     # each command in a fresh process: the modules it does not run stay
     # out of sys.modules; with numpy blocked (importing it raises),
-    # --print-p still prints the exact hierarchy, byte for byte
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
+    # --print-p still prints the exact hierarchy, byte for byte.  With no
+    # argv the process only imports the CLI
+    # the probe reports by repr, as importing json would load it
     code = f"""
-import io, json, sys
+import io, sys
 if {block_numpy}:
     sys.modules["numpy"] = None
 from riemann_minimal import cli
 out, sys.stdout, sys.stderr = sys.stdout, io.StringIO(), io.StringIO()
-rc = cli.main({argv!r})
-print(json.dumps([rc, [m for m in {absent!r} if sys.modules.get(m)],
-                  sys.stdout.getvalue()]), file=out)
+rc = None if {argv!r} is None else cli.main({argv!r})
+print(repr([rc, [m for m in {absent!r} if sys.modules.get(m)],
+            sys.stdout.getvalue()]), file=out)
 """
-    out = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path,
-                         capture_output=True, text=True, check=True,
-                         timeout=120)
-    got_rc, loaded, stdout = json.loads(out.stdout)
+    out = run_fresh(["-c", code], tmp_path)
+    assert out.returncode == 0, out.stderr
+    got_rc, loaded, stdout = ast.literal_eval(out.stdout)
     assert (got_rc, loaded) == (rc, []), out.stdout
-    if argv[:2] == ["kdv", "--print-p"]:
+    if argv and argv[:2] == ["kdv", "--print-p"]:
         assert stdout == P_TEXT_3
+
+
+@pytest.mark.parametrize("argv", [["kdv", "--print-p", "1"],
+                                  ["verify", "--sigma", "2"]])
+def test_unknown_log_level_is_a_configuration_error(tmp_path, argv):
+    cmd = ["-m", "riemann_minimal.cli", *argv]
+    out = run_fresh(cmd, tmp_path, "foo")
+    assert out.returncode == 2
+    # one line, before any work: nothing printed, no check run
+    assert out.stdout == ""
+    assert out.stderr.startswith("configuration error: MINSURF_LOG ")
+    assert out.stderr.count("\n") == 1, out.stderr
+    # an empty value counts as unset
+    assert run_fresh(cmd, tmp_path, "").returncode == 0
+
+
+def test_log_level_info_logs_progress(tmp_path):
+    cmd = ["-m", "riemann_minimal.cli", "gen", "--sigma", "2", "--grid",
+           "6x8", "-o", "o"]
+    line = "INFO:riemann_minimal:sampling fundamental piece (6x8)"
+    for level, logged in (("info", True), (None, False)):
+        out = run_fresh(cmd, tmp_path, level)
+        assert out.returncode == 0, out.stderr
+        assert (line in out.stderr.splitlines()) is logged, out.stderr
 
 
 @pytest.mark.parametrize("sigma", [1e-3, 2.0, 1e3])
@@ -761,6 +809,29 @@ def test_kdv_report_config_names_only_what_the_run_used(tmp_path):
     rep = load_report(path)
     assert rep["config"] == {"sigma": 2.0, "lambda": None, "seed": 7}
     assert rep["environment"]["seed"] == 7
+
+
+REPORT_KEYS = ("schema", "command", "config", "checks", "pass",
+               "environment", "timestamp", "timings")
+
+
+@pytest.mark.parametrize("argv, result, seed", [
+    (["gen", "--sigma", "2", "--grid", "6x8", "-o", "{out}"], True, False),
+    (["verify", "--sigma", "2"], False, True),
+    (["kdv", "--sigma", "2", "--samples", "8"], True, True),
+    (["kdv", "--print-p", "2"], True, False),
+], ids=["gen", "verify", "kdv-fit", "kdv-print-p"])
+def test_report_keys_keep_their_order(tmp_path, argv, result, seed):
+    path = tmp_path / "r.json"
+    argv = [a.format(out=tmp_path) for a in argv]
+    assert run([*argv, "--json", str(path)]) == 0
+    rep = load_report(path)
+    assert tuple(rep) == REPORT_KEYS + ("result",) * result
+    env = rep["environment"]
+    assert tuple(env) == ("package_version", "python", "numpy") + (
+        ("seed",) * seed)
+    assert env["python"] == platform.python_version()
+    assert env["numpy"] == np.__version__
 
 
 @pytest.mark.slow

@@ -331,6 +331,21 @@ def test_hierarchy_printed_forms():
     assert str(hierarchy_P(3)) == "u'''' + 10 u u'' + 5 u'^2 + 10 u^3"
 
 
+def test_diffpoly_value_semantics():
+    # equal by terms, a repr that names them, and no assignment: the
+    # memoized P_n are shared by every caller
+    p = DiffPoly({(0,): Fraction(1)})
+    assert p == DiffPoly(terms={(0,): Fraction(1)}) == hierarchy_P(1)
+    assert p != DiffPoly({(0,): Fraction(2)}) and p != {(0,): Fraction(1)}
+    assert DiffPoly().terms == {} and DiffPoly() == DiffPoly({})
+    assert repr(p) == "DiffPoly(terms={(0,): Fraction(1, 1)})"
+    with pytest.raises(AttributeError):
+        p.terms = {}
+    with pytest.raises(AttributeError):
+        del p.terms
+    assert p.terms == {(0,): Fraction(1)}
+
+
 def _naive_terms_mul(terms, factor):
     return {tuple(sorted(m + (factor,), reverse=True)): c
             for m, c in terms.items()}
