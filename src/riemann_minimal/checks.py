@@ -20,7 +20,7 @@ code that picks their heights, takes without a mesh: exact points in
 closed form on lines of the height coordinate (``mesh.refine_slice``),
 one ``curve.immerse`` call for all heights, each foliation circle half
 its own slice and half the op-1 image of the slice at t0_3 - h; each
-check fits all its slices in one stacked ``mesh.level_circle_fit`` call.
+check fits all its slices in one closed-form ``mesh.level_circle_fit`` call.
 The classical stencil's height and center increments are one-panel
 quadratures of the integrands of ``classical``.  The periods and fluxes
 of ``verify`` are trapezoidal sums on analytic contours

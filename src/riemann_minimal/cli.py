@@ -21,8 +21,9 @@ Importing this module loads ``argparse``, ``os``, ``sys``, ``time``,
 ``functools`` and ``riemann_minimal.errors``, which imports nothing.  The
 rest loads where it runs: ``json`` and ``platform`` when a report is
 written, ``traceback`` on a program bug, and ``logging`` when MINSURF_LOG
-is set or a log line is due.  Each subcommand imports its own modules:
-gen takes ``mesh`` (with ``curve`` and ``classical``), verify every
+is set, and a log line goes out only when ``logging`` is loaded (else
+nothing has configured it).  Each subcommand imports its own modules: gen
+takes ``mesh`` (with ``curve`` and ``classical``), verify every
 module, and kdv the numpy-free ``hierarchy`` for ``--print-p`` plus
 ``curve`` and ``shiffkdv`` for a fit.  So ``--help``, a configuration
 error and ``kdv --print-p`` load no numpy and none of those standard
@@ -249,12 +250,10 @@ def _emit_report(report: dict, cfg: RunConfig, t_start: float):
     report["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%S%z")
     report["timings"]["total_s"] = round(time.time() - t_start, 3)
     text = json.dumps(report, indent=2)
-    if cfg.json_path:
-        with open(cfg.json_path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    elif cfg.command == "gen" and cfg.out_dir:
-        with open(os.path.join(cfg.out_dir, "report.json"), "w",
-                  encoding="utf-8") as fh:
+    path = cfg.json_path or (cfg.command == "gen"
+                             and os.path.join(cfg.out_dir, "report.json"))
+    if path:
+        with open(path, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
     else:
         print(text)
@@ -269,21 +268,26 @@ def cmd_gen(cfg: RunConfig) -> int:
         print(f"configuration error: -o {cfg.out_dir}: {exc.strerror}",
               file=sys.stderr)
         return EXIT_CONFIG
-    import logging
-
+    formats = ("obj", "ply") if cfg.fmt == "both" else (cfg.fmt,)
+    outputs = [f"{name}.{fmt}" for fmt in formats
+               for name in ("fundamental", "extended")]
+    for name in outputs + ([] if cfg.json_path else ["report.json"]):
+        if os.path.isdir(os.path.join(cfg.out_dir, name)):
+            print(f"configuration error: -o {cfg.out_dir}: {name} is a "
+                  "directory", file=sys.stderr)
+            return EXIT_CONFIG
     from . import mesh
-    logging.getLogger("riemann_minimal").info(
-        "sampling fundamental piece (%dx%d)", cfg.nr, cfg.nt)
+    if "logging" in sys.modules:  # else unconfigured: INFO is dropped
+        sys.modules["logging"].getLogger("riemann_minimal").info(
+            "sampling fundamental piece (%dx%d)", cfg.nr, cfg.nt)
     fund = mesh.sample_fundamental(cfg.sigma, cfg.e, cfg.nr, cfg.nt)
     ops = mesh.extension_ops(cfg.sigma)
     ext = mesh.extend(fund, ops, copies=cfg.copies)
     files = {}
-    formats = ("obj", "ply") if cfg.fmt == "both" else (cfg.fmt,)
-    for fmt in formats:
-        writer = mesh.export_obj if fmt == "obj" else mesh.export_ply
-        for name, mm in (("fundamental", fund), ("extended", ext)):
-            path = os.path.join(cfg.out_dir, f"{name}.{fmt}")
-            files[f"{name}.{fmt}"] = writer(mm, path)
+    for name in outputs:
+        writer = mesh.export_obj if name.endswith("obj") else mesh.export_ply
+        files[name] = writer(fund if name.startswith("fundamental") else ext,
+                             os.path.join(cfg.out_dir, name))
     x3 = fund.vertices[:, 2]
     report["result"] = {
         "fundamental_vertices": fund.vertex_count,
@@ -430,9 +434,9 @@ def main(argv=None) -> int:
             return cmd_verify(cfg)
         return cmd_kdv(cfg)
     except RiemannMinimalError as exc:
-        import logging
-        logging.getLogger("riemann_minimal").debug("numeric failure",
-                                                   exc_info=True)
+        if "logging" in sys.modules:  # else unconfigured: DEBUG is dropped
+            sys.modules["logging"].getLogger("riemann_minimal").debug(
+                "numeric failure", exc_info=True)
         print(f"numeric failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except Exception:

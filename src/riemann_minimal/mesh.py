@@ -31,8 +31,8 @@ Slices are taken without a mesh: in the height coordinate u of
 {x3 = h} is a vertical line, and :func:`refine_slice` takes exact surface
 points on such lines in closed form, with their mirror x2 -> -x2 the whole
 slice.  :func:`slice_mesh` cuts a mesh at a sequence of heights, walking
-its edges once per height.  :func:`level_circle_fit` fits a sequence of
-slices in one stacked solve, one circle or line per slice.
+its edges once per height.  :func:`level_circle_fit` fits a circle or a
+line to each slice of a sequence in closed form.
 """
 
 from __future__ import annotations
@@ -464,71 +464,65 @@ def level_circle_fit(slices) -> list[CircleFit]:
 
     Each slice needs >= 5 points at a common height (to ``_HEIGHT_TOL``),
     else ValueError, and Degenerate when its points do not even span one
-    dimension; the message names the slice's index.  A slice whose points
-    are collinear, or whose fitted radius exceeds 1e6 times its point
-    spread, is a line (total-least-squares fit).  The slices are fitted
-    together, padded with zero rows to one stack, which moves neither the
-    singular values nor the least-squares solutions: one SVD decides the
-    lines and gives their directions, and one SVD solve fits the circles.
+    dimension; the message names the slice's index.  Kasa's circle in
+    closed form: on the centred points' principal axes (p, q), at theta =
+    atan2(2 Suv, Suu - Svv) / 2, the normal equations of b = u^2 + v^2 =
+    2 a p + 2 c q + c0 are diagonal (S sums over the slice): a = Spb / 2
+    Spp, c = Sqb / 2 Sqq, c0 = mean b.  Collinear points (sqrt Sqq <= 1e-12
+    sqrt Spp), or a radius over ``LINE_RADIUS_FACTOR`` times the point
+    spread, make a line through the centroid along (cos theta, sin theta).
+    Slices of one length are one stack summed along contiguous rows, so a
+    slice's fit has the same bits in any batch.
     """
-    pts = []
+    pts, by_length = [], {}
     for i, p in enumerate(slices):
         p = np.asarray(p, dtype=float)
         if p.ndim != 2 or p.shape[1] != 3:
             raise ValueError(f"slice {i}: points must be (n, 3)")
         if len(p) < 5:
             raise ValueError(f"slice {i}: need at least 5 points")
+        by_length.setdefault(len(p), []).append(i)
         pts.append(p)
-    if not pts:
-        return []
-    n = np.array([len(p) for p in pts])
-    # a column per slice, zero past its points: (n_max, 3, k), so a sum
-    # over axis 0 adds each slice's points in order, as for one slice
-    valid = np.arange(n.max())[:, None] < n
-    stack = np.zeros((len(valid), 3, len(pts)))
-    stack.transpose(2, 0, 1)[valid.T] = np.concatenate(pts)
-    x, y, h = stack.transpose(1, 0, 2)
-    mx, my, mh = stack.sum(axis=0) / n
-    h_spread = (np.where(valid, h, -np.inf).max(axis=0)
-                - np.where(valid, h, np.inf).min(axis=0))
-    tol = _HEIGHT_TOL * np.maximum(1.0, np.abs(mh))
-    bad = np.flatnonzero(h_spread > tol)
-    if bad.size:
-        raise ValueError(f"slice {bad[0]}: points do not share a common "
-                         "height")
-    ux, uy = np.where(valid, x - mx, 0.0), np.where(valid, y - my, 0.0)
-    b = ux * ux + uy * uy
-    spread = np.sqrt(b.max(axis=0))
-    bad = np.flatnonzero(spread == 0.0)
-    if bad.size:
-        raise Degenerate(f"slice {bad[0]}: all points coincide")
-    # principal components decide 1-d (line) vs 2-d data; 2-d data is a
-    # line too when its circle is too large
-    _, sv, vt = np.linalg.svd(np.stack([ux.T, uy.T], axis=2),
-                              full_matrices=False)
-    line = sv[:, 1] <= 1e-12 * sv[:, 0]
-    # x^2 + y^2 = 2 cx x + 2 cy y + c0 in centred coordinates, solved by
-    # the SVD of each slice's (n, 3) matrix with lstsq's cut-off, below
-    # which only a line's singular values fall
-    ua, sa, vat = np.linalg.svd(
-        np.stack([2.0 * ux.T, 2.0 * uy.T, valid.T * 1.0], axis=2),
-        full_matrices=False)
-    ub = (np.ascontiguousarray(b.T)[:, None] @ ua)[:, 0]
-    ub = np.divide(ub, sa, out=np.zeros_like(ub),
-                   where=sa > np.finfo(float).eps * n[:, None] * sa[:, :1])
-    cx, cy, c0 = (ub[:, None] @ vat)[:, 0].T
-    radius = np.sqrt(np.maximum(c0 + cx * cx + cy * cy, 0.0))
-    line |= radius > LINE_RADIUS_FACTOR * spread
-    ox, oy = mx + cx, my + cy
-    dist = np.sqrt((x - ox) ** 2 + (y - oy) ** 2)
-    resid = np.max(np.where(valid, np.abs(dist - radius), 0.0), axis=0)
-    d = vt[:, 0]
-    line_resid = np.max(np.abs(ux * d[:, 1] - uy * d[:, 0]), axis=0)
-    return [CircleFit("line", np.array([mx[i], my[i]]), math.inf,
-                      float(line_resid[i]), d[i]) if line[i] else
-            CircleFit("circle", np.array([ox[i], oy[i]]), float(radius[i]),
-                      float(resid[i]))
-            for i in range(len(pts))]
+    uneven, coincide = np.zeros((2, len(pts)), dtype=bool)
+    fits = [None] * len(pts)
+    for n, idx in by_length.items():
+        # (3, k, n): each slice's coordinates are a contiguous row
+        x, y, h = np.stack([pts[i] for i in idx]).transpose(2, 0, 1).copy()
+        mx, my, mh = (c.sum(axis=1) / n for c in (x, y, h))
+        uneven[idx] = (h.max(axis=1) - h.min(axis=1)
+                       > _HEIGHT_TOL * np.maximum(1.0, np.abs(mh)))
+        u, v = x - mx[:, None], y - my[:, None]
+        b = u * u + v * v
+        spread = np.sqrt(b.max(axis=1))
+        coincide[idx] = spread == 0.0
+        theta = 0.5 * np.arctan2(2.0 * (u * v).sum(axis=1),
+                                 (u * u).sum(axis=1) - (v * v).sum(axis=1))
+        cos, sin = np.cos(theta)[:, None], np.sin(theta)[:, None]
+        p, q = u * cos + v * sin, v * cos - u * sin
+        spp, sqq = (p * p).sum(axis=1), (q * q).sum(axis=1)
+        # a line's Sqq may be 0 or tiny: its circle is nan or inf, unused
+        with np.errstate(all="ignore"):
+            a = (p * b).sum(axis=1) / (2.0 * spp)
+            c = (q * b).sum(axis=1) / (2.0 * sqq)
+            radius = np.sqrt(b.sum(axis=1) / n + a * a + c * c)
+            ox = mx + a * cos[:, 0] - c * sin[:, 0]
+            oy = my + a * sin[:, 0] + c * cos[:, 0]
+            dist = np.sqrt((x - ox[:, None]) ** 2 + (y - oy[:, None]) ** 2)
+            resid = np.max(np.abs(dist - radius[:, None]), axis=1)
+        line = ((np.sqrt(sqq) <= 1e-12 * np.sqrt(spp))
+                | (radius > LINE_RADIUS_FACTOR * spread))
+        for j, i in enumerate(idx):
+            fits[i] = CircleFit(
+                "line", np.array([mx[j], my[j]]), math.inf,
+                float(np.abs(q[j]).max()), np.array([cos[j, 0], sin[j, 0]])
+            ) if line[j] else CircleFit("circle", np.array([ox[j], oy[j]]),
+                                        float(radius[j]), float(resid[j]))
+    if uneven.any():
+        raise ValueError(f"slice {uneven.argmax()}: points do not share a "
+                         "common height")
+    if coincide.any():
+        raise Degenerate(f"slice {coincide.argmax()}: all points coincide")
+    return fits
 
 
 def slice_mesh(mesh: TriMesh, heights):

@@ -24,8 +24,6 @@ references that the batched code in ``riemann_minimal`` is pinned against.
   one masked numpy loop over whole arrays, each element stopping at its
   own step: the bit reference of ``classical``'s per-element loop in
   ``math``.
-* :func:`level_circle_fit` -- the circle fit of one slice, with its own
-  SVD and ``lstsq``: the reference of the stacked ``mesh.level_circle_fit``.
 * :func:`apply` and :func:`apply_normals` -- an ``mesh.IsometryOp``
   applied by a matmul with the 3x3 diagonal matrix of its signs: the
   reference of its sign arithmetic.
@@ -318,43 +316,6 @@ def carlson_rd(x, y, z):
     return (scale * classical._rd_series(X, Y) / (a * np.sqrt(a))
             + 3.0 * tail)[()]
 
-
-def level_circle_fit(points):
-    """Algebraic least-squares circle through the coplanar horizontal
-    points of one slice, or a line (``mesh.level_circle_fit``'s rules)."""
-    # C order: the means below sum in memory order, so a transposed view
-    # would round differently
-    pts = np.ascontiguousarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 3:
-        raise ValueError("points must be (n, 3)")
-    if len(pts) < 5:
-        raise ValueError("need at least 5 points")
-    h = pts[:, 2]
-    if h.max() - h.min() > mesh._HEIGHT_TOL * max(1.0, abs(float(np.mean(h)))):
-        raise ValueError("points do not share a common height")
-    xy = pts[:, :2]
-    centroid = xy.mean(axis=0)
-    u = xy - centroid
-    spread = float(np.max(np.linalg.norm(u, axis=1)))
-    if spread == 0.0:
-        raise mesh.Degenerate("all points coincide")
-    sv = np.linalg.svd(u, compute_uv=False)
-    line = sv[1] <= 1e-12 * sv[0]
-    if not line:
-        A = np.column_stack([2.0 * u[:, 0], 2.0 * u[:, 1], np.ones(len(u))])
-        b = (u ** 2).sum(axis=1)
-        (cx, cy, c0), *_ = np.linalg.lstsq(A, b, rcond=None)
-        radius = math.sqrt(max(c0 + cx * cx + cy * cy, 0.0))
-        line = radius > mesh.LINE_RADIUS_FACTOR * spread
-    if line:
-        direction = np.linalg.svd(u, compute_uv=True)[2][0]
-        resid = float(np.max(np.abs(u[:, 0] * direction[1]
-                                    - u[:, 1] * direction[0])))
-        return mesh.CircleFit("line", centroid, math.inf, resid, direction)
-    center = centroid + np.array([cx, cy])
-    dist = np.linalg.norm(xy - center, axis=1)
-    resid = float(np.max(np.abs(dist - radius)))
-    return mesh.CircleFit("circle", center, float(radius), resid)
 
 def _chunks(line, rows):
     """``rows`` as ASCII text in chunks of 2^15 rows, each one ``%`` format

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.optimize import brentq, least_squares
@@ -188,11 +189,43 @@ def test_foliation_circles_are_the_orbit_of_the_piece(sigma, monkeypatch):
             <= 1e-11 * span
 
 
-@pytest.mark.parametrize("sigma", [1e-3, 2.0, 1e3])
-def test_stacked_circle_fit_matches_one_slice_fits(sigma, monkeypatch):
+def _exact_circle(pts):
+    """The algebraic least-squares circle of a slice's (x, y), exactly:
+    [2x, 2y, 1] . (cx, cy, c0) = x^2 + y^2 by its normal equations in
+    mpmath at 50 digits.  Returns the centre, radius, centroid and
+    principal direction (at atan2(2 Suv, Suu - Svv) / 2 of the centred
+    points) as mpf."""
+    with mpmath.workdps(50):
+        x, y = ([mpmath.mpf(float(c)) for c in col] for col in pts[:, :2].T)
+        a = mpmath.matrix([[2 * xi, 2 * yi, 1] for xi, yi in zip(x, y)])
+        b = mpmath.matrix([xi * xi + yi * yi for xi, yi in zip(x, y)])
+        cx, cy, c0 = mpmath.lu_solve(a.T * a, a.T * b)
+        mx, my = mpmath.fsum(x) / len(x), mpmath.fsum(y) / len(y)
+        u, v = [xi - mx for xi in x], [yi - my for yi in y]
+        theta = mpmath.atan2(
+            2 * mpmath.fsum(ui * vi for ui, vi in zip(u, v)),
+            mpmath.fsum(ui * ui - vi * vi for ui, vi in zip(u, v))) / 2
+        return ((cx, cy), mpmath.sqrt(c0 + cx * cx + cy * cy), (mx, my),
+                (mpmath.cos(theta), mpmath.sin(theta)))
+
+
+def _bits(fit):
+    direction = None if fit.direction is None else fit.direction.tobytes()
+    return (fit.kind, fit.center.tobytes(), fit.radius.hex(),
+            fit.residual.hex(), direction)
+
+
+def _err(got, want):
+    """max |got - want| over the components, in float."""
+    return float(max(abs(mpmath.mpf(float(g)) - w) for g, w in zip(got, want)))
+
+
+@pytest.mark.parametrize("sigma", [1e-3, 0.0042, 2.0, 1e3])
+def test_stacked_circle_fit_is_the_exact_circle(sigma, monkeypatch):
     # verify's slices, as slice_checks hands them to the fit: one call for
     # registration's slices, one for foliation's 10 circles and its two
-    # line slices; each fit against the one-slice reference
+    # line slices; each fit against the exact least-squares circle, and
+    # with the same bits alone as in its batch and in a ragged batch
     batches = []
     fit = mesh.level_circle_fit
 
@@ -205,25 +238,32 @@ def test_stacked_circle_fit_matches_one_slice_fits(sigma, monkeypatch):
     assert [len(b) for b in batches] == [6, 12]
     for batch in batches:
         for got, pts in zip(fit(batch), batch, strict=True):
-            want = scalar.level_circle_fit(pts)
-            assert got.kind == want.kind
-            if want.kind == "circle":
-                r = want.radius
-                assert abs(got.radius - r) <= 1e-15 * r
+            assert _bits(got) == _bits(fit([pts])[0])
+            center, r, centroid, direction = _exact_circle(pts)
+            if got.kind == "circle":
+                assert _err([got.radius], [r]) <= 1e-15 * float(r)
                 # the centre's rounding is relative to its own size
-                assert np.max(np.abs(got.center - want.center)) <= 1e-15 * (
-                    r + np.max(np.abs(want.center)))
+                scale = float(r) + float(max(abs(c) for c in center))
+                assert _err(got.center, center) <= 1e-15 * scale
                 # the residual is the fitted circle's own: a distance from
                 # the centre, it cannot agree closer than the centres do
                 dist = np.linalg.norm(pts[:, :2] - got.center, axis=1)
-                assert abs(got.residual
-                           - np.max(np.abs(dist - got.radius))) <= 1e-15 * r
+                assert abs(got.residual - np.max(np.abs(dist - got.radius))) \
+                    <= 1e-15 * float(r)
             else:
-                # the centroid keeps its bits; the direction has a sign
-                assert np.array_equal(got.center, want.center)
+                extent = np.max(np.abs(pts[:, :2]))
+                assert _err(got.center, centroid) <= 1e-15 * extent
+                # the direction has a sign
+                sign = math.copysign(1.0, got.direction @ np.array(
+                    direction, dtype=float))
+                assert _err(sign * got.direction, direction) <= 1e-15
                 assert got.radius == math.inf and got.residual <= 1e-12
-                assert abs(abs(got.direction @ want.direction) - 1.0) <= 1e-15
     assert [f.kind for f in fit(batches[1])[-2:]] == ["line", "line"]
+    # slices of several lengths, interleaved
+    ragged = [p[:len(p) - k % 3] for k, p in enumerate(sum(batches, []))]
+    assert len({len(p) for p in ragged}) == 6
+    for got, pts in zip(fit(ragged), ragged, strict=True):
+        assert _bits(got) == _bits(fit([pts])[0])
 
 
 def test_fits_reject_heights_and_points_of_different_lengths():

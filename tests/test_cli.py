@@ -249,6 +249,20 @@ def test_gen_output_path_errors_exit_2(tmp_path, capsys, monkeypatch):
         err = capsys.readouterr().err
         assert err.startswith(f"configuration error: -o {out}: ")
         assert err.count("\n") == 1 and "Traceback" not in err
+    # a directory where a mesh or the report goes, not where --json is
+    out = tmp_path / "o"
+    for name in ("extended.ply", "report.json"):
+        (out / name).mkdir(parents=True)
+        assert run(["gen", "--sigma", "2", "--grid", "6x8", "--format",
+                    "both", "-o", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"configuration error: -o {out}: {name} is a directory\n")
+        (out / name).rmdir()
+    # with --json, gen writes no report.json there: it goes on to sample
+    (out / "report.json").mkdir()
+    assert run(["gen", "--sigma", "2", "-o", str(out), "--json",
+                os.devnull]) == 4
+    assert "AssertionError: sampled" in capsys.readouterr().err
 
 
 def test_verify_json_directory_is_checked_first(tmp_path, capsys,
@@ -455,12 +469,15 @@ LATE_STDLIB = ["json", "platform", "logging", "traceback", "dataclasses",
     (["--help"], 0, ["numpy"] + LATE_STDLIB, False),
     (["verify", "--sigma", "1e9"], 2, ["numpy"] + LATE_STDLIB, False),
     (["gen", "--sigma", "2", "--grid", "8x12"], 0,
-     ["riemann_minimal.checks", "riemann_minimal.shiffkdv"], False),
+     ["riemann_minimal.checks", "riemann_minimal.shiffkdv", "logging",
+      "traceback"], False),
+    (["gen", "--sigma", "2", "--grid", "10x15", "--e", "1e-17"], 3,
+     ["logging", "traceback"], False),
     (["verify", "--sigma", "2"], 0, NUMPY_RANDOM, False),
     (["kdv", "--sigma", "2"], 0,
      NUMPY_RANDOM + ["riemann_minimal.checks", "riemann_minimal.mesh"], False),
 ], ids=["import", "kdv-print-p", "kdv-print-p-numpy-blocked", "help",
-        "config-error", "gen", "verify", "kdv"])
+        "config-error", "gen", "gen-numeric-failure", "verify", "kdv"])
 def test_commands_import_only_what_they_run(tmp_path, argv, rc, absent,
                                             block_numpy):
     # each command in a fresh process: the modules it does not run stay
@@ -846,3 +863,13 @@ def test_verify_reports_every_check_in_order(argv, tmp_path):
     # every run records the same checks, in the same order
     assert tuple(c["name"] for c in rep["checks"]) == VERIFY_CHECKS
     assert rep["pass"] is True
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # a warning exits 4
+@pytest.mark.parametrize("sigma", ["1e-3", "2", "1e3"])
+def test_verify_prints_one_line_per_check(sigma, capsys):
+    # stderr holds one [PASS] line per check, in order, and nothing else
+    assert run(["verify", "--sigma", sigma, "--json", os.devnull]) == 0
+    lines = capsys.readouterr().err.splitlines()
+    assert [line.split(":")[0] for line in lines] == [
+        f"[PASS] {name}" for name in VERIFY_CHECKS]
