@@ -278,13 +278,13 @@ def slice_checks(sigma):
     and t0_3: 24 exact points over the upper half-plane, then their mirror
     x2 -> -x2.  Registration fits the first 24.  Foliation's heights are
     symmetric, h_j + h_(9-j) = t0_3, and op 1 of the extension, the
-    half-turn x -> (t0_1 - x1, x2, t0_3 - x3), carries the slice at
-    t0_3 - h onto the slice at h, each half onto the same half: each
-    foliation circle is the first half of slice j plus op 1 of the second
-    half of slice 9 - j, and each line slice pairs 0 and t0_3 the same
-    way.  The slice height error is the largest |x3 - h| / t0_3 over all
-    the points; the fits then take each slice in its plane x3 = h, so
-    only the height error sees points off it.
+    half-turn x -> (t0_1 - x1, x2, t0_3 - x3) of :func:`mesh.half_turn`,
+    carries the slice at t0_3 - h onto the slice at h, each half onto the
+    same half: each foliation circle is the first half of slice j plus op
+    1 of the second half of slice 9 - j, and each line slice pairs 0 and
+    t0_3 the same way.  The slice height error is the largest
+    |x3 - h| / t0_3 over all the points; the fits then take each slice in
+    its plane x3 = h, so only the height error sees points off it.
     """
     t0 = mesh.FundamentalSurface(sigma).translation_half()
     span = t0[2]
@@ -295,7 +295,7 @@ def slice_checks(sigma):
     height_err = np.max(np.abs(pts[..., 2] - hs[:, None])) / span
     pts[..., 2] = hs[:, None]
     partner = np.concatenate([np.arange(15, 5, -1), [17, 16]])
-    turned = t0 * [1.0, 0.0, 1.0] + pts[partner, 24:] * [-1.0, 1.0, -1.0]
+    turned = mesh.half_turn(t0).apply(pts[partner, 24:])
     orbit = np.concatenate([pts[6:, :24], turned], axis=1)
     return (registration_error(sigma, reg_hs, pts[:6, :24]),
             foliation_residuals(fol_hs, orbit[:10], orbit[10:]),

@@ -41,7 +41,8 @@ criterion 2 compares the two).
 
 This module also carries Enneper's reduction: the seven trigonometric
 coefficients a1..a7 of (eG - 2fF + Eg) |Xu x Xv| for a general circle
-foliation, plus a finite-difference/DFT cross-check of the closed forms.
+foliation, plus a check of those closed forms against the DFT of the
+product sampled from the surface's exact derivatives.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ __all__ = [
     "q_min", "sigma_of_lambda", "lambda_of_sigma", "radicand", "carlson_rf", "carlson_rd",
     "height", "center_offset",
     "slab_height", "parameterize", "catenoid_height",
-    "enneper_coefficients", "enneper_fourier_check", "foliation_frames",
+    "enneper_coefficients", "enneper_fourier_check",
 ]
 
 
@@ -385,113 +386,59 @@ def enneper_coefficients(d: FoliationData) -> np.ndarray:
     return np.array([a1, a2, a3, a4, a5, a6, a7])
 
 
-def foliation_frames(d: FoliationData, us):
-    """Frenet frames and centers of the foliation data at the parameters us.
+def enneper_fourier_check(d: FoliationData) -> float:
+    """How far the closed forms of :func:`enneper_coefficients` are from
+    the sampled surface, exact up to rounding.
 
-    The Frenet frame and center curve are integrated from the identity
-    frame at u = 0 by one RK4 step to each u, all u in one (len(us), 12)
-    array; |u| <= 1e-4 (ValueError otherwise), the offsets of a finite
-    difference.  The step's local error is about (|A| u)^5 / 120 < 1e-19,
-    A the 12x12 system matrix (|A| is at most about 3 for the data the
-    tests use), so it agrees with a 64-step march to rounding.
-    kappa and the velocity components vary linearly in u (their
-    derivatives are the supplied primes), tau is held constant (the trig
-    coefficients do not involve tau').  Returns (n, b, c), each of shape
-    (len(us), 3).
+    At u = 0, in the identity Frenet frame {t, n, b}, the local surface
+    X(u, v) = c(u) + r(u)(cos v n(u) + sin v b(u)) has its derivatives in
+    closed form, from t' = kappa n, n' = -kappa t - tau b, b' = tau n,
+    c' = alpha t + beta n + delta b and those rates' derivatives; tau' is
+    taken as 0, since it only adds -tau' Xv to Xuu, which drops out of P.
+    The check samples
+    P(v) = G det(Xu,Xv,Xuu) - 2F det(Xu,Xv,Xuv) + E det(Xu,Xv,Xvv) on a
+    uniform 16-point v-grid and returns the larger of the largest
+    |DFT coefficient - closed form| over the seven coefficients and the
+    largest |DFT coefficient| of harmonics 4 to 8, which the reduction says
+    vanish.  Each product that makes P has degree at most 5 in v, so the
+    16 points read harmonics 0 to 8 without aliasing.
 
     Torsion convention: b' = +tau n (equivalently n' = -kappa t - tau b).
     This is the convention under which the closed-form coefficients
     reproduce the sampled trig polynomial; the opposite sign leaves a
     2*tau*delta-sized defect in the constant coefficient.
     """
-    k0, kp = d.kappa, d.kappa_p
-    t0 = d.tau
+    v = 2.0 * math.pi / 16 * np.arange(16)[:, None]
+    cos, sin = np.cos(v), np.sin(v)
+    k, t = d.kappa, d.tau
+    n, b = np.array([0.0, 1.0, 0.0]), np.array([0.0, 0.0, 1.0])
+    n_u, b_u = np.array([-k, 0.0, -t]), np.array([0.0, t, 0.0])
+    n_uu = np.array([-d.kappa_p, -(k * k + t * t), 0.0])
+    b_uu = np.array([-t * k, 0.0, -t * t])
+    c_u = np.array([d.alpha, d.beta, d.delta])
+    c_uu = np.array([d.alpha_p - d.beta * k,
+                     d.alpha * k + d.beta_p + d.delta * t,
+                     d.delta_p - d.beta * t])
+    # the circle's unit ring cos v n + sin v b and its derivatives
+    ring, ring_v = cos * n + sin * b, cos * b - sin * n
+    ring_u, ring_uv = cos * n_u + sin * b_u, cos * b_u - sin * n_u
+    ring_uu = cos * n_uu + sin * b_uu
+    r, r_u = d.r, d.r_p
+    Xu = c_u + r_u * ring + r * ring_u
+    Xv = r * ring_v
+    Xuu = c_uu + d.r_pp * ring + 2.0 * r_u * ring_u + r * ring_uu
+    Xuv = r_u * ring_v + r * ring_uv
+    Xvv = -r * ring
 
-    def deriv(u, y):
-        t, n, b = y[:, 0:3], y[:, 3:6], y[:, 6:9]
-        k = (k0 + kp * u)[:, None]
-        al = (d.alpha + d.alpha_p * u)[:, None]
-        be = (d.beta + d.beta_p * u)[:, None]
-        de = (d.delta + d.delta_p * u)[:, None]
-        dt = k * n
-        dn = -k * t - t0 * b
-        db = t0 * n
-        dc = al * t + be * n + de * b
-        return np.concatenate([dt, dn, db, dc], axis=1)
+    def dot(A, B):
+        return np.einsum("ij,ij->i", A, B)[:, None]
 
-    us = np.asarray(us, dtype=float)
-    if np.any(np.abs(us) > 1e-4):
-        raise ValueError("foliation_frames takes one RK4 step, |u| <= 1e-4")
-    y = np.tile(np.concatenate([np.eye(3).ravel(), np.zeros(3)]),
-                (len(us), 1))
-    h = us[:, None]
-    k1 = deriv(np.zeros_like(us), y)
-    k2 = deriv(us / 2, y + h / 2 * k1)
-    k3 = deriv(us / 2, y + h / 2 * k2)
-    k4 = deriv(us, y + h * k3)
-    y = y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-    return y[:, 3:6], y[:, 6:9], y[:, 9:12]
-
-
-# enneper_fourier_check's v-grid and finite-difference step in u
-_ENNEPER_NV = 256
-_ENNEPER_H = 1e-4
-
-
-def enneper_fourier_check(d: FoliationData) -> float:
-    """Max |DFT coefficient - closed form| over the seven coefficients.
-
-    Samples P(v) = G det(Xu,Xv,Xuu) - 2F det(Xu,Xv,Xuv) + E det(Xu,Xv,Xvv)
-    on a uniform 256-point v-grid (P is a degree-3 trig polynomial, so the
-    grid is vastly sufficient) using central finite differences in u and
-    the analytic v-derivatives of the local surface
-    X(u, v) = c(u) + r(u)(cos v n(u) + sin v b(u)), with the frames of
-    :func:`foliation_frames` at u = -h, 0, h, h = 1e-4.
-
-    That h is where the error is smallest.  Over the unit canonical data
-    and ten random configurations (test seed 42), the check reads,
-    canonical / worst random:
-
-        h       1e-6    1e-5    3e-5    1e-4    3e-4    1e-3    3e-3
-        canon.  7.6e-5  1.5e-7  7.1e-8  1.3e-8  7.4e-8  8.1e-7  7.3e-6
-        random  8.1e-4  3.0e-6  6.6e-7  8.3e-8  4.3e-7  4.8e-6  4.3e-5
-
-    Below 1e-4 rounding in the second difference grows as h shrinks;
-    above it the O(h^2) truncation grows ninefold per factor of 3 in h.
-    """
-    n_v, h = _ENNEPER_NV, _ENNEPER_H
-    v = 2.0 * math.pi * np.arange(n_v) / n_v
-    cos, sin = np.cos(v)[:, None], np.sin(v)[:, None]
-    X, Xv = [], []
-    for u, n, b, c in zip((-h, 0.0, h), *foliation_frames(d, (-h, 0.0, h))):
-        r = d.r + d.r_p * u + 0.5 * d.r_pp * u * u
-        X.append(c + r * (cos * n + sin * b))
-        Xv.append(r * (-sin * n + cos * b))
-    (Xm1, X0, Xp1), (Xv_m1, Xv, Xv_p1) = X, Xv
-    Xu = (Xp1 - Xm1) / (2 * h)
-    Xuu = (Xp1 - 2 * X0 + Xm1) / (h * h)
-    Xuv = (Xv_p1 - Xv_m1) / (2 * h)
-    # X(0, v) = c + r(cos v n + sin v b) gives X_vv = c - X; the center c is
-    # the exact mean of X over the uniform v-grid.
-    Xvv = X0.mean(axis=0)[None, :] - X0
-
-    E = np.einsum("ij,ij->i", Xu, Xu)
-    F = np.einsum("ij,ij->i", Xu, Xv)
-    G = np.einsum("ij,ij->i", Xv, Xv)
-
-    def det3(A, B, C):
-        return np.einsum("ij,ij->i", A, np.cross(B, C))
-
-    P = (G * det3(Xu, Xv, Xuu) - 2.0 * F * det3(Xu, Xv, Xuv)
-         + E * det3(Xu, Xv, Xvv))
-
-    coeffs = np.array([
-        2.0 / n_v * np.sum(P * np.cos(3 * v)),
-        2.0 / n_v * np.sum(P * np.sin(3 * v)),
-        2.0 / n_v * np.sum(P * np.cos(2 * v)),
-        2.0 / n_v * np.sum(P * np.sin(2 * v)),
-        2.0 / n_v * np.sum(P * np.cos(v)),
-        2.0 / n_v * np.sum(P * np.sin(v)),
-        1.0 / n_v * np.sum(P),
-    ])
-    return float(np.max(np.abs(coeffs - enneper_coefficients(d))))
+    E, F, G = dot(Xu, Xu), dot(Xu, Xv), dot(Xv, Xv)
+    P = dot(np.cross(Xu, Xv), G * Xuu - 2.0 * F * Xuv + E * Xvv)[:, 0]
+    # rfft reads p cos jv + q sin jv (j >= 1) as (p - iq) 16/2, and a
+    # constant as 16 times itself
+    z = np.fft.rfft(P) / 8.0
+    dft = np.array([z[3].real, -z[3].imag, z[2].real, -z[2].imag,
+                    z[1].real, -z[1].imag, z[0].real / 2.0])
+    return float(max(np.max(np.abs(dft - enneper_coefficients(d))),
+                     np.max(np.abs(z[4:]))))

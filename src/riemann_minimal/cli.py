@@ -162,6 +162,23 @@ def _is_number(text):
 _KDV_FIT_FLAGS = {"n_level": "--n", "samples": "--samples", "seed": "--seed"}
 
 
+def _unwritable(path):
+    """Why a file cannot be written at ``path``, or None.  The rule, for
+    every output path: after symbolic links the path must not be a
+    directory, must lie in an existing directory, and ``os.access`` must
+    let it be written (or, if it does not exist, created in that
+    directory)."""
+    real = os.path.realpath(path)
+    folder = os.path.dirname(real)
+    if os.path.isdir(real):
+        return "is a directory"
+    if not os.path.isdir(folder):
+        return f"would be written in {folder}, which is no directory"
+    if not os.access(real if os.path.lexists(real) else folder, os.W_OK):
+        return "cannot be written"
+    return None
+
+
 def _config_from_args(args) -> RunConfig:
     flags = dict(vars(args))  # the flags given, and gen's -o
     lam, sigma = flags.pop("lam", None), flags.pop("sigma", None)
@@ -197,10 +214,9 @@ def _config_from_args(args) -> RunConfig:
                              f"{count} vertices exceed the 2^31 that PLY's "
                              "int32 indices address")
     if cfg.json_path:  # checked before any work, not when the report is due
-        folder = os.path.dirname(cfg.json_path) or "."
-        if not os.path.isdir(folder) or os.path.isdir(cfg.json_path):
-            raise ValueError(f"--json {cfg.json_path}: cannot write a file "
-                             "there (no such directory, or it is one)")
+        why = _unwritable(cfg.json_path)
+        if why:
+            raise ValueError(f"--json {cfg.json_path}: {why}")
     if cfg.seed < 0:  # random.Random seeds from |seed|: -7 would draw 7's
         raise ValueError(f"--seed must be >= 0 (a negative seed would draw "
                          f"the points of {-cfg.seed}), got {cfg.seed}")
@@ -272,9 +288,10 @@ def cmd_gen(cfg: RunConfig) -> int:
     outputs = [f"{name}.{fmt}" for fmt in formats
                for name in ("fundamental", "extended")]
     for name in outputs + ([] if cfg.json_path else ["report.json"]):
-        if os.path.isdir(os.path.join(cfg.out_dir, name)):
-            print(f"configuration error: -o {cfg.out_dir}: {name} is a "
-                  "directory", file=sys.stderr)
+        why = _unwritable(os.path.join(cfg.out_dir, name))
+        if why:
+            print(f"configuration error: -o {cfg.out_dir}: {name} {why}",
+                  file=sys.stderr)
             return EXIT_CONFIG
     from . import mesh
     if "logging" in sys.modules:  # else unconfigured: INFO is dropped

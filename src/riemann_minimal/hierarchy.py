@@ -16,8 +16,8 @@ imports these names back and evaluates the polynomials on jets.
 
 from __future__ import annotations
 
-import threading
 from fractions import Fraction
+from functools import cache
 
 from .errors import RiemannMinimalError
 
@@ -170,30 +170,27 @@ class DiffPoly:
         return " ".join(parts)
 
 
-_P_CACHE = [DiffPoly({(): Fraction(1, 2)})]
-_P_LOCK = threading.Lock()
 MAX_HIERARCHY_LEVEL = 6
 
 
+@cache
 def hierarchy_P(n: int) -> DiffPoly:
     """The n-th Gelfand-Dickey polynomial P_n of the KdV hierarchy.
 
     d/dz P_{n+1} = (d^3 + 4u d + 2u') P_n with P_0 = 1/2 and integration
     constants zero, so P_1 = u, P_2 = u'' + 3u^2, ...
-    Build-once read-many memo (lock only taken while extending); levels
-    above MAX_HIERARCHY_LEVEL are refused (desk scale).
+    Each level is built once, from the memoized level below; levels above
+    MAX_HIERARCHY_LEVEL are refused (desk scale).
     """
     if n < 0:
         raise ValueError("hierarchy level must be >= 0")
     if n > MAX_HIERARCHY_LEVEL:
         raise ValueError(f"hierarchy level {n} above configured max "
                          f"{MAX_HIERARCHY_LEVEL}")
-    if len(_P_CACHE) <= n:
-        with _P_LOCK:
-            while len(_P_CACHE) <= n:
-                p = _P_CACHE[-1]
-                rhs = (p.derivative().derivative().derivative()
-                       + p.derivative().mul_factor(0).scale(4)
-                       + p.mul_factor(1).scale(2))
-                _P_CACHE.append(rhs.antiderivative())
-    return _P_CACHE[n]
+    if n == 0:
+        return DiffPoly({(): Fraction(1, 2)})
+    p = hierarchy_P(n - 1)
+    rhs = (p.derivative().derivative().derivative()
+           + p.derivative().mul_factor(0).scale(4)
+           + p.mul_factor(1).scale(2))
+    return rhs.antiderivative()

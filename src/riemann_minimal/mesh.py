@@ -49,7 +49,8 @@ from .errors import RiemannMinimalError
 
 __all__ = [
     "DegenerateCell", "Degenerate", "DomainMap", "TriMesh", "IsometryOp",
-    "FundamentalSurface", "sample_fundamental", "extension_ops", "extend",
+    "FundamentalSurface", "sample_fundamental", "extension_ops", "half_turn",
+    "extend",
     "CircleFit", "level_circle_fit", "slice_mesh", "refine_slice",
     "export_obj", "export_ply",
 ]
@@ -400,13 +401,19 @@ def extension_ops(sigma: float):
     opposite normals.
     """
     t0 = FundamentalSurface(sigma).translation_half()
-    rot = np.array([-1.0, 1.0, -1.0])
     return [
-        IsometryOp(rot, np.array([t0[0], 0.0, t0[2]]), 1.0),
+        half_turn(t0),
         IsometryOp(np.array([1.0, -1.0, 1.0]), np.zeros(3), 1.0),
-        IsometryOp(rot, np.zeros(3), -1.0),
+        IsometryOp(np.array([-1.0, 1.0, -1.0]), np.zeros(3), -1.0),
         IsometryOp(offset=2.0 * t0),
     ]
+
+
+def half_turn(t0) -> IsometryOp:
+    """Op 1 of :func:`extension_ops`, x -> (t0_1 - x1, x2, t0_3 - x3), for
+    t0 of :meth:`FundamentalSurface.translation_half`."""
+    return IsometryOp(np.array([-1.0, 1.0, -1.0]),
+                      np.array([t0[0], 0.0, t0[2]]), 1.0)
 
 
 def extend(mesh: TriMesh, ops, copies: int = 0) -> TriMesh:

@@ -281,93 +281,67 @@ def test_enneper_a5_scaling():
     assert abs(a5c - c ** 5 * a5) < 1e-10 * abs(a5c)
 
 
+def _random_configs(seed):
+    """Ten random foliations, as acceptance criterion 4 draws them."""
+    rng = np.random.default_rng(seed)
+    return [FoliationData(
+        r=0.5 + rng.uniform(0.0, 1.0),
+        r_p=rng.uniform(-0.5, 0.5),
+        r_pp=rng.uniform(-0.5, 0.5),
+        kappa=0.3 + rng.uniform(0.0, 1.2),
+        kappa_p=rng.uniform(-0.5, 0.5),
+        tau=rng.uniform(-0.8, 0.8),
+        alpha=rng.uniform(-0.8, 0.8),
+        beta=rng.uniform(-0.8, 0.8),
+        delta=rng.uniform(-0.8, 0.8),
+        alpha_p=rng.uniform(-0.5, 0.5),
+        beta_p=rng.uniform(-0.5, 0.5),
+        delta_p=rng.uniform(-0.5, 0.5),
+    ) for _ in range(10)]
+
+
+def _enneper_configs():
+    return ([canonical_data(), canonical_data(delta=0.0, kappa=0.9, r=1.4)]
+            + _random_configs(42) + _random_configs(1234))
+
+
 def test_enneper_fourier_check_canonical():
-    # 1.45e-7 at the former step h = 1e-5, which sat in the rounding regime
+    # test_enneper_fourier_check_is_exact holds it to rounding
     assert enneper_fourier_check(canonical_data()) < 1.45e-7 / 5
 
 
 def test_enneper_fourier_check_random_configs():
-    rng = np.random.default_rng(42)
-    for _ in range(10):
-        d = FoliationData(
-            r=0.5 + rng.uniform(0.0, 1.0),
-            r_p=rng.uniform(-0.5, 0.5),
-            r_pp=rng.uniform(-0.5, 0.5),
-            kappa=0.3 + rng.uniform(0.0, 1.2),
-            kappa_p=rng.uniform(-0.5, 0.5),
-            tau=rng.uniform(-0.8, 0.8),
-            alpha=rng.uniform(-0.8, 0.8),
-            beta=rng.uniform(-0.8, 0.8),
-            delta=rng.uniform(-0.8, 0.8),
-            alpha_p=rng.uniform(-0.5, 0.5),
-            beta_p=rng.uniform(-0.5, 0.5),
-            delta_p=rng.uniform(-0.5, 0.5),
-        )
+    for d in _random_configs(42):
         assert enneper_fourier_check(d) < 1e-4
 
 
-def _frame_at_reference(d, u, n_steps=1, one=1.0):
-    """One scalar RK4 march of the Frenet frame and center to u in
-    ``n_steps`` equal steps; by default the one step per u that
-    ``foliation_frames`` batches.  With ``one`` an mpmath 1 it marches in
-    mpmath numbers.  Each product puts the array first: mpmath, given an
-    array on its right, formats the whole array into an error message
-    before numpy takes over, and the products are the same either way
-    round."""
-    def deriv(x, y):
-        t, n, b = y[0:3], y[3:6], y[6:9]
-        k = d.kappa + d.kappa_p * x
-        al = d.alpha + d.alpha_p * x
-        be = d.beta + d.beta_p * x
-        de = d.delta + d.delta_p * x
-        return np.concatenate([n * k, t * -k - b * d.tau, n * d.tau,
-                               t * al + n * be + b * de])
-
-    y = np.concatenate([np.eye(3).ravel(), np.zeros(3)]) * one
-    h = u * one / n_steps
-    x = 0.0 * one
-    for _ in range(n_steps):
-        k1 = deriv(x, y)
-        k2 = deriv(x + h / 2, y + k1 * (h / 2))
-        k3 = deriv(x + h / 2, y + k2 * (h / 2))
-        k4 = deriv(x + h, y + k3 * h)
-        y = y + (k1 + 2 * k2 + 2 * k3 + k4) * (h / 6)
-        x += h
-    return y[3:6], y[6:9], y[9:12]
+def test_enneper_fourier_check_is_exact():
+    # exact derivatives and an alias-free grid leave rounding only (the
+    # worst here is 7.1e-15), also in harmonics 4..8, which must vanish
+    for d in _enneper_configs():
+        assert enneper_fourier_check(d) <= 1e-13
 
 
-def _frame_configs():
-    rng = np.random.default_rng(7)
-    return [canonical_data()] + [FoliationData(
-        r=1.0, r_p=0.1, r_pp=-0.2, kappa=0.3 + rng.uniform(0.0, 1.2),
-        kappa_p=rng.uniform(-0.5, 0.5), tau=rng.uniform(-0.8, 0.8),
-        alpha=rng.uniform(-0.8, 0.8), beta=rng.uniform(-0.8, 0.8),
-        delta=rng.uniform(-0.8, 0.8), alpha_p=rng.uniform(-0.5, 0.5),
-        beta_p=rng.uniform(-0.5, 0.5), delta_p=rng.uniform(-0.5, 0.5))
-        for _ in range(5)]
+@pytest.mark.parametrize("i", range(7))
+def test_enneper_fourier_check_reads_a_planted_error(i, monkeypatch):
+    # coefficient i off by 1e-9 of itself: the check reads that error, to
+    # its rounding, on every configuration where the coefficient is not 0
+    exact = classical.enneper_coefficients
 
+    def planted(d):
+        a = exact(d)
+        a[i] *= 1.0 + 1e-9
+        return a
 
-@pytest.mark.parametrize("u", [-1.0000000000000002e-4, 3.5e-4, 2e-3])
-def test_frames_refuse_offsets_beyond_one_step(u):
-    with pytest.raises(ValueError):
-        classical.foliation_frames(canonical_data(), (0.0, u))
-
-
-def test_small_offsets_take_one_rk4_step():
-    us = (-1e-4, -3e-5, -1e-5, 0.0, 1e-5, 1e-4)
-    for d in _frame_configs():
-        got = classical.foliation_frames(d, us)
-        for i, u in enumerate(us):
-            for g, w in zip(got, _frame_at_reference(d, u, 1)):
-                assert np.array_equal(g[i], w)
-        # one step is exact to rounding: at the longest single step a
-        # 64-step march in 30 digits agrees (in floats, the 64-step
-        # march's own rounding reaches 1.3e-15)
-        for i in (0, -1):
-            with mpmath.workdps(30):
-                fine = _frame_at_reference(d, us[i], 64, mpmath.mpf(1))
-            for g, w in zip(got, fine):
-                assert np.max(np.abs(g[i] - w.astype(float))) <= 1e-15
+    monkeypatch.setattr(classical, "enneper_coefficients", planted)
+    seen = 0
+    for d in _enneper_configs():
+        a = exact(d)[i]
+        if a != 0.0:
+            seen += 1
+            error = abs(a * (1.0 + 1e-9) - a)
+            assert abs(enneper_fourier_check(d) - error) <= 1e-13
+    assert seen >= 20
 
 
 def test_enneper_zero_velocity_constant_radius():

@@ -138,7 +138,25 @@ def test_kdv_determinism(tmp_path):
         assert reports[0] == reports[1], argv
 
 
-def test_config_errors_exit_2():
+def test_config_errors_exit_2(tmp_path, capsys):
+    # a --json link into a missing directory is refused before any work,
+    # and gen makes not even its -o directory
+    dangling = tmp_path / "report.json"
+    dangling.symlink_to(tmp_path / "missing" / "x")
+    out = tmp_path / "o"
+    for argv in (["gen", "--sigma", "2", "-o", str(out)],
+                 ["verify", "--sigma", "2"], ["kdv", "--sigma", "2"],
+                 ["kdv", "--print-p", "2"]):
+        assert run([*argv, "--json", str(dangling)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: --json {dangling}: ")
+        assert err.count("\n") == 1
+    assert not out.exists() and not (tmp_path / "missing").exists()
+    # a link into an existing directory is written through
+    dangling.unlink()
+    dangling.symlink_to(tmp_path / "new.json")
+    assert run(["kdv", "--print-p", "2", "--json", str(dangling)]) == 0
+    assert load_report(tmp_path / "new.json")["command"] == "kdv"
     assert run(["gen", "--sigma", "2", "--lambda", "1"]) == 2   # both given
     assert run(["gen"]) == 2                                    # none given
     assert run(["gen", "--sigma", "2", "--grid", "bogus"]) == 2
@@ -258,6 +276,16 @@ def test_gen_output_path_errors_exit_2(tmp_path, capsys, monkeypatch):
         assert capsys.readouterr().err == (
             f"configuration error: -o {out}: {name} is a directory\n")
         (out / name).rmdir()
+    # a link to a missing directory where a mesh or the report goes
+    for name in ("fundamental.obj", "report.json"):
+        (out / name).symlink_to(tmp_path / "missing" / "x")
+        assert run(["gen", "--sigma", "2", "--grid", "6x8", "-o",
+                    str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: -o {out}: {name} ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        (out / name).unlink()
+    assert sorted(os.listdir(out)) == []
     # with --json, gen writes no report.json there: it goes on to sample
     (out / "report.json").mkdir()
     assert run(["gen", "--sigma", "2", "-o", str(out), "--json",
